@@ -1,12 +1,11 @@
-# Build/test/bench entry points. `make bench` records the run to
-# BENCH_<date>.json (go test -json stream) so the perf trajectory of the
-# repository is tracked in-tree over time.
+# Build/test/benchmark entry points. Performance is judged by the
+# benchmark BENCHMARK.json declares (`make benchmark`, the nested bench/
+# module); bench_test.go holds micro-benchmarks to run ad hoc with
+# `go test -bench`.
 
-GO        ?= go
-DATE      := $(shell date +%Y-%m-%d)
-BENCH_OUT ?= BENCH_$(DATE).json
+GO ?= go
 
-.PHONY: all build test vet lint fuzz bench benchcmp transportbench search scenarios soak clean
+.PHONY: all build test vet lint fuzz benchmark benchcheck transportbench search scenarios soak
 
 # (test already vets, so all doesn't list vet separately)
 all: build test
@@ -26,12 +25,10 @@ test: scenarios lint
 # Repository-specific static analysis: the internal/lint analyzers
 # (asymdeterminism, asymwire, asymsizer, asymbound, asymshare, asymgc —
 # see internal/lint's package comment for the contracts) over the whole
-# tree, plus stock go vet. The content-hash cache makes repeat runs skip
-# unchanged packages; delete .asymvet-cache.json (untracked) to force a
-# cold run.
+# tree, plus stock go vet.
 lint:
 	$(GO) vet ./...
-	$(GO) run ./cmd/asymvet -cache .asymvet-cache.json ./...
+	$(GO) run ./cmd/asymvet ./...
 
 # Coverage-guided fuzzing of the byte-level attack surface: the wire
 # bounded-decode primitives, the tagged top-level decoder, and the
@@ -55,14 +52,16 @@ scenarios:
 vet:
 	$(GO) vet ./...
 
-# Full benchmark sweep with allocation stats; the human-readable summary
-# goes to stdout while the structured stream is preserved for tooling.
-# The transport package rides along so the loopback-cluster throughput
-# numbers (msgs/s, bytes/s at n=50) are part of the recorded trajectory.
-bench:
-	$(GO) test -json -run='^$$' -bench=. -benchmem -count=1 . ./internal/transport > $(BENCH_OUT)
-	@grep -o '"Output":".*"' $(BENCH_OUT) | sed -e 's/^"Output":"//' -e 's/"$$//' -e 's/\\t/\t/g' -e 's/\\n//g' | grep '^Benchmark' || true
-	@echo "wrote $(BENCH_OUT)"
+# The repository benchmark: all four BENCHMARK.json workloads, each in its
+# own process and ending in one JSON line of end-to-end metrics (see
+# bench/README.md for the flags, workloads and metric names).
+benchmark:
+	$(GO) run -C bench . -workload all
+
+# The benchmark driver's own vet and tests; bench/ is a nested module, so
+# `go test ./...` at the root does not reach it.
+benchcheck:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # Transport-focused gate: the wire codec and framing/backpressure test
 # suites under the race detector, then the n=50 loopback mesh benchmark.
@@ -80,29 +79,7 @@ soak:
 	SOAK_WAVES=$(SOAK_WAVES) $(GO) test -race -count=1 -v \
 		-run 'TestService(BoundedMemorySoak|SnapshotEquivalence|SurvivesChurn)' ./internal/service
 
-# Diff two bench recordings; fails on >15% ns/op, allocs/op or B/op
-# regressions, and on >15% drops of rate metrics (runs/s, events/s, the
-# service benchmark's msgs/s, commits/s, tx/s). By default the two newest
-# BENCH_*.json are compared; override with OLD=/NEW=, and the allocation
-# gate with ALLOC_THRESHOLD= (percent; negative disables).
-benchcmp:
-	$(GO) run ./cmd/benchdiff $(if $(OLD),-old $(OLD)) $(if $(NEW),-new $(NEW)) $(if $(ALLOC_THRESHOLD),-allocthreshold $(ALLOC_THRESHOLD))
-
 # Smoke-test the batch analysis search path: a parallel random-system
 # sweep through quorum.AnalyzeSystem (the quorumtool -search mode).
 search:
 	$(GO) run ./cmd/quorumtool -system random -n 12 -search 50
-
-# Remove only bench recordings that are not committed: historical
-# BENCH_*.json are tracked in-tree as the perf trajectory, so deleting
-# everything matching the glob (as this target once did) destroyed
-# committed history.
-clean:
-	@for f in BENCH_*.json; do \
-		[ -e "$$f" ] || continue; \
-		if git ls-files --error-unmatch "$$f" >/dev/null 2>&1; then \
-			echo "keeping tracked $$f"; \
-		else \
-			rm -f "$$f" && echo "removed $$f"; \
-		fi; \
-	done

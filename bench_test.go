@@ -315,9 +315,8 @@ func BenchmarkSweepABBA(b *testing.B) {
 // well-defined unit of work that makes serial and parallel directly
 // comparable. The Serial/Parallel pair is the scaling claim: on a
 // multi-core host parallel delivery must beat serial (on a single-core
-// host it only pays the buffering overhead); `make benchcmp` guards the
-// serial numbers so the lane-queue refactor cannot silently regress the
-// default path.
+// host it only pays the buffering overhead); the serial numbers show
+// whether the lane-queue refactor regressed the default path.
 
 const largeNEvents = 300_000
 
@@ -438,8 +437,7 @@ func BenchmarkQuorumPredicateCounterexample(b *testing.B) {
 // Analysis engine: the word-compiled Validate/SatisfiesB3 sweeps against
 // the retained naive nested-set-loop references, on an n=30 random
 // asymmetric system (the quorumtool -search shape). The compiled pair
-// must stay ≥2× ahead of its *Naive counterpart; make benchcmp guards
-// the compiled numbers across recordings.
+// must stay ≥2× ahead of its *Naive counterpart.
 
 func analysisBenchSystem(b *testing.B) *quorum.System {
 	sys, err := quorum.RandomAsymmetric(quorum.RandomAsymmetricConfig{
@@ -654,10 +652,9 @@ func BenchmarkRiderWithGC(b *testing.B) {
 
 // Service mode (E14): sustained throughput of the long-lived replicated
 // service — pipelined client batching, mandatory DAG GC, periodic
-// snapshot/compaction. The /s metrics are wall-clock sustained rates (make
-// benchcmp gates them against drops); the latency metrics are virtual-time
-// commit latency of a replica's own commands, and peak-vertices is the
-// GC-bounded live DAG headline.
+// snapshot/compaction. The /s metrics are wall-clock sustained rates; the
+// latency metrics are virtual-time commit latency of a replica's own
+// commands, and peak-vertices is the GC-bounded live DAG headline.
 func BenchmarkServiceSustained(b *testing.B) {
 	trust := quorum.NewThreshold(4, 1)
 	var msgs, commits, applied, peak int

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	asymvet [-only name[,name]] [-json] [-baseline file] [-cache file] [packages...]
+//	asymvet [-only name[,name]] [-json] [-baseline file] [packages...]
 //
 // Patterns default to ./... relative to the current directory. asymvet
 // is a standalone multichecker rather than a `go vet -vettool` plugin —
@@ -21,9 +21,7 @@
 // an earlier run) and suppresses findings matching an entry's analyzer,
 // file, and message — line numbers are ignored so a baseline survives
 // unrelated edits; baseline entries that no longer match anything are
-// reported as stale on stderr. -cache names a content-hash package
-// cache file (see internal/lint/doc.go) so repeat runs skip unchanged
-// packages.
+// reported as stale on stderr.
 package main
 
 import (
@@ -42,7 +40,6 @@ func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
 	baselinePath := flag.String("baseline", "", "JSON findings file (as produced by -json) whose entries are suppressed")
-	cachePath := flag.String("cache", "", "content-hash package cache file (empty: no cache)")
 	flag.Parse()
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -61,20 +58,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	var diags []lint.Diagnostic
-	if *cachePath != "" {
-		diags, _, err = lint.RunCached(wd, *cachePath, analyzers, patterns...)
-	} else {
-		var prog *lint.Program
-		prog, err = lint.Load(wd, patterns...)
-		if err == nil {
-			diags = lint.Run(prog, analyzers)
-		}
-	}
+	prog, err := lint.Load(wd, patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "asymvet:", err)
 		os.Exit(2)
 	}
+	diags := lint.Run(prog, analyzers)
 
 	if *baselinePath != "" {
 		base, err := loadBaseline(*baselinePath, wd)

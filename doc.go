@@ -42,8 +42,9 @@
 //     fan-out fast path that does per-message bookkeeping once per
 //     broadcast, and the gather pending-acceptance buffers and DAG vertex
 //     key digests run on free-lists — event delivery itself is
-//     allocation-free, and cmd/benchdiff gates allocs/op and B/op next
-//     to ns/op so the reduction stays durable.
+//     allocation-free, and the repository benchmark (bench/,
+//     BENCHMARK.json) bounds allocs_per_tx so the reduction stays
+//     durable.
 //   - A parallel multi-seed sweep engine (internal/sim Sweep/Reduce and
 //     the internal/harness Sweeper): independent seeded executions fan out
 //     over a bounded worker pool with deterministic, worker-count-
@@ -115,10 +116,10 @@
 //     order makes snapshots byte-identical across replicas at every
 //     shared decided wave (CheckServiceSnapshots verifies; a 100-seed
 //     equivalence suite also replays the full log against each
-//     snapshot). BenchmarkServiceSustained records sustained msgs/s,
-//     commits/s and commit-latency percentiles, gated by `make benchcmp`
-//     against throughput drops; examples/keyvalue is the runnable
-//     flagship, riding out rolling churn with byte-identical snapshots.
+//     snapshot). BenchmarkServiceSustained reports sustained msgs/s,
+//     commits/s and commit-latency percentiles; examples/keyvalue is
+//     the runnable flagship, riding out rolling churn with
+//     byte-identical snapshots.
 //
 // # Quickstart
 //

@@ -20,7 +20,6 @@ package broadcast
 
 import (
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 
 	"repro/internal/quorum"
@@ -28,10 +27,13 @@ import (
 	"repro/internal/types"
 )
 
-// Payload is the application data carried by a broadcast. Key must be a
-// collision-resistant digest of the content: two payloads are "the same
-// message" exactly when their keys are equal. This is what equivocation
-// detection counts on.
+// Payload is the application data carried by a broadcast. Key must
+// identify the content: two payloads are "the same message" exactly when
+// their keys are equal. This is what equivocation detection counts on. A
+// key need not be short — Bytes returns a SHA-256 digest, but
+// rider.VertexPayload returns the vertex's full content, O(block) bytes
+// allocated on every call and retained once per tracker map that sees it
+// (ROADMAP item 2 replaces it with a digest computed once per payload).
 type Payload interface {
 	Key() string
 }
@@ -133,7 +135,6 @@ type rbSlot struct {
 	delivered bool
 	echoes    map[string]*quorum.Tracker // payload key -> echoer tracker
 	readies   map[string]*quorum.Tracker // payload key -> ready-sender tracker
-	payloads  map[string]Payload
 }
 
 var _ Broadcaster = (*Reliable)(nil)
@@ -164,9 +165,8 @@ func (r *Reliable) slot(s Slot) *rbSlot {
 	st, ok := r.slots[s]
 	if !ok {
 		st = &rbSlot{
-			echoes:   map[string]*quorum.Tracker{},
-			readies:  map[string]*quorum.Tracker{},
-			payloads: map[string]Payload{},
+			echoes:  map[string]*quorum.Tracker{},
+			readies: map[string]*quorum.Tracker{},
 		}
 		r.slots[s] = st
 	}
@@ -201,16 +201,13 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 			return true // echo only the first payload per slot
 		}
 		st.sentEcho = true
-		st.payloads[m.Payload.Key()] = m.Payload
 		env.Broadcast(echoMsg{Slot: m.Slot, Payload: m.Payload})
 	case echoMsg:
 		if m.Slot.Seq < r.pruned {
 			return true
 		}
 		st := r.slot(m.Slot)
-		key := m.Payload.Key()
-		st.payloads[key] = m.Payload
-		echoers := r.record(st.echoes, key, from)
+		echoers := r.record(st.echoes, m.Payload.Key(), from)
 		if !st.sentReady && echoers.HasQuorum() {
 			st.sentReady = true
 			env.Broadcast(readyMsg{Slot: m.Slot, Payload: m.Payload})
@@ -220,9 +217,7 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 			return true
 		}
 		st := r.slot(m.Slot)
-		key := m.Payload.Key()
-		st.payloads[key] = m.Payload
-		readiers := r.record(st.readies, key, from)
+		readiers := r.record(st.readies, m.Payload.Key(), from)
 		if !st.sentReady && readiers.HasKernel() {
 			st.sentReady = true
 			env.Broadcast(readyMsg{Slot: m.Slot, Payload: m.Payload})
@@ -432,14 +427,4 @@ func (p *Plain) SlotCount() int { return len(p.delivered) }
 // Byzantine behaviours use it.
 func EquivocateSend(env sim.Env, to types.ProcessID, slot Slot, payload Payload) {
 	env.Send(to, sendMsg{Slot: slot, Payload: payload})
-}
-
-// RegisterWire registers this package's message types with encoding/gob so
-// they can travel over a real transport (internal/transport). Safe to call
-// multiple times.
-func RegisterWire() {
-	gob.Register(sendMsg{})
-	gob.Register(echoMsg{})
-	gob.Register(readyMsg{})
-	gob.Register(Bytes(nil))
 }

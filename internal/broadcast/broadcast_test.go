@@ -425,3 +425,73 @@ func TestPruneBelowAllBroadcasters(t *testing.T) {
 		})
 	}
 }
+
+// countedPayload is a Payload whose Key reports every call.
+type countedPayload struct{ calls *int }
+
+func (p countedPayload) Key() string { *p.calls++; return "counted" }
+
+// queueEnv is a sim.Env that appends every send to a shared FIFO, for
+// stepping a cluster of Broadcasters message by message.
+type queueEnv struct {
+	pruneEnv
+	queue *[]queuedMsg
+}
+
+type queuedMsg struct {
+	from, to types.ProcessID
+	msg      sim.Message
+}
+
+func (e queueEnv) Send(to types.ProcessID, msg sim.Message) {
+	*e.queue = append(*e.queue, queuedMsg{from: e.self, to: to, msg: msg})
+}
+
+func (e queueEnv) Broadcast(msg sim.Message) {
+	for to := 0; to < e.n; to++ {
+		e.Send(types.ProcessID(to), msg)
+	}
+}
+
+// TestReliableKeyCallsPerMessage pins what a slot costs in Key calls,
+// which for a DAG vertex is a serialisation of the whole block: a SEND is
+// relayed without looking at the payload's key, and an ECHO or READY
+// computes it exactly once to find its tracker.
+func TestReliableKeyCallsPerMessage(t *testing.T) {
+	const n = 4
+	trust := quorum.NewThreshold(n, 1)
+	var queue []queuedMsg
+	var calls, deliveries int
+	envs := make([]queueEnv, n)
+	nodes := make([]*Reliable, n)
+	for i := range nodes {
+		envs[i] = queueEnv{pruneEnv: pruneEnv{self: types.ProcessID(i), n: n}, queue: &queue}
+		nodes[i] = NewReliable(types.ProcessID(i), trust, func(sim.Env, Slot, Payload) { deliveries++ })
+	}
+	nodes[0].Broadcast(envs[0], 0, countedPayload{calls: &calls})
+
+	handled := map[string]int{}
+	for len(queue) > 0 {
+		m := queue[0]
+		queue = queue[1:]
+		before := calls
+		nodes[m.to].Handle(envs[m.to], m.from, m.msg)
+		kind, want := "SEND", 0
+		switch m.msg.(type) {
+		case echoMsg:
+			kind, want = "ECHO", 1
+		case readyMsg:
+			kind, want = "READY", 1
+		}
+		handled[kind]++
+		if got := calls - before; got != want {
+			t.Fatalf("handling a %s made %d Key calls, want %d", kind, got, want)
+		}
+	}
+	if handled["SEND"] != n || handled["ECHO"] != n*n || handled["READY"] != n*n {
+		t.Fatalf("handled %v, want %d SEND and %d each of ECHO and READY", handled, n, n*n)
+	}
+	if deliveries != n {
+		t.Fatalf("%d of %d processes delivered", deliveries, n)
+	}
+}

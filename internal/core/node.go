@@ -35,8 +35,6 @@
 package core
 
 import (
-	"encoding/gob"
-
 	"repro/internal/broadcast"
 	"repro/internal/coin"
 	"repro/internal/dag"
@@ -577,14 +575,4 @@ func (n *Node) Live() LiveStats {
 		WaveCtls:       len(n.waves),
 		PendingPairs:   len(n.delivered) + len(n.acked),
 	}
-}
-
-// RegisterWire registers the consensus message types with encoding/gob for
-// use over a real transport. Safe to call multiple times.
-func RegisterWire() {
-	gob.Register(ackMsg{})
-	gob.Register(readyMsg{})
-	gob.Register(confirmMsg{})
-	gob.Register(coin.ShareMsg{})
-	gob.Register(rider.VertexPayload{})
 }

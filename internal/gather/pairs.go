@@ -28,8 +28,6 @@
 package gather
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/bits"
 	"strings"
@@ -286,82 +284,10 @@ func (p Pairs) String() string {
 	return b.String()
 }
 
-// pairsWire is the gob representation of Pairs (the in-memory layout has
-// unexported fields).
-type pairsWire struct {
-	N     int
-	Procs []int32
-	Vals  []string
-}
-
-// GobEncode implements gob.GobEncoder.
-func (p Pairs) GobEncode() ([]byte, error) {
-	w := pairsWire{N: p.senders.UniverseSize()}
-	p.ForEach(func(k types.ProcessID, v string) bool {
-		w.Procs = append(w.Procs, int32(k))
-		w.Vals = append(w.Vals, v)
-		return true
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// maxWireUniverse bounds the universe size accepted off the wire, so a
-// malicious peer cannot make the decoder allocate an arbitrarily large
-// value slice.
-const maxWireUniverse = 1 << 20
-
-// GobDecode implements gob.GobDecoder. The payload comes from the network
-// (possibly from a Byzantine peer), so every field is validated before it
-// shapes an allocation or an index: the old map representation tolerated
-// arbitrary keys, the bitset representation must enforce its bounds.
-func (p *Pairs) GobDecode(b []byte) error {
-	var w pairsWire
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
-		return err
-	}
-	if w.N == 0 {
-		if len(w.Procs) != 0 || len(w.Vals) != 0 {
-			return fmt.Errorf("gather: wire Pairs has %d pairs in an empty universe", len(w.Procs))
-		}
-		*p = Pairs{}
-		return nil
-	}
-	if w.N < 0 || w.N > maxWireUniverse {
-		return fmt.Errorf("gather: wire Pairs universe %d out of range", w.N)
-	}
-	if len(w.Procs) != len(w.Vals) {
-		return fmt.Errorf("gather: wire Pairs has %d processes but %d values", len(w.Procs), len(w.Vals))
-	}
-	*p = NewPairs(w.N)
-	for i, proc := range w.Procs {
-		if proc < 0 || int(proc) >= w.N {
-			return fmt.Errorf("gather: wire Pairs process %d outside universe %d", proc, w.N)
-		}
-		p.Set(types.ProcessID(proc), w.Vals[i])
-	}
-	return nil
-}
-
 // wireValid reports whether a Pairs received in a message is usable in a
 // cluster of n processes: either the zero value or built over the same
 // universe. Handlers drop messages that fail it — a decoded Pairs with a
 // different universe would otherwise panic inside Merge/ContainsAll.
 func (p Pairs) wireValid(n int) bool {
 	return p.IsZero() || (p.senders.UniverseSize() == n && len(p.vals) == n)
-}
-
-// RegisterWire registers this package's message types with encoding/gob
-// for use over a real transport. Safe to call multiple times.
-func RegisterWire() {
-	gob.Register(distSMsg{})
-	gob.Register(distTMsg{})
-	gob.Register(distUMsg{})
-	gob.Register(ackMsg{})
-	gob.Register(readyMsg{})
-	gob.Register(confirmMsg{})
-	gob.Register(Pairs{})
 }

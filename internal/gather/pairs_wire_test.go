@@ -1,56 +1,10 @@
 package gather
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"repro/internal/types"
 )
-
-func encodeWire(t *testing.T, w pairsWire) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestPairsGobRoundTrip pins the codec on well-formed data.
-func TestPairsGobRoundTrip(t *testing.T) {
-	orig := PairsOf(7, map[types.ProcessID]string{0: "a", 3: "b", 6: "c"})
-	enc, err := orig.GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Pairs
-	if err := got.GobDecode(enc); err != nil {
-		t.Fatal(err)
-	}
-	if !got.ContainsAll(orig) || !orig.ContainsAll(got) {
-		t.Fatalf("round trip lost pairs: %v vs %v", got, orig)
-	}
-}
-
-// TestPairsGobDecodeRejectsMalformed: adversarial wire payloads must be
-// rejected with an error, not crash the decoder or later set operations.
-func TestPairsGobDecodeRejectsMalformed(t *testing.T) {
-	cases := map[string]pairsWire{
-		"process outside universe": {N: 4, Procs: []int32{9}, Vals: []string{"x"}},
-		"negative process":         {N: 4, Procs: []int32{-1}, Vals: []string{"x"}},
-		"mismatched lengths":       {N: 4, Procs: []int32{1, 2}, Vals: []string{"x"}},
-		"negative universe":        {N: -5, Procs: nil, Vals: nil},
-		"gigantic universe":        {N: 1 << 30, Procs: nil, Vals: nil},
-		"pairs in empty universe":  {N: 0, Procs: []int32{0}, Vals: []string{"x"}},
-	}
-	for name, w := range cases {
-		var p Pairs
-		if err := p.GobDecode(encodeWire(t, w)); err == nil {
-			t.Errorf("%s: decode accepted malformed payload", name)
-		}
-	}
-}
 
 // TestPendingPairsSupersede pins the buffering semantics: an immediately
 // accepted set leaves the sender's earlier buffered set pending, while a

@@ -3,9 +3,8 @@
 //
 // A Pairs body reuses the raw-word bitset encoding types.Set already
 // carries: [uvarint universe][raw LE sender words][per member, ascending:
-// uvarint len + value bytes]. A universe of 0 encodes the zero Pairs,
-// matching the gob codec's convention. Decoding validates the universe
-// bound and sender-word bits exactly like GobDecode always has — bodies
+// uvarint len + value bytes]. A universe of 0 encodes the zero Pairs.
+// Decoding validates the universe bound and sender-word bits — bodies
 // come from the network, possibly from Byzantine peers.
 package gather
 
@@ -26,6 +25,11 @@ const (
 	wireTagConfirm = 35
 	wireTagPairs   = 36
 )
+
+// maxWireUniverse bounds the universe size accepted off the wire, so a
+// malicious peer cannot make the decoder allocate an arbitrarily large
+// value slice.
+const maxWireUniverse = 1 << 20
 
 func init() { registerWireCodecs() }
 

@@ -87,8 +87,8 @@ func TestGatherWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGatherWireRejectsMalformed mirrors the gob codec's adversarial
-// cases at the binary layer.
+// TestGatherWireRejectsMalformed: adversarial Pairs bodies must be
+// rejected with an error, not crash the decoder or later set operations.
 func TestGatherWireRejectsMalformed(t *testing.T) {
 	cases := map[string][]byte{
 		"empty body":        {},

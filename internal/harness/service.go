@@ -31,7 +31,7 @@ func RunService(cfg ServiceConfig) ServiceResult {
 
 // ServiceStats aggregates a run's sustained-throughput and commit-latency
 // numbers across replicas — the quantities BenchmarkServiceSustained
-// reports and make benchcmp gates.
+// reports.
 type ServiceStats struct {
 	// Throughput is the mean applied transactions per virtual-time unit
 	// per replica.

@@ -47,31 +47,29 @@ func typeBaseName(t types.Type) string {
 // parameter indices — the pass-through that makes the taint analysis
 // compositional).
 type resultFact struct {
-	FromSource bool   `json:"s,omitempty"`
-	FromParams uint64 `json:"p,omitempty"`
+	FromSource bool
+	FromParams uint64
 }
 
 // flowFacts is one function's dataflow summary. All fields are
 // monotone — recomputation under richer callee summaries only ever adds
-// facts — which is what makes the fixed point converge. The struct is
-// JSON-serializable so the lint cache can carry summaries for packages
-// it skips re-analyzing.
+// facts — which is what makes the fixed point converge.
 type flowFacts struct {
 	// Results holds one fact per declared result.
-	Results []resultFact `json:"r,omitempty"`
+	Results []resultFact
 	// SinkParams marks parameters that flow, unsanitized, into an
 	// allocation/index/loop-bound sink inside the function or one of its
 	// callees; SinkNotes describes the sink for call-site diagnostics.
-	SinkParams uint64         `json:"sp,omitempty"`
-	SinkNotes  map[int]string `json:"sn,omitempty"`
+	SinkParams uint64
+	SinkNotes  map[int]string
 	// MutParams marks parameters whose referenced memory the function
 	// writes through (directly or via a callee); MutRecv is the same
 	// fact for the method receiver.
-	MutParams uint64 `json:"mp,omitempty"`
-	MutRecv   bool   `json:"mr,omitempty"`
+	MutParams uint64
+	MutRecv   bool
 	// Calls lists the funcKeys of statically resolved callees, sorted —
 	// the call-graph edges reachability analyses walk.
-	Calls []string `json:"c,omitempty"`
+	Calls []string
 }
 
 func factsEqual(a, b flowFacts) bool {
@@ -96,8 +94,7 @@ func factsEqual(a, b flowFacts) bool {
 }
 
 // flowFunc is one function in the flow graph: a declaration with a body
-// from a loaded package, or a bare cached summary (decl == nil) injected
-// for a package the cache allowed the loader to skip.
+// from a loaded package.
 type flowFunc struct {
 	key   string
 	decl  *ast.FuncDecl
@@ -122,11 +119,6 @@ func (prog *Program) flow() *flowGraph {
 		return prog.flowG
 	}
 	fg := &flowGraph{prog: prog, funcs: map[string]*flowFunc{}}
-	if prog.external != nil {
-		for k, f := range prog.external.Flow {
-			fg.funcs[k] = &flowFunc{key: k, facts: f}
-		}
-	}
 	for _, pkg := range prog.Packages {
 		pkg := pkg
 		forEachFuncDecl(pkg, func(fd *ast.FuncDecl) {
@@ -150,9 +142,6 @@ func (prog *Program) flow() *flowGraph {
 		changed := false
 		for _, k := range fg.keys {
 			ff := fg.funcs[k]
-			if ff.decl == nil {
-				continue // cached summary, already final
-			}
 			nf := fg.summarize(ff)
 			if !factsEqual(ff.facts, nf) {
 				ff.facts = nf

@@ -192,18 +192,8 @@
 // message types and deliberately adversarial iteration live there); the
 // contracts gate shipped code.
 //
-// asymvet also supports -json (machine-readable findings), -baseline
+// asymvet also supports -json (machine-readable findings) and -baseline
 // (suppress a recorded finding set — adopt the analyzers on a dirty
-// tree without annotating everything first), and -cache. The cache
-// (cache.go) stores, per package, a content hash over its sources and
-// transitive in-module dependency cone, its cross-package facts (flow
-// summaries, wire registrations, unwired types, prune sites, Receive
-// roots), and its diagnostics, plus a digest of the whole program's
-// fact pool. A package replays its cached diagnostics without being
-// re-parsed when its own hash AND the global fact digest match; a
-// package whose facts are valid but whose surroundings changed is
-// re-analyzed from source with the unchanged rest of the program
-// injected as external facts. `make lint` keeps the cache in
-// .asymvet-cache.json (untracked); correctness falls back to a full
-// run on any mismatch or corruption.
+// tree without annotating everything first). Every run loads and
+// analyzes the whole program (about a third of a second for ./...).
 package lint

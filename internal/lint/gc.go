@@ -190,11 +190,6 @@ func (prog *Program) pruneSites() map[string]bool {
 		return prog.pruned
 	}
 	prog.pruned = map[string]bool{}
-	if prog.external != nil {
-		for _, k := range prog.external.Pruned {
-			prog.pruned[k] = true
-		}
-	}
 	for _, pkg := range prog.Packages {
 		for _, key := range packagePruneSites(pkg) {
 			prog.pruned[key] = true
@@ -204,8 +199,7 @@ func (prog *Program) pruneSites() map[string]bool {
 }
 
 // packagePruneSites returns the sorted field keys one package's code
-// prunes; the cache stores them so a skipped package still contributes
-// its prune sites to the program-wide index.
+// prunes.
 func packagePruneSites(pkg *Package) []string {
 	set := map[string]bool{}
 	forEachFuncDecl(pkg, func(fd *ast.FuncDecl) {

@@ -82,10 +82,6 @@ type Program struct {
 	// pruned caches the program-wide prune-site index (gc.go).
 	flowG  *flowGraph
 	pruned map[string]bool
-
-	// external carries facts for packages the cache allowed the loader
-	// to skip re-parsing (cache.go); nil for a plain Load.
-	external *ExternalFacts
 }
 
 // All lint directives must use names from this set; anything else under
@@ -183,26 +179,11 @@ func Analyzers() []*Analyzer {
 func Run(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range prog.Packages {
-		diags = append(diags, runPackage(prog, pkg, analyzers)...)
+		for _, a := range analyzers {
+			pass := &Pass{Analyzer: a, Prog: prog, Pkg: pkg, diags: &diags}
+			a.Run(pass)
+		}
 	}
-	sortDiags(diags)
-	return diags
-}
-
-// runPackage applies each analyzer to one package. Every analyzer
-// reports at positions inside the pass's own package, so the result is
-// exactly that package's findings — the property the cache relies on to
-// store diagnostics per package.
-func runPackage(prog *Program, pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		pass := &Pass{Analyzer: a, Prog: prog, Pkg: pkg, diags: &diags}
-		a.Run(pass)
-	}
-	return diags
-}
-
-func sortDiags(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -216,6 +197,7 @@ func sortDiags(diags []Diagnostic) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
+	return diags
 }
 
 // typeKey is the cross-package identity of a Go type: its types.TypeString

@@ -26,16 +26,9 @@ type listPkg struct {
 	Export     string
 	GoFiles    []string
 	CgoFiles   []string
-	Imports    []string
 	Module     *struct{ Path string }
 	DepOnly    bool
 	Error      *struct{ Err string }
-}
-
-// isModulePkg reports whether p is an analyzable in-module package (the
-// set Load type-checks from source and the cache keys).
-func isModulePkg(p listPkg) bool {
-	return !p.Standard && p.Module != nil && len(p.CgoFiles) == 0
 }
 
 // goList runs `go list -export -json -deps patterns...` in dir and
@@ -129,15 +122,6 @@ func Load(dir string, patterns ...string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return loadFromList(pkgs, nil)
-}
-
-// loadFromList type-checks the module packages of a go list result from
-// source. When only is non-nil, packages outside it are skipped — the
-// cache path (cache.go) loads just the stale packages and carries the
-// rest as ExternalFacts; skipped packages are still visible to the
-// loaded ones through their export data.
-func loadFromList(pkgs []listPkg, only map[string]bool) (*Program, error) {
 	exports := map[string]string{}
 	for _, p := range pkgs {
 		if p.Export != "" {
@@ -147,16 +131,14 @@ func loadFromList(pkgs []listPkg, only map[string]bool) (*Program, error) {
 	prog := &Program{Fset: token.NewFileSet()}
 	imp := exportImporter(prog.Fset, exports)
 	for _, p := range pkgs {
-		// A cgo package cannot be type-checked from plain source; none
-		// exist in this module, but skip rather than fail.
-		if !isModulePkg(p) {
+		// Only in-module packages are analyzed. A cgo package cannot be
+		// type-checked from plain source; none exist in this module, but
+		// skip rather than fail.
+		if p.Standard || p.Module == nil || len(p.CgoFiles) > 0 {
 			continue
 		}
 		if p.Error != nil {
 			return nil, fmt.Errorf("lint: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if only != nil && !only[p.ImportPath] {
-			continue
 		}
 		files := make([]string, len(p.GoFiles))
 		for i, f := range p.GoFiles {

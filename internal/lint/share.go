@@ -62,9 +62,6 @@ func runShare(pass *Pass) {
 // sim.Env (the sim.Node surface the scheduler fans out over).
 func receiveRoots(prog *Program) []string {
 	var roots []string
-	if prog.external != nil {
-		roots = append(roots, prog.external.Roots...)
-	}
 	for _, pkg := range prog.Packages {
 		roots = append(roots, packageReceiveRoots(pkg)...)
 	}

@@ -29,13 +29,11 @@ const simPkgPath = "repro/internal/sim"
 // Registration is one statically-resolved wire.Register call: the
 // registered prototype's type and the claimed tag.
 type Registration struct {
-	TypeKey  string `json:"type"` // typeKey of the prototype's static type
-	Tag      uint64 `json:"tag"`
-	TagKnown bool   `json:"tagKnown,omitempty"`
-	PkgPath  string `json:"pkg"`
-	// Pos is nil for a cache-carried registration; tag checks only run
-	// for the pass's own source-loaded package, which always has it.
-	Pos ast.Node `json:"-"`
+	TypeKey  string // typeKey of the prototype's static type
+	Tag      uint64
+	TagKnown bool
+	PkgPath  string
+	Pos      ast.Node
 }
 
 // registrations resolves every wire.Register call in the program,
@@ -47,9 +45,6 @@ func (prog *Program) registrations() []Registration {
 		return prog.regs
 	}
 	prog.regsDone = true
-	if prog.external != nil {
-		prog.regs = append(prog.regs, prog.external.Regs...)
-	}
 	for _, pkg := range prog.Packages {
 		prog.regs = append(prog.regs, packageRegistrations(pkg)...)
 	}
@@ -266,14 +261,6 @@ func typeDeclUnwired(prog *Program, t types.Type) bool {
 	obj := named.Obj()
 	if obj.Pkg() == nil {
 		return false
-	}
-	if prog.external != nil {
-		key := obj.Pkg().Path() + "." + obj.Name()
-		for _, u := range prog.external.Unwired {
-			if u == key {
-				return true
-			}
-		}
 	}
 	for _, pkg := range prog.Packages {
 		if pkg.Path != obj.Pkg().Path() {

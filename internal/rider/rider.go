@@ -18,16 +18,18 @@ import (
 )
 
 // VertexPayload wraps a DAG vertex for transport through a broadcast
-// primitive. Its Key is a deterministic digest of the full vertex content,
-// so reliable broadcast's equivocation detection covers vertex bodies.
+// primitive. Its Key is not a digest but the full vertex content,
+// serialised deterministically, so reliable broadcast's equivocation
+// detection covers vertex bodies — at O(block) bytes allocated per call
+// (ROADMAP item 2 replaces it with a digest computed once per payload).
 type VertexPayload struct {
 	V *dag.Vertex
 }
 
 var _ broadcast.Payload = VertexPayload{}
 
-// keyBufPool recycles the scratch buffers Key builds its digest in.
-// Reliable broadcast calls Key on every SEND/ECHO/READY it handles, so a
+// keyBufPool recycles the scratch buffers Key builds its string in.
+// Reliable broadcast calls Key on every ECHO/READY it handles, so a
 // fresh builder per call churned the GC during vertex fan-out; with the
 // pool only the returned string allocates.
 var keyBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}

@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"testing"
 
+	// The protocol packages register their codecs with internal/wire at
+	// init; FuzzDecodeBatch needs every one of them loaded.
+	_ "repro/internal/broadcast"
+	_ "repro/internal/core"
+	_ "repro/internal/gather"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -72,7 +77,6 @@ func FuzzParseHello(f *testing.F) {
 // come from a registered codec (re-marshalable), and a malformed tail
 // must surface as an error, not silent truncation.
 func FuzzDecodeBatch(f *testing.F) {
-	RegisterAllWire()
 	seedBatch := func(msgs ...sim.Message) []byte {
 		var body []byte
 		for _, m := range msgs {

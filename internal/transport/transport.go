@@ -17,17 +17,19 @@
 //
 // # Wire format
 //
-// Frames are length-prefixed binary, not gob: [1-byte type][4-byte
-// big-endian payload length][payload]. A hello payload is [magic u32]
+// Frames are length-prefixed binary: [1-byte type][4-byte big-endian
+// payload length][payload]. A hello payload is [magic u32]
 // [version u8][uvarint from][uvarint n]. A batch payload is a sequence of
 // [uvarint length][message frame] entries, where a message frame is the
 // shared binary codec's [uvarint tag][body] (internal/wire) — the same
 // encoding sim.MessageSize prices, so simulated byte metrics match real
 // wire bytes. Batch payloads are optionally flate-compressed
 // (HostConfig.Compress; frame type distinguishes them). The codec is
-// stateless per frame, so — unlike the old gob stream — a hello can be
-// written directly by the dialer and any writer can resume after a
-// reconnect without stream-state corruption.
+// stateless per frame, so a hello can be written directly by the dialer
+// and any writer can resume after a reconnect without stream-state
+// corruption. Message codecs register themselves with internal/wire at
+// their package's init; this package imports no protocol package, so a
+// binary decodes exactly the messages of the protocol packages it links.
 //
 // # Concurrency model
 //
@@ -79,24 +81,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/broadcast"
-	"repro/internal/core"
-	"repro/internal/gather"
 	"repro/internal/sim"
 	"repro/internal/types"
 	"repro/internal/wire"
 )
-
-// RegisterAllWire registers every protocol message type with encoding/gob.
-// The binary codec this transport actually speaks self-registers at
-// package init (internal/wire); this remains for callers that still gob-
-// encode protocol values (e.g. tooling persisting gather.Pairs). Safe to
-// call multiple times.
-func RegisterAllWire() {
-	broadcast.RegisterWire()
-	gather.RegisterWire()
-	core.RegisterWire()
-}
 
 // Wire framing. ------------------------------------------------------------
 
@@ -909,7 +897,6 @@ func NewLocalCluster(nodes []sim.Node, seed int64) (*LocalCluster, error) {
 // NewLocalClusterConfig builds and wires (but does not start) a loopback
 // mesh for the given nodes.
 func NewLocalClusterConfig(nodes []sim.Node, cfg LocalClusterConfig) (*LocalCluster, error) {
-	RegisterAllWire()
 	n := len(nodes)
 	hosts := make([]*Host, n)
 	for i, nd := range nodes {

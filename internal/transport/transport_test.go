@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"go/build"
+	"strings"
 	"testing"
 	"time"
 
@@ -188,7 +190,6 @@ func TestHostCloseIdempotentAndClean(t *testing.T) {
 }
 
 func TestConnectBadAddress(t *testing.T) {
-	RegisterAllWire()
 	h, err := NewHost(0, 2, gather.NewThreeRoundNode(gather.Config{
 		Trust: quorum.NewThreshold(4, 1), Input: "x",
 	}), "127.0.0.1:0", 1)
@@ -198,5 +199,25 @@ func TestConnectBadAddress(t *testing.T) {
 	defer h.Close()
 	if err := h.Connect(1, "127.0.0.1:1"); err == nil {
 		t.Fatal("expected dial error")
+	}
+}
+
+// TestTransportImportsNoProtocolPackage pins the layering: the transport
+// carries whatever codecs its binary's protocol packages registered with
+// internal/wire and depends on none of them itself.
+func TestTransportImportsNoProtocolPackage(t *testing.T) {
+	pkg, err := build.ImportDir(".", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, path := range pkg.Imports { // non-test files only, sorted
+		if strings.HasPrefix(path, "repro/") {
+			got = append(got, path)
+		}
+	}
+	want := "repro/internal/sim repro/internal/types repro/internal/wire"
+	if strings.Join(got, " ") != want {
+		t.Fatalf("non-test files import %v, want exactly %s", got, want)
 	}
 }

@@ -124,9 +124,8 @@ var (
 
 // Register binds a tag and a Codec to prototype's dynamic type.
 // Registration normally happens in package init; re-registering the same
-// (tag, type) pair is a no-op (so explicit RegisterWire helpers stay safe
-// to call repeatedly), while any conflict — tag reuse across types, or one
-// type under two tags — panics immediately.
+// (tag, type) pair is a no-op, while any conflict — tag reuse across
+// types, or one type under two tags — panics immediately.
 func Register(tag uint64, prototype any, c Codec) {
 	typ := reflect.TypeOf(prototype)
 	if typ == nil {
