@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint fuzz benchmark benchcheck transportbench search scenarios soak
+.PHONY: all build test vet lint fuzz flaky benchmark benchcheck transportbench search scenarios soak
 
 # (test already vets, so all doesn't list vet separately)
 all: build test
@@ -42,6 +42,14 @@ fuzz:
 	$(GO) test ./internal/transport -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/transport -run='^$$' -fuzz='^FuzzParseHello$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/transport -run='^$$' -fuzz='^FuzzDecodeBatch$$' -fuzztime=$(FUZZTIME)
+
+# Repeat, under the race detector, the tests of the two places a rare
+# interleaving once broke: the duplicate-dial race in transport.Connect
+# (TestDoubleDialDeduplicated failed 1–3% of runs) and reliable
+# broadcast's hold-before-READY and fetch rules.
+FLAKY_COUNT ?= 50
+flaky:
+	$(GO) test -race -count=$(FLAKY_COUNT) -run 'TestDoubleDial|TestReliable' ./internal/transport ./internal/broadcast
 
 # Sweep every built-in adversarial scenario (internal/scenario) over a few
 # seeds and check each one's declared Definition 4.1 properties; bounded to

@@ -40,11 +40,19 @@
 //     the aliasing semantics against a naive deep-copy reference). The
 //     simulator delivers events through pooled per-process Envs and a
 //     fan-out fast path that does per-message bookkeeping once per
-//     broadcast, and the gather pending-acceptance buffers and DAG vertex
-//     key digests run on free-lists — event delivery itself is
-//     allocation-free, and the repository benchmark (bench/,
-//     BENCHMARK.json) bounds allocs_per_tx so the reduction stays
-//     durable.
+//     broadcast, and the gather pending-acceptance buffers run on
+//     free-lists — event delivery itself is allocation-free, and the
+//     repository benchmark (bench/, BENCHMARK.json) bounds allocs_per_tx
+//     so the reduction stays durable.
+//   - Digest-addressed reliable broadcast (internal/broadcast): a vertex
+//     travels once per receiver, in the SEND; ECHO and READY carry the
+//     32-byte SHA-256 of its canonical wire frame, computed once where the
+//     vertex is created or decoded. A process votes READY and delivers
+//     only for a payload it holds, and one that sees a quorum or kernel of
+//     votes before the payload fetches it from the voters — under
+//     asymmetric trust one of the receiver's own quorums or kernels, which
+//     for a wise process contains a correct holder, so totality for the
+//     maximal guild is kept (the argument is in the package comment).
 //   - A parallel multi-seed sweep engine (internal/sim Sweep/Reduce and
 //     the internal/harness Sweeper): independent seeded executions fan out
 //     over a bounded worker pool with deterministic, worker-count-

@@ -166,7 +166,7 @@ func (n *Node) step(env sim.Env) {
 		}
 		n.r++
 		v := n.createVertex(n.r)
-		n.arb.Broadcast(env, uint64(n.r), rider.VertexPayload{V: v})
+		n.arb.Broadcast(env, uint64(n.r), rider.NewVertexPayload(v))
 	}
 }
 

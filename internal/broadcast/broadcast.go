@@ -2,13 +2,10 @@
 // protocols build on, in the asymmetric-trust model of Alpos et al.
 // ("Asymmetric distributed trust", §2.3 of the paper):
 //
-//   - Reliable broadcast (asymmetric Bracha): SEND → ECHO → READY with the
-//     threshold rules generalized to quorums and kernels. A process sends
-//     READY after an ECHO quorum, amplifies READY after a READY kernel, and
-//     delivers after a READY quorum. Guarantees validity, consistency,
-//     integrity and totality for processes in the maximal guild.
-//   - Consistent broadcast: SEND → ECHO, deliver on an ECHO quorum. Weaker
-//     (no totality) but cheaper.
+//   - Reliable broadcast: asymmetric Bracha with the threshold rules
+//     generalized to quorums and kernels, addressed by digest (below).
+//     Guarantees validity, consistency and integrity for wise processes and
+//     totality for the maximal guild.
 //   - Plain best-effort broadcast: direct point-to-point sends. Equivalent
 //     to reliable broadcast when the sender is correct and useful for the
 //     all-correct adversarial-scheduling executions of Appendix A.
@@ -16,40 +13,98 @@
 // The same implementation covers the classic symmetric/threshold protocols:
 // instantiate with quorum.Threshold and the quorum/kernel predicates become
 // the familiar 2f+1 / f+1 counting rules.
+//
+// # Reliable broadcast wire protocol
+//
+// The payload travels once per receiver; votes carry its 32-byte digest d
+// (SHA-256 of the payload's canonical wire frame). Four messages plus a
+// reply:
+//
+//	SEND(slot, payload)  source → all
+//	ECHO(slot, d)        on the first SEND of a slot; the echoer keeps the payload
+//	READY(slot, d)       after an ECHO(d) quorum or a READY(d) kernel
+//	FETCH(slot, d)       ask a peer that voted for d for d's payload
+//	PAYLOAD(slot, payload)  the reply to FETCH
+//
+// A process delivers d's payload after a READY(d) quorum. Two rules keep
+// this the protocol of §2.3:
+//
+// R1 (vote only for what you hold). A process sends READY(d) — after an
+// ECHO quorum or a READY kernel — only once it holds a payload whose
+// digest, recomputed from the content, is d, and it delivers on a READY(d)
+// quorum only with that payload in hand. Whatever it holds it keeps until
+// PruneBelow. A SEND that arrives after the quorum completes the slot like
+// an early one: the fetch below is an addition to that path, never a
+// replacement for it.
+//
+// R2 (fetch from the voters). When R1 blocks on d, the process sends
+// FETCH(slot, d) once to every process it has seen ECHO(d) or READY(d)
+// from, and to each later such sender when its vote arrives. Env has no
+// timer and none is needed: there is at most one request per (slot, d,
+// peer), sent only to a peer that itself voted for d, and at most one
+// PAYLOAD per (slot, d, requester), served for as long as the slot lives,
+// also after delivery. A reply is accepted only if it was asked for, its
+// digest recomputed from the content is d, and R1 is still blocked on d; a
+// mismatch changes nothing and leaves the fetch running.
+//
+// Safety. With R1 a run of this protocol is a run of payload-carrying
+// Bracha in which the ECHO(m)/READY(m) messages reach a process no earlier
+// than m itself — a schedule asynchrony already allows — so consistency and
+// integrity for wise processes carry over, given collision resistance.
+//
+// Totality, under asymmetric trust (not the threshold argument). By R1
+// every correct sender of READY(d) holds d's payload, and so does every
+// correct sender of ECHO(d), which echoed the SEND it received. What
+// blocks a process is one of its own ECHO quorums, READY kernels or READY
+// quorums for d. A wise process's quorums and kernels are never contained
+// in the actual fault set F: F lies inside one of its fail-prone sets, two
+// of its quorums meet outside it (Q ∩ Q' ⊄ F by B³), and a kernel inside F
+// would miss the quorum that avoids F, which availability guarantees. So
+// the set that triggered the fetch contains a correct holder, which
+// replies, and a guild member blocked by R1 is unblocked: totality for the
+// maximal guild is kept. A naive process gets no such guarantee — the set
+// that blocked it may be entirely faulty and never answer — exactly as it
+// had none before; it still completes the slot if the SEND reaches it.
 package broadcast
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 
 	"repro/internal/quorum"
 	"repro/internal/sim"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
-// Payload is the application data carried by a broadcast. Key must
+// Digest is a payload's content address.
+type Digest = [sha256.Size]byte
+
+// Payload is the application data carried by a broadcast. Digest must
 // identify the content: two payloads are "the same message" exactly when
-// their keys are equal. This is what equivocation detection counts on. A
-// key need not be short — Bytes returns a SHA-256 digest, but
-// rider.VertexPayload returns the vertex's full content, O(block) bytes
-// allocated on every call and retained once per tracker map that sees it
-// (ROADMAP item 2 replaces it with a digest computed once per payload).
+// their digests are equal — equivocation detection, the vote trackers and
+// the fetch path all count on it. It is the SHA-256 of the payload's
+// canonical wire frame (wire.Digest), so a payload that is re-encoded by a
+// fetch reply keeps its address. Reliable calls it once per SEND or
+// PAYLOAD it handles; implementations with large content cache it.
 type Payload interface {
-	Key() string
+	Digest() Digest
 }
 
 // Bytes is a convenience Payload for raw data.
 type Bytes []byte
 
-// Key implements Payload with a SHA-256 digest.
-func (b Bytes) Key() string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+// Digest implements Payload.
+func (b Bytes) Digest() Digest {
+	sum, err := wire.Digest(b)
+	if err != nil {
+		panic(err) // Bytes registers its codec at init
+	}
+	return sum
 }
 
 // SimSize implements sim.Sizer.
 //
-//lint:sizer-fallback payloadSize consults Sizer directly when Bytes rides inside an unencodable slot message
+//lint:sizer-fallback sendMsg.SimSize consults Sizer directly, whatever the payload type
 func (b Bytes) SimSize() int { return len(b) }
 
 // Slot identifies one broadcast instance: the originator and a per-
@@ -62,7 +117,7 @@ type Slot struct {
 // Deliver is the upcall invoked exactly once per delivered slot.
 type Deliver func(env sim.Env, slot Slot, payload Payload)
 
-// Broadcaster is the common interface of the three primitives, so protocol
+// Broadcaster is the common interface of the two primitives, so protocol
 // code (gather, DAG consensus) can be parameterized over the dissemination
 // layer.
 type Broadcaster interface {
@@ -81,13 +136,6 @@ type Broadcaster interface {
 	SlotCount() int
 }
 
-func payloadSize(p Payload) int {
-	if s, ok := p.(sim.Sizer); ok {
-		return s.SimSize()
-	}
-	return 32
-}
-
 // Message types. Exported fields only (they are "on the wire"); the types
 // themselves are unexported to keep the package API small.
 
@@ -96,27 +144,42 @@ type sendMsg struct {
 	Payload Payload
 }
 
+// SimSize implements sim.Sizer.
+//
 //lint:sizer-fallback the codec reports unencodable for unregistered payloads, so this approximation is still consulted
-func (m sendMsg) SimSize() int { return 16 + payloadSize(m.Payload) }
+func (m sendMsg) SimSize() int {
+	if s, ok := m.Payload.(sim.Sizer); ok {
+		return 16 + s.SimSize()
+	}
+	return 16 + sha256.Size
+}
 
 type echoMsg struct {
-	Slot    Slot
-	Payload Payload
+	Slot   Slot
+	Digest Digest
 }
-
-//lint:sizer-fallback the codec reports unencodable for unregistered payloads, so this approximation is still consulted
-func (m echoMsg) SimSize() int { return 16 + payloadSize(m.Payload) }
 
 type readyMsg struct {
+	Slot   Slot
+	Digest Digest
+}
+
+// fetchMsg asks a process that voted for Digest in Slot for the payload.
+type fetchMsg struct {
+	Slot   Slot
+	Digest Digest
+}
+
+// payloadMsg answers a fetchMsg; the requester addresses it by the digest
+// it recomputes from Payload.
+type payloadMsg struct {
 	Slot    Slot
 	Payload Payload
 }
 
-//lint:sizer-fallback the codec reports unencodable for unregistered payloads, so this approximation is still consulted
-func (m readyMsg) SimSize() int { return 16 + payloadSize(m.Payload) }
-
-// Reliable is the asymmetric reliable broadcast (Bracha-style). One
-// Reliable instance per process multiplexes all slots.
+// Reliable is the asymmetric reliable broadcast (Bracha-style, digest
+// addressed — see the package comment). One Reliable instance per process
+// multiplexes all slots.
 type Reliable struct {
 	self    types.ProcessID
 	trust   quorum.Assumption
@@ -133,8 +196,20 @@ type rbSlot struct {
 	sentEcho  bool
 	sentReady bool
 	delivered bool
-	echoes    map[string]*quorum.Tracker // payload key -> echoer tracker
-	readies   map[string]*quorum.Tracker // payload key -> ready-sender tracker
+	values    map[Digest]*rbValue
+}
+
+// rbValue is what a slot knows about one digest.
+type rbValue struct {
+	// payload is the content behind the digest once this process holds it
+	// (R1): from the SEND it echoed or from an accepted fetch reply.
+	payload Payload
+	echoes  *quorum.Tracker
+	readies *quorum.Tracker
+	// asked holds the voters sent a fetchMsg for this digest, served the
+	// requesters sent the payload (R2); both are empty until first used.
+	asked  types.Set
+	served types.Set
 }
 
 var _ Broadcaster = (*Reliable)(nil)
@@ -164,25 +239,68 @@ func (r *Reliable) Broadcast(env sim.Env, seq uint64, payload Payload) {
 func (r *Reliable) slot(s Slot) *rbSlot {
 	st, ok := r.slots[s]
 	if !ok {
-		st = &rbSlot{
-			echoes:  map[string]*quorum.Tracker{},
-			readies: map[string]*quorum.Tracker{},
-		}
+		st = &rbSlot{values: map[Digest]*rbValue{}}
 		r.slots[s] = st
 	}
 	return st
 }
 
-// record feeds one sender into the per-payload incremental tracker,
-// creating it on first use.
-func (r *Reliable) record(m map[string]*quorum.Tracker, key string, from types.ProcessID) *quorum.Tracker {
-	t, ok := m[key]
+func (r *Reliable) value(st *rbSlot, d Digest) *rbValue {
+	v, ok := st.values[d]
 	if !ok {
-		t = quorum.NewTracker(r.trust, r.self)
-		m[key] = t
+		v = &rbValue{
+			echoes:  quorum.NewTracker(r.trust, r.self),
+			readies: quorum.NewTracker(r.trust, r.self),
+		}
+		st.values[d] = v
 	}
-	t.Add(from)
-	return t
+	return v
+}
+
+// due reports which of the two Bracha rules are due for v's digest:
+// READY after an ECHO quorum or a READY kernel, delivery after a READY
+// quorum.
+func (st *rbSlot) due(v *rbValue) (ready, deliver bool) {
+	ready = !st.sentReady && (v.echoes.HasQuorum() || v.readies.HasKernel())
+	deliver = !st.delivered && v.readies.HasQuorum()
+	return ready, deliver
+}
+
+// advance applies the rules that are due for digest d, or — R1 — fetches
+// the payload when this process does not hold it yet.
+func (r *Reliable) advance(env sim.Env, slot Slot, st *rbSlot, d Digest, v *rbValue) {
+	ready, deliver := st.due(v)
+	if !ready && !deliver {
+		return
+	}
+	if v.payload == nil {
+		r.fetch(env, slot, d, v)
+		return
+	}
+	if ready {
+		st.sentReady = true
+		env.Broadcast(readyMsg{Slot: slot, Digest: d})
+	}
+	if deliver {
+		st.delivered = true
+		r.deliver(env, slot, v.payload)
+	}
+}
+
+// fetch sends R2's request to every voter for d not asked yet.
+func (r *Reliable) fetch(env sim.Env, slot Slot, d Digest, v *rbValue) {
+	if v.asked.UniverseSize() == 0 {
+		v.asked = types.NewSet(r.trust.N())
+	}
+	for _, voters := range [2]*quorum.Tracker{v.echoes, v.readies} {
+		voters.Set().ForEach(func(p types.ProcessID) bool {
+			if !v.asked.Contains(p) {
+				v.asked.Add(p)
+				env.Send(p, fetchMsg{Slot: slot, Digest: d})
+			}
+			return true
+		})
+	}
 }
 
 // Handle implements Broadcaster.
@@ -190,7 +308,7 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 	switch m := msg.(type) {
 	case sendMsg:
 		// Authenticated links: a SEND must come from its claimed source.
-		if m.Slot.Src != from {
+		if m.Slot.Src != from || m.Payload == nil {
 			return true // drop forgery
 		}
 		if m.Slot.Seq < r.pruned {
@@ -201,114 +319,69 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 			return true // echo only the first payload per slot
 		}
 		st.sentEcho = true
-		env.Broadcast(echoMsg{Slot: m.Slot, Payload: m.Payload})
+		d := m.Payload.Digest()
+		v := r.value(st, d)
+		v.payload = m.Payload
+		env.Broadcast(echoMsg{Slot: m.Slot, Digest: d})
+		// A SEND overtaken by its own votes completes the slot here.
+		r.advance(env, m.Slot, st, d, v)
 	case echoMsg:
 		if m.Slot.Seq < r.pruned {
 			return true
 		}
 		st := r.slot(m.Slot)
-		echoers := r.record(st.echoes, m.Payload.Key(), from)
-		if !st.sentReady && echoers.HasQuorum() {
-			st.sentReady = true
-			env.Broadcast(readyMsg{Slot: m.Slot, Payload: m.Payload})
-		}
+		v := r.value(st, m.Digest)
+		v.echoes.Add(from)
+		r.advance(env, m.Slot, st, m.Digest, v)
 	case readyMsg:
 		if m.Slot.Seq < r.pruned {
 			return true
 		}
 		st := r.slot(m.Slot)
-		readiers := r.record(st.readies, m.Payload.Key(), from)
-		if !st.sentReady && readiers.HasKernel() {
-			st.sentReady = true
-			env.Broadcast(readyMsg{Slot: m.Slot, Payload: m.Payload})
-		}
-		if !st.delivered && readiers.HasQuorum() {
-			st.delivered = true
-			r.deliver(env, m.Slot, m.Payload)
-		}
-	default:
-		return false
-	}
-	return true
-}
-
-// Consistent is the asymmetric consistent broadcast (echo broadcast):
-// deliver on an ECHO quorum. It provides consistency but not totality.
-type Consistent struct {
-	self    types.ProcessID
-	trust   quorum.Assumption
-	deliver Deliver
-	slots   map[Slot]*cbSlot
-	// pruned is the slot-sequence watermark set by PruneBelow, exactly as
-	// in Reliable: slots below it are dropped on arrival.
-	pruned uint64
-}
-
-type cbSlot struct {
-	sentEcho  bool
-	delivered bool
-	echoes    map[string]*quorum.Tracker
-}
-
-var _ Broadcaster = (*Consistent)(nil)
-
-// NewConsistent creates the consistent broadcast component for one process.
-func NewConsistent(self types.ProcessID, trust quorum.Assumption, deliver Deliver) *Consistent {
-	return &Consistent{self: self, trust: trust, deliver: deliver, slots: map[Slot]*cbSlot{}}
-}
-
-// Broadcast implements Broadcaster.
-func (c *Consistent) Broadcast(env sim.Env, seq uint64, payload Payload) {
-	env.Broadcast(sendMsg{Slot: Slot{Src: c.self, Seq: seq}, Payload: payload})
-}
-
-// Handle implements Broadcaster.
-func (c *Consistent) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bool {
-	switch m := msg.(type) {
-	case sendMsg:
-		if m.Slot.Src != from {
-			return true
-		}
-		if m.Slot.Seq < c.pruned {
-			return true // slot already garbage-collected
-		}
-		st := c.slot(m.Slot)
-		if st.sentEcho {
-			return true
-		}
-		st.sentEcho = true
-		env.Broadcast(echoMsg{Slot: m.Slot, Payload: m.Payload})
-	case echoMsg:
-		if m.Slot.Seq < c.pruned {
-			return true
-		}
-		st := c.slot(m.Slot)
-		key := m.Payload.Key()
-		t, ok := st.echoes[key]
+		v := r.value(st, m.Digest)
+		v.readies.Add(from)
+		r.advance(env, m.Slot, st, m.Digest, v)
+	case fetchMsg:
+		// Serve only what is held, once per requester; a request never
+		// allocates state.
+		st, ok := r.slots[m.Slot]
 		if !ok {
-			t = quorum.NewTracker(c.trust, c.self)
-			st.echoes[key] = t
+			return true
 		}
-		t.Add(from)
-		if !st.delivered && t.HasQuorum() {
-			st.delivered = true
-			c.deliver(env, m.Slot, m.Payload)
+		v, ok := st.values[m.Digest]
+		if !ok || v.payload == nil {
+			return true
 		}
-	case readyMsg:
-		return false // not ours
+		if v.served.UniverseSize() == 0 {
+			v.served = types.NewSet(r.trust.N())
+		}
+		if v.served.Contains(from) {
+			return true
+		}
+		v.served.Add(from)
+		env.Send(from, payloadMsg{Slot: m.Slot, Payload: v.payload})
+	case payloadMsg:
+		// Accept only a reply that was asked for, whose content hashes to
+		// the digest asked for, while R1 still waits for it. Anything else
+		// (forged, unsolicited, unknown or pruned slot) changes no state.
+		st, ok := r.slots[m.Slot]
+		if !ok || m.Payload == nil {
+			return true
+		}
+		d := m.Payload.Digest()
+		v, ok := st.values[d]
+		if !ok || v.payload != nil || !v.asked.Contains(from) {
+			return true
+		}
+		if ready, deliver := st.due(v); !ready && !deliver {
+			return true
+		}
+		v.payload = m.Payload
+		r.advance(env, m.Slot, st, d, v)
 	default:
 		return false
 	}
 	return true
-}
-
-func (c *Consistent) slot(s Slot) *cbSlot {
-	st, ok := c.slots[s]
-	if !ok {
-		st = &cbSlot{echoes: map[string]*quorum.Tracker{}}
-		c.slots[s] = st
-	}
-	return st
 }
 
 // Plain is best-effort broadcast: one direct message per recipient,
@@ -359,15 +432,16 @@ func (p *Plain) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bool 
 	return true
 }
 
-// PruneBelow discards per-slot tracker state for every slot with sequence
-// number below seq, and drops late messages for such slots from then on.
+// PruneBelow discards per-slot state — vote trackers, held payloads and
+// fetch bookkeeping — for every slot with sequence number below seq, and
+// drops late messages for such slots from then on, fetch requests included.
 // DAG protocols use the round number as the sequence, so the consensus
 // layer's GC watermark translates directly. The trade mirrors DAG pruning:
 // a process so far behind that it still needs a pruned slot must be caught
 // up by state transfer, not by re-running the broadcast (the slots below
 // the watermark were already delivered and applied here). Without this the
-// per-slot echo/ready maps are the dominant unbounded allocation of a
-// long-lived run.
+// per-slot trackers and payloads are the dominant unbounded allocation of
+// a long-lived run.
 func (r *Reliable) PruneBelow(seq uint64) {
 	if seq <= r.pruned {
 		return
@@ -383,24 +457,6 @@ func (r *Reliable) PruneBelow(seq uint64) {
 // SlotCount returns the number of slots with live tracker state (a
 // bounded-memory soak counter).
 func (r *Reliable) SlotCount() int { return len(r.slots) }
-
-// PruneBelow discards per-slot echo trackers below the watermark; the
-// semantics match Reliable.PruneBelow (late messages for pruned slots
-// are dropped, catch-up is state transfer's job).
-func (c *Consistent) PruneBelow(seq uint64) {
-	if seq <= c.pruned {
-		return
-	}
-	c.pruned = seq
-	for s := range c.slots {
-		if s.Seq < seq {
-			delete(c.slots, s)
-		}
-	}
-}
-
-// SlotCount returns the number of slots with live tracker state.
-func (c *Consistent) SlotCount() int { return len(c.slots) }
 
 // PruneBelow discards delivered-slot markers below the watermark. For
 // Plain the marker is the only per-slot state, and dropping it is safe

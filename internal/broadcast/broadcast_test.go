@@ -36,36 +36,46 @@ func (n *bcNode) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
 	n.bc.Handle(env, from, msg)
 }
 
-// equivocator sends payload A to the first half and payload B to the rest.
-type equivocator struct{}
+// equivocator sends payload A to the first half and payload B to the rest;
+// with votes set it also sends ECHO and READY for both to everyone, the
+// most a single Byzantine process can do to get two digests delivered.
+type equivocator struct{ votes bool }
 
-func (equivocator) Init(env sim.Env) {
+func (e equivocator) Init(env sim.Env) {
 	slot := Slot{Src: env.Self(), Seq: 0}
+	a, b := Bytes("AAAA"), Bytes("BBBB")
 	for i := 0; i < env.N(); i++ {
-		p := Payload(Bytes("AAAA"))
+		p := Payload(a)
 		if i >= env.N()/2 {
-			p = Bytes("BBBB")
+			p = b
 		}
 		EquivocateSend(env, types.ProcessID(i), slot, p)
+	}
+	if e.votes {
+		for _, d := range []Digest{a.Digest(), b.Digest()} {
+			env.Broadcast(echoMsg{Slot: slot, Digest: d})
+			env.Broadcast(readyMsg{Slot: slot, Digest: d})
+		}
 	}
 }
 
 func (equivocator) Receive(sim.Env, types.ProcessID, sim.Message) {}
 
-// partialSender sends its SEND to only the given recipients, then goes mute
-// (models a Byzantine sender that tries to split delivery).
+// partialSender sends its SEND to only the given recipients and otherwise
+// follows the protocol (models a sender that tries to split delivery, or
+// equally a SEND that asynchrony delays past the end of the run).
 type partialSender struct {
+	bcNode
 	to types.Set
 }
 
 func (p *partialSender) Init(env sim.Env) {
+	p.bcNode.Init(env)
 	slot := Slot{Src: env.Self(), Seq: 0}
 	for _, r := range p.to.Members() {
 		EquivocateSend(env, r, slot, Bytes("partial"))
 	}
 }
-
-func (p *partialSender) Receive(sim.Env, types.ProcessID, sim.Message) {}
 
 func reliableCluster(n int, trust quorum.Assumption, inputs []Payload) []sim.Node {
 	nodes := make([]sim.Node, n)
@@ -104,7 +114,7 @@ func TestReliableThresholdAllCorrect(t *testing.T) {
 			if !ok {
 				t.Fatalf("node %d missing slot from %d", i, src)
 			}
-			if got.Key() != inputs[src].Key() {
+			if got.Digest() != inputs[src].Digest() {
 				t.Fatalf("node %d delivered wrong payload from %d", i, src)
 			}
 		}
@@ -130,52 +140,91 @@ func TestReliableAsymmetricAllCorrect(t *testing.T) {
 }
 
 func TestReliableEquivocationConsistency(t *testing.T) {
-	// Byzantine node 3 equivocates; n=4, f=1 threshold. No two correct
-	// processes may deliver different payloads for node 3's slot.
-	for seed := int64(0); seed < 20; seed++ {
-		n := 4
-		trust := quorum.NewThreshold(n, 1)
-		nodes := reliableCluster(n, trust, nil)
-		nodes[3] = equivocator{}
-		r := sim.NewRunner(sim.Config{N: n, Seed: seed, Latency: sim.UniformLatency{Min: 1, Max: 30}}, nodes)
-		r.Run(0)
-		slot := Slot{Src: 3, Seq: 0}
-		var seen string
-		for i := 0; i < 3; i++ {
-			b := nodes[i].(*bcNode)
-			if p, ok := b.delivered[slot]; ok {
-				if seen == "" {
-					seen = p.Key()
-				} else if seen != p.Key() {
-					t.Fatalf("seed %d: conflicting deliveries for equivocated slot", seed)
+	// Byzantine node 3 equivocates; n=4, f=1 threshold: receivers 0 and 1
+	// hold A, receiver 2 holds B. No two correct processes may deliver
+	// different payloads for node 3's slot, and when node 3 also votes for
+	// both — which completes A's quorums — all three deliver A, process 2
+	// by fetching what it was never sent.
+	for _, votes := range []bool{false, true} {
+		for seed := int64(0); seed < 20; seed++ {
+			n := 4
+			trust := quorum.NewThreshold(n, 1)
+			nodes := reliableCluster(n, trust, nil)
+			nodes[3] = equivocator{votes: votes}
+			r := sim.NewRunner(sim.Config{N: n, Seed: seed, Latency: sim.UniformLatency{Min: 1, Max: 30}}, nodes)
+			r.Run(0)
+			slot := Slot{Src: 3, Seq: 0}
+			delivered := map[Digest]int{}
+			for i := 0; i < 3; i++ {
+				if p, ok := nodes[i].(*bcNode).delivered[slot]; ok {
+					delivered[p.Digest()]++
 				}
+			}
+			if len(delivered) > 1 {
+				t.Fatalf("votes %v seed %d: conflicting deliveries for equivocated slot", votes, seed)
+			}
+			if want := map[bool]int{false: 0, true: 3}[votes]; delivered[Bytes("AAAA").Digest()] != want {
+				t.Fatalf("votes %v seed %d: %d correct processes delivered A, want %d", votes, seed, delivered[Bytes("AAAA").Digest()], want)
 			}
 		}
 	}
 }
 
+// TestReliableTotalityPartialSend: the sender's SEND never reaches one
+// member of the maximal guild. The others deliver through ECHO and READY
+// quorums; the omitted member sees only digests, so totality reaches it
+// through R2's fetch and nothing else — on the threshold system and on the
+// paper's Fig. 1 system, where the sets that vouch for the digest are the
+// receiver's own single quorum and its kernels. (Fig. 1 tolerates no
+// fault: the sender is correct there and its SEND to the omitted member is
+// delayed past the end of the run.)
 func TestReliableTotalityPartialSend(t *testing.T) {
-	// Byzantine sender sends only to {0,1,2} of a 4-process system, then
-	// goes mute. Echo amplification must carry delivery to everyone
-	// correct (totality): if anyone delivers, all correct deliver.
-	n := 4
-	trust := quorum.NewThreshold(n, 1)
-	nodes := reliableCluster(n, trust, nil)
-	nodes[3] = &partialSender{to: types.NewSetOf(n, 0, 1, 2)}
-	r := sim.NewRunner(sim.Config{N: n, Seed: 5, Latency: sim.UniformLatency{Min: 1, Max: 10}}, nodes)
-	r.Run(0)
-	slot := Slot{Src: 3, Seq: 0}
-	deliveredCount := 0
-	for i := 0; i < 3; i++ {
-		if _, ok := nodes[i].(*bcNode).delivered[slot]; ok {
-			deliveredCount++
-		}
+	cases := []struct {
+		name            string
+		trust           quorum.Assumption
+		sender, omitted types.ProcessID
+	}{
+		{"threshold n=4", quorum.NewThreshold(4, 1), 3, 2},
+		{"Fig. 1", quorum.Counterexample(), 29, 0},
 	}
-	if deliveredCount != 0 && deliveredCount != 3 {
-		t.Fatalf("totality violated: %d of 3 correct processes delivered", deliveredCount)
-	}
-	if deliveredCount == 0 {
-		t.Fatal("expected delivery: SEND reached a full quorum")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.trust.N()
+			guild := types.FullSet(n)
+			if sys, ok := tc.trust.(*quorum.System); ok {
+				guild = sys.MaximalGuild(types.NewSet(n))
+			}
+			if !guild.Contains(tc.omitted) {
+				t.Fatalf("omitted process %v is not in the maximal guild %v", tc.omitted, guild)
+			}
+			to := types.FullSet(n)
+			to.Remove(tc.omitted)
+			nodes := reliableCluster(n, tc.trust, nil)
+			sender := &partialSender{bcNode: *nodes[tc.sender].(*bcNode), to: to}
+			nodes[tc.sender] = sender
+			r := sim.NewRunner(sim.Config{N: n, Seed: 5, Latency: sim.UniformLatency{Min: 1, Max: 10}}, nodes)
+			r.Run(0)
+			slot := Slot{Src: tc.sender, Seq: 0}
+			want := Bytes("partial").Digest()
+			guild.ForEach(func(p types.ProcessID) bool {
+				b, ok := nodes[p].(*bcNode)
+				if !ok {
+					b = &sender.bcNode
+				}
+				if got, ok := b.delivered[slot]; !ok {
+					t.Errorf("totality violated: guild member %v did not deliver", p)
+				} else if got.Digest() != want {
+					t.Errorf("guild member %v delivered another payload", p)
+				}
+				return true
+			})
+			by := r.Metrics().ByType
+			fetches, replies := by["broadcast.fetchMsg"], by["broadcast.payloadMsg"]
+			t.Logf("%d fetch requests, %d replies", fetches, replies)
+			if fetches < 1 || fetches > n-1 || replies < 1 || replies > fetches {
+				t.Fatalf("%d fetch requests and %d replies, want 1..%d requests from the one omitted process and at most a reply to each", fetches, replies, n-1)
+			}
+		})
 	}
 }
 
@@ -251,28 +300,6 @@ func (forgeNode) Init(env sim.Env) {
 }
 func (forgeNode) Receive(sim.Env, types.ProcessID, sim.Message) {}
 
-func TestConsistentBroadcast(t *testing.T) {
-	n := 7
-	trust := quorum.NewThreshold(n, 2)
-	nodes := make([]sim.Node, n)
-	for i := range nodes {
-		nodes[i] = &bcNode{
-			mk: func(self types.ProcessID, d Deliver) Broadcaster {
-				return NewConsistent(self, trust, d)
-			},
-			input: Bytes(fmt.Sprintf("c%d", i)),
-		}
-	}
-	r := sim.NewRunner(sim.Config{N: n, Seed: 2, Latency: sim.UniformLatency{Min: 1, Max: 10}}, nodes)
-	r.Run(0)
-	for i, nd := range nodes {
-		b := nd.(*bcNode)
-		if len(b.delivered) != n {
-			t.Fatalf("node %d delivered %d, want %d", i, len(b.delivered), n)
-		}
-	}
-}
-
 func TestPlainBroadcast(t *testing.T) {
 	n := 5
 	nodes := make([]sim.Node, n)
@@ -315,46 +342,14 @@ func TestReliableMessageComplexity(t *testing.T) {
 
 func TestBytesPayload(t *testing.T) {
 	a, b := Bytes("x"), Bytes("x")
-	if a.Key() != b.Key() {
-		t.Error("equal bytes must have equal keys")
+	if a.Digest() != b.Digest() {
+		t.Error("equal bytes must have equal digests")
 	}
-	if Bytes("x").Key() == Bytes("y").Key() {
-		t.Error("distinct bytes must differ in key")
+	if Bytes("x").Digest() == Bytes("y").Digest() {
+		t.Error("distinct bytes must differ in digest")
 	}
 	if Bytes("abc").SimSize() != 3 {
 		t.Error("SimSize should be byte length")
-	}
-}
-
-func TestConsistentBroadcastEquivocation(t *testing.T) {
-	// Consistent broadcast guarantees consistency (no two correct deliver
-	// different payloads) but not totality. An equivocating sender on
-	// n=4,f=1 must never cause conflicting deliveries.
-	for seed := int64(0); seed < 15; seed++ {
-		n := 4
-		trust := quorum.NewThreshold(n, 1)
-		nodes := make([]sim.Node, n)
-		for i := 0; i < 3; i++ {
-			nodes[i] = &bcNode{
-				mk: func(self types.ProcessID, d Deliver) Broadcaster {
-					return NewConsistent(self, trust, d)
-				},
-			}
-		}
-		nodes[3] = equivocator{}
-		r := sim.NewRunner(sim.Config{N: n, Seed: seed, Latency: sim.UniformLatency{Min: 1, Max: 30}}, nodes)
-		r.Run(0)
-		slot := Slot{Src: 3, Seq: 0}
-		var seen string
-		for i := 0; i < 3; i++ {
-			if p, ok := nodes[i].(*bcNode).delivered[slot]; ok {
-				if seen == "" {
-					seen = p.Key()
-				} else if seen != p.Key() {
-					t.Fatalf("seed %d: consistent broadcast delivered conflicting payloads", seed)
-				}
-			}
-		}
 	}
 }
 
@@ -372,12 +367,12 @@ func (e pruneEnv) Send(types.ProcessID, sim.Message) {}
 func (e pruneEnv) Broadcast(sim.Message)             {}
 func (e pruneEnv) Rand() *rand.Rand                  { return rand.New(rand.NewSource(1)) }
 
-// TestPruneBelowAllBroadcasters pins the bounded-memory contract for all
-// three primitives uniformly: slots below the watermark are discarded,
-// late messages for pruned slots are dropped without resurrecting state
-// or re-delivering, and slots at/above the watermark survive.
-// (Regression: Consistent and Plain used to have no prune path at all,
-// so their per-slot maps grew for the lifetime of the node.)
+// TestPruneBelowAllBroadcasters pins the bounded-memory contract for both
+// primitives uniformly: slots below the watermark are discarded, late
+// messages for pruned slots are dropped without resurrecting state or
+// re-delivering, and slots at/above the watermark survive. For Reliable
+// the discarded state includes the held payload and the fetch bookkeeping:
+// a pruned slot answers no fetch and accepts no reply.
 func TestPruneBelowAllBroadcasters(t *testing.T) {
 	trust := quorum.NewThreshold(4, 1)
 	cases := []struct {
@@ -385,37 +380,56 @@ func TestPruneBelowAllBroadcasters(t *testing.T) {
 		mk   func(deliver Deliver) Broadcaster
 	}{
 		{"Reliable", func(d Deliver) Broadcaster { return NewReliable(0, trust, d) }},
-		{"Consistent", func(d Deliver) Broadcaster { return NewConsistent(0, trust, d) }},
 		{"Plain", func(d Deliver) Broadcaster { return NewPlain(0, d) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			deliveries := 0
 			bc := tc.mk(func(sim.Env, Slot, Payload) { deliveries++ })
-			env := pruneEnv{self: 0, n: 4}
-			// Open per-slot state for seqs 0..4 from sender 1.
+			var sent []queuedMsg
+			env := queueEnv{pruneEnv: pruneEnv{self: 0, n: 4}, queue: &sent}
+			x := Bytes("x")
+			// Open per-slot state for seqs 0..4 from sender 1; in slot 0 of
+			// source 2 leave a fetch running (an ECHO quorum, no SEND).
 			for seq := uint64(0); seq < 5; seq++ {
-				for from := types.ProcessID(1); from < 2; from++ {
-					bc.Handle(env, from, sendMsg{Slot: Slot{Src: 1, Seq: seq}, Payload: Bytes("x")})
-				}
+				bc.Handle(env, 1, sendMsg{Slot: Slot{Src: 1, Seq: seq}, Payload: x})
 			}
-			if got := bc.SlotCount(); got != 5 {
-				t.Fatalf("before prune: SlotCount = %d, want 5", got)
+			for from := types.ProcessID(1); from < 4; from++ {
+				bc.Handle(env, from, echoMsg{Slot: Slot{Src: 2, Seq: 0}, Digest: x.Digest()})
+			}
+			slots := 5
+			if tc.name == "Reliable" {
+				slots = 6
+			}
+			if got := bc.SlotCount(); got != slots {
+				t.Fatalf("before prune: SlotCount = %d, want %d", got, slots)
 			}
 			bc.PruneBelow(3)
 			if got := bc.SlotCount(); got != 2 {
 				t.Fatalf("after PruneBelow(3): SlotCount = %d, want 2", got)
 			}
 			delivered := deliveries
-			// A late message for a pruned slot must not reopen state or
-			// deliver again.
-			bc.Handle(env, 1, sendMsg{Slot: Slot{Src: 1, Seq: 1}, Payload: Bytes("x")})
-			bc.Handle(env, 1, echoMsg{Slot: Slot{Src: 1, Seq: 1}, Payload: Bytes("x")})
+			// Late messages for a pruned slot must not reopen state, be
+			// answered, or deliver again.
+			sent = sent[:0]
+			bc.Handle(env, 1, sendMsg{Slot: Slot{Src: 1, Seq: 1}, Payload: x})
+			bc.Handle(env, 1, echoMsg{Slot: Slot{Src: 1, Seq: 1}, Digest: x.Digest()})
+			bc.Handle(env, 1, readyMsg{Slot: Slot{Src: 1, Seq: 1}, Digest: x.Digest()})
+			bc.Handle(env, 3, fetchMsg{Slot: Slot{Src: 1, Seq: 1}, Digest: x.Digest()})
+			bc.Handle(env, 1, payloadMsg{Slot: Slot{Src: 2, Seq: 0}, Payload: x})
 			if got := bc.SlotCount(); got != 2 {
 				t.Fatalf("late message reopened pruned slot: SlotCount = %d, want 2", got)
 			}
-			if deliveries != delivered {
-				t.Fatalf("late message below the watermark was re-delivered")
+			if deliveries != delivered || len(sent) != 0 {
+				t.Fatalf("late messages below the watermark: %d deliveries, sent %v", deliveries-delivered, sent)
+			}
+			// A live slot still serves its payload, once per requester.
+			if tc.name == "Reliable" {
+				bc.Handle(env, 3, fetchMsg{Slot: Slot{Src: 1, Seq: 4}, Digest: x.Digest()})
+				bc.Handle(env, 3, fetchMsg{Slot: Slot{Src: 1, Seq: 4}, Digest: x.Digest()})
+				if len(sent) != 1 || sent[0].to != 3 {
+					t.Fatalf("two fetches of a held payload by one requester: sent %v, want one reply", sent)
+				}
 			}
 			// The watermark only ratchets forward.
 			bc.PruneBelow(1)
@@ -426,13 +440,13 @@ func TestPruneBelowAllBroadcasters(t *testing.T) {
 	}
 }
 
-// countedPayload is a Payload whose Key reports every call.
+// countedPayload is a Payload whose Digest reports every call.
 type countedPayload struct{ calls *int }
 
-func (p countedPayload) Key() string { *p.calls++; return "counted" }
+func (p countedPayload) Digest() Digest { *p.calls++; return Digest{1} }
 
 // queueEnv is a sim.Env that appends every send to a shared FIFO, for
-// stepping a cluster of Broadcasters message by message.
+// stepping Broadcasters message by message.
 type queueEnv struct {
 	pruneEnv
 	queue *[]queuedMsg
@@ -453,11 +467,10 @@ func (e queueEnv) Broadcast(msg sim.Message) {
 	}
 }
 
-// TestReliableKeyCallsPerMessage pins what a slot costs in Key calls,
-// which for a DAG vertex is a serialisation of the whole block: a SEND is
-// relayed without looking at the payload's key, and an ECHO or READY
-// computes it exactly once to find its tracker.
-func TestReliableKeyCallsPerMessage(t *testing.T) {
+// TestReliableDigestCallsPerMessage pins what a slot costs in Digest
+// calls, which for a payload that does not cache it is a hash of the whole
+// block: at most one per handled SEND, none for an ECHO or a READY.
+func TestReliableDigestCallsPerMessage(t *testing.T) {
 	const n = 4
 	trust := quorum.NewThreshold(n, 1)
 	var queue []queuedMsg
@@ -476,22 +489,203 @@ func TestReliableKeyCallsPerMessage(t *testing.T) {
 		queue = queue[1:]
 		before := calls
 		nodes[m.to].Handle(envs[m.to], m.from, m.msg)
-		kind, want := "SEND", 0
+		kind, most := "SEND", 1
 		switch m.msg.(type) {
 		case echoMsg:
-			kind, want = "ECHO", 1
+			kind, most = "ECHO", 0
 		case readyMsg:
-			kind, want = "READY", 1
+			kind, most = "READY", 0
 		}
 		handled[kind]++
-		if got := calls - before; got != want {
-			t.Fatalf("handling a %s made %d Key calls, want %d", kind, got, want)
+		if got := calls - before; got > most {
+			t.Fatalf("handling a %s made %d Digest calls, want at most %d", kind, got, most)
 		}
 	}
-	if handled["SEND"] != n || handled["ECHO"] != n*n || handled["READY"] != n*n {
+	if handled["SEND"] != n || handled["ECHO"] != n*n || handled["READY"] != n*n || len(handled) != 3 {
 		t.Fatalf("handled %v, want %d SEND and %d each of ECHO and READY", handled, n, n*n)
 	}
 	if deliveries != n {
 		t.Fatalf("%d of %d processes delivered", deliveries, n)
+	}
+}
+
+// stepper drives one Reliable (process 0 of n=4, f=1: quorum 3, kernel 2)
+// by hand and records what it sends and delivers.
+type stepper struct {
+	t         *testing.T
+	r         *Reliable
+	env       queueEnv
+	sent      []queuedMsg
+	delivered []Payload
+}
+
+func newStepper(t *testing.T) *stepper {
+	s := &stepper{t: t}
+	s.env = queueEnv{pruneEnv: pruneEnv{self: 0, n: 4}, queue: &s.sent}
+	s.r = NewReliable(0, quorum.NewThreshold(4, 1), func(_ sim.Env, _ Slot, p Payload) {
+		s.delivered = append(s.delivered, p)
+	})
+	return s
+}
+
+func (s *stepper) handle(from types.ProcessID, msg sim.Message) {
+	s.r.Handle(s.env, from, msg)
+}
+
+// take returns and clears the messages sent since the last call, as
+// "<type>→<to>" strings with broadcasts folded into "<type>→all".
+func (s *stepper) take() []string {
+	var out []string
+	for i := 0; i < len(s.sent); i++ {
+		m := s.sent[i]
+		name := fmt.Sprintf("%T", m.msg)[len("broadcast."):]
+		if _, voted := m.msg.(fetchMsg); !voted && m.to == 0 && i+4 <= len(s.sent) && s.sent[i+3].to == 3 {
+			out = append(out, name+"→all") // only broadcasts reach process 0 itself
+			i += 3
+			continue
+		}
+		out = append(out, fmt.Sprintf("%s→%d", name, m.to))
+	}
+	s.sent = s.sent[:0]
+	return out
+}
+
+func (s *stepper) expect(what string, want ...string) {
+	s.t.Helper()
+	if got := s.take(); fmt.Sprint(got) != fmt.Sprint(want) {
+		s.t.Fatalf("%s: sent %v, want %v", what, got, want)
+	}
+}
+
+// TestReliableR1HoldBeforeReady pins R1 and R2: an ECHO quorum that
+// overtakes the SEND starts a fetch and releases no READY; the READY — one
+// — leaves when the SEND or a valid reply supplies the payload, and the
+// READY quorum then delivers it.
+func TestReliableR1HoldBeforeReady(t *testing.T) {
+	slot := Slot{Src: 1, Seq: 7}
+	x := Bytes("block")
+	d := x.Digest()
+	for _, supply := range []string{"SEND", "reply"} {
+		t.Run(supply, func(t *testing.T) {
+			s := newStepper(t)
+			s.handle(1, echoMsg{Slot: slot, Digest: d})
+			s.handle(2, echoMsg{Slot: slot, Digest: d})
+			s.expect("below the quorum")
+			s.handle(3, echoMsg{Slot: slot, Digest: d})
+			s.expect("ECHO quorum without the payload", "fetchMsg→1", "fetchMsg→2", "fetchMsg→3")
+			s.handle(3, echoMsg{Slot: slot, Digest: d}) // duplicate vote: nobody is asked twice
+			s.handle(2, readyMsg{Slot: slot, Digest: d})
+			s.expect("later votes of peers already asked")
+			if supply == "SEND" {
+				s.handle(1, sendMsg{Slot: slot, Payload: x})
+				s.expect("the SEND arrives", "echoMsg→all", "readyMsg→all")
+			} else {
+				s.handle(3, payloadMsg{Slot: slot, Payload: x})
+				s.expect("a valid reply arrives", "readyMsg→all")
+			}
+			s.handle(1, payloadMsg{Slot: slot, Payload: x})
+			s.handle(0, readyMsg{Slot: slot, Digest: d})
+			s.handle(1, readyMsg{Slot: slot, Digest: d})
+			s.expect("second reply, READY quorum")
+			if len(s.delivered) != 1 || s.delivered[0].Digest() != d {
+				t.Fatalf("delivered %v, want the block once", s.delivered)
+			}
+		})
+	}
+}
+
+// TestReliableLateSend: the SEND arrives after the READY quorum. The slot
+// completes from the SEND alone — its ECHO, its READY, the delivery — with
+// no further fetch, and the replies that come in afterwards change nothing.
+func TestReliableLateSend(t *testing.T) {
+	slot := Slot{Src: 1, Seq: 7}
+	x := Bytes("block")
+	d := x.Digest()
+	s := newStepper(t)
+	s.handle(1, readyMsg{Slot: slot, Digest: d})
+	s.expect("one READY")
+	s.handle(2, readyMsg{Slot: slot, Digest: d})
+	s.expect("READY kernel without the payload", "fetchMsg→1", "fetchMsg→2")
+	s.handle(3, readyMsg{Slot: slot, Digest: d})
+	s.expect("READY quorum without the payload", "fetchMsg→3")
+	if len(s.delivered) != 0 {
+		t.Fatal("delivered a payload it does not hold")
+	}
+	s.handle(1, sendMsg{Slot: slot, Payload: x})
+	s.expect("late SEND", "echoMsg→all", "readyMsg→all")
+	if len(s.delivered) != 1 || s.delivered[0].Digest() != d {
+		t.Fatalf("delivered %v, want the block once", s.delivered)
+	}
+	s.handle(2, payloadMsg{Slot: slot, Payload: x})
+	s.handle(0, echoMsg{Slot: slot, Digest: d})
+	s.handle(0, readyMsg{Slot: slot, Digest: d})
+	s.expect("after delivery")
+	if len(s.delivered) != 1 {
+		t.Fatal("delivered twice")
+	}
+	// The slot is served until it is pruned, also after delivery.
+	s.handle(3, fetchMsg{Slot: slot, Digest: d})
+	s.expect("fetch after delivery", "payloadMsg→3")
+}
+
+// TestReliableForgedPayloadReply: a reply with the wrong content, from a
+// peer that was not asked, for a slot that does not exist or is pruned, or
+// for a digest nothing waits for, changes no state, allocates no slot and
+// leaves the fetch running until a valid reply ends it.
+func TestReliableForgedPayloadReply(t *testing.T) {
+	slot := Slot{Src: 1, Seq: 7}
+	x := Bytes("block")
+	d := x.Digest()
+	s := newStepper(t)
+	s.r.PruneBelow(5)
+	s.handle(1, readyMsg{Slot: slot, Digest: d})
+	s.handle(1, payloadMsg{Slot: slot, Payload: x}) // no fetch is running yet
+	s.handle(2, readyMsg{Slot: slot, Digest: d})
+	s.expect("READY kernel without the payload", "fetchMsg→1", "fetchMsg→2")
+
+	s.handle(1, payloadMsg{Slot: slot, Payload: Bytes("forged")})       // wrong digest
+	s.handle(3, payloadMsg{Slot: slot, Payload: x})                     // never asked
+	s.handle(1, payloadMsg{Slot: Slot{Src: 1, Seq: 8}, Payload: x})     // unknown slot
+	s.handle(1, payloadMsg{Slot: Slot{Src: 1, Seq: 2}, Payload: x})     // below the watermark
+	s.handle(1, payloadMsg{Slot: slot, Payload: nil})                   // no content
+	s.handle(1, fetchMsg{Slot: Slot{Src: 1, Seq: 9}, Digest: d})        // fetch of an unknown slot
+	s.handle(1, fetchMsg{Slot: slot, Digest: d})                        // fetch of a payload not held
+	s.handle(1, fetchMsg{Slot: slot, Digest: Bytes("forged").Digest()}) // fetch of an unknown digest
+	s.expect("forged and unsolicited replies, unanswerable fetches")
+	if got := s.r.SlotCount(); got != 1 {
+		t.Fatalf("SlotCount = %d after forged replies, want 1", got)
+	}
+	if v := s.r.slots[slot].values; len(v) != 1 || v[d].payload != nil {
+		t.Fatalf("forged replies changed the slot: %d values, payload %v", len(v), v[d].payload)
+	}
+	s.handle(3, echoMsg{Slot: slot, Digest: d})
+	s.expect("a later voter is asked too", "fetchMsg→3")
+	s.handle(2, payloadMsg{Slot: slot, Payload: x})
+	s.expect("valid reply", "readyMsg→all")
+}
+
+// TestReliableReplyNotNeededIsDropped: a solicited, valid reply that
+// arrives when no rule waits for its digest any more is not stored, so a
+// slot holds what it echoed plus at most one payload per rule.
+func TestReliableReplyNotNeededIsDropped(t *testing.T) {
+	slot := Slot{Src: 1, Seq: 7}
+	x, y := Bytes("block"), Bytes("other")
+	s := newStepper(t)
+	for from := types.ProcessID(1); from < 4; from++ {
+		s.handle(from, echoMsg{Slot: slot, Digest: y.Digest()})
+	}
+	s.expect("ECHO quorum for y", "fetchMsg→1", "fetchMsg→2", "fetchMsg→3")
+	s.handle(1, sendMsg{Slot: slot, Payload: x})
+	s.expect("SEND of x", "echoMsg→all")
+	for from := types.ProcessID(1); from < 4; from++ {
+		s.handle(from, readyMsg{Slot: slot, Digest: x.Digest()})
+	}
+	s.expect("READY kernel and quorum for x", "readyMsg→all")
+	if len(s.delivered) != 1 {
+		t.Fatal("x not delivered")
+	}
+	s.handle(1, payloadMsg{Slot: slot, Payload: y})
+	if got := s.r.slots[slot].values[y.Digest()].payload; got != nil {
+		t.Fatalf("stored %v after the slot was done", got)
 	}
 }

@@ -1,13 +1,14 @@
 // Binary wire codec registration for the broadcast messages (see
 // internal/wire for the frame layout and tag-range assignments).
 //
-// The SEND/ECHO/READY bodies are [uvarint slot.Src][uvarint slot.Seq]
-// followed by the payload as a nested wire frame, so any wire-registered
-// Payload implementation (Bytes here, rider.VertexPayload, ...) travels
-// without this package knowing about it. A message whose payload type is
-// not wire-registered is simply not encodable: Size reports false and the
-// simulator falls back to the Sizer approximation, which keeps test-local
-// payload types working in pure-simulation runs.
+// Every body starts [uvarint slot.Src][uvarint slot.Seq]. SEND and the
+// fetch reply follow it with the payload as a nested wire frame, so any
+// wire-registered Payload implementation (Bytes here, rider.VertexPayload,
+// ...) travels without this package knowing about it; ECHO, READY and the
+// fetch request follow it with the 32 raw digest bytes. A message whose
+// payload type is not wire-registered is simply not encodable: Size reports
+// false and the simulator falls back to the Sizer approximation, which
+// keeps test-local payload types working in pure-simulation runs.
 package broadcast
 
 import (
@@ -19,81 +20,108 @@ import (
 
 // Wire tags (range 10–19, assigned in internal/wire's central table).
 const (
-	wireTagSend  = 10
-	wireTagEcho  = 11
-	wireTagReady = 12
-	wireTagBytes = 13
+	wireTagSend    = 10
+	wireTagEcho    = 11
+	wireTagReady   = 12
+	wireTagBytes   = 13
+	wireTagFetch   = 14
+	wireTagPayload = 15
 )
 
 func init() { registerWireCodecs() }
 
-func slotPayloadSize(s Slot, p Payload) (int, bool) {
-	psz, ok := wire.EncodedSize(p)
-	if !ok {
-		return 0, false
-	}
-	return wire.IntSize(int(s.Src)) + wire.UvarintSize(s.Seq) + psz, true
+func slotSize(s Slot) int { return wire.IntSize(int(s.Src)) + wire.UvarintSize(s.Seq) }
+
+func appendSlot(dst []byte, s Slot) []byte {
+	return wire.AppendUvarint(wire.AppendInt(dst, int(s.Src)), s.Seq)
 }
 
-func appendSlotPayload(dst []byte, s Slot, p Payload) ([]byte, error) {
-	dst = wire.AppendInt(dst, int(s.Src))
-	dst = wire.AppendUvarint(dst, s.Seq)
-	return wire.Append(dst, p)
-}
-
-func decodeSlotPayload(b []byte) (Slot, Payload, []byte, error) {
+func decodeSlot(b []byte) (Slot, []byte, error) {
 	src, rest, err := wire.ReadInt(b, wire.MaxUniverse)
 	if err != nil {
-		return Slot{}, nil, b, err
+		return Slot{}, b, err
 	}
 	seq, rest, err := wire.ReadUvarint(rest)
 	if err != nil {
-		return Slot{}, nil, b, err
+		return Slot{}, b, err
 	}
-	inner, rest, err := wire.Decode(rest)
-	if err != nil {
-		return Slot{}, nil, b, err
-	}
-	p, ok := inner.(Payload)
-	if !ok {
-		return Slot{}, nil, b, fmt.Errorf("broadcast: wire payload %T does not implement Payload", inner)
-	}
-	return Slot{Src: types.ProcessID(src), Seq: seq}, p, rest, nil
+	return Slot{Src: types.ProcessID(src), Seq: seq}, rest, nil
 }
 
-// registerSlotMsg registers one of the three structurally identical
-// broadcast messages.
-func registerSlotMsg(tag uint64, prototype any,
+// registerPayloadMsg registers one of the two payload-carrying messages.
+func registerPayloadMsg(tag uint64, prototype any,
 	get func(any) (Slot, Payload), build func(Slot, Payload) any) {
 	wire.Register(tag, prototype, wire.Codec{
 		Size: func(msg any) (int, bool) {
 			s, p := get(msg)
-			return slotPayloadSize(s, p)
+			psz, ok := wire.EncodedSize(p)
+			return slotSize(s) + psz, ok
 		},
 		Append: func(dst []byte, msg any) ([]byte, error) {
 			s, p := get(msg)
-			return appendSlotPayload(dst, s, p)
+			return wire.Append(appendSlot(dst, s), p)
 		},
 		Decode: func(b []byte) (any, []byte, error) {
-			s, p, rest, err := decodeSlotPayload(b)
+			s, rest, err := decodeSlot(b)
 			if err != nil {
 				return nil, b, err
+			}
+			inner, rest, err := wire.Decode(rest)
+			if err != nil {
+				return nil, b, err
+			}
+			p, ok := inner.(Payload)
+			if !ok {
+				return nil, b, fmt.Errorf("broadcast: wire payload %T does not implement Payload", inner)
 			}
 			return build(s, p), rest, nil
 		},
 	})
 }
 
+// registerDigestMsg registers one of the three (slot, digest) messages.
+func registerDigestMsg(tag uint64, prototype any,
+	get func(any) (Slot, Digest), build func(Slot, Digest) any) {
+	wire.Register(tag, prototype, wire.Codec{
+		Size: func(msg any) (int, bool) {
+			s, _ := get(msg)
+			return slotSize(s) + len(Digest{}), true
+		},
+		Append: func(dst []byte, msg any) ([]byte, error) {
+			s, d := get(msg)
+			return append(appendSlot(dst, s), d[:]...), nil
+		},
+		Decode: func(b []byte) (any, []byte, error) {
+			s, rest, err := decodeSlot(b)
+			if err != nil {
+				return nil, b, err
+			}
+			var d Digest
+			if len(rest) < len(d) {
+				return nil, b, wire.ErrTruncated
+			}
+			copy(d[:], rest)
+			return build(s, d), rest[len(d):], nil
+		},
+	})
+}
+
 func registerWireCodecs() {
-	registerSlotMsg(wireTagSend, sendMsg{},
+	registerPayloadMsg(wireTagSend, sendMsg{},
 		func(m any) (Slot, Payload) { s := m.(sendMsg); return s.Slot, s.Payload },
 		func(s Slot, p Payload) any { return sendMsg{Slot: s, Payload: p} })
-	registerSlotMsg(wireTagEcho, echoMsg{},
-		func(m any) (Slot, Payload) { s := m.(echoMsg); return s.Slot, s.Payload },
-		func(s Slot, p Payload) any { return echoMsg{Slot: s, Payload: p} })
-	registerSlotMsg(wireTagReady, readyMsg{},
-		func(m any) (Slot, Payload) { s := m.(readyMsg); return s.Slot, s.Payload },
-		func(s Slot, p Payload) any { return readyMsg{Slot: s, Payload: p} })
+	registerPayloadMsg(wireTagPayload, payloadMsg{},
+		func(m any) (Slot, Payload) { s := m.(payloadMsg); return s.Slot, s.Payload },
+		func(s Slot, p Payload) any { return payloadMsg{Slot: s, Payload: p} })
+	registerDigestMsg(wireTagEcho, echoMsg{},
+		func(m any) (Slot, Digest) { s := m.(echoMsg); return s.Slot, s.Digest },
+		func(s Slot, d Digest) any { return echoMsg{Slot: s, Digest: d} })
+	registerDigestMsg(wireTagReady, readyMsg{},
+		func(m any) (Slot, Digest) { s := m.(readyMsg); return s.Slot, s.Digest },
+		func(s Slot, d Digest) any { return readyMsg{Slot: s, Digest: d} })
+	registerDigestMsg(wireTagFetch, fetchMsg{},
+		func(m any) (Slot, Digest) { s := m.(fetchMsg); return s.Slot, s.Digest },
+		func(s Slot, d Digest) any { return fetchMsg{Slot: s, Digest: d} })
 	wire.Register(wireTagBytes, Bytes(nil), wire.Codec{
 		Size: func(msg any) (int, bool) { return wire.BytesSize(msg.(Bytes)), true },
 		Append: func(dst []byte, msg any) ([]byte, error) {

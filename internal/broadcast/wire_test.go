@@ -2,6 +2,7 @@ package broadcast
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"math/rand"
 	"testing"
 
@@ -14,26 +15,29 @@ import (
 // test-local payloads take in pure-simulation runs.
 type unregisteredPayload struct{ K string }
 
-func (p unregisteredPayload) Key() string  { return p.K }
-func (p unregisteredPayload) SimSize() int { return len(p.K) }
+func (p unregisteredPayload) Digest() Digest { return Bytes(p.K).Digest() }
+func (p unregisteredPayload) SimSize() int   { return len(p.K) }
 
 // TestBroadcastWireRoundTrip is the broadcast slice of the differential
-// wire suite: SEND/ECHO/READY with randomized Bytes payloads round-trip
-// byte-identically, and the simulator's byte metric equals the frame
-// length.
+// wire suite: the five messages round-trip byte-identically with
+// randomized slots, Bytes payloads and digests, the simulator's byte
+// metric equals the frame length, and a payload's digest survives the
+// trip.
 func TestBroadcastWireRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	build := []func(Slot, Payload) sim.Message{
-		func(s Slot, p Payload) sim.Message { return sendMsg{Slot: s, Payload: p} },
-		func(s Slot, p Payload) sim.Message { return echoMsg{Slot: s, Payload: p} },
-		func(s Slot, p Payload) sim.Message { return readyMsg{Slot: s, Payload: p} },
-	}
 	for i := 0; i < 200; i++ {
 		raw := make([]byte, rng.Intn(100))
 		rng.Read(raw)
+		var d Digest
+		rng.Read(d[:])
 		slot := Slot{Src: types.ProcessID(rng.Intn(50)), Seq: rng.Uint64() >> uint(rng.Intn(64))}
-		for _, mk := range build {
-			msg := mk(slot, Bytes(raw))
+		for _, msg := range []sim.Message{
+			sendMsg{Slot: slot, Payload: Bytes(raw)},
+			payloadMsg{Slot: slot, Payload: Bytes(raw)},
+			echoMsg{Slot: slot, Digest: d},
+			readyMsg{Slot: slot, Digest: d},
+			fetchMsg{Slot: slot, Digest: d},
+		} {
 			enc, err := wire.Marshal(msg)
 			if err != nil {
 				t.Fatalf("%T: %v", msg, err)
@@ -49,25 +53,43 @@ func TestBroadcastWireRoundTrip(t *testing.T) {
 			if err != nil || !bytes.Equal(enc, re) {
 				t.Fatalf("%T: re-encode differs (%v)", msg, err)
 			}
-			got := dec.(sim.Message)
-			gs, gp := slotPayloadOf(got)
-			if gs != slot || !bytes.Equal([]byte(gp.(Bytes)), raw) {
-				t.Fatalf("%T: round trip mutated message", msg)
+			switch m := dec.(type) {
+			case sendMsg:
+				checkPayload(t, m.Slot, m.Payload, slot, raw)
+			case payloadMsg:
+				checkPayload(t, m.Slot, m.Payload, slot, raw)
+			default:
+				if dec != msg {
+					t.Fatalf("%T: round trip mutated message", msg)
+				}
+			}
+			if _, _, err := wire.Decode(enc[:len(enc)-1]); err == nil {
+				t.Fatalf("%T: truncated frame accepted", msg)
 			}
 		}
 	}
 }
 
-func slotPayloadOf(msg sim.Message) (Slot, Payload) {
-	switch m := msg.(type) {
-	case sendMsg:
-		return m.Slot, m.Payload
-	case echoMsg:
-		return m.Slot, m.Payload
-	case readyMsg:
-		return m.Slot, m.Payload
+func checkPayload(t *testing.T, gs Slot, gp Payload, slot Slot, raw []byte) {
+	t.Helper()
+	if gs != slot || !bytes.Equal([]byte(gp.(Bytes)), raw) || gp.Digest() != Bytes(raw).Digest() {
+		t.Fatal("round trip mutated message")
 	}
-	return Slot{}, nil
+}
+
+// TestBytesDigest: the digest is that of the wire frame, so it is tied to
+// the content and to the type.
+func TestBytesDigest(t *testing.T) {
+	frame, err := wire.Marshal(Bytes("abc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Bytes("abc").Digest() != sha256.Sum256(frame) {
+		t.Fatal("Bytes digest is not the SHA-256 of its wire frame")
+	}
+	if Bytes("abc").Digest() == Bytes("abd").Digest() || Bytes(nil).Digest() == (Digest{}) {
+		t.Fatal("digest does not separate contents")
+	}
 }
 
 // TestBroadcastWireUnregisteredPayloadFallsBack pins the degradation

@@ -386,7 +386,7 @@ func (n *Node) step(env sim.Env) {
 		}
 		n.r++
 		v := n.createVertex(n.r)
-		n.arb.Broadcast(env, uint64(n.r), rider.VertexPayload{V: v})
+		n.arb.Broadcast(env, uint64(n.r), rider.NewVertexPayload(v))
 		// Old waves' control state is no longer needed once the next wave
 		// starts; drop it to bound memory.
 		if w := rider.RoundWave(n.r); w >= 3 {

@@ -1,8 +1,8 @@
 // Binary wire codec registration for the consensus control messages (see
 // internal/wire for the frame layout and tag-range assignments). The
 // other message types a consensus node puts on the wire — the broadcast
-// SEND/ECHO/READY envelopes, rider.VertexPayload, coin.ShareMsg — are
-// registered by their owning packages.
+// SEND/ECHO/READY and fetch messages, rider.VertexPayload, coin.ShareMsg —
+// are registered by their owning packages.
 package core
 
 import (

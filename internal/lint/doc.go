@@ -58,7 +58,7 @@
 // type of every sent message (interface-typed arguments are checked at
 // their own construction sites) and verifies a matching wire.Register
 // call exists somewhere in the tree — through one level of helper
-// indirection, so the registerSlotMsg/registerWaveMsg-style loops in the
+// indirection, so the registerDigestMsg/registerWaveMsg-style loops in the
 // protocol packages resolve. It also checks every registration's tag
 // against the central tag-range table (wire.TagRanges): a package
 // claiming a tag outside its assigned range, or a non-test package

@@ -38,7 +38,7 @@ type Registration struct {
 
 // registrations resolves every wire.Register call in the program,
 // following one level of package-local helper indirection (the
-// registerSlotMsg/registerWaveMsg pattern: a helper whose (tag,
+// registerDigestMsg/registerWaveMsg pattern: a helper whose (tag,
 // prototype) parameters are forwarded verbatim to wire.Register).
 func (prog *Program) registrations() []Registration {
 	if prog.regsDone {

@@ -15,23 +15,42 @@ import (
 	"repro/internal/dag"
 	"repro/internal/sim"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // VertexPayload wraps a DAG vertex for transport through a broadcast
-// primitive. Its Key is not a digest but the full vertex content,
-// serialised deterministically, so reliable broadcast's equivocation
-// detection covers vertex bodies — at O(block) bytes allocated per call
-// (ROADMAP item 2 replaces it with a digest computed once per payload).
+// primitive. Its digest covers the whole vertex — source, round, block and
+// both edge lists — so reliable broadcast's equivocation detection covers
+// vertex bodies. NewVertexPayload and the wire decoder compute it once and
+// carry it beside the vertex; it is never written into the vertex, which
+// the simulator shares between nodes. The literal VertexPayload{V: v}
+// stays valid: its Digest hashes on every call.
 type VertexPayload struct {
-	V *dag.Vertex
+	V   *dag.Vertex
+	sum broadcast.Digest // zero: not computed
 }
 
 var _ broadcast.Payload = VertexPayload{}
 
-// keyBufPool recycles the scratch buffers Key builds its string in.
-// Reliable broadcast calls Key on every ECHO/READY it handles, so a
-// fresh builder per call churned the GC during vertex fan-out; with the
-// pool only the returned string allocates.
+// NewVertexPayload wraps v and computes its digest, once, for every
+// process that will handle the payload.
+func NewVertexPayload(v *dag.Vertex) VertexPayload {
+	return VertexPayload{V: v, sum: VertexPayload{V: v}.Digest()}
+}
+
+// Digest implements broadcast.Payload: the SHA-256 of the payload's
+// canonical wire frame. A payload without a vertex is not encodable and
+// has the zero digest.
+func (p VertexPayload) Digest() broadcast.Digest {
+	if p.sum != (broadcast.Digest{}) {
+		return p.sum
+	}
+	sum, _ := wire.Digest(p) // fails only for a nil vertex
+	return sum
+}
+
+// keyBufPool recycles the scratch buffers Key builds its string in, so
+// only the returned string allocates.
 var keyBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
 // appendEdgeRefs appends one "<tag><source>.<round>," segment per edge.
@@ -46,7 +65,8 @@ func appendEdgeRefs(b []byte, tag byte, edges []dag.VertexRef) []byte {
 	return b
 }
 
-// Key implements broadcast.Payload.
+// Key serialises the vertex content into a string. Called only by
+// bench/layers.go; goes with rider.payload_key_ns in a benchmark PR.
 func (p VertexPayload) Key() string {
 	bp := keyBufPool.Get().(*[]byte)
 	b := (*bp)[:0]

@@ -43,12 +43,15 @@ func vertexWireSize(msg any) (int, bool) {
 	if v == nil {
 		return 0, false // a payload without a vertex is not encodable
 	}
+	return vertexBodySize(v), true
+}
+
+func vertexBodySize(v *dag.Vertex) int {
 	sz := wire.IntSize(int(v.Source)) + wire.IntSize(v.Round) + wire.IntSize(len(v.Block))
 	for _, tx := range v.Block {
 		sz += wire.StringSize(tx)
 	}
-	sz += refsWireSize(v.StrongEdges) + refsWireSize(v.WeakEdges)
-	return sz, true
+	return sz + refsWireSize(v.StrongEdges) + refsWireSize(v.WeakEdges)
 }
 
 func appendRefsWire(dst []byte, refs []dag.VertexRef) []byte {
@@ -130,11 +133,22 @@ func decodeVertexWire(b []byte) (any, []byte, error) {
 	if err != nil {
 		return nil, b, fmt.Errorf("rider: wire vertex weak edges: %w", err)
 	}
-	return VertexPayload{V: &dag.Vertex{
+	p := VertexPayload{V: &dag.Vertex{
 		Source:      types.ProcessID(src),
 		Round:       round,
 		Block:       block,
 		StrongEdges: strong,
 		WeakEdges:   weak,
-	}}, rest, nil
+	}}
+	// The digest is over the canonical encoding, because a fetch reply is
+	// always a re-encoding. A non-minimal varint is strictly longer than
+	// the minimal one, so the consumed bytes are canonical exactly when
+	// they are as many as the encoder would write; anything else is
+	// rejected, and the bytes in hand can be hashed as they are.
+	body := b[:len(b)-len(rest)]
+	if sz := vertexBodySize(p.V); len(body) != sz {
+		return nil, b, fmt.Errorf("rider: wire vertex: %d bytes where the canonical encoding has %d", len(body), sz)
+	}
+	p.sum = wire.BodyDigest(wireTagVertex, body)
+	return p, rest, nil
 }

@@ -2,6 +2,7 @@ package rider
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -53,6 +54,9 @@ func TestVertexWireRoundTrip(t *testing.T) {
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("decode: %v", err)
 		}
+		if d := dec.(VertexPayload).Digest(); d != NewVertexPayload(v).Digest() || d != msg.Digest() || d != sha256.Sum256(enc) {
+			t.Fatal("digest at creation, of the literal, after the wire and of the frame differ")
+		}
 		got := dec.(VertexPayload).V
 		if got.Source != v.Source || got.Round != v.Round ||
 			!reflect.DeepEqual(got.Block, v.Block) ||
@@ -98,5 +102,71 @@ func TestVertexWireRejectsMalformed(t *testing.T) {
 		if _, _, err := wire.Decode(b); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestVertexDigestCoversContent: changing any of source, round, a tx byte,
+// a strong or a weak edge changes the digest, and moving an edge between
+// the two lists does too.
+func TestVertexDigestCoversContent(t *testing.T) {
+	mk := func(edit func(*dag.Vertex)) [32]byte {
+		v := &dag.Vertex{Source: 3, Round: 12, Block: []string{"tx-1", "tx-2"},
+			StrongEdges: []dag.VertexRef{{Source: 0, Round: 11}, {Source: 2, Round: 11}},
+			WeakEdges:   []dag.VertexRef{{Source: 1, Round: 9}}}
+		edit(v)
+		return NewVertexPayload(v).Digest()
+	}
+	base := mk(func(*dag.Vertex) {})
+	if base != mk(func(*dag.Vertex) {}) || base == ([32]byte{}) {
+		t.Fatal("equal vertices must share a non-zero digest")
+	}
+	edits := map[string]func(*dag.Vertex){
+		"source":      func(v *dag.Vertex) { v.Source = 4 },
+		"round":       func(v *dag.Vertex) { v.Round = 13 },
+		"tx byte":     func(v *dag.Vertex) { v.Block[1] = "tx-3" },
+		"tx split":    func(v *dag.Vertex) { v.Block = []string{"tx-1t", "x-2"} },
+		"strong edge": func(v *dag.Vertex) { v.StrongEdges[1].Source = 1 },
+		"weak edge":   func(v *dag.Vertex) { v.WeakEdges[0].Round = 8 },
+		"strong to weak": func(v *dag.Vertex) {
+			v.WeakEdges = append(v.StrongEdges[1:], v.WeakEdges...)
+			v.StrongEdges = v.StrongEdges[:1]
+		},
+	}
+	for name, edit := range edits {
+		if mk(edit) == base {
+			t.Errorf("changing the %s does not change the digest", name)
+		}
+	}
+	if (VertexPayload{}).Digest() != ([32]byte{}) {
+		t.Error("a payload without a vertex must have the zero digest")
+	}
+}
+
+// TestVertexWireRejectsNonMinimal: the digest is over the canonical
+// encoding, so a SEND whose vertex spells a varint the long way — same
+// vertex, other bytes, other hash of the bytes — is rejected whole rather
+// than admitted under a second digest.
+func TestVertexWireRejectsNonMinimal(t *testing.T) {
+	v := &dag.Vertex{Source: 1, Round: 5, Block: []string{"tx"},
+		StrongEdges: []dag.VertexRef{{Source: 0, Round: 4}}}
+	send := func(round []byte) []byte {
+		b := []byte{10, 1, 5} // broadcast SEND, slot.Src 1, slot.Seq 5
+		b = append(b, wireTagVertex, 1)
+		b = append(b, round...)
+		b = append(b, 1, 2, 't', 'x') // one tx
+		return append(b, 1, 0, 4, 0)  // one strong edge, no weak edge
+	}
+	msg, rest, err := wire.Decode(send([]byte{5}))
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("canonical SEND rejected: %v", err)
+	}
+	if re, err := wire.Marshal(msg); err != nil || !bytes.Equal(re, send([]byte{5})) {
+		t.Fatalf("hand-built SEND is not what the encoder writes (%v)", err)
+	}
+	if want, _ := wire.Marshal(VertexPayload{V: v}); !bytes.Contains(send([]byte{5}), want) {
+		t.Fatal("hand-built SEND does not carry the vertex")
+	}
+	if _, _, err := wire.Decode(send([]byte{0x85, 0x00})); err == nil {
+		t.Fatal("SEND with a non-minimal round varint accepted")
 	}
 }

@@ -92,6 +92,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(seedBatch(FloodMsg{Seq: 1, Pad: []byte{9, 9}}))
 	f.Add(seedBatch(FloodMsg{Seq: 2}, FloodMsg{Seq: 3, Pad: bytes.Repeat([]byte{7}, 100)}))
+	f.Add(seedBatch(broadcastTraffic(f)...))         // SEND, ECHO, READY, fetch and reply of one slot
 	f.Add([]byte{0x05, 1, 2})                        // declared length past the body
 	f.Add(append(seedBatch(FloodMsg{Seq: 4}), 0x7F)) // valid record then garbage
 

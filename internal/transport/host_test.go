@@ -104,6 +104,42 @@ func TestDoubleDialDeduplicated(t *testing.T) {
 	waitUntil(t, 2*time.Second, func() bool { return fn.Received.Load() == 1 })
 }
 
+// TestDoubleDialRepeated repeats the double dial — two Connects to one
+// peer at once, then a third — and requires, every time, that exactly one
+// succeeds, that both ends hold exactly one connection, and that it still
+// carries a message. (Regression: Connect used to dial and write its hello
+// before looking for an existing registration, so the acceptor could keep
+// the second connection while the dialler kept the first; each end then
+// closed the other's, and with no redial the link stayed down.)
+func TestDoubleDialRepeated(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		h0 := newTestHost(t, 0, 2, HostConfig{Seed: 1})
+		h1 := newTestHost(t, 1, 2, HostConfig{Seed: 2})
+		h1.Start()
+		errs := make(chan error, 2)
+		for k := 0; k < 2; k++ {
+			go func() { errs <- h0.Connect(1, h1.Addr()) }()
+		}
+		if e1, e2 := <-errs, <-errs; (e1 == nil) == (e2 == nil) {
+			t.Fatalf("iteration %d: concurrent Connects returned %v and %v, want exactly one error", i, e1, e2)
+		}
+		if err := h0.Connect(1, h1.Addr()); err == nil {
+			t.Fatalf("iteration %d: Connect to a connected peer should fail", i)
+		}
+		hostEnv{h: h0}.Send(1, FloodMsg{Seq: 7})
+		fn := h1.node.(*FloodNode)
+		waitUntil(t, 2*time.Second, func() bool { return fn.Received.Load() == 1 })
+		if got := h0.Connected(); len(got) != 1 || got[0] != 1 {
+			t.Fatalf("iteration %d: h0 connected = %v, want [1]", i, got)
+		}
+		if got := h1.Connected(); len(got) != 1 || got[0] != 0 {
+			t.Fatalf("iteration %d: h1 connected = %v, want [0]", i, got)
+		}
+		h0.Close()
+		h1.Close()
+	}
+}
+
 // TestHelloValidation pins that a connection whose first frame is not a
 // well-formed hello for this mesh — bad magic, wrong version, wrong
 // cluster size, out-of-range or self peer ID, or not a hello at all — is

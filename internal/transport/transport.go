@@ -346,8 +346,11 @@ type Host struct {
 
 	listener net.Listener
 
-	mu      sync.Mutex
-	conns   map[types.ProcessID]connRec
+	mu    sync.Mutex
+	conns map[types.ProcessID]connRec
+	// dialing holds the peers a Connect is in flight to, so a second
+	// Connect to the same peer is refused before it reaches the network.
+	dialing types.Set
 	outbox  map[types.ProcessID]*outbox
 	rng     *rand.Rand
 	started bool
@@ -395,6 +398,7 @@ func NewHostConfig(cfg HostConfig) (*Host, error) {
 		compress: cfg.Compress,
 		listener: l,
 		conns:    map[types.ProcessID]connRec{},
+		dialing:  types.NewSet(cfg.N),
 		outbox:   map[types.ProcessID]*outbox{},
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		stats:    make([]peerCounters, cfg.N),
@@ -464,6 +468,22 @@ func (h *Host) Stats() HostStats {
 	return s
 }
 
+// readerPool recycles the per-connection read buffers: a mesh of n hosts
+// opens n(n-1) of them, and zeroing a fresh 64 KiB for each was most of
+// the time it took to connect one.
+var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+
+func getReader(c net.Conn) *bufio.Reader {
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(c)
+	return br
+}
+
+func putReader(br *bufio.Reader) {
+	br.Reset(nil) // drop the connection and whatever it had buffered
+	readerPool.Put(br)
+}
+
 // acceptLoop accepts peer connections; the first frame on each connection
 // must be a valid hello identifying the peer, or the connection is
 // dropped before anything is registered.
@@ -477,7 +497,8 @@ func (h *Host) acceptLoop() {
 		h.wg.Add(1)
 		go func() {
 			defer h.wg.Done()
-			br := bufio.NewReaderSize(c, 64<<10)
+			br := getReader(c)
+			defer putReader(br)
 			var hdr [frameHeaderSize]byte
 			typ, payload, err := readFrame(br, &hdr, nil)
 			if err != nil || typ != frameHello {
@@ -504,12 +525,30 @@ func (h *Host) acceptLoop() {
 
 // Connect dials a peer's listener, performs the hello handshake, and
 // registers the connection. Only one side of each pair should dial (by
-// convention, the lower ID); dialing a peer that is already connected is
-// an error and the duplicate connection is closed (keep-first).
+// convention, the lower ID). Connecting to a peer that is already
+// connected, or that another Connect is dialling, is an error, decided
+// before anything touches the network: were the duplicate dialled first
+// and refused afterwards, the acceptor — which handles each connection in
+// its own goroutine — could register the second connection and close the
+// first, each end then closing the one the other kept, and with no redial
+// the link would stay down.
 func (h *Host) Connect(peer types.ProcessID, addr string) error {
 	if peer == h.self || peer < 0 || int(peer) >= h.n {
 		return fmt.Errorf("transport: unknown peer %v", peer)
 	}
+	h.mu.Lock()
+	_, dup := h.conns[peer]
+	if dup || h.dialing.Contains(peer) {
+		h.mu.Unlock()
+		return fmt.Errorf("transport: peer %v already connected", peer)
+	}
+	h.dialing.Add(peer)
+	h.mu.Unlock()
+	defer func() {
+		h.mu.Lock()
+		h.dialing.Remove(peer)
+		h.mu.Unlock()
+	}()
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("transport: dial %v: %w", peer, err)
@@ -528,7 +567,9 @@ func (h *Host) Connect(peer types.ProcessID, addr string) error {
 	h.wg.Add(1)
 	go func() {
 		defer h.wg.Done()
-		h.readLoop(peer, bufio.NewReaderSize(c, 64<<10), rec)
+		br := getReader(c)
+		defer putReader(br)
+		h.readLoop(peer, br, rec)
 	}()
 	return nil
 }

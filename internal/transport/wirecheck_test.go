@@ -3,7 +3,9 @@ package transport
 import (
 	"bytes"
 	"io"
+	"math/rand"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,8 +13,10 @@ import (
 	"repro/internal/coin"
 	"repro/internal/dag"
 	"repro/internal/gather"
+	"repro/internal/quorum"
 	"repro/internal/rider"
 	"repro/internal/sim"
+	"repro/internal/types"
 	"repro/internal/wire"
 )
 
@@ -67,6 +71,65 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
+// captureEnv is a sim.Env that records every send in one shared FIFO.
+type captureEnv struct {
+	self types.ProcessID
+	n    int
+	sent *[]capturedMsg
+}
+
+type capturedMsg struct {
+	from, to types.ProcessID
+	msg      sim.Message
+}
+
+func (e captureEnv) Self() types.ProcessID { return e.self }
+func (e captureEnv) N() int                { return e.n }
+func (e captureEnv) Now() sim.VirtualTime  { return 0 }
+func (e captureEnv) Rand() *rand.Rand      { return nil }
+func (e captureEnv) Send(to types.ProcessID, msg sim.Message) {
+	*e.sent = append(*e.sent, capturedMsg{from: e.self, to: to, msg: msg})
+}
+func (e captureEnv) Broadcast(msg sim.Message) {
+	for to := 0; to < e.n; to++ {
+		e.Send(types.ProcessID(to), msg)
+	}
+}
+
+// broadcastTraffic runs one reliable-broadcast slot among four processes
+// whose SEND skips one of them, and returns one message of each type the
+// slot put on the wire — SEND, ECHO, READY, the fetch the skipped process
+// sends and the reply it gets. The types are unexported, so this is how a
+// test outside the package gets hold of them.
+func broadcastTraffic(t testing.TB) []sim.Message {
+	const n = 4
+	var sent []capturedMsg
+	trust := quorum.NewThreshold(n, 1)
+	envs := make([]captureEnv, n)
+	nodes := make([]*broadcast.Reliable, n)
+	for i := range nodes {
+		envs[i] = captureEnv{self: types.ProcessID(i), n: n, sent: &sent}
+		nodes[i] = broadcast.NewReliable(types.ProcessID(i), trust, func(sim.Env, broadcast.Slot, broadcast.Payload) {})
+	}
+	for _, p := range []types.ProcessID{0, 1, 3} {
+		broadcast.EquivocateSend(envs[3], p, broadcast.Slot{Src: 3, Seq: 9}, broadcast.Bytes("payload"))
+	}
+	var out []sim.Message
+	seen := map[reflect.Type]bool{}
+	for i := 0; i < len(sent); i++ { // handlers append to sent
+		m := sent[i]
+		if typ := reflect.TypeOf(m.msg); !seen[typ] {
+			seen[typ] = true
+			out = append(out, m.msg)
+		}
+		nodes[m.to].Handle(envs[m.to], m.from, m.msg)
+	}
+	if len(out) != 5 {
+		t.Fatalf("one slot with a skipped receiver put %d message types on the wire, want 5: %v", len(out), out)
+	}
+	return out
+}
+
 // TestEnvelopeSizeMatchesSimMetrics is the transport end of the
 // differential wire suite: for each protocol message a consensus node
 // actually puts on the wire, the encoded frame a writer emits has
@@ -84,6 +147,7 @@ func TestEnvelopeSizeMatchesSimMetrics(t *testing.T) {
 		broadcast.Bytes("payload"),
 		gather.Pairs{},
 	}
+	msgs = append(msgs, broadcastTraffic(t)...)
 	for _, msg := range msgs {
 		enc, err := wire.Marshal(msg)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	_ "repro/internal/broadcast" // registers the broadcast codecs FuzzDecode seeds
 	"repro/internal/types"
 	"repro/internal/wire"
 )
@@ -122,6 +123,17 @@ func FuzzDecode(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF})
+	// The broadcast messages (tags 10–15): a slot, then a digest or a
+	// nested Bytes payload.
+	digest := bytes.Repeat([]byte{0xD1}, 32)
+	for _, tag := range []byte{11, 12, 14} { // ECHO, READY, fetch
+		f.Add(append([]byte{tag, 3, 9}, digest...))
+		f.Add(append([]byte{tag, 3, 9}, digest[:31]...)) // short digest
+	}
+	for _, tag := range []byte{10, 15} { // SEND, fetch reply
+		f.Add([]byte{tag, 3, 9, 13, 2, 'h', 'i'})
+		f.Add([]byte{tag, 3, 9, 11, 3, 9}) // nested frame that is no payload
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		msg, rest, err := wire.Decode(b)

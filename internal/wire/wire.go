@@ -40,6 +40,7 @@
 package wire
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -222,6 +223,41 @@ func Decode(b []byte) (any, []byte, error) {
 		return nil, b, fmt.Errorf("wire: unknown message tag %d", tag)
 	}
 	return e.(*entry).codec.Decode(rest)
+}
+
+// digestBufPool recycles the scratch buffers Digest encodes into, so hashing
+// a block allocates nothing of the block's size.
+var digestBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
+// Digest returns the SHA-256 of msg's frame (tag + body) as Append encodes
+// it: the content address of a message. Two messages have equal digests
+// exactly when their canonical encodings are equal, and the tag keeps
+// messages of different types apart.
+func Digest(msg any) ([sha256.Size]byte, error) {
+	bp := digestBufPool.Get().(*[]byte)
+	frame, err := Append((*bp)[:0], msg)
+	var sum [sha256.Size]byte
+	if err == nil {
+		sum = sha256.Sum256(frame)
+	}
+	*bp = frame[:0]
+	digestBufPool.Put(bp)
+	return sum, err
+}
+
+// BodyDigest returns what Digest returns for the message registered under
+// tag whose canonical body is body — for decoders that hash the bytes they
+// consumed instead of re-encoding. The caller must have checked that body
+// is canonical (every varint minimal): Digest hashes only canonical
+// encodings.
+func BodyDigest(tag uint64, body []byte) [sha256.Size]byte {
+	var hdr [binary.MaxVarintLen64]byte
+	h := sha256.New()
+	h.Write(hdr[:binary.PutUvarint(hdr[:], tag)])
+	h.Write(body)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // Primitives. --------------------------------------------------------------
