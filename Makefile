@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint fuzz flaky benchmark benchcheck transportbench search scenarios soak
+.PHONY: all build test vet lint fuzz flaky benchmark benchcheck transportbench search scenarios soak loc
 
 # (test already vets, so all doesn't list vet separately)
 all: build test
@@ -86,6 +86,12 @@ SOAK_WAVES ?= 500
 soak:
 	SOAK_WAVES=$(SOAK_WAVES) $(GO) test -race -count=1 -v \
 		-run 'TestService(BoundedMemorySoak|SnapshotEquivalence|SurvivesChurn)' ./internal/service
+
+# Non-test Go lines of the tracked tree: the root module (testdata/ and the
+# nested bench/ module excluded) and bench/ on its own line.
+loc:
+	@printf 'root module: '; git ls-files '*.go' | grep -v '_test\.go$$' | grep -v 'testdata/' | grep -v '^bench/' | xargs cat | wc -l
+	@printf 'bench:       '; git ls-files 'bench/*.go' | grep -v '_test\.go$$' | grep -v 'testdata/' | xargs cat | wc -l
 
 # Smoke-test the batch analysis search path: a parallel random-system
 # sweep through quorum.AnalyzeSystem (the quorumtool -search mode).

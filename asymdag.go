@@ -1,14 +1,11 @@
 package asymdag
 
 import (
-	"repro/internal/abba"
-	"repro/internal/acs"
 	"repro/internal/coin"
 	"repro/internal/core"
 	"repro/internal/gather"
 	"repro/internal/harness"
 	"repro/internal/quorum"
-	"repro/internal/register"
 	"repro/internal/rider"
 	"repro/internal/scenario"
 	"repro/internal/service"
@@ -148,43 +145,13 @@ func RunConsensus(cfg RiderConfig) RiderResult { return harness.RunRider(cfg) }
 // Additional asymmetric primitives. ---------------------------------------
 
 type (
-	// BinaryAgreementNode runs asymmetric randomized binary consensus.
-	BinaryAgreementNode = abba.Node
-	// BinaryAgreementConfig configures a BinaryAgreementNode.
-	BinaryAgreementConfig = abba.Config
-
-	// ACSNode runs asymmetric Agreement on a Core Set (gather + n binary
-	// agreements); all guild members output an identical set.
-	ACSNode = acs.Node
-	// ACSConfig configures an ACSNode.
-	ACSConfig = acs.Config
-
-	// SWMRRegister is the asymmetric single-writer multi-reader atomic
-	// register emulation.
-	SWMRRegister = register.Register
-
 	// BindingGatherNode is the gather variant whose common core is fixed
 	// once the first correct process delivers (one extra round).
 	BindingGatherNode = gather.BindingNode
 
-	// PRFCoin is the concrete seeded coin (exposes Bit for binary
-	// agreement).
+	// PRFCoin is the concrete seeded coin behind NewPRFCoin.
 	PRFCoin = coin.PRF
 )
-
-// NewBinaryAgreementNode creates a binary-agreement process.
-func NewBinaryAgreementNode(cfg BinaryAgreementConfig) *BinaryAgreementNode {
-	return abba.NewNode(cfg)
-}
-
-// NewACSNode creates an agreement-on-a-core-set process.
-func NewACSNode(cfg ACSConfig) *ACSNode { return acs.NewNode(cfg) }
-
-// NewSWMRRegister creates a register endpoint; all processes must agree on
-// the writer.
-func NewSWMRRegister(self, writer ProcessID, n int, trust Assumption) *SWMRRegister {
-	return register.New(self, writer, n, trust)
-}
 
 // NewBindingGatherNode creates a binding-gather process.
 func NewBindingGatherNode(cfg GatherNodeConfig) *BindingGatherNode {
@@ -386,12 +353,12 @@ type (
 	// TCPHost runs one protocol node over real TCP connections.
 	TCPHost = transport.Host
 	// TCPHostConfig configures a single TCPHost (listen address, bounded
-	// outbox limit, frame compression).
+	// outbox limit).
 	TCPHostConfig = transport.HostConfig
 	// TCPCluster is a fully wired loopback mesh of TCPHosts.
 	TCPCluster = transport.LocalCluster
 	// TCPClusterConfig configures a TCPCluster (seed, per-peer outbox
-	// bound, flate compression of batch frames).
+	// bound).
 	TCPClusterConfig = transport.LocalClusterConfig
 	// TCPStats aggregates a host's (or cluster's) wire traffic counters:
 	// frames, messages and bytes sent, write/encode errors, re-queued
@@ -410,8 +377,8 @@ func NewTCPCluster(nodes []FaultBehavior, seed int64) (*TCPCluster, error) {
 	return transport.NewLocalCluster(nodes, seed)
 }
 
-// NewTCPClusterConfig is NewTCPCluster with the transport knobs exposed:
-// per-peer outbox bound (backpressure) and flate frame compression.
+// NewTCPClusterConfig is NewTCPCluster with the transport knob exposed:
+// the per-peer outbox bound (backpressure).
 func NewTCPClusterConfig(nodes []FaultBehavior, cfg TCPClusterConfig) (*TCPCluster, error) {
 	return transport.NewLocalClusterConfig(nodes, cfg)
 }

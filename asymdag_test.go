@@ -147,38 +147,15 @@ func TestPublicQuorumAPI(t *testing.T) {
 	}
 }
 
-func TestPublicBinaryAgreement(t *testing.T) {
-	// The primitives are message-driven state machines; full runs are
-	// exercised by the internal suites (and over TCP). Here we check the
-	// public constructors and pre-run state.
-	nd := asymdag.NewBinaryAgreementNode(asymdag.BinaryAgreementConfig{
-		Trust: asymdag.NewThreshold(4, 1),
-		Coin:  asymdag.PRFCoin{},
-		Input: 1,
-	})
-	if _, ok := nd.Decided(); ok {
-		t.Fatal("decided before running")
-	}
-}
-
+// TestPublicACSAndBindingConstruction checks the public constructor of the
+// core-set primitive, the binding gather: a fresh node has delivered nothing.
 func TestPublicACSAndBindingConstruction(t *testing.T) {
-	acsNode := asymdag.NewACSNode(asymdag.ACSConfig{
-		Trust: asymdag.NewThreshold(4, 1),
-		Input: "v",
-	})
-	if _, ok := acsNode.Output(); ok {
-		t.Fatal("ACS output before running")
-	}
 	bind := asymdag.NewBindingGatherNode(asymdag.GatherNodeConfig{
 		Trust: asymdag.NewThreshold(4, 1),
 		Input: "v",
 	})
 	if _, ok := bind.Delivered(); ok {
 		t.Fatal("binding gather delivered before running")
-	}
-	reg := asymdag.NewSWMRRegister(0, 0, 4, asymdag.NewThreshold(4, 1))
-	if reg.Timestamp() != 0 {
-		t.Fatal("fresh register timestamp should be 0")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Benchmarks regenerating every figure and quantitative claim of the paper
-// (one benchmark per experiment in DESIGN.md's index, plus micro-benchmarks
-// of the hot substrate operations). Run:
+// (one benchmark per experiment of harness.All, plus micro-benchmarks of
+// the hot substrate operations). Run:
 //
 //	go test -bench=. -benchmem
 //
@@ -14,13 +14,9 @@ import (
 	"testing"
 
 	asymdag "repro"
-	"repro/internal/abba"
-	"repro/internal/acs"
-	"repro/internal/coin"
 	"repro/internal/gather"
 	"repro/internal/harness"
 	"repro/internal/quorum"
-	"repro/internal/register"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -288,26 +284,6 @@ func benchSweepGather(b *testing.B, workers int) {
 func BenchmarkSweepGatherSerial(b *testing.B)   { benchSweepGather(b, 1) }
 func BenchmarkSweepGatherParallel(b *testing.B) { benchSweepGather(b, 0) }
 
-// ABBA sweep: agreement checked on every seed.
-func BenchmarkSweepABBA(b *testing.B) {
-	trust := quorum.NewThreshold(4, 1)
-	sw := harness.Sweeper{}
-	seeds := sim.SeedRange(0, 16)
-	var last harness.ABBASweepStats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		last = sw.SweepABBA(seeds, func(seed int64) harness.ABBAConfig {
-			return harness.ABBAConfig{Trust: trust, Seed: seed, CoinSeed: seed + 7}
-		}, nil)
-		if last.Failures > 0 {
-			b.Fatal(last.First)
-		}
-	}
-	if last.Decided > 0 {
-		b.ReportMetric(float64(last.TotalRounds)/float64(last.Decided), "rounds/decision")
-	}
-}
-
 // Large-n single-run scaling: the sharded event queue plus parallel
 // same-time delivery. One n=100 execution is far too slow to run to
 // quiescence inside a benchmark iteration (several million deliveries),
@@ -344,29 +320,6 @@ func benchLargeNRider(b *testing.B, workers int) {
 func BenchmarkLargeNRiderSerial(b *testing.B) { benchLargeNRider(b, -1) }
 func BenchmarkLargeNRiderParallel(b *testing.B) {
 	benchLargeNRider(b, runtime.GOMAXPROCS(0))
-}
-
-func benchLargeNACS(b *testing.B, workers int) {
-	trust := quorum.NewThreshold(100, 33)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := acs.Run(acs.RunConfig{
-			Trust: trust, Mode: gather.UsePlain,
-			Latency: sim.UniformLatency{Min: 1, Max: 5},
-			Seed:    int64(i), CoinSeed: int64(i) + 7,
-			MaxEvents: largeNEvents, DeliveryWorkers: workers,
-		})
-		if res.Metrics.MessagesDelivered < largeNEvents {
-			b.Fatalf("ACS delivered %d events, want >= %d", res.Metrics.MessagesDelivered, largeNEvents)
-		}
-	}
-	b.ReportMetric(float64(largeNEvents)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
-func BenchmarkLargeNACSSerial(b *testing.B) { benchLargeNACS(b, 0) }
-func BenchmarkLargeNACSParallel(b *testing.B) {
-	benchLargeNACS(b, runtime.GOMAXPROCS(0))
 }
 
 // Micro-benchmarks of the substrate hot paths. ---------------------------
@@ -543,37 +496,8 @@ func BenchmarkReliableBroadcastRound(b *testing.B) {
 }
 
 // Extension benchmarks: the additional primitives beyond the paper's core
-// pipeline (see DESIGN.md §2: abba, revealed coin, Tusk-style two-round
-// primitive) and the protocol-level ablations.
-
-// Asymmetric binary agreement (Alpos et al. primitive): decision latency
-// in rounds.
-func BenchmarkBinaryAgreement(b *testing.B) {
-	trust := quorum.NewThreshold(4, 1)
-	totalRounds, decisions := 0, 0
-	for i := 0; i < b.N; i++ {
-		n := trust.N()
-		nodes := make([]sim.Node, n)
-		raw := make([]*abba.Node, n)
-		for k := range nodes {
-			nd := abba.NewNode(abba.Config{Trust: trust, Coin: coin.NewPRF(int64(i), n), Input: k % 2})
-			nodes[k] = nd
-			raw[k] = nd
-		}
-		r := sim.NewRunner(sim.Config{N: n, Seed: int64(i), Latency: sim.UniformLatency{Min: 1, Max: 20}}, nodes)
-		r.Run(0)
-		for _, nd := range raw {
-			if _, ok := nd.Decided(); !ok {
-				b.Fatal("agreement did not terminate")
-			}
-			totalRounds += nd.DecidedRound()
-			decisions++
-		}
-	}
-	if decisions > 0 {
-		b.ReportMetric(float64(totalRounds)/float64(decisions), "rounds/decision")
-	}
-}
+// pipeline (revealed coin, Tusk-style two-round gather, binding gather)
+// and the protocol-level ablations.
 
 // Revealed-coin ablation: the share-gated coin's cost relative to direct
 // PRF evaluation (compare with BenchmarkRiderAsymmetric4).
@@ -605,17 +529,6 @@ func BenchmarkGatherTwoRoundThreshold(b *testing.B) {
 		}
 		r := sim.NewRunner(sim.Config{N: n, Seed: int64(i), Latency: sim.UniformLatency{Min: 1, Max: 20}}, nodes)
 		r.Run(0)
-	}
-}
-
-// ACS (E11): consensus-equivalent core-set agreement.
-func BenchmarkACSThreshold7(b *testing.B) {
-	trust := quorum.NewThreshold(7, 2)
-	for i := 0; i < b.N; i++ {
-		outputs := acs.RunCluster(trust, gather.UseReliable, sim.UniformLatency{Min: 1, Max: 30}, int64(i), int64(i)+7, nil)
-		if len(outputs) != 7 {
-			b.Fatal("ACS incomplete")
-		}
 	}
 }
 
@@ -693,46 +606,4 @@ func BenchmarkServiceSustained(b *testing.B) {
 	b.ReportMetric(float64(p50), "p50-commit-vt")
 	b.ReportMetric(float64(p99), "p99-commit-vt")
 	b.ReportMetric(float64(peak), "peak-vertices")
-}
-
-// SWMR register: one write+read round trip across the cluster.
-func BenchmarkRegisterWriteRead(b *testing.B) {
-	trust := quorum.NewThreshold(4, 1)
-	for i := 0; i < b.N; i++ {
-		nodes := make([]sim.Node, 4)
-		regs := make([]*register.Register, 4)
-		for k := range nodes {
-			k := k
-			nodes[k] = &regDriver{mk: func(env sim.Env) *register.Register {
-				r := register.New(env.Self(), 0, 4, trust)
-				regs[k] = r
-				return r
-			}}
-		}
-		nodes[0].(*regDriver).script = func(env sim.Env, r *register.Register) {
-			r.Write(env, "bench", func(env sim.Env) {
-				r.Read(env, nil)
-			})
-		}
-		r := sim.NewRunner(sim.Config{N: 4, Seed: int64(i), Latency: sim.ConstantLatency(1)}, nodes)
-		r.Run(0)
-	}
-}
-
-// regDriver adapts a Register to sim.Node for the benchmark.
-type regDriver struct {
-	mk     func(env sim.Env) *register.Register
-	script func(env sim.Env, r *register.Register)
-	reg    *register.Register
-}
-
-func (d *regDriver) Init(env sim.Env) {
-	d.reg = d.mk(env)
-	if d.script != nil {
-		d.script(env, d.reg)
-	}
-}
-
-func (d *regDriver) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
-	d.reg.Handle(env, from, msg)
 }

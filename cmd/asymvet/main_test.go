@@ -1,10 +1,13 @@
 package main
 
 import (
+	"os/exec"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/lint"
+	"repro/internal/wire"
 )
 
 // TestTreeClean runs the analyzer suite over the repository — the same
@@ -26,6 +29,38 @@ func TestTreeClean(t *testing.T) {
 				t.Errorf("%s", d)
 			}
 		})
+	}
+}
+
+// TestAuditTablesNameLivePackages guards the package-keyed tables against
+// deletions: an entry in lint's deterministic or GC-audited set whose
+// package is gone audits nothing, and a wire.TagRanges band whose package
+// is gone reserves tags for nobody. Every entry must name a package that
+// `go list repro/...` reports.
+func TestAuditTablesNameLivePackages(t *testing.T) {
+	cmd := exec.Command("go", "list", "repro/...")
+	cmd.Dir = "../.."
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	live := map[string]bool{}
+	for _, path := range strings.Fields(string(out)) {
+		live[path] = true
+	}
+	check := func(table, path string) {
+		if !live[path] {
+			t.Errorf("%s names %s, which go list repro/... does not report", table, path)
+		}
+	}
+	for path := range lint.DeterministicPkgs {
+		check("lint.DeterministicPkgs", path)
+	}
+	for path := range lint.GCPkgs {
+		check("lint.GCPkgs", path)
+	}
+	for path := range wire.TagRanges {
+		check("wire.TagRanges", path)
 	}
 }
 

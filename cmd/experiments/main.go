@@ -1,5 +1,5 @@
 // Command experiments regenerates every figure and quantitative claim of
-// the paper "DAG-based Consensus with Asymmetric Trust" (see DESIGN.md's
+// the paper "DAG-based Consensus with Asymmetric Trust" (-list prints the
 // experiment index).
 //
 // Usage:

@@ -7,7 +7,6 @@
 // Usage:
 //
 //	tcpbench -n 50 -rounds 200 -size 256
-//	tcpbench -n 50 -rounds 200 -size 1024 -compress
 //	tcpbench -n 8 -outbox 64
 package main
 
@@ -25,7 +24,6 @@ func main() {
 	n := flag.Int("n", 50, "mesh size (processes)")
 	rounds := flag.Int("rounds", 100, "broadcast rounds (each: every host broadcasts once)")
 	size := flag.Int("size", 256, "payload padding bytes per message")
-	compress := flag.Bool("compress", false, "flate-compress batch frames")
 	outbox := flag.Int("outbox", 0, "per-peer outbox bound (0 = default, <0 = unbounded)")
 	seed := flag.Int64("seed", 1, "cluster seed")
 	timeout := flag.Duration("timeout", 2*time.Minute, "flood deadline")
@@ -38,14 +36,13 @@ func main() {
 	fc, err := transport.NewFloodCluster(*n, transport.LocalClusterConfig{
 		Seed:        *seed,
 		OutboxLimit: *outbox,
-		Compress:    *compress,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer fc.Close()
-	fmt.Printf("mesh: n=%d (%d TCP connections), payload=%dB, compress=%v, outbox=%d\n",
-		*n, *n*(*n-1)/2, *size, *compress, *outbox)
+	fmt.Printf("mesh: n=%d (%d TCP connections), payload=%dB, outbox=%d\n",
+		*n, *n*(*n-1)/2, *size, *outbox)
 
 	// One warm-up round keeps connection ramp-up out of the measurement.
 	if _, err := fc.Flood(1, *size, *timeout); err != nil {

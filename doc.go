@@ -67,14 +67,14 @@
 //     lane heads, so push/pop scales with a receiver's own backlog instead
 //     of the total pending-event count and the merge front exposes which
 //     receivers share the frontier timestamp. DeliveryWorkers > 0 (a knob
-//     on sim.Config, harness.RiderConfig/ABBAConfig, acs.RunConfig and
-//     ClusterConfig) executes those same-time, distinct-receiver handlers
-//     concurrently on a bounded pool: every effect is buffered per
-//     receiver and committed single-threaded in receiver-ID order, with
-//     latency draws and sequence numbers assigned only at commit from the
-//     run's one seeded RNG — so the parallel execution is a pure function
-//     of the seed, byte-identical across 1/2/GOMAXPROCS workers (nodes
-//     that call Env.Rand in Receive fall back to serial delivery). Serial
+//     on sim.Config, harness.RiderConfig and ClusterConfig) executes those
+//     same-time, distinct-receiver handlers concurrently on a bounded pool:
+//     every effect is buffered per receiver and committed single-threaded
+//     in receiver-ID order, with latency draws and sequence numbers
+//     assigned only at commit from the run's one seeded RNG — so the
+//     parallel execution is a pure function of the seed, byte-identical
+//     across 1/2/GOMAXPROCS workers (nodes that call Env.Rand in Receive
+//     fall back to serial delivery). Serial
 //     mode stays the default and is event-for-event identical to the
 //     previous single 4-ary heap, pinned by a differential suite.
 //     Cluster runs are also bounded by a generous MaxSteps event budget
@@ -103,14 +103,14 @@
 //     carries, so the simulator's byte metrics (sim.MessageSize) and the
 //     bytes a real deployment sends are equal by construction. The
 //     transport drains bounded per-peer outboxes into batched length-
-//     prefixed frames (one write syscall per drain, optional flate
-//     compression); a full outbox blocks the sending node loop — explicit
-//     backpressure, never drops or unbounded growth — connections are
-//     validated and deduplicated keep-first at registration, and a failed
-//     write re-queues the unsent tail so a reconnect resumes the stream
-//     without loss. Per-peer counters surface frames/messages/bytes and
-//     error/re-queue counts; `make transportbench` runs the race-checked
-//     suite plus the 50-node loopback mesh benchmark (msgs/s, bytes/s).
+//     prefixed frames (one write syscall per drain); a full outbox blocks
+//     the sending node loop — explicit backpressure, never drops or
+//     unbounded growth — connections are validated and deduplicated
+//     keep-first at registration, and a failed write re-queues the unsent
+//     tail so a reconnect resumes the stream without loss. Per-peer
+//     counters surface frames/messages/bytes and error/re-queue counts;
+//     `make transportbench` runs the race-checked suite plus the 50-node
+//     loopback mesh benchmark (msgs/s, bytes/s).
 //   - A long-lived replicated service mode (internal/service, public
 //     ServiceConfig/RunService): instead of running N waves and stopping,
 //     replicas run indefinitely — an admission-bounded client request
@@ -144,6 +144,6 @@
 //	}
 //
 // See the examples/ directory for runnable programs, cmd/experiments for
-// the paper-reproduction harness, and DESIGN.md / EXPERIMENTS.md for the
-// experiment index and measured results.
+// the paper-reproduction harness (-list prints the experiment index), and
+// bench/README.md for the repository benchmark and its metrics.
 package asymdag

@@ -1,9 +1,9 @@
 // Package coin provides the common-coin primitive used to elect wave
 // leaders (paper §4.2; the asymmetric common coin of Alpos et al.).
 //
-// Substitution note (see DESIGN.md §5): the paper's coin is built from
-// threshold cryptography so that its value is unpredictable until enough
-// processes reveal shares. The consensus proofs use only two properties:
+// Substitution note: the paper's coin is built from threshold
+// cryptography so that its value is unpredictable until enough processes
+// reveal shares. The consensus proofs use only two properties:
 //
 //   - Matching: every process in the maximal guild obtains the same leader
 //     for a wave.
@@ -17,6 +17,7 @@
 // unpredictability holds against it as well. An adaptive adversary can be
 // modelled by choosing schedules as a function of the seed — the gather
 // counterexample does exactly that via explicit scheduling instead.
+// Shared (shared.go) adds the share-reveal step on top of any Source.
 package coin
 
 import (
@@ -57,17 +58,6 @@ func (c PRF) Leader(wave int) types.ProcessID {
 	sum := sha256.Sum256(buf[:])
 	v := binary.BigEndian.Uint64(sum[:8])
 	return types.ProcessID(v % uint64(c.n))
-}
-
-// Bit returns a common random bit for a round, used by the randomized
-// binary consensus (internal/abba).
-func (c PRF) Bit(round int) int {
-	var buf [17]byte
-	binary.BigEndian.PutUint64(buf[:8], uint64(c.seed))
-	binary.BigEndian.PutUint64(buf[8:16], uint64(round))
-	buf[16] = 0xB1
-	sum := sha256.Sum256(buf[:])
-	return int(sum[0] & 1)
 }
 
 // Fixed is a coin that always elects the same sequence of leaders; tests

@@ -70,12 +70,6 @@ type Config struct {
 	// revealing the coin only once enough processes finished the wave.
 	// Off by default (the PRF coin is evaluated directly).
 	RevealedCoin bool
-	// AckOnDeliver is an ablation switch: send the round-2 ACK upon
-	// arb-delivery (the paper's literal Algorithm 6 line 142) instead of
-	// upon DAG insertion (this implementation's default, which mirrors
-	// Algorithm 3's S_j ⊆ S_i precondition — see the package comment).
-	// Exists so experiments can compare the two readings.
-	AckOnDeliver bool
 	// GCDepth enables Bullshark-style garbage collection: after deciding
 	// wave w, rounds below round(w,1)−GCDepth whose vertices were all
 	// delivered are pruned, bounding memory (the paper flags DAG-Rider's
@@ -302,13 +296,9 @@ func (n *Node) onVertex(env sim.Env, slot broadcast.Slot, p broadcast.Payload) {
 	if !quorum.HasAnyQuorumWithin(n.cfg.Trust, strong) {
 		return
 	}
-	n.buffer = append(n.buffer, v)
-	if n.cfg.AckOnDeliver {
-		// Ablation: the paper's literal reading ACKs right here.
-		n.maybeAck(env, v)
-	}
-	// Otherwise the ACK is sent when the vertex enters the DAG (see the
+	// The ACK is sent when the vertex enters the DAG, not here (see the
 	// package comment); processBuffer handles it.
+	n.buffer = append(n.buffer, v)
 }
 
 // processBuffer moves buffered vertices whose causal history is complete
@@ -325,9 +315,7 @@ func (n *Node) processBuffer(env sim.Env) bool {
 					progress = true
 					added = true
 					n.roundTracker(v.Round).Add(v.Source)
-					if !n.cfg.AckOnDeliver {
-						n.maybeAck(env, v)
-					}
+					n.maybeAck(env, v)
 					continue
 				}
 			}

@@ -207,9 +207,3 @@ func (n *ConstantRoundNode) Delivered() (Pairs, bool) {
 
 // SentS returns the S snapshot this node distributed (zero until sent).
 func (n *ConstantRoundNode) SentS() Pairs { return n.sSnapshot }
-
-// KnownInputs returns a copy (a copy-on-write snapshot) of every
-// (process, value) pair this node has arb-delivered so far — a superset
-// of the delivered U set. Composed protocols (internal/acs) use it to
-// look up values for processes whose inclusion was agreed on.
-func (n *ConstantRoundNode) KnownInputs() Pairs { return n.s.Snapshot() }

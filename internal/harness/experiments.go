@@ -14,7 +14,7 @@ import (
 
 // This file regenerates every figure and quantitative claim of the paper.
 // Each ExpXxx function returns the printable artifact; cmd/experiments and
-// the benchmarks call them. The experiment IDs follow DESIGN.md.
+// the benchmarks call them. All lists the IDs in paper order.
 
 // Experiment couples an ID with its generator, for cmd/experiments.
 type Experiment struct {

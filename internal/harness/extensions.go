@@ -6,7 +6,6 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"repro/internal/acs"
 	"repro/internal/gather"
 	"repro/internal/quorum"
 	"repro/internal/rider"
@@ -14,15 +13,14 @@ import (
 	"repro/internal/types"
 )
 
-// Extension experiments beyond the paper's own artifacts: quantifying the
-// §2.4 gather-vs-ACS distinction, the binding gather's extra round, and the
-// garbage-collection ablation of the §4.5 memory caveat.
+// Extension experiments beyond the paper's own artifacts: the §2.4 binding
+// gather's extra round, the garbage-collection ablation of the §4.5 memory
+// caveat, commit latency, batching and the adversarial scenario registry.
 
 // ExtensionExperiments returns the additional experiments (appended to
 // All() by cmd/experiments via AllWithExtensions).
 func ExtensionExperiments() []Experiment {
 	return []Experiment{
-		{"acs", "§2.4 distinction: gather (common core inside outputs) vs ACS (identical outputs)", ExpACS},
 		{"binding", "§2.4 binding gather: one extra round fixes the core at first delivery", ExpBinding},
 		{"gc", "§4.5 memory: garbage-collected DAG vs unbounded DAG-Rider", ExpGC},
 		{"latency", "Vertex commit latency in rounds (wave-structure cost)", ExpLatency},
@@ -34,57 +32,6 @@ func ExtensionExperiments() []Experiment {
 // AllWithExtensions returns every experiment, paper artifacts first.
 func AllWithExtensions() []Experiment {
 	return append(All(), ExtensionExperiments()...)
-}
-
-// ExpACS runs gather and ACS on the same system and compares output
-// dispersion and cost (E11).
-func ExpACS() string {
-	trust := quorum.NewThreshold(7, 2)
-	lat := sim.UniformLatency{Min: 1, Max: 50}
-	var b strings.Builder
-
-	// Gather: count distinct outputs.
-	gres := gather.RunCluster(gather.RunConfig{
-		Kind: gather.KindConstantRound, Trust: trust, Mode: gather.UseReliable,
-		Latency: lat, Seed: 3,
-	})
-	distinct := map[string]bool{}
-	//lint:ordered builds a set; only its cardinality is reported
-	for _, out := range gres.Outputs {
-		distinct[out.String()] = true
-	}
-	fmt.Fprintf(&b, "gather (Algorithm 3) on threshold(7,2): %d distinct output sets across 7 processes\n", len(distinct))
-
-	// ACS: all outputs identical by construction; measure the extra cost.
-	n := trust.N()
-	nodes := make([]sim.Node, n)
-	raw := make([]*acs.Node, n)
-	for i := range nodes {
-		nd := acs.NewNode(acs.Config{
-			Trust: trust, Input: gather.InputValue(types.ProcessID(i)),
-			CoinSeed: 9, Mode: gather.UseReliable,
-		})
-		nodes[i] = nd
-		raw[i] = nd
-	}
-	r := sim.NewRunner(sim.Config{N: n, Seed: 3, Latency: lat}, nodes)
-	r.Run(0)
-	acsDistinct := map[string]bool{}
-	finished := 0
-	for _, nd := range raw {
-		if out, ok := nd.Output(); ok {
-			acsDistinct[out.String()] = true
-			finished++
-		}
-	}
-	fmt.Fprintf(&b, "ACS (gather + n binary agreements): %d/%d finished, %d distinct output sets\n",
-		finished, n, len(acsDistinct))
-	fmt.Fprintf(&b, "cost: gather %d msgs / vtime %d; ACS %d msgs / vtime %d\n",
-		gres.Metrics.MessagesSent, gres.EndTime, r.Metrics().MessagesSent, r.Now())
-	b.WriteString("\npaper §2.4: gather is deterministic-constant-round but only guarantees a common core\n" +
-		"inside possibly different outputs; ACS is consensus-equivalent (identical outputs,\n" +
-		"expected-constant time) and costs correspondingly more.\n")
-	return b.String()
 }
 
 // ExpBinding compares Algorithm 3 with its binding variant (E12).

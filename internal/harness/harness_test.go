@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/quorum"
+	"repro/internal/rider"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -149,23 +150,53 @@ func TestCheckersCatchViolations(t *testing.T) {
 	}
 }
 
+// TestCheckAgreementDetectsDisagreement pins the agreement checker: an
+// untampered run passes, and a process missing a vertex of the commonly
+// decided prefix, or holding a different one in its place, is reported.
+func TestCheckAgreementDetectsDisagreement(t *testing.T) {
+	all := types.FullSet(4)
+	res := RunRider(RiderConfig{
+		Kind: Asymmetric, Trust: quorum.NewThreshold(4, 1), NumWaves: 4,
+		TxPerBlock: 1, Seed: 5, CoinSeed: 5,
+	})
+	if err := res.CheckAgreement(all); err != nil {
+		t.Fatal(err)
+	}
+	nr := res.Nodes[1]
+	if len(nr.Deliveries) == 0 {
+		t.Fatal("run too short to tamper with: process 1 delivered nothing")
+	}
+	orig := nr.Deliveries
+	for p, other := range res.Nodes {
+		if other.DecidedWave < orig[0].Wave {
+			t.Fatalf("run too short to tamper with: %v decided wave %d < %d", p, other.DecidedWave, orig[0].Wave)
+		}
+	}
+
+	nr.Deliveries = append([]rider.Delivery(nil), orig[1:]...)
+	res.Nodes[1] = nr
+	if err := res.CheckAgreement(all); err == nil {
+		t.Error("dropped delivery not detected")
+	}
+
+	nr.Deliveries = append([]rider.Delivery(nil), orig...)
+	nr.Deliveries[0].Ref.Round += 1000
+	res.Nodes[1] = nr
+	if err := res.CheckAgreement(all); err == nil {
+		t.Error("substituted delivery not detected")
+	}
+}
+
 func TestExtensionExperimentsRegistered(t *testing.T) {
 	exts := ExtensionExperiments()
-	if len(exts) != 6 {
-		t.Fatalf("expected 6 extension experiments, got %d", len(exts))
+	if len(exts) != 5 {
+		t.Fatalf("expected 5 extension experiments, got %d", len(exts))
 	}
 	if len(AllWithExtensions()) != len(All())+len(exts) {
 		t.Fatal("AllWithExtensions should append extensions")
 	}
 	if _, ok := Find("gc"); !ok {
 		t.Error("Find should locate extension experiments")
-	}
-}
-
-func TestExpACSIdenticalOutputs(t *testing.T) {
-	out := ExpACS()
-	if !strings.Contains(out, "7/7 finished, 1 distinct output sets") {
-		t.Errorf("ACS outputs should be identical:\n%s", out)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/acs"
 	"repro/internal/gather"
 	"repro/internal/quorum"
 	"repro/internal/scenario"
@@ -15,7 +14,7 @@ import (
 
 // Duplicate-delivery idempotence conformance: a fault plane re-delivers a
 // sampled subset of messages across every protocol runner (rider, gather,
-// abba, acs) and the protocols' properties must still hold — message
+// binding gather) and the protocols' properties must still hold — message
 // handlers are required to be idempotent (an asynchronous network may
 // always duplicate), and this suite pins that before the duplication
 // faults of the scenario registry rely on it.
@@ -103,64 +102,47 @@ func TestDuplicateDeliveryIdempotenceGather(t *testing.T) {
 	requireDuplicates(t, stats.Metrics)
 }
 
-// TestDuplicateDeliveryIdempotenceABBA sweeps binary agreement under
-// duplicate delivery: agreement and termination must survive.
-func TestDuplicateDeliveryIdempotenceABBA(t *testing.T) {
-	count := 30
-	if testing.Short() {
-		count = 6
-	}
-	trust := quorum.NewThreshold(7, 2)
-	stats := Sweeper{}.SweepABBA(sim.SeedRange(1, count), func(seed int64) ABBAConfig {
-		return ABBAConfig{
-			Trust: trust,
-			Inputs: func(p types.ProcessID) int {
-				return int((seed + int64(p)) % 2)
-			},
-			Seed:     seed,
-			CoinSeed: seed*13 + 5,
-			Fault:    redeliverPlane(),
-		}
-	}, nil)
-	if stats.Failures > 0 {
-		t.Fatalf("%d/%d seeds violated binary agreement under duplicate delivery; first %s",
-			stats.Failures, stats.Seeds, stats.First)
-	}
-	if stats.Undecided > 0 {
-		t.Fatalf("%d processes left undecided under duplicate delivery", stats.Undecided)
-	}
-	requireDuplicates(t, stats.Metrics)
-}
-
-// TestDuplicateDeliveryIdempotenceACS runs the ACS cluster under duplicate
-// delivery: every process must finish and all outputs must agree.
+// TestDuplicateDeliveryIdempotenceACS runs agreement on a core set — the
+// binding gather, whose core is fixed before the first process delivers —
+// under duplicate delivery: every process must deliver, and one process's
+// S set must lie in every output.
 func TestDuplicateDeliveryIdempotenceACS(t *testing.T) {
 	seeds := int64(5)
 	if testing.Short() {
 		seeds = 2
 	}
 	trust := quorum.NewThreshold(4, 1)
+	n := trust.N()
 	for seed := int64(1); seed <= seeds; seed++ {
-		res := acs.Run(acs.RunConfig{
-			Trust: trust, Seed: seed, CoinSeed: seed*17 + 3,
-			Fault: redeliverPlane(),
-		})
-		if res.HitLimit {
+		nodes := make([]sim.Node, n)
+		raw := make([]*gather.BindingNode, n)
+		for i := range nodes {
+			raw[i] = gather.NewBindingNode(gather.Config{
+				Trust: trust, Input: gather.InputValue(types.ProcessID(i)), Mode: gather.UsePlain,
+			})
+			nodes[i] = raw[i]
+		}
+		r := sim.NewRunner(sim.Config{
+			N: n, Seed: seed, Latency: sim.UniformLatency{Min: 1, Max: 20}, Fault: redeliverPlane(),
+		}, nodes)
+		r.Run(sim.ResolveEventBudget(0))
+		if r.Pending() > 0 {
 			t.Fatalf("seed %d: run truncated at its event budget", seed)
 		}
-		if len(res.Outputs) != trust.N() {
-			t.Fatalf("seed %d: %d/%d processes produced an ACS output", seed, len(res.Outputs), trust.N())
-		}
-		var ref acs.Pairs
-		for p, o := range res.Outputs {
-			if ref.IsZero() {
-				ref = o
-				continue
+		outputs := map[types.ProcessID]gather.Pairs{}
+		sSnap := map[types.ProcessID]gather.Pairs{}
+		for i, nd := range raw {
+			p := types.ProcessID(i)
+			out, ok := nd.Delivered()
+			if !ok {
+				t.Fatalf("seed %d: %v did not deliver under duplicate delivery", seed, p)
 			}
-			if !ref.ContainsAll(o) || !o.ContainsAll(ref) {
-				t.Fatalf("seed %d: ACS outputs differ at %v under duplicate delivery", seed, p)
-			}
+			outputs[p] = out
+			sSnap[p] = nd.SentS()
 		}
-		requireDuplicates(t, res.Metrics)
+		if core := gather.AnalyzeCommonCore(n, sSnap, outputs, types.FullSet(n)); core.IsEmpty() {
+			t.Fatalf("seed %d: no common core in the binding outputs under duplicate delivery", seed)
+		}
+		requireDuplicates(t, r.Metrics())
 	}
 }

@@ -156,35 +156,6 @@ func TestRandomizedGatherConformance(t *testing.T) {
 	}
 }
 
-// TestRandomizedABBAConformance sweeps the asymmetric binary agreement:
-// all processes must decide the same value under every random schedule.
-func TestRandomizedABBAConformance(t *testing.T) {
-	count := 80
-	if testing.Short() {
-		count = 12
-	}
-	trust := quorum.NewThreshold(7, 2)
-	stats := Sweeper{}.SweepABBA(sim.SeedRange(1, count), func(seed int64) ABBAConfig {
-		rng := rand.New(rand.NewSource(seed))
-		return ABBAConfig{
-			Trust: trust,
-			Inputs: func(p types.ProcessID) int {
-				return int((seed + int64(p)) % 2)
-			},
-			Seed:     seed,
-			CoinSeed: seed*13 + 5,
-			Latency:  sim.UniformLatency{Min: 1, Max: sim.VirtualTime(5 + rng.Intn(40))},
-		}
-	}, nil)
-	if stats.Failures > 0 {
-		t.Fatalf("%d/%d seeds violated binary agreement; first failing %s",
-			stats.Failures, stats.Seeds, stats.First)
-	}
-	if stats.Undecided > 0 {
-		t.Fatalf("%d processes left undecided", stats.Undecided)
-	}
-}
-
 // TestRandomizedParallelDeliveryConformance re-runs a slice of the
 // conformance sweep with parallel same-time delivery enabled: the
 // Definition 4.1 properties must hold under the commit-order schedules

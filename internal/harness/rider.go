@@ -1,6 +1,6 @@
 // Package harness runs whole-cluster executions of the consensus protocols
-// and regenerates every figure and quantitative claim of the paper (see
-// DESIGN.md's experiment index E1–E10). It is the engine behind
+// and regenerates every figure and quantitative claim of the paper (the
+// experiment index is All in experiments.go). It is the engine behind
 // cmd/experiments, the benchmarks, and the protocol-level tests.
 package harness
 
@@ -88,7 +88,7 @@ type NodeResult struct {
 	Blocks      []string
 }
 
-// DefaultMaxEvents is the event budget RunRider and RunABBA apply when
+// DefaultMaxEvents is the event budget RunRider applies when
 // the config leaves MaxEvents at 0 — the simulator-wide default shared by
 // every protocol runner.
 const DefaultMaxEvents = sim.DefaultEventBudget

@@ -4,16 +4,13 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/abba"
-	"repro/internal/coin"
 	"repro/internal/gather"
-	"repro/internal/quorum"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
 
 // The Sweeper layer: statistical-scale protocol execution. Each SweepXxx
-// method fans RunRider / gather / ABBA executions out over a seed range via
+// method fans RunRider / gather executions out over a seed range via
 // sim.Sweep and reduces them — in seed order, so every aggregate and the
 // "first failing seed" are worker-count independent — into a compact stats
 // struct. The experiments, the cmd binaries and the randomized conformance
@@ -247,184 +244,5 @@ func (s Sweeper) SweepGather(seeds []int64, mk func(seed int64) gather.RunConfig
 	})
 	stats.Seeds = len(res.Seeds)
 	stats.Failures, stats.First = foldFailures(res, func(r gatherRun) error { return r.err })
-	return stats
-}
-
-// ABBA sweeps. -------------------------------------------------------------
-
-// ABBAConfig configures one binary-agreement cluster execution for
-// RunABBA/SweepABBA.
-type ABBAConfig struct {
-	Trust quorum.Assumption
-	// Inputs yields each process's proposal (nil = p mod 2).
-	Inputs func(p types.ProcessID) int
-	// Seed drives the network schedule; CoinSeed the common coin.
-	Seed, CoinSeed int64
-	// Latency is the network model (default uniform 1..20).
-	Latency sim.LatencyModel
-	// Fault is an optional scenario fault plane (see sim.FaultPlane).
-	Fault sim.FaultPlane
-	// MaxEvents bounds the simulation (0 = the generous DefaultMaxEvents,
-	// < 0 = unbounded); ABBAResult.HitLimit reports a truncated run.
-	MaxEvents int
-	// DeliveryWorkers opts the run into the simulator's parallel
-	// same-time delivery (0 = the package-level DefaultDeliveryWorkers,
-	// < 0 = force serial).
-	DeliveryWorkers int
-}
-
-// ABBAResult is the outcome of one binary-agreement cluster execution.
-type ABBAResult struct {
-	// Decisions maps each decided process to its value; Rounds to the
-	// round it decided in.
-	Decisions map[types.ProcessID]int
-	Rounds    map[types.ProcessID]int
-	Undecided int
-	Metrics   *sim.Metrics
-	EndTime   sim.VirtualTime
-	// HitLimit reports that the run stopped at the MaxEvents budget with
-	// deliveries still pending.
-	HitLimit bool
-}
-
-// CheckAgreement verifies that every decided process decided the same
-// value and that nobody is left undecided.
-func (r ABBAResult) CheckAgreement() error {
-	if r.Undecided > 0 {
-		return fmt.Errorf("abba: %d processes undecided", r.Undecided)
-	}
-	decided := -1
-	for _, p := range sortedPIDs(r.Decisions) {
-		v := r.Decisions[p]
-		if decided == -1 {
-			decided = v
-		} else if v != decided {
-			return fmt.Errorf("abba agreement violated: %v decided %d, another process decided %d", p, v, decided)
-		}
-	}
-	return nil
-}
-
-func sortedPIDs(m map[types.ProcessID]int) []types.ProcessID {
-	out := make([]types.ProcessID, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// RunABBA executes one binary-agreement cluster to quiescence.
-func RunABBA(cfg ABBAConfig) ABBAResult {
-	n := cfg.Trust.N()
-	if cfg.Latency == nil {
-		cfg.Latency = sim.UniformLatency{Min: 1, Max: 20}
-	}
-	inputs := cfg.Inputs
-	if inputs == nil {
-		inputs = func(p types.ProcessID) int { return int(p) % 2 }
-	}
-	nodes := make([]sim.Node, n)
-	raw := make([]*abba.Node, n)
-	for i := range nodes {
-		nd := abba.NewNode(abba.Config{
-			Trust: cfg.Trust,
-			Coin:  coin.NewPRF(cfg.CoinSeed, n),
-			Input: inputs(types.ProcessID(i)),
-		})
-		nodes[i] = nd
-		raw[i] = nd
-	}
-	limit := sim.ResolveEventBudget(cfg.MaxEvents)
-	r := sim.NewRunner(sim.Config{
-		N: n, Seed: cfg.Seed, Latency: cfg.Latency, Fault: cfg.Fault,
-		DeliveryWorkers: resolveDeliveryWorkers(cfg.DeliveryWorkers),
-	}, nodes)
-	r.Run(limit)
-
-	res := ABBAResult{
-		Decisions: map[types.ProcessID]int{},
-		Rounds:    map[types.ProcessID]int{},
-		Metrics:   r.Metrics(),
-		EndTime:   r.Now(),
-		HitLimit:  limit > 0 && r.Pending() > 0,
-	}
-	for i, nd := range raw {
-		if v, ok := nd.Decided(); ok {
-			res.Decisions[types.ProcessID(i)] = v
-			res.Rounds[types.ProcessID(i)] = nd.DecidedRound()
-		} else {
-			res.Undecided++
-		}
-	}
-	return res
-}
-
-// ABBASweepStats aggregates a multi-seed binary-agreement sweep. Seeds/
-// Runs/Failures follow the RiderSweepStats conventions.
-type ABBASweepStats struct {
-	Seeds    int
-	Runs     int
-	Failures int
-	First    *SweepFailure
-
-	// Decided / Undecided count processes across runs; TotalRounds sums
-	// decision rounds (TotalRounds/Decided is the mean decision latency).
-	Decided, Undecided int
-	TotalRounds        int
-	// HitLimits counts runs truncated at their MaxEvents budget.
-	HitLimits int
-	EndTime   sim.VirtualTime
-	Metrics   *sim.Metrics
-}
-
-// abbaRun is the per-seed record an ABBA sweep reduces over.
-type abbaRun struct {
-	err         error
-	decided     int
-	undecided   int
-	totalRounds int
-	hitLimit    bool
-	endTime     sim.VirtualTime
-	metrics     *sim.Metrics
-}
-
-// SweepABBA runs mk(seed) through RunABBA for every seed. Agreement is
-// always checked; check, if non-nil, adds further per-run conditions.
-func (s Sweeper) SweepABBA(seeds []int64, mk func(seed int64) ABBAConfig, check func(ABBAConfig, ABBAResult) error) ABBASweepStats {
-	res := sim.Sweep(seeds, s.Workers, func(seed int64) abbaRun {
-		cfg := mk(seed)
-		r := RunABBA(cfg)
-		run := abbaRun{
-			decided:   len(r.Decisions),
-			undecided: r.Undecided,
-			hitLimit:  r.HitLimit,
-			endTime:   r.EndTime,
-			metrics:   r.Metrics,
-		}
-		for _, rounds := range r.Rounds {
-			run.totalRounds += rounds
-		}
-		run.err = r.CheckAgreement()
-		if run.err == nil && check != nil {
-			run.err = check(cfg, r)
-		}
-		return run
-	})
-
-	stats := sim.Reduce(res, ABBASweepStats{Metrics: sim.MergeMetrics()}, func(acc ABBASweepStats, _ int64, run abbaRun) ABBASweepStats {
-		acc.Runs++
-		acc.Decided += run.decided
-		acc.Undecided += run.undecided
-		acc.TotalRounds += run.totalRounds
-		if run.hitLimit {
-			acc.HitLimits++
-		}
-		acc.EndTime += run.endTime
-		acc.Metrics = sim.MergeMetrics(acc.Metrics, run.metrics)
-		return acc
-	})
-	stats.Seeds = len(res.Seeds)
-	stats.Failures, stats.First = foldFailures(res, func(r abbaRun) error { return r.err })
 	return stats
 }

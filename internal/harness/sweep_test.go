@@ -128,42 +128,6 @@ func TestSweepRiderSurfacesPanicSeed(t *testing.T) {
 	}
 }
 
-// TestRunABBAAndSweep exercises the ABBA runner: deterministic per seed,
-// unanimity checked by the sweep itself.
-func TestRunABBAAndSweep(t *testing.T) {
-	trust := quorum.NewThreshold(4, 1)
-	cfg := ABBAConfig{Trust: trust, Seed: 5, CoinSeed: 9}
-	a, b := RunABBA(cfg), RunABBA(cfg)
-	if !reflect.DeepEqual(a.Decisions, b.Decisions) || !reflect.DeepEqual(a.Metrics.ByType, b.Metrics.ByType) {
-		t.Fatalf("same seed, different ABBA outcome:\n%+v\n%+v", a, b)
-	}
-	if err := a.CheckAgreement(); err != nil {
-		t.Fatal(err)
-	}
-
-	stats := Sweeper{}.SweepABBA(sim.SeedRange(1, 8), func(seed int64) ABBAConfig {
-		return ABBAConfig{Trust: trust, Seed: seed, CoinSeed: seed + 1}
-	}, nil)
-	if stats.Failures > 0 {
-		t.Fatalf("ABBA sweep failed: %s", stats.First)
-	}
-	if stats.Decided != 8*4 {
-		t.Fatalf("decided %d processes, want %d", stats.Decided, 8*4)
-	}
-}
-
-// TestCheckAgreementDetectsDisagreement pins the ABBA checker itself.
-func TestCheckAgreementDetectsDisagreement(t *testing.T) {
-	r := ABBAResult{Decisions: map[types.ProcessID]int{0: 0, 1: 1}, Rounds: map[types.ProcessID]int{0: 1, 1: 1}}
-	if err := r.CheckAgreement(); err == nil {
-		t.Fatal("disagreement not detected")
-	}
-	r = ABBAResult{Decisions: map[types.ProcessID]int{0: 1}, Undecided: 2}
-	if err := r.CheckAgreement(); err == nil {
-		t.Fatal("undecided processes not detected")
-	}
-}
-
 // TestRiderParallelDeliveryDeterministic pins the whole consensus stack
 // under the simulator's parallel same-time delivery: node results and the
 // full Metrics (incl. ByType) are byte-identical across 1, 2 and
@@ -228,11 +192,6 @@ func TestRunRiderEventBudget(t *testing.T) {
 	}, nil)
 	if stats.HitLimits != 3 {
 		t.Fatalf("sweep HitLimits = %d, want 3", stats.HitLimits)
-	}
-
-	abba := ABBAConfig{Trust: trust, Seed: 1, CoinSeed: 2, MaxEvents: 4}
-	if res := RunABBA(abba); !res.HitLimit {
-		t.Fatal("ABBA 4-event budget not reported as hit")
 	}
 
 	// Gather runs share the budget convention, and SweepGather surfaces

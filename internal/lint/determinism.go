@@ -17,19 +17,17 @@ var DeterminismAnalyzer = &Analyzer{
 	Run:  runDeterminism,
 }
 
-// deterministicPkgs is the audited package set: everything that executes
+// DeterministicPkgs is the audited package set: everything that executes
 // under the simulator's pure-function-of-the-seed contract. transport is
 // deliberately absent (it is the real-network layer: wall-clock reads
 // and connection-map iteration are its job), as are the pure-analysis
 // quorum/types packages and the tooling under cmd/.
-var deterministicPkgs = map[string]bool{
+var DeterministicPkgs = map[string]bool{
 	"repro":                    true,
 	"repro/internal/sim":       true,
 	"repro/internal/dag":       true,
 	"repro/internal/gather":    true,
 	"repro/internal/broadcast": true,
-	"repro/internal/abba":      true,
-	"repro/internal/acs":       true,
 	"repro/internal/coin":      true,
 	"repro/internal/rider":     true,
 	"repro/internal/core":      true,
@@ -37,11 +35,10 @@ var deterministicPkgs = map[string]bool{
 	"repro/internal/service":   true,
 	"repro/internal/harness":   true,
 	"repro/internal/baseline":  true,
-	"repro/internal/register":  true,
 }
 
 func inDeterministicScope(path string) bool {
-	return deterministicPkgs[path] || strings.HasPrefix(path, "repro/internal/lint/testdata/")
+	return DeterministicPkgs[path] || strings.HasPrefix(path, "repro/internal/lint/testdata/")
 }
 
 // bannedTimeFuncs are the wall-clock entry points of package time.

@@ -18,8 +18,8 @@
 // every line, in every branch:
 //
 // asymdeterminism — the deterministic packages (sim, dag, gather,
-// broadcast, abba, acs, coin, rider, core, scenario, service, harness,
-// baseline, register, and the repro root package) must be pure functions
+// broadcast, coin, rider, core, scenario, service, harness, baseline,
+// and the repro root package) must be pure functions
 // of their seeds. The analyzer flags
 //
 //   - wall-clock reads (time.Now, time.Since, timers, sleeps);
@@ -103,8 +103,8 @@
 // coordinate (round, wave, sequence number, slot) grows for the
 // lifetime of the node unless something prunes it; PR 8's bounded-memory
 // mode depends on every such structure having a GC path. In the
-// GC-audited packages (dag, gather, broadcast, abba, acs, coin, rider,
-// core, service, register, baseline), any struct field that is a map
+// GC-audited packages (dag, gather, broadcast, coin, rider, core,
+// service, baseline), any struct field that is a map
 // keyed by an integer coordinate (or by a struct with a round/wave/seq/
 // slot-named integer field — ProcessID keys are exempt, the process
 // universe is fixed) or a slice whose name says it accumulates

@@ -24,26 +24,23 @@ var GCAnalyzer = &Analyzer{
 	Run:  runGC,
 }
 
-// gcPkgs is the audited set: the packages holding per-round protocol
-// state that the PR 8 GC watermarks are supposed to keep flat. sim and
+// GCPkgs is the audited set: the packages holding per-round protocol
+// state that the GC watermarks (core.Config.GCDepth) keep flat. sim and
 // harness are absent (they hold per-run scaffolding, reset between
 // runs, not per-coordinate protocol state).
-var gcPkgs = map[string]bool{
+var GCPkgs = map[string]bool{
 	"repro/internal/dag":       true,
 	"repro/internal/gather":    true,
 	"repro/internal/broadcast": true,
-	"repro/internal/abba":      true,
-	"repro/internal/acs":       true,
 	"repro/internal/coin":      true,
 	"repro/internal/rider":     true,
 	"repro/internal/core":      true,
 	"repro/internal/service":   true,
-	"repro/internal/register":  true,
 	"repro/internal/baseline":  true,
 }
 
 func inGCScope(path string) bool {
-	return gcPkgs[path] || strings.HasPrefix(path, "repro/internal/lint/testdata/")
+	return GCPkgs[path] || strings.HasPrefix(path, "repro/internal/lint/testdata/")
 }
 
 // coordFieldRe matches struct-field names that denote an advancing

@@ -100,16 +100,15 @@ type Sizer interface {
 // real protocol message is, at package init) report their exact encoded
 // frame length, so simulated BytesSent figures equal the bytes the TCP
 // transport puts on the wire for the same traffic. Unregistered messages
-// fall back to their Sizer approximation, else count as 1 byte. Wrapper
-// messages (e.g. the ACS per-instance envelope) implement Sizer by
-// forwarding the inner payload's MessageSize plus their header.
+// fall back to their Sizer approximation, else count as 1 byte. A message
+// whose codec can report unencodable (broadcast's SEND carrying a payload
+// type with no codec) implements Sizer as the fallback.
 func MessageSize(msg Message) int { return msgSize(msg) }
 
 // Typer lets a message choose its own ByType metrics bucket. Messages
 // that do not implement it are bucketed by dynamic Go type (the "%T"
-// name). Wrapper messages implement it to attribute their traffic to the
-// wrapped instance and inner type instead of lumping every envelope into
-// one bucket.
+// name). The service layer's local tick uses it to report under a stable
+// "service.tick" label.
 type Typer interface {
 	SimType() string
 }
@@ -633,7 +632,7 @@ func (r *Runner) Step() bool {
 }
 
 // DefaultEventBudget is the event limit the protocol runners (gather,
-// ACS, rider, the public Cluster) apply when their config leaves the
+// rider, the public Cluster) apply when their config leaves the
 // budget field at 0 — roughly 10× what the largest legitimate run (n=100,
 // a couple of waves, ~6M deliveries) needs, so hitting it signals a
 // runaway schedule rather than truncating real work, while a

@@ -46,12 +46,6 @@ func BenchmarkLoopbackCluster50(b *testing.B) {
 	benchFlood(b, 50, 256, LocalClusterConfig{Seed: 1})
 }
 
-// BenchmarkLoopbackCluster50Compressed is the same mesh with flate
-// compression on batch frames.
-func BenchmarkLoopbackCluster50Compressed(b *testing.B) {
-	benchFlood(b, 50, 256, LocalClusterConfig{Seed: 1, Compress: true})
-}
-
 // BenchmarkLoopbackCluster8 is a small-mesh reference point.
 func BenchmarkLoopbackCluster8(b *testing.B) {
 	benchFlood(b, 8, 256, LocalClusterConfig{Seed: 1})

@@ -320,30 +320,3 @@ func TestCloseUnblocksBackpressure(t *testing.T) {
 		t.Fatal("Close did not unblock sender stuck in backpressure")
 	}
 }
-
-// TestFloodCompressed runs a flood over flate-compressed frames.
-func TestFloodCompressed(t *testing.T) {
-	fc, err := NewFloodCluster(4, LocalClusterConfig{Seed: 5, Compress: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fc.Close()
-	const rounds = 5
-	total, err := fc.Flood(rounds, 512, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := uint64(rounds * 4 * 4); total != want {
-		t.Fatalf("flood delivered %d messages, want %d", total, want)
-	}
-	s := fc.Stats()
-	if s.EncodeErrors != 0 || s.WriteErrors != 0 {
-		t.Fatalf("flood hit errors: %+v", s)
-	}
-	if s.MessagesSent == 0 || s.FramesSent == 0 || s.BytesSent == 0 {
-		t.Fatalf("stats not populated: %+v", s)
-	}
-	if s.FramesSent > s.MessagesSent {
-		t.Fatalf("more frames than messages (%d > %d): batching inactive", s.FramesSent, s.MessagesSent)
-	}
-}

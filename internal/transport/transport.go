@@ -23,13 +23,13 @@
 // [uvarint length][message frame] entries, where a message frame is the
 // shared binary codec's [uvarint tag][body] (internal/wire) — the same
 // encoding sim.MessageSize prices, so simulated byte metrics match real
-// wire bytes. Batch payloads are optionally flate-compressed
-// (HostConfig.Compress; frame type distinguishes them). The codec is
-// stateless per frame, so a hello can be written directly by the dialer
-// and any writer can resume after a reconnect without stream-state
-// corruption. Message codecs register themselves with internal/wire at
-// their package's init; this package imports no protocol package, so a
-// binary decodes exactly the messages of the protocol packages it links.
+// wire bytes. Any other frame type after the hello closes the
+// connection. The codec is stateless per frame, so a hello can be written
+// directly by the dialer and any writer can resume after a reconnect
+// without stream-state corruption. Message codecs register themselves
+// with internal/wire at their package's init; this package imports no
+// protocol package, so a binary decodes exactly the messages of the
+// protocol packages it links.
 //
 // # Concurrency model
 //
@@ -70,8 +70,6 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -91,15 +89,14 @@ import (
 const (
 	frameHello byte = 0x01
 	frameBatch byte = 0x02
-	frameFlate byte = 0x03
 
 	wireMagic   uint32 = 0x61447631 // "aDv1"
 	wireVersion byte   = 1
 
 	frameHeaderSize = 5
-	// maxFramePayload bounds one frame accepted off the wire (and the
-	// decompressed size of a flate batch), so a malicious peer cannot
-	// force an arbitrary allocation with a forged length field.
+	// maxFramePayload bounds one frame accepted off the wire, so a
+	// malicious peer cannot force an arbitrary allocation with a forged
+	// length field.
 	maxFramePayload = 8 << 20
 	// batchSoftLimit closes a batch frame once its payload exceeds this
 	// size; a drain larger than that is split across frames, which is
@@ -192,10 +189,6 @@ type HostConfig struct {
 	// drains. 0 selects DefaultOutboxLimit; negative means unbounded
 	// (the legacy behaviour, kept for experiments only).
 	OutboxLimit int
-	// Compress flate-compresses batch frames. Off by default: loopback
-	// and LAN meshes are rarely bandwidth-bound, and the protocol
-	// payloads here are small.
-	Compress bool
 }
 
 // envelope pairs a decoded message with its sender for the node loop.
@@ -338,11 +331,10 @@ type HostStats struct {
 
 // Host runs one protocol node over TCP.
 type Host struct {
-	self     types.ProcessID
-	n        int
-	node     sim.Node
-	epoch    time.Time
-	compress bool
+	self  types.ProcessID
+	n     int
+	node  sim.Node
+	epoch time.Time
 
 	listener net.Listener
 
@@ -395,7 +387,6 @@ func NewHostConfig(cfg HostConfig) (*Host, error) {
 		n:        cfg.N,
 		node:     cfg.Node,
 		epoch:    time.Now(),
-		compress: cfg.Compress,
 		listener: l,
 		conns:    map[types.ProcessID]connRec{},
 		dialing:  types.NewSet(cfg.N),
@@ -622,16 +613,11 @@ func (h *Host) writer(peer types.ProcessID, rec connRec, q *outbox) {
 	defer h.dropConn(peer, rec)
 	st := &h.stats[peer]
 	var payload, frame []byte
-	var fw *flate.Writer
-	var fbuf bytes.Buffer
-	if h.compress {
-		fw, _ = flate.NewWriter(&fbuf, flate.BestSpeed)
-	}
 	for {
 		batch := q.drain()
 		if len(batch) > 0 {
 			var ok bool
-			payload, frame, ok = h.writeBatch(rec.c, st, q, batch, payload, frame, fw, &fbuf)
+			payload, frame, ok = h.writeBatch(rec.c, st, q, batch, payload, frame)
 			if !ok {
 				return
 			}
@@ -652,7 +638,7 @@ func (h *Host) writer(peer types.ProcessID, rec connRec, q *outbox) {
 // everything after it — the "unsent tail" — at the front of the outbox
 // and reports false. Unencodable messages are counted and skipped.
 func (h *Host) writeBatch(c net.Conn, st *peerCounters, q *outbox, batch []envelope,
-	payload, frame []byte, fw *flate.Writer, fbuf *bytes.Buffer) ([]byte, []byte, bool) {
+	payload, frame []byte) ([]byte, []byte, bool) {
 	i := 0
 	for i < len(batch) {
 		frameStart := i
@@ -683,18 +669,8 @@ func (h *Host) writeBatch(c net.Conn, st *peerCounters, q *outbox, batch []envel
 		if msgs == 0 {
 			continue
 		}
-		out := payload
-		typ := frameBatch
-		if fw != nil {
-			fbuf.Reset()
-			fw.Reset(fbuf)
-			if _, err := fw.Write(payload); err == nil && fw.Close() == nil {
-				out = fbuf.Bytes()
-				typ = frameFlate
-			}
-		}
 		var err error
-		frame, err = writeFrame(c, frame, typ, out)
+		frame, err = writeFrame(c, frame, frameBatch, payload)
 		if err != nil {
 			st.writeErrs.Add(1)
 			tail := make([]envelope, len(batch)-frameStart)
@@ -705,59 +681,28 @@ func (h *Host) writeBatch(c net.Conn, st *peerCounters, q *outbox, batch []envel
 		}
 		st.frames.Add(1)
 		st.msgs.Add(uint64(msgs))
-		st.bytes.Add(uint64(len(out) + frameHeaderSize))
+		st.bytes.Add(uint64(len(payload) + frameHeaderSize))
 	}
 	return payload, frame, true
 }
 
 // readLoop decodes batch frames into the inbox until the connection dies
-// or a protocol violation (unknown frame type, malformed batch, oversized
-// or bomb-expanding payload) forces the connection closed.
+// or a protocol violation (any frame type but batch, malformed batch,
+// oversized payload) forces the connection closed.
 func (h *Host) readLoop(peer types.ProcessID, br *bufio.Reader, rec connRec) {
 	defer h.dropConn(peer, rec)
 	var hdr [frameHeaderSize]byte
 	var payload []byte
-	var inflated []byte
-	var fr io.ReadCloser
 	for {
 		var typ byte
 		var err error
 		typ, payload, err = readFrame(br, &hdr, payload)
-		if err != nil {
-			return
-		}
-		body := payload
-		switch typ {
-		case frameBatch:
-		case frameFlate:
-			if fr == nil {
-				fr = flate.NewReader(bytes.NewReader(payload))
-			} else if err := fr.(flate.Resetter).Reset(bytes.NewReader(payload), nil); err != nil {
-				return
-			}
-			inflated = inflated[:0]
-			lr := io.LimitReader(fr, maxFramePayload+1)
-			buf := make([]byte, 32<<10)
-			for {
-				n, rerr := lr.Read(buf)
-				inflated = append(inflated, buf[:n]...)
-				if rerr == io.EOF {
-					break
-				}
-				if rerr != nil {
-					return
-				}
-			}
-			if len(inflated) > maxFramePayload {
-				return // decompression bomb
-			}
-			body = inflated
-		default:
-			return // hello after handshake, or garbage
+		if err != nil || typ != frameBatch {
+			return // dead connection, hello after handshake, or garbage
 		}
 		h.recvBytes.Add(uint64(len(payload) + frameHeaderSize))
 		alive := true
-		err = decodeBatch(body, func(msg sim.Message) bool {
+		err = decodeBatch(payload, func(msg sim.Message) bool {
 			h.recvMsgs.Add(1)
 			select {
 			case h.inbox <- envelope{From: peer, Msg: msg}:
@@ -924,9 +869,8 @@ type LocalCluster struct {
 // LocalClusterConfig configures NewLocalClusterConfig.
 type LocalClusterConfig struct {
 	Seed int64
-	// OutboxLimit and Compress apply to every host (see HostConfig).
+	// OutboxLimit applies to every host (see HostConfig).
 	OutboxLimit int
-	Compress    bool
 }
 
 // NewLocalCluster builds and wires (but does not start) a loopback mesh
@@ -948,7 +892,6 @@ func NewLocalClusterConfig(nodes []sim.Node, cfg LocalClusterConfig) (*LocalClus
 			Addr:        "127.0.0.1:0",
 			Seed:        cfg.Seed + int64(i),
 			OutboxLimit: cfg.OutboxLimit,
-			Compress:    cfg.Compress,
 		})
 		if err != nil {
 			for _, prev := range hosts[:i] {

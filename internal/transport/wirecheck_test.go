@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"compress/flate"
 	"io"
 	"math/rand"
 	"net"
@@ -175,25 +176,99 @@ func TestEnvelopeSizeMatchesSimMetrics(t *testing.T) {
 // crashing the host.
 func TestReadLoopClosesOnGarbage(t *testing.T) {
 	h := newTestHost(t, 0, 2, HostConfig{Seed: 1})
-	c, err := net.Dial("tcp", h.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	hello := appendHello(nil, 1, 2)
-	frame := append([]byte{frameHello, 0, 0, 0, byte(len(hello))}, hello...)
-	if _, err := c.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, 2*time.Second, func() bool { return len(h.Connected()) == 1 })
+	c := helloConn(t, h)
 	// A batch whose entry length overruns the payload is a protocol
 	// violation; the host must drop the connection.
 	if _, err := c.Write([]byte{frameBatch, 0, 0, 0, 1, 0xff}); err != nil {
 		t.Fatal(err)
 	}
+	requireDropped(t, h, c)
+}
+
+// TestReadLoopClosesOnFlateFrame pins that frame type 0x03 is not a
+// batch: a peer sending a well-formed flate-compressed batch of a valid
+// message under it is disconnected, and nothing it sent reaches the node.
+func TestReadLoopClosesOnFlateFrame(t *testing.T) {
+	h := newTestHost(t, 0, 2, HostConfig{Seed: 1})
+	c := helloConn(t, h)
+	if _, err := writeFrame(c, nil, 0x03, deflated(t, floodBatch(t, 1))); err != nil {
+		t.Fatal(err)
+	}
+	requireDropped(t, h, c)
+	if n, got := len(h.inbox), h.Stats().MessagesReceived; n != 0 || got != 0 {
+		t.Fatalf("flate frame reached the node: inbox %d, received %d", n, got)
+	}
+}
+
+// TestFloodCompressed pins the cut-off of a flood stream that turns
+// compressed mid-way: the plain batch sent before the 0x03 frame reaches
+// the node, the compressed batch does not, and the sender is disconnected.
+func TestFloodCompressed(t *testing.T) {
+	h := newTestHost(t, 0, 2, HostConfig{Seed: 1})
+	c := helloConn(t, h)
+	if _, err := writeFrame(c, nil, frameBatch, floodBatch(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 2*time.Second, func() bool { return h.Stats().MessagesReceived == 1 })
+	if _, err := writeFrame(c, nil, 0x03, deflated(t, floodBatch(t, 2))); err != nil {
+		t.Fatal(err)
+	}
+	requireDropped(t, h, c)
+	if n, got := len(h.inbox), h.Stats().MessagesReceived; n != 1 || got != 1 {
+		t.Fatalf("inbox %d, received %d after one plain and one flate batch, want 1 and 1", n, got)
+	}
+	if m, ok := (<-h.inbox).Msg.(FloodMsg); !ok || m.Seq != 1 {
+		t.Fatalf("delivered %+v, want the plain batch's FloodMsg{Seq: 1}", m)
+	}
+}
+
+// floodBatch returns a batch frame body holding the one record FloodMsg{Seq: seq}.
+func floodBatch(t *testing.T, seq uint64) []byte {
+	t.Helper()
+	enc, err := wire.Marshal(FloodMsg{Seq: seq})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(wire.AppendUvarint(nil, uint64(len(enc))), enc...)
+}
+
+// deflated returns body flate-compressed.
+func deflated(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var z bytes.Buffer
+	fw, err := flate.NewWriter(&z, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = fw.Write(body)
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return z.Bytes()
+}
+
+// helloConn dials h as process 1 of a two-process mesh, sends a valid
+// hello, and waits until h has registered the connection.
+func helloConn(t *testing.T, h *Host) net.Conn {
+	t.Helper()
+	c, err := net.Dial("tcp", h.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	if _, err := writeFrame(c, nil, frameHello, appendHello(nil, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 2*time.Second, func() bool { return len(h.Connected()) == 1 })
+	return c
+}
+
+// requireDropped waits for h to close c and unregister it.
+func requireDropped(t *testing.T, h *Host, c net.Conn) {
+	t.Helper()
 	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("read = %v, want EOF after malformed batch", err)
+		t.Fatalf("read = %v, want EOF after a protocol violation", err)
 	}
 	waitUntil(t, 2*time.Second, func() bool { return len(h.Connected()) == 0 })
 }

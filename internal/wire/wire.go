@@ -30,8 +30,6 @@
 //	45–49  internal/coin
 //	50–59  internal/rider
 //	60–69  internal/transport (tooling/benchmark messages)
-//	70–74  internal/abba
-//	75–79  internal/acs (instance envelope, nested-frame)
 //	>=1000 reserved for test-local registrations
 //
 // Decoders must validate everything before it shapes an allocation or an
@@ -92,9 +90,6 @@ var TagRanges = map[string]TagRange{
 	"repro/internal/coin":      {45, 49},
 	"repro/internal/rider":     {50, 59},
 	"repro/internal/transport": {60, 69},
-	"repro/internal/abba":      {70, 74},
-	"repro/internal/acs":       {75, 79},
-	"repro/internal/register":  {80, 89},
 }
 
 // Codec describes how one message type encodes. All three functions
@@ -159,12 +154,6 @@ func lookup(msg any) (*entry, bool) {
 		return nil, false
 	}
 	return e.(*entry), true
-}
-
-// Registered reports whether msg's dynamic type has a codec.
-func Registered(msg any) bool {
-	_, ok := lookup(msg)
-	return ok
 }
 
 // EncodedSize returns the exact frame length ([uvarint tag][body]) msg
