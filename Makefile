@@ -32,8 +32,9 @@ lint:
 
 # Coverage-guided fuzzing of the byte-level attack surface: the wire
 # bounded-decode primitives, the tagged top-level decoder, and the
-# transport frame reader / hello parser / batch-body walker. Each
-# target's seed corpus also runs as a plain test in `make test`;
+# transport frame reader / hello parser / batch-body walker; plus the
+# dense-row DAG queries on random DAGs against their map-based reference.
+# Each target's seed corpus also runs as a plain test in `make test`;
 # FUZZTIME bounds each target here.
 FUZZTIME ?= 30s
 fuzz:
@@ -42,6 +43,7 @@ fuzz:
 	$(GO) test ./internal/transport -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/transport -run='^$$' -fuzz='^FuzzParseHello$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/transport -run='^$$' -fuzz='^FuzzDecodeBatch$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/rider -run='^$$' -fuzz='^FuzzDAGQueries$$' -fuzztime=$(FUZZTIME)
 
 # Repeat, under the race detector, the tests of the two places a rare
 # interleaving once broke: the duplicate-dial race in transport.Connect

@@ -108,22 +108,8 @@ func (n *Node) onVertex(_ sim.Env, slot broadcast.Slot, p broadcast.Payload) {
 		return
 	}
 	v := vp.V
-	if v.Source != slot.Src || v.Round != int(slot.Seq) || v.Round < 1 {
-		return
-	}
-	strong := types.NewSet(n.cfg.N)
-	for _, e := range v.StrongEdges {
-		if e.Round != v.Round-1 {
-			return
-		}
-		strong.Add(e.Source)
-	}
-	for _, e := range v.WeakEdges {
-		if e.Round >= v.Round-1 || e.Round < 0 {
-			return
-		}
-	}
-	if strong.Count() < n.cfg.N-n.cfg.F {
+	strong, ok := rider.CheckVertex(v, slot, n.cfg.N)
+	if !ok || strong.Count() < n.cfg.N-n.cfg.F {
 		return // DAG-Rider validity: at least n−f strong edges
 	}
 	n.buffer = append(n.buffer, v)
@@ -175,8 +161,10 @@ func (n *Node) createVertex(round int) *dag.Vertex {
 	if n.cfg.Workload != nil {
 		v.Block = n.cfg.Workload.NextBlock(round)
 	}
-	for _, u := range n.dag.RoundVertices(round - 1) {
-		v.StrongEdges = append(v.StrongEdges, u.Ref())
+	prev := n.dag.RoundVertices(round - 1)
+	v.StrongEdges = make([]dag.VertexRef, len(prev))
+	for i, u := range prev {
+		v.StrongEdges[i] = u.Ref()
 	}
 	rider.SetWeakEdges(n.dag, v, round)
 	return v
@@ -192,7 +180,7 @@ func (n *Node) waveReady(env sim.Env, w int) {
 	if !ok {
 		return
 	}
-	if n.dag.StrongReachCount(rider.WaveRound(w, 4), leader) < 2*n.cfg.F+1 {
+	if n.dag.StrongReachSources(rider.WaveRound(w, 4), leader).Count() < 2*n.cfg.F+1 {
 		return
 	}
 	stack := []dag.VertexRef{leader}

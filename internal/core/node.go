@@ -274,26 +274,12 @@ func (n *Node) onVertex(env sim.Env, slot broadcast.Slot, p broadcast.Payload) {
 	if !ok {
 		return
 	}
-	v := vp.V
 	// Authenticity and shape checks; a Byzantine creator's malformed
 	// vertex is dropped here.
-	if v.Source != slot.Src || v.Round != int(slot.Seq) || v.Round < 1 {
-		return
-	}
-	strong := types.NewSet(n.n)
-	for _, e := range v.StrongEdges {
-		if e.Round != v.Round-1 {
-			return
-		}
-		strong.Add(e.Source)
-	}
-	for _, e := range v.WeakEdges {
-		if e.Round >= v.Round-1 || e.Round < 0 {
-			return
-		}
-	}
+	v := vp.V
+	strong, ok := rider.CheckVertex(v, slot, n.n)
 	// Line 140: the strong edges must cover a quorum (of some process).
-	if !quorum.HasAnyQuorumWithin(n.cfg.Trust, strong) {
+	if !ok || !quorum.HasAnyQuorumWithin(n.cfg.Trust, strong) {
 		return
 	}
 	// The ACK is sent when the vertex enters the DAG, not here (see the
@@ -390,8 +376,10 @@ func (n *Node) createVertex(round int) *dag.Vertex {
 	if n.cfg.Workload != nil {
 		v.Block = n.cfg.Workload.NextBlock(round)
 	}
-	for _, u := range n.dag.RoundVertices(round - 1) {
-		v.StrongEdges = append(v.StrongEdges, u.Ref())
+	prev := n.dag.RoundVertices(round - 1)
+	v.StrongEdges = make([]dag.VertexRef, len(prev))
+	for i, u := range prev {
+		v.StrongEdges[i] = u.Ref()
 	}
 	rider.SetWeakEdges(n.dag, v, round)
 	return v

@@ -7,11 +7,21 @@
 // the previous round; weak edges point to older vertices not already
 // reachable, which is how the protocol guarantees eventual delivery of
 // every broadcast block (validity).
+//
+// Storage is dense: each round is an n-slot row indexed by source plus the
+// set of sources present, so a round's vertices come out in source order
+// without sorting. Reachability queries mark vertices in per-round bitset
+// rows instead of a visited map. Every edge points to an earlier round
+// (Add enforces it), so most queries are one sweep over the rounds in one
+// direction; StrongPath walks depth-first and uses the rows as its visited
+// set. The rows live in a scratch buffer the DAG reuses across queries, so
+// queries allocate nothing beyond their results, and a DAG is not safe for
+// concurrent use, not even by readers.
 package dag
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"repro/internal/types"
 )
@@ -37,12 +47,11 @@ type Vertex struct {
 // Ref returns the vertex's identity.
 func (v *Vertex) Ref() VertexRef { return VertexRef{Source: v.Source, Round: v.Round} }
 
-// Parents returns all references (strong then weak).
-func (v *Vertex) Parents() []VertexRef {
-	out := make([]VertexRef, 0, len(v.StrongEdges)+len(v.WeakEdges))
-	out = append(out, v.StrongEdges...)
-	out = append(out, v.WeakEdges...)
-	return out
+// row is one round: verts[s] is source s's vertex or nil, and srcs holds
+// the sources whose slot is filled.
+type row struct {
+	verts []*Vertex
+	srcs  types.Set
 }
 
 // DAG is one process's local copy of the graph. The zero value is not
@@ -56,60 +65,82 @@ func (v *Vertex) Parents() []VertexRef {
 type DAG struct {
 	n      int
 	base   int // round number of rounds[0]; rounds below base are pruned
-	rounds []map[types.ProcessID]*Vertex
+	rounds []row
+
+	// marks is the queries' scratch: words bitset words per live round,
+	// round base+i at marks[i*words:]. Each query clears the rows it reads
+	// before it marks them. It is allocated on the first query and grows
+	// with the window.
+	marks []uint64
+	words int
+	stack []VertexRef // StrongPath's scratch: refs waiting to be expanded
 }
 
 // New creates an empty DAG for n processes.
 func New(n int) *DAG {
-	return &DAG{n: n}
+	return &DAG{n: n, words: (n + 63) / 64}
 }
 
-// roundMap returns round r's storage, or nil when r is pruned or beyond the
+// rowAt returns round r's storage, or nil when r is pruned or beyond the
 // allocated window.
-func (d *DAG) roundMap(r int) map[types.ProcessID]*Vertex {
+func (d *DAG) rowAt(r int) *row {
 	i := r - d.base
 	if i < 0 || i >= len(d.rounds) {
 		return nil
 	}
-	return d.rounds[i]
+	return &d.rounds[i]
 }
 
 // ensureRound grows the per-round storage.
-func (d *DAG) ensureRound(r int) map[types.ProcessID]*Vertex {
+func (d *DAG) ensureRound(r int) *row {
 	for len(d.rounds) <= r-d.base {
-		d.rounds = append(d.rounds, map[types.ProcessID]*Vertex{})
+		d.rounds = append(d.rounds, row{verts: make([]*Vertex, d.n), srcs: types.NewSet(d.n)})
 	}
-	return d.rounds[r-d.base]
+	return &d.rounds[r-d.base]
 }
 
-// Add inserts v. It returns an error if a different vertex from the same
-// source already occupies the round (reliable broadcast should prevent
-// this) or if any referenced parent is absent (callers must buffer until
-// the causal history is complete, Algorithm 4 line 96).
+// Add inserts v. It returns an error if v's source is outside [0, n), if
+// a different vertex from the same source already occupies the round
+// (reliable broadcast should prevent this), if an edge does not point to
+// an earlier round, or if any referenced parent is absent (callers must
+// buffer until the causal history is complete, Algorithm 4 line 96).
 func (d *DAG) Add(v *Vertex) error {
 	if v.Round < 0 {
 		return fmt.Errorf("dag: negative round %d", v.Round)
 	}
+	if v.Source < 0 || int(v.Source) >= d.n {
+		return fmt.Errorf("dag: source %d of %v outside [0, %d)", int(v.Source), v.Ref(), d.n)
+	}
 	if v.Round < d.base {
 		return fmt.Errorf("dag: round %d already pruned (watermark %d)", v.Round, d.base)
 	}
-	for _, ref := range v.Parents() {
-		if _, ok := d.Get(ref); !ok {
-			return fmt.Errorf("dag: missing parent %v of %v", ref, v.Ref())
+	for _, edges := range [2][]VertexRef{v.StrongEdges, v.WeakEdges} {
+		for _, ref := range edges {
+			if ref.Round >= v.Round {
+				return fmt.Errorf("dag: edge %v of %v does not point to an earlier round", ref, v.Ref())
+			}
+			if !d.Contains(ref) {
+				return fmt.Errorf("dag: missing parent %v of %v", ref, v.Ref())
+			}
 		}
 	}
 	slot := d.ensureRound(v.Round)
-	if old, ok := slot[v.Source]; ok && old != v {
+	if old := slot.verts[v.Source]; old != nil && old != v {
 		return fmt.Errorf("dag: duplicate vertex for %v", v.Ref())
 	}
-	slot[v.Source] = v
+	slot.verts[v.Source] = v
+	slot.srcs.Add(v.Source)
 	return nil
 }
 
 // Get returns the vertex with the given identity.
 func (d *DAG) Get(ref VertexRef) (*Vertex, bool) {
-	v, ok := d.roundMap(ref.Round)[ref.Source]
-	return v, ok
+	rw := d.rowAt(ref.Round)
+	if rw == nil || ref.Source < 0 || int(ref.Source) >= d.n {
+		return nil, false
+	}
+	v := rw.verts[ref.Source]
+	return v, v != nil
 }
 
 // Contains reports whether ref is present.
@@ -121,9 +152,11 @@ func (d *DAG) Contains(ref VertexRef) bool {
 // HasAllParents reports whether every vertex referenced by v is present —
 // the insertion precondition of Algorithm 4 line 96.
 func (d *DAG) HasAllParents(v *Vertex) bool {
-	for _, ref := range v.Parents() {
-		if !d.Contains(ref) {
-			return false
+	for _, edges := range [2][]VertexRef{v.StrongEdges, v.WeakEdges} {
+		for _, ref := range edges {
+			if !d.Contains(ref) {
+				return false
+			}
 		}
 	}
 	return true
@@ -131,26 +164,25 @@ func (d *DAG) HasAllParents(v *Vertex) bool {
 
 // RoundSources returns the set of processes with a vertex in round r.
 func (d *DAG) RoundSources(r int) types.Set {
-	s := types.NewSet(d.n)
-	//lint:ordered Set.Add is commutative; the same set results in any order
-	for src := range d.roundMap(r) {
-		s.Add(src)
+	if rw := d.rowAt(r); rw != nil {
+		return rw.srcs.Clone()
 	}
-	return s
+	return types.NewSet(d.n)
 }
 
 // RoundVertices returns the vertices of round r sorted by source (a
 // deterministic order shared by all processes).
 func (d *DAG) RoundVertices(r int) []*Vertex {
-	m := d.roundMap(r)
-	if len(m) == 0 {
+	rw := d.rowAt(r)
+	if rw == nil || rw.srcs.IsEmpty() {
 		return nil
 	}
-	out := make([]*Vertex, 0, len(m))
-	for _, v := range m {
-		out = append(out, v)
+	out := make([]*Vertex, 0, rw.srcs.Count())
+	for _, v := range rw.verts {
+		if v != nil {
+			out = append(out, v)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Source < out[j].Source })
 	return out
 }
 
@@ -160,122 +192,219 @@ func (d *DAG) Height() int { return d.base + len(d.rounds) }
 // VertexCount returns the total number of vertices.
 func (d *DAG) VertexCount() int {
 	total := 0
-	for _, r := range d.rounds {
-		total += len(r)
+	for i := range d.rounds {
+		total += d.rounds[i].srcs.Count()
 	}
 	return total
 }
 
+// Scratch rows. -----------------------------------------------------------
+
+// clearMarks zeroes the scratch rows of rounds lo..hi, which must lie in
+// the window, growing the scratch to the window first.
+func (d *DAG) clearMarks(lo, hi int) {
+	if need := len(d.rounds) * d.words; len(d.marks) < need {
+		if cap(d.marks) < need {
+			d.marks = make([]uint64, need, 2*need)
+		}
+		d.marks = d.marks[:need]
+	}
+	clear(d.marks[(lo-d.base)*d.words : (hi-d.base+1)*d.words])
+}
+
+// markRow returns round r's scratch row; r must lie in the window.
+func (d *DAG) markRow(r int) []uint64 {
+	i := (r - d.base) * d.words
+	return d.marks[i : i+d.words]
+}
+
+// inWindow reports whether ref names a slot of the live window.
+func (d *DAG) inWindow(ref VertexRef) bool {
+	return ref.Round >= d.base && ref.Round < d.Height() && ref.Source >= 0 && int(ref.Source) < d.n
+}
+
+// mark sets ref's scratch bit; ref must be in the window.
+func (d *DAG) mark(ref VertexRef) {
+	d.marks[(ref.Round-d.base)*d.words+int(ref.Source)/64] |= 1 << (uint(ref.Source) % 64)
+}
+
+// marked reports ref's scratch bit; ref must be in the window, and the bit
+// means something only in a round the current query cleared.
+func (d *DAG) marked(ref VertexRef) bool {
+	return d.marks[(ref.Round-d.base)*d.words+int(ref.Source)/64]&(1<<(uint(ref.Source)%64)) != 0
+}
+
+// markEdges marks the edges of a vertex in the DAG and returns the lowest
+// of low and their rounds. Add checked those edges, so the only ones
+// outside the window point below it, into pruned rounds, and are skipped.
+func (d *DAG) markEdges(edges []VertexRef, low int) int {
+	for _, ref := range edges {
+		if ref.Round >= d.base {
+			d.mark(ref)
+		}
+		low = min(low, ref.Round)
+	}
+	return low
+}
+
+// markParents marks v's parents and returns the lowest round among them
+// (v.Round when it has none).
+func (d *DAG) markParents(v *Vertex) int {
+	return d.markEdges(v.WeakEdges, d.markEdges(v.StrongEdges, v.Round))
+}
+
+// forMarked calls fn, in source order, on each vertex of round r whose
+// scratch bit is set. fn may change the bits of round r.
+func (d *DAG) forMarked(r int, fn func(*Vertex)) {
+	rw, m := d.rowAt(r), d.markRow(r)
+	for wi, w := range rw.srcs.Words() {
+		for w &= m[wi]; w != 0; w &= w - 1 {
+			fn(rw.verts[wi*64+bits.TrailingZeros64(w)])
+		}
+	}
+}
+
+// Queries. ----------------------------------------------------------------
+
 // StrongPath reports whether there is a path from `from` to `to` using
 // only strong edges. Paths go backwards in rounds; from.Round must be
-// greater than to.Round (equal refs return true).
+// greater than to.Round (equal refs return true). The walk is depth-first,
+// so where paths abound (a round-4 vertex to its wave's leader) it ends
+// after a few vertices; the scratch rows of rounds above to's mark the
+// vertices already pushed, so none is expanded twice.
 func (d *DAG) StrongPath(from, to VertexRef) bool {
-	return d.path(from, to, false)
-}
-
-// Path reports whether there is a path from `from` to `to` using strong
-// and weak edges.
-func (d *DAG) Path(from, to VertexRef) bool {
-	return d.path(from, to, true)
-}
-
-func (d *DAG) path(from, to VertexRef, useWeak bool) bool {
 	if from == to {
 		return true
 	}
-	if from.Round <= to.Round {
+	if from.Round <= to.Round || !d.Contains(from) {
 		return false
 	}
-	visited := map[VertexRef]bool{}
-	stack := []VertexRef{from}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if visited[cur] {
-			continue
-		}
-		visited[cur] = true
-		v, ok := d.Get(cur)
-		if !ok {
-			continue
-		}
-		edges := v.StrongEdges
-		if useWeak {
-			edges = v.Parents()
-		}
-		for _, ref := range edges {
+	lo := max(to.Round+1, d.base)
+	d.clearMarks(lo, from.Round)
+	d.stack = append(d.stack[:0], from)
+	for len(d.stack) > 0 {
+		v, _ := d.Get(d.stack[len(d.stack)-1])
+		d.stack = d.stack[:len(d.stack)-1]
+		for _, ref := range v.StrongEdges {
 			if ref == to {
 				return true
 			}
-			if ref.Round > to.Round && !visited[ref] {
-				stack = append(stack, ref)
+			if ref.Round >= lo && !d.marked(ref) {
+				d.mark(ref)
+				d.stack = append(d.stack, ref)
 			}
 		}
 	}
 	return false
 }
 
-// StrongReachCount returns how many round-r vertices have a strong path to
-// target (used by commit rules).
-func (d *DAG) StrongReachCount(r int, target VertexRef) int {
-	count := 0
-	for _, v := range d.RoundVertices(r) {
-		if d.StrongPath(v.Ref(), target) {
-			count++
-		}
-	}
-	return count
-}
-
 // StrongReachSources returns the set of sources of round-r vertices with a
-// strong path to target.
+// strong path to target (used by commit rules). The sweep runs up from
+// target's round: a vertex is reached when one of its strong edges is
+// target or a reached vertex.
 func (d *DAG) StrongReachSources(r int, target VertexRef) types.Set {
 	s := types.NewSet(d.n)
-	for _, v := range d.RoundVertices(r) {
-		if d.StrongPath(v.Ref(), target) {
-			s.Add(v.Source)
+	if r == target.Round && d.Contains(target) {
+		s.Add(target.Source)
+	}
+	lo := max(target.Round+1, d.base)
+	if r < lo || r >= d.Height() {
+		return s
+	}
+	d.clearMarks(lo, r)
+	for q := lo; q <= r; q++ {
+		for _, v := range d.rowAt(q).verts {
+			if v == nil {
+				continue
+			}
+			for _, ref := range v.StrongEdges {
+				if ref == target || (ref.Round >= lo && d.marked(ref)) {
+					d.mark(v.Ref())
+					break
+				}
+			}
 		}
 	}
+	d.forMarked(r, func(v *Vertex) { s.Add(v.Source) })
 	return s
 }
 
-// CausalHistory returns every vertex reachable from v (inclusive) via
-// strong and weak edges, in the deterministic (round, source) order the
-// delivery procedure uses (Algorithm 6, orderVertices).
-func (d *DAG) CausalHistory(v VertexRef) []*Vertex {
-	visited := map[VertexRef]bool{}
-	var out []*Vertex
-	stack := []VertexRef{v}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if visited[cur] {
-			continue
-		}
-		visited[cur] = true
-		vv, ok := d.Get(cur)
-		if !ok {
-			continue
-		}
-		out = append(out, vv)
-		stack = append(stack, vv.Parents()...)
+// History calls fn, in the deterministic (round, source) order the
+// delivery procedure uses (Algorithm 6, orderVertices), on every vertex
+// reachable from `from` (inclusive) via strong and weak edges — except
+// that a vertex for which skip returns true is left out together with
+// every vertex reachable only through skipped ones. The sweep runs down
+// from from's round and stops below the lowest marked round, so with skip
+// reporting a set closed under history (the delivered vertices), the cost
+// is the size of the new history, not of the window. skip and fn must not
+// query d: they run inside the sweep and would overwrite its marks.
+func (d *DAG) History(from VertexRef, skip func(*Vertex) bool, fn func(*Vertex)) {
+	if !d.Contains(from) {
+		return
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Round != out[j].Round {
-			return out[i].Round < out[j].Round
+	d.clearMarks(d.base, from.Round)
+	d.mark(from)
+	low := from.Round
+	r := from.Round
+	for ; r >= d.base && r >= low; r-- {
+		m := d.markRow(r)
+		d.forMarked(r, func(v *Vertex) {
+			if skip(v) {
+				m[v.Source/64] &^= 1 << (uint(v.Source) % 64)
+				return
+			}
+			low = min(low, d.markParents(v))
+		})
+	}
+	for r++; r <= from.Round; r++ {
+		d.forMarked(r, fn)
+	}
+}
+
+// Uncovered calls fn, round by round from hi down to lo and in source
+// order within a round, on each vertex that is in neither the causal
+// history of refs nor that of a vertex fn was called on before — the
+// sweep behind DAG-Rider's weak edges (Algorithm 4, setWeakEdges). The
+// sweep starts at the highest round of refs, which may lie above hi. fn
+// must not query d.
+func (d *DAG) Uncovered(refs []VertexRef, hi, lo int, fn func(*Vertex)) {
+	lo = max(lo, d.base)
+	hi = min(hi, d.Height()-1)
+	if hi < lo {
+		return
+	}
+	top := hi
+	for _, ref := range refs {
+		top = max(top, min(ref.Round, d.Height()-1))
+	}
+	d.clearMarks(lo, top)
+	for _, ref := range refs {
+		if d.inWindow(ref) {
+			d.mark(ref)
 		}
-		return out[i].Source < out[j].Source
-	})
-	return out
+	}
+	for r := top; r >= lo; r-- {
+		if r <= hi {
+			rw, m := d.rowAt(r), d.markRow(r)
+			for s, v := range rw.verts {
+				if v != nil && m[s/64]&(1<<(uint(s)%64)) == 0 {
+					fn(v)
+					m[s/64] |= 1 << (uint(s) % 64)
+				}
+			}
+		}
+		d.forMarked(r, func(v *Vertex) { d.markParents(v) })
+	}
 }
 
 // Pruning support: DAG-Rider keeps the full graph (the paper flags its
 // unbounded memory in §4.5); Bullshark-style garbage collection becomes
 // safe once a round's vertices have all been delivered, because everything
 // below a delivered vertex is delivered too (deliveries happen as whole
-// causal histories). Pruned rounds read as absent: path traversals stop at
-// them, which is sound for the remaining queries (commit rules and leader
-// stacks only inspect rounds above the last decided wave).
+// causal histories). Pruned rounds have no row, so they read as absent and
+// the sweeps stop at the watermark, which is sound for the remaining
+// queries (commit rules and leader stacks only inspect rounds above the
+// last decided wave).
 
 // PruneBelow removes the contiguous prefix of rounds strictly below limit
 // in which every vertex satisfies canPrune (typically "was delivered").
@@ -287,9 +416,8 @@ func (d *DAG) PruneBelow(limit int, canPrune func(*Vertex) bool) int {
 	dropped := 0
 	for d.base+dropped < limit && dropped < len(d.rounds) {
 		ok := true
-		//lint:ordered false-latch over all vertices; the conjunction is order-free
-		for _, v := range d.rounds[dropped] {
-			if !canPrune(v) {
+		for _, v := range d.rounds[dropped].verts {
+			if v != nil && !canPrune(v) {
 				ok = false
 				break
 			}
@@ -297,7 +425,7 @@ func (d *DAG) PruneBelow(limit int, canPrune func(*Vertex) bool) int {
 		if !ok {
 			break
 		}
-		d.rounds[dropped] = nil // release the map before resliceing
+		d.rounds[dropped] = row{} // release the row before resliceing
 		dropped++
 	}
 	if dropped > 0 {

@@ -2,6 +2,8 @@ package dag
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/types"
@@ -94,6 +96,14 @@ func TestAddRejectsDuplicates(t *testing.T) {
 	if err := d.Add(&Vertex{Source: 0, Round: -1}); err == nil {
 		t.Fatal("negative round should fail")
 	}
+	if err := d.Add(&Vertex{Source: 2, Round: 1}); err == nil {
+		t.Fatal("source outside [0, n) should fail")
+	}
+	// An edge into the vertex's own round breaks the round order the
+	// queries rely on, even when the vertex it names is present.
+	if err := d.Add(&Vertex{Source: 1, Round: 0, WeakEdges: []VertexRef{{0, 0}}}); err == nil {
+		t.Fatal("an edge into the vertex's own round should fail")
+	}
 }
 
 func TestStrongAndWeakPaths(t *testing.T) {
@@ -110,11 +120,11 @@ func TestStrongAndWeakPaths(t *testing.T) {
 	if d.StrongPath(VertexRef{0, 2}, VertexRef{2, 0}) {
 		t.Error("a2→c0 should not be strong")
 	}
-	if !d.Path(VertexRef{0, 2}, VertexRef{2, 0}) {
+	if !inHistory(d, VertexRef{0, 2}, VertexRef{2, 0}) {
 		t.Error("a2→c0 should be reachable with weak edges")
 	}
 	// No path upward.
-	if d.Path(VertexRef{0, 0}, VertexRef{0, 2}) {
+	if inHistory(d, VertexRef{0, 0}, VertexRef{0, 2}) {
 		t.Error("paths cannot go to higher rounds")
 	}
 	// Self path.
@@ -122,15 +132,33 @@ func TestStrongAndWeakPaths(t *testing.T) {
 		t.Error("self path should hold")
 	}
 	// Unrelated.
-	if d.Path(VertexRef{2, 1}, VertexRef{0, 0}) {
+	if inHistory(d, VertexRef{2, 1}, VertexRef{0, 0}) {
 		t.Error("c1→a0 should not exist")
 	}
 }
 
+// history collects History(from) with nothing skipped.
+func history(d *DAG, from VertexRef) []*Vertex {
+	var out []*Vertex
+	d.History(from, func(*Vertex) bool { return false }, func(v *Vertex) { out = append(out, v) })
+	return out
+}
+
+// inHistory reports whether to is reachable from from through strong and
+// weak edges.
+func inHistory(d *DAG, from, to VertexRef) bool {
+	for _, v := range history(d, from) {
+		if v.Ref() == to {
+			return true
+		}
+	}
+	return false
+}
+
 func TestStrongReach(t *testing.T) {
 	d := buildChain(t)
-	if got := d.StrongReachCount(1, VertexRef{0, 0}); got != 1 {
-		t.Errorf("StrongReachCount = %d, want 1 (only a1)", got)
+	if got := d.StrongReachSources(1, VertexRef{0, 0}); !got.Equal(types.NewSetOf(3, 0)) {
+		t.Errorf("StrongReachSources = %v, want only a1", got)
 	}
 	if got := d.StrongReachSources(1, VertexRef{2, 0}); !got.Equal(types.NewSetOf(3, 2)) {
 		t.Errorf("StrongReachSources = %v", got)
@@ -139,7 +167,7 @@ func TestStrongReach(t *testing.T) {
 
 func TestCausalHistoryOrderAndCompleteness(t *testing.T) {
 	d := buildChain(t)
-	h := d.CausalHistory(VertexRef{0, 2})
+	h := history(d, VertexRef{0, 2})
 	// a2's history: a0, b0, c0(weak), a1, a2 = 5 vertices.
 	if len(h) != 5 {
 		t.Fatalf("history has %d vertices: %v", len(h), h)
@@ -157,11 +185,19 @@ func TestCausalHistoryOrderAndCompleteness(t *testing.T) {
 		pos[v.Ref()] = i
 	}
 	for _, v := range h {
-		for _, p := range v.Parents() {
+		for _, p := range slices.Concat(v.StrongEdges, v.WeakEdges) {
 			if pos[p] >= pos[v.Ref()] {
 				t.Fatalf("parent %v not before %v", p, v.Ref())
 			}
 		}
+	}
+	// Skipping a1 leaves out a1 and a0/b0, which only a1 reaches, but not
+	// c0, which a2 reaches through its weak edge.
+	var kept []VertexRef
+	d.History(VertexRef{0, 2}, func(v *Vertex) bool { return v.Ref() == VertexRef{0, 1} },
+		func(v *Vertex) { kept = append(kept, v.Ref()) })
+	if want := []VertexRef{{2, 0}, {0, 2}}; !reflect.DeepEqual(kept, want) {
+		t.Errorf("History skipping a1 = %v, want %v", kept, want)
 	}
 }
 

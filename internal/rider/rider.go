@@ -7,7 +7,6 @@ package rider
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -193,71 +192,80 @@ func Genesis(n int) []*dag.Vertex {
 	return out
 }
 
+// CheckVertex reports whether v, delivered by reliable broadcast in slot,
+// has the shape a correct creator gives it in a system of n processes, and
+// returns the sources of its strong edges, which the caller's validity
+// rule weighs. A correct vertex
+//   - is the slot sender's vertex for the slot's round, round ≥ 1;
+//   - has edges that name sources in [0, n), strong edges into round−1
+//     and weak edges into rounds 0..round−2;
+//   - lists its edges in the order createVertex and SetWeakEdges write
+//     them: strong edges by ascending source, then weak edges by
+//     descending round and ascending source within a round. The order
+//     makes a repeated ref adjacent, so one pass rejects duplicates.
+//
+// A vertex that fails is dropped: its edges come off the wire, and a
+// source outside [0, n) would index past the DAG's rows.
+func CheckVertex(v *dag.Vertex, slot broadcast.Slot, n int) (types.Set, bool) {
+	if v.Source != slot.Src || v.Round != int(slot.Seq) || v.Round < 1 || v.Source < 0 || int(v.Source) >= n ||
+		!edgesInOrder(v.StrongEdges, v.Round-1, v.Round-1, n) || !edgesInOrder(v.WeakEdges, 0, v.Round-2, n) {
+		return types.Set{}, false
+	}
+	strong := types.NewSet(n)
+	for _, e := range v.StrongEdges {
+		strong.Add(e.Source)
+	}
+	return strong, true
+}
+
+// edgesInOrder reports whether every edge names a source in [0, n) and a
+// round in [lo, hi], and each edge comes strictly after the one before:
+// in a lower round, or in the same round with a higher source.
+func edgesInOrder(edges []dag.VertexRef, lo, hi, n int) bool {
+	for i, e := range edges {
+		if e.Round < lo || e.Round > hi || e.Source < 0 || int(e.Source) >= n {
+			return false
+		}
+		if i > 0 {
+			if p := edges[i-1]; p.Round < e.Round || (p.Round == e.Round && p.Source >= e.Source) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // SetWeakEdges fills v.WeakEdges with references to every vertex in rounds
 // round-2 .. 1 not already reachable from v (Algorithm 4, setWeakEdges).
 // The running reachable set includes the causal closure of edges added so
 // far, so no redundant weak edges are produced.
 func SetWeakEdges(d *dag.DAG, v *dag.Vertex, round int) {
-	reachable := map[dag.VertexRef]bool{}
-	var mark func(ref dag.VertexRef)
-	mark = func(ref dag.VertexRef) {
-		if reachable[ref] {
-			return
-		}
-		reachable[ref] = true
-		vv, ok := d.Get(ref)
-		if !ok {
-			return
-		}
-		for _, p := range vv.Parents() {
-			mark(p)
-		}
-	}
-	for _, e := range v.StrongEdges {
-		mark(e)
-	}
 	// Rounds below the GC watermark hold no vertices; stopping there keeps
 	// vertex creation O(live window) in a long-lived run instead of
 	// scanning every round since genesis. The cut is sound for receivers
 	// too: pruned vertices were already delivered locally, and the edges a
 	// vertex carries are fixed by its creator before broadcast.
-	low := d.PrunedBelow()
-	if low < 1 {
-		low = 1
-	}
-	for r := round - 2; r >= low; r-- {
-		for _, u := range d.RoundVertices(r) {
-			if !reachable[u.Ref()] {
-				v.WeakEdges = append(v.WeakEdges, u.Ref())
-				mark(u.Ref())
-			}
-		}
-	}
+	low := max(d.PrunedBelow(), 1)
+	d.Uncovered(v.StrongEdges, round-2, low, func(u *dag.Vertex) {
+		v.WeakEdges = append(v.WeakEdges, u.Ref())
+	})
 }
 
-// OrderVertices implements Algorithm 6's orderVertices: pop leaders from
-// the stack (oldest last pushed first... the stack is pushed newest-wave
-// first, so popping yields oldest wave first), and for each leader deliver
-// its yet-undelivered causal history in the deterministic (round, source)
-// order. It returns the new deliveries in order.
+// OrderVertices implements Algorithm 6's orderVertices. leaders is the
+// stack of committed leaders, newest wave first, so it is popped from the
+// end: oldest wave first. For each leader it delivers the yet-undelivered
+// part of its causal history in the deterministic (round, source) order.
+// The history walk does not descend below vertices already in delivered,
+// which is sound because deliveries are whole causal histories: whatever
+// a delivered vertex reaches is delivered too. It returns the new
+// deliveries in order.
 func OrderVertices(d *dag.DAG, leaders []dag.VertexRef, delivered map[dag.VertexRef]bool, wave int, now sim.VirtualTime) []Delivery {
 	var out []Delivery
-	// leaders is a stack: last element = oldest uncommitted leader.
 	for i := len(leaders) - 1; i >= 0; i-- {
-		history := d.CausalHistory(leaders[i])
-		sort.SliceStable(history, func(a, b int) bool {
-			if history[a].Round != history[b].Round {
-				return history[a].Round < history[b].Round
-			}
-			return history[a].Source < history[b].Source
-		})
-		for _, v := range history {
-			if delivered[v.Ref()] {
-				continue
-			}
+		d.History(leaders[i], func(v *dag.Vertex) bool { return delivered[v.Ref()] }, func(v *dag.Vertex) {
 			delivered[v.Ref()] = true
 			out = append(out, Delivery{Ref: v.Ref(), Txs: v.Block, Wave: wave, Time: now})
-		}
+		})
 	}
 	return out
 }
