@@ -22,27 +22,31 @@ build:
 test: scenarios lint
 	$(GO) test -race ./...
 
-# Repository-specific static analysis: the internal/lint analyzers
-# (asymdeterminism, asymwire, asymsizer, asymbound, asymshare, asymgc —
-# see internal/lint's package comment for the contracts) over the whole
-# tree, plus stock go vet.
+# Repository-specific static analysis: the five internal/lint analyzers
+# (asymdeterminism, asymwire, asymsizer, asymshare, asymgc — see
+# internal/lint's package comment for the contracts) over the whole tree,
+# plus stock go vet. asymvet takes package patterns and no flags.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/asymvet ./...
 
 # Coverage-guided fuzzing of the byte-level attack surface: the wire
 # bounded-decode primitives, the tagged top-level decoder, and the
-# transport frame reader / hello parser / batch-body walker; plus the
+# transport frame reader / hello parser / batch-body walker (which also
+# bounds the bytes every registered codec allocates per input byte); plus the
 # dense-row DAG queries on random DAGs against their map-based reference.
 # Each target's seed corpus also runs as a plain test in `make test`;
-# FUZZTIME bounds each target here.
+# FUZZTIME bounds each target here. FuzzDecodeBatch also bounds input
+# minimization: its corpus holds a 128 KiB Pairs frame that takes
+# milliseconds to decode, and minimizing its descendants for the default
+# minute would stall the fuzzer.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzReadPrimitives$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/transport -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/transport -run='^$$' -fuzz='^FuzzParseHello$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/transport -run='^$$' -fuzz='^FuzzDecodeBatch$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/transport -run='^$$' -fuzz='^FuzzDecodeBatch$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=200x
 	$(GO) test ./internal/rider -run='^$$' -fuzz='^FuzzDAGQueries$$' -fuzztime=$(FUZZTIME)
 
 # Repeat, under the race detector, the tests of the two places a rare
@@ -90,10 +94,12 @@ soak:
 		-run 'TestService(BoundedMemorySoak|SnapshotEquivalence|SurvivesChurn)' ./internal/service
 
 # Non-test Go lines of the tracked tree: the root module (testdata/ and the
-# nested bench/ module excluded) and bench/ on its own line.
+# nested bench/ module excluded), internal/lint (part of the root figure)
+# and bench/, each on its own line.
 loc:
-	@printf 'root module: '; git ls-files '*.go' | grep -v '_test\.go$$' | grep -v 'testdata/' | grep -v '^bench/' | xargs cat | wc -l
-	@printf 'bench:       '; git ls-files 'bench/*.go' | grep -v '_test\.go$$' | grep -v 'testdata/' | xargs cat | wc -l
+	@printf 'root module:   '; git ls-files '*.go' | grep -v '_test\.go$$' | grep -v 'testdata/' | grep -v '^bench/' | xargs cat | wc -l
+	@printf 'internal/lint: '; git ls-files 'internal/lint/*.go' | grep -v '_test\.go$$' | grep -v 'testdata/' | xargs cat | wc -l
+	@printf 'bench:         '; git ls-files 'bench/*.go' | grep -v '_test\.go$$' | grep -v 'testdata/' | xargs cat | wc -l
 
 # Smoke-test the batch analysis search path: a parallel random-system
 # sweep through quorum.AnalyzeSystem (the quorumtool -search mode).

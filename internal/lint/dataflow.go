@@ -1,15 +1,13 @@
 package lint
 
-// The interprocedural dataflow layer: per-function AST-level value-flow
-// summaries over the already type-checked packages, composed across the
-// whole loaded program by a bottom-up fixed point. The asymbound,
-// asymshare and asymgc analyzers are built on it. See doc.go ("The
-// dataflow layer") for the summary format and its deliberate
-// approximations.
+// The interprocedural dataflow layer: per-function AST-level mutation
+// summaries and call edges over the already type-checked packages,
+// composed across the whole loaded program by a bottom-up fixed point.
+// The asymshare analyzer is built on it. See doc.go ("The dataflow
+// layer") for the summary format and its deliberate approximations.
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 )
@@ -41,72 +39,32 @@ func typeBaseName(t types.Type) string {
 	return types.TypeString(t, nil)
 }
 
-// resultFact describes one result of a function: whether it can carry an
-// unchecked wire-derived quantity (FromSource) and which parameters flow
-// into it without an intervening bound check (FromParams, a bitset over
-// parameter indices — the pass-through that makes the taint analysis
-// compositional).
-type resultFact struct {
-	FromSource bool
-	FromParams uint64
-}
-
-// flowFacts is one function's dataflow summary. All fields are
-// monotone — recomputation under richer callee summaries only ever adds
-// facts — which is what makes the fixed point converge.
+// flowFacts is one function's dataflow summary.
 type flowFacts struct {
-	// Results holds one fact per declared result.
-	Results []resultFact
-	// SinkParams marks parameters that flow, unsanitized, into an
-	// allocation/index/loop-bound sink inside the function or one of its
-	// callees; SinkNotes describes the sink for call-site diagnostics.
-	SinkParams uint64
-	SinkNotes  map[int]string
 	// MutParams marks parameters whose referenced memory the function
 	// writes through (directly or via a callee); MutRecv is the same
-	// fact for the method receiver.
+	// fact for the method receiver. Both are monotone — recomputation
+	// under richer callee summaries only ever adds facts — which is what
+	// makes the fixed point converge.
 	MutParams uint64
 	MutRecv   bool
-	// Calls lists the funcKeys of statically resolved callees, sorted —
-	// the call-graph edges reachability analyses walk.
+	// Calls lists the funcKeys of statically resolved callees — the
+	// call-graph edges reachability analyses walk. It depends on the body
+	// alone, so it is collected once, before the fixed point.
 	Calls []string
-}
-
-func factsEqual(a, b flowFacts) bool {
-	if a.SinkParams != b.SinkParams || a.MutParams != b.MutParams || a.MutRecv != b.MutRecv {
-		return false
-	}
-	if len(a.Results) != len(b.Results) || len(a.Calls) != len(b.Calls) {
-		return false
-	}
-	for i := range a.Results {
-		if a.Results[i] != b.Results[i] {
-			return false
-		}
-	}
-	for i := range a.Calls {
-		if a.Calls[i] != b.Calls[i] {
-			return false
-		}
-	}
-	// SinkNotes follows SinkParams; no need to compare the texts.
-	return true
 }
 
 // flowFunc is one function in the flow graph: a declaration with a body
 // from a loaded package.
 type flowFunc struct {
-	key   string
 	decl  *ast.FuncDecl
 	pkg   *Package
-	fn    *types.Func
 	facts flowFacts
 }
 
 // flowGraph holds the converged summaries of every function in the
 // program, keyed by funcKey.
 type flowGraph struct {
-	prog  *Program
 	funcs map[string]*flowFunc
 	keys  []string // sorted, for deterministic iteration
 }
@@ -118,7 +76,7 @@ func (prog *Program) flow() *flowGraph {
 	if prog.flowG != nil {
 		return prog.flowG
 	}
-	fg := &flowGraph{prog: prog, funcs: map[string]*flowFunc{}}
+	fg := &flowGraph{funcs: map[string]*flowFunc{}}
 	for _, pkg := range prog.Packages {
 		pkg := pkg
 		forEachFuncDecl(pkg, func(fd *ast.FuncDecl) {
@@ -126,8 +84,9 @@ func (prog *Program) flow() *flowGraph {
 			if !ok {
 				return
 			}
-			ff := &flowFunc{key: funcKeyOf(fn), decl: fd, pkg: pkg, fn: fn}
-			fg.funcs[ff.key] = ff
+			ff := &flowFunc{decl: fd, pkg: pkg}
+			ff.facts.Calls = calleeKeys(pkg, fd)
+			fg.funcs[funcKeyOf(fn)] = ff
 		})
 	}
 	fg.keys = make([]string, 0, len(fg.funcs))
@@ -142,9 +101,10 @@ func (prog *Program) flow() *flowGraph {
 		changed := false
 		for _, k := range fg.keys {
 			ff := fg.funcs[k]
-			nf := fg.summarize(ff)
-			if !factsEqual(ff.facts, nf) {
-				ff.facts = nf
+			aw := newAliasWalker(fg, ff, nil, false)
+			aw.walkFunc()
+			if aw.mutParams != ff.facts.MutParams || aw.mutRecv != ff.facts.MutRecv {
+				ff.facts.MutParams, ff.facts.MutRecv = aw.mutParams, aw.mutRecv
 				changed = true
 			}
 		}
@@ -156,29 +116,32 @@ func (prog *Program) flow() *flowGraph {
 	return fg
 }
 
-// summarize recomputes one function's summary from its body under the
-// current callee summaries.
-func (fg *flowGraph) summarize(ff *flowFunc) flowFacts {
-	facts := flowFacts{}
-	tw := newTaintWalker(fg, ff, nil)
-	tw.walkFunc()
-	facts.Results = tw.results
-	facts.SinkParams = tw.sinkParams
-	facts.SinkNotes = tw.sinkNotes
-	facts.Calls = tw.sortedCalls()
-
-	aw := newAliasWalker(fg, ff, nil, false)
-	aw.walkFunc()
-	facts.MutParams = aw.mutParams
-	facts.MutRecv = aw.mutRecv
-	return facts
+// calleeKeys lists the funcKeys of the statically resolved calls in fd's
+// body, closures included (repeats are harmless to reachableFrom).
+func calleeKeys(pkg *Package, fd *ast.FuncDecl) []string {
+	var keys []string
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if fn := calleeFunc(pkg, call); fn != nil {
+				keys = append(keys, funcKeyOf(fn))
+			}
+		}
+		return true
+	})
+	return keys
 }
 
-// lookup returns the summary of the function behind a resolved callee
-// object, if the program has one.
-func (fg *flowGraph) lookup(fn *types.Func) (*flowFunc, bool) {
-	ff, ok := fg.funcs[funcKeyOf(fn)]
-	return ff, ok
+// shortFuncName renders a callee for diagnostics: pkg.Func or
+// pkg.Type.Method.
+func shortFuncName(fn *types.Func) string {
+	name := fn.Name()
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		name = typeBaseName(sig.Recv().Type()) + "." + name
+	}
+	if fn.Pkg() != nil {
+		name = fn.Pkg().Name() + "." + name
+	}
+	return name
 }
 
 // paramObjects returns the declared parameter objects of fd in order
@@ -206,28 +169,6 @@ func recvObject(pkg *Package, fd *ast.FuncDecl) types.Object {
 		return nil
 	}
 	return pkg.Info.Defs[fd.Recv.List[0].Names[0]]
-}
-
-// resultObjects returns the named result objects (nil entries for
-// unnamed results), plus the total result count.
-func resultObjects(pkg *Package, fd *ast.FuncDecl) ([]types.Object, int) {
-	var out []types.Object
-	if fd.Type.Results == nil {
-		return out, 0
-	}
-	n := 0
-	for _, field := range fd.Type.Results.List {
-		if len(field.Names) == 0 {
-			out = append(out, nil)
-			n++
-			continue
-		}
-		for _, name := range field.Names {
-			out = append(out, pkg.Info.Defs[name])
-			n++
-		}
-	}
-	return out, n
 }
 
 // calleeFunc resolves a call to a concrete *types.Func (package function
@@ -275,32 +216,6 @@ func builtinName(pkg *Package, call *ast.CallExpr) string {
 	return ""
 }
 
-// rootIdent descends a selector/index/star/paren/slice chain to its
-// leftmost identifier, or nil when the chain is rooted in a call or
-// literal.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.TypeAssertExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
 // isPackageLevelVar reports whether obj is a package-scope variable.
 func isPackageLevelVar(obj types.Object) bool {
 	v, ok := obj.(*types.Var)
@@ -327,12 +242,4 @@ func (fg *flowGraph) reachableFrom(roots []string) map[string]bool {
 		}
 	}
 	return seen
-}
-
-// posOf is a small helper for diagnostics that may carry an invalid pos.
-func posOf(n ast.Node) token.Pos {
-	if n == nil {
-		return token.NoPos
-	}
-	return n.Pos()
 }

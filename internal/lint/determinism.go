@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -12,9 +13,9 @@ import (
 // packages. See doc.go ("Static contracts") for the full rule set and
 // the recognized order-insensitive idioms.
 var DeterminismAnalyzer = &Analyzer{
-	Name: "asymdeterminism",
-	Doc:  "flags time.Now, the global math/rand source, and map iteration whose order can escape, in the deterministic packages",
-	Run:  runDeterminism,
+	Name:      "asymdeterminism",
+	Directive: "ordered",
+	Run:       runDeterminism,
 }
 
 // DeterministicPkgs is the audited package set: everything that executes
@@ -66,29 +67,18 @@ func runDeterminism(pass *Pass) {
 		return
 	}
 
-	// consumed records directive index keys that had a map range to
-	// govern; //lint:ordered entries outside it are reported as unused.
-	consumed := map[string]bool{}
-
 	for _, file := range pkg.Files {
-		w := &detWalker{pass: pass, consumed: consumed}
+		w := &detWalker{pass: pass}
 		ast.Inspect(file, w.visit)
 	}
-
-	for _, key := range pkg.directiveLines() {
-		for _, e := range pkg.directives[key] {
-			if e.Name == "ordered" && !consumed[key] {
-				pass.Reportf(e.Pos, "unused //lint:ordered directive: no map range on this or the following line")
-			}
-		}
-	}
+	pass.reportUnused("map range")
 }
 
 func unknownDirectives(pass *Pass) {
 	for _, key := range pass.Pkg.directiveLines() {
 		for _, e := range pass.Pkg.directives[key] {
-			if !knownDirectives[e.Name] {
-				pass.Reportf(e.Pos, "unknown lint directive //lint:%s (known: ordered, unwired, sizer-fallback, bounded, confined, retained)", e.Name)
+			if !slices.Contains(knownDirectives, e.Name) {
+				pass.Reportf(e.Pos, "unknown lint directive //lint:%s (known: %s)", e.Name, strings.Join(knownDirectives, ", "))
 			}
 		}
 	}
@@ -100,7 +90,6 @@ type detWalker struct {
 	pass     *Pass
 	fnBodies []*ast.BlockStmt
 	nodes    []ast.Node
-	consumed map[string]bool
 }
 
 func (w *detWalker) visit(n ast.Node) bool {
@@ -172,13 +161,7 @@ func (w *detWalker) checkRange(rs *ast.RangeStmt) {
 	if _, ok := t.Underlying().(*types.Map); !ok {
 		return
 	}
-	for _, key := range directiveKeys(w.pass.Prog.Fset, rs.Pos()) {
-		w.consumed[key] = true
-	}
-	if w.pass.Pkg.directiveAt(w.pass.Prog.Fset, rs.Pos(), "ordered") {
-		return
-	}
-	if w.orderInsensitive(rs) {
+	if w.pass.suppress(rs.Pos()) || w.orderInsensitive(rs) {
 		return
 	}
 	w.pass.Reportf(rs.Pos(),

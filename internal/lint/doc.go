@@ -2,10 +2,9 @@
 // small go/analysis-style framework (self-contained — built on the
 // standard library's go/ast, go/types and `go list -export`, because the
 // build environment vendors no external modules), a lightweight
-// interprocedural dataflow layer, and six analyzers that turn the
-// repository's dynamic determinism, wire-codec, adversarial-input,
-// parallel-delivery, and bounded-memory contracts into compile-time
-// checks. The cmd/asymvet multichecker runs them tree-wide; `make lint`
+// interprocedural dataflow layer, and five analyzers that turn the
+// repository's dynamic determinism, wire-codec, parallel-delivery, and
+// bounded-memory contracts into compile-time checks. The cmd/asymvet multichecker runs them tree-wide; `make lint`
 // (folded into `make test`) gates every branch on a clean pass.
 //
 // # Static contracts
@@ -73,18 +72,6 @@
 // unencodable (nested dynamic payloads). The deliberate case is
 // annotated.
 //
-// asymbound — integers read off the wire are attacker-controlled: a
-// Byzantine peer can put any value in a length or count field. The
-// analyzer taints the results of the raw decode entry points
-// (encoding/binary's Uvarint/Varint/ReadUvarint/ReadVarint and the
-// byte-order Uint16/32/64 methods, resolved through interfaces) and
-// flags any tainted value that reaches a make() size, a slice/array/
-// string index, a slice bound, or a loop bound without first being
-// dominated by a comparison against a cap. Comparisons sanitize
-// (wire.ReadInt's `if v > uint64(max)` guard is the canonical form, and
-// its effect propagates to callers through the summaries below), as
-// does min() with any clean argument; map indexing is always safe.
-//
 // asymshare — under the simulator's parallel same-time delivery
 // (DeliveryWorkers > 1), every receiver of a broadcast is handed the
 // SAME message value, and handlers for different processes run
@@ -116,20 +103,11 @@
 //
 // # The dataflow layer
 //
-// asymbound and asymshare are interprocedural: they consume per-function
-// summaries (dataflow.go) computed bottom-up over the whole load to a
-// fixed point, so facts flow through arbitrarily deep call chains and
-// recursion. One summary (flowFacts) records, per function:
+// asymshare is interprocedural: it consumes per-function summaries
+// (dataflow.go) computed bottom-up over the whole load to a fixed point,
+// so facts flow through arbitrarily deep call chains and recursion. One
+// summary (flowFacts) records, per function:
 //
-//   - Results: for each declared result, whether it carries wire taint
-//     (FromSource) and which parameters' taint it forwards (FromParams,
-//     a bitset) — so `readLen` returning a raw wire read taints its
-//     callers' uses, and an identity passthrough keeps its argument's
-//     taint;
-//   - SinkParams/SinkNotes: parameters that flow unsanitized into an
-//     allocation/index/loop-bound sink inside the function or its
-//     callees — so passing a tainted value to a helper that make()s with
-//     it is reported at the call site, named after the helper;
 //   - MutParams/MutRecv: parameters (and the receiver) whose referenced
 //     memory the function writes through, directly or transitively —
 //     what lets asymshare attribute `scribble(m.Data)` to the call site
@@ -137,18 +115,13 @@
 //   - Calls: the statically resolved callee keys, the edges reachability
 //     walks.
 //
-// The analyses are deliberately approximate, tuned so the audited tree
-// is clean without annotation noise. Documented imprecisions: any
-// comparison mentioning a variable sanitizes it along all paths
-// (path-insensitive); values read out of fields, containers, and maps
-// are clean (container- and field-insensitive — taint dies at a store);
-// interface dispatch and function values have no callee summary
-// (dynamic-dispatch-blind, except the binary.ByteOrder methods, which
-// are special-cased as sources); call results are fresh memory for
-// aliasing; append() aliases only its first argument, which is what
-// makes the copy idiom clean. These choices trade missed exotic flows
-// for a zero-false-positive gate; the fixture suites under testdata/
-// pin both directions.
+// The analysis is deliberately approximate, tuned so the audited tree is
+// clean without annotation noise. Documented imprecisions: interface
+// dispatch and function values have no callee summary (dynamic-dispatch-
+// blind); call results are fresh memory for aliasing; append() aliases
+// only its first argument, which is what makes the copy idiom clean.
+// These choices trade missed exotic flows for a zero-false-positive gate;
+// the fixture suites under testdata/ pin both directions.
 //
 // # Annotations
 //
@@ -168,17 +141,17 @@
 //	                       transport
 //	//lint:sizer-fallback  this SimSize is a deliberate approximation for
 //	                       when the codec reports unencodable
-//	//lint:bounded         this wire-derived value is already bounded
-//	                       (placed on the sink line); say by what
 //	//lint:confined        this Receive-reachable memory is not actually
 //	                       shared (placed on the write); say why
 //	//lint:retained        this coordinate-keyed field is deliberately
 //	                       unpruned (placed on the field declaration);
 //	                       say what bounds it
 //
-// An annotation on a line where its analyzer finds nothing to suppress
-// is itself reported (unused suppressions rot), as is any //lint: name
-// outside this list.
+// Each name belongs to one analyzer (Analyzer.Directive), and the list of
+// known names is derived from the live suite, so deleting an analyzer
+// retires its directive. An annotation on a line where its analyzer
+// finds nothing to suppress is itself reported (unused suppressions rot),
+// as is any //lint: name outside this list.
 //
 // # Running
 //
@@ -190,10 +163,11 @@
 // `go list -export -json -deps` and type-checks from source against the
 // build cache's export data. Test files are not analyzed (test-local
 // message types and deliberately adversarial iteration live there); the
-// contracts gate shipped code.
+// contracts gate shipped code. Every run loads and analyzes the whole
+// program (about a third of a second for ./...).
 //
-// asymvet also supports -json (machine-readable findings) and -baseline
-// (suppress a recorded finding set — adopt the analyzers on a dirty
-// tree without annotating everything first). Every run loads and
-// analyzes the whole program (about a third of a second for ./...).
+// Decoders of wire input are not analyzed statically: an attacker-chosen
+// count reaching an allocation is caught at run time instead, by the
+// allocation bound internal/transport's FuzzDecodeBatch checks on every
+// registered codec.
 package lint

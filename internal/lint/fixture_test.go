@@ -96,8 +96,6 @@ func TestWireFixture(t *testing.T) {
 
 func TestSizerFixture(t *testing.T) { runFixture(t, SizerAnalyzer, "sizer") }
 
-func TestBoundFixture(t *testing.T) { runFixture(t, BoundAnalyzer, "bound") }
-
 func TestShareFixture(t *testing.T) { runFixture(t, ShareAnalyzer, "share") }
 
 func TestGCFixture(t *testing.T) { runFixture(t, GCAnalyzer, "gc") }

@@ -19,9 +19,9 @@ import (
 // x.f = keep, x.f = nil). Fields retained on purpose carry
 // //lint:retained <why bounded>. See doc.go.
 var GCAnalyzer = &Analyzer{
-	Name: "asymgc",
-	Doc:  "checks that round/wave/sequence/slot-keyed state has a prune path (the bounded-memory GC contract)",
-	Run:  runGC,
+	Name:      "asymgc",
+	Directive: "retained",
+	Run:       runGC,
 }
 
 // GCPkgs is the audited set: the packages holding per-round protocol
@@ -56,7 +56,6 @@ func runGC(pass *Pass) {
 		return
 	}
 	pruned := pass.Prog.pruneSites()
-	consumed := map[string]bool{}
 
 	for _, file := range pass.Pkg.Files {
 		for _, decl := range file.Decls {
@@ -74,22 +73,15 @@ func runGC(pass *Pass) {
 					continue
 				}
 				for _, field := range st.Fields.List {
-					pass.checkGCField(ts.Name.Name, field, pruned, consumed)
+					pass.checkGCField(ts.Name.Name, field, pruned)
 				}
 			}
 		}
 	}
-
-	for _, key := range pass.Pkg.directiveLines() {
-		for _, e := range pass.Pkg.directives[key] {
-			if e.Name == "retained" && !consumed[key] {
-				pass.Reportf(e.Pos, "unused //lint:retained directive: no unpruned coordinate-keyed field on this or the following line")
-			}
-		}
-	}
+	pass.reportUnused("unpruned coordinate-keyed field")
 }
 
-func (pass *Pass) checkGCField(typeName string, field *ast.Field, pruned, consumed map[string]bool) {
+func (pass *Pass) checkGCField(typeName string, field *ast.Field, pruned map[string]bool) {
 	ft := pass.Pkg.Info.TypeOf(field.Type)
 	if ft == nil {
 		return
@@ -116,27 +108,12 @@ func (pass *Pass) checkGCField(typeName string, field *ast.Field, pruned, consum
 		if pruned[fieldKey] {
 			continue
 		}
-		fset := pass.Prog.Fset
-		if docDirective(field.Doc, "retained") || docDirective(field.Comment, "retained") ||
-			pass.Pkg.directiveAt(fset, name.Pos(), "retained") {
-			for _, key := range directiveKeys(fset, name.Pos()) {
-				for _, e := range pass.Pkg.directives[key] {
-					if e.Name == "retained" {
-						consumed[key] = true
-					}
-				}
-			}
+		d := pass.Analyzer.Directive
+		if pass.suppress(name.Pos()) || docDirective(field.Doc, d) || docDirective(field.Comment, d) {
 			// Doc-comment directives count as used too.
 			for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-				if cg == nil {
-					continue
-				}
-				for _, key := range directiveKeys(fset, cg.Pos()) {
-					for _, e := range pass.Pkg.directives[key] {
-						if e.Name == "retained" {
-							consumed[key] = true
-						}
-					}
+				if cg != nil {
+					pass.suppress(cg.Pos())
 				}
 			}
 			continue

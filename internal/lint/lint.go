@@ -12,11 +12,12 @@ import (
 // Analyzer is one static check. The framework mirrors the shape of
 // golang.org/x/tools/go/analysis just closely enough for the checks
 // here: an analyzer runs once per package and reports diagnostics
-// through its Pass.
+// through its Pass. Directive names the //lint: suppression the
+// analyzer honours.
 type Analyzer struct {
-	Name string
-	Doc  string
-	Run  func(*Pass)
+	Name      string
+	Directive string
+	Run       func(*Pass)
 }
 
 // Pass is one (analyzer, package) run: the package's syntax and type
@@ -29,6 +30,9 @@ type Pass struct {
 	Pkg      *Package
 
 	diags *[]Diagnostic
+	// used holds the "file:line" keys of directives that suppressed a
+	// finding in this pass.
+	used map[string]bool
 }
 
 // Reportf records a diagnostic at pos.
@@ -38,6 +42,34 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      p.Prog.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
+}
+
+// suppress reports whether the analyzer's directive is attached to the
+// node at pos (same line or the line above) and marks it used.
+func (p *Pass) suppress(pos token.Pos) bool {
+	found := false
+	for _, key := range directiveKeys(p.Prog.Fset, pos) {
+		for _, e := range p.Pkg.directives[key] {
+			if e.Name == p.Analyzer.Directive {
+				p.used[key] = true
+				found = true
+			}
+		}
+	}
+	return found
+}
+
+// reportUnused flags every directive of the analyzer in the package that
+// suppressed nothing — unused suppressions rot. what names the construct
+// the directive should have governed.
+func (p *Pass) reportUnused(what string) {
+	for _, key := range p.Pkg.directiveLines() {
+		for _, e := range p.Pkg.directives[key] {
+			if e.Name == p.Analyzer.Directive && !p.used[key] {
+				p.Reportf(e.Pos, "unused //lint:%s directive: no %s on this or the following line", e.Name, what)
+			}
+		}
+	}
 }
 
 // Diagnostic is one finding, with the position resolved for printing.
@@ -82,18 +114,6 @@ type Program struct {
 	// pruned caches the program-wide prune-site index (gc.go).
 	flowG  *flowGraph
 	pruned map[string]bool
-}
-
-// All lint directives must use names from this set; anything else under
-// the //lint: prefix is reported as unknown by the determinism analyzer
-// (which owns directive hygiene).
-var knownDirectives = map[string]bool{
-	"ordered":        true,
-	"unwired":        true,
-	"sizer-fallback": true,
-	"bounded":        true,
-	"confined":       true,
-	"retained":       true,
 }
 
 const directivePrefix = "//lint:"
@@ -168,8 +188,19 @@ func (p *Package) directiveLines() []string {
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		DeterminismAnalyzer, WireAnalyzer, SizerAnalyzer,
-		BoundAnalyzer, ShareAnalyzer, GCAnalyzer,
+		DeterminismAnalyzer, WireAnalyzer, SizerAnalyzer, ShareAnalyzer, GCAnalyzer,
+	}
+}
+
+// knownDirectives lists the live analyzers' directive names in suite
+// order; anything else under the //lint: prefix is reported as unknown by
+// the determinism analyzer (which owns directive hygiene). It is filled in
+// init because that analyzer is itself in the suite.
+var knownDirectives []string
+
+func init() {
+	for _, a := range Analyzers() {
+		knownDirectives = append(knownDirectives, a.Directive)
 	}
 }
 
@@ -180,7 +211,7 @@ func Run(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range prog.Packages {
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Prog: prog, Pkg: pkg, diags: &diags}
+			pass := &Pass{Analyzer: a, Prog: prog, Pkg: pkg, diags: &diags, used: map[string]bool{}}
 			a.Run(pass)
 		}
 	}

@@ -20,9 +20,9 @@ import (
 // is outside the program, so no mutation fact exists for them.
 // See doc.go.
 var ShareAnalyzer = &Analyzer{
-	Name: "asymshare",
-	Doc:  "flags writes to message-shared or package-global state reachable from protocol Receive handlers",
-	Run:  runShare,
+	Name:      "asymshare",
+	Directive: "confined",
+	Run:       runShare,
 }
 
 func runShare(pass *Pass) {
@@ -33,28 +33,18 @@ func runShare(pass *Pass) {
 	roots := receiveRoots(pass.Prog)
 	reach := fg.reachableFrom(roots)
 
-	consumed := map[string]bool{}
 	forEachFuncDecl(pass.Pkg, func(fd *ast.FuncDecl) {
 		fn, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
 		if !ok {
 			return
 		}
-		key := funcKeyOf(fn)
-		if !reach[key] {
+		if !reach[funcKeyOf(fn)] {
 			return
 		}
-		ff := &flowFunc{key: key, decl: fd, pkg: pass.Pkg, fn: fn}
-		aw := newAliasWalker(fg, ff, pass, isReceiveHandler(pass.Pkg, fd))
-		aw.consumed = consumed
-		aw.walkFunc()
+		ff := &flowFunc{decl: fd, pkg: pass.Pkg}
+		newAliasWalker(fg, ff, pass, isReceiveHandler(pass.Pkg, fd)).walkFunc()
 	})
-	for _, key := range pass.Pkg.directiveLines() {
-		for _, e := range pass.Pkg.directives[key] {
-			if e.Name == "confined" && !consumed[key] {
-				pass.Reportf(e.Pos, "unused //lint:confined directive: no shared-state write to govern on this or the following line")
-			}
-		}
-	}
+	pass.reportUnused("shared-state write to govern")
 }
 
 // receiveRoots collects the funcKeys of every protocol Receive handler
@@ -136,7 +126,6 @@ type aliasWalker struct {
 	state     map[types.Object]aliasVal
 	mutParams uint64
 	mutRecv   bool
-	consumed  map[string]bool
 }
 
 func newAliasWalker(fg *flowGraph, ff *flowFunc, pass *Pass, isRoot bool) *aliasWalker {
@@ -166,20 +155,7 @@ func (aw *aliasWalker) walkFunc() {
 func (aw *aliasWalker) mutate(pos token.Pos, v aliasVal, how string) {
 	aw.mutParams |= v.params
 	aw.mutRecv = aw.mutRecv || v.recv
-	if !v.msg || aw.pass == nil {
-		return
-	}
-	fset := aw.pass.Prog.Fset
-	if aw.ff.pkg.directiveAt(fset, pos, "confined") {
-		if aw.consumed != nil {
-			for _, key := range directiveKeys(fset, pos) {
-				for _, e := range aw.ff.pkg.directives[key] {
-					if e.Name == "confined" {
-						aw.consumed[key] = true
-					}
-				}
-			}
-		}
+	if !v.msg || aw.pass == nil || aw.pass.suppress(pos) {
 		return
 	}
 	aw.pass.Reportf(pos,
@@ -189,20 +165,7 @@ func (aw *aliasWalker) mutate(pos token.Pos, v aliasVal, how string) {
 // globalWrite reports a write to a package-level variable on a
 // Receive-reachable path.
 func (aw *aliasWalker) globalWrite(pos token.Pos, obj types.Object) {
-	if aw.pass == nil {
-		return
-	}
-	fset := aw.pass.Prog.Fset
-	if aw.ff.pkg.directiveAt(fset, pos, "confined") {
-		if aw.consumed != nil {
-			for _, key := range directiveKeys(fset, pos) {
-				for _, e := range aw.ff.pkg.directives[key] {
-					if e.Name == "confined" {
-						aw.consumed[key] = true
-					}
-				}
-			}
-		}
+	if aw.pass == nil || aw.pass.suppress(pos) {
 		return
 	}
 	aw.pass.Reportf(pos,

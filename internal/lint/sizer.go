@@ -12,9 +12,9 @@ import (
 // report unencodable — the deliberate case carries a
 // //lint:sizer-fallback annotation on the method. See doc.go.
 var SizerAnalyzer = &Analyzer{
-	Name: "asymsizer",
-	Doc:  "flags sim.Sizer implementations shadowed by an authoritative wire codec",
-	Run:  runSizer,
+	Name:      "asymsizer",
+	Directive: "sizer-fallback",
+	Run:       runSizer,
 }
 
 func runSizer(pass *Pass) {
@@ -51,7 +51,7 @@ func runSizer(pass *Pass) {
 		if !ok {
 			return
 		}
-		if docDirective(fd.Doc, "sizer-fallback") || pass.Pkg.directiveAt(pass.Prog.Fset, fd.Pos(), "sizer-fallback") {
+		if docDirective(fd.Doc, pass.Analyzer.Directive) || pass.suppress(fd.Pos()) {
 			return
 		}
 		pass.Reportf(fd.Pos(),

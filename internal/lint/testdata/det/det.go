@@ -107,5 +107,5 @@ func unusedAnnotation() int {
 	return 1
 }
 
-//lint:orderd misspelled directive name // want `unknown lint directive //lint:orderd`
+//lint:orderd misspelled directive name // want `^unknown lint directive //lint:orderd \(known: ordered, unwired, sizer-fallback, confined, retained\)$`
 func typoDirective() {}

@@ -14,9 +14,9 @@ import (
 // every registration's tag falls in the registering package's assigned
 // range (wire.TagRanges). See doc.go.
 var WireAnalyzer = &Analyzer{
-	Name: "asymwire",
-	Doc:  "checks that sent message types have wire codecs and that codec tags match the central tag-range table",
-	Run:  runWire,
+	Name:      "asymwire",
+	Directive: "unwired",
+	Run:       runWire,
 }
 
 // ExtraTagRanges extends wire.TagRanges for packages outside the real
@@ -213,7 +213,7 @@ func checkSendSites(pass *Pass) {
 			if registered[key] {
 				return true
 			}
-			if pass.Pkg.directiveAt(pass.Prog.Fset, call.Pos(), "unwired") || typeDeclUnwired(pass.Prog, mt) {
+			if pass.suppress(call.Pos()) || typeDeclUnwired(pass.Prog, mt) {
 				return true
 			}
 			pass.Reportf(call.Pos(),

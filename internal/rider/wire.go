@@ -5,7 +5,9 @@
 // length-prefixed txs][uvarint #strong + refs][uvarint #weak + refs],
 // where a ref is [uvarint source][uvarint round]. Counts and rounds are
 // bounded on decode — vertices arrive from the network, possibly from
-// Byzantine peers.
+// Byzantine peers — and a count must also fit the bytes that remain: a
+// tx takes at least 1 byte and a ref at least 2, so no count allocates
+// more slots than the frame could fill.
 package rider
 
 import (
@@ -83,6 +85,9 @@ func decodeRefsWire(b []byte) ([]dag.VertexRef, []byte, error) {
 	if err != nil {
 		return nil, b, err
 	}
+	if count > len(rest)/2 {
+		return nil, b, wire.ErrTruncated
+	}
 	if count == 0 {
 		return nil, rest, nil
 	}
@@ -114,6 +119,9 @@ func decodeVertexWire(b []byte) (any, []byte, error) {
 	txCount, rest, err := wire.ReadInt(rest, wire.MaxCount)
 	if err != nil {
 		return nil, b, fmt.Errorf("rider: wire vertex block: %w", err)
+	}
+	if txCount > len(rest) {
+		return nil, b, fmt.Errorf("rider: wire vertex block: %w", wire.ErrTruncated)
 	}
 	var block []string
 	if txCount > 0 {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/dag"
@@ -101,6 +103,36 @@ func TestVertexWireRejectsMalformed(t *testing.T) {
 	for name, b := range cases {
 		if _, _, err := wire.Decode(b); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestVertexWireHostileCounts: a frame whose tx, strong or weak count is
+// wire.MaxCount with nothing behind it is rejected before the decoder
+// allocates for the count. Each count must fit the bytes that remain, so
+// a 6-byte frame cannot make the decoder allocate 16 MiB.
+func TestVertexWireHostileCounts(t *testing.T) {
+	maxCount := wire.AppendUvarint(nil, wire.MaxCount)
+	frames := map[string][]byte{
+		"tx count":     append([]byte{wireTagVertex, 1, 1}, maxCount...),
+		"strong count": append([]byte{wireTagVertex, 1, 1, 0}, maxCount...),
+		"weak count":   append([]byte{wireTagVertex, 1, 1, 0, 0}, maxCount...),
+	}
+	for name, frame := range frames {
+		var err error
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ { // the least of three discounts other goroutines
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _, err = wire.Decode(frame)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if err == nil {
+			t.Errorf("%s: %d-byte frame accepted", name, len(frame))
+		}
+		if least >= 64<<10 {
+			t.Errorf("%s: %d-byte frame allocated %d bytes", name, len(frame), least)
 		}
 	}
 }

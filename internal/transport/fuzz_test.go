@@ -2,6 +2,8 @@ package transport
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"testing"
 
 	// The protocol packages register their codecs with internal/wire at
@@ -72,10 +74,28 @@ func FuzzParseHello(f *testing.F) {
 	})
 }
 
+// allocatedBy returns the heap bytes one call of f allocated: the least of
+// up to three calls, stopping at the first within limit, so allocations of
+// other goroutines cannot push a call over on their own.
+func allocatedBy(limit uint64, f func()) uint64 {
+	var before, after runtime.MemStats
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3 && least > limit; i++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
 // FuzzDecodeBatch drives the batch-body walker with the real codec
 // registry loaded: it must never panic, every emitted message must have
 // come from a registered codec (re-marshalable), and a malformed tail
-// must surface as an error, not silent truncation.
+// must surface as an error, not silent truncation. Decoding L bytes may
+// allocate at most 256·L + 64 KiB: every count a decoder reads is chosen
+// by the sender, so it must be checked against the bytes that remain, not
+// only against a wire.Max* cap.
 func FuzzDecodeBatch(f *testing.F) {
 	seedBatch := func(msgs ...sim.Message) []byte {
 		var body []byte
@@ -96,12 +116,44 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{0x05, 1, 2})                        // declared length past the body
 	f.Add(append(seedBatch(FloodMsg{Seq: 4}), 0x7F)) // valid record then garbage
 
+	// Hostile counts: one record per count field of the registered codecs,
+	// each at its wire.Max* cap with nothing behind it.
+	record := func(frame ...byte) []byte { return append(wire.AppendUvarint(nil, uint64(len(frame))), frame...) }
+	maxCount := wire.AppendUvarint(nil, wire.MaxCount)
+	maxLen := wire.AppendUvarint(nil, wire.MaxStringLen)
+	maxUniverse := wire.AppendUvarint(nil, wire.MaxUniverse)
+	const (
+		tagSend   = 10 // broadcast SEND: [slot][nested payload frame]
+		tagBytes  = 13 // broadcast.Bytes
+		tagPairs  = 36 // gather.Pairs
+		tagVertex = 50 // rider.VertexPayload: [source][round][txs][strong][weak]
+	)
+	f.Add(record(append([]byte{tagVertex, 1, 1}, maxCount...)...))                // tx count
+	f.Add(record(append([]byte{tagVertex, 1, 1, 0}, maxCount...)...))             // strong edge count
+	f.Add(record(append([]byte{tagVertex, 1, 1, 0, 0}, maxCount...)...))          // weak edge count
+	f.Add(record(append([]byte{tagSend, 1, 1, tagVertex, 1, 1}, maxCount...)...)) // tx count, nested in a SEND
+	f.Add(record(append([]byte{tagVertex, 1, 1, 1}, maxLen...)...))               // tx string length
+	f.Add(record(append([]byte{tagBytes}, maxLen...)...))                         // bytes length
+	f.Add(record(append([]byte{wireTagFlood, 0}, maxLen...)...))                  // flood padding length
+	f.Add(record(append([]byte{tagPairs}, maxUniverse...)...))                    // set universe
+	// Pairs at wire.MaxUniverse with every word present: a legitimate
+	// frame whose 16 MiB value table is 131× its bytes.
+	f.Add(record(append(append([]byte{tagPairs}, maxUniverse...), make([]byte, wire.MaxUniverse/8)...)...))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var emitted []sim.Message
-		err := decodeBatch(data, func(m sim.Message) bool {
-			emitted = append(emitted, m)
-			return true
+		var err error
+		limit := 256*uint64(len(data)) + 64<<10
+		alloc := allocatedBy(limit, func() {
+			emitted = emitted[:0]
+			err = decodeBatch(data, func(m sim.Message) bool {
+				emitted = append(emitted, m)
+				return true
+			})
 		})
+		if alloc > limit {
+			t.Fatalf("decoding %d bytes allocated %d bytes, over the %d-byte bound (%v)", len(data), alloc, limit, err)
+		}
 		for _, m := range emitted {
 			if _, merr := wire.Marshal(m); merr != nil {
 				t.Fatalf("decodeBatch emitted unmarshalable %T: %v", m, merr)

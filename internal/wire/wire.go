@@ -34,7 +34,14 @@
 //
 // Decoders must validate everything before it shapes an allocation or an
 // index — bodies arrive from the network, possibly from Byzantine peers.
-// The Max* limits here bound every length field a decoder trusts.
+// The Max* limits here cap every length field a decoder trusts, but a cap
+// alone is not a bound: a count is bounded by the input that remains.
+// Before allocating for n elements, a decoder checks that the rest of the
+// body holds n times the smallest encoding of one element, so decoding L
+// bytes allocates O(L). ReadString, ReadBytes and ReadSet do this for their
+// own lengths; a decoder reading a repeated-element count does it itself.
+// internal/transport's FuzzDecodeBatch holds every registered codec to
+// this at run time.
 package wire
 
 import (
@@ -50,7 +57,8 @@ import (
 )
 
 // Decode limits. Every length field read off the wire is checked against
-// one of these before it drives an allocation.
+// one of these, and against the bytes that remain, before it drives an
+// allocation.
 const (
 	// MaxStringLen bounds one length-prefixed string or byte slice.
 	MaxStringLen = 1 << 20
