@@ -18,9 +18,12 @@ build:
 # on every run. The scenario registry sweep rides along so `make test`
 # always exercises the adversarial scenarios end to end, and `lint` runs
 # the repository's own determinism/wire-contract analyzers (cmd/asymvet)
-# alongside stock go vet.
+# alongside stock go vet. bench/ is a nested module that `./...` does not
+# reach, so it is vetted here too: a root refactor can otherwise break the
+# benchmark unnoticed.
 test: scenarios lint
 	$(GO) test -race ./...
+	cd bench && $(GO) vet .
 
 # Repository-specific static analysis: the five internal/lint analyzers
 # (asymdeterminism, asymwire, asymsizer, asymshare, asymgc — see

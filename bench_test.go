@@ -387,10 +387,10 @@ func BenchmarkQuorumPredicateCounterexample(b *testing.B) {
 	}
 }
 
-// Analysis engine: the word-compiled Validate/SatisfiesB3 sweeps against
-// the retained naive nested-set-loop references, on an n=30 random
-// asymmetric system (the quorumtool -search shape). The compiled pair
-// must stay ≥2× ahead of its *Naive counterpart.
+// Analysis engine: the word-compiled Validate/SatisfiesB3 sweeps on an
+// n=30 random asymmetric system (the quorumtool -search shape). The
+// compiled pair must stay ≥2× ahead of the nested-set-loop references,
+// BenchmarkValidateNaive and BenchmarkSatisfiesB3Naive in internal/quorum.
 
 func analysisBenchSystem(b *testing.B) *quorum.System {
 	sys, err := quorum.RandomAsymmetric(quorum.RandomAsymmetricConfig{
@@ -413,31 +413,11 @@ func BenchmarkValidate(b *testing.B) {
 	}
 }
 
-func BenchmarkValidateNaive(b *testing.B) {
-	sys := analysisBenchSystem(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if sys.ValidateNaive() != nil {
-			b.Fatal("bench system must be valid")
-		}
-	}
-}
-
 func BenchmarkSatisfiesB3(b *testing.B) {
 	sys := analysisBenchSystem(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !sys.SatisfiesB3() {
-			b.Fatal("bench system must satisfy B3")
-		}
-	}
-}
-
-func BenchmarkSatisfiesB3Naive(b *testing.B) {
-	sys := analysisBenchSystem(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !sys.SatisfiesB3Naive() {
 			b.Fatal("bench system must satisfy B3")
 		}
 	}

@@ -14,7 +14,13 @@
 //   - The first asymmetric DAG-based atomic-broadcast protocol
 //     (Algorithms 4–6), plus the symmetric DAG-Rider baseline, running
 //     over a deterministic discrete-event network simulator with
-//     adversarial scheduling and fault injection.
+//     adversarial scheduling and fault injection. Both protocols are one
+//     DAG-Rider skeleton (internal/rider's Base: genesis, vertex validity,
+//     buffering, quorum-predicate round advance, vertex creation, the
+//     leader stack and ordering) under different rules. internal/core
+//     adds the paper's quorum commit rule, the ACK/READY/CONFIRM gather
+//     gating, the revealed coin and garbage collection; internal/baseline
+//     adds DAG-Rider's 2f+1 commit rule under threshold trust.
 //   - An incremental quorum-predicate engine (internal/quorum): explicit
 //     systems compile into flattened bitset arrays with inverted indexes,
 //     and every protocol tally holds an incremental tracker that answers
@@ -29,7 +35,7 @@
 //     AnalyzeSystem API reports {valid, B3, c(Q), violation witness} in a
 //     single pass per candidate system. Large random-system searches
 //     (cmd/quorumtool -search, the §3.2 small-system sweep) run on this
-//     path; the naive set-loop references remain as *Naive methods,
+//     path. The naive set-loop references live in internal/quorum's tests,
 //     differential-tested against the compiled forms on hundreds of
 //     random systems per `go test ./...`.
 //   - Copy-on-write pair-set snapshots and pooled broadcast fan-out: the

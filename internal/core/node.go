@@ -18,6 +18,12 @@
 //     round-4 vertices of some process's quorum all have strong paths to
 //     it.
 //
+// The first rule, the vertex validity rule, buffering, vertex creation and
+// ordering are DAG-Rider's skeleton, rider.Base, which internal/baseline
+// runs too. Node embeds it and adds the rest through rider.Rules: the
+// gather gating, the commit rule, the revealed coin, and the GCDepth and
+// PipelineDepth policies.
+//
 // Two deliberate, documented strengthenings over the paper's pseudocode
 // (both required by its own proofs):
 //
@@ -35,7 +41,6 @@
 package core
 
 import (
-	"repro/internal/broadcast"
 	"repro/internal/coin"
 	"repro/internal/dag"
 	"repro/internal/quorum"
@@ -119,34 +124,14 @@ type waveCtl struct {
 	tReady      bool
 }
 
-// Node is one process running the asymmetric DAG-based consensus.
+// Node is one process running the asymmetric DAG-based consensus: the
+// DAG-Rider skeleton of rider.Base under the Config's quorum assumption,
+// plus the gather control flow, the revealed coin and garbage collection.
 type Node struct {
-	cfg  Config
-	self types.ProcessID
-	n    int
-
-	arb *broadcast.Reliable
-	dag *dag.DAG
-
-	r      int
-	buffer []*dag.Vertex
-	waves  map[int]*waveCtl
-
-	// roundSrc tracks, per round, the quorum predicate over the sources
-	// with a vertex in the local DAG — fed on insertion so the round
-	// advance rule is an O(1) read instead of a RoundSources rescan.
-	roundSrc map[int]*quorum.Tracker
-
-	decidedWave int
-	delivered   map[dag.VertexRef]bool
-
-	// deliveries/commits accumulate only when the corresponding sink is
-	// nil — the short-run/test configuration; long-lived service runs set
-	// DeliverySink/CommitSink and these stay empty.
-	//lint:retained only populated when DeliverySink is nil (test/short-run mode)
-	deliveries []rider.Delivery
-	//lint:retained only populated when CommitSink is nil (test/short-run mode)
-	commits []rider.CommitEvent
+	rider.Base
+	cfg   Config
+	self  types.ProcessID
+	waves map[int]*waveCtl
 
 	// acked tracks which round-2 vertices were already acknowledged, so
 	// buffered vertices are not ACKed twice.
@@ -165,8 +150,6 @@ func NewNode(cfg Config) *Node {
 	return &Node{
 		cfg:         cfg,
 		waves:       map[int]*waveCtl{},
-		roundSrc:    map[int]*quorum.Tracker{},
-		delivered:   map[dag.VertexRef]bool{},
 		acked:       map[dag.VertexRef]bool{},
 		pendingCoin: map[int]bool{},
 	}
@@ -175,19 +158,16 @@ func NewNode(cfg Config) *Node {
 // Init implements sim.Node.
 func (n *Node) Init(env sim.Env) {
 	n.self = env.Self()
-	n.n = env.N()
-	n.dag = dag.New(n.n)
-	for _, g := range rider.Genesis(n.n) {
-		if err := n.dag.Add(g); err != nil {
-			panic("core: genesis insertion failed: " + err.Error())
-		}
-		n.roundTracker(g.Round).Add(g.Source)
-	}
-	n.arb = broadcast.NewReliable(n.self, n.cfg.Trust, n.onVertex)
 	if n.cfg.RevealedCoin {
 		n.shared = coin.NewShared(n.self, n.cfg.Trust, n.cfg.Coin)
 	}
-	n.step(env)
+	n.Start(env, rider.Setup{
+		Trust:        n.cfg.Trust,
+		Workload:     n.cfg.Workload,
+		MaxRound:     n.cfg.MaxRound,
+		DeliverySink: n.cfg.DeliverySink,
+		CommitSink:   n.cfg.CommitSink,
+	}, rules{n})
 }
 
 func (n *Node) wave(w int) *waveCtl {
@@ -201,17 +181,6 @@ func (n *Node) wave(w int) *waveCtl {
 		n.waves[w] = c
 	}
 	return c
-}
-
-// roundTracker returns the round's source tracker, creating it on first
-// use.
-func (n *Node) roundTracker(r int) *quorum.Tracker {
-	t, ok := n.roundSrc[r]
-	if !ok {
-		t = quorum.NewTracker(n.cfg.Trust, n.self)
-		n.roundSrc[r] = t
-	}
-	return t
 }
 
 // Receive implements sim.Node.
@@ -245,22 +214,20 @@ func (n *Node) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
 		if n.shared == nil {
 			return
 		}
-		becameReady, _ := n.shared.Handle(env, from, msg)
-		if becameReady {
+		if becameReady, _ := n.shared.Handle(env, from, msg); becameReady {
 			n.retryPendingWaves(env)
 		}
 	default:
-		if !n.arb.Handle(env, from, msg) {
-			return
-		}
+		n.Base.Receive(env, from, msg)
+		return
 	}
-	n.step(env)
+	n.Step(env)
 }
 
 // retryPendingWaves re-attempts commits that were blocked on the coin
 // reveal, in wave order.
 func (n *Node) retryPendingWaves(env sim.Env) {
-	for w := n.decidedWave + 1; w <= rider.RoundWave(n.r); w++ {
+	for w := n.DecidedWave() + 1; w <= rider.RoundWave(n.Round()); w++ {
 		if n.pendingCoin[w] {
 			delete(n.pendingCoin, w)
 			n.waveReady(env, w)
@@ -268,55 +235,27 @@ func (n *Node) retryPendingWaves(env sim.Env) {
 	}
 }
 
-// onVertex is the arb-deliver upcall (Algorithm 6 lines 137–143).
-func (n *Node) onVertex(env sim.Env, slot broadcast.Slot, p broadcast.Payload) {
-	vp, ok := p.(rider.VertexPayload)
-	if !ok {
-		return
+// rules are the core protocol's own rules, as rider.Base calls them.
+type rules struct{ *Node }
+
+// Leader returns the coin-elected leader of wave w, once revealed when
+// the coin is.
+func (n rules) Leader(w int) (types.ProcessID, bool) {
+	if n.shared != nil {
+		return n.shared.Leader(w)
 	}
-	// Authenticity and shape checks; a Byzantine creator's malformed
-	// vertex is dropped here.
-	v := vp.V
-	strong, ok := rider.CheckVertex(v, slot, n.n)
-	// Line 140: the strong edges must cover a quorum (of some process).
-	if !ok || !quorum.HasAnyQuorumWithin(n.cfg.Trust, strong) {
-		return
-	}
-	// The ACK is sent when the vertex enters the DAG, not here (see the
-	// package comment); processBuffer handles it.
-	n.buffer = append(n.buffer, v)
+	return n.cfg.Coin.Leader(w), true
 }
 
-// processBuffer moves buffered vertices whose causal history is complete
-// (and whose round is not ahead of the local round) into the DAG
-// (Algorithm 4 lines 95–98); it returns true if any vertex was added.
-func (n *Node) processBuffer(env sim.Env) bool {
-	added := false
-	for {
-		progress := false
-		keep := n.buffer[:0]
-		for _, v := range n.buffer {
-			if v.Round <= n.r && n.dag.HasAllParents(v) {
-				if err := n.dag.Add(v); err == nil {
-					progress = true
-					added = true
-					n.roundTracker(v.Round).Add(v.Source)
-					n.maybeAck(env, v)
-					continue
-				}
-			}
-			keep = append(keep, v)
-		}
-		n.buffer = keep
-		if !progress {
-			return added
-		}
-	}
+// Commits is the paper's commit rule: the round-4 vertices of some
+// process's quorum all have strong paths to the leader.
+func (n rules) Commits(reach types.Set) bool {
+	return quorum.HasAnyQuorumWithin(n.cfg.Trust, reach)
 }
 
-// maybeAck sends the gather ACK for round ≡ 2 (mod 4) vertices
-// (Algorithm 6 lines 142–143).
-func (n *Node) maybeAck(env sim.Env, v *dag.Vertex) {
+// Inserted sends the gather ACK for a round ≡ 2 (mod 4) vertex when it
+// enters the DAG (Algorithm 6 lines 142–143; see the package comment).
+func (n rules) Inserted(env sim.Env, v *dag.Vertex) {
 	if v.Round%4 != 2 || n.acked[v.Ref()] {
 		return
 	}
@@ -324,208 +263,78 @@ func (n *Node) maybeAck(env sim.Env, v *dag.Vertex) {
 	env.Send(v.Source, ackMsg{Wave: rider.RoundWave(v.Round)})
 }
 
-// step runs the Algorithm 4 main loop to a fixpoint: absorb buffered
-// vertices, advance rounds while the advance conditions hold, fire wave
-// commits at wave boundaries.
-func (n *Node) step(env sim.Env) {
-	for {
-		n.processBuffer(env)
-		if !n.roundTracker(n.r).HasQuorum() {
-			return
-		}
-		// Round 2→3 gate: the wave's CONFIRM quorum must have been seen.
-		if n.r%4 == 2 && !n.wave(rider.RoundWave(n.r)).tReady {
-			return
-		}
-		if n.r%4 == 0 && n.r > 0 {
-			// The wave is locally complete: release the coin share (the
-			// revealed-coin discipline) and attempt the commit. When the
-			// node has stopped at MaxRound this retries on every step, so
-			// the final wave still commits once enough vertices arrive.
-			if n.shared != nil {
-				n.shared.Release(env, n.r/4)
-			}
-			n.waveReady(env, n.r/4)
-		}
-		if n.cfg.MaxRound > 0 && n.r >= n.cfg.MaxRound {
-			return
-		}
-		// Pipeline bound: don't start proposing into a wave more than
-		// PipelineDepth beyond the last decided one. The condition can
-		// only become true at a wave boundary (r ≡ 0 mod 4, where the
-		// waveReady retry above runs on every step), so a stalled node
-		// keeps attempting the blocking commit until it lifts.
-		if n.cfg.PipelineDepth > 0 && rider.RoundWave(n.r+1) > n.decidedWave+n.cfg.PipelineDepth {
-			return
-		}
-		n.r++
-		v := n.createVertex(n.r)
-		n.arb.Broadcast(env, uint64(n.r), rider.NewVertexPayload(v))
-		// Old waves' control state is no longer needed once the next wave
-		// starts; drop it to bound memory.
-		if w := rider.RoundWave(n.r); w >= 3 {
-			delete(n.waves, w-2)
-		}
-	}
+// Advance is the round 2→3 gate: the wave's CONFIRM quorum must have been
+// seen.
+func (n rules) Advance(r int) bool {
+	return r%4 != 2 || n.wave(rider.RoundWave(r)).tReady
 }
 
-// createVertex builds this process's vertex for the given round
-// (Algorithm 4, createNewVertex + setWeakEdges).
-func (n *Node) createVertex(round int) *dag.Vertex {
-	v := &dag.Vertex{Source: n.self, Round: round}
-	if n.cfg.Workload != nil {
-		v.Block = n.cfg.Workload.NextBlock(round)
+// WaveDone releases the wave's coin share (the revealed-coin discipline)
+// and attempts the commit.
+func (n rules) WaveDone(env sim.Env, w int) {
+	if n.shared != nil {
+		n.shared.Release(env, w)
 	}
-	prev := n.dag.RoundVertices(round - 1)
-	v.StrongEdges = make([]dag.VertexRef, len(prev))
-	for i, u := range prev {
-		v.StrongEdges[i] = u.Ref()
-	}
-	rider.SetWeakEdges(n.dag, v, round)
-	return v
+	n.waveReady(env, w)
 }
 
-// waveReady attempts to commit wave w (Algorithm 6 lines 146–157).
+// Propose is the pipeline bound: don't start proposing into a wave more
+// than PipelineDepth beyond the last decided one. It can only refuse at a
+// wave boundary, where WaveDone runs on every step, so a stalled node
+// keeps attempting the blocking commit until it lifts. Once the node
+// proposes into a wave, the control state of two waves back is no longer
+// needed and is dropped.
+func (n rules) Propose(r int) bool {
+	w := rider.RoundWave(r)
+	if n.cfg.PipelineDepth > 0 && w > n.DecidedWave()+n.cfg.PipelineDepth {
+		return false
+	}
+	if w >= 3 {
+		// Spelled through Node: asymgc credits the prune to the selector's
+		// receiver type.
+		delete(n.Node.waves, w-2)
+	}
+	return true
+}
+
+// waveReady attempts to commit wave w once its coin is revealed.
 func (n *Node) waveReady(env sim.Env, w int) {
-	if w <= n.decidedWave {
-		return // already decided (possible when retrying at MaxRound)
-	}
-	if n.shared != nil && !n.shared.Ready(w) {
+	if w > n.DecidedWave() && n.shared != nil && !n.shared.Ready(w) {
 		// Coin not yet revealed: park the attempt; retryPendingWaves
 		// resumes it when the shares arrive.
 		n.pendingCoin[w] = true
 		return
 	}
-	leader, ok := n.waveLeader(w)
-	if !ok {
-		return
-	}
-	reach := n.dag.StrongReachSources(rider.WaveRound(w, 4), leader)
-	if !quorum.HasAnyQuorumWithin(n.cfg.Trust, reach) {
-		return
-	}
-	// Commit: stack this leader and every earlier undecided leader
-	// connected by strong paths.
-	stack := []dag.VertexRef{leader}
-	v := leader
-	for wp := w - 1; wp > n.decidedWave; wp-- {
-		u, ok := n.waveLeader(wp)
-		if ok && n.dag.StrongPath(v, u) {
-			stack = append(stack, u)
-			v = u
-		}
-	}
-	n.decidedWave = w
-	ev := rider.CommitEvent{Wave: w, Leader: leader, Time: env.Now(), Round: n.r}
-	ordered := rider.OrderVertices(n.dag, stack, n.delivered, w, env.Now())
-	if n.cfg.DeliverySink != nil {
-		for _, d := range ordered {
-			n.cfg.DeliverySink(d)
-		}
-	} else {
-		n.deliveries = append(n.deliveries, ordered...)
-	}
-	if n.cfg.CommitSink != nil {
-		n.cfg.CommitSink(ev)
-	} else {
-		n.commits = append(n.commits, ev)
-	}
-	if n.cfg.GCDepth > 0 {
+	if n.Commit(env, w) && n.cfg.GCDepth > 0 {
 		n.collectGarbage(w)
 	}
 }
 
-// collectGarbage prunes fully delivered rounds below the GC horizon and
-// trims the bookkeeping maps to the watermark.
+// collectGarbage prunes fully delivered rounds below the GC horizon with
+// the skeleton's state, then the node's own per-round and per-wave state.
 func (n *Node) collectGarbage(decided int) {
 	limit := rider.WaveRound(decided, 1) - n.cfg.GCDepth
 	if limit <= 0 {
 		return
 	}
-	watermark := n.dag.PruneBelow(limit, func(v *dag.Vertex) bool {
-		return n.delivered[v.Ref()]
-	})
-	for ref := range n.delivered {
-		if ref.Round < watermark {
-			delete(n.delivered, ref)
-		}
-	}
+	watermark := n.Prune(limit)
 	for ref := range n.acked {
 		if ref.Round < watermark {
 			delete(n.acked, ref)
 		}
 	}
-	for r := range n.roundSrc {
-		if r < watermark {
-			delete(n.roundSrc, r)
-		}
-	}
-	keep := n.buffer[:0]
-	for _, v := range n.buffer {
-		if v.Round >= watermark {
-			keep = append(keep, v)
-		}
-	}
-	n.buffer = keep
-	// The reliable-broadcast slot trackers, the revealed-coin share maps
-	// and stale pending-coin entries are per-round/per-wave state too;
-	// without pruning them a long-lived run grows without bound even
-	// though the DAG itself stays flat.
-	n.arb.PruneBelow(uint64(watermark))
+	// The revealed-coin share maps and stale pending-coin entries are
+	// per-wave state too; without pruning them a long-lived run grows
+	// without bound even though the DAG itself stays flat.
 	if n.shared != nil {
 		n.shared.PruneBelow(decided)
 	}
 	for w := range n.pendingCoin {
-		if w <= n.decidedWave {
+		if w <= decided {
 			delete(n.pendingCoin, w)
 		}
 	}
 }
-
-// waveLeader returns the coin-elected leader vertex of wave w, if present
-// in the local DAG (Algorithm 6, getWaveVertexLeader).
-func (n *Node) waveLeader(w int) (dag.VertexRef, bool) {
-	var p types.ProcessID
-	if n.shared != nil {
-		var ok bool
-		if p, ok = n.shared.Leader(w); !ok {
-			return dag.VertexRef{}, false // reveal pending; waveReady guards this
-		}
-	} else {
-		p = n.cfg.Coin.Leader(w)
-	}
-	ref := dag.VertexRef{Source: p, Round: rider.WaveRound(w, 1)}
-	if !n.dag.Contains(ref) {
-		return dag.VertexRef{}, false
-	}
-	return ref, true
-}
-
-// Accessors for experiments and tests. ----------------------------------
-
-// Round returns the node's current round.
-func (n *Node) Round() int { return n.r }
-
-// DecidedWave returns the last committed wave.
-func (n *Node) DecidedWave() int { return n.decidedWave }
-
-// Deliveries returns the atomically delivered vertices in delivery order.
-func (n *Node) Deliveries() []rider.Delivery { return n.deliveries }
-
-// Commits returns the node's successful wave commits in order.
-func (n *Node) Commits() []rider.CommitEvent { return n.commits }
-
-// DeliveredBlocks flattens the delivered transactions in delivery order.
-func (n *Node) DeliveredBlocks() []string {
-	var out []string
-	for _, d := range n.deliveries {
-		out = append(out, d.Txs...)
-	}
-	return out
-}
-
-// DAG exposes the local DAG for invariant checks in tests.
-func (n *Node) DAG() *dag.DAG { return n.dag }
 
 // LiveStats is a snapshot of every per-round/per-wave structure whose size
 // the garbage collector is responsible for bounding. The soak tests sample
@@ -542,13 +351,15 @@ type LiveStats struct {
 
 // Live returns the node's current live-state counters.
 func (n *Node) Live() LiveStats {
+	d := n.DAG()
+	slots, buffered, trackers, delivered := n.Backlog()
 	return LiveStats{
-		DAGVertices:    n.dag.VertexCount(),
-		DAGRounds:      n.dag.Height() - n.dag.PrunedBelow(),
-		BroadcastSlots: n.arb.SlotCount(),
-		Buffered:       len(n.buffer),
-		RoundTrackers:  len(n.roundSrc),
+		DAGVertices:    d.VertexCount(),
+		DAGRounds:      d.Height() - d.PrunedBelow(),
+		BroadcastSlots: slots,
+		Buffered:       buffered,
+		RoundTrackers:  trackers,
 		WaveCtls:       len(n.waves),
-		PendingPairs:   len(n.delivered) + len(n.acked),
+		PendingPairs:   delivered + len(n.acked),
 	}
 }

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/broadcast"
@@ -441,5 +443,28 @@ func TestDeterminism(t *testing.T) {
 	}
 	if a.Metrics.MessagesSent != b.Metrics.MessagesSent {
 		t.Fatal("message counts differ between identical runs")
+	}
+}
+
+// TestTrustSizeMustMatchCluster: a trust assumption over more or fewer
+// processes than the cluster has is a configuration error, reported at
+// start-up. A larger one used to leave every node silently at round 0; a
+// smaller one panicked deep inside types on the first vertex from a
+// process outside it.
+func TestTrustSizeMustMatchCluster(t *testing.T) {
+	for _, trustN := range []int{10, 4} {
+		t.Run(fmt.Sprintf("trust-%d-cluster-7", trustN), func(t *testing.T) {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, fmt.Sprintf("over %d processes in a cluster of 7", trustN)) {
+					t.Fatalf("panic %q, want the trust/cluster size mismatch", msg)
+				}
+			}()
+			nodes := make([]sim.Node, 7)
+			for i := range nodes {
+				nodes[i] = core.NewNode(core.Config{Trust: quorum.NewThreshold(trustN, 1), Coin: coin.NewPRF(1, 7), MaxRound: 8})
+			}
+			sim.NewRunner(sim.Config{N: 7, Seed: 1}, nodes).Run(0)
+		})
 	}
 }

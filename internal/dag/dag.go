@@ -162,14 +162,6 @@ func (d *DAG) HasAllParents(v *Vertex) bool {
 	return true
 }
 
-// RoundSources returns the set of processes with a vertex in round r.
-func (d *DAG) RoundSources(r int) types.Set {
-	if rw := d.rowAt(r); rw != nil {
-		return rw.srcs.Clone()
-	}
-	return types.NewSet(d.n)
-}
-
 // RoundVertices returns the vertices of round r sorted by source (a
 // deterministic order shared by all processes).
 func (d *DAG) RoundVertices(r int) []*Vertex {

@@ -55,14 +55,13 @@ func TestAddAndGet(t *testing.T) {
 	if d.Contains(VertexRef{1, 1}) {
 		t.Fatal("phantom b1")
 	}
-	if !d.RoundSources(0).Equal(types.NewSetOf(3, 0, 1, 2)) {
-		t.Errorf("RoundSources(0) = %v", d.RoundSources(0))
+	for r, want := range []types.Set{types.NewSetOf(3, 0, 1, 2), types.NewSetOf(3, 0, 2)} {
+		if got := d.rowAt(r).srcs; !got.Equal(want) {
+			t.Errorf("round %d sources = %v, want %v", r, got, want)
+		}
 	}
-	if !d.RoundSources(1).Equal(types.NewSetOf(3, 0, 2)) {
-		t.Errorf("RoundSources(1) = %v", d.RoundSources(1))
-	}
-	if d.RoundSources(9).Count() != 0 {
-		t.Error("RoundSources out of range should be empty")
+	if d.rowAt(9) != nil {
+		t.Error("a round past the height should have no row")
 	}
 }
 

@@ -93,10 +93,11 @@ func (b *malformedVertexSender) Receive(env sim.Env, from types.ProcessID, msg s
 }
 
 // TestMalformedVertexEdgesRejected: a vertex whose edge names a source
-// outside [0, n), repeats a ref, or points to a wrong round reaches every
-// correct process through reliable broadcast and must be dropped there,
-// by both node kinds, without stalling or crashing anyone. A strong edge
-// to source 99 at n=4 used to panic inside types.Set.
+// outside [0, n), repeats a ref, or points to a wrong round, or whose
+// strong edges cover no quorum, reaches every correct process through
+// reliable broadcast and must be dropped there, by both node kinds,
+// without stalling or crashing anyone. A strong edge to source 99 at n=4
+// used to panic inside types.Set.
 func TestMalformedVertexEdgesRejected(t *testing.T) {
 	type edit = func([]dag.VertexRef) (strong, weak []dag.VertexRef)
 	edits := []struct {
@@ -111,6 +112,10 @@ func TestMalformedVertexEdgesRejected(t *testing.T) {
 		}},
 		{"weak edge to the strong round", func(s []dag.VertexRef) ([]dag.VertexRef, []dag.VertexRef) {
 			return s[1:], s[:1]
+		}},
+		// Well shaped, but n−f−1 = 2 strong edges cover no quorum.
+		{"too few strong edges", func(s []dag.VertexRef) ([]dag.VertexRef, []dag.VertexRef) {
+			return s[:2], nil
 		}},
 	}
 	for _, kind := range []RiderKind{Asymmetric, Symmetric} {

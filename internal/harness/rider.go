@@ -183,33 +183,32 @@ func RunRider(cfg RiderConfig) RiderResult {
 		HitLimit: limit > 0 && r.Pending() > 0,
 	}
 	for i, nd := range nodes {
-		p := types.ProcessID(i)
-		switch v := sim.Unwrap(nd).(type) {
-		case *core.Node:
-			res.Nodes[p] = NodeResult{
-				Deliveries:  v.Deliveries(),
-				Commits:     v.Commits(),
-				Round:       v.Round(),
-				DecidedWave: v.DecidedWave(),
-				Blocks:      v.DeliveredBlocks(),
-			}
-			if c := v.DAG().VertexCount(); c > res.maxVertexCount {
-				res.maxVertexCount = c
-			}
-		case *baseline.Node:
-			res.Nodes[p] = NodeResult{
-				Deliveries:  v.Deliveries(),
-				Commits:     v.Commits(),
-				Round:       v.Round(),
-				DecidedWave: v.DecidedWave(),
-				Blocks:      v.DeliveredBlocks(),
-			}
-			if c := v.DAG().VertexCount(); c > res.maxVertexCount {
-				res.maxVertexCount = c
-			}
+		v, ok := sim.Unwrap(nd).(riderNode)
+		if !ok {
+			continue
+		}
+		res.Nodes[types.ProcessID(i)] = NodeResult{
+			Deliveries:  v.Deliveries(),
+			Commits:     v.Commits(),
+			Round:       v.Round(),
+			DecidedWave: v.DecidedWave(),
+			Blocks:      v.DeliveredBlocks(),
+		}
+		if c := v.DAG().VertexCount(); c > res.maxVertexCount {
+			res.maxVertexCount = c
 		}
 	}
 	return res
+}
+
+// riderNode is the accessor set both node kinds promote from rider.Base.
+type riderNode interface {
+	Deliveries() []rider.Delivery
+	Commits() []rider.CommitEvent
+	Round() int
+	DecidedWave() int
+	DeliveredBlocks() []string
+	DAG() *dag.DAG
 }
 
 // Property checks (Definition 4.1). --------------------------------------

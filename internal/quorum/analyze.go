@@ -11,9 +11,9 @@ import (
 // This file is the analysis layer: validity (Definition 2.1), the B3
 // condition (Definition 2.3), kernels, and system summaries. All sweeps
 // run word-parallel over the compiled Evaluator's flattened quorum and
-// fail-prone words with popcount pruning; the straightforward nested-set
-// loops are retained as *Naive reference implementations for the
-// differential test suite and the benchmark comparison.
+// fail-prone words with popcount pruning. The straightforward nested-set
+// loops live in naive_test.go, as the references of the differential
+// tests and the benchmark comparison.
 
 // Validate checks the two defining properties of an asymmetric Byzantine
 // quorum system (Definition 2.1):
@@ -92,48 +92,6 @@ func (s *System) Validate() error {
 	return nil
 }
 
-// ValidateNaive is the direct nested-set-loop reference implementation of
-// Validate, retained as the oracle for the differential tests and the
-// BenchmarkValidate / BenchmarkValidateNaive comparison. Verdicts always
-// agree with Validate; witness messages may name a different (equally
-// real) violation because the compiled sweep orders fail-prone sets by
-// cardinality.
-func (s *System) ValidateNaive() error {
-	// Availability.
-	for i := 0; i < s.n; i++ {
-		p := types.ProcessID(i)
-		for _, f := range s.failProne[i] {
-			ok := false
-			for _, q := range s.quorums[i] {
-				if !q.Intersects(f) {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return fmt.Errorf("quorum: availability violated for %v: no quorum disjoint from fail-prone set %v", p, f)
-			}
-		}
-	}
-	// Consistency.
-	for i := 0; i < s.n; i++ {
-		pi := types.ProcessID(i)
-		for j := i; j < s.n; j++ {
-			pj := types.ProcessID(j)
-			for _, qi := range s.quorums[i] {
-				for _, qj := range s.quorums[j] {
-					inter := qi.Intersect(qj)
-					if s.ToleratesNaive(pi, inter) && s.ToleratesNaive(pj, inter) {
-						return fmt.Errorf("quorum: consistency violated for %v,%v: quorums %v and %v intersect in %v which both deem fail-prone",
-							pi, pj, qi, qj, inter)
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // SatisfiesB3 checks the B3 condition (Definition 2.3) on the fail-prone
 // system: ∀i,j, ∀F_i∈F_i, ∀F_j∈F_j, ∀F_ij ∈ F_i* ∩ F_j*:
 // P ⊄ F_i ∪ F_j ∪ F_ij.
@@ -194,26 +152,6 @@ func (s *System) b3Violation() (i, j types.ProcessID, fi, fj types.Set, found bo
 		}
 	}
 	return 0, 0, types.Set{}, types.Set{}, false
-}
-
-// SatisfiesB3Naive is the direct nested-set-loop reference implementation
-// of SatisfiesB3, retained as the oracle for the differential tests and
-// the BenchmarkSatisfiesB3 / BenchmarkSatisfiesB3Naive comparison.
-func (s *System) SatisfiesB3Naive() bool {
-	full := types.FullSet(s.n)
-	for i := 0; i < s.n; i++ {
-		for j := 0; j < s.n; j++ {
-			for _, fi := range s.failProne[i] {
-				for _, fj := range s.failProne[j] {
-					r := full.Subtract(fi.Union(fj))
-					if s.ToleratesNaive(types.ProcessID(i), r) && s.ToleratesNaive(types.ProcessID(j), r) {
-						return false
-					}
-				}
-			}
-		}
-	}
-	return true
 }
 
 // Analysis is the batch result of AnalyzeSystem: every per-system quantity

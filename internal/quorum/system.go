@@ -21,8 +21,9 @@
 // intersection sweeps with popcount pruning. Search loops over many
 // candidate systems use the batch AnalyzeSystem API, which computes
 // validity, B3, c(Q) and a violation witness in one pass per system. The
-// straightforward nested-set loops are retained as *Naive reference
-// implementations for differential testing and benchmarking.
+// straightforward nested-set loops survive only in the tests
+// (naive_test.go), as the references for differential testing and
+// benchmarking.
 package quorum
 
 import (
@@ -148,17 +149,6 @@ func (s *System) Tolerates(i types.ProcessID, f types.Set) bool {
 		panic(fmt.Sprintf("quorum: universe mismatch %d vs %d", f.UniverseSize(), s.n))
 	}
 	return s.Evaluator().Tolerates(i, f)
-}
-
-// ToleratesNaive is the direct set-loop reference implementation of
-// Tolerates, retained as the oracle for the differential tests.
-func (s *System) ToleratesNaive(i types.ProcessID, f types.Set) bool {
-	for _, fp := range s.failProne[i] {
-		if f.IsSubsetOf(fp) {
-			return true
-		}
-	}
-	return false
 }
 
 // SmallestQuorumSize returns c(Q) = min over all processes and quorums of

@@ -177,11 +177,13 @@ func TestQueryAllocations(t *testing.T) {
 	high := d.RoundVertices(top)[0]
 	leader := d.RoundVertices(top - 3)[0].Ref()
 	low := d.RoundVertices(d.PrunedBelow())[0].Ref()
-	missing := d.RoundSources(top).Complement().Members()
-	if len(missing) == 0 {
-		t.Fatal("fixture leaves no source missing from the top round")
+	missing := types.ProcessID(0)
+	for d.Contains(dag.VertexRef{Source: missing, Round: top}) {
+		if missing++; int(missing) == 30 {
+			t.Fatal("fixture leaves no source missing from the top round")
+		}
 	}
-	fresh := &dag.Vertex{Source: missing[0], Round: top, StrongEdges: high.StrongEdges}
+	fresh := &dag.Vertex{Source: missing, Round: top, StrongEdges: high.StrongEdges}
 
 	for _, c := range []struct {
 		name string

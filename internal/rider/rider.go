@@ -1,8 +1,14 @@
-// Package rider holds the plumbing shared by the two DAG-Rider
-// implementations (the symmetric baseline in internal/baseline and the
-// paper's asymmetric protocol in internal/core): vertex wire payloads,
-// workload generation, delivery records, and the ordering routine that both
-// protocols share verbatim (Algorithm 6, orderVertices).
+// Package rider is the DAG-Rider skeleton that both consensus protocols
+// run: the symmetric baseline in internal/baseline and the paper's
+// asymmetric protocol in internal/core. Base (node.go) owns the local DAG
+// from genesis, reliable broadcast of vertices, the vertex validity rule
+// (strong edges that cover a quorum), buffer absorption, round advance on
+// a quorum of a round's sources, vertex creation, and the commit path: the
+// leader stack, ordering (Algorithm 6, orderVertices) and delivery. A
+// node kind embeds Base and supplies its own Rules, its commit rule and
+// the hooks where its additions apply. The package also holds the vertex
+// wire payload, workload generation, delivery records and the DAG
+// queries the skeleton runs on.
 package rider
 
 import (
