@@ -65,6 +65,25 @@
 // maximal guild is kept. A naive process gets no such guarantee — the set
 // that blocked it may be entirely faulty and never answer — exactly as it
 // had none before; it still completes the slot if the SEND reaches it.
+//
+// # Slot state
+//
+// Every DAG vertex is one slot, so a process keeps n slots per round, and
+// the layout is chosen so that a slot in steady state allocates nothing:
+//
+//   - State lives in one row per sequence number: n slots, by value,
+//     indexed by source. A message whose Slot.Src lies outside [0, n) is
+//     dropped before it touches any state; otherwise a vote for a
+//     nonexistent source would open a slot that can never deliver.
+//   - A slot holds the first digest it hears of in place, with its payload,
+//     vote trackers and fetch sets. Further digests, which only an
+//     equivocating sender or voter produces, go to a map allocated on the
+//     second.
+//   - The 2n echo and ready trackers of a row come from one
+//     quorum.NewTrackers call.
+//   - PruneBelow empties the rows below the watermark — trackers Reset,
+//     payloads and fetch sets cleared, spill maps dropped — and keeps them
+//     on a free list that later sequence numbers draw from.
 package broadcast
 
 import (
@@ -182,9 +201,16 @@ type payloadMsg struct {
 // multiplexes all slots.
 type Reliable struct {
 	self    types.ProcessID
+	n       int
 	trust   quorum.Assumption
 	deliver Deliver
-	slots   map[Slot]*rbSlot
+	// rows holds, per sequence number, the state of its n slots indexed by
+	// source; free holds the rows PruneBelow emptied, for reuse by later
+	// sequence numbers.
+	rows map[uint64][]rbSlot
+	free [][]rbSlot
+	// live counts the slots with state, over all rows (SlotCount).
+	live    int
 	nextSeq uint64
 	// pruned is the slot-sequence watermark set by PruneBelow: per-slot
 	// state below it has been discarded and late messages for those slots
@@ -192,11 +218,19 @@ type Reliable struct {
 	pruned uint64
 }
 
+// rbSlot is one slot's state. It holds the first digest it hears of in
+// place; only a second digest, which only an equivocating sender or voter
+// produces, allocates.
 type rbSlot struct {
+	// live is set by the first SEND, ECHO or READY of the slot, whose
+	// digest is first.
+	live      bool
 	sentEcho  bool
 	sentReady bool
 	delivered bool
-	values    map[Digest]*rbValue
+	first     Digest
+	value     rbValue             // what the slot knows about first
+	others    map[Digest]*rbValue // the same for every later digest
 }
 
 // rbValue is what a slot knows about one digest.
@@ -207,7 +241,8 @@ type rbValue struct {
 	echoes  *quorum.Tracker
 	readies *quorum.Tracker
 	// asked holds the voters sent a fetchMsg for this digest, served the
-	// requesters sent the payload (R2); both are empty until first used.
+	// requesters sent the payload (R2). Each is allocated on first use and
+	// cleared, not freed, when the slot's row is recycled.
 	asked  types.Set
 	served types.Set
 }
@@ -218,9 +253,10 @@ var _ Broadcaster = (*Reliable)(nil)
 func NewReliable(self types.ProcessID, trust quorum.Assumption, deliver Deliver) *Reliable {
 	return &Reliable{
 		self:    self,
+		n:       trust.N(),
 		trust:   trust,
 		deliver: deliver,
-		slots:   map[Slot]*rbSlot{},
+		rows:    map[uint64][]rbSlot{},
 	}
 }
 
@@ -236,25 +272,88 @@ func (r *Reliable) Broadcast(env sim.Env, seq uint64, payload Payload) {
 	env.Broadcast(sendMsg{Slot: Slot{Src: r.self, Seq: seq}, Payload: payload})
 }
 
-func (r *Reliable) slot(s Slot) *rbSlot {
-	st, ok := r.slots[s]
-	if !ok {
-		st = &rbSlot{values: map[Digest]*rbValue{}}
-		r.slots[s] = st
+// open returns slot s, creating its row on first use, or nil when s lies
+// below the watermark or names a source outside [0, n). A nil slot drops
+// the message before it touches any state.
+func (r *Reliable) open(s Slot) *rbSlot {
+	if s.Seq < r.pruned || s.Src < 0 || int(s.Src) >= r.n {
+		return nil
 	}
-	return st
+	row, ok := r.rows[s.Seq]
+	if !ok {
+		row = r.newRow()
+		r.rows[s.Seq] = row
+	}
+	return &row[s.Src]
 }
 
-func (r *Reliable) value(st *rbSlot, d Digest) *rbValue {
-	v, ok := st.values[d]
-	if !ok {
-		v = &rbValue{
-			echoes:  quorum.NewTracker(r.trust, r.self),
-			readies: quorum.NewTracker(r.trust, r.self),
-		}
-		st.values[d] = v
+// find returns slot s if it has state, without creating any.
+func (r *Reliable) find(s Slot) *rbSlot {
+	row, ok := r.rows[s.Seq]
+	if !ok || s.Src < 0 || int(s.Src) >= r.n || !row[s.Src].live {
+		return nil
 	}
+	return &row[s.Src]
+}
+
+// newRow returns an empty row of n slots: one PruneBelow recycled, or a
+// new one whose 2n trackers share one backing allocation.
+func (r *Reliable) newRow() []rbSlot {
+	if k := len(r.free); k > 0 {
+		row := r.free[k-1]
+		r.free = r.free[:k-1]
+		return row
+	}
+	row := make([]rbSlot, r.n)
+	trackers := quorum.NewTrackers(r.trust, r.self, 2*r.n)
+	for i := range row {
+		row[i].value.echoes, row[i].value.readies = &trackers[2*i], &trackers[2*i+1]
+	}
+	return row
+}
+
+// value returns what st knows about digest d, creating it on first use.
+func (r *Reliable) value(st *rbSlot, d Digest) *rbValue {
+	if !st.live {
+		st.live, st.first = true, d
+		r.live++
+	}
+	if v := st.lookup(d); v != nil {
+		return v
+	}
+	if st.others == nil {
+		st.others = map[Digest]*rbValue{}
+	}
+	v := &rbValue{
+		echoes:  quorum.NewTracker(r.trust, r.self),
+		readies: quorum.NewTracker(r.trust, r.self),
+	}
+	st.others[d] = v
 	return v
+}
+
+// lookup returns what the live slot st knows about digest d, or nil.
+func (st *rbSlot) lookup(d Digest) *rbValue {
+	if st.first == d {
+		return &st.value
+	}
+	return st.others[d]
+}
+
+// reset empties st for a later sequence number, keeping the storage of its
+// trackers and fetch sets, and reports whether it had state.
+func (st *rbSlot) reset() bool {
+	if !st.live {
+		return false
+	}
+	v := st.value
+	v.payload = nil
+	v.echoes.Reset()
+	v.readies.Reset()
+	v.asked.Clear()
+	v.served.Clear()
+	*st = rbSlot{value: v}
+	return true
 }
 
 // due reports which of the two Bracha rules are due for v's digest:
@@ -290,7 +389,7 @@ func (r *Reliable) advance(env sim.Env, slot Slot, st *rbSlot, d Digest, v *rbVa
 // fetch sends R2's request to every voter for d not asked yet.
 func (r *Reliable) fetch(env sim.Env, slot Slot, d Digest, v *rbValue) {
 	if v.asked.UniverseSize() == 0 {
-		v.asked = types.NewSet(r.trust.N())
+		v.asked = types.NewSet(r.n)
 	}
 	for _, voters := range [2]*quorum.Tracker{v.echoes, v.readies} {
 		voters.Set().ForEach(func(p types.ProcessID) bool {
@@ -311,12 +410,9 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 		if m.Slot.Src != from || m.Payload == nil {
 			return true // drop forgery
 		}
-		if m.Slot.Seq < r.pruned {
-			return true // slot already garbage-collected
-		}
-		st := r.slot(m.Slot)
-		if st.sentEcho {
-			return true // echo only the first payload per slot
+		st := r.open(m.Slot)
+		if st == nil || st.sentEcho {
+			return true // pruned, or not the first payload of the slot
 		}
 		st.sentEcho = true
 		d := m.Payload.Digest()
@@ -326,34 +422,34 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 		// A SEND overtaken by its own votes completes the slot here.
 		r.advance(env, m.Slot, st, d, v)
 	case echoMsg:
-		if m.Slot.Seq < r.pruned {
+		st := r.open(m.Slot)
+		if st == nil {
 			return true
 		}
-		st := r.slot(m.Slot)
 		v := r.value(st, m.Digest)
 		v.echoes.Add(from)
 		r.advance(env, m.Slot, st, m.Digest, v)
 	case readyMsg:
-		if m.Slot.Seq < r.pruned {
+		st := r.open(m.Slot)
+		if st == nil {
 			return true
 		}
-		st := r.slot(m.Slot)
 		v := r.value(st, m.Digest)
 		v.readies.Add(from)
 		r.advance(env, m.Slot, st, m.Digest, v)
 	case fetchMsg:
 		// Serve only what is held, once per requester; a request never
 		// allocates state.
-		st, ok := r.slots[m.Slot]
-		if !ok {
+		st := r.find(m.Slot)
+		if st == nil {
 			return true
 		}
-		v, ok := st.values[m.Digest]
-		if !ok || v.payload == nil {
+		v := st.lookup(m.Digest)
+		if v == nil || v.payload == nil {
 			return true
 		}
 		if v.served.UniverseSize() == 0 {
-			v.served = types.NewSet(r.trust.N())
+			v.served = types.NewSet(r.n)
 		}
 		if v.served.Contains(from) {
 			return true
@@ -364,13 +460,13 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 		// Accept only a reply that was asked for, whose content hashes to
 		// the digest asked for, while R1 still waits for it. Anything else
 		// (forged, unsolicited, unknown or pruned slot) changes no state.
-		st, ok := r.slots[m.Slot]
-		if !ok || m.Payload == nil {
+		st := r.find(m.Slot)
+		if st == nil || m.Payload == nil {
 			return true
 		}
 		d := m.Payload.Digest()
-		v, ok := st.values[d]
-		if !ok || v.payload != nil || !v.asked.Contains(from) {
+		v := st.lookup(d)
+		if v == nil || v.payload != nil || !v.asked.Contains(from) {
 			return true
 		}
 		if ready, deliver := st.due(v); !ready && !deliver {
@@ -442,21 +538,34 @@ func (p *Plain) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bool 
 // the watermark were already delivered and applied here). Without this the
 // per-slot trackers and payloads are the dominant unbounded allocation of
 // a long-lived run.
+//
+// The rows below seq are emptied in ascending seq order and kept for reuse,
+// so once the window of live rows has reached its size a new slot costs no
+// allocation.
 func (r *Reliable) PruneBelow(seq uint64) {
 	if seq <= r.pruned {
 		return
 	}
-	r.pruned = seq
-	for s := range r.slots {
-		if s.Seq < seq {
-			delete(r.slots, s)
+	// No row lies below the old watermark: open refuses those seqs.
+	for s := r.pruned; s < seq && len(r.rows) > 0; s++ {
+		row, ok := r.rows[s]
+		if !ok {
+			continue
 		}
+		delete(r.rows, s)
+		for i := range row {
+			if row[i].reset() {
+				r.live--
+			}
+		}
+		r.free = append(r.free, row)
 	}
+	r.pruned = seq
 }
 
-// SlotCount returns the number of slots with live tracker state (a
-// bounded-memory soak counter).
-func (r *Reliable) SlotCount() int { return len(r.slots) }
+// SlotCount returns the number of slots with live state (a bounded-memory
+// soak counter).
+func (r *Reliable) SlotCount() int { return r.live }
 
 // PruneBelow discards delivered-slot markers below the watermark. For
 // Plain the marker is the only per-slot state, and dropping it is safe

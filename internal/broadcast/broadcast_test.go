@@ -655,8 +655,8 @@ func TestReliableForgedPayloadReply(t *testing.T) {
 	if got := s.r.SlotCount(); got != 1 {
 		t.Fatalf("SlotCount = %d after forged replies, want 1", got)
 	}
-	if v := s.r.slots[slot].values; len(v) != 1 || v[d].payload != nil {
-		t.Fatalf("forged replies changed the slot: %d values, payload %v", len(v), v[d].payload)
+	if st := s.r.find(slot); len(st.others) != 0 || st.first != d || st.value.payload != nil {
+		t.Fatalf("forged replies changed the slot: %d further digests, payload %v", len(st.others), st.value.payload)
 	}
 	s.handle(3, echoMsg{Slot: slot, Digest: d})
 	s.expect("a later voter is asked too", "fetchMsg→3")
@@ -685,7 +685,172 @@ func TestReliableReplyNotNeededIsDropped(t *testing.T) {
 		t.Fatal("x not delivered")
 	}
 	s.handle(1, payloadMsg{Slot: slot, Payload: y})
-	if got := s.r.slots[slot].values[y.Digest()].payload; got != nil {
+	if got := s.r.find(slot).lookup(y.Digest()).payload; got != nil {
 		t.Fatalf("stored %v after the slot was done", got)
 	}
+}
+
+// TestReliableRowRecycled: PruneBelow empties a row — payloads, votes,
+// fetch sets, sent flags and an equivocation's further digest — and the
+// next sequence number reuses it as if it were new.
+func TestReliableRowRecycled(t *testing.T) {
+	x, y := Bytes("block"), Bytes("other")
+	s := newStepper(t)
+	a, b := Slot{Src: 1, Seq: 0}, Slot{Src: 2, Seq: 0}
+	s.handle(1, sendMsg{Slot: a, Payload: x})
+	s.expect("SEND of x", "echoMsg→all")
+	for from := types.ProcessID(1); from < 4; from++ {
+		s.handle(from, echoMsg{Slot: a, Digest: y.Digest()})
+		s.handle(from, echoMsg{Slot: b, Digest: x.Digest()})
+	}
+	s.expect("ECHO quorums for y in a and x in b, neither held",
+		"fetchMsg→1", "fetchMsg→2", "fetchMsg→3", "fetchMsg→1", "fetchMsg→2", "fetchMsg→3")
+	s.handle(2, payloadMsg{Slot: a, Payload: y})
+	s.expect("the further digest y completes its fetch", "readyMsg→all")
+	s.handle(3, fetchMsg{Slot: a, Digest: x.Digest()})
+	s.handle(3, fetchMsg{Slot: a, Digest: y.Digest()})
+	s.expect("both digests of a are served", "payloadMsg→3", "payloadMsg→3")
+	for from := types.ProcessID(1); from < 4; from++ {
+		s.handle(from, readyMsg{Slot: a, Digest: y.Digest()})
+	}
+	if len(s.delivered) != 1 || s.delivered[0].Digest() != y.Digest() {
+		t.Fatalf("delivered %v, want y once", s.delivered)
+	}
+	if got := s.r.SlotCount(); got != 2 {
+		t.Fatalf("SlotCount = %d, want 2", got)
+	}
+
+	s.r.PruneBelow(1)
+	if got := s.r.SlotCount(); got != 0 || len(s.r.rows) != 0 || len(s.r.free) != 1 {
+		t.Fatalf("after PruneBelow(1): SlotCount %d, %d rows, %d free, want 0, 0, 1", got, len(s.r.rows), len(s.r.free))
+	}
+	recycled := s.r.free[0]
+	for i := range recycled {
+		st, v := &recycled[i], &recycled[i].value
+		if st.live || st.sentEcho || st.sentReady || st.delivered || st.first != (Digest{}) || st.others != nil ||
+			v.payload != nil || !v.asked.IsEmpty() || !v.served.IsEmpty() ||
+			v.echoes.Count() != 0 || v.readies.Count() != 0 || v.echoes.HasKernel() || v.readies.HasKernel() {
+			t.Fatalf("recycled slot %d not empty: %+v", i, *st)
+		}
+	}
+
+	// Seq 1 reuses the row. Slot b's inline digest had an ECHO quorum and a
+	// running fetch; both start over.
+	a, b = Slot{Src: 1, Seq: 1}, Slot{Src: 2, Seq: 1}
+	s.handle(1, echoMsg{Slot: b, Digest: x.Digest()})
+	if &s.r.rows[1][0] != &recycled[0] || len(s.r.free) != 0 {
+		t.Fatal("seq 1 did not reuse the recycled row")
+	}
+	s.handle(2, echoMsg{Slot: b, Digest: x.Digest()})
+	s.expect("two ECHOs on a reset tracker")
+	s.handle(3, echoMsg{Slot: b, Digest: x.Digest()})
+	s.expect("ECHO quorum, asked set cleared", "fetchMsg→1", "fetchMsg→2", "fetchMsg→3")
+	s.handle(3, fetchMsg{Slot: b, Digest: x.Digest()})
+	s.expect("no payload survives recycling")
+	// Slot a had sent ECHO and READY, delivered, and held a further digest.
+	s.handle(1, readyMsg{Slot: a, Digest: x.Digest()})
+	if st := s.r.find(a); st.lookup(y.Digest()) != nil || st.others != nil {
+		t.Fatal("the further digest survived recycling")
+	}
+	s.handle(1, sendMsg{Slot: a, Payload: x})
+	s.expect("sent flags cleared: the SEND is echoed", "echoMsg→all")
+	s.handle(2, readyMsg{Slot: a, Digest: x.Digest()})
+	s.handle(3, readyMsg{Slot: a, Digest: x.Digest()})
+	s.expect("READY kernel and quorum", "readyMsg→all")
+	if len(s.delivered) != 2 || s.delivered[1].Digest() != x.Digest() {
+		t.Fatalf("delivered %v, want y then x", s.delivered)
+	}
+	s.handle(3, fetchMsg{Slot: a, Digest: x.Digest()})
+	s.expect("served set cleared: 3 is served again", "payloadMsg→3")
+	if got := s.r.SlotCount(); got != 2 {
+		t.Fatalf("SlotCount = %d, want 2", got)
+	}
+}
+
+// TestReliableDropsOutOfRangeSource: votes, fetches and replies for a slot
+// whose source is not a process (Src = -1 or n) are dropped before they
+// touch any state, whether or not a row for their seq exists.
+func TestReliableDropsOutOfRangeSource(t *testing.T) {
+	x := Bytes("x")
+	s := newStepper(t)
+	flood := func(seq uint64) {
+		for _, src := range []types.ProcessID{-1, 4} {
+			slot := Slot{Src: src, Seq: seq}
+			for from := types.ProcessID(0); from < 4; from++ {
+				s.handle(from, echoMsg{Slot: slot, Digest: x.Digest()})
+				s.handle(from, readyMsg{Slot: slot, Digest: x.Digest()})
+				s.handle(from, fetchMsg{Slot: slot, Digest: x.Digest()})
+				s.handle(from, payloadMsg{Slot: slot, Payload: x})
+			}
+		}
+	}
+	flood(0)
+	flood(1)
+	s.expect("out-of-range flood")
+	if got := s.r.SlotCount(); got != 0 || len(s.r.rows) != 0 {
+		t.Fatalf("out-of-range flood: SlotCount %d, %d rows, want 0 and 0", got, len(s.r.rows))
+	}
+	s.handle(1, sendMsg{Slot: Slot{Src: 1, Seq: 0}, Payload: x})
+	s.expect("a real slot", "echoMsg→all")
+	flood(0)
+	s.expect("out-of-range flood beside a live row")
+	if got := s.r.SlotCount(); got != 1 || len(s.r.rows) != 1 {
+		t.Fatalf("out-of-range flood beside a live row: SlotCount %d, %d rows, want 1 and 1", got, len(s.r.rows))
+	}
+}
+
+// digestPayload is a Payload that carries its digest, so handling it
+// hashes and allocates nothing.
+type digestPayload Digest
+
+func (p digestPayload) Digest() Digest { return Digest(p) }
+
+// TestReliableSteadyStateAllocs guards the slot layout: once the window of
+// live rows is full and one prune has filled the free list, a full slot
+// cycle — SEND, n ECHOs, n READYs, delivery, PruneBelow — allocates only
+// the ECHO and READY boxes it broadcasts, and nothing for slot state. It
+// runs on the Fig. 1 system at n = 30, the benchmark's sim_asym_n30 trust.
+func TestReliableSteadyStateAllocs(t *testing.T) {
+	sys := quorum.Counterexample()
+	n := sys.N()
+	const src, window, cycles = 5, 4, 200
+	delivered := 0
+	r := NewReliable(0, sys, func(sim.Env, Slot, Payload) { delivered++ })
+	var env sim.Env = pruneEnv{self: 0, n: n}
+	// Each cycle's incoming messages, boxed before anything is measured.
+	msgs := make([][]sim.Message, cycles)
+	for seq := range msgs {
+		slot := Slot{Src: src, Seq: uint64(seq)}
+		d := Digest{byte(seq), byte(seq >> 8)}
+		msgs[seq] = append(msgs[seq], sendMsg{Slot: slot, Payload: digestPayload(d)})
+		for p := 0; p < n; p++ {
+			msgs[seq] = append(msgs[seq], echoMsg{Slot: slot, Digest: d})
+		}
+		for p := 0; p < n; p++ {
+			msgs[seq] = append(msgs[seq], readyMsg{Slot: slot, Digest: d})
+		}
+	}
+	seq := 0
+	cycle := func() {
+		ms := msgs[seq]
+		r.Handle(env, src, ms[0])
+		for i, m := range ms[1:] {
+			r.Handle(env, types.ProcessID(i%n), m)
+		}
+		seq++
+		if seq > window {
+			r.PruneBelow(uint64(seq - window))
+		}
+	}
+	for seq < 2*window {
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(100, cycle)
+	if delivered != seq || r.SlotCount() != window {
+		t.Fatalf("%d cycles delivered %d slots and left %d live, want every one and %d", seq, delivered, r.SlotCount(), window)
+	}
+	if allocs > 2 {
+		t.Fatalf("a slot cycle allocates %.2f objects, want at most 2 (the ECHO and READY boxes)", allocs)
+	}
+	t.Logf("%.2f allocations per slot cycle at n=%d", allocs, n)
 }

@@ -27,6 +27,13 @@
 //     predicates are monotone (supersets preserve them), so a Tracker
 //     latches: once HasQuorum/HasKernel reports true it stays true.
 //
+//   - NewTrackers hands out k trackers whose membership words and residual
+//     counts are cut from one backing array each, for a caller that keeps
+//     many alive together (reliable broadcast holds two per slot, 2n per
+//     round). Reset empties a tracker in place, so such a caller recycles
+//     its trackers instead of allocating new ones; a reset tracker answers
+//     exactly like a fresh one.
+//
 // Complexity bounds, with W = words per bitset, Q = |Q_i|, M = total
 // membership of i's quorums (Σ|Q| over Q ∈ Q_i):
 //
@@ -358,10 +365,11 @@ const (
 )
 
 // Tracker is the incremental predicate view for one (process, tally) pair.
-// Create one with NewTracker when the tally set is created, feed it every
-// new member with Add, and read the two predicates in O(1). Trackers are
-// monotone: once a predicate reports true it stays true (quorum containment
-// and kernel intersection are preserved by supersets).
+// Create one with NewTracker (or many with NewTrackers) when the tally set
+// is created, feed it every new member with Add, and read the two
+// predicates in O(1). Trackers are monotone until Reset: once a predicate
+// reports true it stays true (quorum containment and kernel intersection
+// are preserved by supersets).
 //
 // A Tracker owns its membership set; Set exposes it read-only, so protocol
 // state that previously stored a types.Set tally can store just the
@@ -394,17 +402,47 @@ type Tracker struct {
 // Assumption implementation falls back to memoized calls through the
 // narrow interface.
 func NewTracker(a Assumption, i types.ProcessID) *Tracker {
-	t := &Tracker{members: types.NewSet(a.N()), i: i}
+	t := &Tracker{members: types.NewSet(a.N())}
+	t.bind(a, i, nil)
+	return t
+}
+
+// NewTrackers creates k trackers of process i's predicates, each as
+// NewTracker would, with their membership sets and residual counts cut
+// from one backing array per kind instead of one per tracker. A caller that
+// keeps many trackers alive together, and recycles them with Reset, pays
+// four allocations for all of them.
+func NewTrackers(a Assumption, i types.ProcessID, k int) []Tracker {
+	ts := make([]Tracker, k)
+	sets := types.NewSets(a.N(), k)
+	var missing []int32
+	nq := 0
+	if s, ok := a.(*System); ok {
+		nq = s.Evaluator().numQuorums(i)
+		missing = make([]int32, k*nq)
+	}
+	for j := range ts {
+		ts[j].members = sets[j]
+		ts[j].bind(a, i, missing[j*nq:(j+1)*nq:(j+1)*nq])
+	}
+	return ts
+}
+
+// bind sets t up as the empty tracker of i's predicates under a. A
+// compiled tracker keeps its residual counts in missing, or in a new array
+// when missing is nil.
+func (t *Tracker) bind(a Assumption, i types.ProcessID, missing []int32) {
+	t.i = i
 	switch s := a.(type) {
 	case *System:
 		e := s.Evaluator()
 		t.mode = modeCompiled
 		t.ev = e
 		t.base = e.qStart[i]
-		nq := e.numQuorums(i)
-		t.missing = make([]int32, nq)
-		copy(t.missing, e.qSize[t.base:t.base+int32(nq)])
-		t.unhit = nq
+		if missing == nil {
+			missing = make([]int32, e.numQuorums(i))
+		}
+		t.missing = missing
 	case Threshold:
 		t.mode = modeThreshold
 		t.quorumSize = s.QuorumSize()
@@ -413,7 +451,20 @@ func NewTracker(a Assumption, i types.ProcessID) *Tracker {
 		t.mode = modeFallback
 		t.fallback = a
 	}
-	return t
+	t.Reset()
+}
+
+// Reset empties the tally, so the tracker answers like a fresh one over
+// the same assumption and process. It keeps its storage and allocates
+// nothing.
+func (t *Tracker) Reset() {
+	t.members.Clear()
+	t.count = 0
+	t.hasQuorum, t.hasKernel = false, false
+	if t.mode == modeCompiled {
+		copy(t.missing, t.ev.qSize[t.base:t.base+int32(len(t.missing))])
+		t.unhit = len(t.missing)
+	}
 }
 
 // Add inserts p into the tally and updates both predicates. It reports

@@ -159,6 +159,78 @@ func TestTrackerMonotone(t *testing.T) {
 	}
 }
 
+// TestTrackerResetAndBatchMatchFresh: a tracker emptied by Reset, and each
+// tracker NewTrackers cuts from one backing array, answers Add, HasQuorum,
+// HasKernel, Count and Set exactly like a fresh NewTracker fed the same
+// random order — while its batch neighbours, which share its storage, are
+// fed other orders between the checks.
+func TestTrackerResetAndBatchMatchFresh(t *testing.T) {
+	fed, err := NewFederated(FederatedConfig{N: 12, TopTier: 7, TrustedPeers: 3, Tolerance: 2, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		a    Assumption
+	}{
+		{"Fig. 1", Counterexample()},
+		{"federated", fed},
+		{"threshold", NewThreshold(10, 3)},
+		{"fallback", opaque{Counterexample()}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.a.N()
+			rng := rand.New(rand.NewSource(int64(n)))
+			dirty := func(tr *Tracker) {
+				for _, raw := range rng.Perm(n)[:1+rng.Intn(n)] {
+					tr.Add(types.ProcessID(raw))
+				}
+				tr.Reset()
+			}
+			for trial := 0; trial < 6; trial++ {
+				p := types.ProcessID(rng.Intn(n))
+				batch := NewTrackers(tc.a, p, 3)
+				dirty(&batch[1])
+				reset := NewTracker(tc.a, p)
+				dirty(reset)
+				under := []*Tracker{reset, &batch[0], &batch[1], &batch[2]}
+				fresh := make([]*Tracker, len(under))
+				orders := make([][]int, len(under))
+				for j := range under {
+					fresh[j] = NewTracker(tc.a, p)
+					orders[j] = rng.Perm(n)
+				}
+				for x := 0; x < n; x++ {
+					for j, tr := range under {
+						// Each member once, then a repeat of an earlier one.
+						for _, raw := range []int{orders[j][x], orders[j][rng.Intn(x+1)]} {
+							m := types.ProcessID(raw)
+							if got, want := tr.Add(m), fresh[j].Add(m); got != want {
+								t.Fatalf("trial %d tracker %d: Add(%v) = %v, fresh %v", trial, j, m, got, want)
+							}
+						}
+					}
+					for j, tr := range under {
+						want := fresh[j]
+						if tr.HasQuorum() != want.HasQuorum() || tr.HasKernel() != want.HasKernel() ||
+							tr.Count() != want.Count() || !tr.Set().Equal(want.Set()) {
+							t.Fatalf("trial %d tracker %d after %d adds: (%v,%v,%d,%v), fresh (%v,%v,%d,%v)",
+								trial, j, x+1, tr.HasQuorum(), tr.HasKernel(), tr.Count(), tr.Set(),
+								want.HasQuorum(), want.HasKernel(), want.Count(), want.Set())
+						}
+						// The one-shot predicates share no state with a tracker.
+						if tr.HasQuorum() != tc.a.HasQuorumWithin(p, tr.Set()) || tr.HasKernel() != tc.a.HasKernelWithin(p, tr.Set()) {
+							t.Fatalf("trial %d tracker %d after %d adds: (%v,%v) against the one-shot predicates on %v",
+								trial, j, x+1, tr.HasQuorum(), tr.HasKernel(), tr.Set())
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestTrackerAddSet checks bulk adds against element-wise adds.
 func TestTrackerAddSet(t *testing.T) {
 	sys := Counterexample()

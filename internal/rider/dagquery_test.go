@@ -235,8 +235,13 @@ func TestCheckVertex(t *testing.T) {
 		return &dag.Vertex{Source: 2, Round: 5,
 			StrongEdges: append([]dag.VertexRef(nil), strong...), WeakEdges: append([]dag.VertexRef(nil), weak...)}
 	}
-	if s, ok := CheckVertex(good(), slot, n); !ok || !s.Equal(types.NewSetOf(n, 0, 1, 3)) {
+	s := types.NewSetOf(n, 2) // scratch left over from an earlier vertex
+	if ok := CheckVertex(good(), slot, &s); !ok || !s.Equal(types.NewSetOf(n, 0, 1, 3)) {
 		t.Fatalf("well-formed vertex: ok=%v strong=%v", ok, s)
+	}
+	v := good()
+	if a := testing.AllocsPerRun(20, func() { CheckVertex(v, slot, &s) }); a != 0 {
+		t.Errorf("CheckVertex into a reused set allocates %v times, want 0", a)
 	}
 	bad := map[string]func(v *dag.Vertex){
 		"wrong source":             func(v *dag.Vertex) { v.Source = 1 },
@@ -256,11 +261,11 @@ func TestCheckVertex(t *testing.T) {
 	for name, edit := range bad {
 		v := good()
 		edit(v)
-		if _, ok := CheckVertex(v, slot, n); ok {
+		if CheckVertex(v, slot, &s) {
 			t.Errorf("%s: accepted %+v", name, v)
 		}
 	}
-	if _, ok := CheckVertex(&dag.Vertex{Source: 0, Round: 0}, broadcast.Slot{Src: 0, Seq: 0}, n); ok {
+	if CheckVertex(&dag.Vertex{Source: 0, Round: 0}, broadcast.Slot{Src: 0, Seq: 0}, &s) {
 		t.Error("a round-0 vertex is genesis and never broadcast")
 	}
 }

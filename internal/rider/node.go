@@ -70,6 +70,9 @@ type Base struct {
 	// with a vertex in the local DAG, fed on insertion, so the advance rule
 	// is an O(1) read instead of a rescan of the round.
 	sources map[int]*quorum.Tracker
+	// strong is onVertex's scratch set: the strong-edge sources of the
+	// vertex being checked.
+	strong types.Set
 
 	decidedWave int
 	delivered   map[dag.VertexRef]bool
@@ -90,6 +93,7 @@ func (b *Base) Start(env sim.Env, setup Setup, rules Rules) {
 	b.self, b.n = env.Self(), env.N()
 	b.dag = dag.New(b.n)
 	b.sources = map[int]*quorum.Tracker{}
+	b.strong = types.NewSet(b.n)
 	b.delivered = map[dag.VertexRef]bool{}
 	for _, g := range Genesis(b.n) {
 		if err := b.dag.Add(g); err != nil {
@@ -126,10 +130,9 @@ func (b *Base) onVertex(_ sim.Env, slot broadcast.Slot, p broadcast.Payload) {
 	if !ok {
 		return
 	}
-	strong, ok := CheckVertex(vp.V, slot, b.n)
 	// Line 140: the strong edges must cover a quorum of some process.
 	// Under a threshold this is DAG-Rider's n−f strong edges.
-	if !ok || !quorum.HasAnyQuorumWithin(b.setup.Trust, strong) {
+	if !CheckVertex(vp.V, slot, &b.strong) || !quorum.HasAnyQuorumWithin(b.setup.Trust, b.strong) {
 		return
 	}
 	b.buffer = append(b.buffer, vp.V)

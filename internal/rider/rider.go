@@ -199,9 +199,11 @@ func Genesis(n int) []*dag.Vertex {
 }
 
 // CheckVertex reports whether v, delivered by reliable broadcast in slot,
-// has the shape a correct creator gives it in a system of n processes, and
-// returns the sources of its strong edges, which the caller's validity
-// rule weighs. A correct vertex
+// has the shape a correct creator gives it in a system of n =
+// strong.UniverseSize() processes. If it has, CheckVertex overwrites strong
+// with the sources of v's strong edges, which the caller's validity rule
+// weighs; the caller owns strong and reuses it across vertices, so a check
+// allocates nothing. A correct vertex
 //   - is the slot sender's vertex for the slot's round, round ≥ 1;
 //   - has edges that name sources in [0, n), strong edges into round−1
 //     and weak edges into rounds 0..round−2;
@@ -212,16 +214,17 @@ func Genesis(n int) []*dag.Vertex {
 //
 // A vertex that fails is dropped: its edges come off the wire, and a
 // source outside [0, n) would index past the DAG's rows.
-func CheckVertex(v *dag.Vertex, slot broadcast.Slot, n int) (types.Set, bool) {
+func CheckVertex(v *dag.Vertex, slot broadcast.Slot, strong *types.Set) bool {
+	n := strong.UniverseSize()
 	if v.Source != slot.Src || v.Round != int(slot.Seq) || v.Round < 1 || v.Source < 0 || int(v.Source) >= n ||
 		!edgesInOrder(v.StrongEdges, v.Round-1, v.Round-1, n) || !edgesInOrder(v.WeakEdges, 0, v.Round-2, n) {
-		return types.Set{}, false
+		return false
 	}
-	strong := types.NewSet(n)
+	strong.Clear()
 	for _, e := range v.StrongEdges {
 		strong.Add(e.Source)
 	}
-	return strong, true
+	return true
 }
 
 // edgesInOrder reports whether every edge names a source in [0, n) and a

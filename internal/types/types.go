@@ -45,6 +45,22 @@ func NewSet(n int) Set {
 	return Set{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
+// NewSets returns k empty sets over a universe of n processes, cut from one
+// backing array instead of k. The sets are independent; only their storage
+// is shared.
+func NewSets(n, k int) []Set {
+	if n < 0 {
+		panic("types: negative universe size")
+	}
+	wc := (n + wordBits - 1) / wordBits
+	words := make([]uint64, k*wc)
+	out := make([]Set, k)
+	for i := range out {
+		out[i] = Set{n: n, words: words[i*wc : (i+1)*wc : (i+1)*wc]}
+	}
+	return out
+}
+
 // NewSetOf returns a set over a universe of n processes containing the given
 // members.
 func NewSetOf(n int, members ...ProcessID) Set {
@@ -101,6 +117,9 @@ func (s *Set) Remove(p ProcessID) {
 	s.checkBounds(p)
 	s.words[int(p)/wordBits] &^= 1 << (uint(p) % wordBits)
 }
+
+// Clear removes every member, keeping the universe and the storage.
+func (s *Set) Clear() { clear(s.words) }
 
 // Contains reports whether p is a member.
 func (s Set) Contains(p ProcessID) bool {

@@ -119,6 +119,22 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestNewSetsIndependent: sets cut from one backing array do not see each
+// other's members, across word boundaries and through Clear.
+func TestNewSetsIndependent(t *testing.T) {
+	sets := NewSets(130, 3)
+	sets[1].Add(0)
+	sets[1].Add(129)
+	sets[2].Add(64)
+	if !sets[0].IsEmpty() || !sets[1].Equal(NewSetOf(130, 0, 129)) || !sets[2].Equal(NewSetOf(130, 64)) {
+		t.Fatalf("shared backing leaked: %v %v %v", sets[0], sets[1], sets[2])
+	}
+	sets[1].Clear()
+	if !sets[1].IsEmpty() || sets[1].UniverseSize() != 130 || !sets[2].Equal(NewSetOf(130, 64)) {
+		t.Fatalf("Clear: %v (universe %d), neighbour %v", sets[1], sets[1].UniverseSize(), sets[2])
+	}
+}
+
 func TestMembersAndForEach(t *testing.T) {
 	s := NewSetOf(130, 0, 64, 129, 5)
 	want := []ProcessID{0, 5, 64, 129}
