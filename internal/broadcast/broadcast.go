@@ -84,6 +84,14 @@
 //   - PruneBelow empties the rows below the watermark — trackers Reset,
 //     payloads and fetch sets cleared, spill maps dropped — and keeps them
 //     on a free list that later sequence numbers draw from.
+//   - ECHO and READY are single-pointer structs, which an interface holds
+//     without boxing. Their (slot, digest) bodies are cut from a chunk of
+//     2n votes per process, and a new chunk is allocated when one is used
+//     up. A body is never written after it is sent, and a chunk is never
+//     reused or recycled with the rows: a vote may still sit in a lagging
+//     receiver's queue or a TCP outbox after its sender pruned the slot,
+//     and under parallel delivery several receivers read one body at
+//     once. The garbage collector frees a chunk with its last message.
 package broadcast
 
 import (
@@ -173,15 +181,18 @@ func (m sendMsg) SimSize() int {
 	return 16 + sha256.Size
 }
 
-type echoMsg struct {
+// vote is the body of an ECHO or a READY. It is never written after the
+// message carrying it is sent (see "Slot state" in the package comment).
+type vote struct {
 	Slot   Slot
 	Digest Digest
 }
 
-type readyMsg struct {
-	Slot   Slot
-	Digest Digest
-}
+// echoMsg and readyMsg hold only a pointer to their body, so an interface
+// holds them without boxing; m.Slot and m.Digest are promoted from it.
+type echoMsg struct{ *vote }
+
+type readyMsg struct{ *vote }
 
 // fetchMsg asks a process that voted for Digest in Slot for the payload.
 type fetchMsg struct {
@@ -216,6 +227,9 @@ type Reliable struct {
 	// state below it has been discarded and late messages for those slots
 	// are dropped (see PruneBelow for the trade).
 	pruned uint64
+	// votes is the unused rest of the chunk this process's ECHO and READY
+	// bodies are cut from.
+	votes []vote
 }
 
 // rbSlot is one slot's state. It holds the first digest it hears of in
@@ -270,6 +284,19 @@ func (r *Reliable) NextSeq() uint64 {
 // Broadcast implements Broadcaster.
 func (r *Reliable) Broadcast(env sim.Env, seq uint64, payload Payload) {
 	env.Broadcast(sendMsg{Slot: Slot{Src: r.self, Seq: seq}, Payload: payload})
+}
+
+// newVote returns a body for an outgoing ECHO or READY, cut from the
+// current chunk of 2n votes; a used-up chunk is left to the messages that
+// point into it, and a new one is allocated.
+func (r *Reliable) newVote(slot Slot, d Digest) *vote {
+	if len(r.votes) == 0 {
+		r.votes = make([]vote, 2*r.n)
+	}
+	v := &r.votes[0]
+	r.votes = r.votes[1:]
+	*v = vote{Slot: slot, Digest: d}
+	return v
 }
 
 // open returns slot s, creating its row on first use, or nil when s lies
@@ -378,7 +405,7 @@ func (r *Reliable) advance(env sim.Env, slot Slot, st *rbSlot, d Digest, v *rbVa
 	}
 	if ready {
 		st.sentReady = true
-		env.Broadcast(readyMsg{Slot: slot, Digest: d})
+		env.Broadcast(readyMsg{r.newVote(slot, d)})
 	}
 	if deliver {
 		st.delivered = true
@@ -418,7 +445,7 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 		d := m.Payload.Digest()
 		v := r.value(st, d)
 		v.payload = m.Payload
-		env.Broadcast(echoMsg{Slot: m.Slot, Digest: d})
+		env.Broadcast(echoMsg{r.newVote(m.Slot, d)})
 		// A SEND overtaken by its own votes completes the slot here.
 		r.advance(env, m.Slot, st, d, v)
 	case echoMsg:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -34,8 +35,8 @@ func TestBroadcastWireRoundTrip(t *testing.T) {
 		for _, msg := range []sim.Message{
 			sendMsg{Slot: slot, Payload: Bytes(raw)},
 			payloadMsg{Slot: slot, Payload: Bytes(raw)},
-			echoMsg{Slot: slot, Digest: d},
-			readyMsg{Slot: slot, Digest: d},
+			echoMsg{&vote{Slot: slot, Digest: d}},
+			readyMsg{&vote{Slot: slot, Digest: d}},
 			fetchMsg{Slot: slot, Digest: d},
 		} {
 			enc, err := wire.Marshal(msg)
@@ -59,7 +60,9 @@ func TestBroadcastWireRoundTrip(t *testing.T) {
 			case payloadMsg:
 				checkPayload(t, m.Slot, m.Payload, slot, raw)
 			default:
-				if dec != msg {
+				// By value: ECHO and READY point to their body, so == would
+				// compare identity.
+				if !reflect.DeepEqual(dec, msg) {
 					t.Fatalf("%T: round trip mutated message", msg)
 				}
 			}

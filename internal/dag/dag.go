@@ -178,6 +178,23 @@ func (d *DAG) RoundVertices(r int) []*Vertex {
 	return out
 }
 
+// RoundRefs returns the refs of round r's vertices in RoundVertices' order,
+// in a new slice of exactly that length: the strong edges of a vertex of
+// round r+1.
+func (d *DAG) RoundRefs(r int) []VertexRef {
+	rw := d.rowAt(r)
+	if rw == nil {
+		return []VertexRef{}
+	}
+	out := make([]VertexRef, 0, rw.srcs.Count())
+	for _, v := range rw.verts {
+		if v != nil {
+			out = append(out, v.Ref())
+		}
+	}
+	return out
+}
+
 // Height returns one past the highest round with storage allocated.
 func (d *DAG) Height() int { return d.base + len(d.rounds) }
 

@@ -216,6 +216,22 @@ func TestRoundVerticesSorted(t *testing.T) {
 	}
 }
 
+// TestRoundRefsMatchRoundVertices: RoundRefs lists RoundVertices' refs in
+// the same order, and a round without vertices gives an empty, non-nil
+// slice, as strong edges built from RoundVertices always were.
+func TestRoundRefsMatchRoundVertices(t *testing.T) {
+	d := buildChain(t)
+	for r := -1; r <= d.Height(); r++ {
+		want := []VertexRef{}
+		for _, v := range d.RoundVertices(r) {
+			want = append(want, v.Ref())
+		}
+		if got := d.RoundRefs(r); got == nil || !reflect.DeepEqual(got, want) || cap(got) != len(want) {
+			t.Errorf("RoundRefs(%d) = %v (cap %d), want %v", r, got, cap(got), want)
+		}
+	}
+}
+
 // TestRandomDAGPathsAgreeWithTransitiveClosure cross-checks the DFS path
 // queries against a brute-force transitive closure on random DAGs.
 func TestRandomDAGPathsAgreeWithTransitiveClosure(t *testing.T) {

@@ -194,11 +194,7 @@ func (b *Base) createVertex(round int) *dag.Vertex {
 	if b.setup.Workload != nil {
 		v.Block = b.setup.Workload.NextBlock(round)
 	}
-	prev := b.dag.RoundVertices(round - 1)
-	v.StrongEdges = make([]dag.VertexRef, len(prev))
-	for i, u := range prev {
-		v.StrongEdges[i] = u.Ref()
-	}
+	v.StrongEdges = b.dag.RoundRefs(round - 1)
 	SetWeakEdges(b.dag, v, round)
 	return v
 }

@@ -2,7 +2,7 @@ package service
 
 import (
 	"bytes"
-	"fmt"
+	"errors"
 	"sort"
 
 	"repro/internal/types"
@@ -39,14 +39,13 @@ func CompareSnapshots(res Result) (int, error) {
 			}
 			common++
 			if prev.snap.Applied != s.Applied {
-				return common, fmt.Errorf(
-					"service: wave %d applied mismatch: replica %v applied %d, replica %v applied %d",
-					s.Wave, prev.owner, prev.snap.Applied, p, s.Applied)
+				return common, errors.New("service: wave " + itoa(s.Wave) + " applied mismatch: replica " +
+					prev.owner.String() + " applied " + itoa(prev.snap.Applied) +
+					", replica " + p.String() + " applied " + itoa(s.Applied))
 			}
 			if !bytes.Equal(prev.snap.State, s.State) {
-				return common, fmt.Errorf(
-					"service: wave %d snapshot state differs between replicas %v and %v",
-					s.Wave, prev.owner, p)
+				return common, errors.New("service: wave " + itoa(s.Wave) +
+					" snapshot state differs between replicas " + prev.owner.String() + " and " + p.String())
 			}
 		}
 	}

@@ -48,7 +48,7 @@
 package service
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/coin"
 	"repro/internal/core"
@@ -196,6 +196,10 @@ type Replica struct {
 
 	tickSeq uint64
 	nextCmd int
+	// cmdBuf and cmdEnds are onTick's scratch: the tick's commands and the
+	// offset each one ends at.
+	cmdBuf  []byte
+	cmdEnds []int
 
 	submitted int
 	rejected  int
@@ -278,13 +282,29 @@ func (s *Replica) onTick(env sim.Env, t tickMsg) {
 		return // stale duplicate (link-duplication faults)
 	}
 	s.tickSeq++
+	// The admitted commands "set k<i mod KeySpace> p<self>.<i>" are written
+	// back to back into one buffer, which becomes one string; each command
+	// is a substring of it.
+	buf, ends := s.cmdBuf[:0], s.cmdEnds[:0]
 	for i := 0; i < s.cfg.ClientRate; i++ {
-		if s.queue.Len() >= s.cfg.MaxQueue {
+		if s.queue.Len()+len(ends) >= s.cfg.MaxQueue {
 			s.rejected++
 			continue
 		}
-		cmd := fmt.Sprintf("set k%d p%d.%d", s.nextCmd%s.cfg.KeySpace, int(s.self), s.nextCmd)
+		buf = append(buf, "set k"...)
+		buf = strconv.AppendInt(buf, int64(s.nextCmd%s.cfg.KeySpace), 10)
+		buf = append(buf, " p"...)
+		buf = strconv.AppendInt(buf, int64(s.self), 10)
+		buf = append(buf, '.')
+		buf = strconv.AppendInt(buf, int64(s.nextCmd), 10)
+		ends = append(ends, len(buf))
 		s.nextCmd++
+	}
+	s.cmdBuf, s.cmdEnds = buf, ends
+	cmds, start := string(buf), 0
+	for _, end := range ends {
+		cmd := cmds[start:end]
+		start = end
 		s.submitted++
 		s.submitTime[cmd] = env.Now()
 		s.queue.Submit(cmd)

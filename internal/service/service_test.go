@@ -2,10 +2,14 @@ package service
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
 	"repro/internal/quorum"
+	"repro/internal/sim"
+	"repro/internal/types"
 )
 
 func baseConfig(seed int64) Config {
@@ -100,6 +104,95 @@ func TestServiceDeterministicAcrossWorkers(t *testing.T) {
 		if res.EndTime != base.EndTime {
 			t.Fatalf("workers=%d: end time %d != %d", workers, res.EndTime, base.EndTime)
 		}
+	}
+}
+
+// tickWatch wraps a replica and checks every client tick against the
+// admission loop written with fmt.Sprintf: the same commands, the same
+// admitted and rejected counts.
+type tickWatch struct {
+	*Replica
+	t                  *testing.T
+	admitted, rejected int
+}
+
+func (w *tickWatch) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
+	tick, ok := msg.(tickMsg)
+	if !ok || from != env.Self() || tick.Seq != w.tickSeq {
+		w.Replica.Receive(env, from, msg)
+		return
+	}
+	s, cfg := w.Replica, w.cfg
+	next, queued, known := s.nextCmd, s.queue.Len(), len(s.submitTime)
+	var want []string
+	rejected := 0
+	for i := 0; i < cfg.ClientRate; i++ {
+		if queued >= cfg.MaxQueue {
+			rejected++
+			continue
+		}
+		want = append(want, fmt.Sprintf("set k%d p%d.%d", next%cfg.KeySpace, int(s.self), next))
+		next++
+		queued++
+	}
+	sub, rej := s.submitted, s.rejected
+	s.Receive(env, from, msg)
+	if s.submitted-sub != len(want) || s.rejected-rej != rejected || s.nextCmd != next ||
+		s.queue.Len() != queued || len(s.submitTime) != known+len(want) {
+		w.t.Fatalf("%v tick %d: admitted %d and rejected %d, queue %d, want %d, %d and queue %d",
+			s.self, tick.Seq, s.submitted-sub, s.rejected-rej, s.queue.Len(), len(want), rejected, queued)
+	}
+	for _, cmd := range want {
+		if _, ok := s.submitTime[cmd]; !ok {
+			w.t.Fatalf("%v tick %d did not submit %q", s.self, tick.Seq, cmd)
+		}
+	}
+	w.admitted += len(want)
+	w.rejected += rejected
+}
+
+// TestTickCommandsMatchFormat pins the client load: every tick submits
+// "set k<i mod KeySpace> p<self>.<i>" for consecutive i, admits and rejects
+// as the admission loop always has, and a run on the Fig. 1 system ends in
+// the same final states it always did. A small MaxQueue makes ticks reject.
+func TestTickCommandsMatchFormat(t *testing.T) {
+	cfg := baseConfig(3)
+	cfg.MaxQueue, cfg.BatchSize, cfg.StopAfterWaves = 6, 2, 6
+	var watches []*tickWatch
+	cfg.Wrap = func(_ types.ProcessID, inner sim.Node) sim.Node {
+		w := &tickWatch{Replica: inner.(*Replica), t: t}
+		watches = append(watches, w)
+		return w
+	}
+	res := Run(cfg)
+	if !res.Stopped {
+		t.Fatal("run truncated")
+	}
+	rejected := 0
+	for p, w := range watches {
+		rep := res.Replicas[types.ProcessID(p)]
+		if rep.Submitted != w.admitted || rep.Rejected != w.rejected || w.admitted == 0 {
+			t.Fatalf("%v: report %d submitted, %d rejected; ticks admitted %d, rejected %d",
+				types.ProcessID(p), rep.Submitted, rep.Rejected, w.admitted, w.rejected)
+		}
+		rejected += w.rejected
+	}
+	if rejected == 0 {
+		t.Fatal("no tick rejected a command; the admission bound went untested")
+	}
+
+	fig1 := Config{Trust: quorum.Counterexample(), Seed: 1, CoinSeed: 2, StopAfterWaves: 4}
+	res = Run(fig1)
+	if !res.Stopped {
+		t.Fatal("Fig. 1 run truncated")
+	}
+	h := sha256.New()
+	for p := 0; p < fig1.Trust.N(); p++ {
+		h.Write(res.Replicas[types.ProcessID(p)].FinalState)
+	}
+	const want = "29075053c808a2ce49efda5ce42daf53df3e22f94f0c24bed0a9d77d19ce4738"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("Fig. 1 final states hash to %s, want %s", got, want)
 	}
 }
 

@@ -82,9 +82,13 @@ import (
 // VirtualTime is simulated time in abstract units.
 type VirtualTime int64
 
-// Message is a protocol message. Packages define plain structs; the
-// simulator treats them opaquely. Implement Sizer to contribute to the
-// byte metrics.
+// Message is a protocol message, which the simulator treats opaquely. A
+// message is immutable once sent: a broadcast hands every receiver the same
+// value, read concurrently under parallel delivery, and a queued copy may
+// outlive the sender's state for its slot. A struct whose only field is a
+// pointer travels without boxing, so a hot message can point to a body the
+// sender never writes again (broadcast's ECHO and READY do). Implement
+// Sizer to contribute to the byte metrics.
 type Message any
 
 // Sizer lets a message report an approximate wire size in bytes for the
