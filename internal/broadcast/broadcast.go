@@ -85,17 +85,20 @@
 //     payloads and fetch sets cleared, spill maps dropped — and keeps them
 //     on a free list that later sequence numbers draw from.
 //   - ECHO and READY are single-pointer structs, which an interface holds
-//     without boxing. Their (slot, digest) bodies are cut from a chunk of
-//     2n votes per process, and a new chunk is allocated when one is used
-//     up. A body is never written after it is sent, and a chunk is never
-//     reused or recycled with the rows: a vote may still sit in a lagging
-//     receiver's queue or a TCP outbox after its sender pruned the slot,
-//     and under parallel delivery several receivers read one body at
-//     once. The garbage collector frees a chunk with its last message.
+//     without boxing. Their (slot, digest) bodies — those a Reliable sends
+//     and those the codec decodes off the wire — are cut from one
+//     process-wide chunk of 64 votes, indexed atomically, and a new chunk
+//     is allocated when one is used up. A body is never written after it
+//     is handed out, and a chunk is never reused or recycled with the
+//     rows: a vote may still sit in a lagging receiver's queue or a TCP
+//     outbox after its sender pruned the slot, and under parallel delivery
+//     several receivers read one body at once. The garbage collector frees
+//     a chunk with its last message.
 package broadcast
 
 import (
 	"crypto/sha256"
+	"sync/atomic"
 
 	"repro/internal/quorum"
 	"repro/internal/sim"
@@ -188,6 +191,39 @@ type vote struct {
 	Digest Digest
 }
 
+// voteChunkSize is the number of bodies in one vote chunk (3 KiB).
+const voteChunkSize = 64
+
+// voteChunk is a block of vote bodies, handed out one at a time through
+// next.
+type voteChunk struct {
+	next  atomic.Int64
+	votes [voteChunkSize]vote
+}
+
+// votes is the chunk every ECHO and READY body of the process is cut from:
+// those this process's Reliables send and those the codec decodes.
+var votes atomic.Pointer[voteChunk]
+
+// newVote returns a body holding (slot, d), cut from the shared chunk.
+// Concurrent callers (the codec on every connection's reader, Reliables
+// under parallel delivery) each take their own index. A used-up chunk is
+// left to the messages that point into it and replaced; of two callers
+// that both find it used up, one stores its new chunk and the other's is
+// dropped unused.
+func newVote(slot Slot, d Digest) *vote {
+	for {
+		c := votes.Load()
+		if c != nil {
+			if i := c.next.Add(1) - 1; i < voteChunkSize {
+				c.votes[i] = vote{Slot: slot, Digest: d}
+				return &c.votes[i]
+			}
+		}
+		votes.CompareAndSwap(c, new(voteChunk))
+	}
+}
+
 // echoMsg and readyMsg hold only a pointer to their body, so an interface
 // holds them without boxing; m.Slot and m.Digest are promoted from it.
 type echoMsg struct{ *vote }
@@ -227,9 +263,6 @@ type Reliable struct {
 	// state below it has been discarded and late messages for those slots
 	// are dropped (see PruneBelow for the trade).
 	pruned uint64
-	// votes is the unused rest of the chunk this process's ECHO and READY
-	// bodies are cut from.
-	votes []vote
 }
 
 // rbSlot is one slot's state. It holds the first digest it hears of in
@@ -284,19 +317,6 @@ func (r *Reliable) NextSeq() uint64 {
 // Broadcast implements Broadcaster.
 func (r *Reliable) Broadcast(env sim.Env, seq uint64, payload Payload) {
 	env.Broadcast(sendMsg{Slot: Slot{Src: r.self, Seq: seq}, Payload: payload})
-}
-
-// newVote returns a body for an outgoing ECHO or READY, cut from the
-// current chunk of 2n votes; a used-up chunk is left to the messages that
-// point into it, and a new one is allocated.
-func (r *Reliable) newVote(slot Slot, d Digest) *vote {
-	if len(r.votes) == 0 {
-		r.votes = make([]vote, 2*r.n)
-	}
-	v := &r.votes[0]
-	r.votes = r.votes[1:]
-	*v = vote{Slot: slot, Digest: d}
-	return v
 }
 
 // open returns slot s, creating its row on first use, or nil when s lies
@@ -405,7 +425,7 @@ func (r *Reliable) advance(env sim.Env, slot Slot, st *rbSlot, d Digest, v *rbVa
 	}
 	if ready {
 		st.sentReady = true
-		env.Broadcast(readyMsg{r.newVote(slot, d)})
+		env.Broadcast(readyMsg{newVote(slot, d)})
 	}
 	if deliver {
 		st.delivered = true
@@ -445,7 +465,7 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 		d := m.Payload.Digest()
 		v := r.value(st, d)
 		v.payload = m.Payload
-		env.Broadcast(echoMsg{r.newVote(m.Slot, d)})
+		env.Broadcast(echoMsg{newVote(m.Slot, d)})
 		// A SEND overtaken by its own votes completes the slot here.
 		r.advance(env, m.Slot, st, d, v)
 	case echoMsg:

@@ -809,7 +809,8 @@ func (p digestPayload) Digest() Digest { return Digest(p) }
 // live rows is full and one prune has filled the free list, a full slot
 // cycle — SEND, n ECHOs, n READYs, delivery, PruneBelow — allocates
 // nothing for slot state, and the ECHO and READY it broadcasts cost one
-// vote chunk per n cycles, which AllocsPerRun's integer mean rounds to 0.
+// shared vote chunk per 32 cycles, which AllocsPerRun's integer mean
+// rounds to 0.
 // It runs on the Fig. 1 system at n = 30, the benchmark's sim_asym_n30
 // trust.
 func TestReliableSteadyStateAllocs(t *testing.T) {
@@ -852,7 +853,7 @@ func TestReliableSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("%d cycles delivered %d slots and left %d live, want every one and %d", seq, delivered, r.SlotCount(), window)
 	}
 	if allocs != 0 {
-		t.Fatalf("a slot cycle allocates %.2f objects, want 0 (its votes come from a chunk of 2n)", allocs)
+		t.Fatalf("a slot cycle allocates %.2f objects, want 0 (its votes come from the shared chunk)", allocs)
 	}
 	t.Logf("%.2f allocations per slot cycle at n=%d", allocs, n)
 }
@@ -901,7 +902,7 @@ func TestVoteBodiesSurvivePrune(t *testing.T) {
 	if len(r.free) != early {
 		t.Fatalf("PruneBelow(%d) left %d rows to recycle, want %d", early, len(r.free), early)
 	}
-	// Each later seq reuses a recycled row and cuts one chunk of 2n votes.
+	// Each later seq reuses a recycled row and cuts 2n more vote bodies.
 	for seq := uint64(early); seq < early+later; seq++ {
 		run(seq)
 		r.PruneBelow(seq + 1)

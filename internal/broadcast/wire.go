@@ -115,10 +115,10 @@ func registerWireCodecs() {
 		func(s Slot, p Payload) any { return payloadMsg{Slot: s, Payload: p} })
 	registerDigestMsg(wireTagEcho, echoMsg{},
 		func(m any) (Slot, Digest) { s := m.(echoMsg); return s.Slot, s.Digest },
-		func(s Slot, d Digest) any { return echoMsg{&vote{Slot: s, Digest: d}} })
+		func(s Slot, d Digest) any { return echoMsg{newVote(s, d)} })
 	registerDigestMsg(wireTagReady, readyMsg{},
 		func(m any) (Slot, Digest) { s := m.(readyMsg); return s.Slot, s.Digest },
-		func(s Slot, d Digest) any { return readyMsg{&vote{Slot: s, Digest: d}} })
+		func(s Slot, d Digest) any { return readyMsg{newVote(s, d)} })
 	registerDigestMsg(wireTagFetch, fetchMsg{},
 		func(m any) (Slot, Digest) { s := m.(fetchMsg); return s.Slot, s.Digest },
 		func(s Slot, d Digest) any { return fetchMsg{Slot: s, Digest: d} })

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -131,5 +132,69 @@ func TestBroadcastWireRejectsNonPayloadInner(t *testing.T) {
 	frame := append(wire.AppendUvarint(nil, wireTagSend), body...)
 	if _, _, err := wire.Decode(frame); err == nil {
 		t.Fatal("non-Payload nested message accepted")
+	}
+}
+
+// TestDecodedVotesSurviveLaterDecodes guards the receive side of the
+// shared vote chunk: four readers decode ECHO and READY frames at once,
+// each through more than three chunks' worth, and keep every message.
+// Afterwards each message still carries the (slot, digest) it was decoded
+// from: no body was handed out twice, and none was written after it was
+// handed out.
+func TestDecodedVotesSurviveLaterDecodes(t *testing.T) {
+	const readers, perReader = 4, 4 * voteChunkSize
+	type decoded struct {
+		msg  sim.Message
+		want vote
+	}
+	frames := make([][][]byte, readers)
+	wants := make([][]vote, readers)
+	for r := range frames {
+		for i := 0; i < perReader; i++ {
+			v := vote{Slot: Slot{Src: types.ProcessID(r), Seq: uint64(i)}, Digest: Digest{byte(r), byte(i), byte(i >> 8), 0xee}}
+			var msg sim.Message = echoMsg{&v}
+			if i%2 == 1 {
+				msg = readyMsg{&v}
+			}
+			enc, err := wire.Marshal(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames[r] = append(frames[r], enc)
+			wants[r] = append(wants[r], v)
+		}
+	}
+	kept := make([][]decoded, readers)
+	var wg sync.WaitGroup
+	for r := range frames {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, enc := range frames[r] {
+				msg, _, err := wire.Decode(enc)
+				if err != nil {
+					t.Errorf("reader %d frame %d: %v", r, i, err)
+					return
+				}
+				kept[r] = append(kept[r], decoded{msg, wants[r][i]})
+			}
+		}()
+	}
+	wg.Wait()
+	for r := range kept {
+		for i, k := range kept[r] {
+			var got vote
+			switch m := k.msg.(type) {
+			case echoMsg:
+				got = *m.vote
+			case readyMsg:
+				got = *m.vote
+			default:
+				t.Fatalf("reader %d frame %d decoded to %T, want a vote", r, i, k.msg)
+			}
+			if got != k.want {
+				t.Fatalf("reader %d: %T decoded for %v now reads (%v, %x), want %x", r, k.msg, k.want.Slot, got.Slot, got.Digest[:4], k.want.Digest[:4])
+			}
+		}
 	}
 }

@@ -124,6 +124,8 @@ func FuzzDecodeBatch(f *testing.F) {
 	maxUniverse := wire.AppendUvarint(nil, wire.MaxUniverse)
 	const (
 		tagSend   = 10 // broadcast SEND: [slot][nested payload frame]
+		tagEcho   = 11 // broadcast ECHO: [slot][digest]
+		tagReady  = 12 // broadcast READY: [slot][digest]
 		tagBytes  = 13 // broadcast.Bytes
 		tagPairs  = 36 // gather.Pairs
 		tagVertex = 50 // rider.VertexPayload: [source][round][txs][strong][weak]
@@ -139,6 +141,19 @@ func FuzzDecodeBatch(f *testing.F) {
 	// Pairs at wire.MaxUniverse with every word present: a legitimate
 	// frame whose 16 MiB value table is 131× its bytes.
 	f.Add(record(append(append([]byte{tagPairs}, maxUniverse...), make([]byte, wire.MaxUniverse/8)...)...))
+	// 200 ECHO/READY records: decoding them rolls the shared vote chunk
+	// over, inside the bound.
+	var votes []byte
+	for i := 0; i < 200; i++ {
+		tag := byte(tagEcho)
+		if i%2 == 1 {
+			tag = tagReady
+		}
+		frame := wire.AppendUvarint([]byte{tag, byte(i % 4)}, uint64(i)) // [tag][src][seq]
+		frame = append(frame, bytes.Repeat([]byte{byte(i)}, 32)...)      // digest
+		votes = append(votes, record(frame...)...)
+	}
+	f.Add(votes)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var emitted []sim.Message

@@ -320,3 +320,84 @@ func TestCloseUnblocksBackpressure(t *testing.T) {
 		t.Fatal("Close did not unblock sender stuck in backpressure")
 	}
 }
+
+// TestOutboxReusesBuffers pins the alternating outbox arrays: once both
+// have grown, a push…drain cycle allocates nothing, and drain clears the
+// array it installs, so no written message is kept alive by it.
+func TestOutboxReusesBuffers(t *testing.T) {
+	const burst = 16
+	q := newOutbox(0)
+	e := envelope{From: 1, Msg: FloodMsg{Seq: 7}}
+	var batch []envelope
+	cycle := func() {
+		for i := 0; i < burst; i++ {
+			q.push(e)
+		}
+		batch = q.drain(batch)
+	}
+	cycle()
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a push…drain cycle allocates %.2f objects once warmed, want 0", allocs)
+	}
+	if len(batch) != burst {
+		t.Fatalf("drain returned %d envelopes, want %d", len(batch), burst)
+	}
+	spare := batch
+	if got := q.drain(spare); len(got) != 0 {
+		t.Fatalf("drain of an empty outbox returned %d envelopes", len(got))
+	}
+	for i, e := range spare[:cap(spare)] {
+		if e.Msg != nil {
+			t.Fatalf("slot %d of the installed array still holds %v after drain", i, e.Msg)
+		}
+	}
+}
+
+// TestInspectAllocs pins that Inspect itself allocates nothing — only the
+// caller's closure costs — and that on a closed host it returns at once.
+func TestInspectAllocs(t *testing.T) {
+	h := newTestHost(t, 0, 1, HostConfig{Seed: 1})
+	h.Start()
+	calls := 0
+	fn := func() { calls++ }
+	h.Inspect(fn)
+	if allocs := testing.AllocsPerRun(100, func() { h.Inspect(fn) }); allocs != 0 {
+		t.Fatalf("Inspect allocates %.2f objects per call, want 0", allocs)
+	}
+	if calls != 102 {
+		t.Fatalf("fn ran %d times, want 102", calls)
+	}
+	h.Close()
+	returned := make(chan struct{})
+	go func() {
+		h.Inspect(fn)
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Inspect on a closed host did not return")
+	}
+}
+
+// TestSendToUnknownPeerDropped pins that a destination outside [0, n) is
+// dropped: no panic, and nothing queued for any peer or for self.
+func TestSendToUnknownPeerDropped(t *testing.T) {
+	const n = 3
+	h := newTestHost(t, 1, n, HostConfig{Seed: 1})
+	env := hostEnv{h: h}
+	env.Send(-1, FloodMsg{Seq: 1})
+	env.Send(n, FloodMsg{Seq: 2})
+	if h.outbox[1] != nil {
+		t.Fatal("the host has an outbox to itself")
+	}
+	for p, q := range h.outbox {
+		if q != nil && q.len() != 0 {
+			t.Fatalf("outbox of peer %d holds %d envelopes, want 0", p, q.len())
+		}
+	}
+	if got := h.selfQ.len(); got != 0 {
+		t.Fatalf("self queue holds %d envelopes, want 0", got)
+	}
+}

@@ -40,6 +40,13 @@
 // writer goroutine drains that peer's outbox into batched frames, one
 // Write syscall per frame regardless of how many messages it carries.
 //
+// Each outbox alternates two arrays: a drain hands its caller the queue
+// and installs, cleared, the batch that caller drained the time before,
+// so the writer (and the node loop, for self-sends) queue and drain
+// without allocating in steady state. A message is immutable once pushed
+// (the sim.Message contract): it may sit in a queue, or be read by a
+// writer, long after the node has moved on.
+//
 // # Bounded outboxes and backpressure
 //
 // Per-peer outboxes are bounded (HostConfig.OutboxLimit, default
@@ -264,11 +271,16 @@ func (q *outbox) signal() {
 	}
 }
 
-// drain takes the whole queue and wakes any sender blocked on the bound.
-func (q *outbox) drain() []envelope {
+// drain takes the whole queue, installs spare — the batch the caller
+// drained last time and is done with — as the new, empty queue, and wakes
+// any sender blocked on the bound. Clearing spare drops its message
+// references, so a written message is not kept alive by the buffer; a
+// caller that alternates the two arrays drains without allocating.
+func (q *outbox) drain(spare []envelope) []envelope {
+	clear(spare)
 	q.mu.Lock()
 	out := q.items
-	q.items = nil
+	q.items = spare[:0]
 	q.mu.Unlock()
 	q.cond.Broadcast()
 	return out
@@ -343,10 +355,13 @@ type Host struct {
 	// dialing holds the peers a Connect is in flight to, so a second
 	// Connect to the same peer is refused before it reaches the network.
 	dialing types.Set
-	outbox  map[types.ProcessID]*outbox
 	rng     *rand.Rand
 	started bool
 	closed  bool
+
+	// outbox holds one outbox per peer, indexed by peer, nil at self. It is
+	// fixed at construction, so Send reads it without h.mu.
+	outbox []*outbox
 
 	stats     []peerCounters
 	recvMsgs  atomic.Uint64
@@ -357,10 +372,20 @@ type Host struct {
 	// inbox: the node loop itself produces these, and blocking on its own
 	// bounded inbox would deadlock the loop.
 	selfQ *outbox
-	calls chan func()
+	calls chan call
 	done  chan struct{}
 	wg    sync.WaitGroup
 }
+
+// call is one Inspect request: the loop runs fn, then signals done.
+type call struct {
+	fn   func()
+	done chan struct{}
+}
+
+// donePool recycles Inspect's completion channels. Each has capacity 1,
+// so the loop's signal never blocks, and is empty when it is put back.
+var donePool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 
 // NewHost creates a host with default limits; see NewHostConfig for the
 // full set of knobs. Call Addr to learn the bound address, Connect to
@@ -390,20 +415,20 @@ func NewHostConfig(cfg HostConfig) (*Host, error) {
 		listener: l,
 		conns:    map[types.ProcessID]connRec{},
 		dialing:  types.NewSet(cfg.N),
-		outbox:   map[types.ProcessID]*outbox{},
+		outbox:   make([]*outbox, cfg.N),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		stats:    make([]peerCounters, cfg.N),
 		inbox:    make(chan envelope, 1024),
 		selfQ:    newOutbox(0),
-		calls:    make(chan func()),
+		calls:    make(chan call),
 		done:     make(chan struct{}),
 	}
 	// Outboxes exist for every peer up front: messages sent before the
 	// connection is wired are queued and flushed once it attaches, so the
 	// "reliable links" assumption holds from the first Init broadcast.
-	for p := 0; p < cfg.N; p++ {
+	for p := range h.outbox {
 		if types.ProcessID(p) != cfg.Self {
-			h.outbox[types.ProcessID(p)] = newOutbox(limit)
+			h.outbox[p] = newOutbox(limit)
 		}
 	}
 	h.wg.Add(1)
@@ -613,8 +638,9 @@ func (h *Host) writer(peer types.ProcessID, rec connRec, q *outbox) {
 	defer h.dropConn(peer, rec)
 	st := &h.stats[peer]
 	var payload, frame []byte
+	var batch []envelope
 	for {
-		batch := q.drain()
+		batch = q.drain(batch)
 		if len(batch) > 0 {
 			var ok bool
 			payload, frame, ok = h.writeBatch(rec.c, st, q, batch, payload, frame)
@@ -765,9 +791,12 @@ func (h *Host) Start() {
 		defer h.wg.Done()
 		env := hostEnv{h: h}
 		h.node.Init(env)
+		var self []envelope
 		for {
-			// Self-sends first; Receive may have produced more.
-			for _, e := range h.selfQ.drain() {
+			// Self-sends first; Receive may have produced more, which
+			// go to the other array.
+			self = h.selfQ.drain(self)
+			for _, e := range self {
 				h.node.Receive(env, e.From, e.Msg)
 			}
 			select {
@@ -776,22 +805,25 @@ func (h *Host) Start() {
 			case e := <-h.inbox:
 				h.node.Receive(env, e.From, e.Msg)
 			case <-h.selfQ.wake:
-			case fn := <-h.calls:
-				fn()
+			case c := <-h.calls:
+				c.fn()
+				c.done <- struct{}{}
 			}
 		}
 	}()
 }
 
 // Inspect runs fn on the node goroutine, giving tests race-free access to
-// node state. It blocks until fn completes (or the host is closed).
+// node state. It blocks until fn completes (or the host is closed) and
+// allocates nothing itself.
 func (h *Host) Inspect(fn func()) {
-	done := make(chan struct{})
+	done := donePool.Get().(chan struct{})
 	select {
-	case h.calls <- func() { fn(); close(done) }:
+	case h.calls <- call{fn: fn, done: done}:
 		<-done
 	case <-h.done:
 	}
+	donePool.Put(done)
 }
 
 // Close shuts the host down, unblocks any sender stuck in outbox
@@ -809,7 +841,9 @@ func (h *Host) Close() {
 		_ = rec.c.Close()
 	}
 	for _, q := range h.outbox {
-		q.close()
+		if q != nil {
+			q.close()
+		}
 	}
 	h.selfQ.close()
 	h.mu.Unlock()
@@ -845,14 +879,10 @@ func (e hostEnv) Send(to types.ProcessID, msg sim.Message) {
 		e.h.selfQ.push(envelope{From: e.h.self, Msg: msg})
 		return
 	}
-	h := e.h
-	h.mu.Lock()
-	q := h.outbox[to]
-	h.mu.Unlock()
-	if q == nil {
+	if to < 0 || int(to) >= len(e.h.outbox) {
 		return // unknown peer
 	}
-	q.push(envelope{From: e.h.self, Msg: msg})
+	e.h.outbox[to].push(envelope{From: e.h.self, Msg: msg})
 }
 
 func (e hostEnv) Broadcast(msg sim.Message) {
