@@ -13,7 +13,9 @@
 //     control-flow (the gather's DISTRIBUTE_T gating): receivers ACK
 //     round-2 vertices, a quorum of ACKs triggers READY, a quorum of
 //     READYs triggers CONFIRM, a kernel of CONFIRMs amplifies CONFIRM, and
-//     a quorum of CONFIRMs finally opens the gate (tReady).
+//     a quorum of CONFIRMs finally opens the gate. Each wave runs one
+//     gather.Gate, the single implementation of Algorithm 3's lines 51–59,
+//     which the standalone gather runs too.
 //   - Commit rule: a wave's coin-elected leader vertex commits if the
 //     round-4 vertices of some process's quorum all have strong paths to
 //     it.
@@ -43,6 +45,7 @@ package core
 import (
 	"repro/internal/coin"
 	"repro/internal/dag"
+	"repro/internal/gather"
 	"repro/internal/quorum"
 	"repro/internal/rider"
 	"repro/internal/sim"
@@ -111,27 +114,18 @@ type Config struct {
 	CommitSink func(rider.CommitEvent)
 }
 
-// waveCtl is the per-wave gather control state. The tallies are
-// incremental quorum trackers: each control message updates residual
-// counts and the ACK/READY/CONFIRM triggers read in O(1).
-type waveCtl struct {
-	acks     *quorum.Tracker
-	readies  *quorum.Tracker
-	confirms *quorum.Tracker
-
-	sentReady   bool
-	sentConfirm bool
-	tReady      bool
-}
-
 // Node is one process running the asymmetric DAG-based consensus: the
 // DAG-Rider skeleton of rider.Base under the Config's quorum assumption,
 // plus the gather control flow, the revealed coin and garbage collection.
 type Node struct {
 	rider.Base
-	cfg   Config
-	self  types.ProcessID
-	waves map[int]*waveCtl
+	cfg  Config
+	self types.ProcessID
+
+	// waves holds each live wave's ACK/READY/CONFIRM gate; dropped is the
+	// highest wave whose gate Propose deleted (0 before any).
+	waves   map[int]*gather.Gate
+	dropped int
 
 	// acked tracks which round-2 vertices were already acknowledged, so
 	// buffered vertices are not ACKed twice.
@@ -149,7 +143,7 @@ var _ sim.Node = (*Node)(nil)
 func NewNode(cfg Config) *Node {
 	return &Node{
 		cfg:         cfg,
-		waves:       map[int]*waveCtl{},
+		waves:       map[int]*gather.Gate{},
 		acked:       map[dag.VertexRef]bool{},
 		pendingCoin: map[int]bool{},
 	}
@@ -170,45 +164,45 @@ func (n *Node) Init(env sim.Env) {
 	}, rules{n})
 }
 
-func (n *Node) wave(w int) *waveCtl {
-	c, ok := n.waves[w]
-	if !ok {
-		c = &waveCtl{
-			acks:     quorum.NewTracker(n.cfg.Trust, n.self),
-			readies:  quorum.NewTracker(n.cfg.Trust, n.self),
-			confirms: quorum.NewTracker(n.cfg.Trust, n.self),
-		}
-		n.waves[w] = c
+// gate returns wave w's gate, creating it on first use, or nil when w is
+// at or below the dropped wave, whose late control traffic is ignored
+// rather than re-creating its gate (which would send READY or CONFIRM a
+// second time and never be deleted again).
+//
+// Ignoring it is safe: Propose drops wave w only after this process left
+// w's round 2, so w's gate had opened. Opening took CONFIRMs from a
+// quorum, which contains a kernel, so this process had already broadcast
+// its CONFIRM. The correct members of that quorum broadcast theirs too,
+// and they form a kernel for every guild member: each of them amplifies
+// to CONFIRM without any late READY or CONFIRM from this process.
+func (n *Node) gate(w int) *gather.Gate {
+	if w <= n.dropped {
+		return nil
 	}
-	return c
+	g, ok := n.waves[w]
+	if !ok {
+		g = gather.NewGate(n.cfg.Trust, n.self)
+		n.waves[w] = g
+	}
+	return g
 }
 
 // Receive implements sim.Node.
 func (n *Node) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
 	switch m := msg.(type) {
 	case ackMsg:
-		c := n.wave(m.Wave)
-		c.acks.Add(from)
-		if !c.sentReady && c.acks.HasQuorum() {
-			c.sentReady = true
+		if g := n.gate(m.Wave); g != nil && g.Ack(from) {
 			env.Broadcast(readyMsg{Wave: m.Wave})
 		}
 	case readyMsg:
-		c := n.wave(m.Wave)
-		c.readies.Add(from)
-		if !c.sentConfirm && c.readies.HasQuorum() {
-			c.sentConfirm = true
+		if g := n.gate(m.Wave); g != nil && g.Ready(from) {
 			env.Broadcast(confirmMsg{Wave: m.Wave})
 		}
 	case confirmMsg:
-		c := n.wave(m.Wave)
-		c.confirms.Add(from)
-		if !c.sentConfirm && c.confirms.HasKernel() {
-			c.sentConfirm = true
-			env.Broadcast(confirmMsg{Wave: m.Wave})
-		}
-		if !c.tReady && c.confirms.HasQuorum() {
-			c.tReady = true
+		if g := n.gate(m.Wave); g != nil {
+			if confirm, _ := g.Confirm(from); confirm {
+				env.Broadcast(confirmMsg{Wave: m.Wave})
+			}
 		}
 	case coin.ShareMsg:
 		if n.shared == nil {
@@ -263,10 +257,10 @@ func (n rules) Inserted(env sim.Env, v *dag.Vertex) {
 	env.Send(v.Source, ackMsg{Wave: rider.RoundWave(v.Round)})
 }
 
-// Advance is the round 2→3 gate: the wave's CONFIRM quorum must have been
-// seen.
+// Advance is the round 2→3 gate: the wave's gate must have opened. The
+// current round's wave is never a dropped one.
 func (n rules) Advance(r int) bool {
-	return r%4 != 2 || n.wave(rider.RoundWave(r)).tReady
+	return r%4 != 2 || n.gate(rider.RoundWave(r)).Open()
 }
 
 // WaveDone releases the wave's coin share (the revealed-coin discipline)
@@ -282,8 +276,8 @@ func (n rules) WaveDone(env sim.Env, w int) {
 // than PipelineDepth beyond the last decided one. It can only refuse at a
 // wave boundary, where WaveDone runs on every step, so a stalled node
 // keeps attempting the blocking commit until it lifts. Once the node
-// proposes into a wave, the control state of two waves back is no longer
-// needed and is dropped.
+// proposes into a wave, the gate of two waves back is no longer needed and
+// is dropped.
 func (n rules) Propose(r int) bool {
 	w := rider.RoundWave(r)
 	if n.cfg.PipelineDepth > 0 && w > n.DecidedWave()+n.cfg.PipelineDepth {
@@ -293,6 +287,7 @@ func (n rules) Propose(r int) bool {
 		// Spelled through Node: asymgc credits the prune to the selector's
 		// receiver type.
 		delete(n.Node.waves, w-2)
+		n.Node.dropped = w - 2
 	}
 	return true
 }

@@ -27,13 +27,11 @@ type distUMsg struct {
 type BindingNode struct {
 	inner *ConstantRoundNode
 
+	outcome
 	v        Pairs // union of accepted U sets
 	uFrom    *quorum.Tracker
 	pendingU *pendingPairs
-
-	sentU     bool
-	delivered bool
-	output    Pairs
+	sentU    bool
 }
 
 var _ sim.Node = (*BindingNode)(nil)
@@ -94,18 +92,7 @@ func (n *BindingNode) afterInner(env sim.Env) {
 func (n *BindingNode) acceptU(from types.ProcessID, u Pairs) {
 	n.v.Merge(u)
 	n.uFrom.Add(from)
-	if !n.delivered && n.uFrom.HasQuorum() {
-		n.delivered = true
-		n.output = n.v.Snapshot()
-	}
-}
-
-// Delivered returns the bound output set, if any.
-func (n *BindingNode) Delivered() (Pairs, bool) {
-	if !n.delivered {
-		return Pairs{}, false
-	}
-	return n.output, true
+	n.deliverOnce(n.uFrom, n.v)
 }
 
 // SentS exposes the inner S snapshot for common-core analysis.

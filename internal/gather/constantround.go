@@ -1,7 +1,6 @@
 package gather
 
 import (
-	"repro/internal/broadcast"
 	"repro/internal/quorum"
 	"repro/internal/sim"
 	"repro/internal/types"
@@ -23,12 +22,10 @@ type confirmMsg struct{}
 //	line 48–50: on [DISTRIBUTE_S, S_j] with S_j ⊆ S and ¬sentT:
 //	            T ∪= S_j and ACK the sender. (Arrivals whose components
 //	            have not all been arb-delivered yet are buffered.)
-//	line 51–52: on ACKs from a quorum, send READY to all.
-//	line 53–54: on READY from a quorum, send CONFIRM to all.
-//	line 55–56: on CONFIRM from a kernel, send CONFIRM to all (Bracha
-//	            amplification).
-//	line 57–59: on CONFIRM from a quorum, send [DISTRIBUTE_T, T] and stop
-//	            acknowledging.
+//	line 51–59: the ACK/READY/CONFIRM control flow, run by a Gate — its
+//	            single implementation, which every consensus wave of
+//	            internal/core runs too. When the gate opens, send
+//	            [DISTRIBUTE_T, T] and stop acknowledging.
 //	line 60–61: on [DISTRIBUTE_T, T_j] with T_j ⊆ S: U ∪= T_j.
 //	line 62–63: once accepted DISTRIBUTE_T messages cover a quorum,
 //	            ag-deliver(U).
@@ -43,32 +40,19 @@ type confirmMsg struct{}
 // them (pendingPairs), so each message is processed in amortized O(words)
 // instead of re-scanning quorums and pending buffers.
 type ConstantRoundNode struct {
-	cfg  Config
-	self types.ProcessID
+	collector
+	outcome
 
-	bc broadcast.Broadcaster
+	t Pairs
+	u Pairs
 
-	s        Pairs
-	sSenders *quorum.Tracker
-	t        Pairs
-	u        Pairs
-
-	acks     *quorum.Tracker
-	readies  *quorum.Tracker
-	confirms *quorum.Tracker
-	tFrom    *quorum.Tracker
+	// gate runs lines 51–59; once it is open, T was distributed (the
+	// pseudocode's sentT).
+	gate  *Gate
+	tFrom *quorum.Tracker
 
 	pendingS *pendingPairs
 	pendingT *pendingPairs
-
-	sentS       bool
-	sentReady   bool
-	sentConfirm bool
-	sentT       bool
-	delivered   bool
-
-	sSnapshot Pairs
-	output    Pairs
 
 	// inputHook, when set, observes every accepted arb-delivery (used by
 	// BindingNode to unblock its own buffered U sets).
@@ -82,47 +66,26 @@ var _ sim.Node = (*ConstantRoundNode)(nil)
 func NewConstantRoundNode(cfg Config) *ConstantRoundNode {
 	n := cfg.Trust.N()
 	return &ConstantRoundNode{
-		cfg:      cfg,
-		s:        NewPairs(n),
-		t:        NewPairs(n),
-		u:        NewPairs(n),
-		pendingS: newPendingPairs(),
-		pendingT: newPendingPairs(),
+		collector: newCollector(cfg),
+		t:         NewPairs(n),
+		u:         NewPairs(n),
+		pendingS:  newPendingPairs(),
+		pendingT:  newPendingPairs(),
 	}
 }
 
 // Init implements sim.Node: ag-propose(input).
 func (n *ConstantRoundNode) Init(env sim.Env) {
-	n.self = env.Self()
-	n.sSenders = quorum.NewTracker(n.cfg.Trust, n.self)
-	n.acks = quorum.NewTracker(n.cfg.Trust, n.self)
-	n.readies = quorum.NewTracker(n.cfg.Trust, n.self)
-	n.confirms = quorum.NewTracker(n.cfg.Trust, n.self)
-	n.tFrom = quorum.NewTracker(n.cfg.Trust, n.self)
-	deliver := func(env sim.Env, slot broadcast.Slot, p broadcast.Payload) {
-		n.onInput(env, slot.Src, string(p.(broadcast.Bytes)))
-	}
-	if n.cfg.Mode == UsePlain {
-		n.bc = broadcast.NewPlain(n.self, deliver)
-	} else {
-		n.bc = broadcast.NewReliable(n.self, n.cfg.Trust, deliver)
-	}
-	n.bc.Broadcast(env, 0, broadcast.Bytes(n.cfg.Input))
+	n.gate = NewGate(n.cfg.Trust, env.Self())
+	n.tFrom = quorum.NewTracker(n.cfg.Trust, env.Self())
+	n.start(env, n.onInput)
 }
 
+// onInput runs after each arb-delivery enters S.
 func (n *ConstantRoundNode) onInput(env sim.Env, src types.ProcessID, value string) {
-	if !n.s.Set(src, value) {
-		return
-	}
-	n.sSenders.Add(src)
-	if !n.sentS && n.sSenders.HasQuorum() {
-		n.sentS = true
-		n.sSnapshot = n.s.Snapshot()
-		env.Broadcast(distSMsg{From: n.self, S: n.sSnapshot})
-	}
 	// Wake exactly the buffered DISTRIBUTE sets waiting on this delivery.
 	for _, e := range n.pendingS.deliver(src, value) {
-		if !n.sentT {
+		if !n.gate.Open() {
 			n.acceptS(env, e.from, e.pairs)
 		}
 	}
@@ -142,10 +105,7 @@ func (n *ConstantRoundNode) acceptS(env sim.Env, from types.ProcessID, s Pairs) 
 func (n *ConstantRoundNode) acceptT(env sim.Env, from types.ProcessID, t Pairs) {
 	n.u.Merge(t)
 	n.tFrom.Add(from)
-	if !n.delivered && n.tFrom.HasQuorum() {
-		n.delivered = true
-		n.output = n.u.Snapshot()
-	}
+	n.deliverOnce(n.tFrom, n.u)
 }
 
 // Receive implements sim.Node.
@@ -158,32 +118,26 @@ func (n *ConstantRoundNode) Receive(env sim.Env, from types.ProcessID, msg sim.M
 		if m.From != from || !m.S.wireValid(env.N()) {
 			return
 		}
-		if n.sentT {
+		if n.gate.Open() {
 			return // line 48: no ACK once T was distributed
 		}
 		if n.pendingS.add(n.s, from, m.S) {
 			n.acceptS(env, from, m.S)
 		}
 	case ackMsg:
-		n.acks.Add(from)
-		if !n.sentReady && n.acks.HasQuorum() {
-			n.sentReady = true
+		if n.gate.Ack(from) {
 			env.Broadcast(readyMsg{})
 		}
 	case readyMsg:
-		n.readies.Add(from)
-		if !n.sentConfirm && n.readies.HasQuorum() {
-			n.sentConfirm = true
+		if n.gate.Ready(from) {
 			env.Broadcast(confirmMsg{})
 		}
 	case confirmMsg:
-		n.confirms.Add(from)
-		if !n.sentConfirm && n.confirms.HasKernel() {
-			n.sentConfirm = true
+		confirm, opened := n.gate.Confirm(from)
+		if confirm {
 			env.Broadcast(confirmMsg{})
 		}
-		if !n.sentT && n.confirms.HasQuorum() {
-			n.sentT = true
+		if opened {
 			n.pendingS.clear() // stop acknowledging
 			env.Broadcast(distTMsg{From: n.self, T: n.t.Snapshot()})
 		}
@@ -196,14 +150,3 @@ func (n *ConstantRoundNode) Receive(env sim.Env, from types.ProcessID, msg sim.M
 		}
 	}
 }
-
-// Delivered returns the ag-delivered set, if any.
-func (n *ConstantRoundNode) Delivered() (Pairs, bool) {
-	if !n.delivered {
-		return Pairs{}, false
-	}
-	return n.output, true
-}
-
-// SentS returns the S snapshot this node distributed (zero until sent).
-func (n *ConstantRoundNode) SentS() Pairs { return n.sSnapshot }

@@ -9,7 +9,8 @@
 //     baseline and as the vehicle for reproducing that counterexample.
 //   - ConstantRound: the paper's novel constant-round asymmetric gather
 //     (Algorithm 3) with DISTRIBUTE_S / ACK / READY / CONFIRM /
-//     DISTRIBUTE_T control flow.
+//     DISTRIBUTE_T control flow. Its ACK/READY/CONFIRM rules (lines
+//     51–59) are Gate, which internal/core's consensus waves run too.
 //   - Abstract round-merge model: the pure-set-algebra execution of
 //     Listing 1, used to regenerate Figures 2–4 exactly.
 //

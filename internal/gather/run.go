@@ -96,23 +96,23 @@ func RunCluster(cfg RunConfig) RunResult {
 		HitLimit:   limit > 0 && r.Pending() > 0,
 	}
 	for i, nd := range nodes {
+		g, ok := nd.(gatherNode)
+		if !ok {
+			continue // a faulty behaviour
+		}
 		p := types.ProcessID(i)
-		switch g := nd.(type) {
-		case *ThreeRoundNode:
-			if out, ok := g.Delivered(); ok {
-				res.Outputs[p] = out
-			}
-			if s := g.SentS(); !s.IsZero() {
-				res.SSnapshots[p] = s
-			}
-		case *ConstantRoundNode:
-			if out, ok := g.Delivered(); ok {
-				res.Outputs[p] = out
-			}
-			if s := g.SentS(); !s.IsZero() {
-				res.SSnapshots[p] = s
-			}
+		if out, ok := g.Delivered(); ok {
+			res.Outputs[p] = out
+		}
+		if s := g.SentS(); !s.IsZero() {
+			res.SSnapshots[p] = s
 		}
 	}
 	return res
+}
+
+// gatherNode is what RunCluster reads off a gather protocol's node.
+type gatherNode interface {
+	Delivered() (Pairs, bool)
+	SentS() Pairs
 }

@@ -27,6 +27,87 @@ type Config struct {
 	Mode  Dissemination
 }
 
+// collector is the round every gather here starts with (Algorithm 3
+// lines 42–47): broadcast the input on the layer cfg.Mode selects,
+// accumulate the delivered inputs in S, and once S contains a quorum send
+// [DISTRIBUTE_S, S] to all.
+type collector struct {
+	cfg  Config
+	self types.ProcessID
+	bc   broadcast.Broadcaster
+
+	s         Pairs           // delivered (process, value) pairs
+	sSenders  *quorum.Tracker // processes whose input was delivered
+	sentS     bool
+	sSnapshot Pairs // the S set this node sent (for common-core analysis)
+}
+
+func newCollector(cfg Config) collector {
+	return collector{cfg: cfg, s: NewPairs(cfg.Trust.N())}
+}
+
+// start broadcasts the input. onInput, when non-nil, runs after each
+// delivered input enters S; the node routes its traffic through bc.Handle.
+func (c *collector) start(env sim.Env, onInput func(sim.Env, types.ProcessID, string)) {
+	c.self = env.Self()
+	c.sSenders = quorum.NewTracker(c.cfg.Trust, c.self)
+	deliver := func(env sim.Env, slot broadcast.Slot, p broadcast.Payload) {
+		src, value := slot.Src, string(p.(broadcast.Bytes))
+		if c.collect(env, src, value) && onInput != nil {
+			onInput(env, src, value)
+		}
+	}
+	if c.cfg.Mode == UsePlain {
+		c.bc = broadcast.NewPlain(c.self, deliver)
+	} else {
+		c.bc = broadcast.NewReliable(c.self, c.cfg.Trust, deliver)
+	}
+	c.bc.Broadcast(env, 0, broadcast.Bytes(c.cfg.Input))
+}
+
+// collect adds a delivered input to S and sends DISTRIBUTE_S once S
+// contains a quorum. It reports false for a value conflicting with S,
+// which reliable broadcast makes unreachable.
+func (c *collector) collect(env sim.Env, src types.ProcessID, value string) bool {
+	if !c.s.Set(src, value) {
+		return false
+	}
+	c.sSenders.Add(src)
+	if !c.sentS && c.sSenders.HasQuorum() {
+		c.sentS = true
+		c.sSnapshot = c.s.Snapshot()
+		env.Broadcast(distSMsg{From: c.self, S: c.sSnapshot})
+	}
+	return true
+}
+
+// SentS returns the S snapshot this node distributed (zero until sent);
+// the common core, when it exists, is one of these snapshots.
+func (c *collector) SentS() Pairs { return c.sSnapshot }
+
+// outcome is a gather's delivered set, fixed once.
+type outcome struct {
+	delivered bool
+	output    Pairs
+}
+
+// deliverOnce delivers a snapshot of u the first time from, the senders
+// whose sets u accumulated, contains a quorum.
+func (o *outcome) deliverOnce(from *quorum.Tracker, u Pairs) {
+	if !o.delivered && from.HasQuorum() {
+		o.delivered = true
+		o.output = u.Snapshot()
+	}
+}
+
+// Delivered returns the delivered set, if any.
+func (o *outcome) Delivered() (Pairs, bool) {
+	if !o.delivered {
+		return Pairs{}, false
+	}
+	return o.output, true
+}
+
 // Message types shared by the gather protocols.
 
 type distSMsg struct {
@@ -52,26 +133,21 @@ type distTMsg struct {
 // With quorum.Threshold this is exactly the threshold gather of Abraham et
 // al. (Algorithm 1, triggers "received n−f messages"); with an asymmetric
 // System it is the unsound quorum-replacement attempt (Algorithm 2).
+//
+// T and U grow only from DISTRIBUTE messages (Algorithm 1 lines 11–17);
+// the local S reaches T via self-delivery of this node's own DISTRIBUTE_S.
+// Keeping this exact matches the abstract execution of Listing 1
+// set-for-set.
 type ThreeRoundNode struct {
-	cfg  Config
-	self types.ProcessID
+	collector
+	outcome
 
-	bc broadcast.Broadcaster
-
-	s Pairs // arb-delivered (process, value) pairs
 	t Pairs
 	u Pairs
 
-	sSenders *quorum.Tracker // processes whose input has been arb-delivered
-	sFrom    *quorum.Tracker // processes whose DISTRIBUTE_S arrived
-	tFrom    *quorum.Tracker // processes whose DISTRIBUTE_T arrived
-
-	sentS     bool
-	sentT     bool
-	delivered bool
-
-	sSnapshot Pairs // the S set this node sent (for common-core analysis)
-	output    Pairs
+	sFrom *quorum.Tracker // processes whose DISTRIBUTE_S arrived
+	tFrom *quorum.Tracker // processes whose DISTRIBUTE_T arrived
+	sentT bool
 }
 
 var _ sim.Node = (*ThreeRoundNode)(nil)
@@ -79,45 +155,14 @@ var _ sim.Node = (*ThreeRoundNode)(nil)
 // NewThreeRoundNode creates a gather node; the protocol starts at Init.
 func NewThreeRoundNode(cfg Config) *ThreeRoundNode {
 	n := cfg.Trust.N()
-	return &ThreeRoundNode{cfg: cfg, s: NewPairs(n), t: NewPairs(n), u: NewPairs(n)}
+	return &ThreeRoundNode{collector: newCollector(cfg), t: NewPairs(n), u: NewPairs(n)}
 }
 
 // Init implements sim.Node: it g-proposes the configured input.
 func (n *ThreeRoundNode) Init(env sim.Env) {
-	n.self = env.Self()
-	n.sSenders = quorum.NewTracker(n.cfg.Trust, n.self)
-	n.sFrom = quorum.NewTracker(n.cfg.Trust, n.self)
-	n.tFrom = quorum.NewTracker(n.cfg.Trust, n.self)
-	deliver := func(env sim.Env, slot broadcast.Slot, p broadcast.Payload) {
-		n.onInput(env, slot.Src, string(p.(broadcast.Bytes)))
-	}
-	if n.cfg.Mode == UsePlain {
-		n.bc = broadcast.NewPlain(n.self, deliver)
-	} else {
-		n.bc = broadcast.NewReliable(n.self, n.cfg.Trust, deliver)
-	}
-	n.bc.Broadcast(env, 0, broadcast.Bytes(n.cfg.Input))
-}
-
-func (n *ThreeRoundNode) onInput(env sim.Env, src types.ProcessID, value string) {
-	if !n.s.Set(src, value) {
-		return // conflicting value; reliable broadcast makes this unreachable
-	}
-	n.sSenders.Add(src)
-	// Note: T and U grow only from DISTRIBUTE messages (Algorithm 1
-	// lines 11–17); the local S reaches T via self-delivery of this
-	// node's own DISTRIBUTE_S. Keeping this exact matches the abstract
-	// execution of Listing 1 set-for-set.
-	n.maybeSendS(env)
-}
-
-func (n *ThreeRoundNode) maybeSendS(env sim.Env) {
-	if n.sentS || !n.sSenders.HasQuorum() {
-		return
-	}
-	n.sentS = true
-	n.sSnapshot = n.s.Snapshot()
-	env.Broadcast(distSMsg{From: n.self, S: n.sSnapshot})
+	n.sFrom = quorum.NewTracker(n.cfg.Trust, env.Self())
+	n.tFrom = quorum.NewTracker(n.cfg.Trust, env.Self())
+	n.start(env, nil)
 }
 
 // Receive implements sim.Node.
@@ -134,44 +179,19 @@ func (n *ThreeRoundNode) Receive(env sim.Env, from types.ProcessID, msg sim.Mess
 		// accumulates DISTRIBUTE_T contents exclusively, line 15–16).
 		n.t.Merge(m.S)
 		n.sFrom.Add(from)
-		n.maybeSendT(env)
+		if !n.sentT && n.sFrom.HasQuorum() {
+			n.sentT = true
+			env.Broadcast(distTMsg{From: n.self, T: n.t.Snapshot()})
+		}
 	case distTMsg:
 		if m.From != from || !m.T.wireValid(env.N()) {
 			return
 		}
 		n.u.Merge(m.T)
 		n.tFrom.Add(from)
-		n.maybeDeliver(env)
+		n.deliverOnce(n.tFrom, n.u)
 	}
 }
-
-func (n *ThreeRoundNode) maybeSendT(env sim.Env) {
-	if n.sentT || !n.sFrom.HasQuorum() {
-		return
-	}
-	n.sentT = true
-	env.Broadcast(distTMsg{From: n.self, T: n.t.Snapshot()})
-}
-
-func (n *ThreeRoundNode) maybeDeliver(env sim.Env) {
-	if n.delivered || !n.tFrom.HasQuorum() {
-		return
-	}
-	n.delivered = true
-	n.output = n.u.Snapshot()
-}
-
-// Delivered returns the g-delivered set, if any.
-func (n *ThreeRoundNode) Delivered() (Pairs, bool) {
-	if !n.delivered {
-		return Pairs{}, false
-	}
-	return n.output, true
-}
-
-// SentS returns the S snapshot this node distributed (zero until sent);
-// the common core, when it exists, is one of these snapshots.
-func (n *ThreeRoundNode) SentS() Pairs { return n.sSnapshot }
 
 // AnalyzeCommonCore checks the common-core property over a set of
 // processes (typically the maximal guild): it returns the processes j in

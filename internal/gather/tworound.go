@@ -1,7 +1,6 @@
 package gather
 
 import (
-	"repro/internal/broadcast"
 	"repro/internal/quorum"
 	"repro/internal/sim"
 	"repro/internal/types"
@@ -21,57 +20,24 @@ import (
 // counterexample defeats this primitive as well — reproduced by
 // TestTuskTwoRoundCounterexample.
 type TwoRoundNode struct {
-	cfg  Config
-	self types.ProcessID
+	collector
+	outcome
 
-	bc broadcast.Broadcaster
-
-	s        Pairs
-	sSenders *quorum.Tracker
-	u        Pairs
-	sFrom    *quorum.Tracker
-
-	sentS     bool
-	delivered bool
-
-	sSnapshot Pairs
-	output    Pairs
+	u     Pairs
+	sFrom *quorum.Tracker
 }
 
 var _ sim.Node = (*TwoRoundNode)(nil)
 
 // NewTwoRoundNode creates a two-round gather node.
 func NewTwoRoundNode(cfg Config) *TwoRoundNode {
-	n := cfg.Trust.N()
-	return &TwoRoundNode{cfg: cfg, s: NewPairs(n), u: NewPairs(n)}
+	return &TwoRoundNode{collector: newCollector(cfg), u: NewPairs(cfg.Trust.N())}
 }
 
 // Init implements sim.Node.
 func (n *TwoRoundNode) Init(env sim.Env) {
-	n.self = env.Self()
-	n.sSenders = quorum.NewTracker(n.cfg.Trust, n.self)
-	n.sFrom = quorum.NewTracker(n.cfg.Trust, n.self)
-	deliver := func(env sim.Env, slot broadcast.Slot, p broadcast.Payload) {
-		n.onInput(env, slot.Src, string(p.(broadcast.Bytes)))
-	}
-	if n.cfg.Mode == UsePlain {
-		n.bc = broadcast.NewPlain(n.self, deliver)
-	} else {
-		n.bc = broadcast.NewReliable(n.self, n.cfg.Trust, deliver)
-	}
-	n.bc.Broadcast(env, 0, broadcast.Bytes(n.cfg.Input))
-}
-
-func (n *TwoRoundNode) onInput(env sim.Env, src types.ProcessID, value string) {
-	if !n.s.Set(src, value) {
-		return
-	}
-	n.sSenders.Add(src)
-	if !n.sentS && n.sSenders.HasQuorum() {
-		n.sentS = true
-		n.sSnapshot = n.s.Snapshot()
-		env.Broadcast(distSMsg{From: n.self, S: n.sSnapshot})
-	}
+	n.sFrom = quorum.NewTracker(n.cfg.Trust, env.Self())
+	n.start(env, nil)
 }
 
 // Receive implements sim.Node.
@@ -85,22 +51,8 @@ func (n *TwoRoundNode) Receive(env sim.Env, from types.ProcessID, msg sim.Messag
 	}
 	n.u.Merge(m.S)
 	n.sFrom.Add(from)
-	if !n.delivered && n.sFrom.HasQuorum() {
-		n.delivered = true
-		n.output = n.u.Snapshot()
-	}
+	n.deliverOnce(n.sFrom, n.u)
 }
-
-// Delivered returns the delivered set, if any.
-func (n *TwoRoundNode) Delivered() (Pairs, bool) {
-	if !n.delivered {
-		return Pairs{}, false
-	}
-	return n.output, true
-}
-
-// SentS returns the S snapshot this node distributed (zero until sent).
-func (n *TwoRoundNode) SentS() Pairs { return n.sSnapshot }
 
 // TuskCommonCoreElements computes, for the two-round primitive, the set of
 // individual inputs (not whole S sets) present in every delivered output —

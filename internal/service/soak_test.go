@@ -29,8 +29,8 @@ func soakWaves() int {
 // scenario for many times the old batch-run wave budget and asserts the
 // GC-bounded live counters are flat: the peak over the second half of the
 // snapshot trail must not exceed the post-warm-up first-half peak. Counters
-// (live DAG vertices, broadcast slots, pending pairs), not wall-clock or
-// heap readings, so the assertion is deterministic.
+// (live DAG vertices, broadcast slots, pending pairs, wave gates), not
+// wall-clock or heap readings, so the assertion is deterministic.
 func TestServiceBoundedMemorySoak(t *testing.T) {
 	waves := soakWaves()
 	def, ok := scenario.Find("rolling-churn")
@@ -77,6 +77,7 @@ func TestServiceBoundedMemorySoak(t *testing.T) {
 		checkFlat("broadcast slots", firstPeak.BroadcastSlots, secondPeak.BroadcastSlots)
 		checkFlat("pending pairs", firstPeak.PendingPairs, secondPeak.PendingPairs)
 		checkFlat("round trackers", firstPeak.RoundTrackers, secondPeak.RoundTrackers)
+		checkFlat("wave gates", firstPeak.WaveCtls, secondPeak.WaveCtls)
 		// The compacted tail is the log-side bound: with compaction on,
 		// the retained tail at any snapshot is 0 by construction, and the
 		// final tail covers at most SnapshotEvery waves of traffic.
@@ -106,6 +107,9 @@ func peakOf(snaps []Snapshot) core.LiveStats {
 		}
 		if l.RoundTrackers > peak.RoundTrackers {
 			peak.RoundTrackers = l.RoundTrackers
+		}
+		if l.WaveCtls > peak.WaveCtls {
+			peak.WaveCtls = l.WaveCtls
 		}
 	}
 	return peak
