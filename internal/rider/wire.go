@@ -7,7 +7,11 @@
 // bounded on decode — vertices arrive from the network, possibly from
 // Byzantine peers — and a count must also fit the bytes that remain: a
 // tx takes at least 1 byte and a ref at least 2, so no count allocates
-// more slots than the frame could fill.
+// more slots than the frame could fill. A block's txs decode through
+// wire.ReadStrings as substrings of one copied string, so a decoded vertex
+// costs a fixed number of allocations whatever its tx count, and none of
+// it aliases the frame buffer the transport reuses. A tx kept past
+// delivery keeps its whole block alive (see service.StateMachine).
 package rider
 
 import (
@@ -120,18 +124,9 @@ func decodeVertexWire(b []byte) (any, []byte, error) {
 	if err != nil {
 		return nil, b, fmt.Errorf("rider: wire vertex block: %w", err)
 	}
-	if txCount > len(rest) {
-		return nil, b, fmt.Errorf("rider: wire vertex block: %w", wire.ErrTruncated)
-	}
-	var block []string
-	if txCount > 0 {
-		block = make([]string, txCount)
-		for i := range block {
-			block[i], rest, err = wire.ReadString(rest)
-			if err != nil {
-				return nil, b, fmt.Errorf("rider: wire vertex tx: %w", err)
-			}
-		}
+	block, rest, err := wire.ReadStrings(rest, txCount)
+	if err != nil {
+		return nil, b, fmt.Errorf("rider: wire vertex block: %w", err)
 	}
 	strong, rest, err := decodeRefsWire(rest)
 	if err != nil {

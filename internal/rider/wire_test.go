@@ -73,6 +73,74 @@ func TestVertexWireRoundTrip(t *testing.T) {
 	}
 }
 
+// blockFrame returns the frame of a vertex with 3 strong edges and txs
+// txs of txLen bytes each.
+func blockFrame(t testing.TB, txs, txLen int) []byte {
+	block := make([]string, txs)
+	for i := range block {
+		block[i] = string(bytes.Repeat([]byte{'a' + byte(i%26)}, txLen))
+	}
+	v := &dag.Vertex{Source: 1, Round: 4, Block: block,
+		StrongEdges: []dag.VertexRef{{Source: 0, Round: 3}, {Source: 1, Round: 3}, {Source: 2, Round: 3}}}
+	enc, err := wire.Marshal(VertexPayload{V: v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// TestVertexDecodeAllocsFlat: decoding a vertex costs the same number of
+// allocations whatever its tx count — the block is one string, not one
+// per tx.
+func TestVertexDecodeAllocsFlat(t *testing.T) {
+	allocs := func(txs int) float64 {
+		enc := blockFrame(t, txs, 8)
+		return testing.AllocsPerRun(100, func() {
+			if _, _, err := wire.Decode(enc); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(64); one != many {
+		t.Fatalf("decoding a 1-tx vertex allocates %.0f objects, a 64-tx vertex %.0f", one, many)
+	}
+}
+
+// TestVertexDecodeCopiesFrame: the transport reuses a frame's buffer for
+// the next frame, so a decoded block must not alias it. Overwriting the
+// frame after the decode leaves the block as it was.
+func TestVertexDecodeCopiesFrame(t *testing.T) {
+	v := &dag.Vertex{Source: 1, Round: 4, Block: []string{"alpha", "", "gamma"},
+		StrongEdges: []dag.VertexRef{{Source: 0, Round: 3}}}
+	enc, err := wire.Marshal(VertexPayload{V: v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _, err := wire.Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range enc {
+		enc[i] = 'z'
+	}
+	if got := msg.(VertexPayload).V.Block; !reflect.DeepEqual(got, v.Block) {
+		t.Fatalf("block %q changed to %q when the frame was overwritten", v.Block, got)
+	}
+}
+
+// BenchmarkDecodeVertexBlock decodes one vertex carrying 32 × 1 KiB txs
+// and 3 strong edges, the block shape of the saturated TCP workload.
+func BenchmarkDecodeVertexBlock(b *testing.B) {
+	enc := blockFrame(b, 32, 1024)
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, err := wire.Decode(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestVertexWireNilNotEncodable pins that a payload without a vertex is
 // not encodable rather than panicking in the writer path.
 func TestVertexWireNilNotEncodable(t *testing.T) {

@@ -10,7 +10,15 @@ import (
 // Snapshot-identical states — because cross-replica byte equality at
 // snapshot points is the service's correctness contract.
 type StateMachine interface {
-	// Apply executes one committed transaction.
+	// Apply executes one committed transaction. A tx decoded off the wire
+	// is a substring of one string holding its whole block (about 32 KiB
+	// in a 32 × 1 KiB block), so a machine that keeps any part of tx keeps
+	// that block alive; copy with strings.Clone what must outlive it.
+	// KV keeps at most one value per key, and a map update replaces the
+	// stored key as well, so it pins only blocks that still hold a live
+	// key's latest set. With 1 KiB commands over loopback TCP at n=10
+	// (2 vCPUs) that cost +2 % peak RSS: median 303 → 309 MiB in eleven
+	// paired runs against one string per tx.
 	Apply(tx string)
 	// Snapshot returns a canonical serialization of the current state.
 	// Equal states must serialize to equal bytes (sort your maps).

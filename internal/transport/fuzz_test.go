@@ -10,7 +10,9 @@ import (
 	// init; FuzzDecodeBatch needs every one of them loaded.
 	_ "repro/internal/broadcast"
 	_ "repro/internal/core"
+	"repro/internal/dag"
 	_ "repro/internal/gather"
+	"repro/internal/rider"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -25,8 +27,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{frameBatch, 0xFF, 0xFF, 0xFF, 0xFF}) // length over the limit
 	f.Add(func() []byte {
 		var buf bytes.Buffer
-		b, _ := writeFrame(&buf, nil, frameBatch, []byte("payload"))
-		_ = b
+		_ = writeFrame(&buf, frameBatch, []byte("payload"))
 		return buf.Bytes()
 	}())
 
@@ -115,6 +116,16 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(seedBatch(broadcastTraffic(f)...))         // SEND, ECHO, READY, fetch and reply of one slot
 	f.Add([]byte{0x05, 1, 2})                        // declared length past the body
 	f.Add(append(seedBatch(FloodMsg{Seq: 4}), 0x7F)) // valid record then garbage
+	// A 64-tx vertex of mixed lengths, every eighth tx empty: the block
+	// decodes into one string.
+	block := make([]string, 64)
+	for i := range block {
+		if i%8 != 0 {
+			block[i] = string(bytes.Repeat([]byte{byte(i)}, i*i%200+1))
+		}
+	}
+	f.Add(seedBatch(rider.VertexPayload{V: &dag.Vertex{Source: 2, Round: 7, Block: block,
+		StrongEdges: []dag.VertexRef{{Source: 0, Round: 6}, {Source: 1, Round: 6}, {Source: 3, Round: 6}}}}))
 
 	// Hostile counts: one record per count field of the registered codecs,
 	// each at its wire.Max* cap with nothing behind it.

@@ -109,6 +109,11 @@ const (
 	// size; a drain larger than that is split across frames, which is
 	// also what gives the re-queue path its "unsent tail" granularity.
 	batchSoftLimit = 256 << 10
+	// maxKeptPayload bounds the read buffer a connection keeps between
+	// frames. An honest writer's frames stay below it unless one message
+	// alone is larger; a peer's maxFramePayload frame is read into a
+	// buffer used once.
+	maxKeptPayload = 2 * batchSoftLimit
 )
 
 // DefaultOutboxLimit is the per-peer outbox bound applied when
@@ -147,20 +152,26 @@ func parseHello(b []byte) (from types.ProcessID, n int, err error) {
 	return types.ProcessID(f), cn, nil
 }
 
-// writeFrame assembles [type][len][payload] in buf and writes it with a
-// single Write. It returns the (reusable) buffer.
-func writeFrame(w io.Writer, buf []byte, typ byte, payload []byte) ([]byte, error) {
-	buf = buf[:0]
+// writeFrame writes [type][len][payload] with a single Write. The writer
+// builds its batch frames in place instead (writeBatch); this is for the
+// hello.
+func writeFrame(w io.Writer, typ byte, payload []byte) error {
+	buf := make([]byte, 0, frameHeaderSize+len(payload))
 	buf = append(buf, typ)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	_, err := w.Write(buf)
-	return buf, err
+	_, err := w.Write(append(buf, payload...))
+	return err
 }
 
-// readFrame reads one frame, reusing payload's backing array when it is
-// large enough. Decoders copy everything they keep, so reuse is safe.
+// readFrame reads one frame, reusing payload — the caller's previous
+// frame, decoded and done with — when it is large enough and at most
+// maxKeptPayload. Decoders copy everything they keep, so reuse is safe.
+// A larger buffer is dropped before the read blocks, so one oversized
+// frame does not stay pinned for the life of the connection.
 func readFrame(r io.Reader, hdr *[frameHeaderSize]byte, payload []byte) (byte, []byte, error) {
+	if cap(payload) > maxKeptPayload {
+		payload = nil
+	}
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, payload, err
 	}
@@ -572,7 +583,7 @@ func (h *Host) Connect(peer types.ProcessID, addr string) error {
 	// The codec is stateless per frame, so the hello is written directly
 	// here, before any writer exists for the connection — it is
 	// guaranteed to be the first bytes on the wire.
-	if _, err := writeFrame(c, nil, frameHello, appendHello(nil, h.self, h.n)); err != nil {
+	if err := writeFrame(c, frameHello, appendHello(nil, h.self, h.n)); err != nil {
 		_ = c.Close()
 		return fmt.Errorf("transport: hello to %v: %w", peer, err)
 	}
@@ -637,13 +648,13 @@ func (h *Host) writer(peer types.ProcessID, rec connRec, q *outbox) {
 	defer h.wg.Done()
 	defer h.dropConn(peer, rec)
 	st := &h.stats[peer]
-	var payload, frame []byte
+	var frame []byte
 	var batch []envelope
 	for {
 		batch = q.drain(batch)
 		if len(batch) > 0 {
 			var ok bool
-			payload, frame, ok = h.writeBatch(rec.c, st, q, batch, payload, frame)
+			frame, ok = h.writeBatch(rec.c, st, q, batch, frame)
 			if !ok {
 				return
 			}
@@ -660,17 +671,19 @@ func (h *Host) writer(peer types.ProcessID, rec connRec, q *outbox) {
 
 // writeBatch encodes batch into one or more frames (each closed once its
 // payload exceeds batchSoftLimit) and writes each with a single Write.
+// Each frame is built in place in the reusable buffer frame, the header
+// first, so the bytes are written without a copy.
 // On a write error it re-queues the envelopes of the failed frame and
 // everything after it — the "unsent tail" — at the front of the outbox
 // and reports false. Unencodable messages are counted and skipped.
 func (h *Host) writeBatch(c net.Conn, st *peerCounters, q *outbox, batch []envelope,
-	payload, frame []byte) ([]byte, []byte, bool) {
+	frame []byte) ([]byte, bool) {
 	i := 0
 	for i < len(batch) {
 		frameStart := i
-		payload = payload[:0]
+		frame = append(frame[:0], frameBatch, 0, 0, 0, 0) // length patched below
 		msgs := 0
-		for i < len(batch) && len(payload) < batchSoftLimit {
+		for i < len(batch) && len(frame)-frameHeaderSize < batchSoftLimit {
 			msg := batch[i].Msg
 			i++
 			sz, ok := wire.EncodedSize(msg)
@@ -678,15 +691,15 @@ func (h *Host) writeBatch(c net.Conn, st *peerCounters, q *outbox, batch []envel
 				st.encodeErrs.Add(1)
 				continue
 			}
-			mark := len(payload)
-			payload = wire.AppendUvarint(payload, uint64(sz))
-			bodyStart := len(payload)
+			mark := len(frame)
+			frame = wire.AppendUvarint(frame, uint64(sz))
+			bodyStart := len(frame)
 			var err error
-			payload, err = wire.Append(payload, msg)
-			if err != nil || len(payload)-bodyStart != sz {
+			frame, err = wire.Append(frame, msg)
+			if err != nil || len(frame)-bodyStart != sz {
 				// Size/Append disagreement would corrupt the stream's
 				// length prefixes; drop the message, keep the frame sane.
-				payload = payload[:mark]
+				frame = frame[:mark]
 				st.encodeErrs.Add(1)
 				continue
 			}
@@ -695,21 +708,20 @@ func (h *Host) writeBatch(c net.Conn, st *peerCounters, q *outbox, batch []envel
 		if msgs == 0 {
 			continue
 		}
-		var err error
-		frame, err = writeFrame(c, frame, frameBatch, payload)
-		if err != nil {
+		binary.BigEndian.PutUint32(frame[1:frameHeaderSize], uint32(len(frame)-frameHeaderSize))
+		if _, err := c.Write(frame); err != nil {
 			st.writeErrs.Add(1)
 			tail := make([]envelope, len(batch)-frameStart)
 			copy(tail, batch[frameStart:])
 			st.requeued.Add(uint64(len(tail)))
 			q.requeue(tail)
-			return payload, frame, false
+			return frame, false
 		}
 		st.frames.Add(1)
 		st.msgs.Add(uint64(msgs))
-		st.bytes.Add(uint64(len(payload) + frameHeaderSize))
+		st.bytes.Add(uint64(len(frame)))
 	}
-	return payload, frame, true
+	return frame, true
 }
 
 // readLoop decodes batch frames into the inbox until the connection dies

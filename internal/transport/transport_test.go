@@ -116,6 +116,15 @@ func TestConsensusOverTCP(t *testing.T) {
 			}
 		}
 	}
+	// Once the rounds are done and traffic drains, every byte a writer
+	// counted as sent, frame headers included, a reader counted as received.
+	deadline = time.Now().Add(10 * time.Second)
+	for s := cluster.Stats(); s.BytesSent != s.BytesReceived || s.BytesSent == 0; s = cluster.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("after the drain: %d bytes sent, %d received", s.BytesSent, s.BytesReceived)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 }
 
 func TestGatherOverTCP(t *testing.T) {

@@ -28,7 +28,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	defer b.Close()
 	payload := []byte("framed payload")
 	go func() {
-		_, _ = writeFrame(a, nil, frameBatch, payload)
+		_ = writeFrame(a, frameBatch, payload)
 	}()
 	var hdr [frameHeaderSize]byte
 	_ = b.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -48,6 +48,35 @@ func TestFrameRejectsOversizedPayload(t *testing.T) {
 	var h [frameHeaderSize]byte
 	if _, _, err := readFrame(bytes.NewReader(hdr), &h, nil); err == nil {
 		t.Fatal("oversized frame accepted")
+	}
+}
+
+// TestReadFrameDropsOversizedBuffer: read through one loop, a 4 MiB frame
+// and then a small one leave the reader holding a small buffer, not the
+// 4 MiB one, while a buffer within maxKeptPayload is still reused.
+func TestReadFrameDropsOversizedBuffer(t *testing.T) {
+	var stream bytes.Buffer
+	for _, size := range []int{4 << 20, 100 << 10, 10} {
+		if err := writeFrame(&stream, frameBatch, make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var hdr [frameHeaderSize]byte
+	var payload []byte
+	var caps []int
+	for len(caps) < 3 {
+		_, p, err := readFrame(&stream, &hdr, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload = p
+		caps = append(caps, cap(p))
+	}
+	if caps[1] > maxKeptPayload {
+		t.Fatalf("after a 4 MiB frame and a 100 KiB one the reader keeps %d bytes, want at most %d", caps[1], maxKeptPayload)
+	}
+	if caps[2] != caps[1] {
+		t.Fatalf("a 10-byte frame after a 100 KiB one got a fresh buffer (cap %d -> %d)", caps[1], caps[2])
 	}
 }
 
@@ -191,7 +220,7 @@ func TestReadLoopClosesOnGarbage(t *testing.T) {
 func TestReadLoopClosesOnFlateFrame(t *testing.T) {
 	h := newTestHost(t, 0, 2, HostConfig{Seed: 1})
 	c := helloConn(t, h)
-	if _, err := writeFrame(c, nil, 0x03, deflated(t, floodBatch(t, 1))); err != nil {
+	if err := writeFrame(c, 0x03, deflated(t, floodBatch(t, 1))); err != nil {
 		t.Fatal(err)
 	}
 	requireDropped(t, h, c)
@@ -206,11 +235,11 @@ func TestReadLoopClosesOnFlateFrame(t *testing.T) {
 func TestFloodCompressed(t *testing.T) {
 	h := newTestHost(t, 0, 2, HostConfig{Seed: 1})
 	c := helloConn(t, h)
-	if _, err := writeFrame(c, nil, frameBatch, floodBatch(t, 1)); err != nil {
+	if err := writeFrame(c, frameBatch, floodBatch(t, 1)); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, 2*time.Second, func() bool { return h.Stats().MessagesReceived == 1 })
-	if _, err := writeFrame(c, nil, 0x03, deflated(t, floodBatch(t, 2))); err != nil {
+	if err := writeFrame(c, 0x03, deflated(t, floodBatch(t, 2))); err != nil {
 		t.Fatal(err)
 	}
 	requireDropped(t, h, c)
@@ -256,7 +285,7 @@ func helloConn(t *testing.T, h *Host) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Close() })
-	if _, err := writeFrame(c, nil, frameHello, appendHello(nil, 1, 2)); err != nil {
+	if err := writeFrame(c, frameHello, appendHello(nil, 1, 2)); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, 2*time.Second, func() bool { return len(h.Connected()) == 1 })

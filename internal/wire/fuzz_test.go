@@ -2,6 +2,9 @@ package wire_test
 
 import (
 	"bytes"
+	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	_ "repro/internal/broadcast" // registers the broadcast codecs FuzzDecode seeds
@@ -20,6 +23,7 @@ func FuzzReadPrimitives(f *testing.F) {
 	f.Add([]byte{0x00})
 	f.Add(wire.AppendUvarint(nil, 1<<63))
 	f.Add(wire.AppendString(nil, "hello"))
+	f.Add(wire.AppendString(wire.AppendString(wire.AppendString(wire.AppendUvarint(nil, 3), "ab"), ""), "c"))
 	f.Add(wire.AppendBytes(nil, bytes.Repeat([]byte{0xAB}, 300)))
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}) // maximal-width varint
 	f.Add(func() []byte {
@@ -51,6 +55,26 @@ func FuzzReadPrimitives(f *testing.F) {
 				t.Fatalf("string value round-trip failed: %v", err)
 			}
 		}
+		// ReadStrings, its count read from the front like a block's: the
+		// count and every length are chosen by the sender, so it may
+		// allocate only O(len(b)).
+		if count, rest, err := wire.ReadInt(b, wire.MaxCount); err == nil {
+			var ss []string
+			limit := 32*uint64(len(b)) + 16<<10
+			if alloc := allocatedBy(limit, func() { ss, _, err = wire.ReadStrings(rest, count) }); alloc > limit {
+				t.Fatalf("ReadStrings of count %d over %d bytes allocated %d bytes", count, len(rest), alloc)
+			}
+			if err == nil {
+				var enc []byte
+				for _, s := range ss {
+					enc = wire.AppendString(enc, s)
+				}
+				ss2, rest2, err := wire.ReadStrings(enc, count)
+				if err != nil || len(rest2) != 0 || !slices.Equal(ss2, ss) {
+					t.Fatalf("strings value round-trip failed: %v", err)
+				}
+			}
+		}
 		if p, _, err := wire.ReadBytes(b); err == nil {
 			if len(p) > wire.MaxStringLen {
 				t.Fatalf("ReadBytes returned %d bytes, over MaxStringLen", len(p))
@@ -70,6 +94,21 @@ func FuzzReadPrimitives(f *testing.F) {
 			}
 		}
 	})
+}
+
+// allocatedBy returns the heap bytes one call of f allocated: the least of
+// up to three calls, stopping at the first within limit, so allocations of
+// other goroutines cannot push a call over on their own.
+func allocatedBy(limit uint64, f func()) uint64 {
+	var before, after runtime.MemStats
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3 && least > limit; i++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 // fuzzMsg is a registered codec in the test tag band so FuzzDecode has a

@@ -39,7 +39,9 @@
 // Before allocating for n elements, a decoder checks that the rest of the
 // body holds n times the smallest encoding of one element, so decoding L
 // bytes allocates O(L). ReadString, ReadBytes and ReadSet do this for their
-// own lengths; a decoder reading a repeated-element count does it itself.
+// own lengths, and ReadStrings for a count of strings and every length
+// behind it before it allocates; a decoder reading any other
+// repeated-element count does it itself.
 // internal/transport's FuzzDecodeBatch holds every registered codec to
 // this at run time.
 package wire
@@ -51,6 +53,7 @@ import (
 	"fmt"
 	"math/bits"
 	"reflect"
+	"strings"
 	"sync"
 
 	"repro/internal/types"
@@ -324,6 +327,48 @@ func ReadString(b []byte) (string, []byte, error) {
 		return "", b, ErrTruncated
 	}
 	return string(rest[:n]), rest[n:], nil
+}
+
+// ReadStrings parses count length-prefixed strings (each ≤ MaxStringLen)
+// written back to back by AppendString. A first pass validates every
+// length and sums the string bytes without allocating; a second copies
+// only those bytes into one allocation, and the results are substrings of
+// it. So any count costs at most two allocations, the slice and the
+// bytes, and no result aliases b. Count 0 returns a nil slice.
+func ReadStrings(b []byte, count int) ([]string, []byte, error) {
+	if count < 0 || count > len(b) { // each string takes at least its 1-byte prefix
+		return nil, b, ErrTruncated
+	}
+	if count == 0 {
+		return nil, b, nil
+	}
+	rest, total := b, 0
+	for i := 0; i < count; i++ {
+		n, r, err := ReadInt(rest, MaxStringLen)
+		if err != nil {
+			return nil, b, err
+		}
+		if n > len(r) {
+			return nil, b, ErrTruncated
+		}
+		total += n
+		rest = r[n:]
+	}
+	// Grow makes the bytes one allocation. A Builder never rewrites bytes
+	// it has handed out, so each substring stays valid as more follow.
+	var sb strings.Builder
+	sb.Grow(total)
+	out := make([]string, count)
+	rest = b
+	for i := range out {
+		v, r, _ := ReadUvarint(rest) // validated by the first pass
+		n := int(v)
+		start := sb.Len()
+		sb.Write(r[:n])
+		out[i] = sb.String()[start:]
+		rest = r[n:]
+	}
+	return out, rest, nil
 }
 
 // BytesSize returns the encoded length of a length-prefixed byte slice.

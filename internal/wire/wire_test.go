@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/types"
@@ -136,6 +138,58 @@ func TestStringAndBytesPrimitives(t *testing.T) {
 	// Length prefix beyond MaxStringLen is rejected outright.
 	if _, _, err := ReadBytes(AppendUvarint(nil, MaxStringLen+1)); err == nil {
 		t.Fatal("oversized bytes length accepted")
+	}
+}
+
+// TestReadStrings: a count or a length the bytes cannot hold fails with
+// ErrTruncated before anything is allocated, a length over MaxStringLen
+// fails even with the bytes present, and what decodes is a copy.
+func TestReadStrings(t *testing.T) {
+	enc := func(ss ...string) []byte {
+		var b []byte
+		for _, s := range ss {
+			b = AppendString(b, s)
+		}
+		return b
+	}
+	cases := []struct {
+		name  string
+		in    []byte
+		count int
+		want  []string // nil with rest < 0: an error
+		rest  int
+	}{
+		{"count over remaining bytes", enc("a", "b"), 5, nil, -1},
+		{"length past the end", append(enc("a"), 50, 'x'), 2, nil, -1},
+		{"length over MaxStringLen", append(AppendUvarint(nil, MaxStringLen+1), make([]byte, MaxStringLen+1)...), 1, nil, -1},
+		{"count 0", enc("a"), 0, nil, 2},
+		{"all empty", enc("", "", ""), 3, []string{"", "", ""}, 0},
+		{"mixed, bytes left", append(enc("ab", "", "cde"), 7), 3, []string{"ab", "", "cde"}, 1},
+	}
+	for _, c := range cases {
+		in := bytes.Clone(c.in)
+		got, rest, err := ReadStrings(in, c.count)
+		if c.rest < 0 {
+			if err == nil {
+				t.Errorf("%s: accepted", c.name)
+			}
+			if len(rest) != len(in) {
+				t.Errorf("%s: consumed %d bytes on error", c.name, len(in)-len(rest))
+			}
+			if errors.Is(err, ErrTruncated) {
+				if allocs := testing.AllocsPerRun(10, func() { _, _, _ = ReadStrings(in, c.count) }); allocs != 0 {
+					t.Errorf("%s: allocates %.0f objects before failing", c.name, allocs)
+				}
+			}
+			continue
+		}
+		if err != nil || len(rest) != c.rest || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: got %q, %d bytes left, %v; want %q, %d left", c.name, got, len(rest), err, c.want, c.rest)
+		}
+		clear(in)
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: result changed with its input: %q", c.name, got)
+		}
 	}
 }
 
