@@ -17,6 +17,7 @@ import (
 	"repro/internal/gather"
 	"repro/internal/harness"
 	"repro/internal/quorum"
+	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -586,4 +587,53 @@ func BenchmarkServiceSustained(b *testing.B) {
 	b.ReportMetric(float64(p50), "p50-commit-vt")
 	b.ReportMetric(float64(p99), "p99-commit-vt")
 	b.ReportMetric(float64(peak), "peak-vertices")
+}
+
+// serviceFig1 runs the service on the paper's Fig. 1 system (n=30) to wave
+// 10 with seed 1, as one seed of the benchmark's sim_asym_n30 workload does,
+// and returns the heap allocations the run made and the transactions the
+// longest replica log applied.
+func serviceFig1(tb testing.TB) (mallocs uint64, applied int) {
+	cfg := service.Config{Trust: quorum.Counterexample(), Seed: 1, CoinSeed: 1, StopAfterWaves: 10}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res := service.Run(cfg)
+	runtime.ReadMemStats(&after)
+	if !res.Stopped {
+		tb.Fatal("Fig. 1 service run hit the event budget before wave 10")
+	}
+	for _, rep := range res.Replicas {
+		applied = max(applied, rep.Applied)
+	}
+	return after.Mallocs - before.Mallocs, applied
+}
+
+// BenchmarkServiceFig1 reports the allocations per applied transaction of
+// one Fig. 1 service run, the count sim_asym_n30's allocs_per_tx measures.
+func BenchmarkServiceFig1(b *testing.B) {
+	var mallocs uint64
+	var applied int
+	for b.Loop() {
+		m, a := serviceFig1(b)
+		mallocs += m
+		applied += a
+	}
+	b.ReportMetric(float64(mallocs)/float64(applied), "allocs/tx")
+}
+
+// TestServiceAllocsPerTx bounds the same count: per-round and per-wave
+// state (source trackers, delivery and ACK marks, DAG rows, wave gates) is
+// recycled with its round, and client commands are rendered many to a
+// string, so a steady-state round allocates little beyond the vertex it
+// creates.
+func TestServiceAllocsPerTx(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 30-process service run")
+	}
+	const ceiling = 1.6
+	mallocs, applied := serviceFig1(t)
+	if perTx := float64(mallocs) / float64(applied); perTx > ceiling {
+		t.Errorf("%d allocations for %d applied tx: %.3f per tx, want ≤ %.1f", mallocs, applied, perTx, ceiling)
+	}
 }

@@ -123,13 +123,16 @@ type Node struct {
 	self types.ProcessID
 
 	// waves holds each live wave's ACK/READY/CONFIRM gate; dropped is the
-	// highest wave whose gate Propose deleted (0 before any).
+	// highest wave whose gate Propose deleted (0 before any), and spare
+	// holds deleted gates, reset, for later waves.
 	waves   map[int]*gather.Gate
 	dropped int
+	spare   []*gather.Gate
 
-	// acked tracks which round-2 vertices were already acknowledged, so
-	// buffered vertices are not ACKed twice.
-	acked map[dag.VertexRef]bool
+	// acked holds, per round, the sources of the round-2 vertices already
+	// acknowledged, so buffered vertices are not ACKed twice. It is pruned
+	// with the skeleton's rounds.
+	acked dag.Rows[types.Set]
 
 	// shared is the revealed coin (nil when Config.RevealedCoin is off);
 	// pendingCoin holds waves whose commit attempt awaits the reveal.
@@ -144,7 +147,6 @@ func NewNode(cfg Config) *Node {
 	return &Node{
 		cfg:         cfg,
 		waves:       map[int]*gather.Gate{},
-		acked:       map[dag.VertexRef]bool{},
 		pendingCoin: map[int]bool{},
 	}
 }
@@ -152,6 +154,7 @@ func NewNode(cfg Config) *Node {
 // Init implements sim.Node.
 func (n *Node) Init(env sim.Env) {
 	n.self = env.Self()
+	n.acked = dag.NewRows(env.N(), types.NewSet, (*types.Set).Clear)
 	if n.cfg.RevealedCoin {
 		n.shared = coin.NewShared(n.self, n.cfg.Trust, n.cfg.Coin)
 	}
@@ -181,7 +184,12 @@ func (n *Node) gate(w int) *gather.Gate {
 	}
 	g, ok := n.waves[w]
 	if !ok {
-		g = gather.NewGate(n.cfg.Trust, n.self)
+		if k := len(n.spare); k > 0 {
+			g = n.spare[k-1]
+			n.spare = n.spare[:k-1]
+		} else {
+			g = gather.NewGate(n.cfg.Trust, n.self)
+		}
 		n.waves[w] = g
 	}
 	return g
@@ -250,10 +258,14 @@ func (n rules) Commits(reach types.Set) bool {
 // Inserted sends the gather ACK for a round ≡ 2 (mod 4) vertex when it
 // enters the DAG (Algorithm 6 lines 142–143; see the package comment).
 func (n rules) Inserted(env sim.Env, v *dag.Vertex) {
-	if v.Round%4 != 2 || n.acked[v.Ref()] {
+	if v.Round%4 != 2 {
 		return
 	}
-	n.acked[v.Ref()] = true
+	acked := n.acked.Grow(v.Round)
+	if acked.Contains(v.Source) {
+		return
+	}
+	acked.Add(v.Source)
 	env.Send(v.Source, ackMsg{Wave: rider.RoundWave(v.Round)})
 }
 
@@ -277,16 +289,20 @@ func (n rules) WaveDone(env sim.Env, w int) {
 // wave boundary, where WaveDone runs on every step, so a stalled node
 // keeps attempting the blocking commit until it lifts. Once the node
 // proposes into a wave, the gate of two waves back is no longer needed and
-// is dropped.
+// is dropped, reset for a later wave.
 func (n rules) Propose(r int) bool {
 	w := rider.RoundWave(r)
 	if n.cfg.PipelineDepth > 0 && w > n.DecidedWave()+n.cfg.PipelineDepth {
 		return false
 	}
 	if w >= 3 {
-		// Spelled through Node: asymgc credits the prune to the selector's
-		// receiver type.
-		delete(n.Node.waves, w-2)
+		if g, ok := n.waves[w-2]; ok {
+			g.Reset()
+			n.spare = append(n.spare, g)
+			// Spelled through Node: asymgc credits the prune to the
+			// selector's receiver type.
+			delete(n.Node.waves, w-2)
+		}
 		n.Node.dropped = w - 2
 	}
 	return true
@@ -312,12 +328,7 @@ func (n *Node) collectGarbage(decided int) {
 	if limit <= 0 {
 		return
 	}
-	watermark := n.Prune(limit)
-	for ref := range n.acked {
-		if ref.Round < watermark {
-			delete(n.acked, ref)
-		}
-	}
+	n.acked.DropBelow(n.Prune(limit))
 	// The revealed-coin share maps and stale pending-coin entries are
 	// per-wave state too; without pruning them a long-lived run grows
 	// without bound even though the DAG itself stays flat.
@@ -348,6 +359,10 @@ type LiveStats struct {
 func (n *Node) Live() LiveStats {
 	d := n.DAG()
 	slots, buffered, trackers, delivered := n.Backlog()
+	acked := 0
+	for r := n.acked.Base(); r < n.acked.End(); r++ {
+		acked += n.acked.At(r).Count()
+	}
 	return LiveStats{
 		DAGVertices:    d.VertexCount(),
 		DAGRounds:      d.Height() - d.PrunedBelow(),
@@ -355,6 +370,6 @@ func (n *Node) Live() LiveStats {
 		Buffered:       buffered,
 		RoundTrackers:  trackers,
 		WaveCtls:       len(n.waves),
-		PendingPairs:   delivered + len(n.acked),
+		PendingPairs:   delivered + acked,
 	}
 }

@@ -57,15 +57,14 @@ type row struct {
 // DAG is one process's local copy of the graph. The zero value is not
 // usable; call New.
 //
-// Round storage is base-offset: rounds[i] holds round base+i, and pruning
-// advances base. This is what makes GC actually bound memory over an
-// unbounded service run — the slice length tracks the live round window
-// (pruned rounds are dropped from the front, not just nil-ed in place), so
-// the backing array stays O(window) no matter how many rounds have passed.
+// Round storage is a Rows window: pruning drops rounds from its front and
+// keeps their rows, cleared, for the rounds to come. This is what makes GC
+// bound memory over an unbounded service run — the storage tracks the live
+// round window, not the number of rounds that have passed, and once the
+// window has reached its size a new round allocates nothing.
 type DAG struct {
 	n      int
-	base   int // round number of rounds[0]; rounds below base are pruned
-	rounds []row
+	rounds Rows[row] // rounds below rounds.Base() are pruned
 
 	// marks is the queries' scratch: words bitset words per live round,
 	// round base+i at marks[i*words:]. Each query clears the rows it reads
@@ -78,26 +77,24 @@ type DAG struct {
 
 // New creates an empty DAG for n processes.
 func New(n int) *DAG {
-	return &DAG{n: n, words: (n + 63) / 64}
+	return &DAG{n: n, rounds: NewRows(n, newRow, (*row).reset), words: (n + 63) / 64}
+}
+
+// newRow returns an empty round of n slots.
+func newRow(n int) row { return row{verts: make([]*Vertex, n), srcs: types.NewSet(n)} }
+
+// reset empties the round for reuse.
+func (rw *row) reset() {
+	clear(rw.verts)
+	rw.srcs.Clear()
 }
 
 // rowAt returns round r's storage, or nil when r is pruned or beyond the
 // allocated window.
-func (d *DAG) rowAt(r int) *row {
-	i := r - d.base
-	if i < 0 || i >= len(d.rounds) {
-		return nil
-	}
-	return &d.rounds[i]
-}
+func (d *DAG) rowAt(r int) *row { return d.rounds.At(r) }
 
-// ensureRound grows the per-round storage.
-func (d *DAG) ensureRound(r int) *row {
-	for len(d.rounds) <= r-d.base {
-		d.rounds = append(d.rounds, row{verts: make([]*Vertex, d.n), srcs: types.NewSet(d.n)})
-	}
-	return &d.rounds[r-d.base]
-}
+// base returns the lowest retained round.
+func (d *DAG) base() int { return d.rounds.Base() }
 
 // Add inserts v. It returns an error if v's source is outside [0, n), if
 // a different vertex from the same source already occupies the round
@@ -111,8 +108,8 @@ func (d *DAG) Add(v *Vertex) error {
 	if v.Source < 0 || int(v.Source) >= d.n {
 		return fmt.Errorf("dag: source %d of %v outside [0, %d)", int(v.Source), v.Ref(), d.n)
 	}
-	if v.Round < d.base {
-		return fmt.Errorf("dag: round %d already pruned (watermark %d)", v.Round, d.base)
+	if v.Round < d.base() {
+		return fmt.Errorf("dag: round %d already pruned (watermark %d)", v.Round, d.base())
 	}
 	for _, edges := range [2][]VertexRef{v.StrongEdges, v.WeakEdges} {
 		for _, ref := range edges {
@@ -124,7 +121,7 @@ func (d *DAG) Add(v *Vertex) error {
 			}
 		}
 	}
-	slot := d.ensureRound(v.Round)
+	slot := d.rounds.Grow(v.Round)
 	if old := slot.verts[v.Source]; old != nil && old != v {
 		return fmt.Errorf("dag: duplicate vertex for %v", v.Ref())
 	}
@@ -196,13 +193,13 @@ func (d *DAG) RoundRefs(r int) []VertexRef {
 }
 
 // Height returns one past the highest round with storage allocated.
-func (d *DAG) Height() int { return d.base + len(d.rounds) }
+func (d *DAG) Height() int { return d.rounds.End() }
 
 // VertexCount returns the total number of vertices.
 func (d *DAG) VertexCount() int {
 	total := 0
-	for i := range d.rounds {
-		total += d.rounds[i].srcs.Count()
+	for r := d.base(); r < d.Height(); r++ {
+		total += d.rowAt(r).srcs.Count()
 	}
 	return total
 }
@@ -212,35 +209,35 @@ func (d *DAG) VertexCount() int {
 // clearMarks zeroes the scratch rows of rounds lo..hi, which must lie in
 // the window, growing the scratch to the window first.
 func (d *DAG) clearMarks(lo, hi int) {
-	if need := len(d.rounds) * d.words; len(d.marks) < need {
+	if need := (d.Height() - d.base()) * d.words; len(d.marks) < need {
 		if cap(d.marks) < need {
 			d.marks = make([]uint64, need, 2*need)
 		}
 		d.marks = d.marks[:need]
 	}
-	clear(d.marks[(lo-d.base)*d.words : (hi-d.base+1)*d.words])
+	clear(d.marks[(lo-d.base())*d.words : (hi-d.base()+1)*d.words])
 }
 
 // markRow returns round r's scratch row; r must lie in the window.
 func (d *DAG) markRow(r int) []uint64 {
-	i := (r - d.base) * d.words
+	i := (r - d.base()) * d.words
 	return d.marks[i : i+d.words]
 }
 
 // inWindow reports whether ref names a slot of the live window.
 func (d *DAG) inWindow(ref VertexRef) bool {
-	return ref.Round >= d.base && ref.Round < d.Height() && ref.Source >= 0 && int(ref.Source) < d.n
+	return ref.Round >= d.base() && ref.Round < d.Height() && ref.Source >= 0 && int(ref.Source) < d.n
 }
 
 // mark sets ref's scratch bit; ref must be in the window.
 func (d *DAG) mark(ref VertexRef) {
-	d.marks[(ref.Round-d.base)*d.words+int(ref.Source)/64] |= 1 << (uint(ref.Source) % 64)
+	d.marks[(ref.Round-d.base())*d.words+int(ref.Source)/64] |= 1 << (uint(ref.Source) % 64)
 }
 
 // marked reports ref's scratch bit; ref must be in the window, and the bit
 // means something only in a round the current query cleared.
 func (d *DAG) marked(ref VertexRef) bool {
-	return d.marks[(ref.Round-d.base)*d.words+int(ref.Source)/64]&(1<<(uint(ref.Source)%64)) != 0
+	return d.marks[(ref.Round-d.base())*d.words+int(ref.Source)/64]&(1<<(uint(ref.Source)%64)) != 0
 }
 
 // markEdges marks the edges of a vertex in the DAG and returns the lowest
@@ -248,7 +245,7 @@ func (d *DAG) marked(ref VertexRef) bool {
 // outside the window point below it, into pruned rounds, and are skipped.
 func (d *DAG) markEdges(edges []VertexRef, low int) int {
 	for _, ref := range edges {
-		if ref.Round >= d.base {
+		if ref.Round >= d.base() {
 			d.mark(ref)
 		}
 		low = min(low, ref.Round)
@@ -288,7 +285,7 @@ func (d *DAG) StrongPath(from, to VertexRef) bool {
 	if from.Round <= to.Round || !d.Contains(from) {
 		return false
 	}
-	lo := max(to.Round+1, d.base)
+	lo := max(to.Round+1, d.base())
 	d.clearMarks(lo, from.Round)
 	d.stack = append(d.stack[:0], from)
 	for len(d.stack) > 0 {
@@ -316,7 +313,7 @@ func (d *DAG) StrongReachSources(r int, target VertexRef) types.Set {
 	if r == target.Round && d.Contains(target) {
 		s.Add(target.Source)
 	}
-	lo := max(target.Round+1, d.base)
+	lo := max(target.Round+1, d.base())
 	if r < lo || r >= d.Height() {
 		return s
 	}
@@ -351,11 +348,11 @@ func (d *DAG) History(from VertexRef, skip func(*Vertex) bool, fn func(*Vertex))
 	if !d.Contains(from) {
 		return
 	}
-	d.clearMarks(d.base, from.Round)
+	d.clearMarks(d.base(), from.Round)
 	d.mark(from)
 	low := from.Round
 	r := from.Round
-	for ; r >= d.base && r >= low; r-- {
+	for ; r >= d.base() && r >= low; r-- {
 		m := d.markRow(r)
 		d.forMarked(r, func(v *Vertex) {
 			if skip(v) {
@@ -377,7 +374,7 @@ func (d *DAG) History(from VertexRef, skip func(*Vertex) bool, fn func(*Vertex))
 // sweep starts at the highest round of refs, which may lie above hi. fn
 // must not query d.
 func (d *DAG) Uncovered(refs []VertexRef, hi, lo int, fn func(*Vertex)) {
-	lo = max(lo, d.base)
+	lo = max(lo, d.base())
 	hi = min(hi, d.Height()-1)
 	if hi < lo {
 		return
@@ -419,31 +416,23 @@ func (d *DAG) Uncovered(refs []VertexRef, hi, lo int, fn func(*Vertex)) {
 // in which every vertex satisfies canPrune (typically "was delivered").
 // It stops at the first round that does not qualify and returns the new
 // watermark: the lowest retained round. Pruned rounds are dropped from the
-// front of the storage window, so a long-lived run's memory tracks the
-// live window, not the total round count.
+// front of the storage window and their rows kept, cleared, for the rounds
+// Add grows into next, so a long-lived run's memory tracks the live
+// window, not the total round count.
 func (d *DAG) PruneBelow(limit int, canPrune func(*Vertex) bool) int {
-	dropped := 0
-	for d.base+dropped < limit && dropped < len(d.rounds) {
-		ok := true
-		for _, v := range d.rounds[dropped].verts {
+	r := d.base()
+rounds:
+	for ; r < min(limit, d.Height()); r++ {
+		for _, v := range d.rowAt(r).verts {
 			if v != nil && !canPrune(v) {
-				ok = false
-				break
+				break rounds
 			}
 		}
-		if !ok {
-			break
-		}
-		d.rounds[dropped] = row{} // release the row before resliceing
-		dropped++
 	}
-	if dropped > 0 {
-		d.rounds = d.rounds[dropped:]
-		d.base += dropped
-	}
-	return d.base
+	d.rounds.DropBelow(r)
+	return d.base()
 }
 
 // PrunedBelow returns the lowest retained round (0 when nothing was
 // pruned).
-func (d *DAG) PrunedBelow() int { return d.base }
+func (d *DAG) PrunedBelow() int { return d.base() }

@@ -335,6 +335,46 @@ func TestPruneBelow(t *testing.T) {
 	}
 }
 
+// TestPrunedRowsReused: PruneBelow keeps the rows it drops and the rounds
+// Add grows into next take them, and a reused row holds nothing of the
+// round it held before. Round 1 (a1, c1) is reused by round 3 and round 0
+// (all three sources) by round 4, so a stale slot or source set would show
+// in Contains, RoundRefs or VertexCount.
+func TestPrunedRowsReused(t *testing.T) {
+	d := buildChain(t)
+	round0, round1 := &d.rowAt(0).verts[0], &d.rowAt(1).verts[0]
+	if got := d.PruneBelow(2, func(*Vertex) bool { return true }); got != 2 {
+		t.Fatalf("watermark = %d, want 2", got)
+	}
+	b3 := &Vertex{Source: 1, Round: 3, StrongEdges: []VertexRef{{0, 2}}}
+	a4 := &Vertex{Source: 0, Round: 4, StrongEdges: []VertexRef{{1, 3}}}
+	for _, v := range []*Vertex{b3, a4} {
+		if err := d.Add(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if &d.rowAt(3).verts[0] != round1 || &d.rowAt(4).verts[0] != round0 {
+		t.Fatal("rounds 3 and 4 did not reuse the rows of rounds 1 and 0")
+	}
+	for _, ref := range []VertexRef{{0, 3}, {2, 3}, {1, 4}, {2, 4}} {
+		if d.Contains(ref) {
+			t.Errorf("reused row holds a stale vertex at %v", ref)
+		}
+	}
+	if got := d.RoundRefs(3); !reflect.DeepEqual(got, []VertexRef{b3.Ref()}) {
+		t.Errorf("RoundRefs(3) = %v, want [%v]", got, b3.Ref())
+	}
+	if got := d.RoundRefs(4); !reflect.DeepEqual(got, []VertexRef{a4.Ref()}) {
+		t.Errorf("RoundRefs(4) = %v, want [%v]", got, a4.Ref())
+	}
+	if got := d.VertexCount(); got != 3 {
+		t.Errorf("VertexCount = %d, want 3 (a2, b3, a4)", got)
+	}
+	if got, want := d.StrongReachSources(4, VertexRef{0, 2}), types.NewSetOf(3, 0); !got.Equal(want) {
+		t.Errorf("StrongReachSources(4, a2) = %v, want %v", got, want)
+	}
+}
+
 func TestPruneBelowStopsAtUndelivered(t *testing.T) {
 	d := buildChain(t)
 	// Round 0 delivered, round 1 NOT fully delivered.

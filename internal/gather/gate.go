@@ -37,6 +37,16 @@ func NewGate(a quorum.Assumption, i types.ProcessID) *Gate {
 	return &Gate{acks: &ts[0], readies: &ts[1], confirms: &ts[2]}
 }
 
+// Reset closes the gate and empties its tallies, so it answers every later
+// sequence of ACKs, READYs and CONFIRMs as NewGate's gate would. It keeps
+// its storage and allocates nothing.
+func (g *Gate) Reset() {
+	g.acks.Reset()
+	g.readies.Reset()
+	g.confirms.Reset()
+	g.sentReady, g.sentConfirm, g.open = false, false, false
+}
+
 // Ack counts p's ACK. It reports whether the caller must broadcast READY:
 // true once, when the ACKs first contain a quorum (lines 51–52).
 func (g *Gate) Ack(p types.ProcessID) (ready bool) {

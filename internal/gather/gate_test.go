@@ -12,7 +12,10 @@ import (
 // some senders missing and some repeated, and checks each output against
 // the one-shot predicates over the senders accumulated so far: READY,
 // CONFIRM and opening each fire exactly once, at the arrival where
-// Algorithm 3's condition first holds, and never before CONFIRM.
+// Algorithm 3's condition first holds, and never before CONFIRM. A trial
+// stops at a random arrival, and a later trial of the same process runs on
+// that gate after Reset, beside a NewGate fed the same arrivals: the two
+// must answer alike.
 func TestGate(t *testing.T) {
 	fed, err := quorum.NewFederated(quorum.FederatedConfig{
 		N: 10, TopTier: 7, TrustedPeers: 2, Tolerance: 2, Seed: 5,
@@ -41,6 +44,7 @@ func TestGate(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			n := c.trust.N()
 			rng := rand.New(rand.NewSource(int64(n)))
+			used := map[types.ProcessID]*Gate{}
 			for trial := 0; trial < 200; trial++ {
 				self := types.ProcessID(rng.Intn(n))
 				var order []arrival
@@ -56,8 +60,18 @@ func TestGate(t *testing.T) {
 					}
 				}
 				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+				order = order[:rng.Intn(len(order)+1)]
 
-				g := NewGate(c.trust, self)
+				fresh := NewGate(c.trust, self)
+				g, ok := used[self]
+				if ok {
+					if g.Reset(); g.Open() {
+						t.Fatalf("trial %d self %v: a reset gate is open", trial, self)
+					}
+				} else {
+					g = fresh
+				}
+				used[self] = g
 				acks, readies, confirms := types.NewSet(n), types.NewSet(n), types.NewSet(n)
 				var sentReady, sentConfirm, opened bool
 				for k, a := range order {
@@ -66,12 +80,23 @@ func TestGate(t *testing.T) {
 					case kindAck:
 						acks.Add(a.from)
 						ready = g.Ack(a.from)
+						if g != fresh && fresh.Ack(a.from) != ready {
+							t.Fatalf("trial %d self %v arrival %d: a reset gate's READY differs from a new gate's", trial, self, k)
+						}
 					case kindReady:
 						readies.Add(a.from)
 						confirm = g.Ready(a.from)
+						if g != fresh && fresh.Ready(a.from) != confirm {
+							t.Fatalf("trial %d self %v arrival %d: a reset gate's CONFIRM differs from a new gate's", trial, self, k)
+						}
 					case kindConfirm:
 						confirms.Add(a.from)
 						confirm, open = g.Confirm(a.from)
+						if g != fresh {
+							if fc, fo := fresh.Confirm(a.from); fc != confirm || fo != open {
+								t.Fatalf("trial %d self %v arrival %d: a reset gate's CONFIRM/open differ from a new gate's", trial, self, k)
+							}
+						}
 					}
 					wantReady := !sentReady && c.trust.HasQuorumWithin(self, acks)
 					wantConfirm := !sentConfirm &&

@@ -17,10 +17,11 @@ import (
 // probability 1/5 and a present vertex has strong edges to a random
 // quorum-sized (n−f) subset of the previous round, or all of it when
 // fewer are present, and sometimes weak edges to random older vertices.
-// After round prune+2 everything below prune is pruned, so the later
-// rounds are built over a base-offset window whose lowest rounds hold
-// edges into the pruned prefix. It returns the DAG and every vertex
-// created, pruned ones included.
+// After round prune/2+2 everything below prune/2 is pruned, and after
+// round prune+2 everything below prune, so the later rounds are built over
+// a base-offset window whose rows were recycled from pruned rounds and
+// whose lowest rounds hold edges into the pruned prefix. It returns the DAG
+// and every vertex created, pruned ones included.
 func randomDAG(rng *rand.Rand, n, rounds, prune int) (*dag.DAG, []*dag.Vertex) {
 	d := dag.New(n)
 	all := Genesis(n)
@@ -31,8 +32,8 @@ func randomDAG(rng *rand.Rand, n, rounds, prune int) (*dag.DAG, []*dag.Vertex) {
 	}
 	quorum := n - (n-1)/3
 	for r := 1; r < rounds; r++ {
-		if r == prune+2 {
-			d.PruneBelow(prune, func(*dag.Vertex) bool { return true })
+		if r == prune/2+2 || r == prune+2 {
+			d.PruneBelow(r-2, func(*dag.Vertex) bool { return true })
 		}
 		prev := d.RoundVertices(r - 1)
 		var older []*dag.Vertex
@@ -151,6 +152,8 @@ func FuzzDAGQueries(f *testing.F) {
 	f.Add(int64(3), uint8(29), uint8(6)) // n=30
 	f.Add(int64(4), uint8(64), uint8(2)) // n=65
 	f.Add(int64(5), uint8(0), uint8(8))  // n=1
+	f.Add(int64(6), uint8(3), uint8(22)) // n=4, 24 rounds: two prunes, each regrown
+	f.Add(int64(7), uint8(9), uint8(20)) // n=10, 22 rounds
 	f.Fuzz(func(t *testing.T, seed int64, n, rounds uint8) {
 		size := 1 + int(n)%70
 		depth := 2 + int(rounds)%min(24, 2+200/size)

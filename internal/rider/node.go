@@ -66,21 +66,36 @@ type Base struct {
 
 	r      int
 	buffer []*dag.Vertex
-	// sources tracks, per round, the quorum predicate over the sources
-	// with a vertex in the local DAG, fed on insertion, so the advance rule
-	// is an O(1) read instead of a rescan of the round.
-	sources map[int]*quorum.Tracker
+	// rounds holds each live round's state over the DAG's window: Prune
+	// drops both at the same watermark.
+	rounds dag.Rows[roundState]
 	// strong is onVertex's scratch set: the strong-edge sources of the
 	// vertex being checked.
 	strong types.Set
 
 	decidedWave int
-	delivered   map[dag.VertexRef]bool
+	// ordered is Commit's scratch: the deliveries of the commit in progress.
+	ordered []Delivery
 
 	//lint:retained only populated when DeliverySink is nil (test/short-run mode)
 	deliveries []Delivery
 	//lint:retained only populated when CommitSink is nil (test/short-run mode)
 	commits []CommitEvent
+}
+
+// roundState is the skeleton's state for one round: sources tracks the
+// quorum predicate over the sources with a vertex in the local DAG, fed on
+// insertion, so the advance rule is an O(1) read instead of a rescan of the
+// round; delivered holds the sources whose vertex was delivered.
+type roundState struct {
+	sources   *quorum.Tracker
+	delivered types.Set
+}
+
+// reset empties the round's state for reuse.
+func (s *roundState) reset() {
+	s.sources.Reset()
+	s.delivered.Clear()
 }
 
 // Start sets the skeleton up, inserts genesis and runs the loop; a node
@@ -92,9 +107,10 @@ func (b *Base) Start(env sim.Env, setup Setup, rules Rules) {
 	b.setup, b.rules = setup, rules
 	b.self, b.n = env.Self(), env.N()
 	b.dag = dag.New(b.n)
-	b.sources = map[int]*quorum.Tracker{}
+	b.rounds = dag.NewRows(b.n, func(n int) roundState {
+		return roundState{sources: quorum.NewTracker(setup.Trust, b.self), delivered: types.NewSet(n)}
+	}, (*roundState).reset)
 	b.strong = types.NewSet(b.n)
-	b.delivered = map[dag.VertexRef]bool{}
 	for _, g := range Genesis(b.n) {
 		if err := b.dag.Add(g); err != nil {
 			panic("rider: genesis insertion failed: " + err.Error())
@@ -113,15 +129,16 @@ func (b *Base) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
 	}
 }
 
-// tracker returns round r's source tracker, creating it on first use.
-func (b *Base) tracker(r int) *quorum.Tracker {
-	t, ok := b.sources[r]
-	if !ok {
-		t = quorum.NewTracker(b.setup.Trust, b.self)
-		b.sources[r] = t
-	}
-	return t
+// tracker returns round r's source tracker, growing the window to r.
+func (b *Base) tracker(r int) *quorum.Tracker { return b.rounds.Grow(r).sources }
+
+// delivered reports whether v, a vertex of the DAG's window, was delivered.
+func (b *Base) delivered(v *dag.Vertex) bool {
+	return b.rounds.At(v.Round).delivered.Contains(v.Source)
 }
+
+// deliver marks v, a vertex of the DAG's window, delivered.
+func (b *Base) deliver(v *dag.Vertex) { b.rounds.At(v.Round).delivered.Add(v.Source) }
 
 // onVertex is the arb-deliver upcall (Algorithm 6 lines 137–143). A
 // Byzantine creator's malformed vertex is dropped here.
@@ -224,14 +241,16 @@ func (b *Base) Commit(env sim.Env, w int) bool {
 	}
 	b.decidedWave = w
 	ev := CommitEvent{Wave: w, Leader: leader, Time: env.Now(), Round: b.r}
-	ordered := OrderVertices(b.dag, stack, b.delivered, w, env.Now())
+	b.ordered = appendOrdered(b.ordered[:0], b.dag, stack, b.delivered, b.deliver, w, env.Now())
 	if b.setup.DeliverySink != nil {
-		for _, d := range ordered {
+		for _, d := range b.ordered {
 			b.setup.DeliverySink(d)
 		}
 	} else {
-		b.deliveries = append(b.deliveries, ordered...)
+		b.deliveries = append(b.deliveries, b.ordered...)
 	}
+	// A reused entry would pin its block after the DAG prunes the vertex.
+	clear(b.ordered)
 	if b.setup.CommitSink != nil {
 		b.setup.CommitSink(ev)
 	} else {
@@ -256,19 +275,8 @@ func (b *Base) waveLeader(w int) (dag.VertexRef, bool) {
 // delivery marks, source trackers, buffered vertices and broadcast slots.
 // It returns the watermark.
 func (b *Base) Prune(limit int) int {
-	watermark := b.dag.PruneBelow(limit, func(v *dag.Vertex) bool {
-		return b.delivered[v.Ref()]
-	})
-	for ref := range b.delivered {
-		if ref.Round < watermark {
-			delete(b.delivered, ref)
-		}
-	}
-	for r := range b.sources {
-		if r < watermark {
-			delete(b.sources, r)
-		}
-	}
+	watermark := b.dag.PruneBelow(limit, b.delivered)
+	b.rounds.DropBelow(watermark)
 	keep := b.buffer[:0]
 	for _, v := range b.buffer {
 		if v.Round >= watermark {
@@ -283,7 +291,10 @@ func (b *Base) Prune(limit int) int {
 // Backlog returns the sizes of the skeleton's per-round state: broadcast
 // slots, buffered vertices, round source trackers and delivery marks.
 func (b *Base) Backlog() (slots, buffered, trackers, delivered int) {
-	return b.arb.SlotCount(), len(b.buffer), len(b.sources), len(b.delivered)
+	for r := b.rounds.Base(); r < b.rounds.End(); r++ {
+		delivered += b.rounds.At(r).delivered.Count()
+	}
+	return b.arb.SlotCount(), len(b.buffer), b.rounds.End() - b.rounds.Base(), delivered
 }
 
 // Round returns the node's current round.

@@ -187,13 +187,16 @@ func RoundWave(r int) int {
 	return (r + 3) / 4
 }
 
-// Genesis returns the hardcoded round-0 vertices shared by every process
-// (Algorithm 4 line 67 hardcodes a quorum; we hardcode all n, which
-// contains a quorum for every process).
+// Genesis returns the round-0 vertices a process starts its DAG with: one
+// per process, new on every call, cut from one allocation. Algorithm 4
+// line 67 hardcodes the vertices of a quorum; all n contain a quorum of
+// every process.
 func Genesis(n int) []*dag.Vertex {
+	vs := make([]dag.Vertex, n)
 	out := make([]*dag.Vertex, n)
 	for i := range out {
-		out[i] = &dag.Vertex{Source: types.ProcessID(i), Round: 0}
+		vs[i].Source = types.ProcessID(i)
+		out[i] = &vs[i]
 	}
 	return out
 }
@@ -269,10 +272,18 @@ func SetWeakEdges(d *dag.DAG, v *dag.Vertex, round int) {
 // a delivered vertex reaches is delivered too. It returns the new
 // deliveries in order.
 func OrderVertices(d *dag.DAG, leaders []dag.VertexRef, delivered map[dag.VertexRef]bool, wave int, now sim.VirtualTime) []Delivery {
-	var out []Delivery
+	return appendOrdered(nil, d, leaders, func(v *dag.Vertex) bool { return delivered[v.Ref()] },
+		func(v *dag.Vertex) { delivered[v.Ref()] = true }, wave, now)
+}
+
+// appendOrdered is OrderVertices over any record of the delivered
+// vertices, which delivered reads and deliver extends; it appends the new
+// deliveries to out.
+func appendOrdered(out []Delivery, d *dag.DAG, leaders []dag.VertexRef, delivered func(*dag.Vertex) bool,
+	deliver func(*dag.Vertex), wave int, now sim.VirtualTime) []Delivery {
 	for i := len(leaders) - 1; i >= 0; i-- {
-		d.History(leaders[i], func(v *dag.Vertex) bool { return delivered[v.Ref()] }, func(v *dag.Vertex) {
-			delivered[v.Ref()] = true
+		d.History(leaders[i], delivered, func(v *dag.Vertex) {
+			deliver(v)
 			out = append(out, Delivery{Ref: v.Ref(), Txs: v.Block, Wave: wave, Time: now})
 		})
 	}

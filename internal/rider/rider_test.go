@@ -2,10 +2,13 @@ package rider
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/dag"
+	"repro/internal/quorum"
+	"repro/internal/sim"
 	"repro/internal/types"
 )
 
@@ -244,4 +247,48 @@ func TestVertexPayloadKeyPooledBufferReuse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// thresholdNode is the smallest node kind: Base under an (n, f) threshold
+// with a round-robin leader and the 2f+1 commit rule.
+type thresholdNode struct {
+	Base
+	f int
+}
+
+func (n *thresholdNode) Init(env sim.Env) {
+	n.Start(env, Setup{Trust: quorum.NewThreshold(env.N(), n.f), MaxRound: 24,
+		Workload: SyntheticWorkload{Self: env.Self(), TxPerBlock: 2}}, thresholdRules{n})
+}
+
+type thresholdRules struct{ *thresholdNode }
+
+func (n thresholdRules) Leader(w int) (types.ProcessID, bool) { return types.ProcessID(w % n.n), true }
+func (n thresholdRules) Commits(reach types.Set) bool         { return reach.Count() >= 2*n.f+1 }
+func (n thresholdRules) WaveDone(env sim.Env, w int)          { n.Commit(env, w) }
+func (thresholdRules) Inserted(sim.Env, *dag.Vertex)          {}
+func (thresholdRules) Advance(int) bool                       { return true }
+func (thresholdRules) Propose(int) bool                       { return true }
+
+// TestCommitBufferHoldsNothing: Commit orders into a buffer it reuses, and
+// leaves no delivery in it, so a small commit after a large one does not
+// keep the large one's blocks alive once the DAG prunes their vertices.
+func TestCommitBufferHoldsNothing(t *testing.T) {
+	const n = 4
+	nodes := make([]sim.Node, n)
+	for i := range nodes {
+		nodes[i] = &thresholdNode{f: 1}
+	}
+	sim.NewRunner(sim.Config{N: n, Seed: 5, Latency: sim.UniformLatency{Min: 1, Max: 20}}, nodes).Run(0)
+	for _, nd := range nodes {
+		b := &nd.(*thresholdNode).Base
+		if len(b.Commits()) < 2 || cap(b.ordered) == 0 {
+			t.Fatalf("%v committed %d waves into a buffer of %d, want at least 2 commits", b.self, len(b.Commits()), cap(b.ordered))
+		}
+		for i, d := range b.ordered[:cap(b.ordered)] {
+			if !reflect.ValueOf(d).IsZero() {
+				t.Fatalf("%v: commit buffer entry %d still holds %+v", b.self, i, d)
+			}
+		}
+	}
 }

@@ -27,7 +27,8 @@
 //	    the replica's state machine; there is no ever-growing delivery
 //	    log. Every SnapshotEvery decided waves the replica records a
 //	    Snapshot (applied state + the wave it covers) and compacts: the
-//	    applied-transaction tail below the snapshot horizon is dropped.
+//	    transactions applied since the last snapshot count as compacted,
+//	    and the replica keeps none of them (only RetainLog keeps a log).
 //	    A snapshot is exactly what the ROADMAP's state-sync item will
 //	    transfer to a joining node.
 //
@@ -49,6 +50,7 @@ package service
 
 import (
 	"strconv"
+	"strings"
 
 	"repro/internal/coin"
 	"repro/internal/core"
@@ -196,10 +198,10 @@ type Replica struct {
 
 	tickSeq uint64
 	nextCmd int
-	// cmdBuf and cmdEnds are onTick's scratch: the tick's commands and the
-	// offset each one ends at.
-	cmdBuf  []byte
-	cmdEnds []int
+	// cmds holds client commands nextCmd, nextCmd+1, … rendered ahead,
+	// each ended by a newline; cmdBuf is the scratch they are rendered in.
+	cmds   string
+	cmdBuf []byte
 
 	submitted int
 	rejected  int
@@ -212,10 +214,9 @@ type Replica struct {
 	decidedWave int
 	commits     int
 	applied     int
-	// tail is the applied-transaction log above the last snapshot
-	// horizon; snapshots drop it (compaction). fullLog exists only under
-	// RetainLog.
-	tail      []string
+	// tail counts the transactions applied since the last snapshot;
+	// snapshots add it to compacted. fullLog exists only under RetainLog.
+	tail      int
 	compacted int
 	//lint:retained opt-in test instrumentation (RetainLog), off in production configs
 	fullLog []string
@@ -282,29 +283,12 @@ func (s *Replica) onTick(env sim.Env, t tickMsg) {
 		return // stale duplicate (link-duplication faults)
 	}
 	s.tickSeq++
-	// The admitted commands "set k<i mod KeySpace> p<self>.<i>" are written
-	// back to back into one buffer, which becomes one string; each command
-	// is a substring of it.
-	buf, ends := s.cmdBuf[:0], s.cmdEnds[:0]
 	for i := 0; i < s.cfg.ClientRate; i++ {
-		if s.queue.Len()+len(ends) >= s.cfg.MaxQueue {
+		if s.queue.Len() >= s.cfg.MaxQueue {
 			s.rejected++
 			continue
 		}
-		buf = append(buf, "set k"...)
-		buf = strconv.AppendInt(buf, int64(s.nextCmd%s.cfg.KeySpace), 10)
-		buf = append(buf, " p"...)
-		buf = strconv.AppendInt(buf, int64(s.self), 10)
-		buf = append(buf, '.')
-		buf = strconv.AppendInt(buf, int64(s.nextCmd), 10)
-		ends = append(ends, len(buf))
-		s.nextCmd++
-	}
-	s.cmdBuf, s.cmdEnds = buf, ends
-	cmds, start := string(buf), 0
-	for _, end := range ends {
-		cmd := cmds[start:end]
-		start = end
+		cmd := s.nextCommand()
 		s.submitted++
 		s.submitTime[cmd] = env.Now()
 		s.queue.Submit(cmd)
@@ -316,13 +300,42 @@ func (s *Replica) onTick(env sim.Env, t tickMsg) {
 	env.Send(s.self, tickMsg{Seq: s.tickSeq})
 }
 
+// cmdBatch is how many client commands nextCommand renders into one string.
+const cmdBatch = 64
+
+// nextCommand returns client command nextCmd, "set k<i mod KeySpace>
+// p<self>.<i>" for i = nextCmd, and advances nextCmd. Commands are rendered
+// cmdBatch at a time into one string, and each is a substring of it, so
+// a string is allocated once per cmdBatch commands. A command's text
+// depends on i alone, so the batching does not show in the commands.
+func (s *Replica) nextCommand() string {
+	if s.cmds == "" {
+		buf := s.cmdBuf[:0]
+		for i := s.nextCmd; i < s.nextCmd+cmdBatch; i++ {
+			buf = append(buf, "set k"...)
+			buf = strconv.AppendInt(buf, int64(i%s.cfg.KeySpace), 10)
+			buf = append(buf, " p"...)
+			buf = strconv.AppendInt(buf, int64(s.self), 10)
+			buf = append(buf, '.')
+			buf = strconv.AppendInt(buf, int64(i), 10)
+			buf = append(buf, '\n')
+		}
+		s.cmdBuf, s.cmds = buf, string(buf)
+	}
+	end := strings.IndexByte(s.cmds, '\n')
+	cmd := s.cmds[:end]
+	s.cmds = s.cmds[end+1:]
+	s.nextCmd++
+	return cmd
+}
+
 // onDelivery is the core DeliverySink: apply the total order to the state
 // machine and account latency for own commands.
 func (s *Replica) onDelivery(d rider.Delivery) {
 	for _, tx := range d.Txs {
 		s.machine.Apply(tx)
 		s.applied++
-		s.tail = append(s.tail, tx)
+		s.tail++
 		if s.cfg.RetainLog {
 			s.fullLog = append(s.fullLog, tx)
 		}
@@ -345,8 +358,8 @@ func (s *Replica) onCommit(ev rider.CommitEvent) {
 	s.sampleLive()
 }
 
-// takeSnapshot records the compaction point and drops the applied tail
-// below it.
+// takeSnapshot records the compaction point and compacts the transactions
+// applied since the last one.
 func (s *Replica) takeSnapshot(wave int) {
 	s.snapshots = append(s.snapshots, Snapshot{
 		Wave:    wave,
@@ -356,8 +369,8 @@ func (s *Replica) takeSnapshot(wave int) {
 		Live:    s.node.Live(),
 	})
 	s.lastSnapWave = wave
-	s.compacted += len(s.tail)
-	s.tail = nil
+	s.compacted += s.tail
+	s.tail = 0
 }
 
 // sampleLive folds the node's live-state counters into the peak tracker.
@@ -493,7 +506,7 @@ func Run(cfg Config) Result {
 			Submitted:   rep.submitted,
 			Rejected:    rep.rejected,
 			Compacted:   rep.compacted,
-			TailLen:     len(rep.tail),
+			TailLen:     rep.tail,
 			PeakQueue:   rep.peakQueue,
 			PeakLive:    rep.peak,
 			Snapshots:   rep.snapshots,
