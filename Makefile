@@ -107,6 +107,7 @@ loc:
 	@printf 'bench:         '; git ls-files 'bench/*.go' | grep -v '_test\.go$$' | grep -v 'testdata/' | xargs cat | wc -l
 
 # Smoke-test the batch analysis search path: a parallel random-system
-# sweep through quorum.AnalyzeSystem (the quorumtool -search mode).
+# sweep through quorum.AnalyzeSystem (the `experiments quorum -search`
+# mode).
 search:
-	$(GO) run ./cmd/quorumtool -system random -n 12 -search 50
+	$(GO) run ./cmd/experiments quorum -system random -n 12 -search 50

@@ -31,8 +31,6 @@ type (
 	Assumption = quorum.Assumption
 	// FederatedConfig parameterizes the Stellar-flavoured generator.
 	FederatedConfig = quorum.FederatedConfig
-	// UNLConfig parameterizes the Ripple-flavoured generator.
-	UNLConfig = quorum.UNLConfig
 
 	// CoinSource elects wave leaders.
 	CoinSource = coin.Source
@@ -43,11 +41,7 @@ type (
 	GatherConfig = gather.RunConfig
 	// GatherResult is a gather execution's outcome.
 	GatherResult = gather.RunResult
-	// Pairs is a gather (process, value) set.
-	Pairs = gather.Pairs
 
-	// RiderKind selects a consensus protocol.
-	RiderKind = harness.RiderKind
 	// RiderConfig configures a consensus execution.
 	RiderConfig = harness.RiderConfig
 	// RiderResult is a consensus execution's outcome.
@@ -67,12 +61,8 @@ type (
 const (
 	GatherThreeRound    = gather.KindThreeRound
 	GatherConstantRound = gather.KindConstantRound
-	RiderSymmetric      = harness.Symmetric
 	RiderAsymmetric     = harness.Asymmetric
 
-	// GatherUseReliable disseminates gather inputs over asymmetric
-	// reliable broadcast (the protocol as written in the paper).
-	GatherUseReliable = gather.UseReliable
 	// GatherUsePlain uses best-effort broadcast — valid with correct
 	// senders; the Appendix A adversarial executions use it so the
 	// schedule acts directly on the protocol rounds.
@@ -95,26 +85,11 @@ func NewThreshold(n, f int) Threshold { return quorum.NewThreshold(n, f) }
 // small n).
 func NewThresholdExplicit(n, f int) (*System, error) { return quorum.NewThresholdExplicit(n, f) }
 
-// NewSystem builds an explicit asymmetric system from per-process
-// fail-prone and quorum collections.
-func NewSystem(n int, failProne, quorums [][]Set) (*System, error) {
-	return quorum.New(n, failProne, quorums)
-}
-
-// NewSymmetric builds a symmetric system from a shared fail-prone
-// collection with canonical quorums.
-func NewSymmetric(n int, failProne []Set) (*System, error) {
-	return quorum.NewSymmetric(n, failProne)
-}
-
 // Canonical derives canonical quorums (complements of fail-prone sets).
 func Canonical(n int, failProne [][]Set) (*System, error) { return quorum.Canonical(n, failProne) }
 
 // NewFederated generates a Stellar-flavoured tiered system.
 func NewFederated(cfg FederatedConfig) (*System, error) { return quorum.NewFederated(cfg) }
-
-// NewUNL generates a Ripple-flavoured UNL system.
-func NewUNL(cfg UNLConfig) (*System, error) { return quorum.NewUNL(cfg) }
 
 // Counterexample returns the paper's 30-process Figure 1 system.
 func Counterexample() *System { return quorum.Counterexample() }
@@ -130,37 +105,24 @@ type FaultBehavior = sim.Node
 // sends a message (indistinguishable from an initial crash).
 func Mute() FaultBehavior { return sim.MuteNode{} }
 
-// CrashAt returns a fail-stop behaviour wrapping an inner node that stops
-// participating at the given virtual time.
-func CrashAt(inner FaultBehavior, at int64) FaultBehavior {
-	return &sim.CrashNode{Inner: inner, CrashAt: sim.VirtualTime(at)}
-}
-
 // RunGather executes one gather instance across a simulated cluster.
 func RunGather(cfg GatherConfig) GatherResult { return gather.RunCluster(cfg) }
 
 // RunConsensus executes one consensus instance across a simulated cluster.
 func RunConsensus(cfg RiderConfig) RiderResult { return harness.RunRider(cfg) }
 
-// Additional asymmetric primitives. ---------------------------------------
-
-type (
-	// BindingGatherNode is the gather variant whose common core is fixed
-	// once the first correct process delivers (one extra round).
-	BindingGatherNode = gather.BindingNode
-
-	// PRFCoin is the concrete seeded coin behind NewPRFCoin.
-	PRFCoin = coin.PRF
-)
-
-// NewBindingGatherNode creates a binding-gather process.
-func NewBindingGatherNode(cfg GatherNodeConfig) *BindingGatherNode {
-	return gather.NewBindingNode(gather.Config{Trust: cfg.Trust, Input: cfg.Input, Mode: cfg.Mode})
-}
+// BindingGatherNode is the gather variant whose common core is fixed once
+// the first correct process delivers (one extra round).
+type BindingGatherNode = gather.BindingNode
 
 // GatherNodeConfig configures a single gather node (as opposed to
 // GatherConfig, which configures a whole simulated cluster run).
 type GatherNodeConfig = gather.Config
+
+// NewBindingGatherNode creates a binding-gather process.
+func NewBindingGatherNode(cfg GatherNodeConfig) *BindingGatherNode {
+	return gather.NewBindingNode(cfg)
+}
 
 // Declarative adversarial scenarios. --------------------------------------
 
@@ -174,8 +136,6 @@ type (
 	ScenarioRule = scenario.Rule
 	// ScenarioWindow is a half-open virtual-time activity window.
 	ScenarioWindow = scenario.Window
-	// ScenarioJitter draws a delay uniformly from [Min, Max].
-	ScenarioJitter = scenario.Jitter
 	// ScenarioLinks selects the directed links a rule applies to.
 	ScenarioLinks = scenario.Links
 	// ScenarioProperty names a Definition 4.1 property a scenario declares.
@@ -184,9 +144,6 @@ type (
 	ScenarioNodeFault = scenario.NodeFault
 	// ScenarioDefinition is a named, parameterized scenario builder.
 	ScenarioDefinition = scenario.Definition
-	// FaultPlane injects message faults at the simulator's deterministic
-	// send- and deliver-commit points.
-	FaultPlane = sim.FaultPlane
 	// ScenarioSweepConfig parameterizes a scenario × seed sweep.
 	ScenarioSweepConfig = harness.ScenarioSweepConfig
 	// ScenarioSweepStats aggregates one scenario's sweep.
@@ -194,20 +151,6 @@ type (
 	// ScenarioFailure identifies the first failing (scenario, seed) pair.
 	ScenarioFailure = harness.ScenarioFailure
 )
-
-// Scenario property constants (paper Definition 4.1).
-const (
-	ScenarioTotalOrder = scenario.TotalOrder
-	ScenarioAgreement  = scenario.Agreement
-	ScenarioIntegrity  = scenario.Integrity
-	ScenarioValidity   = scenario.Validity
-	ScenarioLiveness   = scenario.Liveness
-)
-
-// SafetyScenarioProperties returns the safety subset of Definition 4.1
-// (total order, agreement, integrity) — what information-destroying faults
-// must still preserve.
-func SafetyScenarioProperties() []ScenarioProperty { return scenario.SafetyProperties() }
 
 // AllScenarioProperties returns every Definition 4.1 property, for
 // scenarios the protocol is expected to fully ride out.
@@ -220,15 +163,6 @@ func BuiltinScenarios() []ScenarioDefinition { return scenario.Builtins() }
 // FindScenario looks a built-in scenario up by name.
 func FindScenario(name string) (ScenarioDefinition, bool) { return scenario.Find(name) }
 
-// ScenarioNames lists the built-in scenario names in registry order.
-func ScenarioNames() []string { return scenario.Names() }
-
-// LinksFrom selects links originating in s.
-func LinksFrom(s Set) ScenarioLinks { return scenario.FromSet(s) }
-
-// LinksTo selects links terminating in s.
-func LinksTo(s Set) ScenarioLinks { return scenario.ToSet(s) }
-
 // LinksBetween selects links crossing between a and b (both directions).
 func LinksBetween(a, b Set) ScenarioLinks { return scenario.Between(a, b) }
 
@@ -237,21 +171,6 @@ func LinksBetween(a, b Set) ScenarioLinks { return scenario.Between(a, b) }
 // process counts as correct), otherwise they are lost (faulty).
 func ChurnFault(p ProcessID, crashAt, recoverAt int64, buffer bool) ScenarioNodeFault {
 	return scenario.Churn(p, sim.VirtualTime(crashAt), sim.VirtualTime(recoverAt), buffer)
-}
-
-// SelectiveFault makes p send protocol messages only to allow.
-func SelectiveFault(p ProcessID, allow Set) ScenarioNodeFault { return scenario.Selective(p, allow) }
-
-// StaleReplayFault makes p re-send an old message alongside every
-// every-th fresh one.
-func StaleReplayFault(p ProcessID, every int) ScenarioNodeFault {
-	return scenario.StaleReplay(p, every)
-}
-
-// EquivocateFault makes p show groupA its genuine stream while the rest
-// receive p's previous broadcast instead.
-func EquivocateFault(p ProcessID, groupA Set) ScenarioNodeFault {
-	return scenario.Equivocate(p, groupA)
 }
 
 // SweepScenario runs one scenario across the seeds and aggregates stats;
@@ -266,19 +185,6 @@ func SweepScenarios(defs []ScenarioDefinition, seeds []int64, cfg ScenarioSweepC
 	return harness.SweepScenarios(defs, seeds, cfg)
 }
 
-// CheckScenarioProperties verifies one run against the scenario's declared
-// properties (guild-scoped, per the paper).
-func CheckScenarioProperties(def ScenarioDefinition, res RiderResult) error {
-	return harness.CheckScenarioProperties(def, res)
-}
-
-// ScenarioRun builds the rider configuration a scenario sweep uses for one
-// seed and executes it — the single-run counterpart of SweepScenario, for
-// replaying a failing seed.
-func ScenarioRun(def ScenarioDefinition, cfg ScenarioSweepConfig, seed int64) RiderResult {
-	return harness.RunRider(harness.ScenarioRiderConfig(def, cfg, seed))
-}
-
 // SeedRange returns seeds start, start+1, ..., start+count-1 for sweeps.
 func SeedRange(start int64, count int) []int64 { return sim.SeedRange(start, count) }
 
@@ -288,35 +194,18 @@ type (
 	// ServiceConfig configures an indefinitely-running replicated service:
 	// pipelined client batching, mandatory DAG garbage collection, and
 	// periodic snapshot/compaction (see internal/service).
-	ServiceConfig = harness.ServiceConfig
+	ServiceConfig = service.Config
 	// ServiceResult is a service run's outcome (per-replica reports plus
 	// simulator metrics).
-	ServiceResult = harness.ServiceResult
-	// ServiceReport summarizes one replica: decided wave, applied and
-	// compacted transactions, admission-control counters, peak live state,
-	// snapshots, and commit-latency summary.
-	ServiceReport = harness.ServiceReport
-	// ServiceSnapshot is one snapshot/compaction point: the machine state
-	// after the commit that set the covered decided wave.
-	ServiceSnapshot = harness.ServiceSnapshot
+	ServiceResult = service.Result
 	// ServiceStats aggregates sustained throughput, commit rate, and
 	// pooled commit latency across a run's replicas.
 	ServiceStats = harness.ServiceStats
-	// ServiceLatency summarizes commit latency in virtual-time units.
-	ServiceLatency = harness.ServiceLatency
-
-	// StateMachine is the deterministic application a service replicates.
-	StateMachine = service.StateMachine
-	// KVMachine is the built-in replicated key-value StateMachine.
-	KVMachine = service.KV
 )
-
-// NewKVMachine returns an empty key-value state machine.
-func NewKVMachine() *KVMachine { return service.NewKV() }
 
 // RunService executes one long-lived service cluster until the configured
 // stop condition and collects per-replica reports.
-func RunService(cfg ServiceConfig) ServiceResult { return harness.RunService(cfg) }
+func RunService(cfg ServiceConfig) ServiceResult { return service.Run(cfg) }
 
 // SummarizeService computes run-level sustained-throughput and
 // commit-latency statistics.
@@ -325,9 +214,7 @@ func SummarizeService(res ServiceResult) ServiceStats { return harness.Summarize
 // CheckServiceSnapshots verifies byte-identical replica states at every
 // shared snapshot wave, returning the number of comparisons made (0 =
 // vacuous: no wave was shared).
-func CheckServiceSnapshots(res ServiceResult) (int, error) {
-	return harness.CheckServiceSnapshots(res)
-}
+func CheckServiceSnapshots(res ServiceResult) (int, error) { return service.CompareSnapshots(res) }
 
 // ServiceScenarioConfig installs a named adversarial scenario (fault plane
 // and node wrappers) for the given seed into a service configuration.
@@ -343,29 +230,11 @@ type (
 	ConsensusNode = core.Node
 	// ConsensusConfig configures a ConsensusNode.
 	ConsensusConfig = core.Config
-	// Workload supplies the transactions a node packs into vertices.
-	Workload = rider.Workload
 	// SyntheticWorkload generates labeled transactions for benchmarks.
 	SyntheticWorkload = rider.SyntheticWorkload
-	// QueueWorkload drains explicitly submitted transactions.
-	QueueWorkload = rider.QueueWorkload
-
-	// TCPHost runs one protocol node over real TCP connections.
-	TCPHost = transport.Host
-	// TCPHostConfig configures a single TCPHost (listen address, bounded
-	// outbox limit).
-	TCPHostConfig = transport.HostConfig
-	// TCPCluster is a fully wired loopback mesh of TCPHosts.
+	// TCPCluster is a fully wired loopback mesh of TCP hosts, one per
+	// protocol node.
 	TCPCluster = transport.LocalCluster
-	// TCPClusterConfig configures a TCPCluster (seed, per-peer outbox
-	// bound).
-	TCPClusterConfig = transport.LocalClusterConfig
-	// TCPStats aggregates a host's (or cluster's) wire traffic counters:
-	// frames, messages and bytes sent, write/encode errors, re-queued
-	// envelopes, and received totals.
-	TCPStats = transport.HostStats
-	// TCPPeerStats is the per-peer-link slice of TCPStats.
-	TCPPeerStats = transport.PeerStats
 )
 
 // NewConsensusNode creates an asymmetric-consensus process.
@@ -375,21 +244,4 @@ func NewConsensusNode(cfg ConsensusConfig) *ConsensusNode { return core.NewNode(
 // given protocol nodes; see examples/tcpnet.
 func NewTCPCluster(nodes []FaultBehavior, seed int64) (*TCPCluster, error) {
 	return transport.NewLocalCluster(nodes, seed)
-}
-
-// NewTCPClusterConfig is NewTCPCluster with the transport knob exposed:
-// the per-peer outbox bound (backpressure).
-func NewTCPClusterConfig(nodes []FaultBehavior, cfg TCPClusterConfig) (*TCPCluster, error) {
-	return transport.NewLocalClusterConfig(nodes, cfg)
-}
-
-// NewTCPHost creates a single TCP host for distributed deployments: wire
-// peers with Connect, then Start.
-func NewTCPHost(self ProcessID, n int, node FaultBehavior, addr string, seed int64) (*TCPHost, error) {
-	return transport.NewHost(self, n, node, addr, seed)
-}
-
-// NewTCPHostConfig is NewTCPHost with the transport knobs exposed.
-func NewTCPHostConfig(cfg TCPHostConfig) (*TCPHost, error) {
-	return transport.NewHostConfig(cfg)
 }

@@ -389,7 +389,7 @@ func BenchmarkQuorumPredicateCounterexample(b *testing.B) {
 }
 
 // Analysis engine: the word-compiled Validate/SatisfiesB3 sweeps on an
-// n=30 random asymmetric system (the quorumtool -search shape). The
+// n=30 random asymmetric system (the `experiments quorum -search` shape). The
 // compiled pair must stay ≥2× ahead of the nested-set-loop references,
 // BenchmarkValidateNaive and BenchmarkSatisfiesB3Naive in internal/quorum.
 
@@ -434,7 +434,7 @@ func BenchmarkAnalyzeSystem(b *testing.B) {
 	}
 }
 
-// BenchmarkSearch is the quorumtool -search inner loop: generate random
+// BenchmarkSearch is the `experiments quorum -search` inner loop: generate random
 // asymmetric systems across a parallel seed sweep and batch-analyze each.
 func BenchmarkSearch(b *testing.B) {
 	seeds := sim.SeedRange(1, 16)
@@ -554,14 +554,14 @@ func BenchmarkServiceSustained(b *testing.B) {
 	var msgs, commits, applied, peak int
 	var p50, p99 int64
 	for i := 0; i < b.N; i++ {
-		res := harness.RunService(harness.ServiceConfig{
+		res := service.Run(service.Config{
 			Trust: trust, Seed: int64(i), CoinSeed: int64(i)*17 + 3,
 			StopAfterWaves: 20,
 		})
 		if !res.Stopped {
 			b.Fatal("service run hit the event budget before the target wave")
 		}
-		if _, err := harness.CheckServiceSnapshots(res); err != nil {
+		if _, err := service.CompareSnapshots(res); err != nil {
 			b.Fatal(err)
 		}
 		st := harness.SummarizeService(res)

@@ -21,23 +21,18 @@ type ClusterConfig struct {
 	Latency LatencyModel
 	// BatchSize caps transactions per vertex (default 16).
 	BatchSize int
-	// MaxSteps bounds Run to that many delivered events (0 = the generous
-	// DefaultMaxSteps, < 0 = unbounded). Without a bound, a non-quiescing
-	// schedule — an adversarial latency model feeding a livelocked round,
-	// say — hangs Run (and any sweep driving it) forever; the default cap
-	// is far above what a legitimate run delivers, so hitting it signals a
-	// runaway schedule rather than truncating real work. ClusterResult
-	// reports a hit via HitLimit.
+	// MaxSteps bounds Run to that many delivered events (0 = the
+	// simulator's generous default budget, < 0 = unbounded). Without a
+	// bound, a non-quiescing schedule — an adversarial latency model
+	// feeding a livelocked round, say — hangs Run (and any sweep driving
+	// it) forever; the default cap is far above what a legitimate run
+	// delivers, so hitting it signals a runaway schedule rather than
+	// truncating real work. ClusterResult reports a hit via HitLimit.
 	MaxSteps int
 	// DeliveryWorkers opts the run into the simulator's parallel
 	// same-time delivery (0 = serial; see sim.Config.DeliveryWorkers).
 	DeliveryWorkers int
 }
-
-// DefaultMaxSteps is the event budget Run applies when ClusterConfig
-// leaves MaxSteps at 0 — the simulator-wide default shared by every
-// protocol runner.
-const DefaultMaxSteps = sim.DefaultEventBudget
 
 // Cluster is a simulated deployment of the asymmetric DAG consensus: one
 // node per process, an in-memory asynchronous network, and per-node

@@ -1,11 +1,49 @@
 package main
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/quorum"
 	"repro/internal/types"
 )
+
+// TestSubcommands runs every subcommand in process on a tiny input, and
+// each bad input the flags once let through: those must exit 2 before any
+// run starts, so with nothing on stdout.
+func TestSubcommands(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string // substring of stdout; "" for bad input
+	}{
+		{[]string{"rider", "-n", "4", "-f", "1", "-seeds", "1", "-waves", "1"}, 0, "kind,system,n,seed"},
+		{[]string{"gather", "-system", "threshold", "-n", "4", "-f", "1"}, 0, "delivered=4/4"},
+		{[]string{"quorum"}, 0, "system: counterexample"},
+		{[]string{"quorum", "-search", "3"}, 0, "built: 3/3"},
+		{[]string{"flood", "-n", "2", "-rounds", "1"}, 0, "delivered: 4 msgs"},
+		{[]string{"-run", "fig1"}, 0, "=== fig1"},
+		{[]string{"rider", "-kind", "bogus"}, 2, ""},
+		{[]string{"rider", "-n", "3", "-f", "1"}, 2, ""},
+		{[]string{"rider", "-kind", "symmetric", "-system", "counterexample"}, 2, ""},
+		{[]string{"gather", "-proto", "bogus", "-schedule", "bogus"}, 2, ""},
+		{[]string{"gather", "-schedule", "bogus"}, 2, ""},
+		{[]string{"-run", "bogus"}, 2, ""},
+		{[]string{"ridr"}, 2, ""},
+	} {
+		var out bytes.Buffer
+		if code := run(tc.args, &out); code != tc.code {
+			t.Errorf("%v: exit %d, want %d", tc.args, code, tc.code)
+		}
+		if tc.want == "" && out.Len() > 0 {
+			t.Errorf("%v: bad input printed %q", tc.args, out.String())
+		}
+		if !strings.Contains(out.String(), tc.want) {
+			t.Errorf("%v: stdout lacks %q:\n%s", tc.args, tc.want, out.String())
+		}
+	}
+}
 
 // TestFirstOrEmpty is the regression test for the -matrix panic: the row
 // functions used to index sys.Quorums(p)[0] unguarded, so a process with

@@ -34,7 +34,7 @@
 //     intersection sweeps with popcount pruning, and the batch
 //     AnalyzeSystem API reports {valid, B3, c(Q), violation witness} in a
 //     single pass per candidate system. Large random-system searches
-//     (cmd/quorumtool -search, the §3.2 small-system sweep) run on this
+//     (`experiments quorum -search`, the §3.2 small-system sweep) run on this
 //     path. The naive set-loop references live in internal/quorum's tests,
 //     differential-tested against the compiled forms on hundreds of
 //     random systems per `go test ./...`.
@@ -66,7 +66,7 @@
 //     seed order, panics attributed to the offending seed. It powers the
 //     randomized protocol-property conformance suites (hundreds of random
 //     trust systems per `go test ./...`), the multi-seed experiments, and
-//     the cmd/riderbench and cmd/quorumtool search paths.
+//     the `experiments rider` and `experiments quorum -search` sweeps.
 //   - A sharded deterministic event queue with parallel same-time
 //     delivery (internal/sim): the scheduler keeps one (time, seq)-ordered
 //     heap per receiver process, merged through a tournament tree over the
@@ -150,6 +150,7 @@
 //	}
 //
 // See the examples/ directory for runnable programs, cmd/experiments for
-// the paper-reproduction harness (-list prints the experiment index), and
-// bench/README.md for the repository benchmark and its metrics.
+// the paper-reproduction harness (-list prints the experiment index) and
+// its rider, gather, quorum and flood subcommands, and bench/README.md for
+// the repository benchmark and its metrics.
 package asymdag

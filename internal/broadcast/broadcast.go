@@ -257,8 +257,7 @@ type Reliable struct {
 	rows map[uint64][]rbSlot
 	free [][]rbSlot
 	// live counts the slots with state, over all rows (SlotCount).
-	live    int
-	nextSeq uint64
+	live int
 	// pruned is the slot-sequence watermark set by PruneBelow: per-slot
 	// state below it has been discarded and late messages for those slots
 	// are dropped (see PruneBelow for the trade).
@@ -305,13 +304,6 @@ func NewReliable(self types.ProcessID, trust quorum.Assumption, deliver Deliver)
 		deliver: deliver,
 		rows:    map[uint64][]rbSlot{},
 	}
-}
-
-// NextSeq returns a fresh sequence number for this originator.
-func (r *Reliable) NextSeq() uint64 {
-	s := r.nextSeq
-	r.nextSeq++
-	return s
 }
 
 // Broadcast implements Broadcaster.

@@ -5,30 +5,6 @@ import (
 	"repro/internal/service"
 )
 
-// ServiceConfig configures a long-lived replicated service run: pipelined
-// client batching, mandatory DAG garbage collection, and periodic
-// snapshot/compaction (see internal/service for the lifecycle).
-type ServiceConfig = service.Config
-
-// ServiceResult is the outcome of one service run.
-type ServiceResult = service.Result
-
-// ServiceReport summarizes one replica at the end of a service run.
-type ServiceReport = service.Report
-
-// ServiceSnapshot is one snapshot/compaction point of a replica.
-type ServiceSnapshot = service.Snapshot
-
-// ServiceLatency summarizes commit latency in virtual-time units.
-type ServiceLatency = service.LatencySummary
-
-// RunService executes one service cluster until its stop condition,
-// applying the harness-wide DeliveryWorkers default exactly like RunRider.
-func RunService(cfg ServiceConfig) ServiceResult {
-	cfg.DeliveryWorkers = resolveDeliveryWorkers(cfg.DeliveryWorkers)
-	return service.Run(cfg)
-}
-
 // ServiceStats aggregates a run's sustained-throughput and commit-latency
 // numbers across replicas — the quantities BenchmarkServiceSustained
 // reports.
@@ -43,7 +19,7 @@ type ServiceStats struct {
 	// Mean are exact over the pooled population; P50/P99/Max are the
 	// worst (largest) per-replica values, the conservative bound a gate
 	// wants.
-	Latency ServiceLatency
+	Latency service.LatencySummary
 	// PeakLiveVertices is the largest GC-bounded DAG size any replica
 	// held at any point — the bounded-memory headline number.
 	PeakLiveVertices int
@@ -52,7 +28,7 @@ type ServiceStats struct {
 }
 
 // SummarizeService computes the run-level service statistics.
-func SummarizeService(res ServiceResult) ServiceStats {
+func SummarizeService(res service.Result) ServiceStats {
 	var st ServiceStats
 	if len(res.Replicas) == 0 || res.EndTime == 0 {
 		return st
@@ -90,19 +66,10 @@ func SummarizeService(res ServiceResult) ServiceStats {
 	return st
 }
 
-// CheckServiceSnapshots verifies the service-mode agreement invariant: at
-// every decided wave two replicas both snapshotted, their machine states
-// are byte-identical. It returns the number of cross-replica snapshot
-// comparisons made (0 means the run produced no common snapshot wave,
-// which callers should treat as a vacuous check).
-func CheckServiceSnapshots(res ServiceResult) (int, error) {
-	return service.CompareSnapshots(res)
-}
-
 // ServiceScenarioConfig instantiates the named adversarial scenario for
 // the given seed and installs its fault plane and node wrappers into cfg —
 // the service-mode counterpart of ScenarioRiderConfig.
-func ServiceScenarioConfig(def scenario.Definition, cfg ServiceConfig, seed int64) ServiceConfig {
+func ServiceScenarioConfig(def scenario.Definition, cfg service.Config, seed int64) service.Config {
 	sc := def.Build(cfg.Trust.N(), seed)
 	cfg.Seed = seed
 	cfg.Fault = sc.FaultPlane()

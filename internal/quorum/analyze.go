@@ -169,7 +169,7 @@ type Analysis struct {
 // AnalyzeSystem runs Validate, SatisfiesB3 and the quorum-size summary
 // over a single compiled evaluator: one compilation per system, one
 // consistency sweep and one B3 sweep. Search loops over many candidate
-// systems (cmd/quorumtool -search, harness.ExpSmallSystems) call this
+// systems (`experiments quorum -search`, harness.ExpSmallSystems) call this
 // instead of stacking the per-property methods.
 func AnalyzeSystem(s *System) Analysis {
 	e := s.Evaluator()
@@ -301,7 +301,7 @@ func RenderMatrix(n int, header string, rowFn, altFn func(types.ProcessID) types
 }
 
 // Describe returns a human-readable summary of a system: sizes, the B3
-// verdict, validity, and the Lemma 4.4 bound. Used by cmd/quorumtool and
+// verdict, validity, and the Lemma 4.4 bound. Used by `experiments quorum` and
 // handy in tests. All quantities come from a single AnalyzeSystem pass.
 func (s *System) Describe() string {
 	a := AnalyzeSystem(s)

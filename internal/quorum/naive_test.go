@@ -82,8 +82,8 @@ func (s *System) SatisfiesB3Naive() bool {
 	return true
 }
 
-// naiveBenchSystem is the n=30 random asymmetric system (the quorumtool
-// -search shape) of the root BenchmarkValidate and BenchmarkSatisfiesB3,
+// naiveBenchSystem is the n=30 random asymmetric system (the `experiments
+// quorum -search` shape) of the root BenchmarkValidate and BenchmarkSatisfiesB3,
 // which must stay ≥2× ahead of the two benchmarks below.
 func naiveBenchSystem(b *testing.B) *System {
 	sys, err := RandomAsymmetric(RandomAsymmetricConfig{N: 30, NumSets: 2, MaxFault: 6, Seed: 7})

@@ -222,13 +222,3 @@ func Find(name string) (Definition, bool) {
 	}
 	return Definition{}, false
 }
-
-// Names returns the built-in scenario names in registry order.
-func Names() []string {
-	defs := Builtins()
-	out := make([]string, len(defs))
-	for i, d := range defs {
-		out[i] = d.Name
-	}
-	return out
-}

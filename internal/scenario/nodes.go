@@ -210,14 +210,6 @@ func (q *EquivocateNode) Unwrap() sim.Node { return q.Inner }
 
 // NodeFault constructors. ----------------------------------------------------
 
-// Crash fail-stops process p at the given virtual time. The process is
-// faulty: it falls silent mid-protocol.
-func Crash(p types.ProcessID, at sim.VirtualTime) NodeFault {
-	return NodeFault{P: p, Correct: false, Wrap: func(inner sim.Node) sim.Node {
-		return &sim.CrashNode{Inner: inner, CrashAt: at}
-	}}
-}
-
 // Mute replaces process p with a node that never sends anything.
 func Mute(p types.ProcessID) NodeFault {
 	return NodeFault{P: p, Correct: false, Wrap: func(sim.Node) sim.Node {

@@ -113,11 +113,6 @@ func FromSet(s types.Set) Links {
 	return func(from, _ types.ProcessID) bool { return s.Contains(from) }
 }
 
-// ToSet matches messages delivered to a member of s.
-func ToSet(s types.Set) Links {
-	return func(_, to types.ProcessID) bool { return s.Contains(to) }
-}
-
 // Between matches cross-traffic between a and b, in either direction — the
 // link set a partition of the cluster into a and b severs. Traffic inside
 // one side (including self-delivery) never matches.
@@ -171,7 +166,7 @@ type Rule struct {
 	// Window limits when the rule is active (zero value = always).
 	Window Window
 	// Links selects the affected links (nil = all links, including
-	// self-delivery — see sim.DropFilter's pinned semantics).
+	// self-delivery — see sim.FaultPlane's call order).
 	Links Links
 
 	// Drop is the probability a matched message is discarded.

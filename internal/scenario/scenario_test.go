@@ -87,9 +87,6 @@ func TestLinksSelectors(t *testing.T) {
 	if !FromSet(a)(0, 3) || FromSet(a)(3, 0) {
 		t.Error("FromSet must match on sender only")
 	}
-	if !ToSet(b)(0, 3) || ToSet(b)(3, 0) {
-		t.Error("ToSet must match on receiver only")
-	}
 }
 
 func TestPlaneOnSendComposition(t *testing.T) {
@@ -279,9 +276,6 @@ func TestBuiltinsRegistry(t *testing.T) {
 	}
 	if _, ok := Find("no-such-scenario"); ok {
 		t.Error("Find must report unknown names")
-	}
-	if len(Names()) != len(defs) {
-		t.Error("Names() must cover every definition")
 	}
 }
 

@@ -8,19 +8,30 @@ import (
 	"repro/internal/types"
 )
 
-// Regression tests pinning the DropFilter semantics documented on the type
-// (self-delivery is filtered too; broadcast is filtered per destination
-// exactly like n sends; filtered messages never reach the FaultPlane) and
-// the FaultPlane verdict semantics the scenario package builds on.
+// Regression tests pinning the FaultPlane semantics documented on the type
+// (self-delivery is consulted too; broadcast is consulted per destination
+// exactly like n sends) and the verdicts the scenario package builds on.
 
-// TestDropFilterSelfDelivery pins that the filter is consulted for
-// from == to: a filter dropping only self-delivery starves every node of
+// keepPlane is a FaultPlane that drops every message on a link keep
+// rejects and passes the rest through untouched.
+type keepPlane func(from, to types.ProcessID) bool
+
+func (k keepPlane) OnSend(from, to types.ProcessID, _ Message, _ VirtualTime, _ *rand.Rand) SendVerdict {
+	return SendVerdict{Drop: !k(from, to)}
+}
+
+func (keepPlane) OnDeliver(types.ProcessID, types.ProcessID, Message, VirtualTime, *rand.Rand) DeliverVerdict {
+	return DeliverVerdict{}
+}
+
+// TestDropFilterSelfDelivery pins that the plane is consulted for
+// from == to: a plane dropping only self-delivery starves every node of
 // exactly its own ping.
 func TestDropFilterSelfDelivery(t *testing.T) {
 	n := 4
 	nodes := newPingCluster(n)
-	filter := func(from, to types.ProcessID, _ Message) bool { return from != to }
-	r := NewRunner(Config{N: n, Seed: 1, Filter: filter}, nodes)
+	plane := keepPlane(func(from, to types.ProcessID) bool { return from != to })
+	r := NewRunner(Config{N: n, Seed: 1, Fault: plane}, nodes)
 	r.Run(0)
 	for i, nd := range nodes {
 		pn := nd.(*pingNode)
@@ -28,7 +39,7 @@ func TestDropFilterSelfDelivery(t *testing.T) {
 			t.Errorf("node %d got %d pings, want %d (own loopback dropped)", i, pn.got, n-1)
 		}
 		if pn.fromSet.Contains(types.ProcessID(i)) {
-			t.Errorf("node %d heard from itself despite the self-delivery filter", i)
+			t.Errorf("node %d heard from itself despite the self-delivery drop", i)
 		}
 	}
 	if d := r.Metrics().MessagesDropped; d != n {
@@ -56,14 +67,15 @@ func (f *fanoutNode) Init(e Env) {
 func (f *fanoutNode) Receive(Env, types.ProcessID, Message) {}
 
 // TestBroadcastFilterParityWithPerDestinationSends pins that the broadcast
-// fast path filters (and draws latency for) each destination exactly as n
-// individual Sends would: same metrics including ByType, same delivery
-// schedule, under a filter that drops a subset of links.
+// fast path consults the fault plane (and draws latency) for each
+// destination exactly as n individual Sends would: same metrics including
+// ByType, same delivery schedule, under a plane that drops a subset of
+// links.
 func TestBroadcastFilterParityWithPerDestinationSends(t *testing.T) {
 	n := 5
-	filter := func(from, to types.ProcessID, _ Message) bool {
+	plane := keepPlane(func(from, to types.ProcessID) bool {
 		return !(from == 0 && to%2 == 1) // drop 0 -> odd receivers
-	}
+	})
 	run := func(perDest bool) (*Metrics, [][]VirtualTime) {
 		nodes := make([]Node, n)
 		nodes[0] = &fanoutNode{perDest: perDest}
@@ -72,7 +84,7 @@ func TestBroadcastFilterParityWithPerDestinationSends(t *testing.T) {
 			probes[i] = &arrivalProbe{}
 			nodes[i] = probes[i]
 		}
-		r := NewRunner(Config{N: n, Seed: 42, Filter: filter, Latency: UniformLatency{Min: 1, Max: 30}}, nodes)
+		r := NewRunner(Config{N: n, Seed: 42, Fault: plane, Latency: UniformLatency{Min: 1, Max: 30}}, nodes)
 		r.Run(0)
 		times := make([][]VirtualTime, n)
 		for i := 1; i < n; i++ {
@@ -93,60 +105,25 @@ func TestBroadcastFilterParityWithPerDestinationSends(t *testing.T) {
 	}
 }
 
-// recordingPlane records every OnSend link it is consulted for and issues
-// fixed verdicts.
-type recordingPlane struct {
-	sends    []link
-	delivers []link
-	verdict  SendVerdict
-}
+// fixedPlane issues the same send verdict for every message.
+type fixedPlane SendVerdict
 
 type link struct{ from, to types.ProcessID }
 
-func (p *recordingPlane) OnSend(from, to types.ProcessID, _ Message, _ VirtualTime, _ *rand.Rand) SendVerdict {
-	p.sends = append(p.sends, link{from, to})
-	return p.verdict
+func (p fixedPlane) OnSend(types.ProcessID, types.ProcessID, Message, VirtualTime, *rand.Rand) SendVerdict {
+	return SendVerdict(p)
 }
 
-func (p *recordingPlane) OnDeliver(from, to types.ProcessID, _ Message, _ VirtualTime, _ *rand.Rand) DeliverVerdict {
-	p.delivers = append(p.delivers, link{from, to})
+func (fixedPlane) OnDeliver(types.ProcessID, types.ProcessID, Message, VirtualTime, *rand.Rand) DeliverVerdict {
 	return DeliverVerdict{}
 }
 
-// TestFilteredMessageNeverReachesFaultPlane pins the documented call
-// order: DropFilter first, so a filtered message is never shown to the
-// plane's OnSend (and, never being enqueued, never to OnDeliver).
-func TestFilteredMessageNeverReachesFaultPlane(t *testing.T) {
-	n := 3
-	nodes := newPingCluster(n)
-	filter := func(from, _ types.ProcessID, _ Message) bool { return from != 0 }
-	plane := &recordingPlane{}
-	r := NewRunner(Config{N: n, Seed: 1, Filter: filter, Fault: plane}, nodes)
-	r.Run(0)
-	for _, l := range plane.sends {
-		if l.from == 0 {
-			t.Fatalf("OnSend consulted for filtered link %d->%d", l.from, l.to)
-		}
-	}
-	for _, l := range plane.delivers {
-		if l.from == 0 {
-			t.Fatalf("OnDeliver consulted for filtered link %d->%d", l.from, l.to)
-		}
-	}
-	if len(plane.sends) != (n-1)*n {
-		t.Fatalf("OnSend consulted %d times, want %d (every unfiltered send)", len(plane.sends), (n-1)*n)
-	}
-	if len(plane.delivers) != (n-1)*n {
-		t.Fatalf("OnDeliver consulted %d times, want %d (every delivery)", len(plane.delivers), (n-1)*n)
-	}
-}
-
 // TestFaultPlaneDropCountsAsDropped pins that a plane drop is accounted
-// exactly like a filter drop: MessagesDropped only.
+// as MessagesDropped only.
 func TestFaultPlaneDropCountsAsDropped(t *testing.T) {
 	n := 3
 	nodes := newPingCluster(n)
-	plane := &recordingPlane{verdict: SendVerdict{Drop: true}}
+	plane := fixedPlane{Drop: true}
 	r := NewRunner(Config{N: n, Seed: 1, Fault: plane}, nodes)
 	r.Run(0)
 	m := r.Metrics()
@@ -169,7 +146,7 @@ func TestFaultPlaneDropCountsAsDropped(t *testing.T) {
 func TestFaultPlaneDuplicatesAndExtra(t *testing.T) {
 	n := 2
 	nodes := newPingCluster(n)
-	plane := &recordingPlane{verdict: SendVerdict{Duplicates: 2, Extra: 10}}
+	plane := fixedPlane{Duplicates: 2, Extra: 10}
 	r := NewRunner(Config{N: n, Seed: 1, Latency: ConstantLatency(1), Fault: plane}, nodes)
 	r.Run(0)
 	m := r.Metrics()

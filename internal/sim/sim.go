@@ -40,14 +40,13 @@
 //
 // Config.Fault installs a FaultPlane: an adversarial message-fault layer
 // consulted at exactly two single-threaded commit points — OnSend when a
-// message's delivery is scheduled (after DropFilter, per destination in
-// ascending order) and OnDeliver when a delivery is popped from the
-// queue. Both hooks run on the driving goroutine with the run's one
-// seeded RNG, even under parallel delivery (buffered sends are committed
-// in receiver-ID order, redelivery is decided at the pop), so every
-// fault decision — drop, duplicate, extra delay, hold-until, redeliver —
-// is a pure function of the seed and byte-identical across
-// DeliveryWorkers counts. Node-level faults compose separately as
+// message's delivery is scheduled (per destination, in ascending order)
+// and OnDeliver when a delivery is popped from the queue. Both hooks run
+// on the driving goroutine with the run's one seeded RNG, even under
+// parallel delivery (buffered sends are committed in receiver-ID order,
+// redelivery is decided at the pop), so every fault decision — drop,
+// duplicate, extra delay, hold-until, redeliver — is a pure function of
+// the seed and byte-identical across DeliveryWorkers counts. Node-level faults compose separately as
 // wrappers (CrashNode, MuteNode, ChurnNode, and the Byzantine wrappers
 // in internal/scenario); wrappers implementing Unwrapper keep the inner
 // protocol node observable to result collectors. internal/scenario
@@ -213,26 +212,6 @@ func (f FavoredLinksLatency) Delay(from, to types.ProcessID, _ Message, _ Virtua
 	return f.Slow
 }
 
-// DropFilter decides whether a message is delivered; return false to drop.
-// Dropping models faulty links or partitioned/fail-stop behaviour. Correct-
-// process links in the paper are reliable, so filters should only affect
-// faulty processes.
-//
-// Pinned semantics (scenario drop rules rely on these; regression-tested):
-//
-//   - The filter is consulted for every (from, to) pair, INCLUDING
-//     self-delivery (from == to). Self-sends travel through the network
-//     like any other message, so a filter that should spare a process's
-//     own loopback must allow from == to explicitly.
-//   - Broadcast is filtered per destination, in ascending destination
-//     order, exactly as n individual Sends would be: the broadcast
-//     fast-path only pools the type/size bookkeeping, never the filter,
-//     latency or sequence-number decisions.
-//   - A filtered message counts only as MessagesDropped — never towards
-//     MessagesSent, BytesSent or ByType — and is never seen by the
-//     FaultPlane (the filter runs first).
-type DropFilter func(from, to types.ProcessID, msg Message) bool
-
 // Fault plane. -------------------------------------------------------------
 
 // FaultPlane is the scenario hook into the simulator's two deterministic
@@ -245,11 +224,11 @@ type DropFilter func(from, to types.ProcessID, msg Message) bool
 // count. Implementations must be deterministic: no time, no I/O, no
 // private unseeded randomness.
 //
-// Call order per message: DropFilter first (a filtered message never
-// reaches the plane), then OnSend once per (from, to) destination —
+// Call order per message: OnSend once per (from, to) destination —
 // including self-delivery and each destination of a broadcast fan-out, in
-// ascending destination order — then OnDeliver when the (possibly
-// duplicated, delayed) event is popped for delivery.
+// ascending destination order, exactly as n individual sends — then
+// OnDeliver when the (possibly duplicated, delayed) event is popped for
+// delivery.
 type FaultPlane interface {
 	// OnSend rules on one outbound message at the send-commit point.
 	OnSend(from, to types.ProcessID, msg Message, now VirtualTime, rng *rand.Rand) SendVerdict
@@ -261,8 +240,8 @@ type FaultPlane interface {
 
 // SendVerdict is a FaultPlane's decision about one outbound message.
 type SendVerdict struct {
-	// Drop discards the message; it counts only as MessagesDropped
-	// (exactly like a DropFilter drop).
+	// Drop discards the message; it counts only as MessagesDropped —
+	// never towards MessagesSent, BytesSent or ByType.
 	Drop bool
 	// Extra is added on top of the latency model's own draw (negative
 	// values are clamped to 0). Partitions that heal are expressed as
@@ -291,7 +270,6 @@ type Config struct {
 	N       int
 	Latency LatencyModel // defaults to ConstantLatency(1)
 	Seed    int64
-	Filter  DropFilter // optional; nil delivers everything
 
 	// Fault, when non-nil, is the scenario fault plane: it is consulted
 	// once per (from, to) message at the send-commit point and once per
@@ -506,18 +484,6 @@ func msgSize(msg Message) int {
 	return 1
 }
 
-// dropped applies the drop filter. Filtered messages never reach the
-// network: they count only as MessagesDropped, not towards
-// MessagesSent/BytesSent/ByType, so experiment metrics reflect actual
-// traffic.
-func (r *Runner) dropped(from, to types.ProcessID, msg Message) bool {
-	if r.cfg.Filter != nil && !r.cfg.Filter(from, to, msg) {
-		r.metrics.MessagesDropped++
-		return true
-	}
-	return false
-}
-
 // sendOne records the sent-message metrics (against the caller-resolved
 // type counter and size) and enqueues the delivery. Both unicast and
 // broadcast fan-out land here, so the accounting rules — and the fault
@@ -547,9 +513,6 @@ func (r *Runner) sendOne(from, to types.ProcessID, msg Message, tc *typeCounter,
 }
 
 func (r *Runner) send(from, to types.ProcessID, msg Message) {
-	if r.dropped(from, to, msg) {
-		return
-	}
 	r.sendOne(from, to, msg, r.typeCounter(msg), msgSize(msg))
 }
 
@@ -558,21 +521,12 @@ func (r *Runner) send(from, to types.ProcessID, msg Message) {
 // reuses it for all n sends — broadcast is the dominant send pattern of
 // every protocol here, and per-destination SimSize/type lookups used to
 // show up in profiles. Delivery order and metrics stay byte-identical to
-// n individual sends: the filter, the latency draw and the sequence
+// n individual sends: the fault plane, the latency draw and the sequence
 // number are still evaluated per destination, in destination order.
 func (r *Runner) broadcast(from types.ProcessID, msg Message) {
-	var tc *typeCounter
-	size := 0
+	tc, size := r.typeCounter(msg), msgSize(msg)
 	for to := 0; to < r.cfg.N; to++ {
-		pid := types.ProcessID(to)
-		if r.dropped(from, pid, msg) {
-			continue
-		}
-		if tc == nil {
-			tc = r.typeCounter(msg)
-			size = msgSize(msg)
-		}
-		r.sendOne(from, pid, msg, tc, size)
+		r.sendOne(from, types.ProcessID(to), msg, tc, size)
 	}
 }
 
@@ -884,11 +838,6 @@ func (c *ChurnNode) recover(e Env) {
 		c.buf[i] = bufferedDelivery{}
 	}
 	c.buf = nil
-}
-
-// Down reports whether the node is inside its down window at time t.
-func (c *ChurnNode) Down(t VirtualTime) bool {
-	return t >= c.CrashAt && t < c.RecoverAt && !c.recovered
 }
 
 // Recovered reports whether the node has processed its recovery (it only

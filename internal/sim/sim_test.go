@@ -106,15 +106,15 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 func TestDropFilter(t *testing.T) {
 	nodes := newPingCluster(4)
 	// Drop everything sent by process 0 to others (keep self-delivery).
-	filter := func(from, to types.ProcessID, _ Message) bool {
+	plane := keepPlane(func(from, to types.ProcessID) bool {
 		return from != 0 || to == 0
-	}
-	r := NewRunner(Config{N: 4, Seed: 1, Filter: filter}, nodes)
+	})
+	r := NewRunner(Config{N: 4, Seed: 1, Fault: plane}, nodes)
 	r.Run(0)
 	for i := 1; i < 4; i++ {
 		pn := nodes[i].(*pingNode)
 		if pn.fromSet.Contains(0) {
-			t.Errorf("node %d heard from 0 despite drop filter", i)
+			t.Errorf("node %d heard from 0 despite the dropping plane", i)
 		}
 		if pn.got != 3 {
 			t.Errorf("node %d got %d, want 3", i, pn.got)

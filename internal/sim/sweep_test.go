@@ -156,15 +156,15 @@ func TestMergeMetrics(t *testing.T) {
 	}
 }
 
-// TestSendDropAccounting pins the metric semantics of filtered messages:
+// TestSendDropAccounting pins the metric semantics of dropped messages:
 // dropped messages contribute to MessagesDropped only — not to
 // MessagesSent, BytesSent or the per-type counters.
 func TestSendDropAccounting(t *testing.T) {
 	nodes := newPingCluster(4)
-	filter := func(from, to types.ProcessID, _ Message) bool {
+	plane := keepPlane(func(from, to types.ProcessID) bool {
 		return from != 0 || to == 0 // drop 0's sends to others
-	}
-	r := NewRunner(Config{N: 4, Seed: 1, Filter: filter}, nodes)
+	})
+	r := NewRunner(Config{N: 4, Seed: 1, Fault: plane}, nodes)
 	r.Run(0)
 	m := r.Metrics()
 	if m.MessagesDropped != 3 {

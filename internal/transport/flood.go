@@ -1,7 +1,7 @@
 // Flood load harness: a trivial counting node plus a cluster wrapper that
 // drives broadcast storms through the real codec/framing/backpressure
-// path. This is what the loopback throughput benchmark (and cmd/tcpbench)
-// measure; it lives in the package proper so the CLI can reuse it.
+// path. This is what the loopback throughput benchmark (and `experiments
+// flood`) measure; it lives in the package proper so the CLI can reuse it.
 package transport
 
 import (

@@ -398,14 +398,8 @@ type call struct {
 // so the loop's signal never blocks, and is empty when it is put back.
 var donePool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 
-// NewHost creates a host with default limits; see NewHostConfig for the
-// full set of knobs. Call Addr to learn the bound address, Connect to
-// wire peers, then Start.
-func NewHost(self types.ProcessID, n int, node sim.Node, addr string, seed int64) (*Host, error) {
-	return NewHostConfig(HostConfig{Self: self, N: n, Node: node, Addr: addr, Seed: seed})
-}
-
-// NewHostConfig creates a host for cfg.Node listening on cfg.Addr.
+// NewHostConfig creates a host for cfg.Node listening on cfg.Addr. Call
+// Addr to learn the bound address, Connect to wire peers, then Start.
 func NewHostConfig(cfg HostConfig) (*Host, error) {
 	if cfg.N <= 0 || cfg.Self < 0 || int(cfg.Self) >= cfg.N {
 		return nil, fmt.Errorf("transport: self %v out of range for n=%d", cfg.Self, cfg.N)

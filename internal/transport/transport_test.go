@@ -199,9 +199,9 @@ func TestHostCloseIdempotentAndClean(t *testing.T) {
 }
 
 func TestConnectBadAddress(t *testing.T) {
-	h, err := NewHost(0, 2, gather.NewThreeRoundNode(gather.Config{
+	h, err := NewHostConfig(HostConfig{N: 2, Addr: "127.0.0.1:0", Seed: 1, Node: gather.NewThreeRoundNode(gather.Config{
 		Trust: quorum.NewThreshold(4, 1), Input: "x",
-	}), "127.0.0.1:0", 1)
+	})})
 	if err != nil {
 		t.Fatal(err)
 	}
