@@ -17,7 +17,7 @@ build:
 # must stay race-clean, and the randomized conformance suites exercise it
 # on every run. The scenario registry sweep rides along so `make test`
 # always exercises the adversarial scenarios end to end, and `lint` runs
-# the repository's own determinism/wire-contract analyzers (cmd/asymvet)
+# the repository's own wire/sharing-contract analyzers (cmd/asymvet)
 # alongside stock go vet. bench/ is a nested module that `./...` does not
 # reach, so it is vetted here too: a root refactor can otherwise break the
 # benchmark unnoticed.
@@ -25,10 +25,11 @@ test: scenarios lint
 	$(GO) test -race ./...
 	cd bench && $(GO) vet .
 
-# Repository-specific static analysis: the five internal/lint analyzers
-# (asymdeterminism, asymwire, asymsizer, asymshare, asymgc — see
-# internal/lint's package comment for the contracts) over the whole tree,
-# plus stock go vet. asymvet takes package patterns and no flags.
+# Repository-specific static analysis: the three internal/lint analyzers
+# (asymwire, asymsizer, asymshare — see internal/lint's package comment
+# for the contracts; determinism and bounded memory are checked by tests)
+# over the whole tree, plus stock go vet. asymvet takes package patterns
+# and no flags.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/asymvet ./...

@@ -1,8 +1,9 @@
 // Command asymvet is the repository's custom static-analysis gate: it
-// runs the internal/lint analyzers (asymdeterminism, asymwire,
-// asymsizer, asymshare, asymgc — see internal/lint's package comment for
-// the contracts they enforce) over the given package patterns, prints
-// each finding, and exits 1 on any.
+// runs the internal/lint analyzers (asymwire, asymsizer, asymshare — see
+// internal/lint's package comment for the contracts they enforce, and for
+// the determinism and bounded-memory contracts tests check at run time)
+// over the given package patterns, prints each finding, and exits 1 on
+// any.
 //
 // Usage:
 //

@@ -32,10 +32,10 @@ func TestTreeClean(t *testing.T) {
 }
 
 // TestAuditTablesNameLivePackages guards the package-keyed tables against
-// deletions: an entry in lint's deterministic or GC-audited set whose
-// package is gone audits nothing, and a wire.TagRanges band whose package
-// is gone reserves tags for nobody. Every entry must name a package that
-// `go list repro/...` reports.
+// deletions: an entry in lint's deterministic set whose package is gone
+// audits nothing, and a wire.TagRanges band whose package is gone
+// reserves tags for nobody. Every entry must name a package that `go list
+// repro/...` reports.
 func TestAuditTablesNameLivePackages(t *testing.T) {
 	cmd := exec.Command("go", "list", "repro/...")
 	cmd.Dir = "../.."
@@ -54,9 +54,6 @@ func TestAuditTablesNameLivePackages(t *testing.T) {
 	}
 	for path := range lint.DeterministicPkgs {
 		check("lint.DeterministicPkgs", path)
-	}
-	for path := range lint.GCPkgs {
-		check("lint.GCPkgs", path)
 	}
 	for path := range wire.TagRanges {
 		check("wire.TagRanges", path)

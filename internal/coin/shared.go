@@ -108,6 +108,10 @@ func (s *Shared) PruneBelow(wave int) {
 	}
 }
 
+// Entries returns the number of per-wave entries held (share trackers,
+// release and ready flags), which PruneBelow bounds.
+func (s *Shared) Entries() int { return len(s.shares) + len(s.released) + len(s.ready) }
+
 // Leader returns the wave's leader if the coin has been revealed.
 func (s *Shared) Leader(wave int) (types.ProcessID, bool) {
 	if !s.ready[wave] {

@@ -299,11 +299,9 @@ func (n rules) Propose(r int) bool {
 		if g, ok := n.waves[w-2]; ok {
 			g.Reset()
 			n.spare = append(n.spare, g)
-			// Spelled through Node: asymgc credits the prune to the
-			// selector's receiver type.
-			delete(n.Node.waves, w-2)
+			delete(n.waves, w-2)
 		}
-		n.Node.dropped = w - 2
+		n.dropped = w - 2
 	}
 	return true
 }
@@ -353,6 +351,7 @@ type LiveStats struct {
 	RoundTrackers  int // per-round source quorum trackers
 	WaveCtls       int // per-wave gather control states
 	PendingPairs   int // delivered-set + acked-set entries ("pending pairs")
+	CoinWaves      int // revealed-coin per-wave entries plus waves awaiting the reveal
 }
 
 // Live returns the node's current live-state counters.
@@ -363,6 +362,10 @@ func (n *Node) Live() LiveStats {
 	for r := n.acked.Base(); r < n.acked.End(); r++ {
 		acked += n.acked.At(r).Count()
 	}
+	coinWaves := len(n.pendingCoin)
+	if n.shared != nil {
+		coinWaves += n.shared.Entries()
+	}
 	return LiveStats{
 		DAGVertices:    d.VertexCount(),
 		DAGRounds:      d.Height() - d.PrunedBelow(),
@@ -371,5 +374,6 @@ func (n *Node) Live() LiveStats {
 		RoundTrackers:  trackers,
 		WaveCtls:       len(n.waves),
 		PendingPairs:   delivered + acked,
+		CoinWaves:      coinWaves,
 	}
 }

@@ -79,7 +79,7 @@ func NewPairs(n int) Pairs {
 // (convenience for tests and adversarial nodes).
 func PairsOf(n int, m map[types.ProcessID]string) Pairs {
 	p := NewPairs(n)
-	//lint:ordered Set writes each key's own slot; distinct keys commute
+	// Set writes each key's own slot, so map order cannot show.
 	for k, v := range m {
 		p.Set(k, v)
 	}

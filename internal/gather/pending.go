@@ -189,7 +189,6 @@ func (pp *pendingPairs) deliver(k types.ProcessID, v string) []acceptedPairs {
 // acknowledging). The free-lists survive: pooled entries have no live
 // references by construction, and drained list backings hold only nils.
 func (pp *pendingPairs) clear() {
-	//lint:ordered marks every entry dead; writes to distinct entries commute
 	for _, e := range pp.bySender {
 		e.dead = true
 	}

@@ -104,7 +104,6 @@ func ExpFig4() string {
 		Seed:    1,
 	})
 	match := true
-	//lint:ordered false-latch over all outputs; the conjunction is order-free
 	for p, out := range res.Outputs {
 		if !out.Senders(n).Equal(u[p]) {
 			match = false

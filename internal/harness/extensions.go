@@ -89,7 +89,6 @@ func ExpGC() string {
 	fullCount, fullRes := run(0)
 	gcCount, gcRes := run(3)
 	same := true
-	//lint:ordered false-latch over all nodes; the conjunction is order-free
 	for p, nr := range fullRes.Nodes {
 		g := gcRes.Nodes[p]
 		if len(nr.Deliveries) != len(g.Deliveries) {
@@ -117,7 +116,6 @@ func ExpGC() string {
 // same seed could report different figures.)
 func representativeNode(nodes map[types.ProcessID]NodeResult) NodeResult {
 	best := types.ProcessID(-1)
-	//lint:ordered min over keys is order-insensitive
 	for p := range nodes {
 		if best < 0 || p < best {
 			best = p

@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/scenario"
 	"repro/internal/service"
 )
@@ -35,8 +38,9 @@ func SummarizeService(res service.Result) ServiceStats {
 	}
 	var applied, commits int
 	var latSum float64
-	//lint:ordered commutative sums and max-latches only
-	for _, rep := range res.Replicas {
+	// In PID order: the float sum latSum depends on the order of its terms.
+	for _, p := range slices.Sorted(maps.Keys(res.Replicas)) {
+		rep := res.Replicas[p]
 		applied += rep.Applied
 		commits += rep.Commits
 		st.Rejected += rep.Rejected

@@ -133,7 +133,6 @@ func (s Sweeper) SweepRider(seeds []int64, mk func(seed int64) RiderConfig, chec
 			metrics:  r.Metrics,
 		}
 		var blocks []int
-		//lint:ordered commutative counters/latches; blocks is sorted before use
 		for _, nr := range r.Nodes {
 			if nr.DecidedWave > 0 {
 				run.decidedNodes++

@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/gather"
 	"repro/internal/quorum"
+	"repro/internal/scenario"
+	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -16,39 +18,60 @@ import (
 // seed ⇒ identical execution) and the sweep engine's worker-count
 // independence, pinned at the protocol level.
 
-// TestSameSeedIdenticalMetrics runs the full consensus stack twice with
-// the same seed and requires bit-identical metrics: message count, byte
-// count and the per-type breakdown.
+// TestSameSeedIdenticalMetrics runs each stack twice with the same seed
+// and requires identical outcomes: what every process delivered and
+// committed (gather outputs; service reports with their snapshot bytes),
+// the full Metrics including the per-type breakdown, and the end time. A
+// wall-clock read, a global random draw or a map order that reaches
+// protocol state, sends or metrics shows up here.
 func TestSameSeedIdenticalMetrics(t *testing.T) {
-	run := func() RiderResult {
-		return RunRider(RiderConfig{
-			Kind: Asymmetric, Trust: quorum.NewThreshold(4, 1), NumWaves: 6,
-			TxPerBlock: 2, Seed: 11, CoinSeed: 13,
-		})
+	type outcome struct {
+		metrics *sim.Metrics
+		end     sim.VirtualTime
+		nodes   any
 	}
-	a, b := run(), run()
-	if a.Metrics.MessagesSent != b.Metrics.MessagesSent ||
-		a.Metrics.MessagesDelivered != b.Metrics.MessagesDelivered ||
-		a.Metrics.MessagesDropped != b.Metrics.MessagesDropped ||
-		a.Metrics.BytesSent != b.Metrics.BytesSent {
-		t.Fatalf("same seed, different scalar metrics:\n%+v\n%+v", a.Metrics, b.Metrics)
-	}
-	if !reflect.DeepEqual(a.Metrics.ByType, b.Metrics.ByType) {
-		t.Fatalf("same seed, different per-type counts:\n%v\n%v", a.Metrics.ByType, b.Metrics.ByType)
-	}
-	if a.EndTime != b.EndTime {
-		t.Fatalf("same seed, different end times: %d vs %d", a.EndTime, b.EndTime)
-	}
-	for p, na := range a.Nodes {
-		nb := b.Nodes[p]
-		if len(na.Deliveries) != len(nb.Deliveries) {
-			t.Fatalf("node %v delivered %d vs %d vertices", p, len(na.Deliveries), len(nb.Deliveries))
+	fig1 := quorum.Counterexample()
+	rider := func(cfg RiderConfig) func() outcome {
+		return func() outcome {
+			res := RunRider(cfg)
+			return outcome{res.Metrics, res.EndTime, res.Nodes}
 		}
-		for i := range na.Deliveries {
-			if na.Deliveries[i].Ref != nb.Deliveries[i].Ref {
-				t.Fatalf("node %v delivery %d differs: %v vs %v", p, i, na.Deliveries[i].Ref, nb.Deliveries[i].Ref)
+	}
+	gathered := func(kind gather.Kind) func() outcome {
+		return func() outcome {
+			res := gather.RunCluster(gather.RunConfig{Kind: kind, Trust: fig1, Mode: gather.UseReliable, Seed: 5})
+			return outcome{res.Metrics, res.EndTime, fmt.Sprint(res.Outputs, res.SSnapshots)}
+		}
+	}
+	cases := []struct {
+		name string
+		run  func() outcome
+	}{
+		{"asymmetric", rider(RiderConfig{Kind: Asymmetric, Trust: quorum.NewThreshold(4, 1), NumWaves: 6, TxPerBlock: 2, Seed: 11, CoinSeed: 13})},
+		{"symmetric", rider(RiderConfig{Kind: Symmetric, Trust: quorum.NewThreshold(4, 1), NumWaves: 6, TxPerBlock: 2, Seed: 11, CoinSeed: 13})},
+		{"fig1-revealed-gc", rider(RiderConfig{Kind: Asymmetric, Trust: fig1, NumWaves: 6, TxPerBlock: 2, Seed: 3, CoinSeed: 4, RevealedCoin: true, GCDepth: 4})},
+		{"gather-" + gather.KindThreeRound.String(), gathered(gather.KindThreeRound)},
+		{"gather-" + gather.KindConstantRound.String(), gathered(gather.KindConstantRound)},
+		{"service-partition-heal", func() outcome {
+			def, _ := scenario.Find("partition-heal")
+			cfg := service.Config{Trust: quorum.NewThreshold(4, 1), CoinSeed: 2, StopAfterWaves: 8, RevealedCoin: true}
+			res := service.Run(ServiceScenarioConfig(def, cfg, 3))
+			return outcome{res.Metrics, res.EndTime, res.Replicas}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := tc.run(), tc.run()
+			if !reflect.DeepEqual(a.metrics, b.metrics) {
+				t.Errorf("same seed, different metrics:\n%+v\n%+v", a.metrics, b.metrics)
 			}
-		}
+			if a.end != b.end {
+				t.Errorf("same seed, different end times: %d vs %d", a.end, b.end)
+			}
+			if !reflect.DeepEqual(a.nodes, b.nodes) {
+				t.Errorf("same seed, different deliveries, commits or outputs")
+			}
+		})
 	}
 }
 

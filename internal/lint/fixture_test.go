@@ -86,8 +86,6 @@ func runFixture(t *testing.T, analyzer *Analyzer, dir string) {
 	}
 }
 
-func TestDeterminismFixture(t *testing.T) { runFixture(t, DeterminismAnalyzer, "det") }
-
 func TestWireFixture(t *testing.T) {
 	ExtraTagRanges["repro/internal/lint/testdata/wire"] = wire.TagRange{Lo: 900, Hi: 909}
 	defer delete(ExtraTagRanges, "repro/internal/lint/testdata/wire")
@@ -97,5 +95,3 @@ func TestWireFixture(t *testing.T) {
 func TestSizerFixture(t *testing.T) { runFixture(t, SizerAnalyzer, "sizer") }
 
 func TestShareFixture(t *testing.T) { runFixture(t, ShareAnalyzer, "share") }
-
-func TestGCFixture(t *testing.T) { runFixture(t, GCAnalyzer, "gc") }

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -110,10 +111,8 @@ type Program struct {
 	regs     []Registration
 	regsDone bool
 
-	// flowG caches the interprocedural dataflow summaries (dataflow.go);
-	// pruned caches the program-wide prune-site index (gc.go).
-	flowG  *flowGraph
-	pruned map[string]bool
+	// flowG caches the interprocedural dataflow summaries (dataflow.go).
+	flowG *flowGraph
 }
 
 const directivePrefix = "//lint:"
@@ -187,29 +186,32 @@ func (p *Package) directiveLines() []string {
 
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		DeterminismAnalyzer, WireAnalyzer, SizerAnalyzer, ShareAnalyzer, GCAnalyzer,
-	}
-}
-
-// knownDirectives lists the live analyzers' directive names in suite
-// order; anything else under the //lint: prefix is reported as unknown by
-// the determinism analyzer (which owns directive hygiene). It is filled in
-// init because that analyzer is itself in the suite.
-var knownDirectives []string
-
-func init() {
-	for _, a := range Analyzers() {
-		knownDirectives = append(knownDirectives, a.Directive)
-	}
+	return []*Analyzer{WireAnalyzer, SizerAnalyzer, ShareAnalyzer}
 }
 
 // Run applies each analyzer to each package of prog and returns the
 // findings sorted by position then analyzer — a stable order regardless
-// of package load order.
+// of package load order. It also reports, in every package, each //lint:
+// directive that names no analyzer of the suite: a misspelled name would
+// otherwise silently suppress nothing.
 func Run(prog *Program, analyzers []*Analyzer) []Diagnostic {
+	var known []string
+	for _, a := range Analyzers() {
+		known = append(known, a.Directive)
+	}
 	var diags []Diagnostic
 	for _, pkg := range prog.Packages {
+		for _, key := range pkg.directiveLines() {
+			for _, e := range pkg.directives[key] {
+				if !slices.Contains(known, e.Name) {
+					diags = append(diags, Diagnostic{
+						Analyzer: "lint",
+						Pos:      prog.Fset.Position(e.Pos),
+						Message:  fmt.Sprintf("unknown lint directive //lint:%s (known: %s)", e.Name, strings.Join(known, ", ")),
+					})
+				}
+			}
+		}
 		for _, a := range analyzers {
 			pass := &Pass{Analyzer: a, Prog: prog, Pkg: pkg, diags: &diags, used: map[string]bool{}}
 			a.Run(pass)

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // ShareAnalyzer enforces the parallel-delivery confinement contract:
@@ -23,6 +24,30 @@ var ShareAnalyzer = &Analyzer{
 	Name:      "asymshare",
 	Directive: "confined",
 	Run:       runShare,
+}
+
+// DeterministicPkgs is the audited package set: everything that executes
+// under the simulator's pure-function-of-the-seed contract, and so under
+// its parallel delivery. transport is absent (its hosts run one node per
+// goroutine), as are the pure-analysis quorum/types packages and the
+// tooling under cmd/.
+var DeterministicPkgs = map[string]bool{
+	"repro":                    true,
+	"repro/internal/sim":       true,
+	"repro/internal/dag":       true,
+	"repro/internal/gather":    true,
+	"repro/internal/broadcast": true,
+	"repro/internal/coin":      true,
+	"repro/internal/rider":     true,
+	"repro/internal/core":      true,
+	"repro/internal/scenario":  true,
+	"repro/internal/service":   true,
+	"repro/internal/harness":   true,
+	"repro/internal/baseline":  true,
+}
+
+func inDeterministicScope(path string) bool {
+	return DeterministicPkgs[path] || strings.HasPrefix(path, "repro/internal/lint/testdata/")
 }
 
 func runShare(pass *Pass) {

@@ -21,6 +21,11 @@ type plainMsg struct{}
 // SimSize with no registered codec is the live sizing path: not flagged.
 func (plainMsg) SimSize() int { return 8 }
 
+// Run reports an unknown directive name whichever analyzers run.
+//
+//lint:sizer-fallbak misspelled directive name // want `^unknown lint directive //lint:sizer-fallbak \(known: unwired, sizer-fallback, confined\)$`
+func typoDirective() {}
+
 func init() {
 	wire.Register(905, codecMsg{}, wire.Codec{})
 	wire.Register(906, fallbackMsg{}, wire.Codec{})

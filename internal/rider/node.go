@@ -77,10 +77,10 @@ type Base struct {
 	// ordered is Commit's scratch: the deliveries of the commit in progress.
 	ordered []Delivery
 
-	//lint:retained only populated when DeliverySink is nil (test/short-run mode)
+	// deliveries and commits fill only while Setup's DeliverySink and
+	// CommitSink are nil; long-lived runs set both.
 	deliveries []Delivery
-	//lint:retained only populated when CommitSink is nil (test/short-run mode)
-	commits []CommitEvent
+	commits    []CommitEvent
 }
 
 // roundState is the skeleton's state for one round: sources tracks the

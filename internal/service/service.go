@@ -218,8 +218,7 @@ type Replica struct {
 	// snapshots add it to compacted. fullLog exists only under RetainLog.
 	tail      int
 	compacted int
-	//lint:retained opt-in test instrumentation (RetainLog), off in production configs
-	fullLog []string
+	fullLog   []string
 
 	lastSnapWave int
 	snapshots    []Snapshot
@@ -397,6 +396,9 @@ func (s *Replica) sampleLive() {
 	if l.PendingPairs > s.peak.PendingPairs {
 		s.peak.PendingPairs = l.PendingPairs
 	}
+	if l.CoinWaves > s.peak.CoinWaves {
+		s.peak.CoinWaves = l.CoinWaves
+	}
 }
 
 // Live returns the replica's current live-state counters (soak tests).
@@ -419,7 +421,6 @@ type Report struct {
 	Snapshots   []Snapshot
 	FinalState  []byte
 	// Log is the full applied-transaction order (RetainLog only).
-	//lint:retained final report value built once at run end, not live protocol state
 	Log []string
 	// Latency summarizes own-command commit latency in virtual time.
 	Latency LatencySummary

@@ -688,11 +688,10 @@ func (r *Runner) Pending() int { return r.queue.Len() }
 // keep stepping the simulation should re-call Metrics() before reading
 // ByType again.
 func (r *Runner) Metrics() *Metrics {
-	//lint:ordered each counter writes its own ByType key; distinct keys commute
+	// Each counter writes its own ByType key, so map order cannot show.
 	for _, tc := range r.typeCounts {
 		r.metrics.ByType[tc.name] = tc.count
 	}
-	//lint:ordered each counter writes its own ByType key; distinct keys commute
 	for _, tc := range r.labelCounts {
 		r.metrics.ByType[tc.name] = tc.count
 	}
