@@ -56,12 +56,12 @@ fuzz:
 # Repeat, under the race detector, the tests of the two places a rare
 # interleaving once broke: the duplicate-dial race in transport.Connect
 # (TestDoubleDialDeduplicated failed 1–3% of runs) and reliable
-# broadcast's hold-before-READY and fetch rules; plus the two buffers
-# shared across goroutines without a copy: the alternating outbox arrays
-# and the vote chunk the connection readers decode into.
+# broadcast's hold-before-READY and fetch rules; plus the buffers shared
+# across goroutines without a copy: the alternating outbox arrays and the
+# carved chunks the connection readers decode votes and SENDs into.
 FLAKY_COUNT ?= 50
 flaky:
-	$(GO) test -race -count=$(FLAKY_COUNT) -run 'TestDoubleDial|TestReliable|TestOutboxReusesBuffers|TestDecodedVotesSurviveLaterDecodes' ./internal/transport ./internal/broadcast
+	$(GO) test -race -count=$(FLAKY_COUNT) -run 'TestDoubleDial|TestReliable|TestOutboxReusesBuffers|TestDecodedVotesSurviveLaterDecodes|TestDecodedSendsSurviveLaterDecodes|TestCarverHandsOutEachBodyOnce' ./internal/transport ./internal/broadcast ./internal/wire
 
 # Sweep every built-in adversarial scenario (internal/scenario) over a few
 # seeds and check each one's declared Definition 4.1 properties; bounded to

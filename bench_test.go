@@ -631,7 +631,7 @@ func TestServiceAllocsPerTx(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 30-process service run")
 	}
-	const ceiling = 1.6
+	const ceiling = 1.3
 	mallocs, applied := serviceFig1(t)
 	if perTx := float64(mallocs) / float64(applied); perTx > ceiling {
 		t.Errorf("%d allocations for %d applied tx: %.3f per tx, want ≤ %.1f", mallocs, applied, perTx, ceiling)

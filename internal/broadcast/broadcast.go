@@ -84,21 +84,21 @@
 //   - PruneBelow empties the rows below the watermark — trackers Reset,
 //     payloads and fetch sets cleared, spill maps dropped — and keeps them
 //     on a free list that later sequence numbers draw from.
-//   - ECHO and READY are single-pointer structs, which an interface holds
-//     without boxing. Their (slot, digest) bodies — those a Reliable sends
-//     and those the codec decodes off the wire — are cut from one
-//     process-wide chunk of 64 votes, indexed atomically, and a new chunk
-//     is allocated when one is used up. A body is never written after it
-//     is handed out, and a chunk is never reused or recycled with the
-//     rows: a vote may still sit in a lagging receiver's queue or a TCP
-//     outbox after its sender pruned the slot, and under parallel delivery
-//     several receivers read one body at once. The garbage collector frees
-//     a chunk with its last message.
+//   - SEND, ECHO and READY are single-pointer structs, which an interface
+//     holds without boxing. Their bodies — (slot, payload) for a SEND,
+//     (slot, digest) for a vote, both those a Reliable sends and those the
+//     codec decodes off the wire — are cut from two process-wide
+//     wire.Carvers, one per body type, in chunks of 64 indexed atomically.
+//     A body is never written after it is handed out, and a chunk is never
+//     reused or recycled with the rows: a message may still sit in a
+//     lagging receiver's queue or a TCP outbox after its sender pruned the
+//     slot, and under parallel delivery several receivers read one body at
+//     once. The garbage collector frees a chunk with its last message, so a
+//     SEND chunk pins at most 64 payloads until then.
 package broadcast
 
 import (
 	"crypto/sha256"
-	"sync/atomic"
 
 	"repro/internal/quorum"
 	"repro/internal/sim"
@@ -169,9 +169,25 @@ type Broadcaster interface {
 // Message types. Exported fields only (they are "on the wire"); the types
 // themselves are unexported to keep the package API small.
 
-type sendMsg struct {
+// send is the body of a SEND. It is never written after the message
+// carrying it is sent.
+type send struct {
 	Slot    Slot
 	Payload Payload
+}
+
+// sendMsg holds only a pointer to its body, like echoMsg and readyMsg, so
+// an interface holds it without boxing; m.Slot and m.Payload are promoted
+// from it.
+type sendMsg struct{ *send }
+
+// sends is the carver every SEND body of the process is cut from: those
+// this process broadcasts and those the codec decodes.
+var sends wire.Carver[send]
+
+// newSend returns a SEND of payload in slot, its body cut from sends.
+func newSend(slot Slot, payload Payload) sendMsg {
+	return sendMsg{sends.Cut(send{Slot: slot, Payload: payload})}
 }
 
 // SimSize implements sim.Sizer.
@@ -191,38 +207,12 @@ type vote struct {
 	Digest Digest
 }
 
-// voteChunkSize is the number of bodies in one vote chunk (3 KiB).
-const voteChunkSize = 64
+// votes is the carver every ECHO and READY body of the process is cut
+// from: those this process's Reliables send and those the codec decodes.
+var votes wire.Carver[vote]
 
-// voteChunk is a block of vote bodies, handed out one at a time through
-// next.
-type voteChunk struct {
-	next  atomic.Int64
-	votes [voteChunkSize]vote
-}
-
-// votes is the chunk every ECHO and READY body of the process is cut from:
-// those this process's Reliables send and those the codec decodes.
-var votes atomic.Pointer[voteChunk]
-
-// newVote returns a body holding (slot, d), cut from the shared chunk.
-// Concurrent callers (the codec on every connection's reader, Reliables
-// under parallel delivery) each take their own index. A used-up chunk is
-// left to the messages that point into it and replaced; of two callers
-// that both find it used up, one stores its new chunk and the other's is
-// dropped unused.
-func newVote(slot Slot, d Digest) *vote {
-	for {
-		c := votes.Load()
-		if c != nil {
-			if i := c.next.Add(1) - 1; i < voteChunkSize {
-				c.votes[i] = vote{Slot: slot, Digest: d}
-				return &c.votes[i]
-			}
-		}
-		votes.CompareAndSwap(c, new(voteChunk))
-	}
-}
+// newVote returns a body holding (slot, d), cut from votes.
+func newVote(slot Slot, d Digest) *vote { return votes.Cut(vote{Slot: slot, Digest: d}) }
 
 // echoMsg and readyMsg hold only a pointer to their body, so an interface
 // holds them without boxing; m.Slot and m.Digest are promoted from it.
@@ -308,7 +298,7 @@ func NewReliable(self types.ProcessID, trust quorum.Assumption, deliver Deliver)
 
 // Broadcast implements Broadcaster.
 func (r *Reliable) Broadcast(env sim.Env, seq uint64, payload Payload) {
-	env.Broadcast(sendMsg{Slot: Slot{Src: r.self, Seq: seq}, Payload: payload})
+	env.Broadcast(newSend(Slot{Src: r.self, Seq: seq}, payload))
 }
 
 // open returns slot s, creating its row on first use, or nil when s lies
@@ -544,7 +534,7 @@ func NewPlain(self types.ProcessID, deliver Deliver) *Plain {
 
 // Broadcast implements Broadcaster.
 func (p *Plain) Broadcast(env sim.Env, seq uint64, payload Payload) {
-	env.Broadcast(sendMsg{Slot: Slot{Src: p.self, Seq: seq}, Payload: payload})
+	env.Broadcast(newSend(Slot{Src: p.self, Seq: seq}, payload))
 }
 
 // Handle implements Broadcaster.
@@ -630,5 +620,5 @@ func (p *Plain) SlotCount() int { return len(p.delivered) }
 // for a slot directly to one recipient, bypassing the Broadcaster API. Only
 // Byzantine behaviours use it.
 func EquivocateSend(env sim.Env, to types.ProcessID, slot Slot, payload Payload) {
-	env.Send(to, sendMsg{Slot: slot, Payload: payload})
+	env.Send(to, newSend(slot, payload))
 }

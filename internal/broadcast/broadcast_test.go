@@ -392,7 +392,7 @@ func TestPruneBelowAllBroadcasters(t *testing.T) {
 			// Open per-slot state for seqs 0..4 from sender 1; in slot 0 of
 			// source 2 leave a fetch running (an ECHO quorum, no SEND).
 			for seq := uint64(0); seq < 5; seq++ {
-				bc.Handle(env, 1, sendMsg{Slot: Slot{Src: 1, Seq: seq}, Payload: x})
+				bc.Handle(env, 1, sendMsg{&send{Slot: Slot{Src: 1, Seq: seq}, Payload: x}})
 			}
 			for from := types.ProcessID(1); from < 4; from++ {
 				bc.Handle(env, from, echoMsg{&vote{Slot: Slot{Src: 2, Seq: 0}, Digest: x.Digest()}})
@@ -412,7 +412,7 @@ func TestPruneBelowAllBroadcasters(t *testing.T) {
 			// Late messages for a pruned slot must not reopen state, be
 			// answered, or deliver again.
 			sent = sent[:0]
-			bc.Handle(env, 1, sendMsg{Slot: Slot{Src: 1, Seq: 1}, Payload: x})
+			bc.Handle(env, 1, sendMsg{&send{Slot: Slot{Src: 1, Seq: 1}, Payload: x}})
 			bc.Handle(env, 1, echoMsg{&vote{Slot: Slot{Src: 1, Seq: 1}, Digest: x.Digest()}})
 			bc.Handle(env, 1, readyMsg{&vote{Slot: Slot{Src: 1, Seq: 1}, Digest: x.Digest()}})
 			bc.Handle(env, 3, fetchMsg{Slot: Slot{Src: 1, Seq: 1}, Digest: x.Digest()})
@@ -577,7 +577,7 @@ func TestReliableR1HoldBeforeReady(t *testing.T) {
 			s.handle(2, readyMsg{&vote{Slot: slot, Digest: d}})
 			s.expect("later votes of peers already asked")
 			if supply == "SEND" {
-				s.handle(1, sendMsg{Slot: slot, Payload: x})
+				s.handle(1, sendMsg{&send{Slot: slot, Payload: x}})
 				s.expect("the SEND arrives", "echoMsg→all", "readyMsg→all")
 			} else {
 				s.handle(3, payloadMsg{Slot: slot, Payload: x})
@@ -611,7 +611,7 @@ func TestReliableLateSend(t *testing.T) {
 	if len(s.delivered) != 0 {
 		t.Fatal("delivered a payload it does not hold")
 	}
-	s.handle(1, sendMsg{Slot: slot, Payload: x})
+	s.handle(1, sendMsg{&send{Slot: slot, Payload: x}})
 	s.expect("late SEND", "echoMsg→all", "readyMsg→all")
 	if len(s.delivered) != 1 || s.delivered[0].Digest() != d {
 		t.Fatalf("delivered %v, want the block once", s.delivered)
@@ -675,7 +675,7 @@ func TestReliableReplyNotNeededIsDropped(t *testing.T) {
 		s.handle(from, echoMsg{&vote{Slot: slot, Digest: y.Digest()}})
 	}
 	s.expect("ECHO quorum for y", "fetchMsg→1", "fetchMsg→2", "fetchMsg→3")
-	s.handle(1, sendMsg{Slot: slot, Payload: x})
+	s.handle(1, sendMsg{&send{Slot: slot, Payload: x}})
 	s.expect("SEND of x", "echoMsg→all")
 	for from := types.ProcessID(1); from < 4; from++ {
 		s.handle(from, readyMsg{&vote{Slot: slot, Digest: x.Digest()}})
@@ -697,7 +697,7 @@ func TestReliableRowRecycled(t *testing.T) {
 	x, y := Bytes("block"), Bytes("other")
 	s := newStepper(t)
 	a, b := Slot{Src: 1, Seq: 0}, Slot{Src: 2, Seq: 0}
-	s.handle(1, sendMsg{Slot: a, Payload: x})
+	s.handle(1, sendMsg{&send{Slot: a, Payload: x}})
 	s.expect("SEND of x", "echoMsg→all")
 	for from := types.ProcessID(1); from < 4; from++ {
 		s.handle(from, echoMsg{&vote{Slot: a, Digest: y.Digest()}})
@@ -752,7 +752,7 @@ func TestReliableRowRecycled(t *testing.T) {
 	if st := s.r.find(a); st.lookup(y.Digest()) != nil || st.others != nil {
 		t.Fatal("the further digest survived recycling")
 	}
-	s.handle(1, sendMsg{Slot: a, Payload: x})
+	s.handle(1, sendMsg{&send{Slot: a, Payload: x}})
 	s.expect("sent flags cleared: the SEND is echoed", "echoMsg→all")
 	s.handle(2, readyMsg{&vote{Slot: a, Digest: x.Digest()}})
 	s.handle(3, readyMsg{&vote{Slot: a, Digest: x.Digest()}})
@@ -790,7 +790,7 @@ func TestReliableDropsOutOfRangeSource(t *testing.T) {
 	if got := s.r.SlotCount(); got != 0 || len(s.r.rows) != 0 {
 		t.Fatalf("out-of-range flood: SlotCount %d, %d rows, want 0 and 0", got, len(s.r.rows))
 	}
-	s.handle(1, sendMsg{Slot: Slot{Src: 1, Seq: 0}, Payload: x})
+	s.handle(1, sendMsg{&send{Slot: Slot{Src: 1, Seq: 0}, Payload: x}})
 	s.expect("a real slot", "echoMsg→all")
 	flood(0)
 	s.expect("out-of-range flood beside a live row")
@@ -825,7 +825,7 @@ func TestReliableSteadyStateAllocs(t *testing.T) {
 	for seq := range msgs {
 		slot := Slot{Src: src, Seq: uint64(seq)}
 		d := Digest{byte(seq), byte(seq >> 8)}
-		msgs[seq] = append(msgs[seq], sendMsg{Slot: slot, Payload: digestPayload(d)})
+		msgs[seq] = append(msgs[seq], sendMsg{&send{Slot: slot, Payload: digestPayload(d)}})
 		for p := 0; p < n; p++ {
 			msgs[seq] = append(msgs[seq], echoMsg{&vote{Slot: slot, Digest: d}})
 		}
@@ -879,7 +879,7 @@ func TestVoteBodiesSurvivePrune(t *testing.T) {
 		for src := types.ProcessID(0); src < n; src++ {
 			slot := Slot{Src: src, Seq: seq}
 			d := Digest{byte(seq), byte(src), 0xee}
-			r.Handle(env, src, sendMsg{Slot: slot, Payload: digestPayload(d)})
+			r.Handle(env, src, sendMsg{&send{Slot: slot, Payload: digestPayload(d)}})
 			for from := types.ProcessID(0); from < n; from++ {
 				r.Handle(env, from, echoMsg{&vote{Slot: slot, Digest: d}})
 				r.Handle(env, from, readyMsg{&vote{Slot: slot, Digest: d}})

@@ -109,7 +109,7 @@ func registerDigestMsg(tag uint64, prototype any,
 func registerWireCodecs() {
 	registerPayloadMsg(wireTagSend, sendMsg{},
 		func(m any) (Slot, Payload) { s := m.(sendMsg); return s.Slot, s.Payload },
-		func(s Slot, p Payload) any { return sendMsg{Slot: s, Payload: p} })
+		func(s Slot, p Payload) any { return newSend(s, p) })
 	registerPayloadMsg(wireTagPayload, payloadMsg{},
 		func(m any) (Slot, Payload) { s := m.(payloadMsg); return s.Slot, s.Payload },
 		func(s Slot, p Payload) any { return payloadMsg{Slot: s, Payload: p} })

@@ -34,7 +34,7 @@ func TestBroadcastWireRoundTrip(t *testing.T) {
 		rng.Read(d[:])
 		slot := Slot{Src: types.ProcessID(rng.Intn(50)), Seq: rng.Uint64() >> uint(rng.Intn(64))}
 		for _, msg := range []sim.Message{
-			sendMsg{Slot: slot, Payload: Bytes(raw)},
+			sendMsg{&send{Slot: slot, Payload: Bytes(raw)}},
 			payloadMsg{Slot: slot, Payload: Bytes(raw)},
 			echoMsg{&vote{Slot: slot, Digest: d}},
 			readyMsg{&vote{Slot: slot, Digest: d}},
@@ -102,7 +102,7 @@ func TestBytesDigest(t *testing.T) {
 // Sizer approximation instead of panicking — keeping test-local payloads
 // usable in pure-simulation runs.
 func TestBroadcastWireUnregisteredPayloadFallsBack(t *testing.T) {
-	msg := sendMsg{Slot: Slot{Src: 1, Seq: 2}, Payload: unregisteredPayload{K: "abc"}}
+	msg := sendMsg{&send{Slot: Slot{Src: 1, Seq: 2}, Payload: unregisteredPayload{K: "abc"}}}
 	if _, ok := wire.EncodedSize(msg); ok {
 		t.Fatal("message with unregistered payload reported encodable")
 	}
@@ -142,7 +142,7 @@ func TestBroadcastWireRejectsNonPayloadInner(t *testing.T) {
 // from: no body was handed out twice, and none was written after it was
 // handed out.
 func TestDecodedVotesSurviveLaterDecodes(t *testing.T) {
-	const readers, perReader = 4, 4 * voteChunkSize
+	const readers, perReader = 4, 4 * wire.CarveChunk
 	type decoded struct {
 		msg  sim.Message
 		want vote
@@ -194,6 +194,53 @@ func TestDecodedVotesSurviveLaterDecodes(t *testing.T) {
 			}
 			if got != k.want {
 				t.Fatalf("reader %d: %T decoded for %v now reads (%v, %x), want %x", r, k.msg, k.want.Slot, got.Slot, got.Digest[:4], k.want.Digest[:4])
+			}
+		}
+	}
+}
+
+// TestDecodedSendsSurviveLaterDecodes is the same guard for the shared
+// SEND carver: four readers decode SEND frames at once, each through
+// more than three chunks' worth, and keep every message. Afterwards each
+// message still carries the slot and payload it was decoded from.
+func TestDecodedSendsSurviveLaterDecodes(t *testing.T) {
+	const readers, perReader = 4, 4 * wire.CarveChunk
+	frames := make([][][]byte, readers)
+	for r := range frames {
+		for i := 0; i < perReader; i++ {
+			enc, err := wire.Marshal(newSend(Slot{Src: types.ProcessID(r), Seq: uint64(i)}, Bytes{byte(r), byte(i), byte(i >> 8)}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames[r] = append(frames[r], enc)
+		}
+	}
+	kept := make([][]sim.Message, readers)
+	var wg sync.WaitGroup
+	for r := range frames {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, enc := range frames[r] {
+				msg, _, err := wire.Decode(enc)
+				if err != nil {
+					t.Errorf("reader %d frame %d: %v", r, i, err)
+					return
+				}
+				kept[r] = append(kept[r], msg)
+			}
+		}()
+	}
+	wg.Wait()
+	for r := range kept {
+		for i, msg := range kept[r] {
+			m, ok := msg.(sendMsg)
+			if !ok {
+				t.Fatalf("reader %d frame %d decoded to %T, want a SEND", r, i, msg)
+			}
+			want := Bytes{byte(r), byte(i), byte(i >> 8)}
+			if m.Slot != (Slot{Src: types.ProcessID(r), Seq: uint64(i)}) || !bytes.Equal(m.Payload.(Bytes), want) {
+				t.Fatalf("reader %d: SEND decoded for seq %d now reads (%v, %x)", r, i, m.Slot, m.Payload)
 			}
 		}
 	}

@@ -49,7 +49,7 @@ func TestStaleControlIgnored(t *testing.T) {
 	var sent []sim.Message
 	env := recordEnv{self: 0, n: n, sent: &sent}
 	for old := 1; old <= w-2; old++ {
-		for _, msg := range []sim.Message{ackMsg{Wave: old}, readyMsg{Wave: old}, confirmMsg{Wave: old}} {
+		for _, msg := range []sim.Message{ackMsg{&ctl{Wave: old}}, readyMsg{&ctl{Wave: old}}, confirmMsg{&ctl{Wave: old}}} {
 			for p := 0; p < n; p++ {
 				nd.Receive(env, types.ProcessID(p), msg)
 			}

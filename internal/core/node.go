@@ -50,15 +50,28 @@ import (
 	"repro/internal/rider"
 	"repro/internal/sim"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
-// Control messages (Algorithm 5), tagged by wave.
+// Control messages (Algorithm 5), tagged by wave. Each holds only a
+// pointer to its body, so an interface holds it without boxing at any
+// wave (a struct of one int boxes for free only below 256); m.Wave is
+// promoted from the body.
 
-type ackMsg struct{ Wave int }
+// ctl is the body of an ACK, READY or CONFIRM. It is never written after a
+// message carrying it is sent, so messages of one wave may share it.
+type ctl struct{ Wave int }
 
-type readyMsg struct{ Wave int }
+type ackMsg struct{ *ctl }
 
-type confirmMsg struct{ Wave int }
+type readyMsg struct{ *ctl }
+
+type confirmMsg struct{ *ctl }
+
+// ctls is the carver control bodies are cut from: the ACKs this process's
+// nodes send and every control message the codec decodes. READY and
+// CONFIRM reuse the body of the message that triggered them.
+var ctls wire.Carver[ctl]
 
 // Config configures one consensus node.
 type Config struct {
@@ -138,6 +151,10 @@ type Node struct {
 	// pendingCoin holds waves whose commit attempt awaits the reveal.
 	shared      *coin.Shared
 	pendingCoin map[int]bool
+
+	// ack is the body of the last ACK sent, shared by the next ones of
+	// its wave.
+	ack *ctl
 }
 
 var _ sim.Node = (*Node)(nil)
@@ -200,16 +217,16 @@ func (n *Node) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
 	switch m := msg.(type) {
 	case ackMsg:
 		if g := n.gate(m.Wave); g != nil && g.Ack(from) {
-			env.Broadcast(readyMsg{Wave: m.Wave})
+			env.Broadcast(readyMsg{m.ctl})
 		}
 	case readyMsg:
 		if g := n.gate(m.Wave); g != nil && g.Ready(from) {
-			env.Broadcast(confirmMsg{Wave: m.Wave})
+			env.Broadcast(confirmMsg{m.ctl})
 		}
 	case confirmMsg:
 		if g := n.gate(m.Wave); g != nil {
 			if confirm, _ := g.Confirm(from); confirm {
-				env.Broadcast(confirmMsg{Wave: m.Wave})
+				env.Broadcast(m)
 			}
 		}
 	case coin.ShareMsg:
@@ -266,7 +283,10 @@ func (n rules) Inserted(env sim.Env, v *dag.Vertex) {
 		return
 	}
 	acked.Add(v.Source)
-	env.Send(v.Source, ackMsg{Wave: rider.RoundWave(v.Round)})
+	if w := rider.RoundWave(v.Round); n.ack == nil || n.ack.Wave != w {
+		n.ack = ctls.Cut(ctl{Wave: w})
+	}
+	env.Send(v.Source, ackMsg{n.ack})
 }
 
 // Advance is the round 2→3 gate: the wave's gate must have opened. The

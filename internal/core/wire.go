@@ -24,13 +24,13 @@ const maxWireWave = 1 << 30
 func init() {
 	registerWaveMsg(wireTagAck, ackMsg{},
 		func(m any) int { return m.(ackMsg).Wave },
-		func(w int) any { return ackMsg{Wave: w} })
+		func(w int) any { return ackMsg{ctls.Cut(ctl{Wave: w})} })
 	registerWaveMsg(wireTagReady, readyMsg{},
 		func(m any) int { return m.(readyMsg).Wave },
-		func(w int) any { return readyMsg{Wave: w} })
+		func(w int) any { return readyMsg{ctls.Cut(ctl{Wave: w})} })
 	registerWaveMsg(wireTagConfirm, confirmMsg{},
 		func(m any) int { return m.(confirmMsg).Wave },
-		func(w int) any { return confirmMsg{Wave: w} })
+		func(w int) any { return confirmMsg{ctls.Cut(ctl{Wave: w})} })
 }
 
 // registerWaveMsg registers one of the three structurally identical

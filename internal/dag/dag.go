@@ -3,10 +3,11 @@
 //
 // Vertices are identified by (source, round): reliable broadcast guarantees
 // that correct processes deliver at most one vertex per source per round,
-// so no digests are needed for identity. Strong edges point to vertices of
-// the previous round; weak edges point to older vertices not already
-// reachable, which is how the protocol guarantees eventual delivery of
-// every broadcast block (validity).
+// so no digests are needed for identity; the digest a vertex carries
+// (wire.go) is the content address reliable broadcast votes on. Strong
+// edges point to vertices of the previous round; weak edges point to older
+// vertices not already reachable, which is how the protocol guarantees
+// eventual delivery of every broadcast block (validity).
 //
 // Storage is dense: each round is an n-slot row indexed by source plus the
 // set of sources present, so a round's vertices come out in source order
@@ -36,12 +37,19 @@ type VertexRef struct {
 func (r VertexRef) String() string { return fmt.Sprintf("%v@r%d", r.Source, r.Round) }
 
 // Vertex is one node of the DAG: a block of transactions plus references.
+//
+// A vertex also carries its digest, the content address reliable
+// broadcast votes on (wire.go). The digest lives in an unexported field
+// that only Seal and DecodeWire fill, both from the vertex's own content;
+// no other code can store one. A sealed vertex must not change.
 type Vertex struct {
 	Source      types.ProcessID
 	Round       int
 	Block       []string // transactions carried by this vertex
 	StrongEdges []VertexRef
 	WeakEdges   []VertexRef
+
+	sum Digest // zero until sealed
 }
 
 // Ref returns the vertex's identity.
@@ -73,6 +81,7 @@ type DAG struct {
 	marks []uint64
 	words int
 	stack []VertexRef // StrongPath's scratch: refs waiting to be expanded
+	reach types.Set   // StrongReachSources' result: allocated on first use, then reused
 }
 
 // New creates an empty DAG for n processes.
@@ -175,21 +184,19 @@ func (d *DAG) RoundVertices(r int) []*Vertex {
 	return out
 }
 
-// RoundRefs returns the refs of round r's vertices in RoundVertices' order,
-// in a new slice of exactly that length: the strong edges of a vertex of
-// round r+1.
-func (d *DAG) RoundRefs(r int) []VertexRef {
+// AppendRoundRefs appends to dst the refs of round r's vertices in
+// RoundVertices' order: the strong edges of a vertex of round r+1.
+func (d *DAG) AppendRoundRefs(dst []VertexRef, r int) []VertexRef {
 	rw := d.rowAt(r)
 	if rw == nil {
-		return []VertexRef{}
+		return dst
 	}
-	out := make([]VertexRef, 0, rw.srcs.Count())
 	for _, v := range rw.verts {
 		if v != nil {
-			out = append(out, v.Ref())
+			dst = append(dst, v.Ref())
 		}
 	}
-	return out
+	return dst
 }
 
 // Height returns one past the highest round with storage allocated.
@@ -307,9 +314,14 @@ func (d *DAG) StrongPath(from, to VertexRef) bool {
 // StrongReachSources returns the set of sources of round-r vertices with a
 // strong path to target (used by commit rules). The sweep runs up from
 // target's round: a vertex is reached when one of its strong edges is
-// target or a reached vertex.
+// target or a reached vertex. The set is the DAG's scratch, so the call
+// allocates nothing: it is valid until the next StrongReachSources.
 func (d *DAG) StrongReachSources(r int, target VertexRef) types.Set {
-	s := types.NewSet(d.n)
+	if d.reach.UniverseSize() != d.n {
+		d.reach = types.NewSet(d.n)
+	}
+	s := d.reach
+	s.Clear()
 	if r == target.Round && d.Contains(target) {
 		s.Add(target.Source)
 	}

@@ -216,18 +216,19 @@ func TestRoundVerticesSorted(t *testing.T) {
 	}
 }
 
-// TestRoundRefsMatchRoundVertices: RoundRefs lists RoundVertices' refs in
-// the same order, and a round without vertices gives an empty, non-nil
-// slice, as strong edges built from RoundVertices always were.
+// TestRoundRefsMatchRoundVertices: AppendRoundRefs appends RoundVertices'
+// refs in the same order and keeps what dst held; a round without
+// vertices appends nothing.
 func TestRoundRefsMatchRoundVertices(t *testing.T) {
 	d := buildChain(t)
+	prefix := VertexRef{Source: 2, Round: 99}
 	for r := -1; r <= d.Height(); r++ {
-		want := []VertexRef{}
+		want := []VertexRef{prefix}
 		for _, v := range d.RoundVertices(r) {
 			want = append(want, v.Ref())
 		}
-		if got := d.RoundRefs(r); got == nil || !reflect.DeepEqual(got, want) || cap(got) != len(want) {
-			t.Errorf("RoundRefs(%d) = %v (cap %d), want %v", r, got, cap(got), want)
+		if got := d.AppendRoundRefs([]VertexRef{prefix}, r); !reflect.DeepEqual(got, want) {
+			t.Errorf("AppendRoundRefs(%d) = %v, want %v", r, got, want)
 		}
 	}
 }
@@ -339,7 +340,7 @@ func TestPruneBelow(t *testing.T) {
 // Add grows into next take them, and a reused row holds nothing of the
 // round it held before. Round 1 (a1, c1) is reused by round 3 and round 0
 // (all three sources) by round 4, so a stale slot or source set would show
-// in Contains, RoundRefs or VertexCount.
+// in Contains, AppendRoundRefs or VertexCount.
 func TestPrunedRowsReused(t *testing.T) {
 	d := buildChain(t)
 	round0, round1 := &d.rowAt(0).verts[0], &d.rowAt(1).verts[0]
@@ -361,11 +362,11 @@ func TestPrunedRowsReused(t *testing.T) {
 			t.Errorf("reused row holds a stale vertex at %v", ref)
 		}
 	}
-	if got := d.RoundRefs(3); !reflect.DeepEqual(got, []VertexRef{b3.Ref()}) {
-		t.Errorf("RoundRefs(3) = %v, want [%v]", got, b3.Ref())
+	if got := d.AppendRoundRefs(nil, 3); !reflect.DeepEqual(got, []VertexRef{b3.Ref()}) {
+		t.Errorf("AppendRoundRefs(3) = %v, want [%v]", got, b3.Ref())
 	}
-	if got := d.RoundRefs(4); !reflect.DeepEqual(got, []VertexRef{a4.Ref()}) {
-		t.Errorf("RoundRefs(4) = %v, want [%v]", got, a4.Ref())
+	if got := d.AppendRoundRefs(nil, 4); !reflect.DeepEqual(got, []VertexRef{a4.Ref()}) {
+		t.Errorf("AppendRoundRefs(4) = %v, want [%v]", got, a4.Ref())
 	}
 	if got := d.VertexCount(); got != 3 {
 		t.Errorf("VertexCount = %d, want 3 (a2, b3, a4)", got)

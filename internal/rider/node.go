@@ -2,6 +2,7 @@ package rider
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/broadcast"
 	"repro/internal/dag"
@@ -70,8 +71,9 @@ type Base struct {
 	// drops both at the same watermark.
 	rounds dag.Rows[roundState]
 	// strong is onVertex's scratch set: the strong-edge sources of the
-	// vertex being checked.
+	// vertex being checked. edges is createVertex's scratch.
 	strong types.Set
+	edges  []dag.VertexRef
 
 	decidedWave int
 	// ordered is Commit's scratch: the deliveries of the commit in progress.
@@ -205,14 +207,22 @@ func (b *Base) Step(env sim.Env) {
 }
 
 // createVertex builds this process's vertex for the given round
-// (Algorithm 4, createNewVertex + setWeakEdges).
+// (Algorithm 4, createNewVertex + setWeakEdges). Both edge lists are
+// gathered in the edges scratch and copied out into one slice, so a vertex
+// costs two allocations: itself and its edges.
 func (b *Base) createVertex(round int) *dag.Vertex {
 	v := &dag.Vertex{Source: b.self, Round: round}
 	if b.setup.Workload != nil {
 		v.Block = b.setup.Workload.NextBlock(round)
 	}
-	v.StrongEdges = b.dag.RoundRefs(round - 1)
-	SetWeakEdges(b.dag, v, round)
+	b.edges = b.dag.AppendRoundRefs(b.edges[:0], round-1)
+	strong := len(b.edges)
+	b.edges = appendWeakEdges(b.dag, b.edges, b.edges[:strong], round)
+	edges := slices.Clone(b.edges)
+	v.StrongEdges = edges[:strong:strong]
+	if len(edges) > strong {
+		v.WeakEdges = edges[strong:]
+	}
 	return v
 }
 

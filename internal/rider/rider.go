@@ -20,38 +20,38 @@ import (
 	"repro/internal/dag"
 	"repro/internal/sim"
 	"repro/internal/types"
-	"repro/internal/wire"
 )
 
 // VertexPayload wraps a DAG vertex for transport through a broadcast
-// primitive. Its digest covers the whole vertex — source, round, block and
-// both edge lists — so reliable broadcast's equivocation detection covers
-// vertex bodies. NewVertexPayload and the wire decoder compute it once and
-// carry it beside the vertex; it is never written into the vertex, which
-// the simulator shares between nodes. The literal VertexPayload{V: v}
-// stays valid: its Digest hashes on every call.
+// primitive. It holds only the vertex pointer, so an interface holds it
+// without boxing. Its digest covers the whole vertex — source, round, block
+// and both edge lists — so reliable broadcast's equivocation detection
+// covers vertex bodies. The digest lives in the vertex: package dag seals
+// it there from the vertex's content, when NewVertexPayload wraps a new
+// vertex and when the wire decoder builds one, and nothing else can store
+// one. The literal VertexPayload{V: v} stays valid: around an unsealed
+// vertex its Digest hashes on every call and writes nothing.
 type VertexPayload struct {
-	V   *dag.Vertex
-	sum broadcast.Digest // zero: not computed
+	V *dag.Vertex
 }
 
 var _ broadcast.Payload = VertexPayload{}
 
-// NewVertexPayload wraps v and computes its digest, once, for every
-// process that will handle the payload.
+// NewVertexPayload seals v's digest, once, for every process that will
+// handle the payload, and wraps v. v must not change after.
 func NewVertexPayload(v *dag.Vertex) VertexPayload {
-	return VertexPayload{V: v, sum: VertexPayload{V: v}.Digest()}
+	v.Seal()
+	return VertexPayload{V: v}
 }
 
 // Digest implements broadcast.Payload: the SHA-256 of the payload's
 // canonical wire frame. A payload without a vertex is not encodable and
 // has the zero digest.
 func (p VertexPayload) Digest() broadcast.Digest {
-	if p.sum != (broadcast.Digest{}) {
-		return p.sum
+	if p.V == nil {
+		return broadcast.Digest{}
 	}
-	sum, _ := wire.Digest(p) // fails only for a nil vertex
-	return sum
+	return p.V.Digest()
 }
 
 // keyBufPool recycles the scratch buffers Key builds its string in, so
@@ -252,15 +252,22 @@ func edgesInOrder(edges []dag.VertexRef, lo, hi, n int) bool {
 // The running reachable set includes the causal closure of edges added so
 // far, so no redundant weak edges are produced.
 func SetWeakEdges(d *dag.DAG, v *dag.Vertex, round int) {
+	v.WeakEdges = appendWeakEdges(d, v.WeakEdges, v.StrongEdges, round)
+}
+
+// appendWeakEdges appends to dst the weak edges SetWeakEdges gives a
+// vertex of the given round with the given strong edges.
+func appendWeakEdges(d *dag.DAG, dst, strong []dag.VertexRef, round int) []dag.VertexRef {
 	// Rounds below the GC watermark hold no vertices; stopping there keeps
 	// vertex creation O(live window) in a long-lived run instead of
 	// scanning every round since genesis. The cut is sound for receivers
 	// too: pruned vertices were already delivered locally, and the edges a
 	// vertex carries are fixed by its creator before broadcast.
 	low := max(d.PrunedBelow(), 1)
-	d.Uncovered(v.StrongEdges, round-2, low, func(u *dag.Vertex) {
-		v.WeakEdges = append(v.WeakEdges, u.Ref())
+	d.Uncovered(strong, round-2, low, func(u *dag.Vertex) {
+		dst = append(dst, u.Ref())
 	})
+	return dst
 }
 
 // OrderVertices implements Algorithm 6's orderVertices. leaders is the

@@ -2,6 +2,7 @@ package rider
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -290,5 +291,72 @@ func TestCommitBufferHoldsNothing(t *testing.T) {
 				t.Fatalf("%v: commit buffer entry %d still holds %+v", b.self, i, d)
 			}
 		}
+	}
+}
+
+// idleRules never elect a leader, so a wave boundary commits nothing.
+type idleRules struct{}
+
+func (idleRules) Leader(int) (types.ProcessID, bool) { return 0, false }
+func (idleRules) Commits(types.Set) bool             { return false }
+func (idleRules) WaveDone(sim.Env, int)              {}
+func (idleRules) Inserted(sim.Env, *dag.Vertex)      {}
+func (idleRules) Advance(int) bool                   { return true }
+func (idleRules) Propose(int) bool                   { return true }
+
+// countEnv is a sim.Env that counts what a node sends and keeps nothing.
+type countEnv struct{ n, sent int }
+
+func (e *countEnv) Self() types.ProcessID             { return 0 }
+func (e *countEnv) N() int                            { return e.n }
+func (e *countEnv) Now() sim.VirtualTime              { return 0 }
+func (e *countEnv) Send(types.ProcessID, sim.Message) { e.sent++ }
+func (e *countEnv) Broadcast(sim.Message)             { e.sent++ }
+func (e *countEnv) Rand() *rand.Rand                  { return nil }
+
+// fixedWorkload proposes the same block every round.
+type fixedWorkload []string
+
+func (w fixedWorkload) NextBlock(int) []string { return w }
+
+// TestVertexAllocs: Step creating and broadcasting one vertex costs two
+// allocations, the vertex and one slice for both its edge lists. Its
+// digest is sealed into the vertex, its payload and SEND box for free,
+// and the SEND body is cut from the shared carver. The fixture's round 3
+// leaves round 2's vertex of source 3 unreferenced, so the new round-4
+// vertex carries a weak edge besides its four strong ones.
+func TestVertexAllocs(t *testing.T) {
+	const n = 4
+	env := &countEnv{n: n}
+	var b Base
+	b.Start(env, Setup{Trust: quorum.NewThreshold(n, 1), Workload: fixedWorkload{"tx-a", "tx-b"}}, idleRules{})
+	for r := 1; r <= 3; r++ {
+		for s := range n {
+			var strong []dag.VertexRef
+			for p := range n {
+				if r < 3 || p < 3 {
+					strong = append(strong, dag.VertexRef{Source: types.ProcessID(p), Round: r - 1})
+				}
+			}
+			if err := b.dag.Add(&dag.Vertex{Source: types.ProcessID(s), Round: r, StrongEdges: strong}); err != nil {
+				t.Fatal(err)
+			}
+			b.tracker(r).Add(types.ProcessID(s))
+		}
+	}
+	if v := b.createVertex(4); len(v.StrongEdges) != n || len(v.WeakEdges) != 1 || cap(v.StrongEdges) != n {
+		t.Fatalf("fixture vertex has edges %v (cap %d) and %v, want %d strong and 1 weak", v.StrongEdges, cap(v.StrongEdges), v.WeakEdges, n)
+	}
+	sent := env.sent
+	const runs = 200
+	a := testing.AllocsPerRun(runs, func() {
+		b.r = 3
+		b.Step(env)
+	})
+	if env.sent-sent != runs+1 || b.r != 4 {
+		t.Fatalf("%d Steps sent %d messages and left round %d, want one vertex each and round 4", runs+1, env.sent-sent, b.r)
+	}
+	if a > 2 {
+		t.Errorf("creating and broadcasting a vertex allocates %v times, want at most 2", a)
 	}
 }

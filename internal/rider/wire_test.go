@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/dag"
@@ -73,15 +74,16 @@ func TestVertexWireRoundTrip(t *testing.T) {
 	}
 }
 
-// blockFrame returns the frame of a vertex with 3 strong edges and txs
-// txs of txLen bytes each.
+// blockFrame returns the frame of a vertex with 3 strong edges, 1 weak
+// edge and txs txs of txLen bytes each.
 func blockFrame(t testing.TB, txs, txLen int) []byte {
 	block := make([]string, txs)
 	for i := range block {
 		block[i] = string(bytes.Repeat([]byte{'a' + byte(i%26)}, txLen))
 	}
 	v := &dag.Vertex{Source: 1, Round: 4, Block: block,
-		StrongEdges: []dag.VertexRef{{Source: 0, Round: 3}, {Source: 1, Round: 3}, {Source: 2, Round: 3}}}
+		StrongEdges: []dag.VertexRef{{Source: 0, Round: 3}, {Source: 1, Round: 3}, {Source: 2, Round: 3}},
+		WeakEdges:   []dag.VertexRef{{Source: 3, Round: 2}}}
 	enc, err := wire.Marshal(VertexPayload{V: v})
 	if err != nil {
 		t.Fatal(err)
@@ -89,20 +91,26 @@ func blockFrame(t testing.TB, txs, txLen int) []byte {
 	return enc
 }
 
-// TestVertexDecodeAllocsFlat: decoding a vertex costs the same number of
-// allocations whatever its tx count — the block is one string, not one
-// per tx.
+// TestVertexDecodeAllocsFlat: decoding a SEND that carries a vertex with
+// strong and weak edges costs at most four allocations whatever its tx
+// count: the vertex, one slice for both edge lists, the block's string
+// and its []string. The block is one string, not one per tx; the SEND
+// body is cut from the shared carver, and the payload boxes for free.
 func TestVertexDecodeAllocsFlat(t *testing.T) {
 	allocs := func(txs int) float64 {
-		enc := blockFrame(t, txs, 8)
+		send := append([]byte{10, 1, 4}, blockFrame(t, txs, 8)...) // broadcast SEND, slot.Src 1, slot.Seq 4
 		return testing.AllocsPerRun(100, func() {
-			if _, _, err := wire.Decode(enc); err != nil {
+			if _, _, err := wire.Decode(send); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	if one, many := allocs(1), allocs(64); one != many {
+	one, many := allocs(1), allocs(64)
+	if one != many {
 		t.Fatalf("decoding a 1-tx vertex allocates %.0f objects, a 64-tx vertex %.0f", one, many)
+	}
+	if many > 4 {
+		t.Fatalf("decoding a SEND of a vertex allocates %.0f objects, want at most 4", many)
 	}
 }
 
@@ -128,8 +136,9 @@ func TestVertexDecodeCopiesFrame(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeVertexBlock decodes one vertex carrying 32 × 1 KiB txs
-// and 3 strong edges, the block shape of the saturated TCP workload.
+// BenchmarkDecodeVertexBlock decodes one vertex carrying 32 × 1 KiB txs,
+// 3 strong edges and a weak one, the block shape of the saturated TCP
+// workload.
 func BenchmarkDecodeVertexBlock(b *testing.B) {
 	enc := blockFrame(b, 32, 1024)
 	b.SetBytes(int64(len(enc)))
@@ -155,13 +164,13 @@ func TestVertexWireNilNotEncodable(t *testing.T) {
 // TestVertexWireRejectsMalformed bounds adversarial vertex bodies.
 func TestVertexWireRejectsMalformed(t *testing.T) {
 	frame := func(body []byte) []byte {
-		return append(wire.AppendUvarint(nil, wireTagVertex), body...)
+		return append(wire.AppendUvarint(nil, dag.WireTag), body...)
 	}
-	huge := wire.AppendInt(nil, 1)                          // source
-	huge = wire.AppendInt(huge, 1)                          // round
-	huge = wire.AppendUvarint(huge, wire.MaxCount+1)        // tx count
-	over := wire.AppendInt(nil, 1)                          // source
-	over = wire.AppendUvarint(over, uint64(maxWireRound)+1) // round
+	huge := wire.AppendInt(nil, 1)                   // source
+	huge = wire.AppendInt(huge, 1)                   // round
+	huge = wire.AppendUvarint(huge, wire.MaxCount+1) // tx count
+	over := wire.AppendInt(nil, 1)                   // source
+	over = wire.AppendUvarint(over, 1<<30+1)         // round, past dag's bound
 	cases := map[string][]byte{
 		"empty":          frame(nil),
 		"huge tx count":  frame(huge),
@@ -182,9 +191,9 @@ func TestVertexWireRejectsMalformed(t *testing.T) {
 func TestVertexWireHostileCounts(t *testing.T) {
 	maxCount := wire.AppendUvarint(nil, wire.MaxCount)
 	frames := map[string][]byte{
-		"tx count":     append([]byte{wireTagVertex, 1, 1}, maxCount...),
-		"strong count": append([]byte{wireTagVertex, 1, 1, 0}, maxCount...),
-		"weak count":   append([]byte{wireTagVertex, 1, 1, 0, 0}, maxCount...),
+		"tx count":     append([]byte{dag.WireTag, 1, 1}, maxCount...),
+		"strong count": append([]byte{dag.WireTag, 1, 1, 0}, maxCount...),
+		"weak count":   append([]byte{dag.WireTag, 1, 1, 0, 0}, maxCount...),
 	}
 	for name, frame := range frames {
 		var err error
@@ -242,6 +251,67 @@ func TestVertexDigestCoversContent(t *testing.T) {
 	}
 }
 
+// TestVertexDigestSealed: the digest lives in the vertex, sealed from its
+// content where a vertex is made, and is computed without writing where
+// it was not.
+//   - A decoded vertex is sealed with the hash of the bytes its body took,
+//     also when the frame has bytes after it, and that is the hash of its
+//     re-encoding.
+//   - NewVertexPayload seals, so a later change to the vertex leaves its
+//     digest as it was.
+//   - VertexPayload{V: v} around an unsealed vertex returns the same
+//     digest, from several goroutines at once, and stores nothing: change
+//     the vertex and its digest follows.
+func TestVertexDigestSealed(t *testing.T) {
+	mk := func() *dag.Vertex {
+		return &dag.Vertex{Source: 2, Round: 9, Block: []string{"tx-1", "tx-2"},
+			StrongEdges: []dag.VertexRef{{Source: 0, Round: 8}, {Source: 1, Round: 8}, {Source: 2, Round: 8}},
+			WeakEdges:   []dag.VertexRef{{Source: 3, Round: 6}}}
+	}
+	enc, err := wire.Marshal(VertexPayload{V: mk()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sha256.Sum256(enc)
+
+	msg, rest, err := wire.Decode(append(append([]byte(nil), enc...), 0x01, 0x02))
+	if err != nil || len(rest) != 2 {
+		t.Fatalf("decode: %v, %d bytes left", err, len(rest))
+	}
+	dec := msg.(VertexPayload)
+	if re, err := wire.Marshal(dec); err != nil || dec.Digest() != want || sha256.Sum256(re) != want {
+		t.Fatalf("decoded vertex's digest %x is not that of its re-encoding %x (%v)", dec.Digest(), want, err)
+	}
+	dec.V.Block[0] = "tx-0"
+	if dec.Digest() != want {
+		t.Error("the decoder did not seal the digest")
+	}
+
+	sealed := mk()
+	p := NewVertexPayload(sealed)
+	sealed.Block[0] = "tx-0"
+	if p.Digest() != want {
+		t.Error("NewVertexPayload did not seal the digest")
+	}
+
+	u := mk()
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if (VertexPayload{V: u}).Digest() != want {
+				t.Error("an unsealed vertex's digest differs from its frame's hash")
+			}
+		}()
+	}
+	wg.Wait()
+	u.Block[0] = "tx-0"
+	if (VertexPayload{V: u}).Digest() == want {
+		t.Error("Digest stored the digest of an unsealed vertex")
+	}
+}
+
 // TestVertexWireRejectsNonMinimal: the digest is over the canonical
 // encoding, so a SEND whose vertex spells a varint the long way — same
 // vertex, other bytes, other hash of the bytes — is rejected whole rather
@@ -251,7 +321,7 @@ func TestVertexWireRejectsNonMinimal(t *testing.T) {
 		StrongEdges: []dag.VertexRef{{Source: 0, Round: 4}}}
 	send := func(round []byte) []byte {
 		b := []byte{10, 1, 5} // broadcast SEND, slot.Src 1, slot.Seq 5
-		b = append(b, wireTagVertex, 1)
+		b = append(b, dag.WireTag, 1)
 		b = append(b, round...)
 		b = append(b, 1, 2, 't', 'x') // one tx
 		return append(b, 1, 0, 4, 0)  // one strong edge, no weak edge

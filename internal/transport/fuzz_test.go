@@ -165,6 +165,15 @@ func FuzzDecodeBatch(f *testing.F) {
 		votes = append(votes, record(frame...)...)
 	}
 	f.Add(votes)
+	// 80 SEND records of small Bytes payloads: decoding them rolls the
+	// shared SEND carver over, inside the bound.
+	var sends []byte
+	for i := 0; i < 80; i++ {
+		frame := wire.AppendUvarint([]byte{tagSend, byte(i % 4)}, uint64(i)) // [tag][src][seq]
+		frame = append(frame, tagBytes, 2, byte(i), 0xee)                    // Bytes payload
+		sends = append(sends, record(frame...)...)
+	}
+	f.Add(sends)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var emitted []sim.Message

@@ -246,9 +246,10 @@ func Digest(msg any) ([sha256.Size]byte, error) {
 }
 
 // BodyDigest returns what Digest returns for the message registered under
-// tag whose canonical body is body — for decoders that hash the bytes they
-// consumed instead of re-encoding. The caller must have checked that body
-// is canonical (every varint minimal): Digest hashes only canonical
+// tag whose canonical body is body — for code that holds the body already:
+// a decoder hashing the bytes it consumed instead of re-encoding, or an
+// encoder hashing what it wrote. The caller must have checked that body is
+// canonical (every varint minimal): Digest hashes only canonical
 // encodings.
 func BodyDigest(tag uint64, body []byte) [sha256.Size]byte {
 	var hdr [binary.MaxVarintLen64]byte
