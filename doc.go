@@ -104,10 +104,11 @@
 //     examples/faulttolerance.
 //   - A shared framed binary wire codec (internal/wire) and a production
 //     TCP transport (internal/transport): every protocol message type
-//     registers a tagged exact-size codec built on uvarints, length-
+//     registers a tagged codec built on canonical uvarints, length-
 //     prefixed strings and the raw bitset words types.Set already
-//     carries, so the simulator's byte metrics (sim.MessageSize) and the
-//     bytes a real deployment sends are equal by construction. The
+//     carries; the simulator's byte metrics (sim.MessageSize) are the
+//     length of that encoding, so they equal the bytes a real deployment
+//     sends by construction. The
 //     transport drains bounded per-peer outboxes into batched length-
 //     prefixed frames (one write syscall per drain); a full outbox blocks
 //     the sending node loop — explicit backpressure, never drops or

@@ -132,11 +132,6 @@ func (b Bytes) Digest() Digest {
 	return sum
 }
 
-// SimSize implements sim.Sizer.
-//
-//lint:sizer-fallback sendMsg.SimSize consults Sizer directly, whatever the payload type
-func (b Bytes) SimSize() int { return len(b) }
-
 // Slot identifies one broadcast instance: the originator and a per-
 // originator sequence number (DAG protocols use the round number).
 type Slot struct {

@@ -348,9 +348,6 @@ func TestBytesPayload(t *testing.T) {
 	if Bytes("x").Digest() == Bytes("y").Digest() {
 		t.Error("distinct bytes must differ in digest")
 	}
-	if Bytes("abc").SimSize() != 3 {
-		t.Error("SimSize should be byte length")
-	}
 }
 
 // pruneEnv is a minimal sim.Env for driving Handle directly in unit

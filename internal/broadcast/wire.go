@@ -5,10 +5,11 @@
 // fetch reply follow it with the payload as a nested wire frame, so any
 // wire-registered Payload implementation (Bytes here, rider.VertexPayload,
 // ...) travels without this package knowing about it; ECHO, READY and the
-// fetch request follow it with the 32 raw digest bytes. A message whose
-// payload type is not wire-registered is simply not encodable: Size reports
-// false and the simulator falls back to the Sizer approximation, which
-// keeps test-local payload types working in pure-simulation runs.
+// fetch request follow it with the 32 raw digest bytes. A SEND or fetch
+// reply whose payload is not encodable (its type is not wire-registered,
+// or its codec declines the value) fails Append; the simulator then falls
+// back to the Sizer approximation, which keeps test-local payload types
+// working in pure-simulation runs.
 package broadcast
 
 import (
@@ -30,8 +31,6 @@ const (
 
 func init() { registerWireCodecs() }
 
-func slotSize(s Slot) int { return wire.IntSize(int(s.Src)) + wire.UvarintSize(s.Seq) }
-
 func appendSlot(dst []byte, s Slot) []byte {
 	return wire.AppendUvarint(wire.AppendInt(dst, int(s.Src)), s.Seq)
 }
@@ -52,11 +51,6 @@ func decodeSlot(b []byte) (Slot, []byte, error) {
 func registerPayloadMsg(tag uint64, prototype any,
 	get func(any) (Slot, Payload), build func(Slot, Payload) any) {
 	wire.Register(tag, prototype, wire.Codec{
-		Size: func(msg any) (int, bool) {
-			s, p := get(msg)
-			psz, ok := wire.EncodedSize(p)
-			return slotSize(s) + psz, ok
-		},
 		Append: func(dst []byte, msg any) ([]byte, error) {
 			s, p := get(msg)
 			return wire.Append(appendSlot(dst, s), p)
@@ -83,10 +77,6 @@ func registerPayloadMsg(tag uint64, prototype any,
 func registerDigestMsg(tag uint64, prototype any,
 	get func(any) (Slot, Digest), build func(Slot, Digest) any) {
 	wire.Register(tag, prototype, wire.Codec{
-		Size: func(msg any) (int, bool) {
-			s, _ := get(msg)
-			return slotSize(s) + len(Digest{}), true
-		},
 		Append: func(dst []byte, msg any) ([]byte, error) {
 			s, d := get(msg)
 			return append(appendSlot(dst, s), d[:]...), nil
@@ -123,7 +113,6 @@ func registerWireCodecs() {
 		func(m any) (Slot, Digest) { s := m.(fetchMsg); return s.Slot, s.Digest },
 		func(s Slot, d Digest) any { return fetchMsg{Slot: s, Digest: d} })
 	wire.Register(wireTagBytes, Bytes(nil), wire.Codec{
-		Size: func(msg any) (int, bool) { return wire.BytesSize(msg.(Bytes)), true },
 		Append: func(dst []byte, msg any) ([]byte, error) {
 			return wire.AppendBytes(dst, msg.(Bytes)), nil
 		},

@@ -98,19 +98,16 @@ func TestBytesDigest(t *testing.T) {
 
 // TestBroadcastWireUnregisteredPayloadFallsBack pins the degradation
 // contract: a message whose payload type has no wire codec is not
-// encodable (EncodedSize false), and sim.MessageSize falls back to the
-// Sizer approximation instead of panicking — keeping test-local payloads
-// usable in pure-simulation runs.
+// encodable (Marshal fails), and sim.MessageSize falls back to the Sizer
+// approximation instead of panicking — keeping test-local payloads usable
+// in pure-simulation runs.
 func TestBroadcastWireUnregisteredPayloadFallsBack(t *testing.T) {
 	msg := sendMsg{&send{Slot: Slot{Src: 1, Seq: 2}, Payload: unregisteredPayload{K: "abc"}}}
-	if _, ok := wire.EncodedSize(msg); ok {
-		t.Fatal("message with unregistered payload reported encodable")
+	if _, err := wire.Marshal(msg); err == nil {
+		t.Fatal("Marshal succeeded with unregistered payload")
 	}
 	if got, want := sim.MessageSize(msg), msg.SimSize(); got != want {
 		t.Fatalf("MessageSize %d, want Sizer fallback %d", got, want)
-	}
-	if _, err := wire.Marshal(msg); err == nil {
-		t.Fatal("Marshal succeeded with unregistered payload")
 	}
 }
 
@@ -122,7 +119,6 @@ type notAPayload struct{}
 func TestBroadcastWireRejectsNonPayloadInner(t *testing.T) {
 	const tag = 1001 // test-local range
 	wire.Register(tag, notAPayload{}, wire.Codec{
-		Size:   func(any) (int, bool) { return 0, true },
 		Append: func(dst []byte, _ any) ([]byte, error) { return dst, nil },
 		Decode: func(b []byte) (any, []byte, error) { return notAPayload{}, b, nil },
 	})

@@ -24,9 +24,6 @@ const maxWireWave = 1 << 30
 
 func init() {
 	wire.Register(wireTagShare, ShareMsg{}, wire.Codec{
-		Size: func(msg any) (int, bool) {
-			return wire.IntSize(msg.(ShareMsg).Wave) + shareReservedBytes, true
-		},
 		Append: func(dst []byte, msg any) ([]byte, error) {
 			dst = wire.AppendInt(dst, msg.(ShareMsg).Wave)
 			return append(dst, make([]byte, shareReservedBytes)...), nil

@@ -21,7 +21,7 @@ func TestShareMsgWire(t *testing.T) {
 		t.Fatalf("MessageSize %d != wire length %d", got, len(enc))
 	}
 	// Frame = tag + wave uvarint + reserved share bytes.
-	want := wire.UvarintSize(wireTagShare) + wire.IntSize(msg.Wave) + shareReservedBytes
+	want := wire.UvarintSize(wireTagShare) + wire.UvarintSize(uint64(msg.Wave)) + shareReservedBytes
 	if len(enc) != want {
 		t.Fatalf("frame is %d bytes, want %d (48-byte share reserve missing?)", len(enc), want)
 	}

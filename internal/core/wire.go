@@ -37,7 +37,6 @@ func init() {
 // wave-tagged control messages: [uvarint wave].
 func registerWaveMsg(tag uint64, prototype any, get func(any) int, build func(int) any) {
 	wire.Register(tag, prototype, wire.Codec{
-		Size: func(msg any) (int, bool) { return wire.IntSize(get(msg)), true },
 		Append: func(dst []byte, msg any) ([]byte, error) {
 			return wire.AppendInt(dst, get(msg)), nil
 		},

@@ -73,23 +73,6 @@ func (v *Vertex) digest() Digest {
 	return sum
 }
 
-// WireSize returns the length of v's wire body.
-func WireSize(v *Vertex) int {
-	sz := wire.IntSize(int(v.Source)) + wire.IntSize(v.Round) + wire.IntSize(len(v.Block))
-	for _, tx := range v.Block {
-		sz += wire.StringSize(tx)
-	}
-	return sz + refsWireSize(v.StrongEdges) + refsWireSize(v.WeakEdges)
-}
-
-func refsWireSize(refs []VertexRef) int {
-	sz := wire.IntSize(len(refs))
-	for _, r := range refs {
-		sz += wire.IntSize(int(r.Source)) + wire.IntSize(r.Round)
-	}
-	return sz
-}
-
 // AppendWire appends v's wire body to dst.
 func AppendWire(dst []byte, v *Vertex) []byte {
 	dst = wire.AppendInt(dst, int(v.Source))
@@ -115,10 +98,9 @@ func appendRefsWire(dst []byte, refs []VertexRef) []byte {
 // vertex, sealed, and the bytes after the body.
 //
 // The digest is over the canonical encoding, because a fetch reply is
-// always a re-encoding. A non-minimal varint is strictly longer than the
-// minimal one, so the consumed bytes are canonical exactly when they are
-// as many as the encoder would write; anything else is rejected, and the
-// bytes in hand are hashed as they are, once.
+// always a re-encoding. wire.ReadUvarint rejects every non-minimal varint,
+// so the bytes a body decodes from are the bytes the encoder would write,
+// and they are hashed as they are, once.
 func DecodeWire(b []byte) (*Vertex, []byte, error) {
 	src, rest, err := wire.ReadInt(b, wire.MaxUniverse)
 	if err != nil {
@@ -156,11 +138,7 @@ func DecodeWire(b []byte) (*Vertex, []byte, error) {
 			v.WeakEdges = edges[strong:]
 		}
 	}
-	body := b[:len(b)-len(end)]
-	if sz := WireSize(v); len(body) != sz {
-		return nil, b, fmt.Errorf("dag: wire vertex: %d bytes where the canonical encoding has %d", len(body), sz)
-	}
-	v.sum = wire.BodyDigest(WireTag, body)
+	v.sum = wire.BodyDigest(WireTag, b[:len(b)-len(end)])
 	return v, end, nil
 }
 

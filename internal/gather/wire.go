@@ -33,19 +33,6 @@ const maxWireUniverse = 1 << 20
 
 func init() { registerWireCodecs() }
 
-// wireSize returns the exact encoded body length of p.
-func (p Pairs) wireSize() int {
-	if p.IsZero() {
-		return wire.UvarintSize(0)
-	}
-	sz := wire.SetSize(p.senders)
-	p.ForEach(func(_ types.ProcessID, v string) bool {
-		sz += wire.StringSize(v)
-		return true
-	})
-	return sz
-}
-
 // appendWire appends p's body.
 func (p Pairs) appendWire(dst []byte) []byte {
 	if p.IsZero() {
@@ -95,10 +82,6 @@ func decodePairsWire(b []byte) (Pairs, []byte, error) {
 func registerPairsMsg(tag uint64, prototype any,
 	get func(any) (types.ProcessID, Pairs), build func(types.ProcessID, Pairs) any) {
 	wire.Register(tag, prototype, wire.Codec{
-		Size: func(msg any) (int, bool) {
-			from, p := get(msg)
-			return wire.IntSize(int(from)) + p.wireSize(), true
-		},
 		Append: func(dst []byte, msg any) ([]byte, error) {
 			from, p := get(msg)
 			dst = wire.AppendInt(dst, int(from))
@@ -121,7 +104,6 @@ func registerPairsMsg(tag uint64, prototype any,
 // registerEmptyMsg registers a zero-field control message.
 func registerEmptyMsg(tag uint64, prototype any, build func() any) {
 	wire.Register(tag, prototype, wire.Codec{
-		Size:   func(any) (int, bool) { return 0, true },
 		Append: func(dst []byte, _ any) ([]byte, error) { return dst, nil },
 		Decode: func(b []byte) (any, []byte, error) { return build(), b, nil },
 	})
@@ -141,7 +123,6 @@ func registerWireCodecs() {
 	registerEmptyMsg(wireTagReady, readyMsg{}, func() any { return readyMsg{} })
 	registerEmptyMsg(wireTagConfirm, confirmMsg{}, func() any { return confirmMsg{} })
 	wire.Register(wireTagPairs, Pairs{}, wire.Codec{
-		Size: func(msg any) (int, bool) { return msg.(Pairs).wireSize(), true },
 		Append: func(dst []byte, msg any) ([]byte, error) {
 			return msg.(Pairs).appendWire(dst), nil
 		},

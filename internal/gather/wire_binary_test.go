@@ -2,7 +2,6 @@ package gather
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -102,21 +101,5 @@ func TestGatherWireRejectsMalformed(t *testing.T) {
 		if _, _, err := wire.Decode(frame); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-	}
-}
-
-// TestGatherWireSizeIsExact cross-checks wireSize against the encoder for
-// a spread of universes crossing word boundaries.
-func TestGatherWireSizeIsExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, n := range []int{1, 63, 64, 65, 127, 128, 129, 500} {
-		p := randomPairs(rng, n)
-		enc := p.appendWire(nil)
-		if got := p.wireSize(); got != len(enc) {
-			t.Errorf("n=%d: wireSize %d, encoded %d", n, got, len(enc))
-		}
-	}
-	if fmt.Sprintf("%d", (Pairs{}).wireSize()) != "1" {
-		t.Error("zero Pairs body must be exactly the universe-0 uvarint")
 	}
 }

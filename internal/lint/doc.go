@@ -29,7 +29,7 @@
 // codec is flagged: sim.MessageSize always prefers the codec, so the
 // SimSize method is either dead code that will silently diverge from the
 // real encoding, or a deliberate fallback for messages whose codec can
-// report unencodable (nested dynamic payloads). The deliberate case is
+// fail to encode (nested dynamic payloads). The deliberate case is
 // annotated.
 //
 // asymshare — under the simulator's parallel same-time delivery

@@ -92,18 +92,6 @@ func (p VertexPayload) Key() string {
 	return key
 }
 
-// SimSize implements sim.Sizer: headers plus transactions plus edges.
-//
-//lint:sizer-fallback the codec declines payloads without a vertex, so this approximation is still consulted
-func (p VertexPayload) SimSize() int {
-	sz := 16
-	for _, tx := range p.V.Block {
-		sz += len(tx)
-	}
-	sz += 8 * (len(p.V.StrongEdges) + len(p.V.WeakEdges))
-	return sz
-}
-
 // Workload supplies the transactions a process packs into each vertex
 // (the paper's blocksToPropose queue fed by clients).
 type Workload interface {

@@ -63,9 +63,6 @@ func TestVertexPayloadKey(t *testing.T) {
 	if (VertexPayload{V: v1}).Key() == (VertexPayload{V: v4}).Key() {
 		t.Error("strong vs weak edges must change the key")
 	}
-	if (VertexPayload{V: v1}).SimSize() <= 0 {
-		t.Error("SimSize must be positive")
-	}
 }
 
 func TestSyntheticWorkload(t *testing.T) {

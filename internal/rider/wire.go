@@ -15,13 +15,6 @@ import (
 
 func init() {
 	wire.Register(dag.WireTag, VertexPayload{}, wire.Codec{
-		Size: func(msg any) (int, bool) {
-			v := msg.(VertexPayload).V
-			if v == nil {
-				return 0, false // a payload without a vertex is not encodable
-			}
-			return dag.WireSize(v), true
-		},
 		Append: func(dst []byte, msg any) ([]byte, error) {
 			v := msg.(VertexPayload).V
 			if v == nil {

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/broadcast"
 	"repro/internal/dag"
 	"repro/internal/sim"
 	"repro/internal/types"
@@ -150,14 +151,27 @@ func BenchmarkDecodeVertexBlock(b *testing.B) {
 	}
 }
 
-// TestVertexWireNilNotEncodable pins that a payload without a vertex is
-// not encodable rather than panicking in the writer path.
+// sendEnv keeps the last message a node sends.
+type sendEnv struct {
+	countEnv
+	last sim.Message
+}
+
+func (e *sendEnv) Send(_ types.ProcessID, msg sim.Message) { e.last = msg }
+
+// TestVertexWireNilNotEncodable pins that a payload without a vertex, alone
+// or in a SEND, is not encodable, and that the simulator sizes both by
+// their fallback rather than panicking.
 func TestVertexWireNilNotEncodable(t *testing.T) {
-	if _, ok := wire.EncodedSize(VertexPayload{}); ok {
-		t.Fatal("nil-vertex payload reported encodable")
-	}
-	if _, err := wire.Marshal(VertexPayload{}); err == nil {
-		t.Fatal("nil-vertex payload marshalled")
+	env := &sendEnv{countEnv: countEnv{n: 2}}
+	broadcast.EquivocateSend(env, 1, broadcast.Slot{Src: 0, Seq: 1}, VertexPayload{})
+	for _, msg := range []sim.Message{VertexPayload{}, env.last} {
+		if _, err := wire.Marshal(msg); err == nil {
+			t.Errorf("%T without a vertex marshalled", msg)
+		}
+		if n := sim.MessageSize(msg); n <= 0 {
+			t.Errorf("%T without a vertex sized %d", msg, n)
+		}
 	}
 }
 

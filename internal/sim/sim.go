@@ -86,27 +86,34 @@ type VirtualTime int64
 // value, read concurrently under parallel delivery, and a queued copy may
 // outlive the sender's state for its slot. A struct whose only field is a
 // pointer travels without boxing, so a hot message can point to a body the
-// sender never writes again (broadcast's ECHO and READY do). Implement
-// Sizer to contribute to the byte metrics.
+// sender never writes again (broadcast's ECHO and READY do). A message
+// without a wire codec implements Sizer to contribute to the byte metrics.
 type Message any
 
 // Sizer lets a message report an approximate wire size in bytes for the
-// bandwidth metrics. It is the fallback for messages without a binary
-// wire codec (see MessageSize); messages that implement neither count as
-// size 1.
+// bandwidth metrics. It is consulted only for messages the binary wire
+// codec cannot encode (see MessageSize); messages that neither encode nor
+// implement it count as size 1.
 type Sizer interface {
 	SimSize() int
 }
 
-// MessageSize returns the byte size a message contributes to the metrics.
-// Messages registered with the shared binary codec (internal/wire — every
-// real protocol message is, at package init) report their exact encoded
-// frame length, so simulated BytesSent figures equal the bytes the TCP
-// transport puts on the wire for the same traffic. Unregistered messages
-// fall back to their Sizer approximation, else count as 1 byte. A message
-// whose codec can report unencodable (broadcast's SEND carrying a payload
-// type with no codec) implements Sizer as the fallback.
-func MessageSize(msg Message) int { return msgSize(msg) }
+// MessageSize returns the byte size a message contributes to the metrics:
+// the length of its encoding by the shared binary codec (internal/wire —
+// every real protocol message registers one at package init), so
+// simulated BytesSent figures equal the bytes the TCP transport puts on
+// the wire for the same traffic. A message the codec cannot encode (an
+// unregistered type, or broadcast's SEND carrying a payload type with no
+// codec) falls back to its Sizer approximation, else counts as 1 byte.
+func MessageSize(msg Message) int {
+	bp := sizeBufPool.Get().(*[]byte)
+	n := msgSize(bp, msg)
+	sizeBufPool.Put(bp)
+	return n
+}
+
+// sizeBufPool recycles the buffers MessageSize encodes into.
+var sizeBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // Typer lets a message choose its own ByType metrics bucket. Messages
 // that do not implement it are bucketed by dynamic Go type (the "%T"
@@ -348,6 +355,10 @@ type Runner struct {
 	// each env is immutable after construction, so reuse is safe.
 	envs []env
 
+	// sizeBuf is the buffer msgSize encodes every sent message into, on
+	// the driving goroutine in both delivery modes.
+	sizeBuf []byte
+
 	// randUsed[p] records that node p has drawn from Env.Rand at least
 	// once. Parallel delivery consults it: a timestamp batch containing a
 	// flagged receiver is delivered serially so the node keeps reading the
@@ -471,12 +482,13 @@ func (r *Runner) typeCounter(msg Message) *typeCounter {
 	return tc
 }
 
-// msgSize returns the byte size a message contributes to the metrics:
-// exact encoded frame length for wire-registered types, Sizer
-// approximation otherwise, 1 as the last resort.
-func msgSize(msg Message) int {
-	if n, ok := wire.EncodedSize(msg); ok {
-		return n
+// msgSize returns the byte size a message contributes to the metrics (see
+// MessageSize), encoding it into *buf, which keeps the grown buffer.
+func msgSize(buf *[]byte, msg Message) int {
+	enc, err := wire.Append((*buf)[:0], msg)
+	*buf = enc
+	if err == nil {
+		return len(enc)
 	}
 	if s, ok := msg.(Sizer); ok {
 		return s.SimSize()
@@ -513,18 +525,18 @@ func (r *Runner) sendOne(from, to types.ProcessID, msg Message, tc *typeCounter,
 }
 
 func (r *Runner) send(from, to types.ProcessID, msg Message) {
-	r.sendOne(from, to, msg, r.typeCounter(msg), msgSize(msg))
+	r.sendOne(from, to, msg, r.typeCounter(msg), msgSize(&r.sizeBuf, msg))
 }
 
 // broadcast fans msg out to every process in ID order. One fan-out
 // resolves the per-message bookkeeping (type counter, wire size) once and
 // reuses it for all n sends — broadcast is the dominant send pattern of
-// every protocol here, and per-destination SimSize/type lookups used to
-// show up in profiles. Delivery order and metrics stay byte-identical to
+// every protocol here, and per-destination sizing and type lookups used
+// to show up in profiles. Delivery order and metrics stay byte-identical to
 // n individual sends: the fault plane, the latency draw and the sequence
 // number are still evaluated per destination, in destination order.
 func (r *Runner) broadcast(from types.ProcessID, msg Message) {
-	tc, size := r.typeCounter(msg), msgSize(msg)
+	tc, size := r.typeCounter(msg), msgSize(&r.sizeBuf, msg)
 	for to := 0; to < r.cfg.N; to++ {
 		r.sendOne(from, types.ProcessID(to), msg, tc, size)
 	}

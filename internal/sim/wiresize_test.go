@@ -25,7 +25,6 @@ type neither struct{}
 // Sizer approximation otherwise, 1 as the last resort.
 func TestMessageSizePrefersWireCodec(t *testing.T) {
 	wire.Register(1100, wireSized{}, wire.Codec{ // test-local tag range
-		Size:   func(msg any) (int, bool) { return wire.UvarintSize(msg.(wireSized).V), true },
 		Append: func(dst []byte, msg any) ([]byte, error) { return wire.AppendUvarint(dst, msg.(wireSized).V), nil },
 		Decode: func(b []byte) (any, []byte, error) {
 			v, rest, err := wire.ReadUvarint(b)

@@ -27,10 +27,6 @@ type FloodMsg struct {
 
 func init() {
 	wire.Register(wireTagFlood, FloodMsg{}, wire.Codec{
-		Size: func(msg any) (int, bool) {
-			m := msg.(FloodMsg)
-			return wire.UvarintSize(m.Seq) + wire.BytesSize(m.Pad), true
-		},
 		Append: func(dst []byte, msg any) ([]byte, error) {
 			m := msg.(FloodMsg)
 			dst = wire.AppendUvarint(dst, m.Seq)

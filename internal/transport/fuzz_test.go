@@ -174,6 +174,10 @@ func FuzzDecodeBatch(f *testing.F) {
 		sends = append(sends, record(frame...)...)
 	}
 	f.Add(sends)
+	// Records on either side of each length-prefix width: 1 and 2 bytes,
+	// then 2 and 3.
+	f.Add(seedBatch(floodOfFrameLen(f, 1, 127), floodOfFrameLen(f, 2, 128)))
+	f.Add(seedBatch(floodOfFrameLen(f, 3, 16383), floodOfFrameLen(f, 4, 16384)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var emitted []sim.Message

@@ -38,7 +38,10 @@
 // single-threaded discipline the simulator provides. Per-connection
 // reader goroutines decode frames into the loop's inbox; one per-peer
 // writer goroutine drains that peer's outbox into batched frames, one
-// Write syscall per frame regardless of how many messages it carries.
+// Write syscall per frame regardless of how many messages it carries. The
+// writer encodes each message once, straight into the frame behind its
+// length prefix; a message that fails to encode is dropped alone and
+// counted (PeerStats.EncodeErrors).
 //
 // Each outbox alternates two arrays: a drain hands its caller the queue
 // and installs, cleared, the batch that caller drained the time before,
@@ -666,10 +669,12 @@ func (h *Host) writer(peer types.ProcessID, rec connRec, q *outbox) {
 // writeBatch encodes batch into one or more frames (each closed once its
 // payload exceeds batchSoftLimit) and writes each with a single Write.
 // Each frame is built in place in the reusable buffer frame, the header
-// first, so the bytes are written without a copy.
+// first, so the bytes are written without a copy. Each message is encoded
+// once, behind a one-byte length prefix that is widened in place when the
+// record is 128 bytes or more.
 // On a write error it re-queues the envelopes of the failed frame and
 // everything after it — the "unsent tail" — at the front of the outbox
-// and reports false. Unencodable messages are counted and skipped.
+// and reports false. An unencodable message is counted and skipped.
 func (h *Host) writeBatch(c net.Conn, st *peerCounters, q *outbox, batch []envelope,
 	frame []byte) ([]byte, bool) {
 	i := 0
@@ -680,23 +685,15 @@ func (h *Host) writeBatch(c net.Conn, st *peerCounters, q *outbox, batch []envel
 		for i < len(batch) && len(frame)-frameHeaderSize < batchSoftLimit {
 			msg := batch[i].Msg
 			i++
-			sz, ok := wire.EncodedSize(msg)
-			if !ok {
-				st.encodeErrs.Add(1)
-				continue
-			}
 			mark := len(frame)
-			frame = wire.AppendUvarint(frame, uint64(sz))
-			bodyStart := len(frame)
 			var err error
-			frame, err = wire.Append(frame, msg)
-			if err != nil || len(frame)-bodyStart != sz {
-				// Size/Append disagreement would corrupt the stream's
-				// length prefixes; drop the message, keep the frame sane.
+			frame, err = wire.Append(append(frame, 0), msg)
+			if err != nil {
 				frame = frame[:mark]
 				st.encodeErrs.Add(1)
 				continue
 			}
+			frame = putRecordLen(frame, mark)
 			msgs++
 		}
 		if msgs == 0 {
@@ -716,6 +713,20 @@ func (h *Host) writeBatch(c net.Conn, st *peerCounters, q *outbox, batch []envel
 		st.bytes.Add(uint64(len(frame)))
 	}
 	return frame, true
+}
+
+// putRecordLen writes the length prefix of the record that starts at
+// frame[mark]: one reserved byte, then the encoded message. A length of
+// 128 or more needs a wider uvarint, so the message moves up to make room.
+func putRecordLen(frame []byte, mark int) []byte {
+	n := len(frame) - mark - 1
+	w := wire.UvarintSize(uint64(n))
+	if w > 1 {
+		frame = append(frame, make([]byte, w-1)...)
+		copy(frame[mark+w:], frame[mark+1:len(frame)-(w-1)])
+	}
+	binary.PutUvarint(frame[mark:], uint64(n))
+	return frame
 }
 
 // readLoop decodes batch frames into the inbox until the connection dies

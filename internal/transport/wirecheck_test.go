@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"net"
@@ -197,6 +198,75 @@ func TestEnvelopeSizeMatchesSimMetrics(t *testing.T) {
 		if !bytes.Equal(enc, re) {
 			t.Errorf("%T: re-encode not byte-identical", msg)
 		}
+	}
+}
+
+// floodOfFrameLen returns a FloodMsg of sequence number seq (below 128)
+// whose frame is exactly size bytes.
+func floodOfFrameLen(tb testing.TB, seq uint64, size int) FloodMsg {
+	tb.Helper()
+	for pad := size - 2; pad >= 0; pad-- {
+		m := FloodMsg{Seq: seq, Pad: bytes.Repeat([]byte{byte(seq)}, pad)}
+		if enc, err := wire.Marshal(m); err == nil && len(enc) == size {
+			return m
+		}
+	}
+	tb.Fatalf("no FloodMsg frame is %d bytes", size)
+	return FloodMsg{}
+}
+
+// recordConn is a net.Conn whose writes land in a buffer.
+type recordConn struct {
+	net.Conn
+	w bytes.Buffer
+}
+
+func (c *recordConn) Write(b []byte) (int, error) { return c.w.Write(b) }
+
+// TestWriteBatchPrefixWidthsAndEncodeErrors: messages whose frames sit on
+// either side of the 1-, 2- and 3-byte length-prefix boundaries go out as
+// [uvarint len][frame] records, byte for byte, and an unencodable message
+// among them is dropped alone and counted once.
+func TestWriteBatchPrefixWidthsAndEncodeErrors(t *testing.T) {
+	var batch []envelope
+	var want []byte
+	var wantMsgs []sim.Message
+	for i, size := range []int{127, 128, 16383, 16384} {
+		m := floodOfFrameLen(t, uint64(i), size)
+		enc, err := wire.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(wire.AppendUvarint(want, uint64(len(enc))), enc...)
+		wantMsgs = append(wantMsgs, m)
+		batch = append(batch, envelope{Msg: m})
+		if size == 128 {
+			batch = append(batch, envelope{Msg: rider.VertexPayload{}})
+		}
+	}
+	c := &recordConn{}
+	var st peerCounters
+	if _, ok := (&Host{}).writeBatch(c, &st, nil, batch, nil); !ok {
+		t.Fatal("writeBatch failed")
+	}
+	frame := c.w.Bytes()
+	if len(frame) < frameHeaderSize || frame[0] != frameBatch ||
+		int(binary.BigEndian.Uint32(frame[1:frameHeaderSize])) != len(frame)-frameHeaderSize {
+		t.Fatalf("bad frame header % x", frame[:min(len(frame), frameHeaderSize)])
+	}
+	body := frame[frameHeaderSize:]
+	if !bytes.Equal(body, want) {
+		t.Fatalf("batch body is %d bytes, want %d bytes of [uvarint len][frame] records", len(body), len(want))
+	}
+	var got []sim.Message
+	if err := decodeBatch(body, func(m sim.Message) bool { got = append(got, m); return true }); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, wantMsgs) {
+		t.Fatalf("decoded %d messages, want the %d encodable ones in order", len(got), len(wantMsgs))
+	}
+	if e, m := st.encodeErrs.Load(), st.msgs.Load(); e != 1 || m != 4 {
+		t.Fatalf("EncodeErrors %d, messages %d; want 1 and 4", e, m)
 	}
 }
 

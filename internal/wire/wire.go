@@ -2,12 +2,13 @@
 // messages: a compact type-tag registry plus append-style encoding
 // primitives.
 //
-// Every protocol message type registers a Codec (tag, exact size, encoder,
-// decoder) at package init. The one registration serves two consumers that
-// previously disagreed about message bytes:
+// Every protocol message type registers a Codec (tag, encoder, decoder) at
+// package init. The encoder is the one description of a layout: a
+// message's size is the length of its encoding. The one registration
+// serves two consumers that previously disagreed about message bytes:
 //
 //   - the deterministic simulator's byte metrics: sim.MessageSize returns
-//     the exact encoded frame length for registered types, so simulated
+//     the encoded frame length for registered types, so simulated
 //     BytesSent figures match what a real deployment puts on the wire;
 //   - the TCP transport (internal/transport), whose writer path encodes
 //     outbox drains into batched length-prefixed frames of these messages.
@@ -16,10 +17,9 @@
 // registering package and built from the primitives here: uvarints,
 // length-prefixed strings and byte slices, and raw little-endian bitset
 // words (the same word layout types.Set already exposes through Words and
-// Key). Codec.Size must return the exact body length the encoder will
-// produce — Marshal verifies the invariant on every call, which is what
-// lets the simulator's metrics and the transport's frames stay equal by
-// construction.
+// Key). Varints are canonical: ReadUvarint rejects any encoding longer
+// than the minimal one, so a body built from these primitives decodes
+// only from the bytes its re-encoding produces.
 //
 // Tag ranges are assigned centrally so independent packages cannot
 // collide (Register panics on a conflict):
@@ -75,6 +75,13 @@ const (
 // ErrTruncated reports input that ended inside a field.
 var ErrTruncated = errors.New("wire: truncated input")
 
+// ErrNonMinimal reports a varint encoded in more bytes than it needs.
+var ErrNonMinimal = errors.New("wire: non-minimal varint")
+
+// ErrUnregistered reports a message whose dynamic type has no codec. It is
+// a fixed value, so sizing an unregistered message allocates nothing.
+var ErrUnregistered = errors.New("wire: unregistered message type")
+
 // TagRange is one package's half of the central tag assignment: the
 // inclusive [Lo, Hi] tag interval the package may register codecs in.
 type TagRange struct {
@@ -103,14 +110,12 @@ var TagRanges = map[string]TagRange{
 	"repro/internal/transport": {60, 69},
 }
 
-// Codec describes how one message type encodes. All three functions
-// receive the message boxed as `any` with the registered dynamic type.
+// Codec describes how one message type encodes. Both functions receive
+// the message boxed as `any` with the registered dynamic type.
 type Codec struct {
-	// Size returns the exact encoded body length of msg. The second
-	// result is false when msg cannot be encoded at all (for example a
-	// nested interface field holding an unregistered type).
-	Size func(msg any) (int, bool)
-	// Append appends msg's body to dst and returns the extended slice.
+	// Append appends msg's body to dst and returns the extended slice. It
+	// fails when msg cannot be encoded at all (for example a nested
+	// interface field holding an unregistered type).
 	Append func(dst []byte, msg any) ([]byte, error)
 	// Decode parses one body from the front of b, returning the decoded
 	// message and the remaining bytes.
@@ -138,7 +143,7 @@ func Register(tag uint64, prototype any, c Codec) {
 	if typ == nil {
 		panic("wire: Register with untyped nil prototype")
 	}
-	if c.Size == nil || c.Append == nil || c.Decode == nil {
+	if c.Append == nil || c.Decode == nil {
 		panic(fmt.Sprintf("wire: incomplete codec for %v", typ))
 	}
 	regMu.Lock()
@@ -159,54 +164,22 @@ func Register(tag uint64, prototype any, c Codec) {
 	byType.Store(typ, e)
 }
 
-func lookup(msg any) (*entry, bool) {
-	e, ok := byType.Load(reflect.TypeOf(msg))
-	if !ok {
-		return nil, false
-	}
-	return e.(*entry), true
-}
-
-// EncodedSize returns the exact frame length ([uvarint tag][body]) msg
-// would encode to. The second result is false when msg's dynamic type is
-// not registered or the message is not encodable.
-func EncodedSize(msg any) (int, bool) {
-	e, ok := lookup(msg)
-	if !ok {
-		return 0, false
-	}
-	n, ok := e.codec.Size(msg)
-	if !ok {
-		return 0, false
-	}
-	return UvarintSize(e.tag) + n, true
-}
-
-// Append appends msg's frame (tag + body) to dst.
+// Append appends msg's frame (tag + body) to dst. A message whose type is
+// not registered fails with ErrUnregistered.
 func Append(dst []byte, msg any) ([]byte, error) {
-	e, ok := lookup(msg)
+	v, ok := byType.Load(reflect.TypeOf(msg))
 	if !ok {
-		return dst, fmt.Errorf("wire: unregistered message type %T", msg)
+		return dst, ErrUnregistered
 	}
-	dst = AppendUvarint(dst, e.tag)
-	return e.codec.Append(dst, msg)
+	e := v.(*entry)
+	return e.codec.Append(AppendUvarint(dst, e.tag), msg)
 }
 
-// Marshal encodes msg as one frame, verifying that the codec's Size
-// matches the bytes actually produced (the invariant the simulator's byte
-// metrics depend on).
+// Marshal encodes msg as one frame into a new slice.
 func Marshal(msg any) ([]byte, error) {
-	sz, sized := EncodedSize(msg)
-	var dst []byte
-	if sized {
-		dst = make([]byte, 0, sz)
-	}
-	out, err := Append(dst, msg)
+	out, err := Append(nil, msg)
 	if err != nil {
-		return nil, err
-	}
-	if sized && len(out) != sz {
-		return nil, fmt.Errorf("wire: %T encoded to %d bytes but Size reported %d", msg, len(out), sz)
+		return nil, fmt.Errorf("%T: %w", msg, err)
 	}
 	return out, nil
 }
@@ -248,9 +221,8 @@ func Digest(msg any) ([sha256.Size]byte, error) {
 // BodyDigest returns what Digest returns for the message registered under
 // tag whose canonical body is body — for code that holds the body already:
 // a decoder hashing the bytes it consumed instead of re-encoding, or an
-// encoder hashing what it wrote. The caller must have checked that body is
-// canonical (every varint minimal): Digest hashes only canonical
-// encodings.
+// encoder hashing what it wrote. A body the decoders accept is canonical
+// (see ReadUvarint), so it is the body Digest would hash.
 func BodyDigest(tag uint64, body []byte) [sha256.Size]byte {
 	var hdr [binary.MaxVarintLen64]byte
 	h := sha256.New()
@@ -269,23 +241,18 @@ func UvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 // AppendUvarint appends the varint encoding of v.
 func AppendUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
 
-// ReadUvarint parses a uvarint from the front of b.
+// ReadUvarint parses a uvarint from the front of b. It accepts only the
+// minimal encoding: a multi-byte varint whose last byte is 0 spells a
+// shorter one the long way, and fails with ErrNonMinimal.
 func ReadUvarint(b []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(b)
 	if n <= 0 {
 		return 0, b, ErrTruncated
 	}
-	return v, b[n:], nil
-}
-
-// IntSize returns the encoded length of a non-negative int (rounds, waves,
-// sequence numbers). Encoding a negative value is a programming error and
-// panics — no protocol field here is ever negative.
-func IntSize(v int) int {
-	if v < 0 {
-		panic(fmt.Sprintf("wire: negative int %d", v))
+	if n > 1 && b[n-1] == 0 {
+		return 0, b, ErrNonMinimal
 	}
-	return UvarintSize(uint64(v))
+	return v, b[n:], nil
 }
 
 // AppendInt appends a non-negative int as a uvarint.
@@ -307,9 +274,6 @@ func ReadInt(b []byte, max int) (int, []byte, error) {
 	}
 	return int(v), rest, nil
 }
-
-// StringSize returns the encoded length of a length-prefixed string.
-func StringSize(s string) int { return UvarintSize(uint64(len(s))) + len(s) }
 
 // AppendString appends a length-prefixed string.
 func AppendString(dst []byte, s string) []byte {
@@ -372,9 +336,6 @@ func ReadStrings(b []byte, count int) ([]string, []byte, error) {
 	return out, rest, nil
 }
 
-// BytesSize returns the encoded length of a length-prefixed byte slice.
-func BytesSize(b []byte) int { return UvarintSize(uint64(len(b))) + len(b) }
-
 // AppendBytes appends a length-prefixed byte slice.
 func AppendBytes(dst, b []byte) []byte {
 	dst = AppendUvarint(dst, uint64(len(b)))
@@ -394,12 +355,6 @@ func ReadBytes(b []byte) ([]byte, []byte, error) {
 	out := make([]byte, n)
 	copy(out, rest[:n])
 	return out, rest[n:], nil
-}
-
-// SetSize returns the encoded length of a bitset: uvarint universe size
-// followed by the raw little-endian backing words.
-func SetSize(s types.Set) int {
-	return UvarintSize(uint64(s.UniverseSize())) + 8*len(s.Words())
 }
 
 // AppendSet appends a bitset as [uvarint n][raw LE words], reusing the

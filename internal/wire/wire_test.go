@@ -17,7 +17,6 @@ type probeMsg2 struct{ V uint64 }
 
 func probeCodec() Codec {
 	return Codec{
-		Size:   func(msg any) (int, bool) { return UvarintSize(msg.(probeMsg).V), true },
 		Append: func(dst []byte, msg any) ([]byte, error) { return AppendUvarint(dst, msg.(probeMsg).V), nil },
 		Decode: func(b []byte) (any, []byte, error) {
 			v, rest, err := ReadUvarint(b)
@@ -33,11 +32,11 @@ func TestRegistrySemantics(t *testing.T) {
 	Register(1000, probeMsg{}, probeCodec())
 	Register(1000, probeMsg{}, probeCodec()) // idempotent re-registration
 
-	if _, ok := EncodedSize(probeMsg{}); !ok {
-		t.Fatal("probeMsg not registered")
+	if _, err := Marshal(probeMsg{}); err != nil {
+		t.Fatalf("probeMsg not registered: %v", err)
 	}
-	if _, ok := EncodedSize(probeMsg2{}); ok {
-		t.Fatal("EncodedSize for unregistered type")
+	if _, err := Marshal(probeMsg2{}); !errors.Is(err, ErrUnregistered) {
+		t.Fatalf("Marshal of an unregistered type: %v, want ErrUnregistered", err)
 	}
 
 	mustPanic := func(name string, fn func()) {
@@ -62,8 +61,8 @@ func TestMarshalDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sz, ok := EncodedSize(probeMsg{V: v}); !ok || sz != len(enc) {
-			t.Fatalf("v=%d: EncodedSize %d, encoded %d", v, sz, len(enc))
+		if want := UvarintSize(1000) + UvarintSize(v); len(enc) != want {
+			t.Fatalf("v=%d: encoded %d bytes, want tag and value, %d", v, len(enc), want)
 		}
 		dec, rest, err := Decode(enc)
 		if err != nil || len(rest) != 0 {
@@ -108,6 +107,29 @@ func TestUvarintPrimitives(t *testing.T) {
 	AppendInt(nil, -1)
 }
 
+// TestReadUvarintRejectsNonMinimal: a varint spelled in more bytes than
+// it needs is rejected, by ReadUvarint and by every reader built on it,
+// while the minimal encodings of the same widths decode.
+func TestReadUvarintRejectsNonMinimal(t *testing.T) {
+	padded := []byte{0x81, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00} // 1 in 10 bytes
+	for _, b := range [][]byte{{0x80, 0x00}, {0xFF, 0x00}, padded} {
+		if _, _, err := ReadUvarint(b); !errors.Is(err, ErrNonMinimal) {
+			t.Errorf("ReadUvarint(% x): %v, want ErrNonMinimal", b, err)
+		}
+		if _, _, err := ReadInt(b, 1000); !errors.Is(err, ErrNonMinimal) {
+			t.Errorf("ReadInt(% x): %v, want ErrNonMinimal", b, err)
+		}
+		if _, _, err := ReadString(append(bytes.Clone(b), make([]byte, 200)...)); !errors.Is(err, ErrNonMinimal) {
+			t.Errorf("ReadString(% x ...): %v, want ErrNonMinimal", b, err)
+		}
+	}
+	for _, v := range []uint64{0, 127, 128, 1<<63 - 1, 1 << 63, 1<<64 - 1} {
+		if got, rest, err := ReadUvarint(AppendUvarint(nil, v)); err != nil || got != v || len(rest) != 0 {
+			t.Errorf("minimal %d: got %d, %d bytes left, %v", v, got, len(rest), err)
+		}
+	}
+}
+
 func TestStringAndBytesPrimitives(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
@@ -115,16 +137,16 @@ func TestStringAndBytesPrimitives(t *testing.T) {
 		rng.Read(raw)
 		s := string(raw)
 		b := AppendString(nil, s)
-		if len(b) != StringSize(s) {
-			t.Fatalf("StringSize mismatch: %d vs %d", StringSize(s), len(b))
+		if want := UvarintSize(uint64(len(s))) + len(s); len(b) != want {
+			t.Fatalf("string encoded to %d bytes, want %d", len(b), want)
 		}
 		got, rest, err := ReadString(b)
 		if err != nil || got != s || len(rest) != 0 {
 			t.Fatalf("string round trip failed: %v", err)
 		}
 		bb := AppendBytes(nil, raw)
-		if len(bb) != BytesSize(raw) {
-			t.Fatalf("BytesSize mismatch")
+		if !bytes.Equal(bb, b) {
+			t.Fatalf("bytes and string encodings differ")
 		}
 		gb, rest, err := ReadBytes(bb)
 		if err != nil || !bytes.Equal(gb, raw) || len(rest) != 0 {
@@ -204,8 +226,8 @@ func TestSetRoundTrip(t *testing.T) {
 			}
 		}
 		b := AppendSet(nil, s)
-		if len(b) != SetSize(s) {
-			t.Fatalf("n=%d: SetSize %d, encoded %d", n, SetSize(s), len(b))
+		if want := UvarintSize(uint64(n)) + 8*len(s.Words()); len(b) != want {
+			t.Fatalf("n=%d: encoded %d bytes, want %d", n, len(b), want)
 		}
 		got, rest, err := ReadSet(b)
 		if err != nil || len(rest) != 0 {
