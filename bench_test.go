@@ -17,6 +17,7 @@ import (
 	"repro/internal/gather"
 	"repro/internal/harness"
 	"repro/internal/quorum"
+	"repro/internal/scenario"
 	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/types"
@@ -589,19 +590,21 @@ func BenchmarkServiceSustained(b *testing.B) {
 	b.ReportMetric(float64(peak), "peak-vertices")
 }
 
-// serviceFig1 runs the service on the paper's Fig. 1 system (n=30) to wave
-// 10 with seed 1, as one seed of the benchmark's sim_asym_n30 workload does,
-// and returns the heap allocations the run made and the transactions the
+// serviceAllocs runs the service under cfg, checks that every replica
+// reached its target wave and that the replicas' snapshots agree, and
+// returns the heap allocations the run made and the transactions the
 // longest replica log applied.
-func serviceFig1(tb testing.TB) (mallocs uint64, applied int) {
-	cfg := service.Config{Trust: quorum.Counterexample(), Seed: 1, CoinSeed: 1, StopAfterWaves: 10}
+func serviceAllocs(tb testing.TB, cfg service.Config) (mallocs uint64, applied int) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	res := service.Run(cfg)
 	runtime.ReadMemStats(&after)
 	if !res.Stopped {
-		tb.Fatal("Fig. 1 service run hit the event budget before wave 10")
+		tb.Fatalf("service run hit the event budget before wave %d", cfg.StopAfterWaves)
+	}
+	if compared, err := service.CompareSnapshots(res); err != nil || compared == 0 {
+		tb.Fatalf("snapshots: %d compared, %v", compared, err)
 	}
 	for _, rep := range res.Replicas {
 		applied = max(applied, rep.Applied)
@@ -609,31 +612,67 @@ func serviceFig1(tb testing.TB) (mallocs uint64, applied int) {
 	return after.Mallocs - before.Mallocs, applied
 }
 
-// BenchmarkServiceFig1 reports the allocations per applied transaction of
-// one Fig. 1 service run, the count sim_asym_n30's allocs_per_tx measures.
-func BenchmarkServiceFig1(b *testing.B) {
+// benchAllocsPerTx reports the allocations per applied transaction of one
+// service run under cfg.
+func benchAllocsPerTx(b *testing.B, cfg service.Config) {
 	var mallocs uint64
 	var applied int
 	for b.Loop() {
-		m, a := serviceFig1(b)
+		m, a := serviceAllocs(b, cfg)
 		mallocs += m
 		applied += a
 	}
 	b.ReportMetric(float64(mallocs)/float64(applied), "allocs/tx")
 }
 
-// TestServiceAllocsPerTx bounds the same count: per-round and per-wave
-// state (source trackers, delivery and ACK marks, DAG rows, wave gates) is
-// recycled with its round, and client commands are rendered many to a
-// string, so a steady-state round allocates little beyond the vertex it
-// creates.
-func TestServiceAllocsPerTx(t *testing.T) {
+// requireAllocsPerTx fails t when one service run under cfg allocates more
+// than ceiling objects per applied transaction.
+func requireAllocsPerTx(t *testing.T, cfg service.Config, ceiling float64) {
 	if testing.Short() {
-		t.Skip("a 30-process service run")
+		t.Skip("a full service run")
 	}
-	const ceiling = 1.3
-	mallocs, applied := serviceFig1(t)
-	if perTx := float64(mallocs) / float64(applied); perTx > ceiling {
-		t.Errorf("%d allocations for %d applied tx: %.3f per tx, want ≤ %.1f", mallocs, applied, perTx, ceiling)
+	mallocs, applied := serviceAllocs(t, cfg)
+	perTx := float64(mallocs) / float64(applied)
+	if perTx > ceiling {
+		t.Errorf("%d allocations for %d applied tx: %.3f per tx, want ≤ %.2f", mallocs, applied, perTx, ceiling)
 	}
+	t.Logf("%.3f allocations per applied tx, ceiling %.2f", perTx, ceiling)
 }
+
+// serviceFig1 is the service on the paper's Fig. 1 system (n=30) to wave
+// 10 with seed 1, as one seed of the benchmark's sim_asym_n30 workload
+// runs.
+func serviceFig1() service.Config {
+	return service.Config{Trust: quorum.Counterexample(), Seed: 1, CoinSeed: 1, StopAfterWaves: 10}
+}
+
+// serviceFaults7 is the service at n=7 f=2 under the partition-heal
+// scenario to wave 8 with seed 1, snapshotting every wave, as one seed of
+// the benchmark's sim_faults_n7 workload runs.
+func serviceFaults7() service.Config {
+	def, ok := scenario.Find("partition-heal")
+	if !ok {
+		panic("no built-in partition-heal scenario")
+	}
+	cfg := service.Config{Trust: quorum.NewThreshold(7, 2), CoinSeed: 1, StopAfterWaves: 8, SnapshotEvery: 1}
+	return harness.ServiceScenarioConfig(def, cfg, 1)
+}
+
+// BenchmarkServiceFig1 reports the allocations per applied transaction of
+// one Fig. 1 service run, the count sim_asym_n30's allocs_per_tx measures.
+func BenchmarkServiceFig1(b *testing.B) { benchAllocsPerTx(b, serviceFig1()) }
+
+// BenchmarkServiceFaults7 reports the same count for one partition-heal
+// run at n=7, the count sim_faults_n7's allocs_per_tx measures.
+func BenchmarkServiceFaults7(b *testing.B) { benchAllocsPerTx(b, serviceFaults7()) }
+
+// TestServiceAllocsPerTx bounds the Fig. 1 count: per-round and per-wave
+// state (source trackers, delivery and ACK marks, DAG rows, wave gates,
+// broadcast rows) is recycled with its round and made a chunk of rounds
+// at a time, and client commands are rendered many to a string, so a
+// round allocates little beyond the vertex it creates.
+func TestServiceAllocsPerTx(t *testing.T) { requireAllocsPerTx(t, serviceFig1(), 0.85) }
+
+// TestServiceFaults7AllocsPerTx bounds the partition-heal count, where a
+// snapshot every wave makes KV.Snapshot's one buffer per call part of it.
+func TestServiceFaults7AllocsPerTx(t *testing.T) { requireAllocsPerTx(t, serviceFaults7(), 0.82) }

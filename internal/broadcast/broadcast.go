@@ -79,11 +79,16 @@
 //     vote trackers and fetch sets. Further digests, which only an
 //     equivocating sender or voter produces, go to a map allocated on the
 //     second.
-//   - The 2n echo and ready trackers of a row come from one
-//     quorum.NewTrackers call.
+//   - Rows are made a chunk of dag.RowChunk at a time: the chunk's slots
+//     share one array and its 2n·RowChunk echo and ready trackers come from
+//     one quorum.NewTrackers call. The row a sequence number needs is taken
+//     and the rest wait on a free list.
 //   - PruneBelow empties the rows below the watermark — trackers Reset,
-//     payloads and fetch sets cleared, spill maps dropped — and keeps them
-//     on a free list that later sequence numbers draw from.
+//     payloads and fetch sets cleared, spill maps dropped — and puts them
+//     on the same free list, which later sequence numbers draw from before
+//     a new chunk is cut. The rows stay a sparse map: only a sequence
+//     number with a message opens a row, so a far-future one costs a
+//     Byzantine sender one row, not one per sequence number in between.
 //   - SEND, ECHO and READY are single-pointer structs, which an interface
 //     holds without boxing. Their bodies — (slot, payload) for a SEND,
 //     (slot, digest) for a vote, both those a Reliable sends and those the
@@ -100,6 +105,7 @@ package broadcast
 import (
 	"crypto/sha256"
 
+	"repro/internal/dag"
 	"repro/internal/quorum"
 	"repro/internal/sim"
 	"repro/internal/types"
@@ -237,8 +243,8 @@ type Reliable struct {
 	trust   quorum.Assumption
 	deliver Deliver
 	// rows holds, per sequence number, the state of its n slots indexed by
-	// source; free holds the rows PruneBelow emptied, for reuse by later
-	// sequence numbers.
+	// source; free holds the rows PruneBelow emptied and the unused rows of
+	// the last chunk, for later sequence numbers.
 	rows map[uint64][]rbSlot
 	free [][]rbSlot
 	// live counts the slots with state, over all rows (SlotCount).
@@ -320,19 +326,23 @@ func (r *Reliable) find(s Slot) *rbSlot {
 	return &row[s.Src]
 }
 
-// newRow returns an empty row of n slots: one PruneBelow recycled, or a
-// new one whose 2n trackers share one backing allocation.
+// newRow returns an empty row of n slots from the free list. An empty
+// list is refilled with a chunk of dag.RowChunk rows whose slots share one
+// array and whose 2n trackers each share one NewTrackers call.
 func (r *Reliable) newRow() []rbSlot {
-	if k := len(r.free); k > 0 {
-		row := r.free[k-1]
-		r.free = r.free[:k-1]
-		return row
+	if len(r.free) == 0 {
+		slots := make([]rbSlot, dag.RowChunk*r.n)
+		trackers := quorum.NewTrackers(r.trust, r.self, 2*len(slots))
+		for i := range slots {
+			slots[i].value.echoes, slots[i].value.readies = &trackers[2*i], &trackers[2*i+1]
+		}
+		for i := 0; i < len(slots); i += r.n {
+			r.free = append(r.free, slots[i:i+r.n:i+r.n])
+		}
 	}
-	row := make([]rbSlot, r.n)
-	trackers := quorum.NewTrackers(r.trust, r.self, 2*r.n)
-	for i := range row {
-		row[i].value.echoes, row[i].value.readies = &trackers[2*i], &trackers[2*i+1]
-	}
+	k := len(r.free)
+	row := r.free[k-1]
+	r.free = r.free[:k-1]
 	return row
 }
 

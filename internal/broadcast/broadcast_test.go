@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dag"
 	"repro/internal/quorum"
 	"repro/internal/sim"
 	"repro/internal/types"
@@ -687,6 +688,22 @@ func TestReliableReplyNotNeededIsDropped(t *testing.T) {
 	}
 }
 
+// requireEmptyRows fails t unless every slot of every row is as a fresh
+// row's: no payload, votes, fetch sets, sent flags or further digests.
+func requireEmptyRows(t *testing.T, rows [][]rbSlot) {
+	t.Helper()
+	for j, row := range rows {
+		for i := range row {
+			st, v := &row[i], &row[i].value
+			if st.live || st.sentEcho || st.sentReady || st.delivered || st.first != (Digest{}) || st.others != nil ||
+				v.payload != nil || !v.asked.IsEmpty() || !v.served.IsEmpty() ||
+				v.echoes.Count() != 0 || v.readies.Count() != 0 || v.echoes.HasKernel() || v.readies.HasKernel() {
+				t.Fatalf("free row %d slot %d not empty: %+v", j, i, *st)
+			}
+		}
+	}
+}
+
 // TestReliableRowRecycled: PruneBelow empties a row — payloads, votes,
 // fetch sets, sent flags and an equivocation's further digest — and the
 // next sequence number reuses it as if it were new.
@@ -717,26 +734,22 @@ func TestReliableRowRecycled(t *testing.T) {
 		t.Fatalf("SlotCount = %d, want 2", got)
 	}
 
+	// Seq 0's row came from a fresh chunk whose other rows wait on the
+	// free list; the pruned row joins them on top.
 	s.r.PruneBelow(1)
-	if got := s.r.SlotCount(); got != 0 || len(s.r.rows) != 0 || len(s.r.free) != 1 {
-		t.Fatalf("after PruneBelow(1): SlotCount %d, %d rows, %d free, want 0, 0, 1", got, len(s.r.rows), len(s.r.free))
+	if got := s.r.SlotCount(); got != 0 || len(s.r.rows) != 0 || len(s.r.free) != dag.RowChunk {
+		t.Fatalf("after PruneBelow(1): SlotCount %d, %d rows, %d free, want 0, 0, %d (1 pruned + %d chunk spares)",
+			got, len(s.r.rows), len(s.r.free), dag.RowChunk, dag.RowChunk-1)
 	}
-	recycled := s.r.free[0]
-	for i := range recycled {
-		st, v := &recycled[i], &recycled[i].value
-		if st.live || st.sentEcho || st.sentReady || st.delivered || st.first != (Digest{}) || st.others != nil ||
-			v.payload != nil || !v.asked.IsEmpty() || !v.served.IsEmpty() ||
-			v.echoes.Count() != 0 || v.readies.Count() != 0 || v.echoes.HasKernel() || v.readies.HasKernel() {
-			t.Fatalf("recycled slot %d not empty: %+v", i, *st)
-		}
-	}
+	requireEmptyRows(t, s.r.free)
+	recycled := s.r.free[len(s.r.free)-1]
 
 	// Seq 1 reuses the row. Slot b's inline digest had an ECHO quorum and a
 	// running fetch; both start over.
 	a, b = Slot{Src: 1, Seq: 1}, Slot{Src: 2, Seq: 1}
 	s.handle(1, echoMsg{&vote{Slot: b, Digest: x.Digest()}})
-	if &s.r.rows[1][0] != &recycled[0] || len(s.r.free) != 0 {
-		t.Fatal("seq 1 did not reuse the recycled row")
+	if &s.r.rows[1][0] != &recycled[0] || len(s.r.free) != dag.RowChunk-1 {
+		t.Fatal("seq 1 did not reuse the recycled row, or cut a new chunk")
 	}
 	s.handle(2, echoMsg{&vote{Slot: b, Digest: x.Digest()}})
 	s.expect("two ECHOs on a reset tracker")
@@ -896,9 +909,11 @@ func TestVoteBodiesSurvivePrune(t *testing.T) {
 		t.Fatalf("captured %d sends for the early seqs, want %d (an ECHO and a READY to each of %d per slot)", len(kept), early*n*2*n, n)
 	}
 	r.PruneBelow(early)
-	if len(r.free) != early {
-		t.Fatalf("PruneBelow(%d) left %d rows to recycle, want %d", early, len(r.free), early)
+	spares := (dag.RowChunk - early%dag.RowChunk) % dag.RowChunk // unused rows of the last chunk
+	if len(r.free) != early+spares {
+		t.Fatalf("PruneBelow(%d) left %d rows to recycle, want %d pruned + %d chunk spares", early, len(r.free), early, spares)
 	}
+	requireEmptyRows(t, r.free)
 	// Each later seq reuses a recycled row and cuts 2n more vote bodies.
 	for seq := uint64(early); seq < early+later; seq++ {
 		run(seq)

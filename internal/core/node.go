@@ -171,7 +171,7 @@ func NewNode(cfg Config) *Node {
 // Init implements sim.Node.
 func (n *Node) Init(env sim.Env) {
 	n.self = env.Self()
-	n.acked = dag.NewRows(env.N(), types.NewSet, (*types.Set).Clear)
+	n.acked = dag.NewRows(env.N(), types.NewSets, (*types.Set).Clear)
 	if n.cfg.RevealedCoin {
 		n.shared = coin.NewShared(n.self, n.cfg.Trust, n.cfg.Coin)
 	}

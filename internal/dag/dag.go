@@ -86,11 +86,20 @@ type DAG struct {
 
 // New creates an empty DAG for n processes.
 func New(n int) *DAG {
-	return &DAG{n: n, rounds: NewRows(n, newRow, (*row).reset), words: (n + 63) / 64}
+	return &DAG{n: n, rounds: NewRows(n, newRows, (*row).reset), words: (n + 63) / 64}
 }
 
-// newRow returns an empty round of n slots.
-func newRow(n int) row { return row{verts: make([]*Vertex, n), srcs: types.NewSet(n)} }
+// newRows returns k empty rounds of n slots, their slots cut from one
+// array and their source sets from one more.
+func newRows(n, k int) []row {
+	verts := make([]*Vertex, k*n)
+	srcs := types.NewSets(n, k)
+	rows := make([]row, k)
+	for i := range rows {
+		rows[i] = row{verts: verts[i*n : (i+1)*n : (i+1)*n], srcs: srcs[i]}
+	}
+	return rows
+}
 
 // reset empties the round for reuse.
 func (rw *row) reset() {

@@ -2,24 +2,32 @@ package dag
 
 import "fmt"
 
+// RowChunk is the number of rows one fresh call makes: a window that has
+// no kept row to grow into cuts RowChunk of them from shared backing
+// arrays, uses one and keeps the rest.
+const RowChunk = 8
+
 // Rows is a window of per-round rows over rounds Base() to End()−1: the
 // storage of the DAG's rounds, and of the per-round state a node keeps
 // beside them and prunes at the same watermark. DropBelow empties the rows
 // it drops and keeps them, and Grow takes kept rows before it makes new
 // ones, so a window that has reached its working size allocates nothing
-// more. The zero value is not usable; call NewRows.
+// more. Before that it allocates once per RowChunk rows for each of a
+// row's components, not once per row: fresh cuts a chunk of rows from
+// shared arrays, and Grow keeps the rows it does not need yet. The zero
+// value is not usable; call NewRows.
 type Rows[R any] struct {
 	base  int // round of rows[0]
 	rows  []R
-	free  []R // dropped rows, emptied, for Grow to reuse
+	free  []R // dropped rows, emptied, and a chunk's unused rows, for Grow
 	n     int
-	fresh func(n int) R
+	fresh func(n, k int) []R
 	empty func(*R)
 }
 
-// NewRows returns an empty window at round 0 whose rows fresh(n) makes and
-// empty clears for reuse.
-func NewRows[R any](n int, fresh func(n int) R, empty func(*R)) Rows[R] {
+// NewRows returns an empty window at round 0 whose rows fresh(n, k) makes
+// k at a time and empty clears for reuse.
+func NewRows[R any](n int, fresh func(n, k int) []R, empty func(*R)) Rows[R] {
 	return Rows[R]{n: n, fresh: fresh, empty: empty}
 }
 
@@ -45,12 +53,12 @@ func (w *Rows[R]) Grow(r int) *R {
 		panic(fmt.Sprintf("dag: round %d below the window base %d", r, w.base))
 	}
 	for len(w.rows) <= r-w.base {
-		if k := len(w.free); k > 0 {
-			w.rows = append(w.rows, w.free[k-1])
-			w.free = w.free[:k-1]
-		} else {
-			w.rows = append(w.rows, w.fresh(w.n))
+		if len(w.free) == 0 {
+			w.free = append(w.free, w.fresh(w.n, RowChunk)...)
 		}
+		k := len(w.free)
+		w.rows = append(w.rows, w.free[k-1])
+		w.free = w.free[:k-1]
 	}
 	return &w.rows[r-w.base]
 }

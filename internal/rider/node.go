@@ -109,8 +109,13 @@ func (b *Base) Start(env sim.Env, setup Setup, rules Rules) {
 	b.setup, b.rules = setup, rules
 	b.self, b.n = env.Self(), env.N()
 	b.dag = dag.New(b.n)
-	b.rounds = dag.NewRows(b.n, func(n int) roundState {
-		return roundState{sources: quorum.NewTracker(setup.Trust, b.self), delivered: types.NewSet(n)}
+	b.rounds = dag.NewRows(b.n, func(n, k int) []roundState {
+		sources, delivered := quorum.NewTrackers(setup.Trust, b.self, k), types.NewSets(n, k)
+		rs := make([]roundState, k)
+		for i := range rs {
+			rs[i] = roundState{sources: &sources[i], delivered: delivered[i]}
+		}
+		return rs
 	}, (*roundState).reset)
 	b.strong = types.NewSet(b.n)
 	for _, g := range Genesis(b.n) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"sort"
+	"strconv"
 
 	"repro/internal/types"
 )
@@ -39,12 +40,12 @@ func CompareSnapshots(res Result) (int, error) {
 			}
 			common++
 			if prev.snap.Applied != s.Applied {
-				return common, errors.New("service: wave " + itoa(s.Wave) + " applied mismatch: replica " +
-					prev.owner.String() + " applied " + itoa(prev.snap.Applied) +
-					", replica " + p.String() + " applied " + itoa(s.Applied))
+				return common, errors.New("service: wave " + strconv.Itoa(s.Wave) + " applied mismatch: replica " +
+					prev.owner.String() + " applied " + strconv.Itoa(prev.snap.Applied) +
+					", replica " + p.String() + " applied " + strconv.Itoa(s.Applied))
 			}
 			if !bytes.Equal(prev.snap.State, s.State) {
-				return common, errors.New("service: wave " + itoa(s.Wave) +
+				return common, errors.New("service: wave " + strconv.Itoa(s.Wave) +
 					" snapshot state differs between replicas " + prev.owner.String() + " and " + p.String())
 			}
 		}

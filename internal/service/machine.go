@@ -2,6 +2,7 @@ package service
 
 import (
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -64,45 +65,26 @@ func (k *KV) Get(key string) (string, bool) {
 // Len returns the number of live keys.
 func (k *KV) Len() int { return len(k.m) }
 
-// Snapshot implements StateMachine with a deterministic serialization.
+// Snapshot implements StateMachine with a deterministic serialization,
+// written into one buffer sized before the first byte is.
 func (k *KV) Snapshot() []byte {
+	const header = "applied "
 	keys := make([]string, 0, len(k.m))
-	for key := range k.m {
+	size := len(header) + 20 + 1 // 20 bytes hold any int and its sign
+	for key, val := range k.m {
 		keys = append(keys, key)
+		size += len(key) + len(val) + 2
 	}
 	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString("applied ")
-	b.WriteString(itoa(k.applied))
-	b.WriteByte('\n')
+	b := make([]byte, 0, size)
+	b = append(b, header...)
+	b = strconv.AppendInt(b, int64(k.applied), 10)
+	b = append(b, '\n')
 	for _, key := range keys {
-		b.WriteString(key)
-		b.WriteByte('=')
-		b.WriteString(k.m[key])
-		b.WriteByte('\n')
+		b = append(b, key...)
+		b = append(b, '=')
+		b = append(b, k.m[key]...)
+		b = append(b, '\n')
 	}
-	return []byte(b.String())
-}
-
-// itoa avoids pulling fmt into the hot snapshot path.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return b
 }
