@@ -58,10 +58,13 @@ fuzz:
 # (TestDoubleDialDeduplicated failed 1–3% of runs) and reliable
 # broadcast's hold-before-READY and fetch rules; plus the buffers shared
 # across goroutines without a copy: the alternating outbox arrays and the
-# carved chunks the connection readers decode votes and SENDs into.
+# carved chunks the connection readers decode votes and SENDs into, and
+# the vote bodies a Reliable forwards in its READYs and FETCHes (which,
+# TestReadyReusesTriggerBody pins): over TCP (TestConsensusOverTCP) one
+# body decoded on a reader goroutine is read by every peer's writer.
 FLAKY_COUNT ?= 50
 flaky:
-	$(GO) test -race -count=$(FLAKY_COUNT) -run 'TestDoubleDial|TestReliable|TestOutboxReusesBuffers|TestDecodedVotesSurviveLaterDecodes|TestDecodedSendsSurviveLaterDecodes|TestCarverHandsOutEachBodyOnce' ./internal/transport ./internal/broadcast ./internal/wire
+	$(GO) test -race -count=$(FLAKY_COUNT) -run 'TestDoubleDial|TestReliable|TestReadyReusesTriggerBody|TestConsensusOverTCP|TestOutboxReusesBuffers|TestDecodedVotesSurviveLaterDecodes|TestDecodedSendsSurviveLaterDecodes|TestCarverHandsOutEachBodyOnce' ./internal/transport ./internal/broadcast ./internal/wire
 
 # Sweep every built-in adversarial scenario (internal/scenario) over a few
 # seeds and check each one's declared Definition 4.1 properties; bounded to

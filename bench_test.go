@@ -669,10 +669,11 @@ func BenchmarkServiceFaults7(b *testing.B) { benchAllocsPerTx(b, serviceFaults7(
 // TestServiceAllocsPerTx bounds the Fig. 1 count: per-round and per-wave
 // state (source trackers, delivery and ACK marks, DAG rows, wave gates,
 // broadcast rows) is recycled with its round and made a chunk of rounds
-// at a time, and client commands are rendered many to a string, so a
-// round allocates little beyond the vertex it creates.
-func TestServiceAllocsPerTx(t *testing.T) { requireAllocsPerTx(t, serviceFig1(), 0.85) }
+// at a time, client commands are rendered many to a string, edge lists
+// are cut from a slab and a READY reuses the body of the vote that
+// completed it, so a round allocates little beyond the vertex it creates.
+func TestServiceAllocsPerTx(t *testing.T) { requireAllocsPerTx(t, serviceFig1(), 0.60) }
 
 // TestServiceFaults7AllocsPerTx bounds the partition-heal count, where a
 // snapshot every wave makes KV.Snapshot's one buffer per call part of it.
-func TestServiceFaults7AllocsPerTx(t *testing.T) { requireAllocsPerTx(t, serviceFaults7(), 0.82) }
+func TestServiceFaults7AllocsPerTx(t *testing.T) { requireAllocsPerTx(t, serviceFaults7(), 0.70) }

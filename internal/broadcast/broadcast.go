@@ -78,7 +78,10 @@
 //   - A slot holds the first digest it hears of in place, with its payload,
 //     vote trackers and fetch sets. Further digests, which only an
 //     equivocating sender or voter produces, go to a map allocated on the
-//     second.
+//     second. A vote that would add a digest is dropped when its voter is
+//     already counted in a tracker of the same kind for another digest of
+//     the slot, so a slot holds at most 1 + 2n digests: the SEND's and one
+//     per voter and kind of vote.
 //   - Rows are made a chunk of dag.RowChunk at a time: the chunk's slots
 //     share one array and its 2n·RowChunk echo and ready trackers come from
 //     one quorum.NewTrackers call. The row a sequence number needs is taken
@@ -89,17 +92,23 @@
 //     a new chunk is cut. The rows stay a sparse map: only a sequence
 //     number with a message opens a row, so a far-future one costs a
 //     Byzantine sender one row, not one per sequence number in between.
-//   - SEND, ECHO and READY are single-pointer structs, which an interface
-//     holds without boxing. Their bodies — (slot, payload) for a SEND,
-//     (slot, digest) for a vote, both those a Reliable sends and those the
-//     codec decodes off the wire — are cut from two process-wide
-//     wire.Carvers, one per body type, in chunks of 64 indexed atomically.
-//     A body is never written after it is handed out, and a chunk is never
-//     reused or recycled with the rows: a message may still sit in a
-//     lagging receiver's queue or a TCP outbox after its sender pruned the
-//     slot, and under parallel delivery several receivers read one body at
-//     once. The garbage collector frees a chunk with its last message, so a
-//     SEND chunk pins at most 64 payloads until then.
+//   - All five messages are single-pointer structs, which an interface
+//     holds without boxing. Their bodies are (slot, payload) for a SEND or
+//     PAYLOAD and (slot, digest) for an ECHO, READY or FETCH. A body is
+//     never written after it is handed out, so a Reliable reuses one where
+//     it can: a READY completed by an ECHO or READY is sent with that
+//     vote's body, and a FETCH with the body of the vote that blocked on
+//     the payload. A new body is cut only for a SEND, an ECHO, a READY
+//     that a SEND or PAYLOAD completed, and a PAYLOAD, from two
+//     process-wide wire.Carvers, one per body type, in chunks of 64
+//     indexed atomically; the codec cuts the bodies it decodes off the
+//     wire from the same two.
+//     A chunk is never reused or recycled with the rows: a message may
+//     still sit in a lagging receiver's queue or a TCP outbox after its
+//     sender pruned the slot, and under parallel delivery several
+//     receivers read one body at once. The garbage collector frees a chunk
+//     with its last message, so a SEND chunk pins at most 64 payloads
+//     until then.
 package broadcast
 
 import (
@@ -186,9 +195,9 @@ type sendMsg struct{ *send }
 // this process broadcasts and those the codec decodes.
 var sends wire.Carver[send]
 
-// newSend returns a SEND of payload in slot, its body cut from sends.
-func newSend(slot Slot, payload Payload) sendMsg {
-	return sendMsg{sends.Cut(send{Slot: slot, Payload: payload})}
+// newSend returns a body holding (slot, payload), cut from sends.
+func newSend(slot Slot, payload Payload) *send {
+	return sends.Cut(send{Slot: slot, Payload: payload})
 }
 
 // SimSize implements sim.Sizer.
@@ -215,24 +224,19 @@ var votes wire.Carver[vote]
 // newVote returns a body holding (slot, d), cut from votes.
 func newVote(slot Slot, d Digest) *vote { return votes.Cut(vote{Slot: slot, Digest: d}) }
 
-// echoMsg and readyMsg hold only a pointer to their body, so an interface
-// holds them without boxing; m.Slot and m.Digest are promoted from it.
+// echoMsg, readyMsg and fetchMsg hold only a pointer to their body, so an
+// interface holds them without boxing; m.Slot and m.Digest are promoted
+// from it.
 type echoMsg struct{ *vote }
 
 type readyMsg struct{ *vote }
 
 // fetchMsg asks a process that voted for Digest in Slot for the payload.
-type fetchMsg struct {
-	Slot   Slot
-	Digest Digest
-}
+type fetchMsg struct{ *vote }
 
 // payloadMsg answers a fetchMsg; the requester addresses it by the digest
-// it recomputes from Payload.
-type payloadMsg struct {
-	Slot    Slot
-	Payload Payload
-}
+// it recomputes from Payload. Its body is a SEND body.
+type payloadMsg struct{ *send }
 
 // Reliable is the asymmetric reliable broadcast (Bracha-style, digest
 // addressed — see the package comment). One Reliable instance per process
@@ -299,7 +303,7 @@ func NewReliable(self types.ProcessID, trust quorum.Assumption, deliver Deliver)
 
 // Broadcast implements Broadcaster.
 func (r *Reliable) Broadcast(env sim.Env, seq uint64, payload Payload) {
-	env.Broadcast(newSend(Slot{Src: r.self, Seq: seq}, payload))
+	env.Broadcast(sendMsg{newSend(Slot{Src: r.self, Seq: seq}, payload)})
 }
 
 // open returns slot s, creating its row on first use, or nil when s lies
@@ -366,6 +370,33 @@ func (r *Reliable) value(st *rbSlot, d Digest) *rbValue {
 	return v
 }
 
+// spam reports whether a vote of voter from for digest d would add d to
+// the live slot st while from is already counted in one of st's ready
+// trackers, if ready is set, or else in one of its echo trackers. Handle
+// drops such a vote: a correct process sends one ECHO and one READY per
+// slot, so none of its votes is lost, and one Byzantine voter can add at
+// most one digest per kind instead of one with every message.
+func (st *rbSlot) spam(d Digest, from types.ProcessID, ready bool) bool {
+	if !st.live || st.lookup(d) != nil {
+		return false
+	}
+	counted := func(v *rbValue) bool {
+		if ready {
+			return v.readies.Contains(from)
+		}
+		return v.echoes.Contains(from)
+	}
+	if counted(&st.value) {
+		return true
+	}
+	for _, v := range st.others {
+		if counted(v) {
+			return true
+		}
+	}
+	return false
+}
+
 // lookup returns what the live slot st knows about digest d, or nil.
 func (st *rbSlot) lookup(d Digest) *rbValue {
 	if st.first == d {
@@ -400,19 +431,25 @@ func (st *rbSlot) due(v *rbValue) (ready, deliver bool) {
 }
 
 // advance applies the rules that are due for digest d, or — R1 — fetches
-// the payload when this process does not hold it yet.
-func (r *Reliable) advance(env sim.Env, slot Slot, st *rbSlot, d Digest, v *rbValue) {
+// the payload when this process does not hold it yet. trigger is the body
+// of the ECHO or READY that made the call, nil for a SEND or PAYLOAD; it
+// holds (slot, d), so the READY or FETCH sent here carries it instead of a
+// new body. A fetch only follows a vote: the other two set the payload.
+func (r *Reliable) advance(env sim.Env, slot Slot, st *rbSlot, d Digest, v *rbValue, trigger *vote) {
 	ready, deliver := st.due(v)
 	if !ready && !deliver {
 		return
 	}
 	if v.payload == nil {
-		r.fetch(env, slot, d, v)
+		r.fetch(env, trigger, v)
 		return
 	}
 	if ready {
 		st.sentReady = true
-		env.Broadcast(readyMsg{newVote(slot, d)})
+		if trigger == nil {
+			trigger = newVote(slot, d)
+		}
+		env.Broadcast(readyMsg{trigger})
 	}
 	if deliver {
 		st.delivered = true
@@ -420,8 +457,9 @@ func (r *Reliable) advance(env sim.Env, slot Slot, st *rbSlot, d Digest, v *rbVa
 	}
 }
 
-// fetch sends R2's request to every voter for d not asked yet.
-func (r *Reliable) fetch(env sim.Env, slot Slot, d Digest, v *rbValue) {
+// fetch sends R2's request, the body of the vote that blocked on v, to
+// every voter for v's digest not asked yet.
+func (r *Reliable) fetch(env sim.Env, body *vote, v *rbValue) {
 	if v.asked.UniverseSize() == 0 {
 		v.asked = types.NewSet(r.n)
 	}
@@ -429,7 +467,7 @@ func (r *Reliable) fetch(env sim.Env, slot Slot, d Digest, v *rbValue) {
 		voters.Set().ForEach(func(p types.ProcessID) bool {
 			if !v.asked.Contains(p) {
 				v.asked.Add(p)
-				env.Send(p, fetchMsg{Slot: slot, Digest: d})
+				env.Send(p, fetchMsg{body})
 			}
 			return true
 		})
@@ -454,23 +492,23 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 		v.payload = m.Payload
 		env.Broadcast(echoMsg{newVote(m.Slot, d)})
 		// A SEND overtaken by its own votes completes the slot here.
-		r.advance(env, m.Slot, st, d, v)
+		r.advance(env, m.Slot, st, d, v, nil)
 	case echoMsg:
 		st := r.open(m.Slot)
-		if st == nil {
+		if st == nil || st.spam(m.Digest, from, false) {
 			return true
 		}
 		v := r.value(st, m.Digest)
 		v.echoes.Add(from)
-		r.advance(env, m.Slot, st, m.Digest, v)
+		r.advance(env, m.Slot, st, m.Digest, v, m.vote)
 	case readyMsg:
 		st := r.open(m.Slot)
-		if st == nil {
+		if st == nil || st.spam(m.Digest, from, true) {
 			return true
 		}
 		v := r.value(st, m.Digest)
 		v.readies.Add(from)
-		r.advance(env, m.Slot, st, m.Digest, v)
+		r.advance(env, m.Slot, st, m.Digest, v, m.vote)
 	case fetchMsg:
 		// Serve only what is held, once per requester; a request never
 		// allocates state.
@@ -489,7 +527,7 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 			return true
 		}
 		v.served.Add(from)
-		env.Send(from, payloadMsg{Slot: m.Slot, Payload: v.payload})
+		env.Send(from, payloadMsg{newSend(m.Slot, v.payload)})
 	case payloadMsg:
 		// Accept only a reply that was asked for, whose content hashes to
 		// the digest asked for, while R1 still waits for it. Anything else
@@ -507,7 +545,7 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 			return true
 		}
 		v.payload = m.Payload
-		r.advance(env, m.Slot, st, d, v)
+		r.advance(env, m.Slot, st, d, v, nil)
 	default:
 		return false
 	}
@@ -539,7 +577,7 @@ func NewPlain(self types.ProcessID, deliver Deliver) *Plain {
 
 // Broadcast implements Broadcaster.
 func (p *Plain) Broadcast(env sim.Env, seq uint64, payload Payload) {
-	env.Broadcast(newSend(Slot{Src: p.self, Seq: seq}, payload))
+	env.Broadcast(sendMsg{newSend(Slot{Src: p.self, Seq: seq}, payload)})
 }
 
 // Handle implements Broadcaster.
@@ -625,5 +663,5 @@ func (p *Plain) SlotCount() int { return len(p.delivered) }
 // for a slot directly to one recipient, bypassing the Broadcaster API. Only
 // Byzantine behaviours use it.
 func EquivocateSend(env sim.Env, to types.ProcessID, slot Slot, payload Payload) {
-	env.Send(to, newSend(slot, payload))
+	env.Send(to, sendMsg{newSend(slot, payload)})
 }

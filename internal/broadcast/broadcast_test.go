@@ -3,6 +3,7 @@ package broadcast
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dag"
@@ -413,8 +414,8 @@ func TestPruneBelowAllBroadcasters(t *testing.T) {
 			bc.Handle(env, 1, sendMsg{&send{Slot: Slot{Src: 1, Seq: 1}, Payload: x}})
 			bc.Handle(env, 1, echoMsg{&vote{Slot: Slot{Src: 1, Seq: 1}, Digest: x.Digest()}})
 			bc.Handle(env, 1, readyMsg{&vote{Slot: Slot{Src: 1, Seq: 1}, Digest: x.Digest()}})
-			bc.Handle(env, 3, fetchMsg{Slot: Slot{Src: 1, Seq: 1}, Digest: x.Digest()})
-			bc.Handle(env, 1, payloadMsg{Slot: Slot{Src: 2, Seq: 0}, Payload: x})
+			bc.Handle(env, 3, fetchMsg{&vote{Slot: Slot{Src: 1, Seq: 1}, Digest: x.Digest()}})
+			bc.Handle(env, 1, payloadMsg{&send{Slot: Slot{Src: 2, Seq: 0}, Payload: x}})
 			if got := bc.SlotCount(); got != 2 {
 				t.Fatalf("late message reopened pruned slot: SlotCount = %d, want 2", got)
 			}
@@ -423,8 +424,8 @@ func TestPruneBelowAllBroadcasters(t *testing.T) {
 			}
 			// A live slot still serves its payload, once per requester.
 			if tc.name == "Reliable" {
-				bc.Handle(env, 3, fetchMsg{Slot: Slot{Src: 1, Seq: 4}, Digest: x.Digest()})
-				bc.Handle(env, 3, fetchMsg{Slot: Slot{Src: 1, Seq: 4}, Digest: x.Digest()})
+				bc.Handle(env, 3, fetchMsg{&vote{Slot: Slot{Src: 1, Seq: 4}, Digest: x.Digest()}})
+				bc.Handle(env, 3, fetchMsg{&vote{Slot: Slot{Src: 1, Seq: 4}, Digest: x.Digest()}})
 				if len(sent) != 1 || sent[0].to != 3 {
 					t.Fatalf("two fetches of a held payload by one requester: sent %v, want one reply", sent)
 				}
@@ -578,10 +579,10 @@ func TestReliableR1HoldBeforeReady(t *testing.T) {
 				s.handle(1, sendMsg{&send{Slot: slot, Payload: x}})
 				s.expect("the SEND arrives", "echoMsg→all", "readyMsg→all")
 			} else {
-				s.handle(3, payloadMsg{Slot: slot, Payload: x})
+				s.handle(3, payloadMsg{&send{Slot: slot, Payload: x}})
 				s.expect("a valid reply arrives", "readyMsg→all")
 			}
-			s.handle(1, payloadMsg{Slot: slot, Payload: x})
+			s.handle(1, payloadMsg{&send{Slot: slot, Payload: x}})
 			s.handle(0, readyMsg{&vote{Slot: slot, Digest: d}})
 			s.handle(1, readyMsg{&vote{Slot: slot, Digest: d}})
 			s.expect("second reply, READY quorum")
@@ -614,7 +615,7 @@ func TestReliableLateSend(t *testing.T) {
 	if len(s.delivered) != 1 || s.delivered[0].Digest() != d {
 		t.Fatalf("delivered %v, want the block once", s.delivered)
 	}
-	s.handle(2, payloadMsg{Slot: slot, Payload: x})
+	s.handle(2, payloadMsg{&send{Slot: slot, Payload: x}})
 	s.handle(0, echoMsg{&vote{Slot: slot, Digest: d}})
 	s.handle(0, readyMsg{&vote{Slot: slot, Digest: d}})
 	s.expect("after delivery")
@@ -622,7 +623,7 @@ func TestReliableLateSend(t *testing.T) {
 		t.Fatal("delivered twice")
 	}
 	// The slot is served until it is pruned, also after delivery.
-	s.handle(3, fetchMsg{Slot: slot, Digest: d})
+	s.handle(3, fetchMsg{&vote{Slot: slot, Digest: d}})
 	s.expect("fetch after delivery", "payloadMsg→3")
 }
 
@@ -637,18 +638,18 @@ func TestReliableForgedPayloadReply(t *testing.T) {
 	s := newStepper(t)
 	s.r.PruneBelow(5)
 	s.handle(1, readyMsg{&vote{Slot: slot, Digest: d}})
-	s.handle(1, payloadMsg{Slot: slot, Payload: x}) // no fetch is running yet
+	s.handle(1, payloadMsg{&send{Slot: slot, Payload: x}}) // no fetch is running yet
 	s.handle(2, readyMsg{&vote{Slot: slot, Digest: d}})
 	s.expect("READY kernel without the payload", "fetchMsg→1", "fetchMsg→2")
 
-	s.handle(1, payloadMsg{Slot: slot, Payload: Bytes("forged")})       // wrong digest
-	s.handle(3, payloadMsg{Slot: slot, Payload: x})                     // never asked
-	s.handle(1, payloadMsg{Slot: Slot{Src: 1, Seq: 8}, Payload: x})     // unknown slot
-	s.handle(1, payloadMsg{Slot: Slot{Src: 1, Seq: 2}, Payload: x})     // below the watermark
-	s.handle(1, payloadMsg{Slot: slot, Payload: nil})                   // no content
-	s.handle(1, fetchMsg{Slot: Slot{Src: 1, Seq: 9}, Digest: d})        // fetch of an unknown slot
-	s.handle(1, fetchMsg{Slot: slot, Digest: d})                        // fetch of a payload not held
-	s.handle(1, fetchMsg{Slot: slot, Digest: Bytes("forged").Digest()}) // fetch of an unknown digest
+	s.handle(1, payloadMsg{&send{Slot: slot, Payload: Bytes("forged")}})       // wrong digest
+	s.handle(3, payloadMsg{&send{Slot: slot, Payload: x}})                     // never asked
+	s.handle(1, payloadMsg{&send{Slot: Slot{Src: 1, Seq: 8}, Payload: x}})     // unknown slot
+	s.handle(1, payloadMsg{&send{Slot: Slot{Src: 1, Seq: 2}, Payload: x}})     // below the watermark
+	s.handle(1, payloadMsg{&send{Slot: slot, Payload: nil}})                   // no content
+	s.handle(1, fetchMsg{&vote{Slot: Slot{Src: 1, Seq: 9}, Digest: d}})        // fetch of an unknown slot
+	s.handle(1, fetchMsg{&vote{Slot: slot, Digest: d}})                        // fetch of a payload not held
+	s.handle(1, fetchMsg{&vote{Slot: slot, Digest: Bytes("forged").Digest()}}) // fetch of an unknown digest
 	s.expect("forged and unsolicited replies, unanswerable fetches")
 	if got := s.r.SlotCount(); got != 1 {
 		t.Fatalf("SlotCount = %d after forged replies, want 1", got)
@@ -658,7 +659,7 @@ func TestReliableForgedPayloadReply(t *testing.T) {
 	}
 	s.handle(3, echoMsg{&vote{Slot: slot, Digest: d}})
 	s.expect("a later voter is asked too", "fetchMsg→3")
-	s.handle(2, payloadMsg{Slot: slot, Payload: x})
+	s.handle(2, payloadMsg{&send{Slot: slot, Payload: x}})
 	s.expect("valid reply", "readyMsg→all")
 }
 
@@ -682,7 +683,7 @@ func TestReliableReplyNotNeededIsDropped(t *testing.T) {
 	if len(s.delivered) != 1 {
 		t.Fatal("x not delivered")
 	}
-	s.handle(1, payloadMsg{Slot: slot, Payload: y})
+	s.handle(1, payloadMsg{&send{Slot: slot, Payload: y}})
 	if got := s.r.find(slot).lookup(y.Digest()).payload; got != nil {
 		t.Fatalf("stored %v after the slot was done", got)
 	}
@@ -719,10 +720,10 @@ func TestReliableRowRecycled(t *testing.T) {
 	}
 	s.expect("ECHO quorums for y in a and x in b, neither held",
 		"fetchMsg→1", "fetchMsg→2", "fetchMsg→3", "fetchMsg→1", "fetchMsg→2", "fetchMsg→3")
-	s.handle(2, payloadMsg{Slot: a, Payload: y})
+	s.handle(2, payloadMsg{&send{Slot: a, Payload: y}})
 	s.expect("the further digest y completes its fetch", "readyMsg→all")
-	s.handle(3, fetchMsg{Slot: a, Digest: x.Digest()})
-	s.handle(3, fetchMsg{Slot: a, Digest: y.Digest()})
+	s.handle(3, fetchMsg{&vote{Slot: a, Digest: x.Digest()}})
+	s.handle(3, fetchMsg{&vote{Slot: a, Digest: y.Digest()}})
 	s.expect("both digests of a are served", "payloadMsg→3", "payloadMsg→3")
 	for from := types.ProcessID(1); from < 4; from++ {
 		s.handle(from, readyMsg{&vote{Slot: a, Digest: y.Digest()}})
@@ -755,7 +756,7 @@ func TestReliableRowRecycled(t *testing.T) {
 	s.expect("two ECHOs on a reset tracker")
 	s.handle(3, echoMsg{&vote{Slot: b, Digest: x.Digest()}})
 	s.expect("ECHO quorum, asked set cleared", "fetchMsg→1", "fetchMsg→2", "fetchMsg→3")
-	s.handle(3, fetchMsg{Slot: b, Digest: x.Digest()})
+	s.handle(3, fetchMsg{&vote{Slot: b, Digest: x.Digest()}})
 	s.expect("no payload survives recycling")
 	// Slot a had sent ECHO and READY, delivered, and held a further digest.
 	s.handle(1, readyMsg{&vote{Slot: a, Digest: x.Digest()}})
@@ -770,7 +771,7 @@ func TestReliableRowRecycled(t *testing.T) {
 	if len(s.delivered) != 2 || s.delivered[1].Digest() != x.Digest() {
 		t.Fatalf("delivered %v, want y then x", s.delivered)
 	}
-	s.handle(3, fetchMsg{Slot: a, Digest: x.Digest()})
+	s.handle(3, fetchMsg{&vote{Slot: a, Digest: x.Digest()}})
 	s.expect("served set cleared: 3 is served again", "payloadMsg→3")
 	if got := s.r.SlotCount(); got != 2 {
 		t.Fatalf("SlotCount = %d, want 2", got)
@@ -789,8 +790,8 @@ func TestReliableDropsOutOfRangeSource(t *testing.T) {
 			for from := types.ProcessID(0); from < 4; from++ {
 				s.handle(from, echoMsg{&vote{Slot: slot, Digest: x.Digest()}})
 				s.handle(from, readyMsg{&vote{Slot: slot, Digest: x.Digest()}})
-				s.handle(from, fetchMsg{Slot: slot, Digest: x.Digest()})
-				s.handle(from, payloadMsg{Slot: slot, Payload: x})
+				s.handle(from, fetchMsg{&vote{Slot: slot, Digest: x.Digest()}})
+				s.handle(from, payloadMsg{&send{Slot: slot, Payload: x}})
 			}
 		}
 	}
@@ -932,5 +933,114 @@ func TestVoteBodiesSurvivePrune(t *testing.T) {
 		if got != k.want {
 			t.Fatalf("%T sent for %v now reads (%v, %x), want its original digest %x", k.msg, k.want.Slot, got.Slot, got.Digest[:3], k.want.Digest[:3])
 		}
+	}
+}
+
+// TestReadyReusesTriggerBody pins which bodies a Reliable reuses. A READY
+// completed by an ECHO or READY carries that message's body, and a FETCH
+// the body of the vote that blocked; a READY completed by a SEND or by a
+// fetch reply carries a body of its own.
+func TestReadyReusesTriggerBody(t *testing.T) {
+	x := Bytes("x")
+	d := x.Digest()
+	s := newStepper(t)
+	// echoes hands s an ECHO(slot, d) from each of 1, 2 and 3, each with a
+	// body of its own, and returns the bodies: the third completes the
+	// quorum.
+	echoes := func(slot Slot) []*vote {
+		var bodies []*vote
+		for from := types.ProcessID(1); from < 4; from++ {
+			bodies = append(bodies, &vote{Slot: slot, Digest: d})
+			s.handle(from, echoMsg{bodies[len(bodies)-1]})
+		}
+		return bodies
+	}
+	// sent returns the bodies of the READYs, if ready is set, or else of
+	// the FETCHes sent since the last call, and clears the record.
+	sent := func(ready bool) []*vote {
+		var bodies []*vote
+		for _, m := range s.sent {
+			switch m := m.msg.(type) {
+			case readyMsg:
+				if ready {
+					bodies = append(bodies, m.vote)
+				}
+			case fetchMsg:
+				if !ready {
+					bodies = append(bodies, m.vote)
+				}
+			}
+		}
+		s.sent = s.sent[:0]
+		return bodies
+	}
+	carry := func(what string, got []*vote, count int, ok func(*vote) bool) {
+		t.Helper()
+		if len(got) != count {
+			t.Fatalf("%s: %d sent, want %d", what, len(got), count)
+		}
+		for _, b := range got {
+			if !ok(b) {
+				t.Fatalf("%s: carries the wrong body %p (%v, %x)", what, b, b.Slot, b.Digest[:3])
+			}
+		}
+	}
+	is := func(want *vote) func(*vote) bool { return func(b *vote) bool { return b == want } }
+	fresh := func(slot Slot, old []*vote) func(*vote) bool {
+		return func(b *vote) bool {
+			return *b == (vote{Slot: slot, Digest: d}) && !slices.Contains(old, b)
+		}
+	}
+
+	slot := Slot{Src: 1, Seq: 0}
+	s.handle(1, sendMsg{&send{Slot: slot, Payload: x}})
+	bodies := echoes(slot)
+	carry("READY after an ECHO quorum", sent(true), 4, is(bodies[2]))
+
+	slot = Slot{Src: 1, Seq: 1}
+	s.handle(1, sendMsg{&send{Slot: slot, Payload: x}})
+	s.handle(1, readyMsg{&vote{Slot: slot, Digest: d}})
+	ready := &vote{Slot: slot, Digest: d}
+	s.handle(2, readyMsg{ready})
+	carry("READY after a READY kernel", sent(true), 4, is(ready))
+
+	slot = Slot{Src: 1, Seq: 2}
+	bodies = echoes(slot)
+	carry("FETCH after an ECHO quorum without the payload", sent(false), 3, is(bodies[2]))
+	s.handle(1, sendMsg{&send{Slot: slot, Payload: x}})
+	carry("READY completed by the SEND", sent(true), 4, fresh(slot, bodies))
+
+	slot = Slot{Src: 1, Seq: 3}
+	bodies = echoes(slot)
+	carry("FETCH after an ECHO quorum without the payload", sent(false), 3, is(bodies[2]))
+	s.handle(2, payloadMsg{&send{Slot: slot, Payload: x}})
+	carry("READY completed by the fetch reply", sent(true), 4, fresh(slot, bodies))
+}
+
+// TestReliableVoterSpamBounded: one Byzantine voter names a fresh digest
+// in each of 1 000 ECHOs and 1 000 READYs on a live slot. The slot keeps
+// at most one spilled digest per kind of vote from it, and the honest
+// value still delivers.
+func TestReliableVoterSpamBounded(t *testing.T) {
+	s := newStepper(t)
+	slot := Slot{Src: 1, Seq: 0}
+	x := Bytes("x")
+	s.handle(1, sendMsg{&send{Slot: slot, Payload: x}})
+	for i := range 1000 {
+		d := Digest{byte(i), byte(i >> 8), 0xbb}
+		s.handle(3, echoMsg{&vote{Slot: slot, Digest: d}})
+		s.handle(3, readyMsg{&vote{Slot: slot, Digest: d}})
+	}
+	if got := len(s.r.rows[slot.Seq][slot.Src].others); got > 2 {
+		t.Fatalf("one voter's fresh digests left %d spilled values in the slot, want at most 2", got)
+	}
+	for from := types.ProcessID(0); from < 3; from++ {
+		s.handle(from, echoMsg{&vote{Slot: slot, Digest: x.Digest()}})
+	}
+	for from := types.ProcessID(0); from < 3; from++ {
+		s.handle(from, readyMsg{&vote{Slot: slot, Digest: x.Digest()}})
+	}
+	if len(s.delivered) != 1 || s.delivered[0].Digest() != x.Digest() {
+		t.Fatalf("delivered %v, want the honest payload once", s.delivered)
 	}
 }

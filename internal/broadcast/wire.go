@@ -47,13 +47,12 @@ func decodeSlot(b []byte) (Slot, []byte, error) {
 	return Slot{Src: types.ProcessID(src), Seq: seq}, rest, nil
 }
 
-// registerPayloadMsg registers one of the two payload-carrying messages.
-func registerPayloadMsg(tag uint64, prototype any,
-	get func(any) (Slot, Payload), build func(Slot, Payload) any) {
+// registerPayloadMsg registers one of the two messages with a SEND body.
+func registerPayloadMsg(tag uint64, prototype any, get func(any) *send, wrap func(*send) any) {
 	wire.Register(tag, prototype, wire.Codec{
 		Append: func(dst []byte, msg any) ([]byte, error) {
-			s, p := get(msg)
-			return wire.Append(appendSlot(dst, s), p)
+			m := get(msg)
+			return wire.Append(appendSlot(dst, m.Slot), m.Payload)
 		},
 		Decode: func(b []byte) (any, []byte, error) {
 			s, rest, err := decodeSlot(b)
@@ -68,18 +67,17 @@ func registerPayloadMsg(tag uint64, prototype any,
 			if !ok {
 				return nil, b, fmt.Errorf("broadcast: wire payload %T does not implement Payload", inner)
 			}
-			return build(s, p), rest, nil
+			return wrap(newSend(s, p)), rest, nil
 		},
 	})
 }
 
-// registerDigestMsg registers one of the three (slot, digest) messages.
-func registerDigestMsg(tag uint64, prototype any,
-	get func(any) (Slot, Digest), build func(Slot, Digest) any) {
+// registerDigestMsg registers one of the three messages with a vote body.
+func registerDigestMsg(tag uint64, prototype any, get func(any) *vote, wrap func(*vote) any) {
 	wire.Register(tag, prototype, wire.Codec{
 		Append: func(dst []byte, msg any) ([]byte, error) {
-			s, d := get(msg)
-			return append(appendSlot(dst, s), d[:]...), nil
+			m := get(msg)
+			return append(appendSlot(dst, m.Slot), m.Digest[:]...), nil
 		},
 		Decode: func(b []byte) (any, []byte, error) {
 			s, rest, err := decodeSlot(b)
@@ -91,27 +89,22 @@ func registerDigestMsg(tag uint64, prototype any,
 				return nil, b, wire.ErrTruncated
 			}
 			copy(d[:], rest)
-			return build(s, d), rest[len(d):], nil
+			return wrap(newVote(s, d)), rest[len(d):], nil
 		},
 	})
 }
 
 func registerWireCodecs() {
 	registerPayloadMsg(wireTagSend, sendMsg{},
-		func(m any) (Slot, Payload) { s := m.(sendMsg); return s.Slot, s.Payload },
-		func(s Slot, p Payload) any { return newSend(s, p) })
+		func(m any) *send { return m.(sendMsg).send }, func(b *send) any { return sendMsg{b} })
 	registerPayloadMsg(wireTagPayload, payloadMsg{},
-		func(m any) (Slot, Payload) { s := m.(payloadMsg); return s.Slot, s.Payload },
-		func(s Slot, p Payload) any { return payloadMsg{Slot: s, Payload: p} })
+		func(m any) *send { return m.(payloadMsg).send }, func(b *send) any { return payloadMsg{b} })
 	registerDigestMsg(wireTagEcho, echoMsg{},
-		func(m any) (Slot, Digest) { s := m.(echoMsg); return s.Slot, s.Digest },
-		func(s Slot, d Digest) any { return echoMsg{newVote(s, d)} })
+		func(m any) *vote { return m.(echoMsg).vote }, func(b *vote) any { return echoMsg{b} })
 	registerDigestMsg(wireTagReady, readyMsg{},
-		func(m any) (Slot, Digest) { s := m.(readyMsg); return s.Slot, s.Digest },
-		func(s Slot, d Digest) any { return readyMsg{newVote(s, d)} })
+		func(m any) *vote { return m.(readyMsg).vote }, func(b *vote) any { return readyMsg{b} })
 	registerDigestMsg(wireTagFetch, fetchMsg{},
-		func(m any) (Slot, Digest) { s := m.(fetchMsg); return s.Slot, s.Digest },
-		func(s Slot, d Digest) any { return fetchMsg{Slot: s, Digest: d} })
+		func(m any) *vote { return m.(fetchMsg).vote }, func(b *vote) any { return fetchMsg{b} })
 	wire.Register(wireTagBytes, Bytes(nil), wire.Codec{
 		Append: func(dst []byte, msg any) ([]byte, error) {
 			return wire.AppendBytes(dst, msg.(Bytes)), nil

@@ -35,10 +35,10 @@ func TestBroadcastWireRoundTrip(t *testing.T) {
 		slot := Slot{Src: types.ProcessID(rng.Intn(50)), Seq: rng.Uint64() >> uint(rng.Intn(64))}
 		for _, msg := range []sim.Message{
 			sendMsg{&send{Slot: slot, Payload: Bytes(raw)}},
-			payloadMsg{Slot: slot, Payload: Bytes(raw)},
+			payloadMsg{&send{Slot: slot, Payload: Bytes(raw)}},
 			echoMsg{&vote{Slot: slot, Digest: d}},
 			readyMsg{&vote{Slot: slot, Digest: d}},
-			fetchMsg{Slot: slot, Digest: d},
+			fetchMsg{&vote{Slot: slot, Digest: d}},
 		} {
 			enc, err := wire.Marshal(msg)
 			if err != nil {
@@ -204,7 +204,7 @@ func TestDecodedSendsSurviveLaterDecodes(t *testing.T) {
 	frames := make([][][]byte, readers)
 	for r := range frames {
 		for i := 0; i < perReader; i++ {
-			enc, err := wire.Marshal(newSend(Slot{Src: types.ProcessID(r), Seq: uint64(i)}, Bytes{byte(r), byte(i), byte(i >> 8)}))
+			enc, err := wire.Marshal(sendMsg{newSend(Slot{Src: types.ProcessID(r), Seq: uint64(i)}, Bytes{byte(r), byte(i), byte(i >> 8)})})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,6 @@ package rider
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/broadcast"
 	"repro/internal/dag"
@@ -71,9 +70,11 @@ type Base struct {
 	// drops both at the same watermark.
 	rounds dag.Rows[roundState]
 	// strong is onVertex's scratch set: the strong-edge sources of the
-	// vertex being checked. edges is createVertex's scratch.
+	// vertex being checked. edges is createVertex's scratch, and slab the
+	// unused rest of the array its edge lists are cut from.
 	strong types.Set
 	edges  []dag.VertexRef
+	slab   []dag.VertexRef
 
 	decidedWave int
 	// ordered is Commit's scratch: the deliveries of the commit in progress.
@@ -118,6 +119,7 @@ func (b *Base) Start(env sim.Env, setup Setup, rules Rules) {
 		return rs
 	}, (*roundState).reset)
 	b.strong = types.NewSet(b.n)
+	b.edges = make([]dag.VertexRef, 0, 2*b.n)
 	for _, g := range Genesis(b.n) {
 		if err := b.dag.Add(g); err != nil {
 			panic("rider: genesis insertion failed: " + err.Error())
@@ -211,10 +213,16 @@ func (b *Base) Step(env sim.Env) {
 	}
 }
 
+// edgeSlab is how many vertices' edge lists, at 2n edges each, one slab
+// holds.
+const edgeSlab = 16
+
 // createVertex builds this process's vertex for the given round
 // (Algorithm 4, createNewVertex + setWeakEdges). Both edge lists are
-// gathered in the edges scratch and copied out into one slice, so a vertex
-// costs two allocations: itself and its edges.
+// gathered in the edges scratch and copied out into one slice cut from the
+// slab, so a vertex costs one allocation: itself. The slab holds only
+// refs, so whatever part of it a pruned vertex still pins references no
+// block.
 func (b *Base) createVertex(round int) *dag.Vertex {
 	v := &dag.Vertex{Source: b.self, Round: round}
 	if b.setup.Workload != nil {
@@ -223,7 +231,13 @@ func (b *Base) createVertex(round int) *dag.Vertex {
 	b.edges = b.dag.AppendRoundRefs(b.edges[:0], round-1)
 	strong := len(b.edges)
 	b.edges = appendWeakEdges(b.dag, b.edges, b.edges[:strong], round)
-	edges := slices.Clone(b.edges)
+	k := len(b.edges)
+	if len(b.slab) < k {
+		b.slab = make([]dag.VertexRef, max(k, edgeSlab*2*b.n))
+	}
+	edges := b.slab[:k:k]
+	b.slab = b.slab[k:]
+	copy(edges, b.edges)
 	v.StrongEdges = edges[:strong:strong]
 	if len(edges) > strong {
 		v.WeakEdges = edges[strong:]

@@ -316,10 +316,10 @@ type fixedWorkload []string
 
 func (w fixedWorkload) NextBlock(int) []string { return w }
 
-// TestVertexAllocs: Step creating and broadcasting one vertex costs two
-// allocations, the vertex and one slice for both its edge lists. Its
-// digest is sealed into the vertex, its payload and SEND box for free,
-// and the SEND body is cut from the shared carver. The fixture's round 3
+// TestVertexAllocs: Step creating and broadcasting one vertex costs one
+// allocation, the vertex. Both its edge lists are cut from the node's
+// slab, its digest is sealed into the vertex, its payload and SEND box for
+// free, and the SEND body is cut from the shared carver. The fixture's round 3
 // leaves round 2's vertex of source 3 unreferenced, so the new round-4
 // vertex carries a weak edge besides its four strong ones.
 func TestVertexAllocs(t *testing.T) {
@@ -353,7 +353,7 @@ func TestVertexAllocs(t *testing.T) {
 	if env.sent-sent != runs+1 || b.r != 4 {
 		t.Fatalf("%d Steps sent %d messages and left round %d, want one vertex each and round 4", runs+1, env.sent-sent, b.r)
 	}
-	if a > 2 {
-		t.Errorf("creating and broadcasting a vertex allocates %v times, want at most 2", a)
+	if a > 1 {
+		t.Errorf("creating and broadcasting a vertex allocates %v times, want at most 1", a)
 	}
 }

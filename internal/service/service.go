@@ -300,7 +300,7 @@ func (s *Replica) onTick(env sim.Env, t tickMsg) {
 }
 
 // cmdBatch is how many client commands nextCommand renders into one string.
-const cmdBatch = 64
+const cmdBatch = 256
 
 // nextCommand returns client command nextCmd, "set k<i mod KeySpace>
 // p<self>.<i>" for i = nextCmd, and advances nextCmd. Commands are rendered

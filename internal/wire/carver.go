@@ -19,6 +19,15 @@ const CarveChunk = 64
 // sender is done with it, and several receivers may read one body at once.
 // The garbage collector frees a chunk with the last message that points
 // into it, so a chunk pins whatever its bodies reference until then.
+//
+// So carve only bodies that reference no payload. One long-lived body
+// keeps its whole chunk alive, and with it everything the other bodies of
+// the chunk point to: a carver for created DAG vertices, each holding a
+// block, raised the peak RSS of a saturated TCP cluster, where an
+// edge-list slab of the same vertices left it flat. The SEND and PAYLOAD
+// bodies of package broadcast are the exception: a message lives only
+// until its receivers have handled it, and the block it carries lives on
+// in their broadcast slots longer than that anyway.
 type Carver[T any] struct {
 	cur atomic.Pointer[carverChunk[T]]
 }
