@@ -38,7 +38,8 @@ lint:
 # bounded-decode primitives, the tagged top-level decoder, and the
 # transport frame reader / hello parser / batch-body walker (which also
 # bounds the bytes every registered codec allocates per input byte); plus the
-# dense-row DAG queries on random DAGs against their map-based reference.
+# dense-row DAG queries on random DAGs against their map-based reference,
+# and the simulator's event queue against the heap it replaced.
 # Each target's seed corpus also runs as a plain test in `make test`;
 # FUZZTIME bounds each target here. FuzzDecodeBatch also bounds input
 # minimization: its corpus holds a 128 KiB Pairs frame that takes
@@ -52,6 +53,7 @@ fuzz:
 	$(GO) test ./internal/transport -run='^$$' -fuzz='^FuzzParseHello$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/transport -run='^$$' -fuzz='^FuzzDecodeBatch$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=200x
 	$(GO) test ./internal/rider -run='^$$' -fuzz='^FuzzDAGQueries$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/sim -run='^$$' -fuzz='^FuzzEventQueue$$' -fuzztime=$(FUZZTIME)
 
 # Repeat, under the race detector, the tests of the two places a rare
 # interleaving once broke: the duplicate-dial race in transport.Connect

@@ -286,15 +286,15 @@ func benchSweepGather(b *testing.B, workers int) {
 func BenchmarkSweepGatherSerial(b *testing.B)   { benchSweepGather(b, 1) }
 func BenchmarkSweepGatherParallel(b *testing.B) { benchSweepGather(b, 0) }
 
-// Large-n single-run scaling: the sharded event queue plus parallel
-// same-time delivery. One n=100 execution is far too slow to run to
-// quiescence inside a benchmark iteration (several million deliveries),
+// Large-n single-run scaling: the event queue plus parallel same-time
+// delivery. One n=100 execution is far too slow to run to quiescence
+// inside a benchmark iteration (several million deliveries),
 // so each op delivers a fixed 300k-event budget of the run — a
 // well-defined unit of work that makes serial and parallel directly
 // comparable. The Serial/Parallel pair is the scaling claim: on a
 // multi-core host parallel delivery must beat serial (on a single-core
-// host it only pays the buffering overhead); the serial numbers show
-// whether the lane-queue refactor regressed the default path.
+// host it only pays the buffering overhead); the serial numbers track
+// the default path's scheduler cost.
 
 const largeNEvents = 300_000
 

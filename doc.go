@@ -67,22 +67,23 @@
 //     randomized protocol-property conformance suites (hundreds of random
 //     trust systems per `go test ./...`), the multi-seed experiments, and
 //     the `experiments rider` and `experiments quorum -search` sweeps.
-//   - A sharded deterministic event queue with parallel same-time
-//     delivery (internal/sim): the scheduler keeps one (time, seq)-ordered
-//     heap per receiver process, merged through a tournament tree over the
-//     lane heads, so push/pop scales with a receiver's own backlog instead
-//     of the total pending-event count and the merge front exposes which
-//     receivers share the frontier timestamp. DeliveryWorkers > 0 (a knob
-//     on sim.Config, harness.RiderConfig and ClusterConfig) executes those
-//     same-time, distinct-receiver handlers concurrently on a bounded pool:
-//     every effect is buffered per receiver and committed single-threaded
-//     in receiver-ID order, with latency draws and sequence numbers
-//     assigned only at commit from the run's one seeded RNG — so the
-//     parallel execution is a pure function of the seed, byte-identical
-//     across 1/2/GOMAXPROCS workers (nodes that call Env.Rand in Receive
-//     fall back to serial delivery). Serial
+//   - A deterministic calendar event queue with parallel same-time
+//     delivery (internal/sim): the scheduler files each event in a FIFO
+//     bucket for its virtual instant (a ring of 64 instants ahead of the
+//     clock, with a small heap for events further out), so push and pop
+//     cost O(1) and one bucket is exactly the set of events sharing the
+//     frontier timestamp; bucket segments are recycled within a run.
+//     DeliveryWorkers > 0 (a knob on sim.Config, harness.RiderConfig and
+//     ClusterConfig) executes those same-time, distinct-receiver handlers
+//     concurrently on a bounded pool: every effect is buffered per
+//     receiver and committed single-threaded in receiver-ID order, with
+//     latency draws and sequence numbers assigned only at commit from the
+//     run's one seeded RNG — so the parallel execution is a pure function
+//     of the seed, byte-identical across 1/2/GOMAXPROCS workers (nodes
+//     that call Env.Rand in Receive fall back to serial delivery). Serial
 //     mode stays the default and is event-for-event identical to the
-//     previous single 4-ary heap, pinned by a differential suite.
+//     original single 4-ary heap, pinned by a differential suite and a
+//     fuzz target.
 //     Cluster runs are also bounded by a generous MaxSteps event budget
 //     (ClusterResult.HitLimit / RiderResult.HitLimit report truncation),
 //     so a non-quiescing adversarial schedule can no longer hang a sweep.

@@ -17,9 +17,8 @@ import (
 // Parallel mode exploits exactly that window. One timestamp batch runs as:
 //
 //  1. Drain: every event at the frontier timestamp is popped (in (time,
-//     seq) order — the lane queue's merge front makes the frontier cheap
-//     to enumerate) and partitioned by receiver, preserving per-receiver
-//     seq order.
+//     seq) order — the frontier is one bucket of the event queue) and
+//     partitioned by receiver, preserving per-receiver seq order.
 //  2. Execute: each receiver's events run on a bounded worker pool, one
 //     receiver at a time per worker, against a buffering Env — Send and
 //     Broadcast only record (destination, message) intents; nothing

@@ -10,17 +10,19 @@
 // drawn from a single seeded source — so every execution is reproducible
 // from its seed.
 //
-// # Sharded event queue
+// # Event queue
 //
-// The priority queue is sharded by destination: one small (time, seq)-
-// ordered heap per receiver process ("lane"), merged through a winner
-// tournament tree over the lane heads (lanequeue.go). Push/pop cost
-// scales with the receiver's own backlog plus log n instead of the total
-// pending-event count, and the merge front exposes which receivers have
-// frontier events at the same virtual time. The pop sequence is byte-
-// identical to a single global heap over the same total order —
-// differential-tested against a retained copy of the previous 4-ary heap
-// — so serial execution is event-for-event unchanged.
+// The priority queue is a calendar queue (queue.go): a ring of 64 FIFO
+// buckets, one per virtual instant of the window ahead of the clock, plus
+// a small (time, seq) heap for events further out that move into their
+// buckets as the window advances. Because seq is globally monotone,
+// appending to an instant's FIFO keeps the (time, seq) order, so push and
+// pop within the window cost O(1), and one bucket is exactly one same-time
+// frontier. Bucket storage is recycled within the run. The pop sequence is
+// byte-identical to a single global heap over the same total order —
+// differential-tested and fuzzed against a retained copy of the 4-ary heap
+// the simulator once used — so serial execution is event-for-event
+// unchanged.
 //
 // # Parallel same-time delivery
 //
@@ -328,19 +330,19 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// Runner owns an execution: the nodes, the sharded event queue, the
-// clock, and the metrics. All scheduler state — queue, clock, RNG,
-// metrics, sequence numbers — is touched only by the goroutine driving
-// the run; determinism follows from the seeded RNG and the (time,
-// sequence) total order on events. With Config.DeliveryWorkers > 0 the
-// Receive handlers of distinct same-timestamp receivers additionally run
-// concurrently, but their effects are buffered and committed back on the
-// driving goroutine (parallel.go), so the single-threaded-scheduler
-// invariant holds in both modes.
+// Runner owns an execution: the nodes, the event queue, the clock, and
+// the metrics. All scheduler state — queue, clock, RNG, metrics, sequence
+// numbers — is touched only by the goroutine driving the run; determinism
+// follows from the seeded RNG and the (time, sequence) total order on
+// events. With Config.DeliveryWorkers > 0 the Receive handlers of distinct
+// same-timestamp receivers additionally run concurrently, but their
+// effects are buffered and committed back on the driving goroutine
+// (parallel.go), so the single-threaded-scheduler invariant holds in both
+// modes.
 type Runner struct {
 	cfg     Config
 	nodes   []Node
-	queue   laneQueue
+	queue   eventQueue
 	now     VirtualTime
 	seq     uint64
 	rng     *rand.Rand
@@ -415,7 +417,6 @@ func NewRunner(cfg Config, nodes []Node) *Runner {
 		randUsed:   make([]bool, cfg.N),
 		typeCounts: map[reflect.Type]*typeCounter{},
 	}
-	r.queue.init(cfg.N)
 	for i := range r.envs {
 		r.envs[i] = env{r: r, self: types.ProcessID(i)}
 	}
