@@ -15,9 +15,12 @@ build:
 
 # vet + custom analyzers + race detector: the sweep engine's worker pool
 # must stay race-clean, and the randomized conformance suites exercise it
-# on every run. The scenario registry sweep rides along so `make test`
-# always exercises the adversarial scenarios end to end, and `lint` runs
-# the repository's own wire/sharing-contract analyzers (cmd/asymvet)
+# on every run. The race detector is also what enforces that no protocol
+# handler writes shared memory under parallel same-time delivery: the
+# parallel-delivery tests (internal/lint's package comment names them)
+# fail on any such write. The scenario registry sweep rides along so
+# `make test` always exercises the adversarial scenarios end to end, and
+# `lint` runs the repository's own wire-contract analyzers (cmd/asymvet)
 # alongside stock go vet. bench/ is a nested module that `./...` does not
 # reach, so it is vetted here too: a root refactor can otherwise break the
 # benchmark unnoticed.
@@ -25,11 +28,11 @@ test: scenarios lint
 	$(GO) test -race ./...
 	cd bench && $(GO) vet .
 
-# Repository-specific static analysis: the three internal/lint analyzers
-# (asymwire, asymsizer, asymshare — see internal/lint's package comment
-# for the contracts; determinism and bounded memory are checked by tests)
-# over the whole tree, plus stock go vet. asymvet takes package patterns
-# and no flags.
+# Repository-specific static analysis: the two internal/lint analyzers
+# (asymwire, asymsizer — see internal/lint's package comment for the
+# contracts; determinism, bounded memory, parallel-delivery confinement
+# and tag ranges are checked by tests and wire.Register) over the whole
+# tree, plus stock go vet. asymvet takes package patterns and no flags.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/asymvet ./...

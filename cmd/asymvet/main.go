@@ -1,9 +1,9 @@
 // Command asymvet is the repository's custom static-analysis gate: it
-// runs the internal/lint analyzers (asymwire, asymsizer, asymshare — see
+// runs the internal/lint analyzers (asymwire and asymsizer — see
 // internal/lint's package comment for the contracts they enforce, and for
-// the determinism and bounded-memory contracts tests check at run time)
-// over the given package patterns, prints each finding, and exits 1 on
-// any.
+// the determinism, bounded-memory, parallel-delivery and tag-range
+// contracts tests check at run time) over the given package patterns,
+// prints each finding, and exits 1 on any.
 //
 // Usage:
 //

@@ -31,11 +31,9 @@ func TestTreeClean(t *testing.T) {
 	}
 }
 
-// TestAuditTablesNameLivePackages guards the package-keyed tables against
-// deletions: an entry in lint's deterministic set whose package is gone
-// audits nothing, and a wire.TagRanges band whose package is gone
-// reserves tags for nobody. Every entry must name a package that `go list
-// repro/...` reports.
+// TestAuditTablesNameLivePackages guards wire.TagRanges against
+// deletions: a band whose package is gone reserves tags for nobody.
+// Every entry must name a package that `go list repro/...` reports.
 func TestAuditTablesNameLivePackages(t *testing.T) {
 	cmd := exec.Command("go", "list", "repro/...")
 	cmd.Dir = "../.."
@@ -47,15 +45,9 @@ func TestAuditTablesNameLivePackages(t *testing.T) {
 	for _, path := range strings.Fields(string(out)) {
 		live[path] = true
 	}
-	check := func(table, path string) {
-		if !live[path] {
-			t.Errorf("%s names %s, which go list repro/... does not report", table, path)
-		}
-	}
-	for path := range lint.DeterministicPkgs {
-		check("lint.DeterministicPkgs", path)
-	}
 	for path := range wire.TagRanges {
-		check("wire.TagRanges", path)
+		if !live[path] {
+			t.Errorf("wire.TagRanges names %s, which go list repro/... does not report", path)
+		}
 	}
 }

@@ -1,11 +1,10 @@
 // Package lint implements the repository's custom static analyzers: a
 // small go/analysis-style framework (self-contained — built on the
 // standard library's go/ast, go/types and `go list -export`, because the
-// build environment vendors no external modules), a lightweight
-// interprocedural dataflow layer, and three analyzers that turn the
-// repository's wire-codec and parallel-delivery contracts into
-// compile-time checks. The cmd/asymvet multichecker runs them tree-wide;
-// `make lint` (folded into `make test`) gates every branch on a clean pass.
+// build environment vendors no external modules) and two analyzers that
+// turn the repository's wire-codec contracts into compile-time checks.
+// The cmd/asymvet multichecker runs them tree-wide; `make lint` (folded
+// into `make test`) gates every branch on a clean pass.
 //
 // # Static contracts
 //
@@ -19,11 +18,7 @@
 // their own construction sites) and verifies a matching wire.Register
 // call exists somewhere in the tree — through one level of helper
 // indirection, so the registerDigestMsg/registerWaveMsg-style loops in the
-// protocol packages resolve. It also checks every registration's tag
-// against the central tag-range table (wire.TagRanges): a package
-// claiming a tag outside its assigned range, or a non-test package
-// claiming a tag in the test-reserved range (>= wire.TestTagFloor), is
-// flagged.
+// protocol packages resolve.
 //
 // asymsizer — a type implementing both sim.Sizer and a registered wire
 // codec is flagged: sim.MessageSize always prefers the codec, so the
@@ -32,23 +27,14 @@
 // fail to encode (nested dynamic payloads). The deliberate case is
 // annotated.
 //
-// asymshare — under the simulator's parallel same-time delivery
-// (DeliveryWorkers > 1), every receiver of a broadcast is handed the
-// SAME message value, and handlers for different processes run
-// concurrently. The analyzer roots at every `Receive(env sim.Env, from,
-// msg)` method in DeterministicPkgs, follows the static call graph, and
-// flags writes through message-reachable memory (the gather.Pairs
-// shared-backing bug class) and writes to package-level variables on any
-// Receive-reachable path. Receiver fields, fresh locals, sync/atomic, the
-// buffering Env commit path and the copy-before-mutate idiom
-// `append([]T(nil), shared...)` count as confinement.
-//
 // # Checked at run time
 //
-// Determinism and bounded memory are checked by running the code. Every
-// bug their former analyzers (asymdeterminism, asymgc) were pinned
-// against fails a test, and a test also fails on a missing revealed-coin
-// prune that asymgc could not see.
+// Determinism, bounded memory, confinement under parallel delivery and
+// tag ranges are checked by running the code. Every bug their former
+// analyzers (asymdeterminism, asymgc, asymshare, asymwire's tag check)
+// were pinned against fails a test, and tests also fail on bugs those
+// analyzers missed: a missing revealed-coin prune, and shared writes
+// through a callee, an interface call or a vote body.
 //
 //   - Determinism: harness's TestSameSeedIdenticalMetrics runs the
 //     symmetric baseline, the asymmetric protocol on a threshold system
@@ -64,28 +50,23 @@
 //     waves (500 under `make soak`) with the PRF coin and with the
 //     revealed coin, and requires every core.LiveStats counter to stay
 //     flat after warm-up.
-//
-// # The dataflow layer
-//
-// asymshare is interprocedural: it consumes per-function summaries
-// (dataflow.go) computed bottom-up over the whole load to a fixed point,
-// so facts flow through arbitrarily deep call chains and recursion. One
-// summary (flowFacts) records, per function:
-//
-//   - MutParams/MutRecv: parameters (and the receiver) whose referenced
-//     memory the function writes through, directly or transitively —
-//     what lets asymshare attribute `scribble(m.Data)` to the call site
-//     that passed shared memory in;
-//   - Calls: the statically resolved callee keys, the edges reachability
-//     walks.
-//
-// The analysis is deliberately approximate, tuned so the audited tree is
-// clean without annotation noise. Documented imprecisions: interface
-// dispatch and function values have no callee summary (dynamic-dispatch-
-// blind); call results are fresh memory for aliasing; append() aliases
-// only its first argument, which is what makes the copy idiom clean.
-// These choices trade missed exotic flows for a zero-false-positive gate;
-// the fixture suites under testdata/ pin both directions.
+//   - No shared writes under parallel delivery: with DeliveryWorkers > 1
+//     every receiver of a broadcast is handed the same message value and
+//     handlers of different processes run concurrently, so a handler
+//     must not write through message memory or to a package-level
+//     variable. `make test` runs the suite under `go test -race`, and
+//     five tests drive the protocol stack through parallel delivery:
+//     TestClusterParallelDeliveryDeterministic (the root package),
+//     TestRiderParallelDeliveryDeterministic (both node kinds),
+//     TestRandomizedParallelDeliveryConformance and
+//     TestScenarioWorkerCountDeterminism (internal/harness), and
+//     TestServiceDeterministicAcrossWorkers (internal/service). The race
+//     detector reports such a write wherever it happens, through any
+//     chain of calls.
+//   - Tag ranges: wire.Register panics on a tag outside the
+//     wire.TagRanges row of the package declaring the registered type,
+//     and on a test-reserved tag outside a test binary, so every binary
+//     that links a misnumbered codec fails at init.
 //
 // # Annotations
 //
@@ -102,13 +83,10 @@
 //	                       site); it must never cross the TCP transport
 //	//lint:sizer-fallback  this SimSize is a deliberate approximation for
 //	                       when the codec reports unencodable
-//	//lint:confined        this Receive-reachable memory is not actually
-//	                       shared (on the write); say why
 //
 // Each name belongs to one analyzer (Analyzer.Directive), so deleting an
 // analyzer retires its directive: Run reports any other //lint: name in
-// every package. A //lint:confined that suppresses nothing is reported
-// too (unused suppressions rot).
+// every package.
 //
 // # Running
 //

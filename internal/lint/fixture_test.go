@@ -7,8 +7,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"repro/internal/wire"
 )
 
 // wantRe matches one expectation in a fixture file: // want `regex`
@@ -86,12 +84,6 @@ func runFixture(t *testing.T, analyzer *Analyzer, dir string) {
 	}
 }
 
-func TestWireFixture(t *testing.T) {
-	ExtraTagRanges["repro/internal/lint/testdata/wire"] = wire.TagRange{Lo: 900, Hi: 909}
-	defer delete(ExtraTagRanges, "repro/internal/lint/testdata/wire")
-	runFixture(t, WireAnalyzer, "wire")
-}
+func TestWireFixture(t *testing.T) { runFixture(t, WireAnalyzer, "wire") }
 
 func TestSizerFixture(t *testing.T) { runFixture(t, SizerAnalyzer, "sizer") }
-
-func TestShareFixture(t *testing.T) { runFixture(t, ShareAnalyzer, "share") }

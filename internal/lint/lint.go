@@ -31,9 +31,6 @@ type Pass struct {
 	Pkg      *Package
 
 	diags *[]Diagnostic
-	// used holds the "file:line" keys of directives that suppressed a
-	// finding in this pass.
-	used map[string]bool
 }
 
 // Reportf records a diagnostic at pos.
@@ -46,31 +43,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // suppress reports whether the analyzer's directive is attached to the
-// node at pos (same line or the line above) and marks it used.
+// node at pos (same line or the line above).
 func (p *Pass) suppress(pos token.Pos) bool {
-	found := false
-	for _, key := range directiveKeys(p.Prog.Fset, pos) {
-		for _, e := range p.Pkg.directives[key] {
-			if e.Name == p.Analyzer.Directive {
-				p.used[key] = true
-				found = true
-			}
-		}
-	}
-	return found
-}
-
-// reportUnused flags every directive of the analyzer in the package that
-// suppressed nothing — unused suppressions rot. what names the construct
-// the directive should have governed.
-func (p *Pass) reportUnused(what string) {
-	for _, key := range p.Pkg.directiveLines() {
-		for _, e := range p.Pkg.directives[key] {
-			if e.Name == p.Analyzer.Directive && !p.used[key] {
-				p.Reportf(e.Pos, "unused //lint:%s directive: no %s on this or the following line", e.Name, what)
-			}
-		}
-	}
+	return p.Pkg.directiveAt(p.Prog.Fset, pos, p.Analyzer.Directive)
 }
 
 // Diagnostic is one finding, with the position resolved for printing.
@@ -108,11 +83,8 @@ type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package
 
-	regs     []Registration
-	regsDone bool
-
-	// flowG caches the interprocedural dataflow summaries (dataflow.go).
-	flowG *flowGraph
+	// regs caches Program.registered (wirecomplete.go).
+	regs map[string]bool
 }
 
 const directivePrefix = "//lint:"
@@ -133,22 +105,12 @@ func collectDirectives(fset *token.FileSet, f *ast.File, into map[string][]direc
 	}
 }
 
-// directiveKeys returns the "file:line" index keys a directive attached
-// to the node at pos may live under: the node's own line and the line
-// immediately above it.
-func directiveKeys(fset *token.FileSet, pos token.Pos) []string {
-	at := fset.Position(pos)
-	return []string{
-		fmt.Sprintf("%s:%d", at.Filename, at.Line),
-		fmt.Sprintf("%s:%d", at.Filename, at.Line-1),
-	}
-}
-
 // directiveAt reports whether a //lint:name directive is attached to the
 // node at pos: on the same line, or on the line immediately above.
 func (p *Package) directiveAt(fset *token.FileSet, pos token.Pos, name string) bool {
-	for _, key := range directiveKeys(fset, pos) {
-		for _, e := range p.directives[key] {
+	at := fset.Position(pos)
+	for _, line := range []int{at.Line, at.Line - 1} {
+		for _, e := range p.directives[fmt.Sprintf("%s:%d", at.Filename, line)] {
 			if e.Name == name {
 				return true
 			}
@@ -186,7 +148,7 @@ func (p *Package) directiveLines() []string {
 
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{WireAnalyzer, SizerAnalyzer, ShareAnalyzer}
+	return []*Analyzer{WireAnalyzer, SizerAnalyzer}
 }
 
 // Run applies each analyzer to each package of prog and returns the
@@ -213,7 +175,7 @@ func Run(prog *Program, analyzers []*Analyzer) []Diagnostic {
 			}
 		}
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Prog: prog, Pkg: pkg, diags: &diags, used: map[string]bool{}}
+			pass := &Pass{Analyzer: a, Prog: prog, Pkg: pkg, diags: &diags}
 			a.Run(pass)
 		}
 	}

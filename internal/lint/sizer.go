@@ -18,10 +18,7 @@ var SizerAnalyzer = &Analyzer{
 }
 
 func runSizer(pass *Pass) {
-	registered := map[string]Registration{}
-	for _, r := range pass.Prog.registrations() {
-		registered[r.TypeKey] = r
-	}
+	registered := pass.Prog.registered()
 	forEachFuncDecl(pass.Pkg, func(fd *ast.FuncDecl) {
 		if fd.Name.Name != "SimSize" || fd.Recv == nil || len(fd.Recv.List) != 1 {
 			return
@@ -44,17 +41,13 @@ func runSizer(pass *Pass) {
 		if p, ok := recv.(*types.Pointer); ok {
 			base = p.Elem()
 		}
-		reg, ok := registered[typeKey(base)]
-		if !ok {
-			reg, ok = registered["*"+typeKey(base)]
-		}
-		if !ok {
+		if !registered[typeKey(base)] && !registered["*"+typeKey(base)] {
 			return
 		}
 		if docDirective(fd.Doc, pass.Analyzer.Directive) || pass.suppress(fd.Pos()) {
 			return
 		}
 		pass.Reportf(fd.Pos(),
-			"%s implements sim.Sizer but its wire codec (tag %d) is authoritative for sim.MessageSize: the SimSize figure can silently diverge from real wire bytes; delete it, or annotate //lint:sizer-fallback <why the approximation is still consulted>", typeKey(recv), reg.Tag)
+			"%s implements sim.Sizer but its wire codec is authoritative for sim.MessageSize: the SimSize figure can silently diverge from real wire bytes; delete it, or annotate //lint:sizer-fallback <why the approximation is still consulted>", typeKey(recv))
 	})
 }

@@ -23,7 +23,7 @@ func (plainMsg) SimSize() int { return 8 }
 
 // Run reports an unknown directive name whichever analyzers run.
 //
-//lint:sizer-fallbak misspelled directive name // want `^unknown lint directive //lint:sizer-fallbak \(known: unwired, sizer-fallback, confined\)$`
+//lint:sizer-fallbak misspelled directive name // want `^unknown lint directive //lint:sizer-fallbak \(known: unwired, sizer-fallback\)$`
 func typoDirective() {}
 
 func init() {

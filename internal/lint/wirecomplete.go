@@ -2,94 +2,67 @@ package lint
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
-
-	"repro/internal/wire"
 )
 
 // WireAnalyzer enforces the wire-completeness contract: every message
 // type handed to sim.Env.Send/Broadcast (the transport's hostEnv
-// implements the same surface) has an internal/wire.Register codec, and
-// every registration's tag falls in the registering package's assigned
-// range (wire.TagRanges). See doc.go.
+// implements the same surface) has an internal/wire.Register codec. Tag
+// ranges are checked by wire.Register itself, at init. See doc.go.
 var WireAnalyzer = &Analyzer{
 	Name:      "asymwire",
 	Directive: "unwired",
-	Run:       runWire,
+	Run:       checkSendSites,
 }
-
-// ExtraTagRanges extends wire.TagRanges for packages outside the real
-// tree — the fixture packages under testdata claim a range here.
-var ExtraTagRanges = map[string]wire.TagRange{}
 
 const wirePkgPath = "repro/internal/wire"
 const simPkgPath = "repro/internal/sim"
 
-// Registration is one statically-resolved wire.Register call: the
-// registered prototype's type and the claimed tag.
-type Registration struct {
-	TypeKey  string // typeKey of the prototype's static type
-	Tag      uint64
-	TagKnown bool
-	PkgPath  string
-	Pos      ast.Node
-}
-
-// registrations resolves every wire.Register call in the program,
-// following one level of package-local helper indirection (the
-// registerDigestMsg/registerWaveMsg pattern: a helper whose (tag,
-// prototype) parameters are forwarded verbatim to wire.Register).
-func (prog *Program) registrations() []Registration {
-	if prog.regsDone {
-		return prog.regs
-	}
-	prog.regsDone = true
-	for _, pkg := range prog.Packages {
-		prog.regs = append(prog.regs, packageRegistrations(pkg)...)
+// registered returns the typeKey of every prototype a wire.Register call
+// in the program registers, following one level of package-local helper
+// indirection (the registerDigestMsg/registerWaveMsg pattern: a helper
+// whose prototype parameter is forwarded verbatim to wire.Register).
+func (prog *Program) registered() map[string]bool {
+	if prog.regs == nil {
+		prog.regs = map[string]bool{}
+		for _, pkg := range prog.Packages {
+			packageRegistrations(pkg, prog.regs)
+		}
 	}
 	return prog.regs
 }
 
-// regHelper is a package-local function forwarding its parameters to
-// wire.Register.
-type regHelper struct {
-	tagIdx, protoIdx int
-}
-
-func packageRegistrations(pkg *Package) []Registration {
+func packageRegistrations(pkg *Package, into map[string]bool) {
 	registerObj := lookupPkgFunc(pkg, wirePkgPath, "Register")
 	if registerObj == nil {
-		return nil
+		return
 	}
-	var regs []Registration
-	helpers := map[*types.Func]regHelper{}
+	// helpers maps a registration helper to its prototype parameter's
+	// index.
+	helpers := map[*types.Func]int{}
 
-	// Pass 1: direct wire.Register calls. A call whose tag/prototype
-	// arguments are both parameters of the enclosing function marks that
-	// function as a registration helper.
+	// Pass 1: direct wire.Register calls. A call whose prototype argument
+	// is a parameter of the enclosing function marks that function as a
+	// registration helper.
 	forEachFuncDecl(pkg, func(fd *ast.FuncDecl) {
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || len(call.Args) < 3 || calleeOf(pkg, call) != registerObj {
 				return true
 			}
-			if r, ok := resolveRegistration(pkg, call.Args[0], call.Args[1], call); ok {
-				regs = append(regs, r)
+			if addRegistration(pkg, call.Args[1], into) {
 				return true
 			}
-			ti, tok := paramIndex(pkg, fd, call.Args[0])
-			pi, pok := paramIndex(pkg, fd, call.Args[1])
-			if tok && pok {
+			if pi, ok := paramIndex(pkg, fd, call.Args[1]); ok {
 				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					helpers[fn] = regHelper{tagIdx: ti, protoIdx: pi}
+					helpers[fn] = pi
 				}
 			}
 			return true
 		})
 	})
 
-	// Pass 2: helper call sites resolve the forwarded (tag, prototype).
+	// Pass 2: helper call sites resolve the forwarded prototype.
 	if len(helpers) > 0 {
 		forEachFuncDecl(pkg, func(fd *ast.FuncDecl) {
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -101,67 +74,24 @@ func packageRegistrations(pkg *Package) []Registration {
 				if !ok {
 					return true
 				}
-				h, ok := helpers[fn]
-				if !ok || len(call.Args) <= h.tagIdx || len(call.Args) <= h.protoIdx {
-					return true
-				}
-				if r, ok := resolveRegistration(pkg, call.Args[h.tagIdx], call.Args[h.protoIdx], call); ok {
-					regs = append(regs, r)
+				if pi, ok := helpers[fn]; ok && pi < len(call.Args) {
+					addRegistration(pkg, call.Args[pi], into)
 				}
 				return true
 			})
 		})
 	}
-	for i := range regs {
-		regs[i].PkgPath = pkg.Path
-	}
-	return regs
 }
 
-// resolveRegistration builds a Registration when the prototype argument
-// has a concrete static type (the registered dynamic type).
-func resolveRegistration(pkg *Package, tagArg, protoArg ast.Expr, at ast.Node) (Registration, bool) {
+// addRegistration records the prototype's type when it has a concrete
+// static type (the registered dynamic type).
+func addRegistration(pkg *Package, protoArg ast.Expr, into map[string]bool) bool {
 	pt := pkg.Info.TypeOf(protoArg)
 	if pt == nil || types.IsInterface(pt) {
-		return Registration{}, false
+		return false
 	}
-	r := Registration{TypeKey: typeKey(pt), Pos: at}
-	if tv, ok := pkg.Info.Types[tagArg]; ok && tv.Value != nil && tv.Value.Kind() == constant.Int {
-		if v, ok := constant.Uint64Val(tv.Value); ok {
-			r.Tag, r.TagKnown = v, true
-		}
-	}
-	return r, true
-}
-
-func runWire(pass *Pass) {
-	checkRegistrationTags(pass)
-	checkSendSites(pass)
-}
-
-// checkRegistrationTags validates this package's registrations against
-// the central table.
-func checkRegistrationTags(pass *Pass) {
-	for _, r := range pass.Prog.registrations() {
-		if r.PkgPath != pass.Pkg.Path || !r.TagKnown {
-			continue
-		}
-		rng, ok := wire.TagRanges[r.PkgPath]
-		if !ok {
-			rng, ok = ExtraTagRanges[r.PkgPath]
-		}
-		switch {
-		case r.Tag >= wire.TestTagFloor:
-			pass.Reportf(r.Pos.Pos(),
-				"wire.Register tag %d for %s is in the test-reserved band (>= %d); assign the package a range in wire.TagRanges", r.Tag, r.TypeKey, wire.TestTagFloor)
-		case !ok:
-			pass.Reportf(r.Pos.Pos(),
-				"package %s registers wire tag %d but has no assigned range in wire.TagRanges", r.PkgPath, r.Tag)
-		case !rng.Contains(r.Tag):
-			pass.Reportf(r.Pos.Pos(),
-				"wire.Register tag %d for %s is outside %s's assigned range [%d, %d] (wire.TagRanges)", r.Tag, r.TypeKey, r.PkgPath, rng.Lo, rng.Hi)
-		}
-	}
+	into[typeKey(pt)] = true
+	return true
 }
 
 // checkSendSites flags concrete message types sent through the sim.Env
@@ -171,10 +101,7 @@ func checkSendSites(pass *Pass) {
 	if envIface == nil {
 		return // the package cannot name sim.Env, so it cannot send
 	}
-	registered := map[string]bool{}
-	for _, r := range pass.Prog.registrations() {
-		registered[r.TypeKey] = true
-	}
+	registered := pass.Prog.registered()
 	for _, file := range pass.Pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)

@@ -88,7 +88,13 @@ type VirtualTime int64
 // value, read concurrently under parallel delivery, and a queued copy may
 // outlive the sender's state for its slot. A struct whose only field is a
 // pointer travels without boxing, so a hot message can point to a body the
-// sender never writes again (broadcast's ECHO and READY do). A message
+// sender never writes again (broadcast's ECHO and READY do). The race
+// detector enforces immutability: `make test` runs the parallel-delivery
+// tests (TestClusterParallelDeliveryDeterministic,
+// TestRiderParallelDeliveryDeterministic,
+// TestRandomizedParallelDeliveryConformance,
+// TestScenarioWorkerCountDeterminism and
+// TestServiceDeterministicAcrossWorkers) under `go test -race`. A message
 // without a wire codec implements Sizer to contribute to the byte metrics.
 type Message any
 
@@ -294,7 +300,10 @@ type Config struct {
 	// order (see parallel.go for the determinism contract). 0 (the
 	// default) keeps the strictly serial one-event-at-a-time scheduler.
 	// The observable execution of parallel mode is a pure function of the
-	// seed: byte-identical for 1, 2 or GOMAXPROCS workers.
+	// seed: byte-identical for 1, 2 or GOMAXPROCS workers. Handlers must
+	// not write to a delivered message or to package-level state; the
+	// parallel-delivery tests named on Message catch such a write under
+	// `go test -race`.
 	DeliveryWorkers int
 }
 

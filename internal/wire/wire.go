@@ -22,7 +22,8 @@
 // only from the bytes its re-encoding produces.
 //
 // Tag ranges are assigned centrally so independent packages cannot
-// collide (Register panics on a conflict):
+// collide. Register panics on a conflict, and on a tag outside the range
+// of the package that declares the registered type:
 //
 //	10–19  internal/broadcast (messages and payloads)
 //	30–39  internal/gather
@@ -55,6 +56,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"testing"
 
 	"repro/internal/types"
 )
@@ -96,11 +98,11 @@ func (r TagRange) Contains(tag uint64) bool { return tag >= r.Lo && tag <= r.Hi 
 const TestTagFloor = 1000
 
 // TagRanges is the central tag-range table from the package comment, as
-// data: package import path -> assigned range. internal/lint's asymwire
-// analyzer checks every wire.Register call site against it, and
-// TestRangesDisjoint-style unit tests keep the table itself coherent.
-// Extending the protocol with a new message-bearing package means adding
-// a row here first.
+// data: package import path -> assigned range. Register checks every
+// registration against it, keyed by the package that declares the
+// registered type, and TestTagRangesWellFormed keeps the table itself
+// coherent. Extending the protocol with a new message-bearing package
+// means adding a row here first.
 var TagRanges = map[string]TagRange{
 	"repro/internal/broadcast": {10, 19},
 	"repro/internal/gather":    {30, 39},
@@ -137,7 +139,10 @@ var (
 // Register binds a tag and a Codec to prototype's dynamic type.
 // Registration normally happens in package init; re-registering the same
 // (tag, type) pair is a no-op, while any conflict — tag reuse across
-// types, or one type under two tags — panics immediately.
+// types, or one type under two tags — panics immediately. So does a tag
+// below TestTagFloor outside TagRanges' row for the package declaring
+// the type (pointers dereferenced), and a tag at or above it outside a
+// test binary: an out-of-range tag fails every binary at init.
 func Register(tag uint64, prototype any, c Codec) {
 	typ := reflect.TypeOf(prototype)
 	if typ == nil {
@@ -146,6 +151,7 @@ func Register(tag uint64, prototype any, c Codec) {
 	if c.Append == nil || c.Decode == nil {
 		panic(fmt.Sprintf("wire: incomplete codec for %v", typ))
 	}
+	checkTagRange(tag, typ)
 	regMu.Lock()
 	defer regMu.Unlock()
 	if prev, ok := byTag.Load(tag); ok {
@@ -162,6 +168,31 @@ func Register(tag uint64, prototype any, c Codec) {
 	e := &entry{tag: tag, typ: typ, codec: c}
 	byTag.Store(tag, e)
 	byType.Store(typ, e)
+}
+
+// checkTagRange panics unless tag lies in the range assigned to typ's
+// package, or in the test-reserved band inside a test binary.
+func checkTagRange(tag uint64, typ reflect.Type) {
+	pkg := typ
+	for pkg.Kind() == reflect.Pointer {
+		pkg = pkg.Elem()
+	}
+	path := pkg.PkgPath()
+	if tag >= TestTagFloor {
+		if !testing.Testing() {
+			panic(fmt.Sprintf("wire: tag %d for %v is in the test-reserved band (>= %d); assign %q a range in wire.TagRanges",
+				tag, typ, TestTagFloor, path))
+		}
+		return
+	}
+	r, ok := TagRanges[path]
+	if !ok {
+		panic(fmt.Sprintf("wire: package %q registers tag %d for %v but has no range in wire.TagRanges", path, tag, typ))
+	}
+	if !r.Contains(tag) {
+		panic(fmt.Sprintf("wire: tag %d for %v is outside %q's range [%d, %d] in wire.TagRanges",
+			tag, typ, path, r.Lo, r.Hi))
+	}
 }
 
 // Append appends msg's frame (tag + body) to dst. A message whose type is

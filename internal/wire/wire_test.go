@@ -39,19 +39,21 @@ func TestRegistrySemantics(t *testing.T) {
 		t.Fatalf("Marshal of an unregistered type: %v, want ErrUnregistered", err)
 	}
 
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("tag reuse across types", func() { Register(1000, probeMsg2{}, probeCodec()) })
-	mustPanic("type under second tag", func() { Register(1001, probeMsg{}, probeCodec()) })
-	mustPanic("nil prototype", func() { Register(1002, nil, probeCodec()) })
-	mustPanic("incomplete codec", func() { Register(1003, probeMsg2{}, Codec{}) })
+	mustPanic(t, "tag reuse across types", func() { Register(1000, probeMsg2{}, probeCodec()) })
+	mustPanic(t, "type under second tag", func() { Register(1001, probeMsg{}, probeCodec()) })
+	mustPanic(t, "nil prototype", func() { Register(1002, nil, probeCodec()) })
+	mustPanic(t, "incomplete codec", func() { Register(1003, probeMsg2{}, Codec{}) })
+}
+
+// mustPanic fails t unless fn panics.
+func mustPanic(t *testing.T, name string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", name)
+		}
+	}()
+	fn()
 }
 
 func TestMarshalDecodeRoundTrip(t *testing.T) {
