@@ -592,14 +592,30 @@ func BenchmarkServiceSustained(b *testing.B) {
 
 // serviceAllocs runs the service under cfg, checks that every replica
 // reached its target wave and that the replicas' snapshots agree, and
-// returns the heap allocations the run made and the transactions the
-// longest replica log applied.
-func serviceAllocs(tb testing.TB, cfg service.Config) (mallocs uint64, applied int) {
-	var before, after runtime.MemStats
+// returns the heap allocations the run made, the transactions the longest
+// replica log applied, and the bytes of heap its nodes still hold at the
+// end, per node: cfg.Wrap is chained to keep every node reachable, and
+// the count is the live heap after a collection less the live heap before
+// the run.
+func serviceAllocs(tb testing.TB, cfg service.Config) (mallocs uint64, applied int, liveBytes float64) {
+	nodes := make([]sim.Node, cfg.Trust.N())
+	wrap := cfg.Wrap
+	cfg.Wrap = func(p types.ProcessID, inner sim.Node) sim.Node {
+		if wrap != nil {
+			inner = wrap(p, inner)
+		}
+		nodes[p] = inner
+		return inner
+	}
+	var before, after, live runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	res := service.Run(cfg)
 	runtime.ReadMemStats(&after)
+	runtime.GC()
+	runtime.ReadMemStats(&live)
+	runtime.KeepAlive(nodes)
+	liveBytes = (float64(live.HeapAlloc) - float64(before.HeapAlloc)) / float64(len(nodes))
 	if !res.Stopped {
 		tb.Fatalf("service run hit the event budget before wave %d", cfg.StopAfterWaves)
 	}
@@ -609,20 +625,25 @@ func serviceAllocs(tb testing.TB, cfg service.Config) (mallocs uint64, applied i
 	for _, rep := range res.Replicas {
 		applied = max(applied, rep.Applied)
 	}
-	return after.Mallocs - before.Mallocs, applied
+	return after.Mallocs - before.Mallocs, applied, liveBytes
 }
 
 // benchAllocsPerTx reports the allocations per applied transaction of one
-// service run under cfg.
+// service run under cfg, and the heap each replica still holds when the
+// run ends (see serviceAllocs).
 func benchAllocsPerTx(b *testing.B, cfg service.Config) {
 	var mallocs uint64
-	var applied int
+	var applied, runs int
+	var live float64
 	for b.Loop() {
-		m, a := serviceAllocs(b, cfg)
+		m, a, l := serviceAllocs(b, cfg)
 		mallocs += m
 		applied += a
+		live += l
+		runs++
 	}
 	b.ReportMetric(float64(mallocs)/float64(applied), "allocs/tx")
+	b.ReportMetric(live/float64(runs), "live-B/replica")
 }
 
 // requireAllocsPerTx fails t when one service run under cfg allocates more
@@ -631,7 +652,7 @@ func requireAllocsPerTx(t *testing.T, cfg service.Config, ceiling float64) {
 	if testing.Short() {
 		t.Skip("a full service run")
 	}
-	mallocs, applied := serviceAllocs(t, cfg)
+	mallocs, applied, _ := serviceAllocs(t, cfg)
 	perTx := float64(mallocs) / float64(applied)
 	if perTx > ceiling {
 		t.Errorf("%d allocations for %d applied tx: %.3f per tx, want ≤ %.2f", mallocs, applied, perTx, ceiling)

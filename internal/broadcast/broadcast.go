@@ -75,23 +75,42 @@
 //     indexed by source. A message whose Slot.Src lies outside [0, n) is
 //     dropped before it touches any state; otherwise a vote for a
 //     nonexistent source would open a slot that can never deliver.
-//   - A slot holds the first digest it hears of in place, with its payload,
-//     vote trackers and fetch sets. Further digests, which only an
-//     equivocating sender or voter produces, go to a map allocated on the
-//     second. A vote that would add a digest is dropped when its voter is
-//     already counted in a tracker of the same kind for another digest of
-//     the slot, so a slot holds at most 1 + 2n digests: the SEND's and one
-//     per voter and kind of vote.
-//   - Rows are made a chunk of dag.RowChunk at a time: the chunk's slots
-//     share one array and its 2n·RowChunk echo and ready trackers come from
-//     one quorum.NewTrackers call. The row a sequence number needs is taken
-//     and the rest wait on a free list.
-//   - PruneBelow empties the rows below the watermark — trackers Reset,
-//     payloads and fetch sets cleared, spill maps dropped — and puts them
-//     on the same free list, which later sequence numbers draw from before
-//     a new chunk is cut. The rows stay a sparse map: only a sequence
-//     number with a message opens a row, so a far-future one costs a
-//     Byzantine sender one row, not one per sequence number in between.
+//   - A slot holds the first digest it hears of in place, with its payload
+//     and fetch sets. Further digests, which only an equivocating sender or
+//     voter produces, go to a map allocated on the second. A vote that
+//     would add a digest is dropped when its voter is already counted in a
+//     tracker of the same kind for another digest of the slot, so a slot
+//     holds at most 1 + 2n digests: the SEND's and one per voter and kind
+//     of vote.
+//   - Rows hold no vote trackers. Every digest of an undelivered slot
+//     borrows a tally, its echo and ready tracker pair, from the Reliable's
+//     pool when the slot first hears of it, and the slot hands all its
+//     tallies back, reset, when it delivers or when PruneBelow empties it.
+//     So a process keeps one tally per digest of its pending slots, not two
+//     trackers per slot of the GC window. An empty pool is refilled with n
+//     tallies whose 2n trackers come from one quorum.NewTrackers call; the
+//     pool's capacity grows only then, to the number of tallies cut, so
+//     handing one back never allocates.
+//   - Once a slot has delivered, Handle drops its ECHOs, READYs and
+//     PAYLOADs before they touch any state. That changes no output. The
+//     READY quorum that delivered contains a READY kernel, since any two
+//     quorums of a process intersect (B³), so this process had sent its
+//     READY by the time it delivered: no later vote, for any digest, can
+//     make it send anything, and a PAYLOAD is accepted only while a rule
+//     waits for it. A late SEND is still echoed and its payload kept, and a
+//     delivered slot still serves FETCH for every digest whose payload it
+//     holds (R2): what a digest keeps after delivery is its payload and its
+//     served set.
+//   - Rows are made a chunk of dag.RowChunk at a time, the chunk's slots
+//     sharing one array. The row a sequence number needs is taken and the
+//     rest wait on a free list.
+//   - PruneBelow empties the rows below the watermark — pending tallies
+//     handed back, payloads and fetch sets cleared, spill maps dropped —
+//     and puts them on the same free list, which later sequence numbers
+//     draw from before a new chunk is cut. The rows stay a sparse map: only
+//     a sequence number with a message opens a row, so a far-future one
+//     costs a Byzantine sender one row, not one per sequence number in
+//     between.
 //   - All five messages are single-pointer structs, which an interface
 //     holds without boxing. Their bodies are (slot, payload) for a SEND or
 //     PAYLOAD and (slot, digest) for an ECHO, READY or FETCH. A body is
@@ -113,6 +132,7 @@ package broadcast
 
 import (
 	"crypto/sha256"
+	"slices"
 
 	"repro/internal/dag"
 	"repro/internal/quorum"
@@ -251,6 +271,11 @@ type Reliable struct {
 	// the last chunk, for later sequence numbers.
 	rows map[uint64][]rbSlot
 	free [][]rbSlot
+	// pool holds the tallies no undelivered slot holds; its capacity is at
+	// least cut, the number of tallies made, so one handed back never
+	// grows it.
+	pool []*tally
+	cut  int
 	// live counts the slots with state, over all rows (SlotCount).
 	live int
 	// pruned is the slot-sequence watermark set by PruneBelow: per-slot
@@ -279,14 +304,24 @@ type rbValue struct {
 	// payload is the content behind the digest once this process holds it
 	// (R1): from the SEND it echoed or from an accepted fetch reply.
 	payload Payload
-	echoes  *quorum.Tracker
-	readies *quorum.Tracker
+	// tally counts the digest's votes, borrowed from the pool while the
+	// slot is undelivered; nil once it has delivered.
+	tally *tally
 	// asked holds the voters sent a fetchMsg for this digest, served the
 	// requesters sent the payload (R2). Each is allocated on first use and
 	// cleared, not freed, when the slot's row is recycled.
 	asked  types.Set
 	served types.Set
 }
+
+// tally is one digest's vote trackers: tally[echoes] counts its ECHOs,
+// tally[readies] its READYs.
+type tally [2]quorum.Tracker
+
+const (
+	echoes  = 0
+	readies = 1
+)
 
 var _ Broadcaster = (*Reliable)(nil)
 
@@ -332,14 +367,10 @@ func (r *Reliable) find(s Slot) *rbSlot {
 
 // newRow returns an empty row of n slots from the free list. An empty
 // list is refilled with a chunk of dag.RowChunk rows whose slots share one
-// array and whose 2n trackers each share one NewTrackers call.
+// array.
 func (r *Reliable) newRow() []rbSlot {
 	if len(r.free) == 0 {
 		slots := make([]rbSlot, dag.RowChunk*r.n)
-		trackers := quorum.NewTrackers(r.trust, r.self, 2*len(slots))
-		for i := range slots {
-			slots[i].value.echoes, slots[i].value.readies = &trackers[2*i], &trackers[2*i+1]
-		}
 		for i := 0; i < len(slots); i += r.n {
 			r.free = append(r.free, slots[i:i+r.n:i+r.n])
 		}
@@ -350,11 +381,13 @@ func (r *Reliable) newRow() []rbSlot {
 	return row
 }
 
-// value returns what st knows about digest d, creating it on first use.
+// value returns what st knows about digest d, creating it on first use;
+// a digest created while st is undelivered borrows a tally from the pool.
 func (r *Reliable) value(st *rbSlot, d Digest) *rbValue {
 	if !st.live {
 		st.live, st.first = true, d
 		r.live++
+		st.value.tally = r.borrow()
 	}
 	if v := st.lookup(d); v != nil {
 		return v
@@ -362,35 +395,64 @@ func (r *Reliable) value(st *rbSlot, d Digest) *rbValue {
 	if st.others == nil {
 		st.others = map[Digest]*rbValue{}
 	}
-	v := &rbValue{
-		echoes:  quorum.NewTracker(r.trust, r.self),
-		readies: quorum.NewTracker(r.trust, r.self),
+	v := &rbValue{}
+	if !st.delivered { // else a late SEND's digest, kept only to serve FETCH
+		v.tally = r.borrow()
 	}
 	st.others[d] = v
 	return v
 }
 
+// borrow takes a tally from the pool. An empty pool is refilled with n
+// tallies whose 2n trackers share one NewTrackers call, and only then does
+// its capacity grow, to the number of tallies cut.
+func (r *Reliable) borrow() *tally {
+	if len(r.pool) == 0 {
+		trackers := quorum.NewTrackers(r.trust, r.self, 2*r.n)
+		r.cut += r.n
+		r.pool = slices.Grow(r.pool, r.cut)
+		for i := 0; i < len(trackers); i += 2 {
+			r.pool = append(r.pool, (*tally)(trackers[i:i+2]))
+		}
+	}
+	k := len(r.pool) - 1
+	t := r.pool[k]
+	r.pool = r.pool[:k]
+	return t
+}
+
+// release hands every tally of st back to the pool, reset: st has
+// delivered or is being pruned.
+func (r *Reliable) release(st *rbSlot) {
+	give := func(v *rbValue) {
+		if v.tally != nil {
+			v.tally[echoes].Reset()
+			v.tally[readies].Reset()
+			r.pool = append(r.pool, v.tally)
+			v.tally = nil
+		}
+	}
+	give(&st.value)
+	for _, v := range st.others {
+		give(v)
+	}
+}
+
 // spam reports whether a vote of voter from for digest d would add d to
-// the live slot st while from is already counted in one of st's ready
-// trackers, if ready is set, or else in one of its echo trackers. Handle
-// drops such a vote: a correct process sends one ECHO and one READY per
-// slot, so none of its votes is lost, and one Byzantine voter can add at
-// most one digest per kind instead of one with every message.
-func (st *rbSlot) spam(d Digest, from types.ProcessID, ready bool) bool {
+// the live, undelivered slot st while from is already counted in one of
+// st's trackers of the vote's kind (echoes or readies). Handle drops such a
+// vote: a correct process sends one ECHO and one READY per slot, so none of
+// its votes is lost, and one Byzantine voter can add at most one digest per
+// kind instead of one with every message.
+func (st *rbSlot) spam(d Digest, from types.ProcessID, kind int) bool {
 	if !st.live || st.lookup(d) != nil {
 		return false
 	}
-	counted := func(v *rbValue) bool {
-		if ready {
-			return v.readies.Contains(from)
-		}
-		return v.echoes.Contains(from)
-	}
-	if counted(&st.value) {
+	if st.value.tally[kind].Contains(from) {
 		return true
 	}
 	for _, v := range st.others {
-		if counted(v) {
+		if v.tally[kind].Contains(from) {
 			return true
 		}
 	}
@@ -405,16 +467,16 @@ func (st *rbSlot) lookup(d Digest) *rbValue {
 	return st.others[d]
 }
 
-// reset empties st for a later sequence number, keeping the storage of its
-// trackers and fetch sets, and reports whether it had state.
-func (st *rbSlot) reset() bool {
+// reset empties st for a later sequence number, handing its tallies back
+// and keeping the storage of its fetch sets, and reports whether it had
+// state.
+func (r *Reliable) reset(st *rbSlot) bool {
 	if !st.live {
 		return false
 	}
+	r.release(st)
 	v := st.value
 	v.payload = nil
-	v.echoes.Reset()
-	v.readies.Reset()
 	v.asked.Clear()
 	v.served.Clear()
 	*st = rbSlot{value: v}
@@ -423,10 +485,13 @@ func (st *rbSlot) reset() bool {
 
 // due reports which of the two Bracha rules are due for v's digest:
 // READY after an ECHO quorum or a READY kernel, delivery after a READY
-// quorum.
+// quorum. Neither is due once st has delivered (see "Slot state").
 func (st *rbSlot) due(v *rbValue) (ready, deliver bool) {
-	ready = !st.sentReady && (v.echoes.HasQuorum() || v.readies.HasKernel())
-	deliver = !st.delivered && v.readies.HasQuorum()
+	if st.delivered {
+		return false, false
+	}
+	ready = !st.sentReady && (v.tally[echoes].HasQuorum() || v.tally[readies].HasKernel())
+	deliver = v.tally[readies].HasQuorum()
 	return ready, deliver
 }
 
@@ -453,6 +518,7 @@ func (r *Reliable) advance(env sim.Env, slot Slot, st *rbSlot, d Digest, v *rbVa
 	}
 	if deliver {
 		st.delivered = true
+		r.release(st)
 		r.deliver(env, slot, v.payload)
 	}
 }
@@ -463,8 +529,8 @@ func (r *Reliable) fetch(env sim.Env, body *vote, v *rbValue) {
 	if v.asked.UniverseSize() == 0 {
 		v.asked = types.NewSet(r.n)
 	}
-	for _, voters := range [2]*quorum.Tracker{v.echoes, v.readies} {
-		voters.Set().ForEach(func(p types.ProcessID) bool {
+	for i := range v.tally {
+		v.tally[i].Set().ForEach(func(p types.ProcessID) bool {
 			if !v.asked.Contains(p) {
 				v.asked.Add(p)
 				env.Send(p, fetchMsg{body})
@@ -494,21 +560,9 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 		// A SEND overtaken by its own votes completes the slot here.
 		r.advance(env, m.Slot, st, d, v, nil)
 	case echoMsg:
-		st := r.open(m.Slot)
-		if st == nil || st.spam(m.Digest, from, false) {
-			return true
-		}
-		v := r.value(st, m.Digest)
-		v.echoes.Add(from)
-		r.advance(env, m.Slot, st, m.Digest, v, m.vote)
+		r.handleVote(env, from, m.vote, echoes)
 	case readyMsg:
-		st := r.open(m.Slot)
-		if st == nil || st.spam(m.Digest, from, true) {
-			return true
-		}
-		v := r.value(st, m.Digest)
-		v.readies.Add(from)
-		r.advance(env, m.Slot, st, m.Digest, v, m.vote)
+		r.handleVote(env, from, m.vote, readies)
 	case fetchMsg:
 		// Serve only what is held, once per requester; a request never
 		// allocates state.
@@ -531,9 +585,10 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 	case payloadMsg:
 		// Accept only a reply that was asked for, whose content hashes to
 		// the digest asked for, while R1 still waits for it. Anything else
-		// (forged, unsolicited, unknown or pruned slot) changes no state.
+		// (forged, unsolicited, unknown, delivered or pruned slot) changes
+		// no state.
 		st := r.find(m.Slot)
-		if st == nil || m.Payload == nil {
+		if st == nil || st.delivered || m.Payload == nil {
 			return true
 		}
 		d := m.Payload.Digest()
@@ -550,6 +605,19 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 		return false
 	}
 	return true
+}
+
+// handleVote handles an ECHO (kind echoes) or READY (kind readies) with
+// body b. A vote for a delivered slot is dropped before it touches any
+// state.
+func (r *Reliable) handleVote(env sim.Env, from types.ProcessID, b *vote, kind int) {
+	st := r.open(b.Slot)
+	if st == nil || st.delivered || st.spam(b.Digest, from, kind) {
+		return
+	}
+	v := r.value(st, b.Digest)
+	v.tally[kind].Add(from)
+	r.advance(env, b.Slot, st, b.Digest, v, b)
 }
 
 // Plain is best-effort broadcast: one direct message per recipient,
@@ -626,7 +694,7 @@ func (r *Reliable) PruneBelow(seq uint64) {
 		}
 		delete(r.rows, s)
 		for i := range row {
-			if row[i].reset() {
+			if r.reset(&row[i]) {
 				r.live--
 			}
 		}

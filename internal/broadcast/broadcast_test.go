@@ -690,16 +690,32 @@ func TestReliableReplyNotNeededIsDropped(t *testing.T) {
 }
 
 // requireEmptyRows fails t unless every slot of every row is as a fresh
-// row's: no payload, votes, fetch sets, sent flags or further digests.
+// row's: no payload, trackers, fetch sets, sent flags or further digests.
 func requireEmptyRows(t *testing.T, rows [][]rbSlot) {
 	t.Helper()
 	for j, row := range rows {
 		for i := range row {
 			st, v := &row[i], &row[i].value
 			if st.live || st.sentEcho || st.sentReady || st.delivered || st.first != (Digest{}) || st.others != nil ||
-				v.payload != nil || !v.asked.IsEmpty() || !v.served.IsEmpty() ||
-				v.echoes.Count() != 0 || v.readies.Count() != 0 || v.echoes.HasKernel() || v.readies.HasKernel() {
+				v.payload != nil || v.tally != nil || !v.asked.IsEmpty() || !v.served.IsEmpty() {
 				t.Fatalf("free row %d slot %d not empty: %+v", j, i, *st)
+			}
+		}
+	}
+}
+
+// requireEmptyPool fails t unless every tally r cut is back on its pool,
+// as it is when no slot is live, and every pooled tracker is as a fresh
+// one: no votes, no quorum, no kernel.
+func requireEmptyPool(t *testing.T, r *Reliable) {
+	t.Helper()
+	if len(r.pool) != r.cut {
+		t.Fatalf("%d of %d tallies on the pool, want all", len(r.pool), r.cut)
+	}
+	for j, tl := range r.pool {
+		for k := range tl {
+			if tr := &tl[k]; tr.Count() != 0 || tr.HasQuorum() || tr.HasKernel() {
+				t.Fatalf("pooled tally %d tracker %d not empty: %d votes, quorum %v, kernel %v", j, k, tr.Count(), tr.HasQuorum(), tr.HasKernel())
 			}
 		}
 	}
@@ -743,6 +759,7 @@ func TestReliableRowRecycled(t *testing.T) {
 			got, len(s.r.rows), len(s.r.free), dag.RowChunk, dag.RowChunk-1)
 	}
 	requireEmptyRows(t, s.r.free)
+	requireEmptyPool(t, s.r)
 	recycled := s.r.free[len(s.r.free)-1]
 
 	// Seq 1 reuses the row. Slot b's inline digest had an ECHO quorum and a
@@ -915,6 +932,7 @@ func TestVoteBodiesSurvivePrune(t *testing.T) {
 		t.Fatalf("PruneBelow(%d) left %d rows to recycle, want %d pruned + %d chunk spares", early, len(r.free), early, spares)
 	}
 	requireEmptyRows(t, r.free)
+	requireEmptyPool(t, r)
 	// Each later seq reuses a recycled row and cuts 2n more vote bodies.
 	for seq := uint64(early); seq < early+later; seq++ {
 		run(seq)
@@ -1042,5 +1060,166 @@ func TestReliableVoterSpamBounded(t *testing.T) {
 	}
 	if len(s.delivered) != 1 || s.delivered[0].Digest() != x.Digest() {
 		t.Fatalf("delivered %v, want the honest payload once", s.delivered)
+	}
+}
+
+// TestReliableServesAfterDelivery pins what a slot keeps once it has
+// delivered. It delivers a further, non-first digest x through a fetch and
+// then still serves FETCH for x to each requester once (R2), echoes the
+// first SEND that arrives late and serves its payload too; and the ECHOs,
+// READYs and PAYLOADs that come after delivery, fresh digests from new
+// voters included, send nothing, add no digest and borrow no tally.
+func TestReliableServesAfterDelivery(t *testing.T) {
+	slot := Slot{Src: 1, Seq: 7}
+	x, y, z := Bytes("block"), Bytes("first"), Bytes("fresh")
+	s := newStepper(t)
+	s.handle(3, echoMsg{&vote{Slot: slot, Digest: y.Digest()}})
+	s.expect("an ECHO for y opens the slot")
+	s.handle(1, readyMsg{&vote{Slot: slot, Digest: x.Digest()}})
+	s.handle(2, readyMsg{&vote{Slot: slot, Digest: x.Digest()}})
+	s.expect("READY kernel for the further digest x", "fetchMsg→1", "fetchMsg→2")
+	s.handle(1, payloadMsg{&send{Slot: slot, Payload: x}})
+	s.expect("the reply supplies x", "readyMsg→all")
+	s.handle(3, readyMsg{&vote{Slot: slot, Digest: x.Digest()}})
+	s.expect("READY quorum for x")
+	if len(s.delivered) != 1 || s.delivered[0].Digest() != x.Digest() {
+		t.Fatalf("delivered %v, want x once", s.delivered)
+	}
+	st := s.r.find(slot)
+	if st.first != y.Digest() || st.lookup(x.Digest()) == nil {
+		t.Fatal("x is not a further digest of the slot")
+	}
+	if st.value.tally != nil || st.lookup(x.Digest()).tally != nil || len(s.r.pool) != s.r.cut {
+		t.Fatalf("delivery kept tallies: %d of %d back on the pool", len(s.r.pool), s.r.cut)
+	}
+
+	s.handle(3, fetchMsg{&vote{Slot: slot, Digest: x.Digest()}})
+	s.expect("FETCH of x after delivery", "payloadMsg→3")
+	s.handle(3, fetchMsg{&vote{Slot: slot, Digest: x.Digest()}})
+	s.expect("a second FETCH of x by the same requester")
+	s.handle(1, sendMsg{&send{Slot: slot, Payload: y}})
+	s.expect("the first SEND, late", "echoMsg→all")
+	s.handle(1, sendMsg{&send{Slot: slot, Payload: z}})
+	s.expect("a second SEND")
+	s.handle(2, fetchMsg{&vote{Slot: slot, Digest: y.Digest()}})
+	s.expect("FETCH of the late SEND's payload", "payloadMsg→2")
+
+	others := len(st.others)
+	for from := types.ProcessID(0); from < 4; from++ {
+		for _, d := range []Digest{x.Digest(), y.Digest(), z.Digest()} {
+			s.handle(from, echoMsg{&vote{Slot: slot, Digest: d}})
+			s.handle(from, readyMsg{&vote{Slot: slot, Digest: d}})
+		}
+		s.handle(from, payloadMsg{&send{Slot: slot, Payload: z}})
+		s.handle(from, payloadMsg{&send{Slot: slot, Payload: x}})
+	}
+	s.expect("ECHOs, READYs and PAYLOADs after delivery")
+	if len(st.others) != others || st.lookup(z.Digest()) != nil {
+		t.Fatalf("late votes added a digest: %d further digests, want %d", len(st.others), others)
+	}
+	if len(s.r.pool) != s.r.cut || len(s.delivered) != 1 {
+		t.Fatalf("late votes borrowed %d tallies or delivered again (%d deliveries)", s.r.cut-len(s.r.pool), len(s.delivered))
+	}
+	if got := s.r.SlotCount(); got != 1 {
+		t.Fatalf("SlotCount = %d, want 1", got)
+	}
+}
+
+// slotOf returns the slot a broadcast message is about.
+func slotOf(msg sim.Message) Slot {
+	switch m := msg.(type) {
+	case sendMsg:
+		return m.Slot
+	case payloadMsg:
+		return m.Slot
+	case echoMsg:
+		return m.Slot
+	case readyMsg:
+		return m.Slot
+	case fetchMsg:
+		return m.Slot
+	}
+	panic(fmt.Sprintf("not a broadcast message: %T", msg))
+}
+
+// TestTrackerPoolBounded drives n Reliables, every one broadcasting in
+// every sequence number, through 200 sequence numbers with PruneBelow
+// trailing by a GC depth. Each step hands over every message queued
+// before it, so a slot pends for about three steps. The tallies in use
+// must always equal the live undelivered slots, the trackers cut must stay
+// at or below twice their peak plus one chunk of 2n, and after warm-up no
+// further chunk may be cut.
+func TestTrackerPoolBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		trust quorum.Assumption
+	}{
+		{"threshold n=4", quorum.NewThreshold(4, 1)},
+		{"Fig. 1", quorum.Counterexample()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const seqs, gcDepth, warmUp = 200, 8, 50
+			n := tc.trust.N()
+			var queue []queuedMsg
+			envs := make([]queueEnv, n)
+			nodes := make([]*Reliable, n)
+			delivered := make([]int, n)
+			for i := range nodes {
+				envs[i] = queueEnv{pruneEnv: pruneEnv{self: types.ProcessID(i), n: n}, queue: &queue}
+				nodes[i] = NewReliable(types.ProcessID(i), tc.trust, func(sim.Env, Slot, Payload) { delivered[i]++ })
+			}
+			pending := func(p types.ProcessID, slot Slot) bool {
+				st := nodes[p].find(slot)
+				return st != nil && !st.delivered
+			}
+			undelivered, peak, cutAtWarmUp := make([]int, n), make([]int, n), make([]int, n)
+			for seq := 0; seq < seqs || len(queue) > 0; seq++ {
+				batch := queue
+				queue = nil
+				for _, m := range batch {
+					slot := slotOf(m.msg)
+					was := pending(m.to, slot)
+					nodes[m.to].Handle(envs[m.to], m.from, m.msg)
+					switch now := pending(m.to, slot); {
+					case now && !was:
+						undelivered[m.to]++
+						peak[m.to] = max(peak[m.to], undelivered[m.to])
+					case was && !now:
+						undelivered[m.to]--
+					}
+				}
+				for p, r := range nodes {
+					if seq < seqs {
+						r.Broadcast(envs[p], uint64(seq), digestPayload{byte(seq), byte(seq >> 8), byte(p)})
+					}
+					if w := seq - gcDepth; w > 0 {
+						for src := range n {
+							if pending(types.ProcessID(p), Slot{Src: types.ProcessID(src), Seq: uint64(w - 1)}) {
+								undelivered[p]--
+							}
+						}
+						r.PruneBelow(uint64(w))
+					}
+					if inUse := r.cut - len(r.pool); inUse != undelivered[p] {
+						t.Fatalf("seq %d: process %d has %d tallies in use for %d undelivered slots", seq, p, inUse, undelivered[p])
+					}
+					if 2*r.cut > 2*peak[p]+2*n {
+						t.Fatalf("seq %d: process %d cut %d trackers, more than 2 × %d undelivered slots at peak + %d", seq, p, 2*r.cut, peak[p], 2*n)
+					}
+					if seq == warmUp {
+						cutAtWarmUp[p] = r.cut
+					}
+				}
+			}
+			for p, r := range nodes {
+				if delivered[p] != seqs*n {
+					t.Fatalf("process %d delivered %d slots, want %d", p, delivered[p], seqs*n)
+				}
+				if r.cut != cutAtWarmUp[p] {
+					t.Fatalf("process %d cut %d trackers by seq %d and %d by the end", p, 2*cutAtWarmUp[p], warmUp, 2*r.cut)
+				}
+			}
+			t.Logf("trackers cut per process: %d (peak %d undelivered slots, one chunk %d)", 2*nodes[0].cut, peak[0], 2*n)
+		})
 	}
 }

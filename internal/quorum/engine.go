@@ -29,10 +29,12 @@
 //
 //   - NewTrackers hands out k trackers whose membership words and residual
 //     counts are cut from one backing array each, for a caller that keeps
-//     many alive together (reliable broadcast holds two per slot, 2n per
-//     round). Reset empties a tracker in place, so such a caller recycles
-//     its trackers instead of allocating new ones; a reset tracker answers
-//     exactly like a fresh one.
+//     many alive together: reliable broadcast cuts 2n at a time for the
+//     pool its undelivered slots borrow an echo/ready pair from, and
+//     rider.Base one per round for its vertex sources. Reset empties a
+//     tracker in place, so such a caller recycles its trackers instead of
+//     allocating new ones; a reset tracker answers exactly like a fresh
+//     one.
 //
 // Complexity bounds, with W = words per bitset, Q = |Q_i|, M = total
 // membership of i's quorums (Σ|Q| over Q ∈ Q_i):

@@ -1,5 +1,7 @@
 package service
 
+import "math"
+
 // histogram is a bounded-memory latency recorder: width-1 buckets up to
 // latCap virtual-time units, one overflow bucket beyond. A long-lived run
 // records millions of latencies in a fixed footprint, and percentiles come
@@ -33,16 +35,14 @@ func (h *histogram) observe(v int64) {
 	}
 }
 
-// percentile returns the smallest latency ≥ the p-quantile (0 < p ≤ 1).
-// Overflowed observations report max.
+// percentile returns the smallest latency ≥ the p-quantile (0 < p ≤ 1):
+// the observation of nearest rank ⌈p·count⌉. Overflowed observations
+// report max.
 func (h *histogram) percentile(p float64) int64 {
 	if h.count == 0 {
 		return 0
 	}
-	rank := int64(p * float64(h.count))
-	if rank < 1 {
-		rank = 1
-	}
+	rank := int64(math.Ceil(p * float64(h.count)))
 	var seen int64
 	for v, c := range h.buckets {
 		seen += c
