@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint fuzz flaky benchmark benchcheck transportbench search scenarios soak loc
+.PHONY: all build test vet fuzz flaky benchmark benchcheck transportbench search scenarios soak loc
 
 # (test already vets, so all doesn't list vet separately)
 all: build test
@@ -13,29 +13,20 @@ all: build test
 build:
 	$(GO) build ./...
 
-# vet + custom analyzers + race detector: the sweep engine's worker pool
-# must stay race-clean, and the randomized conformance suites exercise it
-# on every run. The race detector is also what enforces that no protocol
-# handler writes shared memory under parallel same-time delivery: the
-# parallel-delivery tests (internal/lint's package comment names them)
-# fail on any such write. The scenario registry sweep rides along so
-# `make test` always exercises the adversarial scenarios end to end, and
-# `lint` runs the repository's own wire-contract analyzers (cmd/asymvet)
-# alongside stock go vet. bench/ is a nested module that `./...` does not
-# reach, so it is vetted here too: a root refactor can otherwise break the
-# benchmark unnoticed.
-test: scenarios lint
+# vet + race detector: the sweep engine's worker pool must stay
+# race-clean, and the randomized conformance suites exercise it on every
+# run. The race detector is also what enforces that no protocol handler
+# writes shared memory under parallel same-time delivery: the
+# parallel-delivery tests (the root package comment's "Checked at run
+# time" list names them) fail on any such write. The scenario registry
+# sweep rides along so `make test` always exercises the adversarial
+# scenarios end to end; its checker also requires that no run sent a
+# message without a wire codec. bench/ is a nested module that `./...`
+# does not reach, so it is vetted here too: a root refactor can otherwise
+# break the benchmark unnoticed.
+test: scenarios vet
 	$(GO) test -race ./...
 	cd bench && $(GO) vet .
-
-# Repository-specific static analysis: the two internal/lint analyzers
-# (asymwire, asymsizer — see internal/lint's package comment for the
-# contracts; determinism, bounded memory, parallel-delivery confinement
-# and tag ranges are checked by tests and wire.Register) over the whole
-# tree, plus stock go vet. asymvet takes package patterns and no flags.
-lint:
-	$(GO) vet ./...
-	$(GO) run ./cmd/asymvet ./...
 
 # Coverage-guided fuzzing of the byte-level attack surface: the wire
 # bounded-decode primitives, the tagged top-level decoder, and the
@@ -108,12 +99,10 @@ soak:
 		-run 'TestService(BoundedMemorySoak|SnapshotEquivalence|SurvivesChurn)' ./internal/service
 
 # Non-test Go lines of the tracked tree: the root module (testdata/ and the
-# nested bench/ module excluded), internal/lint (part of the root figure)
-# and bench/, each on its own line.
+# nested bench/ module excluded) and bench/, each on its own line.
 loc:
-	@printf 'root module:   '; git ls-files '*.go' | grep -v '_test\.go$$' | grep -v 'testdata/' | grep -v '^bench/' | xargs cat | wc -l
-	@printf 'internal/lint: '; git ls-files 'internal/lint/*.go' | grep -v '_test\.go$$' | grep -v 'testdata/' | xargs cat | wc -l
-	@printf 'bench:         '; git ls-files 'bench/*.go' | grep -v '_test\.go$$' | grep -v 'testdata/' | xargs cat | wc -l
+	@printf 'root module: '; git ls-files '*.go' | grep -v '_test\.go$$' | grep -v 'testdata/' | grep -v '^bench/' | xargs cat | wc -l
+	@printf 'bench:       '; git ls-files 'bench/*.go' | grep -v '_test\.go$$' | grep -v 'testdata/' | xargs cat | wc -l
 
 # Smoke-test the batch analysis search path: a parallel random-system
 # sweep through quorum.AnalyzeSystem (the `experiments quorum -search`

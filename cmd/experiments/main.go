@@ -14,7 +14,8 @@
 //
 // The multi-seed experiments, rider and quorum -search fan their runs out
 // over all cores through the sim.Sweep engine; -workers caps the pool.
-// Results are identical for every worker count.
+// Results are identical for every worker count. -run exits 1 when an
+// experiment records a failed run (the scenarios sweep's FIRST FAILING).
 package main
 
 import (
@@ -72,11 +73,16 @@ func run(args []string, stdout io.Writer) int {
 	}
 	harness.DefaultSweepWorkers = *workers
 	harness.DefaultDeliveryWorkers = *deliveryWorkers
+	code := 0
 	for _, e := range exps {
 		fmt.Fprintf(stdout, "=== %s — %s ===\n", e.ID, e.Title)
-		fmt.Fprintln(stdout, e.Run())
+		out := e.Run()
+		fmt.Fprintln(stdout, out)
+		if harness.Failed(out) {
+			code = 1
+		}
 	}
-	return 0
+	return code
 }
 
 // parse parses a subcommand's flags; when !ok the caller exits with code:

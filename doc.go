@@ -137,6 +137,30 @@
 //     the runnable flagship, riding out rolling churn with
 //     byte-identical snapshots.
 //
+// # Checked at run time
+//
+// The repository's contracts are checked by running the code; there is
+// no custom static analyzer.
+//
+//   - Determinism: harness's TestSameSeedIdenticalMetrics,
+//     TestExpBatchingDeterministic and TestRiderRunsMatchRecordedDigests
+//     run each protocol, gather kind, experiment and the service twice or
+//     against recorded digests.
+//   - Bounded memory: service's TestServiceBoundedMemorySoak (150 waves,
+//     500 under `make soak`) requires every core.LiveStats counter flat.
+//   - No shared writes under parallel delivery: `make test` runs, under
+//     `go test -race`, TestClusterParallelDeliveryDeterministic (this
+//     package), TestRiderParallelDeliveryDeterministic,
+//     TestRandomizedParallelDeliveryConformance and
+//     TestScenarioWorkerCountDeterminism (internal/harness) and
+//     TestServiceDeterministicAcrossWorkers (internal/service).
+//   - Tag ranges: wire.Register panics at init on a tag outside its
+//     package's wire.TagRanges row, or on a test tag outside a test.
+//   - Every sent message has a codec: the simulator counts a send it
+//     cannot size in sim.Metrics.EncodeErrors, as TCP does in
+//     PeerStats.EncodeErrors; the scenario checker, the service soak and
+//     TestConsensusOverTCP require zero.
+//
 // # Quickstart
 //
 //	trust := asymdag.NewThreshold(4, 1) // or any asymmetric System

@@ -220,16 +220,6 @@ func newSend(slot Slot, payload Payload) *send {
 	return sends.Cut(send{Slot: slot, Payload: payload})
 }
 
-// SimSize implements sim.Sizer.
-//
-//lint:sizer-fallback the codec reports unencodable for unregistered payloads, so this approximation is still consulted
-func (m sendMsg) SimSize() int {
-	if s, ok := m.Payload.(sim.Sizer); ok {
-		return 16 + s.SimSize()
-	}
-	return 16 + sha256.Size
-}
-
 // vote is the body of an ECHO or a READY. It is never written after the
 // message carrying it is sent (see "Slot state" in the package comment).
 type vote struct {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/quorum"
 	"repro/internal/sim"
 	"repro/internal/types"
 	"repro/internal/wire"
@@ -18,7 +19,6 @@ import (
 type unregisteredPayload struct{ K string }
 
 func (p unregisteredPayload) Digest() Digest { return Bytes(p.K).Digest() }
-func (p unregisteredPayload) SimSize() int   { return len(p.K) }
 
 // TestBroadcastWireRoundTrip is the broadcast slice of the differential
 // wire suite: the five messages round-trip byte-identically with
@@ -97,17 +97,30 @@ func TestBytesDigest(t *testing.T) {
 }
 
 // TestBroadcastWireUnregisteredPayloadFallsBack pins the degradation
-// contract: a message whose payload type has no wire codec is not
-// encodable (Marshal fails), and sim.MessageSize falls back to the Sizer
-// approximation instead of panicking — keeping test-local payloads usable
-// in pure-simulation runs.
+// contract: a SEND whose payload type has no wire codec is not encodable
+// (Marshal fails), and the simulator sizes it as 1 byte instead of
+// panicking. A reliable broadcast of such a payload still delivers in the
+// simulator, and the run counts its SEND once per destination in
+// EncodeErrors; the votes carry only the digest, so they encode.
 func TestBroadcastWireUnregisteredPayloadFallsBack(t *testing.T) {
 	msg := sendMsg{&send{Slot: Slot{Src: 1, Seq: 2}, Payload: unregisteredPayload{K: "abc"}}}
 	if _, err := wire.Marshal(msg); err == nil {
 		t.Fatal("Marshal succeeded with unregistered payload")
 	}
-	if got, want := sim.MessageSize(msg), msg.SimSize(); got != want {
-		t.Fatalf("MessageSize %d, want Sizer fallback %d", got, want)
+	if got := sim.MessageSize(msg); got != 1 {
+		t.Fatalf("MessageSize %d, want 1", got)
+	}
+	const n = 4
+	nodes := reliableCluster(n, quorum.NewThreshold(n, 1), []Payload{unregisteredPayload{K: "abc"}, nil, nil, nil})
+	r := sim.NewRunner(sim.Config{N: n, Seed: 1}, nodes)
+	r.Run(0)
+	for i, nd := range nodes {
+		if len(nd.(*bcNode).delivered) != 1 {
+			t.Fatalf("node %d delivered %d slots, want 1", i, len(nd.(*bcNode).delivered))
+		}
+	}
+	if got := r.Metrics().EncodeErrors; got != n {
+		t.Fatalf("EncodeErrors %d, want %d (one SEND per destination)", got, n)
 	}
 }
 

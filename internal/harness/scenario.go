@@ -98,10 +98,15 @@ func ScenarioRiderConfig(def scenario.Definition, base ScenarioSweepConfig, seed
 }
 
 // CheckScenarioProperties asserts every property def declares over the
-// maximal guild of the scenario's faulty set. The scenario is rebuilt from
+// maximal guild of the scenario's faulty set, and that the run sent no
+// message the wire codec cannot encode (sim.Metrics.EncodeErrors is 0):
+// over TCP such a send would be dropped. The scenario is rebuilt from
 // the run's recorded seed (Definition.Build is a pure function of (n,
 // seed)), so the checker needs no side channel to the instance that ran.
 func CheckScenarioProperties(def scenario.Definition, res RiderResult) error {
+	if res.Metrics.EncodeErrors > 0 {
+		return fmt.Errorf("scenario %s: %d sends of a message with no wire codec", def.Name, res.Metrics.EncodeErrors)
+	}
 	sys, ok := res.Config.Trust.(*quorum.System)
 	if !ok {
 		return fmt.Errorf("scenario %s: trust must be a *quorum.System for the guild computation", def.Name)
@@ -205,6 +210,13 @@ func SweepScenarios(defs []scenario.Definition, seeds []int64, base ScenarioSwee
 	return out, first
 }
 
+// firstFailing starts the line ExpScenarios adds when a run fails.
+const firstFailing = "\nFIRST FAILING: "
+
+// Failed reports whether an experiment's output records a failed run:
+// cmd/experiments then exits 1, so `make scenarios` gates.
+func Failed(out string) bool { return strings.Contains(out, firstFailing) }
+
 // ExpScenarios runs every built-in scenario over a seed range and
 // tabulates per-scenario outcomes — the adversarial counterpart of
 // ExpFaults (E16).
@@ -227,7 +239,7 @@ func ExpScenarios() string {
 	}
 	w.Flush()
 	if first != nil {
-		fmt.Fprintf(&b, "\nFIRST FAILING: %s\n", first)
+		fmt.Fprintf(&b, "%s%s\n", firstFailing, first)
 	}
 	b.WriteString("\neach scenario declares the Definition 4.1 properties it must preserve for the\n" +
 		"maximal guild; partitions that heal and buffered crash-recovery keep the full\n" +

@@ -176,6 +176,24 @@ func TestCheckScenarioPropertiesRejectsViolations(t *testing.T) {
 	}
 }
 
+// TestCheckScenarioPropertiesRejectsEncodeErrors: a run that sent a
+// message the wire codec cannot encode fails the checker even when every
+// declared property holds.
+func TestCheckScenarioPropertiesRejectsEncodeErrors(t *testing.T) {
+	def, ok := scenario.Find("baseline")
+	if !ok {
+		t.Fatal("baseline scenario missing from the registry")
+	}
+	res := RunRider(ScenarioRiderConfig(def, ScenarioSweepConfig{}, 1))
+	if err := CheckScenarioProperties(def, res); err != nil {
+		t.Fatal(err)
+	}
+	res.Metrics.EncodeErrors = 1
+	if err := CheckScenarioProperties(def, res); err == nil {
+		t.Fatal("checker passed a run with an encode error")
+	}
+}
+
 // TestExpScenarios smoke-tests the experiment artifact.
 func TestExpScenarios(t *testing.T) {
 	if testing.Short() {
@@ -187,7 +205,7 @@ func TestExpScenarios(t *testing.T) {
 			t.Errorf("ExpScenarios output missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "FIRST FAILING") {
+	if Failed(out) {
 		t.Errorf("ExpScenarios reports a failure:\n%s", out)
 	}
 }

@@ -159,9 +159,18 @@ type sendEnv struct {
 
 func (e *sendEnv) Send(_ types.ProcessID, msg sim.Message) { e.last = msg }
 
+// nilVertexSender sends process 1 a SEND whose payload has no vertex.
+type nilVertexSender struct{}
+
+func (nilVertexSender) Init(env sim.Env) {
+	broadcast.EquivocateSend(env, 1, broadcast.Slot{Src: 0, Seq: 1}, VertexPayload{})
+}
+func (nilVertexSender) Receive(sim.Env, types.ProcessID, sim.Message) {}
+
 // TestVertexWireNilNotEncodable pins that a payload without a vertex, alone
-// or in a SEND, is not encodable, and that the simulator sizes both by
-// their fallback rather than panicking.
+// or in a SEND, is not encodable, and that the simulator sizes both rather
+// than panicking: a Runner delivers each such SEND and counts it as one
+// encode error.
 func TestVertexWireNilNotEncodable(t *testing.T) {
 	env := &sendEnv{countEnv: countEnv{n: 2}}
 	broadcast.EquivocateSend(env, 1, broadcast.Slot{Src: 0, Seq: 1}, VertexPayload{})
@@ -172,6 +181,11 @@ func TestVertexWireNilNotEncodable(t *testing.T) {
 		if n := sim.MessageSize(msg); n <= 0 {
 			t.Errorf("%T without a vertex sized %d", msg, n)
 		}
+	}
+	r := sim.NewRunner(sim.Config{N: 2}, []sim.Node{nilVertexSender{}, nilVertexSender{}})
+	r.Run(0)
+	if m := r.Metrics(); m.EncodeErrors != 2 || m.MessagesDelivered != 2 {
+		t.Fatalf("EncodeErrors %d, delivered %d; want 2 and 2", m.EncodeErrors, m.MessagesDelivered)
 	}
 }
 

@@ -63,9 +63,8 @@ import (
 // tickMsg is the replica's self-addressed client-load heartbeat. Exactly
 // one tick per replica is in flight at any time: each tick is re-armed
 // only while being processed, so buffered churn replay cannot fork the
-// chain (the Seq guard additionally absorbs duplication faults).
-//
-//lint:unwired self-addressed replica heartbeat; never crosses a wire
+// chain (the Seq guard additionally absorbs duplication faults). It never
+// crosses a wire, so it has no codec.
 type tickMsg struct {
 	Seq uint64
 }

@@ -65,6 +65,11 @@ func soak(t *testing.T, revealed bool) {
 	if !res.Stopped {
 		t.Fatalf("soak truncated at event budget before wave %d (HitLimit=%v)", waves, res.HitLimit)
 	}
+	// The replica's tick and the churn wrapper's wake-up have no codec but
+	// a Sizer; every other message must encode.
+	if res.Metrics.EncodeErrors != 0 {
+		t.Errorf("%d sends of a message with no wire codec", res.Metrics.EncodeErrors)
+	}
 	for p, rep := range res.Replicas {
 		snaps := rep.Snapshots
 		if len(snaps) < 8 {

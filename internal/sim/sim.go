@@ -95,13 +95,14 @@ type VirtualTime int64
 // TestRandomizedParallelDeliveryConformance,
 // TestScenarioWorkerCountDeterminism and
 // TestServiceDeterministicAcrossWorkers) under `go test -race`. A message
-// without a wire codec implements Sizer to contribute to the byte metrics.
+// needs a wire codec (internal/wire), or a Sizer if it is self-addressed
+// control traffic: the runner counts a send of any other message in
+// Metrics.EncodeErrors.
 type Message any
 
-// Sizer lets a message report an approximate wire size in bytes for the
-// bandwidth metrics. It is consulted only for messages the binary wire
-// codec cannot encode (see MessageSize); messages that neither encode nor
-// implement it count as size 1.
+// Sizer sizes a self-addressed control message that never crosses a wire
+// and so has no codec (service's tick, ChurnNode's wake-up): MessageSize
+// returns its SimSize, and a send of it is not an encode error.
 type Sizer interface {
 	SimSize() int
 }
@@ -110,12 +111,12 @@ type Sizer interface {
 // the length of its encoding by the shared binary codec (internal/wire —
 // every real protocol message registers one at package init), so
 // simulated BytesSent figures equal the bytes the TCP transport puts on
-// the wire for the same traffic. A message the codec cannot encode (an
-// unregistered type, or broadcast's SEND carrying a payload type with no
-// codec) falls back to its Sizer approximation, else counts as 1 byte.
+// the wire for the same traffic. A message the codec cannot encode is
+// sized by its Sizer; one with neither counts as 1 byte, and the runner
+// counts its send in Metrics.EncodeErrors.
 func MessageSize(msg Message) int {
 	bp := sizeBufPool.Get().(*[]byte)
-	n := msgSize(bp, msg)
+	n, _ := msgSize(bp, msg)
 	sizeBufPool.Put(bp)
 	return n
 }
@@ -313,7 +314,12 @@ type Metrics struct {
 	MessagesDelivered int
 	MessagesDropped   int
 	BytesSent         int
-	ByType            map[string]int
+	// EncodeErrors counts sends, one per destination, of a message that
+	// neither the wire codec nor a Sizer can size: over TCP each would be
+	// dropped (transport.PeerStats.EncodeErrors). The scenario checker
+	// requires it to be 0.
+	EncodeErrors int
+	ByType       map[string]int
 }
 
 func newMetrics() *Metrics {
@@ -493,17 +499,18 @@ func (r *Runner) typeCounter(msg Message) *typeCounter {
 }
 
 // msgSize returns the byte size a message contributes to the metrics (see
-// MessageSize), encoding it into *buf, which keeps the grown buffer.
-func msgSize(buf *[]byte, msg Message) int {
+// MessageSize), encoding it into *buf, which keeps the grown buffer, and
+// whether the codec or a Sizer sized it.
+func msgSize(buf *[]byte, msg Message) (int, bool) {
 	enc, err := wire.Append((*buf)[:0], msg)
 	*buf = enc
 	if err == nil {
-		return len(enc)
+		return len(enc), true
 	}
 	if s, ok := msg.(Sizer); ok {
-		return s.SimSize()
+		return s.SimSize(), true
 	}
-	return 1
+	return 1, false
 }
 
 // sendOne records the sent-message metrics (against the caller-resolved
@@ -535,7 +542,11 @@ func (r *Runner) sendOne(from, to types.ProcessID, msg Message, tc *typeCounter,
 }
 
 func (r *Runner) send(from, to types.ProcessID, msg Message) {
-	r.sendOne(from, to, msg, r.typeCounter(msg), msgSize(&r.sizeBuf, msg))
+	size, ok := msgSize(&r.sizeBuf, msg)
+	if !ok {
+		r.metrics.EncodeErrors++
+	}
+	r.sendOne(from, to, msg, r.typeCounter(msg), size)
 }
 
 // broadcast fans msg out to every process in ID order. One fan-out
@@ -546,7 +557,11 @@ func (r *Runner) send(from, to types.ProcessID, msg Message) {
 // n individual sends: the fault plane, the latency draw and the sequence
 // number are still evaluated per destination, in destination order.
 func (r *Runner) broadcast(from types.ProcessID, msg Message) {
-	tc, size := r.typeCounter(msg), msgSize(&r.sizeBuf, msg)
+	size, ok := msgSize(&r.sizeBuf, msg)
+	if !ok {
+		r.metrics.EncodeErrors += r.cfg.N
+	}
+	tc := r.typeCounter(msg)
 	for to := 0; to < r.cfg.N; to++ {
 		r.sendOne(from, types.ProcessID(to), msg, tc, size)
 	}
@@ -800,10 +815,12 @@ type bufferedDelivery struct {
 var _ Node = (*ChurnNode)(nil)
 
 // churnTick is ChurnNode's self-addressed wake-up message (see the type
-// comment); it never reaches the inner node.
-//
-//lint:unwired self-addressed simulator control traffic; never crosses a wire
+// comment); it never reaches the inner node. It never crosses a wire, so
+// it has no codec; it counts as 1 byte.
 type churnTick struct{}
+
+// SimSize implements Sizer.
+func (churnTick) SimSize() int { return 1 }
 
 // Init implements Node. Init runs at virtual time 0, before the crash
 // window can open (CrashAt must be > 0), so it always reaches the inner

@@ -183,6 +183,7 @@ func MergeMetrics(ms ...*Metrics) *Metrics {
 		out.MessagesDelivered += m.MessagesDelivered
 		out.MessagesDropped += m.MessagesDropped
 		out.BytesSent += m.BytesSent
+		out.EncodeErrors += m.EncodeErrors
 		for k, v := range m.ByType {
 			out.ByType[k] += v
 		}

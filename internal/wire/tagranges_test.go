@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"os/exec"
+	"strings"
 	"testing"
 	"time"
 )
@@ -59,4 +61,25 @@ func TestRegisterEnforcesTagRanges(t *testing.T) {
 	mustPanic(t, "tag outside the package's range", func() { Register(910, outOfRangeMsg{}, codec) })
 	mustPanic(t, "tag in another package's range", func() { Register(45, otherRangeMsg{}, codec) })
 	mustPanic(t, "package with no range", func() { Register(905, time.Duration(0), codec) })
+}
+
+// TestAuditTablesNameLivePackages guards wire.TagRanges against
+// deletions: a band whose package is gone reserves tags for nobody.
+// Every entry must name a package that `go list repro/...` reports.
+func TestAuditTablesNameLivePackages(t *testing.T) {
+	cmd := exec.Command("go", "list", "repro/...")
+	cmd.Dir = "../.."
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	live := map[string]bool{}
+	for _, path := range strings.Fields(string(out)) {
+		live[path] = true
+	}
+	for path := range TagRanges {
+		if !live[path] {
+			t.Errorf("wire.TagRanges names %s, which go list repro/... does not report", path)
+		}
+	}
 }
