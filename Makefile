@@ -98,11 +98,14 @@ soak:
 	SOAK_WAVES=$(SOAK_WAVES) $(GO) test -race -count=1 -v \
 		-run 'TestService(BoundedMemorySoak|SnapshotEquivalence|SurvivesChurn)' ./internal/service
 
-# Non-test Go lines of the tracked tree: the root module (testdata/ and the
-# nested bench/ module excluded) and bench/, each on its own line.
+# Non-test Go lines of the working tree: the root module (testdata/ and the
+# nested bench/ module excluded) and bench/, each on its own line. Tracked
+# and untracked non-ignored files count; a file deleted but not yet
+# committed does not.
+LOC_FILES = git ls-files -co --exclude-standard '*.go' | grep -v '_test\.go$$' | grep -v 'testdata/' | while read -r f; do [ -f "$$f" ] && echo "$$f"; done
 loc:
-	@printf 'root module: '; git ls-files '*.go' | grep -v '_test\.go$$' | grep -v 'testdata/' | grep -v '^bench/' | xargs cat | wc -l
-	@printf 'bench:       '; git ls-files 'bench/*.go' | grep -v '_test\.go$$' | grep -v 'testdata/' | xargs cat | wc -l
+	@printf 'root module: '; $(LOC_FILES) | grep -v '^bench/' | xargs cat | wc -l
+	@printf 'bench:       '; $(LOC_FILES) | grep '^bench/' | xargs cat | wc -l
 
 # Smoke-test the batch analysis search path: a parallel random-system
 # sweep through quorum.AnalyzeSystem (the `experiments quorum -search`

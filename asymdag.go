@@ -111,19 +111,6 @@ func RunGather(cfg GatherConfig) GatherResult { return gather.RunCluster(cfg) }
 // RunConsensus executes one consensus instance across a simulated cluster.
 func RunConsensus(cfg RiderConfig) RiderResult { return harness.RunRider(cfg) }
 
-// BindingGatherNode is the gather variant whose common core is fixed once
-// the first correct process delivers (one extra round).
-type BindingGatherNode = gather.BindingNode
-
-// GatherNodeConfig configures a single gather node (as opposed to
-// GatherConfig, which configures a whole simulated cluster run).
-type GatherNodeConfig = gather.Config
-
-// NewBindingGatherNode creates a binding-gather process.
-func NewBindingGatherNode(cfg GatherNodeConfig) *BindingGatherNode {
-	return gather.NewBindingNode(cfg)
-}
-
 // Declarative adversarial scenarios. --------------------------------------
 
 type (
@@ -148,17 +135,11 @@ type (
 	ScenarioSweepConfig = harness.ScenarioSweepConfig
 	// ScenarioSweepStats aggregates one scenario's sweep.
 	ScenarioSweepStats = harness.ScenarioSweepStats
-	// ScenarioFailure identifies the first failing (scenario, seed) pair.
-	ScenarioFailure = harness.ScenarioFailure
 )
 
 // AllScenarioProperties returns every Definition 4.1 property, for
 // scenarios the protocol is expected to fully ride out.
 func AllScenarioProperties() []ScenarioProperty { return scenario.AllProperties() }
-
-// BuiltinScenarios returns the registry of named adversarial scenarios,
-// each bundled with the properties it is expected to keep.
-func BuiltinScenarios() []ScenarioDefinition { return scenario.Builtins() }
 
 // FindScenario looks a built-in scenario up by name.
 func FindScenario(name string) (ScenarioDefinition, bool) { return scenario.Find(name) }
@@ -177,12 +158,6 @@ func ChurnFault(p ProcessID, crashAt, recoverAt int64, buffer bool) ScenarioNode
 // per-run properties are those the scenario declares.
 func SweepScenario(def ScenarioDefinition, seeds []int64, cfg ScenarioSweepConfig) ScenarioSweepStats {
 	return harness.SweepScenario(def, seeds, cfg)
-}
-
-// SweepScenarios sweeps every definition and reports the first failing
-// (scenario, seed) pair, if any.
-func SweepScenarios(defs []ScenarioDefinition, seeds []int64, cfg ScenarioSweepConfig) ([]ScenarioSweepStats, *ScenarioFailure) {
-	return harness.SweepScenarios(defs, seeds, cfg)
 }
 
 // SeedRange returns seeds start, start+1, ..., start+count-1 for sweeps.
@@ -241,7 +216,7 @@ type (
 func NewConsensusNode(cfg ConsensusConfig) *ConsensusNode { return core.NewNode(cfg) }
 
 // NewTCPCluster builds (without starting) a loopback TCP mesh running the
-// given protocol nodes; see examples/tcpnet.
+// given protocol nodes; see ExampleNewTCPCluster.
 func NewTCPCluster(nodes []FaultBehavior, seed int64) (*TCPCluster, error) {
 	return transport.NewLocalCluster(nodes, seed)
 }

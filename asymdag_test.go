@@ -2,6 +2,7 @@ package asymdag_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	asymdag "repro"
@@ -24,10 +25,10 @@ func TestClusterQuickstartFlow(t *testing.T) {
 		}
 	}
 	res := cluster.Run()
-	if !res.OrdersAgree() {
-		t.Fatal("delivered orders diverge")
+	if err := res.CheckTotalOrder(asymdag.FullSet(4)); err != nil {
+		t.Fatal(err)
 	}
-	if res.Messages == 0 || res.VTime == 0 {
+	if res.Metrics.MessagesSent == 0 || res.EndTime == 0 {
 		t.Error("metrics look empty")
 	}
 	// At least one node delivered all submitted transactions.
@@ -37,8 +38,9 @@ func TestClusterQuickstartFlow(t *testing.T) {
 	}
 	best := 0
 	for p := 0; p < 4; p++ {
+		nr := res.Nodes[asymdag.ProcessID(p)]
 		got := 0
-		for _, tx := range res.Order(asymdag.ProcessID(p)) {
+		for _, tx := range nr.Blocks {
 			if want[tx] {
 				got++
 			}
@@ -46,16 +48,16 @@ func TestClusterQuickstartFlow(t *testing.T) {
 		if got > best {
 			best = got
 		}
-		if res.Round(asymdag.ProcessID(p)) < 32 {
-			t.Errorf("process %d stalled at round %d", p, res.Round(asymdag.ProcessID(p)))
+		if nr.Round < 32 {
+			t.Errorf("process %d stalled at round %d", p, nr.Round)
 		}
 	}
 	if best < len(submitted) {
 		t.Errorf("best node delivered %d of %d submitted txs", best, len(submitted))
 	}
 	committed := 0
-	for p := 0; p < 4; p++ {
-		if res.Commits(asymdag.ProcessID(p)) > 0 {
+	for _, nr := range res.Nodes {
+		if len(nr.Commits) > 0 {
 			committed++
 		}
 	}
@@ -77,8 +79,8 @@ func TestClusterOnAsymmetricSystem(t *testing.T) {
 	})
 	cluster.Submit(0, "hello", "world")
 	res := cluster.Run()
-	if !res.OrdersAgree() {
-		t.Fatal("orders diverge on counterexample system")
+	if err := res.CheckTotalOrder(asymdag.FullSet(sys.N())); err != nil {
+		t.Fatalf("counterexample system: %v", err)
 	}
 }
 
@@ -147,18 +149,6 @@ func TestPublicQuorumAPI(t *testing.T) {
 	}
 }
 
-// TestPublicACSAndBindingConstruction checks the public constructor of the
-// core-set primitive, the binding gather: a fresh node has delivered nothing.
-func TestPublicACSAndBindingConstruction(t *testing.T) {
-	bind := asymdag.NewBindingGatherNode(asymdag.GatherNodeConfig{
-		Trust: asymdag.NewThreshold(4, 1),
-		Input: "v",
-	})
-	if _, ok := bind.Delivered(); ok {
-		t.Fatal("binding gather delivered before running")
-	}
-}
-
 func TestPublicConsensusWithGCAndRevealedCoin(t *testing.T) {
 	res := asymdag.RunConsensus(asymdag.RiderConfig{
 		Kind:         asymdag.RiderAsymmetric,
@@ -190,7 +180,7 @@ func TestPublicConsensusWithGCAndRevealedCoin(t *testing.T) {
 // differently from the lockstep ConstantLatency(1) network that nil used
 // to silently fall through to.
 func TestClusterDefaultLatencyIsUniform(t *testing.T) {
-	run := func(lat asymdag.LatencyModel) asymdag.ClusterResult {
+	run := func(lat asymdag.LatencyModel) asymdag.RiderResult {
 		cluster := asymdag.NewCluster(asymdag.ClusterConfig{
 			Trust:    asymdag.NewThreshold(4, 1),
 			NumWaves: 4,
@@ -205,69 +195,63 @@ func TestClusterDefaultLatencyIsUniform(t *testing.T) {
 	uniform := run(asymdag.UniformLatency{Min: 1, Max: 20})
 	constant := run(asymdag.ConstantLatency(1))
 
-	if nilLat.VTime != uniform.VTime || nilLat.Messages != uniform.Messages {
+	if nilLat.EndTime != uniform.EndTime || nilLat.Metrics.MessagesSent != uniform.Metrics.MessagesSent {
 		t.Fatalf("nil latency (vtime %d, msgs %d) != documented uniform default (vtime %d, msgs %d)",
-			nilLat.VTime, nilLat.Messages, uniform.VTime, uniform.Messages)
+			nilLat.EndTime, nilLat.Metrics.MessagesSent, uniform.EndTime, uniform.Metrics.MessagesSent)
 	}
-	if nilLat.VTime == constant.VTime {
-		t.Fatalf("nil latency still runs the ConstantLatency(1) schedule (vtime %d)", nilLat.VTime)
-	}
-}
-
-// TestClusterMaxStepsBudget pins the Run event budget: a tiny MaxSteps
-// truncates the run and flags HitLimit (so a non-quiescing schedule can
-// never hang a sweep), the default budget leaves a quiescing run
-// untouched, and a negative budget means unbounded.
-func TestClusterMaxStepsBudget(t *testing.T) {
-	mk := func(maxSteps int) asymdag.ClusterResult {
-		c := asymdag.NewCluster(asymdag.ClusterConfig{
-			Trust: asymdag.NewThreshold(4, 1), NumWaves: 3, Seed: 1, CoinSeed: 2,
-			MaxSteps: maxSteps,
-		})
-		return c.Run()
-	}
-	if res := mk(10); !res.HitLimit {
-		t.Fatal("10-step budget not reported as hit")
-	}
-	if res := mk(0); res.HitLimit {
-		t.Fatal("default budget flagged on a quiescing run")
-	}
-	if res := mk(-1); res.HitLimit {
-		t.Fatal("unbounded run flagged HitLimit")
+	if nilLat.EndTime == constant.EndTime {
+		t.Fatalf("nil latency still runs the ConstantLatency(1) schedule (vtime %d)", nilLat.EndTime)
 	}
 }
 
-// TestClusterParallelDeliveryDeterministic pins the public-API face of
-// parallel same-time delivery: identical transaction orders and network
-// costs for every delivery worker count.
-func TestClusterParallelDeliveryDeterministic(t *testing.T) {
-	run := func(workers int) asymdag.ClusterResult {
-		c := asymdag.NewCluster(asymdag.ClusterConfig{
-			Trust: asymdag.NewThreshold(4, 1), NumWaves: 6, Seed: 7, CoinSeed: 8,
-			DeliveryWorkers: workers,
-		})
-		c.Submit(0, "a", "b")
-		c.Submit(2, "c")
-		return c.Run()
-	}
-	ref := run(1)
-	if !ref.OrdersAgree() {
-		t.Fatal("orders diverge under parallel delivery")
-	}
-	for _, w := range []int{2, 5} {
-		res := run(w)
-		if res.Messages != ref.Messages || res.Bytes != ref.Bytes || res.VTime != ref.VTime {
-			t.Fatalf("workers=%d: costs diverged: %d/%d/%d vs %d/%d/%d",
-				w, res.Messages, res.Bytes, res.VTime, ref.Messages, ref.Bytes, ref.VTime)
+// TestClusterMatchesRunConsensus pins the one node construction Cluster
+// still duplicates: with nothing submitted, a Cluster must run exactly the
+// asymmetric protocol RunConsensus runs with empty blocks, so its
+// core.Config cannot drift from the harness's. Each system also runs on a
+// schedule where process 4's messages lag behind everyone else's: its late
+// vertices are what a node-level setting such as GCDepth changes, and the
+// uniform default delivers every vertex too early to show it.
+func TestClusterMatchesRunConsensus(t *testing.T) {
+	laggard := func(n int) asymdag.LatencyModel {
+		fast := make([]asymdag.Set, n)
+		for i := range fast {
+			fast[i] = asymdag.FullSet(n)
+			fast[i].Remove(3)
 		}
-		for p := 0; p < 4; p++ {
-			a, b := res.Order(asymdag.ProcessID(p)), ref.Order(asymdag.ProcessID(p))
-			if len(a) != len(b) {
-				t.Fatalf("workers=%d: process %d order length %d vs %d", w, p, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("workers=%d: process %d order diverged at %d: %q vs %q", w, p, i, a[i], b[i])
+		return asymdag.FavoredLinksLatency{Favored: fast, Fast: 1, Slow: 40}
+	}
+	for _, tc := range []struct {
+		name  string
+		trust asymdag.Assumption
+		waves int
+	}{
+		{"threshold(4,1)", asymdag.NewThreshold(4, 1), 6},
+		{"counterexample", asymdag.Counterexample(), 2},
+	} {
+		for _, l := range []struct {
+			name string
+			lat  asymdag.LatencyModel
+		}{{"default", nil}, {"laggard", laggard(tc.trust.N())}} {
+			for seed := int64(1); seed <= 3; seed++ {
+				cl := asymdag.NewCluster(asymdag.ClusterConfig{
+					Trust: tc.trust, NumWaves: tc.waves, Seed: seed, CoinSeed: seed + 10, Latency: l.lat,
+				}).Run()
+				rc := asymdag.RunConsensus(asymdag.RiderConfig{
+					Kind: asymdag.RiderAsymmetric, Trust: tc.trust, NumWaves: tc.waves,
+					Seed: seed, CoinSeed: seed + 10, Latency: l.lat,
+				})
+				what := fmt.Sprintf("%s, %s latency, seed %d", tc.name, l.name, seed)
+				if len(rc.Nodes[0].Commits) == 0 {
+					t.Fatalf("%s: nothing committed, the comparison is vacuous", what)
+				}
+				if !reflect.DeepEqual(cl.Metrics, rc.Metrics) {
+					t.Fatalf("%s: metrics differ:\ncluster %+v\nrider   %+v", what, *cl.Metrics, *rc.Metrics)
+				}
+				for p := 0; p < tc.trust.N(); p++ {
+					a, b := cl.Nodes[asymdag.ProcessID(p)], rc.Nodes[asymdag.ProcessID(p)]
+					if !reflect.DeepEqual(a.Deliveries, b.Deliveries) || !reflect.DeepEqual(a.Commits, b.Commits) {
+						t.Fatalf("%s: process %d's deliveries or commits differ", what, p)
+					}
 				}
 			}
 		}

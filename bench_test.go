@@ -231,8 +231,8 @@ func BenchmarkClusterQuickstart(b *testing.B) {
 		})
 		cluster.Submit(0, "a", "b", "c")
 		res := cluster.Run()
-		if !res.OrdersAgree() {
-			b.Fatal("orders diverge")
+		if err := res.CheckTotalOrder(types.FullSet(4)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

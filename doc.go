@@ -73,8 +73,8 @@
 //     clock, with a small heap for events further out), so push and pop
 //     cost O(1) and one bucket is exactly the set of events sharing the
 //     frontier timestamp; bucket segments are recycled within a run.
-//     DeliveryWorkers > 0 (a knob on sim.Config, harness.RiderConfig and
-//     ClusterConfig) executes those same-time, distinct-receiver handlers
+//     DeliveryWorkers > 0 (a knob on sim.Config and harness.RiderConfig)
+//     executes those same-time, distinct-receiver handlers
 //     concurrently on a bounded pool: every effect is buffered per
 //     receiver and committed single-threaded in receiver-ID order, with
 //     latency draws and sequence numbers assigned only at commit from the
@@ -84,9 +84,9 @@
 //     mode stays the default and is event-for-event identical to the
 //     original single 4-ary heap, pinned by a differential suite and a
 //     fuzz target.
-//     Cluster runs are also bounded by a generous MaxSteps event budget
-//     (ClusterResult.HitLimit / RiderResult.HitLimit report truncation),
-//     so a non-quiescing adversarial schedule can no longer hang a sweep.
+//     Every consensus run, Cluster's included, is also bounded by a
+//     generous event budget (RiderResult.HitLimit reports truncation), so
+//     a non-quiescing adversarial schedule can no longer hang a sweep.
 //   - A declarative adversarial scenario engine (internal/scenario + the
 //     harness scenario sweeps): scenarios compose timed link-fault rules
 //     (drop, duplicate, extra delay, hold-until healing partitions,
@@ -99,10 +99,9 @@
 //     simulator's single-threaded send- and deliver-commit points with the
 //     run's seeded RNG, so every scenario execution is a pure function of
 //     the seed — byte-identical across DeliveryWorkers counts. A registry
-//     of built-in scenarios (BuiltinScenarios) backs the scenario × seed
-//     conformance sweeps (SweepScenarios, with first-failing (scenario,
-//     seed) attribution), the `scenarios` experiment, and
-//     examples/faulttolerance.
+//     of built-in scenarios backs the scenario × seed conformance sweeps
+//     (with first-failing (scenario, seed) attribution) and the
+//     `scenarios` experiment; ExampleRunConsensus composes a custom one.
 //   - A shared framed binary wire codec (internal/wire) and a production
 //     TCP transport (internal/transport): every protocol message type
 //     registers a tagged codec built on canonical uvarints, length-
@@ -133,7 +132,7 @@
 //     shared decided wave (CheckServiceSnapshots verifies; a 100-seed
 //     equivalence suite also replays the full log against each
 //     snapshot). BenchmarkServiceSustained reports sustained msgs/s,
-//     commits/s and commit-latency percentiles; examples/keyvalue is
+//     commits/s and commit-latency percentiles; ExampleRunService is
 //     the runnable flagship, riding out rolling churn with
 //     byte-identical snapshots.
 //
@@ -149,11 +148,12 @@
 //   - Bounded memory: service's TestServiceBoundedMemorySoak (150 waves,
 //     500 under `make soak`) requires every core.LiveStats counter flat.
 //   - No shared writes under parallel delivery: `make test` runs, under
-//     `go test -race`, TestClusterParallelDeliveryDeterministic (this
-//     package), TestRiderParallelDeliveryDeterministic,
+//     `go test -race`, TestRiderParallelDeliveryDeterministic,
 //     TestRandomizedParallelDeliveryConformance and
 //     TestScenarioWorkerCountDeterminism (internal/harness) and
 //     TestServiceDeterministicAcrossWorkers (internal/service).
+//   - The examples: `go test` runs each Example function in this package
+//     and compares its output with its Output block.
 //   - Tag ranges: wire.Register panics at init on a tag outside its
 //     package's wire.TagRanges row, or on a test tag outside a test.
 //   - Every sent message has a codec: the simulator counts a send it
@@ -163,20 +163,11 @@
 //
 // # Quickstart
 //
-//	trust := asymdag.NewThreshold(4, 1) // or any asymmetric System
-//	cluster := asymdag.NewCluster(asymdag.ClusterConfig{
-//		Trust:    trust,
-//		NumWaves: 10,
-//		Seed:     1,
-//	})
-//	cluster.Submit(0, "pay alice 5", "pay bob 3")
-//	result := cluster.Run()
-//	for _, tx := range result.Order(0) {
-//		fmt.Println(tx)
-//	}
-//
-// See the examples/ directory for runnable programs, cmd/experiments for
-// the paper-reproduction harness (-list prints the experiment index) and
-// its rider, gather, quorum and flood subcommands, and bench/README.md for
-// the repository benchmark and its metrics.
+// ExampleNewCluster submits transactions to a 4-process cluster and
+// prints the log every process agrees on. The other Example functions show
+// the Appendix A counterexample, federated trust, the fault model and the
+// replicated service. See cmd/experiments for the paper-reproduction
+// harness (-list prints the experiment index) and its rider, gather,
+// quorum and flood subcommands, and bench/README.md for the repository
+// benchmark and its metrics.
 package asymdag

@@ -88,7 +88,7 @@ type NodeResult struct {
 	Blocks      []string
 }
 
-// DefaultMaxEvents is the event budget RunRider applies when
+// DefaultMaxEvents is the event budget RunNodes applies when
 // the config leaves MaxEvents at 0 — the simulator-wide default shared by
 // every protocol runner.
 const DefaultMaxEvents = sim.DefaultEventBudget
@@ -132,9 +132,6 @@ type RiderResult struct {
 // per-node results.
 func RunRider(cfg RiderConfig) RiderResult {
 	n := cfg.Trust.N()
-	if cfg.Latency == nil {
-		cfg.Latency = sim.UniformLatency{Min: 1, Max: 20}
-	}
 	c := coin.NewPRF(cfg.CoinSeed, n)
 	maxRound := 4 * cfg.NumWaves
 
@@ -167,10 +164,20 @@ func RunRider(cfg RiderConfig) RiderResult {
 			nodes[i] = cfg.Wrap(types.ProcessID(i), nodes[i])
 		}
 	}
+	return RunNodes(cfg, nodes)
+}
 
+// RunNodes executes already-constructed nodes under cfg's network (Seed,
+// Latency, Fault, MaxEvents, DeliveryWorkers) to quiescence and collects
+// the result of every node that unwraps to a protocol node. It ignores
+// cfg's node-construction fields; RunRider is the caller that reads them.
+func RunNodes(cfg RiderConfig, nodes []sim.Node) RiderResult {
+	if cfg.Latency == nil {
+		cfg.Latency = sim.UniformLatency{Min: 1, Max: 20}
+	}
 	limit := sim.ResolveEventBudget(cfg.MaxEvents)
 	r := sim.NewRunner(sim.Config{
-		N: n, Seed: cfg.Seed, Latency: cfg.Latency, Fault: cfg.Fault,
+		N: len(nodes), Seed: cfg.Seed, Latency: cfg.Latency, Fault: cfg.Fault,
 		DeliveryWorkers: resolveDeliveryWorkers(cfg.DeliveryWorkers),
 	}, nodes)
 	r.Run(limit)

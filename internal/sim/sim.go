@@ -90,8 +90,7 @@ type VirtualTime int64
 // pointer travels without boxing, so a hot message can point to a body the
 // sender never writes again (broadcast's ECHO and READY do). The race
 // detector enforces immutability: `make test` runs the parallel-delivery
-// tests (TestClusterParallelDeliveryDeterministic,
-// TestRiderParallelDeliveryDeterministic,
+// tests (TestRiderParallelDeliveryDeterministic,
 // TestRandomizedParallelDeliveryConformance,
 // TestScenarioWorkerCountDeterminism and
 // TestServiceDeterministicAcrossWorkers) under `go test -race`. A message
