@@ -698,3 +698,20 @@ func TestServiceAllocsPerTx(t *testing.T) { requireAllocsPerTx(t, serviceFig1(),
 // TestServiceFaults7AllocsPerTx bounds the partition-heal count, where a
 // snapshot every wave makes KV.Snapshot's one buffer per call part of it.
 func TestServiceFaults7AllocsPerTx(t *testing.T) { requireAllocsPerTx(t, serviceFaults7(), 0.70) }
+
+// TestServiceLiveBytes bounds the heap a Fig. 1 replica still holds when
+// its run ends, BenchmarkServiceFig1's live-B/replica: a broadcast slot
+// keeps R2's fetch sets behind a pointer, set only where a fetch ran, and
+// the service tracks own-command latency by admission index in a histogram
+// whose buckets grow with the latencies seen.
+func TestServiceLiveBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a full service run")
+	}
+	const ceiling = 210_000
+	_, _, live := serviceAllocs(t, serviceFig1())
+	if live > ceiling {
+		t.Errorf("a Fig. 1 replica holds %.0f B of heap at the end of its run, want ≤ %d", live, ceiling)
+	}
+	t.Logf("%.0f B of live heap per replica, ceiling %d", live, ceiling)
+}

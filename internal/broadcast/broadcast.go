@@ -76,12 +76,12 @@
 //     dropped before it touches any state; otherwise a vote for a
 //     nonexistent source would open a slot that can never deliver.
 //   - A slot holds the first digest it hears of in place, with its payload
-//     and fetch sets. Further digests, which only an equivocating sender or
-//     voter produces, go to a map allocated on the second. A vote that
-//     would add a digest is dropped when its voter is already counted in a
-//     tracker of the same kind for another digest of the slot, so a slot
-//     holds at most 1 + 2n digests: the SEND's and one per voter and kind
-//     of vote.
+//     and pointers to its tally and fetch sets, in 80 bytes. Further
+//     digests, which only an equivocating sender or voter produces, go to a
+//     map allocated on the second. A vote that would add a digest is
+//     dropped when its voter is already counted in a tracker of the same
+//     kind for another digest of the slot, so a slot holds at most 1 + 2n
+//     digests: the SEND's and one per voter and kind of vote.
 //   - Rows hold no vote trackers. Every digest of an undelivered slot
 //     borrows a tally, its echo and ready tracker pair, from the Reliable's
 //     pool when the slot first hears of it, and the slot hands all its
@@ -91,6 +91,13 @@
 //     tallies whose 2n trackers come from one quorum.NewTrackers call; the
 //     pool's capacity grows only then, to the number of tallies cut, so
 //     handing one back never allocates.
+//   - R2's fetch sets, the voters asked for a digest's payload and the
+//     requesters served it, are empty in almost every slot, so a digest
+//     holds them behind one pointer, nil until R2 first asks or serves for
+//     it. It then borrows the pair from a second pool, refilled like the
+//     tally pool with n pairs whose 2n sets come from one types.NewSets
+//     call. The pair goes back, cleared, only when PruneBelow empties the
+//     slot, not at delivery: served outlives delivery (R2).
 //   - Once a slot has delivered, Handle drops its ECHOs, READYs and
 //     PAYLOADs before they touch any state. That changes no output. The
 //     READY quorum that delivered contains a READY kernel, since any two
@@ -105,7 +112,7 @@
 //     sharing one array. The row a sequence number needs is taken and the
 //     rest wait on a free list.
 //   - PruneBelow empties the rows below the watermark — pending tallies
-//     handed back, payloads and fetch sets cleared, spill maps dropped —
+//     and fetch sets handed back, payloads cleared, spill maps dropped —
 //     and puts them on the same free list, which later sequence numbers
 //     draw from before a new chunk is cut. The rows stay a sparse map: only
 //     a sequence number with a message opens a row, so a far-future one
@@ -266,6 +273,10 @@ type Reliable struct {
 	// grows it.
 	pool []*tally
 	cut  int
+	// fetchPool and fetchCut are the same for fetch sets, which a digest
+	// holds from R2's first request or reply for it until PruneBelow.
+	fetchPool []*fetchSets
+	fetchCut  int
 	// live counts the slots with state, over all rows (SlotCount).
 	live int
 	// pruned is the slot-sequence watermark set by PruneBelow: per-slot
@@ -274,9 +285,9 @@ type Reliable struct {
 	pruned uint64
 }
 
-// rbSlot is one slot's state. It holds the first digest it hears of in
-// place; only a second digest, which only an equivocating sender or voter
-// produces, allocates.
+// rbSlot is one slot's state, 80 bytes. It holds the first digest it hears
+// of in place; only a second digest, which only an equivocating sender or
+// voter produces, allocates.
 type rbSlot struct {
 	// live is set by the first SEND, ECHO or READY of the slot, whose
 	// digest is first.
@@ -289,7 +300,8 @@ type rbSlot struct {
 	others    map[Digest]*rbValue // the same for every later digest
 }
 
-// rbValue is what a slot knows about one digest.
+// rbValue is what a slot knows about one digest, in 32 bytes: the two
+// pointers below and the payload.
 type rbValue struct {
 	// payload is the content behind the digest once this process holds it
 	// (R1): from the SEND it echoed or from an accepted fetch reply.
@@ -297,11 +309,10 @@ type rbValue struct {
 	// tally counts the digest's votes, borrowed from the pool while the
 	// slot is undelivered; nil once it has delivered.
 	tally *tally
-	// asked holds the voters sent a fetchMsg for this digest, served the
-	// requesters sent the payload (R2). Each is allocated on first use and
-	// cleared, not freed, when the slot's row is recycled.
-	asked  types.Set
-	served types.Set
+	// fetch is the digest's R2 bookkeeping, borrowed from the fetch pool
+	// when R2 first asks or serves for it and kept, also after delivery,
+	// until PruneBelow empties the slot; nil until then.
+	fetch *fetchSets
 }
 
 // tally is one digest's vote trackers: tally[echoes] counts its ECHOs,
@@ -311,6 +322,16 @@ type tally [2]quorum.Tracker
 const (
 	echoes  = 0
 	readies = 1
+)
+
+// fetchSets is one digest's R2 bookkeeping: fetchSets[asked] holds the
+// voters sent a fetchMsg for it, fetchSets[served] the requesters sent its
+// payload.
+type fetchSets [2]types.Set
+
+const (
+	asked  = 0
+	served = 1
 )
 
 var _ Broadcaster = (*Reliable)(nil)
@@ -428,6 +449,37 @@ func (r *Reliable) release(st *rbSlot) {
 	}
 }
 
+// borrowFetch returns v's fetch sets, borrowing them from the fetch pool on
+// first use. An empty pool is refilled like the tally pool: n pairs whose 2n
+// sets share one NewSets call.
+func (r *Reliable) borrowFetch(v *rbValue) *fetchSets {
+	if v.fetch != nil {
+		return v.fetch
+	}
+	if len(r.fetchPool) == 0 {
+		sets := types.NewSets(r.n, 2*r.n)
+		r.fetchCut += r.n
+		r.fetchPool = slices.Grow(r.fetchPool, r.fetchCut)
+		for i := 0; i < len(sets); i += 2 {
+			r.fetchPool = append(r.fetchPool, (*fetchSets)(sets[i:i+2]))
+		}
+	}
+	k := len(r.fetchPool) - 1
+	v.fetch = r.fetchPool[k]
+	r.fetchPool = r.fetchPool[:k]
+	return v.fetch
+}
+
+// unfetch hands v's fetch sets, if it has any, back to the pool, cleared;
+// only reset calls it, which then empties the slot.
+func (r *Reliable) unfetch(v *rbValue) {
+	if f := v.fetch; f != nil {
+		f[asked].Clear()
+		f[served].Clear()
+		r.fetchPool = append(r.fetchPool, f)
+	}
+}
+
 // spam reports whether a vote of voter from for digest d would add d to
 // the live, undelivered slot st while from is already counted in one of
 // st's trackers of the vote's kind (echoes or readies). Handle drops such a
@@ -457,19 +509,18 @@ func (st *rbSlot) lookup(d Digest) *rbValue {
 	return st.others[d]
 }
 
-// reset empties st for a later sequence number, handing its tallies back
-// and keeping the storage of its fetch sets, and reports whether it had
-// state.
+// reset empties st for a later sequence number, handing its tallies and
+// fetch sets back, and reports whether it had state.
 func (r *Reliable) reset(st *rbSlot) bool {
 	if !st.live {
 		return false
 	}
 	r.release(st)
-	v := st.value
-	v.payload = nil
-	v.asked.Clear()
-	v.served.Clear()
-	*st = rbSlot{value: v}
+	r.unfetch(&st.value)
+	for _, v := range st.others {
+		r.unfetch(v)
+	}
+	*st = rbSlot{}
 	return true
 }
 
@@ -516,13 +567,11 @@ func (r *Reliable) advance(env sim.Env, slot Slot, st *rbSlot, d Digest, v *rbVa
 // fetch sends R2's request, the body of the vote that blocked on v, to
 // every voter for v's digest not asked yet.
 func (r *Reliable) fetch(env sim.Env, body *vote, v *rbValue) {
-	if v.asked.UniverseSize() == 0 {
-		v.asked = types.NewSet(r.n)
-	}
+	f := r.borrowFetch(v)
 	for i := range v.tally {
 		v.tally[i].Set().ForEach(func(p types.ProcessID) bool {
-			if !v.asked.Contains(p) {
-				v.asked.Add(p)
+			if !f[asked].Contains(p) {
+				f[asked].Add(p)
 				env.Send(p, fetchMsg{body})
 			}
 			return true
@@ -564,13 +613,11 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 		if v == nil || v.payload == nil {
 			return true
 		}
-		if v.served.UniverseSize() == 0 {
-			v.served = types.NewSet(r.n)
-		}
-		if v.served.Contains(from) {
+		f := r.borrowFetch(v)
+		if f[served].Contains(from) {
 			return true
 		}
-		v.served.Add(from)
+		f[served].Add(from)
 		env.Send(from, payloadMsg{newSend(m.Slot, v.payload)})
 	case payloadMsg:
 		// Accept only a reply that was asked for, whose content hashes to
@@ -583,7 +630,7 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 		}
 		d := m.Payload.Digest()
 		v := st.lookup(d)
-		if v == nil || v.payload != nil || !v.asked.Contains(from) {
+		if v == nil || v.payload != nil || v.fetch == nil || !v.fetch[asked].Contains(from) {
 			return true
 		}
 		if ready, deliver := st.due(v); !ready && !deliver {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dag"
 	"repro/internal/quorum"
@@ -689,24 +690,90 @@ func TestReliableReplyNotNeededIsDropped(t *testing.T) {
 	}
 }
 
+// TestReliableFetchOncePerPeer: at n=4 the votes overtake the SEND, so R1
+// blocks and R2 fetches. FETCH goes out once to each voter, however many
+// votes it casts, and PAYLOAD once to each requester, however often it
+// asks, both before delivery and after. The digest borrows one pair of fetch
+// sets, keeps it past delivery and hands it back when the slot is pruned.
+func TestReliableFetchOncePerPeer(t *testing.T) {
+	slot := Slot{Src: 1, Seq: 7}
+	x := Bytes("block")
+	d := x.Digest()
+	s := newStepper(t)
+	s.handle(2, readyMsg{&vote{Slot: slot, Digest: d}})
+	s.handle(3, readyMsg{&vote{Slot: slot, Digest: d}})
+	s.expect("READY kernel without the payload", "fetchMsg→2", "fetchMsg→3")
+	s.handle(2, echoMsg{&vote{Slot: slot, Digest: d}})
+	s.handle(3, echoMsg{&vote{Slot: slot, Digest: d}})
+	s.handle(1, echoMsg{&vote{Slot: slot, Digest: d}})
+	s.expect("ECHOs of the voters asked and of one new voter", "fetchMsg→1")
+	s.handle(2, fetchMsg{&vote{Slot: slot, Digest: d}})
+	s.expect("a FETCH of a payload not held yet")
+	s.handle(3, payloadMsg{&send{Slot: slot, Payload: x}})
+	s.expect("a valid reply", "readyMsg→all")
+
+	st := s.r.find(slot)
+	if st.delivered || st.value.fetch == nil || s.r.fetchCut-len(s.r.fetchPool) != 1 {
+		t.Fatalf("before delivery: delivered %v, fetch sets %p, %d of %d pairs pooled, want one in use",
+			st.delivered, st.value.fetch, len(s.r.fetchPool), s.r.fetchCut)
+	}
+	s.handle(2, fetchMsg{&vote{Slot: slot, Digest: d}})
+	s.handle(2, fetchMsg{&vote{Slot: slot, Digest: d}})
+	s.handle(3, fetchMsg{&vote{Slot: slot, Digest: d}})
+	s.expect("FETCHes before delivery", "payloadMsg→2", "payloadMsg→3")
+
+	s.handle(1, readyMsg{&vote{Slot: slot, Digest: d}})
+	s.expect("READY quorum")
+	if len(s.delivered) != 1 || s.delivered[0].Digest() != d {
+		t.Fatalf("delivered %v, want the block once", s.delivered)
+	}
+	if st.value.tally != nil || st.value.fetch == nil {
+		t.Fatalf("after delivery: tally %p, fetch sets %p, want the tally back and the fetch sets kept", st.value.tally, st.value.fetch)
+	}
+	s.handle(1, echoMsg{&vote{Slot: slot, Digest: d}})
+	s.handle(0, readyMsg{&vote{Slot: slot, Digest: d}})
+	s.handle(3, payloadMsg{&send{Slot: slot, Payload: x}})
+	s.handle(2, fetchMsg{&vote{Slot: slot, Digest: d}})
+	s.handle(3, fetchMsg{&vote{Slot: slot, Digest: d}})
+	s.handle(1, fetchMsg{&vote{Slot: slot, Digest: d}})
+	s.handle(1, fetchMsg{&vote{Slot: slot, Digest: d}})
+	s.expect("votes, a reply and FETCHes after delivery", "payloadMsg→1")
+	if s.r.fetchCut-len(s.r.fetchPool) != 1 {
+		t.Fatalf("%d of %d pairs of fetch sets pooled, want one in use", len(s.r.fetchPool), s.r.fetchCut)
+	}
+
+	s.r.PruneBelow(slot.Seq + 1)
+	requireEmptyRows(t, s.r.free)
+	requireEmptyPool(t, s.r)
+}
+
+// TestSlotSize pins the slot layout: R2's fetch sets live behind a pointer,
+// so a slot of the GC window is at most 80 bytes on a 64-bit platform.
+func TestSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(rbSlot{}); got > 80 {
+		t.Fatalf("rbSlot is %d bytes, want at most 80", got)
+	}
+}
+
 // requireEmptyRows fails t unless every slot of every row is as a fresh
-// row's: no payload, trackers, fetch sets, sent flags or further digests.
+// row's: no payload, tally, fetch sets, sent flags or further digests.
 func requireEmptyRows(t *testing.T, rows [][]rbSlot) {
 	t.Helper()
 	for j, row := range rows {
 		for i := range row {
 			st, v := &row[i], &row[i].value
 			if st.live || st.sentEcho || st.sentReady || st.delivered || st.first != (Digest{}) || st.others != nil ||
-				v.payload != nil || v.tally != nil || !v.asked.IsEmpty() || !v.served.IsEmpty() {
+				v.payload != nil || v.tally != nil || v.fetch != nil {
 				t.Fatalf("free row %d slot %d not empty: %+v", j, i, *st)
 			}
 		}
 	}
 }
 
-// requireEmptyPool fails t unless every tally r cut is back on its pool,
-// as it is when no slot is live, and every pooled tracker is as a fresh
-// one: no votes, no quorum, no kernel.
+// requireEmptyPool fails t unless every tally and every pair of fetch sets
+// r cut is back on its pool, as they are when no slot is live, and every
+// pooled tracker and set is as a fresh one: no votes, no quorum, no kernel,
+// no member.
 func requireEmptyPool(t *testing.T, r *Reliable) {
 	t.Helper()
 	if len(r.pool) != r.cut {
@@ -717,6 +784,14 @@ func requireEmptyPool(t *testing.T, r *Reliable) {
 			if tr := &tl[k]; tr.Count() != 0 || tr.HasQuorum() || tr.HasKernel() {
 				t.Fatalf("pooled tally %d tracker %d not empty: %d votes, quorum %v, kernel %v", j, k, tr.Count(), tr.HasQuorum(), tr.HasKernel())
 			}
+		}
+	}
+	if len(r.fetchPool) != r.fetchCut {
+		t.Fatalf("%d of %d pairs of fetch sets on the pool, want all", len(r.fetchPool), r.fetchCut)
+	}
+	for j, f := range r.fetchPool {
+		if !f[asked].IsEmpty() || !f[served].IsEmpty() {
+			t.Fatalf("pooled pair of fetch sets %d not empty: asked %v, served %v", j, f[asked], f[served])
 		}
 	}
 }
@@ -1145,10 +1220,13 @@ func slotOf(msg sim.Message) Slot {
 // TestTrackerPoolBounded drives n Reliables, every one broadcasting in
 // every sequence number, through 200 sequence numbers with PruneBelow
 // trailing by a GC depth. Each step hands over every message queued
-// before it, so a slot pends for about three steps. The tallies in use
-// must always equal the live undelivered slots, the trackers cut must stay
-// at or below twice their peak plus one chunk of 2n, and after warm-up no
-// further chunk may be cut.
+// before it, so a slot pends for about three steps; one process's copy of
+// each SEND is held back two steps, so its votes overtake it and R2
+// fetches. The tallies in use must always equal the live undelivered
+// slots, the trackers cut must stay at or below twice their peak plus one
+// chunk of 2n, and after warm-up no further chunk of trackers or fetch sets
+// may be cut. Once every row is pruned, every tally and fetch set cut is
+// back on its pool.
 func TestTrackerPoolBounded(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -1158,9 +1236,10 @@ func TestTrackerPoolBounded(t *testing.T) {
 		{"Fig. 1", quorum.Counterexample()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			const seqs, gcDepth, warmUp = 200, 8, 50
+			const seqs, gcDepth, warmUp, hold = 200, 8, 50, 2
 			n := tc.trust.N()
 			var queue []queuedMsg
+			held := map[int][]queuedMsg{} // SENDs held back, by the step that hands them over
 			envs := make([]queueEnv, n)
 			nodes := make([]*Reliable, n)
 			delivered := make([]int, n)
@@ -1172,12 +1251,17 @@ func TestTrackerPoolBounded(t *testing.T) {
 				st := nodes[p].find(slot)
 				return st != nil && !st.delivered
 			}
-			undelivered, peak, cutAtWarmUp := make([]int, n), make([]int, n), make([]int, n)
-			for seq := 0; seq < seqs || len(queue) > 0; seq++ {
-				batch := queue
+			undelivered, peak, cutAtWarmUp, fetchCutAtWarmUp := make([]int, n), make([]int, n), make([]int, n), make([]int, n)
+			for seq := 0; seq < seqs || len(queue) > 0 || len(held) > 0; seq++ {
+				batch := append(queue, held[seq]...)
 				queue = nil
+				delete(held, seq)
 				for _, m := range batch {
 					slot := slotOf(m.msg)
+					if _, ok := m.msg.(sendMsg); ok && int(slot.Seq) == seq-1 && int(m.to) == (int(slot.Src)+1+seq)%n {
+						held[seq+hold] = append(held[seq+hold], m)
+						continue
+					}
 					was := pending(m.to, slot)
 					nodes[m.to].Handle(envs[m.to], m.from, m.msg)
 					switch now := pending(m.to, slot); {
@@ -1207,7 +1291,7 @@ func TestTrackerPoolBounded(t *testing.T) {
 						t.Fatalf("seq %d: process %d cut %d trackers, more than 2 × %d undelivered slots at peak + %d", seq, p, 2*r.cut, peak[p], 2*n)
 					}
 					if seq == warmUp {
-						cutAtWarmUp[p] = r.cut
+						cutAtWarmUp[p], fetchCutAtWarmUp[p] = r.cut, r.fetchCut
 					}
 				}
 			}
@@ -1218,8 +1302,15 @@ func TestTrackerPoolBounded(t *testing.T) {
 				if r.cut != cutAtWarmUp[p] {
 					t.Fatalf("process %d cut %d trackers by seq %d and %d by the end", p, 2*cutAtWarmUp[p], warmUp, 2*r.cut)
 				}
+				if r.fetchCut == 0 || r.fetchCut != fetchCutAtWarmUp[p] {
+					t.Fatalf("process %d cut %d fetch sets by seq %d and %d by the end, want some and no more after warm-up",
+						p, 2*fetchCutAtWarmUp[p], warmUp, 2*r.fetchCut)
+				}
+				r.PruneBelow(seqs)
+				requireEmptyPool(t, r)
 			}
-			t.Logf("trackers cut per process: %d (peak %d undelivered slots, one chunk %d)", 2*nodes[0].cut, peak[0], 2*n)
+			t.Logf("trackers cut per process: %d (peak %d undelivered slots, one chunk %d); fetch sets cut: %d",
+				2*nodes[0].cut, peak[0], 2*n, 2*nodes[0].fetchCut)
 		})
 	}
 }

@@ -49,6 +49,7 @@
 package service
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -204,11 +205,17 @@ type Replica struct {
 
 	submitted int
 	rejected  int
-	// submitTime records when each own in-flight command was admitted,
-	// for commit-latency measurement; entries leave at apply, so the map
-	// is bounded by MaxQueue plus the blocks in flight.
-	submitTime map[string]sim.VirtualTime
-	latency    histogram
+	// admitted records when own commands firstOpen, firstOpen+1, …,
+	// nextCmd-1 were admitted, for commit-latency measurement, indexed by
+	// command number - firstOpen. Applying a command marks its entry
+	// appliedMark, and marked entries leave from the front, so the slice
+	// spans the oldest own command not yet applied to the newest admitted:
+	// MaxQueue plus the blocks in flight, as own vertices deliver almost in
+	// round order. A command that never applied would keep every later
+	// entry, where the map this replaced kept only its own.
+	admitted  []sim.VirtualTime
+	firstOpen int
+	latency   histogram
 
 	decidedWave int
 	commits     int
@@ -233,9 +240,8 @@ var _ sim.Node = (*Replica)(nil)
 // NewReplica builds one service replica. Most callers use Run.
 func NewReplica(cfg Config, c coin.Source) *Replica {
 	rep := &Replica{
-		cfg:        cfg,
-		queue:      &rider.QueueWorkload{BatchSize: cfg.BatchSize},
-		submitTime: map[string]sim.VirtualTime{},
+		cfg:   cfg,
+		queue: &rider.QueueWorkload{BatchSize: cfg.BatchSize},
 	}
 	rep.node = core.NewNode(core.Config{
 		Trust:         cfg.Trust,
@@ -288,7 +294,7 @@ func (s *Replica) onTick(env sim.Env, t tickMsg) {
 		}
 		cmd := s.nextCommand()
 		s.submitted++
-		s.submitTime[cmd] = env.Now()
+		s.admitted = append(s.admitted, env.Now())
 		s.queue.Submit(cmd)
 	}
 	if q := s.queue.Len(); q > s.peakQueue {
@@ -328,8 +334,9 @@ func (s *Replica) nextCommand() string {
 }
 
 // onDelivery is the core DeliverySink: apply the total order to the state
-// machine and account latency for own commands.
+// machine and account latency for own commands, the txs of own vertices.
 func (s *Replica) onDelivery(d rider.Delivery) {
+	own := d.Ref.Source == s.self
 	for _, tx := range d.Txs {
 		s.machine.Apply(tx)
 		s.applied++
@@ -337,11 +344,39 @@ func (s *Replica) onDelivery(d rider.Delivery) {
 		if s.cfg.RetainLog {
 			s.fullLog = append(s.fullLog, tx)
 		}
-		if at, ok := s.submitTime[tx]; ok {
-			s.latency.observe(int64(s.now - at))
-			delete(s.submitTime, tx)
+		if own {
+			s.observeLatency(tx)
 		}
 	}
+	if own {
+		k := 0
+		for k < len(s.admitted) && s.admitted[k] == appliedMark {
+			k++
+		}
+		s.admitted = slices.Delete(s.admitted, 0, k)
+		s.firstOpen += k
+	}
+}
+
+// appliedMark marks the admitted entry of an applied own command.
+const appliedMark sim.VirtualTime = -1
+
+// observeLatency records the commit latency of own command tx, whose number
+// nextCommand wrote after its last '.', and marks its entry applied. A
+// command applied before, whose entry is marked or gone, is not counted
+// again. Own vertices can deliver out of round order, so the entry need not
+// be the first.
+func (s *Replica) observeLatency(tx string) {
+	i, err := strconv.Atoi(tx[strings.LastIndexByte(tx, '.')+1:])
+	if err != nil {
+		return
+	}
+	i -= s.firstOpen
+	if i < 0 || i >= len(s.admitted) || s.admitted[i] == appliedMark {
+		return
+	}
+	s.latency.observe(int64(s.now - s.admitted[i]))
+	s.admitted[i] = appliedMark
 }
 
 // onCommit is the core CommitSink: it fires after the wave's deliveries

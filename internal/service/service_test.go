@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/quorum"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -109,11 +110,21 @@ func TestServiceDeterministicAcrossWorkers(t *testing.T) {
 
 // tickWatch wraps a replica and checks every client tick against the
 // admission loop written with fmt.Sprintf: the same commands, the same
-// admitted and rejected counts.
+// admitted and rejected counts, and one admission time per admitted
+// command, the tick's. It also keeps the reference latency accounting (see
+// refMachine): admit maps each command it predicted to its admission time.
 type tickWatch struct {
 	*Replica
 	t                  *testing.T
 	admitted, rejected int
+	admit              map[string]sim.VirtualTime
+	latency            histogram
+	// applied counts the own commands refMachine found in admit; late the
+	// runs of consecutive ones applied after a later own command, that is
+	// own vertices delivered out of round order (two such vertices applied
+	// back to back with consecutive commands count once).
+	applied, late  int
+	last, maxFound int
 }
 
 func (w *tickWatch) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
@@ -123,7 +134,7 @@ func (w *tickWatch) Receive(env sim.Env, from types.ProcessID, msg sim.Message) 
 		return
 	}
 	s, cfg := w.Replica, w.cfg
-	next, queued, known := s.nextCmd, s.queue.Len(), len(s.submitTime)
+	next, queued, known := s.nextCmd, s.queue.Len(), len(s.admitted)
 	var want []string
 	rejected := 0
 	for i := 0; i < cfg.ClientRate; i++ {
@@ -138,17 +149,72 @@ func (w *tickWatch) Receive(env sim.Env, from types.ProcessID, msg sim.Message) 
 	sub, rej := s.submitted, s.rejected
 	s.Receive(env, from, msg)
 	if s.submitted-sub != len(want) || s.rejected-rej != rejected || s.nextCmd != next ||
-		s.queue.Len() != queued || len(s.submitTime) != known+len(want) {
-		w.t.Fatalf("%v tick %d: admitted %d and rejected %d, queue %d, want %d, %d and queue %d",
-			s.self, tick.Seq, s.submitted-sub, s.rejected-rej, s.queue.Len(), len(want), rejected, queued)
+		s.queue.Len() != queued || len(s.admitted) != known+len(want) {
+		w.t.Fatalf("%v tick %d: admitted %d (%d entries) and rejected %d, queue %d, want %d, %d and queue %d",
+			s.self, tick.Seq, s.submitted-sub, len(s.admitted)-known, s.rejected-rej, s.queue.Len(), len(want), rejected, queued)
+	}
+	for i, at := range s.admitted[known:] {
+		if at != env.Now() {
+			w.t.Fatalf("%v tick %d recorded %q as admitted at %d, want %d", s.self, tick.Seq, want[i], at, env.Now())
+		}
 	}
 	for _, cmd := range want {
-		if _, ok := s.submitTime[cmd]; !ok {
-			w.t.Fatalf("%v tick %d did not submit %q", s.self, tick.Seq, cmd)
-		}
+		w.admit[cmd] = env.Now()
 	}
 	w.admitted += len(want)
 	w.rejected += rejected
+}
+
+// refMachine applies to the replica's state machine and keeps, beside it,
+// the latency accounting the replica had before it tracked admissions by
+// index: a command found in the watch's admission map, keyed by its text,
+// is observed at the replica's current time and leaves the map.
+type refMachine struct {
+	StateMachine
+	w *tickWatch
+}
+
+func (m refMachine) Apply(tx string) {
+	m.StateMachine.Apply(tx)
+	w := m.w
+	at, ok := w.admit[tx]
+	if !ok {
+		return
+	}
+	delete(w.admit, tx)
+	w.latency.observe(int64(w.now - at))
+	var key, src, i int
+	if _, err := fmt.Sscanf(tx, "set k%d p%d.%d", &key, &src, &i); err != nil {
+		w.t.Fatalf("%v applied own command %q: %v", w.self, tx, err)
+	}
+	if w.applied > 0 && i < w.maxFound && i != w.last+1 {
+		w.late++
+	}
+	w.applied++
+	w.last, w.maxFound = i, max(w.maxFound, i)
+}
+
+// watchTicks sets cfg up to run every replica under a tickWatch, itself
+// inside cfg's own Wrap, with its state machine inside a refMachine, and
+// returns the watches, indexed by process, as Run will fill them in.
+func watchTicks(t *testing.T, cfg *Config) []*tickWatch {
+	watches := make([]*tickWatch, cfg.Trust.N())
+	wrap, newMachine := cfg.Wrap, cfg.NewMachine
+	if newMachine == nil {
+		newMachine = func(types.ProcessID) StateMachine { return NewKV() }
+	}
+	cfg.Wrap = func(p types.ProcessID, inner sim.Node) sim.Node {
+		w := &tickWatch{Replica: inner.(*Replica), t: t, admit: map[string]sim.VirtualTime{}}
+		watches[p] = w
+		if wrap != nil {
+			return wrap(p, w)
+		}
+		return w
+	}
+	cfg.NewMachine = func(p types.ProcessID) StateMachine {
+		return refMachine{StateMachine: newMachine(p), w: watches[p]}
+	}
+	return watches
 }
 
 // TestTickCommandsMatchFormat pins the client load: every tick submits
@@ -158,12 +224,7 @@ func (w *tickWatch) Receive(env sim.Env, from types.ProcessID, msg sim.Message) 
 func TestTickCommandsMatchFormat(t *testing.T) {
 	cfg := baseConfig(3)
 	cfg.MaxQueue, cfg.BatchSize, cfg.StopAfterWaves = 6, 2, 6
-	var watches []*tickWatch
-	cfg.Wrap = func(_ types.ProcessID, inner sim.Node) sim.Node {
-		w := &tickWatch{Replica: inner.(*Replica), t: t}
-		watches = append(watches, w)
-		return w
-	}
+	watches := watchTicks(t, &cfg)
 	res := Run(cfg)
 	if !res.Stopped {
 		t.Fatal("run truncated")
@@ -193,6 +254,55 @@ func TestTickCommandsMatchFormat(t *testing.T) {
 	const want = "29075053c808a2ce49efda5ce42daf53df3e22f94f0c24bed0a9d77d19ce4738"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("Fig. 1 final states hash to %s, want %s", got, want)
+	}
+}
+
+// TestLatencyMatchesReference pins the replica's own-command latency, kept
+// by admission index and observed only for the txs of own vertices, to the
+// reference accounting of refMachine, keyed by command text and observed
+// for any applied tx: Report.Latency must equal it at every replica, on the
+// Fig. 1 system, at n=7 under partition-heal and at n=4 over five seeds.
+// Own vertices do deliver out of round order in some of these runs; the
+// test logs how many.
+func TestLatencyMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full service runs")
+	}
+	type run struct {
+		name string
+		cfg  Config
+	}
+	runs := []run{{"Fig. 1 seed 1", Config{Trust: quorum.Counterexample(), Seed: 1, CoinSeed: 1, StopAfterWaves: 10}}}
+	def, ok := scenario.Find("partition-heal")
+	if !ok {
+		t.Fatal("partition-heal scenario missing from the registry")
+	}
+	sc := def.Build(7, 1)
+	runs = append(runs, run{"n=7 partition-heal seed 1", Config{
+		Trust: quorum.NewThreshold(7, 2), Seed: 1, CoinSeed: 1, StopAfterWaves: 8, SnapshotEvery: 1,
+		Fault: sc.FaultPlane(), Wrap: sc.WrapNode,
+	}})
+	for seed := int64(1); seed <= 5; seed++ {
+		runs = append(runs, run{fmt.Sprintf("n=4 seed %d", seed), baseConfig(seed)})
+	}
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			watches := watchTicks(t, &r.cfg)
+			res := Run(r.cfg)
+			if !res.Stopped {
+				t.Fatal("run truncated")
+			}
+			applied, late := 0, 0
+			for p, rep := range res.Replicas {
+				w := watches[p]
+				if want := w.latency.summary(); rep.Latency != want || want.Count == 0 {
+					t.Fatalf("%v: Report.Latency %+v, reference %+v", p, rep.Latency, want)
+				}
+				applied += w.applied
+				late += w.late
+			}
+			t.Logf("%d own commands applied; %d own vertices delivered out of round order", applied, late)
+		})
 	}
 }
 

@@ -5,7 +5,9 @@ import "math"
 // histogram is a bounded-memory latency recorder: width-1 buckets up to
 // latCap virtual-time units, one overflow bucket beyond. A long-lived run
 // records millions of latencies in a fixed footprint, and percentiles come
-// from a counting walk — no sample retention.
+// from a counting walk — no sample retention. The buckets grow on demand,
+// doubling from latMin up to latCap, so a replica whose latencies stay low
+// holds latMin of them, not latCap.
 type histogram struct {
 	buckets  []int64
 	overflow int64
@@ -14,18 +16,27 @@ type histogram struct {
 	max      int64
 }
 
-const latCap = 1 << 12
+const (
+	latMin = 1 << 10
+	latCap = 1 << 12
+)
 
 func (h *histogram) observe(v int64) {
-	if h.buckets == nil {
-		h.buckets = make([]int64, latCap)
-	}
 	if v < 0 {
 		v = 0
 	}
 	if v >= latCap {
 		h.overflow++
 	} else {
+		if v >= int64(len(h.buckets)) {
+			size := max(len(h.buckets), latMin)
+			for int64(size) <= v {
+				size *= 2
+			}
+			grown := make([]int64, min(size, latCap))
+			copy(grown, h.buckets)
+			h.buckets = grown
+		}
 		h.buckets[v]++
 	}
 	h.count++
