@@ -326,47 +326,6 @@ func BenchmarkLargeNRiderParallel(b *testing.B) {
 
 // Micro-benchmarks of the substrate hot paths. ---------------------------
 
-// Copy-on-write pair-set snapshots: the per-trigger broadcast snapshot
-// must stay O(1) and allocation-free regardless of set size.
-func BenchmarkPairsSnapshot(b *testing.B) {
-	p := gather.NewPairs(1024)
-	for i := 0; i < 1024; i++ {
-		p.Set(types.ProcessID(i), "v")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s := p.Snapshot(); s.IsZero() {
-			b.Fatal("empty snapshot")
-		}
-	}
-}
-
-// The deferred-copy path: merging fresh pairs into a snapshot-protected
-// set pays exactly one backing copy per snapshot, at first mutation.
-func BenchmarkPairsMergeCOW(b *testing.B) {
-	const n = 256
-	base := gather.NewPairs(n)
-	for i := 0; i < n/2; i++ {
-		base.Set(types.ProcessID(i), "v")
-	}
-	delta := gather.NewPairs(n)
-	for i := n / 2; i < n; i++ {
-		delta.Set(types.ProcessID(i), "w")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := base.Snapshot()
-		if !p.Merge(delta) {
-			b.Fatal("merge conflict")
-		}
-		if p.Len() != n {
-			b.Fatal("merge lost pairs")
-		}
-	}
-}
-
 func BenchmarkSetIntersects(b *testing.B) {
 	x := types.FullSet(64)
 	y := types.NewSetOf(64, 63)

@@ -21,7 +21,6 @@ func runFlood(args []string, stdout io.Writer) int {
 	n := fs.Int("n", 50, "mesh size (processes)")
 	rounds := fs.Int("rounds", 100, "broadcast rounds (each: every host broadcasts once)")
 	size := fs.Int("size", 256, "payload padding bytes per message")
-	outbox := fs.Int("outbox", 0, "per-peer outbox bound (0 = default, <0 = unbounded)")
 	seed := fs.Int64("seed", 1, "cluster seed")
 	timeout := fs.Duration("timeout", 2*time.Minute, "flood deadline")
 	if code, ok := parse(fs, args); !ok {
@@ -31,17 +30,13 @@ func runFlood(args []string, stdout io.Writer) int {
 		return usageError("flood: need -n >= 2 and -rounds >= 1")
 	}
 
-	fc, err := transport.NewFloodCluster(*n, transport.LocalClusterConfig{
-		Seed:        *seed,
-		OutboxLimit: *outbox,
-	})
+	fc, err := transport.NewFloodCluster(*n, transport.LocalClusterConfig{Seed: *seed})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	defer fc.Close()
-	fmt.Fprintf(stdout, "mesh: n=%d (%d TCP connections), payload=%dB, outbox=%d\n",
-		*n, *n*(*n-1)/2, *size, *outbox)
+	fmt.Fprintf(stdout, "mesh: n=%d (%d TCP connections), payload=%dB\n", *n, *n*(*n-1)/2, *size)
 
 	// One warm-up round keeps connection ramp-up out of the measurement.
 	if _, err := fc.Flood(1, *size, *timeout); err != nil {

@@ -57,7 +57,7 @@ func run(args []string, stdout io.Writer) int {
 		return code
 	}
 
-	exps := harness.AllWithExtensions()
+	exps := harness.All()
 	if *list {
 		for _, e := range exps {
 			fmt.Fprintf(stdout, "%-10s %s\n", e.ID, e.Title)

@@ -38,18 +38,15 @@
 //     path. The naive set-loop references live in internal/quorum's tests,
 //     differential-tested against the compiled forms on hundreds of
 //     random systems per `go test ./...`.
-//   - Copy-on-write pair-set snapshots and pooled broadcast fan-out: the
-//     gather S/T/U sets (gather.Pairs) snapshot in O(1) at every quorum
-//     trigger — Snapshot marks the backing storage shared and the first
-//     post-snapshot mutation copies it, so a broadcast payload can never
-//     observe later changes of the live set (a differential suite pins
-//     the aliasing semantics against a naive deep-copy reference). The
-//     simulator delivers events through pooled per-process Envs and a
-//     fan-out fast path that does per-message bookkeeping once per
-//     broadcast, and the gather pending-acceptance buffers run on
-//     free-lists — event delivery itself is allocation-free, and the
-//     repository benchmark (bench/, BENCHMARK.json) bounds allocs_per_tx
-//     so the reduction stays durable.
+//   - Pooled broadcast fan-out: the simulator delivers events through
+//     pooled per-process Envs and a fan-out fast path that does
+//     per-message bookkeeping once per broadcast — event delivery itself
+//     is allocation-free, and the repository benchmark (bench/,
+//     BENCHMARK.json) bounds allocs_per_tx so the reduction stays durable.
+//     The gathers keep their S/T/U sets as a plain bitset plus values
+//     (gather.Pairs), send a Clone at each quorum trigger, and buffer
+//     early DISTRIBUTE sets in one arrival-ordered list with at most one
+//     entry per sender.
 //   - Digest-addressed reliable broadcast (internal/broadcast): a vertex
 //     travels once per receiver, in the SEND; ECHO and READY carry the
 //     32-byte SHA-256 of its canonical wire frame, computed once where the

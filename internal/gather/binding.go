@@ -30,7 +30,7 @@ type BindingNode struct {
 	outcome
 	v        Pairs // union of accepted U sets
 	uFrom    *quorum.Tracker
-	pendingU *pendingPairs
+	pendingU pendingPairs
 	sentU    bool
 }
 
@@ -39,14 +39,13 @@ var _ sim.Node = (*BindingNode)(nil)
 // NewBindingNode creates a binding gather node.
 func NewBindingNode(cfg Config) *BindingNode {
 	n := &BindingNode{
-		inner:    NewConstantRoundNode(cfg),
-		v:        NewPairs(cfg.Trust.N()),
-		pendingU: newPendingPairs(),
+		inner: NewConstantRoundNode(cfg),
+		v:     NewPairs(cfg.Trust.N()),
 	}
 	// Buffered U sets become acceptable only when the inner S set grows;
-	// hook the arb-delivery so exactly the waiting entries re-check.
-	n.inner.inputHook = func(env sim.Env, src types.ProcessID, value string) {
-		for _, e := range n.pendingU.deliver(src, value) {
+	// hook the arb-delivery so the entries that name it re-check.
+	n.inner.inputHook = func(env sim.Env, src types.ProcessID) {
+		for _, e := range n.pendingU.deliver(n.inner.s, src) {
 			n.acceptU(e.from, e.pairs)
 		}
 		n.afterInner(env)
@@ -86,7 +85,7 @@ func (n *BindingNode) afterInner(env sim.Env) {
 		return
 	}
 	n.sentU = true
-	env.Broadcast(distUMsg{From: n.inner.self, U: u.Snapshot()})
+	env.Broadcast(distUMsg{From: n.inner.self, U: u.Clone()})
 }
 
 func (n *BindingNode) acceptU(from types.ProcessID, u Pairs) {

@@ -35,10 +35,9 @@ type confirmMsg struct{}
 // full quorum — which quorum consistency then spreads into everyone's U
 // set (Lemmas 3.3–3.7).
 //
-// All quorum tallies are incremental quorum.Tracker values and buffered
-// DISTRIBUTE sets re-check only against the arb-delivery that may unblock
-// them (pendingPairs), so each message is processed in amortized O(words)
-// instead of re-scanning quorums and pending buffers.
+// All quorum tallies are incremental quorum.Tracker values. Buffered
+// DISTRIBUTE sets (pendingPairs, at most one per sender) are re-checked on
+// each arb-delivery of a process they name.
 type ConstantRoundNode struct {
 	collector
 	outcome
@@ -51,12 +50,12 @@ type ConstantRoundNode struct {
 	gate  *Gate
 	tFrom *quorum.Tracker
 
-	pendingS *pendingPairs
-	pendingT *pendingPairs
+	pendingS pendingPairs
+	pendingT pendingPairs
 
 	// inputHook, when set, observes every accepted arb-delivery (used by
 	// BindingNode to unblock its own buffered U sets).
-	inputHook func(env sim.Env, src types.ProcessID, value string)
+	inputHook func(env sim.Env, src types.ProcessID)
 }
 
 var _ sim.Node = (*ConstantRoundNode)(nil)
@@ -69,8 +68,6 @@ func NewConstantRoundNode(cfg Config) *ConstantRoundNode {
 		collector: newCollector(cfg),
 		t:         NewPairs(n),
 		u:         NewPairs(n),
-		pendingS:  newPendingPairs(),
-		pendingT:  newPendingPairs(),
 	}
 }
 
@@ -82,18 +79,18 @@ func (n *ConstantRoundNode) Init(env sim.Env) {
 }
 
 // onInput runs after each arb-delivery enters S.
-func (n *ConstantRoundNode) onInput(env sim.Env, src types.ProcessID, value string) {
-	// Wake exactly the buffered DISTRIBUTE sets waiting on this delivery.
-	for _, e := range n.pendingS.deliver(src, value) {
+func (n *ConstantRoundNode) onInput(env sim.Env, src types.ProcessID) {
+	// Wake the buffered DISTRIBUTE sets this delivery completes.
+	for _, e := range n.pendingS.deliver(n.s, src) {
 		if !n.gate.Open() {
 			n.acceptS(env, e.from, e.pairs)
 		}
 	}
-	for _, e := range n.pendingT.deliver(src, value) {
+	for _, e := range n.pendingT.deliver(n.s, src) {
 		n.acceptT(env, e.from, e.pairs)
 	}
 	if n.inputHook != nil {
-		n.inputHook(env, src, value)
+		n.inputHook(env, src)
 	}
 }
 
@@ -139,7 +136,7 @@ func (n *ConstantRoundNode) Receive(env sim.Env, from types.ProcessID, msg sim.M
 		}
 		if opened {
 			n.pendingS.clear() // stop acknowledging
-			env.Broadcast(distTMsg{From: n.self, T: n.t.Snapshot()})
+			env.Broadcast(distTMsg{From: n.self, T: n.t.Clone()})
 		}
 	case distTMsg:
 		if m.From != from || !m.T.wireValid(env.N()) {

@@ -11,28 +11,26 @@
 //     (Algorithm 3) with DISTRIBUTE_S / ACK / READY / CONFIRM /
 //     DISTRIBUTE_T control flow. Its ACK/READY/CONFIRM rules (lines
 //     51–59) are Gate, which internal/core's consensus waves run too.
+//   - TwoRound: Tusk's two-round common-core primitive, generalized with
+//     quorum triggers the same way.
+//   - Binding: Algorithm 3 plus one DISTRIBUTE_U round, which fixes the
+//     common core by the first delivery (§2.4).
 //   - Abstract round-merge model: the pure-set-algebra execution of
 //     Listing 1, used to regenerate Figures 2–4 exactly.
 //
-// # Snapshot / copy-on-write contract
+// The protocols keep their S/T/U sets as Pairs. At a quorum trigger a
+// node sends a Clone of its live set, which keeps growing; a set received
+// before all its pairs were arb-delivered waits in a pendingPairs buffer,
+// at most one per sender, until they are.
 //
-// Every protocol here snapshots its S/T/U pair-set at a quorum trigger and
-// broadcasts the snapshot while the live set keeps growing. Pairs.Snapshot
-// makes that O(1): it marks the backing storage shared and returns an
-// aliasing view; the first subsequent mutation of any alias (Set and Merge
-// check the shared flag) copies the backing before writing, so a snapshot
-// can never observe changes made after it was taken. Clone remains an
-// eager deep copy for callers that want immediately independent storage.
-// The differential suite in pairs_cow_test.go pins the copy-on-write
-// semantics against a naive deep-copy reference over randomized op
-// sequences.
+// No gather run uses the simulator's parallel delivery (internal/core's
+// waves do, but they use only Gate), so nothing here is synchronized.
 package gather
 
 import (
 	"fmt"
 	"math/bits"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/types"
 )
@@ -48,31 +46,18 @@ import (
 // value comparisons for other's members only, with no map hashing or
 // iteration; Merge and Clone are word-ors and slice copies.
 //
-// The backing storage is copy-on-write: Snapshot marks it shared in O(1)
-// and the mutators (Set, Merge) copy before their first write to a shared
-// backing. Mutators therefore use pointer receivers — the copy-on-write
-// swap must be visible through the caller's variable. Plain struct
-// assignment still aliases the backing without marking it (both copies
-// observe each other's writes, exactly as before the COW rewrite); use
-// Snapshot whenever one side must stay frozen.
+// Struct assignment aliases the storage, so a copy that must not see
+// later writes is made with Clone. A received Pairs belongs to the
+// sender: handlers read it and merge it into their own sets, never write
+// it.
 type Pairs struct {
 	senders types.Set
 	vals    []string
-	// shared, when true, marks senders/vals as aliased by a snapshot (or
-	// by the snapshot's parent): mutators must copy before writing. The
-	// flag is a pointer so that every alias of one backing — however the
-	// aliasing arose — sees the mark; it is nil only in the zero value.
-	// It is atomic because under the simulator's parallel same-time
-	// delivery the Receive handlers of distinct receivers run
-	// concurrently, and a broadcast payload aliases one backing across
-	// all of them: one handler re-snapshotting (flag store) can overlap
-	// another handler's copy-on-write check (flag load).
-	shared *atomic.Bool
 }
 
 // NewPairs returns an empty pair set over a universe of n processes.
 func NewPairs(n int) Pairs {
-	return Pairs{senders: types.NewSet(n), vals: make([]string, n), shared: new(atomic.Bool)}
+	return Pairs{senders: types.NewSet(n), vals: make([]string, n)}
 }
 
 // PairsOf builds a pair set over a universe of n from a literal map
@@ -90,53 +75,12 @@ func PairsOf(n int, m map[types.ProcessID]string) Pairs {
 // empty set). Nodes use it for "not yet sent/delivered" sentinels.
 func (p Pairs) IsZero() bool { return p.vals == nil }
 
-// Clone returns an eagerly independent deep copy. Hot paths that only
-// need a frozen view should use Snapshot, which defers the copy until a
-// mutation actually happens (and avoids it entirely for sets that never
-// change again).
+// Clone returns an independent deep copy.
 func (p Pairs) Clone() Pairs {
 	if p.IsZero() {
 		return p
 	}
-	c := Pairs{senders: p.senders.Clone(), vals: make([]string, len(p.vals)), shared: new(atomic.Bool)}
-	copy(c.vals, p.vals)
-	return c
-}
-
-// Snapshot returns an O(1) frozen view of p: the snapshot and p keep
-// sharing the backing storage until either next mutates, at which point
-// the mutator copies the backing first (copy-on-write). The snapshot is
-// therefore immune to later changes of p — this is what the gather
-// protocols rely on when they broadcast the set captured at a quorum
-// trigger and keep merging deliveries into the live set afterwards.
-// A zero Pairs snapshots to a zero Pairs.
-func (p *Pairs) Snapshot() Pairs {
-	if p.IsZero() {
-		return Pairs{}
-	}
-	// Load-before-store: re-snapshotting an already-shared backing is the
-	// common case (every quorum trigger snapshots, mutations are rarer),
-	// and an atomic load is a plain MOV where the unconditional store
-	// would serialize the pipeline on every call.
-	if !p.shared.Load() {
-		p.shared.Store(true)
-	}
-	return *p
-}
-
-// ensureOwned makes p the sole owner of its backing storage, copying it
-// if a snapshot still aliases it. Mutators call it before their first
-// write; reads never need it. The old backing (and its shared flag) stays
-// with the snapshots; the fresh backing starts unshared.
-func (p *Pairs) ensureOwned() {
-	if p.shared == nil || !p.shared.Load() {
-		return
-	}
-	p.senders = p.senders.Clone()
-	vals := make([]string, len(p.vals))
-	copy(vals, p.vals)
-	p.vals = vals
-	p.shared = new(atomic.Bool)
+	return Pairs{senders: p.senders.Clone(), vals: append([]string(nil), p.vals...)}
 }
 
 // Get returns the value associated with process k, if any.
@@ -158,7 +102,6 @@ func (p *Pairs) Set(k types.ProcessID, v string) bool {
 	if p.senders.Contains(k) {
 		return p.vals[k] == v
 	}
-	p.ensureOwned()
 	p.senders.Add(k)
 	p.vals[k] = v
 	return true
@@ -198,17 +141,6 @@ func (p *Pairs) Merge(other Pairs) bool {
 		return true
 	}
 	pw, ow := p.senders.Words(), other.senders.Words()
-	for wi, w := range ow {
-		if w&^pw[wi] != 0 {
-			// other contributes at least one new pair, so a write is
-			// coming: copy-on-write now. Conflict-only merges (and merges
-			// of subsets, including self-merges through a snapshot) never
-			// write and never copy.
-			p.ensureOwned()
-			pw = p.senders.Words()
-			break
-		}
-	}
 	ok := true
 	for wi, w := range ow {
 		for w != 0 {

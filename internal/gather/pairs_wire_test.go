@@ -8,11 +8,11 @@ import (
 
 // TestPendingPairsSupersede pins the buffering semantics: an immediately
 // accepted set leaves the sender's earlier buffered set pending, while a
-// newly buffered (or conflicting) set supersedes it — mirroring the
-// map-overwrite behavior of the rescan implementation this replaced.
+// newly buffered (or conflicting) set supersedes it; sets waiting on one
+// process wake in arrival order, and one that conflicts is dropped.
 func TestPendingPairsSupersede(t *testing.T) {
 	s := PairsOf(4, map[types.ProcessID]string{0: "a"})
-	pp := newPendingPairs()
+	var pp pendingPairs
 
 	// S1 buffers (waits on p2); S2 is immediately acceptable.
 	s1 := PairsOf(4, map[types.ProcessID]string{0: "a", 2: "c"})
@@ -25,7 +25,7 @@ func TestPendingPairsSupersede(t *testing.T) {
 	}
 	// S1 must still be pending: delivering (2, "c") wakes it.
 	s.Set(2, "c")
-	ready := pp.deliver(2, "c")
+	ready := pp.deliver(s, 2)
 	if len(ready) != 1 || !ready[0].pairs.ContainsAll(s1) {
 		t.Fatalf("S1 lost after immediate accept of S2: ready=%v", ready)
 	}
@@ -37,9 +37,30 @@ func TestPendingPairsSupersede(t *testing.T) {
 		t.Fatal("S3/S4 should buffer")
 	}
 	s.Set(3, "e")
-	ready = pp.deliver(3, "e")
+	ready = pp.deliver(s, 3)
 	if len(ready) != 1 || !ready[0].pairs.ContainsAll(s4) {
 		t.Fatalf("expected only superseding S4 to wake, got %v", ready)
+	}
+
+	// Three senders wait on process 1; sender 2's set binds it to another
+	// value. The two that match wake in arrival order, and sender 2's is
+	// dropped, not left pending.
+	waiting := []struct {
+		from types.ProcessID
+		val  string
+	}{{3, "b"}, {2, "x"}, {0, "b"}}
+	for _, w := range waiting {
+		if pp.add(s, w.from, PairsOf(4, map[types.ProcessID]string{1: w.val, 2: "c"})) {
+			t.Fatalf("set of %v should buffer", w.from)
+		}
+	}
+	s.Set(1, "b")
+	ready = pp.deliver(s, 1)
+	if len(ready) != 2 || ready[0].from != 3 || ready[1].from != 0 {
+		t.Fatalf("expected senders 3 then 0 to wake, got %v", ready)
+	}
+	if len(pp.entries) != 0 {
+		t.Fatalf("conflicting set still buffered: %v", pp.entries)
 	}
 }
 

@@ -1,197 +1,73 @@
 package gather
 
 import (
-	"math/bits"
+	"slices"
 
 	"repro/internal/types"
 )
 
-// pendingEntry is one buffered DISTRIBUTE_S/T/U pair-set whose components
-// have not all been arb-delivered yet.
+// pendingEntry is one received DISTRIBUTE_S/T/U pair-set, with its sender.
 type pendingEntry struct {
-	from    types.ProcessID
-	pairs   Pairs
-	missing int  // pairs not yet confirmed by local arb-deliveries
-	dead    bool // conflicting value observed: can never be accepted
-	refs    int  // waiter lists still holding a pointer to this entry
-}
-
-// acceptedPairs is one buffered pair-set that became acceptable.
-type acceptedPairs struct {
 	from  types.ProcessID
 	pairs Pairs
 }
 
-// pendingPairs indexes buffered pair-sets by the arb-deliveries they still
-// await, so each delivery re-checks exactly the entries waiting on that
-// process instead of rescanning every pending message (the old drainPending
-// was O(deliveries × pending × |S|); this is O(total pending membership)).
-//
-// Conflict handling mirrors the rescan semantics: a pair (k, v) whose
-// process k is locally bound to a different value can never satisfy the
-// S_j ⊆ S acceptance predicate (S values are write-once), so the entry is
-// discarded instead of staying buffered forever.
-//
-// Allocation: broadcast fan-out buffers and releases entries by the
-// thousand on the adversarial schedules, so entries and waiter-list
-// backings are recycled through free-lists once every reference to them is
-// gone (refs counts the waiter lists still holding an entry), an
-// immediately-acceptable set allocates nothing at all, and deliver reuses
-// one scratch slice for its results. Everything here is owned by a single
-// node on a single goroutine.
+// pendingPairs buffers the DISTRIBUTE_S/T/U sets that are not yet
+// contained in the local set S, in arrival order, at most one per sender.
+// A set waits until every pair in it has been arb-delivered, and is
+// dropped once one of its processes is delivered with another value: S
+// values are write-once, so it could never be accepted.
 type pendingPairs struct {
-	bySender map[types.ProcessID]*pendingEntry
-	waiters  map[types.ProcessID][]*pendingEntry
-
-	freeEntries []*pendingEntry
-	freeLists   [][]*pendingEntry
-	ready       []acceptedPairs
+	entries []pendingEntry
 }
 
-func newPendingPairs() *pendingPairs {
-	return &pendingPairs{
-		bySender: map[types.ProcessID]*pendingEntry{},
-		waiters:  map[types.ProcessID][]*pendingEntry{},
-	}
-}
-
-// add registers the pair-set from a sender against the current local set s.
-// It returns ready=true when the set is acceptable right now (nothing is
-// buffered — or allocated — in that case). A newer message from the same
-// sender that has to buffer supersedes the sender's earlier buffered one —
-// the map-overwrite semantics this replaces; an immediately accepted
-// message leaves any earlier buffered set pending, exactly as the old
-// accept branch did.
-func (pp *pendingPairs) add(s Pairs, from types.ProcessID, pairs Pairs) (ready bool) {
-	if pairs.IsZero() {
+// add registers the pair-set from a sender against the current local set
+// s and reports whether it is acceptable now. Otherwise it replaces the
+// sender's buffered set, unless it conflicts with s, in which case the
+// sender is left with none. An acceptable set leaves the sender's earlier
+// buffered set pending.
+func (pp *pendingPairs) add(s Pairs, from types.ProcessID, pairs Pairs) bool {
+	if s.ContainsAll(pairs) {
 		return true
 	}
-	// Word-parallel split of pairs into present-in-s (value check) and
-	// missing (waiter registration) members.
-	sw, ow := s.senders.Words(), pairs.senders.Words()
-	for wi, w := range ow {
-		for present := w & sw[wi]; present != 0; present &= present - 1 {
-			k := wi*64 + bits.TrailingZeros64(present)
-			if s.vals[k] != pairs.vals[k] {
-				// Conflicting value: this set can never be accepted, and it
-				// supersedes the sender's earlier buffered set (the old code
-				// overwrote it with this never-acceptable one).
-				pp.supersede(from)
-				return false
-			}
-		}
+	pp.entries = slices.DeleteFunc(pp.entries, func(e pendingEntry) bool { return e.from == from })
+	if !conflicts(s, pairs) {
+		pp.entries = append(pp.entries, pendingEntry{from, pairs})
 	}
-	missing := 0
-	for wi, w := range ow {
-		missing += bits.OnesCount64(w &^ sw[wi])
-	}
-	if missing == 0 {
-		return true
-	}
-	entry := pp.newEntry(from, pairs, missing)
-	for wi, w := range ow {
-		for miss := w &^ sw[wi]; miss != 0; miss &= miss - 1 {
-			k := types.ProcessID(wi*64 + bits.TrailingZeros64(miss))
-			pp.addWaiter(k, entry)
-		}
-	}
-	pp.supersede(from)
-	pp.bySender[from] = entry
 	return false
 }
 
-// supersede invalidates the sender's currently buffered entry, if any.
-// The dead entry is recycled once the waiter lists that still point at it
-// drain.
-func (pp *pendingPairs) supersede(from types.ProcessID) {
-	if old := pp.bySender[from]; old != nil {
-		old.dead = true
-		delete(pp.bySender, from)
-	}
-}
-
-// newEntry takes an entry off the free-list (or allocates the pool's first
-// of that shape).
-func (pp *pendingPairs) newEntry(from types.ProcessID, pairs Pairs, missing int) *pendingEntry {
-	var e *pendingEntry
-	if n := len(pp.freeEntries); n > 0 {
-		e = pp.freeEntries[n-1]
-		pp.freeEntries = pp.freeEntries[:n-1]
-	} else {
-		e = &pendingEntry{}
-	}
-	*e = pendingEntry{from: from, pairs: pairs, missing: missing, refs: missing}
-	return e
-}
-
-// release recycles a dead entry once no waiter list references it any
-// more. The buffered Pairs reference is dropped eagerly so a pooled entry
-// does not pin a message payload alive.
-func (pp *pendingPairs) release(e *pendingEntry) {
-	if !e.dead || e.refs != 0 {
-		return
-	}
-	e.pairs = Pairs{}
-	pp.freeEntries = append(pp.freeEntries, e)
-}
-
-// addWaiter appends entry to process k's waiter list, reusing a drained
-// list backing when one is free.
-func (pp *pendingPairs) addWaiter(k types.ProcessID, e *pendingEntry) {
-	list, ok := pp.waiters[k]
-	if !ok {
-		if n := len(pp.freeLists); n > 0 {
-			list = pp.freeLists[n-1]
-			pp.freeLists = pp.freeLists[:n-1]
+// deliver is called once process k has entered s. It returns, in arrival
+// order, the buffered sets that name k and that s now contains, and drops
+// those that bind k to another value. The returned slice is the caller's.
+func (pp *pendingPairs) deliver(s Pairs, k types.ProcessID) []pendingEntry {
+	var ready []pendingEntry
+	pp.entries = slices.DeleteFunc(pp.entries, func(e pendingEntry) bool {
+		if !e.pairs.Contains(k) {
+			return false
 		}
-	}
-	pp.waiters[k] = append(list, e)
+		if s.ContainsAll(e.pairs) {
+			ready = append(ready, e)
+			return true
+		}
+		return conflicts(s, e.pairs)
+	})
+	return ready
 }
 
-// deliver records that (k, v) entered the local set and returns the
-// entries that became acceptable as a result. The returned slice is a
-// scratch buffer owned by pp, valid until the next deliver call — callers
-// consume it immediately (and never re-enter deliver/add on the same
-// instance while iterating).
-func (pp *pendingPairs) deliver(k types.ProcessID, v string) []acceptedPairs {
-	list, ok := pp.waiters[k]
-	if !ok {
-		return nil
-	}
-	delete(pp.waiters, k)
-	pp.ready = pp.ready[:0]
-	for i, e := range list {
-		list[i] = nil // the recycled backing must not pin entries
-		e.refs--
-		if e.dead {
-			pp.release(e)
-			continue
-		}
-		if want, _ := e.pairs.Get(k); want != v {
-			e.dead = true
-			delete(pp.bySender, e.from)
-			pp.release(e)
-			continue
-		}
-		e.missing--
-		if e.missing == 0 {
-			e.dead = true
-			delete(pp.bySender, e.from)
-			pp.ready = append(pp.ready, acceptedPairs{from: e.from, pairs: e.pairs})
-			pp.release(e)
-		}
-	}
-	pp.freeLists = append(pp.freeLists, list[:0])
-	return pp.ready
-}
+// clear drops every buffered set (used when the protocol stops
+// acknowledging).
+func (pp *pendingPairs) clear() { pp.entries = nil }
 
-// clear drops every buffered entry (used when the protocol stops
-// acknowledging). The free-lists survive: pooled entries have no live
-// references by construction, and drained list backings hold only nils.
-func (pp *pendingPairs) clear() {
-	for _, e := range pp.bySender {
-		e.dead = true
-	}
-	pp.bySender = map[types.ProcessID]*pendingEntry{}
-	pp.waiters = map[types.ProcessID][]*pendingEntry{}
+// conflicts reports whether p binds some process to a value other than
+// the one s binds it to.
+func conflicts(s, p Pairs) bool {
+	bad := false
+	p.ForEach(func(k types.ProcessID, v string) bool {
+		if w, ok := s.Get(k); ok && w != v {
+			bad = true
+		}
+		return !bad
+	})
+	return bad
 }

@@ -48,13 +48,13 @@ func newCollector(cfg Config) collector {
 
 // start broadcasts the input. onInput, when non-nil, runs after each
 // delivered input enters S; the node routes its traffic through bc.Handle.
-func (c *collector) start(env sim.Env, onInput func(sim.Env, types.ProcessID, string)) {
+func (c *collector) start(env sim.Env, onInput func(sim.Env, types.ProcessID)) {
 	c.self = env.Self()
 	c.sSenders = quorum.NewTracker(c.cfg.Trust, c.self)
 	deliver := func(env sim.Env, slot broadcast.Slot, p broadcast.Payload) {
 		src, value := slot.Src, string(p.(broadcast.Bytes))
 		if c.collect(env, src, value) && onInput != nil {
-			onInput(env, src, value)
+			onInput(env, src)
 		}
 	}
 	if c.cfg.Mode == UsePlain {
@@ -75,7 +75,7 @@ func (c *collector) collect(env sim.Env, src types.ProcessID, value string) bool
 	c.sSenders.Add(src)
 	if !c.sentS && c.sSenders.HasQuorum() {
 		c.sentS = true
-		c.sSnapshot = c.s.Snapshot()
+		c.sSnapshot = c.s.Clone()
 		env.Broadcast(distSMsg{From: c.self, S: c.sSnapshot})
 	}
 	return true
@@ -96,7 +96,7 @@ type outcome struct {
 func (o *outcome) deliverOnce(from *quorum.Tracker, u Pairs) {
 	if !o.delivered && from.HasQuorum() {
 		o.delivered = true
-		o.output = u.Snapshot()
+		o.output = u.Clone()
 	}
 }
 
@@ -181,7 +181,7 @@ func (n *ThreeRoundNode) Receive(env sim.Env, from types.ProcessID, msg sim.Mess
 		n.sFrom.Add(from)
 		if !n.sentT && n.sFrom.HasQuorum() {
 			n.sentT = true
-			env.Broadcast(distTMsg{From: n.self, T: n.t.Snapshot()})
+			env.Broadcast(distTMsg{From: n.self, T: n.t.Clone()})
 		}
 	case distTMsg:
 		if m.From != from || !m.T.wireValid(env.N()) {

@@ -33,7 +33,7 @@ func TestRepresentativeNodeIsMinPID(t *testing.T) {
 // is left out: one run takes about a second, the rest together about as
 // long.
 func TestExpBatchingDeterministic(t *testing.T) {
-	for _, e := range AllWithExtensions() {
+	for _, e := range All() {
 		if e.ID == "waves" {
 			continue
 		}

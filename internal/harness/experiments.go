@@ -14,7 +14,8 @@ import (
 
 // This file regenerates every figure and quantitative claim of the paper.
 // Each ExpXxx function returns the printable artifact; cmd/experiments and
-// the benchmarks call them. All lists the IDs in paper order.
+// the benchmarks call them. All lists the IDs, the paper's own artifacts
+// first in paper order, then the extensions of extensions.go.
 
 // Experiment couples an ID with its generator, for cmd/experiments.
 type Experiment struct {
@@ -23,7 +24,7 @@ type Experiment struct {
 	Run   func() string
 }
 
-// All returns every experiment in paper order.
+// All returns every experiment, paper artifacts first.
 func All() []Experiment {
 	return []Experiment{
 		{"fig1", "Figure 1: counterexample fail-prone system and canonical quorums", ExpFig1},
@@ -36,12 +37,17 @@ func All() []Experiment {
 		{"waves", "Lemma 4.4: expected waves per commit vs the |P|/c(Q) bound", ExpCommitWaves},
 		{"compare", "Symmetric DAG-Rider vs asymmetric DAG-Rider (threshold systems)", ExpProtocolComparison},
 		{"faults", "Definition 4.1 properties under crash and Byzantine faults", ExpFaults},
+		{"binding", "§2.4 binding gather: one extra round fixes the core at first delivery", ExpBinding},
+		{"gc", "§4.5 memory: garbage-collected DAG vs unbounded DAG-Rider", ExpGC},
+		{"latency", "Vertex commit latency in rounds (wave-structure cost)", ExpLatency},
+		{"batching", "Throughput vs block size (dissemination/ordering decoupling)", ExpBatching},
+		{"scenarios", "Adversarial scenario registry: Definition 4.1 properties per built-in scenario", ExpScenarios},
 	}
 }
 
-// Find returns the experiment with the given ID (including extensions).
+// Find returns the experiment with the given ID.
 func Find(id string) (Experiment, bool) {
-	for _, e := range AllWithExtensions() {
+	for _, e := range All() {
 		if e.ID == id {
 			return e, true
 		}

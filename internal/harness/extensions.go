@@ -16,23 +16,7 @@ import (
 // Extension experiments beyond the paper's own artifacts: the §2.4 binding
 // gather's extra round, the garbage-collection ablation of the §4.5 memory
 // caveat, commit latency, batching and the adversarial scenario registry.
-
-// ExtensionExperiments returns the additional experiments (appended to
-// All() by cmd/experiments via AllWithExtensions).
-func ExtensionExperiments() []Experiment {
-	return []Experiment{
-		{"binding", "§2.4 binding gather: one extra round fixes the core at first delivery", ExpBinding},
-		{"gc", "§4.5 memory: garbage-collected DAG vs unbounded DAG-Rider", ExpGC},
-		{"latency", "Vertex commit latency in rounds (wave-structure cost)", ExpLatency},
-		{"batching", "Throughput vs block size (dissemination/ordering decoupling)", ExpBatching},
-		{"scenarios", "Adversarial scenario registry: Definition 4.1 properties per built-in scenario", ExpScenarios},
-	}
-}
-
-// AllWithExtensions returns every experiment, paper artifacts first.
-func AllWithExtensions() []Experiment {
-	return append(All(), ExtensionExperiments()...)
-}
+// All lists them after the paper's artifacts.
 
 // ExpBinding compares Algorithm 3 with its binding variant (E12).
 func ExpBinding() string {

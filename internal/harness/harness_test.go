@@ -11,27 +11,45 @@ import (
 	"repro/internal/types"
 )
 
-func TestAllExperimentsRegistered(t *testing.T) {
+// checkRegistered checks that All() lists the given IDs, in order, from
+// index from on, each complete and reachable by Find.
+func checkRegistered(t *testing.T, from int, want []string) {
+	t.Helper()
 	exps := All()
-	if len(exps) != 10 {
-		t.Fatalf("expected 10 experiments, got %d", len(exps))
+	if len(exps) < from+len(want) {
+		t.Fatalf("expected at least %d experiments, got %d", from+len(want), len(exps))
 	}
-	seen := map[string]bool{}
-	for _, e := range exps {
-		if e.ID == "" || e.Title == "" || e.Run == nil {
-			t.Errorf("experiment %+v incomplete", e.ID)
+	for i, id := range want {
+		e := exps[from+i]
+		if e.ID != id {
+			t.Errorf("experiment %d is %q, want %q", from+i, e.ID, id)
 		}
-		if seen[e.ID] {
-			t.Errorf("duplicate experiment id %q", e.ID)
+		if e.Title == "" || e.Run == nil {
+			t.Errorf("experiment %q incomplete", e.ID)
 		}
-		seen[e.ID] = true
+		if f, ok := Find(e.ID); !ok || f.Title != e.Title {
+			t.Errorf("Find(%q) = %q, %v", e.ID, f.ID, ok)
+		}
 	}
-	if _, ok := Find("fig4"); !ok {
-		t.Error("Find(fig4) failed")
+}
+
+// TestAllExperimentsRegistered pins the one registry: the paper's
+// artifacts first, in the order `experiments -list` prints, the
+// extensions after them (TestExtensionExperimentsRegistered), nothing else.
+func TestAllExperimentsRegistered(t *testing.T) {
+	checkRegistered(t, 0, []string{"fig1", "fig2", "fig3", "fig4", "smallsys", "logrounds", "gather", "waves", "compare", "faults"})
+	if n := len(All()); n != 15 {
+		t.Fatalf("expected 15 experiments, got %d", n)
 	}
 	if _, ok := Find("nope"); ok {
 		t.Error("Find(nope) should fail")
 	}
+}
+
+// TestExtensionExperimentsRegistered pins the experiments beyond the
+// paper's own artifacts: the last five entries of All(), in order.
+func TestExtensionExperimentsRegistered(t *testing.T) {
+	checkRegistered(t, 10, []string{"binding", "gc", "latency", "batching", "scenarios"})
 }
 
 func TestExpFig1Content(t *testing.T) {
@@ -184,19 +202,6 @@ func TestCheckAgreementDetectsDisagreement(t *testing.T) {
 	res.Nodes[1] = nr
 	if err := res.CheckAgreement(all); err == nil {
 		t.Error("substituted delivery not detected")
-	}
-}
-
-func TestExtensionExperimentsRegistered(t *testing.T) {
-	exts := ExtensionExperiments()
-	if len(exts) != 5 {
-		t.Fatalf("expected 5 extension experiments, got %d", len(exts))
-	}
-	if len(AllWithExtensions()) != len(All())+len(exts) {
-		t.Fatal("AllWithExtensions should append extensions")
-	}
-	if _, ok := Find("gc"); !ok {
-		t.Error("Find should locate extension experiments")
 	}
 }
 

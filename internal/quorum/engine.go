@@ -363,7 +363,6 @@ type trackerMode uint8
 const (
 	modeCompiled  trackerMode = iota // incremental residual counts over an Evaluator
 	modeThreshold                    // pure cardinality counting
-	modeFallback                     // narrow Assumption interface, memoized
 )
 
 // Tracker is the incremental predicate view for one (process, tally) pair.
@@ -393,16 +392,12 @@ type Tracker struct {
 
 	// modeThreshold
 	quorumSize, kernelSize int
-
-	// modeFallback
-	fallback Assumption
 }
 
 // NewTracker creates the incremental tracker of process i's predicates
 // over an initially empty tally. Explicit systems get the compiled
-// engine, Threshold gets the trivial counting tracker, and any other
-// Assumption implementation falls back to memoized calls through the
-// narrow interface.
+// engine and Threshold gets the trivial counting tracker; any other
+// Assumption implementation panics.
 func NewTracker(a Assumption, i types.ProcessID) *Tracker {
 	t := &Tracker{members: types.NewSet(a.N())}
 	t.bind(a, i, nil)
@@ -450,8 +445,7 @@ func (t *Tracker) bind(a Assumption, i types.ProcessID, missing []int32) {
 		t.quorumSize = s.QuorumSize()
 		t.kernelSize = s.KernelSize()
 	default:
-		t.mode = modeFallback
-		t.fallback = a
+		panic(unsupported(a))
 	}
 	t.Reset()
 }
@@ -493,14 +487,6 @@ func (t *Tracker) Add(p types.ProcessID) bool {
 	case modeThreshold:
 		t.hasQuorum = t.count >= t.quorumSize
 		t.hasKernel = t.count >= t.kernelSize
-	case modeFallback:
-		// Monotone memoization: only re-ask for predicates still false.
-		if !t.hasQuorum {
-			t.hasQuorum = t.fallback.HasQuorumWithin(t.i, t.members)
-		}
-		if !t.hasKernel {
-			t.hasKernel = t.fallback.HasKernelWithin(t.i, t.members)
-		}
 	}
 	return true
 }

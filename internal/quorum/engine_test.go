@@ -27,16 +27,30 @@ func naiveHasKernelWithin(s *System, i types.ProcessID, m types.Set) bool {
 	return true
 }
 
-// opaque hides a System's concrete type so NewTracker exercises the
-// generic Assumption fallback path.
-type opaque struct{ s *System }
+// opaque hides a System's concrete type: an Assumption that is neither
+// *System nor Threshold.
+type opaque struct{ *System }
 
-func (o opaque) N() int { return o.s.N() }
-func (o opaque) HasQuorumWithin(i types.ProcessID, m types.Set) bool {
-	return naiveHasQuorumWithin(o.s, i, m)
-}
-func (o opaque) HasKernelWithin(i types.ProcessID, m types.Set) bool {
-	return naiveHasKernelWithin(o.s, i, m)
+// TestUnsupportedAssumptionPanics: the trackers and HasAnyQuorumWithin
+// evaluate only *System and Threshold, and refuse any other Assumption
+// instead of answering through a slow path.
+func TestUnsupportedAssumptionPanics(t *testing.T) {
+	a := opaque{Counterexample()}
+	m := types.FullSet(a.N())
+	for name, call := range map[string]func(){
+		"NewTracker":         func() { NewTracker(a, 0) },
+		"NewTrackers":        func() { NewTrackers(a, 0, 2) },
+		"HasAnyQuorumWithin": func() { HasAnyQuorumWithin(a, m) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != "quorum: unsupported Assumption quorum.opaque" {
+					t.Errorf("%s: recovered %v, want the unsupported-Assumption panic", name, r)
+				}
+			}()
+			call()
+		}()
+	}
 }
 
 // testSystems returns the equivalence-test corpus: the paper's Figure 1
@@ -63,8 +77,8 @@ func testSystems(t *testing.T) []*System {
 
 // TestTrackerEquivalenceRandom drives trackers with random add orders over
 // random systems and checks both predicates against the naive scan after
-// every single Add — for the compiled engine, the one-shot evaluator
-// queries, and the generic fallback.
+// every single Add — for the compiled engine and the one-shot evaluator
+// queries.
 func TestTrackerEquivalenceRandom(t *testing.T) {
 	for si, sys := range testSystems(t) {
 		n := sys.N()
@@ -75,22 +89,17 @@ func TestTrackerEquivalenceRandom(t *testing.T) {
 			for pi := 0; pi < n; pi += 3 { // a spread of observer processes
 				p := types.ProcessID(pi)
 				tr := NewTracker(sys, p)
-				fb := NewTracker(opaque{sys}, p)
 				m := types.NewSet(n)
 				for _, raw := range order[:prefix] {
 					x := types.ProcessID(raw)
 					m.Add(x)
 					tr.Add(x)
 					tr.Add(x) // duplicate adds must be no-ops
-					fb.Add(x)
 					wantQ := naiveHasQuorumWithin(sys, p, m)
 					wantK := naiveHasKernelWithin(sys, p, m)
 					if tr.HasQuorum() != wantQ || tr.HasKernel() != wantK {
 						t.Fatalf("system %d trial %d: tracker (%v,%v) vs naive (%v,%v) for p%d m=%v",
 							si, trial, tr.HasQuorum(), tr.HasKernel(), wantQ, wantK, pi+1, m)
-					}
-					if fb.HasQuorum() != wantQ || fb.HasKernel() != wantK {
-						t.Fatalf("system %d trial %d: fallback tracker diverged for p%d m=%v", si, trial, pi+1, m)
 					}
 					if sys.HasQuorumWithin(p, m) != wantQ || sys.HasKernelWithin(p, m) != wantK {
 						t.Fatalf("system %d trial %d: one-shot evaluator diverged for p%d m=%v", si, trial, pi+1, m)
@@ -176,7 +185,6 @@ func TestTrackerResetAndBatchMatchFresh(t *testing.T) {
 		{"Fig. 1", Counterexample()},
 		{"federated", fed},
 		{"threshold", NewThreshold(10, 3)},
-		{"fallback", opaque{Counterexample()}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

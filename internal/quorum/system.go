@@ -296,7 +296,8 @@ func (t Threshold) SmallestQuorumSize() int { return t.n - t.f }
 // process — the "∃Q ∈ Q_j for some Q_j ∈ Q" test of the paper's commit
 // rule and vertex validation (Algorithm 6 lines 140 and 148). For the
 // threshold assumption every process's quorums coincide, so the first
-// process's check suffices.
+// process's check suffices. Any Assumption other than *System and
+// Threshold panics.
 func HasAnyQuorumWithin(a Assumption, m types.Set) bool {
 	switch t := a.(type) {
 	case Threshold:
@@ -306,12 +307,14 @@ func HasAnyQuorumWithin(a Assumption, m types.Set) bool {
 		// instead of n per-process predicate calls.
 		return t.Evaluator().HasAnyQuorumWithin(m)
 	}
-	for i := 0; i < a.N(); i++ {
-		if a.HasQuorumWithin(types.ProcessID(i), m) {
-			return true
-		}
-	}
-	return false
+	panic(unsupported(a))
+}
+
+// unsupported is the panic message for an Assumption that is neither
+// *System nor Threshold, the two the trackers and HasAnyQuorumWithin
+// evaluate.
+func unsupported(a Assumption) string {
+	return fmt.Sprintf("quorum: unsupported Assumption %T", a)
 }
 
 // QuorumSizer is implemented by assumptions that know their smallest quorum

@@ -73,7 +73,7 @@ func NewFloodCluster(n int, cfg LocalClusterConfig) (*FloodCluster, error) {
 		nodes[i] = fn
 		raw[i] = fn
 	}
-	lc, err := NewLocalClusterConfig(nodes, cfg)
+	lc, err := NewLocalCluster(nodes, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

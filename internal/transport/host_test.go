@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -297,6 +298,19 @@ func TestBoundedOutboxBackpressure(t *testing.T) {
 		}
 	}
 	waitUntil(t, 2*time.Second, func() bool { return sent.Load() == total })
+}
+
+// TestNegativeOutboxLimitRejected: every peer outbox is bounded, so a
+// negative limit is a configuration error, reported before the host
+// listens.
+func TestNegativeOutboxLimitRejected(t *testing.T) {
+	h, err := NewHostConfig(HostConfig{N: 2, Addr: "127.0.0.1:0", OutboxLimit: -1})
+	if err == nil || h != nil {
+		t.Fatalf("NewHostConfig with OutboxLimit -1 = (%v, %v), want an error", h, err)
+	}
+	if !strings.Contains(err.Error(), "outbox") {
+		t.Errorf("error %q does not name the outbox limit", err)
+	}
 }
 
 // TestCloseUnblocksBackpressure pins that Close releases a sender stuck

@@ -207,8 +207,7 @@ type HostConfig struct {
 	Seed int64
 	// OutboxLimit bounds each per-peer outbox in envelopes; a full outbox
 	// blocks the sending node loop (backpressure) until the writer
-	// drains. 0 selects DefaultOutboxLimit; negative means unbounded
-	// (the legacy behaviour, kept for experiments only).
+	// drains. 0 selects DefaultOutboxLimit; a negative limit is an error.
 	OutboxLimit int
 }
 
@@ -406,6 +405,9 @@ var donePool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 func NewHostConfig(cfg HostConfig) (*Host, error) {
 	if cfg.N <= 0 || cfg.Self < 0 || int(cfg.Self) >= cfg.N {
 		return nil, fmt.Errorf("transport: self %v out of range for n=%d", cfg.Self, cfg.N)
+	}
+	if cfg.OutboxLimit < 0 {
+		return nil, fmt.Errorf("transport: negative outbox limit %d", cfg.OutboxLimit)
 	}
 	limit := cfg.OutboxLimit
 	if limit == 0 {
@@ -913,32 +915,24 @@ type LocalCluster struct {
 	Hosts []*Host
 }
 
-// LocalClusterConfig configures NewLocalClusterConfig.
+// LocalClusterConfig configures NewFloodCluster.
 type LocalClusterConfig struct {
 	Seed int64
-	// OutboxLimit applies to every host (see HostConfig).
-	OutboxLimit int
 }
 
 // NewLocalCluster builds and wires (but does not start) a loopback mesh
-// for the given nodes with default limits.
+// for the given nodes with default limits. Host i seeds its Env.Rand
+// stream with seed+i.
 func NewLocalCluster(nodes []sim.Node, seed int64) (*LocalCluster, error) {
-	return NewLocalClusterConfig(nodes, LocalClusterConfig{Seed: seed})
-}
-
-// NewLocalClusterConfig builds and wires (but does not start) a loopback
-// mesh for the given nodes.
-func NewLocalClusterConfig(nodes []sim.Node, cfg LocalClusterConfig) (*LocalCluster, error) {
 	n := len(nodes)
 	hosts := make([]*Host, n)
 	for i, nd := range nodes {
 		h, err := NewHostConfig(HostConfig{
-			Self:        types.ProcessID(i),
-			N:           n,
-			Node:        nd,
-			Addr:        "127.0.0.1:0",
-			Seed:        cfg.Seed + int64(i),
-			OutboxLimit: cfg.OutboxLimit,
+			Self: types.ProcessID(i),
+			N:    n,
+			Node: nd,
+			Addr: "127.0.0.1:0",
+			Seed: seed + int64(i),
 		})
 		if err != nil {
 			for _, prev := range hosts[:i] {
