@@ -237,18 +237,17 @@ func BenchmarkClusterQuickstart(b *testing.B) {
 	}
 }
 
-// Sweep engine: multi-seed fan-out over the worker pool. The Serial/
-// Parallel pair measures the speedup of sharding independent seeds across
+// Sweep engine: multi-seed fan-out over GOMAXPROCS goroutines. Run with
+// -cpu 1,2,... to measure the speedup of sharding independent seeds across
 // cores (identical results by the sweep determinism contract).
 
-func benchSweepRider(b *testing.B, workers int) {
+func BenchmarkSweepRider(b *testing.B) {
 	trust := quorum.NewThreshold(4, 1)
-	sw := harness.Sweeper{Workers: workers}
 	seeds := sim.SeedRange(0, 16)
 	correct := types.FullSet(4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats := sw.SweepRider(seeds, func(seed int64) harness.RiderConfig {
+		stats := harness.SweepRider(seeds, func(seed int64) harness.RiderConfig {
 			return harness.RiderConfig{
 				Kind: harness.Asymmetric, Trust: trust, NumWaves: 6, TxPerBlock: 2,
 				Seed: seed, CoinSeed: seed*13 + 1,
@@ -261,16 +260,12 @@ func benchSweepRider(b *testing.B, workers int) {
 	b.ReportMetric(float64(len(seeds))*float64(b.N)/b.Elapsed().Seconds(), "runs/s")
 }
 
-func BenchmarkSweepRiderSerial(b *testing.B)   { benchSweepRider(b, 1) }
-func BenchmarkSweepRiderParallel(b *testing.B) { benchSweepRider(b, 0) }
-
-func benchSweepGather(b *testing.B, workers int) {
+func BenchmarkSweepGather(b *testing.B) {
 	sys := quorum.Counterexample()
-	sw := harness.Sweeper{Workers: workers}
 	seeds := sim.SeedRange(0, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats := sw.SweepGather(seeds, func(seed int64) gather.RunConfig {
+		stats := harness.SweepGather(seeds, func(seed int64) gather.RunConfig {
 			return gather.RunConfig{
 				Kind: gather.KindConstantRound, Trust: sys, Mode: gather.UsePlain,
 				Latency: sim.UniformLatency{Min: 1, Max: 20}, Seed: seed,
@@ -282,9 +277,6 @@ func benchSweepGather(b *testing.B, workers int) {
 	}
 	b.ReportMetric(float64(len(seeds))*float64(b.N)/b.Elapsed().Seconds(), "runs/s")
 }
-
-func BenchmarkSweepGatherSerial(b *testing.B)   { benchSweepGather(b, 1) }
-func BenchmarkSweepGatherParallel(b *testing.B) { benchSweepGather(b, 0) }
 
 // Large-n single-run scaling: the event queue plus parallel same-time
 // delivery. One n=100 execution is far too slow to run to quiescence
@@ -319,7 +311,7 @@ func benchLargeNRider(b *testing.B, workers int) {
 	b.ReportMetric(float64(largeNEvents)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-func BenchmarkLargeNRiderSerial(b *testing.B) { benchLargeNRider(b, -1) }
+func BenchmarkLargeNRiderSerial(b *testing.B) { benchLargeNRider(b, 0) }
 func BenchmarkLargeNRiderParallel(b *testing.B) {
 	benchLargeNRider(b, runtime.GOMAXPROCS(0))
 }
@@ -400,7 +392,7 @@ func BenchmarkSearch(b *testing.B) {
 	seeds := sim.SeedRange(1, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := sim.Sweep(seeds, 0, func(seed int64) bool {
+		ok, _ := sim.Sweep(seeds, func(seed int64) bool {
 			sys, err := quorum.RandomAsymmetric(quorum.RandomAsymmetricConfig{
 				N: 12, NumSets: 2, MaxFault: 2, Seed: seed,
 			})
@@ -409,12 +401,12 @@ func BenchmarkSearch(b *testing.B) {
 			}
 			return quorum.AnalyzeSystem(sys).Valid
 		})
-		valid := sim.Reduce(res, 0, func(acc int, _ int64, ok bool) int {
-			if ok {
-				acc++
+		valid := 0
+		for _, v := range ok {
+			if v {
+				valid++
 			}
-			return acc
-		})
+		}
 		if valid == 0 {
 			b.Fatal("search produced no valid systems")
 		}

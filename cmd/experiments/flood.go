@@ -26,8 +26,8 @@ func runFlood(args []string, stdout io.Writer) int {
 	if code, ok := parse(fs, args); !ok {
 		return code
 	}
-	if *n < 2 || *rounds < 1 {
-		return usageError("flood: need -n >= 2 and -rounds >= 1")
+	if *n < 2 || *rounds < 1 || *size < 0 {
+		return usageError("flood: need -n >= 2, -rounds >= 1 and -size >= 0")
 	}
 
 	fc, err := transport.NewFloodCluster(*n, transport.LocalClusterConfig{Seed: *seed})

@@ -26,6 +26,9 @@ func runGather(args []string, stdout io.Writer) int {
 	if code, ok := parse(fs, args); !ok {
 		return code
 	}
+	if *seeds < 1 {
+		return usageError("gather: need -seeds >= 1")
+	}
 
 	kind, ok := map[string]gather.Kind{"constant": gather.KindConstantRound, "three": gather.KindThreeRound}[*proto]
 	if !ok {

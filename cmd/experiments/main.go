@@ -13,9 +13,9 @@
 //	experiments flood -n 50 -rounds 200 -size 256
 //
 // The multi-seed experiments, rider and quorum -search fan their runs out
-// over all cores through the sim.Sweep engine; -workers caps the pool.
-// Results are identical for every worker count. -run exits 1 when an
-// experiment records a failed run (the scenarios sweep's FIRST FAILING).
+// over GOMAXPROCS goroutines through sim.Sweep; their output is the same
+// for every GOMAXPROCS. -run exits 1 when an experiment records a failed
+// run (a FIRST FAILING line).
 package main
 
 import (
@@ -51,8 +51,6 @@ func run(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	list := fs.Bool("list", false, "list experiment IDs and exit")
 	runID := fs.String("run", "all", "experiment ID to run, or 'all'")
-	workers := workersFlag(fs)
-	deliveryWorkers := fs.Int("delivery-workers", 0, "parallel same-time delivery workers inside each run (0 = serial)")
 	if code, ok := parse(fs, args); !ok {
 		return code
 	}
@@ -71,8 +69,6 @@ func run(args []string, stdout io.Writer) int {
 		}
 		exps = []harness.Experiment{e}
 	}
-	harness.DefaultSweepWorkers = *workers
-	harness.DefaultDeliveryWorkers = *deliveryWorkers
 	code := 0
 	for _, e := range exps {
 		fmt.Fprintf(stdout, "=== %s — %s ===\n", e.ID, e.Title)
@@ -104,11 +100,6 @@ func parse(fs *flag.FlagSet, args []string) (code int, ok bool) {
 func usageError(format string, a ...any) int {
 	fmt.Fprintf(os.Stderr, format+"\n", a...)
 	return 2
-}
-
-// workersFlag registers the -workers flag every sweeping subcommand takes.
-func workersFlag(fs *flag.FlagSet) *int {
-	return fs.Int("workers", 0, "cap sweep parallelism (0 = all cores)")
 }
 
 const systemUsage = "counterexample | threshold | federated | unl | random"

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/quorum"
 	"repro/internal/types"
@@ -11,7 +12,8 @@ import (
 
 // TestSubcommands runs every subcommand in process on a tiny input, and
 // each bad input the flags once let through: those must exit 2 before any
-// run starts, so with nothing on stdout.
+// run starts, so with nothing on stdout. Each case runs under a deadline,
+// because some of those inputs once hung the tool.
 func TestSubcommands(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -31,10 +33,29 @@ func TestSubcommands(t *testing.T) {
 		{[]string{"gather", "-schedule", "bogus"}, 2, ""},
 		{[]string{"-run", "bogus"}, 2, ""},
 		{[]string{"ridr"}, 2, ""},
+		{[]string{"quorum", "-system", "random", "-n", "1"}, 2, ""},
+		{[]string{"rider", "-system", "random", "-n", "1"}, 2, ""},
+		{[]string{"rider", "-seeds", "-1"}, 2, ""},
+		{[]string{"rider", "-waves", "0"}, 2, ""},
+		{[]string{"gather", "-seeds", "-2"}, 2, ""},
+		{[]string{"quorum", "-search", "-3"}, 2, ""},
+		{[]string{"flood", "-size", "-5"}, 2, ""},
+		{[]string{"-workers", "2"}, 2, ""},
+		{[]string{"-delivery-workers", "2"}, 2, ""},
+		{[]string{"rider", "-workers", "2"}, 2, ""},
+		{[]string{"rider", "-delivery-workers", "2"}, 2, ""},
+		{[]string{"quorum", "-workers", "2"}, 2, ""},
 	} {
 		var out bytes.Buffer
-		if code := run(tc.args, &out); code != tc.code {
-			t.Errorf("%v: exit %d, want %d", tc.args, code, tc.code)
+		exit := make(chan int, 1)
+		go func() { exit <- run(tc.args, &out) }()
+		select {
+		case code := <-exit:
+			if code != tc.code {
+				t.Errorf("%v: exit %d, want %d", tc.args, code, tc.code)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("%v: still running after a minute, want exit %d", tc.args, tc.code)
 		}
 		if tc.want == "" && out.Len() > 0 {
 			t.Errorf("%v: bad input printed %q", tc.args, out.String())

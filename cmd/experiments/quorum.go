@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,13 +30,15 @@ func runQuorum(args []string, stdout io.Writer) int {
 	kernels := fs.Bool("kernels", false, "enumerate minimal kernels of p1")
 	matrix := fs.Bool("matrix", false, "render the Figure 1 style matrix")
 	search := fs.Int("search", 0, "sweep this many generator seeds (starting at -seed) instead of inspecting one system")
-	workers := workersFlag(fs)
 	if code, ok := parse(fs, args); !ok {
 		return code
 	}
+	if *search < 0 {
+		return usageError("quorum: need -search >= 0")
+	}
 
 	if *search > 0 {
-		return searchSystems(stdout, *system, *n, *f, *top, *tol, *seed, *search, *workers)
+		return searchSystems(stdout, *system, *n, *f, *top, *tol, *seed, *search)
 	}
 
 	sys, err := buildSystem(*system, *n, *f, *top, *tol, *seed)
@@ -80,70 +83,66 @@ func runQuorum(args []string, stdout io.Writer) int {
 // smallest quorum size c(Q). Each built system is analyzed with the batch
 // quorum.AnalyzeSystem API — one evaluator compilation and one sweep per
 // system instead of separate Validate/SatisfiesB3/c(Q) passes. The
-// aggregation runs in seed order, so the report is identical for every
-// worker count.
-func searchSystems(stdout io.Writer, kind string, n, f, top, tol int, start int64, count, workers int) int {
+// tally runs in seed order.
+func searchSystems(stdout io.Writer, kind string, n, f, top, tol int, start int64, count int) int {
 	type probe struct {
 		err error // the generator's, nil when the system was built
 		a   quorum.Analysis
 	}
-	res := sim.Sweep(sim.SeedRange(start, count), workers, func(seed int64) probe {
+	seeds := sim.SeedRange(start, count)
+	probes, errs := sim.Sweep(seeds, func(seed int64) probe {
 		sys, err := buildSystem(kind, n, f, top, tol, seed)
 		if err != nil {
 			return probe{err: err}
 		}
 		return probe{a: quorum.AnalyzeSystem(sys)}
 	})
-	if err := res.Err(); err != nil {
+	if err := errors.Join(errs...); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	type tally struct {
-		built, valid, b3 int
-		minQ, maxQ       int
-		firstFailedSeed  int64
-		firstErr         error
-		firstBadSeed     int64
-		firstBadWitness  string
-	}
-	agg := sim.Reduce(res, tally{minQ: 1 << 30, firstFailedSeed: -1, firstBadSeed: -1}, func(acc tally, seed int64, p probe) tally {
+	built, valid, b3, minQ, maxQ := 0, 0, 0, 1<<30, 0
+	firstFailedSeed, firstBadSeed := int64(-1), int64(-1)
+	var firstErr error
+	var firstBadWitness string
+	for i, p := range probes {
+		seed := seeds[i]
 		if p.err != nil {
-			if acc.firstFailedSeed < 0 {
-				acc.firstFailedSeed, acc.firstErr = seed, p.err
+			if firstFailedSeed < 0 {
+				firstFailedSeed, firstErr = seed, p.err
 			}
-			return acc
+			continue
 		}
-		acc.built++
+		built++
 		if p.a.Valid {
-			acc.valid++
+			valid++
 		}
 		if p.a.B3 {
-			acc.b3++
+			b3++
 		}
-		if (!p.a.Valid || !p.a.B3) && acc.firstBadSeed < 0 {
-			acc.firstBadSeed = seed
+		if (!p.a.Valid || !p.a.B3) && firstBadSeed < 0 {
+			firstBadSeed = seed
 			if !p.a.Valid {
-				acc.firstBadWitness = p.a.Err.Error()
+				firstBadWitness = p.a.Err.Error()
 			} else {
-				acc.firstBadWitness = p.a.B3Witness
+				firstBadWitness = p.a.B3Witness
 			}
 		}
 		if p.a.TotalQuorums > 0 {
-			acc.minQ = min(acc.minQ, p.a.SmallestQuorum)
-			acc.maxQ = max(acc.maxQ, p.a.SmallestQuorum)
+			minQ = min(minQ, p.a.SmallestQuorum)
+			maxQ = max(maxQ, p.a.SmallestQuorum)
 		}
-		return acc
-	})
+	}
 	fmt.Fprintf(stdout, "search: %s, n=%d, seeds %d..%d\n", kind, n, start, start+int64(count)-1)
-	fmt.Fprintf(stdout, "built: %d/%d, valid: %d, B3 satisfied: %d\n", agg.built, count, agg.valid, agg.b3)
-	if agg.built > 0 && agg.maxQ > 0 {
-		fmt.Fprintf(stdout, "smallest quorum c(Q): min %d, max %d\n", agg.minQ, agg.maxQ)
+	fmt.Fprintf(stdout, "built: %d/%d, valid: %d, B3 satisfied: %d\n", built, count, valid, b3)
+	if built > 0 && maxQ > 0 {
+		fmt.Fprintf(stdout, "smallest quorum c(Q): min %d, max %d\n", minQ, maxQ)
 	}
-	if agg.firstBadSeed >= 0 {
-		fmt.Fprintf(stdout, "first violation: seed %d (%s)\n", agg.firstBadSeed, agg.firstBadWitness)
+	if firstBadSeed >= 0 {
+		fmt.Fprintf(stdout, "first violation: seed %d (%s)\n", firstBadSeed, firstBadWitness)
 	}
-	if agg.firstFailedSeed >= 0 {
-		fmt.Fprintf(stdout, "first failing seed: %d (%v)\n", agg.firstFailedSeed, agg.firstErr)
+	if firstFailedSeed >= 0 {
+		fmt.Fprintf(stdout, "first failing seed: %d (%v)\n", firstFailedSeed, firstErr)
 	}
 	return 0
 }

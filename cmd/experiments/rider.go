@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -15,7 +16,7 @@ import (
 // runRider is the rider subcommand: it sweeps a consensus protocol over
 // seeds and prints one CSV row per run — commits, delivered blocks,
 // virtual-time latency, message and byte costs — in seed order, then a
-// summary of the per-run means on stderr, both independent of -workers.
+// summary of the per-run means on stderr.
 func runRider(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("rider", flag.ContinueOnError)
 	kindFlag := fs.String("kind", "asymmetric", "symmetric | asymmetric")
@@ -25,10 +26,11 @@ func runRider(args []string, stdout io.Writer) int {
 	waves := fs.Int("waves", 10, "waves per run")
 	seeds := fs.Int("seeds", 3, "seeds per configuration")
 	tx := fs.Int("tx", 4, "transactions per block")
-	workers := workersFlag(fs)
-	deliveryWorkers := fs.Int("delivery-workers", 0, "parallel same-time delivery workers inside each run (0 = serial)")
 	if code, ok := parse(fs, args); !ok {
 		return code
+	}
+	if *waves < 1 || *seeds < 1 {
+		return usageError("rider: need -waves >= 1 and -seeds >= 1")
 	}
 
 	kind, ok := map[string]harness.RiderKind{"asymmetric": harness.Asymmetric, "symmetric": harness.Symmetric}[*kindFlag]
@@ -60,40 +62,42 @@ func runRider(args []string, stdout io.Writer) int {
 		vtime                     int64
 		hitLimit                  bool
 	}
-	res := sim.Sweep(sim.SeedRange(0, *seeds), *workers, func(seed int64) record {
+	records, errs := sim.Sweep(sim.SeedRange(0, *seeds), func(seed int64) record {
 		r := harness.RunRider(harness.RiderConfig{
 			Kind: kind, Trust: trust, NumWaves: *waves, TxPerBlock: *tx,
 			Seed: seed, CoinSeed: seed * 101,
-			DeliveryWorkers: *deliveryWorkers,
 		})
 		commits, med := summarizeRider(r)
 		return record{commits, med, r.Metrics.MessagesSent, r.Metrics.BytesSent, int64(r.EndTime), r.HitLimit}
 	})
-	if err := res.Err(); err != nil {
+	if err := errors.Join(errs...); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 
 	fmt.Fprintln(stdout, "kind,system,n,seed,waves,max_commits,median_tx,vtime,messages,bytes,hit_limit")
+	var sum record
 	hitLimits, firstHitSeed := 0, int64(-1)
-	sum := sim.Reduce(res, record{}, func(acc record, seed int64, r record) record {
+	for seed, r := range records { // seeds start at 0: the index is the seed
 		fmt.Fprintf(stdout, "%v,%s,%d,%d,%d,%d,%d,%d,%d,%d,%t\n", kind, *system, trust.N(), seed,
 			*waves, r.commits, r.med, r.vtime, r.msgs, r.bytes, r.hitLimit)
 		if r.hitLimit {
 			hitLimits++
 			if firstHitSeed < 0 {
-				firstHitSeed = seed
+				firstHitSeed = int64(seed)
 			}
 		}
-		return record{commits: acc.commits + r.commits, med: acc.med + r.med, msgs: acc.msgs + r.msgs, vtime: acc.vtime + r.vtime}
-	})
-	if runs := float64(len(res.Values)); runs > 0 {
-		fmt.Fprintf(os.Stderr, "summary: %d runs, mean commits %.1f, mean median-tx %.1f, mean vtime %.0f, mean msgs %.0f\n",
-			len(res.Values), float64(sum.commits)/runs, float64(sum.med)/runs, float64(sum.vtime)/runs, float64(sum.msgs)/runs)
+		sum.commits += r.commits
+		sum.med += r.med
+		sum.msgs += r.msgs
+		sum.vtime += r.vtime
 	}
+	runs := float64(len(records))
+	fmt.Fprintf(os.Stderr, "summary: %d runs, mean commits %.1f, mean median-tx %.1f, mean vtime %.0f, mean msgs %.0f\n",
+		len(records), float64(sum.commits)/runs, float64(sum.med)/runs, float64(sum.vtime)/runs, float64(sum.msgs)/runs)
 	if hitLimits > 0 {
 		fmt.Fprintf(os.Stderr, "WARNING: %d/%d runs truncated at their event budget (first seed %d); results understate the full execution\n",
-			hitLimits, len(res.Values), firstHitSeed)
+			hitLimits, len(records), firstHitSeed)
 	}
 	return 0
 }

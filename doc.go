@@ -56,11 +56,11 @@
 //     asymmetric trust one of the receiver's own quorums or kernels, which
 //     for a wise process contains a correct holder, so totality for the
 //     maximal guild is kept (the argument is in the package comment).
-//   - A parallel multi-seed sweep engine (internal/sim Sweep/Reduce and
-//     the internal/harness Sweeper): independent seeded executions fan out
-//     over a bounded worker pool with deterministic, worker-count-
-//     independent aggregation — results positioned by seed, reductions in
-//     seed order, panics attributed to the offending seed. It powers the
+//   - A parallel multi-seed sweep engine (internal/sim Sweep and
+//     harness.SweepRider/SweepGather): independent seeded executions run
+//     on GOMAXPROCS goroutines and come back positioned by seed, with a
+//     panic returned as its seed's error, so a fold in seed order gives
+//     the same aggregate at every GOMAXPROCS. It powers the
 //     randomized protocol-property conformance suites (hundreds of random
 //     trust systems per `go test ./...`), the multi-seed experiments, and
 //     the `experiments rider` and `experiments quorum -search` sweeps.
@@ -70,8 +70,9 @@
 //     clock, with a small heap for events further out), so push and pop
 //     cost O(1) and one bucket is exactly the set of events sharing the
 //     frontier timestamp; bucket segments are recycled within a run.
-//     DeliveryWorkers > 0 (a knob on sim.Config and harness.RiderConfig)
-//     executes those same-time, distinct-receiver handlers
+//     DeliveryWorkers > 0 (on sim.Config, service.Config and
+//     harness.RiderConfig; scenario runs fix it at 1) executes those
+//     same-time, distinct-receiver handlers
 //     concurrently on a bounded pool: every effect is buffered per
 //     receiver and committed single-threaded in receiver-ID order, with
 //     latency draws and sequence numbers assigned only at commit from the

@@ -145,12 +145,13 @@ type smallSystemTrial struct {
 // processes for a common-core violation of the 3-round merge (the paper
 // proves none exists). The search fans out over all cores via sim.Sweep;
 // every trial's parameters derive from its own seed, so the result is
-// reproducible and worker-count independent. Each built system is
-// summarized with the batch quorum.AnalyzeSystem API (one compiled pass
-// per system), which also reports the B3 rate of the family.
+// reproducible. Each built system is summarized with the batch
+// quorum.AnalyzeSystem API (one compiled pass per system), which also
+// reports the B3 rate of the family. A trial that panics is reported as
+// the first failing seed.
 func ExpSmallSystems() string {
 	const trials = 400
-	res := sim.Sweep(sim.SeedRange(1, trials), DefaultSweepWorkers, func(seed int64) smallSystemTrial {
+	results, errs := sim.Sweep(sim.SeedRange(1, trials), func(seed int64) smallSystemTrial {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(12)
 		sys, err := quorum.RandomAsymmetric(quorum.RandomAsymmetricConfig{
@@ -168,33 +169,36 @@ func ExpSmallSystems() string {
 		c := gather.CommonCoreCandidates(n, choice, u)
 		return smallSystemTrial{built: true, violation: c.IsEmpty(), coreCount: c.Count(), b3: a.B3, minQ: a.SmallestQuorum}
 	})
-	type tally struct {
-		built, violations, minCore, b3, minQ int
-	}
-	agg := sim.Reduce(res, tally{minCore: 1 << 30, minQ: 1 << 30}, func(acc tally, _ int64, t smallSystemTrial) tally {
+	built, violations, minCore, b3, minQ := 0, 0, 1<<30, 0, 1<<30
+	var firstErr error
+	for i, t := range results {
+		if firstErr == nil {
+			firstErr = errs[i]
+		}
 		if !t.built {
-			return acc
+			continue
 		}
-		acc.built++
+		built++
 		if t.b3 {
-			acc.b3++
+			b3++
 		}
-		if t.minQ < acc.minQ {
-			acc.minQ = t.minQ
-		}
+		minQ = min(minQ, t.minQ)
 		if t.violation {
-			acc.violations++
-		} else if t.coreCount < acc.minCore {
-			acc.minCore = t.coreCount
+			violations++
+		} else {
+			minCore = min(minCore, t.coreCount)
 		}
-		return acc
-	})
-	return fmt.Sprintf(
+	}
+	out := fmt.Sprintf(
 		"random systems with 4..15 processes: %d built, %d violations of the common core after 3 rounds\n"+
 			"(paper §3.2: any system with <16 processes always satisfies the common core)\n"+
 			"smallest candidate count observed: %d\n"+
 			"B3 satisfied (Theorem 2.4, implied by validity): %d/%d; smallest c(Q) observed: %d\n",
-		agg.built, agg.violations, agg.minCore, agg.b3, agg.built, agg.minQ)
+		built, violations, minCore, b3, built, minQ)
+	if firstErr != nil {
+		out += firstFailing + firstErr.Error() + "\n"
+	}
+	return out
 }
 
 // ExpLogRounds measures how many quorum-merge rounds the counterexample
@@ -281,7 +285,7 @@ func ExpCommitWaves() string {
 		if qs, ok := s.trust.(quorum.QuorumSizer); ok {
 			cq = qs.SmallestQuorumSize()
 		}
-		stats := Sweeper{Workers: DefaultSweepWorkers}.SweepRider(sim.SeedRange(0, s.seeds), func(seed int64) RiderConfig {
+		stats := SweepRider(sim.SeedRange(0, s.seeds), func(seed int64) RiderConfig {
 			return RiderConfig{
 				Kind: Asymmetric, Trust: s.trust, NumWaves: s.waves,
 				Seed: seed, CoinSeed: seed*31 + 7,
@@ -304,7 +308,6 @@ func ExpCommitWaves() string {
 // removes the single-schedule noise of the old one-seed comparison.
 func ExpProtocolComparison() string {
 	const seedsPerRow = 8
-	sw := Sweeper{Workers: DefaultSweepWorkers}
 	var b strings.Builder
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "system\tprotocol\twaves\tseeds\tcommits\ttx delivered\tvtime\ttx/vtime\tmessages\tbytes")
@@ -317,7 +320,7 @@ func ExpProtocolComparison() string {
 	} {
 		for _, kind := range []RiderKind{Symmetric, Asymmetric} {
 			trust := quorum.NewThreshold(spec.n, spec.f)
-			stats := sw.SweepRider(sim.SeedRange(1, seedsPerRow), func(seed int64) RiderConfig {
+			stats := SweepRider(sim.SeedRange(1, seedsPerRow), func(seed int64) RiderConfig {
 				return RiderConfig{
 					Kind: kind, Trust: trust, NumWaves: 10, TxPerBlock: 4,
 					Seed: seed, CoinSeed: seed*17 + 3,
@@ -344,13 +347,12 @@ func ExpProtocolComparison() string {
 // on every run, and a violation is reported with its seed.
 func ExpFaults() string {
 	const seedsPerScenario = 12
-	sw := Sweeper{Workers: DefaultSweepWorkers}
 	var b strings.Builder
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "scenario\tguild size\tseeds ok\thit limits\tcommitted nodes\tproperties")
 
 	report := func(name string, within types.Set, mk func(seed int64) RiderConfig) {
-		stats := sw.SweepRider(sim.SeedRange(1, seedsPerScenario), mk, func(res RiderResult) error {
+		stats := SweepRider(sim.SeedRange(1, seedsPerScenario), mk, func(res RiderResult) error {
 			if err := res.CheckTotalOrder(within); err != nil {
 				return err
 			}

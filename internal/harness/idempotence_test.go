@@ -47,7 +47,7 @@ func TestDuplicateDeliveryIdempotenceRider(t *testing.T) {
 	if testing.Short() {
 		count = 10
 	}
-	stats := Sweeper{}.SweepRider(sim.SeedRange(1, count), func(seed int64) RiderConfig {
+	stats := SweepRider(sim.SeedRange(1, count), func(seed int64) RiderConfig {
 		cfg := conformanceConfig(seed)
 		cfg.Fault = redeliverPlane()
 		return cfg
@@ -69,7 +69,7 @@ func TestDuplicateDeliveryIdempotenceGather(t *testing.T) {
 	if testing.Short() {
 		count = 6
 	}
-	stats := Sweeper{}.SweepGather(sim.SeedRange(1, count), func(seed int64) gather.RunConfig {
+	stats := SweepGather(sim.SeedRange(1, count), func(seed int64) gather.RunConfig {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(5)
 		sys, err := quorum.RandomAsymmetric(quorum.RandomAsymmetricConfig{

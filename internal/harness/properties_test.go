@@ -100,7 +100,7 @@ func TestRandomizedProtocolConformance(t *testing.T) {
 	if testing.Short() {
 		count = 25
 	}
-	stats := Sweeper{}.SweepRider(sim.SeedRange(1, count), conformanceConfig, conformanceCheck)
+	stats := SweepRider(sim.SeedRange(1, count), conformanceConfig, conformanceCheck)
 	if stats.Failures > 0 {
 		t.Fatalf("%d/%d seeds violated Definition 4.1; first failing %s",
 			stats.Failures, stats.Seeds, stats.First)
@@ -125,7 +125,7 @@ func TestRandomizedGatherConformance(t *testing.T) {
 	if testing.Short() {
 		count = 10
 	}
-	stats := Sweeper{}.SweepGather(sim.SeedRange(1, count), func(seed int64) gather.RunConfig {
+	stats := SweepGather(sim.SeedRange(1, count), func(seed int64) gather.RunConfig {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(5)
 		sys, err := quorum.RandomAsymmetric(quorum.RandomAsymmetricConfig{
@@ -175,13 +175,13 @@ func TestRandomizedParallelDeliveryConformance(t *testing.T) {
 			return cfg
 		}
 	}
-	ref := Sweeper{}.SweepRider(sim.SeedRange(1, count), mk(1), conformanceCheck)
+	ref := SweepRider(sim.SeedRange(1, count), mk(1), conformanceCheck)
 	if ref.Failures > 0 {
 		t.Fatalf("%d/%d parallel seeds violated Definition 4.1; first failing %s",
 			ref.Failures, ref.Seeds, ref.First)
 	}
 	for _, workers := range []int{3} {
-		stats := Sweeper{}.SweepRider(sim.SeedRange(1, count), mk(workers), conformanceCheck)
+		stats := SweepRider(sim.SeedRange(1, count), mk(workers), conformanceCheck)
 		if stats.Failures > 0 {
 			t.Fatalf("workers=%d: %d/%d seeds failed; first %s", workers, stats.Failures, stats.Seeds, stats.First)
 		}

@@ -68,8 +68,7 @@ type RiderConfig struct {
 	// run.
 	MaxEvents int
 	// DeliveryWorkers opts the run into the simulator's parallel
-	// same-time delivery (0 = the package-level DefaultDeliveryWorkers,
-	// < 0 = force serial; see sim.Config.DeliveryWorkers).
+	// same-time delivery (<= 0 = serial; see sim.Config.DeliveryWorkers).
 	DeliveryWorkers int
 	// RevealedCoin enables the share-gated coin in the asymmetric
 	// protocol (ignored by the symmetric baseline).
@@ -92,24 +91,6 @@ type NodeResult struct {
 // the config leaves MaxEvents at 0 — the simulator-wide default shared by
 // every protocol runner.
 const DefaultMaxEvents = sim.DefaultEventBudget
-
-// DefaultDeliveryWorkers, when > 0, opts every execution whose config
-// leaves DeliveryWorkers at 0 into the simulator's parallel same-time
-// delivery with that many workers. The cmd binaries set it once from
-// their -delivery-workers flag; configs force serial with a negative
-// DeliveryWorkers.
-var DefaultDeliveryWorkers int
-
-// resolveDeliveryWorkers applies the DefaultDeliveryWorkers fallback.
-func resolveDeliveryWorkers(configured int) int {
-	if configured == 0 {
-		return DefaultDeliveryWorkers
-	}
-	if configured < 0 {
-		return 0
-	}
-	return configured
-}
 
 // RiderResult is the outcome of one cluster execution.
 type RiderResult struct {
@@ -178,7 +159,7 @@ func RunNodes(cfg RiderConfig, nodes []sim.Node) RiderResult {
 	limit := sim.ResolveEventBudget(cfg.MaxEvents)
 	r := sim.NewRunner(sim.Config{
 		N: len(nodes), Seed: cfg.Seed, Latency: cfg.Latency, Fault: cfg.Fault,
-		DeliveryWorkers: resolveDeliveryWorkers(cfg.DeliveryWorkers),
+		DeliveryWorkers: cfg.DeliveryWorkers,
 	}, nodes)
 	r.Run(limit)
 

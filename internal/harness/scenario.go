@@ -18,82 +18,43 @@ import (
 // maximal guild of the scenario's faulty set, and aggregates per-scenario
 // stats with first-failing (scenario, seed) attribution.
 
-// ScenarioSweepConfig parameterizes a scenario sweep. The zero value runs
-// the sweep default: threshold(4,1) trust, 6 waves, one transaction per
-// block, uniform 1..20 latency — the envelope the built-in scenarios'
-// fault windows are calibrated against.
+// ScenarioSweepConfig parameterizes a scenario sweep. Every run has 6
+// waves, one transaction per block and uniform 1..20 latency: the
+// envelope the built-in scenarios' fault windows are calibrated against.
 type ScenarioSweepConfig struct {
 	// Trust is the quorum system (default threshold(4,1) in explicit
 	// *quorum.System form — the guild computation needs a *System).
 	Trust *quorum.System
-	// NumWaves bounds each execution (default 6).
-	NumWaves int
-	// TxPerBlock is the synthetic workload's block size (default 1).
-	TxPerBlock int
-	// Latency is the base network model the scenario's link rules layer
-	// over (default uniform 1..20).
-	Latency sim.LatencyModel
-	// MaxEvents bounds each run (0 = sim.DefaultEventBudget).
-	MaxEvents int
-	// DeliveryWorkers sets the delivery pool width. Scenario runs ALWAYS
-	// use the simulator's batch-commit scheduler: values <= 0 resolve to 1
-	// worker, so every configured count — 0, 1, 2 or GOMAXPROCS — yields
-	// the byte-identical execution the parallel determinism contract
-	// guarantees for >= 1 workers. (Serial mode would diverge: its commit
-	// order re-sequences the RNG draws within a timestamp batch.)
-	DeliveryWorkers int
-	// Workers bounds the sweep's worker pool (0 = GOMAXPROCS).
-	Workers int
-}
-
-// withDefaults resolves the zero-value defaults.
-func (c ScenarioSweepConfig) withDefaults() ScenarioSweepConfig {
-	if c.Trust == nil {
-		sys, err := quorum.NewThresholdExplicit(4, 1)
-		if err != nil {
-			panic(err)
-		}
-		c.Trust = sys
-	}
-	if c.NumWaves == 0 {
-		c.NumWaves = 6
-	}
-	if c.TxPerBlock == 0 {
-		c.TxPerBlock = 1
-	}
-	if c.Latency == nil {
-		c.Latency = sim.UniformLatency{Min: 1, Max: 20}
-	}
-	if c.DeliveryWorkers <= 0 {
-		// Honor the cmd-level -delivery-workers flag for pool width, but
-		// never drop below the batch-commit scheduler's 1-worker floor.
-		c.DeliveryWorkers = resolveDeliveryWorkers(c.DeliveryWorkers)
-		if c.DeliveryWorkers < 1 {
-			c.DeliveryWorkers = 1
-		}
-	}
-	return c
 }
 
 // ScenarioRiderConfig instantiates def for one seed under the sweep
 // config: a fresh Scenario (wrappers carry per-run state), its compiled
 // fault plane, and its node wraps, over the base consensus configuration.
 func ScenarioRiderConfig(def scenario.Definition, base ScenarioSweepConfig, seed int64) RiderConfig {
-	base = base.withDefaults()
-	n := base.Trust.N()
-	sc := def.Build(n, seed)
+	trust := base.Trust
+	if trust == nil {
+		var err error
+		if trust, err = quorum.NewThresholdExplicit(4, 1); err != nil {
+			panic(err)
+		}
+	}
+	sc := def.Build(trust.N(), seed)
 	return RiderConfig{
-		Kind:            Asymmetric,
-		Trust:           base.Trust,
-		NumWaves:        base.NumWaves,
-		TxPerBlock:      base.TxPerBlock,
-		Seed:            seed,
-		CoinSeed:        seed*31 + 7,
-		Latency:         base.Latency,
-		Fault:           sc.FaultPlane(),
-		Wrap:            sc.WrapNode,
-		MaxEvents:       base.MaxEvents,
-		DeliveryWorkers: base.DeliveryWorkers,
+		Kind:       Asymmetric,
+		Trust:      trust,
+		NumWaves:   6,
+		TxPerBlock: 1,
+		Seed:       seed,
+		CoinSeed:   seed*31 + 7,
+		Latency:    sim.UniformLatency{Min: 1, Max: 20},
+		Fault:      sc.FaultPlane(),
+		Wrap:       sc.WrapNode,
+		// One delivery worker, not serial: the recorded scenario outputs
+		// (make scenarios, ExampleRunConsensus) were taken on the
+		// batch-commit scheduler, which runs the same at every worker
+		// count >= 1 but orders a timestamp's RNG draws differently from
+		// serial delivery.
+		DeliveryWorkers: 1,
 	}
 }
 
@@ -175,8 +136,7 @@ type ScenarioSweepStats struct {
 // SweepScenario runs one scenario over the seed range and checks its
 // declared properties on every run.
 func SweepScenario(def scenario.Definition, seeds []int64, base ScenarioSweepConfig) ScenarioSweepStats {
-	base = base.withDefaults()
-	stats := Sweeper{Workers: base.Workers}.SweepRider(seeds,
+	stats := SweepRider(seeds,
 		func(seed int64) RiderConfig { return ScenarioRiderConfig(def, base, seed) },
 		func(res RiderResult) error { return CheckScenarioProperties(def, res) })
 	return ScenarioSweepStats{Name: def.Name, RiderSweepStats: stats}
@@ -222,8 +182,7 @@ func Failed(out string) bool { return strings.Contains(out, firstFailing) }
 // ExpFaults (E16).
 func ExpScenarios() string {
 	const seedsPerScenario = 8
-	stats, first := SweepScenarios(scenario.Builtins(), sim.SeedRange(1, seedsPerScenario),
-		ScenarioSweepConfig{Workers: DefaultSweepWorkers})
+	stats, first := SweepScenarios(scenario.Builtins(), sim.SeedRange(1, seedsPerScenario), ScenarioSweepConfig{})
 
 	var b strings.Builder
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)

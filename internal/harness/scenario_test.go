@@ -29,27 +29,31 @@ func randomConformanceSystem(seed int64) (*quorum.System, error) {
 
 // TestScenarioWorkerCountDeterminism pins the scenario engine's core
 // contract: every built-in scenario's sweep — full aggregate stats
-// including the merged Metrics with ByType — is byte-identical across
-// configured DeliveryWorkers ∈ {0, 1, 2, GOMAXPROCS}. Scenario runs
-// always use the simulator's batch-commit scheduler (<= 0 resolves to one
-// worker), so the configured count only sets pool width, which the
-// parallel determinism contract guarantees is unobservable.
+// including the merged Metrics with ByType — is byte-identical at 1, 2
+// and GOMAXPROCS delivery workers. Scenario runs use the simulator's
+// batch-commit scheduler (one worker), whose execution the parallel
+// determinism contract makes independent of the pool width.
 func TestScenarioWorkerCountDeterminism(t *testing.T) {
 	seeds := sim.SeedRange(1, 4)
 	if testing.Short() {
 		seeds = sim.SeedRange(1, 2)
 	}
-	counts := []int{0, 1, 2, runtime.GOMAXPROCS(0)}
 	for _, def := range scenario.Builtins() {
-		ref := SweepScenario(def, seeds, ScenarioSweepConfig{DeliveryWorkers: counts[0]})
+		sweep := func(workers int) RiderSweepStats {
+			return SweepRider(seeds, func(seed int64) RiderConfig {
+				cfg := ScenarioRiderConfig(def, ScenarioSweepConfig{}, seed)
+				cfg.DeliveryWorkers = workers
+				return cfg
+			}, func(res RiderResult) error { return CheckScenarioProperties(def, res) })
+		}
+		ref := SweepScenario(def, seeds, ScenarioSweepConfig{}).RiderSweepStats
 		if ref.Metrics == nil || len(ref.Metrics.ByType) == 0 {
 			t.Fatalf("%s: reference sweep produced no ByType metrics (vacuous comparison)", def.Name)
 		}
-		for _, w := range counts[1:] {
-			got := SweepScenario(def, seeds, ScenarioSweepConfig{DeliveryWorkers: w})
-			if !reflect.DeepEqual(got, ref) {
-				t.Fatalf("scenario %s: DeliveryWorkers=%d diverged from %d:\n got %+v\nwant %+v",
-					def.Name, w, counts[0], got, ref)
+		for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+			if got := sweep(w); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("scenario %s: DeliveryWorkers=%d diverged from the scenario sweep:\n got %+v\nwant %+v",
+					def.Name, w, got, ref)
 			}
 		}
 	}

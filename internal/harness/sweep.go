@@ -9,24 +9,12 @@ import (
 	"repro/internal/types"
 )
 
-// The Sweeper layer: statistical-scale protocol execution. Each SweepXxx
-// method fans RunRider / gather executions out over a seed range via
-// sim.Sweep and reduces them — in seed order, so every aggregate and the
-// "first failing seed" are worker-count independent — into a compact stats
-// struct. The experiments, the cmd binaries and the randomized conformance
-// suite all drive their multi-seed loops through this layer.
-
-// Sweeper fans protocol executions out over seed ranges.
-type Sweeper struct {
-	// Workers bounds the worker pool (0 = GOMAXPROCS).
-	Workers int
-}
-
-// DefaultSweepWorkers caps the worker pools of the package's own
-// experiments (ExpSmallSystems, ExpFaults, …), whose Run signature leaves
-// no room to thread a Sweeper through. 0 means GOMAXPROCS. cmd/experiments
-// sets it once, from its -workers flag, before running anything.
-var DefaultSweepWorkers int
+// Multi-seed protocol sweeps. SweepRider and SweepGather run one
+// RunRider or gather execution per seed through sim.Sweep and fold the
+// results in seed order into a compact stats struct, so every aggregate
+// and the "first failing seed" are the same at every GOMAXPROCS. The
+// multi-seed experiments and the randomized conformance suites run
+// through them.
 
 // SweepFailure names the first seed (in seed order) whose run failed its
 // check or panicked.
@@ -40,41 +28,15 @@ func (f *SweepFailure) String() string {
 	return fmt.Sprintf("seed %d: %v", f.Seed, f.Err)
 }
 
-// foldFailures walks a sweep in seed order and accounts panics and
-// per-run check errors.
-func foldFailures[T any](res *sim.SweepResult[T], errOf func(T) error) (failures int, first *SweepFailure) {
-	for i := range res.Values {
-		var err error
-		if p := res.PanicAt(i); p != nil {
-			err = p
-		} else if e := errOf(res.Values[i]); e != nil {
-			err = e
-		}
-		if err != nil {
-			failures++
-			if first == nil {
-				first = &SweepFailure{Seed: res.Seeds[i], Err: err}
-			}
-		}
+// failure returns the failure count and record of one seed's run.
+func failure(seed int64, err error) (int, *SweepFailure) {
+	if err == nil {
+		return 0, nil
 	}
-	return failures, first
+	return 1, &SweepFailure{Seed: seed, Err: err}
 }
 
 // Rider sweeps. -----------------------------------------------------------
-
-// riderRun is the per-seed record a rider sweep reduces over.
-type riderRun struct {
-	err          error
-	nodes        int
-	decidedNodes int
-	maxCommits   int
-	nodeCommits  int
-	nodeWaves    int
-	medianBlocks int
-	hitLimit     bool
-	endTime      sim.VirtualTime
-	metrics      *sim.Metrics
-}
 
 // RiderSweepStats aggregates a multi-seed consensus sweep. The counters are
 // sums over the completed runs; divide by Runs for per-run means.
@@ -122,69 +84,58 @@ func (s RiderSweepStats) WavesPerCommit() (float64, bool) {
 // SweepRider runs mk(seed) through RunRider for every seed and aggregates.
 // check, if non-nil, is evaluated against every completed run; the first
 // failure (in seed order) lands in Stats.First.
-func (s Sweeper) SweepRider(seeds []int64, mk func(seed int64) RiderConfig, check func(RiderResult) error) RiderSweepStats {
-	res := sim.Sweep(seeds, s.Workers, func(seed int64) riderRun {
+func SweepRider(seeds []int64, mk func(seed int64) RiderConfig, check func(RiderResult) error) RiderSweepStats {
+	runs, errs := sim.Sweep(seeds, func(seed int64) RiderSweepStats {
 		cfg := mk(seed)
 		r := RunRider(cfg)
-		run := riderRun{
-			nodes:    len(r.Nodes),
-			hitLimit: r.HitLimit,
-			endTime:  r.EndTime,
-			metrics:  r.Metrics,
+		s := RiderSweepStats{Runs: 1, Nodes: len(r.Nodes), EndTime: r.EndTime, Metrics: r.Metrics}
+		if r.HitLimit {
+			s.HitLimits = 1
 		}
 		var blocks []int
 		for _, nr := range r.Nodes {
 			if nr.DecidedWave > 0 {
-				run.decidedNodes++
+				s.DecidedNodes++
 			}
-			if len(nr.Commits) > run.maxCommits {
-				run.maxCommits = len(nr.Commits)
-			}
-			run.nodeCommits += len(nr.Commits)
-			run.nodeWaves += cfg.NumWaves
+			s.MaxCommits = max(s.MaxCommits, len(nr.Commits))
+			s.NodeCommits += len(nr.Commits)
+			s.NodeWaves += cfg.NumWaves
 			blocks = append(blocks, len(nr.Blocks))
 		}
 		if len(blocks) > 0 {
 			sort.Ints(blocks)
-			run.medianBlocks = blocks[len(blocks)/2]
+			s.MedianBlocks = blocks[len(blocks)/2]
 		}
 		if check != nil {
-			run.err = check(r)
+			s.Failures, s.First = failure(seed, check(r))
 		}
-		return run
+		return s
 	})
 
-	stats := sim.Reduce(res, RiderSweepStats{Metrics: sim.MergeMetrics()}, func(acc RiderSweepStats, _ int64, run riderRun) RiderSweepStats {
-		acc.Runs++
-		acc.Nodes += run.nodes
-		acc.DecidedNodes += run.decidedNodes
-		acc.MaxCommits += run.maxCommits
-		acc.NodeCommits += run.nodeCommits
-		acc.NodeWaves += run.nodeWaves
-		acc.MedianBlocks += run.medianBlocks
-		if run.hitLimit {
-			acc.HitLimits++
+	total := RiderSweepStats{Seeds: len(seeds), Metrics: sim.MergeMetrics()}
+	for i, s := range runs {
+		if errs[i] != nil {
+			s.Failures, s.First = failure(seeds[i], errs[i])
 		}
-		acc.EndTime += run.endTime
-		acc.Metrics = sim.MergeMetrics(acc.Metrics, run.metrics)
-		return acc
-	})
-	stats.Seeds = len(res.Seeds)
-	stats.Failures, stats.First = foldFailures(res, func(r riderRun) error { return r.err })
-	return stats
+		total.Runs += s.Runs
+		total.Failures += s.Failures
+		if total.First == nil {
+			total.First = s.First
+		}
+		total.Nodes += s.Nodes
+		total.DecidedNodes += s.DecidedNodes
+		total.MaxCommits += s.MaxCommits
+		total.NodeCommits += s.NodeCommits
+		total.NodeWaves += s.NodeWaves
+		total.MedianBlocks += s.MedianBlocks
+		total.HitLimits += s.HitLimits
+		total.EndTime += s.EndTime
+		total.Metrics = sim.MergeMetrics(total.Metrics, s.Metrics)
+	}
+	return total
 }
 
 // Gather sweeps. ----------------------------------------------------------
-
-// gatherRun is the per-seed record a gather sweep reduces over.
-type gatherRun struct {
-	err        error
-	delivered  int
-	commonCore bool
-	hitLimit   bool
-	endTime    sim.VirtualTime
-	metrics    *sim.Metrics
-}
 
 // GatherSweepStats aggregates a multi-seed gather sweep. Seeds/Runs/
 // Failures follow the RiderSweepStats conventions.
@@ -209,39 +160,39 @@ type GatherSweepStats struct {
 // run's outputs are analyzed for a common core among all processes; check,
 // if non-nil, can impose stricter per-run conditions (it receives the
 // run's config because gather.RunResult does not embed it).
-func (s Sweeper) SweepGather(seeds []int64, mk func(seed int64) gather.RunConfig, check func(gather.RunConfig, gather.RunResult) error) GatherSweepStats {
-	res := sim.Sweep(seeds, s.Workers, func(seed int64) gatherRun {
+func SweepGather(seeds []int64, mk func(seed int64) gather.RunConfig, check func(gather.RunConfig, gather.RunResult) error) GatherSweepStats {
+	runs, errs := sim.Sweep(seeds, func(seed int64) GatherSweepStats {
 		cfg := mk(seed)
 		r := gather.RunCluster(cfg)
 		n := cfg.Trust.N()
-		core := gather.AnalyzeCommonCore(n, r.SSnapshots, r.Outputs, types.FullSet(n))
-		run := gatherRun{
-			delivered:  len(r.Outputs),
-			commonCore: !core.IsEmpty(),
-			hitLimit:   r.HitLimit,
-			endTime:    r.EndTime,
-			metrics:    r.Metrics,
+		s := GatherSweepStats{Runs: 1, Delivered: len(r.Outputs), EndTime: r.EndTime, Metrics: r.Metrics}
+		if !gather.AnalyzeCommonCore(n, r.SSnapshots, r.Outputs, types.FullSet(n)).IsEmpty() {
+			s.CommonCores = 1
+		}
+		if r.HitLimit {
+			s.HitLimits = 1
 		}
 		if check != nil {
-			run.err = check(cfg, r)
+			s.Failures, s.First = failure(seed, check(cfg, r))
 		}
-		return run
+		return s
 	})
 
-	stats := sim.Reduce(res, GatherSweepStats{Metrics: sim.MergeMetrics()}, func(acc GatherSweepStats, _ int64, run gatherRun) GatherSweepStats {
-		acc.Runs++
-		acc.Delivered += run.delivered
-		if run.commonCore {
-			acc.CommonCores++
+	total := GatherSweepStats{Seeds: len(seeds), Metrics: sim.MergeMetrics()}
+	for i, s := range runs {
+		if errs[i] != nil {
+			s.Failures, s.First = failure(seeds[i], errs[i])
 		}
-		if run.hitLimit {
-			acc.HitLimits++
+		total.Runs += s.Runs
+		total.Failures += s.Failures
+		if total.First == nil {
+			total.First = s.First
 		}
-		acc.EndTime += run.endTime
-		acc.Metrics = sim.MergeMetrics(acc.Metrics, run.metrics)
-		return acc
-	})
-	stats.Seeds = len(res.Seeds)
-	stats.Failures, stats.First = foldFailures(res, func(r gatherRun) error { return r.err })
-	return stats
+		total.Delivered += s.Delivered
+		total.CommonCores += s.CommonCores
+		total.HitLimits += s.HitLimits
+		total.EndTime += s.EndTime
+		total.Metrics = sim.MergeMetrics(total.Metrics, s.Metrics)
+	}
+	return total
 }

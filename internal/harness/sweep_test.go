@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/gather"
@@ -75,61 +76,84 @@ func TestSameSeedIdenticalMetrics(t *testing.T) {
 	}
 }
 
-// riderSweepStats renders a sweep's aggregate to a string so worker-count
-// comparisons are byte-level (the satellite acceptance criterion).
-func riderSweepRender(t *testing.T, workers int) (RiderSweepStats, string) {
-	t.Helper()
+// forEachProcs runs f under GOMAXPROCS 1, 2 and NumCPU and restores the
+// setting afterwards.
+func forEachProcs(f func(procs int)) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, runtime.NumCPU()} {
+		runtime.GOMAXPROCS(procs)
+		f(procs)
+	}
+}
+
+// TestSweepRiderWorkerCountIndependence: at every GOMAXPROCS, SweepRider's
+// aggregate — merged metrics and first-failure bookkeeping included —
+// equals a serial for loop over RunRider.
+func TestSweepRiderWorkerCountIndependence(t *testing.T) {
 	trust := quorum.NewThreshold(4, 1)
 	correct := types.FullSet(4)
-	stats := Sweeper{Workers: workers}.SweepRider(sim.SeedRange(1, 12), func(seed int64) RiderConfig {
+	seeds := sim.SeedRange(1, 12)
+	mk := func(seed int64) RiderConfig {
 		return RiderConfig{
 			Kind: Asymmetric, Trust: trust, NumWaves: 5, TxPerBlock: 1,
 			Seed: seed, CoinSeed: seed * 7,
 		}
-	}, func(res RiderResult) error { return res.CheckTotalOrder(correct) })
-	scalars := stats
-	scalars.Metrics = nil // pointer identity must not leak into the render
-	return stats, fmt.Sprintf("%+v|%+v", scalars, *stats.Metrics)
-}
+	}
+	check := func(res RiderResult) error { return res.CheckTotalOrder(correct) }
 
-// TestSweepRiderWorkerCountIndependence: identical aggregated stats —
-// including merged metrics and first-failure bookkeeping — for worker
-// counts 1, 2 and GOMAXPROCS.
-func TestSweepRiderWorkerCountIndependence(t *testing.T) {
-	base, serial := riderSweepRender(t, 1)
-	if base.Failures > 0 {
-		t.Fatalf("baseline sweep failed: %s", base.First)
-	}
-	for _, workers := range []int{2, runtime.GOMAXPROCS(0)} {
-		stats, got := riderSweepRender(t, workers)
-		if !reflect.DeepEqual(base, stats) {
-			t.Errorf("stats differ between 1 and %d workers:\n%+v\n%+v", workers, base, stats)
+	want := RiderSweepStats{Seeds: len(seeds), Metrics: sim.MergeMetrics()}
+	for _, seed := range seeds {
+		cfg := mk(seed)
+		r := RunRider(cfg)
+		if err := check(r); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if got != serial {
-			t.Errorf("rendered stats differ between 1 and %d workers:\n%s\n%s", workers, serial, got)
+		want.Runs++
+		want.Nodes += len(r.Nodes)
+		var blocks []int
+		maxCommits := 0
+		for _, nr := range r.Nodes {
+			if nr.DecidedWave > 0 {
+				want.DecidedNodes++
+			}
+			maxCommits = max(maxCommits, len(nr.Commits))
+			want.NodeCommits += len(nr.Commits)
+			want.NodeWaves += cfg.NumWaves
+			blocks = append(blocks, len(nr.Blocks))
 		}
+		slices.Sort(blocks)
+		want.MaxCommits += maxCommits
+		want.MedianBlocks += blocks[len(blocks)/2]
+		if r.HitLimit {
+			want.HitLimits++
+		}
+		want.EndTime += r.EndTime
+		want.Metrics = sim.MergeMetrics(want.Metrics, r.Metrics)
 	}
+	forEachProcs(func(procs int) {
+		if got := SweepRider(seeds, mk, check); !reflect.DeepEqual(got, want) {
+			t.Errorf("GOMAXPROCS=%d: sweep differs from the serial loop:\n got %+v\nwant %+v", procs, got, want)
+		}
+	})
 }
 
 // TestSweepReportsFirstFailingSeed plants a check that rejects two known
-// seeds and requires the sweeper to name the earlier one.
+// seeds and requires the sweep to name the earlier one.
 func TestSweepReportsFirstFailingSeed(t *testing.T) {
 	trust := quorum.NewThreshold(4, 1)
-	for _, workers := range []int{1, 3} {
-		stats := Sweeper{Workers: workers}.SweepRider(sim.SeedRange(1, 10), func(seed int64) RiderConfig {
-			return RiderConfig{Kind: Asymmetric, Trust: trust, NumWaves: 2, Seed: seed, CoinSeed: seed}
-		}, func(res RiderResult) error {
-			if res.Config.Seed == 4 || res.Config.Seed == 7 {
-				return fmt.Errorf("planted failure")
-			}
-			return nil
-		})
-		if stats.Failures != 2 {
-			t.Fatalf("workers=%d: failures = %d, want 2", workers, stats.Failures)
+	stats := SweepRider(sim.SeedRange(1, 10), func(seed int64) RiderConfig {
+		return RiderConfig{Kind: Asymmetric, Trust: trust, NumWaves: 2, Seed: seed, CoinSeed: seed}
+	}, func(res RiderResult) error {
+		if res.Config.Seed == 4 || res.Config.Seed == 7 {
+			return fmt.Errorf("planted failure")
 		}
-		if stats.First == nil || stats.First.Seed != 4 {
-			t.Fatalf("workers=%d: first failure = %v, want seed 4", workers, stats.First)
-		}
+		return nil
+	})
+	if stats.Failures != 2 {
+		t.Fatalf("failures = %d, want 2", stats.Failures)
+	}
+	if stats.First == nil || stats.First.Seed != 4 {
+		t.Fatalf("first failure = %v, want seed 4", stats.First)
 	}
 }
 
@@ -137,7 +161,7 @@ func TestSweepReportsFirstFailingSeed(t *testing.T) {
 // its seed, not tear the sweep down.
 func TestSweepRiderSurfacesPanicSeed(t *testing.T) {
 	trust := quorum.NewThreshold(4, 1)
-	stats := Sweeper{Workers: 2}.SweepRider(sim.SeedRange(1, 6), func(seed int64) RiderConfig {
+	stats := SweepRider(sim.SeedRange(1, 6), func(seed int64) RiderConfig {
 		if seed == 3 {
 			panic("planted panic")
 		}
@@ -212,9 +236,8 @@ func TestRunRiderEventBudget(t *testing.T) {
 		t.Fatal("unbounded run flagged HitLimit")
 	}
 
-	// The budget threads through the Sweeper as a per-run counter.
-	sw := Sweeper{Workers: 1}
-	stats := sw.SweepRider([]int64{1, 2, 3}, func(seed int64) RiderConfig {
+	// The budget threads through SweepRider as a per-run counter.
+	stats := SweepRider([]int64{1, 2, 3}, func(seed int64) RiderConfig {
 		cfg := tiny
 		cfg.Seed = seed
 		return cfg
@@ -229,7 +252,7 @@ func TestRunRiderEventBudget(t *testing.T) {
 	if res := gather.RunCluster(gcfg); !res.HitLimit {
 		t.Fatal("gather 3-event budget not reported as hit")
 	}
-	gstats := Sweeper{Workers: 1}.SweepGather([]int64{1, 2}, func(seed int64) gather.RunConfig {
+	gstats := SweepGather([]int64{1, 2}, func(seed int64) gather.RunConfig {
 		cfg := gcfg
 		cfg.Seed = seed
 		return cfg

@@ -208,7 +208,11 @@ type RandomSymmetricConfig struct {
 // fail-prone sets of size at most MaxFault shared by all processes, with
 // canonical quorums. The result is only returned if it passes Validate;
 // otherwise generation retries with a derived seed, up to 64 attempts.
+// It needs 1 <= MaxFault <= N and NumSets >= 0.
 func RandomSymmetric(cfg RandomSymmetricConfig) (*System, error) {
+	if err := checkRandomConfig(cfg.N, cfg.NumSets, cfg.MaxFault, cfg.N); err != nil {
+		return nil, err
+	}
 	var lastViolation error
 	for attempt := 0; attempt < 64; attempt++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(attempt)*7919))
@@ -243,8 +247,12 @@ type RandomAsymmetricConfig struct {
 // RandomAsymmetric generates a random asymmetric system: each process draws
 // its own NumSets fail-prone sets of size at most MaxFault (never including
 // itself), quorums canonical. Retries with derived seeds until the system
-// passes Validate, up to 128 attempts.
+// passes Validate, up to 128 attempts. It needs 1 <= MaxFault <= N-1 and
+// NumSets >= 0.
 func RandomAsymmetric(cfg RandomAsymmetricConfig) (*System, error) {
+	if err := checkRandomConfig(cfg.N, cfg.NumSets, cfg.MaxFault, cfg.N-1); err != nil {
+		return nil, err
+	}
 	var lastViolation error
 	for attempt := 0; attempt < 128; attempt++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(attempt)*104729))
@@ -274,6 +282,24 @@ func RandomAsymmetric(cfg RandomAsymmetricConfig) (*System, error) {
 		}
 	}
 	return nil, fmt.Errorf("quorum: no valid random asymmetric system found for %+v (last violation: %v)", cfg, lastViolation)
+}
+
+// checkRandomConfig rejects a random-generator config whose fail-prone
+// sets cannot be drawn: the draw loop adds distinct processes until a set
+// reaches its size, so a size above the processes it may draw from never
+// terminates.
+func checkRandomConfig(n, numSets, maxFault, drawable int) error {
+	switch {
+	case n < 1:
+		return fmt.Errorf("quorum: random system needs N >= 1, got %d", n)
+	case numSets < 0:
+		return fmt.Errorf("quorum: random system needs NumSets >= 0, got %d", numSets)
+	case maxFault < 1:
+		return fmt.Errorf("quorum: random system needs MaxFault >= 1, got %d", maxFault)
+	case maxFault > drawable:
+		return fmt.Errorf("quorum: random system with N=%d: MaxFault %d exceeds the %d processes a fail-prone set may hold", n, maxFault, drawable)
+	}
+	return nil
 }
 
 // UNLConfig describes a Ripple-flavoured trust topology (paper §1:

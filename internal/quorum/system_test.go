@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/types"
 )
@@ -436,6 +437,68 @@ func TestRandomSystemsValid(t *testing.T) {
 	}
 	if err := asym.Validate(); err != nil {
 		t.Fatalf("random asymmetric invalid: %v", err)
+	}
+}
+
+// TestRandomSystemsRejectBadConfigs: a config whose fail-prone sets
+// cannot be drawn returns an error instead of looping forever or
+// panicking. Each call runs under a deadline, because the unchecked
+// generators hang on these inputs.
+func TestRandomSystemsRejectBadConfigs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		gen  func() (*System, error)
+	}{
+		{"asymmetric N=0", func() (*System, error) {
+			return RandomAsymmetric(RandomAsymmetricConfig{N: 0, NumSets: 1, MaxFault: 1})
+		}},
+		{"asymmetric N=1", func() (*System, error) {
+			return RandomAsymmetric(RandomAsymmetricConfig{N: 1, NumSets: 2, MaxFault: 1})
+		}},
+		{"asymmetric MaxFault=N", func() (*System, error) {
+			return RandomAsymmetric(RandomAsymmetricConfig{N: 5, NumSets: 2, MaxFault: 5})
+		}},
+		{"asymmetric MaxFault=0", func() (*System, error) {
+			return RandomAsymmetric(RandomAsymmetricConfig{N: 5, NumSets: 2, MaxFault: 0})
+		}},
+		{"asymmetric NumSets<0", func() (*System, error) {
+			return RandomAsymmetric(RandomAsymmetricConfig{N: 5, NumSets: -1, MaxFault: 1})
+		}},
+		{"symmetric N=0", func() (*System, error) {
+			return RandomSymmetric(RandomSymmetricConfig{N: 0, NumSets: 1, MaxFault: 1})
+		}},
+		{"symmetric MaxFault>N", func() (*System, error) {
+			return RandomSymmetric(RandomSymmetricConfig{N: 4, NumSets: 2, MaxFault: 5})
+		}},
+		{"symmetric MaxFault<0", func() (*System, error) {
+			return RandomSymmetric(RandomSymmetricConfig{N: 4, NumSets: 2, MaxFault: -1})
+		}},
+	} {
+		type outcome struct {
+			err      error
+			panicked any
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			defer func() {
+				if p := recover(); p != nil {
+					done <- outcome{panicked: p}
+				}
+			}()
+			_, err := tc.gen()
+			done <- outcome{err: err}
+		}()
+		select {
+		case o := <-done:
+			switch {
+			case o.panicked != nil:
+				t.Errorf("%s: panicked: %v", tc.name, o.panicked)
+			case o.err == nil:
+				t.Errorf("%s: returned a system, want an error", tc.name)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("%s: still running after 10s, want an error", tc.name)
+		}
 	}
 }
 

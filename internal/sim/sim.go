@@ -58,15 +58,14 @@
 // # Sweep determinism contract
 //
 // Executions with different seeds are independent, and Sweep (sweep.go)
-// runs them on a bounded worker pool. The contract: a sweep's observable
+// runs them on GOMAXPROCS goroutines. The contract: a sweep's observable
 // output is a pure function of the seed slice and the per-seed closure —
-// never of the worker count or of run completion order. Results are
-// positioned by seed, Reduce folds them in seed order, and panics are
-// attributed to the offending seed. Consequently any aggregate built
-// through Reduce/MergeMetrics (statistics, first failing seed, ordered
-// rows) is byte-identical for 1 worker, 2 workers, or GOMAXPROCS workers —
-// which is what lets the randomized conformance suites fan out across
-// cores while staying reproducible from a single integer.
+// never of GOMAXPROCS or of run completion order. Values and errors come
+// back positioned by seed, a panic as its seed's *SeedPanic, so any
+// aggregate a caller folds in seed order (statistics, first failing seed,
+// ordered rows) is byte-identical at every GOMAXPROCS — which is what
+// lets the randomized conformance suites fan out across cores while
+// staying reproducible from a single integer.
 package sim
 
 import (

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/types"
@@ -45,100 +47,99 @@ func TestSeedRange(t *testing.T) {
 
 func TestSweepValuesPositionedBySeed(t *testing.T) {
 	seeds := []int64{7, 3, 11, 5}
-	res := Sweep(seeds, 2, func(seed int64) int64 { return seed * 10 })
+	values, errs := Sweep(seeds, func(seed int64) int64 { return seed * 10 })
+	if len(values) != len(seeds) || len(errs) != len(seeds) {
+		t.Fatalf("got %d values and %d errors for %d seeds", len(values), len(errs), len(seeds))
+	}
 	for i, s := range seeds {
-		if res.Seeds[i] != s {
-			t.Errorf("Seeds[%d] = %d, want %d", i, res.Seeds[i], s)
+		if values[i] != s*10 {
+			t.Errorf("values[%d] = %d, want %d", i, values[i], s*10)
 		}
-		if res.Values[i] != s*10 {
-			t.Errorf("Values[%d] = %d, want %d", i, res.Values[i], s*10)
+		if errs[i] != nil {
+			t.Errorf("errs[%d] = %v for a healthy run", i, errs[i])
 		}
 	}
-	if err := res.Err(); err != nil {
-		t.Errorf("unexpected sweep error: %v", err)
+}
+
+// forEachProcs runs f under GOMAXPROCS 1, 2 and NumCPU and restores the
+// setting afterwards.
+func forEachProcs(f func(procs int)) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, runtime.NumCPU()} {
+		runtime.GOMAXPROCS(procs)
+		f(procs)
 	}
 }
 
 // TestSweepWorkerCountIndependence is the acceptance check of the sweep
-// determinism contract: identical aggregated output for worker counts 1, 2
-// and GOMAXPROCS, byte for byte.
+// determinism contract: at every GOMAXPROCS the sweep returns, byte for
+// byte, what a serial for loop over the seeds computes.
 func TestSweepWorkerCountIndependence(t *testing.T) {
 	seeds := SeedRange(1, 32)
-	render := func(workers int) string {
-		res := Sweep(seeds, workers, sweepTrace)
-		if err := res.Err(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return Reduce(res, "", func(acc string, seed int64, v string) string {
-			return acc + fmt.Sprintf("== seed %d ==\n%s", seed, v)
-		})
+	want := make([]string, len(seeds))
+	for i, seed := range seeds {
+		want[i] = sweepTrace(seed)
 	}
-	serial := render(1)
-	for _, workers := range []int{2, runtime.GOMAXPROCS(0)} {
-		if got := render(workers); got != serial {
-			t.Errorf("sweep output differs between 1 and %d workers:\n--- 1 worker ---\n%s\n--- %d workers ---\n%s",
-				workers, serial, workers, got)
+	forEachProcs(func(procs int) {
+		got, errs := Sweep(seeds, sweepTrace)
+		if err := errors.Join(errs...); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("GOMAXPROCS=%d, seed %d: sweep differs from the serial loop:\n--- serial ---\n%s\n--- sweep ---\n%s",
+					procs, seeds[i], want[i], got[i])
+			}
+		}
+	})
+}
+
+// TestSweepPanicCaptureReportsSeed runs a panic-heavy sweep — every odd
+// seed panics — and requires each panic at its own seed's position, named
+// and with its stack, while the healthy runs still complete.
+func TestSweepPanicCaptureReportsSeed(t *testing.T) {
+	seeds := SeedRange(0, 64)
+	values, errs := Sweep(seeds, func(seed int64) int64 {
+		if seed%2 == 1 {
+			panic(fmt.Sprintf("boom %d", seed))
+		}
+		return seed
+	})
+	for i, seed := range seeds {
+		if seed%2 == 0 {
+			if errs[i] != nil || values[i] != seed {
+				t.Fatalf("seed %d: value %d, error %v; want %d, nil", seed, values[i], errs[i], seed)
+			}
+			continue
+		}
+		var sp *SeedPanic
+		if !errors.As(errs[i], &sp) || sp.Seed != seed || len(sp.Stack) == 0 {
+			t.Fatalf("seed %d: error %#v, want its *SeedPanic with a stack", seed, errs[i])
+		}
+		if msg := errs[i].Error(); !strings.Contains(msg, fmt.Sprintf("seed %d", seed)) || !strings.Contains(msg, "boom") {
+			t.Errorf("error should name seed and panic value: %v", msg)
+		}
+		if values[i] != 0 {
+			t.Errorf("seed %d: panicked run left value %d, want 0", seed, values[i])
 		}
 	}
 }
 
-func TestSweepPanicCaptureReportsSeed(t *testing.T) {
-	seeds := []int64{1, 2, 3, 4, 5}
-	res := Sweep(seeds, 3, func(seed int64) int {
-		if seed == 4 {
-			panic("boom")
-		}
+// TestSweepEmptyAndOversizedPool: an empty sweep returns empty slices, and
+// more Ps than seeds neither deadlocks nor runs a seed twice.
+func TestSweepEmptyAndOversizedPool(t *testing.T) {
+	values, errs := Sweep(nil, func(seed int64) int { return 1 })
+	if len(values) != 0 || len(errs) != 0 {
+		t.Errorf("empty sweep: %v, %v", values, errs)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
+	var calls atomic.Int32
+	values, _ = Sweep([]int64{1, 2}, func(seed int64) int {
+		calls.Add(1)
 		return int(seed)
 	})
-	err := res.Err()
-	if err == nil {
-		t.Fatal("panicking run not surfaced")
-	}
-	if !strings.Contains(err.Error(), "seed 4") || !strings.Contains(err.Error(), "boom") {
-		t.Errorf("error should name seed and panic value: %v", err)
-	}
-	panics := res.Panics()
-	if len(panics) != 1 || panics[0].Seed != 4 || panics[0].Index != 3 {
-		t.Fatalf("panics = %+v", panics)
-	}
-	if len(panics[0].Stack) == 0 {
-		t.Error("panic stack not captured")
-	}
-	if res.PanicAt(3) == nil || res.PanicAt(0) != nil {
-		t.Error("PanicAt mislocates the panicked index")
-	}
-	// The healthy runs still completed, and Reduce skips the panicked one.
-	sum := Reduce(res, 0, func(acc int, _ int64, v int) int { return acc + v })
-	if sum != 1+2+3+5 {
-		t.Errorf("Reduce over non-panicked runs = %d, want %d", sum, 1+2+3+5)
-	}
-}
-
-func TestSweepReduceAppliesInSeedOrder(t *testing.T) {
-	seeds := []int64{9, 1, 6, 2}
-	res := Sweep(seeds, 4, func(seed int64) int64 { return seed })
-	order := Reduce(res, []int64(nil), func(acc []int64, seed int64, v int64) []int64 {
-		if seed != v {
-			t.Errorf("value %d paired with seed %d", v, seed)
-		}
-		return append(acc, seed)
-	})
-	for i := range seeds {
-		if order[i] != seeds[i] {
-			t.Fatalf("reduce order %v, want %v", order, seeds)
-		}
-	}
-}
-
-func TestSweepEmptyAndOversizedPool(t *testing.T) {
-	res := Sweep(nil, 8, func(seed int64) int { return 1 })
-	if len(res.Values) != 0 || res.Err() != nil {
-		t.Errorf("empty sweep: %+v", res)
-	}
-	// More workers than seeds must not deadlock or duplicate work.
-	res = Sweep([]int64{1, 2}, 16, func(seed int64) int { return int(seed) })
-	if res.Values[0] != 1 || res.Values[1] != 2 {
-		t.Errorf("oversized pool values = %v", res.Values)
+	if values[0] != 1 || values[1] != 2 || calls.Load() != 2 {
+		t.Errorf("oversized pool: values %v after %d calls", values, calls.Load())
 	}
 }
 
@@ -181,42 +182,5 @@ func TestSendDropAccounting(t *testing.T) {
 	}
 	if m.ByType["sim.ping"] != 13 {
 		t.Errorf("ByType = %v, want 13 pings", m.ByType)
-	}
-}
-
-// TestSweepPanicAtIndexed exercises PanicAt on a panic-heavy sweep: every
-// odd seed panics, and the position index must attribute each captured
-// panic to exactly its own slot (Reduce consults PanicAt per seed, so
-// this is also what keeps panic-heavy reductions linear).
-func TestSweepPanicAtIndexed(t *testing.T) {
-	seeds := SeedRange(0, 64)
-	res := Sweep(seeds, 4, func(seed int64) int64 {
-		if seed%2 == 1 {
-			panic(seed)
-		}
-		return seed
-	})
-	for i, seed := range seeds {
-		sp := res.PanicAt(i)
-		if seed%2 == 1 {
-			if sp == nil || sp.Seed != seed || sp.Index != i {
-				t.Fatalf("PanicAt(%d) = %+v, want panic for seed %d", i, sp, seed)
-			}
-		} else if sp != nil {
-			t.Fatalf("PanicAt(%d) = %+v for a healthy run", i, sp)
-		}
-	}
-	if res.PanicAt(len(seeds)+5) != nil {
-		t.Fatal("PanicAt out of range returned a panic")
-	}
-	sum := Reduce(res, int64(0), func(acc int64, _ int64, v int64) int64 { return acc + v })
-	want := int64(0)
-	for _, s := range seeds {
-		if s%2 == 0 {
-			want += s
-		}
-	}
-	if sum != want {
-		t.Fatalf("Reduce over even seeds = %d, want %d", sum, want)
 	}
 }
