@@ -23,9 +23,16 @@ build:
 # scenarios end to end; its checker also requires that no run sent a
 # message without a wire codec. bench/ is a nested module that `./...`
 # does not reach, so it is vetted here too: a root refactor can otherwise
-# break the benchmark unnoticed.
+# break the benchmark unnoticed. The examples and the digest of every
+# experiment's output run again at GOMAXPROCS 1, 2 and 4: sweeps fan out
+# over GOMAXPROCS goroutines, and their output must not depend on how
+# many. (The environment variable, not -cpu: go test runs examples once,
+# whatever -cpu lists.)
 test: scenarios vet
 	$(GO) test -race ./...
+	for p in 1 2 4; do \
+		GOMAXPROCS=$$p $(GO) test -count=1 -run '^(Example|TestExperimentsOutputDigest)' . ./cmd/experiments || exit 1; \
+	done
 	cd bench && $(GO) vet .
 
 # Coverage-guided fuzzing of the byte-level attack surface: the wire

@@ -97,13 +97,10 @@ func Counterexample() *System { return quorum.Counterexample() }
 // NewPRFCoin returns the seeded common coin shared by a run's nodes.
 func NewPRFCoin(seed int64, n int) CoinSource { return coin.NewPRF(seed, n) }
 
-// FaultBehavior is a stand-in state machine for a faulty process, usable
-// in RiderConfig.Faulty and GatherConfig.Faulty.
+// FaultBehavior is a process's state machine as the simulator and the TCP
+// host run it: a protocol node, or a stand-in a ScenarioNodeFault wraps
+// around or puts in place of one.
 type FaultBehavior = sim.Node
-
-// Mute returns the simplest Byzantine behaviour: a process that never
-// sends a message (indistinguishable from an initial crash).
-func Mute() FaultBehavior { return sim.MuteNode{} }
 
 // RunGather executes one gather instance across a simulated cluster.
 func RunGather(cfg GatherConfig) GatherResult { return gather.RunCluster(cfg) }
@@ -146,6 +143,11 @@ func FindScenario(name string) (ScenarioDefinition, bool) { return scenario.Find
 
 // LinksBetween selects links crossing between a and b (both directions).
 func LinksBetween(a, b Set) ScenarioLinks { return scenario.Between(a, b) }
+
+// MuteFault replaces p with the simplest Byzantine behaviour: a process
+// that never sends a message (indistinguishable from an initial crash).
+// The process counts as faulty.
+func MuteFault(p ProcessID) ScenarioNodeFault { return scenario.Mute(p) }
 
 // ChurnFault crashes p at crashAt and recovers it at recoverAt; with
 // buffer, deliveries during the outage are replayed on recovery (the

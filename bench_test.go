@@ -214,7 +214,7 @@ func BenchmarkRiderAsymmetricWithCrashes(b *testing.B) {
 		res := harness.RunRider(harness.RiderConfig{
 			Kind: harness.Asymmetric, Trust: trust, NumWaves: 6, TxPerBlock: 2,
 			Seed: int64(i), CoinSeed: int64(i),
-			Faulty: map[types.ProcessID]sim.Node{5: sim.MuteNode{}, 6: sim.MuteNode{}},
+			Scenario: &scenario.Scenario{Faults: []scenario.NodeFault{scenario.Mute(5), scenario.Mute(6)}},
 		})
 		correct := types.NewSetOf(7, 0, 1, 2, 3, 4)
 		if err := res.CheckTotalOrder(correct); err != nil {

@@ -44,12 +44,7 @@ func runGather(args []string, stdout io.Writer) int {
 	case "uniform":
 		lat = sim.UniformLatency{Min: 1, Max: 50}
 	case "adversarial":
-		// Appendix A's schedule: each process hears its first quorum fast.
-		fav := make([]types.Set, sys.N())
-		for i := range fav {
-			fav[i] = firstOrEmpty(sys.Quorums(types.ProcessID(i)), sys.N())
-		}
-		lat = sim.FavoredLinksLatency{Favored: fav, Fast: 1, Slow: 100000}
+		lat = gather.AdversarialSchedule(sys)
 	default:
 		return usageError("unknown schedule %q", *schedule)
 	}

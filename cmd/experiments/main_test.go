@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 	"time"
@@ -63,6 +65,26 @@ func TestSubcommands(t *testing.T) {
 		if !strings.Contains(out.String(), tc.want) {
 			t.Errorf("%v: stdout lacks %q:\n%s", tc.args, tc.want, out.String())
 		}
+	}
+}
+
+// experimentsDigest is the SHA-256 of the stdout of a plain `experiments`
+// run (all 15 experiments). Every experiment is seeded, so a change that
+// moves any printed figure moves this digest; update it only for a change
+// meant to move one, and say which figure moved.
+const experimentsDigest = "a4bb0600ba7fedfdfb6c07e2430f50f5c82704339fe61ddbc64fa0f9b9659d58"
+
+// TestExperimentsOutputDigest pins the whole output of the paper harness.
+// `make test` also runs it at -cpu 1,2,4: the sweeps fan out over
+// GOMAXPROCS goroutines and their output must not depend on how many.
+func TestExperimentsOutputDigest(t *testing.T) {
+	var out bytes.Buffer
+	if code := run(nil, &out); code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out.String())
+	}
+	sum := sha256.Sum256(out.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != experimentsDigest {
+		t.Fatalf("stdout digest %s, want %s:\n%s", got, experimentsDigest, out.String())
 	}
 }
 

@@ -96,10 +96,17 @@
 //     set. Rules compile into a sim.FaultPlane evaluated at the
 //     simulator's single-threaded send- and deliver-commit points with the
 //     run's seeded RNG, so every scenario execution is a pure function of
-//     the seed — byte-identical across DeliveryWorkers counts. A registry
-//     of built-in scenarios backs the scenario × seed conformance sweeps
-//     (with first-failing (scenario, seed) attribution) and the
-//     `scenarios` experiment; ExampleRunConsensus composes a custom one.
+//     the seed — byte-identical across DeliveryWorkers counts. A Scenario
+//     is a run's whole adversary: RiderConfig and GatherConfig take one
+//     (nil = every process correct), and a muted or custom Byzantine
+//     process is one of its node faults (MuteFault, ChurnFault).
+//     harness.CheckScenarioProperties is the one Definition 4.1 checker:
+//     it takes the faulty set from the run's Scenario, computes the
+//     maximal guild under explicit or threshold trust, and passes a run
+//     with an empty guild vacuously. A registry of built-in scenarios
+//     backs the scenario × seed conformance sweeps (with first-failing
+//     (scenario, seed) attribution) and the `scenarios` experiment;
+//     ExampleRunConsensus composes a custom one.
 //   - A shared framed binary wire codec (internal/wire) and a production
 //     TCP transport (internal/transport): every protocol message type
 //     registers a tagged codec built on canonical uvarints, length-
@@ -158,6 +165,9 @@
 //     cannot size in sim.Metrics.EncodeErrors, as TCP does in
 //     PeerStats.EncodeErrors; the scenario checker, the service soak and
 //     TestConsensusOverTCP require zero.
+//   - Sweeps do not depend on GOMAXPROCS: `make test` runs the Example
+//     functions and cmd/experiments' TestExperimentsOutputDigest (the
+//     SHA-256 of every experiment's output) at -cpu 1,2,4.
 //
 // # Quickstart
 //

@@ -177,10 +177,10 @@ func ExampleNewFederated() {
 		TxPerBlock: 3,
 		Seed:       3,
 		CoinSeed:   5,
-		Faulty: map[asymdag.ProcessID]asymdag.FaultBehavior{
-			0: asymdag.Mute(),
-			1: asymdag.Mute(),
-		},
+		Scenario: &asymdag.Scenario{Faults: []asymdag.ScenarioNodeFault{
+			asymdag.MuteFault(0),
+			asymdag.MuteFault(1),
+		}},
 	})
 
 	fmt.Println("\nconsensus with the two top-tier members mute:")
@@ -243,7 +243,6 @@ func ExampleRunService() {
 	cfg := asymdag.ServiceConfig{
 		Trust:          asymdag.NewThreshold(n, 1),
 		CoinSeed:       7,
-		ClientRate:     4,  // client commands admitted per replica per tick
 		BatchSize:      16, // transactions packed into one block
 		PipelineDepth:  8,  // waves proposals may run ahead of decisions
 		GCDepth:        12, // rounds of DAG kept below the decided horizon
@@ -348,7 +347,7 @@ func ExampleRunConsensus() {
 	resA := asymdag.RunConsensus(asymdag.RiderConfig{
 		Kind: asymdag.RiderAsymmetric, Trust: sys, NumWaves: 8, TxPerBlock: 2,
 		Seed: 1, CoinSeed: 1,
-		Faulty: map[asymdag.ProcessID]asymdag.FaultBehavior{6: asymdag.Mute()},
+		Scenario: &asymdag.Scenario{Faults: []asymdag.ScenarioNodeFault{asymdag.MuteFault(6)}},
 	})
 	reportGuild(resA, guildA)
 
@@ -363,7 +362,7 @@ func ExampleRunConsensus() {
 	resB := asymdag.RunConsensus(asymdag.RiderConfig{
 		Kind: asymdag.RiderAsymmetric, Trust: sys, NumWaves: 8, TxPerBlock: 2,
 		Seed: 2, CoinSeed: 2,
-		Faulty: map[asymdag.ProcessID]asymdag.FaultBehavior{1: asymdag.Mute(), 2: asymdag.Mute()},
+		Scenario: &asymdag.Scenario{Faults: []asymdag.ScenarioNodeFault{asymdag.MuteFault(1), asymdag.MuteFault(2)}},
 	})
 	correctB := faultyB.Complement()
 	committed := 0

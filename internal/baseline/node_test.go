@@ -8,6 +8,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/quorum"
 	"repro/internal/rider"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -74,7 +75,7 @@ func TestSymmetricWithCrash(t *testing.T) {
 		TxPerBlock: 1,
 		Seed:       2,
 		CoinSeed:   2,
-		Faulty:     map[types.ProcessID]sim.Node{3: sim.MuteNode{}},
+		Scenario:   &scenario.Scenario{Faults: []scenario.NodeFault{scenario.Mute(3)}},
 	})
 	correct := types.NewSetOf(4, 0, 1, 2)
 	committed := 0

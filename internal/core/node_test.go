@@ -12,6 +12,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/quorum"
 	"repro/internal/rider"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -137,10 +138,6 @@ func TestAsymmetricOnFederatedSystem(t *testing.T) {
 func TestAsymmetricWithCrashFaults(t *testing.T) {
 	// Threshold(7,2) as an asymmetric assumption; crash 2 processes.
 	trust := quorum.NewThreshold(7, 2)
-	faulty := map[types.ProcessID]sim.Node{
-		5: sim.MuteNode{},
-		6: sim.MuteNode{},
-	}
 	res := harness.RunRider(harness.RiderConfig{
 		Kind:       harness.Asymmetric,
 		Trust:      trust,
@@ -148,7 +145,7 @@ func TestAsymmetricWithCrashFaults(t *testing.T) {
 		TxPerBlock: 1,
 		Seed:       4,
 		CoinSeed:   4,
-		Faulty:     faulty,
+		Scenario:   &scenario.Scenario{Faults: []scenario.NodeFault{scenario.Mute(5), scenario.Mute(6)}},
 	})
 	correct := types.NewSetOf(7, 0, 1, 2, 3, 4)
 	committed := 0
@@ -193,9 +190,9 @@ func TestAsymmetricCrashInsideFailProneSet(t *testing.T) {
 		t.Skip("no suitable fail-prone set")
 	}
 	guild := sys.MaximalGuild(faultySet)
-	faulty := map[types.ProcessID]sim.Node{}
+	sc := &scenario.Scenario{}
 	for _, p := range faultySet.Members() {
-		faulty[p] = sim.MuteNode{}
+		sc.Faults = append(sc.Faults, scenario.Mute(p))
 	}
 	res := harness.RunRider(harness.RiderConfig{
 		Kind:       harness.Asymmetric,
@@ -204,7 +201,7 @@ func TestAsymmetricCrashInsideFailProneSet(t *testing.T) {
 		TxPerBlock: 1,
 		Seed:       6,
 		CoinSeed:   6,
-		Faulty:     faulty,
+		Scenario:   sc,
 	})
 	for _, p := range guild.Members() {
 		if res.Nodes[p].Round < 24 {
@@ -248,9 +245,9 @@ func TestAsymmetricVertexEquivocation(t *testing.T) {
 		TxPerBlock: 1,
 		Seed:       8,
 		CoinSeed:   8,
-		Faulty: map[types.ProcessID]sim.Node{
-			3: &vertexEquivocator{trust: trust},
-		},
+		Scenario: &scenario.Scenario{Faults: []scenario.NodeFault{{
+			P: 3, Wrap: func(sim.Node) sim.Node { return &vertexEquivocator{trust: trust} },
+		}}},
 	})
 	correct := types.NewSetOf(4, 0, 1, 2)
 	checkAll(t, res, correct)
@@ -402,7 +399,7 @@ func TestRevealedCoinAsymmetricSystem(t *testing.T) {
 		Seed:         9,
 		CoinSeed:     9,
 		RevealedCoin: true,
-		Faulty:       map[types.ProcessID]sim.Node{victim: sim.MuteNode{}},
+		Scenario:     &scenario.Scenario{Faults: []scenario.NodeFault{scenario.Mute(victim)}},
 	})
 	committed := 0
 	for _, p := range guild.Members() {

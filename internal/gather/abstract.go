@@ -2,6 +2,7 @@ package gather
 
 import (
 	"repro/internal/quorum"
+	"repro/internal/sim"
 	"repro/internal/types"
 )
 
@@ -19,6 +20,23 @@ type QuorumChoice func(p types.ProcessID) types.Set
 // CanonicalChoice returns each process's first quorum.
 func CanonicalChoice(sys *quorum.System) QuorumChoice {
 	return func(p types.ProcessID) types.Set { return sys.Quorums(p)[0] }
+}
+
+// AdversarialSchedule is Appendix A's message schedule: each process hears
+// the members of its first quorum (CanonicalChoice's pick) after 1 time
+// unit and everyone else after 100000, so the rounds of a gather run the
+// abstract execution RoundSets computes. A process with no quorum hears
+// everyone slowly.
+func AdversarialSchedule(sys *quorum.System) sim.FavoredLinksLatency {
+	fav := make([]types.Set, sys.N())
+	for i := range fav {
+		if qs := sys.Quorums(types.ProcessID(i)); len(qs) > 0 {
+			fav[i] = qs[0]
+		} else {
+			fav[i] = types.NewSet(sys.N())
+		}
+	}
+	return sim.FavoredLinksLatency{Favored: fav, Fast: 1, Slow: 100000}
 }
 
 // RoundSets computes the per-process known-value sets after `rounds`

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/broadcast"
 	"repro/internal/quorum"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -179,17 +180,17 @@ func TestAlgorithm3WithCrashFaults(t *testing.T) {
 	}
 	guild := sys.MaximalGuild(faulty)
 
-	faultyNodes := map[types.ProcessID]sim.Node{}
+	sc := &scenario.Scenario{}
 	for _, p := range faulty.Members() {
-		faultyNodes[p] = sim.MuteNode{}
+		sc.Faults = append(sc.Faults, scenario.Mute(p))
 	}
 	res := RunCluster(RunConfig{
-		Kind:    KindConstantRound,
-		Trust:   sys,
-		Mode:    UseReliable,
-		Latency: sim.UniformLatency{Min: 1, Max: 30},
-		Seed:    9,
-		Faulty:  faultyNodes,
+		Kind:     KindConstantRound,
+		Trust:    sys,
+		Mode:     UseReliable,
+		Latency:  sim.UniformLatency{Min: 1, Max: 30},
+		Seed:     9,
+		Scenario: sc,
 	})
 	for _, p := range guild.Members() {
 		if _, ok := res.Outputs[p]; !ok {
@@ -371,7 +372,9 @@ func TestAlgorithm3RejectsFabricatedPairs(t *testing.T) {
 		Mode:    UseReliable,
 		Latency: sim.UniformLatency{Min: 1, Max: 25},
 		Seed:    13,
-		Faulty:  map[types.ProcessID]sim.Node{byz: &poisonNode{trust: trust, victim: victim}},
+		Scenario: &scenario.Scenario{Faults: []scenario.NodeFault{{
+			P: byz, Wrap: func(sim.Node) sim.Node { return &poisonNode{trust: trust, victim: victim} },
+		}}},
 	})
 	correct := types.NewSetOf(n, 0, 1, 2)
 	for _, p := range correct.Members() {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/quorum"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -38,10 +39,10 @@ type RunConfig struct {
 	Mode    Dissemination
 	Latency sim.LatencyModel
 	Seed    int64
-	// Faulty optionally replaces nodes with faulty behaviours.
-	Faulty map[types.ProcessID]sim.Node
-	// Fault is an optional scenario fault plane (see sim.FaultPlane).
-	Fault sim.FaultPlane
+	// Scenario is the run's adversary (nil = every process correct, no
+	// link faults): its node faults wrap the gather nodes and its rules
+	// become the simulator's fault plane. Build a fresh one per run.
+	Scenario *scenario.Scenario
 	// MaxEvents bounds the run (0 = the generous sim.DefaultEventBudget,
 	// < 0 = unbounded) — the convention shared with the other protocol
 	// runners, so a non-quiescing schedule cannot hang a gather sweep.
@@ -80,12 +81,10 @@ func RunCluster(cfg RunConfig) RunResult {
 		} else {
 			nodes[i] = NewThreeRoundNode(c)
 		}
-	}
-	for p, f := range cfg.Faulty {
-		nodes[p] = f
+		nodes[i] = cfg.Scenario.WrapNode(types.ProcessID(i), nodes[i])
 	}
 	limit := sim.ResolveEventBudget(cfg.MaxEvents)
-	r := sim.NewRunner(sim.Config{N: n, Seed: cfg.Seed, Latency: cfg.Latency, Fault: cfg.Fault}, nodes)
+	r := sim.NewRunner(sim.Config{N: n, Seed: cfg.Seed, Latency: cfg.Latency, Fault: cfg.Scenario.FaultPlane()}, nodes)
 	r.Run(limit)
 
 	res := RunResult{
@@ -96,9 +95,9 @@ func RunCluster(cfg RunConfig) RunResult {
 		HitLimit:   limit > 0 && r.Pending() > 0,
 	}
 	for i, nd := range nodes {
-		g, ok := nd.(gatherNode)
+		g, ok := sim.Unwrap(nd).(gatherNode)
 		if !ok {
-			continue // a faulty behaviour
+			continue // a stand-in that replaced the gather node
 		}
 		p := types.ProcessID(i)
 		if out, ok := g.Delivered(); ok {

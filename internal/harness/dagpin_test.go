@@ -10,6 +10,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/quorum"
 	"repro/internal/rider"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -58,7 +59,7 @@ func TestRiderRunsMatchRecordedDigests(t *testing.T) {
 		{"asym-fig1", RiderConfig{Kind: Asymmetric, Trust: quorum.Counterexample(), NumWaves: 3, TxPerBlock: 1, Seed: 7, CoinSeed: 8}, "b1a22473b1d09e13885e65fe0067097f0f8d0029f0c884bef0eeaaa66a8ef0c0"},
 		{"sym-n4", RiderConfig{Kind: Symmetric, Trust: quorum.NewThreshold(4, 1), NumWaves: 10, TxPerBlock: 1, Seed: 9, CoinSeed: 10, Latency: slow}, "dd2afd03c75c5ac7e0db9e4b0c69f6c783603e9dcf5cd03ef332b60acaeb04c3"},
 		{"sym-n7-crash", RiderConfig{Kind: Symmetric, Trust: quorum.NewThreshold(7, 2), NumWaves: 8, TxPerBlock: 1, Seed: 11, CoinSeed: 12, Latency: slow,
-			Faulty: map[types.ProcessID]sim.Node{6: sim.MuteNode{}}}, "d568754981f13a34859c1aef7235645ec34ca60a7f9390a0e7642293c997917a"},
+			Scenario: &scenario.Scenario{Faults: []scenario.NodeFault{scenario.Mute(6)}}}, "d568754981f13a34859c1aef7235645ec34ca60a7f9390a0e7642293c997917a"},
 	}
 	for _, c := range cases {
 		res := RunRider(c.cfg)
@@ -123,7 +124,9 @@ func TestMalformedVertexEdgesRejected(t *testing.T) {
 			trust := quorum.NewThreshold(4, 1)
 			res := RunRider(RiderConfig{
 				Kind: kind, Trust: trust, NumWaves: 4, TxPerBlock: 1, Seed: 2, CoinSeed: 3,
-				Faulty: map[types.ProcessID]sim.Node{3: &malformedVertexSender{trust: trust, edit: e.edit}},
+				Scenario: &scenario.Scenario{Faults: []scenario.NodeFault{{
+					P: 3, Wrap: func(sim.Node) sim.Node { return &malformedVertexSender{trust: trust, edit: e.edit} },
+				}}},
 			})
 			correct := types.NewSetOf(4, 0, 1, 2)
 			if err := res.CheckAgreement(correct); err != nil {

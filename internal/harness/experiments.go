@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/gather"
 	"repro/internal/quorum"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -106,7 +107,7 @@ func ExpFig4() string {
 		Kind:    gather.KindThreeRound,
 		Trust:   sys,
 		Mode:    gather.UsePlain,
-		Latency: counterexampleSchedule(sys),
+		Latency: gather.AdversarialSchedule(sys),
 		Seed:    1,
 	})
 	match := true
@@ -119,15 +120,6 @@ func ExpFig4() string {
 	fmt.Fprintf(&b, "message-level Algorithm 2 matches abstract execution: %v\n", match)
 	fmt.Fprintf(&b, "message-level common core candidates: %v (empty ⇒ Lemma 3.2 reproduced)\n", core)
 	return b.String()
-}
-
-// counterexampleSchedule is the adversarial latency of Appendix A.
-func counterexampleSchedule(sys *quorum.System) sim.LatencyModel {
-	fav := make([]types.Set, sys.N())
-	for i := range fav {
-		fav[i] = sys.Quorums(types.ProcessID(i))[0]
-	}
-	return sim.FavoredLinksLatency{Favored: fav, Fast: 1, Slow: 100000}
 }
 
 // smallSystemTrial is one ExpSmallSystems probe: build a random system
@@ -235,8 +227,8 @@ func ExpGatherComparison() string {
 			core: !core.IsEmpty(), msgs: res.Metrics.MessagesSent, endTime: res.EndTime,
 		})
 	}
-	run(gather.KindThreeRound, "adversarial (Appendix A)", counterexampleSchedule(sys), 1)
-	run(gather.KindConstantRound, "adversarial (Appendix A)", counterexampleSchedule(sys), 1)
+	run(gather.KindThreeRound, "adversarial (Appendix A)", gather.AdversarialSchedule(sys), 1)
+	run(gather.KindConstantRound, "adversarial (Appendix A)", gather.AdversarialSchedule(sys), 1)
 	run(gather.KindThreeRound, "uniform random", sim.UniformLatency{Min: 1, Max: 50}, 2)
 	run(gather.KindConstantRound, "uniform random", sim.UniformLatency{Min: 1, Max: 50}, 2)
 
@@ -342,53 +334,46 @@ func ExpProtocolComparison() string {
 }
 
 // ExpFaults exercises the Definition 4.1 properties under crash and
-// Byzantine-mute faults inside fail-prone sets (E9). Each scenario is a
-// parallel 12-seed sweep: total order, agreement and integrity are checked
-// on every run, and a violation is reported with its seed.
+// Byzantine-mute faults inside fail-prone sets (E9). Each row is a
+// parallel 12-seed sweep whose runs mute the given processes and declare
+// the safety properties: CheckScenarioProperties checks total order,
+// agreement and integrity over the maximal guild on every run, and a
+// violation is reported with its seed.
 func ExpFaults() string {
 	const seedsPerScenario = 12
 	var b strings.Builder
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "scenario\tguild size\tseeds ok\thit limits\tcommitted nodes\tproperties")
 
-	report := func(name string, within types.Set, mk func(seed int64) RiderConfig) {
-		stats := SweepRider(sim.SeedRange(1, seedsPerScenario), mk, func(res RiderResult) error {
-			if err := res.CheckTotalOrder(within); err != nil {
-				return err
+	report := func(name string, trust quorum.Assumption, waves int, mute ...types.ProcessID) {
+		muted := func() *scenario.Scenario {
+			sc := &scenario.Scenario{Name: name, Properties: scenario.SafetyProperties()}
+			for _, p := range mute {
+				sc.Faults = append(sc.Faults, scenario.Mute(p))
 			}
-			if err := res.CheckAgreement(within); err != nil {
-				return err
+			return sc
+		}
+		guild, err := scenarioGuild(trust, muted())
+		if err != nil {
+			panic(err)
+		}
+		stats := SweepRider(sim.SeedRange(1, seedsPerScenario), func(seed int64) RiderConfig {
+			return RiderConfig{
+				Kind: Asymmetric, Trust: trust, NumWaves: waves, TxPerBlock: 1,
+				Seed: seed, CoinSeed: seed, Scenario: muted(),
 			}
-			return res.CheckIntegrity(within)
-		})
+		}, CheckScenarioProperties)
 		verdict := "ok"
 		if stats.First != nil {
 			verdict = "VIOLATED at " + stats.First.String()
 		}
 		fmt.Fprintf(w, "%s\t%d\t%d/%d\t%d\t%d/%d\t%s\n",
-			name, within.Count(), stats.Seeds-stats.Failures, stats.Seeds,
+			name, guild.Count(), stats.Seeds-stats.Failures, stats.Seeds,
 			stats.HitLimits, stats.DecidedNodes, stats.Nodes, verdict)
 	}
 
-	// Mute one of threshold(4,1).
-	trust41 := quorum.NewThreshold(4, 1)
-	report("threshold(4,1), 1 mute", types.NewSetOf(4, 0, 1, 2), func(seed int64) RiderConfig {
-		return RiderConfig{
-			Kind: Asymmetric, Trust: trust41, NumWaves: 8, TxPerBlock: 1,
-			Seed: seed, CoinSeed: seed,
-			Faulty: map[types.ProcessID]sim.Node{3: sim.MuteNode{}},
-		}
-	})
-
-	// Mute two of threshold(7,2).
-	trust72 := quorum.NewThreshold(7, 2)
-	report("threshold(7,2), 2 mute", types.NewSetOf(7, 0, 1, 2, 3, 4), func(seed int64) RiderConfig {
-		return RiderConfig{
-			Kind: Asymmetric, Trust: trust72, NumWaves: 8, TxPerBlock: 1,
-			Seed: seed, CoinSeed: seed,
-			Faulty: map[types.ProcessID]sim.Node{5: sim.MuteNode{}, 6: sim.MuteNode{}},
-		}
-	})
+	report("threshold(4,1), 1 mute", quorum.NewThreshold(4, 1), 8, 3)
+	report("threshold(7,2), 2 mute", quorum.NewThreshold(7, 2), 8, 5, 6)
 
 	// Genuinely asymmetric system with faults inside a fail-prone set:
 	// p1..p6 tolerate {p7} or {p8}; p7,p8 additionally tolerate {p2,p3}.
@@ -406,14 +391,7 @@ func ExpFaults() string {
 	}
 	sys, err := quorum.Canonical(n, failProne)
 	if err == nil && sys.Validate() == nil {
-		guild := sys.MaximalGuild(fp1)
-		report(fmt.Sprintf("asym(8), mute %v", fp1), guild, func(seed int64) RiderConfig {
-			return RiderConfig{
-				Kind: Asymmetric, Trust: sys, NumWaves: 6, TxPerBlock: 1,
-				Seed: seed, CoinSeed: seed,
-				Faulty: map[types.ProcessID]sim.Node{6: sim.MuteNode{}},
-			}
-		})
+		report(fmt.Sprintf("asym(8), mute %v", fp1), sys, 6, 6)
 	}
 	w.Flush()
 	b.WriteString("\npaper Definition 4.1: agreement, total order and integrity hold for the maximal guild\n" +

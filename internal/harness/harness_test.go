@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/quorum"
 	"repro/internal/rider"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -235,7 +236,7 @@ func TestExpLatencyShape(t *testing.T) {
 
 // TestRandomizedPropertySweep is the repository's "mini model checker":
 // random trust systems, random tolerated faults, random schedules — the
-// Definition 4.1 properties must hold in every run.
+// Definition 4.1 safety properties must hold in every run with a guild.
 func TestRandomizedPropertySweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
 	trials := 12
@@ -271,30 +272,17 @@ func TestRandomizedPropertySweep(t *testing.T) {
 				faulty = fps[rng.Intn(len(fps))]
 			}
 		}
-		within := faulty.Complement()
-		if sys, ok := trust.(*quorum.System); ok {
-			within = sys.MaximalGuild(faulty)
-			if within.IsEmpty() {
-				continue
-			}
-		}
-		faultyNodes := map[types.ProcessID]sim.Node{}
+		sc := &scenario.Scenario{Properties: scenario.SafetyProperties()}
 		for _, p := range faulty.Members() {
-			faultyNodes[p] = sim.MuteNode{}
+			sc.Faults = append(sc.Faults, scenario.Mute(p))
 		}
 		res := RunRider(RiderConfig{
 			Kind: Asymmetric, Trust: trust, NumWaves: 5, TxPerBlock: 1,
 			Seed: rng.Int63(), CoinSeed: rng.Int63(),
-			Latency: sim.UniformLatency{Min: 1, Max: sim.VirtualTime(5 + rng.Intn(60))},
-			Faulty:  faultyNodes,
+			Latency:  sim.UniformLatency{Min: 1, Max: sim.VirtualTime(5 + rng.Intn(60))},
+			Scenario: sc,
 		})
-		if err := res.CheckTotalOrder(within); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if err := res.CheckAgreement(within); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if err := res.CheckIntegrity(within); err != nil {
+		if err := CheckScenarioProperties(res); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}

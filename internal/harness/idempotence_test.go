@@ -19,14 +19,11 @@ import (
 // always duplicate), and this suite pins that before the duplication
 // faults of the scenario registry rely on it.
 
-// redeliverPlane compiles a link rule re-delivering ~15% of all messages
-// 1..30 time units after their first delivery.
-func redeliverPlane() sim.FaultPlane {
-	sc := scenario.Scenario{Rules: []scenario.Rule{{
-		Redeliver:      0.15,
-		RedeliverDelay: scenario.Jitter{Min: 1, Max: 30},
-	}}}
-	return sc.FaultPlane()
+// redeliver is the link rule re-delivering ~15% of all messages 1..30
+// time units after their first delivery.
+var redeliver = scenario.Rule{
+	Redeliver:      0.15,
+	RedeliverDelay: scenario.Jitter{Min: 1, Max: 30},
 }
 
 // requireDuplicates fails the test if the sweep's metrics show no
@@ -49,9 +46,9 @@ func TestDuplicateDeliveryIdempotenceRider(t *testing.T) {
 	}
 	stats := SweepRider(sim.SeedRange(1, count), func(seed int64) RiderConfig {
 		cfg := conformanceConfig(seed)
-		cfg.Fault = redeliverPlane()
+		cfg.Scenario.Rules = append(cfg.Scenario.Rules, redeliver)
 		return cfg
-	}, conformanceCheck)
+	}, CheckScenarioProperties)
 	if stats.Failures > 0 {
 		t.Fatalf("%d/%d seeds violated Definition 4.1 under duplicate delivery; first failing %s",
 			stats.Failures, stats.Seeds, stats.First)
@@ -84,7 +81,7 @@ func TestDuplicateDeliveryIdempotenceGather(t *testing.T) {
 		return gather.RunConfig{
 			Kind: gather.KindConstantRound, Trust: sys, Mode: gather.UsePlain,
 			Latency: sim.UniformLatency{Min: 1, Max: 20},
-			Seed:    seed, Fault: redeliverPlane(),
+			Seed:    seed, Scenario: &scenario.Scenario{Rules: []scenario.Rule{redeliver}},
 		}
 	}, func(cfg gather.RunConfig, res gather.RunResult) error {
 		if len(res.Outputs) != cfg.Trust.N() {
@@ -122,8 +119,9 @@ func TestDuplicateDeliveryIdempotenceACS(t *testing.T) {
 			})
 			nodes[i] = raw[i]
 		}
+		sc := scenario.Scenario{Rules: []scenario.Rule{redeliver}}
 		r := sim.NewRunner(sim.Config{
-			N: n, Seed: seed, Latency: sim.UniformLatency{Min: 1, Max: 20}, Fault: redeliverPlane(),
+			N: n, Seed: seed, Latency: sim.UniformLatency{Min: 1, Max: 20}, Fault: sc.FaultPlane(),
 		}, nodes)
 		r.Run(sim.ResolveEventBudget(0))
 		if r.Pending() > 0 {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/gather"
 	"repro/internal/quorum"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -33,8 +34,8 @@ func conformanceConfig(seed int64) RiderConfig {
 	})
 	if err != nil {
 		// Rare: no valid random system for these parameters. Fall back to
-		// an explicit threshold system (still a *quorum.System, so the
-		// guild computation in the checker is uniform).
+		// an explicit threshold system, whose fail-prone sets the mute
+		// below draws from.
 		sys, err = quorum.NewThresholdExplicit(n, (n-1)/3)
 		if err != nil {
 			panic(err) // sweep attributes the panic to this seed
@@ -43,12 +44,14 @@ func conformanceConfig(seed int64) RiderConfig {
 
 	// With probability 1/2, mute one tolerated fail-prone set — the
 	// properties must hold for the maximal guild of every such execution.
-	faulty := map[types.ProcessID]sim.Node{}
+	sc := &scenario.Scenario{Properties: []scenario.Property{
+		scenario.TotalOrder, scenario.Agreement, scenario.Integrity, scenario.Validity,
+	}}
 	if rng.Intn(2) == 0 {
 		fps := sys.FailProneSets(types.ProcessID(rng.Intn(n)))
 		if len(fps) > 0 {
 			for _, p := range fps[rng.Intn(len(fps))].Members() {
-				faulty[p] = sim.MuteNode{}
+				sc.Faults = append(sc.Faults, scenario.Mute(p))
 			}
 		}
 	}
@@ -61,46 +64,19 @@ func conformanceConfig(seed int64) RiderConfig {
 		Seed:       seed,
 		CoinSeed:   seed*31 + 7,
 		Latency:    sim.UniformLatency{Min: 1, Max: sim.VirtualTime(5 + rng.Intn(40))},
-		Faulty:     faulty,
+		Scenario:   sc,
 	}
-}
-
-// conformanceCheck asserts every Definition 4.1 property over the maximal
-// guild of the execution's faulty set.
-func conformanceCheck(res RiderResult) error {
-	sys := res.Config.Trust.(*quorum.System)
-	n := sys.N()
-	faultySet := types.NewSet(n)
-	for p := range res.Config.Faulty {
-		faultySet.Add(p)
-	}
-	within := sys.MaximalGuild(faultySet)
-	if within.IsEmpty() {
-		return nil // no guild — the paper's properties are vacuous
-	}
-	if err := res.CheckTotalOrder(within); err != nil {
-		return err
-	}
-	if err := res.CheckAgreement(within); err != nil {
-		return err
-	}
-	if err := res.CheckIntegrity(within); err != nil {
-		return err
-	}
-	// Validity: an early vertex of a guild member must reach every guild
-	// member that decided far enough (the checker guards the horizon).
-	return res.CheckValidity(within, within.Members()[0], 1)
 }
 
 // TestRandomizedProtocolConformance sweeps ≥200 random systems through the
 // asymmetric protocol and asserts total order, agreement, integrity and
-// validity on every run.
+// validity on every run with a guild.
 func TestRandomizedProtocolConformance(t *testing.T) {
 	count := 200
 	if testing.Short() {
 		count = 25
 	}
-	stats := SweepRider(sim.SeedRange(1, count), conformanceConfig, conformanceCheck)
+	stats := SweepRider(sim.SeedRange(1, count), conformanceConfig, CheckScenarioProperties)
 	if stats.Failures > 0 {
 		t.Fatalf("%d/%d seeds violated Definition 4.1; first failing %s",
 			stats.Failures, stats.Seeds, stats.First)
@@ -175,13 +151,13 @@ func TestRandomizedParallelDeliveryConformance(t *testing.T) {
 			return cfg
 		}
 	}
-	ref := SweepRider(sim.SeedRange(1, count), mk(1), conformanceCheck)
+	ref := SweepRider(sim.SeedRange(1, count), mk(1), CheckScenarioProperties)
 	if ref.Failures > 0 {
 		t.Fatalf("%d/%d parallel seeds violated Definition 4.1; first failing %s",
 			ref.Failures, ref.Seeds, ref.First)
 	}
 	for _, workers := range []int{3} {
-		stats := SweepRider(sim.SeedRange(1, count), mk(workers), conformanceCheck)
+		stats := SweepRider(sim.SeedRange(1, count), mk(workers), CheckScenarioProperties)
 		if stats.Failures > 0 {
 			t.Fatalf("workers=%d: %d/%d seeds failed; first %s", workers, stats.Failures, stats.Seeds, stats.First)
 		}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/quorum"
 	"repro/internal/rider"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -52,20 +53,17 @@ type RiderConfig struct {
 	Seed, CoinSeed int64
 	// Latency is the network model (default uniform 1..20).
 	Latency sim.LatencyModel
-	// Faulty replaces the given processes with faulty behaviours.
-	Faulty map[types.ProcessID]sim.Node
-	// Fault is an optional scenario fault plane applied at the simulator's
-	// send-commit and delivery points (see sim.FaultPlane).
-	Fault sim.FaultPlane
-	// Wrap, if non-nil, wraps every constructed node (after Faulty
-	// substitution) — the scenario engine's hook for crash/churn/Byzantine
-	// behaviours. Result collection unwraps through sim.Unwrap, so a
-	// wrapped protocol node's observable state is still reported.
-	Wrap func(p types.ProcessID, inner sim.Node) sim.Node
-	// MaxEvents bounds the simulation (0 = the generous DefaultMaxEvents,
-	// < 0 = unbounded). The default keeps a non-quiescing schedule from
-	// hanging a sweep forever; RiderResult.HitLimit reports a truncated
-	// run.
+	// Scenario is the run's adversary (nil = every process correct, no
+	// link faults): its node faults wrap the protocol nodes (a mute or
+	// Byzantine process is a NodeFault), its rules become the simulator's
+	// fault plane, and CheckScenarioProperties reads its faulty set and
+	// declared properties. Wrappers hold per-run state, so build a fresh
+	// Scenario for every run. Result collection unwraps through
+	// sim.Unwrap, so a wrapped protocol node's state is still reported.
+	Scenario *scenario.Scenario
+	// MaxEvents bounds the simulation (0 = sim.DefaultEventBudget, < 0 =
+	// unbounded). The default keeps a non-quiescing schedule from hanging
+	// a sweep forever; RiderResult.HitLimit reports a truncated run.
 	MaxEvents int
 	// DeliveryWorkers opts the run into the simulator's parallel
 	// same-time delivery (<= 0 = serial; see sim.Config.DeliveryWorkers).
@@ -87,15 +85,10 @@ type NodeResult struct {
 	Blocks      []string
 }
 
-// DefaultMaxEvents is the event budget RunNodes applies when
-// the config leaves MaxEvents at 0 — the simulator-wide default shared by
-// every protocol runner.
-const DefaultMaxEvents = sim.DefaultEventBudget
-
 // RiderResult is the outcome of one cluster execution.
 type RiderResult struct {
 	// Nodes holds per-process results for processes that ran the real
-	// protocol (faulty stand-ins are omitted).
+	// protocol (stand-ins that replace it, like a mute, are omitted).
 	Nodes   map[types.ProcessID]NodeResult
 	Metrics *sim.Metrics
 	EndTime sim.VirtualTime
@@ -137,28 +130,25 @@ func RunRider(cfg RiderConfig) RiderResult {
 			})
 		}
 	}
-	for p, f := range cfg.Faulty {
-		nodes[p] = f
-	}
-	if cfg.Wrap != nil {
-		for i := range nodes {
-			nodes[i] = cfg.Wrap(types.ProcessID(i), nodes[i])
-		}
-	}
 	return RunNodes(cfg, nodes)
 }
 
-// RunNodes executes already-constructed nodes under cfg's network (Seed,
-// Latency, Fault, MaxEvents, DeliveryWorkers) to quiescence and collects
-// the result of every node that unwraps to a protocol node. It ignores
-// cfg's node-construction fields; RunRider is the caller that reads them.
+// RunNodes executes already-constructed nodes under cfg's network and
+// adversary (Seed, Latency, Scenario, MaxEvents, DeliveryWorkers) to
+// quiescence and collects the result of every node that unwraps to a
+// protocol node. It wraps nodes in place with the Scenario's node faults
+// and ignores cfg's node-construction fields; RunRider is the caller that
+// reads them.
 func RunNodes(cfg RiderConfig, nodes []sim.Node) RiderResult {
 	if cfg.Latency == nil {
 		cfg.Latency = sim.UniformLatency{Min: 1, Max: 20}
 	}
+	for i := range nodes {
+		nodes[i] = cfg.Scenario.WrapNode(types.ProcessID(i), nodes[i])
+	}
 	limit := sim.ResolveEventBudget(cfg.MaxEvents)
 	r := sim.NewRunner(sim.Config{
-		N: len(nodes), Seed: cfg.Seed, Latency: cfg.Latency, Fault: cfg.Fault,
+		N: len(nodes), Seed: cfg.Seed, Latency: cfg.Latency, Fault: cfg.Scenario.FaultPlane(),
 		DeliveryWorkers: cfg.DeliveryWorkers,
 	}, nodes)
 	r.Run(limit)

@@ -23,13 +23,14 @@ import (
 // envelope the built-in scenarios' fault windows are calibrated against.
 type ScenarioSweepConfig struct {
 	// Trust is the quorum system (default threshold(4,1) in explicit
-	// *quorum.System form — the guild computation needs a *System).
+	// *quorum.System form, the form the built-in scenarios' outputs were
+	// recorded with).
 	Trust *quorum.System
 }
 
 // ScenarioRiderConfig instantiates def for one seed under the sweep
-// config: a fresh Scenario (wrappers carry per-run state), its compiled
-// fault plane, and its node wraps, over the base consensus configuration.
+// config: a fresh Scenario (wrappers carry per-run state, so call it once
+// per run) over the base consensus configuration.
 func ScenarioRiderConfig(def scenario.Definition, base ScenarioSweepConfig, seed int64) RiderConfig {
 	trust := base.Trust
 	if trust == nil {
@@ -47,8 +48,7 @@ func ScenarioRiderConfig(def scenario.Definition, base ScenarioSweepConfig, seed
 		Seed:       seed,
 		CoinSeed:   seed*31 + 7,
 		Latency:    sim.UniformLatency{Min: 1, Max: 20},
-		Fault:      sc.FaultPlane(),
-		Wrap:       sc.WrapNode,
+		Scenario:   &sc,
 		// One delivery worker, not serial: the recorded scenario outputs
 		// (make scenarios, ExampleRunConsensus) were taken on the
 		// batch-commit scheduler, which runs the same at every worker
@@ -58,27 +58,48 @@ func ScenarioRiderConfig(def scenario.Definition, base ScenarioSweepConfig, seed
 	}
 }
 
-// CheckScenarioProperties asserts every property def declares over the
-// maximal guild of the scenario's faulty set, and that the run sent no
-// message the wire codec cannot encode (sim.Metrics.EncodeErrors is 0):
-// over TCP such a send would be dropped. The scenario is rebuilt from
-// the run's recorded seed (Definition.Build is a pure function of (n,
-// seed)), so the checker needs no side channel to the instance that ran.
-func CheckScenarioProperties(def scenario.Definition, res RiderResult) error {
+// scenarioGuild returns the maximal guild of sc's faulty set under trust:
+// an explicit system computes it; under threshold trust it is every
+// correct process while at most f are faulty, and empty beyond that (no
+// process is wise).
+func scenarioGuild(trust quorum.Assumption, sc *scenario.Scenario) (types.Set, error) {
+	faulty := sc.FaultySet(trust.N())
+	switch t := trust.(type) {
+	case *quorum.System:
+		return t.MaximalGuild(faulty), nil
+	case quorum.Threshold:
+		if faulty.Count() > t.F() {
+			return types.NewSet(t.N()), nil
+		}
+		return faulty.Complement(), nil
+	default:
+		return types.Set{}, fmt.Errorf("no guild computation for trust %T", trust)
+	}
+}
+
+// CheckScenarioProperties is the one Definition 4.1 check of a run: it
+// asserts every property the run's Scenario declares over the maximal
+// guild of the scenario's faulty set, and that the run sent no message
+// the wire codec cannot encode (sim.Metrics.EncodeErrors is 0): over TCP
+// such a send would be dropped. A run whose guild is empty passes
+// vacuously — the paper promises nothing there. A run without a Scenario
+// declares no property, so only the codec check applies.
+func CheckScenarioProperties(res RiderResult) error {
+	sc := res.Config.Scenario
+	if sc == nil {
+		sc = &scenario.Scenario{}
+	}
 	if res.Metrics.EncodeErrors > 0 {
-		return fmt.Errorf("scenario %s: %d sends of a message with no wire codec", def.Name, res.Metrics.EncodeErrors)
+		return fmt.Errorf("scenario %s: %d sends of a message with no wire codec", sc.Name, res.Metrics.EncodeErrors)
 	}
-	sys, ok := res.Config.Trust.(*quorum.System)
-	if !ok {
-		return fmt.Errorf("scenario %s: trust must be a *quorum.System for the guild computation", def.Name)
+	guild, err := scenarioGuild(res.Config.Trust, sc)
+	if err != nil {
+		return fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
-	n := sys.N()
-	sc := def.Build(n, res.Config.Seed)
-	guild := sys.MaximalGuild(sc.FaultySet(n))
 	if guild.IsEmpty() {
 		return nil // no guild — the paper's properties are vacuous
 	}
-	touched := sc.TouchedSet(n)
+	touched := sc.TouchedSet(res.Config.Trust.N())
 	for _, prop := range sc.Properties {
 		var err error
 		switch prop {
@@ -118,7 +139,7 @@ func CheckScenarioProperties(def scenario.Definition, res RiderResult) error {
 			}
 		}
 		if err != nil {
-			return fmt.Errorf("scenario %s: %w", def.Name, err)
+			return fmt.Errorf("scenario %s: %w", sc.Name, err)
 		}
 	}
 	return nil
@@ -138,7 +159,7 @@ type ScenarioSweepStats struct {
 func SweepScenario(def scenario.Definition, seeds []int64, base ScenarioSweepConfig) ScenarioSweepStats {
 	stats := SweepRider(seeds,
 		func(seed int64) RiderConfig { return ScenarioRiderConfig(def, base, seed) },
-		func(res RiderResult) error { return CheckScenarioProperties(def, res) })
+		CheckScenarioProperties)
 	return ScenarioSweepStats{Name: def.Name, RiderSweepStats: stats}
 }
 

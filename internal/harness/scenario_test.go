@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/quorum"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/types"
 )
 
 // randomConformanceSystem derives a random asymmetric system the way the
@@ -44,7 +46,7 @@ func TestScenarioWorkerCountDeterminism(t *testing.T) {
 				cfg := ScenarioRiderConfig(def, ScenarioSweepConfig{}, seed)
 				cfg.DeliveryWorkers = workers
 				return cfg
-			}, func(res RiderResult) error { return CheckScenarioProperties(def, res) })
+			}, CheckScenarioProperties)
 		}
 		ref := SweepScenario(def, seeds, ScenarioSweepConfig{}).RiderSweepStats
 		if ref.Metrics == nil || len(ref.Metrics.ByType) == 0 {
@@ -175,8 +177,46 @@ func TestCheckScenarioPropertiesRejectsViolations(t *testing.T) {
 			break
 		}
 	}
-	if err := CheckScenarioProperties(def, res); err == nil {
+	if err := CheckScenarioProperties(res); err == nil {
 		t.Fatal("checker passed a run with a non-deciding untouched guild member")
+	}
+}
+
+// TestThresholdGuildMatchesExplicit pins the checker's threshold guild
+// against the explicit system's MaximalGuild: for every faulty set of up
+// to f+1 members at n = 4 and 7, muting it gives the same guild under
+// quorum.Threshold as under its explicit form.
+func TestThresholdGuildMatchesExplicit(t *testing.T) {
+	for _, nf := range []struct{ n, f int }{{4, 1}, {7, 2}} {
+		explicit, err := quorum.NewThresholdExplicit(nf.n, nf.f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		for mask := 0; mask < 1<<nf.n; mask++ {
+			if bits.OnesCount(uint(mask)) > nf.f+1 {
+				continue
+			}
+			sc := &scenario.Scenario{}
+			faulty := types.NewSet(nf.n)
+			for p := 0; p < nf.n; p++ {
+				if mask&(1<<p) != 0 {
+					sc.Faults = append(sc.Faults, scenario.Mute(types.ProcessID(p)))
+					faulty.Add(types.ProcessID(p))
+				}
+			}
+			got, err := scenarioGuild(quorum.NewThreshold(nf.n, nf.f), sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := explicit.MaximalGuild(faulty); !got.Equal(want) {
+				t.Errorf("threshold(%d,%d), faulty %v: guild %v, explicit system's %v", nf.n, nf.f, faulty, got, want)
+			}
+			checked++
+		}
+		if checked == 0 {
+			t.Fatalf("threshold(%d,%d): no faulty set checked", nf.n, nf.f)
+		}
 	}
 }
 
@@ -189,11 +229,11 @@ func TestCheckScenarioPropertiesRejectsEncodeErrors(t *testing.T) {
 		t.Fatal("baseline scenario missing from the registry")
 	}
 	res := RunRider(ScenarioRiderConfig(def, ScenarioSweepConfig{}, 1))
-	if err := CheckScenarioProperties(def, res); err != nil {
+	if err := CheckScenarioProperties(res); err != nil {
 		t.Fatal(err)
 	}
 	res.Metrics.EncodeErrors = 1
-	if err := CheckScenarioProperties(def, res); err == nil {
+	if err := CheckScenarioProperties(res); err == nil {
 		t.Fatal("checker passed a run with an encode error")
 	}
 }

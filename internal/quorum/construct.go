@@ -196,46 +196,6 @@ func NewFederated(cfg FederatedConfig) (*System, error) {
 	return Canonical(n, fp)
 }
 
-// RandomSymmetricConfig controls RandomSymmetric.
-type RandomSymmetricConfig struct {
-	N        int
-	NumSets  int // fail-prone sets per process
-	MaxFault int // max size of each fail-prone set
-	Seed     int64
-}
-
-// RandomSymmetric generates a random symmetric system with NumSets random
-// fail-prone sets of size at most MaxFault shared by all processes, with
-// canonical quorums. The result is only returned if it passes Validate;
-// otherwise generation retries with a derived seed, up to 64 attempts.
-// It needs 1 <= MaxFault <= N and NumSets >= 0.
-func RandomSymmetric(cfg RandomSymmetricConfig) (*System, error) {
-	if err := checkRandomConfig(cfg.N, cfg.NumSets, cfg.MaxFault, cfg.N); err != nil {
-		return nil, err
-	}
-	var lastViolation error
-	for attempt := 0; attempt < 64; attempt++ {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(attempt)*7919))
-		sets := make([]types.Set, 0, cfg.NumSets)
-		for k := 0; k < cfg.NumSets; k++ {
-			size := 1 + rng.Intn(cfg.MaxFault)
-			s := types.NewSet(cfg.N)
-			for s.Count() < size {
-				s.Add(types.ProcessID(rng.Intn(cfg.N)))
-			}
-			sets = append(sets, s)
-		}
-		sys, err := NewSymmetric(cfg.N, sets)
-		if err != nil {
-			return nil, err
-		}
-		if lastViolation = sys.Validate(); lastViolation == nil {
-			return sys, nil
-		}
-	}
-	return nil, fmt.Errorf("quorum: no valid random symmetric system found for %+v (last violation: %v)", cfg, lastViolation)
-}
-
 // RandomAsymmetricConfig controls RandomAsymmetric.
 type RandomAsymmetricConfig struct {
 	N        int
@@ -250,8 +210,17 @@ type RandomAsymmetricConfig struct {
 // passes Validate, up to 128 attempts. It needs 1 <= MaxFault <= N-1 and
 // NumSets >= 0.
 func RandomAsymmetric(cfg RandomAsymmetricConfig) (*System, error) {
-	if err := checkRandomConfig(cfg.N, cfg.NumSets, cfg.MaxFault, cfg.N-1); err != nil {
-		return nil, err
+	// The draw loop adds distinct processes other than i until a set
+	// reaches its size, so a size above N-1 would never terminate.
+	switch {
+	case cfg.N < 1:
+		return nil, fmt.Errorf("quorum: random system needs N >= 1, got %d", cfg.N)
+	case cfg.NumSets < 0:
+		return nil, fmt.Errorf("quorum: random system needs NumSets >= 0, got %d", cfg.NumSets)
+	case cfg.MaxFault < 1:
+		return nil, fmt.Errorf("quorum: random system needs MaxFault >= 1, got %d", cfg.MaxFault)
+	case cfg.MaxFault > cfg.N-1:
+		return nil, fmt.Errorf("quorum: random system with N=%d: MaxFault %d exceeds the %d processes a fail-prone set may hold", cfg.N, cfg.MaxFault, cfg.N-1)
 	}
 	var lastViolation error
 	for attempt := 0; attempt < 128; attempt++ {
@@ -282,24 +251,6 @@ func RandomAsymmetric(cfg RandomAsymmetricConfig) (*System, error) {
 		}
 	}
 	return nil, fmt.Errorf("quorum: no valid random asymmetric system found for %+v (last violation: %v)", cfg, lastViolation)
-}
-
-// checkRandomConfig rejects a random-generator config whose fail-prone
-// sets cannot be drawn: the draw loop adds distinct processes until a set
-// reaches its size, so a size above the processes it may draw from never
-// terminates.
-func checkRandomConfig(n, numSets, maxFault, drawable int) error {
-	switch {
-	case n < 1:
-		return fmt.Errorf("quorum: random system needs N >= 1, got %d", n)
-	case numSets < 0:
-		return fmt.Errorf("quorum: random system needs NumSets >= 0, got %d", numSets)
-	case maxFault < 1:
-		return fmt.Errorf("quorum: random system needs MaxFault >= 1, got %d", maxFault)
-	case maxFault > drawable:
-		return fmt.Errorf("quorum: random system with N=%d: MaxFault %d exceeds the %d processes a fail-prone set may hold", n, maxFault, drawable)
-	}
-	return nil
 }
 
 // UNLConfig describes a Ripple-flavoured trust topology (paper §1:

@@ -46,9 +46,8 @@
 //
 // Threshold systems do not need any of this machinery: their predicates
 // are cardinality comparisons, so NewTracker hands out a trivial counting
-// tracker. Assumptions that are neither *System nor Threshold fall back to
-// the narrow Assumption interface with monotone memoization (the predicate
-// is re-evaluated only while still false).
+// tracker. NewTracker panics on an Assumption that is neither *System nor
+// Threshold: the protocols run only on these two.
 //
 // Besides the protocol predicates, the Evaluator also flattens the
 // fail-prone system into contiguous popcount-ready words (sorted per

@@ -424,13 +424,6 @@ func TestFederatedSystemValid(t *testing.T) {
 }
 
 func TestRandomSystemsValid(t *testing.T) {
-	sym, err := RandomSymmetric(RandomSymmetricConfig{N: 8, NumSets: 4, MaxFault: 2, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sym.Validate(); err != nil {
-		t.Fatalf("random symmetric invalid: %v", err)
-	}
 	asym, err := RandomAsymmetric(RandomAsymmetricConfig{N: 8, NumSets: 3, MaxFault: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -463,15 +456,6 @@ func TestRandomSystemsRejectBadConfigs(t *testing.T) {
 		}},
 		{"asymmetric NumSets<0", func() (*System, error) {
 			return RandomAsymmetric(RandomAsymmetricConfig{N: 5, NumSets: -1, MaxFault: 1})
-		}},
-		{"symmetric N=0", func() (*System, error) {
-			return RandomSymmetric(RandomSymmetricConfig{N: 0, NumSets: 1, MaxFault: 1})
-		}},
-		{"symmetric MaxFault>N", func() (*System, error) {
-			return RandomSymmetric(RandomSymmetricConfig{N: 4, NumSets: 2, MaxFault: 5})
-		}},
-		{"symmetric MaxFault<0", func() (*System, error) {
-			return RandomSymmetric(RandomSymmetricConfig{N: 4, NumSets: 2, MaxFault: -1})
 		}},
 	} {
 		type outcome struct {

@@ -18,7 +18,9 @@
 //     real protocol node — crash (sim.CrashNode), crash-recover churn
 //     with buffered or dropped recovery (sim.ChurnNode), and the
 //     Byzantine wrappers of this package (SelectiveNode, StaleReplayNode,
-//     EquivocateNode). Apply them through Scenario.WrapNode.
+//     EquivocateNode), and the stand-ins that replace the node outright
+//     (Mute, or a NodeFault literal whose Wrap ignores the inner node for
+//     a custom Byzantine process). Apply them through Scenario.WrapNode.
 //
 // Each NodeFault declares whether the process still counts as a *correct*
 // process (Correct): a buffered crash-recover node is indistinguishable
@@ -40,9 +42,12 @@
 //     any randomized-looking choice (stale-replay cadence, equivocation
 //     grouping) from deterministic counters or the scenario seed.
 //
-// The registry of built-in scenarios lives in builtins.go; the harness
-// package sweeps scenario × seed through harness.SweepScenarios and checks
-// each scenario's declared properties on every run.
+// A Scenario is a run's whole adversary: harness.RiderConfig and
+// gather.RunConfig take one (nil = no faults), wrap their nodes with
+// WrapNode and hand FaultPlane to the simulator, and
+// harness.CheckScenarioProperties checks a run against the Scenario it
+// ran. The registry of built-in scenarios lives in builtins.go; the
+// harness package sweeps scenario × seed through harness.SweepScenarios.
 package scenario
 
 import (
@@ -224,18 +229,21 @@ type Scenario struct {
 }
 
 // FaultPlane compiles the scenario's link rules into a sim.FaultPlane for
-// sim.Config.Fault. It returns nil when the scenario has no rules, keeping
-// the simulator on its unhooked hot path.
+// sim.Config.Fault. It returns nil when the scenario has no rules (or is
+// nil), keeping the simulator on its unhooked hot path.
 func (s *Scenario) FaultPlane() sim.FaultPlane {
-	if len(s.Rules) == 0 {
+	if s == nil || len(s.Rules) == 0 {
 		return nil
 	}
 	return &plane{rules: s.Rules}
 }
 
 // WrapNode applies the scenario's node faults for process p to its real
-// protocol node. It matches the harness Wrap hook signature.
+// protocol node. A nil scenario returns inner unchanged.
 func (s *Scenario) WrapNode(p types.ProcessID, inner sim.Node) sim.Node {
+	if s == nil {
+		return inner
+	}
 	for i := range s.Faults {
 		if s.Faults[i].P == p && s.Faults[i].Wrap != nil {
 			inner = s.Faults[i].Wrap(inner)

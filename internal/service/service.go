@@ -7,7 +7,7 @@
 //
 //		queue → batch → block → wave → commit → apply → snapshot/compact
 //
-//	  - A deterministic self-addressed tick loop injects ClientRate
+//	  - A deterministic self-addressed tick loop injects clientRate
 //	    synthetic client commands per tick into an admission-bounded
 //	    request queue (commands beyond MaxQueue are rejected and counted —
 //	    backpressure, never unbounded growth).
@@ -28,7 +28,7 @@
 //	    log. Every SnapshotEvery decided waves the replica records a
 //	    Snapshot (applied state + the wave it covers) and compacts: the
 //	    transactions applied since the last snapshot count as compacted,
-//	    and the replica keeps none of them (only RetainLog keeps a log).
+//	    and the replica keeps none of them.
 //	    A snapshot is exactly what the ROADMAP's state-sync item will
 //	    transfer to a joining node.
 //
@@ -37,8 +37,9 @@
 // wave-w leader chain: two replicas that both pass through decidedWave w
 // have byte-identical snapshots at w, even if churn made them commit
 // different intermediate wave sequences. The service tests assert exactly
-// this, and the snapshot-equivalence suite additionally replays the full
-// retained log against every snapshot.
+// this, and the snapshot-equivalence suite additionally records the
+// applied order through a wrapping state machine and replays it against
+// every snapshot.
 //
 // Note on deployments: PR 7 replaced the gob transport encoding with the
 // framed binary codec (internal/wire), an incompatible wire break. A
@@ -85,17 +86,11 @@ type Config struct {
 	// Latency is the network model (default uniform 1..20).
 	Latency sim.LatencyModel
 
-	// ClientRate is the number of synthetic client commands each replica
-	// admits per tick (default 4).
-	ClientRate int
 	// MaxQueue bounds the pending-command queue; commands arriving at a
 	// full queue are rejected and counted (default 1024).
 	MaxQueue int
 	// BatchSize caps the transactions batched into one block (default 16).
 	BatchSize int
-	// KeySpace is the number of distinct keys the synthetic client load
-	// writes to (default 32).
-	KeySpace int
 
 	// PipelineDepth bounds how many waves proposals may run ahead of
 	// decisions (default 8; see core.Config.PipelineDepth).
@@ -110,50 +105,43 @@ type Config struct {
 	// SnapshotEvery takes a state snapshot and compacts the applied log
 	// every time the decided wave advances by this many waves (default 4).
 	SnapshotEvery int
-	// RetainLog keeps the full applied-transaction log on each replica
-	// (test instrumentation; defeats compaction's memory bound).
-	RetainLog bool
 
 	// NewMachine builds each replica's state machine (default NewKV).
 	NewMachine func(p types.ProcessID) StateMachine
 
-	// StopAfterWaves ends the run once every replica in StopSet has
-	// decided at least this wave (default 20). The service itself is
-	// open-ended — this is the test/benchmark stop condition.
+	// StopAfterWaves ends the run once every replica has decided at least
+	// this wave (default 20), or at sim.DefaultEventBudget events
+	// (Result.HitLimit). The service itself is open-ended — this is the
+	// test/benchmark stop condition.
 	StopAfterWaves int
-	// StopSet names the replicas the stop condition waits for (nil = all
-	// replicas running the real protocol). Scenarios with lossy outages
-	// exclude the victims here.
-	StopSet []types.ProcessID
-	// MaxEvents bounds the simulation (0 = sim.DefaultEventBudget,
-	// < 0 = unbounded); Result.HitLimit reports truncation.
-	MaxEvents int
 	// DeliveryWorkers opts into parallel same-time delivery (see
 	// sim.Config.DeliveryWorkers).
 	DeliveryWorkers int
 
-	// Faulty replaces processes with arbitrary behaviours; Fault and Wrap
-	// are the scenario engine's hooks (see harness.RiderConfig).
-	Faulty map[types.ProcessID]sim.Node
-	Fault  sim.FaultPlane
-	Wrap   func(p types.ProcessID, inner sim.Node) sim.Node
+	// Fault is the simulator's fault plane and Wrap wraps each replica
+	// (see harness.ServiceScenarioConfig, which sets both from a
+	// scenario). Wrap receives the *Replica; the stop condition waits for
+	// every replica to decide, so a wrapper must keep it running.
+	Fault sim.FaultPlane
+	Wrap  func(p types.ProcessID, inner sim.Node) sim.Node
 }
+
+// The synthetic client load: each replica admits clientRate commands per
+// tick, "set k<i mod keySpace> p<self>.<i>" for consecutive i.
+const (
+	clientRate = 4
+	keySpace   = 32
+)
 
 func (cfg Config) withDefaults() Config {
 	if cfg.Latency == nil {
 		cfg.Latency = sim.UniformLatency{Min: 1, Max: 20}
-	}
-	if cfg.ClientRate == 0 {
-		cfg.ClientRate = 4
 	}
 	if cfg.MaxQueue == 0 {
 		cfg.MaxQueue = 1024
 	}
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 16
-	}
-	if cfg.KeySpace == 0 {
-		cfg.KeySpace = 32
 	}
 	if cfg.PipelineDepth == 0 {
 		cfg.PipelineDepth = 8
@@ -221,10 +209,9 @@ type Replica struct {
 	commits     int
 	applied     int
 	// tail counts the transactions applied since the last snapshot;
-	// snapshots add it to compacted. fullLog exists only under RetainLog.
+	// snapshots add it to compacted.
 	tail      int
 	compacted int
-	fullLog   []string
 
 	lastSnapWave int
 	snapshots    []Snapshot
@@ -287,7 +274,7 @@ func (s *Replica) onTick(env sim.Env, t tickMsg) {
 		return // stale duplicate (link-duplication faults)
 	}
 	s.tickSeq++
-	for i := 0; i < s.cfg.ClientRate; i++ {
+	for i := 0; i < clientRate; i++ {
 		if s.queue.Len() >= s.cfg.MaxQueue {
 			s.rejected++
 			continue
@@ -307,7 +294,7 @@ func (s *Replica) onTick(env sim.Env, t tickMsg) {
 // cmdBatch is how many client commands nextCommand renders into one string.
 const cmdBatch = 256
 
-// nextCommand returns client command nextCmd, "set k<i mod KeySpace>
+// nextCommand returns client command nextCmd, "set k<i mod keySpace>
 // p<self>.<i>" for i = nextCmd, and advances nextCmd. Commands are rendered
 // cmdBatch at a time into one string, and each is a substring of it, so
 // a string is allocated once per cmdBatch commands. A command's text
@@ -317,7 +304,7 @@ func (s *Replica) nextCommand() string {
 		buf := s.cmdBuf[:0]
 		for i := s.nextCmd; i < s.nextCmd+cmdBatch; i++ {
 			buf = append(buf, "set k"...)
-			buf = strconv.AppendInt(buf, int64(i%s.cfg.KeySpace), 10)
+			buf = strconv.AppendInt(buf, int64(i%keySpace), 10)
 			buf = append(buf, " p"...)
 			buf = strconv.AppendInt(buf, int64(s.self), 10)
 			buf = append(buf, '.')
@@ -341,9 +328,6 @@ func (s *Replica) onDelivery(d rider.Delivery) {
 		s.machine.Apply(tx)
 		s.applied++
 		s.tail++
-		if s.cfg.RetainLog {
-			s.fullLog = append(s.fullLog, tx)
-		}
 		if own {
 			s.observeLatency(tx)
 		}
@@ -454,8 +438,6 @@ type Report struct {
 	PeakLive    core.LiveStats
 	Snapshots   []Snapshot
 	FinalState  []byte
-	// Log is the full applied-transaction order (RetainLog only).
-	Log []string
 	// Latency summarizes own-command commit latency in virtual time.
 	Latency LatencySummary
 }
@@ -485,55 +467,35 @@ func Run(cfg Config) Result {
 	replicas := make([]*Replica, n)
 	nodes := make([]sim.Node, n)
 	for i := range nodes {
-		rep := NewReplica(cfg, c)
-		replicas[i] = rep
-		nodes[i] = rep
-	}
-	for p, f := range cfg.Faulty {
-		nodes[p] = f
-		replicas[p] = nil
-	}
-	if cfg.Wrap != nil {
-		for i := range nodes {
+		replicas[i] = NewReplica(cfg, c)
+		nodes[i] = replicas[i]
+		if cfg.Wrap != nil {
 			nodes[i] = cfg.Wrap(types.ProcessID(i), nodes[i])
 		}
 	}
 
-	stop := cfg.StopSet
-	if stop == nil {
-		for i := range replicas {
-			if replicas[i] != nil {
-				stop = append(stop, types.ProcessID(i))
-			}
-		}
-	}
-
-	limit := sim.ResolveEventBudget(cfg.MaxEvents)
 	r := sim.NewRunner(sim.Config{
 		N: n, Seed: cfg.Seed, Latency: cfg.Latency, Fault: cfg.Fault,
 		DeliveryWorkers: cfg.DeliveryWorkers,
 	}, nodes)
 	stopped := r.RunUntil(func() bool {
-		for _, p := range stop {
-			if replicas[p] != nil && replicas[p].decidedWave < cfg.StopAfterWaves {
+		for _, rep := range replicas {
+			if rep.decidedWave < cfg.StopAfterWaves {
 				return false
 			}
 		}
 		return true
-	}, limit)
+	}, sim.DefaultEventBudget)
 
 	res := Result{
 		Replicas: map[types.ProcessID]*Report{},
 		Metrics:  r.Metrics(),
 		EndTime:  r.Now(),
 		Stopped:  stopped,
-		HitLimit: !stopped && limit > 0,
+		HitLimit: !stopped,
 		Config:   cfg,
 	}
 	for i, rep := range replicas {
-		if rep == nil {
-			continue
-		}
 		res.Replicas[types.ProcessID(i)] = &Report{
 			DecidedWave: rep.decidedWave,
 			Commits:     rep.commits,
@@ -546,7 +508,6 @@ func Run(cfg Config) Result {
 			PeakLive:    rep.peak,
 			Snapshots:   rep.snapshots,
 			FinalState:  rep.machine.Snapshot(),
-			Log:         rep.fullLog,
 			Latency:     rep.latency.summary(),
 		}
 	}

@@ -137,12 +137,12 @@ func (w *tickWatch) Receive(env sim.Env, from types.ProcessID, msg sim.Message) 
 	next, queued, known := s.nextCmd, s.queue.Len(), len(s.admitted)
 	var want []string
 	rejected := 0
-	for i := 0; i < cfg.ClientRate; i++ {
+	for i := 0; i < clientRate; i++ {
 		if queued >= cfg.MaxQueue {
 			rejected++
 			continue
 		}
-		want = append(want, fmt.Sprintf("set k%d p%d.%d", next%cfg.KeySpace, int(s.self), next))
+		want = append(want, fmt.Sprintf("set k%d p%d.%d", next%keySpace, int(s.self), next))
 		next++
 		queued++
 	}
@@ -218,7 +218,7 @@ func watchTicks(t *testing.T, cfg *Config) []*tickWatch {
 }
 
 // TestTickCommandsMatchFormat pins the client load: every tick submits
-// "set k<i mod KeySpace> p<self>.<i>" for consecutive i, admits and rejects
+// "set k<i mod keySpace> p<self>.<i>" for consecutive i, admits and rejects
 // as the admission loop always has, and a run on the Fig. 1 system ends in
 // the same final states it always did. A small MaxQueue makes ticks reject.
 func TestTickCommandsMatchFormat(t *testing.T) {

@@ -117,6 +117,18 @@ func median(snaps []Snapshot, get func(core.LiveStats) int) int {
 	return v[len(v)/2]
 }
 
+// logMachine is a state machine that records the order it applied
+// transactions in.
+type logMachine struct {
+	StateMachine
+	log *[]string
+}
+
+func (m logMachine) Apply(tx string) {
+	m.StateMachine.Apply(tx)
+	*m.log = append(*m.log, tx)
+}
+
 // TestServiceSnapshotEquivalence is the snapshot ⇔ log-replay pin across a
 // 100-seed sweep: a replica's snapshot state at compaction point k must
 // equal a fresh state machine replaying the full ordered log up to k's
@@ -125,25 +137,29 @@ func median(snaps []Snapshot, get func(core.LiveStats) int) int {
 func TestServiceSnapshotEquivalence(t *testing.T) {
 	const seeds = 100
 	for seed := int64(1); seed <= seeds; seed++ {
+		logs := make([][]string, 4)
 		cfg := Config{
 			Trust:          quorum.NewThreshold(4, 1),
 			Seed:           seed,
 			CoinSeed:       seed * 31,
 			StopAfterWaves: 6,
-			RetainLog:      true,
+			NewMachine: func(p types.ProcessID) StateMachine {
+				return logMachine{StateMachine: NewKV(), log: &logs[p]}
+			},
 		}
 		res := Run(cfg)
 		if !res.Stopped {
 			t.Fatalf("seed %d: run truncated", seed)
 		}
 		for p, rep := range res.Replicas {
+			log := logs[p]
 			for i, s := range rep.Snapshots {
-				if s.Applied > len(rep.Log) {
+				if s.Applied > len(log) {
 					t.Fatalf("seed %d replica %v: snapshot %d applied=%d > log len %d",
-						seed, p, i, s.Applied, len(rep.Log))
+						seed, p, i, s.Applied, len(log))
 				}
 				replay := NewKV()
-				for _, tx := range rep.Log[:s.Applied] {
+				for _, tx := range log[:s.Applied] {
 					replay.Apply(tx)
 				}
 				if !bytes.Equal(replay.Snapshot(), s.State) {
@@ -151,7 +167,6 @@ func TestServiceSnapshotEquivalence(t *testing.T) {
 						seed, p, s.Wave, s.Applied)
 				}
 			}
-			_ = p
 		}
 		compareSnapshots(t, res, "seed "+strconv.FormatInt(seed, 10))
 	}
@@ -187,5 +202,3 @@ func TestServiceSurvivesChurn(t *testing.T) {
 		compareSnapshots(t, res, "churn seed "+strconv.FormatInt(seed, 10))
 	}
 }
-
-var _ = types.ProcessID(0)

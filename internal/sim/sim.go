@@ -48,12 +48,14 @@
 // parallel delivery (buffered sends are committed in receiver-ID order,
 // redelivery is decided at the pop), so every fault decision — drop,
 // duplicate, extra delay, hold-until, redeliver — is a pure function of
-// the seed and byte-identical across DeliveryWorkers counts. Node-level faults compose separately as
-// wrappers (CrashNode, MuteNode, ChurnNode, and the Byzantine wrappers
-// in internal/scenario); wrappers implementing Unwrapper keep the inner
-// protocol node observable to result collectors. internal/scenario
-// compiles declarative scenario rules into a FaultPlane and bundles them
-// with the Definition 4.1 properties each scenario must preserve.
+// the seed and byte-identical across DeliveryWorkers counts. Node-level
+// faults compose separately as wrappers (CrashNode, MuteNode, ChurnNode,
+// and the Byzantine wrappers in internal/scenario); wrappers implementing
+// Unwrapper keep the inner protocol node observable to result
+// collectors. internal/scenario bundles both kinds into one Scenario —
+// rules it compiles into a FaultPlane, node faults it applies as
+// wrappers, and the Definition 4.1 properties the run must preserve —
+// which is the one adversary value the harness and gather runners take.
 //
 // # Sweep determinism contract
 //
