@@ -68,6 +68,25 @@ func TestSubcommands(t *testing.T) {
 	}
 }
 
+// TestQuorumVoteFanOut: `experiments quorum` counts the sender→receiver
+// pairs votes travel on, each vote going only to the processes whose
+// quorums contain its sender. On the Fig. 1 system every process has one
+// quorum of 6, so 180 of the 900 pairs; under threshold trust, all of them.
+func TestQuorumVoteFanOut(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"quorum"}, "vote fan-out: 180 of 900 sender→receiver pairs (20.0%)\n"},
+		{[]string{"quorum", "-system", "threshold", "-n", "4", "-f", "1"}, "vote fan-out: 16 of 16 sender→receiver pairs (100.0%)\n"},
+	} {
+		var out bytes.Buffer
+		if code := run(tc.args, &out); code != 0 || !strings.Contains(out.String(), tc.want) {
+			t.Errorf("%v: exit %d, stdout lacks %q:\n%s", tc.args, code, tc.want, out.String())
+		}
+	}
+}
+
 // experimentsDigest is the SHA-256 of the stdout of a plain `experiments`
 // run (all 15 experiments). Every experiment is seeded, so a change that
 // moves any printed figure moves this digest; update it only for a change

@@ -56,6 +56,13 @@
 //     asymmetric trust one of the receiver's own quorums or kernels, which
 //     for a wise process contains a correct holder, so totality for the
 //     maximal guild is kept (the argument is in the package comment).
+//   - Votes go only to the processes that can count them: a process
+//     counts an ECHO, a READY, a gather ACK/READY/CONFIRM or a coin share
+//     only through its quorum and kernel predicates, which depend only on
+//     the union of its quorums, so each vote goes to quorum.Audience of
+//     its sender (sim.Multicast). Under threshold trust that is everyone;
+//     on the paper's Fig. 1 system a slot's ECHOs take 180 sends instead
+//     of 900, and READYs likewise.
 //   - A parallel multi-seed sweep engine (internal/sim Sweep and
 //     harness.SweepRider/SweepGather): independent seeded executions run
 //     on GOMAXPROCS goroutines and come back positioned by seed, with a

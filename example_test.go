@@ -211,16 +211,16 @@ func ExampleNewFederated() {
 	// if {1, 2} fail: wise={3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, naive={}, maximal guild={3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	//
 	// consensus with the two top-tier members mute:
-	//   p3: round 32, decided wave 8, 843 txs delivered
-	//   p4: round 32, decided wave 8, 843 txs delivered
-	//   p5: round 32, decided wave 8, 843 txs delivered
-	//   p6: round 32, decided wave 8, 843 txs delivered
-	//   p7: round 32, decided wave 8, 843 txs delivered
-	//   p8: round 32, decided wave 8, 843 txs delivered
-	//   p9: round 32, decided wave 8, 843 txs delivered
-	//   p10: round 32, decided wave 8, 843 txs delivered
-	//   p11: round 32, decided wave 8, 843 txs delivered
-	//   p12: round 32, decided wave 8, 843 txs delivered
+	//   p3: round 32, decided wave 8, 840 txs delivered
+	//   p4: round 32, decided wave 8, 840 txs delivered
+	//   p5: round 32, decided wave 8, 840 txs delivered
+	//   p6: round 32, decided wave 8, 840 txs delivered
+	//   p7: round 32, decided wave 8, 840 txs delivered
+	//   p8: round 32, decided wave 8, 840 txs delivered
+	//   p9: round 32, decided wave 8, 840 txs delivered
+	//   p10: round 32, decided wave 8, 840 txs delivered
+	//   p11: round 32, decided wave 8, 840 txs delivered
+	//   p12: round 32, decided wave 8, 840 txs delivered
 	//
 	// total order and agreement hold for the maximal guild ✓
 }

@@ -21,8 +21,10 @@
 // reply:
 //
 //	SEND(slot, payload)  source → all
-//	ECHO(slot, d)        on the first SEND of a slot; the echoer keeps the payload
-//	READY(slot, d)       after an ECHO(d) quorum or a READY(d) kernel
+//	ECHO(slot, d)        → the echoer's audience (below), on the first SEND
+//	                     of a slot; the echoer keeps the payload
+//	READY(slot, d)       → the voter's audience, after an ECHO(d) quorum or
+//	                     a READY(d) kernel
 //	FETCH(slot, d)       ask a peer that voted for d for d's payload
 //	PAYLOAD(slot, payload)  the reply to FETCH
 //
@@ -66,6 +68,28 @@
 // that blocked it may be entirely faulty and never answer — exactly as it
 // had none before; it still completes the slot if the SEND reaches it.
 //
+// # Audiences
+//
+// A vote goes only to the processes that can count it. Process j acts on
+// an ECHO or READY only through its own quorum and kernel predicates, and
+// both depend only on U_j, the union of j's quorums: m contains a quorum
+// of j iff m ∩ U_j does, and m meets every quorum of j iff m ∩ U_j does.
+// So a voter sends to its audience, quorum.Audience, the processes j with
+// the voter in U_j, and Handle drops a vote from outside U_self before it
+// touches any state. This is the protocol above in which j ignores every
+// vote from outside U_j, and ignoring them changes no predicate: every
+// rule fires on the same votes as before. R1 is unchanged. The quorum or
+// kernel that blocks R2 lies inside U_j, so the totality argument above
+// holds word for word, and R2 asks at most |U_j| voters per digest instead
+// of n−1. Under threshold trust, and wherever every process lies in a
+// quorum of every other, the audience is everyone and a vote is one
+// env.Broadcast as before. On the paper's Fig. 1 system each process has
+// a single quorum of 6, so a slot's ECHOs take 180 sends instead of 900,
+// and its READYs likewise. A process need not lie in its own quorum (19 of
+// Fig. 1's 30 do not), so it may never hear its own vote, and nothing
+// relies on hearing it. The SEND still goes to everyone, since everyone
+// needs the payload; FETCH and PAYLOAD are point to point.
+//
 // # Slot state
 //
 // Every DAG vertex is one slot, so a process keeps n slots per round, and
@@ -80,8 +104,10 @@
 //     digests, which only an equivocating sender or voter produces, go to a
 //     map allocated on the second. A vote that would add a digest is
 //     dropped when its voter is already counted in a tracker of the same
-//     kind for another digest of the slot, so a slot holds at most 1 + 2n
-//     digests: the SEND's and one per voter and kind of vote.
+//     kind for another digest of the slot, and votes from outside U_self
+//     never reach a slot, so a slot holds at most 1 + 2|U_self| digests:
+//     the SEND's and one per voter in U_self and kind of vote (13 on
+//     Fig. 1).
 //   - Rows hold no vote trackers. Every digest of an undelivered slot
 //     borrows a tally, its echo and ready tracker pair, from the Reliable's
 //     pool when the slot first hears of it, and the slot hands all its
@@ -555,7 +581,7 @@ func (r *Reliable) advance(env sim.Env, slot Slot, st *rbSlot, d Digest, v *rbVa
 		if trigger == nil {
 			trigger = newVote(slot, d)
 		}
-		env.Broadcast(readyMsg{trigger})
+		sim.Multicast(env, quorum.Audience(r.trust, r.self), readyMsg{trigger})
 	}
 	if deliver {
 		st.delivered = true
@@ -595,7 +621,7 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 		d := m.Payload.Digest()
 		v := r.value(st, d)
 		v.payload = m.Payload
-		env.Broadcast(echoMsg{newVote(m.Slot, d)})
+		sim.Multicast(env, quorum.Audience(r.trust, r.self), echoMsg{newVote(m.Slot, d)})
 		// A SEND overtaken by its own votes completes the slot here.
 		r.advance(env, m.Slot, st, d, v, nil)
 	case echoMsg:
@@ -645,9 +671,13 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 }
 
 // handleVote handles an ECHO (kind echoes) or READY (kind readies) with
-// body b. A vote for a delivered slot is dropped before it touches any
-// state.
+// body b. A vote from outside U_self, which no predicate of this process
+// counts, and a vote for a delivered slot are dropped before they touch
+// any state.
 func (r *Reliable) handleVote(env sim.Env, from types.ProcessID, b *vote, kind int) {
+	if !quorum.Counts(r.trust, r.self, from) {
+		return
+	}
 	st := r.open(b.Slot)
 	if st == nil || st.delivered || st.spam(b.Digest, from, kind) {
 		return

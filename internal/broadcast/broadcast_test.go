@@ -221,11 +221,19 @@ func TestReliableTotalityPartialSend(t *testing.T) {
 				}
 				return true
 			})
+			// R2 asks only voters, and only the processes in U_omitted,
+			// the union of its quorums, send it votes.
+			voters := 0
+			for p := 0; p < n; p++ {
+				if types.ProcessID(p) != tc.omitted && quorum.Counts(tc.trust, tc.omitted, types.ProcessID(p)) {
+					voters++
+				}
+			}
 			by := r.Metrics().ByType
 			fetches, replies := by["broadcast.fetchMsg"], by["broadcast.payloadMsg"]
 			t.Logf("%d fetch requests, %d replies", fetches, replies)
-			if fetches < 1 || fetches > n-1 || replies < 1 || replies > fetches {
-				t.Fatalf("%d fetch requests and %d replies, want 1..%d requests from the one omitted process and at most a reply to each", fetches, replies, n-1)
+			if fetches < 1 || fetches > voters || replies < 1 || replies > fetches {
+				t.Fatalf("%d fetch requests and %d replies, want 1..%d requests from the one omitted process and at most a reply to each", fetches, replies, voters)
 			}
 		})
 	}
@@ -328,18 +336,37 @@ func TestPlainBroadcast(t *testing.T) {
 	}
 }
 
+// TestReliableMessageComplexity counts one honest slot's messages by type.
+// The SEND goes to all n processes, but each ECHO and READY goes only to
+// the voter's audience, the processes whose quorums contain it: n² of each
+// under threshold trust, and on the Fig. 1 system, where every process has
+// one quorum of 6, 180 of the 900 sender→receiver pairs.
 func TestReliableMessageComplexity(t *testing.T) {
-	// One reliable broadcast among n all-correct processes costs
-	// n (SEND) + n*n (ECHO) + n*n (READY) messages.
-	n := 4
-	trust := quorum.NewThreshold(n, 1)
-	nodes := reliableCluster(n, trust, nil)
-	nodes[0].(*bcNode).input = Bytes("solo")
-	r := sim.NewRunner(sim.Config{N: n, Seed: 1}, nodes)
-	r.Run(0)
-	want := n + n*n + n*n
-	if got := r.Metrics().MessagesSent; got != want {
-		t.Fatalf("reliable broadcast sent %d, want %d", got, want)
+	for _, tc := range []struct {
+		name              string
+		trust             quorum.Assumption
+		send, echo, ready int
+	}{
+		{"threshold n=4", quorum.NewThreshold(4, 1), 4, 16, 16},
+		{"Fig. 1", quorum.Counterexample(), 30, 180, 180},
+	} {
+		n := tc.trust.N()
+		nodes := reliableCluster(n, tc.trust, nil)
+		nodes[0].(*bcNode).input = Bytes("solo")
+		r := sim.NewRunner(sim.Config{N: n, Seed: 1}, nodes)
+		r.Run(0)
+		for i, nd := range nodes {
+			if len(nd.(*bcNode).delivered) != 1 {
+				t.Fatalf("%s: process %d did not deliver", tc.name, i)
+			}
+		}
+		m := r.Metrics()
+		by := m.ByType
+		send, echo, ready, fetch := by["broadcast.sendMsg"], by["broadcast.echoMsg"], by["broadcast.readyMsg"], by["broadcast.fetchMsg"]
+		if send != tc.send || echo != tc.echo || ready != tc.ready || fetch != 0 || m.MessagesSent != send+echo+ready {
+			t.Fatalf("%s: one slot sent %d SEND, %d ECHO, %d READY and %d FETCH of %d messages, want %d, %d, %d, 0 and nothing else",
+				tc.name, send, echo, ready, fetch, m.MessagesSent, tc.send, tc.echo, tc.ready)
+		}
 	}
 }
 
@@ -1135,6 +1162,55 @@ func TestReliableVoterSpamBounded(t *testing.T) {
 	}
 	if len(s.delivered) != 1 || s.delivered[0].Digest() != x.Digest() {
 		t.Fatalf("delivered %v, want the honest payload once", s.delivered)
+	}
+}
+
+// TestReliableDropsUncountedVoters: on the Fig. 1 system a voter outside
+// U_self, the union of the receiver's quorums, names a fresh digest in
+// each of 100 ECHOs and 100 READYs on a live slot. No predicate of the
+// receiver counts it, so the votes add no digest and allocate nothing.
+// Voters inside U_self can still add one digest per kind each, so spam
+// from everyone leaves the slot at its cap of 1 + 2|U_self| digests: 13.
+func TestReliableDropsUncountedVoters(t *testing.T) {
+	sys := quorum.Counterexample()
+	n := sys.N()
+	const self = 0
+	var inside, outside []types.ProcessID
+	for p := 0; p < n; p++ {
+		if quorum.Counts(sys, self, types.ProcessID(p)) {
+			inside = append(inside, types.ProcessID(p))
+		} else {
+			outside = append(outside, types.ProcessID(p))
+		}
+	}
+	r := NewReliable(self, sys, func(sim.Env, Slot, Payload) { t.Fatal("delivered") })
+	var env sim.Env = pruneEnv{self: self, n: n}
+	slot := Slot{Src: 1, Seq: 0}
+	r.Handle(env, 1, sendMsg{&send{Slot: slot, Payload: Bytes("x")}})
+	fresh := func(i int) Digest { return Digest{byte(i), byte(i >> 8), 0xcc} }
+	votes := make([]sim.Message, 0, 200)
+	for i := range 100 {
+		votes = append(votes, echoMsg{&vote{Slot: slot, Digest: fresh(i)}}, readyMsg{&vote{Slot: slot, Digest: fresh(i)}})
+	}
+	voter := outside[0]
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, m := range votes {
+			r.Handle(env, voter, m)
+		}
+	})
+	st := r.find(slot)
+	if len(st.others) != 0 || allocs != 0 {
+		t.Fatalf("votes from %v, outside U_%v = %v, added %d digests and allocated %.1f objects, want 0 and 0",
+			voter, types.ProcessID(self), inside, len(st.others), allocs)
+	}
+	for k, p := range append(inside, outside...) {
+		for i := range 10 {
+			r.Handle(env, p, echoMsg{&vote{Slot: slot, Digest: fresh(1000 + 20*k + i)}})
+			r.Handle(env, p, readyMsg{&vote{Slot: slot, Digest: fresh(1010 + 20*k + i)}})
+		}
+	}
+	if got, want := 1+len(st.others), 1+2*len(inside); got != want || want != 13 {
+		t.Fatalf("spam from every voter left %d digests in the slot, want 1 + 2|U_self| = %d (13 on Fig. 1)", got, want)
 	}
 }
 

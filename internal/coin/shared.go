@@ -23,6 +23,11 @@ type ShareMsg struct {
 //
 // Shared wraps any Source for the actual values; matching follows from all
 // processes wrapping the same Source.
+//
+// A process counts shares only through its quorum predicate, so Release
+// sends a share only to the processes whose quorums contain the sender,
+// its quorum.Audience: everyone under threshold trust, 6 of 30 on the
+// paper's Fig. 1 system.
 type Shared struct {
 	self     types.ProcessID
 	trust    quorum.Assumption
@@ -45,14 +50,14 @@ func NewShared(self types.ProcessID, trust quorum.Assumption, src Source) *Share
 	}
 }
 
-// Release broadcasts this process's share for a wave (idempotent). Call it
-// when the local wave execution finishes.
+// Release sends this process's share for a wave to its audience
+// (idempotent). Call it when the local wave execution finishes.
 func (s *Shared) Release(env sim.Env, wave int) {
 	if s.released[wave] {
 		return
 	}
 	s.released[wave] = true
-	env.Broadcast(ShareMsg{Wave: wave})
+	sim.Multicast(env, quorum.Audience(s.trust, s.self), ShareMsg{Wave: wave})
 }
 
 // Handle consumes a ShareMsg. It reports whether the message belonged to

@@ -15,7 +15,13 @@
 //     READYs triggers CONFIRM, a kernel of CONFIRMs amplifies CONFIRM, and
 //     a quorum of CONFIRMs finally opens the gate. Each wave runs one
 //     gather.Gate, the single implementation of Algorithm 3's lines 51–59,
-//     which the standalone gather runs too.
+//     which the standalone gather runs too. A gate counts these messages
+//     only through its owner's quorum and kernel predicates, so, like
+//     reliable broadcast's votes (see the internal/broadcast package
+//     comment), each goes only to the processes that can count it: READY
+//     and CONFIRM to the sender's quorum.Audience, and the ACK of a vertex
+//     to its source only if the ACKer lies in one of the source's quorums.
+//     The revealed coin's shares go to the audience too.
 //   - Commit rule: a wave's coin-elected leader vertex commits if the
 //     round-4 vertices of some process's quorum all have strong paths to
 //     it.
@@ -191,10 +197,13 @@ func (n *Node) Init(env sim.Env) {
 //
 // Ignoring it is safe: Propose drops wave w only after this process left
 // w's round 2, so w's gate had opened. Opening took CONFIRMs from a
-// quorum, which contains a kernel, so this process had already broadcast
-// its CONFIRM. The correct members of that quorum broadcast theirs too,
-// and they form a kernel for every guild member: each of them amplifies
-// to CONFIRM without any late READY or CONFIRM from this process.
+// quorum Q, which contains a kernel, so this process had already sent its
+// CONFIRM. The correct members of Q sent theirs too, each to its
+// audience, so a guild member g receives the CONFIRMs of Q's correct
+// members in U_g, the union of g's quorums. Those form a kernel for g:
+// Q's correct members meet every quorum of g, and every quorum of g lies
+// inside U_g. So g amplifies to CONFIRM without any late READY or CONFIRM
+// from this process.
 func (n *Node) gate(w int) *gather.Gate {
 	if w <= n.dropped {
 		return nil
@@ -217,16 +226,16 @@ func (n *Node) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
 	switch m := msg.(type) {
 	case ackMsg:
 		if g := n.gate(m.Wave); g != nil && g.Ack(from) {
-			env.Broadcast(readyMsg{m.ctl})
+			sim.Multicast(env, quorum.Audience(n.cfg.Trust, n.self), readyMsg{m.ctl})
 		}
 	case readyMsg:
 		if g := n.gate(m.Wave); g != nil && g.Ready(from) {
-			env.Broadcast(confirmMsg{m.ctl})
+			sim.Multicast(env, quorum.Audience(n.cfg.Trust, n.self), confirmMsg{m.ctl})
 		}
 	case confirmMsg:
 		if g := n.gate(m.Wave); g != nil {
 			if confirm, _ := g.Confirm(from); confirm {
-				env.Broadcast(m)
+				sim.Multicast(env, quorum.Audience(n.cfg.Trust, n.self), m)
 			}
 		}
 	case coin.ShareMsg:
@@ -283,6 +292,9 @@ func (n rules) Inserted(env sim.Env, v *dag.Vertex) {
 		return
 	}
 	acked.Add(v.Source)
+	if !quorum.Counts(n.cfg.Trust, v.Source, n.self) {
+		return // v.Source's gate cannot count this ACK
+	}
 	if w := rider.RoundWave(v.Round); n.ack == nil || n.ack.Wave != w {
 		n.ack = ctls.Cut(ctl{Wave: w})
 	}

@@ -465,3 +465,39 @@ func TestTrustSizeMustMatchCluster(t *testing.T) {
 		})
 	}
 }
+
+// TestControlVotesGoToAudiences counts the gather control traffic and the
+// revealed coin's shares of honest runs. Each is counted only through the
+// receiver's quorum and kernel predicates, so it goes only to the
+// processes whose quorums contain the sender: an ACK for a round-2 vertex
+// goes to its source only if the ACKer lies in one of the source's
+// quorums, and a READY, CONFIRM or share goes to the sender's audience.
+// Every wave then costs Σ_j |U_j| of each, where U_j is the union of j's
+// quorums: n² under threshold trust and 180 of 900 on the Fig. 1 system.
+func TestControlVotesGoToAudiences(t *testing.T) {
+	const waves = 3
+	for _, tc := range []struct {
+		name    string
+		trust   quorum.Assumption
+		perWave int
+	}{
+		{"threshold n=4", quorum.NewThreshold(4, 1), 16},
+		{"Fig. 1", quorum.Counterexample(), 180},
+	} {
+		res := harness.RunRider(harness.RiderConfig{
+			Kind: harness.Asymmetric, Trust: tc.trust, NumWaves: waves, TxPerBlock: 1,
+			Seed: 3, CoinSeed: 3, RevealedCoin: true,
+		})
+		for p, nr := range res.Nodes {
+			if nr.DecidedWave != waves {
+				t.Fatalf("%s: %v decided wave %d, want %d", tc.name, p, nr.DecidedWave, waves)
+			}
+		}
+		by := res.Metrics.ByType
+		for _, typ := range []string{"core.ackMsg", "core.readyMsg", "core.confirmMsg", "coin.ShareMsg"} {
+			if by[typ] != waves*tc.perWave {
+				t.Errorf("%s: %d %s over %d waves, want %d per wave", tc.name, by[typ], typ, waves, tc.perWave)
+			}
+		}
+	}
+}

@@ -53,25 +53,38 @@ func (b bufferProbe) Receive(env sim.Env, from types.ProcessID, msg sim.Message)
 // TestGatherRunsMatchRecordedDigests pins what the standalone gathers
 // output over a grid of systems, dissemination layers, seeds and
 // protocols: every process's delivered set and distributed S set, the
-// message and byte counts, and the quiescence time. The digest was
-// recorded with the copy-on-write Pairs and the per-process waiter index
-// of DISTRIBUTE buffers that the plain bitset and the arrival-ordered
-// buffer replaced. A digest that moves means a change to Pairs or to the
-// buffers changed what a gather sends or delivers. The grid must also
-// buffer at least one DISTRIBUTE set, or it would not test the buffers.
+// message and byte counts, and the quiescence time. The grid has two
+// halves, each with its own digest: threshold trust, where every vote
+// goes to everyone, and asymmetric trust, where reliable broadcast's
+// votes go only to the processes whose quorums contain the voter. The
+// digests were recorded with the copy-on-write Pairs and the per-process
+// waiter index of DISTRIBUTE buffers that the plain bitset and the
+// arrival-ordered buffer replaced. A digest that moves means a change to
+// Pairs or to the buffers changed what a gather sends or delivers. The
+// grid must also buffer at least one DISTRIBUTE set, or it would not test
+// the buffers.
 func TestGatherRunsMatchRecordedDigests(t *testing.T) {
 	fed, err := quorum.NewFederated(quorum.FederatedConfig{N: 10, TopTier: 7, TrustedPeers: 2, Tolerance: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	systems := []struct {
+	type system struct {
 		name  string
 		trust quorum.Assumption
+	}
+	halves := []struct {
+		name    string
+		systems []system
+		want    string
 	}{
-		{"threshold(4,1)", quorum.NewThreshold(4, 1)},
-		{"threshold(7,2)", quorum.NewThreshold(7, 2)},
-		{"fig1", quorum.Counterexample()},
-		{"federated10", fed},
+		{"threshold", []system{
+			{"threshold(4,1)", quorum.NewThreshold(4, 1)},
+			{"threshold(7,2)", quorum.NewThreshold(7, 2)},
+		}, "a935baac66e7ee93d9b47662b6c381ff83a2830d0498c16b4bc9014f36c5f88f"},
+		{"asymmetric", []system{
+			{"fig1", quorum.Counterexample()},
+			{"federated10", fed},
+		}, "fd7c093c22f1ef62b9e19b5b0d976a74487d9405df6e4aa131871aaa8a33457b"},
 	}
 	protocols := []struct {
 		name string
@@ -81,39 +94,40 @@ func TestGatherRunsMatchRecordedDigests(t *testing.T) {
 		{"constant-round", func(c Config) sim.Node { return NewConstantRoundNode(c) }},
 		{"binding", func(c Config) sim.Node { return NewBindingNode(c) }},
 	}
-	h := sha256.New()
 	buffered, runs := 0, 0
-	for _, sys := range systems {
-		n := sys.trust.N()
-		for _, mode := range []Dissemination{UsePlain, UseReliable} {
-			for seed := int64(1); seed <= 6; seed++ {
-				for _, proto := range protocols {
-					inner := make([]sim.Node, n)
-					nodes := make([]sim.Node, n)
-					for i := range nodes {
-						inner[i] = proto.make(Config{Trust: sys.trust, Input: InputValue(types.ProcessID(i)), Mode: mode})
-						nodes[i] = bufferProbe{Node: inner[i], buffered: &buffered}
-					}
-					r := sim.NewRunner(sim.Config{N: n, Seed: seed, Latency: sim.UniformLatency{Min: 1, Max: 50}}, nodes)
-					r.Run(sim.DefaultEventBudget)
-					fmt.Fprintf(h, "run %s %d %d %s\n", sys.name, mode, seed, proto.name)
-					for i, nd := range inner {
-						g := nd.(gatherNode)
-						if out, ok := g.Delivered(); ok {
-							fmt.Fprintf(h, "out %d %s\n", i, out)
+	for _, half := range halves {
+		h := sha256.New()
+		for _, sys := range half.systems {
+			n := sys.trust.N()
+			for _, mode := range []Dissemination{UsePlain, UseReliable} {
+				for seed := int64(1); seed <= 6; seed++ {
+					for _, proto := range protocols {
+						inner := make([]sim.Node, n)
+						nodes := make([]sim.Node, n)
+						for i := range nodes {
+							inner[i] = proto.make(Config{Trust: sys.trust, Input: InputValue(types.ProcessID(i)), Mode: mode})
+							nodes[i] = bufferProbe{Node: inner[i], buffered: &buffered}
 						}
-						fmt.Fprintf(h, "s %d %s\n", i, g.SentS())
+						r := sim.NewRunner(sim.Config{N: n, Seed: seed, Latency: sim.UniformLatency{Min: 1, Max: 50}}, nodes)
+						r.Run(sim.DefaultEventBudget)
+						fmt.Fprintf(h, "run %s %d %d %s\n", sys.name, mode, seed, proto.name)
+						for i, nd := range inner {
+							g := nd.(gatherNode)
+							if out, ok := g.Delivered(); ok {
+								fmt.Fprintf(h, "out %d %s\n", i, out)
+							}
+							fmt.Fprintf(h, "s %d %s\n", i, g.SentS())
+						}
+						m := r.Metrics()
+						fmt.Fprintf(h, "msgs %d bytes %d end %d pending %d\n", m.MessagesSent, m.BytesSent, r.Now(), r.Pending())
+						runs++
 					}
-					m := r.Metrics()
-					fmt.Fprintf(h, "msgs %d bytes %d end %d pending %d\n", m.MessagesSent, m.BytesSent, r.Now(), r.Pending())
-					runs++
 				}
 			}
 		}
-	}
-	const want = "26d2e29ec0dfbf28ecf998c371a355e13ea20adc14f9726857f40848192d9433"
-	if got := hex.EncodeToString(h.Sum(nil)); got != want {
-		t.Errorf("digest over %d runs %s, recorded %s", runs, got, want)
+		if got := hex.EncodeToString(h.Sum(nil)); got != half.want {
+			t.Errorf("%s digest %s, recorded %s", half.name, got, half.want)
+		}
 	}
 	if buffered == 0 {
 		t.Error("no run buffered a DISTRIBUTE set")

@@ -20,7 +20,9 @@ import (
 // internal/core runs one and leaves the wave's round 2 when it opens. Ack,
 // Ready and Confirm count a sender and return what the caller must
 // broadcast, each output at most once, so the callers keep their own
-// message types and send order.
+// message types, recipients and send order: ConstantRoundNode sends to
+// everyone, and internal/core only to the processes whose quorums contain
+// the sender, the only ones whose gates can count it.
 //
 // Opening implies CONFIRM was already returned: a quorum of CONFIRMs
 // contains a kernel, and Confirm checks the kernel first.

@@ -15,7 +15,9 @@
 //     Evaluator is built lazily per System (System.Evaluator) and shared by
 //     every node of a run. One-shot queries (HasQuorumWithin on a set built
 //     from scratch, HasAnyQuorumWithin in the DAG commit rule) run on the
-//     flat arrays with a popcount pre-filter.
+//     flat arrays with a popcount pre-filter. Compiling also derives every
+//     process's vote audience (Audience) from the inverted index, once per
+//     System and in one backing array, so the nodes of a run share it.
 //
 //   - Tracker is the incremental view for one (process, tally) pair. Feed
 //     it Add(member) events as the tally grows; it maintains, per quorum of
@@ -109,6 +111,11 @@ type Evaluator struct {
 
 	// fullWords is the full process set P as words (for the B3 residue).
 	fullWords []uint64
+
+	// aud[p] is p's audience, the processes j with p ∈ U_j (the union of
+	// j's quorums), in ID order, or nil when that is every process. The
+	// audiences that are not nil are cut from one backing array.
+	aud [][]types.ProcessID
 }
 
 // Compile builds the Evaluator for a System. Cost is O(total quorum
@@ -219,7 +226,47 @@ func Compile(s *System) *Evaluator {
 			})
 		}
 	}
+	e.compileAudiences()
 	return e
+}
+
+// compileAudiences fills aud: the audience of p is the set of processes
+// j with p ∈ U_j, read from the per-process index in ID order.
+func (e *Evaluator) compileAudiences() {
+	n := e.n
+	size := make([]int, n)
+	total := 0
+	for p := 0; p < n; p++ {
+		for j := 0; j < n; j++ {
+			if e.counts(types.ProcessID(j), types.ProcessID(p)) {
+				size[p]++
+			}
+		}
+		if size[p] < n {
+			total += size[p]
+		}
+	}
+	e.aud = make([][]types.ProcessID, n)
+	// Not nil even when empty, so an empty audience is never read as everyone.
+	backing := make([]types.ProcessID, 0, total)
+	for p := 0; p < n; p++ {
+		if size[p] == n {
+			continue
+		}
+		lo := len(backing)
+		for j := 0; j < n; j++ {
+			if e.counts(types.ProcessID(j), types.ProcessID(p)) {
+				backing = append(backing, types.ProcessID(j))
+			}
+		}
+		e.aud[p] = backing[lo:len(backing):len(backing)]
+	}
+}
+
+// counts reports whether p lies in U_i, the union of i's quorums.
+func (e *Evaluator) counts(i, p types.ProcessID) bool {
+	slot := int(i)*e.n + int(p)
+	return e.invOff[slot+1] > e.invOff[slot]
 }
 
 // N returns the number of processes.

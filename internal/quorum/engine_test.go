@@ -41,6 +41,8 @@ func TestUnsupportedAssumptionPanics(t *testing.T) {
 		"NewTracker":         func() { NewTracker(a, 0) },
 		"NewTrackers":        func() { NewTrackers(a, 0, 2) },
 		"HasAnyQuorumWithin": func() { HasAnyQuorumWithin(a, m) },
+		"Audience":           func() { Audience(a, 0) },
+		"Counts":             func() { Counts(a, 0, 1) },
 	} {
 		func() {
 			defer func() {

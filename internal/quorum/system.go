@@ -310,6 +310,54 @@ func HasAnyQuorumWithin(a Assumption, m types.Set) bool {
 	panic(unsupported(a))
 }
 
+// Audience returns the processes that can count a vote of process i, in
+// ID order, or nil when every process can, which is always the case for
+// Threshold. Process j acts on a vote only through its quorum and kernel
+// predicates, and both depend only on U_j, the union of j's quorums: m
+// contains a quorum of j iff m ∩ U_j does, and likewise for kernels. So
+// i's votes matter exactly to the j with i ∈ U_j. The audiences of a
+// System are computed once, when it compiles, so the returned slice is
+// shared and must not be modified. Any Assumption other than *System and
+// Threshold panics.
+func Audience(a Assumption, i types.ProcessID) []types.ProcessID {
+	switch t := a.(type) {
+	case Threshold:
+		return nil
+	case *System:
+		return t.Evaluator().aud[i]
+	}
+	panic(unsupported(a))
+}
+
+// VotePairs returns the number of sender→receiver pairs a round of votes
+// travels on when each process sends its vote to its Audience: the sum of
+// the audience sizes, n for a nil audience. It is n² for Threshold.
+func VotePairs(a Assumption) int {
+	n, pairs := a.N(), 0
+	for i := 0; i < n; i++ {
+		if aud := Audience(a, types.ProcessID(i)); aud != nil {
+			pairs += len(aud)
+		} else {
+			pairs += n
+		}
+	}
+	return pairs
+}
+
+// Counts reports whether process i's predicates can count a vote of p:
+// whether p lies in U_i, the union of i's quorums, or equivalently i is in
+// p's Audience. It always holds for Threshold. Any Assumption other than
+// *System and Threshold panics.
+func Counts(a Assumption, i, p types.ProcessID) bool {
+	switch t := a.(type) {
+	case Threshold:
+		return true
+	case *System:
+		return t.Evaluator().counts(i, p)
+	}
+	panic(unsupported(a))
+}
+
 // unsupported is the panic message for an Assumption that is neither
 // *System nor Threshold, the two the trackers and HasAnyQuorumWithin
 // evaluate.

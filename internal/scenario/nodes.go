@@ -19,11 +19,15 @@ import (
 // package comment's determinism contract).
 
 // sendHook is the interception point a wrapper implements: it receives the
-// inner node's Send/Broadcast calls together with the real Env to forward
-// (possibly mutated) traffic through.
+// inner node's Send calls, and its Broadcast and sim.Multicast calls as
+// multicasts (a nil to for a Broadcast), together with the real Env to
+// forward (possibly mutated) traffic through. A vote goes to its sender's
+// audience, quorum.Audience, by one sim.Multicast, which is a Broadcast
+// when the audience is everyone; so a wrapper treats every multicast
+// alike, whatever its audience.
 type sendHook interface {
 	hookSend(env sim.Env, to types.ProcessID, msg sim.Message)
-	hookBroadcast(env sim.Env, msg sim.Message)
+	hookMulticast(env sim.Env, to []types.ProcessID, msg sim.Message)
 }
 
 // hookEnv wraps the Env of the current Init/Receive call, routing the
@@ -36,6 +40,7 @@ type hookEnv struct {
 }
 
 var _ sim.Env = (*hookEnv)(nil)
+var _ sim.Multicaster = (*hookEnv)(nil)
 
 func (h *hookEnv) Self() types.ProcessID { return h.base.Self() }
 func (h *hookEnv) N() int                { return h.base.N() }
@@ -47,7 +52,12 @@ func (h *hookEnv) Send(to types.ProcessID, msg sim.Message) {
 }
 
 func (h *hookEnv) Broadcast(msg sim.Message) {
-	h.owner.hookBroadcast(h.base, msg)
+	h.owner.hookMulticast(h.base, nil, msg)
+}
+
+// Multicast implements sim.Multicaster.
+func (h *hookEnv) Multicast(to []types.ProcessID, msg sim.Message) {
+	h.owner.hookMulticast(h.base, to, msg)
 }
 
 // run executes fn (an inner Init or Receive) with the hook rebound to env.
@@ -58,9 +68,9 @@ func (h *hookEnv) run(env sim.Env, fn func(sim.Env)) {
 }
 
 // SelectiveNode is a Byzantine sender that talks only to an allowed subset:
-// every Send or Broadcast of the inner node is suppressed for destinations
-// outside Allow (a broadcast degenerates to per-destination sends to the
-// allowed members, in ascending ID order). Reliable dissemination must
+// every Send, Broadcast or multicast of the inner node is suppressed for
+// destinations outside Allow (a broadcast or multicast degenerates to
+// per-destination sends to the allowed members, in ascending ID order). Reliable dissemination must
 // tolerate it: receivers inside Allow echo the vertex onward.
 type SelectiveNode struct {
 	Inner sim.Node
@@ -90,31 +100,39 @@ func (s *SelectiveNode) hookSend(env sim.Env, to types.ProcessID, msg sim.Messag
 	}
 }
 
-func (s *SelectiveNode) hookBroadcast(env sim.Env, msg sim.Message) {
-	s.Allow.ForEach(func(to types.ProcessID) bool {
-		env.Send(to, msg)
-		return true
-	})
+func (s *SelectiveNode) hookMulticast(env sim.Env, to []types.ProcessID, msg sim.Message) {
+	if to == nil {
+		s.Allow.ForEach(func(p types.ProcessID) bool {
+			env.Send(p, msg)
+			return true
+		})
+		return
+	}
+	for _, p := range to {
+		s.hookSend(env, p, msg)
+	}
 }
 
 // Unwrap implements sim.Unwrapper.
 func (s *SelectiveNode) Unwrap() sim.Node { return s.Inner }
 
 // StaleReplayNode is a Byzantine sender that replays recorded traffic:
-// every Every-th broadcast of the inner node is followed by a replay of
-// the oldest recorded broadcast — a genuine message reinjected long after
-// its time. The cadence is a deterministic counter, never randomness, so
+// every Every-th broadcast or multicast of the inner node is followed by a
+// replay of the oldest recorded one, to its own recipients — a genuine
+// message reinjected long after its time. The cadence is a deterministic counter, never randomness, so
 // the wrapper is safe inside concurrent Receive execution. Handlers must
 // treat the replays as the duplicate deliveries they are.
 type StaleReplayNode struct {
 	Inner sim.Node
-	// Every triggers a replay after each Every-th broadcast (values < 1
-	// behave as 1: every broadcast is followed by a replay).
+	// Every triggers a replay after each Every-th broadcast or multicast
+	// (values < 1 behave as 1: every one is followed by a replay).
 	Every int
 
 	hook  hookEnv
 	count int
 	first sim.Message
+	// firstTo is first's recipient list, nil for a broadcast.
+	firstTo []types.ProcessID
 }
 
 var _ sim.Node = (*StaleReplayNode)(nil)
@@ -136,10 +154,10 @@ func (s *StaleReplayNode) hookSend(env sim.Env, to types.ProcessID, msg sim.Mess
 	env.Send(to, msg)
 }
 
-func (s *StaleReplayNode) hookBroadcast(env sim.Env, msg sim.Message) {
-	env.Broadcast(msg)
+func (s *StaleReplayNode) hookMulticast(env sim.Env, to []types.ProcessID, msg sim.Message) {
+	sim.Multicast(env, to, msg)
 	if s.first == nil {
-		s.first = msg
+		s.first, s.firstTo = msg, to
 		return
 	}
 	s.count++
@@ -148,7 +166,7 @@ func (s *StaleReplayNode) hookBroadcast(env sim.Env, msg sim.Message) {
 		every = 1
 	}
 	if s.count%every == 0 {
-		env.Broadcast(s.first)
+		sim.Multicast(env, s.firstTo, s.first)
 	}
 }
 
@@ -156,16 +174,17 @@ func (s *StaleReplayNode) hookBroadcast(env sim.Env, msg sim.Message) {
 func (s *StaleReplayNode) Unwrap() sim.Node { return s.Inner }
 
 // EquivocateNode is a Byzantine sender that shows different processes
-// different histories: each broadcast of the inner node reaches GroupA
-// genuinely, while every process outside GroupA instead receives the
-// *previous* broadcast again (nothing, before the first). The receiver
+// different histories: each broadcast or multicast of the inner node
+// reaches its recipients in GroupA genuinely, while every recipient
+// outside GroupA instead receives the *previous* broadcast or multicast
+// message again (nothing, before the first). The receiver
 // sets are disjoint by construction and the substituted message is a real
 // protocol message, so the equivocation is type-correct and must be
 // absorbed by reliable dissemination among the correct processes.
 type EquivocateNode struct {
 	Inner sim.Node
-	// GroupA receives genuine broadcasts; its complement gets the replayed
-	// previous broadcast. The sender should keep itself in GroupA, or its
+	// GroupA receives genuine broadcasts and multicasts; its complement
+	// gets the replayed previous one. The sender should keep itself in GroupA, or its
 	// own protocol state diverges from what it disseminates.
 	GroupA types.Set
 
@@ -192,14 +211,21 @@ func (q *EquivocateNode) hookSend(env sim.Env, to types.ProcessID, msg sim.Messa
 	env.Send(to, msg)
 }
 
-func (q *EquivocateNode) hookBroadcast(env sim.Env, msg sim.Message) {
-	n := env.N()
-	for i := 0; i < n; i++ {
-		to := types.ProcessID(i)
-		if q.GroupA.Contains(to) {
-			env.Send(to, msg)
+func (q *EquivocateNode) hookMulticast(env sim.Env, to []types.ProcessID, msg sim.Message) {
+	send := func(p types.ProcessID) {
+		if q.GroupA.Contains(p) {
+			env.Send(p, msg)
 		} else if q.prev != nil {
-			env.Send(to, q.prev)
+			env.Send(p, q.prev)
+		}
+	}
+	if to == nil {
+		for i := 0; i < env.N(); i++ {
+			send(types.ProcessID(i))
+		}
+	} else {
+		for _, p := range to {
+			send(p)
 		}
 	}
 	q.prev = msg
@@ -234,8 +260,8 @@ func Selective(p types.ProcessID, allow types.Set) NodeFault {
 	}}
 }
 
-// StaleReplay makes process p re-broadcast its oldest recorded broadcast
-// after every every-th new one (Byzantine: classified faulty even though
+// StaleReplay makes process p resend its oldest recorded broadcast or
+// multicast after every every-th new one (Byzantine: classified faulty even though
 // the replays carry only genuine messages).
 func StaleReplay(p types.ProcessID, every int) NodeFault {
 	return NodeFault{P: p, Correct: false, Wrap: func(inner sim.Node) sim.Node {
@@ -243,8 +269,9 @@ func StaleReplay(p types.ProcessID, every int) NodeFault {
 	}}
 }
 
-// Equivocate makes process p broadcast genuinely to groupA and replay its
-// previous broadcast to everyone else (Byzantine).
+// Equivocate makes process p broadcast and multicast genuinely to groupA
+// and replay its previous broadcast or multicast to everyone else
+// (Byzantine).
 func Equivocate(p types.ProcessID, groupA types.Set) NodeFault {
 	return NodeFault{P: p, Correct: false, Wrap: func(inner sim.Node) sim.Node {
 		return &EquivocateNode{Inner: inner, GroupA: groupA}

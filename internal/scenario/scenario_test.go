@@ -14,17 +14,19 @@ type tag struct {
 	Seq int
 }
 
-// chatty broadcasts Rounds tagged messages: one from Init, then one more
-// per self-delivery (self-sends travel through the network, so the chain
-// is Rounds broadcasts long).
+// chatty multicasts Rounds tagged messages to To (nil: a broadcast to
+// everyone): one from Init, then one more per self-delivery (self-sends
+// travel through the network, so the chain is Rounds multicasts long, and
+// To must hold the sender).
 type chatty struct {
 	Rounds int
+	To     []types.ProcessID
 	sent   int
 }
 
 func (c *chatty) Init(e sim.Env) {
 	c.sent = 1
-	e.Broadcast(tag{Seq: 1})
+	sim.Multicast(e, c.To, tag{Seq: 1})
 }
 
 func (c *chatty) Receive(e sim.Env, from types.ProcessID, msg sim.Message) {
@@ -33,7 +35,7 @@ func (c *chatty) Receive(e sim.Env, from types.ProcessID, msg sim.Message) {
 	}
 	if c.sent < c.Rounds {
 		c.sent++
-		e.Broadcast(tag{Seq: c.sent})
+		sim.Multicast(e, c.To, tag{Seq: c.sent})
 	}
 }
 
@@ -153,6 +155,12 @@ func TestEmptyScenarioHasNilPlane(t *testing.T) {
 // a chatty sender and nodes 1..3 record, returning the recorders.
 func runWrapped(t *testing.T, wrap func(sim.Node) sim.Node, rounds int) []*recorder {
 	t.Helper()
+	return runWrappedTo(t, wrap, rounds, nil)
+}
+
+// runWrappedTo is runWrapped with the chatty sender multicasting to to.
+func runWrappedTo(t *testing.T, wrap func(sim.Node) sim.Node, rounds int, to []types.ProcessID) []*recorder {
+	t.Helper()
 	n := 4
 	recs := make([]*recorder, n)
 	nodes := make([]sim.Node, n)
@@ -160,7 +168,7 @@ func runWrapped(t *testing.T, wrap func(sim.Node) sim.Node, rounds int) []*recor
 		recs[i] = &recorder{}
 		nodes[i] = recs[i]
 	}
-	nodes[0] = wrap(&chatty{Rounds: rounds})
+	nodes[0] = wrap(&chatty{Rounds: rounds, To: to})
 	r := sim.NewRunner(sim.Config{N: n, Seed: 1}, nodes)
 	r.Run(0)
 	return recs
@@ -211,6 +219,49 @@ func TestEquivocateNode(t *testing.T) {
 	for i, w := range want {
 		if fmt.Sprint(recs[i].got) != fmt.Sprint(w) {
 			t.Fatalf("receiver %d: got %v, want %v", i, recs[i].got, w)
+		}
+	}
+}
+
+// TestWrappersActOnMulticasts: a vote goes to its sender's audience by a
+// sim.Multicast, which is a list of Sends when the audience is not
+// everyone. The Byzantine wrappers must treat it as they treat a
+// broadcast: node 0 multicasts three times to {0, 1, 2}, and process 3,
+// outside the list, hears nothing under every wrapper.
+func TestWrappersActOnMulticasts(t *testing.T) {
+	to := []types.ProcessID{0, 1, 2}
+	for _, tc := range []struct {
+		name string
+		wrap func(sim.Node) sim.Node
+		want map[int][]string
+	}{
+		{"equivocate", func(inner sim.Node) sim.Node {
+			return &EquivocateNode{Inner: inner, GroupA: types.NewSetOf(4, 0, 1)}
+		}, map[int][]string{
+			1: {"0:{1}", "0:{2}", "0:{3}"}, // genuine stream
+			2: {"0:{1}", "0:{2}"},          // one multicast behind
+			3: nil,
+		}},
+		{"stale-replay", func(inner sim.Node) sim.Node {
+			return &StaleReplayNode{Inner: inner, Every: 1}
+		}, map[int][]string{
+			1: {"0:{1}", "0:{2}", "0:{1}", "0:{3}", "0:{1}"},
+			2: {"0:{1}", "0:{2}", "0:{1}", "0:{3}", "0:{1}"},
+			3: nil,
+		}},
+		{"selective", func(inner sim.Node) sim.Node {
+			return &SelectiveNode{Inner: inner, Allow: types.NewSetOf(4, 0, 1, 3)}
+		}, map[int][]string{
+			1: {"0:{1}", "0:{2}", "0:{3}"},
+			2: nil,
+			3: nil,
+		}},
+	} {
+		recs := runWrappedTo(t, tc.wrap, 3, to)
+		for i, w := range tc.want {
+			if fmt.Sprint(recs[i].got) != fmt.Sprint(w) {
+				t.Errorf("%s: receiver %d got %v, want %v", tc.name, i, recs[i].got, w)
+			}
 		}
 	}
 }

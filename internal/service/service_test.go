@@ -251,7 +251,7 @@ func TestTickCommandsMatchFormat(t *testing.T) {
 	for p := 0; p < fig1.Trust.N(); p++ {
 		h.Write(res.Replicas[types.ProcessID(p)].FinalState)
 	}
-	const want = "29075053c808a2ce49efda5ce42daf53df3e22f94f0c24bed0a9d77d19ce4738"
+	const want = "73a18cd5800e23e2e16b03f004dd3ec75187b3a5ddde3c226458c9e396374bc0"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("Fig. 1 final states hash to %s, want %s", got, want)
 	}

@@ -163,6 +163,34 @@ type Env interface {
 	Rand() *rand.Rand
 }
 
+// Multicast sends msg to each process of to, in ID order, through
+// env.Send; a nil to means every process, through env.Broadcast. The
+// protocols pass the audience of a vote, quorum.Audience, which is nil
+// whenever every process can count it. An env that is a Multicaster
+// receives a non-nil list whole instead.
+func Multicast(env Env, to []types.ProcessID, msg Message) {
+	if to == nil {
+		env.Broadcast(msg)
+		return
+	}
+	if m, ok := env.(Multicaster); ok {
+		m.Multicast(to, msg)
+		return
+	}
+	for _, p := range to {
+		env.Send(p, msg)
+	}
+}
+
+// Multicaster is an Env that sees a Multicast to a list as one act, the
+// way it sees a Broadcast, rather than as the Sends it makes. No Env the
+// protocols run on implements it: the Byzantine wrappers of
+// internal/scenario do, so that they equivocate and replay a vote sent to
+// its audience as they do a broadcast one.
+type Multicaster interface {
+	Multicast(to []types.ProcessID, msg Message)
+}
+
 // LatencyModel decides the network delay of each message.
 type LatencyModel interface {
 	// Delay returns the link delay for a message sent now from -> to.

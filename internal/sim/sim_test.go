@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -64,6 +65,57 @@ func TestBroadcastDeliversToAllIncludingSelf(t *testing.T) {
 	}
 	if m.ByType["sim.ping"] != 25 {
 		t.Errorf("ByType = %v", m.ByType)
+	}
+}
+
+// multicastNode is a pingNode that sends its ping with Multicast.
+type multicastNode struct {
+	pingNode
+	to []types.ProcessID
+}
+
+func (n *multicastNode) Init(e Env) {
+	n.fromSet = types.NewSet(e.N())
+	Multicast(e, n.to, ping{payload: int(e.Self())})
+}
+
+// TestMulticast: a nil recipient list is a Broadcast, with the same
+// deliveries at the same times and the same metrics, and a list sends to
+// its members only.
+func TestMulticast(t *testing.T) {
+	const n = 5
+	run := func(to []types.ProcessID) ([]*multicastNode, *Metrics) {
+		nodes := make([]Node, n)
+		mc := make([]*multicastNode, n)
+		for i := range nodes {
+			mc[i] = &multicastNode{to: to}
+			nodes[i] = mc[i]
+		}
+		r := NewRunner(Config{N: n, Seed: 3, Latency: UniformLatency{Min: 1, Max: 9}}, nodes)
+		r.Run(0)
+		return mc, r.Metrics()
+	}
+	bc := newPingCluster(n)
+	r := NewRunner(Config{N: n, Seed: 3, Latency: UniformLatency{Min: 1, Max: 9}}, bc)
+	r.Run(0)
+	all, m := run(nil)
+	for i, nd := range all {
+		want := bc[i].(*pingNode)
+		if fmt.Sprint(nd.times, nd.froms) != fmt.Sprint(want.times, want.froms) {
+			t.Fatalf("node %d: nil multicast delivered at %v from %v, broadcast at %v from %v", i, nd.times, nd.froms, want.times, want.froms)
+		}
+	}
+	if fmt.Sprint(*m) != fmt.Sprint(*r.Metrics()) {
+		t.Fatalf("nil multicast metrics %+v, broadcast %+v", m, r.Metrics())
+	}
+	some, m := run([]types.ProcessID{1, 3})
+	for i, nd := range some {
+		if want := map[bool]int{false: 0, true: n}[i == 1 || i == 3]; nd.got != want {
+			t.Fatalf("node %d got %d pings, want %d", i, nd.got, want)
+		}
+	}
+	if m.MessagesSent != 2*n {
+		t.Fatalf("multicast to 2 of %d sent %d messages, want %d", n, m.MessagesSent, 2*n)
 	}
 }
 
