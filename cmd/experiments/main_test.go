@@ -68,17 +68,19 @@ func TestSubcommands(t *testing.T) {
 	}
 }
 
-// TestQuorumVoteFanOut: `experiments quorum` counts the sender→receiver
-// pairs votes travel on, each vote going only to the processes whose
+// TestQuorumVoteFanOut: `experiments quorum` counts the links (sender ≠
+// receiver) votes travel on, each vote going only to the processes whose
 // quorums contain its sender. On the Fig. 1 system every process has one
-// quorum of 6, so 180 of the 900 pairs; under threshold trust, all of them.
+// quorum of 6, and 11 of the 30 are in their own, so 169 of the 870
+// links; under threshold trust, all of them, and none at n = 1.
 func TestQuorumVoteFanOut(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"quorum"}, "vote fan-out: 180 of 900 sender→receiver pairs (20.0%)\n"},
-		{[]string{"quorum", "-system", "threshold", "-n", "4", "-f", "1"}, "vote fan-out: 16 of 16 sender→receiver pairs (100.0%)\n"},
+		{[]string{"quorum"}, "vote fan-out: 169 of 870 links\n"},
+		{[]string{"quorum", "-system", "threshold", "-n", "4", "-f", "1"}, "vote fan-out: 12 of 12 links\n"},
+		{[]string{"quorum", "-system", "threshold", "-n", "1", "-f", "0"}, "vote fan-out: 0 of 0 links\n"},
 	} {
 		var out bytes.Buffer
 		if code := run(tc.args, &out); code != 0 || !strings.Contains(out.String(), tc.want) {
@@ -91,11 +93,12 @@ func TestQuorumVoteFanOut(t *testing.T) {
 // run (all 15 experiments). Every experiment is seeded, so a change that
 // moves any printed figure moves this digest; update it only for a change
 // meant to move one, and say which figure moved.
-const experimentsDigest = "a4bb0600ba7fedfdfb6c07e2430f50f5c82704339fe61ddbc64fa0f9b9659d58"
+const experimentsDigest = "c504976252279e0a7871db7b1bb317a626381b291ded0499a2abc8ce2877cfc3"
 
 // TestExperimentsOutputDigest pins the whole output of the paper harness.
-// `make test` also runs it at -cpu 1,2,4: the sweeps fan out over
-// GOMAXPROCS goroutines and their output must not depend on how many.
+// `make test` also runs it at GOMAXPROCS 1, 2 and 4: the sweeps fan out
+// over GOMAXPROCS goroutines and their output must not depend on how
+// many.
 func TestExperimentsOutputDigest(t *testing.T) {
 	var out bytes.Buffer
 	if code := run(nil, &out); code != 0 {

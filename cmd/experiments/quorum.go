@@ -55,8 +55,7 @@ func runQuorum(args []string, stdout io.Writer) int {
 	fmt.Fprintf(stdout, "system: %s\n", *system)
 	fmt.Fprint(stdout, sys.Describe())
 	// A vote goes only to its sender's audience (quorum.Audience).
-	pairs, all := quorum.VotePairs(sys), sys.N()*sys.N()
-	fmt.Fprintf(stdout, "vote fan-out: %d of %d sender→receiver pairs (%.1f%%)\n", pairs, all, 100*float64(pairs)/float64(all))
+	fmt.Fprintf(stdout, "vote fan-out: %d of %d links\n", quorum.VotePairs(sys), sys.N()*(sys.N()-1))
 
 	if *matrix {
 		fmt.Fprintln(stdout, quorum.RenderMatrix(sys.N(), "trust matrix (Q = quorum of row process, F = fail-prone)",

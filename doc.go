@@ -61,8 +61,8 @@
 //     only through its quorum and kernel predicates, which depend only on
 //     the union of its quorums, so each vote goes to quorum.Audience of
 //     its sender (sim.Multicast). Under threshold trust that is everyone;
-//     on the paper's Fig. 1 system a slot's ECHOs take 180 sends instead
-//     of 900, and READYs likewise.
+//     on the paper's Fig. 1 system a slot's ECHOs cross 169 links instead
+//     of all 870, and READYs likewise (quorum.VotePairs).
 //   - A parallel multi-seed sweep engine (internal/sim Sweep and
 //     harness.SweepRider/SweepGather): independent seeded executions run
 //     on GOMAXPROCS goroutines and come back positioned by seed, with a
@@ -109,18 +109,19 @@
 //     process is one of its node faults (MuteFault, ChurnFault).
 //     harness.CheckScenarioProperties is the one Definition 4.1 checker:
 //     it takes the faulty set from the run's Scenario, computes the
-//     maximal guild under explicit or threshold trust, and passes a run
-//     with an empty guild vacuously. A registry of built-in scenarios
-//     backs the scenario × seed conformance sweeps (with first-failing
-//     (scenario, seed) attribution) and the `scenarios` experiment;
-//     ExampleRunConsensus composes a custom one.
+//     maximal guild under explicit or threshold trust, and reports a run
+//     with an empty guild as Vacuous, which sweeps count. A registry of
+//     built-in scenarios backs the scenario × seed conformance sweeps
+//     (with first-failing (scenario, seed) attribution) and the
+//     `scenarios` experiment; ExampleRunConsensus composes a custom one.
 //   - A shared framed binary wire codec (internal/wire) and a production
 //     TCP transport (internal/transport): every protocol message type
 //     registers a tagged codec built on canonical uvarints, length-
 //     prefixed strings and the raw bitset words types.Set already
-//     carries; the simulator's byte metrics (sim.MessageSize) are the
-//     length of that encoding, so they equal the bytes a real deployment
-//     sends by construction. The
+//     carries. The simulator prices a message sent to another process by
+//     that encoding (sim.MessageSize) and a self-send at nothing, as TCP
+//     does, so its byte metrics equal the bytes a real deployment sends
+//     by construction. The
 //     transport drains bounded per-peer outboxes into batched length-
 //     prefixed frames (one write syscall per drain); a full outbox blocks
 //     the sending node loop — explicit backpressure, never drops or
@@ -168,13 +169,14 @@
 //     and compares its output with its Output block.
 //   - Tag ranges: wire.Register panics at init on a tag outside its
 //     package's wire.TagRanges row, or on a test tag outside a test.
-//   - Every sent message has a codec: the simulator counts a send it
-//     cannot size in sim.Metrics.EncodeErrors, as TCP does in
-//     PeerStats.EncodeErrors; the scenario checker, the service soak and
-//     TestConsensusOverTCP require zero.
+//   - Every message sent to another process has a codec (a self-send
+//     needs none): the simulator counts one it cannot encode in
+//     sim.Metrics.EncodeErrors, as TCP does in PeerStats.EncodeErrors; the
+//     scenario checker, the service soak and TestConsensusOverTCP require
+//     zero.
 //   - Sweeps do not depend on GOMAXPROCS: `make test` runs the Example
 //     functions and cmd/experiments' TestExperimentsOutputDigest (the
-//     SHA-256 of every experiment's output) at -cpu 1,2,4.
+//     SHA-256 of every experiment's output) under GOMAXPROCS=1, 2 and 4.
 //
 // # Quickstart
 //

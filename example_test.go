@@ -49,7 +49,7 @@ func ExampleNewCluster() {
 		fmt.Printf("%3d. %s\n", i+1, tx)
 	}
 	// Output:
-	// network: 6288 messages, 191902 bytes, virtual time 1887
+	// network: 4728 messages, 144231 bytes, virtual time 1887
 	// orders agree across all processes: true
 	//
 	// p1: committed 9 waves, reached round 40, delivered 6 txs
@@ -118,14 +118,14 @@ func ExampleCounterexample() {
 	// Figure 1 system: 30 processes, each with a single quorum of size 6
 	// B3 holds: true — so a valid asymmetric quorum system exists (Theorem 2.4)
 	//
-	// Algorithm 2 (quorum replacement): 30/30 delivered, 2700 messages
+	// Algorithm 2 (quorum replacement): 30/30 delivered, 2610 messages
 	// sample outputs (note every process misses someone in [16,30]):
 	//   p1 delivers {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27}
 	//   p6 delivers {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 18, 20, 21, 22, 23, 24, 25, 27, 28, 29, 30}
 	//   p15 delivers {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17, 18, 20, 21, 22, 24, 25, 26, 27, 28, 29, 30}
 	// ⇒ no S set is contained in every output: the common core property FAILS (Lemma 3.2)
 	//
-	// Algorithm 3 (constant-round asymmetric gather): 30/30 delivered, 5400 messages
+	// Algorithm 3 (constant-round asymmetric gather): 30/30 delivered, 5220 messages
 	// ⇒ a common core exists on the very same adversarial schedule:
 	//    the extra ACK/READY/CONFIRM control flow guarantees some process's S set
 	//    reaches a full quorum before anyone distributes its T set (§3.3)

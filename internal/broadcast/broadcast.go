@@ -84,8 +84,8 @@
 // of n−1. Under threshold trust, and wherever every process lies in a
 // quorum of every other, the audience is everyone and a vote is one
 // env.Broadcast as before. On the paper's Fig. 1 system each process has
-// a single quorum of 6, so a slot's ECHOs take 180 sends instead of 900,
-// and its READYs likewise. A process need not lie in its own quorum (19 of
+// a single quorum of 6, so a slot's ECHOs cross 169 links instead of all
+// 870, and its READYs likewise (a copy to the voter itself crosses none). A process need not lie in its own quorum (19 of
 // Fig. 1's 30 do not), so it may never hear its own vote, and nothing
 // relies on hearing it. The SEND still goes to everyone, since everyone
 // needs the payload; FETCH and PAYLOAD are point to point.

@@ -330,25 +330,27 @@ func TestPlainBroadcast(t *testing.T) {
 			t.Fatalf("node %d delivered %d, want %d", i, len(b.delivered), n)
 		}
 	}
-	// Plain uses exactly n sends per broadcast: n*n total.
-	if got := r.Metrics().MessagesSent; got != n*n {
-		t.Fatalf("plain broadcast sent %d messages, want %d", got, n*n)
+	// Plain uses exactly n−1 sends per broadcast, one per link (the
+	// sender's own copy is free): n*(n−1) total.
+	if got := r.Metrics().MessagesSent; got != n*(n-1) {
+		t.Fatalf("plain broadcast sent %d messages, want %d", got, n*(n-1))
 	}
 }
 
-// TestReliableMessageComplexity counts one honest slot's messages by type.
-// The SEND goes to all n processes, but each ECHO and READY goes only to
-// the voter's audience, the processes whose quorums contain it: n² of each
-// under threshold trust, and on the Fig. 1 system, where every process has
-// one quorum of 6, 180 of the 900 sender→receiver pairs.
+// TestReliableMessageComplexity counts one honest slot's messages by type,
+// as links carry them: a process's copy to itself is free. The SEND goes
+// to the n−1 other processes, but each ECHO and READY goes only to the
+// voter's audience, the processes whose quorums contain it: n(n−1) of
+// each under threshold trust, and on the Fig. 1 system, where every
+// process has one quorum of 6, 169 of the 870 links (quorum.VotePairs).
 func TestReliableMessageComplexity(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
 		trust             quorum.Assumption
 		send, echo, ready int
 	}{
-		{"threshold n=4", quorum.NewThreshold(4, 1), 4, 16, 16},
-		{"Fig. 1", quorum.Counterexample(), 30, 180, 180},
+		{"threshold n=4", quorum.NewThreshold(4, 1), 3, 12, 12},
+		{"Fig. 1", quorum.Counterexample(), 29, 169, 169},
 	} {
 		n := tc.trust.N()
 		nodes := reliableCluster(n, tc.trust, nil)

@@ -7,9 +7,9 @@
 // ...) travels without this package knowing about it; ECHO, READY and the
 // fetch request follow it with the 32 raw digest bytes. A SEND or fetch
 // reply whose payload is not encodable (its type is not wire-registered,
-// or its codec declines the value) fails Append: the TCP transport drops
-// it and the simulator counts it in sim.Metrics.EncodeErrors, both as an
-// encode error.
+// or its codec declines the value) fails Append: sent to another process
+// (a self-send is never encoded), the TCP transport drops it and the
+// simulator counts it in sim.Metrics.EncodeErrors, both as an encode error.
 package broadcast
 
 import (

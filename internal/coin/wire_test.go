@@ -9,8 +9,8 @@ import (
 
 // TestShareMsgWire pins the modeled-cost contract: the wire frame carries
 // the 48 reserved share bytes, so sim.MessageSize (now wire-exact) still
-// prices a coin share at what a real BLS share costs — which is what
-// ShareMsg.SimSize always claimed.
+// prices a coin share at what a real BLS share costs, the size the
+// simulator has always charged for it.
 func TestShareMsgWire(t *testing.T) {
 	msg := ShareMsg{Wave: 9}
 	enc, err := wire.Marshal(msg)

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -472,8 +473,10 @@ func TestTrustSizeMustMatchCluster(t *testing.T) {
 // processes whose quorums contain the sender: an ACK for a round-2 vertex
 // goes to its source only if the ACKer lies in one of the source's
 // quorums, and a READY, CONFIRM or share goes to the sender's audience.
-// Every wave then costs Σ_j |U_j| of each, where U_j is the union of j's
-// quorums: n² under threshold trust and 180 of 900 on the Fig. 1 system.
+// A copy to the sender itself crosses no link and is free, so every wave
+// costs quorum.VotePairs of each, the links from each j to the processes
+// whose quorums contain j: n(n−1) under threshold trust and 169 of 870 on
+// the Fig. 1 system.
 func TestControlVotesGoToAudiences(t *testing.T) {
 	const waves = 3
 	for _, tc := range []struct {
@@ -481,9 +484,12 @@ func TestControlVotesGoToAudiences(t *testing.T) {
 		trust   quorum.Assumption
 		perWave int
 	}{
-		{"threshold n=4", quorum.NewThreshold(4, 1), 16},
-		{"Fig. 1", quorum.Counterexample(), 180},
+		{"threshold n=4", quorum.NewThreshold(4, 1), 12},
+		{"Fig. 1", quorum.Counterexample(), 169},
 	} {
+		if pairs := quorum.VotePairs(tc.trust); pairs != tc.perWave {
+			t.Fatalf("%s: VotePairs %d, want %d", tc.name, pairs, tc.perWave)
+		}
 		res := harness.RunRider(harness.RiderConfig{
 			Kind: harness.Asymmetric, Trust: tc.trust, NumWaves: waves, TxPerBlock: 1,
 			Seed: 3, CoinSeed: 3, RevealedCoin: true,
@@ -498,6 +504,73 @@ func TestControlVotesGoToAudiences(t *testing.T) {
 			if by[typ] != waves*tc.perWave {
 				t.Errorf("%s: %d %s over %d waves, want %d per wave", tc.name, by[typ], typ, waves, tc.perWave)
 			}
+		}
+	}
+}
+
+// linkTally is a fault plane that passes every message and counts, by
+// message type, the sends that cross a link and the self-sends: the
+// independent tally TestRunCountsLinksNotSelfSends checks the metrics
+// against.
+type linkTally struct{ links, self map[string]int }
+
+func (l linkTally) OnSend(from, to types.ProcessID, msg sim.Message, _ sim.VirtualTime, _ *rand.Rand) sim.SendVerdict {
+	if from == to {
+		l.self[fmt.Sprintf("%T", msg)]++
+	} else {
+		l.links[fmt.Sprintf("%T", msg)]++
+	}
+	return sim.SendVerdict{}
+}
+
+func (linkTally) OnDeliver(types.ProcessID, types.ProcessID, sim.Message, sim.VirtualTime, *rand.Rand) sim.DeliverVerdict {
+	return sim.DeliverVerdict{}
+}
+
+// TestRunCountsLinksNotSelfSends pins the simulator's send accounting on
+// an honest threshold n=4 run, as the TCP transport counts: ByType holds
+// exactly the sends that cross a link, MessagesSent is their sum, and a
+// self-send counts nowhere. Every process hears its own broadcast, so a
+// reliable-broadcast slot shows one self-copy of its SEND and one of each
+// process's ECHO and READY, and each of them counts n−1 = 3 times.
+func TestRunCountsLinksNotSelfSends(t *testing.T) {
+	const n = 4
+	tally := linkTally{links: map[string]int{}, self: map[string]int{}}
+	nodes := make([]sim.Node, n)
+	for i := range nodes {
+		nodes[i] = core.NewNode(core.Config{Trust: quorum.NewThreshold(n, 1), Coin: coin.NewPRF(1, n), MaxRound: 12})
+	}
+	r := sim.NewRunner(sim.Config{N: n, Seed: 1, Latency: sim.UniformLatency{Min: 1, Max: 20}, Fault: tally}, nodes)
+	r.Run(0)
+	m := r.Metrics()
+	if m.EncodeErrors != 0 || m.MessagesDropped != 0 {
+		t.Fatalf("%d encode errors and %d drops in an honest run", m.EncodeErrors, m.MessagesDropped)
+	}
+	sum := 0
+	for typ, c := range m.ByType {
+		sum += c
+		if c != tally.links[typ] {
+			t.Errorf("ByType[%s] = %d, but %d sends of it crossed a link", typ, c, tally.links[typ])
+		}
+	}
+	if len(m.ByType) != len(tally.links) || m.MessagesSent != sum {
+		t.Errorf("ByType %v sums to %d of %d sent; links carried %v", m.ByType, sum, m.MessagesSent, tally.links)
+	}
+	self := 0
+	for _, c := range tally.self {
+		self += c
+	}
+	if m.MessagesDelivered != m.MessagesSent+self {
+		t.Errorf("delivered %d, want the %d sent plus the %d self-sends", m.MessagesDelivered, m.MessagesSent, self)
+	}
+	slots := tally.self["broadcast.sendMsg"]
+	if slots < n*12 {
+		t.Fatalf("%d broadcast slots, want at least one per process and round (%d)", slots, n*12)
+	}
+	for typ, perSlot := range map[string]int{"broadcast.sendMsg": 1, "broadcast.echoMsg": n, "broadcast.readyMsg": n} {
+		if tally.self[typ] != perSlot*slots || m.ByType[typ] != (n-1)*perSlot*slots {
+			t.Errorf("%d slots: %s sent to self %d times and counted %d, want %d and %d",
+				slots, typ, tally.self[typ], m.ByType[typ], perSlot*slots, (n-1)*perSlot*slots)
 		}
 	}
 }

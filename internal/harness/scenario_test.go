@@ -142,6 +142,7 @@ func TestScenarioSweepRandomizedTrust(t *testing.T) {
 				t.Errorf("%s on random system %d: %d/%d failed; first %s",
 					name, sysSeed, stats.Failures, stats.Seeds, stats.First)
 			}
+			t.Logf("%s on random system %d: %d of %d seeds vacuous (empty guild)", name, sysSeed, stats.Vacuous, stats.Seeds)
 		}
 	}
 }
@@ -177,7 +178,7 @@ func TestCheckScenarioPropertiesRejectsViolations(t *testing.T) {
 			break
 		}
 	}
-	if err := CheckScenarioProperties(res); err == nil {
+	if _, err := CheckScenarioProperties(res); err == nil {
 		t.Fatal("checker passed a run with a non-deciding untouched guild member")
 	}
 }
@@ -229,11 +230,11 @@ func TestCheckScenarioPropertiesRejectsEncodeErrors(t *testing.T) {
 		t.Fatal("baseline scenario missing from the registry")
 	}
 	res := RunRider(ScenarioRiderConfig(def, ScenarioSweepConfig{}, 1))
-	if err := CheckScenarioProperties(res); err != nil {
-		t.Fatal(err)
+	if verdict, err := CheckScenarioProperties(res); err != nil || verdict != Held {
+		t.Fatalf("baseline run: verdict %v, error %v; want it to hold", verdict, err)
 	}
 	res.Metrics.EncodeErrors = 1
-	if err := CheckScenarioProperties(res); err == nil {
+	if _, err := CheckScenarioProperties(res); err == nil {
 		t.Fatal("checker passed a run with an encode error")
 	}
 }
@@ -251,5 +252,36 @@ func TestExpScenarios(t *testing.T) {
 	}
 	if Failed(out) {
 		t.Errorf("ExpScenarios reports a failure:\n%s", out)
+	}
+}
+
+// TestCheckScenarioPropertiesReportsVacuous: a run whose maximal guild is
+// empty passes as Vacuous, not Held, under threshold and explicit trust,
+// and a sweep counts it in Vacuous while still counting the seed ok. Two
+// mutes exceed threshold(4,1)'s f, and on Fig. 1 every single faulty
+// process empties the guild.
+func TestCheckScenarioPropertiesReportsVacuous(t *testing.T) {
+	const seeds = 2
+	for _, tc := range []struct {
+		name    string
+		trust   quorum.Assumption
+		mute    []types.ProcessID
+		vacuous int
+	}{
+		{"threshold(4,1), 1 mute", quorum.NewThreshold(4, 1), []types.ProcessID{3}, 0},
+		{"threshold(4,1), 2 mutes", quorum.NewThreshold(4, 1), []types.ProcessID{2, 3}, seeds},
+		{"Fig. 1, 1 mute", quorum.Counterexample(), []types.ProcessID{0}, seeds},
+	} {
+		stats := SweepRider(sim.SeedRange(1, seeds), func(seed int64) RiderConfig {
+			sc := &scenario.Scenario{Name: tc.name, Properties: scenario.SafetyProperties()}
+			for _, p := range tc.mute {
+				sc.Faults = append(sc.Faults, scenario.Mute(p))
+			}
+			return RiderConfig{Kind: Asymmetric, Trust: tc.trust, NumWaves: 2, TxPerBlock: 1, Seed: seed, CoinSeed: seed, Scenario: sc}
+		}, CheckScenarioProperties)
+		if stats.Failures != 0 || stats.Runs != seeds || stats.Vacuous != tc.vacuous {
+			t.Errorf("%s: %d of %d runs, %d failed, %d vacuous; want %d vacuous (first failure %v)",
+				tc.name, stats.Runs, seeds, stats.Failures, stats.Vacuous, tc.vacuous, stats.First)
+		}
 	}
 }

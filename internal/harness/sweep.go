@@ -50,6 +50,8 @@ type RiderSweepStats struct {
 	// names the earliest one in seed order.
 	Failures int
 	First    *SweepFailure
+	// Vacuous counts the seeds whose check passed as Vacuous.
+	Vacuous int
 
 	// Nodes / DecidedNodes count protocol (non-faulty) nodes across runs,
 	// and how many of them decided at least one wave.
@@ -83,8 +85,9 @@ func (s RiderSweepStats) WavesPerCommit() (float64, bool) {
 
 // SweepRider runs mk(seed) through RunRider for every seed and aggregates.
 // check, if non-nil, is evaluated against every completed run; the first
-// failure (in seed order) lands in Stats.First.
-func SweepRider(seeds []int64, mk func(seed int64) RiderConfig, check func(RiderResult) error) RiderSweepStats {
+// failure (in seed order) lands in Stats.First, and a vacuous pass counts
+// in Stats.Vacuous.
+func SweepRider(seeds []int64, mk func(seed int64) RiderConfig, check func(RiderResult) (Verdict, error)) RiderSweepStats {
 	runs, errs := sim.Sweep(seeds, func(seed int64) RiderSweepStats {
 		cfg := mk(seed)
 		r := RunRider(cfg)
@@ -107,7 +110,11 @@ func SweepRider(seeds []int64, mk func(seed int64) RiderConfig, check func(Rider
 			s.MedianBlocks = blocks[len(blocks)/2]
 		}
 		if check != nil {
-			s.Failures, s.First = failure(seed, check(r))
+			verdict, err := check(r)
+			s.Failures, s.First = failure(seed, err)
+			if err == nil && verdict == Vacuous {
+				s.Vacuous = 1
+			}
 		}
 		return s
 	})
@@ -122,6 +129,7 @@ func SweepRider(seeds []int64, mk func(seed int64) RiderConfig, check func(Rider
 		if total.First == nil {
 			total.First = s.First
 		}
+		total.Vacuous += s.Vacuous
 		total.Nodes += s.Nodes
 		total.DecidedNodes += s.DecidedNodes
 		total.MaxCommits += s.MaxCommits

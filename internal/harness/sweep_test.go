@@ -99,13 +99,13 @@ func TestSweepRiderWorkerCountIndependence(t *testing.T) {
 			Seed: seed, CoinSeed: seed * 7,
 		}
 	}
-	check := func(res RiderResult) error { return res.CheckTotalOrder(correct) }
+	check := func(res RiderResult) (Verdict, error) { return Held, res.CheckTotalOrder(correct) }
 
 	want := RiderSweepStats{Seeds: len(seeds), Metrics: sim.MergeMetrics()}
 	for _, seed := range seeds {
 		cfg := mk(seed)
 		r := RunRider(cfg)
-		if err := check(r); err != nil {
+		if _, err := check(r); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		want.Runs++
@@ -143,11 +143,11 @@ func TestSweepReportsFirstFailingSeed(t *testing.T) {
 	trust := quorum.NewThreshold(4, 1)
 	stats := SweepRider(sim.SeedRange(1, 10), func(seed int64) RiderConfig {
 		return RiderConfig{Kind: Asymmetric, Trust: trust, NumWaves: 2, Seed: seed, CoinSeed: seed}
-	}, func(res RiderResult) error {
+	}, func(res RiderResult) (Verdict, error) {
 		if res.Config.Seed == 4 || res.Config.Seed == 7 {
-			return fmt.Errorf("planted failure")
+			return Held, fmt.Errorf("planted failure")
 		}
-		return nil
+		return Held, nil
 	})
 	if stats.Failures != 2 {
 		t.Fatalf("failures = %d, want 2", stats.Failures)

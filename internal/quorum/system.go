@@ -329,16 +329,17 @@ func Audience(a Assumption, i types.ProcessID) []types.ProcessID {
 	panic(unsupported(a))
 }
 
-// VotePairs returns the number of sender→receiver pairs a round of votes
-// travels on when each process sends its vote to its Audience: the sum of
-// the audience sizes, n for a nil audience. It is n² for Threshold.
+// VotePairs returns the number of links (sender ≠ receiver) a round of
+// votes travels on when each process sends its vote to its Audience: the
+// pairs i ≠ j with j in i's audience. A copy to the sender itself crosses
+// no link. It is n(n−1) for Threshold.
 func VotePairs(a Assumption) int {
 	n, pairs := a.N(), 0
 	for i := 0; i < n; i++ {
-		if aud := Audience(a, types.ProcessID(i)); aud != nil {
-			pairs += len(aud)
-		} else {
-			pairs += n
+		for j := 0; j < n; j++ {
+			if i != j && Counts(a, types.ProcessID(j), types.ProcessID(i)) {
+				pairs++
+			}
 		}
 	}
 	return pairs

@@ -65,14 +65,11 @@ import (
 // tickMsg is the replica's self-addressed client-load heartbeat. Exactly
 // one tick per replica is in flight at any time: each tick is re-armed
 // only while being processed, so buffered churn replay cannot fork the
-// chain (the Seq guard additionally absorbs duplication faults). It never
-// crosses a wire, so it has no codec.
+// chain (the Seq guard additionally absorbs duplication faults). A
+// self-send crosses no link, so it needs no codec.
 type tickMsg struct {
 	Seq uint64
 }
-
-// SimSize implements sim.Sizer (ticks are local control traffic).
-func (tickMsg) SimSize() int { return 8 }
 
 // SimType implements sim.Typer.
 func (tickMsg) SimType() string { return "service.tick" }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/quorum"
@@ -254,6 +255,43 @@ func TestTickCommandsMatchFormat(t *testing.T) {
 	const want = "73a18cd5800e23e2e16b03f004dd3ec75187b3a5ddde3c226458c9e396374bc0"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("Fig. 1 final states hash to %s, want %s", got, want)
+	}
+}
+
+// TestTicksCrossNoLink pins the service's send accounting to what a TCP
+// deployment counts: the client tick and ChurnNode's wake-up are
+// self-sends, which are delivered but cross no link, so neither appears
+// in ByType, ByType sums to MessagesSent, and the run has no encode
+// error although neither message has a codec.
+func TestTicksCrossNoLink(t *testing.T) {
+	def, ok := scenario.Find("rolling-churn")
+	if !ok {
+		t.Fatal("rolling-churn scenario missing from the registry")
+	}
+	sc := def.Build(4, 1)
+	cfg := baseConfig(1)
+	cfg.Fault, cfg.Wrap = sc.FaultPlane(), sc.WrapNode
+	res := Run(cfg)
+	if !res.Stopped {
+		t.Fatal("run truncated")
+	}
+	m := res.Metrics
+	sum := 0
+	for typ, c := range m.ByType {
+		sum += c
+		if strings.Contains(strings.ToLower(typ), "tick") {
+			t.Errorf("ByType counts self-addressed %s %d times", typ, c)
+		}
+	}
+	if m.MessagesSent != sum || m.EncodeErrors != 0 {
+		t.Errorf("ByType sums to %d of %d sent, %d encode errors; want equal and 0", sum, m.MessagesSent, m.EncodeErrors)
+	}
+	submitted := 0
+	for _, rep := range res.Replicas {
+		submitted += rep.Submitted
+	}
+	if submitted == 0 || m.MessagesDelivered <= m.MessagesSent {
+		t.Errorf("%d commands submitted, %d delivered of %d sent; want ticks delivered beyond the sends", submitted, m.MessagesDelivered, m.MessagesSent)
 	}
 }
 

@@ -150,9 +150,9 @@ func TestFaultPlaneDuplicatesAndExtra(t *testing.T) {
 	r := NewRunner(Config{N: n, Seed: 1, Latency: ConstantLatency(1), Fault: plane}, nodes)
 	r.Run(0)
 	m := r.Metrics()
-	wantSent := n * n * 3 // every ping tripled
-	if m.MessagesSent != wantSent || m.MessagesDelivered != wantSent {
-		t.Fatalf("sent/delivered = %d/%d, want %d/%d", m.MessagesSent, m.MessagesDelivered, wantSent, wantSent)
+	wantSent := n * (n - 1) * 3 // every ping tripled; the self-sends are free
+	if m.MessagesSent != wantSent || m.MessagesDelivered != n*n*3 {
+		t.Fatalf("sent/delivered = %d/%d, want %d/%d", m.MessagesSent, m.MessagesDelivered, wantSent, n*n*3)
 	}
 	if m.ByType["sim.ping"] != wantSent {
 		t.Fatalf("ByType = %v, want %d pings", m.ByType, wantSent)
@@ -202,8 +202,8 @@ func TestFaultPlaneRedeliver(t *testing.T) {
 	r := NewRunner(Config{N: n, Seed: 1, Latency: ConstantLatency(1), Fault: &onceRedeliverPlane{after: 5}}, nodes)
 	r.Run(0)
 	m := r.Metrics()
-	if m.MessagesSent != n*n {
-		t.Fatalf("sent = %d, want %d (redelivery must not count as sent)", m.MessagesSent, n*n)
+	if m.MessagesSent != n*(n-1) {
+		t.Fatalf("sent = %d, want %d (redelivery must not count as sent, nor a self-send)", m.MessagesSent, n*(n-1))
 	}
 	if m.MessagesDelivered != 2*n*n {
 		t.Fatalf("delivered = %d, want %d (every link redelivered once)", m.MessagesDelivered, 2*n*n)

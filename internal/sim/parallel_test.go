@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // gossipNode exercises the parallel delivery stage with real fan-out:
@@ -27,7 +28,24 @@ type hop struct {
 	Origin types.ProcessID
 }
 
-func (hop) SimSize() int { return 10 }
+// A hop has a codec in the test band: a message sent to another process
+// is priced by its encoding.
+func init() {
+	wire.Register(wire.TestTagFloor+101, hop{}, wire.Codec{
+		Append: func(dst []byte, msg any) ([]byte, error) {
+			h := msg.(hop)
+			return wire.AppendUvarint(wire.AppendUvarint(dst, uint64(h.TTL)), uint64(h.Origin)), nil
+		},
+		Decode: func(b []byte) (any, []byte, error) {
+			ttl, rest, err := wire.ReadUvarint(b)
+			if err != nil {
+				return nil, b, err
+			}
+			origin, rest, err := wire.ReadUvarint(rest)
+			return hop{TTL: int(ttl), Origin: types.ProcessID(origin)}, rest, err
+		},
+	})
+}
 
 func (g *gossipNode) Init(e Env) {
 	e.Broadcast(hop{TTL: 2, Origin: e.Self()})
@@ -205,40 +223,5 @@ func TestParallelPanicSurfacesOnDrivingGoroutine(t *testing.T) {
 			r := NewRunner(Config{N: 3, Seed: 1, DeliveryWorkers: w}, nodes)
 			r.Run(0)
 		}()
-	}
-}
-
-// labeledMsg routes its metrics bucket through the Typer interface.
-type labeledMsg struct{ Lane int }
-
-func (m labeledMsg) SimType() string { return fmt.Sprintf("labeled[%d]", m.Lane) }
-func (m labeledMsg) SimSize() int    { return 4 }
-
-type labelSender struct{ silentNode }
-
-func (labelSender) Init(e Env) {
-	e.Send(e.Self(), labeledMsg{Lane: int(e.Self())})
-	e.Broadcast(labeledMsg{Lane: 99})
-}
-
-// TestTyperMetricsBuckets pins the Typer contract: messages that
-// implement SimType are bucketed under their own label, not their Go
-// type.
-func TestTyperMetricsBuckets(t *testing.T) {
-	nodes := []Node{labelSender{}, labelSender{}}
-	r := NewRunner(Config{N: 2, Seed: 1}, nodes)
-	r.Run(0)
-	by := r.Metrics().ByType
-	if by["labeled[0]"] != 1 || by["labeled[1]"] != 1 {
-		t.Fatalf("per-value buckets missing: %v", by)
-	}
-	if by["labeled[99]"] != 4 {
-		t.Fatalf("broadcast bucket = %d, want 4 (%v)", by["labeled[99]"], by)
-	}
-	if _, ok := by["sim.labeledMsg"]; ok {
-		t.Fatalf("Typer message still bucketed by Go type: %v", by)
-	}
-	if r.Metrics().BytesSent != 6*4 {
-		t.Fatalf("BytesSent = %d, want 24", r.Metrics().BytesSent)
 	}
 }

@@ -8,7 +8,9 @@
 // scheduler is a priority queue over virtual time, message delays come from
 // a pluggable (possibly adversarial) latency model, and all randomness is
 // drawn from a single seeded source — so every execution is reproducible
-// from its seed.
+// from its seed. The metrics count what crosses a link, as TCP does: a
+// message sent to another process is priced by its codec encoding, and a
+// self-send is free, so a broadcast counts n−1 sends.
 //
 // # Event queue
 //
@@ -95,25 +97,17 @@ type VirtualTime int64
 // TestRandomizedParallelDeliveryConformance,
 // TestScenarioWorkerCountDeterminism and
 // TestServiceDeterministicAcrossWorkers) under `go test -race`. A message
-// needs a wire codec (internal/wire), or a Sizer if it is self-addressed
-// control traffic: the runner counts a send of any other message in
-// Metrics.EncodeErrors.
+// sent to another process is priced by its codec encoding (internal/wire),
+// or counted in Metrics.EncodeErrors if it has none; a self-send is free
+// and needs no codec.
 type Message any
 
-// Sizer sizes a self-addressed control message that never crosses a wire
-// and so has no codec (service's tick, ChurnNode's wake-up): MessageSize
-// returns its SimSize, and a send of it is not an encode error.
-type Sizer interface {
-	SimSize() int
-}
-
-// MessageSize returns the byte size a message contributes to the metrics:
-// the length of its encoding by the shared binary codec (internal/wire —
-// every real protocol message registers one at package init), so
+// MessageSize returns the byte size a message sent to another process
+// contributes to the metrics: the length of its encoding by the shared
+// binary codec (internal/wire). A self-send is free, as on TCP, so
 // simulated BytesSent figures equal the bytes the TCP transport puts on
-// the wire for the same traffic. A message the codec cannot encode is
-// sized by its Sizer; one with neither counts as 1 byte, and the runner
-// counts its send in Metrics.EncodeErrors.
+// the wire for the same traffic. A message the codec cannot encode counts
+// as 1 byte, and the runner counts its send in Metrics.EncodeErrors.
 func MessageSize(msg Message) int {
 	bp := sizeBufPool.Get().(*[]byte)
 	n, _ := msgSize(bp, msg)
@@ -124,10 +118,9 @@ func MessageSize(msg Message) int {
 // sizeBufPool recycles the buffers MessageSize encodes into.
 var sizeBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// Typer lets a message choose its own ByType metrics bucket. Messages
-// that do not implement it are bucketed by dynamic Go type (the "%T"
-// name). The service layer's local tick uses it to report under a stable
-// "service.tick" label.
+// Typer gives a message a stable label for code outside the runner; the
+// runner's ByType buckets messages by dynamic Go type (the "%T" name), and
+// a self-send, like the service layer's "service.tick", in no bucket.
 type Typer interface {
 	SimType() string
 }
@@ -140,7 +133,7 @@ type Node interface {
 	// their first protocol messages here.
 	Init(env Env)
 	// Receive handles one message delivered from another node (or from
-	// itself — self-sends are delivered through the network too).
+	// itself — self-sends are delivered through the network too, free).
 	Receive(env Env, from types.ProcessID, msg Message)
 }
 
@@ -156,7 +149,7 @@ type Env interface {
 	// Send enqueues msg for delivery to process `to` (self-sends allowed).
 	Send(to types.ProcessID, msg Message)
 	// Broadcast sends msg to every process including the sender, in
-	// process-ID order.
+	// process-ID order; the sender's own copy is free.
 	Broadcast(msg Message)
 	// Rand returns the run's seeded RNG. Nodes must not retain it beyond
 	// the current call.
@@ -342,8 +335,8 @@ type Metrics struct {
 	MessagesDelivered int
 	MessagesDropped   int
 	BytesSent         int
-	// EncodeErrors counts sends, one per destination, of a message that
-	// neither the wire codec nor a Sizer can size: over TCP each would be
+	// EncodeErrors counts sends to another process, one per destination,
+	// of a message the wire codec cannot encode: over TCP each would be
 	// dropped (transport.PeerStats.EncodeErrors). The scenario checker
 	// requires it to be 0.
 	EncodeErrors int
@@ -400,7 +393,7 @@ type Runner struct {
 	// each env is immutable after construction, so reuse is safe.
 	envs []env
 
-	// sizeBuf is the buffer msgSize encodes every sent message into, on
+	// sizeBuf is the buffer msgSize encodes every priced message into, on
 	// the driving goroutine in both delivery modes.
 	sizeBuf []byte
 
@@ -431,10 +424,7 @@ type Runner struct {
 	// typeCounts accumulates per-message-type counters keyed by dynamic
 	// type; the string-keyed Metrics.ByType view is materialized lazily by
 	// Metrics(). Formatting "%T" per send used to show up in profiles.
-	// Messages that implement Typer are bucketed by their SimType label in
-	// labelCounts instead.
-	typeCounts  map[reflect.Type]*typeCounter
-	labelCounts map[string]*typeCounter
+	typeCounts map[reflect.Type]*typeCounter
 }
 
 type typeCounter struct {
@@ -500,23 +490,9 @@ func (e *env) Broadcast(msg Message) {
 	e.r.broadcast(e.self, msg)
 }
 
-// typeCounter returns the per-type metrics counter for msg, creating it
-// on first appearance. Typer messages choose their own bucket label (and
-// therefore pay the SimType call once per unicast or broadcast fan-out);
-// everything else is bucketed by dynamic type.
+// typeCounter returns the per-type metrics counter for msg, bucketed by
+// dynamic type and created on first appearance.
 func (r *Runner) typeCounter(msg Message) *typeCounter {
-	if tp, ok := msg.(Typer); ok {
-		name := tp.SimType()
-		tc, ok := r.labelCounts[name]
-		if !ok {
-			tc = &typeCounter{name: name}
-			if r.labelCounts == nil {
-				r.labelCounts = map[string]*typeCounter{}
-			}
-			r.labelCounts[name] = tc
-		}
-		return tc
-	}
 	t := reflect.TypeOf(msg)
 	tc, ok := r.typeCounts[t]
 	if !ok {
@@ -526,27 +502,36 @@ func (r *Runner) typeCounter(msg Message) *typeCounter {
 	return tc
 }
 
-// msgSize returns the byte size a message contributes to the metrics (see
-// MessageSize), encoding it into *buf, which keeps the grown buffer, and
-// whether the codec or a Sizer sized it.
+// msgSize returns the byte size a message sent to another process
+// contributes to the metrics (see MessageSize), encoding it into *buf,
+// which keeps the grown buffer, and whether the codec could encode it.
 func msgSize(buf *[]byte, msg Message) (int, bool) {
 	enc, err := wire.Append((*buf)[:0], msg)
 	*buf = enc
 	if err == nil {
 		return len(enc), true
 	}
-	if s, ok := msg.(Sizer); ok {
-		return s.SimSize(), true
-	}
 	return 1, false
+}
+
+// price returns the type counter and wire size of msg sent to k other
+// processes, counting k encode errors if the codec cannot encode it.
+func (r *Runner) price(msg Message, k int) (*typeCounter, int) {
+	size, ok := msgSize(&r.sizeBuf, msg)
+	if !ok {
+		r.metrics.EncodeErrors += k
+	}
+	return r.typeCounter(msg), size
 }
 
 // sendOne records the sent-message metrics (against the caller-resolved
 // type counter and size) and enqueues the delivery. Both unicast and
 // broadcast fan-out land here, so the accounting rules — and the fault
-// plane's send-commit hook — live in one place.
+// plane's send-commit hook — live in one place. A self-send is free, but
+// passes the fault plane and draws its delay like any send.
 func (r *Runner) sendOne(from, to types.ProcessID, msg Message, tc *typeCounter, size int) {
 	var extra VirtualTime
+	copies := 1
 	if r.cfg.Fault != nil {
 		v := r.cfg.Fault.OnSend(from, to, msg, r.now, r.rng)
 		if v.Drop {
@@ -556,40 +541,39 @@ func (r *Runner) sendOne(from, to types.ProcessID, msg Message, tc *typeCounter,
 		if v.Extra > 0 {
 			extra = v.Extra
 		}
-		for i := 0; i < v.Duplicates; i++ {
+		copies += v.Duplicates
+	}
+	for i := 0; i < copies; i++ {
+		if from != to {
 			r.metrics.MessagesSent++
 			tc.count++
 			r.metrics.BytesSent += size
-			r.enqueue(from, to, msg, extra)
 		}
+		r.enqueue(from, to, msg, extra)
 	}
-	r.metrics.MessagesSent++
-	tc.count++
-	r.metrics.BytesSent += size
-	r.enqueue(from, to, msg, extra)
 }
 
 func (r *Runner) send(from, to types.ProcessID, msg Message) {
-	size, ok := msgSize(&r.sizeBuf, msg)
-	if !ok {
-		r.metrics.EncodeErrors++
+	var tc *typeCounter
+	size := 0
+	if from != to {
+		tc, size = r.price(msg, 1)
 	}
-	r.sendOne(from, to, msg, r.typeCounter(msg), size)
+	r.sendOne(from, to, msg, tc, size)
 }
 
 // broadcast fans msg out to every process in ID order. One fan-out
-// resolves the per-message bookkeeping (type counter, wire size) once and
-// reuses it for all n sends — broadcast is the dominant send pattern of
-// every protocol here, and per-destination sizing and type lookups used
-// to show up in profiles. Delivery order and metrics stay byte-identical to
-// n individual sends: the fault plane, the latency draw and the sequence
-// number are still evaluated per destination, in destination order.
+// prices msg once for its n−1 sends to other processes — broadcast is the
+// dominant send pattern of every protocol here, and per-destination sizing
+// used to show up in profiles. Delivery order and metrics stay
+// byte-identical to n individual sends: the fault plane, the latency draw
+// and the sequence number are still evaluated per destination, in order.
 func (r *Runner) broadcast(from types.ProcessID, msg Message) {
-	size, ok := msgSize(&r.sizeBuf, msg)
-	if !ok {
-		r.metrics.EncodeErrors += r.cfg.N
+	var tc *typeCounter
+	size := 0
+	if r.cfg.N > 1 {
+		tc, size = r.price(msg, r.cfg.N-1)
 	}
-	tc := r.typeCounter(msg)
 	for to := 0; to < r.cfg.N; to++ {
 		r.sendOne(from, types.ProcessID(to), msg, tc, size)
 	}
@@ -757,9 +741,6 @@ func (r *Runner) Metrics() *Metrics {
 	for _, tc := range r.typeCounts {
 		r.metrics.ByType[tc.name] = tc.count
 	}
-	for _, tc := range r.labelCounts {
-		r.metrics.ByType[tc.name] = tc.count
-	}
 	return r.metrics
 }
 
@@ -823,8 +804,8 @@ func (c *CrashNode) Unwrap() Node { return c.Inner }
 // the outage — the buffered messages sit inside the wrapper, not the
 // event queue, so nothing would ever arrive to trigger the replay and
 // the run would deadlock short of RecoverAt. The ticks travel the
-// network like any message (latency model, filters, fault plane,
-// metrics), so they stay deterministic per seed.
+// network like any message (latency model, filters, fault plane), so
+// they stay deterministic per seed.
 type ChurnNode struct {
 	Inner     Node
 	CrashAt   VirtualTime
@@ -843,12 +824,8 @@ type bufferedDelivery struct {
 var _ Node = (*ChurnNode)(nil)
 
 // churnTick is ChurnNode's self-addressed wake-up message (see the type
-// comment); it never reaches the inner node. It never crosses a wire, so
-// it has no codec; it counts as 1 byte.
+// comment); it never reaches the inner node. A self-send needs no codec.
 type churnTick struct{}
-
-// SimSize implements Sizer.
-func (churnTick) SimSize() int { return 1 }
 
 // Init implements Node. Init runs at virtual time 0, before the crash
 // window can open (CrashAt must be > 0), so it always reaches the inner

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // pingNode sends a ping to everyone on init and counts received pings.
@@ -18,7 +19,19 @@ type pingNode struct {
 
 type ping struct{ payload int }
 
-func (p ping) SimSize() int { return 8 }
+// A ping sent to another process is priced by its encoding, as every
+// message is, so it has a codec in the test band.
+func init() {
+	wire.Register(wire.TestTagFloor+100, ping{}, wire.Codec{
+		Append: func(dst []byte, msg any) ([]byte, error) {
+			return wire.AppendUvarint(dst, uint64(msg.(ping).payload)), nil
+		},
+		Decode: func(b []byte) (any, []byte, error) {
+			v, rest, err := wire.ReadUvarint(b)
+			return ping{payload: int(v)}, rest, err
+		},
+	})
+}
 
 func (n *pingNode) Init(e Env) {
 	n.fromSet = types.NewSet(e.N())
@@ -56,14 +69,16 @@ func TestBroadcastDeliversToAllIncludingSelf(t *testing.T) {
 			t.Errorf("node %d heard from %v", i, pn.fromSet)
 		}
 	}
+	// Every node hears its own ping, but only the 20 pings to another
+	// node cross a link and count as sent.
 	m := r.Metrics()
-	if m.MessagesSent != 25 || m.MessagesDelivered != 25 {
-		t.Errorf("metrics sent/delivered = %d/%d, want 25/25", m.MessagesSent, m.MessagesDelivered)
+	if m.MessagesSent != 20 || m.MessagesDelivered != 25 {
+		t.Errorf("metrics sent/delivered = %d/%d, want 20/25", m.MessagesSent, m.MessagesDelivered)
 	}
-	if m.BytesSent != 25*8 {
-		t.Errorf("BytesSent = %d, want 200", m.BytesSent)
+	if want := 20 * MessageSize(ping{}); m.BytesSent != want {
+		t.Errorf("BytesSent = %d, want %d", m.BytesSent, want)
 	}
-	if m.ByType["sim.ping"] != 25 {
+	if m.ByType["sim.ping"] != 20 {
 		t.Errorf("ByType = %v", m.ByType)
 	}
 }
@@ -114,8 +129,9 @@ func TestMulticast(t *testing.T) {
 			t.Fatalf("node %d got %d pings, want %d", i, nd.got, want)
 		}
 	}
-	if m.MessagesSent != 2*n {
-		t.Fatalf("multicast to 2 of %d sent %d messages, want %d", n, m.MessagesSent, 2*n)
+	// Processes 1 and 3 send to themselves too, for free.
+	if m.MessagesSent != 2*n-2 || m.MessagesDelivered != 2*n {
+		t.Fatalf("multicast to 2 of %d sent %d messages and delivered %d, want %d and %d", n, m.MessagesSent, m.MessagesDelivered, 2*n-2, 2*n)
 	}
 }
 

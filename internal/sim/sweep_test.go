@@ -171,16 +171,16 @@ func TestSendDropAccounting(t *testing.T) {
 	if m.MessagesDropped != 3 {
 		t.Errorf("dropped = %d, want 3", m.MessagesDropped)
 	}
-	if m.MessagesSent != 13 { // 16 broadcasts minus the 3 dropped
-		t.Errorf("sent = %d, want 13 (dropped messages must not count as sent)", m.MessagesSent)
+	if m.MessagesSent != 9 { // 12 sends to another process minus the 3 dropped
+		t.Errorf("sent = %d, want 9 (dropped messages must not count as sent, nor self-sends)", m.MessagesSent)
 	}
-	if m.MessagesSent != m.MessagesDelivered {
-		t.Errorf("sent=%d delivered=%d; with drops excluded they must match", m.MessagesSent, m.MessagesDelivered)
+	if m.MessagesDelivered != 13 { // the 9 sent and the 4 self-sends
+		t.Errorf("delivered = %d, want 13", m.MessagesDelivered)
 	}
-	if m.BytesSent != 13*8 {
-		t.Errorf("bytes = %d, want %d", m.BytesSent, 13*8)
+	if want := 9 * MessageSize(ping{}); m.BytesSent != want {
+		t.Errorf("bytes = %d, want %d", m.BytesSent, want)
 	}
-	if m.ByType["sim.ping"] != 13 {
-		t.Errorf("ByType = %v, want 13 pings", m.ByType)
+	if m.ByType["sim.ping"] != 9 {
+		t.Errorf("ByType = %v, want 9 pings", m.ByType)
 	}
 }

@@ -1,69 +1,37 @@
 package sim
 
 import (
-	"sync"
 	"testing"
 
+	"repro/internal/types"
 	"repro/internal/wire"
 )
 
-// wireSized is registered with the wire codec AND implements Sizer with a
-// deliberately wrong answer, so the test can observe which source
-// MessageSize prefers.
-type wireSized struct{ V uint64 }
-
-func (wireSized) SimSize() int { return 999 }
-
-// sizerOnly has no wire codec — the pure-simulation fallback path.
-type sizerOnly struct{}
-
-func (sizerOnly) SimSize() int { return 17 }
-
 type neither struct{}
 
-// TestMessageSizePrefersWireCodec pins the resolution order behind the
-// simulator's byte metrics: exact wire frame length for registered types,
-// Sizer approximation otherwise, and 1 for a message with neither.
+// TestMessageSizePrefersWireCodec pins the sizing behind the simulator's
+// byte metrics: the exact wire frame length for a registered type, and 1
+// for a message with no codec.
 func TestMessageSizePrefersWireCodec(t *testing.T) {
-	registerWireSized()
-	msg := wireSized{V: 300}
+	msg := ping{payload: 300}
 	enc, err := wire.Marshal(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := MessageSize(msg); got != len(enc) {
-		t.Fatalf("MessageSize %d, want exact wire length %d (not Sizer's 999)", got, len(enc))
-	}
-	if got := MessageSize(sizerOnly{}); got != 17 {
-		t.Fatalf("Sizer fallback returned %d, want 17", got)
+		t.Fatalf("MessageSize %d, want exact wire length %d", got, len(enc))
 	}
 	if got := MessageSize(neither{}); got != 1 {
 		t.Fatalf("default size returned %d, want 1", got)
 	}
 }
 
-var registerOnce sync.Once
-
-func registerWireSized() {
-	registerOnce.Do(func() {
-		wire.Register(1100, wireSized{}, wire.Codec{ // test-local tag range
-			Append: func(dst []byte, msg any) ([]byte, error) { return wire.AppendUvarint(dst, msg.(wireSized).V), nil },
-			Decode: func(b []byte) (any, []byte, error) {
-				v, rest, err := wire.ReadUvarint(b)
-				if err != nil {
-					return nil, b, err
-				}
-				return wireSized{V: v}, rest, nil
-			},
-		})
-	})
-}
-
-// sendOnInit sends one message on Init, to process 1 or, with bcast, to
-// everyone.
+// sendOnInit sends one message on Init from process 0: to process to, or,
+// with bcast, to everyone.
 type sendOnInit struct {
 	silentNode
 	msg   Message
+	to    types.ProcessID
 	bcast bool
 }
 
@@ -71,36 +39,39 @@ func (s sendOnInit) Init(e Env) {
 	if s.bcast {
 		e.Broadcast(s.msg)
 	} else {
-		e.Send(1, s.msg)
+		e.Send(s.to, s.msg)
 	}
 }
 
-// TestEncodeErrorsCountUnsizedSends: a send of a message that neither
-// the codec nor a Sizer can size counts one EncodeError per destination —
-// 1 for a unicast, n for a broadcast — and is still delivered as a
-// 1-byte message; a Sizer-only or codec'd message counts none.
+// TestEncodeErrorsCountUnsizedSends: a send to another process of a
+// message the codec cannot encode counts one EncodeError per destination
+// — 1 for a unicast, n−1 for a broadcast — and is still delivered as a
+// 1-byte message; a self-send needs no codec and counts none, nor does a
+// codec'd message. Only sends to another process count as sent.
 func TestEncodeErrorsCountUnsizedSends(t *testing.T) {
-	registerWireSized()
 	const n = 4
 	for _, tc := range []struct {
-		msg   Message
-		bcast bool
-		want  int
+		msg         Message
+		to          types.ProcessID
+		bcast       bool
+		want, sent  int
+		deliveredTo int
 	}{
-		{neither{}, false, 1},
-		{neither{}, true, n},
-		{sizerOnly{}, true, 0},
-		{wireSized{V: 7}, true, 0},
+		{neither{}, 1, false, 1, 1, 1},
+		{neither{}, 0, false, 0, 0, 1},
+		{neither{}, 0, true, n - 1, n - 1, n},
+		{ping{payload: 7}, 0, true, 0, n - 1, n},
 	} {
-		nodes := []Node{sendOnInit{msg: tc.msg, bcast: tc.bcast}, silentNode{}, silentNode{}, silentNode{}}
+		nodes := []Node{sendOnInit{msg: tc.msg, to: tc.to, bcast: tc.bcast}, silentNode{}, silentNode{}, silentNode{}}
 		r := NewRunner(Config{N: n, Seed: 1}, nodes)
 		r.Run(0)
 		m := r.Metrics()
 		if m.EncodeErrors != tc.want {
-			t.Errorf("%T (broadcast %v): EncodeErrors %d, want %d", tc.msg, tc.bcast, m.EncodeErrors, tc.want)
+			t.Errorf("%T (to %v, broadcast %v): EncodeErrors %d, want %d", tc.msg, tc.to, tc.bcast, m.EncodeErrors, tc.want)
 		}
-		if m.MessagesDelivered != m.MessagesSent {
-			t.Errorf("%T (broadcast %v): delivered %d of %d", tc.msg, tc.bcast, m.MessagesDelivered, m.MessagesSent)
+		if m.MessagesSent != tc.sent || m.BytesSent != tc.sent*MessageSize(tc.msg) || m.MessagesDelivered != tc.deliveredTo {
+			t.Errorf("%T (to %v, broadcast %v): sent %d (%d B), delivered %d; want %d sent and %d delivered",
+				tc.msg, tc.to, tc.bcast, m.MessagesSent, m.BytesSent, m.MessagesDelivered, tc.sent, tc.deliveredTo)
 		}
 	}
 }

@@ -8,8 +8,9 @@
 // serves two consumers that previously disagreed about message bytes:
 //
 //   - the deterministic simulator's byte metrics: sim.MessageSize returns
-//     the encoded frame length for registered types, so simulated
-//     BytesSent figures match what a real deployment puts on the wire;
+//     the encoded frame length for registered types, and a self-send is
+//     free, so simulated BytesSent figures match what a real deployment
+//     puts on the wire;
 //   - the TCP transport (internal/transport), whose writer path encodes
 //     outbox drains into batched length-prefixed frames of these messages.
 //
