@@ -50,12 +50,17 @@
 //   - Digest-addressed reliable broadcast (internal/broadcast): a vertex
 //     travels once per receiver, in the SEND; ECHO and READY carry the
 //     32-byte SHA-256 of its canonical wire frame, computed once where the
-//     vertex is created or decoded. A process votes READY and delivers
-//     only for a payload it holds, and one that sees a quorum or kernel of
-//     votes before the payload fetches it from the voters — under
-//     asymmetric trust one of the receiver's own quorums or kernels, which
-//     for a wise process contains a correct holder, so totality for the
-//     maximal guild is kept (the argument is in the package comment).
+//     vertex is created or decoded, except to a process whose ECHO for
+//     that digest the voter already counted: that process echoes once per
+//     slot, so the vote goes by reference, as its slot alone, and names
+//     the digest the receiver echoed. No message count, delivery time or
+//     output moves; only the 32 digest bytes go. A process votes READY
+//     and delivers only for a payload it holds, and one that sees a
+//     quorum or kernel of votes before the payload fetches it from the
+//     voters — under asymmetric trust one of the receiver's own quorums
+//     or kernels, which for a wise process contains a correct holder, so
+//     totality for the maximal guild is kept (the argument is in the
+//     package comment).
 //   - Votes go only to the processes that can count them: a process
 //     counts an ECHO, a READY, a gather ACK/READY/CONFIRM or a coin share
 //     only through its quorum and kernel predicates, which depend only on
@@ -118,10 +123,13 @@
 //     TCP transport (internal/transport): every protocol message type
 //     registers a tagged codec built on canonical uvarints, length-
 //     prefixed strings and the raw bitset words types.Set already
-//     carries. The simulator prices a message sent to another process by
-//     that encoding (sim.MessageSize) and a self-send at nothing, as TCP
-//     does, so its byte metrics equal the bytes a real deployment sends
-//     by construction. The
+//     carries; reliable broadcast has seven (SEND, ECHO, READY, ECHO and
+//     READY by reference, FETCH and its reply) plus broadcast.Bytes. The
+//     simulator prices a message sent to another process by that encoding
+//     (sim.MessageSize) and a self-send at nothing, as TCP does, and counts
+//     a send it cannot encode only as an encode error, as TCP drops it, so
+//     its byte metrics equal the bytes a real deployment sends by
+//     construction. The
 //     transport drains bounded per-peer outboxes into batched length-
 //     prefixed frames (one write syscall per drain); a full outbox blocks
 //     the sending node loop — explicit backpressure, never drops or

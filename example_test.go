@@ -49,7 +49,7 @@ func ExampleNewCluster() {
 		fmt.Printf("%3d. %s\n", i+1, tx)
 	}
 	// Output:
-	// network: 4728 messages, 144231 bytes, virtual time 1887
+	// network: 4728 messages, 91015 bytes, virtual time 1887
 	// orders agree across all processes: true
 	//
 	// p1: committed 9 waves, reached round 40, delivered 6 txs

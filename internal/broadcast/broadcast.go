@@ -17,8 +17,8 @@
 // # Reliable broadcast wire protocol
 //
 // The payload travels once per receiver; votes carry its 32-byte digest d
-// (SHA-256 of the payload's canonical wire frame). Four messages plus a
-// reply:
+// (SHA-256 of the payload's canonical wire frame), or name it by reference
+// (below). Four messages plus a reply:
 //
 //	SEND(slot, payload)  source → all
 //	ECHO(slot, d)        → the echoer's audience (below), on the first SEND
@@ -27,6 +27,9 @@
 //	                     a READY(d) kernel
 //	FETCH(slot, d)       ask a peer that voted for d for d's payload
 //	PAYLOAD(slot, payload)  the reply to FETCH
+//
+// An ECHO or READY to a process whose ECHO(d) the voter already counted
+// goes as ECHO*(slot) or READY*(slot), the same vote by reference.
 //
 // A process delivers d's payload after a READY(d) quorum. Two rules keep
 // this the protocol of §2.3:
@@ -90,6 +93,47 @@
 // relies on hearing it. The SEND still goes to everyone, since everyone
 // needs the payload; FETCH and PAYLOAD are point to point.
 //
+// # Votes by reference
+//
+// A vote need not carry a digest its receiver knows. A correct process
+// echoes at most once per slot — it echoes the first SEND it handles — so
+// once voter i has counted j's ECHO(d) for slot s, "the digest j echoed
+// in s" names d at j. So i sends its ECHO(d) or READY(d) for s to such a
+// j by reference, ECHO*(s) or READY*(s): the slot without the 32 digest
+// bytes. j counts it, like a full vote, for the digest it echoed in s,
+// which its slot keeps as its first digest (the SEND's digest takes that
+// place when it is not first already). Every other vote goes in full: to
+// a process whose ECHO i has not counted, or counted for another digest
+// (the source equivocated), to i itself (a self-send crosses no link),
+// and a late SEND's ECHO after delivery, when i keeps no tally. There is
+// no other path: the rule decides the form of every vote, per
+// destination. j drops a reference for a slot it has not echoed in, and
+// one from outside U_j, before it touches any state.
+//
+// Safety. i refers to d only when it counted j's ECHO(d), and a correct j
+// resolves the reference to the one digest it echoed, d: j counts exactly
+// the vote i cast. A Byzantine i can make j count a vote for the digest j
+// echoed, which a full vote says as well, so references give the
+// adversary no vote it lacked. A reference names a digest the slot holds,
+// so it never adds one, and the 1 + 2|U_self| bound below stands.
+//
+// Totality. No vote is lost or delayed: every vote a correct process sends
+// goes to the same process, in the same send, as a full vote would, and
+// is counted there for the same digest. R1 is untouched: a reference
+// names a digest whose payload its receiver holds, so it never blocks
+// R1, and the READY or FETCH a vote triggers carries its digest in a body
+// the receiver cuts when the trigger was a reference (it never sends on a
+// body that arrived without the digest). So the R2 argument above stands
+// word for word.
+//
+// Schedules. The form is chosen per destination inside one multicast act
+// (sim.Cast), whose sends still leave one per destination in ID order, so
+// the simulator draws every delay in the same order; neither a fault plane
+// nor a latency model reads a message's type or size. So no message count,
+// delivery time or output of a seeded run moves; the bytes fall by 32 per
+// reference, on TCP too, where a reference is about 3 bytes of a 35-byte
+// vote.
+//
 // # Slot state
 //
 // Every DAG vertex is one slot, so a process keeps n slots per round, and
@@ -100,12 +144,14 @@
 //     dropped before it touches any state; otherwise a vote for a
 //     nonexistent source would open a slot that can never deliver.
 //   - A slot holds the first digest it hears of in place, with its payload
-//     and pointers to its tally and fetch sets, in 80 bytes. Further
+//     and pointers to its tally and fetch sets, in 80 bytes; the digest of
+//     the SEND it echoes takes that place. Further
 //     digests, which only an equivocating sender or voter produces, go to a
 //     map allocated on the second. A vote that would add a digest is
 //     dropped when its voter is already counted in a tracker of the same
 //     kind for another digest of the slot, and votes from outside U_self
-//     never reach a slot, so a slot holds at most 1 + 2|U_self| digests:
+//     never reach a slot, and a vote by reference names a digest the slot
+//     holds, so a slot holds at most 1 + 2|U_self| digests:
 //     the SEND's and one per voter in U_self and kind of vote (13 on
 //     Fig. 1).
 //   - Rows hold no vote trackers. Every digest of an undelivered slot
@@ -144,17 +190,19 @@
 //     a sequence number with a message opens a row, so a far-future one
 //     costs a Byzantine sender one row, not one per sequence number in
 //     between.
-//   - All five messages are single-pointer structs, which an interface
+//   - All seven messages are single-pointer structs, which an interface
 //     holds without boxing. Their bodies are (slot, payload) for a SEND or
-//     PAYLOAD and (slot, digest) for an ECHO, READY or FETCH. A body is
-//     never written after it is handed out, so a Reliable reuses one where
-//     it can: a READY completed by an ECHO or READY is sent with that
-//     vote's body, and a FETCH with the body of the vote that blocked on
-//     the payload. A new body is cut only for a SEND, an ECHO, a READY
-//     that a SEND or PAYLOAD completed, and a PAYLOAD, from two
-//     process-wide wire.Carvers, one per body type, in chunks of 64
-//     indexed atomically; the codec cuts the bodies it decodes off the
-//     wire from the same two.
+//     PAYLOAD and (slot, digest) for an ECHO, READY or FETCH, in full or by
+//     reference; a vote by reference points at its full form's body, but
+//     only the slot goes on the wire. A body is never written after it is
+//     handed out, so a Reliable reuses one where it can: an ECHO or READY
+//     goes in both forms with one body, a READY completed by a full ECHO
+//     or READY is sent with that vote's body, and a FETCH with the body of
+//     the vote that blocked on the payload. A new body is cut only for a
+//     SEND, an ECHO, a READY that a SEND, a PAYLOAD or a vote by reference
+//     completed, and a PAYLOAD, from two process-wide wire.Carvers, one
+//     per body type, in chunks of 64 indexed atomically; the codec cuts
+//     the bodies it decodes off the wire from the same two.
 //     A chunk is never reused or recycled with the rows: a message may
 //     still sit in a lagging receiver's queue or a TCP outbox after its
 //     sender pruned the slot, and under parallel delivery several
@@ -273,6 +321,15 @@ func newVote(slot Slot, d Digest) *vote { return votes.Cut(vote{Slot: slot, Dige
 type echoMsg struct{ *vote }
 
 type readyMsg struct{ *vote }
+
+// echoRefMsg and readyRefMsg are an ECHO and a READY by reference: they
+// vote for the digest their receiver echoed in body.Slot (see "Votes by
+// reference" in the package comment). A sender points one at the body of
+// its full vote, but only the slot goes on the wire, so a handler reads
+// body.Slot and nothing else, and never sends the body on.
+type echoRefMsg struct{ body *vote }
+
+type readyRefMsg struct{ body *vote }
 
 // fetchMsg asks a process that voted for Digest in Slot for the payload.
 type fetchMsg struct{ *vote }
@@ -440,6 +497,22 @@ func (r *Reliable) value(st *rbSlot, d Digest) *rbValue {
 	return v
 }
 
+// echoed returns what st knows about d, the digest of the SEND this
+// process echoes in st, and makes d st's first, swapping places with the
+// digest that was first if need be: a vote by reference names the digest
+// its receiver echoed, and resolves to st.first.
+func (r *Reliable) echoed(st *rbSlot, d Digest) *rbValue {
+	v := r.value(st, d)
+	if st.first == d {
+		return v
+	}
+	delete(st.others, d)
+	st.others[st.first] = v
+	*v, st.value = st.value, *v
+	st.first = d
+	return &st.value
+}
+
 // borrow takes a tally from the pool. An empty pool is refilled with n
 // tallies whose 2n trackers share one NewTrackers call, and only then does
 // its capacity grow, to the number of tallies cut.
@@ -564,13 +637,19 @@ func (st *rbSlot) due(v *rbValue) (ready, deliver bool) {
 
 // advance applies the rules that are due for digest d, or — R1 — fetches
 // the payload when this process does not hold it yet. trigger is the body
-// of the ECHO or READY that made the call, nil for a SEND or PAYLOAD; it
+// of the full ECHO or READY that made the call, nil for a SEND, a PAYLOAD
+// or a vote by reference, whose body does not hold d; a full vote's body
 // holds (slot, d), so the READY or FETCH sent here carries it instead of a
-// new body. A fetch only follows a vote: the other two set the payload.
+// new body. A fetch only follows a full vote: a SEND or PAYLOAD sets the
+// payload, and a vote by reference names the digest this process echoed,
+// whose payload it holds.
 func (r *Reliable) advance(env sim.Env, slot Slot, st *rbSlot, d Digest, v *rbValue, trigger *vote) {
 	ready, deliver := st.due(v)
 	if !ready && !deliver {
 		return
+	}
+	if trigger == nil && (ready || v.payload == nil) {
+		trigger = newVote(slot, d)
 	}
 	if v.payload == nil {
 		r.fetch(env, trigger, v)
@@ -578,16 +657,25 @@ func (r *Reliable) advance(env sim.Env, slot Slot, st *rbSlot, d Digest, v *rbVa
 	}
 	if ready {
 		st.sentReady = true
-		if trigger == nil {
-			trigger = newVote(slot, d)
-		}
-		sim.Multicast(env, quorum.Audience(r.trust, r.self), readyMsg{trigger})
+		r.cast(env, readyMsg{trigger}, readyRefMsg{trigger}, v)
 	}
 	if deliver {
 		st.delivered = true
 		r.release(st)
 		r.deliver(env, slot, v.payload)
 	}
+}
+
+// cast multicasts a vote for v's digest, full as msg or by reference as
+// ref, to this process's audience: by reference to every process whose
+// ECHO for the digest it counted, in full to the rest. A digest with no
+// tally (a late SEND's, echoed after delivery) goes in full to all.
+func (r *Reliable) cast(env sim.Env, msg, ref sim.Message, v *rbValue) {
+	c := sim.Cast{To: quorum.Audience(r.trust, r.self), Msg: msg, Ref: ref}
+	if v.tally != nil {
+		c.RefTo = v.tally[echoes].Set()
+	}
+	sim.Multicast(env, c)
 }
 
 // fetch sends R2's request, the body of the vote that blocked on v, to
@@ -619,15 +707,20 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 		}
 		st.sentEcho = true
 		d := m.Payload.Digest()
-		v := r.value(st, d)
+		v := r.echoed(st, d)
 		v.payload = m.Payload
-		sim.Multicast(env, quorum.Audience(r.trust, r.self), echoMsg{newVote(m.Slot, d)})
+		b := newVote(m.Slot, d)
+		r.cast(env, echoMsg{b}, echoRefMsg{b}, v)
 		// A SEND overtaken by its own votes completes the slot here.
 		r.advance(env, m.Slot, st, d, v, nil)
 	case echoMsg:
 		r.handleVote(env, from, m.vote, echoes)
 	case readyMsg:
 		r.handleVote(env, from, m.vote, readies)
+	case echoRefMsg:
+		r.handleRef(env, from, m.body.Slot, echoes)
+	case readyRefMsg:
+		r.handleRef(env, from, m.body.Slot, readies)
 	case fetchMsg:
 		// Serve only what is held, once per requester; a request never
 		// allocates state.
@@ -678,13 +771,35 @@ func (r *Reliable) handleVote(env sim.Env, from types.ProcessID, b *vote, kind i
 	if !quorum.Counts(r.trust, r.self, from) {
 		return
 	}
-	st := r.open(b.Slot)
-	if st == nil || st.delivered || st.spam(b.Digest, from, kind) {
+	if st := r.open(b.Slot); st != nil {
+		r.count(env, from, b.Slot, st, b.Digest, kind, b)
+	}
+}
+
+// handleRef handles an ECHO or READY by reference for slot s: a vote for
+// the digest this process echoed in s, which is s's first. It is dropped
+// before it touches any state when its voter lies outside U_self or this
+// process has not echoed in s, and so has no digest it could name.
+func (r *Reliable) handleRef(env sim.Env, from types.ProcessID, s Slot, kind int) {
+	if !quorum.Counts(r.trust, r.self, from) {
 		return
 	}
-	v := r.value(st, b.Digest)
+	if st := r.find(s); st != nil && st.sentEcho {
+		r.count(env, from, s, st, st.first, kind, nil)
+	}
+}
+
+// count adds from's vote of the given kind for digest d to slot st and
+// applies the rules it makes due; body is the vote's body if it holds d,
+// else nil. A vote for a delivered slot, or one that would add a digest
+// for a voter already counted (spam), is dropped.
+func (r *Reliable) count(env sim.Env, from types.ProcessID, slot Slot, st *rbSlot, d Digest, kind int, body *vote) {
+	if st.delivered || st.spam(d, from, kind) {
+		return
+	}
+	v := r.value(st, d)
 	v.tally[kind].Add(from)
-	r.advance(env, b.Slot, st, b.Digest, v, b)
+	r.advance(env, slot, st, d, v, body)
 }
 
 // Plain is best-effort broadcast: one direct message per recipient,

@@ -11,6 +11,7 @@ import (
 	"repro/internal/quorum"
 	"repro/internal/sim"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // bcNode is a test node that broadcasts an optional input on init and
@@ -343,14 +344,22 @@ func TestPlainBroadcast(t *testing.T) {
 // voter's audience, the processes whose quorums contain it: n(n−1) of
 // each under threshold trust, and on the Fig. 1 system, where every
 // process has one quorum of 6, 169 of the 870 links (quorum.VotePairs).
+// Some of them go by reference, to the processes whose ECHO the voter
+// counted: at n=4 no ECHO, since every process echoes before it counts
+// any, and a READY to every other process whose ECHO was among the
+// three that completed the voter's quorum (9 of 12 with this seed); on
+// Fig. 1 the READY on each of the 34 mutual links of its 169, the links
+// i → j with j ∈ U_i as well as i ∈ U_j, since only those carry ECHOs
+// both ways.
 func TestReliableMessageComplexity(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
 		trust             quorum.Assumption
 		send, echo, ready int
+		echoRef, readyRef int
 	}{
-		{"threshold n=4", quorum.NewThreshold(4, 1), 3, 12, 12},
-		{"Fig. 1", quorum.Counterexample(), 29, 169, 169},
+		{"threshold n=4", quorum.NewThreshold(4, 1), 3, 12, 12, 0, 9},
+		{"Fig. 1", quorum.Counterexample(), 29, 169, 169, 0, 34},
 	} {
 		n := tc.trust.N()
 		nodes := reliableCluster(n, tc.trust, nil)
@@ -364,10 +373,15 @@ func TestReliableMessageComplexity(t *testing.T) {
 		}
 		m := r.Metrics()
 		by := m.ByType
-		send, echo, ready, fetch := by["broadcast.sendMsg"], by["broadcast.echoMsg"], by["broadcast.readyMsg"], by["broadcast.fetchMsg"]
+		send, fetch := by["broadcast.sendMsg"], by["broadcast.fetchMsg"]
+		echoRef, readyRef := by["broadcast.echoRefMsg"], by["broadcast.readyRefMsg"]
+		echo, ready := by["broadcast.echoMsg"]+echoRef, by["broadcast.readyMsg"]+readyRef
 		if send != tc.send || echo != tc.echo || ready != tc.ready || fetch != 0 || m.MessagesSent != send+echo+ready {
 			t.Fatalf("%s: one slot sent %d SEND, %d ECHO, %d READY and %d FETCH of %d messages, want %d, %d, %d, 0 and nothing else",
 				tc.name, send, echo, ready, fetch, m.MessagesSent, tc.send, tc.echo, tc.ready)
+		}
+		if echoRef != tc.echoRef || readyRef != tc.readyRef {
+			t.Fatalf("%s: %d ECHOs and %d READYs by reference, want %d and %d", tc.name, echoRef, readyRef, tc.echoRef, tc.readyRef)
 		}
 	}
 }
@@ -520,9 +534,9 @@ func TestReliableDigestCallsPerMessage(t *testing.T) {
 		nodes[m.to].Handle(envs[m.to], m.from, m.msg)
 		kind, most := "SEND", 1
 		switch m.msg.(type) {
-		case echoMsg:
+		case echoMsg, echoRefMsg:
 			kind, most = "ECHO", 0
-		case readyMsg:
+		case readyMsg, readyRefMsg:
 			kind, most = "READY", 0
 		}
 		handled[kind]++
@@ -562,7 +576,9 @@ func (s *stepper) handle(from types.ProcessID, msg sim.Message) {
 }
 
 // take returns and clears the messages sent since the last call, as
-// "<type>→<to>" strings with broadcasts folded into "<type>→all".
+// "<type>→<to>" strings with broadcasts folded into "<type>→all", named by
+// the copy to process 0 itself: that copy is always full, while a vote may
+// go to others by reference (refs shows which).
 func (s *stepper) take() []string {
 	var out []string
 	for i := 0; i < len(s.sent); i++ {
@@ -1049,6 +1065,10 @@ func TestVoteBodiesSurvivePrune(t *testing.T) {
 			got = *m.vote
 		case readyMsg:
 			got = *m.vote
+		case echoRefMsg:
+			got = *m.body
+		case readyRefMsg:
+			got = *m.body
 		default:
 			t.Fatalf("early slot sent %T, want only votes", k.msg)
 		}
@@ -1059,9 +1079,9 @@ func TestVoteBodiesSurvivePrune(t *testing.T) {
 }
 
 // TestReadyReusesTriggerBody pins which bodies a Reliable reuses. A READY
-// completed by an ECHO or READY carries that message's body, and a FETCH
-// the body of the vote that blocked; a READY completed by a SEND or by a
-// fetch reply carries a body of its own.
+// completed by an ECHO or READY carries that message's body, in both its
+// forms, and a FETCH the body of the vote that blocked; a READY completed
+// by a SEND or by a fetch reply carries a body of its own.
 func TestReadyReusesTriggerBody(t *testing.T) {
 	x := Bytes("x")
 	d := x.Digest()
@@ -1086,6 +1106,10 @@ func TestReadyReusesTriggerBody(t *testing.T) {
 			case readyMsg:
 				if ready {
 					bodies = append(bodies, m.vote)
+				}
+			case readyRefMsg:
+				if ready {
+					bodies = append(bodies, m.body)
 				}
 			case fetchMsg:
 				if !ready {
@@ -1289,6 +1313,10 @@ func slotOf(msg sim.Message) Slot {
 		return m.Slot
 	case readyMsg:
 		return m.Slot
+	case echoRefMsg:
+		return m.body.Slot
+	case readyRefMsg:
+		return m.body.Slot
 	case fetchMsg:
 		return m.Slot
 	}
@@ -1391,4 +1419,255 @@ func TestTrackerPoolBounded(t *testing.T) {
 				2*nodes[0].cut, peak[0], 2*n, 2*nodes[0].fetchCut)
 		})
 	}
+}
+
+// refs returns the votes by reference sent since the last take, as
+// "<type>→<to>" strings, without clearing them.
+func (s *stepper) refs() []string {
+	var out []string
+	for _, m := range s.sent {
+		switch m.msg.(type) {
+		case echoRefMsg, readyRefMsg:
+			out = append(out, fmt.Sprintf("%T→%d", m.msg, m.to)[len("broadcast."):])
+		}
+	}
+	return out
+}
+
+// expectRefs fails the test unless the votes by reference sent since the
+// last take are want.
+func (s *stepper) expectRefs(what string, want ...string) {
+	s.t.Helper()
+	if got := s.refs(); fmt.Sprint(got) != fmt.Sprint(want) {
+		s.t.Fatalf("%s: sent by reference %v, want %v", what, got, want)
+	}
+}
+
+// decoded returns msg as a TCP receiver gets it: decoded from its wire
+// encoding.
+func decoded(t *testing.T, msg sim.Message) sim.Message {
+	t.Helper()
+	enc, err := wire.Marshal(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, rest, err := wire.Decode(enc)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("%T: decode: %v (%d bytes left)", msg, err, len(rest))
+	}
+	return dec
+}
+
+// TestReliableRefWithoutEchoChangesNothing: a vote by reference for a slot
+// the receiver has not echoed in names no digest, so it changes no state:
+// not for an unknown slot, where it opens none, not for a live slot whose
+// SEND has not arrived, however many come, and not for a pruned one. Nor
+// does one from a voter outside U_self, on Fig. 1, for a slot it echoed.
+func TestReliableRefWithoutEchoChangesNothing(t *testing.T) {
+	slot := Slot{Src: 1, Seq: 7}
+	x := Bytes("block")
+	d := x.Digest()
+	s := newStepper(t)
+	s.r.PruneBelow(5)
+	for from := types.ProcessID(0); from < 4; from++ {
+		s.handle(from, echoRefMsg{&vote{Slot: slot}})
+		s.handle(from, readyRefMsg{&vote{Slot: slot}})
+		s.handle(from, readyRefMsg{&vote{Slot: Slot{Src: 1, Seq: 2}}})
+	}
+	if len(s.r.rows) != 0 || s.r.SlotCount() != 0 {
+		t.Fatalf("votes by reference for an unknown or pruned slot opened %d rows, %d slots", len(s.r.rows), s.r.SlotCount())
+	}
+	s.handle(2, echoMsg{&vote{Slot: slot, Digest: d}})
+	for from := types.ProcessID(0); from < 4; from++ {
+		s.handle(from, echoRefMsg{&vote{Slot: slot, Digest: d}}) // a digest in the body is not read
+		s.handle(from, readyRefMsg{&vote{Slot: slot, Digest: d}})
+	}
+	s.expect("votes by reference for a slot not echoed")
+	st := s.r.find(slot)
+	if e, r := st.value.tally[echoes].Count(), st.value.tally[readies].Count(); e != 1 || r != 0 || len(st.others) != 0 || st.sentEcho {
+		t.Fatalf("votes by reference changed the slot: %d ECHOs, %d READYs, %d further digests", e, r, len(st.others))
+	}
+
+	sys := quorum.Counterexample()
+	outside := types.ProcessID(-1)
+	for p := 0; p < sys.N(); p++ {
+		if !quorum.Counts(sys, 0, types.ProcessID(p)) {
+			outside = types.ProcessID(p)
+			break
+		}
+	}
+	r := NewReliable(0, sys, func(sim.Env, Slot, Payload) { t.Fatal("delivered") })
+	env := pruneEnv{self: 0, n: sys.N()}
+	r.Handle(env, 1, sendMsg{&send{Slot: slot, Payload: x}})
+	r.Handle(env, outside, echoRefMsg{&vote{Slot: slot}})
+	r.Handle(env, outside, readyRefMsg{&vote{Slot: slot}})
+	if st := r.find(slot); st.value.tally[echoes].Count() != 0 || st.value.tally[readies].Count() != 0 {
+		t.Fatalf("votes by reference from %v, outside U_p1, were counted", outside)
+	}
+}
+
+// TestReliableRefAddsNoDigest: a vote by reference counts for the digest
+// the receiver echoed, which the slot holds, so it never adds one. On
+// Fig. 1, with every voter in U_self at its one spilled digest per kind
+// and the SEND's digest echoed, the slot holds its cap of 1 + 2|U_self| =
+// 13 digests. Votes by reference of both kinds from every process leave it
+// there and count for the echoed digest, which they deliver.
+func TestReliableRefAddsNoDigest(t *testing.T) {
+	sys := quorum.Counterexample()
+	const self = 0
+	var inside []types.ProcessID
+	for p := 0; p < sys.N(); p++ {
+		if quorum.Counts(sys, self, types.ProcessID(p)) {
+			inside = append(inside, types.ProcessID(p))
+		}
+	}
+	var delivered []Payload
+	r := NewReliable(self, sys, func(_ sim.Env, _ Slot, p Payload) { delivered = append(delivered, p) })
+	env := pruneEnv{self: self, n: sys.N()}
+	slot := Slot{Src: 1, Seq: 0}
+	x := Bytes("x")
+	for k, p := range inside {
+		r.Handle(env, p, echoMsg{&vote{Slot: slot, Digest: Digest{byte(k), 0xe}}})
+		r.Handle(env, p, readyMsg{&vote{Slot: slot, Digest: Digest{byte(k), 0xa}}})
+	}
+	r.Handle(env, 1, sendMsg{&send{Slot: slot, Payload: x}})
+	st := r.find(slot)
+	want := 1 + 2*len(inside)
+	if got := 1 + len(st.others); got != want || want != 13 || st.first != x.Digest() {
+		t.Fatalf("%d digests before the votes by reference, the echoed one first: %v; want 1 + 2|U_self| = 13", got, st.first == x.Digest())
+	}
+	for range 10 {
+		for p := 0; p < sys.N(); p++ {
+			r.Handle(env, types.ProcessID(p), echoRefMsg{&vote{Slot: slot}})
+			r.Handle(env, types.ProcessID(p), readyRefMsg{&vote{Slot: slot}})
+		}
+	}
+	if got := 1 + len(st.others); got != want {
+		t.Fatalf("votes by reference left %d digests, want %d", got, want)
+	}
+	if len(delivered) != 1 || delivered[0].Digest() != x.Digest() {
+		t.Fatalf("delivered %v, want the echoed payload once", delivered)
+	}
+}
+
+// TestReliableRefNotToOtherDigest pins the rule: a vote goes by reference
+// to exactly the processes whose ECHO for its digest the voter counted.
+// The source equivocates, so process 2 echoed d1 while process 0 echoes
+// d2. Process 0 counted 2's ECHO for d1, not for d2, so its votes for d2
+// go to 2 in full, as to 1 before 1's ECHO arrives; to 3, whose ECHO for
+// d2 it counted, and to 1 after, by reference.
+func TestReliableRefNotToOtherDigest(t *testing.T) {
+	slot := Slot{Src: 1, Seq: 7}
+	x1, x2 := Bytes("one"), Bytes("two")
+	s := newStepper(t)
+	s.handle(2, echoMsg{&vote{Slot: slot, Digest: x1.Digest()}})
+	s.handle(3, echoMsg{&vote{Slot: slot, Digest: x2.Digest()}})
+	s.handle(1, sendMsg{&send{Slot: slot, Payload: x2}})
+	s.expectRefs("ECHO of d2", "echoRefMsg→3")
+	s.expect("ECHO of d2", "echoMsg→all")
+	s.handle(0, echoMsg{&vote{Slot: slot, Digest: x2.Digest()}})
+	s.handle(1, echoMsg{&vote{Slot: slot, Digest: x2.Digest()}})
+	s.expectRefs("READY of d2", "readyRefMsg→1", "readyRefMsg→3")
+	s.expect("READY of d2", "readyMsg→all")
+}
+
+// TestReliableRefTriggersCarryDigest runs on decoded copies, as TCP
+// delivers them, where a vote by reference carries no digest. A READY that
+// ECHOs by reference complete, and a READY kernel of READYs by reference,
+// carry the digest they resolve to, in both forms. A vote by reference names a digest whose payload the receiver
+// holds, so it never blocks R1; a FETCH blocked on a decoded full vote
+// carries that vote's digest.
+func TestReliableRefTriggersCarryDigest(t *testing.T) {
+	x := Bytes("x")
+	d := x.Digest()
+	s := newStepper(t)
+	// readies checks the READYs sent since the last call: four, holding
+	// (slot, d); a decoded reference's body holds no digest, so none of
+	// them is one passed on.
+	readies := func(what string, slot Slot) {
+		t.Helper()
+		n := 0
+		for _, m := range s.sent {
+			var b *vote
+			switch m := m.msg.(type) {
+			case readyMsg:
+				b = m.vote
+			case readyRefMsg:
+				b = m.body
+			case fetchMsg:
+				t.Fatalf("%s: sent a FETCH", what)
+			default:
+				continue
+			}
+			n++
+			if *b != (vote{Slot: slot, Digest: d}) {
+				t.Fatalf("%s: READY carries (%v, %x), want (%v, %x)", what, b.Slot, b.Digest[:3], slot, d[:3])
+			}
+		}
+		if n != 4 {
+			t.Fatalf("%s: %d READYs sent, want 4", what, n)
+		}
+		s.sent = s.sent[:0]
+	}
+	slot := Slot{Src: 1, Seq: 0}
+	s.handle(1, sendMsg{&send{Slot: slot, Payload: x}})
+	s.take()
+	for from := types.ProcessID(1); from < 4; from++ {
+		s.handle(from, decoded(t, echoRefMsg{&vote{Slot: slot, Digest: d}}))
+	}
+	readies("READY after an ECHO quorum by reference", slot)
+
+	slot = Slot{Src: 1, Seq: 1}
+	s.handle(1, sendMsg{&send{Slot: slot, Payload: x}})
+	s.take()
+	s.handle(2, decoded(t, readyRefMsg{&vote{Slot: slot, Digest: d}}))
+	s.handle(3, decoded(t, readyRefMsg{&vote{Slot: slot, Digest: d}}))
+	readies("READY after a READY kernel by reference", slot)
+
+	slot = Slot{Src: 1, Seq: 2}
+	for from := types.ProcessID(1); from < 4; from++ {
+		s.handle(from, decoded(t, echoMsg{&vote{Slot: slot, Digest: d}}))
+	}
+	for _, m := range s.sent {
+		f, ok := m.msg.(fetchMsg)
+		if !ok || *f.vote != (vote{Slot: slot, Digest: d}) {
+			t.Fatalf("ECHO quorum without the payload sent %T %v, want FETCHes of (%v, %x)", m.msg, m.msg, slot, d[:3])
+		}
+	}
+	s.expect("ECHO quorum without the payload", "fetchMsg→1", "fetchMsg→2", "fetchMsg→3")
+}
+
+// TestReliableNoRefToSelfOrDelivered: a vote to the voter itself is full
+// even when it counted its own ECHO, and a slot that has delivered votes
+// only in full: a late SEND's ECHO goes in full to all, also to the
+// processes whose ECHOs the slot counted before it delivered.
+func TestReliableNoRefToSelfOrDelivered(t *testing.T) {
+	slot := Slot{Src: 1, Seq: 7}
+	x := Bytes("block")
+	d := x.Digest()
+	s := newStepper(t)
+	s.handle(1, sendMsg{&send{Slot: slot, Payload: x}})
+	s.take()
+	s.handle(0, echoMsg{&vote{Slot: slot, Digest: d}})
+	s.handle(1, echoMsg{&vote{Slot: slot, Digest: d}})
+	s.handle(2, echoMsg{&vote{Slot: slot, Digest: d}})
+	s.expectRefs("READY after ECHOs of 0, 1 and 2", "readyRefMsg→1", "readyRefMsg→2")
+	s.expect("READY", "readyMsg→all")
+
+	slot = Slot{Src: 1, Seq: 8}
+	s.handle(2, echoMsg{&vote{Slot: slot, Digest: d}})
+	s.handle(3, echoMsg{&vote{Slot: slot, Digest: d}})
+	for from := types.ProcessID(1); from < 4; from++ {
+		s.handle(from, readyMsg{&vote{Slot: slot, Digest: d}})
+	}
+	s.expect("READY kernel and quorum without the payload", "fetchMsg→2", "fetchMsg→3", "fetchMsg→1")
+	s.handle(2, payloadMsg{&send{Slot: slot, Payload: x}})
+	s.expectRefs("the reply", "readyRefMsg→2", "readyRefMsg→3")
+	s.expect("the reply", "readyMsg→all")
+	if len(s.delivered) != 1 {
+		t.Fatal("slot 8 did not deliver")
+	}
+	s.handle(1, sendMsg{&send{Slot: slot, Payload: x}})
+	s.expectRefs("a late SEND")
+	s.expect("a late SEND", "echoMsg→all")
 }

@@ -5,7 +5,8 @@
 // fetch reply follow it with the payload as a nested wire frame, so any
 // wire-registered Payload implementation (Bytes here, rider.VertexPayload,
 // ...) travels without this package knowing about it; ECHO, READY and the
-// fetch request follow it with the 32 raw digest bytes. A SEND or fetch
+// fetch request follow it with the 32 raw digest bytes. An ECHO or READY
+// by reference is the slot alone. A SEND or fetch
 // reply whose payload is not encodable (its type is not wire-registered,
 // or its codec declines the value) fails Append: sent to another process
 // (a self-send is never encoded), the TCP transport drops it and the
@@ -21,12 +22,14 @@ import (
 
 // Wire tags (range 10–19, assigned in internal/wire's central table).
 const (
-	wireTagSend    = 10
-	wireTagEcho    = 11
-	wireTagReady   = 12
-	wireTagBytes   = 13
-	wireTagFetch   = 14
-	wireTagPayload = 15
+	wireTagSend     = 10
+	wireTagEcho     = 11
+	wireTagReady    = 12
+	wireTagBytes    = 13
+	wireTagFetch    = 14
+	wireTagPayload  = 15
+	wireTagEchoRef  = 16
+	wireTagReadyRef = 17
 )
 
 func init() { registerWireCodecs() }
@@ -94,6 +97,24 @@ func registerDigestMsg(tag uint64, prototype any, get func(any) *vote, wrap func
 	})
 }
 
+// registerRefMsg registers one of the two votes by reference, whose body
+// is the slot alone. A decoded one points at a vote body with a zero
+// digest, which no handler reads.
+func registerRefMsg(tag uint64, prototype any, get func(any) *vote, wrap func(*vote) any) {
+	wire.Register(tag, prototype, wire.Codec{
+		Append: func(dst []byte, msg any) ([]byte, error) {
+			return appendSlot(dst, get(msg).Slot), nil
+		},
+		Decode: func(b []byte) (any, []byte, error) {
+			s, rest, err := decodeSlot(b)
+			if err != nil {
+				return nil, b, err
+			}
+			return wrap(newVote(s, Digest{})), rest, nil
+		},
+	})
+}
+
 func registerWireCodecs() {
 	registerPayloadMsg(wireTagSend, sendMsg{},
 		func(m any) *send { return m.(sendMsg).send }, func(b *send) any { return sendMsg{b} })
@@ -103,6 +124,10 @@ func registerWireCodecs() {
 		func(m any) *vote { return m.(echoMsg).vote }, func(b *vote) any { return echoMsg{b} })
 	registerDigestMsg(wireTagReady, readyMsg{},
 		func(m any) *vote { return m.(readyMsg).vote }, func(b *vote) any { return readyMsg{b} })
+	registerRefMsg(wireTagEchoRef, echoRefMsg{},
+		func(m any) *vote { return m.(echoRefMsg).body }, func(b *vote) any { return echoRefMsg{b} })
+	registerRefMsg(wireTagReadyRef, readyRefMsg{},
+		func(m any) *vote { return m.(readyRefMsg).body }, func(b *vote) any { return readyRefMsg{b} })
 	registerDigestMsg(wireTagFetch, fetchMsg{},
 		func(m any) *vote { return m.(fetchMsg).vote }, func(b *vote) any { return fetchMsg{b} })
 	wire.Register(wireTagBytes, Bytes(nil), wire.Codec{

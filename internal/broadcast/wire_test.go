@@ -21,10 +21,11 @@ type unregisteredPayload struct{ K string }
 func (p unregisteredPayload) Digest() Digest { return Bytes(p.K).Digest() }
 
 // TestBroadcastWireRoundTrip is the broadcast slice of the differential
-// wire suite: the five messages round-trip byte-identically with
+// wire suite: the seven messages round-trip byte-identically with
 // randomized slots, Bytes payloads and digests, the simulator's byte
 // metric equals the frame length, and a payload's digest survives the
-// trip.
+// trip. A vote by reference keeps only its slot: it decodes to a body
+// with a zero digest.
 func TestBroadcastWireRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for i := 0; i < 200; i++ {
@@ -38,6 +39,8 @@ func TestBroadcastWireRoundTrip(t *testing.T) {
 			payloadMsg{&send{Slot: slot, Payload: Bytes(raw)}},
 			echoMsg{&vote{Slot: slot, Digest: d}},
 			readyMsg{&vote{Slot: slot, Digest: d}},
+			echoRefMsg{&vote{Slot: slot, Digest: d}},
+			readyRefMsg{&vote{Slot: slot, Digest: d}},
 			fetchMsg{&vote{Slot: slot, Digest: d}},
 		} {
 			enc, err := wire.Marshal(msg)
@@ -60,6 +63,10 @@ func TestBroadcastWireRoundTrip(t *testing.T) {
 				checkPayload(t, m.Slot, m.Payload, slot, raw)
 			case payloadMsg:
 				checkPayload(t, m.Slot, m.Payload, slot, raw)
+			case echoRefMsg:
+				checkRef(t, m.body, slot)
+			case readyRefMsg:
+				checkRef(t, m.body, slot)
 			default:
 				// By value: ECHO and READY point to their body, so == would
 				// compare identity.
@@ -78,6 +85,57 @@ func checkPayload(t *testing.T, gs Slot, gp Payload, slot Slot, raw []byte) {
 	t.Helper()
 	if gs != slot || !bytes.Equal([]byte(gp.(Bytes)), raw) || gp.Digest() != Bytes(raw).Digest() {
 		t.Fatal("round trip mutated message")
+	}
+}
+
+func checkRef(t *testing.T, b *vote, slot Slot) {
+	t.Helper()
+	if *b != (vote{Slot: slot}) {
+		t.Fatalf("vote by reference decoded to (%v, %x), want (%v) and no digest", b.Slot, b.Digest[:3], slot)
+	}
+}
+
+// TestBroadcastWireRefFrames pins the two votes by reference on the wire:
+// [tag][src][seq], exactly the full vote's frame without its 32 digest
+// bytes, under tags 16 and 17. Every proper prefix of a frame is rejected
+// as truncated, and a slot field in more bytes than its minimal varint
+// as non-minimal.
+func TestBroadcastWireRefFrames(t *testing.T) {
+	d := Digest{1, 2, 3}
+	for _, slot := range []Slot{{Src: 0, Seq: 0}, {Src: 3, Seq: 127}, {Src: 200, Seq: 1 << 40}} {
+		for _, pair := range []struct {
+			full, ref sim.Message
+			tag       byte
+		}{
+			{echoMsg{&vote{Slot: slot, Digest: d}}, echoRefMsg{&vote{Slot: slot, Digest: d}}, wireTagEchoRef},
+			{readyMsg{&vote{Slot: slot, Digest: d}}, readyRefMsg{&vote{Slot: slot, Digest: d}}, wireTagReadyRef},
+		} {
+			full, err := wire.Marshal(pair.full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := wire.Marshal(pair.ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := append([]byte{pair.tag}, appendSlot(nil, slot)...)
+			if !bytes.Equal(ref, want) || len(full)-len(ref) != len(d) || !bytes.Equal(full[1:len(ref)], ref[1:]) {
+				t.Fatalf("%T for %v is % x, want % x: %T's frame % x without its digest", pair.ref, slot, ref, want, pair.full, full)
+			}
+			for k := range ref {
+				if _, _, err := wire.Decode(ref[:k]); err == nil {
+					t.Fatalf("%T: %d-byte prefix of a %d-byte frame accepted", pair.ref, k, len(ref))
+				}
+			}
+		}
+	}
+	for _, frame := range [][]byte{
+		{wireTagEchoRef, 0x81, 0x00, 1},  // src 1 in two bytes
+		{wireTagReadyRef, 1, 0x80, 0x00}, // seq 0 in two bytes
+	} {
+		if _, _, err := wire.Decode(frame); err != wire.ErrNonMinimal {
+			t.Fatalf("% x: decode error %v, want %v", frame, err, wire.ErrNonMinimal)
+		}
 	}
 }
 

@@ -57,7 +57,7 @@ func (s *Shared) Release(env sim.Env, wave int) {
 		return
 	}
 	s.released[wave] = true
-	sim.Multicast(env, quorum.Audience(s.trust, s.self), ShareMsg{Wave: wave})
+	sim.Multicast(env, sim.Cast{To: quorum.Audience(s.trust, s.self), Msg: ShareMsg{Wave: wave}})
 }
 
 // Handle consumes a ShareMsg. It reports whether the message belonged to

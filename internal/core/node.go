@@ -226,16 +226,16 @@ func (n *Node) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
 	switch m := msg.(type) {
 	case ackMsg:
 		if g := n.gate(m.Wave); g != nil && g.Ack(from) {
-			sim.Multicast(env, quorum.Audience(n.cfg.Trust, n.self), readyMsg{m.ctl})
+			sim.Multicast(env, sim.Cast{To: quorum.Audience(n.cfg.Trust, n.self), Msg: readyMsg{m.ctl}})
 		}
 	case readyMsg:
 		if g := n.gate(m.Wave); g != nil && g.Ready(from) {
-			sim.Multicast(env, quorum.Audience(n.cfg.Trust, n.self), confirmMsg{m.ctl})
+			sim.Multicast(env, sim.Cast{To: quorum.Audience(n.cfg.Trust, n.self), Msg: confirmMsg{m.ctl}})
 		}
 	case confirmMsg:
 		if g := n.gate(m.Wave); g != nil {
 			if confirm, _ := g.Confirm(from); confirm {
-				sim.Multicast(env, quorum.Audience(n.cfg.Trust, n.self), m)
+				sim.Multicast(env, sim.Cast{To: quorum.Audience(n.cfg.Trust, n.self), Msg: m})
 			}
 		}
 	case coin.ShareMsg:

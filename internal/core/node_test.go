@@ -532,7 +532,8 @@ func (linkTally) OnDeliver(types.ProcessID, types.ProcessID, sim.Message, sim.Vi
 // exactly the sends that cross a link, MessagesSent is their sum, and a
 // self-send counts nowhere. Every process hears its own broadcast, so a
 // reliable-broadcast slot shows one self-copy of its SEND and one of each
-// process's ECHO and READY, and each of them counts n−1 = 3 times.
+// process's ECHO and READY, always in full, and each of them counts
+// n−1 = 3 times, in full or by reference.
 func TestRunCountsLinksNotSelfSends(t *testing.T) {
 	const n = 4
 	tally := linkTally{links: map[string]int{}, self: map[string]int{}}
@@ -567,10 +568,18 @@ func TestRunCountsLinksNotSelfSends(t *testing.T) {
 	if slots < n*12 {
 		t.Fatalf("%d broadcast slots, want at least one per process and round (%d)", slots, n*12)
 	}
-	for typ, perSlot := range map[string]int{"broadcast.sendMsg": 1, "broadcast.echoMsg": n, "broadcast.readyMsg": n} {
-		if tally.self[typ] != perSlot*slots || m.ByType[typ] != (n-1)*perSlot*slots {
-			t.Errorf("%d slots: %s sent to self %d times and counted %d, want %d and %d",
-				slots, typ, tally.self[typ], m.ByType[typ], perSlot*slots, (n-1)*perSlot*slots)
+	for _, k := range []struct {
+		typ, ref string
+		perSlot  int
+	}{
+		{"broadcast.sendMsg", "", 1},
+		{"broadcast.echoMsg", "broadcast.echoRefMsg", n},
+		{"broadcast.readyMsg", "broadcast.readyRefMsg", n},
+	} {
+		counted := m.ByType[k.typ] + m.ByType[k.ref]
+		if tally.self[k.typ] != k.perSlot*slots || tally.self[k.ref] != 0 || counted != (n-1)*k.perSlot*slots {
+			t.Errorf("%d slots: %s sent to self %d times (%d by reference) and counted %d, want %d, 0 and %d",
+				slots, k.typ, tally.self[k.typ], tally.self[k.ref], counted, k.perSlot*slots, (n-1)*k.perSlot*slots)
 		}
 	}
 }

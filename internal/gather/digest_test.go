@@ -58,10 +58,12 @@ func (b bufferProbe) Receive(env sim.Env, from types.ProcessID, msg sim.Message)
 // goes to everyone, and asymmetric trust, where reliable broadcast's
 // votes go only to the processes whose quorums contain the voter. The
 // message and byte counts are those of links: a process's copy of its
-// own message is free. With those counts left out, the digests are the
-// ones recorded with the copy-on-write Pairs and the per-process waiter
-// index of DISTRIBUTE buffers that the plain bitset and the
-// arrival-ordered buffer replaced. A digest that moves means a change to
+// own message is free, and a vote by reference leaves out its 32 digest
+// bytes. With those counts left out, the digests are the ones recorded
+// with the copy-on-write Pairs and the per-process waiter index of
+// DISTRIBUTE buffers that the plain bitset and the arrival-ordered buffer
+// replaced; with the byte count alone left out, the ones recorded before
+// votes went by reference. A digest that moves means a change to
 // Pairs or to the buffers changed what a gather sends or delivers. The
 // grid must also buffer at least one DISTRIBUTE set, or it would not test
 // the buffers.
@@ -82,11 +84,11 @@ func TestGatherRunsMatchRecordedDigests(t *testing.T) {
 		{"threshold", []system{
 			{"threshold(4,1)", quorum.NewThreshold(4, 1)},
 			{"threshold(7,2)", quorum.NewThreshold(7, 2)},
-		}, "6003f7f06a86cf0b8aaf3f1913d4af1a3417e2d60c0f02d706fbdbbd7b3d04d0"},
+		}, "b7e7e0791ad69ed0aec5dc7b33c57455ab9041402818900371df5d15d3ad017d"},
 		{"asymmetric", []system{
 			{"fig1", quorum.Counterexample()},
 			{"federated10", fed},
-		}, "c2022b06b6f58a25553db14e039a004776eb3e454c37a8ec7da8ee47758af487"},
+		}, "b5db0ae599511a837cef6797b3d7620a376abb4850c7f5cd2712a2406d74690c"},
 	}
 	protocols := []struct {
 		name string

@@ -20,14 +20,14 @@ import (
 
 // sendHook is the interception point a wrapper implements: it receives the
 // inner node's Send calls, and its Broadcast and sim.Multicast calls as
-// multicasts (a nil to for a Broadcast), together with the real Env to
+// multicast acts (a nil To for a Broadcast), together with the real Env to
 // forward (possibly mutated) traffic through. A vote goes to its sender's
 // audience, quorum.Audience, by one sim.Multicast, which is a Broadcast
-// when the audience is everyone; so a wrapper treats every multicast
-// alike, whatever its audience.
+// when the audience is everyone and nobody gets it by reference; so a
+// wrapper treats every multicast alike, whatever its audience and form.
 type sendHook interface {
 	hookSend(env sim.Env, to types.ProcessID, msg sim.Message)
-	hookMulticast(env sim.Env, to []types.ProcessID, msg sim.Message)
+	hookMulticast(env sim.Env, c sim.Cast)
 }
 
 // hookEnv wraps the Env of the current Init/Receive call, routing the
@@ -52,12 +52,12 @@ func (h *hookEnv) Send(to types.ProcessID, msg sim.Message) {
 }
 
 func (h *hookEnv) Broadcast(msg sim.Message) {
-	h.owner.hookMulticast(h.base, nil, msg)
+	h.owner.hookMulticast(h.base, sim.Cast{Msg: msg})
 }
 
 // Multicast implements sim.Multicaster.
-func (h *hookEnv) Multicast(to []types.ProcessID, msg sim.Message) {
-	h.owner.hookMulticast(h.base, to, msg)
+func (h *hookEnv) Multicast(c sim.Cast) {
+	h.owner.hookMulticast(h.base, c)
 }
 
 // run executes fn (an inner Init or Receive) with the hook rebound to env.
@@ -100,16 +100,17 @@ func (s *SelectiveNode) hookSend(env sim.Env, to types.ProcessID, msg sim.Messag
 	}
 }
 
-func (s *SelectiveNode) hookMulticast(env sim.Env, to []types.ProcessID, msg sim.Message) {
-	if to == nil {
+func (s *SelectiveNode) hookMulticast(env sim.Env, c sim.Cast) {
+	self := env.Self()
+	if c.To == nil {
 		s.Allow.ForEach(func(p types.ProcessID) bool {
-			env.Send(p, msg)
+			env.Send(p, c.For(self, p))
 			return true
 		})
 		return
 	}
-	for _, p := range to {
-		s.hookSend(env, p, msg)
+	for _, p := range c.To {
+		s.hookSend(env, p, c.For(self, p))
 	}
 }
 
@@ -118,10 +119,11 @@ func (s *SelectiveNode) Unwrap() sim.Node { return s.Inner }
 
 // StaleReplayNode is a Byzantine sender that replays recorded traffic:
 // every Every-th broadcast or multicast of the inner node is followed by a
-// replay of the oldest recorded one, to its own recipients — a genuine
-// message reinjected long after its time. The cadence is a deterministic counter, never randomness, so
-// the wrapper is safe inside concurrent Receive execution. Handlers must
-// treat the replays as the duplicate deliveries they are.
+// replay of the oldest recorded one, to its own recipients in its own
+// forms — a genuine message reinjected long after its time. The cadence
+// is a deterministic counter, never randomness, so the wrapper is safe
+// inside concurrent Receive execution. Handlers must treat the replays as
+// the duplicate deliveries they are.
 type StaleReplayNode struct {
 	Inner sim.Node
 	// Every triggers a replay after each Every-th broadcast or multicast
@@ -130,9 +132,10 @@ type StaleReplayNode struct {
 
 	hook  hookEnv
 	count int
-	first sim.Message
-	// firstTo is first's recipient list, nil for a broadcast.
-	firstTo []types.ProcessID
+	// first is the oldest recorded act (none while its Msg is nil), with
+	// its own copy of RefTo: the inner node may change the set it lent
+	// after the call.
+	first sim.Cast
 }
 
 var _ sim.Node = (*StaleReplayNode)(nil)
@@ -154,10 +157,11 @@ func (s *StaleReplayNode) hookSend(env sim.Env, to types.ProcessID, msg sim.Mess
 	env.Send(to, msg)
 }
 
-func (s *StaleReplayNode) hookMulticast(env sim.Env, to []types.ProcessID, msg sim.Message) {
-	sim.Multicast(env, to, msg)
-	if s.first == nil {
-		s.first, s.firstTo = msg, to
+func (s *StaleReplayNode) hookMulticast(env sim.Env, c sim.Cast) {
+	sim.Multicast(env, c)
+	if s.first.Msg == nil {
+		s.first = c
+		s.first.RefTo = c.RefTo.Clone()
 		return
 	}
 	s.count++
@@ -166,7 +170,7 @@ func (s *StaleReplayNode) hookMulticast(env sim.Env, to []types.ProcessID, msg s
 		every = 1
 	}
 	if s.count%every == 0 {
-		sim.Multicast(env, s.firstTo, s.first)
+		sim.Multicast(env, s.first)
 	}
 }
 
@@ -177,7 +181,7 @@ func (s *StaleReplayNode) Unwrap() sim.Node { return s.Inner }
 // different histories: each broadcast or multicast of the inner node
 // reaches its recipients in GroupA genuinely, while every recipient
 // outside GroupA instead receives the *previous* broadcast or multicast
-// message again (nothing, before the first). The receiver
+// message again, in full (nothing, before the first). The receiver
 // sets are disjoint by construction and the substituted message is a real
 // protocol message, so the equivocation is type-correct and must be
 // absorbed by reliable dissemination among the correct processes.
@@ -211,24 +215,25 @@ func (q *EquivocateNode) hookSend(env sim.Env, to types.ProcessID, msg sim.Messa
 	env.Send(to, msg)
 }
 
-func (q *EquivocateNode) hookMulticast(env sim.Env, to []types.ProcessID, msg sim.Message) {
+func (q *EquivocateNode) hookMulticast(env sim.Env, c sim.Cast) {
+	self := env.Self()
 	send := func(p types.ProcessID) {
 		if q.GroupA.Contains(p) {
-			env.Send(p, msg)
+			env.Send(p, c.For(self, p))
 		} else if q.prev != nil {
 			env.Send(p, q.prev)
 		}
 	}
-	if to == nil {
+	if c.To == nil {
 		for i := 0; i < env.N(); i++ {
 			send(types.ProcessID(i))
 		}
 	} else {
-		for _, p := range to {
+		for _, p := range c.To {
 			send(p)
 		}
 	}
-	q.prev = msg
+	q.prev = c.Msg
 }
 
 // Unwrap implements sim.Unwrapper.

@@ -14,19 +14,29 @@ type tag struct {
 	Seq int
 }
 
+// tagRef is tag by reference.
+type tagRef struct {
+	Seq int
+}
+
+func (r tagRef) String() string { return fmt.Sprintf("ref{%d}", r.Seq) }
+
 // chatty multicasts Rounds tagged messages to To (nil: a broadcast to
 // everyone): one from Init, then one more per self-delivery (self-sends
 // travel through the network, so the chain is Rounds multicasts long, and
-// To must hold the sender).
+// To must hold the sender). The first goes by reference to RefFirst, a set
+// chatty lends to that act and empties afterwards.
 type chatty struct {
-	Rounds int
-	To     []types.ProcessID
-	sent   int
+	Rounds   int
+	To       []types.ProcessID
+	RefFirst types.Set
+	sent     int
 }
 
 func (c *chatty) Init(e sim.Env) {
 	c.sent = 1
-	sim.Multicast(e, c.To, tag{Seq: 1})
+	sim.Multicast(e, sim.Cast{To: c.To, Msg: tag{Seq: 1}, Ref: tagRef{Seq: 1}, RefTo: c.RefFirst})
+	c.RefFirst.Clear()
 }
 
 func (c *chatty) Receive(e sim.Env, from types.ProcessID, msg sim.Message) {
@@ -35,7 +45,7 @@ func (c *chatty) Receive(e sim.Env, from types.ProcessID, msg sim.Message) {
 	}
 	if c.sent < c.Rounds {
 		c.sent++
-		sim.Multicast(e, c.To, tag{Seq: c.sent})
+		sim.Multicast(e, sim.Cast{To: c.To, Msg: tag{Seq: c.sent}, Ref: tagRef{Seq: c.sent}, RefTo: c.RefFirst})
 	}
 }
 
@@ -161,6 +171,12 @@ func runWrapped(t *testing.T, wrap func(sim.Node) sim.Node, rounds int) []*recor
 // runWrappedTo is runWrapped with the chatty sender multicasting to to.
 func runWrappedTo(t *testing.T, wrap func(sim.Node) sim.Node, rounds int, to []types.ProcessID) []*recorder {
 	t.Helper()
+	return runWrappedChatty(t, wrap, &chatty{Rounds: rounds, To: to})
+}
+
+// runWrappedChatty runs the wrapped chatty node 0 among three recorders.
+func runWrappedChatty(t *testing.T, wrap func(sim.Node) sim.Node, c *chatty) []*recorder {
+	t.Helper()
 	n := 4
 	recs := make([]*recorder, n)
 	nodes := make([]sim.Node, n)
@@ -168,7 +184,7 @@ func runWrappedTo(t *testing.T, wrap func(sim.Node) sim.Node, rounds int, to []t
 		recs[i] = &recorder{}
 		nodes[i] = recs[i]
 	}
-	nodes[0] = wrap(&chatty{Rounds: rounds, To: to})
+	nodes[0] = wrap(c)
 	r := sim.NewRunner(sim.Config{N: n, Seed: 1}, nodes)
 	r.Run(0)
 	return recs
@@ -258,6 +274,51 @@ func TestWrappersActOnMulticasts(t *testing.T) {
 		}},
 	} {
 		recs := runWrappedTo(t, tc.wrap, 3, to)
+		for i, w := range tc.want {
+			if fmt.Sprint(recs[i].got) != fmt.Sprint(w) {
+				t.Errorf("%s: receiver %d got %v, want %v", tc.name, i, recs[i].got, w)
+			}
+		}
+	}
+}
+
+// TestWrappersKeepReferenceForms: a multicast act carries a message and
+// its by-reference form for some recipients. A wrapper that passes an act
+// on passes each recipient's form: node 0 multicasts three times to
+// {0, 1, 2}, the first by reference to process 1, and then empties the set
+// it lent. The genuine stream reaches 1 by reference once; a replay of
+// the first act is by reference to 1 still; the previous message an
+// equivocator substitutes goes in full.
+func TestWrappersKeepReferenceForms(t *testing.T) {
+	to := []types.ProcessID{0, 1, 2}
+	for _, tc := range []struct {
+		name string
+		wrap func(sim.Node) sim.Node
+		want map[int][]string
+	}{
+		{"equivocate", func(inner sim.Node) sim.Node {
+			return &EquivocateNode{Inner: inner, GroupA: types.NewSetOf(4, 0, 1)}
+		}, map[int][]string{
+			1: {"0:ref{1}", "0:{2}", "0:{3}"},
+			2: {"0:{1}", "0:{2}"},
+			3: nil,
+		}},
+		{"stale-replay", func(inner sim.Node) sim.Node {
+			return &StaleReplayNode{Inner: inner, Every: 1}
+		}, map[int][]string{
+			1: {"0:ref{1}", "0:{2}", "0:ref{1}", "0:{3}", "0:ref{1}"},
+			2: {"0:{1}", "0:{2}", "0:{1}", "0:{3}", "0:{1}"},
+			3: nil,
+		}},
+		{"selective", func(inner sim.Node) sim.Node {
+			return &SelectiveNode{Inner: inner, Allow: types.NewSetOf(4, 0, 1, 3)}
+		}, map[int][]string{
+			1: {"0:ref{1}", "0:{2}", "0:{3}"},
+			2: nil,
+			3: nil,
+		}},
+	} {
+		recs := runWrappedChatty(t, tc.wrap, &chatty{Rounds: 3, To: to, RefFirst: types.NewSetOf(4, 0, 1)})
 		for i, w := range tc.want {
 			if fmt.Sprint(recs[i].got) != fmt.Sprint(w) {
 				t.Errorf("%s: receiver %d got %v, want %v", tc.name, i, recs[i].got, w)

@@ -6,3 +6,7 @@ func (r *Runner) MsgSize(msg Message) int {
 	n, _ := msgSize(&r.sizeBuf, msg)
 	return n
 }
+
+// SetDecodeCopies turns decoded-copy delivery on or off for the runs that
+// start after it (see decodeCopies).
+func SetDecodeCopies(on bool) { decodeCopies = on }

@@ -106,8 +106,9 @@ type Message any
 // contributes to the metrics: the length of its encoding by the shared
 // binary codec (internal/wire). A self-send is free, as on TCP, so
 // simulated BytesSent figures equal the bytes the TCP transport puts on
-// the wire for the same traffic. A message the codec cannot encode counts
-// as 1 byte, and the runner counts its send in Metrics.EncodeErrors.
+// the wire for the same traffic. A message the codec cannot encode sizes
+// as 1 byte, but the runner counts its send only in Metrics.EncodeErrors,
+// as the TCP transport drops it uncounted.
 func MessageSize(msg Message) int {
 	bp := sizeBufPool.Get().(*[]byte)
 	n, _ := msgSize(bp, msg)
@@ -156,32 +157,60 @@ type Env interface {
 	Rand() *rand.Rand
 }
 
-// Multicast sends msg to each process of to, in ID order, through
-// env.Send; a nil to means every process, through env.Broadcast. The
-// protocols pass the audience of a vote, quorum.Audience, which is nil
-// whenever every process can count it. An env that is a Multicaster
-// receives a non-nil list whole instead.
-func Multicast(env Env, to []types.ProcessID, msg Message) {
-	if to == nil {
-		env.Broadcast(msg)
-		return
+// Cast is one multicast act: Msg to each process of To, in ID order, or
+// to every process when To is nil. Ref, when not nil, is a shorter form of
+// Msg for the processes of RefTo, which already know what it leaves out:
+// each of them other than the sender gets Ref instead. A self-send crosses
+// no link, so it always carries Msg.
+type Cast struct {
+	To    []types.ProcessID
+	Msg   Message
+	Ref   Message
+	RefTo types.Set
+}
+
+// For returns the message that process p gets from the act of sender self.
+func (c *Cast) For(self, p types.ProcessID) Message {
+	if c.Ref != nil && p != self && c.RefTo.Contains(p) {
+		return c.Ref
 	}
+	return c.Msg
+}
+
+// Multicast sends the act c through env. An act to every process that
+// nobody gets by reference is one env.Broadcast; any other is one env.Send
+// per destination, in ID order, which is what a Broadcast does on every
+// Env. The protocols pass the audience of a vote, quorum.Audience, which
+// is nil whenever every process can count it. An env that is a Multicaster
+// receives the act whole instead.
+func Multicast(env Env, c Cast) {
 	if m, ok := env.(Multicaster); ok {
-		m.Multicast(to, msg)
+		m.Multicast(c)
 		return
 	}
-	for _, p := range to {
-		env.Send(p, msg)
+	if c.To == nil && (c.Ref == nil || c.RefTo.IsEmpty()) {
+		env.Broadcast(c.Msg)
+		return
+	}
+	self := env.Self()
+	if c.To == nil {
+		for p := types.ProcessID(0); int(p) < env.N(); p++ {
+			env.Send(p, c.For(self, p))
+		}
+		return
+	}
+	for _, p := range c.To {
+		env.Send(p, c.For(self, p))
 	}
 }
 
-// Multicaster is an Env that sees a Multicast to a list as one act, the
-// way it sees a Broadcast, rather than as the Sends it makes. No Env the
-// protocols run on implements it: the Byzantine wrappers of
-// internal/scenario do, so that they equivocate and replay a vote sent to
-// its audience as they do a broadcast one.
+// Multicaster is an Env that sees a Multicast as one act, the way it sees
+// a Broadcast, rather than as the Sends it makes. No Env the protocols run
+// on implements it: the Byzantine wrappers of internal/scenario do, so
+// that they equivocate, replay and filter a vote sent to its audience, in
+// either form, as they do a broadcast one.
 type Multicaster interface {
-	Multicast(to []types.ProcessID, msg Message)
+	Multicast(c Cast)
 }
 
 // LatencyModel decides the network delay of each message.
@@ -515,20 +544,24 @@ func msgSize(buf *[]byte, msg Message) (int, bool) {
 }
 
 // price returns the type counter and wire size of msg sent to k other
-// processes, counting k encode errors if the codec cannot encode it.
+// processes. If the codec cannot encode msg it counts k encode errors and
+// returns a nil counter: as on TCP, such a send counts nowhere else.
 func (r *Runner) price(msg Message, k int) (*typeCounter, int) {
 	size, ok := msgSize(&r.sizeBuf, msg)
 	if !ok {
 		r.metrics.EncodeErrors += k
+		return nil, 0
 	}
 	return r.typeCounter(msg), size
 }
 
 // sendOne records the sent-message metrics (against the caller-resolved
-// type counter and size) and enqueues the delivery. Both unicast and
-// broadcast fan-out land here, so the accounting rules — and the fault
-// plane's send-commit hook — live in one place. A self-send is free, but
-// passes the fault plane and draws its delay like any send.
+// type counter and size, a nil counter for a send that is not counted)
+// and enqueues the delivery. Both unicast and broadcast fan-out land here,
+// so the accounting rules — and the fault plane's send-commit hook — live
+// in one place. A self-send is free, but passes the fault plane and draws
+// its delay like any send; so is an unencodable one, which is still
+// delivered.
 func (r *Runner) sendOne(from, to types.ProcessID, msg Message, tc *typeCounter, size int) {
 	var extra VirtualTime
 	copies := 1
@@ -544,7 +577,7 @@ func (r *Runner) sendOne(from, to types.ProcessID, msg Message, tc *typeCounter,
 		copies += v.Duplicates
 	}
 	for i := 0; i < copies; i++ {
-		if from != to {
+		if from != to && tc != nil {
 			r.metrics.MessagesSent++
 			tc.count++
 			r.metrics.BytesSent += size
@@ -586,8 +619,35 @@ func (r *Runner) enqueue(from, to types.ProcessID, msg Message, extra VirtualTim
 	if d < 0 {
 		d = 0
 	}
+	if decodeCopies && from != to {
+		msg = decodedCopy(msg)
+	}
 	r.seq++
 	r.queue.push(event{at: r.now + d + extra, seq: r.seq, to: to, from: from, msg: msg})
+}
+
+// decodeCopies makes the runner hand each receiver other than the sender
+// a copy of the message decoded from its wire encoding, as TCP does,
+// instead of the sender's value; a self-send and a message with no codec
+// pass unchanged. It is not an option: only the package's tests set it
+// (export_test.go), to check that a run's outputs do not depend on it. A
+// handler that reads what a message's codec leaves out, or re-sends a
+// body that arrived without it, behaves the same on shared values and
+// differently on decoded copies.
+var decodeCopies bool
+
+// decodedCopy returns msg decoded from its wire encoding, or msg itself
+// if the codec cannot encode it.
+func decodedCopy(msg Message) Message {
+	enc, err := wire.Marshal(msg)
+	if err != nil {
+		return msg
+	}
+	dec, _, err := wire.Decode(enc)
+	if err != nil {
+		panic(fmt.Sprintf("sim: %T does not decode from its own encoding: %v", msg, err))
+	}
+	return dec
 }
 
 // maybeRedeliver consults the fault plane's delivery hook for a popped

@@ -83,27 +83,51 @@ func TestBroadcastDeliversToAllIncludingSelf(t *testing.T) {
 	}
 }
 
-// multicastNode is a pingNode that sends its ping with Multicast.
+// pingRef is a ping by reference: its receiver already knows the payload.
+type pingRef struct{}
+
+func init() {
+	wire.Register(wire.TestTagFloor+102, pingRef{}, wire.Codec{
+		Append: func(dst []byte, _ any) ([]byte, error) { return dst, nil },
+		Decode: func(b []byte) (any, []byte, error) { return pingRef{}, b, nil },
+	})
+}
+
+// multicastNode is a pingNode that sends its ping with Multicast, by
+// reference to the processes of refTo.
 type multicastNode struct {
 	pingNode
-	to []types.ProcessID
+	to    []types.ProcessID
+	refTo []types.ProcessID
+	refs  int
 }
 
 func (n *multicastNode) Init(e Env) {
 	n.fromSet = types.NewSet(e.N())
-	Multicast(e, n.to, ping{payload: int(e.Self())})
+	Multicast(e, Cast{To: n.to, Msg: ping{payload: int(e.Self())}, Ref: pingRef{}, RefTo: types.NewSetOf(e.N(), n.refTo...)})
+}
+
+func (n *multicastNode) Receive(e Env, from types.ProcessID, msg Message) {
+	if _, ok := msg.(pingRef); ok {
+		n.refs++
+		msg = ping{payload: int(from)}
+	}
+	n.pingNode.Receive(e, from, msg)
 }
 
 // TestMulticast: a nil recipient list is a Broadcast, with the same
 // deliveries at the same times and the same metrics, and a list sends to
-// its members only.
+// its members only. Sending by reference to some processes moves no
+// delivery and no message count: each of them gets the reference from
+// every other process and the full message from itself, and the bytes
+// fall by what the reference leaves out.
 func TestMulticast(t *testing.T) {
 	const n = 5
-	run := func(to []types.ProcessID) ([]*multicastNode, *Metrics) {
+	run := func(to, refTo []types.ProcessID) ([]*multicastNode, *Metrics) {
 		nodes := make([]Node, n)
 		mc := make([]*multicastNode, n)
 		for i := range nodes {
-			mc[i] = &multicastNode{to: to}
+			mc[i] = &multicastNode{to: to, refTo: refTo}
 			nodes[i] = mc[i]
 		}
 		r := NewRunner(Config{N: n, Seed: 3, Latency: UniformLatency{Min: 1, Max: 9}}, nodes)
@@ -113,17 +137,30 @@ func TestMulticast(t *testing.T) {
 	bc := newPingCluster(n)
 	r := NewRunner(Config{N: n, Seed: 3, Latency: UniformLatency{Min: 1, Max: 9}}, bc)
 	r.Run(0)
-	all, m := run(nil)
+	all, m := run(nil, nil)
+	byRef, mRef := run(nil, []types.ProcessID{0, 2})
 	for i, nd := range all {
 		want := bc[i].(*pingNode)
 		if fmt.Sprint(nd.times, nd.froms) != fmt.Sprint(want.times, want.froms) {
 			t.Fatalf("node %d: nil multicast delivered at %v from %v, broadcast at %v from %v", i, nd.times, nd.froms, want.times, want.froms)
 		}
+		if ref := byRef[i]; fmt.Sprint(ref.times, ref.froms) != fmt.Sprint(want.times, want.froms) {
+			t.Fatalf("node %d: multicast by reference delivered at %v from %v, broadcast at %v from %v", i, ref.times, ref.froms, want.times, want.froms)
+		}
+		if want := map[bool]int{false: 0, true: n - 1}[i == 0 || i == 2]; byRef[i].refs != want {
+			t.Fatalf("node %d got %d pings by reference, want %d", i, byRef[i].refs, want)
+		}
 	}
 	if fmt.Sprint(*m) != fmt.Sprint(*r.Metrics()) {
 		t.Fatalf("nil multicast metrics %+v, broadcast %+v", m, r.Metrics())
 	}
-	some, m := run([]types.ProcessID{1, 3})
+	refs := 2 * (n - 1)
+	if mRef.MessagesSent != m.MessagesSent || mRef.MessagesDelivered != m.MessagesDelivered ||
+		mRef.ByType["sim.pingRef"] != refs || mRef.ByType["sim.ping"] != m.MessagesSent-refs ||
+		m.BytesSent-mRef.BytesSent != refs*(MessageSize(ping{payload: 1})-MessageSize(pingRef{})) {
+		t.Fatalf("multicast by reference: metrics %+v, full multicast %+v", mRef, m)
+	}
+	some, m := run([]types.ProcessID{1, 3}, nil)
 	for i, nd := range some {
 		if want := map[bool]int{false: 0, true: n}[i == 1 || i == 3]; nd.got != want {
 			t.Fatalf("node %d got %d pings, want %d", i, nd.got, want)

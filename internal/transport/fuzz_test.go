@@ -113,7 +113,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(seedBatch(FloodMsg{Seq: 1, Pad: []byte{9, 9}}))
 	f.Add(seedBatch(FloodMsg{Seq: 2}, FloodMsg{Seq: 3, Pad: bytes.Repeat([]byte{7}, 100)}))
-	f.Add(seedBatch(broadcastTraffic(f)...))         // SEND, ECHO, READY, fetch and reply of one slot
+	f.Add(seedBatch(broadcastTraffic(f)...))         // SEND, ECHO, READY, both by reference, fetch and reply
 	f.Add([]byte{0x05, 1, 2})                        // declared length past the body
 	f.Add(append(seedBatch(FloodMsg{Seq: 4}), 0x7F)) // valid record then garbage
 	// A 64-tx vertex of mixed lengths, every eighth tx empty: the block
@@ -138,6 +138,8 @@ func FuzzDecodeBatch(f *testing.F) {
 		tagEcho   = 11 // broadcast ECHO: [slot][digest]
 		tagReady  = 12 // broadcast READY: [slot][digest]
 		tagBytes  = 13 // broadcast.Bytes
+		tagEchoR  = 16 // broadcast ECHO by reference: [slot]
+		tagReadyR = 17 // broadcast READY by reference: [slot]
 		tagPairs  = 36 // gather.Pairs
 		tagVertex = 50 // rider.VertexPayload: [source][round][txs][strong][weak]
 	)
@@ -152,19 +154,20 @@ func FuzzDecodeBatch(f *testing.F) {
 	// Pairs at wire.MaxUniverse with every word present: a legitimate
 	// frame whose 16 MiB value table is 131× its bytes.
 	f.Add(record(append(append([]byte{tagPairs}, maxUniverse...), make([]byte, wire.MaxUniverse/8)...)...))
-	// 200 ECHO/READY records: decoding them rolls the shared vote chunk
-	// over, inside the bound.
+	// 200 ECHO/READY records, full and by reference: decoding them rolls
+	// the shared vote chunk over, inside the bound.
 	var votes []byte
 	for i := 0; i < 200; i++ {
-		tag := byte(tagEcho)
-		if i%2 == 1 {
-			tag = tagReady
-		}
+		tag := []byte{tagEcho, tagReady, tagEchoR, tagReadyR}[i%4]
 		frame := wire.AppendUvarint([]byte{tag, byte(i % 4)}, uint64(i)) // [tag][src][seq]
-		frame = append(frame, bytes.Repeat([]byte{byte(i)}, 32)...)      // digest
+		if tag == tagEcho || tag == tagReady {
+			frame = append(frame, bytes.Repeat([]byte{byte(i)}, 32)...) // digest
+		}
 		votes = append(votes, record(frame...)...)
 	}
 	f.Add(votes)
+	f.Add(record(tagEchoR, 1))              // a vote by reference without its seq
+	f.Add(record(tagReadyR, 1, 0x80, 0x00)) // seq 0 in a non-minimal varint
 	// 80 SEND records of small Bytes payloads: decoding them rolls the
 	// shared SEND carver over, inside the bound.
 	var sends []byte

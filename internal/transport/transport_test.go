@@ -1,11 +1,13 @@
 package transport
 
 import (
+	"fmt"
 	"go/build"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/broadcast"
 	"repro/internal/coin"
 	"repro/internal/core"
 	"repro/internal/gather"
@@ -154,6 +156,91 @@ func TestGatherOverTCP(t *testing.T) {
 			}
 		}
 	}
+}
+
+// rbNode runs reliable broadcast alone: it broadcasts one payload in each
+// of slots sequence numbers, and counts what it delivers and the votes by
+// reference it receives from other processes.
+type rbNode struct {
+	trust     quorum.Assumption
+	slots     int
+	arb       *broadcast.Reliable
+	delivered map[broadcast.Slot]string
+	refs      int
+}
+
+func (b *rbNode) Init(env sim.Env) {
+	b.delivered = map[broadcast.Slot]string{}
+	b.arb = broadcast.NewReliable(env.Self(), b.trust, func(_ sim.Env, s broadcast.Slot, p broadcast.Payload) {
+		b.delivered[s] = string(p.(broadcast.Bytes))
+	})
+	for seq := 0; seq < b.slots; seq++ {
+		b.arb.Broadcast(env, uint64(seq), broadcast.Bytes(fmt.Sprintf("p%d/%d", env.Self(), seq)))
+	}
+}
+
+func (b *rbNode) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
+	if typ := fmt.Sprintf("%T", msg); from != env.Self() && strings.HasSuffix(typ, "RefMsg") {
+		b.refs++
+	}
+	b.arb.Handle(env, from, msg)
+}
+
+// TestVotesByReferenceOverTCP: over loopback TCP, where every message
+// arrives decoded from its encoding, votes go by reference — a vote by
+// reference carries no digest on the wire — and every host still
+// delivers every slot, with the payload its source broadcast.
+func TestVotesByReferenceOverTCP(t *testing.T) {
+	const n, slots = 4, 30
+	trust := quorum.NewThreshold(n, 1)
+	nodes := make([]sim.Node, n)
+	raw := make([]*rbNode, n)
+	for i := range nodes {
+		raw[i] = &rbNode{trust: trust, slots: slots}
+		nodes[i] = raw[i]
+	}
+	cluster, err := NewLocalCluster(nodes, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	cluster.Start()
+
+	delivered := func(i int) (k int) {
+		cluster.Hosts[i].Inspect(func() { k = len(raw[i].delivered) })
+		return k
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for done := 0; done < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d hosts delivered all %d slots before the deadline", done, n, n*slots)
+		}
+		time.Sleep(10 * time.Millisecond)
+		done = 0
+		for i := range raw {
+			if delivered(i) == n*slots {
+				done++
+			}
+		}
+	}
+	refs := 0
+	for i, h := range cluster.Hosts {
+		h.Inspect(func() {
+			refs += raw[i].refs
+			for s, p := range raw[i].delivered {
+				if want := fmt.Sprintf("p%d/%d", s.Src, s.Seq); p != want {
+					t.Errorf("host %d delivered %q in %v, want %q", i, p, s, want)
+				}
+			}
+		})
+	}
+	if refs == 0 {
+		t.Fatal("no vote crossed TCP by reference")
+	}
+	if e := cluster.Stats().EncodeErrors; e != 0 {
+		t.Fatalf("%d messages could not be encoded", e)
+	}
+	t.Logf("%d votes crossed TCP by reference", refs)
 }
 
 func TestHostCloseIdempotentAndClean(t *testing.T) {

@@ -127,11 +127,13 @@ func (e captureEnv) Broadcast(msg sim.Message) {
 	}
 }
 
-// broadcastTraffic runs one reliable-broadcast slot among four processes
-// whose SEND skips one of them, and returns one message of each type the
-// slot put on the wire — SEND, ECHO, READY, the fetch the skipped process
-// sends and the reply it gets. The types are unexported, so this is how a
-// test outside the package gets hold of them.
+// broadcastTraffic runs two reliable-broadcast slots among four processes
+// and returns one message of each type they put on the wire. The first
+// slot's SEND skips one process, which fetches: SEND, ECHO, READY, its
+// READY by reference, the fetch and the reply. The second slot's SEND
+// reaches one process only after the ECHOs of two others, so its ECHO goes
+// to them by reference. The types are unexported, so this is how a test
+// outside the package gets hold of them.
 func broadcastTraffic(t testing.TB) []sim.Message {
 	const n = 4
 	var sent []capturedMsg
@@ -142,21 +144,31 @@ func broadcastTraffic(t testing.TB) []sim.Message {
 		envs[i] = captureEnv{self: types.ProcessID(i), n: n, sent: &sent}
 		nodes[i] = broadcast.NewReliable(types.ProcessID(i), trust, func(sim.Env, broadcast.Slot, broadcast.Payload) {})
 	}
+	first, second := broadcast.Slot{Src: 3, Seq: 9}, broadcast.Slot{Src: 3, Seq: 10}
 	for _, p := range []types.ProcessID{0, 1, 3} {
-		broadcast.EquivocateSend(envs[3], p, broadcast.Slot{Src: 3, Seq: 9}, broadcast.Bytes("payload"))
+		broadcast.EquivocateSend(envs[3], p, first, broadcast.Bytes("payload"))
+	}
+	for _, p := range []types.ProcessID{0, 1} {
+		broadcast.EquivocateSend(envs[3], p, second, broadcast.Bytes("later"))
 	}
 	var out []sim.Message
 	seen := map[reflect.Type]bool{}
-	for i := 0; i < len(sent); i++ { // handlers append to sent
-		m := sent[i]
-		if typ := reflect.TypeOf(m.msg); !seen[typ] {
-			seen[typ] = true
-			out = append(out, m.msg)
+	handled := 0
+	drain := func() {
+		for ; handled < len(sent); handled++ { // handlers append to sent
+			m := sent[handled]
+			if typ := reflect.TypeOf(m.msg); !seen[typ] {
+				seen[typ] = true
+				out = append(out, m.msg)
+			}
+			nodes[m.to].Handle(envs[m.to], m.from, m.msg)
 		}
-		nodes[m.to].Handle(envs[m.to], m.from, m.msg)
 	}
-	if len(out) != 5 {
-		t.Fatalf("one slot with a skipped receiver put %d message types on the wire, want 5: %v", len(out), out)
+	drain()
+	broadcast.EquivocateSend(envs[3], 3, second, broadcast.Bytes("later"))
+	drain()
+	if len(out) != 7 {
+		t.Fatalf("two slots put %d message types on the wire, want 7: %v", len(out), out)
 	}
 	return out
 }

@@ -26,7 +26,9 @@
 // collide. Register panics on a conflict, and on a tag outside the range
 // of the package that declares the registered type:
 //
-//	10–19  internal/broadcast (messages and payloads)
+//	10–19  internal/broadcast (messages and payloads: SEND 10, ECHO 11,
+//	       READY 12, Bytes 13, FETCH 14, its reply 15, ECHO and READY
+//	       by reference 16 and 17)
 //	30–39  internal/gather
 //	40–44  internal/core
 //	45–49  internal/coin
