@@ -13,12 +13,12 @@ all: build test
 build:
 	$(GO) build ./...
 
-# vet + race detector: the sweep engine's worker pool must stay
-# race-clean, and the randomized conformance suites exercise it on every
-# run. The race detector is also what enforces that no protocol handler
-# writes shared memory under parallel same-time delivery: the
-# parallel-delivery tests (the root package comment's "Checked at run
-# time" list names them) fail on any such write. The scenario registry
+# vet + race detector: the sweep engine runs seeds on concurrent
+# goroutines, and the randomized conformance suites exercise it on every
+# run, so a protocol handler, fault plane or node wrapper that writes
+# package-level state is reported here; TestConsensusOverTCP reports a
+# handler that writes a message it sent (the root package comment's
+# "Checked at run time" list names these checks). The scenario registry
 # sweep rides along so `make test` always exercises the adversarial
 # scenarios end to end; its checker also requires that no run sent a
 # message without a wire codec. bench/ is a nested module that `./...`

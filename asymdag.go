@@ -151,7 +151,8 @@ func MuteFault(p ProcessID) ScenarioNodeFault { return scenario.Mute(p) }
 
 // ChurnFault crashes p at crashAt and recovers it at recoverAt; with
 // buffer, deliveries during the outage are replayed on recovery (the
-// process counts as correct), otherwise they are lost (faulty).
+// process counts as correct), otherwise they are lost (faulty). crashAt
+// must be > 0 and recoverAt > crashAt: the run panics otherwise.
 func ChurnFault(p ProcessID, crashAt, recoverAt int64, buffer bool) ScenarioNodeFault {
 	return scenario.Churn(p, sim.VirtualTime(crashAt), sim.VirtualTime(recoverAt), buffer)
 }

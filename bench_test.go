@@ -280,19 +280,15 @@ func BenchmarkSweepGather(b *testing.B) {
 	b.ReportMetric(float64(len(seeds))*float64(b.N)/b.Elapsed().Seconds(), "runs/s")
 }
 
-// Large-n single-run scaling: the event queue plus parallel same-time
-// delivery. One n=100 execution is far too slow to run to quiescence
-// inside a benchmark iteration (several million deliveries),
-// so each op delivers a fixed 300k-event budget of the run — a
-// well-defined unit of work that makes serial and parallel directly
-// comparable. The Serial/Parallel pair is the scaling claim: on a
-// multi-core host parallel delivery must beat serial (on a single-core
-// host it only pays the buffering overhead); the serial numbers track
-// the default path's scheduler cost.
+// Large-n single-run scaling: the scheduler and the protocol handlers at
+// n=100. One n=100 execution is far too slow to run to quiescence inside
+// a benchmark iteration (several million deliveries), so each op delivers
+// a fixed 300k-event budget of the run — a well-defined unit of work whose
+// events/s tracks the serial scheduler's cost per delivery.
 
 const largeNEvents = 300_000
 
-func benchLargeNRider(b *testing.B, workers int) {
+func BenchmarkLargeNRider(b *testing.B) {
 	trust := quorum.NewThreshold(100, 33)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -301,7 +297,7 @@ func benchLargeNRider(b *testing.B, workers int) {
 			Kind: harness.Asymmetric, Trust: trust, NumWaves: 2, TxPerBlock: 1,
 			Seed: int64(i), CoinSeed: int64(i)*13 + 1,
 			Latency:   sim.UniformLatency{Min: 1, Max: 5},
-			MaxEvents: largeNEvents, DeliveryWorkers: workers,
+			MaxEvents: largeNEvents,
 		})
 		if len(res.Nodes) != 100 {
 			b.Fatal("large-n rider lost nodes")
@@ -311,11 +307,6 @@ func benchLargeNRider(b *testing.B, workers int) {
 		}
 	}
 	b.ReportMetric(float64(largeNEvents)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
-func BenchmarkLargeNRiderSerial(b *testing.B) { benchLargeNRider(b, 0) }
-func BenchmarkLargeNRiderParallel(b *testing.B) {
-	benchLargeNRider(b, runtime.GOMAXPROCS(0))
 }
 
 // Micro-benchmarks of the substrate hot paths. ---------------------------

@@ -76,24 +76,15 @@
 //     randomized protocol-property conformance suites (hundreds of random
 //     trust systems per `go test ./...`), the multi-seed experiments, and
 //     the `experiments rider` and `experiments quorum -search` sweeps.
-//   - A deterministic calendar event queue with parallel same-time
-//     delivery (internal/sim): the scheduler files each event in a FIFO
-//     bucket for its virtual instant (a ring of 64 instants ahead of the
-//     clock, with a small heap for events further out), so push and pop
-//     cost O(1) and one bucket is exactly the set of events sharing the
-//     frontier timestamp; bucket segments are recycled within a run.
-//     DeliveryWorkers > 0 (on sim.Config, service.Config and
-//     harness.RiderConfig; scenario runs fix it at 1) executes those
-//     same-time, distinct-receiver handlers
-//     concurrently on a bounded pool: every effect is buffered per
-//     receiver and committed single-threaded in receiver-ID order, with
-//     latency draws and sequence numbers assigned only at commit from the
-//     run's one seeded RNG — so the parallel execution is a pure function
-//     of the seed, byte-identical across 1/2/GOMAXPROCS workers (nodes
-//     that call Env.Rand in Receive fall back to serial delivery). Serial
-//     mode stays the default and is event-for-event identical to the
-//     original single 4-ary heap, pinned by a differential suite and a
-//     fuzz target.
+//   - A deterministic serial scheduler over a calendar event queue
+//     (internal/sim): the runner files each event in a FIFO bucket for
+//     its virtual instant (a ring of 64 instants ahead of the clock, with
+//     a small heap for events further out), so push and pop cost O(1);
+//     bucket segments are recycled within a run. It delivers one event at
+//     a time on the goroutine driving the run, in the (time, sequence)
+//     order of the original single 4-ary heap, which a differential suite
+//     and a fuzz target pin. Parallelism is across seeds (the sweep
+//     engine above), never inside a run.
 //     Every consensus run, Cluster's included, is also bounded by a
 //     generous event budget (RiderResult.HitLimit reports truncation), so
 //     a non-quiescing adversarial schedule can no longer hang a sweep.
@@ -106,12 +97,11 @@
 //     properties — total order, agreement, integrity, validity, liveness —
 //     each run must keep for the maximal guild of the scenario's faulty
 //     set. Rules compile into a sim.FaultPlane evaluated at the
-//     simulator's single-threaded send- and deliver-commit points with the
-//     run's seeded RNG, so every scenario execution is a pure function of
-//     the seed — byte-identical across DeliveryWorkers counts. A Scenario
-//     is a run's whole adversary: RiderConfig and GatherConfig take one
-//     (nil = every process correct), and a muted or custom Byzantine
-//     process is one of its node faults (MuteFault, ChurnFault).
+//     simulator's send- and deliver-commit points with the run's seeded
+//     RNG, so every scenario execution is a pure function of the seed. A
+//     Scenario is a run's whole adversary: RiderConfig and GatherConfig
+//     take one (nil = every process correct), and a muted or custom
+//     Byzantine process is one of its node faults (MuteFault, ChurnFault).
 //     harness.CheckScenarioProperties is the one Definition 4.1 checker:
 //     it takes the faulty set from the run's Scenario, computes the
 //     maximal guild under explicit or threshold trust, and reports a run
@@ -168,11 +158,14 @@
 //     against recorded digests.
 //   - Bounded memory: service's TestServiceBoundedMemorySoak (150 waves,
 //     500 under `make soak`) requires every core.LiveStats counter flat.
-//   - No shared writes under parallel delivery: `make test` runs, under
-//     `go test -race`, TestRiderParallelDeliveryDeterministic,
-//     TestRandomizedParallelDeliveryConformance and
-//     TestScenarioWorkerCountDeterminism (internal/harness) and
-//     TestServiceDeterministicAcrossWorkers (internal/service).
+//   - A handler never writes a delivered message or package-level
+//     state: sim's TestDecodedCopiesChangeNoOutput reruns the recorded
+//     rider, gather and service digests with each receiver handed its
+//     own decoded copy, which a write to a shared message would make
+//     differ; `make test` runs every sim.Sweep test under `go test
+//     -race`, where concurrent seeds would race on package-level state;
+//     and transport's TestConsensusOverTCP, also under -race, reads one
+//     sent value on every peer's writer goroutine.
 //   - The examples: `go test` runs each Example function in this package
 //     and compares its output with its Output block.
 //   - Tag ranges: wire.Register panics at init on a tag outside its

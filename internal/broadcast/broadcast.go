@@ -205,10 +205,10 @@
 //     the bodies it decodes off the wire from the same two.
 //     A chunk is never reused or recycled with the rows: a message may
 //     still sit in a lagging receiver's queue or a TCP outbox after its
-//     sender pruned the slot, and under parallel delivery several
-//     receivers read one body at once. The garbage collector frees a chunk
-//     with its last message, so a SEND chunk pins at most 64 payloads
-//     until then.
+//     sender pruned the slot, and several receivers read one body (over
+//     TCP, several peers' writers at once). The garbage collector frees a
+//     chunk with its last message, so a SEND chunk pins at most 64
+//     payloads until then.
 package broadcast
 
 import (

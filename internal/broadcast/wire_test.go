@@ -156,7 +156,7 @@ func TestBytesDigest(t *testing.T) {
 
 // TestBroadcastWireUnregisteredPayloadFallsBack pins the degradation
 // contract: a SEND whose payload type has no wire codec is not encodable
-// (Marshal fails), and the simulator sizes it as 1 byte instead of
+// (Marshal fails), and the simulator sizes it as 0 bytes instead of
 // panicking. A reliable broadcast of such a payload still delivers in the
 // simulator, and the run counts its SEND once per other destination in
 // EncodeErrors (the sender's own copy is free); the votes carry only the
@@ -166,8 +166,8 @@ func TestBroadcastWireUnregisteredPayloadFallsBack(t *testing.T) {
 	if _, err := wire.Marshal(msg); err == nil {
 		t.Fatal("Marshal succeeded with unregistered payload")
 	}
-	if got := sim.MessageSize(msg); got != 1 {
-		t.Fatalf("MessageSize %d, want 1", got)
+	if got := sim.MessageSize(msg); got != 0 {
+		t.Fatalf("MessageSize %d, want 0", got)
 	}
 	const n = 4
 	nodes := reliableCluster(n, quorum.NewThreshold(n, 1), []Payload{unregisteredPayload{K: "abc"}, nil, nil, nil})

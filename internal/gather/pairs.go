@@ -23,8 +23,8 @@
 // before all its pairs were arb-delivered waits in a pendingPairs buffer,
 // at most one per sender, until they are.
 //
-// No gather run uses the simulator's parallel delivery (internal/core's
-// waves do, but they use only Gate), so nothing here is synchronized.
+// A node's sets are touched only by the goroutine delivering to it, so
+// nothing here is synchronized.
 package gather
 
 import (

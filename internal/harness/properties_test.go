@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/gather"
@@ -129,41 +128,5 @@ func TestRandomizedGatherConformance(t *testing.T) {
 	}
 	if stats.CommonCores != stats.Runs {
 		t.Fatalf("common core missing in %d/%d runs", stats.Runs-stats.CommonCores, stats.Runs)
-	}
-}
-
-// TestRandomizedParallelDeliveryConformance re-runs a slice of the
-// conformance sweep with parallel same-time delivery enabled: the
-// Definition 4.1 properties must hold under the commit-order schedules
-// too, and every run must stay byte-identical to its own 1-worker
-// execution (the parallel determinism contract, exercised across many
-// random systems, fault patterns and latency ranges — under -race this
-// doubles as the concurrency audit of the protocol handlers).
-func TestRandomizedParallelDeliveryConformance(t *testing.T) {
-	count := 60
-	if testing.Short() {
-		count = 10
-	}
-	mk := func(workers int) func(seed int64) RiderConfig {
-		return func(seed int64) RiderConfig {
-			cfg := conformanceConfig(seed)
-			cfg.DeliveryWorkers = workers
-			return cfg
-		}
-	}
-	ref := SweepRider(sim.SeedRange(1, count), mk(1), CheckScenarioProperties)
-	if ref.Failures > 0 {
-		t.Fatalf("%d/%d parallel seeds violated Definition 4.1; first failing %s",
-			ref.Failures, ref.Seeds, ref.First)
-	}
-	for _, workers := range []int{3} {
-		stats := SweepRider(sim.SeedRange(1, count), mk(workers), CheckScenarioProperties)
-		if stats.Failures > 0 {
-			t.Fatalf("workers=%d: %d/%d seeds failed; first %s", workers, stats.Failures, stats.Seeds, stats.First)
-		}
-		if !reflect.DeepEqual(stats, ref) {
-			t.Fatalf("workers=%d: aggregate sweep stats diverged from 1-worker run:\n got %+v\nwant %+v",
-				workers, stats, ref)
-		}
 	}
 }

@@ -65,9 +65,6 @@ type RiderConfig struct {
 	// unbounded). The default keeps a non-quiescing schedule from hanging
 	// a sweep forever; RiderResult.HitLimit reports a truncated run.
 	MaxEvents int
-	// DeliveryWorkers opts the run into the simulator's parallel
-	// same-time delivery (<= 0 = serial; see sim.Config.DeliveryWorkers).
-	DeliveryWorkers int
 	// RevealedCoin enables the share-gated coin in the asymmetric
 	// protocol (ignored by the symmetric baseline).
 	RevealedCoin bool
@@ -134,9 +131,8 @@ func RunRider(cfg RiderConfig) RiderResult {
 }
 
 // RunNodes executes already-constructed nodes under cfg's network and
-// adversary (Seed, Latency, Scenario, MaxEvents, DeliveryWorkers) to
-// quiescence and collects the result of every node that unwraps to a
-// protocol node. It wraps nodes in place with the Scenario's node faults
+// adversary (Seed, Latency, Scenario, MaxEvents) to quiescence and
+// collects the result of every node that unwraps to a protocol node. It wraps nodes in place with the Scenario's node faults
 // and ignores cfg's node-construction fields; RunRider is the caller that
 // reads them.
 func RunNodes(cfg RiderConfig, nodes []sim.Node) RiderResult {
@@ -149,7 +145,6 @@ func RunNodes(cfg RiderConfig, nodes []sim.Node) RiderResult {
 	limit := sim.ResolveEventBudget(cfg.MaxEvents)
 	r := sim.NewRunner(sim.Config{
 		N: len(nodes), Seed: cfg.Seed, Latency: cfg.Latency, Fault: cfg.Scenario.FaultPlane(),
-		DeliveryWorkers: cfg.DeliveryWorkers,
 	}, nodes)
 	r.Run(limit)
 

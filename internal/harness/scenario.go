@@ -49,12 +49,6 @@ func ScenarioRiderConfig(def scenario.Definition, base ScenarioSweepConfig, seed
 		CoinSeed:   seed*31 + 7,
 		Latency:    sim.UniformLatency{Min: 1, Max: 20},
 		Scenario:   &sc,
-		// One delivery worker, not serial: the recorded scenario outputs
-		// (make scenarios, ExampleRunConsensus) were taken on the
-		// batch-commit scheduler, which runs the same at every worker
-		// count >= 1 but orders a timestamp's RNG draws differently from
-		// serial delivery.
-		DeliveryWorkers: 1,
 	}
 }
 

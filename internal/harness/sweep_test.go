@@ -175,46 +175,6 @@ func TestSweepRiderSurfacesPanicSeed(t *testing.T) {
 	}
 }
 
-// TestRiderParallelDeliveryDeterministic pins the whole consensus stack
-// of each node kind under the simulator's parallel same-time delivery:
-// node results and the full Metrics (incl. ByType) are byte-identical
-// across 1, 2 and GOMAXPROCS delivery workers, and the protocol
-// properties hold. Under -race it is also one of the checks that no
-// handler of either kind writes shared memory during parallel delivery.
-func TestRiderParallelDeliveryDeterministic(t *testing.T) {
-	trust := quorum.NewThreshold(4, 1)
-	correct := types.FullSet(4)
-	for _, kind := range []RiderKind{Asymmetric, Symmetric} {
-		t.Run(kind.String(), func(t *testing.T) {
-			mk := func(workers int) RiderResult {
-				return RunRider(RiderConfig{
-					Kind: kind, Trust: trust, NumWaves: 6, TxPerBlock: 2,
-					Seed: 17, CoinSeed: 19, DeliveryWorkers: workers,
-				})
-			}
-			ref := mk(1)
-			if err := ref.CheckTotalOrder(correct); err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.CheckIntegrity(correct); err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range []int{2, runtime.GOMAXPROCS(0) + 1} {
-				res := mk(w)
-				if !reflect.DeepEqual(res.Metrics, ref.Metrics) {
-					t.Fatalf("workers=%d: metrics diverged:\n got %+v\nwant %+v", w, res.Metrics, ref.Metrics)
-				}
-				if res.EndTime != ref.EndTime {
-					t.Fatalf("workers=%d: end time %d, want %d", w, res.EndTime, ref.EndTime)
-				}
-				if !reflect.DeepEqual(res.Nodes, ref.Nodes) {
-					t.Fatalf("workers=%d: node results diverged from 1-worker run", w)
-				}
-			}
-		})
-	}
-}
-
 // TestRunRiderEventBudget pins the MaxEvents plumbing: a tiny budget
 // truncates the run and flags HitLimit, the default budget leaves a
 // quiescing run untouched, and a negative budget means unbounded.

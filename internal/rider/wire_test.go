@@ -168,9 +168,9 @@ func (nilVertexSender) Init(env sim.Env) {
 func (nilVertexSender) Receive(sim.Env, types.ProcessID, sim.Message) {}
 
 // TestVertexWireNilNotEncodable pins that a payload without a vertex, alone
-// or in a SEND, is not encodable, and that the simulator sizes both rather
-// than panicking: a Runner delivers each such SEND and counts it as one
-// encode error when it crosses a link. Process 1's SEND to itself is free
+// or in a SEND, is not encodable, and that the simulator sizes both at 0
+// bytes rather than panicking: a Runner delivers each such SEND and counts
+// it as one encode error when it crosses a link. Process 1's SEND to itself is free
 // and needs no codec.
 func TestVertexWireNilNotEncodable(t *testing.T) {
 	env := &sendEnv{countEnv: countEnv{n: 2}}
@@ -179,8 +179,8 @@ func TestVertexWireNilNotEncodable(t *testing.T) {
 		if _, err := wire.Marshal(msg); err == nil {
 			t.Errorf("%T without a vertex marshalled", msg)
 		}
-		if n := sim.MessageSize(msg); n <= 0 {
-			t.Errorf("%T without a vertex sized %d", msg, n)
+		if n := sim.MessageSize(msg); n != 0 {
+			t.Errorf("%T without a vertex sized %d, want 0", msg, n)
 		}
 	}
 	r := sim.NewRunner(sim.Config{N: 2}, []sim.Node{nilVertexSender{}, nilVertexSender{}})

@@ -13,10 +13,9 @@ import (
 // traffic through a hooked Env, so the adversarial behaviour lives entirely
 // at the network boundary: the inner node's state machine is untouched and
 // its results remain observable through sim.Unwrap. The wrappers hold only
-// per-node state and never call Env.Rand — in parallel-delivery mode the
-// hooked Env may be a buffering parEnv executing concurrently with other
-// receivers, and both restrictions are what keep that sound (see the
-// package comment's determinism contract).
+// per-node state and never call Env.Rand, so they draw nothing from the
+// run's RNG that the inner node would not (see the package comment's
+// determinism contract).
 
 // sendHook is the interception point a wrapper implements: it receives the
 // inner node's Send calls, and its Broadcast and sim.Multicast calls as
@@ -252,6 +251,7 @@ func Mute(p types.ProcessID) NodeFault {
 // the outage only delays deliveries — the process is indistinguishable
 // from a correct one with slow inbound links, and counts as correct; with
 // buffer false the outage loses messages and the process is faulty.
+// It needs 0 < crashAt < recoverAt: sim.ChurnNode panics otherwise.
 func Churn(p types.ProcessID, crashAt, recoverAt sim.VirtualTime, buffer bool) NodeFault {
 	return NodeFault{P: p, Correct: buffer, Wrap: func(inner sim.Node) sim.Node {
 		return &sim.ChurnNode{Inner: inner, CrashAt: crashAt, RecoverAt: recoverAt, Buffer: buffer}

@@ -30,17 +30,17 @@
 //
 // # Determinism contract
 //
-// Scenarios must stay byte-identical across DeliveryWorkers counts.
-// Everything here obeys the two rules that guarantee it:
+// A scenario run is a pure function of its seed. Everything here obeys
+// the two rules that guarantee it:
 //
 //   - All randomized link decisions draw from the run RNG handed to the
-//     sim.FaultPlane hooks, which the simulator invokes only at its
-//     single-threaded commit points (send-commit and queue-pop) — never
-//     from inside a concurrently executing Receive handler.
-//   - Node wrappers keep all state strictly per-node (only the worker
-//     that owns the receiver touches it), never call Env.Rand, and make
-//     any randomized-looking choice (stale-replay cadence, equivocation
-//     grouping) from deterministic counters or the scenario seed.
+//     sim.FaultPlane hooks, which the simulator invokes at its send-commit
+//     and queue-pop points, in the run's one event order.
+//   - Node wrappers keep all state per node, in the Scenario built for
+//     the run (sweeps run seeds concurrently, so nothing is shared between
+//     runs), never call Env.Rand, and make any randomized-looking choice
+//     (stale-replay cadence, equivocation grouping) from deterministic
+//     counters or the scenario seed.
 //
 // A Scenario is a run's whole adversary: harness.RiderConfig and
 // gather.RunConfig take one (nil = no faults), wrap their nodes with
@@ -160,7 +160,7 @@ func (j Jitter) draw(rng *rand.Rand) sim.VirtualTime {
 
 // Rule is one composable, timed link-fault stage. All probabilistic
 // decisions are drawn from the run RNG at the simulator's commit points,
-// so a rule is deterministic per seed and worker-count independent.
+// so a rule is deterministic per seed.
 //
 // Composition semantics when several rules match one message: the first
 // matching Drop wins (later rules are not consulted for a dropped

@@ -111,8 +111,10 @@ type Config struct {
 	// (Result.HitLimit). The service itself is open-ended — this is the
 	// test/benchmark stop condition.
 	StopAfterWaves int
-	// DeliveryWorkers opts into parallel same-time delivery (see
-	// sim.Config.DeliveryWorkers).
+	// Deprecated: DeliveryWorkers is ignored; the simulator has one
+	// serial scheduler. The field stays only because the benchmark driver
+	// (bench/simwl.go) still sets it, and goes when that driver drops it
+	// (ROADMAP item 1(d)).
 	DeliveryWorkers int
 
 	// Fault is the simulator's fault plane and Wrap wraps each replica
@@ -473,7 +475,6 @@ func Run(cfg Config) Result {
 
 	r := sim.NewRunner(sim.Config{
 		N: n, Seed: cfg.Seed, Latency: cfg.Latency, Fault: cfg.Fault,
-		DeliveryWorkers: cfg.DeliveryWorkers,
 	}, nodes)
 	stopped := r.RunUntil(func() bool {
 		for _, rep := range replicas {

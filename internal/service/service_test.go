@@ -75,40 +75,6 @@ func compareSnapshots(t *testing.T, res Result, label string) int {
 	return common
 }
 
-// TestServiceDeterministicAcrossWorkers pins the parallel-delivery
-// contract for the service layer: identical reports for any worker count.
-// (Serial mode is excluded: it stops mid-timestamp when the stop predicate
-// turns true, while parallel mode completes whole batches.)
-func TestServiceDeterministicAcrossWorkers(t *testing.T) {
-	cfg1 := baseConfig(7)
-	cfg1.DeliveryWorkers = 1
-	base := Run(cfg1)
-	for _, workers := range []int{2, 3, 4} {
-		cfg := baseConfig(7)
-		cfg.DeliveryWorkers = workers
-		res := Run(cfg)
-		for p, rep := range res.Replicas {
-			want := base.Replicas[p]
-			if rep.DecidedWave != want.DecidedWave || rep.Applied != want.Applied ||
-				rep.Submitted != want.Submitted || len(rep.Snapshots) != len(want.Snapshots) {
-				t.Fatalf("workers=%d: replica %v diverged: wave %d/%d applied %d/%d",
-					workers, p, rep.DecidedWave, want.DecidedWave, rep.Applied, want.Applied)
-			}
-			if !bytes.Equal(rep.FinalState, want.FinalState) {
-				t.Fatalf("workers=%d: replica %v final state differs from serial run", workers, p)
-			}
-			for i := range rep.Snapshots {
-				if !bytes.Equal(rep.Snapshots[i].State, want.Snapshots[i].State) {
-					t.Fatalf("workers=%d: replica %v snapshot %d differs", workers, p, i)
-				}
-			}
-		}
-		if res.EndTime != base.EndTime {
-			t.Fatalf("workers=%d: end time %d != %d", workers, res.EndTime, base.EndTime)
-		}
-	}
-}
-
 // tickWatch wraps a replica and checks every client tick against the
 // admission loop written with fmt.Sprintf: the same commands, the same
 // admitted and rejected counts, and one admission time per admitted

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/types"
@@ -304,5 +305,34 @@ func TestChurnNodeUnbufferedLosesOutage(t *testing.T) {
 	}
 	if !churn.Recovered() {
 		t.Fatal("unbuffered churn node must still recover at RecoverAt")
+	}
+}
+
+// TestChurnNodeRejectsEmptyWindow pins Init's guard: a down window that
+// never closes (RecoverAt <= CrashAt) is a crash, not churn, and Init
+// panics on it as it does on CrashAt <= 0. Without the guard, Receive's
+// recovery check fires before its crash check, so such a node would
+// handle every arrival as if it had never gone down.
+func TestChurnNodeRejectsEmptyWindow(t *testing.T) {
+	for _, tc := range []struct {
+		crashAt, recoverAt VirtualTime
+		want               string
+	}{
+		{0, 10, "CrashAt must be > 0"},
+		{5, 0, "RecoverAt 0 must be after CrashAt 5"},
+		{5, 5, "RecoverAt 5 must be after CrashAt 5"},
+	} {
+		churn := &ChurnNode{Inner: &msgProbe{}, CrashAt: tc.crashAt, RecoverAt: tc.recoverAt}
+		r := NewRunner(Config{N: 1, Seed: 1}, []Node{churn})
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Errorf("CrashAt %d, RecoverAt %d: Init panicked with %q, want %q",
+						tc.crashAt, tc.recoverAt, msg, tc.want)
+				}
+			}()
+			r.Run(0)
+		}()
 	}
 }

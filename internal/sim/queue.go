@@ -46,23 +46,6 @@ type bucket struct {
 
 func (q *eventQueue) Len() int { return q.size }
 
-// head returns the least pending event without removing it, or nil when
-// the queue is empty. It does not move the current instant, so a caller
-// may still push at the time of the event it last popped.
-func (q *eventQueue) head() *event {
-	if q.size == len(q.far) {
-		if q.size == 0 {
-			return nil
-		}
-		return &q.far[0]
-	}
-	for t := q.base; ; t++ {
-		if b := &q.ring[t&ringMask]; b.head != nil {
-			return &b.head.evs[b.lo]
-		}
-	}
-}
-
 // push enqueues e. An event earlier than the current instant would be
 // filed one lap late and silently reorder the run, so it panics.
 func (q *eventQueue) push(e event) {

@@ -103,9 +103,6 @@ func (p *pair) push(d VirtualTime, to, from types.ProcessID) {
 // pop pops both, fails on divergence, and returns the popped event.
 func (p *pair) pop(ctx string) event {
 	p.t.Helper()
-	if h := p.q.head(); h == nil || keyOf(*h) != keyOf(p.ref.events[0]) {
-		p.t.Fatalf("%s: head %v, reference head %+v", ctx, h, keyOf(p.ref.events[0]))
-	}
 	want, got := p.ref.pop(), p.q.pop()
 	if keyOf(want) != keyOf(got) {
 		p.t.Fatalf("%s: pop diverged: event queue %+v, reference %+v", ctx, keyOf(got), keyOf(want))
@@ -123,7 +120,7 @@ func (p *pair) drain(ctx string) {
 	for p.ref.Len() > 0 {
 		p.pop(ctx)
 	}
-	if p.q.Len() != 0 || p.q.head() != nil {
+	if p.q.Len() != 0 {
 		p.t.Fatalf("%s: event queue not drained: %d left", ctx, p.q.Len())
 	}
 }
@@ -196,27 +193,6 @@ func TestLaneQueueDuplicateTimestamps(t *testing.T) {
 	p.drain("duplicate timestamps")
 }
 
-// TestLaneQueueFrontierHead pins the frontier accessor: head() always
-// names the (time, seq)-least pending event without removing it.
-func TestLaneQueueFrontierHead(t *testing.T) {
-	var q eventQueue
-	if q.head() != nil {
-		t.Fatal("empty queue has a head")
-	}
-	q.push(event{at: 5, seq: 1, to: 2})
-	q.push(event{at: 3, seq: 2, to: 0})
-	q.push(event{at: 3, seq: 3, to: 1})
-	if h := q.head(); h.at != 3 || h.seq != 2 || h.to != 0 {
-		t.Fatalf("head = %+v, want at=3 seq=2 to=0", keyOf(*h))
-	}
-	if got := q.pop(); got.seq != 2 {
-		t.Fatalf("pop seq = %d, want 2", got.seq)
-	}
-	if h := q.head(); h.at != 3 || h.seq != 3 || h.to != 1 {
-		t.Fatalf("head after pop = %+v, want at=3 seq=3 to=1", keyOf(*h))
-	}
-}
-
 // TestQueueZeroDelayAfterPop pushes at the instant just popped: the event
 // joins the current instant behind its earlier events and ahead of every
 // later instant.
@@ -243,10 +219,9 @@ func TestQueueJumpsToFarEvent(t *testing.T) {
 	p.push(10_000, 2, 0)
 	p.push(10_050, 3, 0)
 	p.push(20_000, 4, 0)
-	if h := p.q.head(); h.at != 10_001 {
-		t.Fatalf("head at %d, want 10001", h.at)
+	if e := p.pop("jump"); e.at != 10_001 {
+		t.Fatalf("popped at %d, want 10001", e.at)
 	}
-	p.pop("jump")
 	p.push(0, 5, 0)
 	p.push(49, 6, 0)
 	p.push(63, 7, 0)
@@ -279,43 +254,20 @@ func TestQueueFarEventsMeetDirectPushes(t *testing.T) {
 	p.drain("far meets direct")
 }
 
-// TestQueueRedeliveryDuringDrain drains one instant the way stepBatch does
-// while redelivering every event one instant later, as maybeRedeliver
-// does.
+// TestQueueRedeliveryDuringDrain pops one instant's events while
+// redelivering each one instant later, as maybeRedeliver does, onto an
+// instant that already holds an event: the copies pop behind it.
 func TestQueueRedeliveryDuringDrain(t *testing.T) {
 	p := &pair{t: t}
 	for to := 0; to < 5; to++ {
 		p.push(1, types.ProcessID(to), 0)
 	}
 	p.push(2, 9, 0)
-	tm := p.q.head().at
-	for p.q.Len() > 0 && p.q.head().at == tm {
+	for i := 0; i < 5; i++ {
 		e := p.pop("drain")
 		p.push(1, e.to, e.from)
 	}
 	p.drain("redelivered")
-}
-
-// TestQueueHeadThenPushAtHeadTime peeks the way stepBatch does — head()
-// to learn the frontier, and once more after the frontier instant is
-// drained — and then pushes at the head's time and at the drained instant,
-// as zero-delay sends committed after the drain do.
-func TestQueueHeadThenPushAtHeadTime(t *testing.T) {
-	p := &pair{t: t}
-	p.push(1, 0, 0)
-	p.push(1, 1, 0)
-	p.push(5, 2, 0)
-	tm := p.q.head().at
-	p.push(tm-p.now, 3, 0)
-	for p.q.head().at == tm {
-		p.pop("frontier")
-	}
-	if h := p.q.head(); h.at != 5 {
-		t.Fatalf("head after the frontier at %d, want 5", h.at)
-	}
-	p.push(0, 4, 0) // at the drained instant, behind the peeked head
-	p.push(5-p.now, 5, 0)
-	p.drain("head then push")
 }
 
 // TestQueuePushBehindCurrentInstantPanics pins the guard: the ring would

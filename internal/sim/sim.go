@@ -23,41 +23,29 @@
 // frontier. Bucket storage is recycled within the run. The pop sequence is
 // byte-identical to a single global heap over the same total order —
 // differential-tested and fuzzed against a retained copy of the 4-ary heap
-// the simulator once used — so serial execution is event-for-event
-// unchanged.
+// the simulator once used.
 //
-// # Parallel same-time delivery
-//
-// Config.DeliveryWorkers > 0 opts a run into parallel delivery: all
-// frontier events sharing a timestamp with distinct receivers execute
-// their Receive handlers concurrently on a bounded worker pool, with
-// every effect (sends, broadcasts, metrics) buffered per receiver and
-// committed single-threaded in ascending receiver-ID order. Latency
-// draws and sequence numbers are assigned only at commit, from the run's
-// one seeded RNG, so the observable execution is a pure function of the
-// seed — byte-identical across 1, 2 or GOMAXPROCS delivery workers.
-// Nodes that call Env.Rand are kept on the single RNG stream by forcing
-// their timestamps back to serial delivery (see parallel.go for the full
-// contract). Serial mode (DeliveryWorkers == 0) remains the default.
+// The runner is one serial scheduler: it pops one event at a time and runs
+// its Receive handler on the goroutine driving the run, so a run is a pure
+// function of its seed and needs no locking. Parallelism lives one level
+// up, in Sweep, which runs independent seeds on separate goroutines.
 //
 // # Fault injection
 //
 // Config.Fault installs a FaultPlane: an adversarial message-fault layer
-// consulted at exactly two single-threaded commit points — OnSend when a
-// message's delivery is scheduled (per destination, in ascending order)
-// and OnDeliver when a delivery is popped from the queue. Both hooks run
-// on the driving goroutine with the run's one seeded RNG, even under
-// parallel delivery (buffered sends are committed in receiver-ID order,
-// redelivery is decided at the pop), so every fault decision — drop,
-// duplicate, extra delay, hold-until, redeliver — is a pure function of
-// the seed and byte-identical across DeliveryWorkers counts. Node-level
-// faults compose separately as wrappers (CrashNode, MuteNode, ChurnNode,
-// and the Byzantine wrappers in internal/scenario); wrappers implementing
-// Unwrapper keep the inner protocol node observable to result
-// collectors. internal/scenario bundles both kinds into one Scenario —
-// rules it compiles into a FaultPlane, node faults it applies as
-// wrappers, and the Definition 4.1 properties the run must preserve —
-// which is the one adversary value the harness and gather runners take.
+// consulted at exactly two points — OnSend when a message's delivery is
+// scheduled (per destination, in ascending order) and OnDeliver when a
+// delivery is popped from the queue. Both hooks run on the driving
+// goroutine with the run's one seeded RNG, so every fault decision —
+// drop, duplicate, extra delay, hold-until, redeliver — is a pure function
+// of the seed. Node-level faults compose separately as wrappers
+// (CrashNode, MuteNode, ChurnNode, and the Byzantine wrappers in
+// internal/scenario); wrappers implementing Unwrapper keep the inner
+// protocol node observable to result collectors. internal/scenario
+// bundles both kinds into one Scenario — rules it compiles into a
+// FaultPlane, node faults it applies as wrappers, and the Definition 4.1
+// properties the run must preserve — which is the one adversary value the
+// harness and gather runners take.
 //
 // # Sweep determinism contract
 //
@@ -69,7 +57,10 @@
 // aggregate a caller folds in seed order (statistics, first failing seed,
 // ordered rows) is byte-identical at every GOMAXPROCS — which is what
 // lets the randomized conformance suites fan out across cores while
-// staying reproducible from a single integer.
+// staying reproducible from a single integer. Concurrent seeds share
+// package-level state and whatever immutable inputs the closure captures,
+// so a handler must write neither: under `go test -race` (`make test`)
+// every sweep test would report such a write.
 package sim
 
 import (
@@ -77,7 +68,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/types"
 	"repro/internal/wire"
@@ -88,18 +78,17 @@ type VirtualTime int64
 
 // Message is a protocol message, which the simulator treats opaquely. A
 // message is immutable once sent: a broadcast hands every receiver the same
-// value, read concurrently under parallel delivery, and a queued copy may
-// outlive the sender's state for its slot. A struct whose only field is a
-// pointer travels without boxing, so a hot message can point to a body the
-// sender never writes again (broadcast's ECHO and READY do). The race
-// detector enforces immutability: `make test` runs the parallel-delivery
-// tests (TestRiderParallelDeliveryDeterministic,
-// TestRandomizedParallelDeliveryConformance,
-// TestScenarioWorkerCountDeterminism and
-// TestServiceDeterministicAcrossWorkers) under `go test -race`. A message
-// sent to another process is priced by its codec encoding (internal/wire),
-// or counted in Metrics.EncodeErrors if it has none; a self-send is free
-// and needs no codec.
+// value, and a queued copy may outlive the sender's state for its slot. A
+// struct whose only field is a pointer travels without boxing, so a hot
+// message can point to a body the sender never writes again (broadcast's
+// ECHO and READY do). Two checks hold handlers to it:
+// TestDecodedCopiesChangeNoOutput reruns the recorded digests with every
+// receiver handed its own decoded copy, which a write to a shared message
+// would make differ, and TestConsensusOverTCP under `go test -race` reads
+// one sent value on every peer's writer goroutine. A message sent to
+// another process is priced by its codec encoding (internal/wire), or
+// counted in Metrics.EncodeErrors if it has none; a self-send is free and
+// needs no codec.
 type Message any
 
 // MessageSize returns the byte size a message sent to another process
@@ -107,8 +96,8 @@ type Message any
 // binary codec (internal/wire). A self-send is free, as on TCP, so
 // simulated BytesSent figures equal the bytes the TCP transport puts on
 // the wire for the same traffic. A message the codec cannot encode sizes
-// as 1 byte, but the runner counts its send only in Metrics.EncodeErrors,
-// as the TCP transport drops it uncounted.
+// as 0 bytes: the runner counts its send only in Metrics.EncodeErrors, as
+// the TCP transport drops it uncounted.
 func MessageSize(msg Message) int {
 	bp := sizeBufPool.Get().(*[]byte)
 	n, _ := msgSize(bp, msg)
@@ -283,12 +272,10 @@ func (f FavoredLinksLatency) Delay(from, to types.ProcessID, _ Message, _ Virtua
 // FaultPlane is the scenario hook into the simulator's two deterministic
 // commit points. Both callbacks run on the goroutine driving the run —
 // OnSend at the send-commit point (where latency draws and sequence
-// numbers are assigned; in parallel-delivery mode this is the
-// single-threaded effect commit), OnDeliver at the queue-pop point — so a
-// fault plane may use the run's seeded RNG freely and the observable
-// execution stays a pure function of the seed for every DeliveryWorkers
-// count. Implementations must be deterministic: no time, no I/O, no
-// private unseeded randomness.
+// numbers are assigned), OnDeliver at the queue-pop point — so a fault
+// plane may use the run's seeded RNG freely and the observable execution
+// stays a pure function of the seed. Implementations must be
+// deterministic: no time, no I/O, no private unseeded randomness.
 //
 // Call order per message: OnSend once per (from, to) destination —
 // including self-delivery and each destination of a broadcast fan-out, in
@@ -342,20 +329,6 @@ type Config struct {
 	// delivery at the pop point (see FaultPlane for the exact contract).
 	// The no-fault hot path pays only a nil check.
 	Fault FaultPlane
-
-	// DeliveryWorkers opts into parallel same-time delivery: when > 0,
-	// Run/RunUntil deliver all frontier events that share a virtual
-	// timestamp as one batch, executing the Receive handlers of distinct
-	// receivers concurrently on up to DeliveryWorkers goroutines, with
-	// every effect buffered and committed single-threaded in receiver-ID
-	// order (see parallel.go for the determinism contract). 0 (the
-	// default) keeps the strictly serial one-event-at-a-time scheduler.
-	// The observable execution of parallel mode is a pure function of the
-	// seed: byte-identical for 1, 2 or GOMAXPROCS workers. Handlers must
-	// not write to a delivered message or to package-level state; the
-	// parallel-delivery tests named on Message catch such a write under
-	// `go test -race`.
-	DeliveryWorkers int
 }
 
 // Metrics accumulates network statistics for an execution.
@@ -396,14 +369,10 @@ func eventLess(a, b *event) bool {
 }
 
 // Runner owns an execution: the nodes, the event queue, the clock, and
-// the metrics. All scheduler state — queue, clock, RNG, metrics, sequence
-// numbers — is touched only by the goroutine driving the run; determinism
-// follows from the seeded RNG and the (time, sequence) total order on
-// events. With Config.DeliveryWorkers > 0 the Receive handlers of distinct
-// same-timestamp receivers additionally run concurrently, but their
-// effects are buffered and committed back on the driving goroutine
-// (parallel.go), so the single-threaded-scheduler invariant holds in both
-// modes.
+// the metrics. Everything — queue, clock, RNG, metrics, sequence numbers
+// and every Init and Receive call — runs on the goroutine driving the run,
+// one event at a time; determinism follows from the seeded RNG and the
+// (time, sequence) total order on events.
 type Runner struct {
 	cfg     Config
 	nodes   []Node
@@ -422,33 +391,8 @@ type Runner struct {
 	// each env is immutable after construction, so reuse is safe.
 	envs []env
 
-	// sizeBuf is the buffer msgSize encodes every priced message into, on
-	// the driving goroutine in both delivery modes.
+	// sizeBuf is the buffer msgSize encodes every priced message into.
 	sizeBuf []byte
-
-	// randUsed[p] records that node p has drawn from Env.Rand at least
-	// once. Parallel delivery consults it: a timestamp batch containing a
-	// flagged receiver is delivered serially so the node keeps reading the
-	// run's single RNG stream (see parallel.go).
-	randUsed []bool
-
-	// Parallel-delivery scratch state, allocated only when
-	// cfg.DeliveryWorkers > 0 (see parallel.go).
-	parEnvs   []parEnv
-	perRecv   [][]event
-	batch     []event
-	active    []int
-	panicVals []any
-
-	// Persistent delivery worker pool (parallel.go): started lazily at
-	// the first multi-worker batch of a Run/RunUntil invocation, stopped
-	// when it returns — batches reuse the pooled goroutines instead of
-	// spawning per batch. poolWake has one buffered channel per worker so
-	// a fast worker can never steal a second wake-up within one batch.
-	poolWake   []chan struct{}
-	poolNext   atomic.Int32
-	poolBatch  sync.WaitGroup
-	poolExited sync.WaitGroup
 
 	// typeCounts accumulates per-message-type counters keyed by dynamic
 	// type; the string-keyed Metrics.ByType view is materialized lazily by
@@ -476,19 +420,10 @@ func NewRunner(cfg Config, nodes []Node) *Runner {
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		metrics:    newMetrics(),
 		envs:       make([]env, cfg.N),
-		randUsed:   make([]bool, cfg.N),
 		typeCounts: map[reflect.Type]*typeCounter{},
 	}
 	for i := range r.envs {
 		r.envs[i] = env{r: r, self: types.ProcessID(i)}
-	}
-	if cfg.DeliveryWorkers > 0 {
-		r.parEnvs = make([]parEnv, cfg.N)
-		for i := range r.parEnvs {
-			r.parEnvs[i] = parEnv{r: r, self: types.ProcessID(i)}
-		}
-		r.perRecv = make([][]event, cfg.N)
-		r.panicVals = make([]any, cfg.N)
 	}
 	return r
 }
@@ -502,14 +437,7 @@ type env struct {
 func (e *env) Self() types.ProcessID { return e.self }
 func (e *env) N() int                { return e.r.cfg.N }
 func (e *env) Now() VirtualTime      { return e.r.now }
-
-// Rand returns the run's single seeded RNG and flags the node as a
-// randomness user: parallel delivery (parallel.go) keeps flagged nodes'
-// timestamps serial so the stream stays single-threaded.
-func (e *env) Rand() *rand.Rand {
-	e.r.randUsed[e.self] = true
-	return e.r.rng
-}
+func (e *env) Rand() *rand.Rand      { return e.r.rng }
 
 func (e *env) Send(to types.ProcessID, msg Message) {
 	e.r.send(e.self, to, msg)
@@ -540,7 +468,7 @@ func msgSize(buf *[]byte, msg Message) (int, bool) {
 	if err == nil {
 		return len(enc), true
 	}
-	return 1, false
+	return 0, false
 }
 
 // price returns the type counter and wire size of msg sent to k other
@@ -680,9 +608,7 @@ func (r *Runner) init() {
 }
 
 // Step delivers the next pending event. It returns false when the queue is
-// empty (quiescence). Step is always the strictly serial path — Run and
-// RunUntil switch to timestamp batches only when Config.DeliveryWorkers
-// opts in.
+// empty (quiescence).
 func (r *Runner) Step() bool {
 	r.init()
 	if r.queue.Len() == 0 {
@@ -723,23 +649,9 @@ func ResolveEventBudget(configured int) int {
 
 // Run processes events until quiescence or until limit events have been
 // delivered (limit <= 0 means no limit). It returns the number of events
-// processed. In parallel mode (Config.DeliveryWorkers > 0) delivery
-// advances one whole timestamp batch at a time, so the run may overshoot
-// limit by at most the final batch — by the same amount for every worker
-// count.
+// processed.
 func (r *Runner) Run(limit int) int {
 	processed := 0
-	if r.cfg.DeliveryWorkers > 0 {
-		defer r.stopPool()
-		for limit <= 0 || processed < limit {
-			n := r.stepBatch()
-			if n == 0 {
-				break
-			}
-			processed += n
-		}
-		return processed
-	}
 	for limit <= 0 || processed < limit {
 		if !r.Step() {
 			break
@@ -750,29 +662,14 @@ func (r *Runner) Run(limit int) int {
 }
 
 // RunUntil processes events until pred() is true, quiescence, or the event
-// limit; it reports whether pred became true. In parallel mode pred is
-// evaluated between timestamp batches rather than between single events —
-// at the same points for every worker count.
+// limit; it reports whether pred became true. pred is evaluated after
+// every event.
 func (r *Runner) RunUntil(pred func() bool, limit int) bool {
 	r.init()
 	if pred() {
 		return true
 	}
 	processed := 0
-	if r.cfg.DeliveryWorkers > 0 {
-		defer r.stopPool()
-		for limit <= 0 || processed < limit {
-			n := r.stepBatch()
-			if n == 0 {
-				return pred()
-			}
-			processed += n
-			if pred() {
-				return true
-			}
-		}
-		return false
-	}
 	for limit <= 0 || processed < limit {
 		if !r.Step() {
 			return pred()
@@ -855,7 +752,8 @@ func (c *CrashNode) Unwrap() Node { return c.Inner }
 //     property checks must count it in the faulty set.
 //
 // CrashAt must be > 0 (a node down from time 0 is a CrashNode or a
-// MuteNode); RecoverAt <= CrashAt degenerates to a plain crash.
+// MuteNode) and RecoverAt > CrashAt (a node that never recovers is a
+// CrashNode); Init panics otherwise.
 //
 // Recovery is self-triggering: at Init the node starts a self-addressed
 // tick loop (churnTick messages through the ordinary network path) that
@@ -894,10 +792,11 @@ func (c *ChurnNode) Init(e Env) {
 	if c.CrashAt <= 0 {
 		panic("sim: ChurnNode.CrashAt must be > 0 (use CrashNode or MuteNode for a node that never runs)")
 	}
-	c.Inner.Init(e)
-	if c.RecoverAt > c.CrashAt {
-		e.Send(e.Self(), churnTick{})
+	if c.RecoverAt <= c.CrashAt {
+		panic(fmt.Sprintf("sim: ChurnNode.RecoverAt %d must be after CrashAt %d (use CrashNode for a node that never recovers)", c.RecoverAt, c.CrashAt))
 	}
+	c.Inner.Init(e)
+	e.Send(e.Self(), churnTick{})
 }
 
 // Receive implements Node. The down window is [CrashAt, RecoverAt) — an

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 )
 
 // Parallel multi-seed sweeps. ---------------------------------------------
@@ -55,15 +54,17 @@ func (p *SeedPanic) Error() string {
 func Sweep[T any](seeds []int64, fn func(seed int64) T) (values []T, errs []error) {
 	values = make([]T, len(seeds))
 	errs = make([]error, len(seeds))
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
+	next := make(chan int, len(seeds))
+	for i := range seeds {
+		next <- i
+	}
+	close(next)
+	var wg sync.WaitGroup
 	for range min(runtime.GOMAXPROCS(0), len(seeds)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(seeds); i = int(next.Add(1)) - 1 {
+			for i := range next {
 				values[i], errs[i] = runSeed(seeds[i], fn)
 			}
 		}()

@@ -11,8 +11,8 @@ import (
 type neither struct{}
 
 // TestMessageSizePrefersWireCodec pins the sizing behind the simulator's
-// byte metrics: the exact wire frame length for a registered type, and 1
-// for a message with no codec.
+// byte metrics: the exact wire frame length for a registered type, and 0
+// for a message with no codec, which the runner counts in no byte metric.
 func TestMessageSizePrefersWireCodec(t *testing.T) {
 	msg := ping{payload: 300}
 	enc, err := wire.Marshal(msg)
@@ -22,8 +22,8 @@ func TestMessageSizePrefersWireCodec(t *testing.T) {
 	if got := MessageSize(msg); got != len(enc) {
 		t.Fatalf("MessageSize %d, want exact wire length %d", got, len(enc))
 	}
-	if got := MessageSize(neither{}); got != 1 {
-		t.Fatalf("default size returned %d, want 1", got)
+	if got := MessageSize(neither{}); got != 0 {
+		t.Fatalf("unencodable message sized %d, want 0", got)
 	}
 }
 

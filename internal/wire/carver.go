@@ -10,8 +10,8 @@ const CarveChunk = 64
 // pointer to its body, which an interface holds without boxing — costs one
 // allocation per CarveChunk messages instead of one each. The zero value
 // is ready to use, and a Carver is safe for concurrent use: the codec cuts
-// bodies on every connection's reader and senders cut them under parallel
-// delivery.
+// bodies on every connection's reader, and the simulator runs of a sweep
+// cut them on separate goroutines.
 //
 // Each index of a chunk is handed out once and never reused, and a body is
 // never written after Cut returns it. A chunk is not recycled: a message
