@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fuzz flaky benchmark benchcheck transportbench search scenarios soak loc
+.PHONY: all build test vet fuzz flaky benchmark benchcheck compare transportbench search scenarios soak loc
 
 # (test already vets, so all doesn't list vet separately)
 all: build test
@@ -85,6 +85,18 @@ vet:
 # bench/README.md for the flags, workloads and metric names).
 benchmark:
 	$(GO) run -C bench . -workload all
+
+# Paired comparison of the benchmark (cmd/benchcompare): BASE and CHANGE
+# (default: the working tree, tracked and staged files) are checked out as
+# git worktrees under .bench_build/compare/, each side's benchmark is
+# built once, and each workload runs K (default 5) alternating pairs at seed
+# 1 and BENCHMARK.json's run_seconds. Exact metrics print both values and
+# their difference, the others the median paired ratio and a sign test; it
+# exits 1 on a paired regression past a metric's bound. Nothing under bench/
+# is touched.
+BASE ?= HEAD
+compare:
+	$(GO) run ./cmd/benchcompare -base $(BASE) $(if $(K),-k $(K)) $(if $(CHANGE),-change $(CHANGE))
 
 # The benchmark driver's own vet and tests; bench/ is a nested module, so
 # `go test ./...` at the root does not reach it.

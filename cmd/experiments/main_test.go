@@ -2,8 +2,9 @@ package main
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -89,13 +90,19 @@ func TestQuorumVoteFanOut(t *testing.T) {
 	}
 }
 
-// experimentsDigest is the SHA-256 of the stdout of a plain `experiments`
-// run (all 15 experiments). Every experiment is seeded, so a change that
-// moves any printed figure moves this digest; update it only for a change
-// meant to move one, and say which figure moved.
-const experimentsDigest = "20c15150eff25fde9836e709513eb8449537122290d6f8f6cb6136e3cb000c5e"
+// update rewrites the golden output instead of comparing with it.
+var update = flag.Bool("update", false, "rewrite "+goldenPath+" from the current output")
 
-// TestExperimentsOutputDigest pins the whole output of the paper harness.
+// goldenPath holds the stdout of a plain `experiments` run (all 15
+// experiments). Every experiment is seeded, so a change that moves any
+// printed figure fails TestExperimentsOutputDigest; rewrite the file
+// (`go test ./cmd/experiments -run TestExperimentsOutputDigest -update`)
+// only for a change meant to move one, and say which figure moved: the
+// file's diff shows it.
+const goldenPath = "testdata/experiments.golden"
+
+// TestExperimentsOutputDigest pins the whole output of the paper harness,
+// byte for byte, to goldenPath, and prints a line diff when it moves.
 // `make test` also runs it at GOMAXPROCS 1, 2 and 4: the sweeps fan out
 // over GOMAXPROCS goroutines and their output must not depend on how
 // many.
@@ -104,9 +111,67 @@ func TestExperimentsOutputDigest(t *testing.T) {
 	if code := run(nil, &out); code != 0 {
 		t.Fatalf("exit %d:\n%s", code, out.String())
 	}
-	sum := sha256.Sum256(out.Bytes())
-	if got := hex.EncodeToString(sum[:]); got != experimentsDigest {
-		t.Fatalf("stdout digest %s, want %s:\n%s", got, experimentsDigest, out.String())
+	if *update {
+		if err := os.WriteFile(goldenPath, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("stdout differs from %s (-want +got):\n%s", goldenPath, lineDiff(string(want), out.String()))
+	}
+}
+
+// lineDiff returns the lines of a and b outside their longest common
+// subsequence of lines, as "-<line no. in a>: <line>" and "+<line no. in
+// b>: <line>", in order.
+func lineDiff(a, b string) string {
+	x, y := strings.Split(a, "\n"), strings.Split(b, "\n")
+	// lcs[i][j] is the length of the longest common subsequence of x[i:]
+	// and y[j:].
+	lcs := make([][]int, len(x)+1)
+	for i := range lcs {
+		lcs[i] = make([]int, len(y)+1)
+	}
+	for i := len(x) - 1; i >= 0; i-- {
+		for j := len(y) - 1; j >= 0; j-- {
+			if x[i] == y[j] {
+				lcs[i][j] = lcs[i+1][j+1] + 1
+			} else {
+				lcs[i][j] = max(lcs[i+1][j], lcs[i][j+1])
+			}
+		}
+	}
+	var d strings.Builder
+	i, j := 0, 0
+	for i < len(x) || j < len(y) {
+		switch {
+		case i < len(x) && j < len(y) && x[i] == y[j]:
+			i, j = i+1, j+1
+		case i < len(x) && (j == len(y) || lcs[i+1][j] >= lcs[i][j+1]):
+			fmt.Fprintf(&d, "-%d: %s\n", i+1, x[i])
+			i++
+		default:
+			fmt.Fprintf(&d, "+%d: %s\n", j+1, y[j])
+			j++
+		}
+	}
+	return d.String()
+}
+
+// TestLineDiff: lineDiff marks exactly the lines outside the common
+// subsequence, numbered in their own text.
+func TestLineDiff(t *testing.T) {
+	got := lineDiff("a\nb\nc\nd", "a\nB\nc\nd\ne")
+	if want := "-2: b\n+2: B\n+5: e\n"; got != want {
+		t.Fatalf("lineDiff = %q, want %q", got, want)
+	}
+	if got := lineDiff("same\n", "same\n"); got != "" {
+		t.Fatalf("lineDiff of equal texts = %q, want \"\"", got)
 	}
 }
 

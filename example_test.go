@@ -49,13 +49,13 @@ func ExampleNewCluster() {
 		fmt.Printf("%3d. %s\n", i+1, tx)
 	}
 	// Output:
-	// network: 4728 messages, 91015 bytes, virtual time 1887
+	// network: 4734 messages, 74457 bytes, virtual time 1918
 	// orders agree across all processes: true
 	//
-	// p1: committed 9 waves, reached round 40, delivered 6 txs
-	// p2: committed 9 waves, reached round 40, delivered 6 txs
-	// p3: committed 9 waves, reached round 40, delivered 6 txs
-	// p4: committed 9 waves, reached round 40, delivered 6 txs
+	// p1: committed 8 waves, reached round 40, delivered 6 txs
+	// p2: committed 8 waves, reached round 40, delivered 6 txs
+	// p3: committed 8 waves, reached round 40, delivered 6 txs
+	// p4: committed 8 waves, reached round 40, delivered 6 txs
 	//
 	// totally ordered log (process p1's view):
 	//   1. alice->bob:5
@@ -211,16 +211,16 @@ func ExampleNewFederated() {
 	// if {1, 2} fail: wise={3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, naive={}, maximal guild={3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	//
 	// consensus with the two top-tier members mute:
-	//   p3: round 32, decided wave 8, 840 txs delivered
-	//   p4: round 32, decided wave 8, 840 txs delivered
-	//   p5: round 32, decided wave 8, 840 txs delivered
-	//   p6: round 32, decided wave 8, 840 txs delivered
-	//   p7: round 32, decided wave 8, 840 txs delivered
-	//   p8: round 32, decided wave 8, 840 txs delivered
-	//   p9: round 32, decided wave 8, 840 txs delivered
-	//   p10: round 32, decided wave 8, 840 txs delivered
-	//   p11: round 32, decided wave 8, 840 txs delivered
-	//   p12: round 32, decided wave 8, 840 txs delivered
+	//   p3: round 32, decided wave 8, 843 txs delivered
+	//   p4: round 32, decided wave 8, 843 txs delivered
+	//   p5: round 32, decided wave 8, 843 txs delivered
+	//   p6: round 32, decided wave 8, 843 txs delivered
+	//   p7: round 32, decided wave 8, 843 txs delivered
+	//   p8: round 32, decided wave 8, 843 txs delivered
+	//   p9: round 32, decided wave 8, 843 txs delivered
+	//   p10: round 32, decided wave 8, 843 txs delivered
+	//   p11: round 32, decided wave 8, 843 txs delivered
+	//   p12: round 32, decided wave 8, 843 txs delivered
 	//
 	// total order and agreement hold for the maximal guild ✓
 }
@@ -295,13 +295,13 @@ func ExampleRunService() {
 	// running 4 replicas to decided wave 60 under rolling-churn...
 	//
 	// per-replica service report:
-	//   replica 0: wave 60, 14984 applied (14216 compacted away, 768 in tail), 14 snapshots, commit latency p50=1024 p99=1606
-	//   replica 1: wave 60, 14984 applied (14216 compacted away, 768 in tail), 14 snapshots, commit latency p50=1148 p99=1744
-	//   replica 2: wave 60, 14984 applied (14216 compacted away, 768 in tail), 14 snapshots, commit latency p50=1302 p99=2116
-	//   replica 3: wave 60, 14984 applied (14216 compacted away, 768 in tail), 14 snapshots, commit latency p50=995 p99=1762
+	//   replica 0: wave 60, 14956 applied (14188 compacted away, 768 in tail), 14 snapshots, commit latency p50=1240 p99=1844
+	//   replica 1: wave 60, 14956 applied (14188 compacted away, 768 in tail), 14 snapshots, commit latency p50=1116 p99=1849
+	//   replica 2: wave 60, 14956 applied (14188 compacted away, 768 in tail), 14 snapshots, commit latency p50=1228 p99=1976
+	//   replica 3: wave 60, 14956 applied (14188 compacted away, 768 in tail), 14 snapshots, commit latency p50=919 p99=1591
 	//
 	// sustained throughput: 1.30 tx per virtual-time unit per replica
-	// commit rate:          0.0048 waves per virtual-time unit per replica
+	// commit rate:          0.0049 waves per virtual-time unit per replica
 	// peak live DAG:        95 vertices (bounded by GC, independent of run length)
 	//
 	// 42 cross-replica snapshot comparisons: all byte-identical ✓

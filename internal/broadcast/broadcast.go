@@ -28,8 +28,9 @@
 //	FETCH(slot, d)       ask a peer that voted for d for d's payload
 //	PAYLOAD(slot, payload)  the reply to FETCH
 //
-// An ECHO or READY to a process whose ECHO(d) the voter already counted
-// goes as ECHO*(slot) or READY*(slot), the same vote by reference.
+// An ECHO to a process whose ECHO(d) the voter already counted goes as
+// ECHO*(slot), and a READY for the digest the voter echoed goes to every
+// process but the voter as READY*(slot): the same votes by reference.
 //
 // A process delivers d's payload after a READY(d) quorum. Two rules keep
 // this the protocol of §2.3:
@@ -95,43 +96,94 @@
 //
 // # Votes by reference
 //
-// A vote need not carry a digest its receiver knows. A correct process
-// echoes at most once per slot — it echoes the first SEND it handles — so
-// once voter i has counted j's ECHO(d) for slot s, "the digest j echoed
-// in s" names d at j. So i sends its ECHO(d) or READY(d) for s to such a
-// j by reference, ECHO*(s) or READY*(s): the slot without the 32 digest
-// bytes. j counts it, like a full vote, for the digest it echoed in s,
-// which its slot keeps as its first digest (the SEND's digest takes that
-// place when it is not first already). Every other vote goes in full: to
-// a process whose ECHO i has not counted, or counted for another digest
-// (the source equivocated), to i itself (a self-send crosses no link),
-// and a late SEND's ECHO after delivery, when i keeps no tally. There is
-// no other path: the rule decides the form of every vote, per
-// destination. j drops a reference for a slot it has not echoed in, and
-// one from outside U_j, before it touches any state.
+// A vote need not carry a digest its receiver can name without it. The two
+// kinds of vote name it by different messages.
 //
-// Safety. i refers to d only when it counted j's ECHO(d), and a correct j
-// resolves the reference to the one digest it echoed, d: j counts exactly
-// the vote i cast. A Byzantine i can make j count a vote for the digest j
-// echoed, which a full vote says as well, so references give the
-// adversary no vote it lacked. A reference names a digest the slot holds,
-// so it never adds one, and the 1 + 2|U_self| bound below stands.
+// ECHO*(s), an ECHO by reference, names the digest its receiver echoed. A
+// correct process echoes at most once per slot — it echoes the first SEND
+// it handles — so once voter i has counted j's ECHO(d) for slot s, "the
+// digest j echoed in s" names d at j. So i sends its ECHO(d) for s to such
+// a j as ECHO*(s): the slot without the 32 digest bytes. j counts it, like
+// a full ECHO, for the digest it echoed in s, which its slot keeps as its
+// first digest (the SEND's digest takes that place when it is not first
+// already). j drops an ECHO* for a slot it has not echoed in.
 //
-// Totality. No vote is lost or delayed: every vote a correct process sends
-// goes to the same process, in the same send, as a full vote would, and
-// is counted there for the same digest. R1 is untouched: a reference
-// names a digest whose payload its receiver holds, so it never blocks
-// R1, and the READY or FETCH a vote triggers carries its digest in a body
-// the receiver cuts when the trigger was a reference (it never sends on a
-// body that arrived without the digest). So the R2 argument above stands
-// word for word.
+// READY*(s), a READY by reference, names the digest its voter echoed to
+// its receiver. A voter sends its READY to its audience, the processes it
+// sent its ECHO to, and only after that ECHO. So a voter i that echoed d
+// in s, in full or by reference, sends its READY(d) as READY*(s) to every
+// member of its audience other than itself. It sends the READY in full
+// only if it did not echo d: its payload came by FETCH, or it echoed
+// another digest. j resolves READY*(s) from i to the digest for which it
+// counted i's ECHO in s. A correct voter's ECHO is counted for one digest;
+// a Byzantine voter's may be counted for several that the slot already
+// held, and then its READY* counts for the slot's first digest if that is
+// one of them, else for the least, the same in every run. If j has not
+// counted i's ECHO yet, it holds one bit for (s, i) and counts the READY
+// right after the ECHO, for the ECHO's digest. This happens only where
+// links are not FIFO, as in the simulator; TCP links are, so over TCP
+// nothing is ever held. The held bit goes when the slot delivers or when
+// PruneBelow empties it.
+//
+// Every other vote goes in full: an ECHO to a process whose ECHO i has not
+// counted, or counted for another digest (the source equivocated); a READY
+// for a digest i did not echo; any vote to i itself (a self-send crosses
+// no link); and a late SEND's ECHO after delivery, when i keeps no tally.
+// There is no other path: the rule decides the form of every vote, per
+// destination. j drops a reference from outside U_j before it touches any
+// state.
+//
+// Safety. A correct j counts a vote by reference from a correct i for
+// exactly the vote i cast. An ECHO* counts for the one digest j echoed,
+// which is the d whose ECHO i counted from j. A READY* counts for the
+// digest of i's ECHO, which is d, since i echoed d. A Byzantine i gains
+// nothing from references that a full vote lacks. An ECHO* makes j count
+// an ECHO for the digest j echoed, and a READY* makes it count a READY for
+// a digest it counted i's ECHO for. i could send either in full, and the
+// full vote would count just the same: a vote for a digest the slot holds
+// is never dropped as spam. A held READY* counts only once i's ECHO does,
+// as a full READY sent right then would. A reference names a digest the
+// slot holds, so it never adds one, and the 1 + 2|U_self| bound below
+// stands. A Byzantine voter can make a slot hold at most its own bit, and
+// only in a slot that any of its full votes could open as well.
+//
+// Totality. On reliable links no vote is lost, and only a READY* is ever
+// delayed: until the same voter's ECHO. A correct voter sends every vote
+// to the same process, in the same send, as a full vote would go. That
+// process counts the vote for the same digest. A held READY* waits for an
+// ECHO that the same correct voter sent to the same process earlier, which
+// reliable links deliver. That process drops the ECHO only once it has
+// delivered or pruned the slot, when it has no use for the READY either: a
+// correct voter's ECHO is never spam, and it sends an ECHO* only to a
+// process whose ECHO it counted, which has echoed. On a link that loses
+// messages, though, a lost ECHO also loses its voter's READY at that
+// receiver, where a full READY would still have counted: the READY* stays
+// held until the slot delivers or is pruned (Reliable.Waiting). `make
+// scenarios` counts these: over 8 seeds each, 25 on partition-drop, 37 on
+// churn-lossy, 2 on lossy-early and none where no message is lost, with
+// every verdict as before. An ECHO*
+// names a digest whose payload its receiver holds, so it never blocks R1.
+// A READY* may name one the receiver does not hold, when the source
+// equivocated. Then it blocks R1 as the full READY would, and R2 asks the
+// voters, the READY*'s voter among them, which holds the payload it echoed.
+// The READY or FETCH that a vote triggers carries its digest in a body
+// that holds it: the triggering full vote's, this process's own ECHO's, or
+// a new one. It never sends on a body that arrived without the digest. So
+// the R2 argument above stands word for word.
 //
 // Schedules. The form is chosen per destination inside one multicast act
 // (sim.Cast), whose sends still leave one per destination in ID order, so
-// the simulator draws every delay in the same order; neither a fault plane
-// nor a latency model reads a message's type or size. So no message count,
-// delivery time or output of a seeded run moves; the bytes fall by 32 per
-// reference, on TCP too, where a reference is about 3 bytes of a 35-byte
+// the simulator draws every delay in the same order. Neither a fault plane
+// nor a latency model reads a message's type or size, and an ECHO* never
+// waits. A held READY*, though, counts later than a full READY would have,
+// so on the simulator's uniform links schedules move. On the benchmark's
+// sim_asym_n30 (Fig. 1, links of 1–20, seeds 1–5, 10 waves) 3.1 % of the
+// READY*s that reach a process are held, and the service's commit latency
+// rises 1.8 % at the median and 2.9 % at the 99th percentile. On
+// sim_faults_n7's scenarios (n = 7, seeds 1–20) 8.4 % are held. Over FIFO
+// links, sim.ConstantLatency's and TCP's, nothing is held:
+// no message count, delivery time or output moves, and the bytes fall by
+// exactly 32 per reference. A reference is about 3 bytes of a 35-byte
 // vote.
 //
 // # Slot state
@@ -144,14 +196,15 @@
 //     dropped before it touches any state; otherwise a vote for a
 //     nonexistent source would open a slot that can never deliver.
 //   - A slot holds the first digest it hears of in place, with its payload
-//     and pointers to its tally and fetch sets, in 80 bytes; the digest of
-//     the SEND it echoes takes that place. Further
+//     and pointers to its tally and fetch sets, and the index of its held
+//     READYs by reference, in 80 bytes; the digest of the SEND it echoes
+//     takes the first place. Further
 //     digests, which only an equivocating sender or voter produces, go to a
 //     map allocated on the second. A vote that would add a digest is
 //     dropped when its voter is already counted in a tracker of the same
 //     kind for another digest of the slot, and votes from outside U_self
-//     never reach a slot, and a vote by reference names a digest the slot
-//     holds, so a slot holds at most 1 + 2|U_self| digests:
+//     never reach a slot, and a vote by reference counts for a digest the
+//     slot holds, so a slot holds at most 1 + 2|U_self| digests:
 //     the SEND's and one per voter in U_self and kind of vote (13 on
 //     Fig. 1).
 //   - Rows hold no vote trackers. Every digest of an undelivered slot
@@ -162,7 +215,15 @@
 //     trackers per slot of the GC window. An empty pool is refilled with n
 //     tallies whose 2n trackers come from one quorum.NewTrackers call; the
 //     pool's capacity grows only then, to the number of tallies cut, so
-//     handing one back never allocates.
+//     handing one back never allocates. The tally of the digest this
+//     process echoed also keeps its ECHO's body until its READY leaves
+//     (below).
+//   - A slot that holds READYs by reference keeps their voters in a set of
+//     n bits taken from the Reliable's free list of such sets, and gives
+//     it back, cleared, when it delivers or PruneBelow empties it. The
+//     slot names its set by a 4-byte index, in padding it had anyway. All
+//     the sets' words share one array, which an empty free list extends by
+//     n sets at once, so handing a set back never allocates.
 //   - R2's fetch sets, the voters asked for a digest's payload and the
 //     requesters served it, are empty in almost every slot, so a digest
 //     holds them behind one pointer, nil until R2 first asks or serves for
@@ -183,8 +244,9 @@
 //   - Rows are made a chunk of dag.RowChunk at a time, the chunk's slots
 //     sharing one array. The row a sequence number needs is taken and the
 //     rest wait on a free list.
-//   - PruneBelow empties the rows below the watermark — pending tallies
-//     and fetch sets handed back, payloads cleared, spill maps dropped —
+//   - PruneBelow empties the rows below the watermark — pending tallies,
+//     held sets and fetch sets handed back, payloads cleared, spill maps
+//     dropped —
 //     and puts them on the same free list, which later sequence numbers
 //     draw from before a new chunk is cut. The rows stay a sparse map: only
 //     a sequence number with a message opens a row, so a far-future one
@@ -198,9 +260,12 @@
 //     handed out, so a Reliable reuses one where it can: an ECHO or READY
 //     goes in both forms with one body, a READY completed by a full ECHO
 //     or READY is sent with that vote's body, and a FETCH with the body of
-//     the vote that blocked on the payload. A new body is cut only for a
-//     SEND, an ECHO, a READY that a SEND, a PAYLOAD or a vote by reference
-//     completed, and a PAYLOAD, from two process-wide wire.Carvers, one
+//     the vote that blocked on the payload. A READY that a SEND, a PAYLOAD
+//     or a vote by reference completed is sent with the body of this
+//     process's ECHO of its digest. A new body is cut only for a SEND, an
+//     ECHO, a PAYLOAD, and a READY or FETCH for a digest this process did
+//     not echo that no full vote completed, from two process-wide
+//     wire.Carvers, one
 //     per body type, in chunks of 64 indexed atomically; the codec cuts
 //     the bodies it decodes off the wire from the same two.
 //     A chunk is never reused or recycled with the rows: a message may
@@ -212,7 +277,9 @@
 package broadcast
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"math/bits"
 	"slices"
 
 	"repro/internal/dag"
@@ -360,6 +427,17 @@ type Reliable struct {
 	// holds from R2's first request or reply for it until PruneBelow.
 	fetchPool []*fetchSets
 	fetchCut  int
+	// heldWords holds the sets of voters whose READY by reference a slot
+	// holds, heldWordsPer words each; heldFree lists the free ones by
+	// index (rbSlot.held). held counts the READYs by reference ever held
+	// (Held).
+	heldWords    []uint64
+	heldWordsPer int
+	heldFree     []int32
+	held         int
+	// everyone is the set of all n processes: a READY by reference goes to
+	// every member of the audience other than the voter (advance).
+	everyone types.Set
 	// live counts the slots with state, over all rows (SlotCount).
 	live int
 	// pruned is the slot-sequence watermark set by PruneBelow: per-slot
@@ -379,8 +457,12 @@ type rbSlot struct {
 	sentReady bool
 	delivered bool
 	first     Digest
-	value     rbValue             // what the slot knows about first
-	others    map[Digest]*rbValue // the same for every later digest
+	// held is 1 + the index of the set of voters whose READY by reference
+	// came before their ECHO was counted (Reliable.heldWords), taken on the
+	// first such READY; 0 otherwise, and again once the slot delivers.
+	held   int32
+	value  rbValue             // what the slot knows about first
+	others map[Digest]*rbValue // the same for every later digest
 }
 
 // rbValue is what a slot knows about one digest, in 32 bytes: the two
@@ -398,9 +480,14 @@ type rbValue struct {
 	fetch *fetchSets
 }
 
-// tally is one digest's vote trackers: tally[echoes] counts its ECHOs,
-// tally[readies] its READYs.
-type tally [2]quorum.Tracker
+// tally is what an undelivered slot counts for one digest: votes[echoes]
+// counts its ECHOs, votes[readies] its READYs, and echo is the body of
+// this process's ECHO of the digest until it sends its READY, which reuses
+// it (advance).
+type tally struct {
+	votes [2]quorum.Tracker
+	echo  *vote
+}
 
 const (
 	echoes  = 0
@@ -422,11 +509,13 @@ var _ Broadcaster = (*Reliable)(nil)
 // NewReliable creates the reliable broadcast component for one process.
 func NewReliable(self types.ProcessID, trust quorum.Assumption, deliver Deliver) *Reliable {
 	return &Reliable{
-		self:    self,
-		n:       trust.N(),
-		trust:   trust,
-		deliver: deliver,
-		rows:    map[uint64][]rbSlot{},
+		self:         self,
+		n:            trust.N(),
+		trust:        trust,
+		deliver:      deliver,
+		rows:         map[uint64][]rbSlot{},
+		everyone:     types.FullSet(trust.N()),
+		heldWordsPer: (trust.N() + 63) / 64,
 	}
 }
 
@@ -461,10 +550,11 @@ func (r *Reliable) find(s Slot) *rbSlot {
 
 // newRow returns an empty row of n slots from the free list. An empty
 // list is refilled with a chunk of dag.RowChunk rows whose slots share one
-// array.
+// array, the list grown once to hold them.
 func (r *Reliable) newRow() []rbSlot {
 	if len(r.free) == 0 {
 		slots := make([]rbSlot, dag.RowChunk*r.n)
+		r.free = slices.Grow(r.free, dag.RowChunk)
 		for i := 0; i < len(slots); i += r.n {
 			r.free = append(r.free, slots[i:i+r.n:i+r.n])
 		}
@@ -514,15 +604,17 @@ func (r *Reliable) echoed(st *rbSlot, d Digest) *rbValue {
 }
 
 // borrow takes a tally from the pool. An empty pool is refilled with n
-// tallies whose 2n trackers share one NewTrackers call, and only then does
-// its capacity grow, to the number of tallies cut.
+// tallies, whose 2n trackers come from one NewTrackers call, and only then
+// does its capacity grow, to the number of tallies cut.
 func (r *Reliable) borrow() *tally {
 	if len(r.pool) == 0 {
 		trackers := quorum.NewTrackers(r.trust, r.self, 2*r.n)
+		tallies := make([]tally, r.n)
 		r.cut += r.n
 		r.pool = slices.Grow(r.pool, r.cut)
-		for i := 0; i < len(trackers); i += 2 {
-			r.pool = append(r.pool, (*tally)(trackers[i:i+2]))
+		for i := range tallies {
+			tallies[i].votes = [2]quorum.Tracker{trackers[2*i], trackers[2*i+1]}
+			r.pool = append(r.pool, &tallies[i])
 		}
 	}
 	k := len(r.pool) - 1
@@ -531,13 +623,20 @@ func (r *Reliable) borrow() *tally {
 	return t
 }
 
-// release hands every tally of st back to the pool, reset: st has
+// release hands every tally of st back to the pool, reset, and its set of
+// held READYs by reference back to the free list, cleared: st has
 // delivered or is being pruned.
 func (r *Reliable) release(st *rbSlot) {
+	if st.held != 0 {
+		clear(r.heldSet(st))
+		r.heldFree = append(r.heldFree, st.held)
+		st.held = 0
+	}
 	give := func(v *rbValue) {
 		if v.tally != nil {
-			v.tally[echoes].Reset()
-			v.tally[readies].Reset()
+			v.tally.votes[echoes].Reset()
+			v.tally.votes[readies].Reset()
+			v.tally.echo = nil
 			r.pool = append(r.pool, v.tally)
 			v.tally = nil
 		}
@@ -579,6 +678,42 @@ func (r *Reliable) unfetch(v *rbValue) {
 	}
 }
 
+// hold records a READY by reference from voter from that st cannot
+// resolve yet, taking a set for st from the free list on first use. An
+// empty list is refilled with n sets, whose words extend heldWords.
+func (r *Reliable) hold(st *rbSlot, from types.ProcessID) {
+	if st.held == 0 {
+		if len(r.heldFree) == 0 {
+			k := len(r.heldWords) / r.heldWordsPer
+			r.heldWords = append(r.heldWords, make([]uint64, r.n*r.heldWordsPer)...)
+			r.heldFree = slices.Grow(r.heldFree, r.n)
+			for i := range r.n {
+				r.heldFree = append(r.heldFree, int32(k+i+1))
+			}
+		}
+		k := len(r.heldFree) - 1
+		st.held = r.heldFree[k]
+		r.heldFree = r.heldFree[:k]
+	}
+	w, bit := r.heldBit(st, from)
+	if *w&bit == 0 {
+		*w |= bit
+		r.held++
+	}
+}
+
+// heldSet returns the words of st's set of held READYs by reference.
+func (r *Reliable) heldSet(st *rbSlot) []uint64 {
+	i := int(st.held-1) * r.heldWordsPer
+	return r.heldWords[i : i+r.heldWordsPer]
+}
+
+// heldBit returns the word of st's held set that holds voter p, and p's
+// bit in it.
+func (r *Reliable) heldBit(st *rbSlot, p types.ProcessID) (*uint64, uint64) {
+	return &r.heldSet(st)[p/64], 1 << (p % 64)
+}
+
 // spam reports whether a vote of voter from for digest d would add d to
 // the live, undelivered slot st while from is already counted in one of
 // st's trackers of the vote's kind (echoes or readies). Handle drops such a
@@ -589,15 +724,36 @@ func (st *rbSlot) spam(d Digest, from types.ProcessID, kind int) bool {
 	if !st.live || st.lookup(d) != nil {
 		return false
 	}
-	if st.value.tally[kind].Contains(from) {
+	if st.value.tally.votes[kind].Contains(from) {
 		return true
 	}
 	for _, v := range st.others {
-		if v.tally[kind].Contains(from) {
+		if v.tally.votes[kind].Contains(from) {
 			return true
 		}
 	}
 	return false
+}
+
+// echoOf returns the digest for which the live, undelivered slot st
+// counted from's ECHO, if it did. A correct voter echoes once, so that
+// digest is unique. A Byzantine one may be counted for several digests the
+// slot already held (spam drops only a vote that adds one); then it is
+// the slot's first if that is one of them, else the least, so the choice
+// is the same in every run.
+func (st *rbSlot) echoOf(from types.ProcessID) (d Digest, ok bool) {
+	if !st.live {
+		return d, false
+	}
+	if st.value.tally.votes[echoes].Contains(from) {
+		return st.first, true
+	}
+	for od, v := range st.others {
+		if v.tally.votes[echoes].Contains(from) && (!ok || bytes.Compare(od[:], d[:]) < 0) {
+			d, ok = od, true
+		}
+	}
+	return d, ok
 }
 
 // lookup returns what the live slot st knows about digest d, or nil.
@@ -608,13 +764,14 @@ func (st *rbSlot) lookup(d Digest) *rbValue {
 	return st.others[d]
 }
 
-// reset empties st for a later sequence number, handing its tallies and
-// fetch sets back, and reports whether it had state.
+// reset empties st for a later sequence number, handing its tallies,
+// held READYs and fetch sets back, and reports whether it was live. A
+// slot that only held READYs by reference is emptied but was not live.
 func (r *Reliable) reset(st *rbSlot) bool {
+	r.release(st)
 	if !st.live {
 		return false
 	}
-	r.release(st)
 	r.unfetch(&st.value)
 	for _, v := range st.others {
 		r.unfetch(v)
@@ -630,26 +787,27 @@ func (st *rbSlot) due(v *rbValue) (ready, deliver bool) {
 	if st.delivered {
 		return false, false
 	}
-	ready = !st.sentReady && (v.tally[echoes].HasQuorum() || v.tally[readies].HasKernel())
-	deliver = v.tally[readies].HasQuorum()
+	ready = !st.sentReady && (v.tally.votes[echoes].HasQuorum() || v.tally.votes[readies].HasKernel())
+	deliver = v.tally.votes[readies].HasQuorum()
 	return ready, deliver
 }
 
 // advance applies the rules that are due for digest d, or — R1 — fetches
 // the payload when this process does not hold it yet. trigger is the body
 // of the full ECHO or READY that made the call, nil for a SEND, a PAYLOAD
-// or a vote by reference, whose body does not hold d; a full vote's body
+// or a vote by reference, whose body does not hold d. A full vote's body
 // holds (slot, d), so the READY or FETCH sent here carries it instead of a
-// new body. A fetch only follows a full vote: a SEND or PAYLOAD sets the
-// payload, and a vote by reference names the digest this process echoed,
-// whose payload it holds.
+// new body; without one, it carries the body of this process's own
+// ECHO(d) if there is one, and only otherwise a new body.
 func (r *Reliable) advance(env sim.Env, slot Slot, st *rbSlot, d Digest, v *rbValue, trigger *vote) {
 	ready, deliver := st.due(v)
 	if !ready && !deliver {
 		return
 	}
 	if trigger == nil && (ready || v.payload == nil) {
-		trigger = newVote(slot, d)
+		if trigger = v.tally.echo; trigger == nil {
+			trigger = newVote(slot, d)
+		}
 	}
 	if v.payload == nil {
 		r.fetch(env, trigger, v)
@@ -657,7 +815,14 @@ func (r *Reliable) advance(env sim.Env, slot Slot, st *rbSlot, d Digest, v *rbVa
 	}
 	if ready {
 		st.sentReady = true
-		r.cast(env, readyMsg{trigger}, readyRefMsg{trigger}, v)
+		// A READY names d by reference to every receiver of this
+		// process's ECHO(d), which is its whole audience once it echoed d.
+		var refTo types.Set
+		if st.sentEcho && st.first == d {
+			refTo = r.everyone
+		}
+		v.tally.echo = nil
+		r.cast(env, readyMsg{trigger}, readyRefMsg{trigger}, refTo)
 	}
 	if deliver {
 		st.delivered = true
@@ -666,24 +831,19 @@ func (r *Reliable) advance(env sim.Env, slot Slot, st *rbSlot, d Digest, v *rbVa
 	}
 }
 
-// cast multicasts a vote for v's digest, full as msg or by reference as
-// ref, to this process's audience: by reference to every process whose
-// ECHO for the digest it counted, in full to the rest. A digest with no
-// tally (a late SEND's, echoed after delivery) goes in full to all.
-func (r *Reliable) cast(env sim.Env, msg, ref sim.Message, v *rbValue) {
-	c := sim.Cast{To: quorum.Audience(r.trust, r.self), Msg: msg, Ref: ref}
-	if v.tally != nil {
-		c.RefTo = v.tally[echoes].Set()
-	}
-	sim.Multicast(env, c)
+// cast multicasts a vote, full as msg or by reference as ref, to this
+// process's audience: by reference to the members of refTo other than
+// itself, in full to the rest.
+func (r *Reliable) cast(env sim.Env, msg, ref sim.Message, refTo types.Set) {
+	sim.Multicast(env, sim.Cast{To: quorum.Audience(r.trust, r.self), Msg: msg, Ref: ref, RefTo: refTo})
 }
 
 // fetch sends R2's request, the body of the vote that blocked on v, to
 // every voter for v's digest not asked yet.
 func (r *Reliable) fetch(env sim.Env, body *vote, v *rbValue) {
 	f := r.borrowFetch(v)
-	for i := range v.tally {
-		v.tally[i].Set().ForEach(func(p types.ProcessID) bool {
+	for i := range v.tally.votes {
+		v.tally.votes[i].Set().ForEach(func(p types.ProcessID) bool {
 			if !f[asked].Contains(p) {
 				f[asked].Add(p)
 				env.Send(p, fetchMsg{body})
@@ -710,7 +870,16 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 		v := r.echoed(st, d)
 		v.payload = m.Payload
 		b := newVote(m.Slot, d)
-		r.cast(env, echoMsg{b}, echoRefMsg{b}, v)
+		// An ECHO names d by reference to the processes whose ECHO(d) this
+		// one counted; after delivery it keeps no tally and sends in full.
+		var refTo types.Set
+		if v.tally != nil {
+			refTo = v.tally.votes[echoes].Set()
+			if !st.sentReady {
+				v.tally.echo = b
+			}
+		}
+		r.cast(env, echoMsg{b}, echoRefMsg{b}, refTo)
 		// A SEND overtaken by its own votes completes the slot here.
 		r.advance(env, m.Slot, st, d, v, nil)
 	case echoMsg:
@@ -718,9 +887,9 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 	case readyMsg:
 		r.handleVote(env, from, m.vote, readies)
 	case echoRefMsg:
-		r.handleRef(env, from, m.body.Slot, echoes)
+		r.handleEchoRef(env, from, m.body.Slot)
 	case readyRefMsg:
-		r.handleRef(env, from, m.body.Slot, readies)
+		r.handleReadyRef(env, from, m.body.Slot)
 	case fetchMsg:
 		// Serve only what is held, once per requester; a request never
 		// allocates state.
@@ -776,30 +945,58 @@ func (r *Reliable) handleVote(env sim.Env, from types.ProcessID, b *vote, kind i
 	}
 }
 
-// handleRef handles an ECHO or READY by reference for slot s: a vote for
-// the digest this process echoed in s, which is s's first. It is dropped
+// handleEchoRef handles an ECHO by reference for slot s: an ECHO for the
+// digest this process echoed in s, which is s's first. It is dropped
 // before it touches any state when its voter lies outside U_self or this
 // process has not echoed in s, and so has no digest it could name.
-func (r *Reliable) handleRef(env sim.Env, from types.ProcessID, s Slot, kind int) {
+func (r *Reliable) handleEchoRef(env sim.Env, from types.ProcessID, s Slot) {
 	if !quorum.Counts(r.trust, r.self, from) {
 		return
 	}
 	if st := r.find(s); st != nil && st.sentEcho {
-		r.count(env, from, s, st, st.first, kind, nil)
+		r.count(env, from, s, st, st.first, echoes, nil)
+	}
+}
+
+// handleReadyRef handles a READY by reference for slot s: a READY for the
+// digest its voter echoed to this process in s, which is the digest for
+// which this process counted that ECHO. Until the ECHO is counted the
+// READY is held, one bit per voter, and count counts it with the ECHO. It
+// is dropped before it touches any state when its voter lies outside
+// U_self or s is pruned or delivered.
+func (r *Reliable) handleReadyRef(env sim.Env, from types.ProcessID, s Slot) {
+	if !quorum.Counts(r.trust, r.self, from) {
+		return
+	}
+	st := r.open(s)
+	if st == nil || st.delivered {
+		return
+	}
+	if d, ok := st.echoOf(from); ok {
+		r.count(env, from, s, st, d, readies, nil)
+	} else {
+		r.hold(st, from)
 	}
 }
 
 // count adds from's vote of the given kind for digest d to slot st and
 // applies the rules it makes due; body is the vote's body if it holds d,
 // else nil. A vote for a delivered slot, or one that would add a digest
-// for a voter already counted (spam), is dropped.
+// for a voter already counted (spam), is dropped. An ECHO counts, after
+// itself, its voter's held READY by reference, for the same digest.
 func (r *Reliable) count(env sim.Env, from types.ProcessID, slot Slot, st *rbSlot, d Digest, kind int, body *vote) {
 	if st.delivered || st.spam(d, from, kind) {
 		return
 	}
 	v := r.value(st, d)
-	v.tally[kind].Add(from)
+	v.tally.votes[kind].Add(from)
 	r.advance(env, slot, st, d, v, body)
+	if kind == echoes && st.held != 0 {
+		if w, bit := r.heldBit(st, from); *w&bit != 0 {
+			*w &^= bit
+			r.count(env, from, slot, st, d, readies, body)
+		}
+	}
 }
 
 // Plain is best-effort broadcast: one direct message per recipient,
@@ -888,6 +1085,23 @@ func (r *Reliable) PruneBelow(seq uint64) {
 // SlotCount returns the number of slots with live state (a bounded-memory
 // soak counter).
 func (r *Reliable) SlotCount() int { return r.live }
+
+// Held returns the number of READYs by reference this process has held
+// because they arrived before their voter's ECHO. Over FIFO links, such as
+// the TCP transport's, it stays 0.
+func (r *Reliable) Held() int { return r.held }
+
+// Waiting returns the number of READYs by reference held now: their
+// voter's ECHO is not counted yet, and their slot has neither delivered
+// nor been pruned. Where a link dropped that ECHO, the READY waits here
+// until then and is never counted.
+func (r *Reliable) Waiting() int {
+	k := 0
+	for _, w := range r.heldWords {
+		k += bits.OnesCount64(w)
+	}
+	return k
+}
 
 // PruneBelow discards delivered-slot markers below the watermark. For
 // Plain the marker is the only per-slot state, and dropping it is safe

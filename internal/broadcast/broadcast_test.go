@@ -358,8 +358,8 @@ func TestReliableMessageComplexity(t *testing.T) {
 		send, echo, ready int
 		echoRef, readyRef int
 	}{
-		{"threshold n=4", quorum.NewThreshold(4, 1), 3, 12, 12, 0, 9},
-		{"Fig. 1", quorum.Counterexample(), 29, 169, 169, 0, 34},
+		{"threshold n=4", quorum.NewThreshold(4, 1), 3, 12, 12, 0, 12},
+		{"Fig. 1", quorum.Counterexample(), 29, 169, 169, 0, 169},
 	} {
 		n := tc.trust.N()
 		nodes := reliableCluster(n, tc.trust, nil)
@@ -808,27 +808,30 @@ func requireEmptyRows(t *testing.T, rows [][]rbSlot) {
 		for i := range row {
 			st, v := &row[i], &row[i].value
 			if st.live || st.sentEcho || st.sentReady || st.delivered || st.first != (Digest{}) || st.others != nil ||
-				v.payload != nil || v.tally != nil || v.fetch != nil {
+				st.held != 0 || v.payload != nil || v.tally != nil || v.fetch != nil {
 				t.Fatalf("free row %d slot %d not empty: %+v", j, i, *st)
 			}
 		}
 	}
 }
 
-// requireEmptyPool fails t unless every tally and every pair of fetch sets
-// r cut is back on its pool, as they are when no slot is live, and every
-// pooled tracker and set is as a fresh one: no votes, no quorum, no kernel,
-// no member.
+// requireEmptyPool fails t unless every tally, every pair of fetch sets
+// and every held set r cut is back on its pool, as they are when no slot
+// is live, and every pooled tracker and set is as a fresh one: no votes,
+// no quorum, no kernel, no member.
 func requireEmptyPool(t *testing.T, r *Reliable) {
 	t.Helper()
 	if len(r.pool) != r.cut {
 		t.Fatalf("%d of %d tallies on the pool, want all", len(r.pool), r.cut)
 	}
 	for j, tl := range r.pool {
-		for k := range tl {
-			if tr := &tl[k]; tr.Count() != 0 || tr.HasQuorum() || tr.HasKernel() {
+		for k := range tl.votes {
+			if tr := &tl.votes[k]; tr.Count() != 0 || tr.HasQuorum() || tr.HasKernel() {
 				t.Fatalf("pooled tally %d tracker %d not empty: %d votes, quorum %v, kernel %v", j, k, tr.Count(), tr.HasQuorum(), tr.HasKernel())
 			}
+		}
+		if tl.echo != nil {
+			t.Fatalf("pooled tally %d keeps an ECHO body %v", j, *tl.echo)
 		}
 	}
 	if len(r.fetchPool) != r.fetchCut {
@@ -839,6 +842,26 @@ func requireEmptyPool(t *testing.T, r *Reliable) {
 			t.Fatalf("pooled pair of fetch sets %d not empty: asked %v, served %v", j, f[asked], f[served])
 		}
 	}
+	if cut := heldCut(r); len(r.heldFree) != cut {
+		t.Fatalf("%d of %d held sets on the free list, want all", len(r.heldFree), cut)
+	}
+	for j, w := range r.heldWords {
+		if w != 0 {
+			t.Fatalf("free held sets not empty: word %d is %#x", j, w)
+		}
+	}
+}
+
+// heldCut returns the number of held sets r cut.
+func heldCut(r *Reliable) int { return len(r.heldWords) / r.heldWordsPer }
+
+// holds reports whether slot st of r holds a READY by reference of p.
+func holds(r *Reliable, st *rbSlot, p types.ProcessID) bool {
+	if st.held == 0 {
+		return false
+	}
+	w, bit := r.heldBit(st, p)
+	return *w&bit != 0
 }
 
 // TestReliableRowRecycled: PruneBelow empties a row — payloads, votes,
@@ -1458,11 +1481,13 @@ func decoded(t *testing.T, msg sim.Message) sim.Message {
 	return dec
 }
 
-// TestReliableRefWithoutEchoChangesNothing: a vote by reference for a slot
-// the receiver has not echoed in names no digest, so it changes no state:
-// not for an unknown slot, where it opens none, not for a live slot whose
-// SEND has not arrived, however many come, and not for a pruned one. Nor
-// does one from a voter outside U_self, on Fig. 1, for a slot it echoed.
+// TestReliableRefWithoutEchoChangesNothing: an ECHO by reference for a
+// slot the receiver has not echoed in names no digest, so it changes no
+// state: not for an unknown slot, where it opens none, not for a live slot
+// whose SEND has not arrived, however many come, and not for a pruned one;
+// nor does a READY by reference for a pruned slot. Nor does a vote by
+// reference of either kind from a voter outside U_self, on Fig. 1, for a
+// slot it echoed.
 func TestReliableRefWithoutEchoChangesNothing(t *testing.T) {
 	slot := Slot{Src: 1, Seq: 7}
 	x := Bytes("block")
@@ -1471,21 +1496,20 @@ func TestReliableRefWithoutEchoChangesNothing(t *testing.T) {
 	s.r.PruneBelow(5)
 	for from := types.ProcessID(0); from < 4; from++ {
 		s.handle(from, echoRefMsg{&vote{Slot: slot}})
-		s.handle(from, readyRefMsg{&vote{Slot: slot}})
+		s.handle(from, echoRefMsg{&vote{Slot: Slot{Src: 1, Seq: 2}}})
 		s.handle(from, readyRefMsg{&vote{Slot: Slot{Src: 1, Seq: 2}}})
 	}
-	if len(s.r.rows) != 0 || s.r.SlotCount() != 0 {
-		t.Fatalf("votes by reference for an unknown or pruned slot opened %d rows, %d slots", len(s.r.rows), s.r.SlotCount())
+	if len(s.r.rows) != 0 || s.r.SlotCount() != 0 || s.r.Held() != 0 {
+		t.Fatalf("votes by reference for an unknown or pruned slot opened %d rows, %d slots, held %d", len(s.r.rows), s.r.SlotCount(), s.r.Held())
 	}
 	s.handle(2, echoMsg{&vote{Slot: slot, Digest: d}})
 	for from := types.ProcessID(0); from < 4; from++ {
 		s.handle(from, echoRefMsg{&vote{Slot: slot, Digest: d}}) // a digest in the body is not read
-		s.handle(from, readyRefMsg{&vote{Slot: slot, Digest: d}})
 	}
-	s.expect("votes by reference for a slot not echoed")
+	s.expect("ECHOs by reference for a slot not echoed")
 	st := s.r.find(slot)
-	if e, r := st.value.tally[echoes].Count(), st.value.tally[readies].Count(); e != 1 || r != 0 || len(st.others) != 0 || st.sentEcho {
-		t.Fatalf("votes by reference changed the slot: %d ECHOs, %d READYs, %d further digests", e, r, len(st.others))
+	if e, r := st.value.tally.votes[echoes].Count(), st.value.tally.votes[readies].Count(); e != 1 || r != 0 || len(st.others) != 0 || st.sentEcho {
+		t.Fatalf("ECHOs by reference changed the slot: %d ECHOs, %d READYs, %d further digests", e, r, len(st.others))
 	}
 
 	sys := quorum.Counterexample()
@@ -1501,17 +1525,24 @@ func TestReliableRefWithoutEchoChangesNothing(t *testing.T) {
 	r.Handle(env, 1, sendMsg{&send{Slot: slot, Payload: x}})
 	r.Handle(env, outside, echoRefMsg{&vote{Slot: slot}})
 	r.Handle(env, outside, readyRefMsg{&vote{Slot: slot}})
-	if st := r.find(slot); st.value.tally[echoes].Count() != 0 || st.value.tally[readies].Count() != 0 {
-		t.Fatalf("votes by reference from %v, outside U_p1, were counted", outside)
+	r.Handle(env, outside, readyRefMsg{&vote{Slot: Slot{Src: 2, Seq: 7}}})
+	if st := r.find(slot); st.value.tally.votes[echoes].Count() != 0 || st.value.tally.votes[readies].Count() != 0 || st.held != 0 || r.Held() != 0 {
+		t.Fatalf("votes by reference from %v, outside U_p1, were counted or held", outside)
+	}
+	if row := r.rows[slot.Seq]; row[2].held != 0 {
+		t.Fatalf("a READY by reference from %v, outside U_p1, was held", outside)
 	}
 }
 
-// TestReliableRefAddsNoDigest: a vote by reference counts for the digest
-// the receiver echoed, which the slot holds, so it never adds one. On
-// Fig. 1, with every voter in U_self at its one spilled digest per kind
-// and the SEND's digest echoed, the slot holds its cap of 1 + 2|U_self| =
-// 13 digests. Votes by reference of both kinds from every process leave it
-// there and count for the echoed digest, which they deliver.
+// TestReliableRefAddsNoDigest: a vote by reference counts for a digest
+// the slot holds — an ECHO by reference for the one the receiver echoed, a
+// READY by reference for one its voter's ECHO was counted for — so it
+// never adds one. On Fig. 1, with every voter in U_self at its one spilled
+// digest per kind and the SEND's digest echoed, the slot holds its cap of
+// 1 + 2|U_self| = 13 digests. Votes by reference of both kinds from every
+// process leave it there: each voter's ECHO by reference counts for the
+// echoed digest, the slot's first, so its READY by reference does too, and
+// they deliver it.
 func TestReliableRefAddsNoDigest(t *testing.T) {
 	sys := quorum.Counterexample()
 	const self = 0
@@ -1545,17 +1576,19 @@ func TestReliableRefAddsNoDigest(t *testing.T) {
 	if got := 1 + len(st.others); got != want {
 		t.Fatalf("votes by reference left %d digests, want %d", got, want)
 	}
-	if len(delivered) != 1 || delivered[0].Digest() != x.Digest() {
-		t.Fatalf("delivered %v, want the echoed payload once", delivered)
+	if len(delivered) != 1 || delivered[0].Digest() != x.Digest() || r.Held() != 0 {
+		t.Fatalf("delivered %v and held %d READYs by reference, want the echoed payload once and none held", delivered, r.Held())
 	}
 }
 
-// TestReliableRefNotToOtherDigest pins the rule: a vote goes by reference
-// to exactly the processes whose ECHO for its digest the voter counted.
-// The source equivocates, so process 2 echoed d1 while process 0 echoes
-// d2. Process 0 counted 2's ECHO for d1, not for d2, so its votes for d2
-// go to 2 in full, as to 1 before 1's ECHO arrives; to 3, whose ECHO for
-// d2 it counted, and to 1 after, by reference.
+// TestReliableRefNotToOtherDigest pins the two rules. An ECHO goes by
+// reference to exactly the processes whose ECHO for its digest the voter
+// counted: the source equivocates, so process 2 echoed d1 while process 0
+// echoes d2. Process 0 counted 2's ECHO for d1, not for d2, so its ECHO of
+// d2 goes to 2 in full, as to 1, whose ECHO has not arrived; to 3, whose
+// ECHO for d2 it counted, by reference. A READY for the digest the voter
+// echoed goes by reference to everyone else, 2 included: each of them
+// resolves it by the voter's ECHO, which names d2.
 func TestReliableRefNotToOtherDigest(t *testing.T) {
 	slot := Slot{Src: 1, Seq: 7}
 	x1, x2 := Bytes("one"), Bytes("two")
@@ -1567,14 +1600,15 @@ func TestReliableRefNotToOtherDigest(t *testing.T) {
 	s.expect("ECHO of d2", "echoMsg→all")
 	s.handle(0, echoMsg{&vote{Slot: slot, Digest: x2.Digest()}})
 	s.handle(1, echoMsg{&vote{Slot: slot, Digest: x2.Digest()}})
-	s.expectRefs("READY of d2", "readyRefMsg→1", "readyRefMsg→3")
+	s.expectRefs("READY of d2", "readyRefMsg→1", "readyRefMsg→2", "readyRefMsg→3")
 	s.expect("READY of d2", "readyMsg→all")
 }
 
 // TestReliableRefTriggersCarryDigest runs on decoded copies, as TCP
 // delivers them, where a vote by reference carries no digest. A READY that
-// ECHOs by reference complete, and a READY kernel of READYs by reference,
-// carry the digest they resolve to, in both forms. A vote by reference names a digest whose payload the receiver
+// ECHOs by reference complete, and a READY kernel of READYs by reference
+// (after their voters' ECHOs), carry the digest they resolve to, in both
+// forms. A vote by reference names a digest whose payload the receiver
 // holds, so it never blocks R1; a FETCH blocked on a decoded full vote
 // carries that vote's digest.
 func TestReliableRefTriggersCarryDigest(t *testing.T) {
@@ -1620,8 +1654,10 @@ func TestReliableRefTriggersCarryDigest(t *testing.T) {
 	slot = Slot{Src: 1, Seq: 1}
 	s.handle(1, sendMsg{&send{Slot: slot, Payload: x}})
 	s.take()
-	s.handle(2, decoded(t, readyRefMsg{&vote{Slot: slot, Digest: d}}))
-	s.handle(3, decoded(t, readyRefMsg{&vote{Slot: slot, Digest: d}}))
+	for from := types.ProcessID(2); from < 4; from++ {
+		s.handle(from, decoded(t, echoRefMsg{&vote{Slot: slot, Digest: d}}))
+		s.handle(from, decoded(t, readyRefMsg{&vote{Slot: slot, Digest: d}}))
+	}
 	readies("READY after a READY kernel by reference", slot)
 
 	slot = Slot{Src: 1, Seq: 2}
@@ -1638,9 +1674,10 @@ func TestReliableRefTriggersCarryDigest(t *testing.T) {
 }
 
 // TestReliableNoRefToSelfOrDelivered: a vote to the voter itself is full
-// even when it counted its own ECHO, and a slot that has delivered votes
-// only in full: a late SEND's ECHO goes in full to all, also to the
-// processes whose ECHOs the slot counted before it delivered.
+// even when it counted its own ECHO; a READY for a digest the voter did
+// not echo, whose payload came by fetch, goes in full; and a slot that has
+// delivered votes only in full: a late SEND's ECHO goes in full to all,
+// also to the processes whose ECHOs the slot counted before it delivered.
 func TestReliableNoRefToSelfOrDelivered(t *testing.T) {
 	slot := Slot{Src: 1, Seq: 7}
 	x := Bytes("block")
@@ -1651,7 +1688,7 @@ func TestReliableNoRefToSelfOrDelivered(t *testing.T) {
 	s.handle(0, echoMsg{&vote{Slot: slot, Digest: d}})
 	s.handle(1, echoMsg{&vote{Slot: slot, Digest: d}})
 	s.handle(2, echoMsg{&vote{Slot: slot, Digest: d}})
-	s.expectRefs("READY after ECHOs of 0, 1 and 2", "readyRefMsg→1", "readyRefMsg→2")
+	s.expectRefs("READY after ECHOs of 0, 1 and 2", "readyRefMsg→1", "readyRefMsg→2", "readyRefMsg→3")
 	s.expect("READY", "readyMsg→all")
 
 	slot = Slot{Src: 1, Seq: 8}
@@ -1662,7 +1699,7 @@ func TestReliableNoRefToSelfOrDelivered(t *testing.T) {
 	}
 	s.expect("READY kernel and quorum without the payload", "fetchMsg→2", "fetchMsg→3", "fetchMsg→1")
 	s.handle(2, payloadMsg{&send{Slot: slot, Payload: x}})
-	s.expectRefs("the reply", "readyRefMsg→2", "readyRefMsg→3")
+	s.expectRefs("the reply")
 	s.expect("the reply", "readyMsg→all")
 	if len(s.delivered) != 1 {
 		t.Fatal("slot 8 did not deliver")
@@ -1670,4 +1707,115 @@ func TestReliableNoRefToSelfOrDelivered(t *testing.T) {
 	s.handle(1, sendMsg{&send{Slot: slot, Payload: x}})
 	s.expectRefs("a late SEND")
 	s.expect("a late SEND", "echoMsg→all")
+}
+
+// TestReliableReadyRefHeldUntilEcho: a READY by reference names the
+// digest its voter echoed, so one that overtakes that ECHO is held and
+// counted when the ECHO is, for the ECHO's digest: after a full ECHO, after
+// an ECHO by reference, and on a slot that had no state when the READY
+// came, whose first ECHO then names a digest this process never echoed.
+func TestReliableReadyRefHeldUntilEcho(t *testing.T) {
+	x, y := Bytes("x"), Bytes("y")
+	s := newStepper(t)
+	slot := Slot{Src: 1, Seq: 0}
+	s.handle(1, sendMsg{&send{Slot: slot, Payload: x}})
+	s.take()
+	st := s.r.find(slot)
+	counted := func(p types.ProcessID) bool { return st.value.tally.votes[readies].Contains(p) }
+
+	s.handle(2, readyRefMsg{&vote{Slot: slot}})
+	if counted(2) || !holds(s.r, st, 2) || s.r.Held() != 1 {
+		t.Fatalf("a READY by reference before its voter's ECHO: counted %v, held %v, Held() %d; want held, not counted", counted(2), holds(s.r, st, 2), s.r.Held())
+	}
+	s.handle(2, echoMsg{&vote{Slot: slot, Digest: x.Digest()}})
+	if !counted(2) || holds(s.r, st, 2) {
+		t.Fatalf("the full ECHO came: READY counted %v, still held %v; want counted, not held", counted(2), holds(s.r, st, 2))
+	}
+
+	s.handle(3, readyRefMsg{&vote{Slot: slot}})
+	s.handle(3, readyRefMsg{&vote{Slot: slot}}) // a duplicate holds nothing more
+	if counted(3) || !holds(s.r, st, 3) || s.r.Held() != 2 {
+		t.Fatalf("a READY by reference before its voter's ECHO by reference: counted %v, held %v, Held() %d", counted(3), holds(s.r, st, 3), s.r.Held())
+	}
+	s.handle(3, echoRefMsg{&vote{Slot: slot}})
+	if !counted(3) || holds(s.r, st, 3) {
+		t.Fatalf("the ECHO by reference came: READY counted %v, still held %v; want counted, not held", counted(3), holds(s.r, st, 3))
+	}
+	s.expect("a READY kernel of held READYs", "readyMsg→all")
+
+	slot = Slot{Src: 2, Seq: 0}
+	s.handle(1, readyRefMsg{&vote{Slot: slot}})
+	if s.r.find(slot) != nil || s.r.SlotCount() != 1 {
+		t.Fatal("a READY by reference for a slot with no state made it live")
+	}
+	s.handle(1, echoMsg{&vote{Slot: slot, Digest: y.Digest()}})
+	st = s.r.find(slot)
+	if v := st.lookup(y.Digest()); v == nil || !v.tally.votes[readies].Contains(1) || holds(s.r, st, 1) {
+		t.Fatalf("the ECHO of y came first to a slot with a held READY: the READY was not counted for y")
+	}
+}
+
+// TestReliableReadyRefCountsForVotersEcho: the source equivocates, so
+// process 2 echoed d1 while this process echoed d2. 2's READY by reference
+// names d1, the digest of the ECHO this process counted from it, whether
+// that ECHO came before the READY or after it.
+func TestReliableReadyRefCountsForVotersEcho(t *testing.T) {
+	x1, x2 := Bytes("one"), Bytes("two")
+	for _, echoFirst := range []bool{true, false} {
+		s := newStepper(t)
+		slot := Slot{Src: 1, Seq: 7}
+		s.handle(1, sendMsg{&send{Slot: slot, Payload: x2}})
+		if echoFirst {
+			s.handle(2, echoMsg{&vote{Slot: slot, Digest: x1.Digest()}})
+			s.handle(2, readyRefMsg{&vote{Slot: slot}})
+		} else {
+			s.handle(2, readyRefMsg{&vote{Slot: slot}})
+			s.handle(2, echoMsg{&vote{Slot: slot, Digest: x1.Digest()}})
+		}
+		st := s.r.find(slot)
+		if v := st.lookup(x1.Digest()); v == nil || !v.tally.votes[readies].Contains(2) || st.value.tally.votes[readies].Contains(2) {
+			t.Fatalf("ECHO first %v: 2's READY by reference did not count for d1, the digest 2 echoed, alone", echoFirst)
+		}
+	}
+}
+
+// TestReliableHeldReadyDropped: a held READY by reference whose ECHO never
+// comes is never counted, and its bit goes back to the pool when the slot
+// delivers without it and when PruneBelow empties a slot that still holds
+// it, live or not.
+func TestReliableHeldReadyDropped(t *testing.T) {
+	x := Bytes("x")
+	d := x.Digest()
+	s := newStepper(t)
+	slot := Slot{Src: 1, Seq: 0}
+	s.handle(1, sendMsg{&send{Slot: slot, Payload: x}})
+	s.handle(3, readyRefMsg{&vote{Slot: slot}})
+	st := s.r.find(slot)
+	for from := types.ProcessID(0); from < 3; from++ {
+		s.handle(from, echoMsg{&vote{Slot: slot, Digest: d}})
+		if st.value.tally.votes[readies].Contains(3) {
+			t.Fatalf("the ECHO of %v counted 3's held READY", from)
+		}
+	}
+	for from := types.ProcessID(0); from < 3; from++ {
+		s.handle(from, readyMsg{&vote{Slot: slot, Digest: d}})
+	}
+	if len(s.delivered) != 1 || st.held != 0 || len(s.r.heldFree) != heldCut(s.r) {
+		t.Fatalf("delivered %d, held set %d, %d of %d held sets free; want delivery and the held set back", len(s.delivered), st.held, len(s.r.heldFree), heldCut(s.r))
+	}
+	s.handle(3, echoMsg{&vote{Slot: slot, Digest: d}}) // after delivery: dropped
+
+	live, bare := Slot{Src: 1, Seq: 1}, Slot{Src: 2, Seq: 1}
+	s.handle(1, sendMsg{&send{Slot: live, Payload: x}})
+	s.handle(3, readyRefMsg{&vote{Slot: live}})
+	s.handle(3, readyRefMsg{&vote{Slot: bare}})
+	if s.r.Held() != 3 || len(s.r.heldFree) != heldCut(s.r)-2 {
+		t.Fatalf("Held() %d, %d of %d held sets free; want 3 held, two sets out", s.r.Held(), len(s.r.heldFree), heldCut(s.r))
+	}
+	s.r.PruneBelow(2)
+	requireEmptyPool(t, s.r)
+	requireEmptyRows(t, s.r.free)
+	if len(s.r.rows) != 0 || s.r.SlotCount() != 0 {
+		t.Fatalf("PruneBelow left %d rows, %d live slots", len(s.r.rows), s.r.SlotCount())
+	}
 }

@@ -6,7 +6,11 @@
 // wire-registered Payload implementation (Bytes here, rider.VertexPayload,
 // ...) travels without this package knowing about it; ECHO, READY and the
 // fetch request follow it with the 32 raw digest bytes. An ECHO or READY
-// by reference is the slot alone. A SEND or fetch
+// by reference (tags 16 and 17) is the slot alone: an ECHO by reference
+// names the digest its receiver echoed in the slot, a READY by reference
+// the digest its voter echoed to the receiver, which the receiver resolves
+// by the voter's ECHO it counted (see "Votes by reference" in the package
+// comment). A SEND or fetch
 // reply whose payload is not encodable (its type is not wire-registered,
 // or its codec declines the value) fails Append: sent to another process
 // (a self-send is never encoded), the TCP transport drops it and the
@@ -28,8 +32,8 @@ const (
 	wireTagBytes    = 13
 	wireTagFetch    = 14
 	wireTagPayload  = 15
-	wireTagEchoRef  = 16
-	wireTagReadyRef = 17
+	wireTagEchoRef  = 16 // ECHO*: for the digest the receiver echoed
+	wireTagReadyRef = 17 // READY*: for the digest the voter echoed to the receiver
 )
 
 func init() { registerWireCodecs() }

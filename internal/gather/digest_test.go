@@ -59,12 +59,12 @@ func (b bufferProbe) Receive(env sim.Env, from types.ProcessID, msg sim.Message)
 // votes go only to the processes whose quorums contain the voter. The
 // message and byte counts are those of links: a process's copy of its
 // own message is free, and a vote by reference leaves out its 32 digest
-// bytes. With those counts left out, the digests are the ones recorded
-// with the copy-on-write Pairs and the per-process waiter index of
-// DISTRIBUTE buffers that the plain bitset and the arrival-ordered buffer
-// replaced; with the byte count alone left out, the ones recorded before
-// votes went by reference. A digest that moves means a change to
-// Pairs or to the buffers changed what a gather sends or delivers. The
+// bytes. The digests were last recorded when a READY came to name its
+// digest by its voter's own ECHO: one that overtakes that ECHO on a link
+// waits for it, which moves the schedule of a run (and the grid's count of
+// buffered DISTRIBUTE sets, 2 658 → 2 728). A digest that moves means a
+// change to Pairs, to the buffers or to reliable broadcast changed what a
+// gather sends or delivers. The
 // grid must also buffer at least one DISTRIBUTE set, or it would not test
 // the buffers.
 func TestGatherRunsMatchRecordedDigests(t *testing.T) {
@@ -84,11 +84,11 @@ func TestGatherRunsMatchRecordedDigests(t *testing.T) {
 		{"threshold", []system{
 			{"threshold(4,1)", quorum.NewThreshold(4, 1)},
 			{"threshold(7,2)", quorum.NewThreshold(7, 2)},
-		}, "b7e7e0791ad69ed0aec5dc7b33c57455ab9041402818900371df5d15d3ad017d"},
+		}, "bd71ada58f2730fd46911b9cd0b3cb9e1aecdb740a0e4db342e3a03394b982a7"},
 		{"asymmetric", []system{
 			{"fig1", quorum.Counterexample()},
 			{"federated10", fed},
-		}, "b5db0ae599511a837cef6797b3d7620a376abb4850c7f5cd2712a2406d74690c"},
+		}, "00944c28da713c006f060c01e4f24069649bb8a8fa36da9b09ce8a80de75720d"},
 	}
 	protocols := []struct {
 		name string

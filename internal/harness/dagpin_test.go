@@ -53,13 +53,13 @@ func TestRiderRunsMatchRecordedDigests(t *testing.T) {
 		cfg  RiderConfig
 		want string
 	}{
-		{"asym-n4", RiderConfig{Kind: Asymmetric, Trust: quorum.NewThreshold(4, 1), NumWaves: 10, TxPerBlock: 1, Seed: 1, CoinSeed: 2, Latency: slow}, "63cfbd538bdd08a3e16975b9b39100009383bbbdd24f963a84ed123b0be2ada1"},
-		{"asym-n7-gc", RiderConfig{Kind: Asymmetric, Trust: quorum.NewThreshold(7, 2), NumWaves: 12, TxPerBlock: 1, Seed: 3, CoinSeed: 4, Latency: slow, GCDepth: 4}, "d4ebfd8030f45e00ef70c50fcb516727169895acb4644facbd6ff8b81e524b10"},
-		{"asym-fed10-revealed", RiderConfig{Kind: Asymmetric, Trust: fed, NumWaves: 6, TxPerBlock: 1, Seed: 5, CoinSeed: 6, RevealedCoin: true}, "541de57f705f78df0d65d43dcb550b69fe4ebbe234077b1b5b7c0d4942d97ac8"},
-		{"asym-fig1", RiderConfig{Kind: Asymmetric, Trust: quorum.Counterexample(), NumWaves: 3, TxPerBlock: 1, Seed: 7, CoinSeed: 8}, "3ac6123cc597a37061939b6f5f6731987c84d2fb2f736e352c2562955a619b19"},
-		{"sym-n4", RiderConfig{Kind: Symmetric, Trust: quorum.NewThreshold(4, 1), NumWaves: 10, TxPerBlock: 1, Seed: 9, CoinSeed: 10, Latency: slow}, "dd2afd03c75c5ac7e0db9e4b0c69f6c783603e9dcf5cd03ef332b60acaeb04c3"},
+		{"asym-n4", RiderConfig{Kind: Asymmetric, Trust: quorum.NewThreshold(4, 1), NumWaves: 10, TxPerBlock: 1, Seed: 1, CoinSeed: 2, Latency: slow}, "f53d3831a57c562a6ebbb40c7128f2476791b840c77b8efa20011e8f41fd348e"},
+		{"asym-n7-gc", RiderConfig{Kind: Asymmetric, Trust: quorum.NewThreshold(7, 2), NumWaves: 12, TxPerBlock: 1, Seed: 3, CoinSeed: 4, Latency: slow, GCDepth: 4}, "9657aa7b8e732e9a6fd62150809e5d349a46c51a3c8bb00dbe97677f219691cc"},
+		{"asym-fed10-revealed", RiderConfig{Kind: Asymmetric, Trust: fed, NumWaves: 6, TxPerBlock: 1, Seed: 5, CoinSeed: 6, RevealedCoin: true}, "6dbb3ef14d38936d7e2989e8288d6fe17687e5736110cd03dcd4a7dc492e6186"},
+		{"asym-fig1", RiderConfig{Kind: Asymmetric, Trust: quorum.Counterexample(), NumWaves: 3, TxPerBlock: 1, Seed: 7, CoinSeed: 8}, "3343a32237ced13ac931ebd1c30b73ace5c5e5f09bcd633fbd2871f41974aa8d"},
+		{"sym-n4", RiderConfig{Kind: Symmetric, Trust: quorum.NewThreshold(4, 1), NumWaves: 10, TxPerBlock: 1, Seed: 9, CoinSeed: 10, Latency: slow}, "a6c3d05d883ec97d295da3fd930a46a343f4dfe48bf46df7934f460e7258938d"},
 		{"sym-n7-crash", RiderConfig{Kind: Symmetric, Trust: quorum.NewThreshold(7, 2), NumWaves: 8, TxPerBlock: 1, Seed: 11, CoinSeed: 12, Latency: slow,
-			Scenario: &scenario.Scenario{Faults: []scenario.NodeFault{scenario.Mute(6)}}}, "d568754981f13a34859c1aef7235645ec34ca60a7f9390a0e7642293c997917a"},
+			Scenario: &scenario.Scenario{Faults: []scenario.NodeFault{scenario.Mute(6)}}}, "64351c38f873451b0f190a64d3ad96968bc55af611b42d83e374e983122fa036"},
 	}
 	for _, c := range cases {
 		res := RunRider(c.cfg)

@@ -93,6 +93,10 @@ type RiderResult struct {
 	// HitLimit reports that the run stopped at the MaxEvents budget with
 	// deliveries still pending, instead of reaching quiescence.
 	HitLimit bool
+	// HeldReadies sums, over Nodes, the READYs by reference held for
+	// their voter's ECHO; WaitingReadies those still held when the run
+	// ended, whose ECHO never came.
+	HeldReadies, WaitingReadies int
 
 	// maxVertexCount is the largest retained DAG size across nodes (for
 	// the GC experiment).
@@ -167,6 +171,9 @@ func RunNodes(cfg RiderConfig, nodes []sim.Node) RiderResult {
 			DecidedWave: v.DecidedWave(),
 			Blocks:      v.DeliveredBlocks(),
 		}
+		held, waiting := v.HeldReadies()
+		res.HeldReadies += held
+		res.WaitingReadies += waiting
 		if c := v.DAG().VertexCount(); c > res.maxVertexCount {
 			res.maxVertexCount = c
 		}
@@ -182,6 +189,7 @@ type riderNode interface {
 	DecidedWave() int
 	DeliveredBlocks() []string
 	DAG() *dag.DAG
+	HeldReadies() (held, waiting int)
 }
 
 // Property checks (Definition 4.1). --------------------------------------

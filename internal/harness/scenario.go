@@ -210,15 +210,16 @@ func ExpScenarios() string {
 
 	var b strings.Builder
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "scenario\tseeds ok\tvacuous\thit limits\tdecided nodes\tmessages\tdropped\tfirst failure")
+	fmt.Fprintln(w, "scenario\tseeds ok\tvacuous\thit limits\tdecided nodes\tmessages\tdropped\tREADY* held\tnever counted\tfirst failure")
 	for _, s := range stats {
 		verdict := "—"
 		if s.First != nil {
 			verdict = s.First.String()
 		}
-		fmt.Fprintf(w, "%s\t%d/%d\t%d\t%d\t%d/%d\t%d\t%d\t%s\n",
+		fmt.Fprintf(w, "%s\t%d/%d\t%d\t%d\t%d/%d\t%d\t%d\t%d\t%d\t%s\n",
 			s.Name, s.Seeds-s.Failures, s.Seeds, s.Vacuous, s.HitLimits,
-			s.DecidedNodes, s.Nodes, s.Metrics.MessagesSent, s.Metrics.MessagesDropped, verdict)
+			s.DecidedNodes, s.Nodes, s.Metrics.MessagesSent, s.Metrics.MessagesDropped,
+			s.HeldReadies, s.WaitingReadies, verdict)
 	}
 	w.Flush()
 	if first != nil {
@@ -227,6 +228,10 @@ func ExpScenarios() string {
 	b.WriteString("\neach scenario declares the Definition 4.1 properties it must preserve for the\n" +
 		"maximal guild; partitions that heal and buffered crash-recovery keep the full\n" +
 		"contract (liveness included), while information-destroying faults keep safety.\n" +
-		"vacuous counts the seeds ok only because the maximal guild was empty.\n")
+		"vacuous counts the seeds ok only because the maximal guild was empty.\n" +
+		"READY* held counts READYs by reference that reached a process before their\n" +
+		"voter's ECHO; never counted, those still held at the end because that ECHO\n" +
+		"was lost (dropped, or sent to a process that was down). A full READY would\n" +
+		"have counted.\n")
 	return b.String()
 }

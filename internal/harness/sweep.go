@@ -70,6 +70,8 @@ type RiderSweepStats struct {
 	HitLimits int
 	// EndTime sums virtual completion times.
 	EndTime sim.VirtualTime
+	// HeldReadies and WaitingReadies sum the runs' RiderResult fields.
+	HeldReadies, WaitingReadies int
 	// Metrics is the merged network traffic of all completed runs.
 	Metrics *sim.Metrics
 }
@@ -91,7 +93,8 @@ func SweepRider(seeds []int64, mk func(seed int64) RiderConfig, check func(Rider
 	runs, errs := sim.Sweep(seeds, func(seed int64) RiderSweepStats {
 		cfg := mk(seed)
 		r := RunRider(cfg)
-		s := RiderSweepStats{Runs: 1, Nodes: len(r.Nodes), EndTime: r.EndTime, Metrics: r.Metrics}
+		s := RiderSweepStats{Runs: 1, Nodes: len(r.Nodes), EndTime: r.EndTime, Metrics: r.Metrics,
+			HeldReadies: r.HeldReadies, WaitingReadies: r.WaitingReadies}
 		if r.HitLimit {
 			s.HitLimits = 1
 		}
@@ -138,6 +141,8 @@ func SweepRider(seeds []int64, mk func(seed int64) RiderConfig, check func(Rider
 		total.MedianBlocks += s.MedianBlocks
 		total.HitLimits += s.HitLimits
 		total.EndTime += s.EndTime
+		total.HeldReadies += s.HeldReadies
+		total.WaitingReadies += s.WaitingReadies
 		total.Metrics = sim.MergeMetrics(total.Metrics, s.Metrics)
 	}
 	return total

@@ -128,6 +128,8 @@ func TestSweepRiderWorkerCountIndependence(t *testing.T) {
 			want.HitLimits++
 		}
 		want.EndTime += r.EndTime
+		want.HeldReadies += r.HeldReadies
+		want.WaitingReadies += r.WaitingReadies
 		want.Metrics = sim.MergeMetrics(want.Metrics, r.Metrics)
 	}
 	forEachProcs(func(procs int) {

@@ -326,6 +326,10 @@ func (b *Base) Backlog() (slots, buffered, trackers, delivered int) {
 	return b.arb.SlotCount(), len(b.buffer), b.rounds.End() - b.rounds.Base(), delivered
 }
 
+// HeldReadies returns how many READYs by reference the node's reliable
+// broadcast has held for their voter's ECHO, and how many still wait.
+func (b *Base) HeldReadies() (held, waiting int) { return b.arb.Held(), b.arb.Waiting() }
+
 // Round returns the node's current round.
 func (b *Base) Round() int { return b.r }
 

@@ -218,7 +218,7 @@ func TestTickCommandsMatchFormat(t *testing.T) {
 	for p := 0; p < fig1.Trust.N(); p++ {
 		h.Write(res.Replicas[types.ProcessID(p)].FinalState)
 	}
-	const want = "73a18cd5800e23e2e16b03f004dd3ec75187b3a5ddde3c226458c9e396374bc0"
+	const want = "e40faa4cc8eb6f2fe470b1c401e0f66cd7b1f232cf4129798c5a9487101595d2"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("Fig. 1 final states hash to %s, want %s", got, want)
 	}

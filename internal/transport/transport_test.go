@@ -160,13 +160,13 @@ func TestGatherOverTCP(t *testing.T) {
 
 // rbNode runs reliable broadcast alone: it broadcasts one payload in each
 // of slots sequence numbers, and counts what it delivers and the votes by
-// reference it receives from other processes.
+// reference it receives from other processes, READYs apart.
 type rbNode struct {
-	trust     quorum.Assumption
-	slots     int
-	arb       *broadcast.Reliable
-	delivered map[broadcast.Slot]string
-	refs      int
+	trust       quorum.Assumption
+	slots       int
+	arb         *broadcast.Reliable
+	delivered   map[broadcast.Slot]string
+	refs, ready int
 }
 
 func (b *rbNode) Init(env sim.Env) {
@@ -182,6 +182,9 @@ func (b *rbNode) Init(env sim.Env) {
 func (b *rbNode) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
 	if typ := fmt.Sprintf("%T", msg); from != env.Self() && strings.HasSuffix(typ, "RefMsg") {
 		b.refs++
+		if typ == "broadcast.readyRefMsg" {
+			b.ready++
+		}
 	}
 	b.arb.Handle(env, from, msg)
 }
@@ -189,7 +192,10 @@ func (b *rbNode) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
 // TestVotesByReferenceOverTCP: over loopback TCP, where every message
 // arrives decoded from its encoding, votes go by reference — a vote by
 // reference carries no digest on the wire — and every host still
-// delivers every slot, with the payload its source broadcast.
+// delivers every slot, with the payload its source broadcast, with no
+// encode error. A READY by reference names the digest its voter echoed,
+// and TCP links are FIFO, so its voter's ECHO always arrives first: no
+// host ever holds one.
 func TestVotesByReferenceOverTCP(t *testing.T) {
 	const n, slots = 4, 30
 	trust := quorum.NewThreshold(n, 1)
@@ -223,10 +229,10 @@ func TestVotesByReferenceOverTCP(t *testing.T) {
 			}
 		}
 	}
-	refs := 0
+	refs, ready, held := 0, 0, 0
 	for i, h := range cluster.Hosts {
 		h.Inspect(func() {
-			refs += raw[i].refs
+			refs, ready, held = refs+raw[i].refs, ready+raw[i].ready, held+raw[i].arb.Held()
 			for s, p := range raw[i].delivered {
 				if want := fmt.Sprintf("p%d/%d", s.Src, s.Seq); p != want {
 					t.Errorf("host %d delivered %q in %v, want %q", i, p, s, want)
@@ -234,13 +240,16 @@ func TestVotesByReferenceOverTCP(t *testing.T) {
 			}
 		})
 	}
-	if refs == 0 {
-		t.Fatal("no vote crossed TCP by reference")
+	if refs == 0 || ready == 0 {
+		t.Fatalf("%d votes crossed TCP by reference, %d of them READYs; want some of each", refs, ready)
+	}
+	if held != 0 {
+		t.Fatalf("hosts held %d READYs by reference over FIFO links, want 0", held)
 	}
 	if e := cluster.Stats().EncodeErrors; e != 0 {
 		t.Fatalf("%d messages could not be encoded", e)
 	}
-	t.Logf("%d votes crossed TCP by reference", refs)
+	t.Logf("%d votes crossed TCP by reference, %d of them READYs; none held", refs, ready)
 }
 
 func TestHostCloseIdempotentAndClean(t *testing.T) {
