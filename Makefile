@@ -77,8 +77,11 @@ flaky:
 scenarios:
 	$(GO) run ./cmd/experiments -run scenarios
 
+# go vet, then gofmt over the whole tree, bench/ included: any file gofmt
+# would change is listed and fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # The repository benchmark: all four BENCHMARK.json workloads, each in its
 # own process and ending in one JSON line of end-to-end metrics (see

@@ -1,6 +1,6 @@
 // Command experiments regenerates every figure and quantitative claim of
 // the paper "DAG-based Consensus with Asymmetric Trust", and drives the
-// individual protocols through four subcommands.
+// individual protocols through three subcommands.
 //
 // Usage:
 //
@@ -10,7 +10,6 @@
 //	experiments gather -proto three -system threshold -n 7 -f 2 -v
 //	experiments quorum -system counterexample -faulty 3,17,29 -kernels
 //	experiments quorum -system random -n 10 -search 500
-//	experiments flood -n 50 -rounds 200 -size 256
 //
 // The multi-seed experiments, rider and quorum -search fan their runs out
 // over GOMAXPROCS goroutines through sim.Sweep; their output is the same
@@ -37,7 +36,6 @@ var subcommands = map[string]func(args []string, stdout io.Writer) int{
 	"rider":  runRider,
 	"gather": runGather,
 	"quorum": runQuorum,
-	"flood":  runFlood,
 }
 
 func main() {

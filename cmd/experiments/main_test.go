@@ -27,7 +27,6 @@ func TestSubcommands(t *testing.T) {
 		{[]string{"gather", "-system", "threshold", "-n", "4", "-f", "1"}, 0, "delivered=4/4"},
 		{[]string{"quorum"}, 0, "system: counterexample"},
 		{[]string{"quorum", "-search", "3"}, 0, "built: 3/3"},
-		{[]string{"flood", "-n", "2", "-rounds", "1"}, 0, "delivered: 4 msgs"},
 		{[]string{"-run", "fig1"}, 0, "=== fig1"},
 		{[]string{"rider", "-kind", "bogus"}, 2, ""},
 		{[]string{"rider", "-n", "3", "-f", "1"}, 2, ""},
@@ -42,7 +41,6 @@ func TestSubcommands(t *testing.T) {
 		{[]string{"rider", "-waves", "0"}, 2, ""},
 		{[]string{"gather", "-seeds", "-2"}, 2, ""},
 		{[]string{"quorum", "-search", "-3"}, 2, ""},
-		{[]string{"flood", "-size", "-5"}, 2, ""},
 		{[]string{"-workers", "2"}, 2, ""},
 		{[]string{"-delivery-workers", "2"}, 2, ""},
 		{[]string{"rider", "-workers", "2"}, 2, ""},

@@ -121,7 +121,12 @@
 //     registers a tagged codec built on canonical uvarints, length-
 //     prefixed strings and the raw bitset words types.Set already
 //     carries; reliable broadcast has seven (SEND, ECHO, READY, ECHO and
-//     READY by reference, FETCH and its reply) plus broadcast.Bytes. The
+//     READY by reference, FETCH and its reply) plus broadcast.Bytes. A
+//     vertex names its strong edges, which all point into the previous
+//     round, as a bitmap of their sources (5 bytes on Fig. 1's 30
+//     processes, against ≈56 as [source][round] refs), and a vertex whose
+//     strong edges are not distinct ascending sources in that round has
+//     no wire form. The
 //     simulator prices a message sent to another process by that encoding
 //     (sim.MessageSize) and a self-send at nothing, as TCP does, and counts
 //     a send it cannot encode only as an encode error, as TCP drops it, so
@@ -192,7 +197,7 @@
 // prints the log every process agrees on. The other Example functions show
 // the Appendix A counterexample, federated trust, the fault model and the
 // replicated service. See cmd/experiments for the paper-reproduction
-// harness (-list prints the experiment index) and its rider, gather,
-// quorum and flood subcommands, and bench/README.md for the repository
+// harness (-list prints the experiment index) and its rider, gather and
+// quorum subcommands, and bench/README.md for the repository
 // benchmark and its metrics.
 package asymdag

@@ -49,7 +49,7 @@ func ExampleNewCluster() {
 		fmt.Printf("%3d. %s\n", i+1, tx)
 	}
 	// Output:
-	// network: 4734 messages, 74457 bytes, virtual time 1918
+	// network: 4734 messages, 71652 bytes, virtual time 1918
 	// orders agree across all processes: true
 	//
 	// p1: committed 8 waves, reached round 40, delivered 6 txs

@@ -204,7 +204,11 @@ func Genesis(n int) []*dag.Vertex {
 //     makes a repeated ref adjacent, so one pass rejects duplicates.
 //
 // A vertex that fails is dropped: its edges come off the wire, and a
-// source outside [0, n) would index past the DAG's rows.
+// source outside [0, n) would index past the DAG's rows. A decoded vertex
+// meets the strong-edge rule but for the bound n by construction, since
+// the wire names strong edges as a bitmap over round−1 (dag/wire.go); the
+// rule still guards the vertices handed over in process, as the
+// simulator does without the codec.
 func CheckVertex(v *dag.Vertex, slot broadcast.Slot, strong *types.Set) bool {
 	n := strong.UniverseSize()
 	if v.Source != slot.Src || v.Round != int(slot.Seq) || v.Round < 1 || v.Source < 0 || int(v.Source) >= n ||

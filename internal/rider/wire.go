@@ -20,7 +20,7 @@ func init() {
 			if v == nil {
 				return dst, fmt.Errorf("rider: cannot encode VertexPayload with nil vertex")
 			}
-			return dag.AppendWire(dst, v), nil
+			return dag.AppendWire(dst, v)
 		},
 		Decode: func(b []byte) (any, []byte, error) {
 			v, rest, err := dag.DecodeWire(b)

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -29,9 +30,27 @@ func randomRefs(rng *rand.Rand, n int) []dag.VertexRef {
 	return refs
 }
 
+// randomStrong returns n strong edges of the shape the codec carries:
+// distinct ascending sources below universe, all at round.
+func randomStrong(rng *rand.Rand, n, universe, round int) []dag.VertexRef {
+	if n == 0 {
+		return nil
+	}
+	srcs := rng.Perm(universe)[:n]
+	slices.Sort(srcs)
+	refs := make([]dag.VertexRef, n)
+	for i, s := range srcs {
+		refs[i] = dag.VertexRef{Source: types.ProcessID(s), Round: round}
+	}
+	return refs
+}
+
 // TestVertexWireRoundTrip is the rider slice of the differential wire
-// suite: randomized vertices round-trip byte-identically and the
-// simulator's byte metric equals the real frame length.
+// suite: randomized vertices of the shape the codec carries (ascending
+// distinct strong sources at Round−1, and Round ≥ 1 wherever there are
+// strong edges) round-trip byte-identically and the simulator's byte
+// metric equals the real frame length. Sources range up to 5 000, so the
+// bitmap's length takes one varint byte or two.
 func TestVertexWireRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < 300; i++ {
@@ -39,11 +58,16 @@ func TestVertexWireRoundTrip(t *testing.T) {
 		for k, count := 0, rng.Intn(5); k < count; k++ {
 			block = append(block, fmt.Sprintf("tx-%d-%d", i, k))
 		}
+		round := rng.Intn(1000)
+		strong := 0
+		if round >= 1 {
+			strong = rng.Intn(6)
+		}
 		v := &dag.Vertex{
 			Source:      types.ProcessID(rng.Intn(100)),
-			Round:       rng.Intn(1000),
+			Round:       round,
 			Block:       block,
-			StrongEdges: randomRefs(rng, rng.Intn(6)),
+			StrongEdges: randomStrong(rng, strong, []int{8, 100, 5000}[rng.Intn(3)], round-1),
 			WeakEdges:   randomRefs(rng, rng.Intn(4)),
 		}
 		msg := VertexPayload{V: v}
@@ -71,6 +95,63 @@ func TestVertexWireRoundTrip(t *testing.T) {
 		re, err := wire.Marshal(dec)
 		if err != nil || !bytes.Equal(enc, re) {
 			t.Fatalf("re-encode differs (%v)", err)
+		}
+	}
+}
+
+// TestVertexWireOutOfShape: a vertex whose strong edges are not distinct
+// ascending sources in [0, wire.MaxUniverse), all at Round−1, has no wire
+// form. Marshal fails and the digest is the zero digest, sealed or not.
+func TestVertexWireOutOfShape(t *testing.T) {
+	for name, v := range map[string]*dag.Vertex{
+		"duplicate":             {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: 0, Round: 4}, {Source: 2, Round: 4}, {Source: 2, Round: 4}}},
+		"unordered pair":        {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: 2, Round: 4}, {Source: 0, Round: 4}}},
+		"wrong round":           {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: 0, Round: 4}, {Source: 2, Round: 3}}},
+		"negative source":       {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: -1, Round: 4}, {Source: 2, Round: 4}}},
+		"source MaxUniverse":    {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: 0, Round: 4}, {Source: wire.MaxUniverse, Round: 4}}},
+		"strong edges, round 0": {Source: 1, Round: 0, StrongEdges: []dag.VertexRef{{Source: 0, Round: -1}}},
+	} {
+		if enc, err := wire.Marshal(VertexPayload{V: v}); err == nil {
+			t.Errorf("%s: marshalled to % x", name, enc)
+		}
+		if d := (VertexPayload{V: v}).Digest(); d != ([32]byte{}) {
+			t.Errorf("%s: digest %x, want zero", name, d)
+		}
+		if d := NewVertexPayload(v).Digest(); d != ([32]byte{}) {
+			t.Errorf("%s: sealed digest %x, want zero", name, d)
+		}
+	}
+}
+
+// vertexFrame returns a vertex frame by hand: source 1, the given round,
+// no txs, then the strong-edge bytes given, then no weak edges.
+func vertexFrame(round byte, strong ...byte) []byte {
+	return append(append([]byte{dag.WireTag, 1, round, 0}, strong...), 0)
+}
+
+// TestVertexWireBitmap: a strong-edge bitmap decodes to edges in
+// ascending source order, all at round−1. A bitmap may name any source
+// below wire.MaxUniverse, so a decoded vertex can have a strong edge to a
+// source the system does not have; CheckVertex drops it.
+func TestVertexWireBitmap(t *testing.T) {
+	msg, rest, err := wire.Decode(vertexFrame(5, 2, 0x05, 0x80))
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("canonical frame rejected: %v", err)
+	}
+	want := []dag.VertexRef{{Source: 0, Round: 4}, {Source: 2, Round: 4}, {Source: 15, Round: 4}}
+	if got := msg.(VertexPayload).V.StrongEdges; !reflect.DeepEqual(got, want) {
+		t.Fatalf("strong edges %v, want %v", got, want)
+	}
+	const n = 4
+	slot := broadcast.Slot{Src: 1, Seq: 5}
+	for bitmap, ok := range map[byte]bool{0x0b: true, 0x1b: false} { // {0, 1, 3}; {0, 1, 3, 4}
+		msg, _, err := wire.Decode(vertexFrame(5, 1, bitmap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := types.NewSet(n)
+		if got := CheckVertex(msg.(VertexPayload).V, slot, &s); got != ok {
+			t.Errorf("bitmap %#x at n=%d: CheckVertex %v, want %v", bitmap, n, got, ok)
 		}
 	}
 }
@@ -190,7 +271,11 @@ func TestVertexWireNilNotEncodable(t *testing.T) {
 	}
 }
 
-// TestVertexWireRejectsMalformed bounds adversarial vertex bodies.
+// TestVertexWireRejectsMalformed bounds adversarial vertex bodies. The
+// decoder takes only the strong-edge bitmap the encoder writes: not one
+// with a trailing zero byte (a second spelling of the same edges), on
+// round 0, with a length past the frame or past wire.MaxUniverse/8 (with
+// the bytes present), or with its length spelled the long way.
 func TestVertexWireRejectsMalformed(t *testing.T) {
 	frame := func(body []byte) []byte {
 		return append(wire.AppendUvarint(nil, dag.WireTag), body...)
@@ -200,11 +285,18 @@ func TestVertexWireRejectsMalformed(t *testing.T) {
 	huge = wire.AppendUvarint(huge, wire.MaxCount+1) // tx count
 	over := wire.AppendInt(nil, 1)                   // source
 	over = wire.AppendUvarint(over, 1<<30+1)         // round, past dag's bound
+	overCap := wire.AppendUvarint(nil, wire.MaxUniverse/8+1)
+	overCap = append(overCap, bytes.Repeat([]byte{0xFF}, wire.MaxUniverse/8+1)...)
 	cases := map[string][]byte{
-		"empty":          frame(nil),
-		"huge tx count":  frame(huge),
-		"round too big":  frame(over),
-		"truncated refs": frame(append(wire.AppendInt(wire.AppendInt(wire.AppendInt(nil, 1), 1), 0), wire.AppendUvarint(nil, 5)...)),
+		"empty":                frame(nil),
+		"huge tx count":        frame(huge),
+		"round too big":        frame(over),
+		"trailing zero byte":   vertexFrame(5, 2, 0x05, 0x00),
+		"bitmap on round 0":    vertexFrame(0, 1, 0x01),
+		"k past the frame":     vertexFrame(5, 5, 0x01),
+		"k past MaxUniverse/8": vertexFrame(5, overCap...),
+		"non-minimal k":        vertexFrame(5, 0x81, 0x00, 0x01),
+		"k = 0 spelled long":   vertexFrame(5, 0x80, 0x00),
 	}
 	for name, b := range cases {
 		if _, _, err := wire.Decode(b); err == nil {
@@ -213,16 +305,17 @@ func TestVertexWireRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestVertexWireHostileCounts: a frame whose tx, strong or weak count is
-// wire.MaxCount with nothing behind it is rejected before the decoder
-// allocates for the count. Each count must fit the bytes that remain, so
-// a 6-byte frame cannot make the decoder allocate 16 MiB.
+// TestVertexWireHostileCounts: a frame whose tx or weak count is
+// wire.MaxCount, or whose strong-edge bitmap length is wire.MaxUniverse/8,
+// with nothing behind it is rejected before the decoder allocates for the
+// count. Each count must fit the bytes that remain, so a 6-byte frame
+// cannot make the decoder allocate 16 MiB.
 func TestVertexWireHostileCounts(t *testing.T) {
 	maxCount := wire.AppendUvarint(nil, wire.MaxCount)
 	frames := map[string][]byte{
-		"tx count":     append([]byte{dag.WireTag, 1, 1}, maxCount...),
-		"strong count": append([]byte{dag.WireTag, 1, 1, 0}, maxCount...),
-		"weak count":   append([]byte{dag.WireTag, 1, 1, 0, 0}, maxCount...),
+		"tx count":      append([]byte{dag.WireTag, 1, 1}, maxCount...),
+		"bitmap length": append([]byte{dag.WireTag, 1, 1, 0}, wire.AppendUvarint(nil, wire.MaxUniverse/8)...),
+		"weak count":    append([]byte{dag.WireTag, 1, 1, 0, 0}, maxCount...),
 	}
 	for name, frame := range frames {
 		var err error
@@ -353,7 +446,7 @@ func TestVertexWireRejectsNonMinimal(t *testing.T) {
 		b = append(b, dag.WireTag, 1)
 		b = append(b, round...)
 		b = append(b, 1, 2, 't', 'x') // one tx
-		return append(b, 1, 0, 4, 0)  // one strong edge, no weak edge
+		return append(b, 1, 0x01, 0)  // a 1-byte bitmap, source 0; no weak edge
 	}
 	msg, rest, err := wire.Decode(send([]byte{5}))
 	if err != nil || len(rest) != 0 {

@@ -141,10 +141,11 @@ func FuzzDecodeBatch(f *testing.F) {
 		tagEchoR  = 16 // broadcast ECHO by reference: [slot]
 		tagReadyR = 17 // broadcast READY by reference: [slot]
 		tagPairs  = 36 // gather.Pairs
-		tagVertex = 50 // rider.VertexPayload: [source][round][txs][strong][weak]
+		tagVertex = 50 // rider.VertexPayload: [source][round][txs][strong bitmap][weak]
 	)
+	maxBitmap := wire.AppendUvarint(nil, wire.MaxUniverse/8)
 	f.Add(record(append([]byte{tagVertex, 1, 1}, maxCount...)...))                // tx count
-	f.Add(record(append([]byte{tagVertex, 1, 1, 0}, maxCount...)...))             // strong edge count
+	f.Add(record(append([]byte{tagVertex, 1, 1, 0}, maxBitmap...)...))            // strong-edge bitmap length
 	f.Add(record(append([]byte{tagVertex, 1, 1, 0, 0}, maxCount...)...))          // weak edge count
 	f.Add(record(append([]byte{tagSend, 1, 1, tagVertex, 1, 1}, maxCount...)...)) // tx count, nested in a SEND
 	f.Add(record(append([]byte{tagVertex, 1, 1, 1}, maxLen...)...))               // tx string length
@@ -154,6 +155,11 @@ func FuzzDecodeBatch(f *testing.F) {
 	// Pairs at wire.MaxUniverse with every word present: a legitimate
 	// frame whose 16 MiB value table is 131× its bytes.
 	f.Add(record(append(append([]byte{tagPairs}, maxUniverse...), make([]byte, wire.MaxUniverse/8)...)...))
+	// A vertex whose strong-edge bitmap is all ones at its cap: a
+	// legitimate frame of 2^20 strong edges, 128 bytes of edges per
+	// bitmap byte.
+	ones := append(append([]byte{tagVertex, 1, 1, 0}, maxBitmap...), bytes.Repeat([]byte{0xFF}, wire.MaxUniverse/8)...)
+	f.Add(record(append(ones, 0)...))
 	// 200 ECHO/READY records, full and by reference: decoding them rolls
 	// the shared vote chunk over, inside the bound.
 	var votes []byte

@@ -5,10 +5,13 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	asymdag "repro"
+	"repro/internal/rider"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // fifo is the latency of the runs below. It is fixed per link, so each
@@ -23,28 +26,54 @@ var fifo = sim.LatencyFunc(func(from, to asymdag.ProcessID, _ sim.Message, _ sim
 // runRecord is what a run shows: the network's message and delivery
 // counts, its end time, a digest of every process's output (ordered log,
 // commits and round, or service snapshots and final state), its bytes, and
-// the ECHOs and READYs that went by reference.
+// the ECHOs and READYs that went by reference. bitmapSaved is counted, not
+// recorded: see bitmapSavings.
 type runRecord struct {
 	sent, delivered     int
 	end                 int64
 	output              string
 	bytes               int
 	echoRefs, readyRefs int
+	bitmapSaved         int
 }
 
 // record reads a run's figures out of its metrics and output digest.
-func record(m *sim.Metrics, end sim.VirtualTime, output []byte) runRecord {
+func record(m *sim.Metrics, end sim.VirtualTime, output []byte, bitmapSaved int) runRecord {
 	sum := sha256.Sum256(output)
 	return runRecord{
 		sent: m.MessagesSent, delivered: m.MessagesDelivered, end: int64(end),
 		output: hex.EncodeToString(sum[:8]), bytes: m.BytesSent,
 		echoRefs: m.ByType["broadcast.echoRefMsg"], readyRefs: m.ByType["broadcast.readyRefMsg"],
+		bitmapSaved: bitmapSaved,
+	}
+}
+
+// bitmapSavings returns fifo, which also adds to *saved, for each send of
+// a vertex to another process (a SEND or a fetch reply, whose Payload is
+// a rider.VertexPayload), what its strong edges took as a counted list of
+// [source][round] refs less what they take as a counted bitmap.
+func bitmapSavings(saved *int) sim.LatencyFunc {
+	return func(from, to asymdag.ProcessID, msg sim.Message, now sim.VirtualTime, rng *rand.Rand) sim.VirtualTime {
+		if m := reflect.ValueOf(msg); from != to && m.Kind() == reflect.Struct {
+			if f := m.FieldByName("Payload"); f.IsValid() {
+				if p, ok := f.Interface().(rider.VertexPayload); ok {
+					list, k := wire.UvarintSize(uint64(len(p.V.StrongEdges))), 0
+					for _, e := range p.V.StrongEdges {
+						list += wire.UvarintSize(uint64(e.Source)) + wire.UvarintSize(uint64(e.Round))
+						k = int(e.Source)/8 + 1
+					}
+					*saved += list - wire.UvarintSize(uint64(k)) - k
+				}
+			}
+		}
+		return fifo(from, to, msg, now, rng)
 	}
 }
 
 // clusterRecord is ExampleNewCluster's run over FIFO links.
 func clusterRecord() runRecord {
-	cluster := asymdag.NewCluster(asymdag.ClusterConfig{Trust: asymdag.NewThreshold(4, 1), NumWaves: 10, Seed: 42, CoinSeed: 7, Latency: fifo})
+	var saved int
+	cluster := asymdag.NewCluster(asymdag.ClusterConfig{Trust: asymdag.NewThreshold(4, 1), NumWaves: 10, Seed: 42, CoinSeed: 7, Latency: bitmapSavings(&saved)})
 	cluster.Submit(0, "alice->bob:5", "alice->carol:2")
 	cluster.Submit(1, "bob->dave:1")
 	cluster.Submit(2, "carol->alice:9", "dave->bob:4")
@@ -55,12 +84,13 @@ func clusterRecord() runRecord {
 		nr := res.Nodes[asymdag.ProcessID(p)]
 		out = fmt.Appendf(out, "%d %q %v %d\n", p, nr.Blocks, nr.Commits, nr.Round)
 	}
-	return record(res.Metrics, res.EndTime, out)
+	return record(res.Metrics, res.EndTime, out, saved)
 }
 
 // serviceRecord is a Fig. 1 service run, seed 1, over FIFO links.
 func serviceRecord() runRecord {
-	cfg := asymdag.ServiceConfig{Trust: asymdag.Counterexample(), Seed: 1, CoinSeed: 2, StopAfterWaves: 4, Latency: fifo}
+	var saved int
+	cfg := asymdag.ServiceConfig{Trust: asymdag.Counterexample(), Seed: 1, CoinSeed: 2, StopAfterWaves: 4, Latency: bitmapSavings(&saved)}
 	res := asymdag.RunService(cfg)
 	var out []byte
 	for p := 0; p < cfg.Trust.N(); p++ {
@@ -70,7 +100,7 @@ func serviceRecord() runRecord {
 		}
 		out = fmt.Appendf(out, "%d %x\n", p, rep.FinalState)
 	}
-	return record(res.Metrics, res.EndTime, out)
+	return record(res.Metrics, res.EndTime, out, saved)
 }
 
 // TestVotesByReferenceSaveOnlyDigestBytes is the byte-accounting oracle
@@ -83,7 +113,10 @@ func serviceRecord() runRecord {
 // (some in each run, so their bytes are covered too) are the recorded
 // ones, and the bytes are the recorded ones less exactly
 // 32 for each READY that moved from full to by-reference form, net of
-// those that moved the other way.
+// those that moved the other way. Since then a vertex's strong edges
+// also travel as a bitmap over round−1 instead of a list of refs, so the
+// bytes are also less what that saved on each send of a vertex to
+// another process, which the run's latency function counts.
 func TestVotesByReferenceSaveOnlyDigestBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -99,9 +132,10 @@ func TestVotesByReferenceSaveOnlyDigestBytes(t *testing.T) {
 				tc.name, got.sent, got.delivered, got.end, got.output, tc.was.sent, tc.was.delivered, tc.was.end, tc.was.output)
 		}
 		moved := got.readyRefs - tc.was.readyRefs
-		if got.echoRefs != tc.was.echoRefs || got.echoRefs == 0 || moved <= 0 || got.bytes != tc.was.bytes-32*moved {
-			t.Errorf("%s: %d bytes, %d ECHOs and %d READYs by reference; want the recorded %d (> 0) ECHOs, more than the recorded %d READYs, and the recorded %d bytes less 32 per READY moved to by-reference form (%d)",
-				tc.name, got.bytes, got.echoRefs, got.readyRefs, tc.was.echoRefs, tc.was.readyRefs, tc.was.bytes, tc.was.bytes-32*moved)
+		want := tc.was.bytes - 32*moved - got.bitmapSaved
+		if got.echoRefs != tc.was.echoRefs || got.echoRefs == 0 || moved <= 0 || got.bitmapSaved <= 0 || got.bytes != want {
+			t.Errorf("%s: %d bytes, %d ECHOs and %d READYs by reference, %d bytes saved by strong-edge bitmaps; want the recorded %d (> 0) ECHOs, more than the recorded %d READYs, some bytes saved, and the recorded %d bytes less 32 per READY moved to by-reference form and less the bitmaps' saving (%d)",
+				tc.name, got.bytes, got.echoRefs, got.readyRefs, got.bitmapSaved, tc.was.echoRefs, tc.was.readyRefs, tc.was.bytes, want)
 		}
 	}
 }
