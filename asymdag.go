@@ -220,6 +220,6 @@ func NewConsensusNode(cfg ConsensusConfig) *ConsensusNode { return core.NewNode(
 
 // NewTCPCluster builds (without starting) a loopback TCP mesh running the
 // given protocol nodes; see ExampleNewTCPCluster.
-func NewTCPCluster(nodes []FaultBehavior, seed int64) (*TCPCluster, error) {
-	return transport.NewLocalCluster(nodes, seed)
+func NewTCPCluster(nodes []FaultBehavior) (*TCPCluster, error) {
+	return transport.NewLocalCluster(nodes, 0)
 }

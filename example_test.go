@@ -477,7 +477,7 @@ func ExampleNewTCPCluster() {
 		raw[i] = nd
 	}
 
-	cluster, err := asymdag.NewTCPCluster(nodes, 1)
+	cluster, err := asymdag.NewTCPCluster(nodes)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -86,8 +86,8 @@
 // kernel that blocks R2 lies inside U_j, so the totality argument above
 // holds word for word, and R2 asks at most |U_j| voters per digest instead
 // of n−1. Under threshold trust, and wherever every process lies in a
-// quorum of every other, the audience is everyone and a vote is one
-// env.Broadcast as before. On the paper's Fig. 1 system each process has
+// quorum of every other, the audience is everyone (nil) and a vote goes
+// to every process as before. On the paper's Fig. 1 system each process has
 // a single quorum of 6, so a slot's ECHOs cross 169 links instead of all
 // 870, and its READYs likewise (a copy to the voter itself crosses none). A process need not lie in its own quorum (19 of
 // Fig. 1's 30 do not), so it may never hear its own vote, and nothing
@@ -521,7 +521,7 @@ func NewReliable(self types.ProcessID, trust quorum.Assumption, deliver Deliver)
 
 // Broadcast implements Broadcaster.
 func (r *Reliable) Broadcast(env sim.Env, seq uint64, payload Payload) {
-	env.Broadcast(sendMsg{newSend(Slot{Src: r.self, Seq: seq}, payload)})
+	sim.Multicast(env, sim.Cast{Msg: sendMsg{newSend(Slot{Src: r.self, Seq: seq}, payload)}})
 }
 
 // open returns slot s, creating its row on first use, or nil when s lies
@@ -1024,7 +1024,7 @@ func NewPlain(self types.ProcessID, deliver Deliver) *Plain {
 
 // Broadcast implements Broadcaster.
 func (p *Plain) Broadcast(env sim.Env, seq uint64, payload Payload) {
-	env.Broadcast(sendMsg{newSend(Slot{Src: p.self, Seq: seq}, payload)})
+	sim.Multicast(env, sim.Cast{Msg: sendMsg{newSend(Slot{Src: p.self, Seq: seq}, payload)}})
 }
 
 // Handle implements Broadcaster.

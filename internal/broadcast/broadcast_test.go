@@ -2,7 +2,6 @@ package broadcast
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"testing"
 	"unsafe"
@@ -57,8 +56,8 @@ func (e equivocator) Init(env sim.Env) {
 	}
 	if e.votes {
 		for _, d := range []Digest{a.Digest(), b.Digest()} {
-			env.Broadcast(echoMsg{&vote{Slot: slot, Digest: d}})
-			env.Broadcast(readyMsg{&vote{Slot: slot, Digest: d}})
+			sim.Multicast(env, sim.Cast{Msg: echoMsg{&vote{Slot: slot, Digest: d}}})
+			sim.Multicast(env, sim.Cast{Msg: readyMsg{&vote{Slot: slot, Digest: d}}})
 		}
 	}
 }
@@ -266,7 +265,7 @@ func TestReliableWithCrashesInFailProneSet(t *testing.T) {
 		inputs[i] = Bytes(fmt.Sprintf("v%d", i))
 	}
 	nodes := reliableCluster(n, sys, inputs)
-	nodes[victim] = &sim.CrashNode{Inner: nodes[victim], CrashAt: 0}
+	nodes[victim] = sim.MuteNode{}
 	r := sim.NewRunner(sim.Config{N: n, Seed: 3, Latency: sim.UniformLatency{Min: 1, Max: 15}}, nodes)
 	r.Run(0)
 	for i, nd := range nodes {
@@ -407,8 +406,6 @@ func (e pruneEnv) Self() types.ProcessID             { return e.self }
 func (e pruneEnv) N() int                            { return e.n }
 func (e pruneEnv) Now() sim.VirtualTime              { return 0 }
 func (e pruneEnv) Send(types.ProcessID, sim.Message) {}
-func (e pruneEnv) Broadcast(sim.Message)             {}
-func (e pruneEnv) Rand() *rand.Rand                  { return rand.New(rand.NewSource(1)) }
 
 // TestPruneBelowAllBroadcasters pins the bounded-memory contract for both
 // primitives uniformly: slots below the watermark are discarded, late
@@ -502,12 +499,6 @@ type queuedMsg struct {
 
 func (e queueEnv) Send(to types.ProcessID, msg sim.Message) {
 	*e.queue = append(*e.queue, queuedMsg{from: e.self, to: to, msg: msg})
-}
-
-func (e queueEnv) Broadcast(msg sim.Message) {
-	for to := 0; to < e.n; to++ {
-		e.Send(types.ProcessID(to), msg)
-	}
 }
 
 // TestReliableDigestCallsPerMessage pins what a slot costs in Digest

@@ -128,6 +128,19 @@ func TestPartitionHealLiveness(t *testing.T) {
 	checkAll(t, res, types.FullSet(4))
 }
 
+// crashAt fail-stops its node at virtual time at: from then on it
+// handles, and so sends, nothing.
+type crashAt struct {
+	sim.Node
+	at sim.VirtualTime
+}
+
+func (c crashAt) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
+	if env.Now() < c.at {
+		c.Node.Receive(env, from, msg)
+	}
+}
+
 // TestMidRunCrash: a process that fail-stops mid-execution (after the run
 // is underway) is just another tolerated fault.
 func TestMidRunCrash(t *testing.T) {
@@ -145,7 +158,7 @@ func TestMidRunCrash(t *testing.T) {
 		nodes[i] = nd
 		raw[i] = nd
 	}
-	nodes[3] = &sim.CrashNode{Inner: nodes[3], CrashAt: 200}
+	nodes[3] = crashAt{Node: nodes[3], at: 200}
 	r := sim.NewRunner(sim.Config{N: 4, Seed: 21, Latency: sim.UniformLatency{Min: 1, Max: 20}}, nodes)
 	r.Run(0)
 	for i := 0; i < 3; i++ {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/coin"
@@ -23,8 +22,6 @@ func (e recordEnv) Self() types.ProcessID                   { return e.self }
 func (e recordEnv) N() int                                  { return e.n }
 func (e recordEnv) Now() sim.VirtualTime                    { return 0 }
 func (e recordEnv) Send(_ types.ProcessID, msg sim.Message) { *e.sent = append(*e.sent, msg) }
-func (e recordEnv) Broadcast(msg sim.Message)               { *e.sent = append(*e.sent, msg) }
-func (e recordEnv) Rand() *rand.Rand                        { return rand.New(rand.NewSource(1)) }
 
 // TestStaleControlIgnored: once a node proposes into wave w it drops wave
 // w−2's gate. Late ACK, READY and CONFIRM traffic naming a dropped wave —

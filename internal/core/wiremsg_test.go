@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -62,8 +61,6 @@ func (e countEnv) Self() types.ProcessID             { return e.self }
 func (e countEnv) N() int                            { return e.n }
 func (e countEnv) Now() sim.VirtualTime              { return 0 }
 func (e countEnv) Send(types.ProcessID, sim.Message) { *e.sent++ }
-func (e countEnv) Broadcast(sim.Message)             { *e.sent++ }
-func (e countEnv) Rand() *rand.Rand                  { return nil }
 
 // TestControlMessagesAllocFreeAtHighWave: a control message of wave 1000
 // costs no allocation to encode, decode and Receive. A struct holding a

@@ -12,10 +12,15 @@
 // layout of types.Set's words. k is 0 when there are no strong edges, and
 // otherwise the last byte is non-zero. A vertex whose strong edges are not
 // distinct ascending sources in [0, wire.MaxUniverse), all at Round−1, has
-// no wire form: AppendWire reports an error and its digest is the zero
-// digest, which a payload without a vertex already has. That costs nothing
-// a correct process needs: every such vertex fails CheckVertex's
-// strong-edge rule, so a correct process drops it whatever its digest.
+// no wire form, and neither has one with a negative source or round, in
+// itself or in a weak edge, which no varint carries: AppendWire reports an
+// error and its digest is the zero digest, which a payload without a
+// vertex already has. That costs nothing a correct process needs: every
+// such vertex fails CheckVertex, by its strong-edge rule or because a
+// correct vertex names sources in [0, n) and rounds ≥ 0, so a correct
+// process drops it whatever its digest. A Byzantine process can hand such
+// a vertex to the others in process, as the simulator does, so hashing it
+// must not panic.
 //
 // Counts and rounds are bounded on decode — vertices arrive from the
 // network, possibly from Byzantine peers. k is at most wire.MaxUniverse/8,
@@ -100,13 +105,21 @@ func (v *Vertex) digest() Digest {
 // errStrongShape reports a vertex whose strong edges have no wire form.
 var errStrongShape = errors.New("dag: strong edges are not distinct ascending sources at round−1")
 
+// errNegative reports a vertex with a negative source or round, which no
+// varint carries.
+var errNegative = errors.New("dag: negative source or round")
+
 // AppendWire appends v's wire body to dst. It reports an error, and
 // appends nothing, if v's strong edges are not distinct ascending sources
-// in [0, wire.MaxUniverse), all at v.Round−1.
+// in [0, wire.MaxUniverse), all at v.Round−1, or if v's source or round,
+// or a weak edge's, is negative.
 func AppendWire(dst []byte, v *Vertex) ([]byte, error) {
 	k, ok := strongBitmapLen(v)
 	if !ok {
 		return dst, errStrongShape
+	}
+	if !nonNegative(v) {
+		return dst, errNegative
 	}
 	dst = wire.AppendInt(dst, int(v.Source))
 	dst = wire.AppendInt(dst, v.Round)
@@ -143,6 +156,20 @@ func strongBitmapLen(v *Vertex) (int, bool) {
 		last = int(e.Source)
 	}
 	return (last + 8) / 8, true
+}
+
+// nonNegative reports whether v's source and round and those of its weak
+// edges are all ≥ 0.
+func nonNegative(v *Vertex) bool {
+	if v.Source < 0 || v.Round < 0 {
+		return false
+	}
+	for _, r := range v.WeakEdges {
+		if r.Source < 0 || r.Round < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // DecodeWire parses one vertex body from the front of b and returns the

@@ -85,7 +85,7 @@ func (n *BindingNode) afterInner(env sim.Env) {
 		return
 	}
 	n.sentU = true
-	env.Broadcast(distUMsg{From: n.inner.self, U: u.Clone()})
+	sim.Multicast(env, sim.Cast{Msg: distUMsg{From: n.inner.self, U: u.Clone()}})
 }
 
 func (n *BindingNode) acceptU(from types.ProcessID, u Pairs) {

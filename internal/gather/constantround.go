@@ -123,20 +123,20 @@ func (n *ConstantRoundNode) Receive(env sim.Env, from types.ProcessID, msg sim.M
 		}
 	case ackMsg:
 		if n.gate.Ack(from) {
-			env.Broadcast(readyMsg{})
+			sim.Multicast(env, sim.Cast{Msg: readyMsg{}})
 		}
 	case readyMsg:
 		if n.gate.Ready(from) {
-			env.Broadcast(confirmMsg{})
+			sim.Multicast(env, sim.Cast{Msg: confirmMsg{}})
 		}
 	case confirmMsg:
 		confirm, opened := n.gate.Confirm(from)
 		if confirm {
-			env.Broadcast(confirmMsg{})
+			sim.Multicast(env, sim.Cast{Msg: confirmMsg{}})
 		}
 		if opened {
 			n.pendingS.clear() // stop acknowledging
-			env.Broadcast(distTMsg{From: n.self, T: n.t.Clone()})
+			sim.Multicast(env, sim.Cast{Msg: distTMsg{From: n.self, T: n.t.Clone()}})
 		}
 	case distTMsg:
 		if m.From != from || !m.T.wireValid(env.N()) {

@@ -352,7 +352,7 @@ type poisonNode struct {
 func (p *poisonNode) Init(env sim.Env) {
 	p.rb = broadcast.NewReliable(env.Self(), p.trust, func(sim.Env, broadcast.Slot, broadcast.Payload) {})
 	p.rb.Broadcast(env, 0, broadcast.Bytes("byzantine-input"))
-	env.Broadcast(distSMsg{From: env.Self(), S: PairsOf(env.N(), map[types.ProcessID]string{p.victim: "FABRICATED"})})
+	sim.Multicast(env, sim.Cast{Msg: distSMsg{From: env.Self(), S: PairsOf(env.N(), map[types.ProcessID]string{p.victim: "FABRICATED"})}})
 }
 
 func (p *poisonNode) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {

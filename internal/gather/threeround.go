@@ -76,7 +76,7 @@ func (c *collector) collect(env sim.Env, src types.ProcessID, value string) bool
 	if !c.sentS && c.sSenders.HasQuorum() {
 		c.sentS = true
 		c.sSnapshot = c.s.Clone()
-		env.Broadcast(distSMsg{From: c.self, S: c.sSnapshot})
+		sim.Multicast(env, sim.Cast{Msg: distSMsg{From: c.self, S: c.sSnapshot}})
 	}
 	return true
 }
@@ -181,7 +181,7 @@ func (n *ThreeRoundNode) Receive(env sim.Env, from types.ProcessID, msg sim.Mess
 		n.sFrom.Add(from)
 		if !n.sentT && n.sFrom.HasQuorum() {
 			n.sentT = true
-			env.Broadcast(distTMsg{From: n.self, T: n.t.Clone()})
+			sim.Multicast(env, sim.Cast{Msg: distTMsg{From: n.self, T: n.t.Clone()}})
 		}
 	case distTMsg:
 		if m.From != from || !m.T.wireValid(env.N()) {

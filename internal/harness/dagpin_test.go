@@ -98,7 +98,8 @@ func (b *malformedVertexSender) Receive(env sim.Env, from types.ProcessID, msg s
 // strong edges cover no quorum, reaches every correct process through
 // reliable broadcast and must be dropped there, by both node kinds,
 // without stalling or crashing anyone. A strong edge to source 99 at n=4
-// used to panic inside types.Set.
+// used to panic inside types.Set, and a weak edge to source −1 inside the
+// vertex digest's varint encoder.
 func TestMalformedVertexEdgesRejected(t *testing.T) {
 	type edit = func([]dag.VertexRef) (strong, weak []dag.VertexRef)
 	edits := []struct {
@@ -113,6 +114,9 @@ func TestMalformedVertexEdgesRejected(t *testing.T) {
 		}},
 		{"weak edge to the strong round", func(s []dag.VertexRef) ([]dag.VertexRef, []dag.VertexRef) {
 			return s[1:], s[:1]
+		}},
+		{"weak source -1", func(s []dag.VertexRef) ([]dag.VertexRef, []dag.VertexRef) {
+			return s, []dag.VertexRef{{Source: -1, Round: 0}}
 		}},
 		// Well shaped, but n−f−1 = 2 strong edges cover no quorum.
 		{"too few strong edges", func(s []dag.VertexRef) ([]dag.VertexRef, []dag.VertexRef) {

@@ -2,7 +2,6 @@ package rider
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -308,8 +307,6 @@ func (e *countEnv) Self() types.ProcessID             { return 0 }
 func (e *countEnv) N() int                            { return e.n }
 func (e *countEnv) Now() sim.VirtualTime              { return 0 }
 func (e *countEnv) Send(types.ProcessID, sim.Message) { e.sent++ }
-func (e *countEnv) Broadcast(sim.Message)             { e.sent++ }
-func (e *countEnv) Rand() *rand.Rand                  { return nil }
 
 // fixedWorkload proposes the same block every round.
 type fixedWorkload []string
@@ -350,8 +347,8 @@ func TestVertexAllocs(t *testing.T) {
 		b.r = 3
 		b.Step(env)
 	})
-	if env.sent-sent != runs+1 || b.r != 4 {
-		t.Fatalf("%d Steps sent %d messages and left round %d, want one vertex each and round 4", runs+1, env.sent-sent, b.r)
+	if env.sent-sent != (runs+1)*n || b.r != 4 {
+		t.Fatalf("%d Steps sent %d messages and left round %d, want one vertex to each of %d processes each and round 4", runs+1, env.sent-sent, b.r, n)
 	}
 	if a > 1 {
 		t.Errorf("creating and broadcasting a vertex allocates %v times, want at most 1", a)

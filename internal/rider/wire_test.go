@@ -100,16 +100,21 @@ func TestVertexWireRoundTrip(t *testing.T) {
 }
 
 // TestVertexWireOutOfShape: a vertex whose strong edges are not distinct
-// ascending sources in [0, wire.MaxUniverse), all at Round−1, has no wire
-// form. Marshal fails and the digest is the zero digest, sealed or not.
+// ascending sources in [0, wire.MaxUniverse), all at Round−1, or with a
+// negative source or round, in itself or in a weak edge, has no wire form.
+// Marshal fails and the digest is the zero digest, sealed or not.
 func TestVertexWireOutOfShape(t *testing.T) {
 	for name, v := range map[string]*dag.Vertex{
-		"duplicate":             {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: 0, Round: 4}, {Source: 2, Round: 4}, {Source: 2, Round: 4}}},
-		"unordered pair":        {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: 2, Round: 4}, {Source: 0, Round: 4}}},
-		"wrong round":           {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: 0, Round: 4}, {Source: 2, Round: 3}}},
-		"negative source":       {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: -1, Round: 4}, {Source: 2, Round: 4}}},
-		"source MaxUniverse":    {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: 0, Round: 4}, {Source: wire.MaxUniverse, Round: 4}}},
-		"strong edges, round 0": {Source: 1, Round: 0, StrongEdges: []dag.VertexRef{{Source: 0, Round: -1}}},
+		"duplicate":              {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: 0, Round: 4}, {Source: 2, Round: 4}, {Source: 2, Round: 4}}},
+		"unordered pair":         {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: 2, Round: 4}, {Source: 0, Round: 4}}},
+		"wrong round":            {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: 0, Round: 4}, {Source: 2, Round: 3}}},
+		"negative source":        {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: -1, Round: 4}, {Source: 2, Round: 4}}},
+		"source MaxUniverse":     {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: 0, Round: 4}, {Source: wire.MaxUniverse, Round: 4}}},
+		"strong edges, round 0":  {Source: 1, Round: 0, StrongEdges: []dag.VertexRef{{Source: 0, Round: -1}}},
+		"weak source -1":         {Source: 1, Round: 5, WeakEdges: []dag.VertexRef{{Source: -1, Round: 2}}},
+		"weak round -1":          {Source: 1, Round: 5, WeakEdges: []dag.VertexRef{{Source: 0, Round: -1}}},
+		"negative round":         {Source: 1, Round: -1},
+		"negative vertex source": {Source: -1, Round: 5},
 	} {
 		if enc, err := wire.Marshal(VertexPayload{V: v}); err == nil {
 			t.Errorf("%s: marshalled to % x", name, enc)

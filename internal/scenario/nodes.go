@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"math/rand"
-
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -13,17 +11,15 @@ import (
 // traffic through a hooked Env, so the adversarial behaviour lives entirely
 // at the network boundary: the inner node's state machine is untouched and
 // its results remain observable through sim.Unwrap. The wrappers hold only
-// per-node state and never call Env.Rand, so they draw nothing from the
-// run's RNG that the inner node would not (see the package comment's
-// determinism contract).
+// per-node state, and an Env offers no randomness, so they draw nothing
+// from the run's RNG (see the package comment's determinism contract).
 
 // sendHook is the interception point a wrapper implements: it receives the
-// inner node's Send calls, and its Broadcast and sim.Multicast calls as
-// multicast acts (a nil To for a Broadcast), together with the real Env to
-// forward (possibly mutated) traffic through. A vote goes to its sender's
-// audience, quorum.Audience, by one sim.Multicast, which is a Broadcast
-// when the audience is everyone and nobody gets it by reference; so a
-// wrapper treats every multicast alike, whatever its audience and form.
+// inner node's Send calls, and its sim.Multicast calls as multicast acts,
+// together with the real Env to forward (possibly mutated) traffic
+// through. A broadcast is a multicast with a nil To, and a vote goes to its
+// sender's audience, quorum.Audience, by one sim.Multicast; so a wrapper
+// treats every multicast alike, whatever its audience and form.
 type sendHook interface {
 	hookSend(env sim.Env, to types.ProcessID, msg sim.Message)
 	hookMulticast(env sim.Env, c sim.Cast)
@@ -44,14 +40,9 @@ var _ sim.Multicaster = (*hookEnv)(nil)
 func (h *hookEnv) Self() types.ProcessID { return h.base.Self() }
 func (h *hookEnv) N() int                { return h.base.N() }
 func (h *hookEnv) Now() sim.VirtualTime  { return h.base.Now() }
-func (h *hookEnv) Rand() *rand.Rand      { return h.base.Rand() }
 
 func (h *hookEnv) Send(to types.ProcessID, msg sim.Message) {
 	h.owner.hookSend(h.base, to, msg)
-}
-
-func (h *hookEnv) Broadcast(msg sim.Message) {
-	h.owner.hookMulticast(h.base, sim.Cast{Msg: msg})
 }
 
 // Multicast implements sim.Multicaster.
@@ -67,10 +58,10 @@ func (h *hookEnv) run(env sim.Env, fn func(sim.Env)) {
 }
 
 // SelectiveNode is a Byzantine sender that talks only to an allowed subset:
-// every Send, Broadcast or multicast of the inner node is suppressed for
-// destinations outside Allow (a broadcast or multicast degenerates to
-// per-destination sends to the allowed members, in ascending ID order). Reliable dissemination must
-// tolerate it: receivers inside Allow echo the vertex onward.
+// every Send or multicast of the inner node is suppressed for destinations
+// outside Allow (a multicast degenerates to per-destination sends to the
+// allowed members, in its own order). Reliable dissemination must tolerate
+// it: receivers inside Allow echo the vertex onward.
 type SelectiveNode struct {
 	Inner sim.Node
 	Allow types.Set
@@ -101,16 +92,7 @@ func (s *SelectiveNode) hookSend(env sim.Env, to types.ProcessID, msg sim.Messag
 
 func (s *SelectiveNode) hookMulticast(env sim.Env, c sim.Cast) {
 	self := env.Self()
-	if c.To == nil {
-		s.Allow.ForEach(func(p types.ProcessID) bool {
-			env.Send(p, c.For(self, p))
-			return true
-		})
-		return
-	}
-	for _, p := range c.To {
-		s.hookSend(env, p, c.For(self, p))
-	}
+	c.Each(env.N(), func(p types.ProcessID) { s.hookSend(env, p, c.For(self, p)) })
 }
 
 // Unwrap implements sim.Unwrapper.
@@ -216,22 +198,13 @@ func (q *EquivocateNode) hookSend(env sim.Env, to types.ProcessID, msg sim.Messa
 
 func (q *EquivocateNode) hookMulticast(env sim.Env, c sim.Cast) {
 	self := env.Self()
-	send := func(p types.ProcessID) {
+	c.Each(env.N(), func(p types.ProcessID) {
 		if q.GroupA.Contains(p) {
 			env.Send(p, c.For(self, p))
 		} else if q.prev != nil {
 			env.Send(p, q.prev)
 		}
-	}
-	if c.To == nil {
-		for i := 0; i < env.N(); i++ {
-			send(types.ProcessID(i))
-		}
-	} else {
-		for _, p := range c.To {
-			send(p)
-		}
-	}
+	})
 	q.prev = c.Msg
 }
 

@@ -15,10 +15,9 @@
 //     but arrive after the heal, like a retransmitting transport. Rules
 //     compile into one sim.FaultPlane via Scenario.FaultPlane.
 //   - Node faults (NodeFault): per-process behaviours wrapped around the
-//     real protocol node — crash (sim.CrashNode), crash-recover churn
-//     with buffered or dropped recovery (sim.ChurnNode), and the
-//     Byzantine wrappers of this package (SelectiveNode, StaleReplayNode,
-//     EquivocateNode), and the stand-ins that replace the node outright
+//     real protocol node — crash-recover churn with buffered or dropped
+//     recovery (sim.ChurnNode), the Byzantine wrappers of this package
+//     (SelectiveNode, StaleReplayNode, EquivocateNode), and the stand-ins that replace the node outright
 //     (Mute, or a NodeFault literal whose Wrap ignores the inner node for
 //     a custom Byzantine process). Apply them through Scenario.WrapNode.
 //
@@ -38,9 +37,9 @@
 //     and queue-pop points, in the run's one event order.
 //   - Node wrappers keep all state per node, in the Scenario built for
 //     the run (sweeps run seeds concurrently, so nothing is shared between
-//     runs), never call Env.Rand, and make any randomized-looking choice
-//     (stale-replay cadence, equivocation grouping) from deterministic
-//     counters or the scenario seed.
+//     runs), and make any randomized-looking choice (stale-replay cadence,
+//     equivocation grouping) from deterministic counters or the scenario
+//     seed; a node's sim.Env offers no randomness to draw from.
 //
 // A Scenario is a run's whole adversary: harness.RiderConfig and
 // gather.RunConfig take one (nil = no faults), wrap their nodes with

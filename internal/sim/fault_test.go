@@ -48,8 +48,8 @@ func TestDropFilterSelfDelivery(t *testing.T) {
 	}
 }
 
-// fanoutNode sends one ping to every process from Init — through Broadcast
-// or through n individual Sends in ascending ID order — and ignores
+// fanoutNode sends one ping to every process from Init — through one
+// Multicast or through n individual Sends in ascending ID order — and ignores
 // everything it receives.
 type fanoutNode struct {
 	perDest bool
@@ -62,13 +62,13 @@ func (f *fanoutNode) Init(e Env) {
 		}
 		return
 	}
-	e.Broadcast(ping{payload: 7})
+	Multicast(e, Cast{Msg: ping{payload: 7}})
 }
 
 func (f *fanoutNode) Receive(Env, types.ProcessID, Message) {}
 
-// TestBroadcastFilterParityWithPerDestinationSends pins that the broadcast
-// fast path consults the fault plane (and draws latency) for each
+// TestBroadcastFilterParityWithPerDestinationSends pins that a broadcast
+// multicast consults the fault plane (and draws latency) for each
 // destination exactly as n individual Sends would: same metrics including
 // ByType, same delivery schedule, under a plane that drops a subset of
 // links.
@@ -293,15 +293,17 @@ func TestChurnNodeUnbufferedLosesOutage(t *testing.T) {
 	r := NewRunner(Config{N: 2, Seed: 1, Latency: churnLatency}, nodes)
 	r.init()
 	r.send(0, 1, ping{payload: 4})   // before the window: processed
+	r.send(0, 1, ping{payload: 5})   // exactly at CrashAt: lost
 	r.send(0, 1, ping{payload: 10})  // inside: lost
+	r.send(0, 1, ping{payload: 200}) // exactly at RecoverAt: processed
 	r.send(0, 1, ping{payload: 250}) // after: processed
 	r.Run(0)
 	var seq []int
 	for _, m := range probe.msgs {
 		seq = append(seq, m.(ping).payload)
 	}
-	if !reflect.DeepEqual(seq, []int{4, 250}) {
-		t.Fatalf("inner delivery order = %v, want [4 250] (outage delivery lost)", seq)
+	if !reflect.DeepEqual(seq, []int{4, 200, 250}) {
+		t.Fatalf("inner delivery order = %v, want [4 200 250] (outage [5, 200) lost)", seq)
 	}
 	if !churn.Recovered() {
 		t.Fatal("unbuffered churn node must still recover at RecoverAt")

@@ -8,9 +8,14 @@
 // scheduler is a priority queue over virtual time, message delays come from
 // a pluggable (possibly adversarial) latency model, and all randomness is
 // drawn from a single seeded source — so every execution is reproducible
-// from its seed. The metrics count what crosses a link, as TCP does: a
-// message sent to another process is priced by its codec encoding, and a
-// self-send is free, so a broadcast counts n−1 sends.
+// from its seed. A node's Env offers no randomness: in the paper's model a
+// process's only randomness is the common coin, which internal/coin
+// provides to the protocols, and the run's RNG reaches only the latency
+// model and the fault plane, so no node can perturb the schedule by
+// drawing from it. The metrics count what
+// crosses a link, as TCP does: a message sent to another process is priced
+// by its codec encoding, and a self-send is free, so a multicast to all n
+// processes counts n−1 sends.
 //
 // # Event queue
 //
@@ -39,7 +44,7 @@
 // goroutine with the run's one seeded RNG, so every fault decision —
 // drop, duplicate, extra delay, hold-until, redeliver — is a pure function
 // of the seed. Node-level faults compose separately as wrappers
-// (CrashNode, MuteNode, ChurnNode, and the Byzantine wrappers in
+// (MuteNode, ChurnNode, and the Byzantine wrappers in
 // internal/scenario); wrappers implementing Unwrapper keep the inner
 // protocol node observable to result collectors. internal/scenario
 // bundles both kinds into one Scenario — rules it compiles into a
@@ -128,7 +133,10 @@ type Node interface {
 }
 
 // Env is a node's handle on the simulated world, valid only for the
-// duration of the Init/Receive call it was passed to.
+// duration of the Init/Receive call it was passed to. It is the paper's
+// model (§2.1) and nothing more: who the node is, how many processes
+// there are, the clock, and a point-to-point link to each process. A send
+// to many is one Multicast through it.
 type Env interface {
 	// Self returns the executing node's process ID.
 	Self() types.ProcessID
@@ -138,19 +146,14 @@ type Env interface {
 	Now() VirtualTime
 	// Send enqueues msg for delivery to process `to` (self-sends allowed).
 	Send(to types.ProcessID, msg Message)
-	// Broadcast sends msg to every process including the sender, in
-	// process-ID order; the sender's own copy is free.
-	Broadcast(msg Message)
-	// Rand returns the run's seeded RNG. Nodes must not retain it beyond
-	// the current call.
-	Rand() *rand.Rand
 }
 
 // Cast is one multicast act: Msg to each process of To, in ID order, or
-// to every process when To is nil. Ref, when not nil, is a shorter form of
-// Msg for the processes of RefTo, which already know what it leaves out:
-// each of them other than the sender gets Ref instead. A self-send crosses
-// no link, so it always carries Msg.
+// to every process when To is nil (a broadcast, the sender's own copy
+// included). Ref, when not nil, is a shorter form of Msg for the processes
+// of RefTo, which already know what it leaves out: each of them other than
+// the sender gets Ref instead. A self-send crosses no link, so it always
+// carries Msg.
 type Cast struct {
 	To    []types.ProcessID
 	Msg   Message
@@ -160,44 +163,51 @@ type Cast struct {
 
 // For returns the message that process p gets from the act of sender self.
 func (c *Cast) For(self, p types.ProcessID) Message {
-	if c.Ref != nil && p != self && c.RefTo.Contains(p) {
+	if c.byRef(self, p) {
 		return c.Ref
 	}
 	return c.Msg
 }
 
-// Multicast sends the act c through env. An act to every process that
-// nobody gets by reference is one env.Broadcast; any other is one env.Send
-// per destination, in ID order, which is what a Broadcast does on every
-// Env. The protocols pass the audience of a vote, quorum.Audience, which
-// is nil whenever every process can count it. An env that is a Multicaster
-// receives the act whole instead.
+// byRef reports whether process p gets Ref from the act of sender self.
+func (c *Cast) byRef(self, p types.ProcessID) bool {
+	return c.Ref != nil && p != self && c.RefTo.Contains(p)
+}
+
+// Each calls f for each destination of the act among n processes, in
+// order: every process of To, or every process 0..n−1 when To is nil.
+func (c *Cast) Each(n int, f func(p types.ProcessID)) {
+	if c.To == nil {
+		for p := types.ProcessID(0); int(p) < n; p++ {
+			f(p)
+		}
+		return
+	}
+	for _, p := range c.To {
+		f(p)
+	}
+}
+
+// Multicast sends the act c through env: an env that is a Multicaster
+// receives the act whole, any other one env.Send per destination, in
+// order. The protocols pass the audience of a vote, quorum.Audience, which
+// is nil whenever every process can count it, and a nil To for a
+// broadcast.
 func Multicast(env Env, c Cast) {
 	if m, ok := env.(Multicaster); ok {
 		m.Multicast(c)
 		return
 	}
-	if c.To == nil && (c.Ref == nil || c.RefTo.IsEmpty()) {
-		env.Broadcast(c.Msg)
-		return
-	}
 	self := env.Self()
-	if c.To == nil {
-		for p := types.ProcessID(0); int(p) < env.N(); p++ {
-			env.Send(p, c.For(self, p))
-		}
-		return
-	}
-	for _, p := range c.To {
-		env.Send(p, c.For(self, p))
-	}
+	c.Each(env.N(), func(p types.ProcessID) { env.Send(p, c.For(self, p)) })
 }
 
-// Multicaster is an Env that sees a Multicast as one act, the way it sees
-// a Broadcast, rather than as the Sends it makes. No Env the protocols run
-// on implements it: the Byzantine wrappers of internal/scenario do, so
+// Multicaster is an Env that sees a Multicast as one act rather than as
+// the Sends it makes. The simulator's Env implements it to price each
+// form of an act once; the Byzantine wrappers of internal/scenario do, so
 // that they equivocate, replay and filter a vote sent to its audience, in
-// either form, as they do a broadcast one.
+// either form, as they do a broadcast. Its observable effect must be that
+// of the Sends Multicast would make.
 type Multicaster interface {
 	Multicast(c Cast)
 }
@@ -434,17 +444,19 @@ type env struct {
 	self types.ProcessID
 }
 
+var _ Multicaster = (*env)(nil)
+
 func (e *env) Self() types.ProcessID { return e.self }
 func (e *env) N() int                { return e.r.cfg.N }
 func (e *env) Now() VirtualTime      { return e.r.now }
-func (e *env) Rand() *rand.Rand      { return e.r.rng }
 
 func (e *env) Send(to types.ProcessID, msg Message) {
 	e.r.send(e.self, to, msg)
 }
 
-func (e *env) Broadcast(msg Message) {
-	e.r.broadcast(e.self, msg)
+// Multicast implements Multicaster.
+func (e *env) Multicast(c Cast) {
+	e.r.multicast(e.self, &c)
 }
 
 // typeCounter returns the per-type metrics counter for msg, bucketed by
@@ -485,7 +497,7 @@ func (r *Runner) price(msg Message, k int) (*typeCounter, int) {
 
 // sendOne records the sent-message metrics (against the caller-resolved
 // type counter and size, a nil counter for a send that is not counted)
-// and enqueues the delivery. Both unicast and broadcast fan-out land here,
+// and enqueues the delivery. Both unicast and multicast fan-out land here,
 // so the accounting rules — and the fault plane's send-commit hook — live
 // in one place. A self-send is free, but passes the fault plane and draws
 // its delay like any send; so is an unencodable one, which is still
@@ -523,21 +535,37 @@ func (r *Runner) send(from, to types.ProcessID, msg Message) {
 	r.sendOne(from, to, msg, tc, size)
 }
 
-// broadcast fans msg out to every process in ID order. One fan-out
-// prices msg once for its n−1 sends to other processes — broadcast is the
-// dominant send pattern of every protocol here, and per-destination sizing
-// used to show up in profiles. Delivery order and metrics stay
-// byte-identical to n individual sends: the fault plane, the latency draw
-// and the sequence number are still evaluated per destination, in order.
-func (r *Runner) broadcast(from types.ProcessID, msg Message) {
-	var tc *typeCounter
-	size := 0
-	if r.cfg.N > 1 {
-		tc, size = r.price(msg, r.cfg.N-1)
+// multicast sends the act c of process from to each of its destinations
+// in order. It prices each form once — Msg for its receivers other than
+// the sender, Ref for the rest — since a multicast is the dominant send
+// pattern of every protocol here and per-destination sizing used to show
+// up in profiles. Delivery order and metrics stay byte-identical to one
+// send per destination: the fault plane, the latency draw and the
+// sequence number are still evaluated per destination, in order.
+func (r *Runner) multicast(from types.ProcessID, c *Cast) {
+	var kMsg, kRef int
+	c.Each(r.cfg.N, func(p types.ProcessID) {
+		if c.byRef(from, p) {
+			kRef++
+		} else if p != from {
+			kMsg++
+		}
+	})
+	var msgTC, refTC *typeCounter
+	var msgBytes, refBytes int
+	if kMsg > 0 {
+		msgTC, msgBytes = r.price(c.Msg, kMsg)
 	}
-	for to := 0; to < r.cfg.N; to++ {
-		r.sendOne(from, types.ProcessID(to), msg, tc, size)
+	if kRef > 0 {
+		refTC, refBytes = r.price(c.Ref, kRef)
 	}
+	c.Each(r.cfg.N, func(p types.ProcessID) {
+		if c.byRef(from, p) {
+			r.sendOne(from, p, c.Ref, refTC, refBytes)
+		} else {
+			r.sendOne(from, p, c.Msg, msgTC, msgBytes)
+		}
+	})
 }
 
 // enqueue draws the link delay, adds the fault plane's extra delay, and
@@ -703,43 +731,9 @@ func (r *Runner) Metrics() *Metrics {
 
 // Node wrappers for fault injection. ------------------------------------
 
-// CrashNode wraps a Node and makes it fail-stop at a given virtual time:
-// once crashed it neither processes nor (therefore) sends anything.
-type CrashNode struct {
-	Inner   Node
-	CrashAt VirtualTime
-	crashed bool
-}
-
-var _ Node = (*CrashNode)(nil)
-
-// Init implements Node. A node configured to crash at time 0 never runs.
-func (c *CrashNode) Init(e Env) {
-	if c.CrashAt <= 0 {
-		c.crashed = true
-		return
-	}
-	c.Inner.Init(e)
-}
-
-// Receive implements Node.
-func (c *CrashNode) Receive(e Env, from types.ProcessID, msg Message) {
-	if c.crashed || e.Now() >= c.CrashAt {
-		c.crashed = true
-		return
-	}
-	c.Inner.Receive(e, from, msg)
-}
-
-// Crashed reports whether the node has fail-stopped.
-func (c *CrashNode) Crashed() bool { return c.crashed }
-
-// Unwrap implements Unwrapper.
-func (c *CrashNode) Unwrap() Node { return c.Inner }
-
-// ChurnNode extends CrashNode with crash-recover churn: the process is
-// down in the half-open window [CrashAt, RecoverAt) and participates
-// normally outside it. Recovery semantics are declared up front:
+// ChurnNode wraps a Node with crash-recover churn: the process is down in
+// the half-open window [CrashAt, RecoverAt) and participates normally
+// outside it. Recovery semantics are declared up front:
 //
 //   - Buffer == true: messages arriving while down are buffered and
 //     replayed, in arrival order, before the first post-recovery message.
@@ -751,9 +745,8 @@ func (c *CrashNode) Unwrap() Node { return c.Inner }
 //     genuinely faulty (its state may be permanently behind), and
 //     property checks must count it in the faulty set.
 //
-// CrashAt must be > 0 (a node down from time 0 is a CrashNode or a
-// MuteNode) and RecoverAt > CrashAt (a node that never recovers is a
-// CrashNode); Init panics otherwise.
+// CrashAt must be > 0 (a node down from time 0 is a MuteNode) and
+// RecoverAt > CrashAt; Init panics otherwise.
 //
 // Recovery is self-triggering: at Init the node starts a self-addressed
 // tick loop (churnTick messages through the ordinary network path) that
@@ -790,18 +783,18 @@ type churnTick struct{}
 // node.
 func (c *ChurnNode) Init(e Env) {
 	if c.CrashAt <= 0 {
-		panic("sim: ChurnNode.CrashAt must be > 0 (use CrashNode or MuteNode for a node that never runs)")
+		panic("sim: ChurnNode.CrashAt must be > 0 (use MuteNode for a node that never runs)")
 	}
 	if c.RecoverAt <= c.CrashAt {
-		panic(fmt.Sprintf("sim: ChurnNode.RecoverAt %d must be after CrashAt %d (use CrashNode for a node that never recovers)", c.RecoverAt, c.CrashAt))
+		panic(fmt.Sprintf("sim: ChurnNode.RecoverAt %d must be after CrashAt %d", c.RecoverAt, c.CrashAt))
 	}
 	c.Inner.Init(e)
 	e.Send(e.Self(), churnTick{})
 }
 
 // Receive implements Node. The down window is [CrashAt, RecoverAt) — an
-// arrival exactly at CrashAt is already down (matching CrashNode's
-// boundary), an arrival exactly at RecoverAt is processed.
+// arrival exactly at CrashAt is already down, an arrival exactly at
+// RecoverAt is processed.
 func (c *ChurnNode) Receive(e Env, from types.ProcessID, msg Message) {
 	now := e.Now()
 	if _, ok := msg.(churnTick); ok {
@@ -849,8 +842,8 @@ func (c *ChurnNode) Recovered() bool { return c.recovered }
 // Unwrap implements Unwrapper.
 func (c *ChurnNode) Unwrap() Node { return c.Inner }
 
-// Unwrapper is implemented by fault wrappers (CrashNode, ChurnNode, the
-// scenario package's Byzantine wrappers) that delegate to an inner
+// Unwrapper is implemented by fault wrappers (ChurnNode, the scenario
+// package's Byzantine wrappers) that delegate to an inner
 // protocol node. Result collectors unwrap through it so a wrapped node's
 // observable protocol state is still reported.
 type Unwrapper interface {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/types"
@@ -35,7 +36,7 @@ func init() {
 
 func (n *pingNode) Init(e Env) {
 	n.fromSet = types.NewSet(e.N())
-	e.Broadcast(ping{payload: int(e.Self())})
+	Multicast(e, Cast{Msg: ping{payload: int(e.Self())}})
 }
 
 func (n *pingNode) Receive(e Env, from types.ProcessID, msg Message) {
@@ -93,82 +94,115 @@ func init() {
 	})
 }
 
-// multicastNode is a pingNode that sends its ping with Multicast, by
-// reference to the processes of refTo.
-type multicastNode struct {
-	pingNode
-	to    []types.ProcessID
-	refTo []types.ProcessID
-	refs  int
+// castNode makes one multicast act from Init, built by cast for its own
+// ID, and records every delivery it gets. With perSend its Env hides the
+// runner's Multicaster, so Multicast makes one Send per destination.
+type castNode struct {
+	cast    func(self types.ProcessID, n int) Cast
+	perSend bool
+	trace   *[]string
 }
 
-func (n *multicastNode) Init(e Env) {
-	n.fromSet = types.NewSet(e.N())
-	Multicast(e, Cast{To: n.to, Msg: ping{payload: int(e.Self())}, Ref: pingRef{}, RefTo: types.NewSetOf(e.N(), n.refTo...)})
-}
+// sendsOnly is an Env that is not a Multicaster.
+type sendsOnly struct{ Env }
 
-func (n *multicastNode) Receive(e Env, from types.ProcessID, msg Message) {
-	if _, ok := msg.(pingRef); ok {
-		n.refs++
-		msg = ping{payload: int(from)}
+func (c *castNode) env(e Env) Env {
+	if c.perSend {
+		return sendsOnly{e}
 	}
-	n.pingNode.Receive(e, from, msg)
+	return e
 }
 
-// TestMulticast: a nil recipient list is a Broadcast, with the same
-// deliveries at the same times and the same metrics, and a list sends to
-// its members only. Sending by reference to some processes moves no
-// delivery and no message count: each of them gets the reference from
-// every other process and the full message from itself, and the bytes
-// fall by what the reference leaves out.
+func (c *castNode) Init(e Env) {
+	Multicast(c.env(e), c.cast(e.Self(), e.N()))
+}
+
+func (c *castNode) Receive(e Env, from types.ProcessID, msg Message) {
+	*c.trace = append(*c.trace, fmt.Sprintf("t=%d %d->%d %T%v", e.Now(), from, e.Self(), msg, msg))
+}
+
+// chaosPlane drops, duplicates and delays sends by draws from the run's
+// RNG, so a path that consults it in another order or another number of
+// times moves every later verdict.
+type chaosPlane struct{}
+
+func (chaosPlane) OnSend(_, _ types.ProcessID, _ Message, _ VirtualTime, rng *rand.Rand) SendVerdict {
+	switch rng.Intn(4) {
+	case 0:
+		return SendVerdict{Drop: true}
+	case 1:
+		return SendVerdict{Duplicates: 1 + rng.Intn(2), Extra: VirtualTime(rng.Intn(5))}
+	}
+	return SendVerdict{}
+}
+
+func (chaosPlane) OnDeliver(types.ProcessID, types.ProcessID, Message, VirtualTime, *rand.Rand) DeliverVerdict {
+	return DeliverVerdict{}
+}
+
+// TestMulticast is the differential test of the one fan-out path: the
+// runner, which takes a multicast act whole and prices each form once,
+// must deliver the same messages at the same times and count the same
+// metrics as one Send per destination through an Env that hides it. Each
+// row also pins what its act counts.
 func TestMulticast(t *testing.T) {
 	const n = 5
-	run := func(to, refTo []types.ProcessID) ([]*multicastNode, *Metrics) {
-		nodes := make([]Node, n)
-		mc := make([]*multicastNode, n)
-		for i := range nodes {
-			mc[i] = &multicastNode{to: to, refTo: refTo}
-			nodes[i] = mc[i]
+	refTo := types.NewSetOf(n, 0, 2)
+	for _, tc := range []struct {
+		name  string
+		cast  func(self types.ProcessID, n int) Cast
+		fault FaultPlane
+		// sent, refs and encErrs are the whole run's MessagesSent,
+		// pingRefs sent and EncodeErrors; -1 skips the check.
+		sent, refs, encErrs int
+	}{
+		{"nil To", func(self types.ProcessID, _ int) Cast {
+			return Cast{Msg: ping{payload: int(self)}}
+		}, nil, n * (n - 1), 0, 0},
+		{"audience with sender", func(self types.ProcessID, _ int) Cast {
+			return Cast{To: []types.ProcessID{1, 3, 4}, Msg: ping{payload: int(self)}}
+		}, nil, 3*n - 3, 0, 0},
+		{"Ref to some", func(self types.ProcessID, _ int) Cast {
+			return Cast{Msg: ping{payload: 300 + int(self)}, Ref: pingRef{}, RefTo: refTo}
+		}, nil, n * (n - 1), 2 * (n - 1), 0},
+		{"Ref to some of an audience", func(self types.ProcessID, _ int) Cast {
+			return Cast{To: []types.ProcessID{0, 1, 2}, Msg: ping{payload: 300}, Ref: pingRef{}, RefTo: refTo}
+		}, nil, 3*n - 3, 2*n - 2, 0},
+		{"unencodable Msg", func(types.ProcessID, int) Cast {
+			return Cast{Msg: neither{}, Ref: pingRef{}, RefTo: refTo}
+		}, nil, 2 * (n - 1), 2 * (n - 1), 3*n - 3},
+		{"unencodable Ref", func(self types.ProcessID, _ int) Cast {
+			return Cast{Msg: ping{payload: int(self)}, Ref: neither{}, RefTo: refTo}
+		}, nil, 3*n - 3, 0, 2 * (n - 1)},
+		{"drops and duplicates", func(self types.ProcessID, _ int) Cast {
+			return Cast{To: []types.ProcessID{0, 2, 3, 4}, Msg: ping{payload: int(self)}, Ref: pingRef{}, RefTo: refTo}
+		}, chaosPlane{}, -1, -1, 0},
+	} {
+		run := func(perSend bool) ([]string, *Metrics) {
+			var trace []string
+			nodes := make([]Node, n)
+			for i := range nodes {
+				nodes[i] = &castNode{cast: tc.cast, perSend: perSend, trace: &trace}
+			}
+			r := NewRunner(Config{N: n, Seed: 3, Latency: UniformLatency{Min: 1, Max: 9}, Fault: tc.fault}, nodes)
+			r.Run(0)
+			return trace, r.Metrics()
 		}
-		r := NewRunner(Config{N: n, Seed: 3, Latency: UniformLatency{Min: 1, Max: 9}}, nodes)
-		r.Run(0)
-		return mc, r.Metrics()
-	}
-	bc := newPingCluster(n)
-	r := NewRunner(Config{N: n, Seed: 3, Latency: UniformLatency{Min: 1, Max: 9}}, bc)
-	r.Run(0)
-	all, m := run(nil, nil)
-	byRef, mRef := run(nil, []types.ProcessID{0, 2})
-	for i, nd := range all {
-		want := bc[i].(*pingNode)
-		if fmt.Sprint(nd.times, nd.froms) != fmt.Sprint(want.times, want.froms) {
-			t.Fatalf("node %d: nil multicast delivered at %v from %v, broadcast at %v from %v", i, nd.times, nd.froms, want.times, want.froms)
+		trace, m := run(false)
+		sendsTrace, sendsM := run(true)
+		if !reflect.DeepEqual(trace, sendsTrace) {
+			t.Errorf("%s: the runner delivered\n%v\none Send per destination\n%v", tc.name, trace, sendsTrace)
 		}
-		if ref := byRef[i]; fmt.Sprint(ref.times, ref.froms) != fmt.Sprint(want.times, want.froms) {
-			t.Fatalf("node %d: multicast by reference delivered at %v from %v, broadcast at %v from %v", i, ref.times, ref.froms, want.times, want.froms)
+		if !reflect.DeepEqual(m, sendsM) {
+			t.Errorf("%s: the runner counted %+v, one Send per destination %+v", tc.name, m, sendsM)
 		}
-		if want := map[bool]int{false: 0, true: n - 1}[i == 0 || i == 2]; byRef[i].refs != want {
-			t.Fatalf("node %d got %d pings by reference, want %d", i, byRef[i].refs, want)
+		if tc.sent >= 0 && (m.MessagesSent != tc.sent || m.ByType["sim.pingRef"] != tc.refs) || m.EncodeErrors != tc.encErrs {
+			t.Errorf("%s: sent %d, %d by reference, %d encode errors; want %d, %d, %d",
+				tc.name, m.MessagesSent, m.ByType["sim.pingRef"], m.EncodeErrors, tc.sent, tc.refs, tc.encErrs)
 		}
-	}
-	if fmt.Sprint(*m) != fmt.Sprint(*r.Metrics()) {
-		t.Fatalf("nil multicast metrics %+v, broadcast %+v", m, r.Metrics())
-	}
-	refs := 2 * (n - 1)
-	if mRef.MessagesSent != m.MessagesSent || mRef.MessagesDelivered != m.MessagesDelivered ||
-		mRef.ByType["sim.pingRef"] != refs || mRef.ByType["sim.ping"] != m.MessagesSent-refs ||
-		m.BytesSent-mRef.BytesSent != refs*(MessageSize(ping{payload: 1})-MessageSize(pingRef{})) {
-		t.Fatalf("multicast by reference: metrics %+v, full multicast %+v", mRef, m)
-	}
-	some, m := run([]types.ProcessID{1, 3}, nil)
-	for i, nd := range some {
-		if want := map[bool]int{false: 0, true: n}[i == 1 || i == 3]; nd.got != want {
-			t.Fatalf("node %d got %d pings, want %d", i, nd.got, want)
+		if tc.fault != nil && (m.MessagesDropped == 0 || m.MessagesDelivered <= m.MessagesSent-m.MessagesDropped) {
+			t.Errorf("%s: %d dropped, %d sent, %d delivered: the plane neither dropped nor duplicated", tc.name, m.MessagesDropped, m.MessagesSent, m.MessagesDelivered)
 		}
-	}
-	// Processes 1 and 3 send to themselves too, for free.
-	if m.MessagesSent != 2*n-2 || m.MessagesDelivered != 2*n {
-		t.Fatalf("multicast to 2 of %d sent %d messages and delivered %d, want %d and %d", n, m.MessagesSent, m.MessagesDelivered, 2*n-2, 2*n)
 	}
 }
 
@@ -274,57 +308,6 @@ func TestRunUntilAndLimits(t *testing.T) {
 	}
 	if r2.Pending() != 5 {
 		t.Fatalf("Pending = %d, want 5", r2.Pending())
-	}
-}
-
-func TestCrashNode(t *testing.T) {
-	n := 4
-	nodes := make([]Node, n)
-	for i := 0; i < n-1; i++ {
-		nodes[i] = &pingNode{}
-	}
-	crashed := &CrashNode{Inner: &pingNode{}, CrashAt: 0}
-	nodes[n-1] = crashed
-	r := NewRunner(Config{N: n, Seed: 1}, nodes)
-	r.Run(0)
-	if !crashed.Crashed() {
-		t.Error("CrashAt=0 node should be crashed")
-	}
-	for i := 0; i < n-1; i++ {
-		pn := nodes[i].(*pingNode)
-		if pn.fromSet.Contains(types.ProcessID(n - 1)) {
-			t.Errorf("node %d heard from crashed node", i)
-		}
-		if pn.got != n-1 {
-			t.Errorf("node %d got %d, want %d", i, pn.got, n-1)
-		}
-	}
-}
-
-// TestCrashNodeBoundaryAtCrashAt pins the fail-stop boundary semantics: a
-// message arriving strictly before CrashAt is processed; a message
-// arriving exactly AT CrashAt is not (Receive checks Now() >= CrashAt).
-// The satellite suites (and any experiment scheduling crashes against
-// known latencies) rely on this half-open [start, CrashAt) live window.
-func TestCrashNodeBoundaryAtCrashAt(t *testing.T) {
-	inner := &arrivalProbe{}
-	crash := &CrashNode{Inner: inner, CrashAt: 5}
-	nodes := []Node{&silentNode{}, crash}
-	// Process 0 sends two pings to the crash node: one arriving at time 4
-	// (processed) and one arriving exactly at time 5 (dropped).
-	lat := LatencyFunc(func(_, _ types.ProcessID, msg Message, _ VirtualTime, _ *rand.Rand) VirtualTime {
-		return VirtualTime(msg.(ping).payload)
-	})
-	r := NewRunner(Config{N: 2, Seed: 1, Latency: lat}, nodes)
-	r.init()
-	r.send(0, 1, ping{payload: 4})
-	r.send(0, 1, ping{payload: 5})
-	r.Run(0)
-	if len(inner.times) != 1 || inner.times[0] != 4 {
-		t.Fatalf("processed arrival times = %v, want exactly [4] (the at-CrashAt arrival must be dropped)", inner.times)
-	}
-	if !crash.Crashed() {
-		t.Fatal("node should have fail-stopped at the CrashAt arrival")
 	}
 }
 

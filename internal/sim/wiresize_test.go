@@ -38,7 +38,7 @@ type sendOnInit struct {
 
 func (s sendOnInit) Init(e Env) {
 	if s.bcast {
-		e.Broadcast(s.msg)
+		Multicast(e, Cast{Msg: s.msg})
 	} else {
 		e.Send(s.to, s.msg)
 	}

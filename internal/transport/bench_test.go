@@ -43,10 +43,10 @@ func benchFlood(b *testing.B, n, padBytes int, cfg LocalClusterConfig) {
 // connections) with 256-byte payloads — the transport's headline number
 // in the benchmark trajectory.
 func BenchmarkLoopbackCluster50(b *testing.B) {
-	benchFlood(b, 50, 256, LocalClusterConfig{Seed: 1})
+	benchFlood(b, 50, 256, LocalClusterConfig{})
 }
 
 // BenchmarkLoopbackCluster8 is a small-mesh reference point.
 func BenchmarkLoopbackCluster8(b *testing.B) {
-	benchFlood(b, 8, 256, LocalClusterConfig{Seed: 1})
+	benchFlood(b, 8, 256, LocalClusterConfig{})
 }

@@ -73,7 +73,7 @@ func NewFloodCluster(n int, cfg LocalClusterConfig) (*FloodCluster, error) {
 		nodes[i] = fn
 		raw[i] = fn
 	}
-	lc, err := NewLocalCluster(nodes, cfg.Seed)
+	lc, err := NewLocalCluster(nodes, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +97,7 @@ func (fc *FloodCluster) Flood(rounds, padBytes int, timeout time.Duration) (uint
 	for r := 0; r < rounds; r++ {
 		for _, h := range fc.Hosts {
 			env := hostEnv{h: h}
-			env.Broadcast(FloodMsg{Seq: uint64(r), Pad: pad})
+			sim.Multicast(env, sim.Cast{Msg: FloodMsg{Seq: uint64(r), Pad: pad}})
 		}
 	}
 	want := uint64(rounds * n)

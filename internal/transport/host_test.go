@@ -77,8 +77,8 @@ func waitUntil(t *testing.T, timeout time.Duration, cond func() bool) {
 // second dial to an already-connected peer is an error, the duplicate is
 // closed, and neither side ends up with two writers for one peer.
 func TestDoubleDialDeduplicated(t *testing.T) {
-	h0 := newTestHost(t, 0, 2, HostConfig{Seed: 1})
-	h1 := newTestHost(t, 1, 2, HostConfig{Seed: 2})
+	h0 := newTestHost(t, 0, 2, HostConfig{})
+	h1 := newTestHost(t, 1, 2, HostConfig{})
 	h1.Start()
 	if err := h0.Connect(1, h1.Addr()); err != nil {
 		t.Fatal(err)
@@ -114,8 +114,8 @@ func TestDoubleDialDeduplicated(t *testing.T) {
 // closed the other's, and with no redial the link stayed down.)
 func TestDoubleDialRepeated(t *testing.T) {
 	for i := 0; i < 200; i++ {
-		h0 := newTestHost(t, 0, 2, HostConfig{Seed: 1})
-		h1 := newTestHost(t, 1, 2, HostConfig{Seed: 2})
+		h0 := newTestHost(t, 0, 2, HostConfig{})
+		h1 := newTestHost(t, 1, 2, HostConfig{})
 		h1.Start()
 		errs := make(chan error, 2)
 		for k := 0; k < 2; k++ {
@@ -146,7 +146,7 @@ func TestDoubleDialRepeated(t *testing.T) {
 // cluster size, out-of-range or self peer ID, or not a hello at all — is
 // closed without ever being registered.
 func TestHelloValidation(t *testing.T) {
-	h := newTestHost(t, 0, 4, HostConfig{Seed: 1})
+	h := newTestHost(t, 0, 4, HostConfig{})
 
 	bad := func(name string, frame []byte) {
 		c, err := net.Dial("tcp", h.Addr())
@@ -220,7 +220,7 @@ func (c *failingConn) Write(b []byte) (int, error) {
 // the peer slot, and a replacement connection delivers everything that
 // was still owed, in order.
 func TestWriterRequeueOnError(t *testing.T) {
-	h := newTestHost(t, 0, 2, HostConfig{Seed: 1})
+	h := newTestHost(t, 0, 2, HostConfig{})
 	a, b := net.Pipe()
 	defer b.Close()
 	fc := &failingConn{Conn: a, allow: 1}
@@ -269,7 +269,7 @@ func TestWriterRequeueOnError(t *testing.T) {
 // drains.
 func TestBoundedOutboxBackpressure(t *testing.T) {
 	const limit, total = 4, 32
-	h := newTestHost(t, 0, 2, HostConfig{Seed: 1, OutboxLimit: limit})
+	h := newTestHost(t, 0, 2, HostConfig{OutboxLimit: limit})
 	a, b := net.Pipe() // net.Pipe is unbuffered: an unread peer stalls Write
 	defer b.Close()
 	if _, ok := h.registerConn(1, a); !ok {
@@ -317,7 +317,7 @@ func TestNegativeOutboxLimitRejected(t *testing.T) {
 // on a full outbox instead of deadlocking shutdown.
 func TestCloseUnblocksBackpressure(t *testing.T) {
 	const limit = 2
-	h := newTestHost(t, 0, 2, HostConfig{Seed: 1, OutboxLimit: limit})
+	h := newTestHost(t, 0, 2, HostConfig{OutboxLimit: limit})
 	env := hostEnv{h: h}
 	unblocked := make(chan struct{})
 	go func() {
@@ -371,7 +371,7 @@ func TestOutboxReusesBuffers(t *testing.T) {
 // TestInspectAllocs pins that Inspect itself allocates nothing — only the
 // caller's closure costs — and that on a closed host it returns at once.
 func TestInspectAllocs(t *testing.T) {
-	h := newTestHost(t, 0, 1, HostConfig{Seed: 1})
+	h := newTestHost(t, 0, 1, HostConfig{})
 	h.Start()
 	calls := 0
 	fn := func() { calls++ }
@@ -399,7 +399,7 @@ func TestInspectAllocs(t *testing.T) {
 // dropped: no panic, and nothing queued for any peer or for self.
 func TestSendToUnknownPeerDropped(t *testing.T) {
 	const n = 3
-	h := newTestHost(t, 1, n, HostConfig{Seed: 1})
+	h := newTestHost(t, 1, n, HostConfig{})
 	env := hostEnv{h: h}
 	env.Send(-1, FloodMsg{Seq: 1})
 	env.Send(n, FloodMsg{Seq: 2})

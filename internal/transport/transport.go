@@ -83,7 +83,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -203,8 +202,6 @@ type HostConfig struct {
 	Node sim.Node
 	// Addr is the TCP listen address ("127.0.0.1:0" for ephemeral).
 	Addr string
-	// Seed seeds the Env.Rand stream handed to the node.
-	Seed int64
 	// OutboxLimit bounds each per-peer outbox in envelopes; a full outbox
 	// blocks the sending node loop (backpressure) until the writer
 	// drains. 0 selects DefaultOutboxLimit; a negative limit is an error.
@@ -368,7 +365,6 @@ type Host struct {
 	// dialing holds the peers a Connect is in flight to, so a second
 	// Connect to the same peer is refused before it reaches the network.
 	dialing types.Set
-	rng     *rand.Rand
 	started bool
 	closed  bool
 
@@ -426,7 +422,6 @@ func NewHostConfig(cfg HostConfig) (*Host, error) {
 		conns:    map[types.ProcessID]connRec{},
 		dialing:  types.NewSet(cfg.N),
 		outbox:   make([]*outbox, cfg.N),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		stats:    make([]peerCounters, cfg.N),
 		inbox:    make(chan envelope, 1024),
 		selfQ:    newOutbox(0),
@@ -885,8 +880,6 @@ func (e hostEnv) Now() sim.VirtualTime {
 	return sim.VirtualTime(time.Since(e.h.epoch).Microseconds())
 }
 
-func (e hostEnv) Rand() *rand.Rand { return e.h.rng }
-
 // Send enqueues msg for the peer. A full outbox BLOCKS until the writer
 // drains (backpressure — see the package comment); a closed host or an
 // out-of-range destination drops the message.
@@ -904,12 +897,6 @@ func (e hostEnv) Send(to types.ProcessID, msg sim.Message) {
 	e.h.outbox[to].push(envelope{From: e.h.self, Msg: msg})
 }
 
-func (e hostEnv) Broadcast(msg sim.Message) {
-	for to := 0; to < e.h.n; to++ {
-		e.Send(types.ProcessID(to), msg)
-	}
-}
-
 // LocalCluster is a convenience harness: n hosts on loopback, fully wired.
 type LocalCluster struct {
 	Hosts []*Host
@@ -917,12 +904,13 @@ type LocalCluster struct {
 
 // LocalClusterConfig configures NewFloodCluster.
 type LocalClusterConfig struct {
+	// Deprecated: ignored; a node's Env has no RNG to seed.
 	Seed int64
 }
 
 // NewLocalCluster builds and wires (but does not start) a loopback mesh
-// for the given nodes with default limits. Host i seeds its Env.Rand
-// stream with seed+i.
+// for the given nodes with default limits. Its seed is deprecated and
+// ignored: a node's Env has no RNG to seed.
 func NewLocalCluster(nodes []sim.Node, seed int64) (*LocalCluster, error) {
 	n := len(nodes)
 	hosts := make([]*Host, n)
@@ -932,7 +920,6 @@ func NewLocalCluster(nodes []sim.Node, seed int64) (*LocalCluster, error) {
 			N:    n,
 			Node: nd,
 			Addr: "127.0.0.1:0",
-			Seed: seed + int64(i),
 		})
 		if err != nil {
 			for _, prev := range hosts[:i] {

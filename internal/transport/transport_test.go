@@ -33,7 +33,7 @@ func TestConsensusOverTCP(t *testing.T) {
 		nodes[i] = nd
 		raw[i] = nd
 	}
-	cluster, err := NewLocalCluster(nodes, 1)
+	cluster, err := NewLocalCluster(nodes, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestGatherOverTCP(t *testing.T) {
 		nodes[i] = nd
 		raw[i] = nd
 	}
-	cluster, err := NewLocalCluster(nodes, 2)
+	cluster, err := NewLocalCluster(nodes, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestVotesByReferenceOverTCP(t *testing.T) {
 		raw[i] = &rbNode{trust: trust, slots: slots}
 		nodes[i] = raw[i]
 	}
-	cluster, err := NewLocalCluster(nodes, 3)
+	cluster, err := NewLocalCluster(nodes, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestHostCloseIdempotentAndClean(t *testing.T) {
 			Trust: trust, Input: "x", Mode: gather.UseReliable,
 		})
 	}
-	cluster, err := NewLocalCluster(nodes, 3)
+	cluster, err := NewLocalCluster(nodes, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestHostCloseIdempotentAndClean(t *testing.T) {
 }
 
 func TestConnectBadAddress(t *testing.T) {
-	h, err := NewHostConfig(HostConfig{N: 2, Addr: "127.0.0.1:0", Seed: 1, Node: gather.NewThreeRoundNode(gather.Config{
+	h, err := NewHostConfig(HostConfig{N: 2, Addr: "127.0.0.1:0", Node: gather.NewThreeRoundNode(gather.Config{
 		Trust: quorum.NewThreshold(4, 1), Input: "x",
 	})})
 	if err != nil {

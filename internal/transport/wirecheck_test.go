@@ -5,7 +5,6 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"io"
-	"math/rand"
 	"net"
 	"reflect"
 	"testing"
@@ -117,14 +116,8 @@ type capturedMsg struct {
 func (e captureEnv) Self() types.ProcessID { return e.self }
 func (e captureEnv) N() int                { return e.n }
 func (e captureEnv) Now() sim.VirtualTime  { return 0 }
-func (e captureEnv) Rand() *rand.Rand      { return nil }
 func (e captureEnv) Send(to types.ProcessID, msg sim.Message) {
 	*e.sent = append(*e.sent, capturedMsg{from: e.self, to: to, msg: msg})
-}
-func (e captureEnv) Broadcast(msg sim.Message) {
-	for to := 0; to < e.n; to++ {
-		e.Send(types.ProcessID(to), msg)
-	}
 }
 
 // broadcastTraffic runs two reliable-broadcast slots among four processes
@@ -286,7 +279,7 @@ func TestWriteBatchPrefixWidthsAndEncodeErrors(t *testing.T) {
 // malformed batch gets its connection closed rather than wedging or
 // crashing the host.
 func TestReadLoopClosesOnGarbage(t *testing.T) {
-	h := newTestHost(t, 0, 2, HostConfig{Seed: 1})
+	h := newTestHost(t, 0, 2, HostConfig{})
 	c := helloConn(t, h)
 	// A batch whose entry length overruns the payload is a protocol
 	// violation; the host must drop the connection.
@@ -300,7 +293,7 @@ func TestReadLoopClosesOnGarbage(t *testing.T) {
 // batch: a peer sending a well-formed flate-compressed batch of a valid
 // message under it is disconnected, and nothing it sent reaches the node.
 func TestReadLoopClosesOnFlateFrame(t *testing.T) {
-	h := newTestHost(t, 0, 2, HostConfig{Seed: 1})
+	h := newTestHost(t, 0, 2, HostConfig{})
 	c := helloConn(t, h)
 	if err := writeFrame(c, 0x03, deflated(t, floodBatch(t, 1))); err != nil {
 		t.Fatal(err)
@@ -315,7 +308,7 @@ func TestReadLoopClosesOnFlateFrame(t *testing.T) {
 // compressed mid-way: the plain batch sent before the 0x03 frame reaches
 // the node, the compressed batch does not, and the sender is disconnected.
 func TestFloodCompressed(t *testing.T) {
-	h := newTestHost(t, 0, 2, HostConfig{Seed: 1})
+	h := newTestHost(t, 0, 2, HostConfig{})
 	c := helloConn(t, h)
 	if err := writeFrame(c, frameBatch, floodBatch(t, 1)); err != nil {
 		t.Fatal(err)
