@@ -22,10 +22,10 @@ build:
 # sweep rides along so `make test` always exercises the adversarial
 # scenarios end to end; its checker also requires that no run sent a
 # message without a wire codec. bench/ is a nested module that `./...`
-# does not reach, so it is vetted and its own tests run here too (≈17 s;
-# they leave no files): a root refactor can otherwise break the
-# benchmark's build or one of its run-time checks (the tick-to-command
-# check, say) unnoticed. The examples and the digest of every
+# does not reach, so its own tests run here too (≈17 s; they leave no
+# files; vet vets it): a root refactor can otherwise break one of the
+# benchmark's run-time checks (the tick-to-command check, say)
+# unnoticed. The examples and the digest of every
 # experiment's output run again at GOMAXPROCS 1, 2 and 4: sweeps fan out
 # over GOMAXPROCS goroutines, and their output must not depend on how
 # many. (The environment variable, not -cpu: go test runs examples once,
@@ -35,7 +35,7 @@ test: scenarios vet
 	for p in 1 2 4; do \
 		GOMAXPROCS=$$p $(GO) test -count=1 -run '^(Example|TestExperimentsOutputDigest)' . ./cmd/experiments || exit 1; \
 	done
-	cd bench && $(GO) vet . && $(GO) test .
+	cd bench && $(GO) test .
 
 # Coverage-guided fuzzing of the byte-level attack surface: the wire
 # bounded-decode primitives, the tagged top-level decoder, and the
@@ -77,10 +77,13 @@ flaky:
 scenarios:
 	$(GO) run ./cmd/experiments -run scenarios
 
-# go vet, then gofmt over the whole tree, bench/ included: any file gofmt
-# would change is listed and fails the target.
+# go vet, of bench/ too (a nested module `./...` does not reach, which
+# builds against the root packages, so a root change that deletes a name
+# it uses fails here), then gofmt over the whole tree, bench/ included:
+# any file gofmt would change is listed and fails the target.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet .
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # The repository benchmark: all four BENCHMARK.json workloads, each in its

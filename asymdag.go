@@ -27,7 +27,8 @@ type (
 	System = quorum.System
 	// Threshold is the classic n-of-which-f-may-fail assumption.
 	Threshold = quorum.Threshold
-	// Assumption is the trust interface protocols consume.
+	// Assumption is the trust interface protocols consume. It is closed:
+	// System and Threshold are its only implementations.
 	Assumption = quorum.Assumption
 	// FederatedConfig parameterizes the Stellar-flavoured generator.
 	FederatedConfig = quorum.FederatedConfig

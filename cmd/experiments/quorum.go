@@ -54,7 +54,7 @@ func runQuorum(args []string, stdout io.Writer) int {
 
 	fmt.Fprintf(stdout, "system: %s\n", *system)
 	fmt.Fprint(stdout, sys.Describe())
-	// A vote goes only to its sender's audience (quorum.Audience).
+	// A vote goes only to its sender's audience (quorum.Assumption.Audience).
 	fmt.Fprintf(stdout, "vote fan-out: %d of %d links\n", quorum.VotePairs(sys), sys.N()*(sys.N()-1))
 
 	if *matrix {

@@ -71,7 +71,7 @@
 //   - Votes go only to the processes that can count them: a process
 //     counts an ECHO, a READY, a gather ACK/READY/CONFIRM or a coin share
 //     only through its quorum and kernel predicates, which depend only on
-//     the union of its quorums, so each vote goes to quorum.Audience of
+//     the union of its quorums, so each vote goes to Assumption.Audience of
 //     its sender (sim.Multicast). Under threshold trust that is everyone;
 //     on the paper's Fig. 1 system a slot's ECHOs cross 169 links instead
 //     of all 870, and READYs likewise (quorum.VotePairs).

@@ -78,19 +78,20 @@
 // an ECHO or READY only through its own quorum and kernel predicates, and
 // both depend only on U_j, the union of j's quorums: m contains a quorum
 // of j iff m ∩ U_j does, and m meets every quorum of j iff m ∩ U_j does.
-// So a voter sends to its audience, quorum.Audience, the processes j with
-// the voter in U_j, and Handle drops a vote from outside U_self before it
-// touches any state. This is the protocol above in which j ignores every
-// vote from outside U_j, and ignoring them changes no predicate: every
-// rule fires on the same votes as before. R1 is unchanged. The quorum or
-// kernel that blocks R2 lies inside U_j, so the totality argument above
-// holds word for word, and R2 asks at most |U_j| voters per digest instead
-// of n−1. Under threshold trust, and wherever every process lies in a
-// quorum of every other, the audience is everyone (nil) and a vote goes
-// to every process as before. On the paper's Fig. 1 system each process has
-// a single quorum of 6, so a slot's ECHOs cross 169 links instead of all
-// 870, and its READYs likewise (a copy to the voter itself crosses none). A process need not lie in its own quorum (19 of
-// Fig. 1's 30 do not), so it may never hear its own vote, and nothing
+// So a voter sends to its audience (quorum.Assumption.Audience), the
+// processes j with the voter in U_j, and Handle drops a vote from outside
+// U_self before it touches any state. This is the protocol above in which
+// j ignores every vote from outside U_j, and ignoring them changes no
+// predicate: every rule fires on the same votes as before. R1 is
+// unchanged. The quorum or kernel that blocks R2 lies inside U_j, so the
+// totality argument above holds word for word, and R2 asks at most |U_j|
+// voters per digest instead of n−1. Under threshold trust, and wherever
+// every process lies in a quorum of every other, the audience is everyone
+// (nil) and a vote goes to every process as before. On the paper's Fig. 1
+// system each process has a single quorum of 6, so a slot's ECHOs cross
+// 169 links instead of all 870, and its READYs likewise (a copy to the
+// voter itself crosses none). A process need not lie in its own quorum (19
+// of Fig. 1's 30 do not), so it may never hear its own vote, and nothing
 // relies on hearing it. The SEND still goes to everyone, since everyone
 // needs the payload; FETCH and PAYLOAD are point to point.
 //
@@ -325,9 +326,8 @@ type Slot struct {
 // Deliver is the upcall invoked exactly once per delivered slot.
 type Deliver func(env sim.Env, slot Slot, payload Payload)
 
-// Broadcaster is the common interface of the two primitives, so protocol
-// code (gather, DAG consensus) can be parameterized over the dissemination
-// layer.
+// Broadcaster is what the three-round gather needs of its dissemination
+// layer, so it runs over either primitive.
 type Broadcaster interface {
 	// Broadcast disseminates payload in the given slot. Each (originator,
 	// seq) slot must be used at most once by a correct process.
@@ -335,13 +335,6 @@ type Broadcaster interface {
 	// Handle processes a network message, returning true if the message
 	// belonged to this broadcaster.
 	Handle(env sim.Env, from types.ProcessID, msg sim.Message) bool
-	// PruneBelow discards per-slot state for every slot with sequence
-	// number below seq and drops late messages for such slots — the
-	// bounded-memory GC hook (see Reliable.PruneBelow for the trade).
-	PruneBelow(seq uint64)
-	// SlotCount reports the number of slots with live per-slot state (a
-	// bounded-memory soak counter).
-	SlotCount() int
 }
 
 // Message types. Exported fields only (they are "on the wire"); the types
@@ -835,7 +828,7 @@ func (r *Reliable) advance(env sim.Env, slot Slot, st *rbSlot, d Digest, v *rbVa
 // process's audience: by reference to the members of refTo other than
 // itself, in full to the rest.
 func (r *Reliable) cast(env sim.Env, msg, ref sim.Message, refTo types.Set) {
-	sim.Multicast(env, sim.Cast{To: quorum.Audience(r.trust, r.self), Msg: msg, Ref: ref, RefTo: refTo})
+	sim.Multicast(env, sim.Cast{To: r.trust.Audience(r.self), Msg: msg, Ref: ref, RefTo: refTo})
 }
 
 // fetch sends R2's request, the body of the vote that blocked on v, to
@@ -937,7 +930,7 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 // counts, and a vote for a delivered slot are dropped before they touch
 // any state.
 func (r *Reliable) handleVote(env sim.Env, from types.ProcessID, b *vote, kind int) {
-	if !quorum.Counts(r.trust, r.self, from) {
+	if !r.trust.Counts(r.self, from) {
 		return
 	}
 	if st := r.open(b.Slot); st != nil {
@@ -950,7 +943,7 @@ func (r *Reliable) handleVote(env sim.Env, from types.ProcessID, b *vote, kind i
 // before it touches any state when its voter lies outside U_self or this
 // process has not echoed in s, and so has no digest it could name.
 func (r *Reliable) handleEchoRef(env sim.Env, from types.ProcessID, s Slot) {
-	if !quorum.Counts(r.trust, r.self, from) {
+	if !r.trust.Counts(r.self, from) {
 		return
 	}
 	if st := r.find(s); st != nil && st.sentEcho {
@@ -965,7 +958,7 @@ func (r *Reliable) handleEchoRef(env sim.Env, from types.ProcessID, s Slot) {
 // is dropped before it touches any state when its voter lies outside
 // U_self or s is pruned or delivered.
 func (r *Reliable) handleReadyRef(env sim.Env, from types.ProcessID, s Slot) {
-	if !quorum.Counts(r.trust, r.self, from) {
+	if !r.trust.Counts(r.self, from) {
 		return
 	}
 	st := r.open(s)
@@ -1009,10 +1002,6 @@ type Plain struct {
 	self      types.ProcessID
 	deliver   Deliver
 	delivered map[Slot]bool
-	// pruned is the slot-sequence watermark set by PruneBelow: delivered
-	// markers below it are discarded, and late copies of such slots are
-	// dropped rather than re-delivered.
-	pruned uint64
 }
 
 var _ Broadcaster = (*Plain)(nil)
@@ -1035,9 +1024,6 @@ func (p *Plain) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bool 
 	}
 	if m.Slot.Src != from {
 		return true
-	}
-	if m.Slot.Seq < p.pruned {
-		return true // below the GC watermark: already delivered and pruned
 	}
 	if p.delivered[m.Slot] {
 		return true
@@ -1102,26 +1088,6 @@ func (r *Reliable) Waiting() int {
 	}
 	return k
 }
-
-// PruneBelow discards delivered-slot markers below the watermark. For
-// Plain the marker is the only per-slot state, and dropping it is safe
-// exactly because late copies below the watermark are dropped in Handle
-// instead of consulting the map (otherwise pruning would reopen the
-// at-most-once delivery guarantee to stale duplicates).
-func (p *Plain) PruneBelow(seq uint64) {
-	if seq <= p.pruned {
-		return
-	}
-	p.pruned = seq
-	for s := range p.delivered {
-		if s.Seq < seq {
-			delete(p.delivered, s)
-		}
-	}
-}
-
-// SlotCount returns the number of slots with a live delivered marker.
-func (p *Plain) SlotCount() int { return len(p.delivered) }
 
 // EquivocateSend lets tests and adversarial nodes inject a conflicting SEND
 // for a slot directly to one recipient, bypassing the Broadcaster API. Only

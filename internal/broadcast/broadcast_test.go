@@ -225,7 +225,7 @@ func TestReliableTotalityPartialSend(t *testing.T) {
 			// the union of its quorums, send it votes.
 			voters := 0
 			for p := 0; p < n; p++ {
-				if types.ProcessID(p) != tc.omitted && quorum.Counts(tc.trust, tc.omitted, types.ProcessID(p)) {
+				if types.ProcessID(p) != tc.omitted && tc.trust.Counts(tc.omitted, types.ProcessID(p)) {
 					voters++
 				}
 			}
@@ -407,77 +407,62 @@ func (e pruneEnv) N() int                            { return e.n }
 func (e pruneEnv) Now() sim.VirtualTime              { return 0 }
 func (e pruneEnv) Send(types.ProcessID, sim.Message) {}
 
-// TestPruneBelowAllBroadcasters pins the bounded-memory contract for both
-// primitives uniformly: slots below the watermark are discarded, late
-// messages for pruned slots are dropped without resurrecting state or
-// re-delivering, and slots at/above the watermark survive. For Reliable
-// the discarded state includes the held payload and the fetch bookkeeping:
-// a pruned slot answers no fetch and accepts no reply.
+// TestPruneBelowAllBroadcasters pins Reliable's bounded-memory contract
+// (Plain keeps only its delivered markers and no watermark): slots below
+// the watermark are discarded, late messages for pruned slots are dropped
+// without resurrecting state or re-delivering, and slots at/above the
+// watermark survive. The discarded state includes the held payload and
+// the fetch bookkeeping: a pruned slot answers no fetch and accepts no
+// reply.
 func TestPruneBelowAllBroadcasters(t *testing.T) {
-	trust := quorum.NewThreshold(4, 1)
-	cases := []struct {
-		name string
-		mk   func(deliver Deliver) Broadcaster
-	}{
-		{"Reliable", func(d Deliver) Broadcaster { return NewReliable(0, trust, d) }},
-		{"Plain", func(d Deliver) Broadcaster { return NewPlain(0, d) }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			deliveries := 0
-			bc := tc.mk(func(sim.Env, Slot, Payload) { deliveries++ })
-			var sent []queuedMsg
-			env := queueEnv{pruneEnv: pruneEnv{self: 0, n: 4}, queue: &sent}
-			x := Bytes("x")
-			// Open per-slot state for seqs 0..4 from sender 1; in slot 0 of
-			// source 2 leave a fetch running (an ECHO quorum, no SEND).
-			for seq := uint64(0); seq < 5; seq++ {
-				bc.Handle(env, 1, sendMsg{&send{Slot: Slot{Src: 1, Seq: seq}, Payload: x}})
-			}
-			for from := types.ProcessID(1); from < 4; from++ {
-				bc.Handle(env, from, echoMsg{&vote{Slot: Slot{Src: 2, Seq: 0}, Digest: x.Digest()}})
-			}
-			slots := 5
-			if tc.name == "Reliable" {
-				slots = 6
-			}
-			if got := bc.SlotCount(); got != slots {
-				t.Fatalf("before prune: SlotCount = %d, want %d", got, slots)
-			}
-			bc.PruneBelow(3)
-			if got := bc.SlotCount(); got != 2 {
-				t.Fatalf("after PruneBelow(3): SlotCount = %d, want 2", got)
-			}
-			delivered := deliveries
-			// Late messages for a pruned slot must not reopen state, be
-			// answered, or deliver again.
-			sent = sent[:0]
-			bc.Handle(env, 1, sendMsg{&send{Slot: Slot{Src: 1, Seq: 1}, Payload: x}})
-			bc.Handle(env, 1, echoMsg{&vote{Slot: Slot{Src: 1, Seq: 1}, Digest: x.Digest()}})
-			bc.Handle(env, 1, readyMsg{&vote{Slot: Slot{Src: 1, Seq: 1}, Digest: x.Digest()}})
-			bc.Handle(env, 3, fetchMsg{&vote{Slot: Slot{Src: 1, Seq: 1}, Digest: x.Digest()}})
-			bc.Handle(env, 1, payloadMsg{&send{Slot: Slot{Src: 2, Seq: 0}, Payload: x}})
-			if got := bc.SlotCount(); got != 2 {
-				t.Fatalf("late message reopened pruned slot: SlotCount = %d, want 2", got)
-			}
-			if deliveries != delivered || len(sent) != 0 {
-				t.Fatalf("late messages below the watermark: %d deliveries, sent %v", deliveries-delivered, sent)
-			}
-			// A live slot still serves its payload, once per requester.
-			if tc.name == "Reliable" {
-				bc.Handle(env, 3, fetchMsg{&vote{Slot: Slot{Src: 1, Seq: 4}, Digest: x.Digest()}})
-				bc.Handle(env, 3, fetchMsg{&vote{Slot: Slot{Src: 1, Seq: 4}, Digest: x.Digest()}})
-				if len(sent) != 1 || sent[0].to != 3 {
-					t.Fatalf("two fetches of a held payload by one requester: sent %v, want one reply", sent)
-				}
-			}
-			// The watermark only ratchets forward.
-			bc.PruneBelow(1)
-			if got := bc.SlotCount(); got != 2 {
-				t.Fatalf("PruneBelow moved backwards: SlotCount = %d, want 2", got)
-			}
-		})
-	}
+	t.Run("Reliable", func(t *testing.T) {
+		deliveries := 0
+		bc := NewReliable(0, quorum.NewThreshold(4, 1), func(sim.Env, Slot, Payload) { deliveries++ })
+		var sent []queuedMsg
+		env := queueEnv{pruneEnv: pruneEnv{self: 0, n: 4}, queue: &sent}
+		x := Bytes("x")
+		// Open per-slot state for seqs 0..4 from sender 1; in slot 0 of
+		// source 2 leave a fetch running (an ECHO quorum, no SEND).
+		for seq := uint64(0); seq < 5; seq++ {
+			bc.Handle(env, 1, sendMsg{&send{Slot: Slot{Src: 1, Seq: seq}, Payload: x}})
+		}
+		for from := types.ProcessID(1); from < 4; from++ {
+			bc.Handle(env, from, echoMsg{&vote{Slot: Slot{Src: 2, Seq: 0}, Digest: x.Digest()}})
+		}
+		if got := bc.SlotCount(); got != 6 {
+			t.Fatalf("before prune: SlotCount = %d, want 6", got)
+		}
+		bc.PruneBelow(3)
+		if got := bc.SlotCount(); got != 2 {
+			t.Fatalf("after PruneBelow(3): SlotCount = %d, want 2", got)
+		}
+		delivered := deliveries
+		// Late messages for a pruned slot must not reopen state, be
+		// answered, or deliver again.
+		sent = sent[:0]
+		bc.Handle(env, 1, sendMsg{&send{Slot: Slot{Src: 1, Seq: 1}, Payload: x}})
+		bc.Handle(env, 1, echoMsg{&vote{Slot: Slot{Src: 1, Seq: 1}, Digest: x.Digest()}})
+		bc.Handle(env, 1, readyMsg{&vote{Slot: Slot{Src: 1, Seq: 1}, Digest: x.Digest()}})
+		bc.Handle(env, 3, fetchMsg{&vote{Slot: Slot{Src: 1, Seq: 1}, Digest: x.Digest()}})
+		bc.Handle(env, 1, payloadMsg{&send{Slot: Slot{Src: 2, Seq: 0}, Payload: x}})
+		if got := bc.SlotCount(); got != 2 {
+			t.Fatalf("late message reopened pruned slot: SlotCount = %d, want 2", got)
+		}
+		if deliveries != delivered || len(sent) != 0 {
+			t.Fatalf("late messages below the watermark: %d deliveries, sent %v", deliveries-delivered, sent)
+		}
+		// A live slot still serves its payload, once per requester.
+		bc.Handle(env, 3, fetchMsg{&vote{Slot: Slot{Src: 1, Seq: 4}, Digest: x.Digest()}})
+		bc.Handle(env, 3, fetchMsg{&vote{Slot: Slot{Src: 1, Seq: 4}, Digest: x.Digest()}})
+		if len(sent) != 1 || sent[0].to != 3 {
+			t.Fatalf("two fetches of a held payload by one requester: sent %v, want one reply", sent)
+		}
+		// The watermark only ratchets forward.
+		bc.PruneBelow(1)
+		if got := bc.SlotCount(); got != 2 {
+			t.Fatalf("PruneBelow moved backwards: SlotCount = %d, want 2", got)
+		}
+	})
 }
 
 // countedPayload is a Payload whose Digest reports every call.
@@ -1217,7 +1202,7 @@ func TestReliableDropsUncountedVoters(t *testing.T) {
 	const self = 0
 	var inside, outside []types.ProcessID
 	for p := 0; p < n; p++ {
-		if quorum.Counts(sys, self, types.ProcessID(p)) {
+		if sys.Counts(self, types.ProcessID(p)) {
 			inside = append(inside, types.ProcessID(p))
 		} else {
 			outside = append(outside, types.ProcessID(p))
@@ -1506,7 +1491,7 @@ func TestReliableRefWithoutEchoChangesNothing(t *testing.T) {
 	sys := quorum.Counterexample()
 	outside := types.ProcessID(-1)
 	for p := 0; p < sys.N(); p++ {
-		if !quorum.Counts(sys, 0, types.ProcessID(p)) {
+		if !sys.Counts(0, types.ProcessID(p)) {
 			outside = types.ProcessID(p)
 			break
 		}
@@ -1539,7 +1524,7 @@ func TestReliableRefAddsNoDigest(t *testing.T) {
 	const self = 0
 	var inside []types.ProcessID
 	for p := 0; p < sys.N(); p++ {
-		if quorum.Counts(sys, self, types.ProcessID(p)) {
+		if sys.Counts(self, types.ProcessID(p)) {
 			inside = append(inside, types.ProcessID(p))
 		}
 	}

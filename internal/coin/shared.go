@@ -26,8 +26,8 @@ type ShareMsg struct {
 //
 // A process counts shares only through its quorum predicate, so Release
 // sends a share only to the processes whose quorums contain the sender,
-// its quorum.Audience: everyone under threshold trust, 6 of 30 on the
-// paper's Fig. 1 system.
+// its audience (quorum.Assumption.Audience): everyone under threshold
+// trust, 6 of 30 on the paper's Fig. 1 system.
 type Shared struct {
 	self     types.ProcessID
 	trust    quorum.Assumption
@@ -57,7 +57,7 @@ func (s *Shared) Release(env sim.Env, wave int) {
 		return
 	}
 	s.released[wave] = true
-	sim.Multicast(env, sim.Cast{To: quorum.Audience(s.trust, s.self), Msg: ShareMsg{Wave: wave}})
+	sim.Multicast(env, sim.Cast{To: s.trust.Audience(s.self), Msg: ShareMsg{Wave: wave}})
 }
 
 // Handle consumes a ShareMsg. It reports whether the message belonged to

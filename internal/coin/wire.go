@@ -19,9 +19,6 @@ const wireTagShare = 45
 // both price a share at what the real protocol would pay.
 const shareReservedBytes = 48
 
-// maxWireWave bounds the wave number accepted off the wire.
-const maxWireWave = 1 << 30
-
 func init() {
 	wire.Register(wireTagShare, ShareMsg{}, wire.Codec{
 		Append: func(dst []byte, msg any) ([]byte, error) {
@@ -29,7 +26,7 @@ func init() {
 			return append(dst, make([]byte, shareReservedBytes)...), nil
 		},
 		Decode: func(b []byte) (any, []byte, error) {
-			wave, rest, err := wire.ReadInt(b, maxWireWave)
+			wave, rest, err := wire.ReadInt(b, wire.MaxRound)
 			if err != nil {
 				return nil, b, fmt.Errorf("coin: wire share wave: %w", err)
 			}

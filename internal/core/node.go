@@ -19,8 +19,9 @@
 //     only through its owner's quorum and kernel predicates, so, like
 //     reliable broadcast's votes (see the internal/broadcast package
 //     comment), each goes only to the processes that can count it: READY
-//     and CONFIRM to the sender's quorum.Audience, and the ACK of a vertex
-//     to its source only if the ACKer lies in one of the source's quorums.
+//     and CONFIRM to the sender's audience (quorum.Assumption.Audience),
+//     and the ACK of a vertex to its source only if the ACKer lies in one
+//     of the source's quorums.
 //     The revealed coin's shares go to the audience too.
 //   - Commit rule: a wave's coin-elected leader vertex commits if the
 //     round-4 vertices of some process's quorum all have strong paths to
@@ -226,16 +227,16 @@ func (n *Node) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
 	switch m := msg.(type) {
 	case ackMsg:
 		if g := n.gate(m.Wave); g != nil && g.Ack(from) {
-			sim.Multicast(env, sim.Cast{To: quorum.Audience(n.cfg.Trust, n.self), Msg: readyMsg{m.ctl}})
+			sim.Multicast(env, sim.Cast{To: n.cfg.Trust.Audience(n.self), Msg: readyMsg{m.ctl}})
 		}
 	case readyMsg:
 		if g := n.gate(m.Wave); g != nil && g.Ready(from) {
-			sim.Multicast(env, sim.Cast{To: quorum.Audience(n.cfg.Trust, n.self), Msg: confirmMsg{m.ctl}})
+			sim.Multicast(env, sim.Cast{To: n.cfg.Trust.Audience(n.self), Msg: confirmMsg{m.ctl}})
 		}
 	case confirmMsg:
 		if g := n.gate(m.Wave); g != nil {
 			if confirm, _ := g.Confirm(from); confirm {
-				sim.Multicast(env, sim.Cast{To: quorum.Audience(n.cfg.Trust, n.self), Msg: m})
+				sim.Multicast(env, sim.Cast{To: n.cfg.Trust.Audience(n.self), Msg: m})
 			}
 		}
 	case coin.ShareMsg:
@@ -278,7 +279,7 @@ func (n rules) Leader(w int) (types.ProcessID, bool) {
 // Commits is the paper's commit rule: the round-4 vertices of some
 // process's quorum all have strong paths to the leader.
 func (n rules) Commits(reach types.Set) bool {
-	return quorum.HasAnyQuorumWithin(n.cfg.Trust, reach)
+	return n.cfg.Trust.HasAnyQuorumWithin(reach)
 }
 
 // Inserted sends the gather ACK for a round ≡ 2 (mod 4) vertex when it
@@ -292,7 +293,7 @@ func (n rules) Inserted(env sim.Env, v *dag.Vertex) {
 		return
 	}
 	acked.Add(v.Source)
-	if !quorum.Counts(n.cfg.Trust, v.Source, n.self) {
+	if !n.cfg.Trust.Counts(v.Source, n.self) {
 		return // v.Source's gate cannot count this ACK
 	}
 	if w := rider.RoundWave(v.Round); n.ack == nil || n.ack.Wave != w {

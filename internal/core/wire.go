@@ -18,9 +18,6 @@ const (
 	wireTagConfirm = 42
 )
 
-// maxWireWave bounds wave numbers accepted off the wire.
-const maxWireWave = 1 << 30
-
 func init() {
 	registerWaveMsg(wireTagAck, ackMsg{},
 		func(m any) int { return m.(ackMsg).Wave },
@@ -41,7 +38,7 @@ func registerWaveMsg(tag uint64, prototype any, get func(any) int, build func(in
 			return wire.AppendInt(dst, get(msg)), nil
 		},
 		Decode: func(b []byte) (any, []byte, error) {
-			w, rest, err := wire.ReadInt(b, maxWireWave)
+			w, rest, err := wire.ReadInt(b, wire.MaxRound)
 			if err != nil {
 				return nil, b, fmt.Errorf("core: wire wave: %w", err)
 			}

@@ -44,7 +44,7 @@ func TestCoreWireRoundTrip(t *testing.T) {
 	}
 	// Wave beyond the decode bound is rejected.
 	frame := wire.AppendUvarint(nil, wireTagAck)
-	frame = wire.AppendUvarint(frame, uint64(maxWireWave)+1)
+	frame = wire.AppendUvarint(frame, uint64(wire.MaxRound)+1)
 	if _, _, err := wire.Decode(frame); err == nil {
 		t.Fatal("oversized wave accepted")
 	}

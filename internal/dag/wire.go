@@ -6,21 +6,24 @@
 // registers it as rider.VertexPayload's codec under WireTag (see
 // internal/wire for the frame layout and tag-range assignments).
 //
-// Every strong edge of a round-r vertex points into round r−1 (Algorithm
-// 4; rider.CheckVertex rejects any other shape), so the body names only
-// their sources, as a bitmap: bit j of byte i is source 8i+j, the LSB-first
+// Every strong edge of a round-r vertex points into round r−1 (Algorithm 4;
+// rider.CheckVertex rejects any other shape), so the body names only their
+// sources, as a bitmap: bit j of byte i is source 8i+j, the LSB-first
 // layout of types.Set's words. k is 0 when there are no strong edges, and
 // otherwise the last byte is non-zero. A vertex whose strong edges are not
 // distinct ascending sources in [0, wire.MaxUniverse), all at Round−1, has
-// no wire form, and neither has one with a negative source or round, in
-// itself or in a weak edge, which no varint carries: AppendWire reports an
-// error and its digest is the zero digest, which a payload without a
-// vertex already has. That costs nothing a correct process needs: every
-// such vertex fails CheckVertex, by its strong-edge rule or because a
-// correct vertex names sources in [0, n) and rounds ≥ 0, so a correct
-// process drops it whatever its digest. A Byzantine process can hand such
-// a vertex to the others in process, as the simulator does, so hashing it
-// must not panic.
+// no wire form, and neither has one the decoder would refuse: a source, its
+// own or a weak edge's, outside [0, wire.MaxUniverse], a round outside [0,
+// wire.MaxRound], more than wire.MaxCount txs or weak edges, or a tx longer
+// than wire.MaxStringLen. AppendWire reports an error and its digest is the
+// zero digest, which a payload without a vertex already has. So every frame
+// the encoder writes decodes. That costs nothing a correct process needs: a
+// correct vertex names sources in [0, n) and rounds far below
+// wire.MaxRound, a block past the count or length bound could not cross a
+// link before either, as no receiver decodes it, and every other such
+// vertex fails CheckVertex. A Byzantine process can hand such a vertex to
+// the others in process, as the simulator does, so hashing it must not
+// panic.
 //
 // Counts and rounds are bounded on decode — vertices arrive from the
 // network, possibly from Byzantine peers. k is at most wire.MaxUniverse/8,
@@ -56,9 +59,6 @@ import (
 // tag rider.VertexPayload registers (rider's range 50–59), and the one a
 // vertex's digest covers.
 const WireTag = 50
-
-// maxWireRound bounds round numbers accepted off the wire.
-const maxWireRound = 1 << 30
 
 // Digest is a vertex's content address: the SHA-256 of its wire frame.
 type Digest = [sha256.Size]byte
@@ -105,21 +105,21 @@ func (v *Vertex) digest() Digest {
 // errStrongShape reports a vertex whose strong edges have no wire form.
 var errStrongShape = errors.New("dag: strong edges are not distinct ascending sources at round−1")
 
-// errNegative reports a vertex with a negative source or round, which no
-// varint carries.
-var errNegative = errors.New("dag: negative source or round")
+// errOutOfBounds reports a vertex with a field outside the bounds
+// DecodeWire enforces.
+var errOutOfBounds = errors.New("dag: source, round, count or tx length outside the wire bounds")
 
 // AppendWire appends v's wire body to dst. It reports an error, and
 // appends nothing, if v's strong edges are not distinct ascending sources
-// in [0, wire.MaxUniverse), all at v.Round−1, or if v's source or round,
-// or a weak edge's, is negative.
+// in [0, wire.MaxUniverse), all at v.Round−1, or if any other field is
+// outside the bounds DecodeWire enforces.
 func AppendWire(dst []byte, v *Vertex) ([]byte, error) {
 	k, ok := strongBitmapLen(v)
 	if !ok {
 		return dst, errStrongShape
 	}
-	if !nonNegative(v) {
-		return dst, errNegative
+	if !inBounds(v) {
+		return dst, errOutOfBounds
 	}
 	dst = wire.AppendInt(dst, int(v.Source))
 	dst = wire.AppendInt(dst, v.Round)
@@ -158,18 +158,29 @@ func strongBitmapLen(v *Vertex) (int, bool) {
 	return (last + 8) / 8, true
 }
 
-// nonNegative reports whether v's source and round and those of its weak
-// edges are all ≥ 0.
-func nonNegative(v *Vertex) bool {
-	if v.Source < 0 || v.Round < 0 {
+// inBounds reports whether v's fields other than its strong edges are
+// within the bounds DecodeWire enforces.
+func inBounds(v *Vertex) bool {
+	if !refInBounds(VertexRef{Source: v.Source, Round: v.Round}) || len(v.Block) > wire.MaxCount || len(v.WeakEdges) > wire.MaxCount {
 		return false
 	}
+	for _, tx := range v.Block {
+		if len(tx) > wire.MaxStringLen {
+			return false
+		}
+	}
 	for _, r := range v.WeakEdges {
-		if r.Source < 0 || r.Round < 0 {
+		if !refInBounds(r) {
 			return false
 		}
 	}
 	return true
+}
+
+// refInBounds reports whether r's source is in [0, wire.MaxUniverse] and
+// its round in [0, wire.MaxRound].
+func refInBounds(r VertexRef) bool {
+	return uint(r.Source) <= wire.MaxUniverse && uint(r.Round) <= wire.MaxRound
 }
 
 // DecodeWire parses one vertex body from the front of b and returns the
@@ -185,7 +196,7 @@ func DecodeWire(b []byte) (*Vertex, []byte, error) {
 	if err != nil {
 		return nil, b, fmt.Errorf("dag: wire vertex source: %w", err)
 	}
-	round, rest, err := wire.ReadInt(rest, maxWireRound)
+	round, rest, err := wire.ReadInt(rest, wire.MaxRound)
 	if err != nil {
 		return nil, b, fmt.Errorf("dag: wire vertex round: %w", err)
 	}
@@ -270,7 +281,7 @@ func checkRefsWire(b []byte) (int, []byte, error) {
 		if _, rest, err = wire.ReadInt(rest, wire.MaxUniverse); err != nil {
 			return 0, b, err
 		}
-		if _, rest, err = wire.ReadInt(rest, maxWireRound); err != nil {
+		if _, rest, err = wire.ReadInt(rest, wire.MaxRound); err != nil {
 			return 0, b, err
 		}
 	}

@@ -50,10 +50,10 @@ func naiveWitnessSystem(t *testing.T) *quorum.System {
 func TestAudiencesHoldDefinition41BesideNaive(t *testing.T) {
 	sys := naiveWitnessSystem(t)
 	n := sys.N()
-	if pairs, aud := quorum.VotePairs(sys), quorum.Audience(sys, 6); pairs != 33 || !slices.Equal(aud, []types.ProcessID{0, 6}) {
+	if pairs, aud := quorum.VotePairs(sys), sys.Audience(6); pairs != 33 || !slices.Equal(aud, []types.ProcessID{0, 6}) {
 		t.Fatalf("%d vote links and process 6's audience %v, want 33 and [p1 p7]", pairs, aud)
 	}
-	if aud := quorum.Audience(sys, 0); aud != nil {
+	if aud := sys.Audience(0); aud != nil {
 		t.Fatalf("process 0's audience is %v, want everyone", aud)
 	}
 	guild := types.NewSetOf(n, 1, 2, 3, 4, 5)

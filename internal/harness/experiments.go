@@ -273,10 +273,7 @@ func ExpCommitWaves() string {
 	fmt.Fprintln(w, "system\tn\tc(Q)\tbound |P|/c(Q)\tmean waves/commit\tcommit rate")
 	for _, s := range systems {
 		n := s.trust.N()
-		cq := 0
-		if qs, ok := s.trust.(quorum.QuorumSizer); ok {
-			cq = qs.SmallestQuorumSize()
-		}
+		cq := s.trust.SmallestQuorumSize()
 		stats := SweepRider(sim.SeedRange(0, s.seeds), func(seed int64) RiderConfig {
 			return RiderConfig{
 				Kind: Asymmetric, Trust: s.trust, NumWaves: s.waves,
@@ -353,10 +350,7 @@ func ExpFaults() string {
 			}
 			return sc
 		}
-		guild, err := scenarioGuild(trust, muted())
-		if err != nil {
-			panic(err)
-		}
+		guild := trust.MaximalGuild(muted().FaultySet(trust.N()))
 		stats := SweepRider(sim.SeedRange(1, seedsPerScenario), func(seed int64) RiderConfig {
 			return RiderConfig{
 				Kind: Asymmetric, Trust: trust, NumWaves: waves, TxPerBlock: 1,

@@ -52,25 +52,6 @@ func ScenarioRiderConfig(def scenario.Definition, base ScenarioSweepConfig, seed
 	}
 }
 
-// scenarioGuild returns the maximal guild of sc's faulty set under trust:
-// an explicit system computes it; under threshold trust it is every
-// correct process while at most f are faulty, and empty beyond that (no
-// process is wise).
-func scenarioGuild(trust quorum.Assumption, sc *scenario.Scenario) (types.Set, error) {
-	faulty := sc.FaultySet(trust.N())
-	switch t := trust.(type) {
-	case *quorum.System:
-		return t.MaximalGuild(faulty), nil
-	case quorum.Threshold:
-		if faulty.Count() > t.F() {
-			return types.NewSet(t.N()), nil
-		}
-		return faulty.Complement(), nil
-	default:
-		return types.Set{}, fmt.Errorf("no guild computation for trust %T", trust)
-	}
-}
-
 // Verdict tells how a run passed its check: Vacuous when the maximal
 // guild is empty, so there was nothing to check, else Held.
 type Verdict int
@@ -95,14 +76,12 @@ func CheckScenarioProperties(res RiderResult) (Verdict, error) {
 	if res.Metrics.EncodeErrors > 0 {
 		return Held, fmt.Errorf("scenario %s: %d sends of a message with no wire codec", sc.Name, res.Metrics.EncodeErrors)
 	}
-	guild, err := scenarioGuild(res.Config.Trust, sc)
-	if err != nil {
-		return Held, fmt.Errorf("scenario %s: %w", sc.Name, err)
-	}
+	trust := res.Config.Trust
+	guild := trust.MaximalGuild(sc.FaultySet(trust.N()))
 	if guild.IsEmpty() {
 		return Vacuous, nil
 	}
-	touched := sc.TouchedSet(res.Config.Trust.N())
+	touched := sc.TouchedSet(trust.N())
 	for _, prop := range sc.Properties {
 		var err error
 		switch prop {

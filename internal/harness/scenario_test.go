@@ -157,7 +157,8 @@ func TestCheckScenarioPropertiesRejectsViolations(t *testing.T) {
 // TestThresholdGuildMatchesExplicit pins the checker's threshold guild
 // against the explicit system's MaximalGuild: for every faulty set of up
 // to f+1 members at n = 4 and 7, muting it gives the same guild under
-// quorum.Threshold as under its explicit form.
+// quorum.Threshold as under its explicit form, each read from the
+// scenario's faulty set the way CheckScenarioProperties reads it.
 func TestThresholdGuildMatchesExplicit(t *testing.T) {
 	for _, nf := range []struct{ n, f int }{{4, 1}, {7, 2}} {
 		explicit, err := quorum.NewThresholdExplicit(nf.n, nf.f)
@@ -177,10 +178,8 @@ func TestThresholdGuildMatchesExplicit(t *testing.T) {
 					faulty.Add(types.ProcessID(p))
 				}
 			}
-			got, err := scenarioGuild(quorum.NewThreshold(nf.n, nf.f), sc)
-			if err != nil {
-				t.Fatal(err)
-			}
+			var trust quorum.Assumption = quorum.NewThreshold(nf.n, nf.f)
+			got := trust.MaximalGuild(sc.FaultySet(trust.N()))
 			if want := explicit.MaximalGuild(faulty); !got.Equal(want) {
 				t.Errorf("threshold(%d,%d), faulty %v: guild %v, explicit system's %v", nf.n, nf.f, faulty, got, want)
 			}

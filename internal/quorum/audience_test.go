@@ -55,7 +55,7 @@ func unions(t *testing.T, name string, a Assumption) []types.Set {
 	n := a.N()
 	u := types.NewSets(n, n)
 	for i := 0; i < n; i++ {
-		aud := Audience(a, types.ProcessID(i))
+		aud := a.Audience(types.ProcessID(i))
 		if aud == nil {
 			for j := range u {
 				u[j].Add(types.ProcessID(i))
@@ -104,7 +104,7 @@ func TestAudiencesKeepPredicates(t *testing.T) {
 				}
 			}
 			for i := 0; i < n; i++ {
-				if got := Counts(a, pj, types.ProcessID(i)); got != u[j].Contains(types.ProcessID(i)) {
+				if got := a.Counts(pj, types.ProcessID(i)); got != u[j].Contains(types.ProcessID(i)) {
 					t.Fatalf("%s: Counts(p%d, p%d) = %v, audiences say %v", name, j+1, i+1, got, !got)
 				}
 			}
@@ -133,7 +133,7 @@ func TestAudiencesKeepPredicates(t *testing.T) {
 	t.Logf("U_j is smaller than P somewhere in %d of the systems", len(restricted))
 	for _, th := range []Threshold{NewThreshold(4, 1), NewThreshold(7, 2)} {
 		for i := 0; i < th.N(); i++ {
-			if aud := Audience(th, types.ProcessID(i)); aud != nil {
+			if aud := th.Audience(types.ProcessID(i)); aud != nil {
 				t.Fatalf("threshold n=%d: audience of p%d is %v, want nil", th.N(), i+1, aud)
 			}
 		}
@@ -159,13 +159,13 @@ func TestEmptyAudienceIsNotEveryone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if aud := Audience(sys, 3); aud == nil || len(aud) != 0 {
+	if aud := sys.Audience(3); aud == nil || len(aud) != 0 {
 		t.Fatalf("audience of p4, in no quorum, is %#v, want empty and not nil", aud)
 	}
-	if aud := Audience(sys, 0); aud != nil {
+	if aud := sys.Audience(0); aud != nil {
 		t.Fatalf("audience of p1, in every quorum, is %v, want nil", aud)
 	}
-	if Counts(sys, 0, 3) || !Counts(sys, 3, 0) {
+	if sys.Counts(0, 3) || !sys.Counts(3, 0) {
 		t.Fatal("Counts disagrees with the quorums {p1, p2, p3}")
 	}
 }
@@ -174,10 +174,10 @@ func TestEmptyAudienceIsNotEveryone(t *testing.T) {
 // compiles, so asking for one allocates nothing.
 func TestAudienceAllocatesNothing(t *testing.T) {
 	sys := Counterexample()
-	Audience(sys, 0)
+	sys.Audience(0)
 	if allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < sys.N(); i++ {
-			Audience(sys, types.ProcessID(i))
+			sys.Audience(types.ProcessID(i))
 		}
 	}); allocs != 0 {
 		t.Fatalf("reading the audiences allocates %.1f objects, want 0", allocs)

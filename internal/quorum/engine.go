@@ -48,8 +48,7 @@
 //
 // Threshold systems do not need any of this machinery: their predicates
 // are cardinality comparisons, so NewTracker hands out a trivial counting
-// tracker. NewTracker panics on an Assumption that is neither *System nor
-// Threshold: the protocols run only on these two.
+// tracker. Each of the two Assumption types binds its own trackers.
 //
 // Besides the protocol predicates, the Evaluator also flattens the
 // fail-prone system into contiguous popcount-ready words (sorted per
@@ -442,11 +441,10 @@ type Tracker struct {
 
 // NewTracker creates the incremental tracker of process i's predicates
 // over an initially empty tally. Explicit systems get the compiled
-// engine and Threshold gets the trivial counting tracker; any other
-// Assumption implementation panics.
+// engine and Threshold gets the trivial counting tracker.
 func NewTracker(a Assumption, i types.ProcessID) *Tracker {
 	t := &Tracker{members: types.NewSet(a.N())}
-	t.bind(a, i, nil)
+	a.bind(t, i, nil)
 	return t
 }
 
@@ -458,43 +456,32 @@ func NewTracker(a Assumption, i types.ProcessID) *Tracker {
 func NewTrackers(a Assumption, i types.ProcessID, k int) []Tracker {
 	ts := make([]Tracker, k)
 	sets := types.NewSets(a.N(), k)
-	var missing []int32
-	nq := 0
-	if s, ok := a.(*System); ok {
-		nq = s.Evaluator().numQuorums(i)
-		missing = make([]int32, k*nq)
-	}
+	nq := a.residuals(i)
+	missing := make([]int32, k*nq)
 	for j := range ts {
 		ts[j].members = sets[j]
-		ts[j].bind(a, i, missing[j*nq:(j+1)*nq:(j+1)*nq])
+		a.bind(&ts[j], i, missing[j*nq:(j+1)*nq:(j+1)*nq])
 	}
 	return ts
 }
 
-// bind sets t up as the empty tracker of i's predicates under a. A
-// compiled tracker keeps its residual counts in missing, or in a new array
-// when missing is nil.
-func (t *Tracker) bind(a Assumption, i types.ProcessID, missing []int32) {
-	t.i = i
-	switch s := a.(type) {
-	case *System:
-		e := s.Evaluator()
-		t.mode = modeCompiled
-		t.ev = e
-		t.base = e.qStart[i]
-		if missing == nil {
-			missing = make([]int32, e.numQuorums(i))
-		}
-		t.missing = missing
-	case Threshold:
-		t.mode = modeThreshold
-		t.quorumSize = s.QuorumSize()
-		t.kernelSize = s.KernelSize()
-	default:
-		panic(unsupported(a))
+func (s *System) bind(t *Tracker, i types.ProcessID, missing []int32) {
+	e := s.Evaluator()
+	if missing == nil {
+		missing = make([]int32, e.numQuorums(i))
 	}
+	t.mode, t.ev, t.i, t.base, t.missing = modeCompiled, e, i, e.qStart[i], missing
 	t.Reset()
 }
+
+func (s *System) residuals(i types.ProcessID) int { return s.Evaluator().numQuorums(i) }
+
+func (th Threshold) bind(t *Tracker, i types.ProcessID, _ []int32) {
+	t.mode, t.i, t.quorumSize, t.kernelSize = modeThreshold, i, th.QuorumSize(), th.KernelSize()
+	t.Reset()
+}
+
+func (th Threshold) residuals(types.ProcessID) int { return 0 }
 
 // Reset empties the tally, so the tracker answers like a fresh one over
 // the same assumption and process. It keeps its storage and allocates

@@ -27,34 +27,6 @@ func naiveHasKernelWithin(s *System, i types.ProcessID, m types.Set) bool {
 	return true
 }
 
-// opaque hides a System's concrete type: an Assumption that is neither
-// *System nor Threshold.
-type opaque struct{ *System }
-
-// TestUnsupportedAssumptionPanics: the trackers and HasAnyQuorumWithin
-// evaluate only *System and Threshold, and refuse any other Assumption
-// instead of answering through a slow path.
-func TestUnsupportedAssumptionPanics(t *testing.T) {
-	a := opaque{Counterexample()}
-	m := types.FullSet(a.N())
-	for name, call := range map[string]func(){
-		"NewTracker":         func() { NewTracker(a, 0) },
-		"NewTrackers":        func() { NewTrackers(a, 0, 2) },
-		"HasAnyQuorumWithin": func() { HasAnyQuorumWithin(a, m) },
-		"Audience":           func() { Audience(a, 0) },
-		"Counts":             func() { Counts(a, 0, 1) },
-	} {
-		func() {
-			defer func() {
-				if r := recover(); r != "quorum: unsupported Assumption quorum.opaque" {
-					t.Errorf("%s: recovered %v, want the unsupported-Assumption panic", name, r)
-				}
-			}()
-			call()
-		}()
-	}
-}
-
 // testSystems returns the equivalence-test corpus: the paper's Figure 1
 // counterexample plus a spread of random asymmetric systems.
 func testSystems(t *testing.T) []*System {
@@ -281,7 +253,7 @@ func TestHasAnyQuorumWithinEquivalence(t *testing.T) {
 			for i := 0; i < n && !want; i++ {
 				want = naiveHasQuorumWithin(sys, types.ProcessID(i), m)
 			}
-			if got := HasAnyQuorumWithin(sys, m); got != want {
+			if got := sys.HasAnyQuorumWithin(m); got != want {
 				t.Fatalf("system %d: HasAnyQuorumWithin=%v want %v for %v", si, got, want, m)
 			}
 		}

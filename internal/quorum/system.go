@@ -3,9 +3,11 @@
 // existence condition, and guild computation (paper §2.2–2.3; Alpos et al.,
 // "Asymmetric distributed trust").
 //
-// Protocol code depends only on the narrow Assumption interface; explicit
-// systems (System) additionally support analysis: validation, guild and
-// kernel computation, and rendering.
+// Protocol code depends only on the Assumption interface, which is closed:
+// its unexported methods let only the explicit System and the Threshold
+// assumption implement it, and each answers every question the protocols
+// ask in its own way. Explicit systems additionally support analysis:
+// validation, wise and naive sets, kernel computation, and rendering.
 //
 // Predicate evaluation is served by the incremental engine in engine.go:
 // explicit systems compile lazily into an Evaluator (flattened quorum
@@ -33,22 +35,45 @@ import (
 	"repro/internal/types"
 )
 
-// Assumption is the minimal interface protocols need from a trust structure.
-//
-// HasQuorumWithin(i, m) reports whether m contains a quorum for process i
-// (∃Q ∈ Q_i : Q ⊆ m) — the "received messages from one of its quorums"
-// trigger used throughout the paper's algorithms.
-//
-// HasKernelWithin(i, m) reports whether m contains a kernel for process i,
-// which holds exactly when m intersects every quorum of i. This is the
-// Bracha-style amplification trigger (paper Algorithm 3 line 55).
+// Assumption is a trust structure as the protocols ask it. It is closed:
+// bind and residuals set up a Tracker from the type's own state, so *System
+// and Threshold are its only implementations (a type that embeds *System
+// gets System's answers).
 type Assumption interface {
 	// N returns the number of processes in the system.
 	N() int
-	// HasQuorumWithin reports whether m contains a quorum for process i.
+	// HasQuorumWithin reports whether m contains a quorum for process i
+	// (∃Q ∈ Q_i : Q ⊆ m): the "received messages from one of its quorums"
+	// trigger of the paper's algorithms.
 	HasQuorumWithin(i types.ProcessID, m types.Set) bool
-	// HasKernelWithin reports whether m contains a kernel for process i.
+	// HasKernelWithin reports whether m contains a kernel for process i,
+	// that is, meets every quorum of i: the Bracha-style amplification
+	// trigger (paper Algorithm 3 line 55).
 	HasKernelWithin(i types.ProcessID, m types.Set) bool
+	// HasAnyQuorumWithin reports whether m contains a quorum for at least
+	// one process: the "∃Q ∈ Q_j for some Q_j ∈ Q" test of the commit
+	// rule and vertex validation (Algorithm 6 lines 140 and 148).
+	HasAnyQuorumWithin(m types.Set) bool
+	// Audience returns the processes that can count a vote of process i,
+	// in ID order, or nil when every process can: the j with i ∈ U_j, the
+	// union of j's quorums, since j's quorum and kernel predicates on any
+	// m depend only on m ∩ U_j. The slice is shared and must not be
+	// modified.
+	Audience(i types.ProcessID) []types.ProcessID
+	// Counts reports whether p lies in U_i, that is, i is in p's Audience.
+	Counts(i, p types.ProcessID) bool
+	// SmallestQuorumSize returns c(Q), the smallest quorum cardinality:
+	// the constant in the paper's Lemma 4.4 commit-latency bound.
+	SmallestQuorumSize() int
+	// MaximalGuild returns the maximal guild for the faulty set f
+	// (Definition 2.2); it may be empty.
+	MaximalGuild(f types.Set) types.Set
+
+	// bind sets t up as the empty tracker of i's predicates, keeping a
+	// compiled tracker's residual counts in missing (a new array when
+	// nil), whose length residuals(i) gives.
+	bind(t *Tracker, i types.ProcessID, missing []int32)
+	residuals(i types.ProcessID) int
 }
 
 // System is an explicit asymmetric trust structure: a fail-prone collection
@@ -159,6 +184,17 @@ func (s *System) Tolerates(i types.ProcessID, f types.Set) bool {
 func (s *System) SmallestQuorumSize() int {
 	return s.Evaluator().SmallestQuorumSize()
 }
+
+// HasAnyQuorumWithin runs one flat scan over all quorums with the popcount
+// pre-filter, instead of n per-process predicate calls.
+func (s *System) HasAnyQuorumWithin(m types.Set) bool { return s.Evaluator().HasAnyQuorumWithin(m) }
+
+// Audience returns i's audience, computed for every process when the
+// System compiles.
+func (s *System) Audience(i types.ProcessID) []types.ProcessID { return s.Evaluator().aud[i] }
+
+// Counts reports whether p lies in U_i.
+func (s *System) Counts(i, p types.ProcessID) bool { return s.Evaluator().counts(i, p) }
 
 // Wise returns the set of wise processes for an actual faulty set f: the
 // correct processes that foresee f (f ∈ F_i*). Faulty processes are never
@@ -289,45 +325,30 @@ func (t Threshold) HasKernelWithin(_ types.ProcessID, m types.Set) bool {
 	return m.Count() >= t.f+1
 }
 
-// SmallestQuorumSize returns n-f, mirroring System.SmallestQuorumSize.
+// SmallestQuorumSize returns n-f.
 func (t Threshold) SmallestQuorumSize() int { return t.n - t.f }
 
-// HasAnyQuorumWithin reports whether m contains a quorum for at least one
-// process — the "∃Q ∈ Q_j for some Q_j ∈ Q" test of the paper's commit
-// rule and vertex validation (Algorithm 6 lines 140 and 148). For the
-// threshold assumption every process's quorums coincide, so the first
-// process's check suffices. Any Assumption other than *System and
-// Threshold panics.
-func HasAnyQuorumWithin(a Assumption, m types.Set) bool {
-	switch t := a.(type) {
-	case Threshold:
-		return a.HasQuorumWithin(0, m)
-	case *System:
-		// One flat scan over all quorums with the popcount pre-filter,
-		// instead of n per-process predicate calls.
-		return t.Evaluator().HasAnyQuorumWithin(m)
+// HasAnyQuorumWithin reports |m| ≥ n-f: every process's quorums coincide.
+func (t Threshold) HasAnyQuorumWithin(m types.Set) bool { return m.Count() >= t.n-t.f }
+
+// Audience returns nil: every process counts every vote.
+func (t Threshold) Audience(types.ProcessID) []types.ProcessID { return nil }
+
+// Counts always holds: every process counts every vote.
+func (t Threshold) Counts(_, _ types.ProcessID) bool { return true }
+
+// MaximalGuild returns every correct process while at most f are faulty,
+// and the empty set when more are, since then no process is wise.
+func (t Threshold) MaximalGuild(f types.Set) types.Set {
+	if f.Count() > t.f {
+		return types.NewSet(t.n)
 	}
-	panic(unsupported(a))
+	return f.Complement()
 }
 
-// Audience returns the processes that can count a vote of process i, in
-// ID order, or nil when every process can, which is always the case for
-// Threshold. Process j acts on a vote only through its quorum and kernel
-// predicates, and both depend only on U_j, the union of j's quorums: m
-// contains a quorum of j iff m ∩ U_j does, and likewise for kernels. So
-// i's votes matter exactly to the j with i ∈ U_j. The audiences of a
-// System are computed once, when it compiles, so the returned slice is
-// shared and must not be modified. Any Assumption other than *System and
-// Threshold panics.
-func Audience(a Assumption, i types.ProcessID) []types.ProcessID {
-	switch t := a.(type) {
-	case Threshold:
-		return nil
-	case *System:
-		return t.Evaluator().aud[i]
-	}
-	panic(unsupported(a))
-}
+// HasAnyQuorumWithin is a.HasAnyQuorumWithin(m), for the benchmark driver
+// in bench/.
+func HasAnyQuorumWithin(a Assumption, m types.Set) bool { return a.HasAnyQuorumWithin(m) }
 
 // VotePairs returns the number of links (sender ≠ receiver) a round of
 // votes travels on when each process sends its vote to its Audience: the
@@ -337,7 +358,7 @@ func VotePairs(a Assumption) int {
 	n, pairs := a.N(), 0
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if i != j && Counts(a, types.ProcessID(j), types.ProcessID(i)) {
+			if i != j && a.Counts(types.ProcessID(j), types.ProcessID(i)) {
 				pairs++
 			}
 		}
@@ -345,34 +366,8 @@ func VotePairs(a Assumption) int {
 	return pairs
 }
 
-// Counts reports whether process i's predicates can count a vote of p:
-// whether p lies in U_i, the union of i's quorums, or equivalently i is in
-// p's Audience. It always holds for Threshold. Any Assumption other than
-// *System and Threshold panics.
-func Counts(a Assumption, i, p types.ProcessID) bool {
-	switch t := a.(type) {
-	case Threshold:
-		return true
-	case *System:
-		return t.Evaluator().counts(i, p)
-	}
-	panic(unsupported(a))
-}
-
-// unsupported is the panic message for an Assumption that is neither
-// *System nor Threshold, the two the trackers and HasAnyQuorumWithin
-// evaluate.
-func unsupported(a Assumption) string {
-	return fmt.Sprintf("quorum: unsupported Assumption %T", a)
-}
-
-// QuorumSizer is implemented by assumptions that know their smallest quorum
-// cardinality c(Q) (used by the Lemma 4.4 experiments).
+// QuorumSizer is implemented by every Assumption: it knows c(Q). The
+// benchmark driver in bench/ asserts it.
 type QuorumSizer interface {
 	SmallestQuorumSize() int
 }
-
-var (
-	_ QuorumSizer = (*System)(nil)
-	_ QuorumSizer = Threshold{}
-)

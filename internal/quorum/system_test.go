@@ -2,6 +2,7 @@ package quorum
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -43,37 +44,83 @@ func TestNewThresholdPanicsOnInfeasible(t *testing.T) {
 	NewThreshold(3, 1)
 }
 
+// TestThresholdExplicitMatchesThreshold: Threshold answers every
+// Assumption question as its explicit form does, for n = 4, 7 and 10. The
+// predicates and the any-quorum test run on every subset of P, so on sets
+// one below, at and one above n−f; audiences and Counts on every pair; the
+// maximal guild on every faulty set of up to f+1 members; and trackers,
+// single and batched, after every Add of a random order.
 func TestThresholdExplicitMatchesThreshold(t *testing.T) {
-	n, f := 7, 2
-	sys, err := NewThresholdExplicit(n, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := NewThreshold(n, f)
-	if err := sys.Validate(); err != nil {
-		t.Fatalf("explicit threshold system invalid: %v", err)
-	}
-	if !sys.SatisfiesB3() {
-		t.Fatal("explicit threshold system should satisfy B3")
-	}
-	if got := sys.SmallestQuorumSize(); got != n-f {
-		t.Fatalf("SmallestQuorumSize = %d, want %d", got, n-f)
-	}
-	// Predicates agree on random sets.
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		m := types.NewSet(n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				m.Add(types.ProcessID(i))
+	for _, row := range []struct{ n, f int }{{4, 1}, {7, 2}, {10, 3}} {
+		n, f := row.n, row.f
+		sys, err := NewThresholdExplicit(n, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Validate(); err != nil {
+			t.Fatalf("threshold(%d,%d): explicit system invalid: %v", n, f, err)
+		}
+		if !sys.SatisfiesB3() {
+			t.Fatalf("threshold(%d,%d): explicit system should satisfy B3", n, f)
+		}
+		th := NewThreshold(n, f)
+		for _, a := range []Assumption{th, sys} {
+			if a.N() != n || a.SmallestQuorumSize() != n-f {
+				t.Fatalf("threshold(%d,%d) as %T: N = %d, c(Q) = %d", n, f, a, a.N(), a.SmallestQuorumSize())
 			}
 		}
-		p := types.ProcessID(rng.Intn(n))
-		if sys.HasQuorumWithin(p, m) != th.HasQuorumWithin(p, m) {
-			t.Fatalf("quorum predicate mismatch on %v", m)
+		bySize := make([]int, n+1)
+		guilds := 0
+		for mask := 0; mask < 1<<n; mask++ {
+			m := types.NewSet(n)
+			for p := 0; p < n; p++ {
+				if mask&(1<<p) != 0 {
+					m.Add(types.ProcessID(p))
+				}
+			}
+			c := m.Count()
+			bySize[c]++
+			if got, want := th.HasAnyQuorumWithin(m), c >= n-f; got != want || sys.HasAnyQuorumWithin(m) != want {
+				t.Fatalf("threshold(%d,%d), %v: HasAnyQuorumWithin %v, explicit %v, want %v", n, f, m, got, sys.HasAnyQuorumWithin(m), want)
+			}
+			for i := 0; i < n; i++ {
+				p := types.ProcessID(i)
+				if th.HasQuorumWithin(p, m) != sys.HasQuorumWithin(p, m) || th.HasKernelWithin(p, m) != sys.HasKernelWithin(p, m) {
+					t.Fatalf("threshold(%d,%d), p%d, %v: predicates differ from the explicit system's", n, f, i+1, m)
+				}
+			}
+			if c <= f+1 {
+				guilds++
+				if got, want := th.MaximalGuild(m), sys.MaximalGuild(m); !got.Equal(want) {
+					t.Fatalf("threshold(%d,%d), faulty %v: guild %v, explicit system's %v", n, f, m, got, want)
+				}
+			}
 		}
-		if sys.HasKernelWithin(p, m) != th.HasKernelWithin(p, m) {
-			t.Fatalf("kernel predicate mismatch on %v", m)
+		if bySize[n-f-1] == 0 || bySize[n-f] == 0 || bySize[n-f+1] == 0 || guilds == 0 {
+			t.Fatalf("threshold(%d,%d): boundary sets or guilds not checked", n, f)
+		}
+		for i := 0; i < n; i++ {
+			p := types.ProcessID(i)
+			if !slices.Equal(th.Audience(p), sys.Audience(p)) {
+				t.Fatalf("threshold(%d,%d): audience of p%d is %v, explicit %v", n, f, i+1, th.Audience(p), sys.Audience(p))
+			}
+			for j := 0; j < n; j++ {
+				if th.Counts(p, types.ProcessID(j)) != sys.Counts(p, types.ProcessID(j)) {
+					t.Fatalf("threshold(%d,%d): Counts(p%d, p%d) differs", n, f, i+1, j+1)
+				}
+			}
+			want := NewTracker(sys, p)
+			trackers := append([]*Tracker{NewTracker(th, p)}, &NewTrackers(th, p, 2)[1], &NewTrackers(sys, p, 2)[1])
+			for _, q := range rand.New(rand.NewSource(int64(n*100 + i))).Perm(n) {
+				want.Add(types.ProcessID(q))
+				for k, tr := range trackers {
+					tr.Add(types.ProcessID(q))
+					if tr.HasQuorum() != want.HasQuorum() || tr.HasKernel() != want.HasKernel() {
+						t.Fatalf("threshold(%d,%d), p%d, tracker %d after %v: quorum %v kernel %v, explicit %v %v",
+							n, f, i+1, k, want.Set(), tr.HasQuorum(), tr.HasKernel(), want.HasQuorum(), want.HasKernel())
+					}
+				}
+			}
 		}
 	}
 }

@@ -158,7 +158,7 @@ func (b *Base) onVertex(_ sim.Env, slot broadcast.Slot, p broadcast.Payload) {
 	}
 	// Line 140: the strong edges must cover a quorum of some process.
 	// Under a threshold this is DAG-Rider's n−f strong edges.
-	if !CheckVertex(vp.V, slot, &b.strong) || !quorum.HasAnyQuorumWithin(b.setup.Trust, b.strong) {
+	if !CheckVertex(vp.V, slot, &b.strong) || !b.setup.Trust.HasAnyQuorumWithin(b.strong) {
 		return
 	}
 	b.buffer = append(b.buffer, vp.V)

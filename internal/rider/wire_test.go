@@ -50,8 +50,14 @@ func randomStrong(rng *rand.Rand, n, universe, round int) []dag.VertexRef {
 // distinct strong sources at Round−1, and Round ≥ 1 wherever there are
 // strong edges) round-trip byte-identically and the simulator's byte
 // metric equals the real frame length. Sources range up to 5 000, so the
-// bitmap's length takes one varint byte or two.
+// bitmap's length takes one varint byte or two. The vertices at the
+// decoder's bounds come first: round wire.MaxRound, source and weak-edge
+// source wire.MaxUniverse, and a tx of wire.MaxStringLen bytes.
 func TestVertexWireRoundTrip(t *testing.T) {
+	vertices := []*dag.Vertex{
+		{Source: wire.MaxUniverse, Round: wire.MaxRound, StrongEdges: []dag.VertexRef{{Source: wire.MaxUniverse - 1, Round: wire.MaxRound - 1}}},
+		{Source: 1, Round: 5, Block: []string{string(make([]byte, wire.MaxStringLen))}, WeakEdges: []dag.VertexRef{{Source: wire.MaxUniverse, Round: wire.MaxRound}}},
+	}
 	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < 300; i++ {
 		var block []string
@@ -63,13 +69,15 @@ func TestVertexWireRoundTrip(t *testing.T) {
 		if round >= 1 {
 			strong = rng.Intn(6)
 		}
-		v := &dag.Vertex{
+		vertices = append(vertices, &dag.Vertex{
 			Source:      types.ProcessID(rng.Intn(100)),
 			Round:       round,
 			Block:       block,
 			StrongEdges: randomStrong(rng, strong, []int{8, 100, 5000}[rng.Intn(3)], round-1),
 			WeakEdges:   randomRefs(rng, rng.Intn(4)),
-		}
+		})
+	}
+	for _, v := range vertices {
 		msg := VertexPayload{V: v}
 		enc, err := wire.Marshal(msg)
 		if err != nil {
@@ -101,20 +109,31 @@ func TestVertexWireRoundTrip(t *testing.T) {
 
 // TestVertexWireOutOfShape: a vertex whose strong edges are not distinct
 // ascending sources in [0, wire.MaxUniverse), all at Round−1, or with a
-// negative source or round, in itself or in a weak edge, has no wire form.
-// Marshal fails and the digest is the zero digest, sealed or not.
+// field the decoder refuses, has no wire form: a source, its own or a weak
+// edge's, outside [0, wire.MaxUniverse], a round outside [0,
+// wire.MaxRound], more than wire.MaxCount txs or weak edges, or a tx
+// longer than wire.MaxStringLen. Marshal fails and the digest is the zero
+// digest, sealed or not.
 func TestVertexWireOutOfShape(t *testing.T) {
+	long := string(make([]byte, wire.MaxStringLen+1))
 	for name, v := range map[string]*dag.Vertex{
-		"duplicate":              {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: 0, Round: 4}, {Source: 2, Round: 4}, {Source: 2, Round: 4}}},
-		"unordered pair":         {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: 2, Round: 4}, {Source: 0, Round: 4}}},
-		"wrong round":            {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: 0, Round: 4}, {Source: 2, Round: 3}}},
-		"negative source":        {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: -1, Round: 4}, {Source: 2, Round: 4}}},
-		"source MaxUniverse":     {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: 0, Round: 4}, {Source: wire.MaxUniverse, Round: 4}}},
-		"strong edges, round 0":  {Source: 1, Round: 0, StrongEdges: []dag.VertexRef{{Source: 0, Round: -1}}},
-		"weak source -1":         {Source: 1, Round: 5, WeakEdges: []dag.VertexRef{{Source: -1, Round: 2}}},
-		"weak round -1":          {Source: 1, Round: 5, WeakEdges: []dag.VertexRef{{Source: 0, Round: -1}}},
-		"negative round":         {Source: 1, Round: -1},
-		"negative vertex source": {Source: -1, Round: 5},
+		"duplicate":                    {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: 0, Round: 4}, {Source: 2, Round: 4}, {Source: 2, Round: 4}}},
+		"unordered pair":               {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: 2, Round: 4}, {Source: 0, Round: 4}}},
+		"wrong round":                  {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: 0, Round: 4}, {Source: 2, Round: 3}}},
+		"negative source":              {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: -1, Round: 4}, {Source: 2, Round: 4}}},
+		"source MaxUniverse":           {Source: 1, Round: 5, StrongEdges: []dag.VertexRef{{Source: 0, Round: 4}, {Source: wire.MaxUniverse, Round: 4}}},
+		"strong edges, round 0":        {Source: 1, Round: 0, StrongEdges: []dag.VertexRef{{Source: 0, Round: -1}}},
+		"weak source -1":               {Source: 1, Round: 5, WeakEdges: []dag.VertexRef{{Source: -1, Round: 2}}},
+		"weak round -1":                {Source: 1, Round: 5, WeakEdges: []dag.VertexRef{{Source: 0, Round: -1}}},
+		"negative round":               {Source: 1, Round: -1},
+		"negative vertex source":       {Source: -1, Round: 5},
+		"round past MaxRound":          {Source: 1, Round: wire.MaxRound + 1},
+		"source past MaxUniverse":      {Source: wire.MaxUniverse + 1, Round: 5},
+		"weak source past MaxUniverse": {Source: 1, Round: 5, WeakEdges: []dag.VertexRef{{Source: wire.MaxUniverse + 1, Round: 2}}},
+		"weak round past MaxRound":     {Source: 1, Round: 5, WeakEdges: []dag.VertexRef{{Source: 0, Round: wire.MaxRound + 1}}},
+		"tx past MaxStringLen":         {Source: 1, Round: 5, Block: []string{"a", long}},
+		"txs past MaxCount":            {Source: 1, Round: 5, Block: make([]string, wire.MaxCount+1)},
+		"weak edges past MaxCount":     {Source: 1, Round: 5, WeakEdges: make([]dag.VertexRef, wire.MaxCount+1)},
 	} {
 		if enc, err := wire.Marshal(VertexPayload{V: v}); err == nil {
 			t.Errorf("%s: marshalled to % x", name, enc)

@@ -18,8 +18,8 @@ import (
 // inner node's Send calls, and its sim.Multicast calls as multicast acts,
 // together with the real Env to forward (possibly mutated) traffic
 // through. A broadcast is a multicast with a nil To, and a vote goes to its
-// sender's audience, quorum.Audience, by one sim.Multicast; so a wrapper
-// treats every multicast alike, whatever its audience and form.
+// sender's audience, quorum.Assumption.Audience, by one sim.Multicast; so
+// a wrapper treats every multicast alike, whatever its audience and form.
 type sendHook interface {
 	hookSend(env sim.Env, to types.ProcessID, msg sim.Message)
 	hookMulticast(env sim.Env, c sim.Cast)

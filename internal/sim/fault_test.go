@@ -67,6 +67,16 @@ func (f *fanoutNode) Init(e Env) {
 
 func (f *fanoutNode) Receive(Env, types.ProcessID, Message) {}
 
+// arrivalProbe records the virtual time of every message it receives.
+type arrivalProbe struct {
+	times []VirtualTime
+}
+
+func (*arrivalProbe) Init(Env) {}
+func (p *arrivalProbe) Receive(e Env, _ types.ProcessID, _ Message) {
+	p.times = append(p.times, e.Now())
+}
+
 // TestBroadcastFilterParityWithPerDestinationSends pins that a broadcast
 // multicast consults the fault plane (and draws latency) for each
 // destination exactly as n individual Sends would: same metrics including

@@ -190,9 +190,9 @@ func (c *Cast) Each(n int, f func(p types.ProcessID)) {
 
 // Multicast sends the act c through env: an env that is a Multicaster
 // receives the act whole, any other one env.Send per destination, in
-// order. The protocols pass the audience of a vote, quorum.Audience, which
-// is nil whenever every process can count it, and a nil To for a
-// broadcast.
+// order. The protocols pass the audience of a vote,
+// quorum.Assumption.Audience, which is nil whenever every process can
+// count it, and a nil To for a broadcast.
 func Multicast(env Env, c Cast) {
 	if m, ok := env.(Multicaster); ok {
 		m.Multicast(c)

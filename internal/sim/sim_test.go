@@ -143,8 +143,9 @@ func (chaosPlane) OnDeliver(types.ProcessID, types.ProcessID, Message, VirtualTi
 // TestMulticast is the differential test of the one fan-out path: the
 // runner, which takes a multicast act whole and prices each form once,
 // must deliver the same messages at the same times and count the same
-// metrics as one Send per destination through an Env that hides it. Each
-// row also pins what its act counts.
+// metrics as one Send per destination through an Env that hides it, also
+// under a fault plane that drops some links or one that drops, duplicates
+// and delays at random. Each row also pins what its act counts.
 func TestMulticast(t *testing.T) {
 	const n = 5
 	refTo := types.NewSetOf(n, 0, 2)
@@ -152,31 +153,38 @@ func TestMulticast(t *testing.T) {
 		name  string
 		cast  func(self types.ProcessID, n int) Cast
 		fault FaultPlane
-		// sent, refs and encErrs are the whole run's MessagesSent,
-		// pingRefs sent and EncodeErrors; -1 skips the check.
-		sent, refs, encErrs int
+		// sent, refs, encErrs and dropped are the whole run's
+		// MessagesSent, pingRefs sent, EncodeErrors and MessagesDropped;
+		// -1 skips the check, and a dropped of -1 requires drops and
+		// duplicates instead.
+		sent, refs, encErrs, dropped int
 	}{
 		{"nil To", func(self types.ProcessID, _ int) Cast {
 			return Cast{Msg: ping{payload: int(self)}}
-		}, nil, n * (n - 1), 0, 0},
+		}, nil, n * (n - 1), 0, 0, 0},
 		{"audience with sender", func(self types.ProcessID, _ int) Cast {
 			return Cast{To: []types.ProcessID{1, 3, 4}, Msg: ping{payload: int(self)}}
-		}, nil, 3*n - 3, 0, 0},
+		}, nil, 3*n - 3, 0, 0, 0},
 		{"Ref to some", func(self types.ProcessID, _ int) Cast {
 			return Cast{Msg: ping{payload: 300 + int(self)}, Ref: pingRef{}, RefTo: refTo}
-		}, nil, n * (n - 1), 2 * (n - 1), 0},
+		}, nil, n * (n - 1), 2 * (n - 1), 0, 0},
 		{"Ref to some of an audience", func(self types.ProcessID, _ int) Cast {
 			return Cast{To: []types.ProcessID{0, 1, 2}, Msg: ping{payload: 300}, Ref: pingRef{}, RefTo: refTo}
-		}, nil, 3*n - 3, 2*n - 2, 0},
+		}, nil, 3*n - 3, 2*n - 2, 0, 0},
 		{"unencodable Msg", func(types.ProcessID, int) Cast {
 			return Cast{Msg: neither{}, Ref: pingRef{}, RefTo: refTo}
-		}, nil, 2 * (n - 1), 2 * (n - 1), 3*n - 3},
+		}, nil, 2 * (n - 1), 2 * (n - 1), 3*n - 3, 0},
 		{"unencodable Ref", func(self types.ProcessID, _ int) Cast {
 			return Cast{Msg: ping{payload: int(self)}, Ref: neither{}, RefTo: refTo}
-		}, nil, 3*n - 3, 0, 2 * (n - 1)},
+		}, nil, 3*n - 3, 0, 2 * (n - 1), 0},
 		{"drops and duplicates", func(self types.ProcessID, _ int) Cast {
 			return Cast{To: []types.ProcessID{0, 2, 3, 4}, Msg: ping{payload: int(self)}, Ref: pingRef{}, RefTo: refTo}
-		}, chaosPlane{}, -1, -1, 0},
+		}, chaosPlane{}, -1, -1, 0, -1},
+		{"nil To, links 0->odd dropped", func(self types.ProcessID, _ int) Cast {
+			return Cast{Msg: ping{payload: int(self)}}
+		}, keepPlane(func(from, to types.ProcessID) bool {
+			return !(from == 0 && to%2 == 1)
+		}), n*(n-1) - 2, 0, 0, 2},
 	} {
 		run := func(perSend bool) ([]string, *Metrics) {
 			var trace []string
@@ -200,7 +208,10 @@ func TestMulticast(t *testing.T) {
 			t.Errorf("%s: sent %d, %d by reference, %d encode errors; want %d, %d, %d",
 				tc.name, m.MessagesSent, m.ByType["sim.pingRef"], m.EncodeErrors, tc.sent, tc.refs, tc.encErrs)
 		}
-		if tc.fault != nil && (m.MessagesDropped == 0 || m.MessagesDelivered <= m.MessagesSent-m.MessagesDropped) {
+		if tc.dropped >= 0 && m.MessagesDropped != tc.dropped {
+			t.Errorf("%s: %d dropped, want %d", tc.name, m.MessagesDropped, tc.dropped)
+		}
+		if tc.dropped < 0 && (m.MessagesDropped == 0 || m.MessagesDelivered <= m.MessagesSent-m.MessagesDropped) {
 			t.Errorf("%s: %d dropped, %d sent, %d delivered: the plane neither dropped nor duplicated", tc.name, m.MessagesDropped, m.MessagesSent, m.MessagesDelivered)
 		}
 	}
@@ -309,17 +320,6 @@ func TestRunUntilAndLimits(t *testing.T) {
 	if r2.Pending() != 5 {
 		t.Fatalf("Pending = %d, want 5", r2.Pending())
 	}
-}
-
-// arrivalProbe records arrival times and sends nothing, so the only
-// traffic in its cluster is what the test injects.
-type arrivalProbe struct {
-	times []VirtualTime
-}
-
-func (*arrivalProbe) Init(Env) {}
-func (p *arrivalProbe) Receive(e Env, _ types.ProcessID, _ Message) {
-	p.times = append(p.times, e.Now())
 }
 
 func TestMuteNode(t *testing.T) {

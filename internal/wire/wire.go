@@ -75,6 +75,8 @@ const (
 	// MaxUniverse bounds a bitset universe size (matches the bound the
 	// gather package has always enforced on wire Pairs).
 	MaxUniverse = 1 << 20
+	// MaxRound bounds a DAG round or a wave number.
+	MaxRound = 1 << 30
 )
 
 // ErrTruncated reports input that ended inside a field.
