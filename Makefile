@@ -95,11 +95,12 @@ benchmark:
 # Paired comparison of the benchmark (cmd/benchcompare): BASE and CHANGE
 # (default: the working tree, tracked and staged files) are checked out as
 # git worktrees under .bench_build/compare/, each side's benchmark is
-# built once, and each workload runs K (default 5) alternating pairs at seed
+# built once, and each workload runs K (default 6) alternating pairs at seed
 # 1 and BENCHMARK.json's run_seconds. Exact metrics print both values and
 # their difference, the others the median paired ratio and a sign test; it
-# exits 1 on a paired regression past a metric's bound. Nothing under bench/
-# is touched.
+# exits 1 on a regression past a metric's bound, which for a paired metric
+# the sign test must confirm at p <= 0.05 (so K >= 6; fewer pairs print
+# "unresolved"). Nothing under bench/ is touched.
 BASE ?= HEAD
 compare:
 	$(GO) run ./cmd/benchcompare -base $(BASE) $(if $(K),-k $(K)) $(if $(CHANGE),-change $(CHANGE))

@@ -18,10 +18,15 @@
 // regresses when the change is worse by more than the bound. Any other (a
 // wall-clock or allocation reading) prints the median of the k paired
 // ratios change/base and a two-sided sign test over the pairs; it
-// regresses when the median ratio is worse than the bound. A run that
-// fails its own correctness checks is a regression too, and so is a change
-// that fails a larger share of operations than the base in more than half
-// of the pairs: one run's hiccup on either side does not decide it.
+// regresses when the median ratio is worse than the bound and the sign
+// test rejects at p <= 0.05. That takes k >= 6 (six of six pairs worse
+// give p = 0.03), so below six pairs every such row prints "unresolved",
+// and so does one whose median ratio passes the bound without the sign
+// test rejecting: a run-to-run spread wider than the bound can tell no
+// change from none. A run that fails its own correctness checks is a
+// regression too, and so is a change that fails a larger share of
+// operations than the base in more than half of the pairs: one run's
+// hiccup on either side does not decide it.
 package main
 
 import (
@@ -37,6 +42,13 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+)
+
+// A paired metric regresses only when the sign test over its pairs
+// rejects at level alpha, which no fewer than minPairs pairs can do.
+const (
+	alpha    = 0.05
+	minPairs = 6
 )
 
 // spec is the part of BENCHMARK.json the comparison reads.
@@ -75,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	base := fs.String("base", "", "base revision (required)")
 	change := fs.String("change", "", "changed revision (default: the working tree)")
-	k := fs.Int("k", 5, "pairs of runs per workload")
+	k := fs.Int("k", minPairs, "pairs of runs per workload")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -215,6 +227,7 @@ func report(w io.Writer, workload string, metrics []metric, runs [2][]result) in
 		// the median paired ratio less 1.
 		var kind, delta string
 		var rel float64
+		resolved := true // whether a move past the bound is a regression
 		if len(vals[0]) > 1 && constant(vals[0]) && constant(vals[1]) {
 			kind, delta = "exact", strconv.FormatFloat(c-b, 'g', 8, 64)
 			rel = c/b - 1
@@ -232,7 +245,9 @@ func report(w io.Writer, workload string, metrics []metric, runs [2][]result) in
 				}
 			}
 			rel = median(ratios) - 1
-			kind, delta = "paired", fmt.Sprintf("×%.4f %d+/%d− p=%.2f", rel+1, better, worse, signTest(better, worse))
+			p := signTest(better, worse)
+			kind, delta = "paired", fmt.Sprintf("×%.4f %d+/%d− p=%.2f", rel+1, better, worse, p)
+			resolved = len(ratios) >= minPairs && p <= alpha
 		}
 		if math.IsNaN(rel) || math.IsInf(rel, 0) {
 			rel = 0 // a base reading of 0: no ratio to bound
@@ -242,9 +257,12 @@ func report(w io.Writer, workload string, metrics []metric, runs [2][]result) in
 			worse = -rel
 		}
 		verdict := fmt.Sprintf("%+.2f%%", 100*rel)
-		if worse > m.Bound {
+		switch {
+		case worse > m.Bound && resolved:
 			verdict += fmt.Sprintf(" REGRESSION (bound %g%%)", 100*m.Bound)
 			regressions++
+		case worse > m.Bound || kind == "paired" && len(vals[0]) < minPairs:
+			verdict += " unresolved"
 		}
 		fmt.Fprintf(w, "%-20s %-6s %14.6g %14.6g %24s  %s\n", m.Name, kind, b, c, delta, verdict)
 	}

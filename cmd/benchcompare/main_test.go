@@ -21,10 +21,14 @@ func runsOf(name string, base, change []float64) [2][]result {
 
 // TestReport: an exact metric regresses when the change is worse by more
 // than its bound, a paired one when the median ratio is, in the metric's
-// own direction; a gain or a move inside the bound does not.
+// own direction, and the sign test rejects at p <= 0.05 over at least six
+// pairs; a gain or a move inside the bound does not. The A/A rows are
+// spreads recorded between runs of one binary, which must not flag.
 func TestReport(t *testing.T) {
 	lower := metric{Name: "wire_bytes_per_tx", Better: "lower", Bound: 0.05}
 	higher := metric{Name: "throughput_tx_s", Better: "higher", Bound: 0.25}
+	setup := metric{Name: "setup_s", Better: "lower", Bound: 0.25}
+	rss := metric{Name: "peak_rss_mb", Better: "lower", Bound: 0.25}
 	for _, tc := range []struct {
 		name         string
 		m            metric
@@ -35,8 +39,18 @@ func TestReport(t *testing.T) {
 		{"exact gain", lower, []float64{1000, 1000, 1000}, []float64{800, 800, 800}, false, "exact"},
 		{"exact inside bound", lower, []float64{1000, 1000, 1000}, []float64{1040, 1040, 1040}, false, "40"},
 		{"exact past bound", lower, []float64{1000, 1000, 1000}, []float64{1060, 1060, 1060}, true, "+6.00% REGRESSION"},
-		{"paired gain", higher, []float64{100, 110, 90}, []float64{130, 140, 120}, false, "3+/0−"},
-		{"paired past bound", higher, []float64{100, 110, 90}, []float64{70, 77, 60}, true, "0+/3−"},
+		{"paired gain", higher, []float64{100, 110, 90}, []float64{130, 140, 120}, false, "3+/0− p=0.25  +30.00% unresolved"},
+		{"paired past bound, three pairs", higher, []float64{100, 110, 90}, []float64{70, 77, 60}, false, "0+/3− p=0.25  -30.00% unresolved"},
+		{"paired past bound, six pairs", higher, []float64{100, 110, 90, 100, 105, 95}, []float64{70, 77, 60, 70, 70, 66}, true, "0+/6− p=0.03  -30.26% REGRESSION"},
+		{"paired inside bound, six pairs", higher, []float64{100, 110, 90, 100, 105, 95}, []float64{95, 100, 88, 97, 101, 93}, false, "0+/6− p=0.03  -3.40%\n"},
+		// tcp_paced_n4 setup_s read 0.60–1.03 ms on one binary and
+		// 0.78–1.24 ms on another with no change on its path.
+		{"A/A setup_s, three pairs", setup, []float64{0.60, 0.70, 0.81}, []float64{0.94, 1.03, 1.24}, false, "0+/3− p=0.25  +53.09% unresolved"},
+		{"A/A setup_s, six pairs", setup, []float64{0.60, 0.70, 0.81, 1.03, 0.78, 0.90}, []float64{0.94, 1.03, 1.24, 0.62, 1.10, 0.70}, false, "2+/4− p=0.69  +44.08% unresolved"},
+		// sim_faults_n7 peak_rss_mb is bimodal, 77.9 or 86.9 MiB.
+		{"A/A peak_rss_mb, six pairs", rss, []float64{77.9, 77.9, 86.9, 77.9, 86.9, 77.9}, []float64{86.9, 86.9, 86.9, 86.9, 77.9, 86.9}, false, "1+/4− p=0.38  +11.55%\n"},
+		{"×1.5, five pairs", setup, []float64{1, 1.1, 0.9, 1, 1.2}, []float64{1.5, 1.65, 1.35, 1.5, 1.8}, false, "0+/5− p=0.06  +50.00% unresolved"},
+		{"×1.5, six pairs", setup, []float64{1, 1.1, 0.9, 1, 1.2, 1}, []float64{1.5, 1.65, 1.35, 1.5, 1.8, 1.5}, true, "0+/6− p=0.03  +50.00% REGRESSION"},
 		{"zero base", lower, []float64{0, 0, 0}, []float64{5, 5, 5}, false, "exact"},
 	} {
 		var out bytes.Buffer

@@ -180,8 +180,6 @@
 //     sent value on every peer's writer goroutine.
 //   - The examples: `go test` runs each Example function in this package
 //     and compares its output with its Output block.
-//   - Tag ranges: wire.Register panics at init on a tag outside its
-//     package's wire.TagRanges row, or on a test tag outside a test.
 //   - Every message sent to another process has a codec (a self-send
 //     needs none): the simulator counts one it cannot encode in
 //     sim.Metrics.EncodeErrors, as TCP does in PeerStats.EncodeErrors; the

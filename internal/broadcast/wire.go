@@ -1,5 +1,5 @@
 // Binary wire codec registration for the broadcast messages (see
-// internal/wire for the frame layout and tag-range assignments).
+// internal/wire for the frame layout).
 //
 // Every body starts [uvarint slot.Src][uvarint slot.Seq]. SEND and the
 // fetch reply follow it with the payload as a nested wire frame, so any
@@ -24,7 +24,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Wire tags (range 10–19, assigned in internal/wire's central table).
+// Wire tags of this package's messages and payload (10–17).
 const (
 	wireTagSend     = 10
 	wireTagEcho     = 11

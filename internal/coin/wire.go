@@ -1,5 +1,5 @@
 // Binary wire codec registration for the coin messages (see
-// internal/wire for the frame layout and tag-range assignments).
+// internal/wire for the frame layout).
 package coin
 
 import (
@@ -8,7 +8,7 @@ import (
 	"repro/internal/wire"
 )
 
-// wireTagShare is ShareMsg's tag (range 45–49).
+// wireTagShare is ShareMsg's tag.
 const wireTagShare = 45
 
 // shareReservedBytes is the space a production wire format reserves for

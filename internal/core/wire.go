@@ -1,8 +1,8 @@
 // Binary wire codec registration for the consensus control messages (see
-// internal/wire for the frame layout and tag-range assignments). The
-// other message types a consensus node puts on the wire — the broadcast
-// SEND/ECHO/READY and fetch messages, rider.VertexPayload, coin.ShareMsg —
-// are registered by their owning packages.
+// internal/wire for the frame layout). The other message types a consensus
+// node puts on the wire — the broadcast SEND/ECHO/READY and fetch
+// messages, rider.VertexPayload, coin.ShareMsg — are registered by their
+// owning packages.
 package core
 
 import (
@@ -11,7 +11,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Wire tags (range 40–44, assigned in internal/wire's central table).
+// Wire tags of the wave gate's ACK, READY and CONFIRM (40–42).
 const (
 	wireTagAck     = 40
 	wireTagReady   = 41

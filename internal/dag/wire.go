@@ -4,7 +4,7 @@
 // length-prefixed txs][uvarint k + k bitmap bytes][uvarint #weak + refs],
 // where a weak ref is [uvarint source][uvarint round]. internal/rider
 // registers it as rider.VertexPayload's codec under WireTag (see
-// internal/wire for the frame layout and tag-range assignments).
+// internal/wire for the frame layout).
 //
 // Every strong edge of a round-r vertex points into round r−1 (Algorithm 4;
 // rider.CheckVertex rejects any other shape), so the body names only their
@@ -56,8 +56,7 @@ import (
 )
 
 // WireTag is the wire tag of a vertex frame, [uvarint WireTag][body]: the
-// tag rider.VertexPayload registers (rider's range 50–59), and the one a
-// vertex's digest covers.
+// tag rider.VertexPayload registers, and the one a vertex's digest covers.
 const WireTag = 50
 
 // Digest is a vertex's content address: the SHA-256 of its wire frame.

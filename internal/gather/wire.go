@@ -1,11 +1,12 @@
 // Binary wire codec registration for the gather messages (see
-// internal/wire for the frame layout and tag-range assignments).
+// internal/wire for the frame layout).
 //
-// A Pairs body reuses the raw-word bitset encoding types.Set already
-// carries: [uvarint universe][raw LE sender words][per member, ascending:
-// uvarint len + value bytes]. A universe of 0 encodes the zero Pairs.
-// Decoding validates the universe bound and sender-word bits — bodies
-// come from the network, possibly from Byzantine peers.
+// A Pairs travels only inside a DISTRIBUTE message, whose body is [uvarint
+// from][pairs body]. The pairs body reuses the raw-word bitset encoding
+// types.Set already carries: [uvarint universe][raw LE sender words][per
+// member, ascending: uvarint len + value bytes]. A universe of 0 encodes
+// the zero Pairs. Decoding validates the universe bound and sender-word
+// bits — bodies come from the network, possibly from Byzantine peers.
 package gather
 
 import (
@@ -15,7 +16,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Wire tags (range 30–39, assigned in internal/wire's central table).
+// Wire tags: DISTRIBUTE_S/T/U, then the gate's ACK, READY and CONFIRM.
 const (
 	wireTagDistS   = 30
 	wireTagDistT   = 31
@@ -23,13 +24,7 @@ const (
 	wireTagAck     = 33
 	wireTagReady   = 34
 	wireTagConfirm = 35
-	wireTagPairs   = 36
 )
-
-// maxWireUniverse bounds the universe size accepted off the wire, so a
-// malicious peer cannot make the decoder allocate an arbitrarily large
-// value slice.
-const maxWireUniverse = 1 << 20
 
 func init() { registerWireCodecs() }
 
@@ -56,9 +51,6 @@ func decodePairsWire(b []byte) (Pairs, []byte, error) {
 	if n == 0 {
 		return Pairs{}, rest, nil
 	}
-	if n > maxWireUniverse {
-		return Pairs{}, b, fmt.Errorf("gather: wire Pairs universe %d out of range", n)
-	}
 	p := NewPairs(n)
 	ok := true
 	senders.ForEach(func(k types.ProcessID) bool {
@@ -78,7 +70,7 @@ func decodePairsWire(b []byte) (Pairs, []byte, error) {
 }
 
 // registerPairsMsg registers one of the three structurally identical
-// DISTRIBUTE messages: [uvarint from][pairs body].
+// DISTRIBUTE messages.
 func registerPairsMsg(tag uint64, prototype any,
 	get func(any) (types.ProcessID, Pairs), build func(types.ProcessID, Pairs) any) {
 	wire.Register(tag, prototype, wire.Codec{
@@ -122,16 +114,4 @@ func registerWireCodecs() {
 	registerEmptyMsg(wireTagAck, ackMsg{}, func() any { return ackMsg{} })
 	registerEmptyMsg(wireTagReady, readyMsg{}, func() any { return readyMsg{} })
 	registerEmptyMsg(wireTagConfirm, confirmMsg{}, func() any { return confirmMsg{} })
-	wire.Register(wireTagPairs, Pairs{}, wire.Codec{
-		Append: func(dst []byte, msg any) ([]byte, error) {
-			return msg.(Pairs).appendWire(dst), nil
-		},
-		Decode: func(b []byte) (any, []byte, error) {
-			p, rest, err := decodePairsWire(b)
-			if err != nil {
-				return nil, b, err
-			}
-			return p, rest, nil
-		},
-	})
 }

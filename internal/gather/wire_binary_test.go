@@ -2,7 +2,9 @@ package gather
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -66,24 +68,21 @@ func TestGatherWireRoundTrip(t *testing.T) {
 		if got := roundTrip(t, distUMsg{From: from, U: p}).(distUMsg); got.From != from || !got.U.ContainsAll(p) {
 			t.Fatalf("distU round trip lost pairs")
 		}
-		roundTrip(t, Pairs{})
-		if got := roundTrip(t, p).(Pairs); !got.ContainsAll(p) || !p.ContainsAll(got) {
-			t.Fatalf("bare Pairs round trip lost pairs")
-		}
 	}
 	roundTrip(t, ackMsg{})
 	roundTrip(t, readyMsg{})
 	roundTrip(t, confirmMsg{})
 
 	// The zero Pairs encodes as universe 0 and decodes back to zero.
-	enc, err := wire.Marshal(Pairs{})
-	if err != nil {
-		t.Fatal(err)
+	if got := roundTrip(t, distSMsg{From: 1}).(distSMsg); !got.S.IsZero() {
+		t.Fatalf("zero Pairs decoded to %v", got.S)
 	}
-	dec, _, err := wire.Decode(enc)
-	if err != nil || !dec.(Pairs).IsZero() {
-		t.Fatalf("zero Pairs decoded to %v (%v)", dec, err)
-	}
+}
+
+// distSFrame is the DISTRIBUTE_S frame from process 0 whose Pairs body is
+// body.
+func distSFrame(body []byte) []byte {
+	return append([]byte{wireTagDistS, 0}, body...)
 }
 
 // TestGatherWireRejectsMalformed: adversarial Pairs bodies must be
@@ -91,15 +90,39 @@ func TestGatherWireRoundTrip(t *testing.T) {
 func TestGatherWireRejectsMalformed(t *testing.T) {
 	cases := map[string][]byte{
 		"empty body":        {},
-		"huge universe":     wire.AppendUvarint(nil, uint64(maxWireUniverse)+1),
 		"truncated words":   wire.AppendUvarint(nil, 100),
 		"missing values":    wire.AppendSet(nil, types.NewSetOf(4, 1, 2)),
 		"stray sender bits": append(wire.AppendUvarint(nil, 3), 0xFF, 0, 0, 0, 0, 0, 0, 0),
 	}
 	for name, body := range cases {
-		frame := append(wire.AppendUvarint(nil, wireTagPairs), body...)
-		if _, _, err := wire.Decode(frame); err == nil {
+		if _, _, err := wire.Decode(distSFrame(body)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestPairsTravelOnlyInDistribute: a Pairs has no frame of its own, so a
+// frame under its old tag 36 is unregistered, and a DISTRIBUTE_S whose
+// universe passes wire.MaxUniverse fails with wire.ReadSet's error.
+func TestPairsTravelOnlyInDistribute(t *testing.T) {
+	huge := wire.AppendUvarint(nil, wire.MaxUniverse+1)
+	_, _, readSetErr := wire.ReadSet(huge)
+	if readSetErr == nil {
+		t.Fatal("ReadSet accepted a universe past wire.MaxUniverse")
+	}
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		ok    func(error) bool
+		want  string
+	}{
+		{"bare Pairs", append([]byte{36}, wire.AppendSet(nil, types.NewSetOf(4, 1))...),
+			func(err error) bool { return errors.Is(err, wire.ErrUnregistered) }, "wire.ErrUnregistered"},
+		{"universe past MaxUniverse", distSFrame(huge),
+			func(err error) bool { return err != nil && strings.Contains(err.Error(), readSetErr.Error()) }, readSetErr.Error()},
+	} {
+		if _, _, err := wire.Decode(tc.frame); !tc.ok(err) {
+			t.Errorf("%s: decode error %v, want %s", tc.name, err, tc.want)
 		}
 	}
 }

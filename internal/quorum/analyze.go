@@ -256,12 +256,6 @@ func minimalizeKernel(quorums []types.Set, hit types.Set) types.Set {
 	return m
 }
 
-// IsKernel reports whether k intersects every quorum of process i (k is a
-// kernel for i, not necessarily minimal).
-func (s *System) IsKernel(i types.ProcessID, k types.Set) bool {
-	return s.HasKernelWithin(i, k)
-}
-
 // RenderMatrix renders a Figure 1 style matrix: one row per process (from
 // p_n at the top down to p_1, matching the paper's layout), one column per
 // process, with 'Q' marking members of rowFn(p) and 'F' marking members of

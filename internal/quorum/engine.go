@@ -530,14 +530,6 @@ func (e *Evaluator) quorumsOf(i, p types.ProcessID) []int32 {
 	return e.inv[e.invOff[slot]:e.invOff[slot+1]]
 }
 
-// AddSet bulk-adds every member of s.
-func (t *Tracker) AddSet(s types.Set) {
-	s.ForEach(func(p types.ProcessID) bool {
-		t.Add(p)
-		return true
-	})
-}
-
 // HasQuorum reports whether the tally contains one of the process's
 // quorums. O(1).
 func (t *Tracker) HasQuorum() bool { return t.hasQuorum }

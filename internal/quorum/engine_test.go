@@ -213,29 +213,6 @@ func TestTrackerResetAndBatchMatchFresh(t *testing.T) {
 	}
 }
 
-// TestTrackerAddSet checks bulk adds against element-wise adds.
-func TestTrackerAddSet(t *testing.T) {
-	sys := Counterexample()
-	n := sys.N()
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 8; trial++ {
-		bulk := types.NewSet(n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				bulk.Add(types.ProcessID(i))
-			}
-		}
-		p := types.ProcessID(rng.Intn(n))
-		a := NewTracker(sys, p)
-		a.AddSet(bulk)
-		b := NewTracker(sys, p)
-		bulk.ForEach(func(x types.ProcessID) bool { b.Add(x); return true })
-		if a.HasQuorum() != b.HasQuorum() || a.HasKernel() != b.HasKernel() || !a.Set().Equal(b.Set()) {
-			t.Fatalf("trial %d: AddSet diverged from element-wise adds", trial)
-		}
-	}
-}
-
 // TestHasAnyQuorumWithinEquivalence checks the flat-scan fast path against
 // the per-process definition.
 func TestHasAnyQuorumWithinEquivalence(t *testing.T) {

@@ -394,7 +394,7 @@ func TestMinimalKernels(t *testing.T) {
 		if k.Count() != 2 {
 			t.Errorf("kernel %v has size %d, want 2", k, k.Count())
 		}
-		if !sys.IsKernel(0, k) {
+		if !sys.HasKernelWithin(0, k) {
 			t.Errorf("MinimalKernels returned non-kernel %v", k)
 		}
 	}

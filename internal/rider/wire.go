@@ -1,9 +1,8 @@
 // Binary wire codec registration for the DAG vertex payload (see
-// internal/wire for the frame layout and tag-range assignments). The
-// vertex body, its bounds and its digest are package dag's (dag/wire.go):
-// the decoder seals the digest into the vertex it builds, so only dag
-// hashes vertex content. This package registers the codec, under
-// dag.WireTag (50, in rider's range 50–59).
+// internal/wire for the frame layout). The vertex body, its bounds and its
+// digest are package dag's (dag/wire.go): the decoder seals the digest
+// into the vertex it builds, so only dag hashes vertex content. This
+// package registers the codec, under dag.WireTag (50).
 package rider
 
 import (

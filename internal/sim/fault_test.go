@@ -10,8 +10,9 @@ import (
 )
 
 // Regression tests pinning the FaultPlane semantics documented on the type
-// (self-delivery is consulted too; broadcast is consulted per destination
-// exactly like n sends) and the verdicts the scenario package builds on.
+// (self-delivery is consulted too; TestMulticast checks that a multicast is
+// consulted per destination exactly like its sends) and the verdicts the
+// scenario package builds on.
 
 // keepPlane is a FaultPlane that drops every message on a link keep
 // rejects and passes the rest through untouched.
@@ -45,74 +46,6 @@ func TestDropFilterSelfDelivery(t *testing.T) {
 	}
 	if d := r.Metrics().MessagesDropped; d != n {
 		t.Errorf("dropped = %d, want %d (one self-delivery per broadcast)", d, n)
-	}
-}
-
-// fanoutNode sends one ping to every process from Init — through one
-// Multicast or through n individual Sends in ascending ID order — and ignores
-// everything it receives.
-type fanoutNode struct {
-	perDest bool
-}
-
-func (f *fanoutNode) Init(e Env) {
-	if f.perDest {
-		for i := 0; i < e.N(); i++ {
-			e.Send(types.ProcessID(i), ping{payload: 7})
-		}
-		return
-	}
-	Multicast(e, Cast{Msg: ping{payload: 7}})
-}
-
-func (f *fanoutNode) Receive(Env, types.ProcessID, Message) {}
-
-// arrivalProbe records the virtual time of every message it receives.
-type arrivalProbe struct {
-	times []VirtualTime
-}
-
-func (*arrivalProbe) Init(Env) {}
-func (p *arrivalProbe) Receive(e Env, _ types.ProcessID, _ Message) {
-	p.times = append(p.times, e.Now())
-}
-
-// TestBroadcastFilterParityWithPerDestinationSends pins that a broadcast
-// multicast consults the fault plane (and draws latency) for each
-// destination exactly as n individual Sends would: same metrics including
-// ByType, same delivery schedule, under a plane that drops a subset of
-// links.
-func TestBroadcastFilterParityWithPerDestinationSends(t *testing.T) {
-	n := 5
-	plane := keepPlane(func(from, to types.ProcessID) bool {
-		return !(from == 0 && to%2 == 1) // drop 0 -> odd receivers
-	})
-	run := func(perDest bool) (*Metrics, [][]VirtualTime) {
-		nodes := make([]Node, n)
-		nodes[0] = &fanoutNode{perDest: perDest}
-		probes := make([]*arrivalProbe, n)
-		for i := 1; i < n; i++ {
-			probes[i] = &arrivalProbe{}
-			nodes[i] = probes[i]
-		}
-		r := NewRunner(Config{N: n, Seed: 42, Fault: plane, Latency: UniformLatency{Min: 1, Max: 30}}, nodes)
-		r.Run(0)
-		times := make([][]VirtualTime, n)
-		for i := 1; i < n; i++ {
-			times[i] = probes[i].times
-		}
-		return r.Metrics(), times
-	}
-	mBroadcast, tBroadcast := run(false)
-	mSends, tSends := run(true)
-	if !reflect.DeepEqual(mBroadcast, mSends) {
-		t.Fatalf("metrics diverge:\n broadcast %+v\n sends     %+v", mBroadcast, mSends)
-	}
-	if !reflect.DeepEqual(tBroadcast, tSends) {
-		t.Fatalf("delivery schedules diverge:\n broadcast %v\n sends     %v", tBroadcast, tSends)
-	}
-	if mBroadcast.MessagesDropped != 2 {
-		t.Fatalf("dropped = %d, want 2 (links 0->1, 0->3)", mBroadcast.MessagesDropped)
 	}
 }
 

@@ -23,7 +23,7 @@ type ping struct{ payload int }
 // A ping sent to another process is priced by its encoding, as every
 // message is, so it has a codec in the test band.
 func init() {
-	wire.Register(wire.TestTagFloor+100, ping{}, wire.Codec{
+	wire.Register(1100, ping{}, wire.Codec{
 		Append: func(dst []byte, msg any) ([]byte, error) {
 			return wire.AppendUvarint(dst, uint64(msg.(ping).payload)), nil
 		},
@@ -88,7 +88,7 @@ func TestBroadcastDeliversToAllIncludingSelf(t *testing.T) {
 type pingRef struct{}
 
 func init() {
-	wire.Register(wire.TestTagFloor+102, pingRef{}, wire.Codec{
+	wire.Register(1102, pingRef{}, wire.Codec{
 		Append: func(dst []byte, _ any) ([]byte, error) { return dst, nil },
 		Decode: func(b []byte) (any, []byte, error) { return pingRef{}, b, nil },
 	})
@@ -180,40 +180,42 @@ func TestMulticast(t *testing.T) {
 		{"drops and duplicates", func(self types.ProcessID, _ int) Cast {
 			return Cast{To: []types.ProcessID{0, 2, 3, 4}, Msg: ping{payload: int(self)}, Ref: pingRef{}, RefTo: refTo}
 		}, chaosPlane{}, -1, -1, 0, -1},
-		{"nil To, links 0->odd dropped", func(self types.ProcessID, _ int) Cast {
+		{"nil To and links 0 to odd dropped", func(self types.ProcessID, _ int) Cast {
 			return Cast{Msg: ping{payload: int(self)}}
 		}, keepPlane(func(from, to types.ProcessID) bool {
 			return !(from == 0 && to%2 == 1)
 		}), n*(n-1) - 2, 0, 0, 2},
 	} {
-		run := func(perSend bool) ([]string, *Metrics) {
-			var trace []string
-			nodes := make([]Node, n)
-			for i := range nodes {
-				nodes[i] = &castNode{cast: tc.cast, perSend: perSend, trace: &trace}
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(perSend bool) ([]string, *Metrics) {
+				var trace []string
+				nodes := make([]Node, n)
+				for i := range nodes {
+					nodes[i] = &castNode{cast: tc.cast, perSend: perSend, trace: &trace}
+				}
+				r := NewRunner(Config{N: n, Seed: 3, Latency: UniformLatency{Min: 1, Max: 9}, Fault: tc.fault}, nodes)
+				r.Run(0)
+				return trace, r.Metrics()
 			}
-			r := NewRunner(Config{N: n, Seed: 3, Latency: UniformLatency{Min: 1, Max: 9}, Fault: tc.fault}, nodes)
-			r.Run(0)
-			return trace, r.Metrics()
-		}
-		trace, m := run(false)
-		sendsTrace, sendsM := run(true)
-		if !reflect.DeepEqual(trace, sendsTrace) {
-			t.Errorf("%s: the runner delivered\n%v\none Send per destination\n%v", tc.name, trace, sendsTrace)
-		}
-		if !reflect.DeepEqual(m, sendsM) {
-			t.Errorf("%s: the runner counted %+v, one Send per destination %+v", tc.name, m, sendsM)
-		}
-		if tc.sent >= 0 && (m.MessagesSent != tc.sent || m.ByType["sim.pingRef"] != tc.refs) || m.EncodeErrors != tc.encErrs {
-			t.Errorf("%s: sent %d, %d by reference, %d encode errors; want %d, %d, %d",
-				tc.name, m.MessagesSent, m.ByType["sim.pingRef"], m.EncodeErrors, tc.sent, tc.refs, tc.encErrs)
-		}
-		if tc.dropped >= 0 && m.MessagesDropped != tc.dropped {
-			t.Errorf("%s: %d dropped, want %d", tc.name, m.MessagesDropped, tc.dropped)
-		}
-		if tc.dropped < 0 && (m.MessagesDropped == 0 || m.MessagesDelivered <= m.MessagesSent-m.MessagesDropped) {
-			t.Errorf("%s: %d dropped, %d sent, %d delivered: the plane neither dropped nor duplicated", tc.name, m.MessagesDropped, m.MessagesSent, m.MessagesDelivered)
-		}
+			trace, m := run(false)
+			sendsTrace, sendsM := run(true)
+			if !reflect.DeepEqual(trace, sendsTrace) {
+				t.Errorf("the runner delivered\n%v\none Send per destination\n%v", trace, sendsTrace)
+			}
+			if !reflect.DeepEqual(m, sendsM) {
+				t.Errorf("the runner counted %+v, one Send per destination %+v", m, sendsM)
+			}
+			if tc.sent >= 0 && (m.MessagesSent != tc.sent || m.ByType["sim.pingRef"] != tc.refs) || m.EncodeErrors != tc.encErrs {
+				t.Errorf("sent %d, %d by reference, %d encode errors; want %d, %d, %d",
+					m.MessagesSent, m.ByType["sim.pingRef"], m.EncodeErrors, tc.sent, tc.refs, tc.encErrs)
+			}
+			if tc.dropped >= 0 && m.MessagesDropped != tc.dropped {
+				t.Errorf("%d dropped, want %d", m.MessagesDropped, tc.dropped)
+			}
+			if tc.dropped < 0 && (m.MessagesDropped == 0 || m.MessagesDelivered <= m.MessagesSent-m.MessagesDropped) {
+				t.Errorf("%d dropped, %d sent, %d delivered: the plane neither dropped nor duplicated", m.MessagesDropped, m.MessagesSent, m.MessagesDelivered)
+			}
+		})
 	}
 }
 

@@ -86,7 +86,7 @@ func TestEncodeErrorsCountUnsizedSends(t *testing.T) {
 type boxed struct{ v *int }
 
 func init() {
-	wire.Register(wire.TestTagFloor+103, boxed{}, wire.Codec{
+	wire.Register(1103, boxed{}, wire.Codec{
 		Append: func(dst []byte, msg any) ([]byte, error) {
 			return wire.AppendUvarint(dst, uint64(*msg.(boxed).v)), nil
 		},

@@ -15,7 +15,7 @@ import (
 	"repro/internal/wire"
 )
 
-// wireTagFlood is FloodMsg's tag (range 60–69: transport tooling).
+// wireTagFlood is FloodMsg's tag.
 const wireTagFlood = 60
 
 // FloodMsg is the benchmark payload: a sequence number plus opaque

@@ -13,7 +13,6 @@ import (
 	"repro/internal/broadcast"
 	"repro/internal/coin"
 	"repro/internal/dag"
-	"repro/internal/gather"
 	"repro/internal/quorum"
 	"repro/internal/rider"
 	"repro/internal/sim"
@@ -181,7 +180,6 @@ func TestEnvelopeSizeMatchesSimMetrics(t *testing.T) {
 		rider.VertexPayload{V: v},
 		coin.ShareMsg{Wave: 4},
 		broadcast.Bytes("payload"),
-		gather.Pairs{},
 	}
 	msgs = append(msgs, broadcastTraffic(t)...)
 	for _, msg := range msgs {

@@ -102,7 +102,7 @@ func allocatedBy(limit uint64, f func()) uint64 {
 	return least
 }
 
-// fuzzMsg is a registered codec in the test tag band so FuzzDecode has a
+// fuzzMsg is a registered codec with a test-local tag so FuzzDecode has a
 // real decode path to walk (tag dispatch, nested primitives).
 type fuzzMsg struct {
 	Seq  uint64
@@ -110,7 +110,7 @@ type fuzzMsg struct {
 	Blob []byte
 }
 
-const fuzzMsgTag = wire.TestTagFloor + 90
+const fuzzMsgTag = 1090
 
 func registerFuzzMsg() {
 	wire.Register(fuzzMsgTag, fuzzMsg{}, wire.Codec{

@@ -22,19 +22,9 @@
 // than the minimal one, so a body built from these primitives decodes
 // only from the bytes its re-encoding produces.
 //
-// Tag ranges are assigned centrally so independent packages cannot
-// collide. Register panics on a conflict, and on a tag outside the range
-// of the package that declares the registered type:
-//
-//	10–19  internal/broadcast (messages and payloads: SEND 10, ECHO 11,
-//	       READY 12, Bytes 13, FETCH 14, its reply 15, ECHO and READY
-//	       by reference 16 and 17)
-//	30–39  internal/gather
-//	40–44  internal/core
-//	45–49  internal/coin
-//	50–59  internal/rider
-//	60–69  internal/transport (tooling/benchmark messages)
-//	>=1000 reserved for test-local registrations
+// Register refuses a second type for a tag and a second tag for a type, so
+// a binary that links two codecs claiming one tag fails at init. Test-local
+// registrations use tags of 1000 and up, by convention.
 //
 // Decoders must validate everything before it shapes an allocation or an
 // index — bodies arrive from the network, possibly from Byzantine peers.
@@ -59,7 +49,6 @@ import (
 	"reflect"
 	"strings"
 	"sync"
-	"testing"
 
 	"repro/internal/types"
 )
@@ -72,8 +61,7 @@ const (
 	MaxStringLen = 1 << 20
 	// MaxCount bounds one repeated-element count (blocks, edges, pairs).
 	MaxCount = 1 << 20
-	// MaxUniverse bounds a bitset universe size (matches the bound the
-	// gather package has always enforced on wire Pairs).
+	// MaxUniverse bounds a bitset universe size.
 	MaxUniverse = 1 << 20
 	// MaxRound bounds a DAG round or a wave number.
 	MaxRound = 1 << 30
@@ -85,37 +73,10 @@ var ErrTruncated = errors.New("wire: truncated input")
 // ErrNonMinimal reports a varint encoded in more bytes than it needs.
 var ErrNonMinimal = errors.New("wire: non-minimal varint")
 
-// ErrUnregistered reports a message whose dynamic type has no codec. It is
-// a fixed value, so sizing an unregistered message allocates nothing.
+// ErrUnregistered reports a message whose dynamic type, or a frame whose
+// tag, has no codec. It is a fixed value, so sizing an unregistered
+// message allocates nothing.
 var ErrUnregistered = errors.New("wire: unregistered message type")
-
-// TagRange is one package's half of the central tag assignment: the
-// inclusive [Lo, Hi] tag interval the package may register codecs in.
-type TagRange struct {
-	Lo, Hi uint64
-}
-
-// Contains reports whether tag falls in the range.
-func (r TagRange) Contains(tag uint64) bool { return tag >= r.Lo && tag <= r.Hi }
-
-// TestTagFloor is the first tag of the test-reserved band: non-test code
-// must register below it, test-local registrations at or above it.
-const TestTagFloor = 1000
-
-// TagRanges is the central tag-range table from the package comment, as
-// data: package import path -> assigned range. Register checks every
-// registration against it, keyed by the package that declares the
-// registered type, and TestTagRangesWellFormed keeps the table itself
-// coherent. Extending the protocol with a new message-bearing package
-// means adding a row here first.
-var TagRanges = map[string]TagRange{
-	"repro/internal/broadcast": {10, 19},
-	"repro/internal/gather":    {30, 39},
-	"repro/internal/core":      {40, 44},
-	"repro/internal/coin":      {45, 49},
-	"repro/internal/rider":     {50, 59},
-	"repro/internal/transport": {60, 69},
-}
 
 // Codec describes how one message type encodes. Both functions receive
 // the message boxed as `any` with the registered dynamic type.
@@ -144,10 +105,7 @@ var (
 // Register binds a tag and a Codec to prototype's dynamic type.
 // Registration normally happens in package init; re-registering the same
 // (tag, type) pair is a no-op, while any conflict — tag reuse across
-// types, or one type under two tags — panics immediately. So does a tag
-// below TestTagFloor outside TagRanges' row for the package declaring
-// the type (pointers dereferenced), and a tag at or above it outside a
-// test binary: an out-of-range tag fails every binary at init.
+// types, or one type under two tags — panics immediately.
 func Register(tag uint64, prototype any, c Codec) {
 	typ := reflect.TypeOf(prototype)
 	if typ == nil {
@@ -156,7 +114,6 @@ func Register(tag uint64, prototype any, c Codec) {
 	if c.Append == nil || c.Decode == nil {
 		panic(fmt.Sprintf("wire: incomplete codec for %v", typ))
 	}
-	checkTagRange(tag, typ)
 	regMu.Lock()
 	defer regMu.Unlock()
 	if prev, ok := byTag.Load(tag); ok {
@@ -173,31 +130,6 @@ func Register(tag uint64, prototype any, c Codec) {
 	e := &entry{tag: tag, typ: typ, codec: c}
 	byTag.Store(tag, e)
 	byType.Store(typ, e)
-}
-
-// checkTagRange panics unless tag lies in the range assigned to typ's
-// package, or in the test-reserved band inside a test binary.
-func checkTagRange(tag uint64, typ reflect.Type) {
-	pkg := typ
-	for pkg.Kind() == reflect.Pointer {
-		pkg = pkg.Elem()
-	}
-	path := pkg.PkgPath()
-	if tag >= TestTagFloor {
-		if !testing.Testing() {
-			panic(fmt.Sprintf("wire: tag %d for %v is in the test-reserved band (>= %d); assign %q a range in wire.TagRanges",
-				tag, typ, TestTagFloor, path))
-		}
-		return
-	}
-	r, ok := TagRanges[path]
-	if !ok {
-		panic(fmt.Sprintf("wire: package %q registers tag %d for %v but has no range in wire.TagRanges", path, tag, typ))
-	}
-	if !r.Contains(tag) {
-		panic(fmt.Sprintf("wire: tag %d for %v is outside %q's range [%d, %d] in wire.TagRanges",
-			tag, typ, path, r.Lo, r.Hi))
-	}
 }
 
 // Append appends msg's frame (tag + body) to dst. A message whose type is
@@ -221,7 +153,8 @@ func Marshal(msg any) ([]byte, error) {
 }
 
 // Decode parses one frame from the front of b, returning the message and
-// the remaining bytes.
+// the remaining bytes. A frame whose tag is not registered fails with an
+// error wrapping ErrUnregistered.
 func Decode(b []byte) (any, []byte, error) {
 	tag, rest, err := ReadUvarint(b)
 	if err != nil {
@@ -229,7 +162,7 @@ func Decode(b []byte) (any, []byte, error) {
 	}
 	e, ok := byTag.Load(tag)
 	if !ok {
-		return nil, b, fmt.Errorf("wire: unknown message tag %d", tag)
+		return nil, b, fmt.Errorf("%w: tag %d", ErrUnregistered, tag)
 	}
 	return e.(*entry).codec.Decode(rest)
 }

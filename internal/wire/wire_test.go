@@ -10,7 +10,7 @@ import (
 	"repro/internal/types"
 )
 
-// Test-local registrations use tags >= 1000 (reserved range).
+// Test-local registrations use tags >= 1000, by convention.
 type probeMsg struct{ V uint64 }
 
 type probeMsg2 struct{ V uint64 }
@@ -77,8 +77,8 @@ func TestMarshalDecodeRoundTrip(t *testing.T) {
 	if _, _, err := Decode([]byte{0xff}); err == nil {
 		t.Fatal("truncated tag accepted")
 	}
-	if _, _, err := Decode(AppendUvarint(nil, 999999)); err == nil {
-		t.Fatal("unknown tag accepted")
+	if _, _, err := Decode(AppendUvarint(nil, 999999)); !errors.Is(err, ErrUnregistered) {
+		t.Fatalf("unknown tag: %v, want ErrUnregistered", err)
 	}
 }
 
