@@ -66,10 +66,12 @@ fuzz:
 # carved chunks the connection readers decode votes and SENDs into, and
 # the vote bodies a Reliable forwards in its READYs and FETCHes (which,
 # TestReadyReusesTriggerBody pins): over TCP (TestConsensusOverTCP) one
-# body decoded on a reader goroutine is read by every peer's writer.
+# body decoded on a reader goroutine is read by every peer's writer. Also
+# TestVotesByReferenceOverTCP, whose "no READY by reference held" and "no
+# source echoes its own slot" depend on FIFO delivery over real sockets.
 FLAKY_COUNT ?= 50
 flaky:
-	$(GO) test -race -count=$(FLAKY_COUNT) -run 'TestDoubleDial|TestReliable|TestReadyReusesTriggerBody|TestConsensusOverTCP|TestOutboxReusesBuffers|TestDecodedVotesSurviveLaterDecodes|TestDecodedSendsSurviveLaterDecodes|TestCarverHandsOutEachBodyOnce' ./internal/transport ./internal/broadcast ./internal/wire
+	$(GO) test -race -count=$(FLAKY_COUNT) -run 'TestDoubleDial|TestReliable|TestReadyReusesTriggerBody|TestConsensusOverTCP|TestVotesByReferenceOverTCP|TestOutboxReusesBuffers|TestDecodedVotesSurviveLaterDecodes|TestDecodedSendsSurviveLaterDecodes|TestCarverHandsOutEachBodyOnce' ./internal/transport ./internal/broadcast ./internal/wire
 
 # Sweep every built-in adversarial scenario (internal/scenario) over a few
 # seeds and check each one's declared Definition 4.1 properties; bounded to

@@ -48,20 +48,23 @@
 //     early DISTRIBUTE sets in one arrival-ordered list with at most one
 //     entry per sender.
 //   - Digest-addressed reliable broadcast (internal/broadcast): a vertex
-//     travels once per receiver, in the SEND; ECHO and READY carry the
-//     32-byte SHA-256 of its canonical wire frame, computed once where the
-//     vertex is created or decoded, except where the receiver can name
-//     the digest without them; then the vote goes by reference, as its
-//     slot alone. An ECHO by reference goes to a process whose ECHO for
-//     the digest the voter counted, and names the digest that process
-//     echoed, since it echoes once per slot. A READY by reference goes to
-//     every receiver of the voter's own ECHO for the digest, and names the
-//     digest of the ECHO the receiver counted from the voter; one that
-//     overtakes that ECHO waits for it, a bit per voter and slot. Over
-//     FIFO links, TCP's, nothing waits, and no message count, delivery
-//     time or output moves; only the 32 digest bytes go. On the
-//     simulator's uniform links a waiting READY moves schedules a little
-//     (commit latency +1.8 % at the median on Fig. 1). A process votes READY
+//     travels once per receiver, in the SEND, which also counts as its
+//     source's ECHO, so the source echoes nothing in its own slot. ECHO
+//     and READY carry the 32-byte SHA-256 of its canonical wire frame,
+//     computed once where the vertex is created or decoded, except where
+//     the receiver can name the digest without them; then the vote goes
+//     by reference, as its slot alone. An ECHO by reference goes to a
+//     process whose ECHO for the digest the voter counted (so to the
+//     slot's source from every receiver), and names the digest that
+//     process echoed, since it echoes once per slot. A READY by reference
+//     goes to every receiver of the voter's own ECHO for the digest, and
+//     names the digest of the ECHO the receiver counted from the voter
+//     (at the slot's source, its SEND's); one that overtakes that ECHO
+//     waits for it, a bit per voter and slot. Over FIFO links, TCP's,
+//     nothing waits, and no message count, delivery time or output moves;
+//     only the 32 digest bytes go. On the simulator's uniform links a
+//     waiting READY moves schedules a little (commit latency +1.2 % at
+//     the median on Fig. 1). A process votes READY
 //     and delivers only for a payload it holds, and one that sees a
 //     quorum or kernel of votes before the payload fetches it from the
 //     voters — under asymmetric trust one of the receiver's own quorums
@@ -73,8 +76,9 @@
 //     only through its quorum and kernel predicates, which depend only on
 //     the union of its quorums, so each vote goes to Assumption.Audience of
 //     its sender (sim.Multicast). Under threshold trust that is everyone;
-//     on the paper's Fig. 1 system a slot's ECHOs cross 169 links instead
-//     of all 870, and READYs likewise (quorum.VotePairs).
+//     on the paper's Fig. 1 system a slot's READYs cross 169 links instead
+//     of all 870 (quorum.VotePairs), and its ECHOs 169 less the source's
+//     audience, 163.4 on average.
 //   - A parallel multi-seed sweep engine (internal/sim Sweep and
 //     harness.SweepRider/SweepGather): independent seeded executions run
 //     on GOMAXPROCS goroutines and come back positioned by seed, with a

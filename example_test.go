@@ -49,13 +49,13 @@ func ExampleNewCluster() {
 		fmt.Printf("%3d. %s\n", i+1, tx)
 	}
 	// Output:
-	// network: 4734 messages, 71652 bytes, virtual time 1918
+	// network: 4200 messages, 42249 bytes, virtual time 1810
 	// orders agree across all processes: true
 	//
-	// p1: committed 8 waves, reached round 40, delivered 6 txs
-	// p2: committed 8 waves, reached round 40, delivered 6 txs
-	// p3: committed 8 waves, reached round 40, delivered 6 txs
-	// p4: committed 8 waves, reached round 40, delivered 6 txs
+	// p1: committed 10 waves, reached round 40, delivered 6 txs
+	// p2: committed 10 waves, reached round 40, delivered 6 txs
+	// p3: committed 10 waves, reached round 40, delivered 6 txs
+	// p4: committed 10 waves, reached round 40, delivered 6 txs
 	//
 	// totally ordered log (process p1's view):
 	//   1. alice->bob:5
@@ -295,12 +295,12 @@ func ExampleRunService() {
 	// running 4 replicas to decided wave 60 under rolling-churn...
 	//
 	// per-replica service report:
-	//   replica 0: wave 60, 14956 applied (14188 compacted away, 768 in tail), 14 snapshots, commit latency p50=1240 p99=1844
-	//   replica 1: wave 60, 14956 applied (14188 compacted away, 768 in tail), 14 snapshots, commit latency p50=1116 p99=1849
-	//   replica 2: wave 60, 14956 applied (14188 compacted away, 768 in tail), 14 snapshots, commit latency p50=1228 p99=1976
-	//   replica 3: wave 60, 14956 applied (14188 compacted away, 768 in tail), 14 snapshots, commit latency p50=919 p99=1591
+	//   replica 0: wave 60, 14960 applied (14448 compacted away, 512 in tail), 14 snapshots, commit latency p50=759 p99=1108
+	//   replica 1: wave 60, 14960 applied (14448 compacted away, 512 in tail), 14 snapshots, commit latency p50=773 p99=1219
+	//   replica 2: wave 60, 14960 applied (14448 compacted away, 512 in tail), 14 snapshots, commit latency p50=827 p99=1233
+	//   replica 3: wave 60, 14960 applied (14448 compacted away, 512 in tail), 14 snapshots, commit latency p50=954 p99=1294
 	//
-	// sustained throughput: 1.30 tx per virtual-time unit per replica
+	// sustained throughput: 1.36 tx per virtual-time unit per replica
 	// commit rate:          0.0049 waves per virtual-time unit per replica
 	// peak live DAG:        95 vertices (bounded by GC, independent of run length)
 	//

@@ -20,9 +20,10 @@
 // (SHA-256 of the payload's canonical wire frame), or name it by reference
 // (below). Four messages plus a reply:
 //
-//	SEND(slot, payload)  source → all
+//	SEND(slot, payload)  source → all; it is also the source's ECHO(d)
 //	ECHO(slot, d)        → the echoer's audience (below), on the first SEND
-//	                     of a slot; the echoer keeps the payload
+//	                     of a slot, from every process but the slot's
+//	                     source; the echoer keeps the payload
 //	READY(slot, d)       → the voter's audience, after an ECHO(d) quorum or
 //	                     a READY(d) kernel
 //	FETCH(slot, d)       ask a peer that voted for d for d's payload
@@ -88,9 +89,10 @@
 // voters per digest instead of n−1. Under threshold trust, and wherever
 // every process lies in a quorum of every other, the audience is everyone
 // (nil) and a vote goes to every process as before. On the paper's Fig. 1
-// system each process has a single quorum of 6, so a slot's ECHOs cross
-// 169 links instead of all 870, and its READYs likewise (a copy to the
-// voter itself crosses none). A process need not lie in its own quorum (19
+// system each process has a single quorum of 6, so a slot's READYs cross
+// 169 links instead of all 870 (a copy to the voter itself crosses none),
+// and its ECHOs 169 − |Audience(src) ∖ {src}|, 163.4 on average, since its
+// source does not echo (below). A process need not lie in its own quorum (19
 // of Fig. 1's 30 do not), so it may never hear its own vote, and nothing
 // relies on hearing it. The SEND still goes to everyone, since everyone
 // needs the payload; FETCH and PAYLOAD are point to point.
@@ -107,7 +109,10 @@
 // a j as ECHO*(s): the slot without the 32 digest bytes. j counts it, like
 // a full ECHO, for the digest it echoed in s, which its slot keeps as its
 // first digest (the SEND's digest takes that place when it is not first
-// already). j drops an ECHO* for a slot it has not echoed in.
+// already). j drops an ECHO* for a slot it has not echoed in. Every
+// receiver counts the SEND as its source's ECHO before it echoes (below),
+// so its ECHO to the source goes as an ECHO*, which the source resolves to
+// the digest of the SEND Broadcast recorded.
 //
 // READY*(s), a READY by reference, names the digest its voter echoed to
 // its receiver. A voter sends its READY to its audience, the processes it
@@ -116,15 +121,17 @@
 // member of its audience other than itself. It sends the READY in full
 // only if it did not echo d: its payload came by FETCH, or it echoed
 // another digest. j resolves READY*(s) from i to the digest for which it
-// counted i's ECHO in s. A correct voter's ECHO is counted for one digest;
+// counted i's ECHO in s, or, when j is the source of s, to the digest of
+// its own SEND (below). A correct voter's ECHO is counted for one digest;
 // a Byzantine voter's may be counted for several that the slot already
 // held, and then its READY* counts for the slot's first digest if that is
 // one of them, else for the least, the same in every run. If j has not
 // counted i's ECHO yet, it holds one bit for (s, i) and counts the READY
 // right after the ECHO, for the ECHO's digest. This happens only where
 // links are not FIFO, as in the simulator; TCP links are, so over TCP
-// nothing is ever held. The held bit goes when the slot delivers or when
-// PruneBelow empties it.
+// nothing is ever held: the source's READY* resolves through its SEND,
+// which its link delivers first. The held bit goes when the slot delivers
+// or when PruneBelow empties it.
 //
 // Every other vote goes in full: an ECHO to a process whose ECHO i has not
 // counted, or counted for another digest (the source equivocated); a READY
@@ -156,13 +163,14 @@
 // reliable links deliver. That process drops the ECHO only once it has
 // delivered or pruned the slot, when it has no use for the READY either: a
 // correct voter's ECHO is never spam, and it sends an ECHO* only to a
-// process whose ECHO it counted, which has echoed. On a link that loses
+// process whose ECHO it counted, which has echoed (a correct source, in
+// Broadcast). On a link that loses
 // messages, though, a lost ECHO also loses its voter's READY at that
 // receiver, where a full READY would still have counted: the READY* stays
 // held until the slot delivers or is pruned (Reliable.Waiting). `make
-// scenarios` counts these: over 8 seeds each, 25 on partition-drop, 37 on
-// churn-lossy, 2 on lossy-early and none where no message is lost, with
-// every verdict as before. An ECHO*
+// scenarios` counts these: over 8 seeds each, 28 on partition-drop, 18 on
+// churn-lossy and none where no message is lost, with every verdict as
+// before. An ECHO*
 // names a digest whose payload its receiver holds, so it never blocks R1.
 // A READY* may name one the receiver does not hold, when the source
 // equivocated. Then it blocks R1 as the full READY would, and R2 asks the
@@ -180,12 +188,53 @@
 // so on the simulator's uniform links schedules move. On the benchmark's
 // sim_asym_n30 (Fig. 1, links of 1–20, seeds 1–5, 10 waves) 3.1 % of the
 // READY*s that reach a process are held, and the service's commit latency
-// rises 1.8 % at the median and 2.9 % at the 99th percentile. On
-// sim_faults_n7's scenarios (n = 7, seeds 1–20) 8.4 % are held. Over FIFO
-// links, sim.ConstantLatency's and TCP's, nothing is held:
-// no message count, delivery time or output moves, and the bytes fall by
-// exactly 32 per reference. A reference is about 3 bytes of a 35-byte
-// vote.
+// is 1.2 % higher at the median and 0.5 % at the 99th percentile than with
+// every READY in full. On sim_faults_n7's scenarios (n = 7, seeds 1–20)
+// 7.4 % are held. Over FIFO links, sim.ConstantLatency's and TCP's,
+// nothing is held: no message count, delivery time or output moves, and
+// the bytes fall by exactly 32 per reference. A reference is about 3
+// bytes of a 35-byte vote.
+//
+// # The SEND is its source's ECHO
+//
+// A correct source would echo the digest of its own SEND, to its
+// audience, as soon as it handled that SEND. The SEND already names that
+// digest and reaches every process over the same authenticated link. So
+// the source casts no ECHO for its own slot, and a process that handles a
+// SEND from the slot's source counts it as that source's ECHO of the
+// SEND's digest, provided the source lies in U_self. It counts that ECHO
+// before it casts its own, so its own ECHO to the source goes by
+// reference. This is the classic economy of Bracha's protocol. It takes
+// |Audience(src) ∖ {src}| messages out of every slot: 3 of 27 under
+// threshold(4, 1), 6 of 90 under threshold(7, 2).
+//
+// Broadcast records the source's own slot as echoed before the SEND
+// leaves: its digest first, its payload held. The simulator delays a
+// self-send like any other, so an ECHO* can reach the source before its
+// own SEND does, and the record resolves it. No rule runs in Broadcast,
+// so it never delivers. When the self-addressed SEND arrives, it only
+// counts the source's own ECHO, if the source lies in U_self, and applies
+// the rules. A SEND that no Broadcast recorded reaches its source only
+// from a Byzantine source or a test (EquivocateSend). It is handled as at
+// any receiver, except that the source casts no ECHO, and the READYs by
+// reference the source held until then count for its digest. An ECHO* that
+// came before it named no digest and was dropped.
+//
+// A source knows the digest every correct process echoed in its slot: its
+// own SEND's. So the source counts a READY* for its own slot for that
+// digest at once, without waiting for the voter's ECHO, and holds none.
+//
+// Safety. A correct source's SEND names exactly the digest its ECHO would,
+// and reaches a superset of its audience, so every process counts the
+// same vote as before, only sooner. A Byzantine source gains nothing that
+// a full ECHO(d) to the same receiver, right after the SEND, would not
+// already give it: a receiver handles one SEND per slot and counts it for
+// the digest it holds. The spam rule still caps a slot at 1 + 2|U_self|
+// digests. At a correct source, a READY* counts for the SEND's digest,
+// as a full READY for that digest from the same voter would. R1 holds,
+// because a source holds its own payload. Totality is unchanged: the
+// source's vote reaches exactly the processes its ECHO used to reach, its
+// audience, all of whom receive the SEND.
 //
 // # Slot state
 //
@@ -264,8 +313,9 @@
 //     the vote that blocked on the payload. A READY that a SEND, a PAYLOAD
 //     or a vote by reference completed is sent with the body of this
 //     process's ECHO of its digest. A new body is cut only for a SEND, an
-//     ECHO, a PAYLOAD, and a READY or FETCH for a digest this process did
-//     not echo that no full vote completed, from two process-wide
+//     ECHO, a PAYLOAD, and a READY or FETCH that no full vote completed
+//     for a digest this process did not echo, or sourced and so did not
+//     echo in a message of its own, from two process-wide
 //     wire.Carvers, one
 //     per body type, in chunks of 64 indexed atomically; the codec cuts
 //     the bodies it decodes off the wire from the same two.
@@ -298,8 +348,9 @@ type Digest = [sha256.Size]byte
 // their digests are equal — equivocation detection, the vote trackers and
 // the fetch path all count on it. It is the SHA-256 of the payload's
 // canonical wire frame (wire.Digest), so a payload that is re-encoded by a
-// fetch reply keeps its address. Reliable calls it once per SEND or
-// PAYLOAD it handles; implementations with large content cache it.
+// fetch reply keeps its address. Reliable calls it once per Broadcast and
+// once per SEND or PAYLOAD it handles, except a source's own SEND, which
+// Broadcast recorded; implementations with large content cache it.
 type Payload interface {
 	Digest() Digest
 }
@@ -512,9 +563,18 @@ func NewReliable(self types.ProcessID, trust quorum.Assumption, deliver Deliver)
 	}
 }
 
-// Broadcast implements Broadcaster.
+// Broadcast implements Broadcaster. It records the slot as echoed before
+// the SEND leaves, since the SEND is this process's ECHO (see "The SEND is
+// its source's ECHO"): an ECHO by reference that reaches this process
+// before its own SEND resolves to the payload's digest. No rule runs here,
+// and so no deliver upcall: the self-addressed SEND applies them.
 func (r *Reliable) Broadcast(env sim.Env, seq uint64, payload Payload) {
-	sim.Multicast(env, sim.Cast{Msg: sendMsg{newSend(Slot{Src: r.self, Seq: seq}, payload)}})
+	slot := Slot{Src: r.self, Seq: seq}
+	if st := r.open(slot); st != nil && !st.sentEcho {
+		st.sentEcho = true
+		r.echoed(st, payload.Digest()).payload = payload
+	}
+	sim.Multicast(env, sim.Cast{Msg: sendMsg{newSend(slot, payload)}})
 }
 
 // open returns slot s, creating its row on first use, or nil when s lies
@@ -855,26 +915,53 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 			return true // drop forgery
 		}
 		st := r.open(m.Slot)
-		if st == nil || st.sentEcho {
-			return true // pruned, or not the first payload of the slot
+		if st == nil {
+			return true // pruned
 		}
-		st.sentEcho = true
-		d := m.Payload.Digest()
-		v := r.echoed(st, d)
-		v.payload = m.Payload
-		b := newVote(m.Slot, d)
-		// An ECHO names d by reference to the processes whose ECHO(d) this
-		// one counted; after delivery it keeps no tally and sends in full.
-		var refTo types.Set
-		if v.tally != nil {
-			refTo = v.tally.votes[echoes].Set()
-			if !st.sentReady {
-				v.tally.echo = b
+		mine := from == r.self
+		var d Digest
+		var v *rbValue
+		switch {
+		case !st.sentEcho:
+			st.sentEcho = true
+			d = m.Payload.Digest()
+			v = r.echoed(st, d)
+			v.payload = m.Payload
+		case mine:
+			// Broadcast recorded the slot: its digest is first.
+			d, v = st.first, &st.value
+		default:
+			return true // not the first payload of the slot
+		}
+		// The SEND is its source's ECHO, counted before this process casts
+		// its own, which then goes to the source by reference.
+		counted := v.tally != nil && r.trust.Counts(r.self, from)
+		if counted {
+			v.tally.votes[echoes].Add(from)
+		}
+		if !mine {
+			b := newVote(m.Slot, d)
+			// An ECHO names d by reference to the processes whose ECHO(d)
+			// this one counted; after delivery it keeps no tally and sends
+			// in full.
+			var refTo types.Set
+			if v.tally != nil {
+				refTo = v.tally.votes[echoes].Set()
+				if !st.sentReady {
+					v.tally.echo = b
+				}
 			}
+			r.cast(env, echoMsg{b}, echoRefMsg{b}, refTo)
 		}
-		r.cast(env, echoMsg{b}, echoRefMsg{b}, refTo)
 		// A SEND overtaken by its own votes completes the slot here.
 		r.advance(env, m.Slot, st, d, v, nil)
+		if mine {
+			// READYs by reference held before the slot was echoed here
+			// count for its SEND's digest, as later ones do.
+			r.unholdAll(env, m.Slot, st, d)
+		} else if counted {
+			r.unhold(env, from, m.Slot, st, d, nil)
+		}
 	case echoMsg:
 		r.handleVote(env, from, m.vote, echoes)
 	case readyMsg:
@@ -965,7 +1052,10 @@ func (r *Reliable) handleReadyRef(env sim.Env, from types.ProcessID, s Slot) {
 	if st == nil || st.delivered {
 		return
 	}
-	if d, ok := st.echoOf(from); ok {
+	if s.Src == r.self && st.sentEcho {
+		// Its source knows the digest a correct voter echoed: its own.
+		r.count(env, from, s, st, st.first, readies, nil)
+	} else if d, ok := st.echoOf(from); ok {
 		r.count(env, from, s, st, d, readies, nil)
 	} else {
 		r.hold(st, from)
@@ -984,11 +1074,30 @@ func (r *Reliable) count(env sim.Env, from types.ProcessID, slot Slot, st *rbSlo
 	v := r.value(st, d)
 	v.tally.votes[kind].Add(from)
 	r.advance(env, slot, st, d, v, body)
-	if kind == echoes && st.held != 0 {
-		if w, bit := r.heldBit(st, from); *w&bit != 0 {
-			*w &^= bit
-			r.count(env, from, slot, st, d, readies, body)
+	if kind == echoes {
+		r.unhold(env, from, slot, st, d, body)
+	}
+}
+
+// unhold counts the READY by reference that st holds from voter from, if
+// any, for d, the digest for which from's ECHO was just counted.
+func (r *Reliable) unhold(env sim.Env, from types.ProcessID, slot Slot, st *rbSlot, d Digest, body *vote) {
+	if st.held == 0 {
+		return
+	}
+	if w, bit := r.heldBit(st, from); *w&bit != 0 {
+		*w &^= bit
+		r.count(env, from, slot, st, d, readies, body)
+	}
+}
+
+// unholdAll counts every READY by reference that st holds for d.
+func (r *Reliable) unholdAll(env sim.Env, slot Slot, st *rbSlot, d Digest) {
+	for p := range r.n {
+		if st.held == 0 {
+			return
 		}
+		r.unhold(env, types.ProcessID(p), slot, st, d, nil)
 	}
 }
 

@@ -39,23 +39,21 @@ func (n *bcNode) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
 	n.bc.Handle(env, from, msg)
 }
 
-// equivocator sends payload A to the first half and payload B to the rest;
-// with votes set it also sends ECHO and READY for both to everyone, the
-// most a single Byzantine process can do to get two digests delivered.
-type equivocator struct{ votes bool }
+// equivocator sends process i the SEND of sends[i]; with votes set it
+// also sends ECHO and READY for A and B to everyone, the most a single
+// Byzantine process can do to get two digests delivered.
+type equivocator struct {
+	sends []Payload
+	votes bool
+}
 
 func (e equivocator) Init(env sim.Env) {
 	slot := Slot{Src: env.Self(), Seq: 0}
-	a, b := Bytes("AAAA"), Bytes("BBBB")
-	for i := 0; i < env.N(); i++ {
-		p := Payload(a)
-		if i >= env.N()/2 {
-			p = b
-		}
+	for i, p := range e.sends {
 		EquivocateSend(env, types.ProcessID(i), slot, p)
 	}
 	if e.votes {
-		for _, d := range []Digest{a.Digest(), b.Digest()} {
+		for _, d := range []Digest{Bytes("AAAA").Digest(), Bytes("BBBB").Digest()} {
 			sim.Multicast(env, sim.Cast{Msg: echoMsg{&vote{Slot: slot, Digest: d}}})
 			sim.Multicast(env, sim.Cast{Msg: readyMsg{&vote{Slot: slot, Digest: d}}})
 		}
@@ -143,17 +141,34 @@ func TestReliableAsymmetricAllCorrect(t *testing.T) {
 }
 
 func TestReliableEquivocationConsistency(t *testing.T) {
-	// Byzantine node 3 equivocates; n=4, f=1 threshold: receivers 0 and 1
-	// hold A, receiver 2 holds B. No two correct processes may deliver
-	// different payloads for node 3's slot, and when node 3 also votes for
-	// both — which completes A's quorums — all three deliver A, process 2
-	// by fetching what it was never sent.
-	for _, votes := range []bool{false, true} {
+	// Byzantine node 3 equivocates; n=4, f=1 threshold. No two correct
+	// processes may deliver different payloads for node 3's slot.
+	//
+	// Split two ways, receivers 0 and 1 hold A and receiver 2 holds B. Each
+	// SEND is node 3's ECHO at its receiver, so A has an ECHO quorum at 0
+	// and 1 (3's, 0's and 1's) with no further vote from 3: all three
+	// deliver A, process 2 by fetching what it was never sent. When node 3
+	// also votes for both, they deliver A all the same.
+	//
+	// Split three ways, A, B and C one receiver each, no digest has more
+	// than two ECHOs (3's SEND and its receiver's own), short of a quorum,
+	// and nothing is delivered.
+	a, b, c := Bytes("AAAA"), Bytes("BBBB"), Bytes("CCCC")
+	for _, tc := range []struct {
+		sends []Payload
+		votes bool
+		wantA int
+	}{
+		{[]Payload{a, a, b, b}, false, 3},
+		{[]Payload{a, a, b, b}, true, 3},
+		{[]Payload{a, b, c, c}, false, 0},
+	} {
+		votes := tc.votes
 		for seed := int64(0); seed < 20; seed++ {
 			n := 4
 			trust := quorum.NewThreshold(n, 1)
 			nodes := reliableCluster(n, trust, nil)
-			nodes[3] = equivocator{votes: votes}
+			nodes[3] = equivocator{sends: tc.sends, votes: votes}
 			r := sim.NewRunner(sim.Config{N: n, Seed: seed, Latency: sim.UniformLatency{Min: 1, Max: 30}}, nodes)
 			r.Run(0)
 			slot := Slot{Src: 3, Seq: 0}
@@ -164,10 +179,10 @@ func TestReliableEquivocationConsistency(t *testing.T) {
 				}
 			}
 			if len(delivered) > 1 {
-				t.Fatalf("votes %v seed %d: conflicting deliveries for equivocated slot", votes, seed)
+				t.Fatalf("sends %q votes %v seed %d: conflicting deliveries for equivocated slot", tc.sends, votes, seed)
 			}
-			if want := map[bool]int{false: 0, true: 3}[votes]; delivered[Bytes("AAAA").Digest()] != want {
-				t.Fatalf("votes %v seed %d: %d correct processes delivered A, want %d", votes, seed, delivered[Bytes("AAAA").Digest()], want)
+			if got := delivered[a.Digest()]; got != tc.wantA || len(delivered) > min(got, 1) {
+				t.Fatalf("sends %q votes %v seed %d: delivered %v; want A at %d correct processes and nothing else", tc.sends, votes, seed, delivered, tc.wantA)
 			}
 		}
 	}
@@ -339,17 +354,18 @@ func TestPlainBroadcast(t *testing.T) {
 
 // TestReliableMessageComplexity counts one honest slot's messages by type,
 // as links carry them: a process's copy to itself is free. The SEND goes
-// to the n−1 other processes, but each ECHO and READY goes only to the
-// voter's audience, the processes whose quorums contain it: n(n−1) of
-// each under threshold trust, and on the Fig. 1 system, where every
-// process has one quorum of 6, 169 of the 870 links (quorum.VotePairs).
-// Some of them go by reference, to the processes whose ECHO the voter
-// counted: at n=4 no ECHO, since every process echoes before it counts
-// any, and a READY to every other process whose ECHO was among the
-// three that completed the voter's quorum (9 of 12 with this seed); on
-// Fig. 1 the READY on each of the 34 mutual links of its 169, the links
-// i → j with j ∈ U_i as well as i ∈ U_j, since only those carry ECHOs
-// both ways.
+// to the n−1 other processes, and each READY only to the voter's
+// audience, the processes whose quorums contain it: n(n−1) = 12 under
+// threshold(4, 1), and on the Fig. 1 system, where every process has one
+// quorum of 6, 169 of the 870 links (quorum.VotePairs). The SEND is its
+// source's ECHO, so the source echoes nothing, and the ECHOs cross those
+// links less the source's audience but itself: 12 − 3 = 9 and
+// 169 − 16 = 153. Every receiver counts the SEND as the source's ECHO
+// before it echoes, so its ECHO goes to the source by reference wherever
+// it goes to the source at all: from the 3 others under threshold trust,
+// and from the 4 of Fig. 1's 16 that also lie in U_p1. On this seed the
+// SEND reaches every receiver before any other ECHO, so the other ECHOs go
+// in full, and every READY goes by reference.
 func TestReliableMessageComplexity(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
@@ -357,8 +373,8 @@ func TestReliableMessageComplexity(t *testing.T) {
 		send, echo, ready int
 		echoRef, readyRef int
 	}{
-		{"threshold n=4", quorum.NewThreshold(4, 1), 3, 12, 12, 0, 12},
-		{"Fig. 1", quorum.Counterexample(), 29, 169, 169, 0, 169},
+		{"threshold n=4", quorum.NewThreshold(4, 1), 3, 9, 12, 3, 12},
+		{"Fig. 1", quorum.Counterexample(), 29, 153, 169, 4, 169},
 	} {
 		n := tc.trust.N()
 		nodes := reliableCluster(n, tc.trust, nil)
@@ -488,7 +504,10 @@ func (e queueEnv) Send(to types.ProcessID, msg sim.Message) {
 
 // TestReliableDigestCallsPerMessage pins what a slot costs in Digest
 // calls, which for a payload that does not cache it is a hash of the whole
-// block: at most one per handled SEND, none for an ECHO or a READY.
+// block: one in Broadcast, at most one per handled SEND, none for an ECHO
+// or a READY, and n in all. The source hashes in Broadcast and not again
+// when its own SEND comes back. It casts no ECHO, so n(n − 1) = 12 ECHOs
+// and n² = 16 READYs are handled.
 func TestReliableDigestCallsPerMessage(t *testing.T) {
 	const n = 4
 	trust := quorum.NewThreshold(n, 1)
@@ -501,6 +520,9 @@ func TestReliableDigestCallsPerMessage(t *testing.T) {
 		nodes[i] = NewReliable(types.ProcessID(i), trust, func(sim.Env, Slot, Payload) { deliveries++ })
 	}
 	nodes[0].Broadcast(envs[0], 0, countedPayload{calls: &calls})
+	if calls != 1 {
+		t.Fatalf("Broadcast made %d Digest calls, want 1", calls)
+	}
 
 	handled := map[string]int{}
 	for len(queue) > 0 {
@@ -520,8 +542,11 @@ func TestReliableDigestCallsPerMessage(t *testing.T) {
 			t.Fatalf("handling a %s made %d Digest calls, want at most %d", kind, got, most)
 		}
 	}
-	if handled["SEND"] != n || handled["ECHO"] != n*n || handled["READY"] != n*n || len(handled) != 3 {
-		t.Fatalf("handled %v, want %d SEND and %d each of ECHO and READY", handled, n, n*n)
+	if handled["SEND"] != n || handled["ECHO"] != n*(n-1) || handled["READY"] != n*n || len(handled) != 3 {
+		t.Fatalf("handled %v, want %d SEND, %d ECHO and %d READY", handled, n, n*(n-1), n*n)
+	}
+	if calls != n {
+		t.Fatalf("%d Digest calls in all, want %d", calls, n)
 	}
 	if deliveries != n {
 		t.Fatalf("%d of %d processes delivered", deliveries, n)
@@ -847,14 +872,16 @@ func TestReliableRowRecycled(t *testing.T) {
 	x, y := Bytes("block"), Bytes("other")
 	s := newStepper(t)
 	a, b := Slot{Src: 1, Seq: 0}, Slot{Src: 2, Seq: 0}
-	s.handle(1, sendMsg{&send{Slot: a, Payload: x}})
-	s.expect("SEND of x", "echoMsg→all")
 	for from := types.ProcessID(1); from < 4; from++ {
 		s.handle(from, echoMsg{&vote{Slot: a, Digest: y.Digest()}})
 		s.handle(from, echoMsg{&vote{Slot: b, Digest: x.Digest()}})
 	}
 	s.expect("ECHO quorums for y in a and x in b, neither held",
 		"fetchMsg→1", "fetchMsg→2", "fetchMsg→3", "fetchMsg→1", "fetchMsg→2", "fetchMsg→3")
+	// a's SEND comes after its source's ECHO of y: it is also that
+	// source's ECHO of x, which would have made the ECHO of y spam.
+	s.handle(1, sendMsg{&send{Slot: a, Payload: x}})
+	s.expect("SEND of x", "echoMsg→all")
 	s.handle(2, payloadMsg{&send{Slot: a, Payload: y}})
 	s.expect("the further digest y completes its fetch", "readyMsg→all")
 	s.handle(3, fetchMsg{&vote{Slot: a, Digest: x.Digest()}})
@@ -1020,8 +1047,9 @@ func TestVoteBodiesSurvivePrune(t *testing.T) {
 		want vote
 	}
 	var kept []sentVote
-	// run completes every slot of seq; the process sends one ECHO and one
-	// READY per slot, 2n votes per seq.
+	// run completes every slot of seq; the process sends an ECHO and a
+	// READY to each of n per slot, but no ECHO in its own, whose SEND is
+	// its ECHO: 2n(n − 1) + n = 28 votes per seq.
 	run := func(seq uint64) {
 		for src := types.ProcessID(0); src < n; src++ {
 			slot := Slot{Src: src, Seq: seq}
@@ -1042,8 +1070,8 @@ func TestVoteBodiesSurvivePrune(t *testing.T) {
 	for seq := uint64(0); seq < early; seq++ {
 		run(seq)
 	}
-	if len(kept) != early*n*2*n {
-		t.Fatalf("captured %d sends for the early seqs, want %d (an ECHO and a READY to each of %d per slot)", len(kept), early*n*2*n, n)
+	if want := early * (2*n*(n-1) + n); len(kept) != want {
+		t.Fatalf("captured %d sends for the early seqs, want %d (an ECHO and a READY to each of %d per slot, no ECHO in its own)", len(kept), want, n)
 	}
 	r.PruneBelow(early)
 	spares := (dag.RowChunk - early%dag.RowChunk) % dag.RowChunk // unused rows of the last chunk
@@ -1196,6 +1224,8 @@ func TestReliableVoterSpamBounded(t *testing.T) {
 // receiver counts it, so the votes add no digest and allocate nothing.
 // Voters inside U_self can still add one digest per kind each, so spam
 // from everyone leaves the slot at its cap of 1 + 2|U_self| digests: 13.
+// The source's SEND is its ECHO, so its ECHO of a fresh digest adds one
+// only if it comes first.
 func TestReliableDropsUncountedVoters(t *testing.T) {
 	sys := quorum.Counterexample()
 	n := sys.N()
@@ -1211,8 +1241,12 @@ func TestReliableDropsUncountedVoters(t *testing.T) {
 	r := NewReliable(self, sys, func(sim.Env, Slot, Payload) { t.Fatal("delivered") })
 	var env sim.Env = pruneEnv{self: self, n: n}
 	slot := Slot{Src: 1, Seq: 0}
-	r.Handle(env, 1, sendMsg{&send{Slot: slot, Payload: Bytes("x")}})
 	fresh := func(i int) Digest { return Digest{byte(i), byte(i >> 8), 0xcc} }
+	if !sys.Counts(self, slot.Src) {
+		t.Fatalf("source %v lies outside U_%v", slot.Src, types.ProcessID(self))
+	}
+	r.Handle(env, slot.Src, echoMsg{&vote{Slot: slot, Digest: fresh(999)}})
+	r.Handle(env, slot.Src, sendMsg{&send{Slot: slot, Payload: Bytes("x")}})
 	votes := make([]sim.Message, 0, 200)
 	for i := range 100 {
 		votes = append(votes, echoMsg{&vote{Slot: slot, Digest: fresh(i)}}, readyMsg{&vote{Slot: slot, Digest: fresh(i)}})
@@ -1224,9 +1258,9 @@ func TestReliableDropsUncountedVoters(t *testing.T) {
 		}
 	})
 	st := r.find(slot)
-	if len(st.others) != 0 || allocs != 0 {
-		t.Fatalf("votes from %v, outside U_%v = %v, added %d digests and allocated %.1f objects, want 0 and 0",
-			voter, types.ProcessID(self), inside, len(st.others), allocs)
+	if len(st.others) != 1 || allocs != 0 {
+		t.Fatalf("votes from %v, outside U_%v = %v, added %d digests to the source's and allocated %.1f objects, want 0 and 0",
+			voter, types.ProcessID(self), inside, len(st.others)-1, allocs)
 	}
 	for k, p := range append(inside, outside...) {
 		for i := range 10 {
@@ -1379,7 +1413,15 @@ func TestTrackerPoolBounded(t *testing.T) {
 				}
 				for p, r := range nodes {
 					if seq < seqs {
-						r.Broadcast(envs[p], uint64(seq), digestPayload{byte(seq), byte(seq >> 8), byte(p)})
+						// Broadcast opens the slot: it records the source's
+						// own as echoed.
+						own := Slot{Src: types.ProcessID(p), Seq: uint64(seq)}
+						was := pending(own.Src, own)
+						r.Broadcast(envs[p], own.Seq, digestPayload{byte(seq), byte(seq >> 8), byte(p)})
+						if !was && pending(own.Src, own) {
+							undelivered[p]++
+							peak[p] = max(peak[p], undelivered[p])
+						}
 					}
 					if w := seq - gcDepth; w > 0 {
 						for src := range n {
@@ -1502,7 +1544,8 @@ func TestReliableRefWithoutEchoChangesNothing(t *testing.T) {
 	r.Handle(env, outside, echoRefMsg{&vote{Slot: slot}})
 	r.Handle(env, outside, readyRefMsg{&vote{Slot: slot}})
 	r.Handle(env, outside, readyRefMsg{&vote{Slot: Slot{Src: 2, Seq: 7}}})
-	if st := r.find(slot); st.value.tally.votes[echoes].Count() != 0 || st.value.tally.votes[readies].Count() != 0 || st.held != 0 || r.Held() != 0 {
+	// The one ECHO counted is the source's: its SEND.
+	if st := r.find(slot); st.value.tally.votes[echoes].Count() != 1 || st.value.tally.votes[readies].Count() != 0 || st.held != 0 || r.Held() != 0 {
 		t.Fatalf("votes by reference from %v, outside U_p1, were counted or held", outside)
 	}
 	if row := r.rows[slot.Seq]; row[2].held != 0 {
@@ -1559,12 +1602,13 @@ func TestReliableRefAddsNoDigest(t *testing.T) {
 
 // TestReliableRefNotToOtherDigest pins the two rules. An ECHO goes by
 // reference to exactly the processes whose ECHO for its digest the voter
-// counted: the source equivocates, so process 2 echoed d1 while process 0
-// echoes d2. Process 0 counted 2's ECHO for d1, not for d2, so its ECHO of
-// d2 goes to 2 in full, as to 1, whose ECHO has not arrived; to 3, whose
-// ECHO for d2 it counted, by reference. A READY for the digest the voter
-// echoed goes by reference to everyone else, 2 included: each of them
-// resolves it by the voter's ECHO, which names d2.
+// counted: the source 1 equivocates, so process 2 echoed d1 while process
+// 0 echoes d2. Process 0 counted 2's ECHO for d1, not for d2, so its ECHO
+// of d2 goes to 2 in full; to 3, whose ECHO for d2 it counted, by
+// reference, and to the source 1 too, whose SEND of d2 is its ECHO. With
+// its own ECHO that is a quorum. A READY for the digest the voter echoed
+// goes by reference to everyone else, 2 included: each of them resolves it
+// by the voter's ECHO, which names d2.
 func TestReliableRefNotToOtherDigest(t *testing.T) {
 	slot := Slot{Src: 1, Seq: 7}
 	x1, x2 := Bytes("one"), Bytes("two")
@@ -1572,10 +1616,9 @@ func TestReliableRefNotToOtherDigest(t *testing.T) {
 	s.handle(2, echoMsg{&vote{Slot: slot, Digest: x1.Digest()}})
 	s.handle(3, echoMsg{&vote{Slot: slot, Digest: x2.Digest()}})
 	s.handle(1, sendMsg{&send{Slot: slot, Payload: x2}})
-	s.expectRefs("ECHO of d2", "echoRefMsg→3")
+	s.expectRefs("ECHO of d2", "echoRefMsg→1", "echoRefMsg→3")
 	s.expect("ECHO of d2", "echoMsg→all")
 	s.handle(0, echoMsg{&vote{Slot: slot, Digest: x2.Digest()}})
-	s.handle(1, echoMsg{&vote{Slot: slot, Digest: x2.Digest()}})
 	s.expectRefs("READY of d2", "readyRefMsg→1", "readyRefMsg→2", "readyRefMsg→3")
 	s.expect("READY of d2", "readyMsg→all")
 }
@@ -1793,5 +1836,214 @@ func TestReliableHeldReadyDropped(t *testing.T) {
 	requireEmptyRows(t, s.r.free)
 	if len(s.r.rows) != 0 || s.r.SlotCount() != 0 {
 		t.Fatalf("PruneBelow left %d rows, %d live slots", len(s.r.rows), s.r.SlotCount())
+	}
+}
+
+// votePair returns processes j and src, j ≠ src, with src in U_j, and with
+// j in U_src as well when mutual is set; ok is false if trust has none.
+func votePair(trust quorum.Assumption, counted, mutual bool) (j, src types.ProcessID, ok bool) {
+	n := trust.N()
+	for j := range types.ProcessID(n) {
+		for src := range types.ProcessID(n) {
+			if j != src && trust.Counts(j, src) == counted && (!mutual || trust.Counts(src, j)) {
+				return j, src, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// audience returns the number of processes whose quorums contain p, p
+// itself included if it is one of them.
+func audience(trust quorum.Assumption, p types.ProcessID) int {
+	k := 0
+	for i := range types.ProcessID(trust.N()) {
+		if trust.Counts(i, p) {
+			k++
+		}
+	}
+	return k
+}
+
+// TestReliableSendCountsAsSourceEcho: a SEND from a source in U_self is
+// that source's ECHO of the SEND's digest. The receiver counts it once,
+// however often the SEND or the source's own full ECHO of the digest
+// comes, and counts it before it echoes, so its ECHO goes to the source by
+// reference and to the rest of its audience in full.
+func TestReliableSendCountsAsSourceEcho(t *testing.T) {
+	for _, trust := range []quorum.Assumption{quorum.NewThreshold(4, 1), quorum.Counterexample()} {
+		j, src, ok := votePair(trust, true, true)
+		if !ok {
+			t.Fatalf("n=%d: no process counts a source that counts it", trust.N())
+		}
+		var sent []queuedMsg
+		env := queueEnv{pruneEnv: pruneEnv{self: j, n: trust.N()}, queue: &sent}
+		r := NewReliable(j, trust, func(sim.Env, Slot, Payload) { t.Fatal("delivered") })
+		slot := Slot{Src: src, Seq: 3}
+		x := Bytes("x")
+		r.Handle(env, src, sendMsg{&send{Slot: slot, Payload: x}})
+		st := r.find(slot)
+		tr := &st.value.tally.votes[echoes]
+		if !tr.Contains(src) || tr.Count() != 1 || st.value.payload == nil {
+			t.Fatalf("n=%d: %v's SEND at %v: %d ECHOs counted, the source's %v, payload held %v; want the source's alone, and the payload",
+				trust.N(), src, j, tr.Count(), tr.Contains(src), st.value.payload != nil)
+		}
+		if len(sent) != audience(trust, j) {
+			t.Fatalf("n=%d: %v sent %d ECHOs, want one to each of its audience of %d", trust.N(), j, len(sent), audience(trust, j))
+		}
+		for _, m := range sent {
+			_, ref := m.msg.(echoRefMsg)
+			_, full := m.msg.(echoMsg)
+			if ref != (m.to == src) || full == ref {
+				t.Fatalf("n=%d: %v sent %T to %v; want ECHO* to the source %v and full ECHOs to the rest", trust.N(), j, m.msg, m.to, src)
+			}
+		}
+		sent = sent[:0]
+		r.Handle(env, src, sendMsg{&send{Slot: slot, Payload: x}})
+		r.Handle(env, src, echoMsg{&vote{Slot: slot, Digest: x.Digest()}})
+		if tr.Count() != 1 || len(sent) != 0 {
+			t.Fatalf("n=%d: the SEND again and the source's full ECHO: %d ECHOs counted and %d messages sent, want 1 and none", trust.N(), tr.Count(), len(sent))
+		}
+	}
+}
+
+// TestReliableSendFromOutsideNotCounted: on Fig. 1 a SEND from a source
+// outside U_self is echoed, in full since nothing is counted yet, and its
+// payload held, but it counts as no ECHO: no predicate of the receiver
+// would count that source's vote.
+func TestReliableSendFromOutsideNotCounted(t *testing.T) {
+	trust := quorum.Counterexample()
+	j, src, ok := votePair(trust, false, false)
+	if !ok {
+		t.Fatal("Fig. 1: every process counts every source")
+	}
+	var sent []queuedMsg
+	env := queueEnv{pruneEnv: pruneEnv{self: j, n: trust.N()}, queue: &sent}
+	r := NewReliable(j, trust, func(sim.Env, Slot, Payload) { t.Fatal("delivered") })
+	slot := Slot{Src: src, Seq: 0}
+	r.Handle(env, src, sendMsg{&send{Slot: slot, Payload: Bytes("x")}})
+	st := r.find(slot)
+	if e := st.value.tally.votes[echoes].Count(); e != 0 || !st.sentEcho || st.value.payload == nil {
+		t.Fatalf("%v's SEND at %v, outside U_%v: %d ECHOs counted, echoed %v, payload held %v; want none counted, echoed, held",
+			src, j, j, e, st.sentEcho, st.value.payload != nil)
+	}
+	if len(sent) != audience(trust, j) {
+		t.Fatalf("%v sent %d messages, want an ECHO to each of its audience of %d", j, len(sent), audience(trust, j))
+	}
+	for _, m := range sent {
+		if _, ok := m.msg.(echoMsg); !ok {
+			t.Fatalf("%v sent %T to %v, want only full ECHOs", j, m.msg, m.to)
+		}
+	}
+}
+
+// TestReliableSourceCastsNoEcho: Broadcast records the source's own slot
+// as echoed, its payload held and its digest first, and sends the SEND
+// alone: the source never echoes its own slot, and runs no rule before
+// the SEND leaves. An ECHO by reference that reaches it before its own
+// SEND comes back is counted for that digest; the SEND then counts the
+// source's own ECHO if it lies in its own quorums (on Fig. 1 the source
+// chosen does not), and still sends nothing. Under threshold trust the
+// slot then delivers: a READY by reference counts at the source for its
+// SEND's digest, which is what a correct voter echoed, before the voter's
+// ECHO does.
+func TestReliableSourceCastsNoEcho(t *testing.T) {
+	for _, trust := range []quorum.Assumption{quorum.NewThreshold(4, 1), quorum.Counterexample()} {
+		n := trust.N()
+		src := types.ProcessID(0)
+		if _, ok := trust.(*quorum.System); ok {
+			for trust.Counts(src, src) {
+				src++
+			}
+		}
+		voter := types.ProcessID(-1)
+		for p := range types.ProcessID(n) {
+			if p != src && trust.Counts(src, p) {
+				voter = p
+				break
+			}
+		}
+		var sent []queuedMsg
+		env := queueEnv{pruneEnv: pruneEnv{self: src, n: n}, queue: &sent}
+		var delivered []Payload
+		r := NewReliable(src, trust, func(_ sim.Env, _ Slot, p Payload) { delivered = append(delivered, p) })
+		slot := Slot{Src: src, Seq: 0}
+		x := Bytes("x")
+		r.Broadcast(env, slot.Seq, x)
+		st := r.find(slot)
+		if st == nil || !st.sentEcho || st.first != x.Digest() || st.value.payload == nil || len(delivered) != 0 {
+			t.Fatalf("n=%d: Broadcast did not record the slot as echoed with its payload, or delivered", n)
+		}
+		for _, m := range sent {
+			if _, ok := m.msg.(sendMsg); !ok {
+				t.Fatalf("n=%d: Broadcast sent %T to %v, want SENDs alone", n, m.msg, m.to)
+			}
+		}
+		if len(sent) != n {
+			t.Fatalf("n=%d: Broadcast sent %d SENDs, want %d", n, len(sent), n)
+		}
+		self := sent[src].msg
+		sent = sent[:0]
+		tr := &st.value.tally.votes[echoes]
+		r.Handle(env, voter, echoRefMsg{&vote{Slot: slot}})
+		if !tr.Contains(voter) || tr.Count() != 1 {
+			t.Fatalf("n=%d: an ECHO by reference before the source's own SEND: counted %v, %d ECHOs; want counted alone", n, tr.Contains(voter), tr.Count())
+		}
+		r.Handle(env, src, self)
+		if tr.Contains(src) != trust.Counts(src, src) || len(sent) != 0 {
+			t.Fatalf("n=%d: the source's own SEND: its ECHO counted %v, in U_self %v; %d messages sent, want none",
+				n, tr.Contains(src), trust.Counts(src, src), len(sent))
+		}
+	}
+
+	s := newStepper(t)
+	slot, x := Slot{Src: 0, Seq: 4}, Bytes("own")
+	s.r.Broadcast(s.env, slot.Seq, x)
+	s.expect("Broadcast", "sendMsg→all")
+	s.handle(3, readyRefMsg{&vote{Slot: slot}})
+	if !s.r.find(slot).value.tally.votes[readies].Contains(3) || s.r.Held() != 0 {
+		t.Fatal("a READY by reference at its source, before its voter's ECHO, was held")
+	}
+	s.handle(1, echoRefMsg{&vote{Slot: slot}})
+	s.handle(0, sendMsg{&send{Slot: slot, Payload: x}})
+	s.expect("its own SEND")
+	s.handle(2, echoRefMsg{&vote{Slot: slot}})
+	s.expectRefs("ECHO quorum", "readyRefMsg→1", "readyRefMsg→2", "readyRefMsg→3")
+	s.expect("ECHO quorum", "readyMsg→all")
+	s.handle(0, readyMsg{&vote{Slot: slot, Digest: x.Digest()}})
+	s.handle(1, readyRefMsg{&vote{Slot: slot}})
+	if len(s.delivered) != 1 || s.delivered[0].Digest() != x.Digest() {
+		t.Fatalf("delivered %v, want the source's payload once", s.delivered)
+	}
+}
+
+// TestReliableUnrecordedSendAtSource: at its source, a SEND that no
+// Broadcast recorded (one that EquivocateSend made, as partial senders do)
+// is handled as at any receiver, except that the source casts no ECHO: it
+// takes the payload, counts its own ECHO and the READYs by reference held
+// before it, and the slot delivers. An ECHO by reference that came before
+// it named no digest and was dropped; the voter's next one counts.
+func TestReliableUnrecordedSendAtSource(t *testing.T) {
+	s := newStepper(t)
+	slot, x := Slot{Src: 0, Seq: 5}, Bytes("unrecorded")
+	s.handle(1, readyRefMsg{&vote{Slot: slot}})
+	s.handle(2, echoRefMsg{&vote{Slot: slot}})
+	if s.r.Held() != 1 || s.r.SlotCount() != 0 {
+		t.Fatalf("before the SEND: %d READYs held, %d slots live; want 1 and 0", s.r.Held(), s.r.SlotCount())
+	}
+	s.handle(0, sendMsg{&send{Slot: slot, Payload: x}})
+	s.expect("the unrecorded SEND")
+	st := s.r.find(slot)
+	if v := &st.value; v.payload == nil || !v.tally.votes[echoes].Contains(0) || v.tally.votes[echoes].Count() != 1 ||
+		!v.tally.votes[readies].Contains(1) || s.r.Waiting() != 0 {
+		t.Fatal("the unrecorded SEND did not hold its payload, count the source's ECHO alone and the held READY")
+	}
+	s.handle(3, echoMsg{&vote{Slot: slot, Digest: x.Digest()}})
+	s.handle(2, echoRefMsg{&vote{Slot: slot}})
+	s.expect("ECHO quorum", "readyMsg→all")
+	s.handle(2, readyRefMsg{&vote{Slot: slot}})
+	s.handle(0, readyMsg{&vote{Slot: slot, Digest: x.Digest()}})
+	if len(s.delivered) != 1 || s.delivered[0].Digest() != x.Digest() {
+		t.Fatalf("delivered %v, want the unrecorded SEND's payload once", s.delivered)
 	}
 }

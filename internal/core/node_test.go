@@ -532,8 +532,10 @@ func (linkTally) OnDeliver(types.ProcessID, types.ProcessID, sim.Message, sim.Vi
 // exactly the sends that cross a link, MessagesSent is their sum, and a
 // self-send counts nowhere. Every process hears its own broadcast, so a
 // reliable-broadcast slot shows one self-copy of its SEND and one of each
-// process's ECHO and READY, always in full, and each of them counts
-// n−1 = 3 times, in full or by reference.
+// process's READY, always in full, and each of them counts n−1 = 3 times,
+// in full or by reference. The SEND is its source's ECHO, so only the
+// n−1 = 3 other processes echo: 3 self-copies and 3 × 3 = 9 link sends
+// of ECHO per slot.
 func TestRunCountsLinksNotSelfSends(t *testing.T) {
 	const n = 4
 	tally := linkTally{links: map[string]int{}, self: map[string]int{}}
@@ -573,7 +575,7 @@ func TestRunCountsLinksNotSelfSends(t *testing.T) {
 		perSlot  int
 	}{
 		{"broadcast.sendMsg", "", 1},
-		{"broadcast.echoMsg", "broadcast.echoRefMsg", n},
+		{"broadcast.echoMsg", "broadcast.echoRefMsg", n - 1},
 		{"broadcast.readyMsg", "broadcast.readyRefMsg", n},
 	} {
 		counted := m.ByType[k.typ] + m.ByType[k.ref]

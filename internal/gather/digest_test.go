@@ -59,10 +59,10 @@ func (b bufferProbe) Receive(env sim.Env, from types.ProcessID, msg sim.Message)
 // votes go only to the processes whose quorums contain the voter. The
 // message and byte counts are those of links: a process's copy of its
 // own message is free, and a vote by reference leaves out its 32 digest
-// bytes. The digests were last recorded when a READY came to name its
-// digest by its voter's own ECHO: one that overtakes that ECHO on a link
-// waits for it, which moves the schedule of a run (and the grid's count of
-// buffered DISTRIBUTE sets, 2 658 → 2 728). A digest that moves means a
+// bytes. The digests were last recorded when a SEND became its source's
+// ECHO: the source no longer echoes its own slot, which takes messages out
+// of every slot and moves the schedule of a run (and the grid's count of
+// buffered DISTRIBUTE sets, 2 728 → 2 666). A digest that moves means a
 // change to Pairs, to the buffers or to reliable broadcast changed what a
 // gather sends or delivers. The
 // grid must also buffer at least one DISTRIBUTE set, or it would not test
@@ -84,11 +84,11 @@ func TestGatherRunsMatchRecordedDigests(t *testing.T) {
 		{"threshold", []system{
 			{"threshold(4,1)", quorum.NewThreshold(4, 1)},
 			{"threshold(7,2)", quorum.NewThreshold(7, 2)},
-		}, "bd71ada58f2730fd46911b9cd0b3cb9e1aecdb740a0e4db342e3a03394b982a7"},
+		}, "a81694c6964f90b0cee5eedb31a52f4a23fbc112b96f40fd5f717062128c4853"},
 		{"asymmetric", []system{
 			{"fig1", quorum.Counterexample()},
 			{"federated10", fed},
-		}, "00944c28da713c006f060c01e4f24069649bb8a8fa36da9b09ce8a80de75720d"},
+		}, "575d15dde2b80d1f1b0f15152f2c1e9b94d503eb5c8b36a9b14545c27d04ea58"},
 	}
 	protocols := []struct {
 		name string

@@ -39,9 +39,11 @@ func riderDigest(res RiderResult) string {
 // commit on fixed seeds. The digests were recorded with the map-based DAG
 // (per-query visited maps, rounds as maps, sorted causal histories) that
 // the dense-row DAG replaced; internal/rider's reference_test.go keeps
-// that implementation for the query-level differential tests. A digest
-// that moves means a DAG query changed the protocol's weak edges, commit
-// decisions or delivery order.
+// that implementation for the query-level differential tests. They were
+// re-recorded when a SEND became its source's ECHO, which takes one ECHO
+// per receiver out of every slot and so moves every run's schedule. A
+// digest that moves means a DAG query changed the protocol's weak edges,
+// commit decisions or delivery order.
 func TestRiderRunsMatchRecordedDigests(t *testing.T) {
 	fed, err := quorum.NewFederated(quorum.FederatedConfig{N: 10, TopTier: 7, TrustedPeers: 2, Tolerance: 2, Seed: 5})
 	if err != nil {
@@ -53,13 +55,13 @@ func TestRiderRunsMatchRecordedDigests(t *testing.T) {
 		cfg  RiderConfig
 		want string
 	}{
-		{"asym-n4", RiderConfig{Kind: Asymmetric, Trust: quorum.NewThreshold(4, 1), NumWaves: 10, TxPerBlock: 1, Seed: 1, CoinSeed: 2, Latency: slow}, "f53d3831a57c562a6ebbb40c7128f2476791b840c77b8efa20011e8f41fd348e"},
-		{"asym-n7-gc", RiderConfig{Kind: Asymmetric, Trust: quorum.NewThreshold(7, 2), NumWaves: 12, TxPerBlock: 1, Seed: 3, CoinSeed: 4, Latency: slow, GCDepth: 4}, "9657aa7b8e732e9a6fd62150809e5d349a46c51a3c8bb00dbe97677f219691cc"},
-		{"asym-fed10-revealed", RiderConfig{Kind: Asymmetric, Trust: fed, NumWaves: 6, TxPerBlock: 1, Seed: 5, CoinSeed: 6, RevealedCoin: true}, "6dbb3ef14d38936d7e2989e8288d6fe17687e5736110cd03dcd4a7dc492e6186"},
-		{"asym-fig1", RiderConfig{Kind: Asymmetric, Trust: quorum.Counterexample(), NumWaves: 3, TxPerBlock: 1, Seed: 7, CoinSeed: 8}, "3343a32237ced13ac931ebd1c30b73ace5c5e5f09bcd633fbd2871f41974aa8d"},
-		{"sym-n4", RiderConfig{Kind: Symmetric, Trust: quorum.NewThreshold(4, 1), NumWaves: 10, TxPerBlock: 1, Seed: 9, CoinSeed: 10, Latency: slow}, "a6c3d05d883ec97d295da3fd930a46a343f4dfe48bf46df7934f460e7258938d"},
+		{"asym-n4", RiderConfig{Kind: Asymmetric, Trust: quorum.NewThreshold(4, 1), NumWaves: 10, TxPerBlock: 1, Seed: 1, CoinSeed: 2, Latency: slow}, "5399431f0e79056ee0013f444971a4ca9da37008e6964b4a8d2d59002dee01cb"},
+		{"asym-n7-gc", RiderConfig{Kind: Asymmetric, Trust: quorum.NewThreshold(7, 2), NumWaves: 12, TxPerBlock: 1, Seed: 3, CoinSeed: 4, Latency: slow, GCDepth: 4}, "2a6e69cff4f589efe1d5c340e78e3fb3fab843764a4a0aff8c2666388f010b65"},
+		{"asym-fed10-revealed", RiderConfig{Kind: Asymmetric, Trust: fed, NumWaves: 6, TxPerBlock: 1, Seed: 5, CoinSeed: 6, RevealedCoin: true}, "d609966217682023ececc4f9bc2eeb533286aa1370d1266760923f0ac669c801"},
+		{"asym-fig1", RiderConfig{Kind: Asymmetric, Trust: quorum.Counterexample(), NumWaves: 3, TxPerBlock: 1, Seed: 7, CoinSeed: 8}, "9e2271abc9ab1626218b3d33d21878ae461410f7b86a120225f0a9850ac93533"},
+		{"sym-n4", RiderConfig{Kind: Symmetric, Trust: quorum.NewThreshold(4, 1), NumWaves: 10, TxPerBlock: 1, Seed: 9, CoinSeed: 10, Latency: slow}, "9715c692e9eabc187b62b4187f82bacbe051e65eea8adc697f9d011cb3d61b2d"},
 		{"sym-n7-crash", RiderConfig{Kind: Symmetric, Trust: quorum.NewThreshold(7, 2), NumWaves: 8, TxPerBlock: 1, Seed: 11, CoinSeed: 12, Latency: slow,
-			Scenario: &scenario.Scenario{Faults: []scenario.NodeFault{scenario.Mute(6)}}}, "64351c38f873451b0f190a64d3ad96968bc55af611b42d83e374e983122fa036"},
+			Scenario: &scenario.Scenario{Faults: []scenario.NodeFault{scenario.Mute(6)}}}, "7dd62777f332b416639168ea714c54437c73435cd5d619e60be823500671f449"},
 	}
 	for _, c := range cases {
 		res := RunRider(c.cfg)

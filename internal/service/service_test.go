@@ -187,7 +187,8 @@ func watchTicks(t *testing.T, cfg *Config) []*tickWatch {
 // TestTickCommandsMatchFormat pins the client load: every tick submits
 // "set k<i mod keySpace> p<self>.<i>" for consecutive i, admits and rejects
 // as the admission loop always has, and a run on the Fig. 1 system ends in
-// the same final states it always did. A small MaxQueue makes ticks reject.
+// its recorded final states, re-recorded when a SEND became its source's
+// ECHO and the run's schedule moved. A small MaxQueue makes ticks reject.
 func TestTickCommandsMatchFormat(t *testing.T) {
 	cfg := baseConfig(3)
 	cfg.MaxQueue, cfg.BatchSize, cfg.StopAfterWaves = 6, 2, 6
@@ -218,7 +219,7 @@ func TestTickCommandsMatchFormat(t *testing.T) {
 	for p := 0; p < fig1.Trust.N(); p++ {
 		h.Write(res.Replicas[types.ProcessID(p)].FinalState)
 	}
-	const want = "e40faa4cc8eb6f2fe470b1c401e0f66cd7b1f232cf4129798c5a9487101595d2"
+	const want = "8184a3501cd51e57d5ca9ff0d80f0f138f19b9b4e7e4d9c95f02f090930cc28d"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("Fig. 1 final states hash to %s, want %s", got, want)
 	}

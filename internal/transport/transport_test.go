@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"go/build"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -160,13 +161,30 @@ func TestGatherOverTCP(t *testing.T) {
 
 // rbNode runs reliable broadcast alone: it broadcasts one payload in each
 // of slots sequence numbers, and counts what it delivers and the votes by
-// reference it receives from other processes, READYs apart.
+// reference it receives from other processes, READYs apart; the ECHOs by
+// reference it receives for its own slots; and the ECHOs, in either form,
+// it receives from a slot's own source.
 type rbNode struct {
 	trust       quorum.Assumption
 	slots       int
 	arb         *broadcast.Reliable
 	delivered   map[broadcast.Slot]string
 	refs, ready int
+	toSource    int
+	fromSource  int
+}
+
+// echoSlot returns the slot of an ECHO, in full or by reference, and
+// whether msg is one. The types are unexported, so it reads the slot by
+// reflection: both hold a pointer to a body with a Slot field.
+func echoSlot(msg sim.Message) (broadcast.Slot, bool) {
+	switch fmt.Sprintf("%T", msg) {
+	case "broadcast.echoMsg", "broadcast.echoRefMsg":
+	default:
+		return broadcast.Slot{}, false
+	}
+	s := reflect.ValueOf(msg).Field(0).Elem().FieldByName("Slot")
+	return broadcast.Slot{Src: types.ProcessID(s.Field(0).Int()), Seq: s.Field(1).Uint()}, true
 }
 
 func (b *rbNode) Init(env sim.Env) {
@@ -186,6 +204,11 @@ func (b *rbNode) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
 			b.ready++
 		}
 	}
+	if s, ok := echoSlot(msg); ok && s.Src == from {
+		b.fromSource++
+	} else if ok && s.Src == env.Self() && fmt.Sprintf("%T", msg) == "broadcast.echoRefMsg" {
+		b.toSource++
+	}
 	b.arb.Handle(env, from, msg)
 }
 
@@ -195,7 +218,10 @@ func (b *rbNode) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
 // delivers every slot, with the payload its source broadcast, with no
 // encode error. A READY by reference names the digest its voter echoed,
 // and TCP links are FIFO, so its voter's ECHO always arrives first: no
-// host ever holds one.
+// host ever holds one. A source's READY by reference names the digest of
+// its SEND, which is its ECHO and also arrives first. No host echoes a
+// slot it sources, in either form, and ECHOs by reference reach sources:
+// each receiver counts the SEND as the source's ECHO before it echoes.
 func TestVotesByReferenceOverTCP(t *testing.T) {
 	const n, slots = 4, 30
 	trust := quorum.NewThreshold(n, 1)
@@ -229,10 +255,11 @@ func TestVotesByReferenceOverTCP(t *testing.T) {
 			}
 		}
 	}
-	refs, ready, held := 0, 0, 0
+	refs, ready, held, toSource, fromSource := 0, 0, 0, 0, 0
 	for i, h := range cluster.Hosts {
 		h.Inspect(func() {
 			refs, ready, held = refs+raw[i].refs, ready+raw[i].ready, held+raw[i].arb.Held()
+			toSource, fromSource = toSource+raw[i].toSource, fromSource+raw[i].fromSource
 			for s, p := range raw[i].delivered {
 				if want := fmt.Sprintf("p%d/%d", s.Src, s.Seq); p != want {
 					t.Errorf("host %d delivered %q in %v, want %q", i, p, s, want)
@@ -246,10 +273,13 @@ func TestVotesByReferenceOverTCP(t *testing.T) {
 	if held != 0 {
 		t.Fatalf("hosts held %d READYs by reference over FIFO links, want 0", held)
 	}
+	if fromSource != 0 || toSource == 0 {
+		t.Fatalf("sources echoed their own slots %d times, and %d ECHOs by reference reached a slot's source; want none and some", fromSource, toSource)
+	}
 	if e := cluster.Stats().EncodeErrors; e != 0 {
 		t.Fatalf("%d messages could not be encoded", e)
 	}
-	t.Logf("%d votes crossed TCP by reference, %d of them READYs; none held", refs, ready)
+	t.Logf("%d votes crossed TCP by reference, %d of them READYs and %d ECHOs to a slot's source; none held", refs, ready, toSource)
 }
 
 func TestHostCloseIdempotentAndClean(t *testing.T) {

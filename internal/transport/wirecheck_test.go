@@ -121,11 +121,13 @@ func (e captureEnv) Send(to types.ProcessID, msg sim.Message) {
 
 // broadcastTraffic runs two reliable-broadcast slots among four processes
 // and returns one message of each type they put on the wire. The first
-// slot's SEND skips one process, which fetches: SEND, ECHO, READY, its
-// READY by reference, the fetch and the reply. The second slot's SEND
-// reaches one process only after the ECHOs of two others, so its ECHO goes
-// to them by reference. The types are unexported, so this is how a test
-// outside the package gets hold of them.
+// slot's SEND skips one process, which fetches: SEND, ECHO, READY, both
+// by reference, the fetch and the reply. A SEND is its source's ECHO, so
+// every receiver's ECHO goes to the source by reference. The second
+// slot's SEND reaches process 2 only after the ECHOs of two others, so
+// 2's ECHO goes by reference to them as well: between receivers, not only
+// to a source. The types are unexported, so this is how a test outside
+// the package gets hold of them.
 func broadcastTraffic(t testing.TB) []sim.Message {
 	const n = 4
 	var sent []capturedMsg
@@ -157,7 +159,7 @@ func broadcastTraffic(t testing.TB) []sim.Message {
 		}
 	}
 	drain()
-	broadcast.EquivocateSend(envs[3], 3, second, broadcast.Bytes("later"))
+	broadcast.EquivocateSend(envs[3], 2, second, broadcast.Bytes("later"))
 	drain()
 	if len(out) != 7 {
 		t.Fatalf("two slots put %d message types on the wire, want 7: %v", len(out), out)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	asymdag "repro"
+	"repro/internal/quorum"
 	"repro/internal/rider"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -26,8 +27,8 @@ var fifo = sim.LatencyFunc(func(from, to asymdag.ProcessID, _ sim.Message, _ sim
 // runRecord is what a run shows: the network's message and delivery
 // counts, its end time, a digest of every process's output (ordered log,
 // commits and round, or service snapshots and final state), its bytes, and
-// the ECHOs and READYs that went by reference. bitmapSaved is counted, not
-// recorded: see bitmapSavings.
+// the ECHOs and READYs that went by reference, and the bytes strong-edge
+// bitmaps saved (see bitmapSavings).
 type runRecord struct {
 	sent, delivered     int
 	end                 int64
@@ -104,38 +105,89 @@ func serviceRecord() runRecord {
 }
 
 // TestVotesByReferenceSaveOnlyDigestBytes is the byte-accounting oracle
-// of READYs by reference. The figures below were recorded when a READY
-// went by reference only to a process whose ECHO for its digest the voter
-// had counted. Now one goes by reference to every receiver of the voter's
-// own ECHO for its digest. Over FIFO links no READY by reference is ever
-// held, so nothing but the form of some READYs moves: the message and
-// delivery counts, the end time, every output and the ECHOs by reference
-// (some in each run, so their bytes are covered too) are the recorded
-// ones, and the bytes are the recorded ones less exactly
-// 32 for each READY that moved from full to by-reference form, net of
-// those that moved the other way. Since then a vertex's strong edges
-// also travel as a bitmap over round−1 instead of a list of refs, so the
-// bytes are also less what that saved on each send of a vertex to
-// another process, which the run's latency function counts.
+// of votes by reference. It began as a chain of identities: when READYs
+// by reference went to every receiver of the voter's own ECHO, and when a
+// vertex's strong edges came to travel as a bitmap over round−1, no
+// message count, delivery time or output moved over FIFO links, and the
+// bytes fell by exactly 32 per READY that changed form and by what each
+// bitmap saved. The chain restarts at the figures below, recorded when a
+// SEND became its source's ECHO. That change takes the source's ECHO out
+// of every slot, so each receiver counts the source's vote on the SEND's
+// arrival instead of an ECHO's: quorums complete earlier over FIFO links
+// too, and the schedule moves, not only the forms. A later change that
+// only changes forms restates these figures as identities again. The runs
+// must still send ECHOs and READYs by reference, and save bytes with
+// strong-edge bitmaps, so that the bytes of all three are covered.
 func TestVotesByReferenceSaveOnlyDigestBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		run  func() runRecord
-		was  runRecord
+		want runRecord
 	}{
-		{"ExampleNewCluster", clusterRecord, runRecord{sent: 4680, delivered: 6240, end: 1118, output: "8febc9eb00f2122f", bytes: 89487, echoRefs: 280, readyRefs: 1400}},
-		{"Fig. 1 service, seed 1", serviceRecord, runRecord{sent: 181398, delivered: 195750, end: 627, output: "07aa0828bd5e33b0", bytes: 9405516, echoRefs: 2265, readyRefs: 15152}},
+		{"ExampleNewCluster", clusterRecord, runRecord{sent: 4200, delivered: 5600, end: 1070, output: "4d4716d08211efa4", bytes: 40379, echoRefs: 680, readyRefs: 1920, bitmapSaved: 2664}},
+		{"Fig. 1 service, seed 1", serviceRecord, runRecord{sent: 177509, delivered: 192125, end: 616, output: "b2c1abe9bcc71166", bytes: 6385789, echoRefs: 2735, readyRefs: 81120, bitmapSaved: 747504}},
 	} {
 		got := tc.run()
-		if got.sent != tc.was.sent || got.delivered != tc.was.delivered || got.end != tc.was.end || got.output != tc.was.output {
-			t.Errorf("%s: %d sent, %d delivered, end %d, output %s; recorded %d, %d, %d, %s",
-				tc.name, got.sent, got.delivered, got.end, got.output, tc.was.sent, tc.was.delivered, tc.was.end, tc.was.output)
+		if got != tc.want || got.echoRefs == 0 || got.readyRefs == 0 || got.bitmapSaved <= 0 {
+			t.Errorf("%s: %+v; recorded %+v, with some ECHOs and READYs by reference and some bytes saved by bitmaps", tc.name, got, tc.want)
 		}
-		moved := got.readyRefs - tc.was.readyRefs
-		want := tc.was.bytes - 32*moved - got.bitmapSaved
-		if got.echoRefs != tc.was.echoRefs || got.echoRefs == 0 || moved <= 0 || got.bitmapSaved <= 0 || got.bytes != want {
-			t.Errorf("%s: %d bytes, %d ECHOs and %d READYs by reference, %d bytes saved by strong-edge bitmaps; want the recorded %d (> 0) ECHOs, more than the recorded %d READYs, some bytes saved, and the recorded %d bytes less 32 per READY moved to by-reference form and less the bitmaps' saving (%d)",
-				tc.name, got.bytes, got.echoRefs, got.readyRefs, got.bitmapSaved, tc.was.echoRefs, tc.was.readyRefs, tc.was.bytes, want)
+	}
+}
+
+// TestEchoesCrossVotePairsLessSourceAudience is the count oracle of the
+// SEND as its source's ECHO, on quiescent runs: ExampleNewCluster's (its
+// trust, seeds and default latency) and a Fig. 1 cluster. Every process
+// but a slot's source echoes it once, to its audience, so a slot's ECHOs,
+// in full or by reference, cross quorum.VotePairs links less the source's
+// audience but itself. Under threshold trust that is (n−1)(n−1) per slot:
+// n−1 times the SEND's link sends.
+func TestEchoesCrossVotePairsLessSourceAudience(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		trust          asymdag.Assumption
+		waves          int
+		seed, coinSeed int64
+	}{
+		{"ExampleNewCluster", asymdag.NewThreshold(4, 1), 10, 42, 7},
+		{"Fig. 1", asymdag.Counterexample(), 2, 1, 2},
+	} {
+		n := tc.trust.N()
+		sends := make([]int, n) // link sends of SENDs, by source
+		echoes := 0
+		uniform := sim.UniformLatency{Min: 1, Max: 20} // the cluster's default
+		tap := sim.LatencyFunc(func(from, to asymdag.ProcessID, msg sim.Message, now sim.VirtualTime, rng *rand.Rand) sim.VirtualTime {
+			if from != to {
+				switch fmt.Sprintf("%T", msg) {
+				case "broadcast.sendMsg":
+					sends[from]++
+				case "broadcast.echoMsg", "broadcast.echoRefMsg":
+					echoes++
+				}
+			}
+			return uniform.Delay(from, to, msg, now, rng)
+		})
+		cluster := asymdag.NewCluster(asymdag.ClusterConfig{Trust: tc.trust, NumWaves: tc.waves, Seed: tc.seed, CoinSeed: tc.coinSeed, Latency: tap})
+		if res := cluster.Run(); res.HitLimit {
+			t.Fatalf("%s: the run hit the event budget", tc.name)
 		}
+		want, total := 0, 0
+		pairs := quorum.VotePairs(tc.trust)
+		for src, k := range sends {
+			if k%(n-1) != 0 {
+				t.Fatalf("%s: %v's SENDs crossed %d links, not n−1 = %d per slot", tc.name, src, k, n-1)
+			}
+			audience := 0
+			for p := range n {
+				if p != src && tc.trust.Counts(asymdag.ProcessID(p), asymdag.ProcessID(src)) {
+					audience++
+				}
+			}
+			want += k / (n - 1) * (pairs - audience)
+			total += k
+		}
+		if echoes != want {
+			t.Fatalf("%s: ECHOs crossed %d links, want Σ over slots of VotePairs %d less the source's audience: %d", tc.name, echoes, pairs, want)
+		}
+		t.Logf("%s: %d SEND and %d ECHO link sends", tc.name, total, echoes)
 	}
 }
