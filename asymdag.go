@@ -150,10 +150,13 @@ func LinksBetween(a, b Set) ScenarioLinks { return scenario.Between(a, b) }
 // The process counts as faulty.
 func MuteFault(p ProcessID) ScenarioNodeFault { return scenario.Mute(p) }
 
-// ChurnFault crashes p at crashAt and recovers it at recoverAt; with
-// buffer, deliveries during the outage are replayed on recovery (the
-// process counts as correct), otherwise they are lost (faulty). crashAt
-// must be > 0 and recoverAt > crashAt: the run panics otherwise.
+// ChurnFault crashes p at crashAt and recovers it at recoverAt: every
+// message sent to p, by p or to itself in [crashAt, recoverAt) is held
+// until recoverAt with buffer (the process counts as correct), and
+// dropped without (faulty). The window applies at send time, as for any
+// link rule: a message in flight at crashAt still arrives, and p's
+// replies to it are held or dropped. ChurnFault panics unless
+// 0 < crashAt < recoverAt.
 func ChurnFault(p ProcessID, crashAt, recoverAt int64, buffer bool) ScenarioNodeFault {
 	return scenario.Churn(p, sim.VirtualTime(crashAt), sim.VirtualTime(recoverAt), buffer)
 }

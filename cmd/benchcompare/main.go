@@ -18,12 +18,13 @@
 // regresses when the change is worse by more than the bound. Any other (a
 // wall-clock or allocation reading) prints the median of the k paired
 // ratios change/base and a two-sided sign test over the pairs; it
-// regresses when the median ratio is worse than the bound and the sign
-// test rejects at p <= 0.05. That takes k >= 6 (six of six pairs worse
-// give p = 0.03), so below six pairs every such row prints "unresolved",
-// and so does one whose median ratio passes the bound without the sign
-// test rejecting: a run-to-run spread wider than the bound can tell no
-// change from none. A run that fails its own correctness checks is a
+// regresses when the median ratio is worse than the bound, the sign test
+// rejects at p <= 0.05, and the base runs' interquartile range is at most
+// the bound times their median. The sign test takes k >= 6 (six of six
+// pairs worse give p = 0.03), so below six pairs every such row prints
+// "unresolved", and so does one past the bound that fails either other
+// test: a run-to-run spread wider than the bound can tell no change from
+// none. A run that fails its own correctness checks is a
 // regression too, and so is a change that fails a larger share of
 // operations than the base in more than half of the pairs: one run's
 // hiccup on either side does not decide it.
@@ -228,6 +229,7 @@ func report(w io.Writer, workload string, metrics []metric, runs [2][]result) in
 		var kind, delta string
 		var rel float64
 		resolved := true // whether a move past the bound is a regression
+		spread := 0.0    // the base runs' interquartile range over their median
 		if len(vals[0]) > 1 && constant(vals[0]) && constant(vals[1]) {
 			kind, delta = "exact", strconv.FormatFloat(c-b, 'g', 8, 64)
 			rel = c/b - 1
@@ -247,7 +249,8 @@ func report(w io.Writer, workload string, metrics []metric, runs [2][]result) in
 			rel = median(ratios) - 1
 			p := signTest(better, worse)
 			kind, delta = "paired", fmt.Sprintf("×%.4f %d+/%d− p=%.2f", rel+1, better, worse, p)
-			resolved = len(ratios) >= minPairs && p <= alpha
+			spread = (quantile(vals[0], 0.75) - quantile(vals[0], 0.25)) / b
+			resolved = len(ratios) >= minPairs && p <= alpha && spread <= m.Bound
 		}
 		if math.IsNaN(rel) || math.IsInf(rel, 0) {
 			rel = 0 // a base reading of 0: no ratio to bound
@@ -263,6 +266,9 @@ func report(w io.Writer, workload string, metrics []metric, runs [2][]result) in
 			regressions++
 		case worse > m.Bound || kind == "paired" && len(vals[0]) < minPairs:
 			verdict += " unresolved"
+			if worse > m.Bound && spread > m.Bound {
+				verdict += fmt.Sprintf(" (base spread %.0f%%)", 100*spread)
+			}
 		}
 		fmt.Fprintf(w, "%-20s %-6s %14.6g %14.6g %24s  %s\n", m.Name, kind, b, c, delta, verdict)
 	}
@@ -316,13 +322,18 @@ func binomial(n, k int) float64 {
 	return c
 }
 
-func median(xs []float64) float64 {
-	s := slices.Clone(xs)
-	slices.Sort(s)
-	if len(s)%2 == 1 {
-		return s[len(s)/2]
+func median(xs []float64) float64 { return quantile(xs, 0.5) }
+
+// quantile is the q-quantile of xs, interpolated linearly between its
+// order statistics.
+func quantile(xs []float64, q float64) float64 {
+	s := slices.Sorted(slices.Values(xs))
+	pos := q * float64(len(s)-1)
+	i := int(pos)
+	if i+1 == len(s) {
+		return s[i]
 	}
-	return (s[len(s)/2-1] + s[len(s)/2]) / 2
+	return s[i] + (pos-float64(i))*(s[i+1]-s[i])
 }
 
 func constant(xs []float64) bool {

@@ -21,9 +21,10 @@ func runsOf(name string, base, change []float64) [2][]result {
 
 // TestReport: an exact metric regresses when the change is worse by more
 // than its bound, a paired one when the median ratio is, in the metric's
-// own direction, and the sign test rejects at p <= 0.05 over at least six
-// pairs; a gain or a move inside the bound does not. The A/A rows are
-// spreads recorded between runs of one binary, which must not flag.
+// own direction, the sign test rejects at p <= 0.05 over at least six
+// pairs and the base runs' interquartile range is at most the bound times
+// their median; a gain or a move inside the bound does not. The A/A rows
+// are spreads recorded between runs of one binary, which must not flag.
 func TestReport(t *testing.T) {
 	lower := metric{Name: "wire_bytes_per_tx", Better: "lower", Bound: 0.05}
 	higher := metric{Name: "throughput_tx_s", Better: "higher", Bound: 0.25}
@@ -50,7 +51,10 @@ func TestReport(t *testing.T) {
 		// sim_faults_n7 peak_rss_mb is bimodal, 77.9 or 86.9 MiB.
 		{"A/A peak_rss_mb, six pairs", rss, []float64{77.9, 77.9, 86.9, 77.9, 86.9, 77.9}, []float64{86.9, 86.9, 86.9, 86.9, 77.9, 86.9}, false, "1+/4− p=0.38  +11.55%\n"},
 		{"×1.5, five pairs", setup, []float64{1, 1.1, 0.9, 1, 1.2}, []float64{1.5, 1.65, 1.35, 1.5, 1.8}, false, "0+/5− p=0.06  +50.00% unresolved"},
-		{"×1.5, six pairs", setup, []float64{1, 1.1, 0.9, 1, 1.2, 1}, []float64{1.5, 1.65, 1.35, 1.5, 1.8, 1.5}, true, "0+/6− p=0.03  +50.00% REGRESSION"},
+		// The same spread on the base side, with six pairs that all fell
+		// one way (p = 0.03): as a comparison with no change once read.
+		{"A/A setup_s, six pairs one way", setup, []float64{0.60, 0.70, 0.81, 1.03, 0.78, 1.24}, []float64{0.84, 0.98, 1.134, 1.442, 1.092, 1.736}, false, "0+/6− p=0.03  +40.00% unresolved (base spread 32%)"},
+		{"×1.5 over a tight base, six pairs", setup, []float64{1, 1.1, 0.9, 1, 1.2, 1}, []float64{1.5, 1.65, 1.35, 1.5, 1.8, 1.5}, true, "0+/6− p=0.03  +50.00% REGRESSION"},
 		{"zero base", lower, []float64{0, 0, 0}, []float64{5, 5, 5}, false, "exact"},
 	} {
 		var out bytes.Buffer

@@ -102,9 +102,10 @@
 //   - A declarative adversarial scenario engine (internal/scenario + the
 //     harness scenario sweeps): scenarios compose timed link-fault rules
 //     (drop, duplicate, extra delay, hold-until healing partitions,
-//     probabilistic redelivery) with per-process fault wrappers (crash,
-//     mute, crash-recover churn with buffered or lossy outages, selective
-//     send, stale replay, equivocation), and declare the Definition 4.1
+//     probabilistic redelivery) with per-process faults (mute, selective
+//     send, stale replay, equivocation as node wrappers; crash-recover
+//     churn as a rule that holds or drops every message on one process's
+//     links during its outage), and declare the Definition 4.1
 //     properties — total order, agreement, integrity, validity, liveness —
 //     each run must keep for the maximal guild of the scenario's faulty
 //     set. Rules compile into a sim.FaultPlane evaluated at the

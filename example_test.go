@@ -295,13 +295,13 @@ func ExampleRunService() {
 	// running 4 replicas to decided wave 60 under rolling-churn...
 	//
 	// per-replica service report:
-	//   replica 0: wave 60, 14960 applied (14448 compacted away, 512 in tail), 14 snapshots, commit latency p50=759 p99=1108
-	//   replica 1: wave 60, 14960 applied (14448 compacted away, 512 in tail), 14 snapshots, commit latency p50=773 p99=1219
-	//   replica 2: wave 60, 14960 applied (14448 compacted away, 512 in tail), 14 snapshots, commit latency p50=827 p99=1233
-	//   replica 3: wave 60, 14960 applied (14448 compacted away, 512 in tail), 14 snapshots, commit latency p50=954 p99=1294
+	//   replica 0: wave 60, 14996 applied (14228 compacted away, 768 in tail), 14 snapshots, commit latency p50=682 p99=1170
+	//   replica 1: wave 60, 14996 applied (14228 compacted away, 768 in tail), 14 snapshots, commit latency p50=896 p99=1190
+	//   replica 2: wave 60, 14996 applied (14228 compacted away, 768 in tail), 14 snapshots, commit latency p50=794 p99=1207
+	//   replica 3: wave 60, 14996 applied (14228 compacted away, 768 in tail), 14 snapshots, commit latency p50=832 p99=1419
 	//
 	// sustained throughput: 1.36 tx per virtual-time unit per replica
-	// commit rate:          0.0049 waves per virtual-time unit per replica
+	// commit rate:          0.0052 waves per virtual-time unit per replica
 	// peak live DAG:        95 vertices (bounded by GC, independent of run length)
 	//
 	// 42 cross-replica snapshot comparisons: all byte-identical ✓

@@ -8,7 +8,6 @@ import (
 	"repro/internal/quorum"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/types"
 )
 
 // Scenario sweeps: the adversarial conformance layer. Each built-in
@@ -81,7 +80,6 @@ func CheckScenarioProperties(res RiderResult) (Verdict, error) {
 	if guild.IsEmpty() {
 		return Vacuous, nil
 	}
-	touched := sc.TouchedSet(trust.N())
 	for _, prop := range sc.Properties {
 		var err error
 		switch prop {
@@ -92,27 +90,11 @@ func CheckScenarioProperties(res RiderResult) (Verdict, error) {
 		case scenario.Integrity:
 			err = res.CheckIntegrity(guild)
 		case scenario.Validity:
-			// Propose from an untouched guild member: a churned process's
-			// early vertices exist but its delivery horizon is unreliable.
-			proposer := types.ProcessID(-1)
-			for _, p := range guild.Members() {
-				if !touched.Contains(p) {
-					proposer = p
-					break
-				}
-			}
-			if proposer >= 0 {
-				err = res.CheckValidity(guild, proposer, 1)
-			}
+			err = res.CheckValidity(guild, guild.Members()[0], 1)
 		case scenario.Liveness:
-			// Every guild member with no node fault must decide at least
-			// one wave. Faulted-but-correct members (buffered churn) are
-			// exempt: a bounded run may quiesce before the delivery that
-			// triggers their recovery.
+			// Every guild member must decide at least one wave: a
+			// buffered churn outage only holds messages until it ends.
 			for _, p := range guild.Members() {
-				if touched.Contains(p) {
-					continue
-				}
 				nr, ok := res.Nodes[p]
 				if !ok || nr.DecidedWave <= 0 {
 					err = fmt.Errorf("liveness violated: guild member %v decided no wave", p)
@@ -210,7 +192,6 @@ func ExpScenarios() string {
 		"vacuous counts the seeds ok only because the maximal guild was empty.\n" +
 		"READY* held counts READYs by reference that reached a process before their\n" +
 		"voter's ECHO; never counted, those still held at the end because that ECHO\n" +
-		"was lost (dropped, or sent to a process that was down). A full READY would\n" +
-		"have counted.\n")
+		"was dropped. A full READY would have counted.\n")
 	return b.String()
 }

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"fmt"
+
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -220,15 +222,31 @@ func Mute(p types.ProcessID) NodeFault {
 	}}
 }
 
-// Churn takes process p down over [crashAt, recoverAt). With buffer true
-// the outage only delays deliveries — the process is indistinguishable
-// from a correct one with slow inbound links, and counts as correct; with
-// buffer false the outage loses messages and the process is faulty.
-// It needs 0 < crashAt < recoverAt: sim.ChurnNode panics otherwise.
+// Churn takes process p down over [crashAt, recoverAt) by one link rule
+// over that window on every link with p at either end, its own included.
+// Buffered, the rule holds what it matches until recoverAt: p looks like
+// a correct process with slow links, and counts as correct. Lossy, it
+// drops it, and p is faulty. As for every rule, the window applies at
+// send time: a message in flight at crashAt still arrives, and p's
+// replies to it are held or dropped. Churn panics unless
+// 0 < crashAt < recoverAt.
 func Churn(p types.ProcessID, crashAt, recoverAt sim.VirtualTime, buffer bool) NodeFault {
-	return NodeFault{P: p, Correct: buffer, Wrap: func(inner sim.Node) sim.Node {
-		return &sim.ChurnNode{Inner: inner, CrashAt: crashAt, RecoverAt: recoverAt, Buffer: buffer}
-	}}
+	if crashAt <= 0 {
+		panic("scenario: Churn needs crashAt > 0 (Mute is a process that never runs)")
+	}
+	if recoverAt <= crashAt {
+		panic(fmt.Sprintf("scenario: Churn recoverAt %d must be after crashAt %d", recoverAt, crashAt))
+	}
+	r := Rule{
+		Window: Window{From: crashAt, Until: recoverAt},
+		Links:  func(from, to types.ProcessID) bool { return from == p || to == p },
+	}
+	if buffer {
+		r.HoldUntil = recoverAt
+	} else {
+		r.Drop = 1
+	}
+	return NodeFault{P: p, Correct: buffer, Rules: []Rule{r}}
 }
 
 // Selective makes process p send only to the allowed set (Byzantine).

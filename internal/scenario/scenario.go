@@ -14,12 +14,14 @@
 //     Rule whose HoldUntil equals the heal time: matched messages exist
 //     but arrive after the heal, like a retransmitting transport. Rules
 //     compile into one sim.FaultPlane via Scenario.FaultPlane.
-//   - Node faults (NodeFault): per-process behaviours wrapped around the
-//     real protocol node — crash-recover churn with buffered or dropped
-//     recovery (sim.ChurnNode), the Byzantine wrappers of this package
-//     (SelectiveNode, StaleReplayNode, EquivocateNode), and the stand-ins that replace the node outright
-//     (Mute, or a NodeFault literal whose Wrap ignores the inner node for
-//     a custom Byzantine process). Apply them through Scenario.WrapNode.
+//   - Node faults (NodeFault): per-process behaviours — the Byzantine
+//     wrappers of this package (SelectiveNode, StaleReplayNode,
+//     EquivocateNode) and the stand-ins that replace the node outright
+//     (Mute, or a NodeFault literal whose Wrap ignores the inner node),
+//     applied through Scenario.WrapNode, and link rules a fault brings
+//     (NodeFault.Rules), which FaultPlane compiles after the scenario's
+//     own. Crash-recover churn (Churn) is such a rule alone: to every
+//     other process a crash that recovers looks like slow or lossy links.
 //
 // Each NodeFault declares whether the process still counts as a *correct*
 // process (Correct): a buffered crash-recover node is indistinguishable
@@ -72,8 +74,8 @@ const (
 	// Validity: an early vertex of a guild member reaches every guild
 	// member that decided far enough past it.
 	Validity
-	// Liveness: every never-faulted guild member decides at least one
-	// wave. (Scenarios that destroy information — lossy links, unbuffered
+	// Liveness: every guild member decides at least one wave.
+	// (Scenarios that destroy information — lossy links, unbuffered
 	// crashes — do not declare it.)
 	Liveness
 )
@@ -206,10 +208,13 @@ type NodeFault struct {
 	// crash-recovery, stale replay of genuine messages). Byzantine and
 	// lossy faults must leave it false so the guild excludes the process.
 	Correct bool
-	// Wrap builds the faulty behaviour around the process's real protocol
-	// node. Wrappers that implement sim.Unwrapper keep the inner node's
-	// results observable.
+	// Wrap, when not nil, builds the faulty behaviour around the process's
+	// real protocol node. Wrappers that implement sim.Unwrapper keep the
+	// inner node's results observable.
 	Wrap func(inner sim.Node) sim.Node
+	// Rules are link rules the fault brings with it (Churn's outage);
+	// FaultPlane appends them to the scenario's own.
+	Rules []Rule
 }
 
 // Scenario is one fully instantiated adversarial scenario: link rules plus
@@ -221,20 +226,29 @@ type Scenario struct {
 	Name string
 	// Rules are the link-fault stages, compiled by FaultPlane.
 	Rules []Rule
-	// Faults are the per-process behaviours, applied by WrapNode.
+	// Faults are the per-process behaviours, applied by WrapNode (and
+	// their Rules by FaultPlane).
 	Faults []NodeFault
 	// Properties are the guarantees checked on every run.
 	Properties []Property
 }
 
-// FaultPlane compiles the scenario's link rules into a sim.FaultPlane for
-// sim.Config.Fault. It returns nil when the scenario has no rules (or is
-// nil), keeping the simulator on its unhooked hot path.
+// FaultPlane compiles the scenario's link rules, then those of its node
+// faults in order, into a sim.FaultPlane for sim.Config.Fault. It returns
+// nil when there is no rule (or no scenario), keeping the simulator on its
+// unhooked hot path.
 func (s *Scenario) FaultPlane() sim.FaultPlane {
-	if s == nil || len(s.Rules) == 0 {
+	if s == nil {
 		return nil
 	}
-	return &plane{rules: s.Rules}
+	rules := s.Rules
+	for i := range s.Faults {
+		rules = append(rules[:len(rules):len(rules)], s.Faults[i].Rules...)
+	}
+	if len(rules) == 0 {
+		return nil
+	}
+	return &plane{rules: rules}
 }
 
 // WrapNode applies the scenario's node faults for process p to its real
@@ -259,17 +273,6 @@ func (s *Scenario) FaultySet(n int) types.Set {
 		if !s.Faults[i].Correct {
 			out.Add(s.Faults[i].P)
 		}
-	}
-	return out
-}
-
-// TouchedSet returns every process with any node fault, correct or not —
-// the set liveness checks exclude (a buffered-recovery node is correct,
-// but a bounded run may quiesce before its recovery trigger fires).
-func (s *Scenario) TouchedSet(n int) types.Set {
-	out := types.NewSet(n)
-	for i := range s.Faults {
-		out.Add(s.Faults[i].P)
 	}
 	return out
 }

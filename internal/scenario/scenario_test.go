@@ -330,7 +330,8 @@ func TestWrappersKeepReferenceForms(t *testing.T) {
 func TestWrapNodeAndUnwrap(t *testing.T) {
 	inner := &chatty{Rounds: 1}
 	s := Scenario{Faults: []NodeFault{
-		Churn(0, 10, 20, true),
+		Selective(0, types.NewSetOf(4, 0, 1)),
+		Churn(0, 10, 20, true), // link rules only: no wrapper
 		StaleReplay(0, 2),
 	}}
 	wrapped := s.WrapNode(0, inner)
@@ -345,7 +346,7 @@ func TestWrapNodeAndUnwrap(t *testing.T) {
 	}
 }
 
-func TestFaultySetAndTouchedSet(t *testing.T) {
+func TestFaultySet(t *testing.T) {
 	s := Scenario{Faults: []NodeFault{
 		Churn(0, 10, 20, true),  // correct
 		Churn(1, 10, 20, false), // faulty
@@ -353,9 +354,6 @@ func TestFaultySetAndTouchedSet(t *testing.T) {
 	}}
 	if got := s.FaultySet(4); !got.Equal(types.NewSetOf(4, 1, 2)) {
 		t.Fatalf("FaultySet = %v, want {2, 3}", got)
-	}
-	if got := s.TouchedSet(4); !got.Equal(types.NewSetOf(4, 0, 1, 2)) {
-		t.Fatalf("TouchedSet = %v, want {1, 2, 3}", got)
 	}
 }
 

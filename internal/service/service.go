@@ -64,9 +64,11 @@ import (
 
 // tickMsg is the replica's self-addressed client-load heartbeat. Exactly
 // one tick per replica is in flight at any time: each tick is re-armed
-// only while being processed, so buffered churn replay cannot fork the
-// chain (the Seq guard additionally absorbs duplication faults). A
-// self-send crosses no link, so it needs no codec.
+// only while being processed, so a churn outage, which holds it like any
+// message on the replica's links, cannot fork the chain (the Seq guard
+// additionally absorbs duplication faults); a lossy outage drops it and
+// ends the replica's client load, as a crash would. A self-send crosses
+// no link, so it needs no codec.
 type tickMsg struct {
 	Seq uint64
 }

@@ -226,10 +226,10 @@ func TestTickCommandsMatchFormat(t *testing.T) {
 }
 
 // TestTicksCrossNoLink pins the service's send accounting to what a TCP
-// deployment counts: the client tick and ChurnNode's wake-up are
-// self-sends, which are delivered but cross no link, so neither appears
-// in ByType, ByType sums to MessagesSent, and the run has no encode
-// error although neither message has a codec.
+// deployment counts: the client tick is a self-send, which is delivered
+// (held while rolling churn has its replica down) but crosses no link, so
+// it does not appear in ByType, ByType sums to MessagesSent, and the run
+// has no encode error although the tick has no codec.
 func TestTicksCrossNoLink(t *testing.T) {
 	def, ok := scenario.Find("rolling-churn")
 	if !ok {

@@ -65,9 +65,8 @@ func soak(t *testing.T, revealed bool) {
 	if !res.Stopped {
 		t.Fatalf("soak truncated at event budget before wave %d (HitLimit=%v)", waves, res.HitLimit)
 	}
-	// The replica's tick and the churn wrapper's wake-up have no codec,
-	// but they are self-sends, which need none; every other message must
-	// encode.
+	// The replica's tick has no codec, but it is a self-send, which needs
+	// none; every other message must encode.
 	if res.Metrics.EncodeErrors != 0 {
 		t.Errorf("%d sends of a message with no wire codec", res.Metrics.EncodeErrors)
 	}

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/types"
@@ -157,127 +155,5 @@ func TestFaultPlaneRedeliver(t *testing.T) {
 		if pn.got != 2*n {
 			t.Fatalf("node %d got %d pings, want %d", i, pn.got, 2*n)
 		}
-	}
-}
-
-// msgProbe records every delivered (time, message) pair and sends nothing.
-type msgProbe struct {
-	times []VirtualTime
-	msgs  []Message
-}
-
-func (*msgProbe) Init(Env) {}
-func (p *msgProbe) Receive(e Env, _ types.ProcessID, msg Message) {
-	p.times = append(p.times, e.Now())
-	p.msgs = append(p.msgs, msg)
-}
-
-// churnLatency routes pings by their payload (the test's arrival-time
-// dial) and everything else — the churn wake-up ticks — at a constant 3.
-var churnLatency = LatencyFunc(func(_, _ types.ProcessID, msg Message, _ VirtualTime, _ *rand.Rand) VirtualTime {
-	if p, ok := msg.(ping); ok {
-		return VirtualTime(p.payload)
-	}
-	return 3
-})
-
-// TestChurnNodeSelfRecovery is the deadlock regression: a cluster that
-// quiesces while the churned process is down must still recover it — the
-// node's self-addressed tick loop keeps its lane alive until RecoverAt,
-// when the buffered outage deliveries replay. Without the ticks this run
-// ends at virtual time 10 and the buffered ping is lost inside the
-// wrapper.
-func TestChurnNodeSelfRecovery(t *testing.T) {
-	probe := &msgProbe{}
-	churn := &ChurnNode{Inner: probe, CrashAt: 5, RecoverAt: 200, Buffer: true}
-	nodes := []Node{&silentNode{}, churn}
-	r := NewRunner(Config{N: 2, Seed: 1, Latency: churnLatency}, nodes)
-	r.init()
-	r.send(0, 1, ping{payload: 10}) // arrives at t=10, inside [5, 200)
-	r.Run(0)
-	if !churn.Recovered() {
-		t.Fatal("churn node never recovered (self wake-up loop broken)")
-	}
-	if len(probe.times) != 1 || probe.times[0] < 200 {
-		t.Fatalf("replayed arrivals = %v, want exactly one at/after RecoverAt=200", probe.times)
-	}
-	if _, ok := probe.msgs[0].(ping); !ok {
-		t.Fatalf("inner node saw %T, want the buffered ping (ticks must never leak inside)", probe.msgs[0])
-	}
-}
-
-// TestChurnNodeBufferedReplayOrder pins that outage deliveries replay in
-// arrival order, before the first post-recovery delivery.
-func TestChurnNodeBufferedReplayOrder(t *testing.T) {
-	probe := &msgProbe{}
-	churn := &ChurnNode{Inner: probe, CrashAt: 5, RecoverAt: 200, Buffer: true}
-	nodes := []Node{&silentNode{}, churn}
-	r := NewRunner(Config{N: 2, Seed: 1, Latency: churnLatency}, nodes)
-	r.init()
-	r.send(0, 1, ping{payload: 30})  // buffered second
-	r.send(0, 1, ping{payload: 10})  // buffered first
-	r.send(0, 1, ping{payload: 250}) // delivered after recovery
-	r.Run(0)
-	var seq []int
-	for _, m := range probe.msgs {
-		seq = append(seq, m.(ping).payload)
-	}
-	if !reflect.DeepEqual(seq, []int{10, 30, 250}) {
-		t.Fatalf("inner delivery order = %v, want [10 30 250] (buffer replay in arrival order)", seq)
-	}
-}
-
-// TestChurnNodeUnbufferedLosesOutage pins the Buffer == false semantics:
-// outage deliveries are gone, post-recovery traffic flows again.
-func TestChurnNodeUnbufferedLosesOutage(t *testing.T) {
-	probe := &msgProbe{}
-	churn := &ChurnNode{Inner: probe, CrashAt: 5, RecoverAt: 200, Buffer: false}
-	nodes := []Node{&silentNode{}, churn}
-	r := NewRunner(Config{N: 2, Seed: 1, Latency: churnLatency}, nodes)
-	r.init()
-	r.send(0, 1, ping{payload: 4})   // before the window: processed
-	r.send(0, 1, ping{payload: 5})   // exactly at CrashAt: lost
-	r.send(0, 1, ping{payload: 10})  // inside: lost
-	r.send(0, 1, ping{payload: 200}) // exactly at RecoverAt: processed
-	r.send(0, 1, ping{payload: 250}) // after: processed
-	r.Run(0)
-	var seq []int
-	for _, m := range probe.msgs {
-		seq = append(seq, m.(ping).payload)
-	}
-	if !reflect.DeepEqual(seq, []int{4, 200, 250}) {
-		t.Fatalf("inner delivery order = %v, want [4 200 250] (outage [5, 200) lost)", seq)
-	}
-	if !churn.Recovered() {
-		t.Fatal("unbuffered churn node must still recover at RecoverAt")
-	}
-}
-
-// TestChurnNodeRejectsEmptyWindow pins Init's guard: a down window that
-// never closes (RecoverAt <= CrashAt) is a crash, not churn, and Init
-// panics on it as it does on CrashAt <= 0. Without the guard, Receive's
-// recovery check fires before its crash check, so such a node would
-// handle every arrival as if it had never gone down.
-func TestChurnNodeRejectsEmptyWindow(t *testing.T) {
-	for _, tc := range []struct {
-		crashAt, recoverAt VirtualTime
-		want               string
-	}{
-		{0, 10, "CrashAt must be > 0"},
-		{5, 0, "RecoverAt 0 must be after CrashAt 5"},
-		{5, 5, "RecoverAt 5 must be after CrashAt 5"},
-	} {
-		churn := &ChurnNode{Inner: &msgProbe{}, CrashAt: tc.crashAt, RecoverAt: tc.recoverAt}
-		r := NewRunner(Config{N: 1, Seed: 1}, []Node{churn})
-		func() {
-			defer func() {
-				msg, _ := recover().(string)
-				if !strings.Contains(msg, tc.want) {
-					t.Errorf("CrashAt %d, RecoverAt %d: Init panicked with %q, want %q",
-						tc.crashAt, tc.recoverAt, msg, tc.want)
-				}
-			}()
-			r.Run(0)
-		}()
 	}
 }

@@ -44,9 +44,11 @@
 // goroutine with the run's one seeded RNG, so every fault decision —
 // drop, duplicate, extra delay, hold-until, redeliver — is a pure function
 // of the seed. Node-level faults compose separately as wrappers
-// (MuteNode, ChurnNode, and the Byzantine wrappers in
-// internal/scenario); wrappers implementing Unwrapper keep the inner
-// protocol node observable to result collectors. internal/scenario
+// (MuteNode and the Byzantine wrappers in internal/scenario); wrappers
+// implementing Unwrapper keep the inner protocol node observable to
+// result collectors. A crash that recovers is no node fault: to every
+// other process it looks like slow or lossy links, so internal/scenario
+// makes churn a link rule on every link of the process. internal/scenario
 // bundles both kinds into one Scenario — rules it compiles into a
 // FaultPlane, node faults it applies as wrappers, and the Definition 4.1
 // properties the run must preserve — which is the one adversary value the
@@ -731,121 +733,10 @@ func (r *Runner) Metrics() *Metrics {
 
 // Node wrappers for fault injection. ------------------------------------
 
-// ChurnNode wraps a Node with crash-recover churn: the process is down in
-// the half-open window [CrashAt, RecoverAt) and participates normally
-// outside it. Recovery semantics are declared up front:
-//
-//   - Buffer == true: messages arriving while down are buffered and
-//     replayed, in arrival order, before the first post-recovery message.
-//     The node is then indistinguishable from a correct process all of
-//     whose inbound links were slow during the outage — an asynchronous
-//     execution — so every safety AND liveness property of a correct
-//     process must still hold at it.
-//   - Buffer == false: messages arriving while down are lost. The node is
-//     genuinely faulty (its state may be permanently behind), and
-//     property checks must count it in the faulty set.
-//
-// CrashAt must be > 0 (a node down from time 0 is a MuteNode) and
-// RecoverAt > CrashAt; Init panics otherwise.
-//
-// Recovery is self-triggering: at Init the node starts a self-addressed
-// tick loop (churnTick messages through the ordinary network path) that
-// it keeps alive until the first delivery at or after RecoverAt. Without
-// it a cluster whose quorums need the churned process can quiesce during
-// the outage — the buffered messages sit inside the wrapper, not the
-// event queue, so nothing would ever arrive to trigger the replay and
-// the run would deadlock short of RecoverAt. The ticks travel the
-// network like any message (latency model, filters, fault plane), so
-// they stay deterministic per seed.
-type ChurnNode struct {
-	Inner     Node
-	CrashAt   VirtualTime
-	RecoverAt VirtualTime
-	Buffer    bool
-
-	recovered bool
-	buf       []bufferedDelivery
-}
-
-type bufferedDelivery struct {
-	from types.ProcessID
-	msg  Message
-}
-
-var _ Node = (*ChurnNode)(nil)
-
-// churnTick is ChurnNode's self-addressed wake-up message (see the type
-// comment); it never reaches the inner node. A self-send needs no codec.
-type churnTick struct{}
-
-// Init implements Node. Init runs at virtual time 0, before the crash
-// window can open (CrashAt must be > 0), so it always reaches the inner
-// node.
-func (c *ChurnNode) Init(e Env) {
-	if c.CrashAt <= 0 {
-		panic("sim: ChurnNode.CrashAt must be > 0 (use MuteNode for a node that never runs)")
-	}
-	if c.RecoverAt <= c.CrashAt {
-		panic(fmt.Sprintf("sim: ChurnNode.RecoverAt %d must be after CrashAt %d", c.RecoverAt, c.CrashAt))
-	}
-	c.Inner.Init(e)
-	e.Send(e.Self(), churnTick{})
-}
-
-// Receive implements Node. The down window is [CrashAt, RecoverAt) — an
-// arrival exactly at CrashAt is already down, an arrival exactly at
-// RecoverAt is processed.
-func (c *ChurnNode) Receive(e Env, from types.ProcessID, msg Message) {
-	now := e.Now()
-	if _, ok := msg.(churnTick); ok {
-		if c.recovered {
-			return // a regular delivery already triggered recovery
-		}
-		if now >= c.RecoverAt {
-			c.recover(e)
-			return
-		}
-		e.Send(e.Self(), churnTick{})
-		return
-	}
-	if now >= c.RecoverAt || c.recovered {
-		if !c.recovered {
-			c.recover(e)
-		}
-		c.Inner.Receive(e, from, msg)
-		return
-	}
-	if now >= c.CrashAt {
-		if c.Buffer {
-			c.buf = append(c.buf, bufferedDelivery{from: from, msg: msg})
-		}
-		return
-	}
-	c.Inner.Receive(e, from, msg)
-}
-
-// recover marks the node up again and replays the buffered outage
-// deliveries in arrival order.
-func (c *ChurnNode) recover(e Env) {
-	c.recovered = true
-	for i := range c.buf {
-		c.Inner.Receive(e, c.buf[i].from, c.buf[i].msg)
-		c.buf[i] = bufferedDelivery{}
-	}
-	c.buf = nil
-}
-
-// Recovered reports whether the node has processed its recovery (it only
-// flips on the first delivery at or after RecoverAt).
-func (c *ChurnNode) Recovered() bool { return c.recovered }
-
-// Unwrap implements Unwrapper.
-func (c *ChurnNode) Unwrap() Node { return c.Inner }
-
-// Unwrapper is implemented by fault wrappers (ChurnNode, the scenario
-// package's Byzantine wrappers) that delegate to an inner
-// protocol node. Result collectors unwrap through it so a wrapped node's
-// observable protocol state is still reported.
+// Unwrapper is implemented by fault wrappers (the scenario package's
+// Byzantine wrappers) that delegate to an inner protocol node. Result
+// collectors unwrap through it so a wrapped node's observable protocol
+// state is still reported.
 type Unwrapper interface {
 	Unwrap() Node
 }

@@ -64,6 +64,13 @@
 // stays unbounded — the node loop produces and consumes it itself, so any
 // bound there would certainly deadlock.
 //
+// A dead peer blocks a correct node without any cycle: when a peer's
+// connection dies its writer exits, nothing drains that peer's outbox
+// until a new connection registers (there is no redial), and once
+// OutboxLimit messages are queued the next Env.Send to it blocks the node
+// loop until Close (TestCloseUnblocksBackpressure relies on it). So one
+// crashed peer halts every node that keeps sending to it.
+//
 // # Reliability accounting
 //
 // A writer that hits a mid-drain write error re-queues the unsent tail of

@@ -66,6 +66,22 @@ func TestConsensusOverTCP(t *testing.T) {
 		time.Sleep(25 * time.Millisecond)
 	}
 
+	// state tells a stall below round 16 from waves that reached it but
+	// missed the commit rule, and shows what the writers lost.
+	state := func() string {
+		var b strings.Builder
+		for i, h := range cluster.Hosts {
+			var round, decided, commits int
+			h.Inspect(func() {
+				round, decided, commits = raw[i].Round(), raw[i].DecidedWave(), len(raw[i].Commits())
+			})
+			fmt.Fprintf(&b, "\n  node %d: round %d, decided wave %d, %d commits", i, round, decided, commits)
+		}
+		st := cluster.Stats()
+		fmt.Fprintf(&b, "\n  encode errors %d, write errors %d, requeued %d", st.EncodeErrors, st.WriteErrors, st.Requeued)
+		return b.String()
+	}
+
 	// Verify outcomes under Inspect.
 	var orders [][]string
 	for i, h := range cluster.Hosts {
@@ -76,10 +92,10 @@ func TestConsensusOverTCP(t *testing.T) {
 			decided = raw[i].DecidedWave()
 		})
 		if decided == 0 {
-			t.Fatalf("node %d decided nothing over TCP", i)
+			t.Fatalf("node %d decided nothing over TCP:%s", i, state())
 		}
 		if len(blocks) == 0 {
-			t.Fatalf("node %d delivered nothing over TCP", i)
+			t.Fatalf("node %d delivered nothing over TCP:%s", i, state())
 		}
 		orders = append(orders, blocks)
 	}
