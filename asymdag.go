@@ -117,7 +117,8 @@ type (
 	// run is expected to keep.
 	Scenario = scenario.Scenario
 	// ScenarioRule is one timed link-fault rule (drop, duplicate, delay,
-	// hold-until, redeliver) over a link selector and a time window.
+	// hold-until) over a link selector and a time window, decided when
+	// the message is sent.
 	ScenarioRule = scenario.Rule
 	// ScenarioWindow is a half-open virtual-time activity window.
 	ScenarioWindow = scenario.Window

@@ -101,16 +101,16 @@
 //     a non-quiescing adversarial schedule can no longer hang a sweep.
 //   - A declarative adversarial scenario engine (internal/scenario + the
 //     harness scenario sweeps): scenarios compose timed link-fault rules
-//     (drop, duplicate, extra delay, hold-until healing partitions,
-//     probabilistic redelivery) with per-process faults (mute, selective
-//     send, stale replay, equivocation as node wrappers; crash-recover
-//     churn as a rule that holds or drops every message on one process's
-//     links during its outage), and declare the Definition 4.1
+//     (drop, duplicate, extra delay, hold-until healing partitions) with
+//     per-process faults (mute, selective send, stale replay,
+//     equivocation as node wrappers; crash-recover churn as a rule
+//     that holds or drops every message on one process's links during
+//     its outage), and declare the Definition 4.1
 //     properties — total order, agreement, integrity, validity, liveness —
 //     each run must keep for the maximal guild of the scenario's faulty
 //     set. Rules compile into a sim.FaultPlane evaluated at the
-//     simulator's send- and deliver-commit points with the run's seeded
-//     RNG, so every scenario execution is a pure function of the seed. A
+//     simulator's send-commit point with the run's seeded RNG, so every
+//     scenario execution is a pure function of the seed. A
 //     Scenario is a run's whole adversary: RiderConfig and GatherConfig
 //     take one (nil = every process correct), and a muted or custom
 //     Byzantine process is one of its node faults (MuteFault, ChurnFault).

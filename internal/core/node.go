@@ -149,11 +149,6 @@ type Node struct {
 	dropped int
 	spare   []*gather.Gate
 
-	// acked holds, per round, the sources of the round-2 vertices already
-	// acknowledged, so buffered vertices are not ACKed twice. It is pruned
-	// with the skeleton's rounds.
-	acked dag.Rows[types.Set]
-
 	// shared is the revealed coin (nil when Config.RevealedCoin is off);
 	// pendingCoin holds waves whose commit attempt awaits the reveal.
 	shared      *coin.Shared
@@ -178,7 +173,6 @@ func NewNode(cfg Config) *Node {
 // Init implements sim.Node.
 func (n *Node) Init(env sim.Env) {
 	n.self = env.Self()
-	n.acked = dag.NewRows(env.N(), types.NewSets, (*types.Set).Clear)
 	if n.cfg.RevealedCoin {
 		n.shared = coin.NewShared(n.self, n.cfg.Trust, n.cfg.Coin)
 	}
@@ -288,11 +282,6 @@ func (n rules) Inserted(env sim.Env, v *dag.Vertex) {
 	if v.Round%4 != 2 {
 		return
 	}
-	acked := n.acked.Grow(v.Round)
-	if acked.Contains(v.Source) {
-		return
-	}
-	acked.Add(v.Source)
 	if !n.cfg.Trust.Counts(v.Source, n.self) {
 		return // v.Source's gate cannot count this ACK
 	}
@@ -359,7 +348,7 @@ func (n *Node) collectGarbage(decided int) {
 	if limit <= 0 {
 		return
 	}
-	n.acked.DropBelow(n.Prune(limit))
+	n.Prune(limit)
 	// The revealed-coin share maps and stale pending-coin entries are
 	// per-wave state too; without pruning them a long-lived run grows
 	// without bound even though the DAG itself stays flat.
@@ -383,7 +372,7 @@ type LiveStats struct {
 	Buffered       int // vertices awaiting causal history
 	RoundTrackers  int // per-round source quorum trackers
 	WaveCtls       int // per-wave gather control states
-	PendingPairs   int // delivered-set + acked-set entries ("pending pairs")
+	PendingPairs   int // delivered-set entries ("pending pairs")
 	CoinWaves      int // revealed-coin per-wave entries plus waves awaiting the reveal
 }
 
@@ -391,10 +380,6 @@ type LiveStats struct {
 func (n *Node) Live() LiveStats {
 	d := n.DAG()
 	slots, buffered, trackers, delivered := n.Backlog()
-	acked := 0
-	for r := n.acked.Base(); r < n.acked.End(); r++ {
-		acked += n.acked.At(r).Count()
-	}
 	coinWaves := len(n.pendingCoin)
 	if n.shared != nil {
 		coinWaves += n.shared.Entries()
@@ -406,7 +391,7 @@ func (n *Node) Live() LiveStats {
 		Buffered:       buffered,
 		RoundTrackers:  trackers,
 		WaveCtls:       len(n.waves),
-		PendingPairs:   delivered + acked,
+		PendingPairs:   delivered,
 		CoinWaves:      coinWaves,
 	}
 }

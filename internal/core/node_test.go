@@ -523,10 +523,6 @@ func (l linkTally) OnSend(from, to types.ProcessID, msg sim.Message, _ sim.Virtu
 	return sim.SendVerdict{}
 }
 
-func (linkTally) OnDeliver(types.ProcessID, types.ProcessID, sim.Message, sim.VirtualTime, *rand.Rand) sim.DeliverVerdict {
-	return sim.DeliverVerdict{}
-}
-
 // TestRunCountsLinksNotSelfSends pins the simulator's send accounting on
 // an honest threshold n=4 run, as the TCP transport counts: ByType holds
 // exactly the sends that cross a link, MessagesSent is their sum, and a

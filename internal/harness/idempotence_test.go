@@ -12,27 +12,26 @@ import (
 	"repro/internal/types"
 )
 
-// Duplicate-delivery idempotence conformance: a fault plane re-delivers a
+// Duplicate-delivery idempotence conformance: a fault plane duplicates a
 // sampled subset of messages across every protocol runner (rider, gather,
 // binding gather) and the protocols' properties must still hold — message
 // handlers are required to be idempotent (an asynchronous network may
 // always duplicate), and this suite pins that before the duplication
 // faults of the scenario registry rely on it.
 
-// redeliver is the link rule re-delivering ~15% of all messages 1..30
-// time units after their first delivery.
-var redeliver = scenario.Rule{
-	Redeliver:      0.15,
-	RedeliverDelay: scenario.Jitter{Min: 1, Max: 30},
-}
+// duplicate is the link rule sending ~15% of all messages twice. Each
+// copy draws its own latency, so a copy may be handled after its
+// original: under the gather runs' uniform 1..20 latency in 52.5% of
+// cases, at a later instant or at the same one behind the original,
+// which was queued first. stale-replay delivers copies long after.
+var duplicate = scenario.Rule{Duplicate: 0.15}
 
 // requireDuplicates fails the test if the sweep's metrics show no
-// redeliveries (a vacuous idempotence check): every redelivered copy
-// counts as a delivery but not as a send.
+// duplicated message (a vacuous idempotence check).
 func requireDuplicates(t *testing.T, m *sim.Metrics) {
 	t.Helper()
-	if m.MessagesDelivered <= m.MessagesSent {
-		t.Fatalf("no duplicate deliveries injected (delivered %d <= sent %d): vacuous sweep",
+	if m.Duplicated == 0 {
+		t.Fatalf("no duplicate copies injected (%d delivered, %d sent): vacuous sweep",
 			m.MessagesDelivered, m.MessagesSent)
 	}
 }
@@ -46,7 +45,7 @@ func TestDuplicateDeliveryIdempotenceRider(t *testing.T) {
 	}
 	stats := SweepRider(sim.SeedRange(1, count), func(seed int64) RiderConfig {
 		cfg := conformanceConfig(seed)
-		cfg.Scenario.Rules = append(cfg.Scenario.Rules, redeliver)
+		cfg.Scenario.Rules = append(cfg.Scenario.Rules, duplicate)
 		return cfg
 	}, CheckScenarioProperties)
 	if stats.Failures > 0 {
@@ -81,7 +80,7 @@ func TestDuplicateDeliveryIdempotenceGather(t *testing.T) {
 		return gather.RunConfig{
 			Kind: gather.KindConstantRound, Trust: sys, Mode: gather.UsePlain,
 			Latency: sim.UniformLatency{Min: 1, Max: 20},
-			Seed:    seed, Scenario: &scenario.Scenario{Rules: []scenario.Rule{redeliver}},
+			Seed:    seed, Scenario: &scenario.Scenario{Rules: []scenario.Rule{duplicate}},
 		}
 	}, func(cfg gather.RunConfig, res gather.RunResult) error {
 		if len(res.Outputs) != cfg.Trust.N() {
@@ -119,7 +118,7 @@ func TestDuplicateDeliveryIdempotenceACS(t *testing.T) {
 			})
 			nodes[i] = raw[i]
 		}
-		sc := scenario.Scenario{Rules: []scenario.Rule{redeliver}}
+		sc := scenario.Scenario{Rules: []scenario.Rule{duplicate}}
 		r := sim.NewRunner(sim.Config{
 			N: n, Seed: seed, Latency: sim.UniformLatency{Min: 1, Max: 20}, Fault: sc.FaultPlane(),
 		}, nodes)

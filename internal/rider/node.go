@@ -38,7 +38,8 @@ type Rules interface {
 	// Commits is the commit rule: whether a wave's leader commits, given
 	// the sources of the round-4 vertices with strong paths to it.
 	Commits(reach types.Set) bool
-	// Inserted runs for each vertex absorbed from the buffer into the DAG.
+	// Inserted runs once for each vertex absorbed from the buffer into the
+	// DAG, which refuses a second vertex for a (round, source).
 	Inserted(env sim.Env, v *dag.Vertex)
 	// Advance reports whether the node may leave round r, whose sources
 	// already hold a quorum.
@@ -302,8 +303,7 @@ func (b *Base) waveLeader(w int) (dag.VertexRef, bool) {
 // Prune drops the rounds below limit whose vertices were all delivered,
 // and the skeleton's per-round state below the resulting watermark:
 // delivery marks, source trackers, buffered vertices and broadcast slots.
-// It returns the watermark.
-func (b *Base) Prune(limit int) int {
+func (b *Base) Prune(limit int) {
 	watermark := b.dag.PruneBelow(limit, b.delivered)
 	b.rounds.DropBelow(watermark)
 	keep := b.buffer[:0]
@@ -314,7 +314,6 @@ func (b *Base) Prune(limit int) int {
 	}
 	b.buffer = keep
 	b.arb.PruneBelow(uint64(watermark))
-	return watermark
 }
 
 // Backlog returns the sizes of the skeleton's per-round state: broadcast

@@ -151,15 +151,13 @@ func Builtins() []Definition {
 		},
 		{
 			Name: "dup-reorder",
-			Desc: "30% duplication, 0..15 extra jitter and 10% redelivery on every link, all run long",
+			Desc: "30% duplication and 0..15 extra jitter on every link, all run long",
 			Build: func(n int, seed int64) Scenario {
 				return Scenario{
 					Name: "dup-reorder",
 					Rules: []Rule{{
-						Duplicate:      0.3,
-						Delay:          Jitter{Max: 15},
-						Redeliver:      0.1,
-						RedeliverDelay: Jitter{Min: 1, Max: 40},
+						Duplicate: 0.3,
+						Delay:     Jitter{Max: 15},
 					}},
 					// Duplication and reordering destroy nothing: handlers
 					// are required to be idempotent, so the full contract

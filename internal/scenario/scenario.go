@@ -9,11 +9,11 @@
 // A Scenario is assembled from two orthogonal fault planes:
 //
 //   - Link rules (Rule): time-windowed, link-selected distributions of
-//     drop, duplication, extra delay and delivery-point redelivery,
-//     layered over any base sim.LatencyModel. Partitions that heal are a
-//     Rule whose HoldUntil equals the heal time: matched messages exist
-//     but arrive after the heal, like a retransmitting transport. Rules
-//     compile into one sim.FaultPlane via Scenario.FaultPlane.
+//     drop, duplication and extra delay, decided when a message is sent
+//     and layered over any base sim.LatencyModel. Partitions that heal
+//     are a Rule whose HoldUntil equals the heal time: matched messages
+//     exist but arrive after the heal, like a retransmitting transport.
+//     Rules compile into one sim.FaultPlane via Scenario.FaultPlane.
 //   - Node faults (NodeFault): per-process behaviours — the Byzantine
 //     wrappers of this package (SelectiveNode, StaleReplayNode,
 //     EquivocateNode) and the stand-ins that replace the node outright
@@ -34,9 +34,9 @@
 // A scenario run is a pure function of its seed. Everything here obeys
 // the two rules that guarantee it:
 //
-//   - All randomized link decisions draw from the run RNG handed to the
-//     sim.FaultPlane hooks, which the simulator invokes at its send-commit
-//     and queue-pop points, in the run's one event order.
+//   - All randomized link decisions draw from the run RNG handed to
+//     sim.FaultPlane.OnSend, which the simulator invokes at its
+//     send-commit point, in the run's one event order.
 //   - Node wrappers keep all state per node, in the Scenario built for
 //     the run (sweeps run seeds concurrently, so nothing is shared between
 //     runs), and make any randomized-looking choice (stale-replay cadence,
@@ -160,14 +160,13 @@ func (j Jitter) draw(rng *rand.Rand) sim.VirtualTime {
 }
 
 // Rule is one composable, timed link-fault stage. All probabilistic
-// decisions are drawn from the run RNG at the simulator's commit points,
-// so a rule is deterministic per seed.
+// decisions are drawn from the run RNG at the simulator's send-commit
+// point, so a rule is deterministic per seed.
 //
 // Composition semantics when several rules match one message: the first
 // matching Drop wins (later rules are not consulted for a dropped
 // message), Duplicates add up, Delay draws add up, and the largest
-// HoldUntil applies. Redelivery is decided by the first matching rule
-// that asks for it.
+// HoldUntil applies.
 type Rule struct {
 	// Window limits when the rule is active (zero value = always).
 	Window Window
@@ -178,20 +177,13 @@ type Rule struct {
 	// Drop is the probability a matched message is discarded.
 	Drop float64
 	// Duplicate is the probability a matched message is sent twice (the
-	// copy gets its own latency draw).
+	// copy gets its own latency draw, so it may arrive first).
 	Duplicate float64
 	// Delay is extra link delay added to every matched message.
 	Delay Jitter
 	// HoldUntil delays matched messages so they arrive no earlier than
 	// this virtual time — the healing-partition primitive.
 	HoldUntil sim.VirtualTime
-
-	// Redeliver is the probability a matched message is delivered a
-	// second time, RedeliverDelay after its first delivery (clamped to
-	// >= 1 by the simulator). Redelivered copies are consulted again, so
-	// keep the probability well below 1.
-	Redeliver      float64
-	RedeliverDelay Jitter
 }
 
 func (r *Rule) matches(from, to types.ProcessID, now sim.VirtualTime) bool {
@@ -308,18 +300,4 @@ func (pl *plane) OnSend(from, to types.ProcessID, _ sim.Message, now sim.Virtual
 		v.Extra = hold - now
 	}
 	return v
-}
-
-// OnDeliver implements sim.FaultPlane.
-func (pl *plane) OnDeliver(from, to types.ProcessID, _ sim.Message, now sim.VirtualTime, rng *rand.Rand) sim.DeliverVerdict {
-	for i := range pl.rules {
-		r := &pl.rules[i]
-		if r.Redeliver <= 0 || !r.matches(from, to, now) {
-			continue
-		}
-		if rng.Float64() < r.Redeliver {
-			return sim.DeliverVerdict{Redeliver: true, After: r.RedeliverDelay.draw(rng)}
-		}
-	}
-	return sim.DeliverVerdict{}
 }

@@ -139,21 +139,6 @@ func TestPlaneDropShortCircuits(t *testing.T) {
 	}
 }
 
-func TestPlaneOnDeliver(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	s := Scenario{Rules: []Rule{
-		{Links: FromSet(types.NewSetOf(2, 0)), Redeliver: 1, RedeliverDelay: Jitter{Min: 7, Max: 7}},
-	}}
-	pl := s.FaultPlane()
-	v := pl.OnDeliver(0, 1, tag{}, 10, rng)
-	if !v.Redeliver || v.After != 7 {
-		t.Fatalf("got %+v, want redeliver after 7", v)
-	}
-	if v := pl.OnDeliver(1, 0, tag{}, 10, rng); v.Redeliver {
-		t.Fatalf("unmatched link must not redeliver: %+v", v)
-	}
-}
-
 func TestEmptyScenarioHasNilPlane(t *testing.T) {
 	s := Scenario{}
 	if s.FaultPlane() != nil {

@@ -21,7 +21,7 @@
 //	  - Garbage collection is mandatory in service mode (Config.GCDepth
 //	    must be positive; withDefaults enforces it): the DAG's round
 //	    window, the reliable-broadcast slot trackers, the coin share maps
-//	    and the delivered/acked bookkeeping are all pruned below the
+//	    and the delivered bookkeeping are all pruned below the
 //	    decided horizon, so memory is bounded over an unbounded run.
 //	  - Committed deliveries stream through the core sinks straight into
 //	    the replica's state machine; there is no ever-growing delivery

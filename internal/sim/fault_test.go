@@ -20,10 +20,6 @@ func (k keepPlane) OnSend(from, to types.ProcessID, _ Message, _ VirtualTime, _ 
 	return SendVerdict{Drop: !k(from, to)}
 }
 
-func (keepPlane) OnDeliver(types.ProcessID, types.ProcessID, Message, VirtualTime, *rand.Rand) DeliverVerdict {
-	return DeliverVerdict{}
-}
-
 // TestDropFilterSelfDelivery pins that the plane is consulted for
 // from == to: a plane dropping only self-delivery starves every node of
 // exactly its own ping.
@@ -50,14 +46,8 @@ func TestDropFilterSelfDelivery(t *testing.T) {
 // fixedPlane issues the same send verdict for every message.
 type fixedPlane SendVerdict
 
-type link struct{ from, to types.ProcessID }
-
 func (p fixedPlane) OnSend(types.ProcessID, types.ProcessID, Message, VirtualTime, *rand.Rand) SendVerdict {
 	return SendVerdict(p)
-}
-
-func (fixedPlane) OnDeliver(types.ProcessID, types.ProcessID, Message, VirtualTime, *rand.Rand) DeliverVerdict {
-	return DeliverVerdict{}
 }
 
 // TestFaultPlaneDropCountsAsDropped pins that a plane drop is accounted
@@ -83,8 +73,8 @@ func TestFaultPlaneDropCountsAsDropped(t *testing.T) {
 }
 
 // TestFaultPlaneDuplicatesAndExtra pins the remaining send verdicts: each
-// duplicate counts as a sent message with its own delivery, and Extra
-// shifts every arrival.
+// duplicate counts as a sent message with its own delivery and in
+// Duplicated, and Extra shifts every arrival.
 func TestFaultPlaneDuplicatesAndExtra(t *testing.T) {
 	n := 2
 	nodes := newPingCluster(n)
@@ -95,6 +85,9 @@ func TestFaultPlaneDuplicatesAndExtra(t *testing.T) {
 	wantSent := n * (n - 1) * 3 // every ping tripled; the self-sends are free
 	if m.MessagesSent != wantSent || m.MessagesDelivered != n*n*3 {
 		t.Fatalf("sent/delivered = %d/%d, want %d/%d", m.MessagesSent, m.MessagesDelivered, wantSent, n*n*3)
+	}
+	if want := n * n * 2; m.Duplicated != want { // two copies per send, self-sends included
+		t.Fatalf("duplicated = %d, want %d", m.Duplicated, want)
 	}
 	if m.ByType["sim.ping"] != wantSent {
 		t.Fatalf("ByType = %v, want %d pings", m.ByType, wantSent)
@@ -108,52 +101,6 @@ func TestFaultPlaneDuplicatesAndExtra(t *testing.T) {
 			if at != 11 {
 				t.Fatalf("node %d delivery at %d, want 11 (latency 1 + extra 10)", i, at)
 			}
-		}
-	}
-}
-
-// onceRedeliverPlane redelivers the first delivery of every (from, to)
-// link exactly once, After time units later.
-type onceRedeliverPlane struct {
-	seen  map[link]bool
-	after VirtualTime
-}
-
-func (p *onceRedeliverPlane) OnSend(types.ProcessID, types.ProcessID, Message, VirtualTime, *rand.Rand) SendVerdict {
-	return SendVerdict{}
-}
-
-func (p *onceRedeliverPlane) OnDeliver(from, to types.ProcessID, _ Message, _ VirtualTime, _ *rand.Rand) DeliverVerdict {
-	l := link{from, to}
-	if p.seen[l] {
-		return DeliverVerdict{}
-	}
-	if p.seen == nil {
-		p.seen = map[link]bool{}
-	}
-	p.seen[l] = true
-	return DeliverVerdict{Redeliver: true, After: p.after}
-}
-
-// TestFaultPlaneRedeliver pins the delivery-point duplication semantics:
-// a redelivered copy is a second delivery of the same message —
-// MessagesDelivered grows, MessagesSent does not.
-func TestFaultPlaneRedeliver(t *testing.T) {
-	n := 3
-	nodes := newPingCluster(n)
-	r := NewRunner(Config{N: n, Seed: 1, Latency: ConstantLatency(1), Fault: &onceRedeliverPlane{after: 5}}, nodes)
-	r.Run(0)
-	m := r.Metrics()
-	if m.MessagesSent != n*(n-1) {
-		t.Fatalf("sent = %d, want %d (redelivery must not count as sent, nor a self-send)", m.MessagesSent, n*(n-1))
-	}
-	if m.MessagesDelivered != 2*n*n {
-		t.Fatalf("delivered = %d, want %d (every link redelivered once)", m.MessagesDelivered, 2*n*n)
-	}
-	for i, nd := range nodes {
-		pn := nd.(*pingNode)
-		if pn.got != 2*n {
-			t.Fatalf("node %d got %d pings, want %d", i, pn.got, 2*n)
 		}
 	}
 }

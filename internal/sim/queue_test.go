@@ -254,10 +254,10 @@ func TestQueueFarEventsMeetDirectPushes(t *testing.T) {
 	p.drain("far meets direct")
 }
 
-// TestQueueRedeliveryDuringDrain pops one instant's events while
-// redelivering each one instant later, as maybeRedeliver does, onto an
-// instant that already holds an event: the copies pop behind it.
-func TestQueueRedeliveryDuringDrain(t *testing.T) {
+// TestQueuePushLaterDuringDrain pops one instant's events while pushing
+// each again one instant later, onto an instant that already holds an
+// event: the copies pop behind it.
+func TestQueuePushLaterDuringDrain(t *testing.T) {
 	p := &pair{t: t}
 	for to := 0; to < 5; to++ {
 		p.push(1, types.ProcessID(to), 0)
@@ -267,7 +267,7 @@ func TestQueueRedeliveryDuringDrain(t *testing.T) {
 		e := p.pop("drain")
 		p.push(1, e.to, e.from)
 	}
-	p.drain("redelivered")
+	p.drain("pushed later")
 }
 
 // TestQueuePushBehindCurrentInstantPanics pins the guard: the ring would

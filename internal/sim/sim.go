@@ -38,12 +38,12 @@
 // # Fault injection
 //
 // Config.Fault installs a FaultPlane: an adversarial message-fault layer
-// consulted at exactly two points — OnSend when a message's delivery is
-// scheduled (per destination, in ascending order) and OnDeliver when a
-// delivery is popped from the queue. Both hooks run on the driving
-// goroutine with the run's one seeded RNG, so every fault decision —
-// drop, duplicate, extra delay, hold-until, redeliver — is a pure function
-// of the seed. Node-level faults compose separately as wrappers
+// consulted at one point, OnSend, when a message's delivery is scheduled
+// (per destination, in ascending order): whatever a link does to a
+// message, it decides when the message is sent. The hook runs on the
+// driving goroutine with the run's one seeded RNG, so every fault
+// decision — drop, duplicate, extra delay, hold-until — is a pure
+// function of the seed. Node-level faults compose separately as wrappers
 // (MuteNode and the Byzantine wrappers in internal/scenario); wrappers
 // implementing Unwrapper keep the inner protocol node observable to
 // result collectors. A crash that recovers is no node fault: to every
@@ -281,26 +281,19 @@ func (f FavoredLinksLatency) Delay(from, to types.ProcessID, _ Message, _ Virtua
 
 // Fault plane. -------------------------------------------------------------
 
-// FaultPlane is the scenario hook into the simulator's two deterministic
-// commit points. Both callbacks run on the goroutine driving the run —
-// OnSend at the send-commit point (where latency draws and sequence
-// numbers are assigned), OnDeliver at the queue-pop point — so a fault
-// plane may use the run's seeded RNG freely and the observable execution
-// stays a pure function of the seed. Implementations must be
-// deterministic: no time, no I/O, no private unseeded randomness.
-//
-// Call order per message: OnSend once per (from, to) destination —
-// including self-delivery and each destination of a broadcast fan-out, in
-// ascending destination order, exactly as n individual sends — then
-// OnDeliver when the (possibly duplicated, delayed) event is popped for
-// delivery.
+// FaultPlane is the scenario hook into the simulator's one commit point,
+// where latency draws and sequence numbers are assigned. OnSend runs on
+// the goroutine driving the run, so a fault plane may use the run's
+// seeded RNG freely and the observable execution stays a pure function
+// of the seed. Implementations must be deterministic: no time, no I/O,
+// no private unseeded randomness. OnSend is called once per (from, to)
+// destination — including self-delivery and each destination of a
+// broadcast fan-out, in ascending destination order, exactly as n
+// individual sends — and its verdict is final: a popped delivery goes
+// to its receiver with no further fault decision.
 type FaultPlane interface {
 	// OnSend rules on one outbound message at the send-commit point.
 	OnSend(from, to types.ProcessID, msg Message, now VirtualTime, rng *rand.Rand) SendVerdict
-	// OnDeliver rules on one delivery at the queue-pop point; it can
-	// schedule an extra delivery of the same message (duplication after
-	// the first processing — the redelivery-idempotence fault).
-	OnDeliver(from, to types.ProcessID, msg Message, now VirtualTime, rng *rand.Rand) DeliverVerdict
 }
 
 // SendVerdict is a FaultPlane's decision about one outbound message.
@@ -314,20 +307,10 @@ type SendVerdict struct {
 	// heal, like a retransmitting transport.
 	Extra VirtualTime
 	// Duplicates enqueues that many extra copies of the message, each
-	// with its own latency draw (plus the same Extra). Every copy counts
-	// as a sent message in the metrics.
+	// with its own latency draw (plus the same Extra), so it may arrive
+	// before or after the original. Every copy counts in Duplicated and,
+	// as the original does, in MessagesSent.
 	Duplicates int
-}
-
-// DeliverVerdict is a FaultPlane's decision about one delivery.
-type DeliverVerdict struct {
-	// Redeliver schedules one additional delivery of the same message
-	// After time units from now (clamped to >= 1 so the copy lands in a
-	// strictly later timestamp). The copy is consulted again on its own
-	// delivery, so a redelivery probability must stay < 1 for the
-	// cascade to terminate.
-	Redeliver bool
-	After     VirtualTime
 }
 
 // Config configures a Runner.
@@ -337,18 +320,23 @@ type Config struct {
 	Seed    int64
 
 	// Fault, when non-nil, is the scenario fault plane: it is consulted
-	// once per (from, to) message at the send-commit point and once per
-	// delivery at the pop point (see FaultPlane for the exact contract).
-	// The no-fault hot path pays only a nil check.
+	// once per (from, to) message at the send-commit point (see
+	// FaultPlane for the exact contract). The no-fault hot path pays
+	// only a nil check.
 	Fault FaultPlane
 }
 
 // Metrics accumulates network statistics for an execution.
 type Metrics struct {
+	// MessagesSent counts link sends, duplicate copies included; drops,
+	// self-sends and unencodable sends are not counted.
 	MessagesSent      int
-	MessagesDelivered int
-	MessagesDropped   int
-	BytesSent         int
+	MessagesDelivered int // every popped event, self-sends included
+	MessagesDropped   int // messages a fault plane discarded
+	// Duplicated counts the extra copies a fault plane added, self-sends
+	// included: the one counter that shows a message delivered twice.
+	Duplicated int
+	BytesSent  int // wire bytes of the sends MessagesSent counts
 	// EncodeErrors counts sends to another process, one per destination,
 	// of a message the wire codec cannot encode: over TCP each would be
 	// dropped (transport.PeerStats.EncodeErrors). The scenario checker
@@ -517,6 +505,7 @@ func (r *Runner) sendOne(from, to types.ProcessID, msg Message, tc *typeCounter,
 			extra = v.Extra
 		}
 		copies += v.Duplicates
+		r.metrics.Duplicated += v.Duplicates
 	}
 	for i := 0; i < copies; i++ {
 		if from != to && tc != nil {
@@ -608,24 +597,6 @@ func decodedCopy(msg Message) Message {
 	return dec
 }
 
-// maybeRedeliver consults the fault plane's delivery hook for a popped
-// event and schedules the extra copy it asks for. Runs on the driving
-// goroutine with r.now already advanced to the event's timestamp; the copy
-// lands at least one time unit later, so a drain loop over the current
-// timestamp always terminates.
-func (r *Runner) maybeRedeliver(e *event) {
-	v := r.cfg.Fault.OnDeliver(e.from, e.to, e.msg, r.now, r.rng)
-	if !v.Redeliver {
-		return
-	}
-	after := v.After
-	if after < 1 {
-		after = 1
-	}
-	r.seq++
-	r.queue.push(event{at: r.now + after, seq: r.seq, to: e.to, from: e.from, msg: e.msg})
-}
-
 // init calls Init on every node (in ID order) exactly once.
 func (r *Runner) init() {
 	if r.inited {
@@ -647,9 +618,6 @@ func (r *Runner) Step() bool {
 	e := r.queue.pop()
 	r.now = e.at
 	r.metrics.MessagesDelivered++
-	if r.cfg.Fault != nil {
-		r.maybeRedeliver(&e)
-	}
 	r.nodes[e.to].Receive(&r.envs[e.to], e.from, e.msg)
 	return true
 }

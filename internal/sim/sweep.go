@@ -93,6 +93,7 @@ func MergeMetrics(ms ...*Metrics) *Metrics {
 		out.MessagesSent += m.MessagesSent
 		out.MessagesDelivered += m.MessagesDelivered
 		out.MessagesDropped += m.MessagesDropped
+		out.Duplicated += m.Duplicated
 		out.BytesSent += m.BytesSent
 		out.EncodeErrors += m.EncodeErrors
 		for k, v := range m.ByType {

@@ -144,12 +144,12 @@ func TestSweepEmptyAndOversizedPool(t *testing.T) {
 }
 
 func TestMergeMetrics(t *testing.T) {
-	a := &Metrics{MessagesSent: 3, MessagesDelivered: 2, MessagesDropped: 1, BytesSent: 30, EncodeErrors: 1,
+	a := &Metrics{MessagesSent: 3, MessagesDelivered: 2, MessagesDropped: 1, Duplicated: 2, BytesSent: 30, EncodeErrors: 1,
 		ByType: map[string]int{"sim.ping": 3}}
-	b := &Metrics{MessagesSent: 5, MessagesDelivered: 5, BytesSent: 50, EncodeErrors: 4,
+	b := &Metrics{MessagesSent: 5, MessagesDelivered: 5, Duplicated: 3, BytesSent: 50, EncodeErrors: 4,
 		ByType: map[string]int{"sim.ping": 4, "sim.pong": 1}}
 	m := MergeMetrics(a, nil, b)
-	if m.MessagesSent != 8 || m.MessagesDelivered != 7 || m.MessagesDropped != 1 || m.BytesSent != 80 || m.EncodeErrors != 5 {
+	if m.MessagesSent != 8 || m.MessagesDelivered != 7 || m.MessagesDropped != 1 || m.Duplicated != 5 || m.BytesSent != 80 || m.EncodeErrors != 5 {
 		t.Errorf("merged scalars = %+v", m)
 	}
 	if m.ByType["sim.ping"] != 7 || m.ByType["sim.pong"] != 1 {
