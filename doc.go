@@ -49,18 +49,18 @@
 //     entry per sender.
 //   - Digest-addressed reliable broadcast (internal/broadcast): a vertex
 //     travels once per receiver, in the SEND, which also counts as its
-//     source's ECHO, so the source echoes nothing in its own slot. ECHO
+//     source's ECHO and, toward a READY quorum only, as its READY, so the
+//     source casts no vote in its own slot and nobody echoes to it. ECHO
 //     and READY carry the 32-byte SHA-256 of its canonical wire frame,
 //     computed once where the vertex is created or decoded, except where
 //     the receiver can name the digest without them; then the vote goes
 //     by reference, as its slot alone. An ECHO by reference goes to a
-//     process whose ECHO for the digest the voter counted (so to the
-//     slot's source from every receiver), and names the digest that
-//     process echoed, since it echoes once per slot. A READY by reference
-//     goes to every receiver of the voter's own ECHO for the digest, and
-//     names the digest of the ECHO the receiver counted from the voter
-//     (at the slot's source, its SEND's); one that overtakes that ECHO
-//     waits for it, a bit per voter and slot. Over FIFO links, TCP's,
+//     process whose ECHO for the digest the voter counted, and names the
+//     digest that process echoed, since it echoes once per slot. A READY
+//     by reference goes to the voter's whole audience once it echoed the
+//     digest, and names the digest of the ECHO the receiver counted from
+//     the voter (at the slot's source, its SEND's); one that overtakes
+//     that ECHO waits for it, a bit per voter and slot. Over FIFO links, TCP's,
 //     nothing waits, and no message count, delivery time or output moves;
 //     only the 32 digest bytes go. On the simulator's uniform links a
 //     waiting READY moves schedules a little (commit latency +1.2 % at
@@ -76,9 +76,10 @@
 //     only through its quorum and kernel predicates, which depend only on
 //     the union of its quorums, so each vote goes to Assumption.Audience of
 //     its sender (sim.Multicast). Under threshold trust that is everyone;
-//     on the paper's Fig. 1 system a slot's READYs cross 169 links instead
-//     of all 870 (quorum.VotePairs), and its ECHOs 169 less the source's
-//     audience, 163.4 on average.
+//     on the paper's Fig. 1 system a slot's votes of one kind cross at most
+//     169 links instead of all 870 (quorum.VotePairs): its READYs 169 less
+//     the source's audience, 163.4 on average, and its ECHOs less the
+//     links into the source too, 157.7 on average.
 //   - A parallel multi-seed sweep engine (internal/sim Sweep and
 //     harness.SweepRider/SweepGather): independent seeded executions run
 //     on GOMAXPROCS goroutines and come back positioned by seed, with a

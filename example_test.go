@@ -49,7 +49,7 @@ func ExampleNewCluster() {
 		fmt.Printf("%3d. %s\n", i+1, tx)
 	}
 	// Output:
-	// network: 4200 messages, 42249 bytes, virtual time 1810
+	// network: 3240 messages, 40219 bytes, virtual time 1730
 	// orders agree across all processes: true
 	//
 	// p1: committed 10 waves, reached round 40, delivered 6 txs
@@ -295,16 +295,16 @@ func ExampleRunService() {
 	// running 4 replicas to decided wave 60 under rolling-churn...
 	//
 	// per-replica service report:
-	//   replica 0: wave 60, 14996 applied (14228 compacted away, 768 in tail), 14 snapshots, commit latency p50=682 p99=1170
-	//   replica 1: wave 60, 14996 applied (14228 compacted away, 768 in tail), 14 snapshots, commit latency p50=896 p99=1190
-	//   replica 2: wave 60, 14996 applied (14228 compacted away, 768 in tail), 14 snapshots, commit latency p50=794 p99=1207
-	//   replica 3: wave 60, 14996 applied (14228 compacted away, 768 in tail), 14 snapshots, commit latency p50=832 p99=1419
+	//   replica 0: wave 60, 14952 applied (14952 compacted away, 0 in tail), 15 snapshots, commit latency p50=522 p99=986
+	//   replica 1: wave 60, 14952 applied (14952 compacted away, 0 in tail), 15 snapshots, commit latency p50=511 p99=746
+	//   replica 2: wave 60, 14952 applied (14952 compacted away, 0 in tail), 15 snapshots, commit latency p50=622 p99=1050
+	//   replica 3: wave 60, 14952 applied (14952 compacted away, 0 in tail), 15 snapshots, commit latency p50=517 p99=973
 	//
-	// sustained throughput: 1.36 tx per virtual-time unit per replica
+	// sustained throughput: 1.43 tx per virtual-time unit per replica
 	// commit rate:          0.0052 waves per virtual-time unit per replica
 	// peak live DAG:        95 vertices (bounded by GC, independent of run length)
 	//
-	// 42 cross-replica snapshot comparisons: all byte-identical ✓
+	// 45 cross-replica snapshot comparisons: all byte-identical ✓
 }
 
 // The paper's fault model end to end: the asymmetric DAG consensus with

@@ -20,12 +20,15 @@
 // (SHA-256 of the payload's canonical wire frame), or name it by reference
 // (below). Four messages plus a reply:
 //
-//	SEND(slot, payload)  source → all; it is also the source's ECHO(d)
-//	ECHO(slot, d)        → the echoer's audience (below), on the first SEND
-//	                     of a slot, from every process but the slot's
-//	                     source; the echoer keeps the payload
-//	READY(slot, d)       → the voter's audience, after an ECHO(d) quorum or
-//	                     a READY(d) kernel
+//	SEND(slot, payload)  source → all; it is also the source's ECHO(d) and
+//	                     READY(d)
+//	ECHO(slot, d)        → the echoer's audience but the slot's source
+//	                     (below), on the first SEND of a slot, from every
+//	                     process but the source; the echoer keeps the
+//	                     payload
+//	READY(slot, d)       → the voter's audience, from every process but the
+//	                     slot's source, after an ECHO(d) quorum, a READY(d)
+//	                     kernel or delivery
 //	FETCH(slot, d)       ask a peer that voted for d for d's payload
 //	PAYLOAD(slot, payload)  the reply to FETCH
 //
@@ -33,8 +36,9 @@
 // ECHO*(slot), and a READY for the digest the voter echoed goes to every
 // process but the voter as READY*(slot): the same votes by reference.
 //
-// A process delivers d's payload after a READY(d) quorum. Two rules keep
-// this the protocol of §2.3:
+// A process delivers d's payload after a READY(d) quorum, in which the
+// SEND may stand for its source's READY. Two rules keep this the protocol
+// of §2.3:
 //
 // R1 (vote only for what you hold). A process sends READY(d) — after an
 // ECHO quorum or a READY kernel — only once it holds a payload whose
@@ -89,10 +93,12 @@
 // voters per digest instead of n−1. Under threshold trust, and wherever
 // every process lies in a quorum of every other, the audience is everyone
 // (nil) and a vote goes to every process as before. On the paper's Fig. 1
-// system each process has a single quorum of 6, so a slot's READYs cross
-// 169 links instead of all 870 (a copy to the voter itself crosses none),
-// and its ECHOs 169 − |Audience(src) ∖ {src}|, 163.4 on average, since its
-// source does not echo (below). A process need not lie in its own quorum (19
+// system each process has a single quorum of 6, so the votes of one kind
+// cross at most 169 links instead of all 870 (a copy to the voter itself
+// crosses none). The source casts neither kind (below), so a slot's READYs
+// cross 169 − |Audience(src) ∖ {src}|, 163.4 on average, and nobody echoes
+// to the source, so its ECHOs cross |U_src ∖ {src}| fewer again, 157.7 on
+// average. A process need not lie in its own quorum (19
 // of Fig. 1's 30 do not), so it may never hear its own vote, and nothing
 // relies on hearing it. The SEND still goes to everyone, since everyone
 // needs the payload; FETCH and PAYLOAD are point to point.
@@ -109,16 +115,16 @@
 // a j as ECHO*(s): the slot without the 32 digest bytes. j counts it, like
 // a full ECHO, for the digest it echoed in s, which its slot keeps as its
 // first digest (the SEND's digest takes that place when it is not first
-// already). j drops an ECHO* for a slot it has not echoed in. Every
-// receiver counts the SEND as its source's ECHO before it echoes (below),
-// so its ECHO to the source goes as an ECHO*, which the source resolves to
-// the digest of the SEND Broadcast recorded.
+// already). j drops an ECHO* for a slot it has not echoed in. No ECHO goes
+// to a slot's source at all (see "The SEND is its source's READY").
 //
 // READY*(s), a READY by reference, names the digest its voter echoed to
-// its receiver. A voter sends its READY to its audience, the processes it
-// sent its ECHO to, and only after that ECHO. So a voter i that echoed d
-// in s, in full or by reference, sends its READY(d) as READY*(s) to every
-// member of its audience other than itself. It sends the READY in full
+// its receiver. A voter sends its READY to its audience: the processes it
+// sent its ECHO to, only after that ECHO, and the slot's source, which
+// knows the digest every correct process echoed in its slot. So a voter i
+// that echoed d in s, in full or by reference, sends its READY(d) as
+// READY*(s) to every member of its audience other than itself. It sends
+// the READY in full
 // only if it did not echo d: its payload came by FETCH, or it echoed
 // another digest. j resolves READY*(s) from i to the digest for which it
 // counted i's ECHO in s, or, when j is the source of s, to the digest of
@@ -129,9 +135,10 @@
 // counted i's ECHO yet, it holds one bit for (s, i) and counts the READY
 // right after the ECHO, for the ECHO's digest. This happens only where
 // links are not FIFO, as in the simulator; TCP links are, so over TCP
-// nothing is ever held: the source's READY* resolves through its SEND,
-// which its link delivers first. The held bit goes when the slot delivers
-// or when PruneBelow empties it.
+// nothing is ever held: the voter's ECHO crosses the same link first, and
+// at the slot's source a READY* resolves through the SEND Broadcast
+// recorded. The held bit goes when the slot delivers or when PruneBelow
+// empties it.
 //
 // Every other vote goes in full: an ECHO to a process whose ECHO i has not
 // counted, or counted for another digest (the source equivocated); a READY
@@ -163,12 +170,11 @@
 // reliable links deliver. That process drops the ECHO only once it has
 // delivered or pruned the slot, when it has no use for the READY either: a
 // correct voter's ECHO is never spam, and it sends an ECHO* only to a
-// process whose ECHO it counted, which has echoed (a correct source, in
-// Broadcast). On a link that loses
+// process whose ECHO it counted, which has echoed. On a link that loses
 // messages, though, a lost ECHO also loses its voter's READY at that
 // receiver, where a full READY would still have counted: the READY* stays
 // held until the slot delivers or is pruned (Reliable.Waiting). `make
-// scenarios` counts these: over 8 seeds each, 28 on partition-drop, 18 on
+// scenarios` counts these: over 8 seeds each, 17 on partition-drop, 15 on
 // churn-lossy and none where no message is lost, with every verdict as
 // before. An ECHO*
 // names a digest whose payload its receiver holds, so it never blocks R1.
@@ -185,10 +191,11 @@
 // the simulator draws every delay in the same order. Neither a fault plane
 // nor a latency model reads a message's type or size, and an ECHO* never
 // waits. A held READY*, though, counts later than a full READY would have,
-// so on the simulator's uniform links schedules move. On the benchmark's
-// sim_asym_n30 (Fig. 1, links of 1–20, seeds 1–5, 10 waves) 3.1 % of the
-// READY*s that reach a process are held, and the service's commit latency
-// is 1.2 % higher at the median and 0.5 % at the 99th percentile than with
+// so on the simulator's uniform links schedules move. Measured when the
+// SEND became its source's ECHO, before it became its READY: on the
+// benchmark's sim_asym_n30 (Fig. 1, links of 1–20, seeds 1–5, 10 waves)
+// 3.1 % of the READY*s that reach a process are held, and the service's
+// commit latency is 1.2 % higher at the median and 0.5 % at the 99th percentile than with
 // every READY in full. On sim_faults_n7's scenarios (n = 7, seeds 1–20)
 // 7.4 % are held. Over FIFO links, sim.ConstantLatency's and TCP's,
 // nothing is held: no message count, delivery time or output moves, and
@@ -202,23 +209,23 @@
 // digest and reaches every process over the same authenticated link. So
 // the source casts no ECHO for its own slot, and a process that handles a
 // SEND from the slot's source counts it as that source's ECHO of the
-// SEND's digest, provided the source lies in U_self. It counts that ECHO
-// before it casts its own, so its own ECHO to the source goes by
-// reference. This is the classic economy of Bracha's protocol. It takes
+// SEND's digest, provided the source lies in U_self, before it casts its
+// own. This is the classic economy of Bracha's protocol. It took
 // |Audience(src) ∖ {src}| messages out of every slot: 3 of 27 under
 // threshold(4, 1), 6 of 90 under threshold(7, 2).
 //
 // Broadcast records the source's own slot as echoed before the SEND
 // leaves: its digest first, its payload held. The simulator delays a
-// self-send like any other, so an ECHO* can reach the source before its
-// own SEND does, and the record resolves it. No rule runs in Broadcast,
-// so it never delivers. When the self-addressed SEND arrives, it only
-// counts the source's own ECHO, if the source lies in U_self, and applies
-// the rules. A SEND that no Broadcast recorded reaches its source only
-// from a Byzantine source or a test (EquivocateSend). It is handled as at
-// any receiver, except that the source casts no ECHO, and the READYs by
-// reference the source held until then count for its digest. An ECHO* that
-// came before it named no digest and was dropped.
+// self-send like any other, so a vote by reference can reach the source
+// before its own SEND does, and the record resolves it. No rule runs in
+// Broadcast, so it never delivers. When the self-addressed SEND arrives,
+// it only counts the source's own ECHO and READY (next section), if the
+// source lies in U_self, and applies the rules. A SEND that no Broadcast
+// recorded reaches its source only from a Byzantine source or a test
+// (EquivocateSend). It is handled as at any receiver, except that the
+// source casts no ECHO, and the READYs by reference the source held until
+// then count for its digest. An ECHO* that came before it named no digest
+// and was dropped.
 //
 // A source knows the digest every correct process echoed in its slot: its
 // own SEND's. So the source counts a READY* for its own slot for that
@@ -235,6 +242,59 @@
 // because a source holds its own payload. Totality is unchanged: the
 // source's vote reaches exactly the processes its ECHO used to reach, its
 // audience, all of whom receive the SEND.
+//
+// # The SEND is its source's READY
+//
+// A correct source's READY can name only the digest its SEND names, so the
+// SEND stands in for that READY too, and a source that casts no READY has
+// no use for an ECHO. Four rules:
+//
+//  1. The source casts no READY in its own slot. Broadcast records the
+//     slot as READY-sent as well as echoed, and the self-addressed SEND
+//     counts the source's own READY if it lies in U_self, as it counts its
+//     ECHO. A SEND that no Broadcast recorded keeps the handling above, and
+//     its source casts its READY by the rules.
+//  2. A receiver counts the SEND as its source's READY toward a READY
+//     quorum (quorum.Tracker.HasQuorumWith), not toward a READY kernel,
+//     and only if the source lies in U_self. So the SEND helps delivery
+//     but starts no READY amplification: on Fig. 1 a kernel is one member
+//     of a process's single quorum, and a SEND counted as a kernel member
+//     sets off READYs at processes its own copy has not reached yet, which
+//     R1 blocks and R2 then fetches for (5 907 FETCHes against 78 on the
+//     seed-1 Fig. 1 service run).
+//  3. A process that delivers without having cast its READY casts it then,
+//     for the delivered digest, whose payload it holds (R1). A READY quorum
+//     of real votes contains a READY kernel, since any two quorums of a
+//     process intersect, but one that the SEND completes need not: two
+//     quorums of p may meet only in the source. This rule keeps a delivered
+//     slot READY-sent, which "Slot state" relies on to drop later votes.
+//  4. No ECHO or ECHO* goes to a slot's source (sim.Cast.Except). There an
+//     ECHO could only feed the source's READY rule, which rule 1 retires.
+//     The source resolves a READY* for its own slot through its SEND, and
+//     it holds its payload, so R2 never asks it to fetch. Receivers still
+//     count the SEND as the source's ECHO in their own echo tally.
+//
+// Together they take 2|Audience(src) ∖ {src}| link messages out of every
+// slot under threshold trust, where U_src is everyone: 6 of 24 under
+// threshold(4, 1), 12 of 84 under threshold(7, 2).
+//
+// Safety. Consistency for wise processes rests on one fact: two READY
+// quorums meet in a correct process, and a correct process votes READY for
+// one digest per slot, the same to every receiver. A correct source's SEND
+// names one digest and reaches every process, so as a READY it is such a
+// vote; a Byzantine source's SEND stands where its READY, which it may
+// send to anyone, could stand anyway, and the correct process in the
+// intersection is not it. A READY cast at delivery (rule 3) names the
+// delivered digest, whose READY quorum contains a correct process: one
+// that readied that digest by the rules, or a correct source, whose SEND
+// names the one digest correct processes echo. Counting the SEND toward
+// fewer predicates than a full READY can only make a rule fire later.
+//
+// Liveness. With a correct source every guild member echoes the SEND,
+// gets an ECHO quorum inside the guild and casts its READY, as before, and
+// the source's vote reaches its whole audience with the SEND. With a
+// Byzantine source its vote was never part of the totality argument: the
+// kernel that a guild member receives is made of correct READY senders.
 //
 // # Slot state
 //
@@ -282,12 +342,13 @@
 //     call. The pair goes back, cleared, only when PruneBelow empties the
 //     slot, not at delivery: served outlives delivery (R2).
 //   - Once a slot has delivered, Handle drops its ECHOs, READYs and
-//     PAYLOADs before they touch any state. That changes no output. The
-//     READY quorum that delivered contains a READY kernel, since any two
-//     quorums of a process intersect (B³), so this process had sent its
-//     READY by the time it delivered: no later vote, for any digest, can
-//     make it send anything, and a PAYLOAD is accepted only while a rule
-//     waits for it. A late SEND is still echoed and its payload kept, and a
+//     PAYLOADs before they touch any state. That changes no output. This
+//     process has sent its READY by the time it delivers: a READY quorum of
+//     real votes contains a READY kernel, since any two quorums of a
+//     process intersect (B³), and one that the SEND completed casts it at
+//     delivery (rule 3 above). So no later vote, for any digest, can make
+//     it send anything, and a PAYLOAD is accepted only while a rule waits
+//     for it. A late SEND is still echoed and its payload kept, and a
 //     delivered slot still serves FETCH for every digest whose payload it
 //     holds (R2): what a digest keeps after delivery is its payload and its
 //     served set.
@@ -563,15 +624,16 @@ func NewReliable(self types.ProcessID, trust quorum.Assumption, deliver Deliver)
 	}
 }
 
-// Broadcast implements Broadcaster. It records the slot as echoed before
-// the SEND leaves, since the SEND is this process's ECHO (see "The SEND is
-// its source's ECHO"): an ECHO by reference that reaches this process
-// before its own SEND resolves to the payload's digest. No rule runs here,
-// and so no deliver upcall: the self-addressed SEND applies them.
+// Broadcast implements Broadcaster. It records the slot as echoed and as
+// READY-sent before the SEND leaves, since the SEND is this process's ECHO
+// and its READY (see "The SEND is its source's ECHO" and "The SEND is its
+// source's READY"): a READY by reference that reaches this process before
+// its own SEND resolves to the payload's digest. No rule runs here, and so
+// no deliver upcall: the self-addressed SEND applies them.
 func (r *Reliable) Broadcast(env sim.Env, seq uint64, payload Payload) {
 	slot := Slot{Src: r.self, Seq: seq}
 	if st := r.open(slot); st != nil && !st.sentEcho {
-		st.sentEcho = true
+		st.sentEcho, st.sentReady = true, true
 		r.echoed(st, payload.Digest()).payload = payload
 	}
 	sim.Multicast(env, sim.Cast{Msg: sendMsg{newSend(slot, payload)}})
@@ -833,16 +895,28 @@ func (r *Reliable) reset(st *rbSlot) bool {
 	return true
 }
 
-// due reports which of the two Bracha rules are due for v's digest:
-// READY after an ECHO quorum or a READY kernel, delivery after a READY
-// quorum. Neither is due once st has delivered (see "Slot state").
-func (st *rbSlot) due(v *rbValue) (ready, deliver bool) {
+// due reports which of the two Bracha rules are due for v's digest in
+// slot st of source src: READY after an ECHO quorum or a READY kernel, or
+// at delivery if it is not sent yet; delivery after a READY quorum, in
+// which the SEND counts as its source's READY (see "The SEND is its
+// source's READY"). Neither is due once st has delivered (see "Slot
+// state").
+func (r *Reliable) due(src types.ProcessID, st *rbSlot, v *rbValue) (ready, deliver bool) {
 	if st.delivered {
 		return false, false
 	}
-	ready = !st.sentReady && (v.tally.votes[echoes].HasQuorum() || v.tally.votes[readies].HasKernel())
-	deliver = v.tally.votes[readies].HasQuorum()
+	rd := &v.tally.votes[readies]
+	deliver = rd.HasQuorum() || r.sendIsReady(src, st, v) && rd.HasQuorumWith(src)
+	ready = !st.sentReady && (deliver || v.tally.votes[echoes].HasQuorum() || rd.HasKernel())
 	return ready, deliver
+}
+
+// sendIsReady reports whether this process counts the SEND of slot st,
+// from source src, as src's READY for v's digest toward a READY quorum: it
+// handled that SEND, whose digest is st's first, src lies in U_self, and
+// src is another process (a source counts its own READY in its tally).
+func (r *Reliable) sendIsReady(src types.ProcessID, st *rbSlot, v *rbValue) bool {
+	return st.sentEcho && v == &st.value && src != r.self && r.trust.Counts(r.self, src)
 }
 
 // advance applies the rules that are due for digest d, or — R1 — fetches
@@ -853,7 +927,7 @@ func (st *rbSlot) due(v *rbValue) (ready, deliver bool) {
 // new body; without one, it carries the body of this process's own
 // ECHO(d) if there is one, and only otherwise a new body.
 func (r *Reliable) advance(env sim.Env, slot Slot, st *rbSlot, d Digest, v *rbValue, trigger *vote) {
-	ready, deliver := st.due(v)
+	ready, deliver := r.due(slot.Src, st, v)
 	if !ready && !deliver {
 		return
 	}
@@ -875,7 +949,7 @@ func (r *Reliable) advance(env sim.Env, slot Slot, st *rbSlot, d Digest, v *rbVa
 			refTo = r.everyone
 		}
 		v.tally.echo = nil
-		r.cast(env, readyMsg{trigger}, readyRefMsg{trigger}, refTo)
+		r.cast(env, sim.Cast{Msg: readyMsg{trigger}, Ref: readyRefMsg{trigger}, RefTo: refTo})
 	}
 	if deliver {
 		st.delivered = true
@@ -884,11 +958,12 @@ func (r *Reliable) advance(env sim.Env, slot Slot, st *rbSlot, d Digest, v *rbVa
 	}
 }
 
-// cast multicasts a vote, full as msg or by reference as ref, to this
-// process's audience: by reference to the members of refTo other than
-// itself, in full to the rest.
-func (r *Reliable) cast(env sim.Env, msg, ref sim.Message, refTo types.Set) {
-	sim.Multicast(env, sim.Cast{To: r.trust.Audience(r.self), Msg: msg, Ref: ref, RefTo: refTo})
+// cast multicasts the vote act c to this process's audience, but c.Except:
+// by reference to the members of c.RefTo other than itself, in full to the
+// rest.
+func (r *Reliable) cast(env sim.Env, c sim.Cast) {
+	c.To = r.trust.Audience(r.self)
+	sim.Multicast(env, c)
 }
 
 // fetch sends R2's request, the body of the vote that blocked on v, to
@@ -919,6 +994,7 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 			return true // pruned
 		}
 		mine := from == r.self
+		recorded := mine && st.sentEcho // by Broadcast
 		var d Digest
 		var v *rbValue
 		switch {
@@ -934,16 +1010,20 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 			return true // not the first payload of the slot
 		}
 		// The SEND is its source's ECHO, counted before this process casts
-		// its own, which then goes to the source by reference.
+		// its own. A receiver counts it as the source's READY only toward
+		// a READY quorum (due); the source counts its READY here.
 		counted := v.tally != nil && r.trust.Counts(r.self, from)
 		if counted {
 			v.tally.votes[echoes].Add(from)
+			if recorded {
+				v.tally.votes[readies].Add(from)
+			}
 		}
 		if !mine {
 			b := newVote(m.Slot, d)
-			// An ECHO names d by reference to the processes whose ECHO(d)
-			// this one counted; after delivery it keeps no tally and sends
-			// in full.
+			// An ECHO goes to the audience but the source, and names d by
+			// reference to the processes whose ECHO(d) this one counted;
+			// after delivery it keeps no tally and sends in full.
 			var refTo types.Set
 			if v.tally != nil {
 				refTo = v.tally.votes[echoes].Set()
@@ -951,7 +1031,7 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 					v.tally.echo = b
 				}
 			}
-			r.cast(env, echoMsg{b}, echoRefMsg{b}, refTo)
+			r.cast(env, sim.Cast{Msg: echoMsg{b}, Ref: echoRefMsg{b}, RefTo: refTo, Except: &b.Slot.Src})
 		}
 		// A SEND overtaken by its own votes completes the slot here.
 		r.advance(env, m.Slot, st, d, v, nil)
@@ -1001,7 +1081,7 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 		if v == nil || v.payload != nil || v.fetch == nil || !v.fetch[asked].Contains(from) {
 			return true
 		}
-		if ready, deliver := st.due(v); !ready && !deliver {
+		if ready, deliver := r.due(m.Slot.Src, st, v); !ready && !deliver {
 			return true
 		}
 		v.payload = m.Payload

@@ -3,6 +3,7 @@ package broadcast
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -354,18 +355,17 @@ func TestPlainBroadcast(t *testing.T) {
 
 // TestReliableMessageComplexity counts one honest slot's messages by type,
 // as links carry them: a process's copy to itself is free. The SEND goes
-// to the n−1 other processes, and each READY only to the voter's
-// audience, the processes whose quorums contain it: n(n−1) = 12 under
+// to the n−1 other processes, and a vote only to the voter's audience, the
+// processes whose quorums contain it: n(n−1) = 12 links under
 // threshold(4, 1), and on the Fig. 1 system, where every process has one
 // quorum of 6, 169 of the 870 links (quorum.VotePairs). The SEND is its
-// source's ECHO, so the source echoes nothing, and the ECHOs cross those
-// links less the source's audience but itself: 12 − 3 = 9 and
-// 169 − 16 = 153. Every receiver counts the SEND as the source's ECHO
-// before it echoes, so its ECHO goes to the source by reference wherever
-// it goes to the source at all: from the 3 others under threshold trust,
-// and from the 4 of Fig. 1's 16 that also lie in U_p1. On this seed the
-// SEND reaches every receiver before any other ECHO, so the other ECHOs go
-// in full, and every READY goes by reference.
+// source's ECHO and READY, so the source casts neither, and the READYs
+// cross those links less the source's audience but itself: 12 − 3 = 9 and
+// 169 − 16 = 153. Nobody echoes to the source, so the ECHOs cross those
+// links less, too, the links into the source: 9 − 3 = 6 and
+// 153 − |U_p1 ∖ {p1}| = 153 − 5 = 148. On this seed the SEND reaches every
+// receiver before any other ECHO, so every ECHO goes in full, and every
+// READY goes by reference.
 func TestReliableMessageComplexity(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
@@ -373,8 +373,8 @@ func TestReliableMessageComplexity(t *testing.T) {
 		send, echo, ready int
 		echoRef, readyRef int
 	}{
-		{"threshold n=4", quorum.NewThreshold(4, 1), 3, 9, 12, 3, 12},
-		{"Fig. 1", quorum.Counterexample(), 29, 153, 169, 4, 169},
+		{"threshold n=4", quorum.NewThreshold(4, 1), 3, 6, 9, 0, 9},
+		{"Fig. 1", quorum.Counterexample(), 29, 148, 153, 0, 153},
 	} {
 		n := tc.trust.N()
 		nodes := reliableCluster(n, tc.trust, nil)
@@ -506,8 +506,9 @@ func (e queueEnv) Send(to types.ProcessID, msg sim.Message) {
 // calls, which for a payload that does not cache it is a hash of the whole
 // block: one in Broadcast, at most one per handled SEND, none for an ECHO
 // or a READY, and n in all. The source hashes in Broadcast and not again
-// when its own SEND comes back. It casts no ECHO, so n(n − 1) = 12 ECHOs
-// and n² = 16 READYs are handled.
+// when its own SEND comes back. It casts no ECHO and no READY, and nobody
+// echoes to it, so (n − 1)² = 9 ECHOs and n(n − 1) = 12 READYs are
+// handled.
 func TestReliableDigestCallsPerMessage(t *testing.T) {
 	const n = 4
 	trust := quorum.NewThreshold(n, 1)
@@ -542,8 +543,8 @@ func TestReliableDigestCallsPerMessage(t *testing.T) {
 			t.Fatalf("handling a %s made %d Digest calls, want at most %d", kind, got, most)
 		}
 	}
-	if handled["SEND"] != n || handled["ECHO"] != n*(n-1) || handled["READY"] != n*n || len(handled) != 3 {
-		t.Fatalf("handled %v, want %d SEND, %d ECHO and %d READY", handled, n, n*(n-1), n*n)
+	if handled["SEND"] != n || handled["ECHO"] != (n-1)*(n-1) || handled["READY"] != n*(n-1) || len(handled) != 3 {
+		t.Fatalf("handled %v, want %d SEND, %d ECHO and %d READY", handled, n, (n-1)*(n-1), n*(n-1))
 	}
 	if calls != n {
 		t.Fatalf("%d Digest calls in all, want %d", calls, n)
@@ -577,20 +578,35 @@ func (s *stepper) handle(from types.ProcessID, msg sim.Message) {
 }
 
 // take returns and clears the messages sent since the last call, as
-// "<type>→<to>" strings with broadcasts folded into "<type>→all", named by
-// the copy to process 0 itself: that copy is always full, while a vote may
-// go to others by reference (refs shows which).
+// "<type>→<to>" strings with multicasts folded: one to all four processes
+// into "<type>→all", one to all but process k (an ECHO leaves out the
+// slot's source) into "<type>→all but k". A multicast is named by its
+// copy to process 0 itself: that copy is always full, while a vote may go
+// to others by reference (refs shows which).
 func (s *stepper) take() []string {
+	kind := func(m sim.Message) string {
+		return strings.Replace(fmt.Sprintf("%T", m)[len("broadcast."):], "Ref", "", 1)
+	}
 	var out []string
 	for i := 0; i < len(s.sent); i++ {
 		m := s.sent[i]
 		name := fmt.Sprintf("%T", m.msg)[len("broadcast."):]
-		if _, voted := m.msg.(fetchMsg); !voted && m.to == 0 && i+4 <= len(s.sent) && s.sent[i+3].to == 3 {
-			out = append(out, name+"→all") // only broadcasts reach process 0 itself
-			i += 3
-			continue
+		j, sum := i+1, int(m.to)
+		if _, voted := m.msg.(fetchMsg); !voted && m.to == 0 { // only multicasts reach process 0 itself
+			for ; j < len(s.sent) && s.sent[j].to > s.sent[j-1].to && kind(s.sent[j].msg) == kind(m.msg); j++ {
+				sum += int(s.sent[j].to)
+			}
 		}
-		out = append(out, fmt.Sprintf("%s→%d", name, m.to))
+		switch j - i {
+		case 4:
+			out = append(out, name+"→all")
+		case 3:
+			out = append(out, fmt.Sprintf("%s→all but %d", name, 0+1+2+3-sum))
+		default:
+			j = i + 1
+			out = append(out, fmt.Sprintf("%s→%d", name, m.to))
+		}
+		i = j - 1
 	}
 	s.sent = s.sent[:0]
 	return out
@@ -624,7 +640,7 @@ func TestReliableR1HoldBeforeReady(t *testing.T) {
 			s.expect("later votes of peers already asked")
 			if supply == "SEND" {
 				s.handle(1, sendMsg{&send{Slot: slot, Payload: x}})
-				s.expect("the SEND arrives", "echoMsg→all", "readyMsg→all")
+				s.expect("the SEND arrives", "echoMsg→all but 1", "readyMsg→all")
 			} else {
 				s.handle(3, payloadMsg{&send{Slot: slot, Payload: x}})
 				s.expect("a valid reply arrives", "readyMsg→all")
@@ -658,7 +674,7 @@ func TestReliableLateSend(t *testing.T) {
 		t.Fatal("delivered a payload it does not hold")
 	}
 	s.handle(1, sendMsg{&send{Slot: slot, Payload: x}})
-	s.expect("late SEND", "echoMsg→all", "readyMsg→all")
+	s.expect("late SEND", "echoMsg→all but 1", "readyMsg→all")
 	if len(s.delivered) != 1 || s.delivered[0].Digest() != d {
 		t.Fatalf("delivered %v, want the block once", s.delivered)
 	}
@@ -722,7 +738,7 @@ func TestReliableReplyNotNeededIsDropped(t *testing.T) {
 	}
 	s.expect("ECHO quorum for y", "fetchMsg→1", "fetchMsg→2", "fetchMsg→3")
 	s.handle(1, sendMsg{&send{Slot: slot, Payload: x}})
-	s.expect("SEND of x", "echoMsg→all")
+	s.expect("SEND of x", "echoMsg→all but 1")
 	for from := types.ProcessID(1); from < 4; from++ {
 		s.handle(from, readyMsg{&vote{Slot: slot, Digest: x.Digest()}})
 	}
@@ -881,7 +897,7 @@ func TestReliableRowRecycled(t *testing.T) {
 	// a's SEND comes after its source's ECHO of y: it is also that
 	// source's ECHO of x, which would have made the ECHO of y spam.
 	s.handle(1, sendMsg{&send{Slot: a, Payload: x}})
-	s.expect("SEND of x", "echoMsg→all")
+	s.expect("SEND of x", "echoMsg→all but 1")
 	s.handle(2, payloadMsg{&send{Slot: a, Payload: y}})
 	s.expect("the further digest y completes its fetch", "readyMsg→all")
 	s.handle(3, fetchMsg{&vote{Slot: a, Digest: x.Digest()}})
@@ -927,7 +943,7 @@ func TestReliableRowRecycled(t *testing.T) {
 		t.Fatal("the further digest survived recycling")
 	}
 	s.handle(1, sendMsg{&send{Slot: a, Payload: x}})
-	s.expect("sent flags cleared: the SEND is echoed", "echoMsg→all")
+	s.expect("sent flags cleared: the SEND is echoed", "echoMsg→all but 1")
 	s.handle(2, readyMsg{&vote{Slot: a, Digest: x.Digest()}})
 	s.handle(3, readyMsg{&vote{Slot: a, Digest: x.Digest()}})
 	s.expect("READY kernel and quorum", "readyMsg→all")
@@ -965,7 +981,7 @@ func TestReliableDropsOutOfRangeSource(t *testing.T) {
 		t.Fatalf("out-of-range flood: SlotCount %d, %d rows, want 0 and 0", got, len(s.r.rows))
 	}
 	s.handle(1, sendMsg{&send{Slot: Slot{Src: 1, Seq: 0}, Payload: x}})
-	s.expect("a real slot", "echoMsg→all")
+	s.expect("a real slot", "echoMsg→all but 1")
 	flood(0)
 	s.expect("out-of-range flood beside a live row")
 	if got := s.r.SlotCount(); got != 1 || len(s.r.rows) != 1 {
@@ -1047,9 +1063,11 @@ func TestVoteBodiesSurvivePrune(t *testing.T) {
 		want vote
 	}
 	var kept []sentVote
-	// run completes every slot of seq; the process sends an ECHO and a
-	// READY to each of n per slot, but no ECHO in its own, whose SEND is
-	// its ECHO: 2n(n − 1) + n = 28 votes per seq.
+	// run completes every slot of seq; the process sends an ECHO to each
+	// of n but the source and a READY to each of n per slot, but no ECHO
+	// in its own, whose SEND is its ECHO: (n − 1)(2n − 1) + n = 25 votes
+	// per seq. (The SEND of its own slot comes here with no Broadcast, so
+	// the process still casts its READY there.)
 	run := func(seq uint64) {
 		for src := types.ProcessID(0); src < n; src++ {
 			slot := Slot{Src: src, Seq: seq}
@@ -1070,8 +1088,8 @@ func TestVoteBodiesSurvivePrune(t *testing.T) {
 	for seq := uint64(0); seq < early; seq++ {
 		run(seq)
 	}
-	if want := early * (2*n*(n-1) + n); len(kept) != want {
-		t.Fatalf("captured %d sends for the early seqs, want %d (an ECHO and a READY to each of %d per slot, no ECHO in its own)", len(kept), want, n)
+	if want := early * ((n-1)*(2*n-1) + n); len(kept) != want {
+		t.Fatalf("captured %d sends for the early seqs, want %d (an ECHO to each of %d but the source and a READY to each per slot, no ECHO in its own)", len(kept), want, n)
 	}
 	r.PruneBelow(early)
 	spares := (dag.RowChunk - early%dag.RowChunk) % dag.RowChunk // unused rows of the last chunk
@@ -1308,7 +1326,7 @@ func TestReliableServesAfterDelivery(t *testing.T) {
 	s.handle(3, fetchMsg{&vote{Slot: slot, Digest: x.Digest()}})
 	s.expect("a second FETCH of x by the same requester")
 	s.handle(1, sendMsg{&send{Slot: slot, Payload: y}})
-	s.expect("the first SEND, late", "echoMsg→all")
+	s.expect("the first SEND, late", "echoMsg→all but 1")
 	s.handle(1, sendMsg{&send{Slot: slot, Payload: z}})
 	s.expect("a second SEND")
 	s.handle(2, fetchMsg{&vote{Slot: slot, Digest: y.Digest()}})
@@ -1605,10 +1623,11 @@ func TestReliableRefAddsNoDigest(t *testing.T) {
 // counted: the source 1 equivocates, so process 2 echoed d1 while process
 // 0 echoes d2. Process 0 counted 2's ECHO for d1, not for d2, so its ECHO
 // of d2 goes to 2 in full; to 3, whose ECHO for d2 it counted, by
-// reference, and to the source 1 too, whose SEND of d2 is its ECHO. With
-// its own ECHO that is a quorum. A READY for the digest the voter echoed
-// goes by reference to everyone else, 2 included: each of them resolves it
-// by the voter's ECHO, which names d2.
+// reference; and not to the source 1 at all, though its SEND of d2 counts
+// as its ECHO. With its own ECHO that is a quorum. A READY for the digest
+// the voter echoed goes by reference to everyone else, 2 included: each
+// of them resolves it by the voter's ECHO, which names d2, and the source
+// by its SEND.
 func TestReliableRefNotToOtherDigest(t *testing.T) {
 	slot := Slot{Src: 1, Seq: 7}
 	x1, x2 := Bytes("one"), Bytes("two")
@@ -1616,8 +1635,8 @@ func TestReliableRefNotToOtherDigest(t *testing.T) {
 	s.handle(2, echoMsg{&vote{Slot: slot, Digest: x1.Digest()}})
 	s.handle(3, echoMsg{&vote{Slot: slot, Digest: x2.Digest()}})
 	s.handle(1, sendMsg{&send{Slot: slot, Payload: x2}})
-	s.expectRefs("ECHO of d2", "echoRefMsg→1", "echoRefMsg→3")
-	s.expect("ECHO of d2", "echoMsg→all")
+	s.expectRefs("ECHO of d2", "echoRefMsg→3")
+	s.expect("ECHO of d2", "echoMsg→all but 1")
 	s.handle(0, echoMsg{&vote{Slot: slot, Digest: x2.Digest()}})
 	s.expectRefs("READY of d2", "readyRefMsg→1", "readyRefMsg→2", "readyRefMsg→3")
 	s.expect("READY of d2", "readyMsg→all")
@@ -1725,7 +1744,7 @@ func TestReliableNoRefToSelfOrDelivered(t *testing.T) {
 	}
 	s.handle(1, sendMsg{&send{Slot: slot, Payload: x}})
 	s.expectRefs("a late SEND")
-	s.expect("a late SEND", "echoMsg→all")
+	s.expect("a late SEND", "echoMsg→all but 1")
 }
 
 // TestReliableReadyRefHeldUntilEcho: a READY by reference names the
@@ -1733,6 +1752,8 @@ func TestReliableNoRefToSelfOrDelivered(t *testing.T) {
 // counted when the ECHO is, for the ECHO's digest: after a full ECHO, after
 // an ECHO by reference, and on a slot that had no state when the READY
 // came, whose first ECHO then names a digest this process never echoed.
+// The second held READY, counted, completes a READY quorum with the first
+// and the SEND, so the slot delivers then, and only then.
 func TestReliableReadyRefHeldUntilEcho(t *testing.T) {
 	x, y := Bytes("x"), Bytes("y")
 	s := newStepper(t)
@@ -1756,11 +1777,14 @@ func TestReliableReadyRefHeldUntilEcho(t *testing.T) {
 	if counted(3) || !holds(s.r, st, 3) || s.r.Held() != 2 {
 		t.Fatalf("a READY by reference before its voter's ECHO by reference: counted %v, held %v, Held() %d", counted(3), holds(s.r, st, 3), s.r.Held())
 	}
-	s.handle(3, echoRefMsg{&vote{Slot: slot}})
-	if !counted(3) || holds(s.r, st, 3) {
-		t.Fatalf("the ECHO by reference came: READY counted %v, still held %v; want counted, not held", counted(3), holds(s.r, st, 3))
+	if len(s.delivered) != 0 {
+		t.Fatal("delivered on one READY and the SEND")
 	}
-	s.expect("a READY kernel of held READYs", "readyMsg→all")
+	s.handle(3, echoRefMsg{&vote{Slot: slot}})
+	if len(s.delivered) != 1 || s.r.Waiting() != 0 {
+		t.Fatalf("the ECHO by reference came: delivered %d times, %d READYs still held; want 3's READY counted, which delivers", len(s.delivered), s.r.Waiting())
+	}
+	s.expect("an ECHO quorum, then a READY quorum of held READYs and the SEND", "readyMsg→all")
 
 	slot = Slot{Src: 2, Seq: 0}
 	s.handle(1, readyRefMsg{&vote{Slot: slot}})
@@ -1868,8 +1892,8 @@ func audience(trust quorum.Assumption, p types.ProcessID) int {
 // TestReliableSendCountsAsSourceEcho: a SEND from a source in U_self is
 // that source's ECHO of the SEND's digest. The receiver counts it once,
 // however often the SEND or the source's own full ECHO of the digest
-// comes, and counts it before it echoes, so its ECHO goes to the source by
-// reference and to the rest of its audience in full.
+// comes, and echoes to the rest of its audience in full, but not to the
+// source: no ECHO goes to a slot's source.
 func TestReliableSendCountsAsSourceEcho(t *testing.T) {
 	for _, trust := range []quorum.Assumption{quorum.NewThreshold(4, 1), quorum.Counterexample()} {
 		j, src, ok := votePair(trust, true, true)
@@ -1888,14 +1912,12 @@ func TestReliableSendCountsAsSourceEcho(t *testing.T) {
 			t.Fatalf("n=%d: %v's SEND at %v: %d ECHOs counted, the source's %v, payload held %v; want the source's alone, and the payload",
 				trust.N(), src, j, tr.Count(), tr.Contains(src), st.value.payload != nil)
 		}
-		if len(sent) != audience(trust, j) {
-			t.Fatalf("n=%d: %v sent %d ECHOs, want one to each of its audience of %d", trust.N(), j, len(sent), audience(trust, j))
+		if len(sent) != audience(trust, j)-1 {
+			t.Fatalf("n=%d: %v sent %d ECHOs, want one to each of its audience of %d but the source", trust.N(), j, len(sent), audience(trust, j))
 		}
 		for _, m := range sent {
-			_, ref := m.msg.(echoRefMsg)
-			_, full := m.msg.(echoMsg)
-			if ref != (m.to == src) || full == ref {
-				t.Fatalf("n=%d: %v sent %T to %v; want ECHO* to the source %v and full ECHOs to the rest", trust.N(), j, m.msg, m.to, src)
+			if _, full := m.msg.(echoMsg); !full || m.to == src {
+				t.Fatalf("n=%d: %v sent %T to %v; want full ECHOs to all but the source %v", trust.N(), j, m.msg, m.to, src)
 			}
 		}
 		sent = sent[:0]
@@ -1938,15 +1960,17 @@ func TestReliableSendFromOutsideNotCounted(t *testing.T) {
 }
 
 // TestReliableSourceCastsNoEcho: Broadcast records the source's own slot
-// as echoed, its payload held and its digest first, and sends the SEND
-// alone: the source never echoes its own slot, and runs no rule before
-// the SEND leaves. An ECHO by reference that reaches it before its own
-// SEND comes back is counted for that digest; the SEND then counts the
-// source's own ECHO if it lies in its own quorums (on Fig. 1 the source
-// chosen does not), and still sends nothing. Under threshold trust the
-// slot then delivers: a READY by reference counts at the source for its
-// SEND's digest, which is what a correct voter echoed, before the voter's
-// ECHO does.
+// as echoed and READY-sent, its payload held and its digest first, and
+// sends the SEND alone: the source never echoes or readies its own slot,
+// and runs no rule before the SEND leaves. An ECHO by reference that
+// reaches it before its own SEND comes back (only a Byzantine voter sends
+// one to a source) is counted for that digest; the SEND then counts the
+// source's own ECHO and READY if it lies in its own quorums (on Fig. 1
+// the source chosen does not), and still sends nothing. Under threshold
+// trust the slot then delivers on an ECHO quorum and a READY quorum
+// without sending anything: a READY by reference counts at the source for
+// its SEND's digest, which is what a correct voter echoed, before the
+// voter's ECHO does, and its own READY counts with it.
 func TestReliableSourceCastsNoEcho(t *testing.T) {
 	for _, trust := range []quorum.Assumption{quorum.NewThreshold(4, 1), quorum.Counterexample()} {
 		n := trust.N()
@@ -1971,8 +1995,8 @@ func TestReliableSourceCastsNoEcho(t *testing.T) {
 		x := Bytes("x")
 		r.Broadcast(env, slot.Seq, x)
 		st := r.find(slot)
-		if st == nil || !st.sentEcho || st.first != x.Digest() || st.value.payload == nil || len(delivered) != 0 {
-			t.Fatalf("n=%d: Broadcast did not record the slot as echoed with its payload, or delivered", n)
+		if st == nil || !st.sentEcho || !st.sentReady || st.first != x.Digest() || st.value.payload == nil || len(delivered) != 0 {
+			t.Fatalf("n=%d: Broadcast did not record the slot as echoed and READY-sent with its payload, or delivered", n)
 		}
 		for _, m := range sent {
 			if _, ok := m.msg.(sendMsg); !ok {
@@ -1990,9 +2014,10 @@ func TestReliableSourceCastsNoEcho(t *testing.T) {
 			t.Fatalf("n=%d: an ECHO by reference before the source's own SEND: counted %v, %d ECHOs; want counted alone", n, tr.Contains(voter), tr.Count())
 		}
 		r.Handle(env, src, self)
-		if tr.Contains(src) != trust.Counts(src, src) || len(sent) != 0 {
-			t.Fatalf("n=%d: the source's own SEND: its ECHO counted %v, in U_self %v; %d messages sent, want none",
-				n, tr.Contains(src), trust.Counts(src, src), len(sent))
+		rd := &st.value.tally.votes[readies]
+		if tr.Contains(src) != trust.Counts(src, src) || rd.Contains(src) != trust.Counts(src, src) || len(sent) != 0 {
+			t.Fatalf("n=%d: the source's own SEND: its ECHO counted %v and READY %v, in U_self %v; %d messages sent, want none",
+				n, tr.Contains(src), rd.Contains(src), trust.Counts(src, src), len(sent))
 		}
 	}
 
@@ -2006,12 +2031,13 @@ func TestReliableSourceCastsNoEcho(t *testing.T) {
 	}
 	s.handle(1, echoRefMsg{&vote{Slot: slot}})
 	s.handle(0, sendMsg{&send{Slot: slot, Payload: x}})
-	s.expect("its own SEND")
 	s.handle(2, echoRefMsg{&vote{Slot: slot}})
-	s.expectRefs("ECHO quorum", "readyRefMsg→1", "readyRefMsg→2", "readyRefMsg→3")
-	s.expect("ECHO quorum", "readyMsg→all")
-	s.handle(0, readyMsg{&vote{Slot: slot, Digest: x.Digest()}})
+	s.expect("its own SEND and an ECHO quorum")
+	if len(s.delivered) != 0 {
+		t.Fatal("delivered on its own READY and one other")
+	}
 	s.handle(1, readyRefMsg{&vote{Slot: slot}})
+	s.expect("a READY quorum")
 	if len(s.delivered) != 1 || s.delivered[0].Digest() != x.Digest() {
 		t.Fatalf("delivered %v, want the source's payload once", s.delivered)
 	}
@@ -2045,5 +2071,112 @@ func TestReliableUnrecordedSendAtSource(t *testing.T) {
 	s.handle(0, readyMsg{&vote{Slot: slot, Digest: x.Digest()}})
 	if len(s.delivered) != 1 || s.delivered[0].Digest() != x.Digest() {
 		t.Fatalf("delivered %v, want the unrecorded SEND's payload once", s.delivered)
+	}
+}
+
+// sentKinds returns how many ECHOs and READYs, in either form, sent holds.
+func sentKinds(sent []queuedMsg) (echo, ready int) {
+	for _, m := range sent {
+		switch m.msg.(type) {
+		case echoMsg, echoRefMsg:
+			echo++
+		case readyMsg, readyRefMsg:
+			ready++
+		}
+	}
+	return echo, ready
+}
+
+// TestReliableSendIsNoReadyKernel: a receiver counts the SEND as its
+// source's READY toward a READY quorum but not toward a READY kernel. On
+// Fig. 1 every process has a single quorum, so any one member of it is a
+// kernel; a receiver whose only READY is the SEND of a source in that
+// quorum casts no READY, and it casts one on the first real READY. It
+// delivers on the SEND and real READYs from the rest of its quorum, one
+// READY sooner than without the SEND.
+func TestReliableSendIsNoReadyKernel(t *testing.T) {
+	sys := quorum.Counterexample()
+	n := sys.N()
+	var j, src types.ProcessID
+	var q types.Set
+	found := false
+	for p := range types.ProcessID(n) {
+		q = sys.Quorums(p)[0]
+		for _, s := range q.Members() {
+			if s != p {
+				j, src, found = p, s, true
+				break
+			}
+		}
+		if found {
+			break
+		}
+	}
+	if !found || !sys.HasKernelWithin(j, types.NewSetOf(n, src)) {
+		t.Fatalf("Fig. 1: no process with another in its quorum, a one-member kernel")
+	}
+	var sent []queuedMsg
+	env := queueEnv{pruneEnv: pruneEnv{self: j, n: n}, queue: &sent}
+	var delivered []Payload
+	r := NewReliable(j, sys, func(_ sim.Env, _ Slot, p Payload) { delivered = append(delivered, p) })
+	slot, x := Slot{Src: src, Seq: 2}, Bytes("x")
+	r.Handle(env, src, sendMsg{&send{Slot: slot, Payload: x}})
+	if echo, ready := sentKinds(sent); echo == 0 || ready != 0 || len(delivered) != 0 {
+		t.Fatalf("%v's SEND at %v, with {%v} a kernel of %v: sent %d ECHOs and %d READYs, delivered %d; want ECHOs alone",
+			src, j, src, j, echo, ready, len(delivered))
+	}
+	if rd := &r.find(slot).value.tally.votes[readies]; rd.Count() != 0 {
+		t.Fatalf("the SEND was counted in the READY tally: %v", rd.Set())
+	}
+	rest := q.Clone()
+	rest.Remove(src)
+	voters := rest.Members()
+	for k, p := range voters {
+		sent = sent[:0]
+		r.Handle(env, p, readyMsg{&vote{Slot: slot, Digest: x.Digest()}})
+		_, ready := sentKinds(sent)
+		if first := k == 0; (ready != 0) != first {
+			t.Fatalf("READY %d of %d from %v: sent %d READYs, want them only on the first, a kernel", k+1, len(voters), p, ready)
+		}
+		if last := k == len(voters)-1; (len(delivered) == 1) != last {
+			t.Fatalf("READY %d of %d: delivered %d times, want once on the last, which with the SEND is a quorum", k+1, len(voters), len(delivered))
+		}
+	}
+}
+
+// TestReliableReadyAtDelivery: a process delivers on a READY quorum in
+// which the SEND stands for its source's READY, so it may deliver before
+// anything made it cast its own READY; it casts it then. Process 0's two
+// quorums, {1, 2, 3} and {1, 4, 5}, meet only in the source 1, so READYs
+// from 2 and 3 are no kernel of 0, yet with 1's SEND they are a quorum.
+func TestReliableReadyAtDelivery(t *testing.T) {
+	const n = 6
+	all := types.FullSet(n)
+	quorums := make([][]types.Set, n)
+	for i := range quorums {
+		quorums[i] = []types.Set{all}
+	}
+	quorums[0] = []types.Set{types.NewSetOf(n, 1, 2, 3), types.NewSetOf(n, 1, 4, 5)}
+	sys := quorum.MustNew(n, make([][]types.Set, n), quorums)
+	if sys.HasKernelWithin(0, types.NewSetOf(n, 2, 3)) || !sys.HasQuorumWithin(0, types.NewSetOf(n, 1, 2, 3)) {
+		t.Fatal("{2, 3} is a kernel of 0, or {1, 2, 3} no quorum")
+	}
+	var sent []queuedMsg
+	env := queueEnv{pruneEnv: pruneEnv{self: 0, n: n}, queue: &sent}
+	var delivered []Payload
+	r := NewReliable(0, sys, func(_ sim.Env, _ Slot, p Payload) { delivered = append(delivered, p) })
+	slot, x := Slot{Src: 1, Seq: 0}, Bytes("x")
+	r.Handle(env, 1, sendMsg{&send{Slot: slot, Payload: x}})
+	r.Handle(env, 2, readyMsg{&vote{Slot: slot, Digest: x.Digest()}})
+	if _, ready := sentKinds(sent); ready != 0 || len(delivered) != 0 {
+		t.Fatalf("the SEND and one READY: %d READYs sent, %d deliveries; want none", ready, len(delivered))
+	}
+	sent = sent[:0]
+	r.Handle(env, 3, readyMsg{&vote{Slot: slot, Digest: x.Digest()}})
+	if len(delivered) != 1 || delivered[0].Digest() != x.Digest() {
+		t.Fatalf("the SEND and READYs from 2 and 3: delivered %v, want x once", delivered)
+	}
+	if _, ready := sentKinds(sent); ready != len(sys.Audience(0)) {
+		t.Fatalf("delivery sent %d READYs, want one to each of 0's audience of %d", ready, len(sys.Audience(0)))
 	}
 }

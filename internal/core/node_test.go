@@ -527,11 +527,12 @@ func (l linkTally) OnSend(from, to types.ProcessID, msg sim.Message, _ sim.Virtu
 // an honest threshold n=4 run, as the TCP transport counts: ByType holds
 // exactly the sends that cross a link, MessagesSent is their sum, and a
 // self-send counts nowhere. Every process hears its own broadcast, so a
-// reliable-broadcast slot shows one self-copy of its SEND and one of each
-// process's READY, always in full, and each of them counts n−1 = 3 times,
-// in full or by reference. The SEND is its source's ECHO, so only the
-// n−1 = 3 other processes echo: 3 self-copies and 3 × 3 = 9 link sends
-// of ECHO per slot.
+// reliable-broadcast slot shows one self-copy of its SEND, always in full,
+// which crosses n−1 = 3 links. The SEND is its source's ECHO and READY,
+// so only the n−1 = 3 other processes echo and ready: 3 self-copies of
+// each per slot. A READY crosses n−1 = 3 links, in full or by reference,
+// and an ECHO n−2 = 2, since none goes to the slot's source: 9 link sends
+// of READY and 6 of ECHO per slot.
 func TestRunCountsLinksNotSelfSends(t *testing.T) {
 	const n = 4
 	tally := linkTally{links: map[string]int{}, self: map[string]int{}}
@@ -567,17 +568,17 @@ func TestRunCountsLinksNotSelfSends(t *testing.T) {
 		t.Fatalf("%d broadcast slots, want at least one per process and round (%d)", slots, n*12)
 	}
 	for _, k := range []struct {
-		typ, ref string
-		perSlot  int
+		typ, ref      string
+		voters, links int // per slot: self-copies, and links each crosses
 	}{
-		{"broadcast.sendMsg", "", 1},
-		{"broadcast.echoMsg", "broadcast.echoRefMsg", n - 1},
-		{"broadcast.readyMsg", "broadcast.readyRefMsg", n},
+		{"broadcast.sendMsg", "", 1, n - 1},
+		{"broadcast.echoMsg", "broadcast.echoRefMsg", n - 1, n - 2},
+		{"broadcast.readyMsg", "broadcast.readyRefMsg", n - 1, n - 1},
 	} {
 		counted := m.ByType[k.typ] + m.ByType[k.ref]
-		if tally.self[k.typ] != k.perSlot*slots || tally.self[k.ref] != 0 || counted != (n-1)*k.perSlot*slots {
+		if tally.self[k.typ] != k.voters*slots || tally.self[k.ref] != 0 || counted != k.links*k.voters*slots {
 			t.Errorf("%d slots: %s sent to self %d times (%d by reference) and counted %d, want %d, 0 and %d",
-				slots, k.typ, tally.self[k.typ], tally.self[k.ref], counted, k.perSlot*slots, (n-1)*k.perSlot*slots)
+				slots, k.typ, tally.self[k.typ], tally.self[k.ref], counted, k.voters*slots, k.links*k.voters*slots)
 		}
 	}
 }

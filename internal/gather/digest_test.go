@@ -59,10 +59,12 @@ func (b bufferProbe) Receive(env sim.Env, from types.ProcessID, msg sim.Message)
 // votes go only to the processes whose quorums contain the voter. The
 // message and byte counts are those of links: a process's copy of its
 // own message is free, and a vote by reference leaves out its 32 digest
-// bytes. The digests were last recorded when a SEND became its source's
-// ECHO: the source no longer echoes its own slot, which takes messages out
-// of every slot and moves the schedule of a run (and the grid's count of
-// buffered DISTRIBUTE sets, 2 728 → 2 666). A digest that moves means a
+// bytes. The digests were recorded again when a SEND became its source's
+// ECHO (the source no longer echoes its own slot) and last when it became
+// its source's READY too (the source casts no READY in its own slot and
+// nobody echoes to it). Each takes messages out of every slot and moves
+// the schedule of a run, and the grid's count of buffered DISTRIBUTE sets:
+// 2 728 → 2 666 → 2 886. A digest that moves means a
 // change to Pairs, to the buffers or to reliable broadcast changed what a
 // gather sends or delivers. The
 // grid must also buffer at least one DISTRIBUTE set, or it would not test
@@ -84,11 +86,11 @@ func TestGatherRunsMatchRecordedDigests(t *testing.T) {
 		{"threshold", []system{
 			{"threshold(4,1)", quorum.NewThreshold(4, 1)},
 			{"threshold(7,2)", quorum.NewThreshold(7, 2)},
-		}, "a81694c6964f90b0cee5eedb31a52f4a23fbc112b96f40fd5f717062128c4853"},
+		}, "3be442c7cd494fdc9ddb6a73f69d91f24cba9a3b61ac7940e0b2c96d2f8dd973"},
 		{"asymmetric", []system{
 			{"fig1", quorum.Counterexample()},
 			{"federated10", fed},
-		}, "575d15dde2b80d1f1b0f15152f2c1e9b94d503eb5c8b36a9b14545c27d04ea58"},
+		}, "244fdeb7a0805ed976ad018892d0e3287b96bcedc5bf98702a18de2dcfb4b863"},
 	}
 	protocols := []struct {
 		name string

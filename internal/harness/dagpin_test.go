@@ -41,7 +41,9 @@ func riderDigest(res RiderResult) string {
 // the dense-row DAG replaced; internal/rider's reference_test.go keeps
 // that implementation for the query-level differential tests. They were
 // re-recorded when a SEND became its source's ECHO, which takes one ECHO
-// per receiver out of every slot and so moves every run's schedule. A
+// per receiver out of every slot and so moves every run's schedule, and
+// again when it became its source's READY too, which takes the source's
+// READYs and every ECHO to the source out of every slot. A
 // digest that moves means a DAG query changed the protocol's weak edges,
 // commit decisions or delivery order.
 func TestRiderRunsMatchRecordedDigests(t *testing.T) {
@@ -55,13 +57,13 @@ func TestRiderRunsMatchRecordedDigests(t *testing.T) {
 		cfg  RiderConfig
 		want string
 	}{
-		{"asym-n4", RiderConfig{Kind: Asymmetric, Trust: quorum.NewThreshold(4, 1), NumWaves: 10, TxPerBlock: 1, Seed: 1, CoinSeed: 2, Latency: slow}, "5399431f0e79056ee0013f444971a4ca9da37008e6964b4a8d2d59002dee01cb"},
-		{"asym-n7-gc", RiderConfig{Kind: Asymmetric, Trust: quorum.NewThreshold(7, 2), NumWaves: 12, TxPerBlock: 1, Seed: 3, CoinSeed: 4, Latency: slow, GCDepth: 4}, "2a6e69cff4f589efe1d5c340e78e3fb3fab843764a4a0aff8c2666388f010b65"},
-		{"asym-fed10-revealed", RiderConfig{Kind: Asymmetric, Trust: fed, NumWaves: 6, TxPerBlock: 1, Seed: 5, CoinSeed: 6, RevealedCoin: true}, "d609966217682023ececc4f9bc2eeb533286aa1370d1266760923f0ac669c801"},
-		{"asym-fig1", RiderConfig{Kind: Asymmetric, Trust: quorum.Counterexample(), NumWaves: 3, TxPerBlock: 1, Seed: 7, CoinSeed: 8}, "9e2271abc9ab1626218b3d33d21878ae461410f7b86a120225f0a9850ac93533"},
-		{"sym-n4", RiderConfig{Kind: Symmetric, Trust: quorum.NewThreshold(4, 1), NumWaves: 10, TxPerBlock: 1, Seed: 9, CoinSeed: 10, Latency: slow}, "9715c692e9eabc187b62b4187f82bacbe051e65eea8adc697f9d011cb3d61b2d"},
+		{"asym-n4", RiderConfig{Kind: Asymmetric, Trust: quorum.NewThreshold(4, 1), NumWaves: 10, TxPerBlock: 1, Seed: 1, CoinSeed: 2, Latency: slow}, "8b831b20f553dce4bbcc22ddfeea407fe9afd928a3bcd8f688e0efd823fbd27f"},
+		{"asym-n7-gc", RiderConfig{Kind: Asymmetric, Trust: quorum.NewThreshold(7, 2), NumWaves: 12, TxPerBlock: 1, Seed: 3, CoinSeed: 4, Latency: slow, GCDepth: 4}, "c3da96bb67e08d92690de891573d3a03036f2959caf7c97e355b64a8df56a9c7"},
+		{"asym-fed10-revealed", RiderConfig{Kind: Asymmetric, Trust: fed, NumWaves: 6, TxPerBlock: 1, Seed: 5, CoinSeed: 6, RevealedCoin: true}, "ed799a90912952ae7bb8dce769ebe7f29dd1676796d11615f132c02c531559eb"},
+		{"asym-fig1", RiderConfig{Kind: Asymmetric, Trust: quorum.Counterexample(), NumWaves: 3, TxPerBlock: 1, Seed: 7, CoinSeed: 8}, "5b89368d9efa30ddb74cc40c7a86571690f2de36c546de9c167873840c7f6d9a"},
+		{"sym-n4", RiderConfig{Kind: Symmetric, Trust: quorum.NewThreshold(4, 1), NumWaves: 10, TxPerBlock: 1, Seed: 9, CoinSeed: 10, Latency: slow}, "f98b8094176218d71f47fa96b20b223e2669a0e0e2de06b709f80e29066e60ec"},
 		{"sym-n7-crash", RiderConfig{Kind: Symmetric, Trust: quorum.NewThreshold(7, 2), NumWaves: 8, TxPerBlock: 1, Seed: 11, CoinSeed: 12, Latency: slow,
-			Scenario: &scenario.Scenario{Faults: []scenario.NodeFault{scenario.Mute(6)}}}, "7dd62777f332b416639168ea714c54437c73435cd5d619e60be823500671f449"},
+			Scenario: &scenario.Scenario{Faults: []scenario.NodeFault{scenario.Mute(6)}}}, "78a1de45da7e87be115cb292d583ea54e304640f155aab2bb0ea65e144ddb353"},
 	}
 	for _, c := range cases {
 		res := RunRider(c.cfg)

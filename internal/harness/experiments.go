@@ -42,6 +42,7 @@ func All() []Experiment {
 		{"gc", "§4.5 memory: garbage-collected DAG vs unbounded DAG-Rider", ExpGC},
 		{"latency", "Vertex commit latency in rounds (wave-structure cost)", ExpLatency},
 		{"batching", "Throughput vs block size (dissemination/ordering decoupling)", ExpBatching},
+		{"traffic", "Link sends per message type and bytes per applied command (service, seed 1)", ExpTraffic},
 		{"scenarios", "Adversarial scenario registry: Definition 4.1 properties per built-in scenario", ExpScenarios},
 	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -9,14 +10,17 @@ import (
 	"repro/internal/gather"
 	"repro/internal/quorum"
 	"repro/internal/rider"
+	"repro/internal/scenario"
+	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
 
 // Extension experiments beyond the paper's own artifacts: the §2.4 binding
 // gather's extra round, the garbage-collection ablation of the §4.5 memory
-// caveat, commit latency, batching and the adversarial scenario registry.
-// All lists them after the paper's artifacts.
+// caveat, commit latency, batching, the service's link traffic and the
+// adversarial scenario registry. All lists them after the paper's
+// artifacts.
 
 // ExpBinding compares Algorithm 3 with its binding variant (E12).
 func ExpBinding() string {
@@ -182,5 +186,79 @@ func ExpBatching() string {
 	b.WriteString("\nthroughput scales with the batch while the round/wave cadence (and hence latency)\n" +
 		"stays fixed — the decoupling of dissemination from ordering that motivates DAG\n" +
 		"protocols (§1). Per-transaction byte cost falls as fixed vertex overhead amortizes.\n")
+	return b.String()
+}
+
+// ExpTraffic is the traffic ledger of one seed-1 service run on each of
+// three systems, shaped as the benchmark's simulator workloads shape them:
+// Fig. 1 (sim_asym_n30's run), threshold(7,2) under partition-heal
+// (sim_faults_n7's first scenario) and federated(10). For each it prints
+// the link sends of every message type, and the link messages and bytes
+// in all, per applied command: per command that a replica applied,
+// averaged over the replicas. It reads only the run's sim.Metrics, whose
+// ByType counts by type the sends MessagesSent counts.
+func ExpTraffic() string {
+	fed, err := quorum.NewFederated(quorum.FederatedConfig{N: 10, TopTier: 7, TrustedPeers: 2, Tolerance: 2, Seed: 5})
+	if err != nil {
+		panic(err) // a fixed configuration the package's tests build
+	}
+	heal, ok := scenario.Find("partition-heal")
+	if !ok {
+		panic("no built-in scenario partition-heal")
+	}
+	runs := []struct {
+		name string
+		cfg  service.Config
+	}{
+		{"Fig. 1", service.Config{Trust: quorum.Counterexample(), Seed: 1, CoinSeed: 1, StopAfterWaves: 10}},
+		{"threshold(7,2) heal", ServiceScenarioConfig(heal,
+			service.Config{Trust: quorum.NewThreshold(7, 2), CoinSeed: 1, StopAfterWaves: 8, SnapshotEvery: 1}, 1)},
+		{"federated(10)", service.Config{Trust: fed, Seed: 1, CoinSeed: 1, StopAfterWaves: 10}},
+	}
+	metrics := make([]*sim.Metrics, len(runs))
+	commands := make([]float64, len(runs)) // applied commands per replica
+	var typs []string
+	for i, run := range runs {
+		res := service.Run(run.cfg)
+		applied := 0
+		for _, rep := range res.Replicas {
+			applied += rep.Applied
+		}
+		metrics[i], commands[i] = res.Metrics, float64(applied)/float64(run.cfg.Trust.N())
+		for typ := range res.Metrics.ByType {
+			if !slices.Contains(typs, typ) {
+				typs = append(typs, typ)
+			}
+		}
+	}
+	sort.Strings(typs)
+
+	var b strings.Builder
+	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
+	fmt.Fprint(w, "per applied command")
+	for _, run := range runs {
+		fmt.Fprintf(w, "\t%s", run.name)
+	}
+	row := func(name string, f func(m *sim.Metrics) int) {
+		fmt.Fprintf(w, "\n%s", name)
+		for i, m := range metrics {
+			fmt.Fprintf(w, "\t%.3f", float64(f(m))/commands[i])
+		}
+	}
+	for _, typ := range typs {
+		row(typ, func(m *sim.Metrics) int { return m.ByType[typ] })
+	}
+	row("link messages", func(m *sim.Metrics) int { return m.MessagesSent })
+	row("link bytes", func(m *sim.Metrics) int { return m.BytesSent })
+	fmt.Fprint(w, "\napplied commands")
+	for _, c := range commands {
+		fmt.Fprintf(w, "\t%.0f", c)
+	}
+	fmt.Fprintln(w)
+	w.Flush()
+	b.WriteString("\nlink sends cross a link: a process's copy to itself is free. A slot of reliable\n" +
+		"broadcast is one SEND, its receivers' ECHOs and READYs (*RefMsg: by reference,\n" +
+		"without the digest) and R2's FETCH/PAYLOAD; the SEND is its source's ECHO and\n" +
+		"READY. core.* are the wave gate's votes.\n")
 	return b.String()
 }

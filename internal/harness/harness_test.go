@@ -39,8 +39,8 @@ func checkRegistered(t *testing.T, from int, want []string) {
 // extensions after them (TestExtensionExperimentsRegistered), nothing else.
 func TestAllExperimentsRegistered(t *testing.T) {
 	checkRegistered(t, 0, []string{"fig1", "fig2", "fig3", "fig4", "smallsys", "logrounds", "gather", "waves", "compare", "faults"})
-	if n := len(All()); n != 15 {
-		t.Fatalf("expected 15 experiments, got %d", n)
+	if n := len(All()); n != 16 {
+		t.Fatalf("expected 16 experiments, got %d", n)
 	}
 	if _, ok := Find("nope"); ok {
 		t.Error("Find(nope) should fail")
@@ -48,9 +48,9 @@ func TestAllExperimentsRegistered(t *testing.T) {
 }
 
 // TestExtensionExperimentsRegistered pins the experiments beyond the
-// paper's own artifacts: the last five entries of All(), in order.
+// paper's own artifacts: the last six entries of All(), in order.
 func TestExtensionExperimentsRegistered(t *testing.T) {
-	checkRegistered(t, 10, []string{"binding", "gc", "latency", "batching", "scenarios"})
+	checkRegistered(t, 10, []string{"binding", "gc", "latency", "batching", "traffic", "scenarios"})
 }
 
 func TestExpFig1Content(t *testing.T) {

@@ -534,6 +534,28 @@ func (e *Evaluator) quorumsOf(i, p types.ProcessID) []int32 {
 // quorums. O(1).
 func (t *Tracker) HasQuorum() bool { return t.hasQuorum }
 
+// HasQuorumWith reports whether the tally with p added would contain one
+// of the process's quorums, without adding it: HasQuorumWithin(members ∪
+// {p}). A threshold tracker compares count + 1; a compiled one walks the
+// quorums containing p for one that misses only p. O(#quorums containing
+// p), and it allocates nothing.
+func (t *Tracker) HasQuorumWith(p types.ProcessID) bool {
+	if t.hasQuorum || t.members.Contains(p) {
+		return t.hasQuorum
+	}
+	switch t.mode {
+	case modeCompiled:
+		for _, local := range t.ev.quorumsOf(t.i, p) {
+			if t.missing[local] == 1 {
+				return true
+			}
+		}
+		return false
+	default:
+		return t.count+1 >= t.quorumSize
+	}
+}
+
 // HasKernel reports whether the tally intersects every quorum of the
 // process (contains a kernel). O(1).
 func (t *Tracker) HasKernel() bool { return t.hasKernel }

@@ -294,3 +294,68 @@ func TestEvaluatorSmallestQuorumSize(t *testing.T) {
 		}
 	}
 }
+
+// TestTrackerHasQuorumWith checks the "would p complete a quorum" query
+// against the one-shot HasQuorumWithin(members ∪ {p}) for every p, over
+// every prefix of random add orders, on threshold, Fig. 1 and federated
+// trust. It holds for a p already in the tally too, and it never adds p:
+// the tracker's set and both predicates are as before the query. It
+// allocates nothing.
+func TestTrackerHasQuorumWith(t *testing.T) {
+	fed, err := NewFederated(FederatedConfig{N: 12, TopTier: 7, TrustedPeers: 3, Tolerance: 2, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		a    Assumption
+	}{
+		{"threshold", NewThreshold(10, 3)},
+		{"Fig. 1", Counterexample()},
+		{"federated", fed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.a.N()
+			rng := rand.New(rand.NewSource(int64(n) * 31))
+			completes := 0
+			for trial := 0; trial < 6; trial++ {
+				i := types.ProcessID(rng.Intn(n))
+				tr := NewTracker(tc.a, i)
+				m := types.NewSet(n)
+				for _, raw := range rng.Perm(n)[:rng.Intn(n+1)] {
+					m.Add(types.ProcessID(raw))
+					tr.Add(types.ProcessID(raw))
+					q, k := tr.HasQuorum(), tr.HasKernel()
+					for p := range types.ProcessID(n) {
+						with := m.Clone()
+						with.Add(p)
+						want := tc.a.HasQuorumWithin(i, with)
+						if got := tr.HasQuorumWith(p); got != want {
+							t.Fatalf("trial %d: p%d's tracker over %v: HasQuorumWith(%v) = %v, HasQuorumWithin(∪ {%v}) = %v", trial, i+1, m, p, got, p, want)
+						}
+						if want && !q {
+							completes++
+						}
+					}
+					if !tr.Set().Equal(m) || tr.HasQuorum() != q || tr.HasKernel() != k {
+						t.Fatalf("trial %d: HasQuorumWith changed the tracker", trial)
+					}
+				}
+			}
+			if completes == 0 {
+				t.Fatal("no query found a process that completes a quorum")
+			}
+			tr := NewTracker(tc.a, 0)
+			for _, raw := range rng.Perm(n)[:n/2] {
+				tr.Add(types.ProcessID(raw))
+			}
+			if allocs := testing.AllocsPerRun(100, func() {
+				for p := range types.ProcessID(n) {
+					tr.HasQuorumWith(p)
+				}
+			}); allocs != 0 {
+				t.Fatalf("HasQuorumWith allocates %.1f objects per sweep, want 0", allocs)
+			}
+		})
+	}
+}

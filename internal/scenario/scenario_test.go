@@ -25,17 +25,19 @@ func (r tagRef) String() string { return fmt.Sprintf("ref{%d}", r.Seq) }
 // everyone): one from Init, then one more per self-delivery (self-sends
 // travel through the network, so the chain is Rounds multicasts long, and
 // To must hold the sender). The first goes by reference to RefFirst, a set
-// chatty lends to that act and empties afterwards.
+// chatty lends to that act and empties afterwards. Every act leaves out
+// Except, when it is not nil.
 type chatty struct {
 	Rounds   int
 	To       []types.ProcessID
 	RefFirst types.Set
+	Except   *types.ProcessID
 	sent     int
 }
 
 func (c *chatty) Init(e sim.Env) {
 	c.sent = 1
-	sim.Multicast(e, sim.Cast{To: c.To, Msg: tag{Seq: 1}, Ref: tagRef{Seq: 1}, RefTo: c.RefFirst})
+	sim.Multicast(e, sim.Cast{To: c.To, Msg: tag{Seq: 1}, Ref: tagRef{Seq: 1}, RefTo: c.RefFirst, Except: c.Except})
 	c.RefFirst.Clear()
 }
 
@@ -45,7 +47,7 @@ func (c *chatty) Receive(e sim.Env, from types.ProcessID, msg sim.Message) {
 	}
 	if c.sent < c.Rounds {
 		c.sent++
-		sim.Multicast(e, sim.Cast{To: c.To, Msg: tag{Seq: c.sent}, Ref: tagRef{Seq: c.sent}, RefTo: c.RefFirst})
+		sim.Multicast(e, sim.Cast{To: c.To, Msg: tag{Seq: c.sent}, Ref: tagRef{Seq: c.sent}, RefTo: c.RefFirst, Except: c.Except})
 	}
 }
 
@@ -304,6 +306,48 @@ func TestWrappersKeepReferenceForms(t *testing.T) {
 		}},
 	} {
 		recs := runWrappedChatty(t, tc.wrap, &chatty{Rounds: 3, To: to, RefFirst: types.NewSetOf(4, 0, 1)})
+		for i, w := range tc.want {
+			if fmt.Sprint(recs[i].got) != fmt.Sprint(w) {
+				t.Errorf("%s: receiver %d got %v, want %v", tc.name, i, recs[i].got, w)
+			}
+		}
+	}
+}
+
+// TestWrappersHonourExcept: an act that leaves one process out (an ECHO
+// leaves out its slot's source) reaches it under no wrapper, not even as
+// an equivocator's substitute or a replay: node 0 broadcasts three times
+// to everyone but process 2.
+func TestWrappersHonourExcept(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		wrap func(sim.Node) sim.Node
+		want map[int][]string
+	}{
+		{"equivocate", func(inner sim.Node) sim.Node {
+			return &EquivocateNode{Inner: inner, GroupA: types.NewSetOf(4, 0, 1)}
+		}, map[int][]string{
+			1: {"0:{1}", "0:{2}", "0:{3}"},
+			2: nil,
+			3: {"0:{1}", "0:{2}"},
+		}},
+		{"stale-replay", func(inner sim.Node) sim.Node {
+			return &StaleReplayNode{Inner: inner, Every: 1}
+		}, map[int][]string{
+			1: {"0:{1}", "0:{2}", "0:{1}", "0:{3}", "0:{1}"},
+			2: nil,
+			3: {"0:{1}", "0:{2}", "0:{1}", "0:{3}", "0:{1}"},
+		}},
+		{"selective", func(inner sim.Node) sim.Node {
+			return &SelectiveNode{Inner: inner, Allow: types.NewSetOf(4, 0, 2, 3)}
+		}, map[int][]string{
+			1: nil,
+			2: nil,
+			3: {"0:{1}", "0:{2}", "0:{3}"},
+		}},
+	} {
+		skip := types.ProcessID(2)
+		recs := runWrappedChatty(t, tc.wrap, &chatty{Rounds: 3, Except: &skip})
 		for i, w := range tc.want {
 			if fmt.Sprint(recs[i].got) != fmt.Sprint(w) {
 				t.Errorf("%s: receiver %d got %v, want %v", tc.name, i, recs[i].got, w)

@@ -188,7 +188,8 @@ func watchTicks(t *testing.T, cfg *Config) []*tickWatch {
 // "set k<i mod keySpace> p<self>.<i>" for consecutive i, admits and rejects
 // as the admission loop always has, and a run on the Fig. 1 system ends in
 // its recorded final states, re-recorded when a SEND became its source's
-// ECHO and the run's schedule moved. A small MaxQueue makes ticks reject.
+// ECHO, and again when it became its source's READY, as the run's schedule
+// moved. A small MaxQueue makes ticks reject.
 func TestTickCommandsMatchFormat(t *testing.T) {
 	cfg := baseConfig(3)
 	cfg.MaxQueue, cfg.BatchSize, cfg.StopAfterWaves = 6, 2, 6
@@ -219,7 +220,7 @@ func TestTickCommandsMatchFormat(t *testing.T) {
 	for p := 0; p < fig1.Trust.N(); p++ {
 		h.Write(res.Replicas[types.ProcessID(p)].FinalState)
 	}
-	const want = "8184a3501cd51e57d5ca9ff0d80f0f138f19b9b4e7e4d9c95f02f090930cc28d"
+	const want = "ecf3cb54a41604ab1b5d11b7f30588f87a7abeac345e99d03c58b5b9a6441c2b"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("Fig. 1 final states hash to %s, want %s", got, want)
 	}

@@ -156,11 +156,18 @@ type Env interface {
 // of RefTo, which already know what it leaves out: each of them other than
 // the sender gets Ref instead. A self-send crosses no link, so it always
 // carries Msg.
+//
+// Except, when not nil, names one process the act leaves out: it gets
+// neither form, as if To did not list it. It lets a sender drop one
+// destination from a shared audience without building a list per act
+// (reliable broadcast's ECHO skips the slot's source). It points at a
+// value the sender never writes again, since an Env may keep the act.
 type Cast struct {
-	To    []types.ProcessID
-	Msg   Message
-	Ref   Message
-	RefTo types.Set
+	To     []types.ProcessID
+	Msg    Message
+	Ref    Message
+	RefTo  types.Set
+	Except *types.ProcessID
 }
 
 // For returns the message that process p gets from the act of sender self.
@@ -177,16 +184,25 @@ func (c *Cast) byRef(self, p types.ProcessID) bool {
 }
 
 // Each calls f for each destination of the act among n processes, in
-// order: every process of To, or every process 0..n−1 when To is nil.
+// order: every process of To, or every process 0..n−1 when To is nil,
+// but Except.
 func (c *Cast) Each(n int, f func(p types.ProcessID)) {
+	skip := types.ProcessID(-1)
+	if c.Except != nil {
+		skip = *c.Except
+	}
 	if c.To == nil {
 		for p := types.ProcessID(0); int(p) < n; p++ {
-			f(p)
+			if p != skip {
+				f(p)
+			}
 		}
 		return
 	}
 	for _, p := range c.To {
-		f(p)
+		if p != skip {
+			f(p)
+		}
 	}
 }
 

@@ -145,6 +145,7 @@ func (chaosPlane) OnSend(_, _ types.ProcessID, _ Message, _ VirtualTime, rng *ra
 func TestMulticast(t *testing.T) {
 	const n = 5
 	refTo := types.NewSetOf(n, 0, 2)
+	skip0, skip2 := types.ProcessID(0), types.ProcessID(2)
 	for _, tc := range []struct {
 		name  string
 		cast  func(self types.ProcessID, n int) Cast
@@ -167,6 +168,12 @@ func TestMulticast(t *testing.T) {
 		{"Ref to some of an audience", func(self types.ProcessID, _ int) Cast {
 			return Cast{To: []types.ProcessID{0, 1, 2}, Msg: ping{payload: 300}, Ref: pingRef{}, RefTo: refTo}
 		}, nil, 3*n - 3, 2*n - 2, 0, 0},
+		{"nil To but one", func(self types.ProcessID, _ int) Cast {
+			return Cast{Msg: ping{payload: int(self)}, Except: &skip2}
+		}, nil, (n - 1) * (n - 1), 0, 0, 0},
+		{"Ref to some of an audience but one", func(self types.ProcessID, _ int) Cast {
+			return Cast{To: []types.ProcessID{0, 1, 2}, Msg: ping{payload: 300}, Ref: pingRef{}, RefTo: refTo, Except: &skip0}
+		}, nil, 2*n - 2, n - 1, 0, 0},
 		{"unencodable Msg", func(types.ProcessID, int) Cast {
 			return Cast{Msg: neither{}, Ref: pingRef{}, RefTo: refTo}
 		}, nil, 2 * (n - 1), 2 * (n - 1), 3*n - 3, 0},

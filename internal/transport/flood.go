@@ -1,7 +1,9 @@
 // Flood load harness: a trivial counting node plus a cluster wrapper that
 // drives broadcast storms through the real codec/framing/backpressure
-// path. This is what the loopback throughput benchmark (and `experiments
-// flood`) measure; it lives in the package proper so the CLI can reuse it.
+// path. The loopback throughput benchmarks of this package measure it, and
+// so does the benchmark driver in bench/ (its transport.flood_* per-layer
+// metrics), which imports it; that is why it lives in the package proper
+// and not in a test file.
 package transport
 
 import (

@@ -177,9 +177,9 @@ func TestGatherOverTCP(t *testing.T) {
 
 // rbNode runs reliable broadcast alone: it broadcasts one payload in each
 // of slots sequence numbers, and counts what it delivers and the votes by
-// reference it receives from other processes, READYs apart; the ECHOs by
-// reference it receives for its own slots; and the ECHOs, in either form,
-// it receives from a slot's own source.
+// reference it receives from other processes, READYs apart; the ECHOs, in
+// either form, it receives for its own slots; and the ECHOs and READYs, in
+// either form, it receives from a slot's own source.
 type rbNode struct {
 	trust       quorum.Assumption
 	slots       int
@@ -190,17 +190,20 @@ type rbNode struct {
 	fromSource  int
 }
 
-// echoSlot returns the slot of an ECHO, in full or by reference, and
-// whether msg is one. The types are unexported, so it reads the slot by
-// reflection: both hold a pointer to a body with a Slot field.
-func echoSlot(msg sim.Message) (broadcast.Slot, bool) {
+// voteSlot returns the slot of an ECHO or a READY, in full or by
+// reference, whether it is an ECHO, and whether msg is a vote at all. The
+// types are unexported, so it reads the slot by reflection: each holds a
+// pointer to a body with a Slot field.
+func voteSlot(msg sim.Message) (s broadcast.Slot, echo, ok bool) {
 	switch fmt.Sprintf("%T", msg) {
 	case "broadcast.echoMsg", "broadcast.echoRefMsg":
+		echo = true
+	case "broadcast.readyMsg", "broadcast.readyRefMsg":
 	default:
-		return broadcast.Slot{}, false
+		return s, false, false
 	}
-	s := reflect.ValueOf(msg).Field(0).Elem().FieldByName("Slot")
-	return broadcast.Slot{Src: types.ProcessID(s.Field(0).Int()), Seq: s.Field(1).Uint()}, true
+	v := reflect.ValueOf(msg).Field(0).Elem().FieldByName("Slot")
+	return broadcast.Slot{Src: types.ProcessID(v.Field(0).Int()), Seq: v.Field(1).Uint()}, echo, true
 }
 
 func (b *rbNode) Init(env sim.Env) {
@@ -220,9 +223,9 @@ func (b *rbNode) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
 			b.ready++
 		}
 	}
-	if s, ok := echoSlot(msg); ok && s.Src == from {
+	if s, echo, ok := voteSlot(msg); ok && s.Src == from {
 		b.fromSource++
-	} else if ok && s.Src == env.Self() && fmt.Sprintf("%T", msg) == "broadcast.echoRefMsg" {
+	} else if ok && echo && s.Src == env.Self() {
 		b.toSource++
 	}
 	b.arb.Handle(env, from, msg)
@@ -234,10 +237,10 @@ func (b *rbNode) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
 // delivers every slot, with the payload its source broadcast, with no
 // encode error. A READY by reference names the digest its voter echoed,
 // and TCP links are FIFO, so its voter's ECHO always arrives first: no
-// host ever holds one. A source's READY by reference names the digest of
-// its SEND, which is its ECHO and also arrives first. No host echoes a
-// slot it sources, in either form, and ECHOs by reference reach sources:
-// each receiver counts the SEND as the source's ECHO before it echoes.
+// host ever holds one. A source resolves a READY by reference through its
+// own SEND, which it recorded in Broadcast. The SEND is its source's ECHO
+// and READY, so no host echoes or readies a slot it sources, in either
+// form, and no ECHO in either form reaches a slot's source.
 func TestVotesByReferenceOverTCP(t *testing.T) {
 	const n, slots = 4, 30
 	trust := quorum.NewThreshold(n, 1)
@@ -289,13 +292,13 @@ func TestVotesByReferenceOverTCP(t *testing.T) {
 	if held != 0 {
 		t.Fatalf("hosts held %d READYs by reference over FIFO links, want 0", held)
 	}
-	if fromSource != 0 || toSource == 0 {
-		t.Fatalf("sources echoed their own slots %d times, and %d ECHOs by reference reached a slot's source; want none and some", fromSource, toSource)
+	if fromSource != 0 || toSource != 0 {
+		t.Fatalf("sources echoed or readied their own slots %d times, and %d ECHOs reached a slot's source; want none and none", fromSource, toSource)
 	}
 	if e := cluster.Stats().EncodeErrors; e != 0 {
 		t.Fatalf("%d messages could not be encoded", e)
 	}
-	t.Logf("%d votes crossed TCP by reference, %d of them READYs and %d ECHOs to a slot's source; none held", refs, ready, toSource)
+	t.Logf("%d votes crossed TCP by reference, %d of them READYs; none held", refs, ready)
 }
 
 func TestHostCloseIdempotentAndClean(t *testing.T) {

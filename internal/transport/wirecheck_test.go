@@ -121,13 +121,13 @@ func (e captureEnv) Send(to types.ProcessID, msg sim.Message) {
 
 // broadcastTraffic runs two reliable-broadcast slots among four processes
 // and returns one message of each type they put on the wire. The first
-// slot's SEND skips one process, which fetches: SEND, ECHO, READY, both
-// by reference, the fetch and the reply. A SEND is its source's ECHO, so
-// every receiver's ECHO goes to the source by reference. The second
-// slot's SEND reaches process 2 only after the ECHOs of two others, so
-// 2's ECHO goes by reference to them as well: between receivers, not only
-// to a source. The types are unexported, so this is how a test outside
-// the package gets hold of them.
+// slot's SEND skips one process, which fetches: SEND, ECHO, READY, the
+// READY by reference, the fetch and the reply. No ECHO goes to a slot's
+// source, so an ECHO by reference goes only between receivers, one of
+// which counted the other's ECHO before the SEND came: the second slot's
+// SEND reaches process 0 first, and processes 1 and 2 only after 0's
+// ECHO, so their ECHOs go to 0 by reference. The types are unexported,
+// so this is how a test outside the package gets hold of them.
 func broadcastTraffic(t testing.TB) []sim.Message {
 	const n = 4
 	var sent []capturedMsg
@@ -142,9 +142,7 @@ func broadcastTraffic(t testing.TB) []sim.Message {
 	for _, p := range []types.ProcessID{0, 1, 3} {
 		broadcast.EquivocateSend(envs[3], p, first, broadcast.Bytes("payload"))
 	}
-	for _, p := range []types.ProcessID{0, 1} {
-		broadcast.EquivocateSend(envs[3], p, second, broadcast.Bytes("later"))
-	}
+	broadcast.EquivocateSend(envs[3], 0, second, broadcast.Bytes("later"))
 	var out []sim.Message
 	seen := map[reflect.Type]bool{}
 	handled := 0
@@ -159,7 +157,9 @@ func broadcastTraffic(t testing.TB) []sim.Message {
 		}
 	}
 	drain()
-	broadcast.EquivocateSend(envs[3], 2, second, broadcast.Bytes("later"))
+	for _, p := range []types.ProcessID{1, 2} {
+		broadcast.EquivocateSend(envs[3], p, second, broadcast.Bytes("later"))
+	}
 	drain()
 	if len(out) != 7 {
 		t.Fatalf("two slots put %d message types on the wire, want 7: %v", len(out), out)

@@ -110,12 +110,16 @@ func serviceRecord() runRecord {
 // vertex's strong edges came to travel as a bitmap over round−1, no
 // message count, delivery time or output moved over FIFO links, and the
 // bytes fell by exactly 32 per READY that changed form and by what each
-// bitmap saved. The chain restarts at the figures below, recorded when a
-// SEND became its source's ECHO. That change takes the source's ECHO out
-// of every slot, so each receiver counts the source's vote on the SEND's
-// arrival instead of an ECHO's: quorums complete earlier over FIFO links
-// too, and the schedule moves, not only the forms. A later change that
-// only changes forms restates these figures as identities again. The runs
+// bitmap saved. The chain restarted when a SEND became its source's ECHO,
+// and again at the figures below, recorded when it became its source's
+// READY as well. Each change takes votes out of every slot (the source's
+// ECHO; then its READY and every ECHO to it), so each receiver counts the
+// source's vote on the SEND's arrival instead of a vote's: quorums
+// complete earlier over FIFO links too, and the schedule moves, not only
+// the forms (ExampleNewCluster: 4 200 → 3 240 messages, 40 379 → 37 307
+// bytes; the Fig. 1 run: 177 509 → 171 775 and 6 385 789 → 6 289 515). A
+// later change that only changes forms restates these figures as
+// identities again. The runs
 // must still send ECHOs and READYs by reference, and save bytes with
 // strong-edge bitmaps, so that the bytes of all three are covered.
 func TestVotesByReferenceSaveOnlyDigestBytes(t *testing.T) {
@@ -124,8 +128,8 @@ func TestVotesByReferenceSaveOnlyDigestBytes(t *testing.T) {
 		run  func() runRecord
 		want runRecord
 	}{
-		{"ExampleNewCluster", clusterRecord, runRecord{sent: 4200, delivered: 5600, end: 1070, output: "4d4716d08211efa4", bytes: 40379, echoRefs: 680, readyRefs: 1920, bitmapSaved: 2664}},
-		{"Fig. 1 service, seed 1", serviceRecord, runRecord{sent: 177509, delivered: 192125, end: 616, output: "b2c1abe9bcc71166", bytes: 6385789, echoRefs: 2735, readyRefs: 81120, bitmapSaved: 747504}},
+		{"ExampleNewCluster", clusterRecord, runRecord{sent: 3240, delivered: 4480, end: 990, output: "78d38874013fe12d", bytes: 37307, echoRefs: 200, readyRefs: 1440, bitmapSaved: 2664}},
+		{"Fig. 1 service, seed 1", serviceRecord, runRecord{sent: 171775, delivered: 186419, end: 616, output: "a8e2cfe722d95671", bytes: 6289515, echoRefs: 2176, readyRefs: 78416, bitmapSaved: 750636}},
 	} {
 		got := tc.run()
 		if got != tc.want || got.echoRefs == 0 || got.readyRefs == 0 || got.bitmapSaved <= 0 {
@@ -135,12 +139,15 @@ func TestVotesByReferenceSaveOnlyDigestBytes(t *testing.T) {
 }
 
 // TestEchoesCrossVotePairsLessSourceAudience is the count oracle of the
-// SEND as its source's ECHO, on quiescent runs: ExampleNewCluster's (its
-// trust, seeds and default latency) and a Fig. 1 cluster. Every process
-// but a slot's source echoes it once, to its audience, so a slot's ECHOs,
-// in full or by reference, cross quorum.VotePairs links less the source's
-// audience but itself. Under threshold trust that is (n−1)(n−1) per slot:
-// n−1 times the SEND's link sends.
+// SEND as its source's ECHO and READY, on quiescent runs:
+// ExampleNewCluster's (its trust, seeds and default latency) and a Fig. 1
+// cluster. Every process but a slot's source echoes it once, to its
+// audience but the source, and readies it once, to its audience. So a
+// slot's READYs, in full or by reference, cross quorum.VotePairs links
+// less the source's audience but itself, and its ECHOs cross those less,
+// too, the links into the source, one from each member of U_src but the
+// source. Under threshold trust that is (n−1)(n−1) READYs and (n−1)(n−2)
+// ECHOs per slot: n−1 and n−2 times the SEND's link sends.
 func TestEchoesCrossVotePairsLessSourceAudience(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
@@ -153,7 +160,7 @@ func TestEchoesCrossVotePairsLessSourceAudience(t *testing.T) {
 	} {
 		n := tc.trust.N()
 		sends := make([]int, n) // link sends of SENDs, by source
-		echoes := 0
+		echoes, readies := 0, 0
 		uniform := sim.UniformLatency{Min: 1, Max: 20} // the cluster's default
 		tap := sim.LatencyFunc(func(from, to asymdag.ProcessID, msg sim.Message, now sim.VirtualTime, rng *rand.Rand) sim.VirtualTime {
 			if from != to {
@@ -162,6 +169,8 @@ func TestEchoesCrossVotePairsLessSourceAudience(t *testing.T) {
 					sends[from]++
 				case "broadcast.echoMsg", "broadcast.echoRefMsg":
 					echoes++
+				case "broadcast.readyMsg", "broadcast.readyRefMsg":
+					readies++
 				}
 			}
 			return uniform.Delay(from, to, msg, now, rng)
@@ -170,24 +179,50 @@ func TestEchoesCrossVotePairsLessSourceAudience(t *testing.T) {
 		if res := cluster.Run(); res.HitLimit {
 			t.Fatalf("%s: the run hit the event budget", tc.name)
 		}
-		want, total := 0, 0
+		want, wantReadies, total := 0, 0, 0
 		pairs := quorum.VotePairs(tc.trust)
 		for src, k := range sends {
 			if k%(n-1) != 0 {
 				t.Fatalf("%s: %v's SENDs crossed %d links, not n−1 = %d per slot", tc.name, src, k, n-1)
 			}
-			audience := 0
+			audience, into := 0, 0 // |Audience(src) ∖ {src}|, |U_src ∖ {src}|
 			for p := range n {
 				if p != src && tc.trust.Counts(asymdag.ProcessID(p), asymdag.ProcessID(src)) {
 					audience++
 				}
+				if p != src && tc.trust.Counts(asymdag.ProcessID(src), asymdag.ProcessID(p)) {
+					into++
+				}
 			}
-			want += k / (n - 1) * (pairs - audience)
+			want += k / (n - 1) * (pairs - audience - into)
+			wantReadies += k / (n - 1) * (pairs - audience)
 			total += k
 		}
-		if echoes != want {
-			t.Fatalf("%s: ECHOs crossed %d links, want Σ over slots of VotePairs %d less the source's audience: %d", tc.name, echoes, pairs, want)
+		if echoes != want || readies != wantReadies {
+			t.Fatalf("%s: ECHOs crossed %d links and READYs %d, want Σ over slots of VotePairs %d less the source's audience and, for ECHOs, the links into the source: %d and %d",
+				tc.name, echoes, readies, pairs, want, wantReadies)
 		}
-		t.Logf("%s: %d SEND and %d ECHO link sends", tc.name, total, echoes)
+		t.Logf("%s: %d SEND, %d ECHO and %d READY link sends", tc.name, total, echoes, readies)
 	}
+}
+
+// TestFetchesStayRareOnFig1 guards rule 2 of "The SEND is its source's READY" in
+// internal/broadcast: a receiver counts the SEND as its source's READY
+// toward a READY quorum, never toward a READY kernel. On Fig. 1 a kernel
+// is any one member of a process's single quorum, so a SEND counted
+// toward kernels would start READY amplification one message delay after
+// the SEND. A process that amplification reaches before its own copy of
+// the SEND is blocked by R1, and R2 fetches the payload: on this run, the
+// benchmark's sim_asym_n30 seed, that variant sent 5 907 FETCHes and 5 899
+// PAYLOADs. The rule sends 78 of each (49 before the SEND counted as its
+// source's READY at all).
+func TestFetchesStayRareOnFig1(t *testing.T) {
+	const bound = 300
+	res := asymdag.RunService(asymdag.ServiceConfig{Trust: asymdag.Counterexample(), Seed: 1, CoinSeed: 1, StopAfterWaves: 10})
+	by := res.Metrics.ByType
+	fetches, payloads := by["broadcast.fetchMsg"], by["broadcast.payloadMsg"]
+	if fetches > bound || payloads > bound || !res.Stopped {
+		t.Fatalf("Fig. 1 service run, seed 1: %d FETCHes and %d PAYLOADs (stopped %v), want at most %d each", fetches, payloads, res.Stopped, bound)
+	}
+	t.Logf("%d FETCHes, %d PAYLOADs", fetches, payloads)
 }
