@@ -127,18 +127,18 @@
 // the READY in full
 // only if it did not echo d: its payload came by FETCH, or it echoed
 // another digest. j resolves READY*(s) from i to the digest for which it
-// counted i's ECHO in s, or, when j is the source of s, to the digest of
-// its own SEND (below). A correct voter's ECHO is counted for one digest;
-// a Byzantine voter's may be counted for several that the slot already
-// held, and then its READY* counts for the slot's first digest if that is
-// one of them, else for the least, the same in every run. If j has not
+// counted i's ECHO in s, or, when j is the source of s, to the digest its
+// Broadcast recorded (below). A correct voter's ECHO is counted for one
+// digest; a Byzantine voter's may be counted for several that the slot
+// already held, and then its READY* counts for the slot's first digest if
+// that is one of them, else for the least, the same in every run. If j has not
 // counted i's ECHO yet, it holds one bit for (s, i) and counts the READY
 // right after the ECHO, for the ECHO's digest. This happens only where
 // links are not FIFO, as in the simulator; TCP links are, so over TCP
 // nothing is ever held: the voter's ECHO crosses the same link first, and
-// at the slot's source a READY* resolves through the SEND Broadcast
-// recorded. The held bit goes when the slot delivers or when PruneBelow
-// empties it.
+// at the slot's source a READY* resolves through Broadcast's record (one
+// that arrives before Broadcast is dropped). The held bit goes when the
+// slot delivers or when PruneBelow empties it.
 //
 // Every other vote goes in full: an ECHO to a process whose ECHO i has not
 // counted, or counted for another digest (the source equivocated); a READY
@@ -219,17 +219,17 @@
 // self-send like any other, so a vote by reference can reach the source
 // before its own SEND does, and the record resolves it. No rule runs in
 // Broadcast, so it never delivers. When the self-addressed SEND arrives,
-// it only counts the source's own ECHO and READY (next section), if the
-// source lies in U_self, and applies the rules. A SEND that no Broadcast
-// recorded reaches its source only from a Byzantine source or a test
-// (EquivocateSend). It is handled as at any receiver, except that the
-// source casts no ECHO, and the READYs by reference the source held until
-// then count for its digest. An ECHO* that came before it named no digest
-// and was dropped.
+// it only counts the source's own READY (next section), if the source
+// lies in U_self, and applies the rules. A process's own slot is
+// Broadcast's alone: a SEND from itself that no Broadcast recorded, which
+// only a Byzantine process's own code or a test (EquivocateSend) makes, is
+// dropped before it touches any state.
 //
 // A source knows the digest every correct process echoed in its slot: its
 // own SEND's. So the source counts a READY* for its own slot for that
-// digest at once, without waiting for the voter's ECHO, and holds none.
+// digest at once, without waiting for the voter's ECHO, and holds none. A
+// READY* that comes before Broadcast is dropped: a correct voter cannot
+// vote before the SEND exists.
 //
 // Safety. A correct source's SEND names exactly the digest its ECHO would,
 // and reaches a superset of its audience, so every process counts the
@@ -251,9 +251,7 @@
 //
 //  1. The source casts no READY in its own slot. Broadcast records the
 //     slot as READY-sent as well as echoed, and the self-addressed SEND
-//     counts the source's own READY if it lies in U_self, as it counts its
-//     ECHO. A SEND that no Broadcast recorded keeps the handling above, and
-//     its source casts its READY by the rules.
+//     counts the source's own READY if it lies in U_self.
 //  2. A receiver counts the SEND as its source's READY toward a READY
 //     quorum (quorum.Tracker.HasQuorumWith), not toward a READY kernel,
 //     and only if the source lies in U_self. So the SEND helps delivery
@@ -270,9 +268,10 @@
 //     slot READY-sent, which "Slot state" relies on to drop later votes.
 //  4. No ECHO or ECHO* goes to a slot's source (sim.Cast.Except). There an
 //     ECHO could only feed the source's READY rule, which rule 1 retires.
-//     The source resolves a READY* for its own slot through its SEND, and
-//     it holds its payload, so R2 never asks it to fetch. Receivers still
-//     count the SEND as the source's ECHO in their own echo tally.
+//     The source resolves a READY* for its own slot through Broadcast's
+//     record, and it holds its payload, so R2 never asks it to fetch.
+//     Receivers still count the SEND as the source's ECHO in their own echo
+//     tally.
 //
 // Together they take 2|Audience(src) ∖ {src}| link messages out of every
 // slot under threshold trust, where U_src is everyone: 6 of 24 under
@@ -410,8 +409,9 @@ type Digest = [sha256.Size]byte
 // the fetch path all count on it. It is the SHA-256 of the payload's
 // canonical wire frame (wire.Digest), so a payload that is re-encoded by a
 // fetch reply keeps its address. Reliable calls it once per Broadcast and
-// once per SEND or PAYLOAD it handles, except a source's own SEND, which
-// Broadcast recorded; implementations with large content cache it.
+// once per PAYLOAD or SEND from another process it handles (its own SEND
+// counts only as Broadcast recorded it); implementations with large
+// content cache it.
 type Payload interface {
 	Digest() Digest
 }
@@ -989,57 +989,47 @@ func (r *Reliable) Handle(env sim.Env, from types.ProcessID, msg sim.Message) bo
 		if m.Slot.Src != from || m.Payload == nil {
 			return true // drop forgery
 		}
+		if from == r.self {
+			// Only the SEND Broadcast recorded reaches this process's own
+			// slot: it counts the source's READY, if it lies in U_self,
+			// and applies the rules. Any other is dropped.
+			if st := r.find(m.Slot); st != nil && st.sentEcho {
+				if st.value.tally != nil && r.trust.Counts(r.self, r.self) {
+					st.value.tally.votes[readies].Add(r.self)
+				}
+				r.advance(env, m.Slot, st, st.first, &st.value, nil)
+			}
+			return true
+		}
 		st := r.open(m.Slot)
-		if st == nil {
-			return true // pruned
+		if st == nil || st.sentEcho {
+			return true // pruned, or not the first payload of the slot
 		}
-		mine := from == r.self
-		recorded := mine && st.sentEcho // by Broadcast
-		var d Digest
-		var v *rbValue
-		switch {
-		case !st.sentEcho:
-			st.sentEcho = true
-			d = m.Payload.Digest()
-			v = r.echoed(st, d)
-			v.payload = m.Payload
-		case mine:
-			// Broadcast recorded the slot: its digest is first.
-			d, v = st.first, &st.value
-		default:
-			return true // not the first payload of the slot
-		}
+		st.sentEcho = true
+		d := m.Payload.Digest()
+		v := r.echoed(st, d)
+		v.payload = m.Payload
 		// The SEND is its source's ECHO, counted before this process casts
-		// its own. A receiver counts it as the source's READY only toward
-		// a READY quorum (due); the source counts its READY here.
+		// its own, and its READY only toward a READY quorum (due).
 		counted := v.tally != nil && r.trust.Counts(r.self, from)
 		if counted {
 			v.tally.votes[echoes].Add(from)
-			if recorded {
-				v.tally.votes[readies].Add(from)
+		}
+		b := newVote(m.Slot, d)
+		// An ECHO goes to the audience but the source, and names d by
+		// reference to the processes whose ECHO(d) this one counted; after
+		// delivery it keeps no tally and sends in full.
+		var refTo types.Set
+		if v.tally != nil {
+			refTo = v.tally.votes[echoes].Set()
+			if !st.sentReady {
+				v.tally.echo = b
 			}
 		}
-		if !mine {
-			b := newVote(m.Slot, d)
-			// An ECHO goes to the audience but the source, and names d by
-			// reference to the processes whose ECHO(d) this one counted;
-			// after delivery it keeps no tally and sends in full.
-			var refTo types.Set
-			if v.tally != nil {
-				refTo = v.tally.votes[echoes].Set()
-				if !st.sentReady {
-					v.tally.echo = b
-				}
-			}
-			r.cast(env, sim.Cast{Msg: echoMsg{b}, Ref: echoRefMsg{b}, RefTo: refTo, Except: &b.Slot.Src})
-		}
+		r.cast(env, sim.Cast{Msg: echoMsg{b}, Ref: echoRefMsg{b}, RefTo: refTo, Except: &b.Slot.Src})
 		// A SEND overtaken by its own votes completes the slot here.
 		r.advance(env, m.Slot, st, d, v, nil)
-		if mine {
-			// READYs by reference held before the slot was echoed here
-			// count for its SEND's digest, as later ones do.
-			r.unholdAll(env, m.Slot, st, d)
-		} else if counted {
+		if counted {
 			r.unhold(env, from, m.Slot, st, d, nil)
 		}
 	case echoMsg:
@@ -1121,21 +1111,28 @@ func (r *Reliable) handleEchoRef(env sim.Env, from types.ProcessID, s Slot) {
 // handleReadyRef handles a READY by reference for slot s: a READY for the
 // digest its voter echoed to this process in s, which is the digest for
 // which this process counted that ECHO. Until the ECHO is counted the
-// READY is held, one bit per voter, and count counts it with the ECHO. It
-// is dropped before it touches any state when its voter lies outside
-// U_self or s is pruned or delivered.
+// READY is held, one bit per voter, and count counts it with the ECHO; in
+// this process's own slot it counts at once. It is dropped before it
+// touches any state when its voter lies outside U_self, s is pruned or
+// delivered, or s is this process's own and Broadcast has not recorded it.
 func (r *Reliable) handleReadyRef(env sim.Env, from types.ProcessID, s Slot) {
 	if !r.trust.Counts(r.self, from) {
+		return
+	}
+	if s.Src == r.self {
+		// Its source knows the digest a correct voter echoed: the one
+		// Broadcast recorded. A correct voter cannot vote before the SEND
+		// exists, so one that comes before Broadcast is dropped.
+		if st := r.find(s); st != nil && st.sentEcho {
+			r.count(env, from, s, st, st.first, readies, nil)
+		}
 		return
 	}
 	st := r.open(s)
 	if st == nil || st.delivered {
 		return
 	}
-	if s.Src == r.self && st.sentEcho {
-		// Its source knows the digest a correct voter echoed: its own.
-		r.count(env, from, s, st, st.first, readies, nil)
-	} else if d, ok := st.echoOf(from); ok {
+	if d, ok := st.echoOf(from); ok {
 		r.count(env, from, s, st, d, readies, nil)
 	} else {
 		r.hold(st, from)
@@ -1168,16 +1165,6 @@ func (r *Reliable) unhold(env sim.Env, from types.ProcessID, slot Slot, st *rbSl
 	if w, bit := r.heldBit(st, from); *w&bit != 0 {
 		*w &^= bit
 		r.count(env, from, slot, st, d, readies, body)
-	}
-}
-
-// unholdAll counts every READY by reference that st holds for d.
-func (r *Reliable) unholdAll(env sim.Env, slot Slot, st *rbSlot, d Digest) {
-	for p := range r.n {
-		if st.held == 0 {
-			return
-		}
-		r.unhold(env, types.ProcessID(p), slot, st, d, nil)
 	}
 }
 
@@ -1280,7 +1267,8 @@ func (r *Reliable) Waiting() int {
 
 // EquivocateSend lets tests and adversarial nodes inject a conflicting SEND
 // for a slot directly to one recipient, bypassing the Broadcaster API. Only
-// Byzantine behaviours use it.
+// Byzantine behaviours use it. A Reliable drops one sent to the slot's
+// source itself: a process's own slot is Broadcast's.
 func EquivocateSend(env sim.Env, to types.ProcessID, slot Slot, payload Payload) {
 	env.Send(to, sendMsg{newSend(slot, payload)})
 }

@@ -2,6 +2,7 @@ package broadcast
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -63,20 +64,13 @@ func (e equivocator) Init(env sim.Env) {
 
 func (equivocator) Receive(sim.Env, types.ProcessID, sim.Message) {}
 
-// partialSender sends its SEND to only the given recipients and otherwise
-// follows the protocol (models a sender that tries to split delivery, or
-// equally a SEND that asynchrony delays past the end of the run).
-type partialSender struct {
-	bcNode
-	to types.Set
-}
+// dropSend is a fault plane that drops every SEND on the link from src
+// to to and passes the rest through untouched.
+type dropSend struct{ src, to types.ProcessID }
 
-func (p *partialSender) Init(env sim.Env) {
-	p.bcNode.Init(env)
-	slot := Slot{Src: env.Self(), Seq: 0}
-	for _, r := range p.to.Members() {
-		EquivocateSend(env, r, slot, Bytes("partial"))
-	}
+func (p dropSend) OnSend(from, to types.ProcessID, msg sim.Message, _ sim.VirtualTime, _ *rand.Rand) sim.SendVerdict {
+	_, send := msg.(sendMsg)
+	return sim.SendVerdict{Drop: send && from == p.src && to == p.to}
 }
 
 func reliableCluster(n int, trust quorum.Assumption, inputs []Payload) []sim.Node {
@@ -189,14 +183,15 @@ func TestReliableEquivocationConsistency(t *testing.T) {
 	}
 }
 
-// TestReliableTotalityPartialSend: the sender's SEND never reaches one
-// member of the maximal guild. The others deliver through ECHO and READY
-// quorums; the omitted member sees only digests, so totality reaches it
-// through R2's fetch and nothing else — on the threshold system and on the
-// paper's Fig. 1 system, where the sets that vouch for the digest are the
-// receiver's own single quorum and its kernels. (Fig. 1 tolerates no
-// fault: the sender is correct there and its SEND to the omitted member is
-// delayed past the end of the run.)
+// TestReliableTotalityPartialSend: a correct sender broadcasts, and a
+// fault plane drops its one SEND to one member of the maximal guild (a
+// SEND that asynchrony delays past the end of the run, or one a sender
+// that tries to split delivery withholds). The others deliver through
+// ECHO and READY quorums; the omitted member sees only digests, so
+// totality reaches it through R2's fetch and nothing else — on the
+// threshold system and on the paper's Fig. 1 system, where the sets that
+// vouch for the digest are the receiver's own single quorum and its
+// kernels.
 func TestReliableTotalityPartialSend(t *testing.T) {
 	cases := []struct {
 		name            string
@@ -216,21 +211,19 @@ func TestReliableTotalityPartialSend(t *testing.T) {
 			if !guild.Contains(tc.omitted) {
 				t.Fatalf("omitted process %v is not in the maximal guild %v", tc.omitted, guild)
 			}
-			to := types.FullSet(n)
-			to.Remove(tc.omitted)
-			nodes := reliableCluster(n, tc.trust, nil)
-			sender := &partialSender{bcNode: *nodes[tc.sender].(*bcNode), to: to}
-			nodes[tc.sender] = sender
-			r := sim.NewRunner(sim.Config{N: n, Seed: 5, Latency: sim.UniformLatency{Min: 1, Max: 10}}, nodes)
+			inputs := make([]Payload, n)
+			inputs[tc.sender] = Bytes("partial")
+			nodes := reliableCluster(n, tc.trust, inputs)
+			plane := dropSend{src: tc.sender, to: tc.omitted}
+			r := sim.NewRunner(sim.Config{N: n, Seed: 5, Latency: sim.UniformLatency{Min: 1, Max: 10}, Fault: plane}, nodes)
 			r.Run(0)
+			if d := r.Metrics().MessagesDropped; d != 1 {
+				t.Fatalf("the plane dropped %d messages, want the one SEND", d)
+			}
 			slot := Slot{Src: tc.sender, Seq: 0}
 			want := Bytes("partial").Digest()
 			guild.ForEach(func(p types.ProcessID) bool {
-				b, ok := nodes[p].(*bcNode)
-				if !ok {
-					b = &sender.bcNode
-				}
-				if got, ok := b.delivered[slot]; !ok {
+				if got, ok := nodes[p].(*bcNode).delivered[slot]; !ok {
 					t.Errorf("totality violated: guild member %v did not deliver", p)
 				} else if got.Digest() != want {
 					t.Errorf("guild member %v delivered another payload", p)
@@ -1064,14 +1057,17 @@ func TestVoteBodiesSurvivePrune(t *testing.T) {
 	}
 	var kept []sentVote
 	// run completes every slot of seq; the process sends an ECHO to each
-	// of n but the source and a READY to each of n per slot, but no ECHO
-	// in its own, whose SEND is its ECHO: (n − 1)(2n − 1) + n = 25 votes
-	// per seq. (The SEND of its own slot comes here with no Broadcast, so
-	// the process still casts its READY there.)
+	// of n but the source and a READY to each of n per slot of another
+	// source, and no vote in its own, which goes through Broadcast and
+	// whose SEND is its ECHO and READY: (n − 1)(2n − 1) = 21 votes per seq.
 	run := func(seq uint64) {
 		for src := types.ProcessID(0); src < n; src++ {
 			slot := Slot{Src: src, Seq: seq}
 			d := Digest{byte(seq), byte(src), 0xee}
+			if src == env.self {
+				r.Broadcast(env, seq, digestPayload(d))
+				queue = queue[:0] // its SENDs
+			}
 			r.Handle(env, src, sendMsg{&send{Slot: slot, Payload: digestPayload(d)}})
 			for from := types.ProcessID(0); from < n; from++ {
 				r.Handle(env, from, echoMsg{&vote{Slot: slot, Digest: d}})
@@ -1088,8 +1084,8 @@ func TestVoteBodiesSurvivePrune(t *testing.T) {
 	for seq := uint64(0); seq < early; seq++ {
 		run(seq)
 	}
-	if want := early * ((n-1)*(2*n-1) + n); len(kept) != want {
-		t.Fatalf("captured %d sends for the early seqs, want %d (an ECHO to each of %d but the source and a READY to each per slot, no ECHO in its own)", len(kept), want, n)
+	if want := early * (n - 1) * (2*n - 1); len(kept) != want {
+		t.Fatalf("captured %d sends for the early seqs, want %d (an ECHO to each of %d but the source and a READY to each per slot, no vote in its own)", len(kept), want, n)
 	}
 	r.PruneBelow(early)
 	spares := (dag.RowChunk - early%dag.RowChunk) % dag.RowChunk // unused rows of the last chunk
@@ -1965,9 +1961,9 @@ func TestReliableSendFromOutsideNotCounted(t *testing.T) {
 // and runs no rule before the SEND leaves. An ECHO by reference that
 // reaches it before its own SEND comes back (only a Byzantine voter sends
 // one to a source) is counted for that digest; the SEND then counts the
-// source's own ECHO and READY if it lies in its own quorums (on Fig. 1
-// the source chosen does not), and still sends nothing. Under threshold
-// trust the slot then delivers on an ECHO quorum and a READY quorum
+// source's own READY, and no ECHO of its own, if it lies in its own
+// quorums (on Fig. 1 the source chosen does not), and still sends
+// nothing. Under threshold trust the slot then delivers on a READY quorum
 // without sending anything: a READY by reference counts at the source for
 // its SEND's digest, which is what a correct voter echoed, before the
 // voter's ECHO does, and its own READY counts with it.
@@ -2015,9 +2011,9 @@ func TestReliableSourceCastsNoEcho(t *testing.T) {
 		}
 		r.Handle(env, src, self)
 		rd := &st.value.tally.votes[readies]
-		if tr.Contains(src) != trust.Counts(src, src) || rd.Contains(src) != trust.Counts(src, src) || len(sent) != 0 {
-			t.Fatalf("n=%d: the source's own SEND: its ECHO counted %v and READY %v, in U_self %v; %d messages sent, want none",
-				n, tr.Contains(src), rd.Contains(src), trust.Counts(src, src), len(sent))
+		if tr.Contains(src) || tr.Count() != 1 || rd.Contains(src) != trust.Counts(src, src) || len(sent) != 0 {
+			t.Fatalf("n=%d: the source's own SEND: its ECHO counted %v, %d ECHOs, its READY %v, in U_self %v; %d messages sent; want only the READY counted, and nothing sent",
+				n, tr.Contains(src), tr.Count(), rd.Contains(src), trust.Counts(src, src), len(sent))
 		}
 	}
 
@@ -2032,7 +2028,7 @@ func TestReliableSourceCastsNoEcho(t *testing.T) {
 	s.handle(1, echoRefMsg{&vote{Slot: slot}})
 	s.handle(0, sendMsg{&send{Slot: slot, Payload: x}})
 	s.handle(2, echoRefMsg{&vote{Slot: slot}})
-	s.expect("its own SEND and an ECHO quorum")
+	s.expect("its own SEND and two ECHOs by reference")
 	if len(s.delivered) != 0 {
 		t.Fatal("delivered on its own READY and one other")
 	}
@@ -2043,34 +2039,28 @@ func TestReliableSourceCastsNoEcho(t *testing.T) {
 	}
 }
 
-// TestReliableUnrecordedSendAtSource: at its source, a SEND that no
-// Broadcast recorded (one that EquivocateSend made, as partial senders do)
-// is handled as at any receiver, except that the source casts no ECHO: it
-// takes the payload, counts its own ECHO and the READYs by reference held
-// before it, and the slot delivers. An ECHO by reference that came before
-// it named no digest and was dropped; the voter's next one counts.
-func TestReliableUnrecordedSendAtSource(t *testing.T) {
+// TestReliableOwnSlotIsBroadcasts: a process's own slot is Broadcast's. A
+// SEND from itself that no Broadcast recorded, which only EquivocateSend
+// makes, and a READY by reference for its own slot that comes before
+// Broadcast leave no state and send nothing. After Broadcast its own SEND
+// counts its READY (under threshold trust it lies in its own quorum) and
+// no ECHO, and sends nothing.
+func TestReliableOwnSlotIsBroadcasts(t *testing.T) {
 	s := newStepper(t)
-	slot, x := Slot{Src: 0, Seq: 5}, Bytes("unrecorded")
-	s.handle(1, readyRefMsg{&vote{Slot: slot}})
-	s.handle(2, echoRefMsg{&vote{Slot: slot}})
-	if s.r.Held() != 1 || s.r.SlotCount() != 0 {
-		t.Fatalf("before the SEND: %d READYs held, %d slots live; want 1 and 0", s.r.Held(), s.r.SlotCount())
-	}
+	slot, x := Slot{Src: 0, Seq: 5}, Bytes("own")
 	s.handle(0, sendMsg{&send{Slot: slot, Payload: x}})
-	s.expect("the unrecorded SEND")
-	st := s.r.find(slot)
-	if v := &st.value; v.payload == nil || !v.tally.votes[echoes].Contains(0) || v.tally.votes[echoes].Count() != 1 ||
-		!v.tally.votes[readies].Contains(1) || s.r.Waiting() != 0 {
-		t.Fatal("the unrecorded SEND did not hold its payload, count the source's ECHO alone and the held READY")
+	s.handle(1, readyRefMsg{&vote{Slot: slot}})
+	s.expect("an unrecorded SEND from itself and a READY by reference before Broadcast")
+	if s.r.SlotCount() != 0 || s.r.Held() != 0 || len(s.r.rows) != 0 {
+		t.Fatalf("before Broadcast: %d slots live, %d READYs held, %d rows; want none", s.r.SlotCount(), s.r.Held(), len(s.r.rows))
 	}
-	s.handle(3, echoMsg{&vote{Slot: slot, Digest: x.Digest()}})
-	s.handle(2, echoRefMsg{&vote{Slot: slot}})
-	s.expect("ECHO quorum", "readyMsg→all")
-	s.handle(2, readyRefMsg{&vote{Slot: slot}})
-	s.handle(0, readyMsg{&vote{Slot: slot, Digest: x.Digest()}})
-	if len(s.delivered) != 1 || s.delivered[0].Digest() != x.Digest() {
-		t.Fatalf("delivered %v, want the unrecorded SEND's payload once", s.delivered)
+	s.r.Broadcast(s.env, slot.Seq, x)
+	s.expect("Broadcast", "sendMsg→all")
+	s.handle(0, sendMsg{&send{Slot: slot, Payload: x}})
+	s.expect("its own SEND")
+	v := &s.r.find(slot).value
+	if rd := &v.tally.votes[readies]; !rd.Contains(0) || rd.Count() != 1 || v.tally.votes[echoes].Count() != 0 || s.r.Held() != 0 {
+		t.Fatalf("its own SEND after Broadcast: READYs %v, %d ECHOs, %d held; want its own READY alone", rd.Set(), v.tally.votes[echoes].Count(), s.r.Held())
 	}
 }
 

@@ -59,21 +59,3 @@ func (c PRF) Leader(wave int) types.ProcessID {
 	v := binary.BigEndian.Uint64(sum[:8])
 	return types.ProcessID(v % uint64(c.n))
 }
-
-// Fixed is a coin that always elects the same sequence of leaders; tests
-// use it to force specific wave outcomes.
-type Fixed struct {
-	// Leaders[w-1] is the leader of wave w; waves past the slice length
-	// wrap around.
-	Leaders []types.ProcessID
-}
-
-var _ Source = Fixed{}
-
-// Leader implements Source.
-func (f Fixed) Leader(wave int) types.ProcessID {
-	if len(f.Leaders) == 0 {
-		return 0
-	}
-	return f.Leaders[(wave-1)%len(f.Leaders)]
-}

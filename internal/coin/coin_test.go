@@ -1,10 +1,6 @@
 package coin
 
-import (
-	"testing"
-
-	"repro/internal/types"
-)
+import "testing"
 
 func TestPRFMatching(t *testing.T) {
 	a := NewPRF(99, 10)
@@ -65,15 +61,4 @@ func TestNewPRFPanicsOnZeroN(t *testing.T) {
 		}
 	}()
 	NewPRF(1, 0)
-}
-
-func TestFixed(t *testing.T) {
-	f := Fixed{Leaders: []types.ProcessID{3, 1}}
-	if f.Leader(1) != 3 || f.Leader(2) != 1 || f.Leader(3) != 3 {
-		t.Error("Fixed coin wrong sequence")
-	}
-	var empty Fixed
-	if empty.Leader(1) != 0 {
-		t.Error("empty Fixed should elect 0")
-	}
 }

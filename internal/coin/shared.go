@@ -29,35 +29,36 @@ type ShareMsg struct {
 // its audience (quorum.Assumption.Audience): everyone under threshold
 // trust, 6 of 30 on the paper's Fig. 1 system.
 type Shared struct {
-	self     types.ProcessID
-	trust    quorum.Assumption
-	src      Source
-	shares   map[int]*quorum.Tracker
-	released map[int]bool
-	ready    map[int]bool
-	pruned   int // waves below this were garbage-collected (PruneBelow)
+	self   types.ProcessID
+	trust  quorum.Assumption
+	src    Source
+	waves  map[int]wave
+	pruned int // waves below this were garbage-collected (PruneBelow)
+}
+
+// wave is what a process keeps of one wave's coin: the shares it counted
+// (nil before the first) and whether it released its own. The wave is
+// ready once shares holds a quorum, which a Tracker latches.
+type wave struct {
+	shares   *quorum.Tracker
+	released bool
 }
 
 // NewShared creates the share-gated coin for one process.
 func NewShared(self types.ProcessID, trust quorum.Assumption, src Source) *Shared {
-	return &Shared{
-		self:     self,
-		trust:    trust,
-		src:      src,
-		shares:   map[int]*quorum.Tracker{},
-		released: map[int]bool{},
-		ready:    map[int]bool{},
-	}
+	return &Shared{self: self, trust: trust, src: src, waves: map[int]wave{}}
 }
 
 // Release sends this process's share for a wave to its audience
 // (idempotent). Call it when the local wave execution finishes.
-func (s *Shared) Release(env sim.Env, wave int) {
-	if s.released[wave] {
+func (s *Shared) Release(env sim.Env, w int) {
+	st := s.waves[w]
+	if st.released {
 		return
 	}
-	s.released[wave] = true
-	sim.Multicast(env, sim.Cast{To: s.trust.Audience(s.self), Msg: ShareMsg{Wave: wave}})
+	st.released = true
+	s.waves[w] = st
+	sim.Multicast(env, sim.Cast{To: s.trust.Audience(s.self), Msg: ShareMsg{Wave: w}})
 }
 
 // Handle consumes a ShareMsg. It reports whether the message belonged to
@@ -70,57 +71,47 @@ func (s *Shared) Handle(env sim.Env, from types.ProcessID, msg sim.Message) (bec
 	if m.Wave < s.pruned {
 		return false, true // stale share for a garbage-collected wave
 	}
-	t, ok := s.shares[m.Wave]
-	if !ok {
-		t = quorum.NewTracker(s.trust, s.self)
-		s.shares[m.Wave] = t
+	st := s.waves[m.Wave]
+	if st.shares == nil {
+		st.shares = quorum.NewTracker(s.trust, s.self)
+		s.waves[m.Wave] = st
 	}
-	t.Add(from)
-	if !s.ready[m.Wave] && t.HasQuorum() {
-		s.ready[m.Wave] = true
-		return true, true
-	}
-	return false, true
+	ready := st.shares.HasQuorum()
+	st.shares.Add(from)
+	return !ready && st.shares.HasQuorum(), true
 }
 
 // Ready reports whether the wave's coin value can be reconstructed.
-func (s *Shared) Ready(wave int) bool { return s.ready[wave] }
+func (s *Shared) Ready(w int) bool {
+	st := s.waves[w]
+	return st.shares != nil && st.shares.HasQuorum()
+}
 
-// PruneBelow drops the share trackers and release/ready flags of waves
-// strictly below wave. Consensus GC calls this once a wave is decided and
-// behind the horizon: the reveal already happened, so the per-wave maps are
-// dead weight in a long-lived run. Leader() for a pruned wave falls back to
-// "not revealed"; callers never ask below the decided wave.
-func (s *Shared) PruneBelow(wave int) {
-	if wave <= s.pruned {
+// PruneBelow drops what the coin keeps of the waves strictly below w.
+// Consensus GC calls this once a wave is decided and behind the horizon:
+// the reveal already happened, so the per-wave entries are dead weight in
+// a long-lived run. Leader() for a pruned wave falls back to "not
+// revealed"; callers never ask below the decided wave.
+func (s *Shared) PruneBelow(w int) {
+	if w <= s.pruned {
 		return
 	}
-	s.pruned = wave
-	for w := range s.shares {
-		if w < wave {
-			delete(s.shares, w)
-		}
-	}
-	for w := range s.released {
-		if w < wave {
-			delete(s.released, w)
-		}
-	}
-	for w := range s.ready {
-		if w < wave {
-			delete(s.ready, w)
+	s.pruned = w
+	for k := range s.waves {
+		if k < w {
+			delete(s.waves, k)
 		}
 	}
 }
 
-// Entries returns the number of per-wave entries held (share trackers,
-// release and ready flags), which PruneBelow bounds.
-func (s *Shared) Entries() int { return len(s.shares) + len(s.released) + len(s.ready) }
+// Entries returns the number of waves the coin keeps, which PruneBelow
+// bounds.
+func (s *Shared) Entries() int { return len(s.waves) }
 
 // Leader returns the wave's leader if the coin has been revealed.
-func (s *Shared) Leader(wave int) (types.ProcessID, bool) {
-	if !s.ready[wave] {
+func (s *Shared) Leader(w int) (types.ProcessID, bool) {
+	if !s.Ready(w) {
 		return 0, false
 	}
-	return s.src.Leader(wave), true
+	return s.src.Leader(w), true
 }

@@ -373,7 +373,7 @@ type LiveStats struct {
 	RoundTrackers  int // per-round source quorum trackers
 	WaveCtls       int // per-wave gather control states
 	PendingPairs   int // delivered-set entries ("pending pairs")
-	CoinWaves      int // revealed-coin per-wave entries plus waves awaiting the reveal
+	CoinWaves      int // waves the revealed coin keeps (coin.Shared.Entries) plus waves awaiting the reveal
 }
 
 // Live returns the node's current live-state counters.

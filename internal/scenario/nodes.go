@@ -9,31 +9,62 @@ import (
 
 // Byzantine node wrappers. --------------------------------------------------
 //
-// Each wrapper runs the real protocol node but intercepts its outbound
+// A Byzantine node runs the real protocol node but intercepts its outbound
 // traffic through a hooked Env, so the adversarial behaviour lives entirely
 // at the network boundary: the inner node's state machine is untouched and
-// its results remain observable through sim.Unwrap. The wrappers hold only
-// per-node state, and an Env offers no randomness, so they draw nothing
-// from the run's RNG (see the package comment's determinism contract).
+// its results remain observable through sim.Unwrap. Selective, StaleReplay
+// and Equivocate each build one from two hooks, for the inner node's Sends
+// and for its sim.Multicast acts, whose closures hold the behaviour's
+// per-node state. A broadcast is a multicast with a nil To, and a vote
+// goes to its sender's audience, quorum.Assumption.Audience, by one
+// sim.Multicast; so a hook treats every multicast alike, whatever its
+// audience and form. The hooks forward through the Env the node is given,
+// whichever it is: one that is no sim.Multicaster, as the TCP host's is
+// not, gets one Send per destination. An Env offers no randomness, so a
+// wrapper draws nothing from the run's RNG (see the package comment's
+// determinism contract).
 
-// sendHook is the interception point a wrapper implements: it receives the
-// inner node's Send calls, and its sim.Multicast calls as multicast acts,
-// together with the real Env to forward (possibly mutated) traffic
-// through. A broadcast is a multicast with a nil To, and a vote goes to its
-// sender's audience, quorum.Assumption.Audience, by one sim.Multicast; so
-// a wrapper treats every multicast alike, whatever its audience and form.
-type sendHook interface {
-	hookSend(env sim.Env, to types.ProcessID, msg sim.Message)
-	hookMulticast(env sim.Env, c sim.Cast)
+// byzantine is the one Byzantine node wrapper.
+type byzantine struct {
+	inner     sim.Node
+	send      func(env sim.Env, to types.ProcessID, msg sim.Message)
+	multicast func(env sim.Env, c sim.Cast)
+	hook      hookEnv
 }
 
-// hookEnv wraps the Env of the current Init/Receive call, routing the
-// inner node's sends to the owning wrapper's hook. One hookEnv is pooled
-// per wrapper and rebound to the live Env per call — only the goroutine
+var _ sim.Node = (*byzantine)(nil)
+var _ sim.Unwrapper = (*byzantine)(nil)
+
+func newByzantine(inner sim.Node, send func(sim.Env, types.ProcessID, sim.Message), multicast func(sim.Env, sim.Cast)) *byzantine {
+	b := &byzantine{inner: inner, send: send, multicast: multicast}
+	b.hook.owner = b
+	return b
+}
+
+// Init implements sim.Node.
+func (b *byzantine) Init(env sim.Env) {
+	b.hook.base = env
+	b.inner.Init(&b.hook)
+	b.hook.base = nil
+}
+
+// Receive implements sim.Node.
+func (b *byzantine) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
+	b.hook.base = env
+	b.inner.Receive(&b.hook, from, msg)
+	b.hook.base = nil
+}
+
+// Unwrap implements sim.Unwrapper.
+func (b *byzantine) Unwrap() sim.Node { return b.inner }
+
+// hookEnv is the Env the inner node runs on: it routes the node's sends
+// to its owner's hooks, with the Env of the current Init or Receive call
+// to forward (possibly mutated) traffic through. Only the goroutine
 // executing the node touches it, matching the Env single-call contract.
 type hookEnv struct {
 	base  sim.Env
-	owner sendHook
+	owner *byzantine
 }
 
 var _ sim.Env = (*hookEnv)(nil)
@@ -44,174 +75,16 @@ func (h *hookEnv) N() int                { return h.base.N() }
 func (h *hookEnv) Now() sim.VirtualTime  { return h.base.Now() }
 
 func (h *hookEnv) Send(to types.ProcessID, msg sim.Message) {
-	h.owner.hookSend(h.base, to, msg)
+	h.owner.send(h.base, to, msg)
 }
 
 // Multicast implements sim.Multicaster.
 func (h *hookEnv) Multicast(c sim.Cast) {
-	h.owner.hookMulticast(h.base, c)
+	h.owner.multicast(h.base, c)
 }
 
-// run executes fn (an inner Init or Receive) with the hook rebound to env.
-func (h *hookEnv) run(env sim.Env, fn func(sim.Env)) {
-	h.base = env
-	fn(h)
-	h.base = nil
-}
-
-// SelectiveNode is a Byzantine sender that talks only to an allowed subset:
-// every Send or multicast of the inner node is suppressed for destinations
-// outside Allow (a multicast degenerates to per-destination sends to the
-// allowed members, in its own order). Reliable dissemination must tolerate
-// it: receivers inside Allow echo the vertex onward.
-type SelectiveNode struct {
-	Inner sim.Node
-	Allow types.Set
-
-	hook hookEnv
-}
-
-var _ sim.Node = (*SelectiveNode)(nil)
-var _ sim.Unwrapper = (*SelectiveNode)(nil)
-
-// Init implements sim.Node.
-func (s *SelectiveNode) Init(env sim.Env) {
-	s.hook.owner = s
-	s.hook.run(env, s.Inner.Init)
-}
-
-// Receive implements sim.Node.
-func (s *SelectiveNode) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
-	s.hook.owner = s
-	s.hook.run(env, func(e sim.Env) { s.Inner.Receive(e, from, msg) })
-}
-
-func (s *SelectiveNode) hookSend(env sim.Env, to types.ProcessID, msg sim.Message) {
-	if s.Allow.Contains(to) {
-		env.Send(to, msg)
-	}
-}
-
-func (s *SelectiveNode) hookMulticast(env sim.Env, c sim.Cast) {
-	self := env.Self()
-	c.Each(env.N(), func(p types.ProcessID) { s.hookSend(env, p, c.For(self, p)) })
-}
-
-// Unwrap implements sim.Unwrapper.
-func (s *SelectiveNode) Unwrap() sim.Node { return s.Inner }
-
-// StaleReplayNode is a Byzantine sender that replays recorded traffic:
-// every Every-th broadcast or multicast of the inner node is followed by a
-// replay of the oldest recorded one, to its own recipients in its own
-// forms — a genuine message reinjected long after its time. The cadence
-// is a deterministic counter, never randomness, so the wrapper is safe
-// inside concurrent Receive execution. Handlers must treat the replays as
-// the duplicate deliveries they are.
-type StaleReplayNode struct {
-	Inner sim.Node
-	// Every triggers a replay after each Every-th broadcast or multicast
-	// (values < 1 behave as 1: every one is followed by a replay).
-	Every int
-
-	hook  hookEnv
-	count int
-	// first is the oldest recorded act (none while its Msg is nil), with
-	// its own copy of RefTo: the inner node may change the set it lent
-	// after the call.
-	first sim.Cast
-}
-
-var _ sim.Node = (*StaleReplayNode)(nil)
-var _ sim.Unwrapper = (*StaleReplayNode)(nil)
-
-// Init implements sim.Node.
-func (s *StaleReplayNode) Init(env sim.Env) {
-	s.hook.owner = s
-	s.hook.run(env, s.Inner.Init)
-}
-
-// Receive implements sim.Node.
-func (s *StaleReplayNode) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
-	s.hook.owner = s
-	s.hook.run(env, func(e sim.Env) { s.Inner.Receive(e, from, msg) })
-}
-
-func (s *StaleReplayNode) hookSend(env sim.Env, to types.ProcessID, msg sim.Message) {
-	env.Send(to, msg)
-}
-
-func (s *StaleReplayNode) hookMulticast(env sim.Env, c sim.Cast) {
-	sim.Multicast(env, c)
-	if s.first.Msg == nil {
-		s.first = c
-		s.first.RefTo = c.RefTo.Clone()
-		return
-	}
-	s.count++
-	every := s.Every
-	if every < 1 {
-		every = 1
-	}
-	if s.count%every == 0 {
-		sim.Multicast(env, s.first)
-	}
-}
-
-// Unwrap implements sim.Unwrapper.
-func (s *StaleReplayNode) Unwrap() sim.Node { return s.Inner }
-
-// EquivocateNode is a Byzantine sender that shows different processes
-// different histories: each broadcast or multicast of the inner node
-// reaches its recipients in GroupA genuinely, while every recipient
-// outside GroupA instead receives the *previous* broadcast or multicast
-// message again, in full (nothing, before the first). The receiver
-// sets are disjoint by construction and the substituted message is a real
-// protocol message, so the equivocation is type-correct and must be
-// absorbed by reliable dissemination among the correct processes.
-type EquivocateNode struct {
-	Inner sim.Node
-	// GroupA receives genuine broadcasts and multicasts; its complement
-	// gets the replayed previous one. The sender should keep itself in GroupA, or its
-	// own protocol state diverges from what it disseminates.
-	GroupA types.Set
-
-	hook hookEnv
-	prev sim.Message
-}
-
-var _ sim.Node = (*EquivocateNode)(nil)
-var _ sim.Unwrapper = (*EquivocateNode)(nil)
-
-// Init implements sim.Node.
-func (q *EquivocateNode) Init(env sim.Env) {
-	q.hook.owner = q
-	q.hook.run(env, q.Inner.Init)
-}
-
-// Receive implements sim.Node.
-func (q *EquivocateNode) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
-	q.hook.owner = q
-	q.hook.run(env, func(e sim.Env) { q.Inner.Receive(e, from, msg) })
-}
-
-func (q *EquivocateNode) hookSend(env sim.Env, to types.ProcessID, msg sim.Message) {
-	env.Send(to, msg)
-}
-
-func (q *EquivocateNode) hookMulticast(env sim.Env, c sim.Cast) {
-	self := env.Self()
-	c.Each(env.N(), func(p types.ProcessID) {
-		if q.GroupA.Contains(p) {
-			env.Send(p, c.For(self, p))
-		} else if q.prev != nil {
-			env.Send(p, q.prev)
-		}
-	})
-	q.prev = c.Msg
-}
-
-// Unwrap implements sim.Unwrapper.
-func (q *EquivocateNode) Unwrap() sim.Node { return q.Inner }
+// forward is the send hook of a behaviour that passes Sends on untouched.
+func forward(env sim.Env, to types.ProcessID, msg sim.Message) { env.Send(to, msg) }
 
 // NodeFault constructors. ----------------------------------------------------
 
@@ -249,27 +122,80 @@ func Churn(p types.ProcessID, crashAt, recoverAt sim.VirtualTime, buffer bool) N
 	return NodeFault{P: p, Correct: buffer, Rules: []Rule{r}}
 }
 
-// Selective makes process p send only to the allowed set (Byzantine).
+// Selective makes process p a Byzantine sender that talks only to the
+// allowed set: every Send or multicast of its node is suppressed for
+// destinations outside allow (a multicast degenerates to per-destination
+// sends to the allowed members, in its own order). Reliable dissemination
+// must tolerate it: receivers inside allow echo the vertex onward.
 func Selective(p types.ProcessID, allow types.Set) NodeFault {
+	send := func(env sim.Env, to types.ProcessID, msg sim.Message) {
+		if allow.Contains(to) {
+			env.Send(to, msg)
+		}
+	}
+	multicast := func(env sim.Env, c sim.Cast) {
+		self := env.Self()
+		c.Each(env.N(), func(q types.ProcessID) { send(env, q, c.For(self, q)) })
+	}
 	return NodeFault{P: p, Correct: false, Wrap: func(inner sim.Node) sim.Node {
-		return &SelectiveNode{Inner: inner, Allow: allow}
+		return newByzantine(inner, send, multicast)
 	}}
 }
 
-// StaleReplay makes process p resend its oldest recorded broadcast or
-// multicast after every every-th new one (Byzantine: classified faulty even though
-// the replays carry only genuine messages).
+// StaleReplay makes process p a Byzantine sender that replays recorded
+// traffic: every every-th broadcast or multicast of its node is followed
+// by a replay of the oldest recorded one, to its own recipients in its
+// own forms — a genuine message reinjected long after its time (values
+// < 1 behave as 1: every one is followed by a replay). The cadence is a
+// deterministic counter, never randomness. Handlers must treat the
+// replays as the duplicate deliveries they are; p is classified faulty
+// even though the replays carry only genuine messages.
 func StaleReplay(p types.ProcessID, every int) NodeFault {
+	every = max(every, 1)
 	return NodeFault{P: p, Correct: false, Wrap: func(inner sim.Node) sim.Node {
-		return &StaleReplayNode{Inner: inner, Every: every}
+		count := 0
+		// first is the oldest recorded act (none while its Msg is nil),
+		// with its own copy of RefTo: the inner node may change the set it
+		// lent after the call.
+		var first sim.Cast
+		return newByzantine(inner, forward, func(env sim.Env, c sim.Cast) {
+			sim.Multicast(env, c)
+			if first.Msg == nil {
+				first = c
+				first.RefTo = c.RefTo.Clone()
+				return
+			}
+			count++
+			if count%every == 0 {
+				sim.Multicast(env, first)
+			}
+		})
 	}}
 }
 
-// Equivocate makes process p broadcast and multicast genuinely to groupA
-// and replay its previous broadcast or multicast to everyone else
-// (Byzantine).
+// Equivocate makes process p a Byzantine sender that shows different
+// processes different histories: each broadcast or multicast of its node
+// reaches its recipients in groupA genuinely, while every recipient
+// outside groupA instead receives the previous broadcast or multicast
+// message again, in full (nothing, before the first). The receiver sets
+// are disjoint by construction and the substituted message is a real
+// protocol message, so the equivocation is type-correct and must be
+// absorbed by reliable dissemination among the correct processes. p
+// should keep itself in groupA, or its own protocol state diverges from
+// what it disseminates.
 func Equivocate(p types.ProcessID, groupA types.Set) NodeFault {
 	return NodeFault{P: p, Correct: false, Wrap: func(inner sim.Node) sim.Node {
-		return &EquivocateNode{Inner: inner, GroupA: groupA}
+		var prev sim.Message
+		return newByzantine(inner, forward, func(env sim.Env, c sim.Cast) {
+			self := env.Self()
+			c.Each(env.N(), func(q types.ProcessID) {
+				if groupA.Contains(q) {
+					env.Send(q, c.For(self, q))
+				} else if prev != nil {
+					env.Send(q, prev)
+				}
+			})
+			prev = c.Msg
+		})
 	}}
 }

@@ -15,8 +15,9 @@
 //     exist but arrive after the heal, like a retransmitting transport.
 //     Rules compile into one sim.FaultPlane via Scenario.FaultPlane.
 //   - Node faults (NodeFault): per-process behaviours — the Byzantine
-//     wrappers of this package (SelectiveNode, StaleReplayNode,
-//     EquivocateNode) and the stand-ins that replace the node outright
+//     senders of this package (Selective, StaleReplay and Equivocate, one
+//     wrapper around the real node that hooks its sends) and the
+//     stand-ins that replace the node outright
 //     (Mute, or a NodeFault literal whose Wrap ignores the inner node),
 //     applied through Scenario.WrapNode, and link rules a fault brings
 //     (NodeFault.Rules), which FaultPlane compiles after the scenario's

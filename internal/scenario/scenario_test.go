@@ -152,17 +152,13 @@ func TestEmptyScenarioHasNilPlane(t *testing.T) {
 // a chatty sender and nodes 1..3 record, returning the recorders.
 func runWrapped(t *testing.T, wrap func(sim.Node) sim.Node, rounds int) []*recorder {
 	t.Helper()
-	return runWrappedTo(t, wrap, rounds, nil)
-}
-
-// runWrappedTo is runWrapped with the chatty sender multicasting to to.
-func runWrappedTo(t *testing.T, wrap func(sim.Node) sim.Node, rounds int, to []types.ProcessID) []*recorder {
-	t.Helper()
-	return runWrappedChatty(t, wrap, &chatty{Rounds: rounds, To: to})
+	return runWrappedChatty(t, wrap, &chatty{Rounds: rounds}, false)
 }
 
 // runWrappedChatty runs the wrapped chatty node 0 among three recorders.
-func runWrappedChatty(t *testing.T, wrap func(sim.Node) sim.Node, c *chatty) []*recorder {
+// With sendOnly set, node 0 runs on an Env that is no sim.Multicaster, as
+// the TCP host's is not.
+func runWrappedChatty(t *testing.T, wrap func(sim.Node) sim.Node, c *chatty, sendOnly bool) []*recorder {
 	t.Helper()
 	n := 4
 	recs := make([]*recorder, n)
@@ -172,16 +168,55 @@ func runWrappedChatty(t *testing.T, wrap func(sim.Node) sim.Node, c *chatty) []*
 		nodes[i] = recs[i]
 	}
 	nodes[0] = wrap(c)
+	if sendOnly {
+		nodes[0] = onSendOnlyEnv{nodes[0]}
+	}
 	r := sim.NewRunner(sim.Config{N: n, Seed: 1}, nodes)
 	r.Run(0)
 	return recs
 }
 
+// sendOnlyEnv hides the simulator Env's sim.Multicaster: a multicast
+// through it is one Send per destination.
+type sendOnlyEnv struct{ sim.Env }
+
+// onSendOnlyEnv runs its node on a sendOnlyEnv.
+type onSendOnlyEnv struct{ sim.Node }
+
+func (o onSendOnlyEnv) Init(env sim.Env) { o.Node.Init(sendOnlyEnv{env}) }
+
+func (o onSendOnlyEnv) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
+	o.Node.Receive(sendOnlyEnv{env}, from, msg)
+}
+
+// wrapperRow is a wrapper test row: a fault on process 0 and the trace it
+// gives each receiver.
+type wrapperRow struct {
+	name  string
+	fault NodeFault
+	want  map[int][]string
+}
+
+// checkWrapperTraces runs each row's fault around a chatty node 0, built
+// by mk, twice: on the simulator's Env and on one that is no
+// sim.Multicaster. Both runs must give every receiver the row's trace.
+func checkWrapperTraces(t *testing.T, rows []wrapperRow, mk func() *chatty) {
+	t.Helper()
+	for _, tc := range rows {
+		for _, sendOnly := range []bool{false, true} {
+			recs := runWrappedChatty(t, tc.fault.Wrap, mk(), sendOnly)
+			for i, w := range tc.want {
+				if fmt.Sprint(recs[i].got) != fmt.Sprint(w) {
+					t.Errorf("%s (send-only Env %v): receiver %d got %v, want %v", tc.name, sendOnly, i, recs[i].got, w)
+				}
+			}
+		}
+	}
+}
+
 func TestSelectiveNode(t *testing.T) {
 	allow := types.NewSetOf(4, 0, 1, 2) // exclude 3
-	recs := runWrapped(t, func(inner sim.Node) sim.Node {
-		return &SelectiveNode{Inner: inner, Allow: allow}
-	}, 3)
+	recs := runWrapped(t, Selective(0, allow).Wrap, 3)
 	if len(recs[1].got) != 3 || len(recs[2].got) != 3 {
 		t.Fatalf("allowed receivers got %d/%d messages, want 3/3", len(recs[1].got), len(recs[2].got))
 	}
@@ -191,9 +226,7 @@ func TestSelectiveNode(t *testing.T) {
 }
 
 func TestStaleReplayNode(t *testing.T) {
-	recs := runWrapped(t, func(inner sim.Node) sim.Node {
-		return &StaleReplayNode{Inner: inner, Every: 1}
-	}, 3)
+	recs := runWrapped(t, StaleReplay(0, 1).Wrap, 3)
 	// Broadcast chain: {1}, {2}+replay{1}, {3}+replay{1}. Each receiver
 	// sees 5 messages, three genuine and two replays of the first.
 	for i := 1; i <= 3; i++ {
@@ -211,9 +244,7 @@ func TestStaleReplayNode(t *testing.T) {
 
 func TestEquivocateNode(t *testing.T) {
 	groupA := types.NewSetOf(4, 0, 1) // 2 and 3 get the stale stream
-	recs := runWrapped(t, func(inner sim.Node) sim.Node {
-		return &EquivocateNode{Inner: inner, GroupA: groupA}
-	}, 3)
+	recs := runWrapped(t, Equivocate(0, groupA).Wrap, 3)
 	want := map[int][]string{
 		1: {"0:{1}", "0:{2}", "0:{3}"}, // genuine stream
 		2: {"0:{1}", "0:{2}"},          // one broadcast behind
@@ -233,40 +264,23 @@ func TestEquivocateNode(t *testing.T) {
 // outside the list, hears nothing under every wrapper.
 func TestWrappersActOnMulticasts(t *testing.T) {
 	to := []types.ProcessID{0, 1, 2}
-	for _, tc := range []struct {
-		name string
-		wrap func(sim.Node) sim.Node
-		want map[int][]string
-	}{
-		{"equivocate", func(inner sim.Node) sim.Node {
-			return &EquivocateNode{Inner: inner, GroupA: types.NewSetOf(4, 0, 1)}
-		}, map[int][]string{
+	checkWrapperTraces(t, []wrapperRow{
+		{"equivocate", Equivocate(0, types.NewSetOf(4, 0, 1)), map[int][]string{
 			1: {"0:{1}", "0:{2}", "0:{3}"}, // genuine stream
 			2: {"0:{1}", "0:{2}"},          // one multicast behind
 			3: nil,
 		}},
-		{"stale-replay", func(inner sim.Node) sim.Node {
-			return &StaleReplayNode{Inner: inner, Every: 1}
-		}, map[int][]string{
+		{"stale-replay", StaleReplay(0, 1), map[int][]string{
 			1: {"0:{1}", "0:{2}", "0:{1}", "0:{3}", "0:{1}"},
 			2: {"0:{1}", "0:{2}", "0:{1}", "0:{3}", "0:{1}"},
 			3: nil,
 		}},
-		{"selective", func(inner sim.Node) sim.Node {
-			return &SelectiveNode{Inner: inner, Allow: types.NewSetOf(4, 0, 1, 3)}
-		}, map[int][]string{
+		{"selective", Selective(0, types.NewSetOf(4, 0, 1, 3)), map[int][]string{
 			1: {"0:{1}", "0:{2}", "0:{3}"},
 			2: nil,
 			3: nil,
 		}},
-	} {
-		recs := runWrappedTo(t, tc.wrap, 3, to)
-		for i, w := range tc.want {
-			if fmt.Sprint(recs[i].got) != fmt.Sprint(w) {
-				t.Errorf("%s: receiver %d got %v, want %v", tc.name, i, recs[i].got, w)
-			}
-		}
-	}
+	}, func() *chatty { return &chatty{Rounds: 3, To: to} })
 }
 
 // TestWrappersKeepReferenceForms: a multicast act carries a message and
@@ -278,40 +292,23 @@ func TestWrappersActOnMulticasts(t *testing.T) {
 // equivocator substitutes goes in full.
 func TestWrappersKeepReferenceForms(t *testing.T) {
 	to := []types.ProcessID{0, 1, 2}
-	for _, tc := range []struct {
-		name string
-		wrap func(sim.Node) sim.Node
-		want map[int][]string
-	}{
-		{"equivocate", func(inner sim.Node) sim.Node {
-			return &EquivocateNode{Inner: inner, GroupA: types.NewSetOf(4, 0, 1)}
-		}, map[int][]string{
+	checkWrapperTraces(t, []wrapperRow{
+		{"equivocate", Equivocate(0, types.NewSetOf(4, 0, 1)), map[int][]string{
 			1: {"0:ref{1}", "0:{2}", "0:{3}"},
 			2: {"0:{1}", "0:{2}"},
 			3: nil,
 		}},
-		{"stale-replay", func(inner sim.Node) sim.Node {
-			return &StaleReplayNode{Inner: inner, Every: 1}
-		}, map[int][]string{
+		{"stale-replay", StaleReplay(0, 1), map[int][]string{
 			1: {"0:ref{1}", "0:{2}", "0:ref{1}", "0:{3}", "0:ref{1}"},
 			2: {"0:{1}", "0:{2}", "0:{1}", "0:{3}", "0:{1}"},
 			3: nil,
 		}},
-		{"selective", func(inner sim.Node) sim.Node {
-			return &SelectiveNode{Inner: inner, Allow: types.NewSetOf(4, 0, 1, 3)}
-		}, map[int][]string{
+		{"selective", Selective(0, types.NewSetOf(4, 0, 1, 3)), map[int][]string{
 			1: {"0:ref{1}", "0:{2}", "0:{3}"},
 			2: nil,
 			3: nil,
 		}},
-	} {
-		recs := runWrappedChatty(t, tc.wrap, &chatty{Rounds: 3, To: to, RefFirst: types.NewSetOf(4, 0, 1)})
-		for i, w := range tc.want {
-			if fmt.Sprint(recs[i].got) != fmt.Sprint(w) {
-				t.Errorf("%s: receiver %d got %v, want %v", tc.name, i, recs[i].got, w)
-			}
-		}
-	}
+	}, func() *chatty { return &chatty{Rounds: 3, To: to, RefFirst: types.NewSetOf(4, 0, 1)} })
 }
 
 // TestWrappersHonourExcept: an act that leaves one process out (an ECHO
@@ -319,41 +316,24 @@ func TestWrappersKeepReferenceForms(t *testing.T) {
 // an equivocator's substitute or a replay: node 0 broadcasts three times
 // to everyone but process 2.
 func TestWrappersHonourExcept(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		wrap func(sim.Node) sim.Node
-		want map[int][]string
-	}{
-		{"equivocate", func(inner sim.Node) sim.Node {
-			return &EquivocateNode{Inner: inner, GroupA: types.NewSetOf(4, 0, 1)}
-		}, map[int][]string{
+	skip := types.ProcessID(2)
+	checkWrapperTraces(t, []wrapperRow{
+		{"equivocate", Equivocate(0, types.NewSetOf(4, 0, 1)), map[int][]string{
 			1: {"0:{1}", "0:{2}", "0:{3}"},
 			2: nil,
 			3: {"0:{1}", "0:{2}"},
 		}},
-		{"stale-replay", func(inner sim.Node) sim.Node {
-			return &StaleReplayNode{Inner: inner, Every: 1}
-		}, map[int][]string{
+		{"stale-replay", StaleReplay(0, 1), map[int][]string{
 			1: {"0:{1}", "0:{2}", "0:{1}", "0:{3}", "0:{1}"},
 			2: nil,
 			3: {"0:{1}", "0:{2}", "0:{1}", "0:{3}", "0:{1}"},
 		}},
-		{"selective", func(inner sim.Node) sim.Node {
-			return &SelectiveNode{Inner: inner, Allow: types.NewSetOf(4, 0, 2, 3)}
-		}, map[int][]string{
+		{"selective", Selective(0, types.NewSetOf(4, 0, 2, 3)), map[int][]string{
 			1: nil,
 			2: nil,
 			3: {"0:{1}", "0:{2}", "0:{3}"},
 		}},
-	} {
-		skip := types.ProcessID(2)
-		recs := runWrappedChatty(t, tc.wrap, &chatty{Rounds: 3, Except: &skip})
-		for i, w := range tc.want {
-			if fmt.Sprint(recs[i].got) != fmt.Sprint(w) {
-				t.Errorf("%s: receiver %d got %v, want %v", tc.name, i, recs[i].got, w)
-			}
-		}
-	}
+	}, func() *chatty { return &chatty{Rounds: 3, Except: &skip} })
 }
 
 func TestWrapNodeAndUnwrap(t *testing.T) {

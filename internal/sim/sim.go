@@ -43,10 +43,10 @@
 // message, it decides when the message is sent. The hook runs on the
 // driving goroutine with the run's one seeded RNG, so every fault
 // decision — drop, duplicate, extra delay, hold-until — is a pure
-// function of the seed. Node-level faults compose separately as wrappers
-// (MuteNode and the Byzantine wrappers in internal/scenario); wrappers
-// implementing Unwrapper keep the inner protocol node observable to
-// result collectors. A crash that recovers is no node fault: to every
+// function of the seed. Node-level faults compose separately: MuteNode
+// replaces a node, and internal/scenario's one Byzantine wrapper hooks a
+// real node's sends; a wrapper implementing Unwrapper keeps the inner
+// protocol node observable to result collectors. A crash that recovers is no node fault: to every
 // other process it looks like slow or lossy links, so internal/scenario
 // makes churn a link rule on every link of the process. internal/scenario
 // bundles both kinds into one Scenario — rules it compiles into a
@@ -222,9 +222,9 @@ func Multicast(env Env, c Cast) {
 
 // Multicaster is an Env that sees a Multicast as one act rather than as
 // the Sends it makes. The simulator's Env implements it to price each
-// form of an act once; the Byzantine wrappers of internal/scenario do, so
-// that they equivocate, replay and filter a vote sent to its audience, in
-// either form, as they do a broadcast. Its observable effect must be that
+// form of an act once; the Env internal/scenario's Byzantine wrapper gives
+// its node does, so that it equivocates, replays and filters a vote sent
+// to its audience, in either form, as it does a broadcast. Its observable effect must be that
 // of the Sends Multicast would make.
 type Multicaster interface {
 	Multicast(c Cast)
@@ -718,7 +718,7 @@ func (r *Runner) Metrics() *Metrics {
 // Node wrappers for fault injection. ------------------------------------
 
 // Unwrapper is implemented by fault wrappers (the scenario package's
-// Byzantine wrappers) that delegate to an inner protocol node. Result
+// Byzantine wrapper) that delegate to an inner protocol node. Result
 // collectors unwrap through it so a wrapped node's observable protocol
 // state is still reported.
 type Unwrapper interface {
