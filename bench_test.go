@@ -446,15 +446,10 @@ func BenchmarkGatherTwoRoundThreshold(b *testing.B) {
 	trust := quorum.NewThreshold(7, 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		n := trust.N()
-		nodes := make([]sim.Node, n)
-		for k := range nodes {
-			nodes[k] = gather.NewTwoRoundNode(gather.Config{
-				Trust: trust, Input: gather.InputValue(types.ProcessID(k)), Mode: gather.UseReliable,
-			})
-		}
-		r := sim.NewRunner(sim.Config{N: n, Seed: int64(i), Latency: sim.UniformLatency{Min: 1, Max: 20}}, nodes)
-		r.Run(0)
+		gather.RunCluster(gather.RunConfig{
+			Kind: gather.KindTwoRound, Trust: trust, Mode: gather.UseReliable,
+			Latency: sim.UniformLatency{Min: 1, Max: 20}, Seed: int64(i),
+		})
 	}
 }
 
@@ -463,15 +458,10 @@ func BenchmarkGatherBindingCounterexample(b *testing.B) {
 	sys := quorum.Counterexample()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		n := sys.N()
-		nodes := make([]sim.Node, n)
-		for k := range nodes {
-			nodes[k] = gather.NewBindingNode(gather.Config{
-				Trust: sys, Input: gather.InputValue(types.ProcessID(k)), Mode: gather.UsePlain,
-			})
-		}
-		r := sim.NewRunner(sim.Config{N: n, Seed: int64(i), Latency: sim.UniformLatency{Min: 1, Max: 10}}, nodes)
-		r.Run(0)
+		gather.RunCluster(gather.RunConfig{
+			Kind: gather.KindBinding, Trust: sys, Mode: gather.UsePlain,
+			Latency: sim.UniformLatency{Min: 1, Max: 10}, Seed: int64(i),
+		})
 	}
 }
 

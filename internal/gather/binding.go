@@ -6,12 +6,6 @@ import (
 	"repro/internal/types"
 )
 
-// distUMsg carries the fourth-round U set of the binding gather.
-type distUMsg struct {
-	From types.ProcessID
-	U    Pairs
-}
-
 // BindingNode is the binding variant of the asymmetric gather: Algorithm 3
 // plus one extra exchange round, following Abraham et al.'s observation
 // (paper §2.4) that a binding common core costs one additional round.
@@ -62,12 +56,9 @@ func (n *BindingNode) Init(env sim.Env) {
 
 // Receive implements sim.Node.
 func (n *BindingNode) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
-	if m, ok := msg.(distUMsg); ok {
-		if m.From != from || !m.U.wireValid(env.N()) {
-			return
-		}
-		if n.pendingU.add(n.inner.s, from, m.U) {
-			n.acceptU(from, m.U)
+	if m, ok := msg.(distMsg); ok && m.Level == levelU {
+		if m.Set.wireValid(env.N()) && n.pendingU.add(n.inner.s, from, m.Set) {
+			n.acceptU(from, m.Set)
 		}
 		return
 	}
@@ -85,7 +76,7 @@ func (n *BindingNode) afterInner(env sim.Env) {
 		return
 	}
 	n.sentU = true
-	sim.Multicast(env, sim.Cast{Msg: distUMsg{From: n.inner.self, U: u.Clone()}})
+	sim.Multicast(env, sim.Cast{Msg: distMsg{Level: levelU, Set: u.Clone()}})
 }
 
 func (n *BindingNode) acceptU(from types.ProcessID, u Pairs) {

@@ -8,28 +8,8 @@ import (
 	"repro/internal/types"
 )
 
-func runBinding(trust quorum.Assumption, mode Dissemination, lat sim.LatencyModel, seed int64) (map[types.ProcessID]Pairs, map[types.ProcessID]Pairs, *sim.Metrics) {
-	n := trust.N()
-	nodes := make([]sim.Node, n)
-	raw := make([]*BindingNode, n)
-	for i := range nodes {
-		nd := NewBindingNode(Config{Trust: trust, Input: InputValue(types.ProcessID(i)), Mode: mode})
-		nodes[i] = nd
-		raw[i] = nd
-	}
-	r := sim.NewRunner(sim.Config{N: n, Seed: seed, Latency: lat}, nodes)
-	r.Run(0)
-	outputs := map[types.ProcessID]Pairs{}
-	snaps := map[types.ProcessID]Pairs{}
-	for i, nd := range raw {
-		if out, ok := nd.Delivered(); ok {
-			outputs[types.ProcessID(i)] = out
-		}
-		if s := nd.SentS(); !s.IsZero() {
-			snaps[types.ProcessID(i)] = s
-		}
-	}
-	return outputs, snaps, r.Metrics()
+func runBinding(trust quorum.Assumption, mode Dissemination, lat sim.LatencyModel, seed int64) RunResult {
+	return RunCluster(RunConfig{Kind: KindBinding, Trust: trust, Mode: mode, Latency: lat, Seed: seed})
 }
 
 // TestBindingGatherCommonCore: the binding variant preserves the common
@@ -37,11 +17,11 @@ func runBinding(trust quorum.Assumption, mode Dissemination, lat sim.LatencyMode
 func TestBindingGatherCommonCore(t *testing.T) {
 	sys := quorum.Counterexample()
 	n := sys.N()
-	outputs, snaps, _ := runBinding(sys, UsePlain, adversarialLatency(sys), 1)
-	if len(outputs) != n {
-		t.Fatalf("%d of %d delivered", len(outputs), n)
+	res := runBinding(sys, UsePlain, adversarialLatency(sys), 1)
+	if len(res.Outputs) != n {
+		t.Fatalf("%d of %d delivered", len(res.Outputs), n)
 	}
-	core := AnalyzeCommonCore(n, snaps, outputs, types.FullSet(n))
+	core := AnalyzeCommonCore(n, res.SSnapshots, res.Outputs, types.FullSet(n))
 	if core.IsEmpty() {
 		t.Fatal("binding gather lost the common core")
 	}
@@ -98,9 +78,9 @@ func TestBindingGatherContainsInnerOutputs(t *testing.T) {
 func TestBindingGatherExtraRoundCost(t *testing.T) {
 	sys := quorum.Counterexample()
 	lat := sim.UniformLatency{Min: 1, Max: 10}
-	_, _, bindMetrics := runBinding(sys, UsePlain, lat, 3)
+	bind := runBinding(sys, UsePlain, lat, 3)
 	plain := RunCluster(RunConfig{Kind: KindConstantRound, Trust: sys, Mode: UsePlain, Latency: lat, Seed: 3})
-	extra := bindMetrics.MessagesSent - plain.Metrics.MessagesSent
+	extra := bind.Metrics.MessagesSent - plain.Metrics.MessagesSent
 	// One more all-to-all exchange: 870 messages on the 30-process
 	// system, one per link (a process's copy to itself is free).
 	if extra < 30*29 {
@@ -111,7 +91,7 @@ func TestBindingGatherExtraRoundCost(t *testing.T) {
 // TestBindingGatherValidity: values in bound outputs are genuine.
 func TestBindingGatherValidity(t *testing.T) {
 	trust := quorum.NewThreshold(7, 2)
-	outputs, _, _ := runBinding(trust, UseReliable, sim.UniformLatency{Min: 1, Max: 25}, 5)
+	outputs := runBinding(trust, UseReliable, sim.UniformLatency{Min: 1, Max: 25}, 5).Outputs
 	if len(outputs) != 7 {
 		t.Fatalf("%d delivered", len(outputs))
 	}

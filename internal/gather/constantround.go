@@ -111,15 +111,19 @@ func (n *ConstantRoundNode) Receive(env sim.Env, from types.ProcessID, msg sim.M
 		return
 	}
 	switch m := msg.(type) {
-	case distSMsg:
-		if m.From != from || !m.S.wireValid(env.N()) {
+	case distMsg:
+		if !m.Set.wireValid(env.N()) {
 			return
 		}
-		if n.gate.Open() {
-			return // line 48: no ACK once T was distributed
-		}
-		if n.pendingS.add(n.s, from, m.S) {
-			n.acceptS(env, from, m.S)
+		switch {
+		case m.Level == levelS && !n.gate.Open(): // line 48: no ACK once T was distributed
+			if n.pendingS.add(n.s, from, m.Set) {
+				n.acceptS(env, from, m.Set)
+			}
+		case m.Level == levelT:
+			if n.pendingT.add(n.s, from, m.Set) {
+				n.acceptT(env, from, m.Set)
+			}
 		}
 	case ackMsg:
 		if n.gate.Ack(from) {
@@ -136,14 +140,7 @@ func (n *ConstantRoundNode) Receive(env sim.Env, from types.ProcessID, msg sim.M
 		}
 		if opened {
 			n.pendingS.clear() // stop acknowledging
-			sim.Multicast(env, sim.Cast{Msg: distTMsg{From: n.self, T: n.t.Clone()}})
-		}
-	case distTMsg:
-		if m.From != from || !m.T.wireValid(env.N()) {
-			return
-		}
-		if n.pendingT.add(n.s, from, m.T) {
-			n.acceptT(env, from, m.T)
+			sim.Multicast(env, sim.Cast{Msg: distMsg{Level: levelT, Set: n.t.Clone()}})
 		}
 	}
 }

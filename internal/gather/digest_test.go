@@ -30,19 +30,8 @@ func (b bufferProbe) Receive(env sim.Env, from types.ProcessID, msg sim.Message)
 		s, open = nd.inner.s, nd.inner.gate != nil && nd.inner.gate.Open()
 	}
 	var set Pairs
-	switch m := msg.(type) {
-	case distSMsg:
-		if m.From == from && !open {
-			set = m.S
-		}
-	case distTMsg:
-		if m.From == from {
-			set = m.T
-		}
-	case distUMsg:
-		if m.From == from {
-			set = m.U
-		}
+	if m, ok := msg.(distMsg); ok && (m.Level != levelS || !open) {
+		set = m.Set
 	}
 	if !s.IsZero() && !set.IsZero() && set.wireValid(env.N()) && !s.ContainsAll(set) && !conflicts(s, set) {
 		*b.buffered++
@@ -92,14 +81,7 @@ func TestGatherRunsMatchRecordedDigests(t *testing.T) {
 			{"federated10", fed},
 		}, "244fdeb7a0805ed976ad018892d0e3287b96bcedc5bf98702a18de2dcfb4b863"},
 	}
-	protocols := []struct {
-		name string
-		make func(Config) sim.Node
-	}{
-		{"three-round", func(c Config) sim.Node { return NewThreeRoundNode(c) }},
-		{"constant-round", func(c Config) sim.Node { return NewConstantRoundNode(c) }},
-		{"binding", func(c Config) sim.Node { return NewBindingNode(c) }},
-	}
+	protocols := []Kind{KindThreeRound, KindConstantRound, KindBinding}
 	buffered, runs := 0, 0
 	for _, half := range halves {
 		h := sha256.New()
@@ -111,12 +93,12 @@ func TestGatherRunsMatchRecordedDigests(t *testing.T) {
 						inner := make([]sim.Node, n)
 						nodes := make([]sim.Node, n)
 						for i := range nodes {
-							inner[i] = proto.make(Config{Trust: sys.trust, Input: InputValue(types.ProcessID(i)), Mode: mode})
+							inner[i] = NewNode(proto, Config{Trust: sys.trust, Input: InputValue(types.ProcessID(i)), Mode: mode})
 							nodes[i] = bufferProbe{Node: inner[i], buffered: &buffered}
 						}
 						r := sim.NewRunner(sim.Config{N: n, Seed: seed, Latency: sim.UniformLatency{Min: 1, Max: 50}}, nodes)
 						r.Run(sim.DefaultEventBudget)
-						fmt.Fprintf(h, "run %s %d %d %s\n", sys.name, mode, seed, proto.name)
+						fmt.Fprintf(h, "run %s %d %d %s\n", sys.name, mode, seed, proto)
 						for i, nd := range inner {
 							g := nd.(gatherNode)
 							if out, ok := g.Delivered(); ok {

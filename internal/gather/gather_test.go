@@ -330,7 +330,8 @@ func TestPairsOps(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	if KindThreeRound.String() != "three-round" || KindConstantRound.String() != "constant-round" {
+	if KindThreeRound.String() != "three-round" || KindConstantRound.String() != "constant-round" ||
+		KindTwoRound.String() != "two-round" || KindBinding.String() != "binding" {
 		t.Error("Kind.String wrong")
 	}
 	if Kind(9).String() == "" {
@@ -352,7 +353,7 @@ type poisonNode struct {
 func (p *poisonNode) Init(env sim.Env) {
 	p.rb = broadcast.NewReliable(env.Self(), p.trust, func(sim.Env, broadcast.Slot, broadcast.Payload) {})
 	p.rb.Broadcast(env, 0, broadcast.Bytes("byzantine-input"))
-	sim.Multicast(env, sim.Cast{Msg: distSMsg{From: env.Self(), S: PairsOf(env.N(), map[types.ProcessID]string{p.victim: "FABRICATED"})}})
+	sim.Multicast(env, sim.Cast{Msg: distMsg{Level: levelS, Set: PairsOf(env.N(), map[types.ProcessID]string{p.victim: "FABRICATED"})}})
 }
 
 func (p *poisonNode) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
@@ -389,5 +390,102 @@ func TestAlgorithm3RejectsFabricatedPairs(t *testing.T) {
 	core := AnalyzeCommonCore(n, res.SSnapshots, res.Outputs, correct)
 	if core.IsEmpty() {
 		t.Fatal("no common core among correct processes despite poisoning")
+	}
+}
+
+// levelNode is a Byzantine process that broadcasts its input and then
+// distributes a fabricated set at each of levels.
+type levelNode struct {
+	trust  quorum.Assumption
+	levels []int
+	rb     *broadcast.Reliable
+}
+
+func (b *levelNode) Init(env sim.Env) {
+	b.rb = broadcast.NewReliable(env.Self(), b.trust, func(sim.Env, broadcast.Slot, broadcast.Payload) {})
+	b.rb.Broadcast(env, 0, broadcast.Bytes(InputValue(env.Self())))
+	fake := PairsOf(env.N(), map[types.ProcessID]string{0: "FABRICATED"})
+	for _, level := range b.levels {
+		sim.Multicast(env, sim.Cast{Msg: distMsg{Level: level, Set: fake}})
+	}
+}
+
+func (b *levelNode) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
+	b.rb.Handle(env, from, msg)
+}
+
+// TestMergeNodeDropsLevelsWithoutSet: a DISTRIBUTE at a level past the
+// last set of a merge node (level 1 or 2 at a two-round node, level 2 at a
+// three-round one) is dropped: no node panics, every correct node
+// delivers, and no fabricated value reaches an output.
+func TestMergeNodeDropsLevelsWithoutSet(t *testing.T) {
+	trust := quorum.NewThreshold(4, 1)
+	byz := types.ProcessID(3)
+	for _, tc := range []struct {
+		kind   Kind
+		levels []int
+	}{
+		{KindTwoRound, []int{levelT, levelU}},
+		{KindThreeRound, []int{levelU}},
+	} {
+		res := RunCluster(RunConfig{
+			Kind: tc.kind, Trust: trust, Mode: UseReliable, Latency: sim.UniformLatency{Min: 1, Max: 25}, Seed: 13,
+			Scenario: &scenario.Scenario{Faults: []scenario.NodeFault{{
+				P: byz, Wrap: func(sim.Node) sim.Node { return &levelNode{trust: trust, levels: tc.levels} },
+			}}},
+		})
+		for p := types.ProcessID(0); p < byz; p++ {
+			out, ok := res.Outputs[p]
+			if !ok {
+				t.Fatalf("%v: correct %v did not deliver", tc.kind, p)
+			}
+			for src, v := range out.Map() {
+				if v != InputValue(src) {
+					t.Fatalf("%v: %v delivered %q for %v", tc.kind, p, v, src)
+				}
+			}
+		}
+	}
+}
+
+// ackProbe counts the ACKs its node receives.
+type ackProbe struct {
+	sim.Node
+	acks *int
+}
+
+func (a ackProbe) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
+	if _, ok := msg.(ackMsg); ok {
+		*a.acks++
+	}
+	a.Node.Receive(env, from, msg)
+}
+
+func (a ackProbe) Unwrap() sim.Node { return a.Node }
+
+// TestAlgorithm3NoAckAfterGateOpens (line 48): a DISTRIBUTE_S that arrives
+// after its receiver distributed T is not acknowledged. Every link out of
+// process 3 is slow, so every gate opens long before 3's S set arrives,
+// and 3 receives no ACK at all.
+func TestAlgorithm3NoAckAfterGateOpens(t *testing.T) {
+	slow := types.ProcessID(3)
+	acks := 0
+	res := RunCluster(RunConfig{
+		Kind: KindConstantRound, Trust: quorum.NewThreshold(4, 1), Mode: UsePlain, Seed: 1,
+		Latency: sim.LatencyFunc(func(from, _ types.ProcessID, _ sim.Message, _ sim.VirtualTime, _ *rand.Rand) sim.VirtualTime {
+			if from == slow {
+				return 1000
+			}
+			return 1
+		}),
+		Scenario: &scenario.Scenario{Faults: []scenario.NodeFault{{
+			P: slow, Wrap: func(nd sim.Node) sim.Node { return ackProbe{Node: nd, acks: &acks} },
+		}}},
+	})
+	if len(res.Outputs) != 4 {
+		t.Fatalf("%d of 4 delivered", len(res.Outputs))
+	}
+	if acks != 0 {
+		t.Fatalf("process 3 received %d ACKs for an S set that arrived after every gate opened", acks)
 	}
 }

@@ -1,4 +1,5 @@
-// Package gather implements the paper's common-core protocols (§2.4, §3):
+// Package gather implements the paper's common-core protocols (§2.4, §3),
+// one Kind each, all run by RunCluster:
 //
 //   - ThreeRound: the classic three-round gather (Algorithm 1) and its
 //     quorum-replacement generalization (Algorithm 2) — they are the same
@@ -7,16 +8,20 @@
 //     proves (Lemma 3.2) that the asymmetric instantiation does NOT satisfy
 //     the common-core property; this package exists both as the symmetric
 //     baseline and as the vehicle for reproducing that counterexample.
+//   - TwoRound: Tusk's two-round common-core primitive, the same
+//     quorum-merge node with one round less.
 //   - ConstantRound: the paper's novel constant-round asymmetric gather
 //     (Algorithm 3) with DISTRIBUTE_S / ACK / READY / CONFIRM /
 //     DISTRIBUTE_T control flow. Its ACK/READY/CONFIRM rules (lines
 //     51–59) are Gate, which internal/core's consensus waves run too.
-//   - TwoRound: Tusk's two-round common-core primitive, generalized with
-//     quorum triggers the same way.
 //   - Binding: Algorithm 3 plus one DISTRIBUTE_U round, which fixes the
 //     common core by the first delivery (§2.4).
 //   - Abstract round-merge model: the pure-set-algebra execution of
 //     Listing 1, used to regenerate Figures 2–4 exactly.
+//
+// Every set travels in one DISTRIBUTE message whose level (0, 1, 2) names
+// the paper's DISTRIBUTE_S, _T or _U; its sender is the authenticated
+// link's, and a node drops a level it has no set for.
 //
 // The protocols keep their S/T/U sets as Pairs. At a quorum trigger a
 // node sends a Clone of its live set, which keeps growing; a set received

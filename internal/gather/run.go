@@ -18,6 +18,10 @@ const (
 	KindThreeRound Kind = iota
 	// KindConstantRound is Algorithm 3.
 	KindConstantRound
+	// KindTwoRound is Tusk's two-round primitive (§3.2).
+	KindTwoRound
+	// KindBinding is Algorithm 3 plus one DISTRIBUTE_U round (§2.4).
+	KindBinding
 )
 
 // String implements fmt.Stringer.
@@ -27,6 +31,10 @@ func (k Kind) String() string {
 		return "three-round"
 	case KindConstantRound:
 		return "constant-round"
+	case KindTwoRound:
+		return "two-round"
+	case KindBinding:
+		return "binding"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -76,12 +84,7 @@ func RunCluster(cfg RunConfig) RunResult {
 	nodes := make([]sim.Node, n)
 	for i := range nodes {
 		c := Config{Trust: cfg.Trust, Input: InputValue(types.ProcessID(i)), Mode: cfg.Mode}
-		if cfg.Kind == KindConstantRound {
-			nodes[i] = NewConstantRoundNode(c)
-		} else {
-			nodes[i] = NewThreeRoundNode(c)
-		}
-		nodes[i] = cfg.Scenario.WrapNode(types.ProcessID(i), nodes[i])
+		nodes[i] = cfg.Scenario.WrapNode(types.ProcessID(i), NewNode(cfg.Kind, c))
 	}
 	limit := sim.ResolveEventBudget(cfg.MaxEvents)
 	r := sim.NewRunner(sim.Config{N: n, Seed: cfg.Seed, Latency: cfg.Latency, Fault: cfg.Scenario.FaultPlane()}, nodes)
@@ -108,6 +111,21 @@ func RunCluster(cfg RunConfig) RunResult {
 		}
 	}
 	return res
+}
+
+// NewNode creates a node of gather kind k; the protocol starts at Init.
+func NewNode(k Kind, cfg Config) sim.Node {
+	switch k {
+	case KindThreeRound:
+		return newMergeNode(cfg, 3)
+	case KindConstantRound:
+		return NewConstantRoundNode(cfg)
+	case KindTwoRound:
+		return newMergeNode(cfg, 2)
+	case KindBinding:
+		return NewBindingNode(cfg)
+	}
+	panic(fmt.Sprintf("gather: no gather of %v", k))
 }
 
 // gatherNode is what RunCluster reads off a gather protocol's node.

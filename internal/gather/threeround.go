@@ -30,16 +30,14 @@ type Config struct {
 // collector is the round every gather here starts with (Algorithm 3
 // lines 42–47): broadcast the input on the layer cfg.Mode selects,
 // accumulate the delivered inputs in S, and once S contains a quorum send
-// [DISTRIBUTE_S, S] to all.
+// [DISTRIBUTE, 0, S] to all.
 type collector struct {
-	cfg  Config
-	self types.ProcessID
-	bc   broadcast.Broadcaster
+	cfg Config
+	bc  broadcast.Broadcaster
 
 	s         Pairs           // delivered (process, value) pairs
 	sSenders  *quorum.Tracker // processes whose input was delivered
-	sentS     bool
-	sSnapshot Pairs // the S set this node sent (for common-core analysis)
+	sSnapshot Pairs           // the S set this node sent (zero until sent)
 }
 
 func newCollector(cfg Config) collector {
@@ -49,8 +47,8 @@ func newCollector(cfg Config) collector {
 // start broadcasts the input. onInput, when non-nil, runs after each
 // delivered input enters S; the node routes its traffic through bc.Handle.
 func (c *collector) start(env sim.Env, onInput func(sim.Env, types.ProcessID)) {
-	c.self = env.Self()
-	c.sSenders = quorum.NewTracker(c.cfg.Trust, c.self)
+	self := env.Self()
+	c.sSenders = quorum.NewTracker(c.cfg.Trust, self)
 	deliver := func(env sim.Env, slot broadcast.Slot, p broadcast.Payload) {
 		src, value := slot.Src, string(p.(broadcast.Bytes))
 		if c.collect(env, src, value) && onInput != nil {
@@ -58,25 +56,24 @@ func (c *collector) start(env sim.Env, onInput func(sim.Env, types.ProcessID)) {
 		}
 	}
 	if c.cfg.Mode == UsePlain {
-		c.bc = broadcast.NewPlain(c.self, deliver)
+		c.bc = broadcast.NewPlain(self, deliver)
 	} else {
-		c.bc = broadcast.NewReliable(c.self, c.cfg.Trust, deliver)
+		c.bc = broadcast.NewReliable(self, c.cfg.Trust, deliver)
 	}
 	c.bc.Broadcast(env, 0, broadcast.Bytes(c.cfg.Input))
 }
 
-// collect adds a delivered input to S and sends DISTRIBUTE_S once S
-// contains a quorum. It reports false for a value conflicting with S,
-// which reliable broadcast makes unreachable.
+// collect adds a delivered input to S and distributes S once S contains a
+// quorum. It reports false for a value conflicting with S, which reliable
+// broadcast makes unreachable.
 func (c *collector) collect(env sim.Env, src types.ProcessID, value string) bool {
 	if !c.s.Set(src, value) {
 		return false
 	}
 	c.sSenders.Add(src)
-	if !c.sentS && c.sSenders.HasQuorum() {
-		c.sentS = true
+	if c.sSnapshot.IsZero() && c.sSenders.HasQuorum() {
 		c.sSnapshot = c.s.Clone()
-		sim.Multicast(env, sim.Cast{Msg: distSMsg{From: c.self, S: c.sSnapshot}})
+		sim.Multicast(env, sim.Cast{Msg: distMsg{Level: levelS, Set: c.sSnapshot}})
 	}
 	return true
 }
@@ -108,88 +105,86 @@ func (o *outcome) Delivered() (Pairs, bool) {
 	return o.output, true
 }
 
-// Message types shared by the gather protocols.
+// DISTRIBUTE levels: the paper's DISTRIBUTE_S, DISTRIBUTE_T and
+// DISTRIBUTE_U. The codec carries no other.
+const (
+	levelS = iota
+	levelT
+	levelU
+)
 
-type distSMsg struct {
-	From types.ProcessID
-	S    Pairs
+// distMsg is [DISTRIBUTE, level, set], every gather's one set-carrying
+// message. Its sender is the link's: the links are authenticated.
+type distMsg struct {
+	Level int
+	Set   Pairs
 }
 
-type distTMsg struct {
-	From types.ProcessID
-	T    Pairs
-}
-
-// ThreeRoundNode runs Algorithm 1 / Algorithm 2: three rounds of
-// collect-and-forward with quorum triggers, no control messages.
+// mergeNode runs rounds of collect-and-forward with quorum triggers and no
+// control messages, Listing 1 over the network:
 //
 //	round 1: arb-broadcast input; S accumulates deliveries; once S contains
-//	         a quorum, send [DISTRIBUTE_S, S] to all.
-//	round 2: T accumulates received S sets; once DISTRIBUTE_S messages have
-//	         arrived from a quorum, send [DISTRIBUTE_T, T] to all.
-//	round 3: U accumulates received T sets; once DISTRIBUTE_T messages have
-//	         arrived from a quorum, g-deliver U.
+//	         a quorum, send [DISTRIBUTE, 0, S] to all.
+//	round k: set k−2 accumulates the sets received at level k−2; the first
+//	         time they have arrived from a quorum, send [DISTRIBUTE, k−1,
+//	         set] to all, or, in the last round, g-deliver the set.
 //
-// With quorum.Threshold this is exactly the threshold gather of Abraham et
-// al. (Algorithm 1, triggers "received n−f messages"); with an asymmetric
-// System it is the unsound quorum-replacement attempt (Algorithm 2).
+// Three rounds (S, T, U) are Algorithm 1 with quorum.Threshold (triggers
+// "received n−f messages") and, with an asymmetric System, the unsound
+// quorum-replacement attempt of Algorithm 2. Two rounds (S, U) are Tusk's
+// common-core primitive (paper §3.2: "Tusk uses a simpler 2 round common
+// core primitive"), generalized the same way: with threshold trust a
+// common core of n−2f elements exists, and the Figure 1 counterexample
+// defeats it too (TestTuskTwoRoundCounterexample).
 //
-// T and U grow only from DISTRIBUTE messages (Algorithm 1 lines 11–17);
-// the local S reaches T via self-delivery of this node's own DISTRIBUTE_S.
-// Keeping this exact matches the abstract execution of Listing 1
-// set-for-set.
-type ThreeRoundNode struct {
+// The sets grow only from DISTRIBUTE messages (Algorithm 1 lines 11–17);
+// the local S reaches the first via self-delivery of this node's own
+// level-0 DISTRIBUTE. Keeping this exact matches the abstract execution of
+// Listing 1 set-for-set.
+type mergeNode struct {
 	collector
 	outcome
 
-	t Pairs
-	u Pairs
-
-	sFrom *quorum.Tracker // processes whose DISTRIBUTE_S arrived
-	tFrom *quorum.Tracker // processes whose DISTRIBUTE_T arrived
-	sentT bool
+	sets []Pairs           // sets[k] merges the sets received at level k
+	from []*quorum.Tracker // from[k]: processes whose level-k set arrived
 }
 
-var _ sim.Node = (*ThreeRoundNode)(nil)
-
-// NewThreeRoundNode creates a gather node; the protocol starts at Init.
-func NewThreeRoundNode(cfg Config) *ThreeRoundNode {
-	n := cfg.Trust.N()
-	return &ThreeRoundNode{collector: newCollector(cfg), t: NewPairs(n), u: NewPairs(n)}
+// newMergeNode creates a gather node of rounds rounds (2 or 3); the
+// protocol starts at Init.
+func newMergeNode(cfg Config, rounds int) *mergeNode {
+	n := &mergeNode{collector: newCollector(cfg),
+		sets: make([]Pairs, rounds-1), from: make([]*quorum.Tracker, rounds-1)}
+	for k := range n.sets {
+		n.sets[k] = NewPairs(cfg.Trust.N())
+	}
+	return n
 }
 
 // Init implements sim.Node: it g-proposes the configured input.
-func (n *ThreeRoundNode) Init(env sim.Env) {
-	n.sFrom = quorum.NewTracker(n.cfg.Trust, env.Self())
-	n.tFrom = quorum.NewTracker(n.cfg.Trust, env.Self())
+func (n *mergeNode) Init(env sim.Env) {
+	for k := range n.from {
+		n.from[k] = quorum.NewTracker(n.cfg.Trust, env.Self())
+	}
 	n.start(env, nil)
 }
 
 // Receive implements sim.Node.
-func (n *ThreeRoundNode) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
+func (n *mergeNode) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
 	if n.bc.Handle(env, from, msg) {
 		return
 	}
-	switch m := msg.(type) {
-	case distSMsg:
-		if m.From != from || !m.S.wireValid(env.N()) {
-			return // authenticated links; malformed wire payloads dropped
-		}
-		// Algorithm 1/2 line 11–12: merge unconditionally into T only (U
-		// accumulates DISTRIBUTE_T contents exclusively, line 15–16).
-		n.t.Merge(m.S)
-		n.sFrom.Add(from)
-		if !n.sentT && n.sFrom.HasQuorum() {
-			n.sentT = true
-			sim.Multicast(env, sim.Cast{Msg: distTMsg{From: n.self, T: n.t.Clone()}})
-		}
-	case distTMsg:
-		if m.From != from || !m.T.wireValid(env.N()) {
-			return
-		}
-		n.u.Merge(m.T)
-		n.tFrom.Add(from)
-		n.deliverOnce(n.tFrom, n.u)
+	m, ok := msg.(distMsg)
+	if !ok || m.Level >= len(n.sets) || !m.Set.wireValid(env.N()) {
+		return // a level this node has no set for; malformed wire payloads
+	}
+	k := m.Level
+	n.sets[k].Merge(m.Set)
+	had := n.from[k].HasQuorum()
+	n.from[k].Add(from)
+	if k == len(n.sets)-1 {
+		n.deliverOnce(n.from[k], n.sets[k])
+	} else if !had && n.from[k].HasQuorum() {
+		sim.Multicast(env, sim.Cast{Msg: distMsg{Level: k + 1, Set: n.sets[k].Clone()}})
 	}
 }
 

@@ -8,30 +8,24 @@ import (
 	"repro/internal/types"
 )
 
-// runTwoRound executes a cluster of TwoRoundNodes (not covered by
-// RunCluster, which handles the paper's two main protocols).
-func runTwoRound(trust quorum.Assumption, mode Dissemination, lat sim.LatencyModel, seed int64) (map[types.ProcessID]Pairs, map[types.ProcessID]Pairs) {
-	n := trust.N()
-	nodes := make([]sim.Node, n)
-	raw := make([]*TwoRoundNode, n)
-	for i := range nodes {
-		nd := NewTwoRoundNode(Config{Trust: trust, Input: InputValue(types.ProcessID(i)), Mode: mode})
-		nodes[i] = nd
-		raw[i] = nd
-	}
-	r := sim.NewRunner(sim.Config{N: n, Seed: seed, Latency: lat}, nodes)
-	r.Run(0)
-	outputs := map[types.ProcessID]Pairs{}
-	snaps := map[types.ProcessID]Pairs{}
-	for i, nd := range raw {
-		if out, ok := nd.Delivered(); ok {
-			outputs[types.ProcessID(i)] = out
+// runTwoRound runs Tusk's two-round primitive and returns its outputs.
+func runTwoRound(trust quorum.Assumption, mode Dissemination, lat sim.LatencyModel, seed int64) map[types.ProcessID]Pairs {
+	return RunCluster(RunConfig{Kind: KindTwoRound, Trust: trust, Mode: mode, Latency: lat, Seed: seed}).Outputs
+}
+
+// TuskCommonCoreElements computes, for the two-round primitive, the set of
+// individual inputs (not whole S sets) present in every delivered output —
+// Tusk's common core is a set of elements rather than one process's S set.
+func TuskCommonCoreElements(n int, outputs map[types.ProcessID]Pairs, within types.Set) types.Set {
+	core := types.FullSet(n)
+	for _, p := range within.Members() {
+		out, ok := outputs[p]
+		if !ok {
+			continue
 		}
-		if s := nd.SentS(); !s.IsZero() {
-			snaps[types.ProcessID(i)] = s
-		}
+		core = core.Intersect(out.Senders(n))
 	}
-	return outputs, snaps
+	return core
 }
 
 // TestTuskTwoRoundThreshold: with threshold trust, the two-round primitive
@@ -40,7 +34,7 @@ func TestTuskTwoRoundThreshold(t *testing.T) {
 	n, f := 7, 2
 	trust := quorum.NewThreshold(n, f)
 	for seed := int64(0); seed < 10; seed++ {
-		outputs, _ := runTwoRound(trust, UseReliable, sim.UniformLatency{Min: 1, Max: 40}, seed)
+		outputs := runTwoRound(trust, UseReliable, sim.UniformLatency{Min: 1, Max: 40}, seed)
 		if len(outputs) != n {
 			t.Fatalf("seed %d: %d delivered", seed, len(outputs))
 		}
@@ -58,7 +52,7 @@ func TestTuskTwoRoundThreshold(t *testing.T) {
 func TestTuskTwoRoundCounterexample(t *testing.T) {
 	sys := quorum.Counterexample()
 	n := sys.N()
-	outputs, _ := runTwoRound(sys, UsePlain, adversarialLatency(sys), 1)
+	outputs := runTwoRound(sys, UsePlain, adversarialLatency(sys), 1)
 	if len(outputs) != n {
 		t.Fatalf("%d delivered", len(outputs))
 	}
@@ -81,15 +75,7 @@ func TestTuskTwoRoundCheaperThanThreeRound(t *testing.T) {
 	sys := quorum.Counterexample()
 	lat := sim.UniformLatency{Min: 1, Max: 10}
 
-	n := sys.N()
-	nodes := make([]sim.Node, n)
-	for i := range nodes {
-		nodes[i] = NewTwoRoundNode(Config{Trust: sys, Input: InputValue(types.ProcessID(i)), Mode: UsePlain})
-	}
-	r := sim.NewRunner(sim.Config{N: n, Seed: 2, Latency: lat}, nodes)
-	r.Run(0)
-	two := r.Metrics().MessagesSent
-
+	two := RunCluster(RunConfig{Kind: KindTwoRound, Trust: sys, Mode: UsePlain, Latency: lat, Seed: 2}).Metrics.MessagesSent
 	three := RunCluster(RunConfig{Kind: KindThreeRound, Trust: sys, Mode: UsePlain, Latency: lat, Seed: 2}).Metrics.MessagesSent
 	constant := RunCluster(RunConfig{Kind: KindConstantRound, Trust: sys, Mode: UsePlain, Latency: lat, Seed: 2}).Metrics.MessagesSent
 	if !(two < three && three < constant) {

@@ -1,10 +1,11 @@
 // Binary wire codec registration for the gather messages (see
 // internal/wire for the frame layout).
 //
-// A Pairs travels only inside a DISTRIBUTE message, whose body is [uvarint
-// from][pairs body]. The pairs body reuses the raw-word bitset encoding
-// types.Set already carries: [uvarint universe][raw LE sender words][per
-// member, ascending: uvarint len + value bytes]. A universe of 0 encodes
+// A Pairs travels only inside the one DISTRIBUTE message, whose body is
+// [uvarint level][pairs body], the level 0, 1 or 2 (DISTRIBUTE_S, _T or
+// _U); its sender is the link's. The pairs body reuses the raw-word bitset
+// encoding types.Set already carries: [uvarint universe][raw LE sender
+// words][per member, ascending: uvarint len + value bytes]. A universe of 0 encodes
 // the zero Pairs. Decoding validates the universe bound and sender-word
 // bits — bodies come from the network, possibly from Byzantine peers.
 package gather
@@ -16,11 +17,9 @@ import (
 	"repro/internal/wire"
 )
 
-// Wire tags: DISTRIBUTE_S/T/U, then the gate's ACK, READY and CONFIRM.
+// Wire tags: DISTRIBUTE, then the gate's ACK, READY and CONFIRM.
 const (
-	wireTagDistS   = 30
-	wireTagDistT   = 31
-	wireTagDistU   = 32
+	wireTagDist    = 30
 	wireTagAck     = 33
 	wireTagReady   = 34
 	wireTagConfirm = 35
@@ -69,30 +68,6 @@ func decodePairsWire(b []byte) (Pairs, []byte, error) {
 	return p, rest, nil
 }
 
-// registerPairsMsg registers one of the three structurally identical
-// DISTRIBUTE messages.
-func registerPairsMsg(tag uint64, prototype any,
-	get func(any) (types.ProcessID, Pairs), build func(types.ProcessID, Pairs) any) {
-	wire.Register(tag, prototype, wire.Codec{
-		Append: func(dst []byte, msg any) ([]byte, error) {
-			from, p := get(msg)
-			dst = wire.AppendInt(dst, int(from))
-			return p.appendWire(dst), nil
-		},
-		Decode: func(b []byte) (any, []byte, error) {
-			from, rest, err := wire.ReadInt(b, wire.MaxUniverse)
-			if err != nil {
-				return nil, b, err
-			}
-			p, rest, err := decodePairsWire(rest)
-			if err != nil {
-				return nil, b, err
-			}
-			return build(types.ProcessID(from), p), rest, nil
-		},
-	})
-}
-
 // registerEmptyMsg registers a zero-field control message.
 func registerEmptyMsg(tag uint64, prototype any, build func() any) {
 	wire.Register(tag, prototype, wire.Codec{
@@ -102,15 +77,23 @@ func registerEmptyMsg(tag uint64, prototype any, build func() any) {
 }
 
 func registerWireCodecs() {
-	registerPairsMsg(wireTagDistS, distSMsg{},
-		func(m any) (types.ProcessID, Pairs) { s := m.(distSMsg); return s.From, s.S },
-		func(from types.ProcessID, p Pairs) any { return distSMsg{From: from, S: p} })
-	registerPairsMsg(wireTagDistT, distTMsg{},
-		func(m any) (types.ProcessID, Pairs) { s := m.(distTMsg); return s.From, s.T },
-		func(from types.ProcessID, p Pairs) any { return distTMsg{From: from, T: p} })
-	registerPairsMsg(wireTagDistU, distUMsg{},
-		func(m any) (types.ProcessID, Pairs) { s := m.(distUMsg); return s.From, s.U },
-		func(from types.ProcessID, p Pairs) any { return distUMsg{From: from, U: p} })
+	wire.Register(wireTagDist, distMsg{}, wire.Codec{
+		Append: func(dst []byte, msg any) ([]byte, error) {
+			m := msg.(distMsg)
+			return m.Set.appendWire(wire.AppendInt(dst, m.Level)), nil
+		},
+		Decode: func(b []byte) (any, []byte, error) {
+			level, rest, err := wire.ReadInt(b, levelU)
+			if err != nil {
+				return nil, b, err
+			}
+			p, rest, err := decodePairsWire(rest)
+			if err != nil {
+				return nil, b, err
+			}
+			return distMsg{Level: level, Set: p}, rest, nil
+		},
+	})
 	registerEmptyMsg(wireTagAck, ackMsg{}, func() any { return ackMsg{} })
 	registerEmptyMsg(wireTagReady, readyMsg{}, func() any { return readyMsg{} })
 	registerEmptyMsg(wireTagConfirm, confirmMsg{}, func() any { return confirmMsg{} })

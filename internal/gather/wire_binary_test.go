@@ -57,16 +57,10 @@ func TestGatherWireRoundTrip(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		n := 1 + rng.Intn(40)
 		p := randomPairs(rng, n)
-		from := types.ProcessID(rng.Intn(n))
-
-		if got := roundTrip(t, distSMsg{From: from, S: p}).(distSMsg); got.From != from || !got.S.ContainsAll(p) || !p.ContainsAll(got.S) {
-			t.Fatalf("distS round trip lost pairs")
-		}
-		if got := roundTrip(t, distTMsg{From: from, T: p}).(distTMsg); got.From != from || !got.T.ContainsAll(p) {
-			t.Fatalf("distT round trip lost pairs")
-		}
-		if got := roundTrip(t, distUMsg{From: from, U: p}).(distUMsg); got.From != from || !got.U.ContainsAll(p) {
-			t.Fatalf("distU round trip lost pairs")
+		for level := levelS; level <= levelU; level++ {
+			if got := roundTrip(t, distMsg{Level: level, Set: p}).(distMsg); got.Level != level || !got.Set.ContainsAll(p) || !p.ContainsAll(got.Set) {
+				t.Fatalf("level-%d DISTRIBUTE round trip lost pairs", level)
+			}
 		}
 	}
 	roundTrip(t, ackMsg{})
@@ -74,28 +68,29 @@ func TestGatherWireRoundTrip(t *testing.T) {
 	roundTrip(t, confirmMsg{})
 
 	// The zero Pairs encodes as universe 0 and decodes back to zero.
-	if got := roundTrip(t, distSMsg{From: 1}).(distSMsg); !got.S.IsZero() {
-		t.Fatalf("zero Pairs decoded to %v", got.S)
+	if got := roundTrip(t, distMsg{}).(distMsg); !got.Set.IsZero() {
+		t.Fatalf("zero Pairs decoded to %v", got.Set)
 	}
 }
 
-// distSFrame is the DISTRIBUTE_S frame from process 0 whose Pairs body is
-// body.
-func distSFrame(body []byte) []byte {
-	return append([]byte{wireTagDistS, 0}, body...)
+// distFrame is the DISTRIBUTE frame at level whose Pairs body is body.
+func distFrame(level byte, body []byte) []byte {
+	return append([]byte{wireTagDist, level}, body...)
 }
 
-// TestGatherWireRejectsMalformed: adversarial Pairs bodies must be
-// rejected with an error, not crash the decoder or later set operations.
+// TestGatherWireRejectsMalformed: adversarial Pairs bodies, and a level
+// past DISTRIBUTE_U, must be rejected with an error, not crash the decoder
+// or later set operations.
 func TestGatherWireRejectsMalformed(t *testing.T) {
 	cases := map[string][]byte{
-		"empty body":        {},
-		"truncated words":   wire.AppendUvarint(nil, 100),
-		"missing values":    wire.AppendSet(nil, types.NewSetOf(4, 1, 2)),
-		"stray sender bits": append(wire.AppendUvarint(nil, 3), 0xFF, 0, 0, 0, 0, 0, 0, 0),
+		"empty body":        distFrame(levelS, nil),
+		"truncated words":   distFrame(levelS, wire.AppendUvarint(nil, 100)),
+		"missing values":    distFrame(levelS, wire.AppendSet(nil, types.NewSetOf(4, 1, 2))),
+		"stray sender bits": distFrame(levelS, append(wire.AppendUvarint(nil, 3), 0xFF, 0, 0, 0, 0, 0, 0, 0)),
+		"level 3":           distFrame(levelU+1, PairsOf(4, map[types.ProcessID]string{1: "v2"}).appendWire(nil)),
 	}
-	for name, body := range cases {
-		if _, _, err := wire.Decode(distSFrame(body)); err == nil {
+	for name, frame := range cases {
+		if _, _, err := wire.Decode(frame); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -118,7 +113,7 @@ func TestPairsTravelOnlyInDistribute(t *testing.T) {
 	}{
 		{"bare Pairs", append([]byte{36}, wire.AppendSet(nil, types.NewSetOf(4, 1))...),
 			func(err error) bool { return errors.Is(err, wire.ErrUnregistered) }, "wire.ErrUnregistered"},
-		{"universe past MaxUniverse", distSFrame(huge),
+		{"universe past MaxUniverse", distFrame(levelS, huge),
 			func(err error) bool { return err != nil && strings.Contains(err.Error(), readSetErr.Error()) }, readSetErr.Error()},
 	} {
 		if _, _, err := wire.Decode(tc.frame); !tc.ok(err) {

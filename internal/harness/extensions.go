@@ -25,34 +25,19 @@ import (
 // ExpBinding compares Algorithm 3 with its binding variant (E12).
 func ExpBinding() string {
 	sys := quorum.Counterexample()
-	lat := sim.UniformLatency{Min: 1, Max: 10}
 	n := sys.N()
-
-	plain := gather.RunCluster(gather.RunConfig{
-		Kind: gather.KindConstantRound, Trust: sys, Mode: gather.UsePlain, Latency: lat, Seed: 3,
-	})
-
-	nodes := make([]sim.Node, n)
-	raw := make([]*gather.BindingNode, n)
-	for i := range nodes {
-		nd := gather.NewBindingNode(gather.Config{Trust: sys, Input: gather.InputValue(types.ProcessID(i)), Mode: gather.UsePlain})
-		nodes[i] = nd
-		raw[i] = nd
+	run := func(k gather.Kind) gather.RunResult {
+		return gather.RunCluster(gather.RunConfig{
+			Kind: k, Trust: sys, Mode: gather.UsePlain, Latency: sim.UniformLatency{Min: 1, Max: 10}, Seed: 3,
+		})
 	}
-	r := sim.NewRunner(sim.Config{N: n, Seed: 3, Latency: lat}, nodes)
-	r.Run(0)
-	delivered := 0
-	for _, nd := range raw {
-		if _, ok := nd.Delivered(); ok {
-			delivered++
-		}
-	}
+	plain, binding := run(gather.KindConstantRound), run(gather.KindBinding)
 
 	var b strings.Builder
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "variant\tdelivered\tmessages\tvirtual time")
 	fmt.Fprintf(w, "Algorithm 3\t%d/%d\t%d\t%d\n", len(plain.Outputs), n, plain.Metrics.MessagesSent, plain.EndTime)
-	fmt.Fprintf(w, "binding (+1 round)\t%d/%d\t%d\t%d\n", delivered, n, r.Metrics().MessagesSent, r.Now())
+	fmt.Fprintf(w, "binding (+1 round)\t%d/%d\t%d\t%d\n", len(binding.Outputs), n, binding.Metrics.MessagesSent, binding.EndTime)
 	w.Flush()
 	b.WriteString("\npaper §2.4 (after Abraham et al.): a binding common core — fixed once the first\n" +
 		"correct process delivers, closing Shoup's attack on Tusk — costs one extra round.\n")

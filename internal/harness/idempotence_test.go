@@ -110,36 +110,22 @@ func TestDuplicateDeliveryIdempotenceACS(t *testing.T) {
 	trust := quorum.NewThreshold(4, 1)
 	n := trust.N()
 	for seed := int64(1); seed <= seeds; seed++ {
-		nodes := make([]sim.Node, n)
-		raw := make([]*gather.BindingNode, n)
-		for i := range nodes {
-			raw[i] = gather.NewBindingNode(gather.Config{
-				Trust: trust, Input: gather.InputValue(types.ProcessID(i)), Mode: gather.UsePlain,
-			})
-			nodes[i] = raw[i]
-		}
-		sc := scenario.Scenario{Rules: []scenario.Rule{duplicate}}
-		r := sim.NewRunner(sim.Config{
-			N: n, Seed: seed, Latency: sim.UniformLatency{Min: 1, Max: 20}, Fault: sc.FaultPlane(),
-		}, nodes)
-		r.Run(sim.ResolveEventBudget(0))
-		if r.Pending() > 0 {
+		res := gather.RunCluster(gather.RunConfig{
+			Kind: gather.KindBinding, Trust: trust, Mode: gather.UsePlain,
+			Latency: sim.UniformLatency{Min: 1, Max: 20}, Seed: seed,
+			Scenario: &scenario.Scenario{Rules: []scenario.Rule{duplicate}},
+		})
+		if res.HitLimit {
 			t.Fatalf("seed %d: run truncated at its event budget", seed)
 		}
-		outputs := map[types.ProcessID]gather.Pairs{}
-		sSnap := map[types.ProcessID]gather.Pairs{}
-		for i, nd := range raw {
-			p := types.ProcessID(i)
-			out, ok := nd.Delivered()
-			if !ok {
-				t.Fatalf("seed %d: %v did not deliver under duplicate delivery", seed, p)
+		for i := 0; i < n; i++ {
+			if _, ok := res.Outputs[types.ProcessID(i)]; !ok {
+				t.Fatalf("seed %d: %v did not deliver under duplicate delivery", seed, types.ProcessID(i))
 			}
-			outputs[p] = out
-			sSnap[p] = nd.SentS()
 		}
-		if core := gather.AnalyzeCommonCore(n, sSnap, outputs, types.FullSet(n)); core.IsEmpty() {
+		if core := gather.AnalyzeCommonCore(n, res.SSnapshots, res.Outputs, types.FullSet(n)); core.IsEmpty() {
 			t.Fatalf("seed %d: no common core in the binding outputs under duplicate delivery", seed)
 		}
-		requireDuplicates(t, r.Metrics())
+		requireDuplicates(t, res.Metrics)
 	}
 }

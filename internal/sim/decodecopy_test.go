@@ -93,11 +93,7 @@ func gatherGrid(t *testing.T, h hash.Hash) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	protocols := []func(gather.Config) gatherNode{
-		func(c gather.Config) gatherNode { return gather.NewThreeRoundNode(c) },
-		func(c gather.Config) gatherNode { return gather.NewConstantRoundNode(c) },
-		func(c gather.Config) gatherNode { return gather.NewBindingNode(c) },
-	}
+	protocols := []gather.Kind{gather.KindThreeRound, gather.KindConstantRound, gather.KindBinding}
 	for _, trust := range []quorum.Assumption{quorum.NewThreshold(4, 1), quorum.NewThreshold(7, 2), quorum.Counterexample(), fed} {
 		n := trust.N()
 		for _, mode := range []gather.Dissemination{gather.UsePlain, gather.UseReliable} {
@@ -106,7 +102,7 @@ func gatherGrid(t *testing.T, h hash.Hash) {
 					inner := make([]gatherNode, n)
 					nodes := make([]sim.Node, n)
 					for i := range nodes {
-						inner[i] = proto(gather.Config{Trust: trust, Input: gather.InputValue(types.ProcessID(i)), Mode: mode})
+						inner[i] = gather.NewNode(proto, gather.Config{Trust: trust, Input: gather.InputValue(types.ProcessID(i)), Mode: mode}).(gatherNode)
 						nodes[i] = inner[i]
 					}
 					r := sim.NewRunner(sim.Config{N: n, Seed: seed, Latency: sim.UniformLatency{Min: 1, Max: 50}}, nodes)

@@ -140,7 +140,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		tagBytes  = 13 // broadcast.Bytes
 		tagEchoR  = 16 // broadcast ECHO by reference: [slot]
 		tagReadyR = 17 // broadcast READY by reference: [slot]
-		tagDistS  = 30 // gather DISTRIBUTE_S: [from][Pairs body]
+		tagDist   = 30 // gather DISTRIBUTE: [level][Pairs body]
 		tagVertex = 50 // rider.VertexPayload: [source][round][txs][strong bitmap][weak]
 	)
 	maxBitmap := wire.AppendUvarint(nil, wire.MaxUniverse/8)
@@ -151,10 +151,15 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(record(append([]byte{tagVertex, 1, 1, 1}, maxLen...)...))               // tx string length
 	f.Add(record(append([]byte{tagBytes}, maxLen...)...))                         // bytes length
 	f.Add(record(append([]byte{wireTagFlood, 0}, maxLen...)...))                  // flood padding length
-	f.Add(record(append([]byte{tagDistS, 0}, maxUniverse...)...))                 // set universe
+	f.Add(record(append([]byte{tagDist, 0}, maxUniverse...)...))                  // set universe
 	// Pairs at wire.MaxUniverse with every word present: a legitimate
 	// frame whose 16 MiB value table is 131× its bytes.
-	f.Add(record(append(append([]byte{tagDistS, 0}, maxUniverse...), make([]byte, wire.MaxUniverse/8)...)...))
+	f.Add(record(append(append([]byte{tagDist, 0}, maxUniverse...), make([]byte, wire.MaxUniverse/8)...)...))
+	// A level-2 DISTRIBUTE (DISTRIBUTE_U) of two pairs over a universe of
+	// 4, and the same frame at level 3, which no gather sends.
+	pairs := []byte{4, 0b0110, 0, 0, 0, 0, 0, 0, 0, 2, 'v', '2', 2, 'v', '3'}
+	f.Add(record(append([]byte{tagDist, 2}, pairs...)...))
+	f.Add(record(append([]byte{tagDist, 3}, pairs...)...))
 	// A vertex whose strong-edge bitmap is all ones at its cap: a
 	// legitimate frame of 2^20 strong edges, 128 bytes of edges per
 	// bitmap byte.

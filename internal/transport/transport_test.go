@@ -305,7 +305,7 @@ func TestHostCloseIdempotentAndClean(t *testing.T) {
 	trust := quorum.NewThreshold(4, 1)
 	nodes := make([]sim.Node, 4)
 	for i := range nodes {
-		nodes[i] = gather.NewThreeRoundNode(gather.Config{
+		nodes[i] = gather.NewNode(gather.KindThreeRound, gather.Config{
 			Trust: trust, Input: "x", Mode: gather.UseReliable,
 		})
 	}
@@ -322,7 +322,7 @@ func TestHostCloseIdempotentAndClean(t *testing.T) {
 }
 
 func TestConnectBadAddress(t *testing.T) {
-	h, err := NewHostConfig(HostConfig{N: 2, Addr: "127.0.0.1:0", Node: gather.NewThreeRoundNode(gather.Config{
+	h, err := NewHostConfig(HostConfig{N: 2, Addr: "127.0.0.1:0", Node: gather.NewNode(gather.KindThreeRound, gather.Config{
 		Trust: quorum.NewThreshold(4, 1), Input: "x",
 	})})
 	if err != nil {
