@@ -69,9 +69,12 @@ fuzz:
 # body decoded on a reader goroutine is read by every peer's writer. Also
 # TestVotesByReferenceOverTCP, whose "no READY by reference held" and "no
 # source echoes its own slot" depend on FIFO delivery over real sockets.
+# And TestGatherOverTCP, the one test where DISTRIBUTE sets decoded on
+# reader goroutines feed the Algorithm 3 node (the constant-round and the
+# binding gather), whose merges must not write a received set.
 FLAKY_COUNT ?= 50
 flaky:
-	$(GO) test -race -count=$(FLAKY_COUNT) -run 'TestDoubleDial|TestReliable|TestReadyReusesTriggerBody|TestConsensusOverTCP|TestVotesByReferenceOverTCP|TestOutboxReusesBuffers|TestDecodedVotesSurviveLaterDecodes|TestDecodedSendsSurviveLaterDecodes|TestCarverHandsOutEachBodyOnce' ./internal/transport ./internal/broadcast ./internal/wire
+	$(GO) test -race -count=$(FLAKY_COUNT) -run 'TestDoubleDial|TestReliable|TestReadyReusesTriggerBody|TestConsensusOverTCP|TestVotesByReferenceOverTCP|TestGatherOverTCP|TestOutboxReusesBuffers|TestDecodedVotesSurviveLaterDecodes|TestDecodedSendsSurviveLaterDecodes|TestCarverHandsOutEachBodyOnce' ./internal/transport ./internal/broadcast ./internal/wire
 
 # Sweep every built-in adversarial scenario (internal/scenario) over a few
 # seeds and check each one's declared Definition 4.1 properties; bounded to

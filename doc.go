@@ -12,7 +12,8 @@
 //     paper's 30-process counterexample (Lemma 3.2, Figures 1–4), Tusk's
 //     two-round primitive (one quorum-merge node runs these three), the
 //     novel constant-round asymmetric gather (Algorithm 3) and its binding
-//     variant; their sets travel in one DISTRIBUTE message.
+//     variant (one Algorithm 3 node runs both, the binding one with one
+//     level more); their sets travel in one DISTRIBUTE message.
 //   - The first asymmetric DAG-based atomic-broadcast protocol
 //     (Algorithms 4–6), plus the symmetric DAG-Rider baseline, running
 //     over a deterministic discrete-event network simulator with

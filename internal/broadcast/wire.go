@@ -38,8 +38,13 @@ const (
 
 func init() { registerWireCodecs() }
 
-func appendSlot(dst []byte, s Slot) []byte {
-	return wire.AppendUvarint(wire.AppendInt(dst, int(s.Src)), s.Seq)
+// appendSlot appends s. A source decodeSlot would refuse has no wire form.
+func appendSlot(dst []byte, s Slot) ([]byte, error) {
+	dst, err := wire.AppendInt(dst, int(s.Src), wire.MaxUniverse)
+	if err != nil {
+		return dst, err
+	}
+	return wire.AppendUvarint(dst, s.Seq), nil
 }
 
 func decodeSlot(b []byte) (Slot, []byte, error) {
@@ -59,7 +64,11 @@ func registerPayloadMsg(tag uint64, prototype any, get func(any) *send, wrap fun
 	wire.Register(tag, prototype, wire.Codec{
 		Append: func(dst []byte, msg any) ([]byte, error) {
 			m := get(msg)
-			return wire.Append(appendSlot(dst, m.Slot), m.Payload)
+			dst, err := appendSlot(dst, m.Slot)
+			if err != nil {
+				return dst, err
+			}
+			return wire.Append(dst, m.Payload)
 		},
 		Decode: func(b []byte) (any, []byte, error) {
 			s, rest, err := decodeSlot(b)
@@ -84,7 +93,11 @@ func registerDigestMsg(tag uint64, prototype any, get func(any) *vote, wrap func
 	wire.Register(tag, prototype, wire.Codec{
 		Append: func(dst []byte, msg any) ([]byte, error) {
 			m := get(msg)
-			return append(appendSlot(dst, m.Slot), m.Digest[:]...), nil
+			dst, err := appendSlot(dst, m.Slot)
+			if err != nil {
+				return dst, err
+			}
+			return append(dst, m.Digest[:]...), nil
 		},
 		Decode: func(b []byte) (any, []byte, error) {
 			s, rest, err := decodeSlot(b)
@@ -107,7 +120,7 @@ func registerDigestMsg(tag uint64, prototype any, get func(any) *vote, wrap func
 func registerRefMsg(tag uint64, prototype any, get func(any) *vote, wrap func(*vote) any) {
 	wire.Register(tag, prototype, wire.Codec{
 		Append: func(dst []byte, msg any) ([]byte, error) {
-			return appendSlot(dst, get(msg).Slot), nil
+			return appendSlot(dst, get(msg).Slot)
 		},
 		Decode: func(b []byte) (any, []byte, error) {
 			s, rest, err := decodeSlot(b)

@@ -79,6 +79,15 @@ func TestBroadcastWireRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	// A source the decoder would refuse has no encoding.
+	for _, src := range []types.ProcessID{-1, wire.MaxUniverse + 1} {
+		bad := Slot{Src: src}
+		for _, msg := range []sim.Message{sendMsg{&send{Slot: bad, Payload: Bytes("x")}}, echoMsg{&vote{Slot: bad}}, readyRefMsg{&vote{Slot: bad}}} {
+			if _, err := wire.Marshal(msg); err == nil {
+				t.Fatalf("%T from source %d encoded", msg, src)
+			}
+		}
+	}
 }
 
 func checkPayload(t *testing.T, gs Slot, gp Payload, slot Slot, raw []byte) {
@@ -118,7 +127,8 @@ func TestBroadcastWireRefFrames(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := append([]byte{pair.tag}, appendSlot(nil, slot)...)
+			body, _ := appendSlot(nil, slot)
+			want := append([]byte{pair.tag}, body...)
 			if !bytes.Equal(ref, want) || len(full)-len(ref) != len(d) || !bytes.Equal(full[1:len(ref)], ref[1:]) {
 				t.Fatalf("%T for %v is % x, want % x: %T's frame % x without its digest", pair.ref, slot, ref, want, pair.full, full)
 			}
@@ -194,7 +204,7 @@ func TestBroadcastWireRejectsNonPayloadInner(t *testing.T) {
 		Append: func(dst []byte, _ any) ([]byte, error) { return dst, nil },
 		Decode: func(b []byte) (any, []byte, error) { return notAPayload{}, b, nil },
 	})
-	body := wire.AppendInt(nil, 1)       // slot.Src
+	body := wire.AppendUvarint(nil, 1)   // slot.Src
 	body = wire.AppendUvarint(body, 0)   // slot.Seq
 	body = wire.AppendUvarint(body, tag) // nested non-Payload frame
 	frame := append(wire.AppendUvarint(nil, wireTagSend), body...)

@@ -22,7 +22,10 @@ const shareReservedBytes = 48
 func init() {
 	wire.Register(wireTagShare, ShareMsg{}, wire.Codec{
 		Append: func(dst []byte, msg any) ([]byte, error) {
-			dst = wire.AppendInt(dst, msg.(ShareMsg).Wave)
+			dst, err := wire.AppendInt(dst, msg.(ShareMsg).Wave, wire.MaxRound)
+			if err != nil {
+				return dst, err
+			}
 			return append(dst, make([]byte, shareReservedBytes)...), nil
 		},
 		Decode: func(b []byte) (any, []byte, error) {

@@ -34,8 +34,13 @@ func TestShareMsgWire(t *testing.T) {
 	}
 	// A body without the reserve is truncated.
 	frame := wire.AppendUvarint(nil, wireTagShare)
-	frame = wire.AppendInt(frame, 9)
+	frame = wire.AppendUvarint(frame, 9)
 	if _, _, err := wire.Decode(frame); err == nil {
 		t.Fatal("share without reserved bytes accepted")
+	}
+	for _, wave := range []int{-1, wire.MaxRound + 1} {
+		if _, err := wire.Marshal(ShareMsg{Wave: wave}); err == nil {
+			t.Fatalf("share of wave %d encoded", wave)
+		}
 	}
 }

@@ -35,7 +35,7 @@ func init() {
 func registerWaveMsg(tag uint64, prototype any, get func(any) int, build func(int) any) {
 	wire.Register(tag, prototype, wire.Codec{
 		Append: func(dst []byte, msg any) ([]byte, error) {
-			return wire.AppendInt(dst, get(msg)), nil
+			return wire.AppendInt(dst, get(msg), wire.MaxRound)
 		},
 		Decode: func(b []byte) (any, []byte, error) {
 			w, rest, err := wire.ReadInt(b, wire.MaxRound)

@@ -48,6 +48,12 @@ func TestCoreWireRoundTrip(t *testing.T) {
 	if _, _, err := wire.Decode(frame); err == nil {
 		t.Fatal("oversized wave accepted")
 	}
+	// ... and a wave the decoder would refuse has no encoding.
+	for _, wave := range []int{-1, wire.MaxRound + 1} {
+		if _, err := wire.Marshal(confirmMsg{&ctl{Wave: wave}}); err == nil {
+			t.Fatalf("wave %d encoded", wave)
+		}
+	}
 }
 
 // countEnv is a sim.Env that counts what a node sends and keeps nothing.

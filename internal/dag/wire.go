@@ -120,25 +120,26 @@ func AppendWire(dst []byte, v *Vertex) ([]byte, error) {
 	if !inBounds(v) {
 		return dst, errOutOfBounds
 	}
-	dst = wire.AppendInt(dst, int(v.Source))
-	dst = wire.AppendInt(dst, v.Round)
-	dst = wire.AppendInt(dst, len(v.Block))
+	// Every int below is in bounds now, so each goes as a plain uvarint.
+	dst = wire.AppendUvarint(dst, uint64(v.Source))
+	dst = wire.AppendUvarint(dst, uint64(v.Round))
+	dst = wire.AppendUvarint(dst, uint64(len(v.Block)))
 	for _, tx := range v.Block {
 		dst = wire.AppendString(dst, tx)
 	}
 	// Grown and cleared in place: append(dst, make([]byte, k)...) would
 	// allocate under the race detector, and the allocation gates run there.
-	dst = slices.Grow(wire.AppendInt(dst, k), k)
+	dst = slices.Grow(wire.AppendUvarint(dst, uint64(k)), k)
 	bitmap := dst[len(dst) : len(dst)+k]
 	clear(bitmap)
 	for _, e := range v.StrongEdges {
 		bitmap[e.Source/8] |= 1 << (e.Source % 8)
 	}
 	dst = dst[:len(dst)+k]
-	dst = wire.AppendInt(dst, len(v.WeakEdges))
+	dst = wire.AppendUvarint(dst, uint64(len(v.WeakEdges)))
 	for _, r := range v.WeakEdges {
-		dst = wire.AppendInt(dst, int(r.Source))
-		dst = wire.AppendInt(dst, r.Round)
+		dst = wire.AppendUvarint(dst, uint64(r.Source))
+		dst = wire.AppendUvarint(dst, uint64(r.Round))
 	}
 	return dst, nil
 }

@@ -27,6 +27,21 @@ func TestBindingGatherCommonCore(t *testing.T) {
 	}
 }
 
+// uProbe wraps a gather node and records, by sender, the DISTRIBUTE_U
+// sets it receives: a binding node's DISTRIBUTE_U is the U set Algorithm 3
+// would have delivered.
+type uProbe struct {
+	sim.Node
+	sent map[types.ProcessID]Pairs
+}
+
+func (p uProbe) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
+	if m, ok := msg.(distMsg); ok && m.Level == levelU {
+		p.sent[from] = m.Set
+	}
+	p.Node.Receive(env, from, msg)
+}
+
 // TestBindingGatherContainsInnerOutputs: every process's bound output
 // contains the inner U set of every process whose DISTRIBUTE_U it
 // accepted — in particular the first deliverer's inner U (the binding
@@ -36,11 +51,9 @@ func TestBindingGatherContainsInnerOutputs(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		n := trust.N()
 		nodes := make([]sim.Node, n)
-		raw := make([]*BindingNode, n)
+		sent := map[types.ProcessID]Pairs{}
 		for i := range nodes {
-			nd := NewBindingNode(Config{Trust: trust, Input: InputValue(types.ProcessID(i)), Mode: UseReliable})
-			nodes[i] = nd
-			raw[i] = nd
+			nodes[i] = uProbe{NewNode(KindBinding, Config{Trust: trust, Input: InputValue(types.ProcessID(i)), Mode: UseReliable}), sent}
 		}
 		r := sim.NewRunner(sim.Config{N: n, Seed: seed, Latency: sim.UniformLatency{Min: 1, Max: 40}}, nodes)
 		r.Run(0)
@@ -49,14 +62,10 @@ func TestBindingGatherContainsInnerOutputs(t *testing.T) {
 		// contain at least one full quorum's inner U sets. We check the
 		// pairwise-core property: some inner U is inside every output.
 		sharedExists := false
-		for j := range raw {
-			inner, ok := raw[j].InnerDelivered()
-			if !ok {
-				continue
-			}
+		for _, inner := range sent {
 			inAll := true
-			for i := range raw {
-				out, ok := raw[i].Delivered()
+			for _, nd := range nodes {
+				out, ok := nd.(uProbe).Node.(gatherNode).Delivered()
 				if !ok || !out.ContainsAll(inner) {
 					inAll = false
 					break

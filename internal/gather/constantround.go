@@ -1,7 +1,6 @@
 package gather
 
 import (
-	"repro/internal/quorum"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -15,94 +14,81 @@ type readyMsg struct{}
 type confirmMsg struct{}
 
 // ConstantRoundNode runs the paper's Algorithm 3, the first constant-round
-// asymmetric gather:
+// asymmetric gather, over the levels T (0) and U (1):
 //
 //	line 42–45: arb-broadcast the input; S accumulates arb-deliveries.
 //	line 46–47: once S contains a quorum, send [DISTRIBUTE_S, S] to all.
 //	line 48–50: on [DISTRIBUTE_S, S_j] with S_j ⊆ S and ¬sentT:
-//	            T ∪= S_j and ACK the sender. (Arrivals whose components
-//	            have not all been arb-delivered yet are buffered.)
+//	            T ∪= S_j and ACK the sender.
 //	line 51–59: the ACK/READY/CONFIRM control flow, run by a Gate — its
 //	            single implementation, which every consensus wave of
 //	            internal/core runs too. When the gate opens, send
 //	            [DISTRIBUTE_T, T] and stop acknowledging.
-//	line 60–61: on [DISTRIBUTE_T, T_j] with T_j ⊆ S: U ∪= T_j.
-//	line 62–63: once accepted DISTRIBUTE_T messages cover a quorum,
-//	            ag-deliver(U).
+//	line 60–63: on [DISTRIBUTE_T, T_j] with T_j ⊆ S: U ∪= T_j; once the
+//	            accepted T sets cover a quorum, ag-deliver(U).
 //
-// The ACK/READY/CONFIRM flow guarantees that before anyone distributes its
-// T set, some maximal-guild process has placed its S set in the T set of a
-// full quorum — which quorum consistency then spreads into everyone's U
-// set (Lemmas 3.3–3.7).
+// Only level 0 has rules of its own; every later level is the merge step
+// mergeNode runs. The ACK/READY/CONFIRM flow guarantees that before anyone
+// distributes its T set, some maximal-guild process has placed its S set
+// in the T set of a full quorum — which quorum consistency then spreads
+// into everyone's U set (Lemmas 3.3–3.7).
 //
-// All quorum tallies are incremental quorum.Tracker values. Buffered
-// DISTRIBUTE sets (pendingPairs, at most one per sender) are re-checked on
-// each arb-delivery of a process they name.
+// The binding gather is the same node with one level more, following
+// Abraham et al.'s observation (paper §2.4) that a binding common core
+// costs one additional round: where Algorithm 3 would deliver U, it sends
+// [DISTRIBUTE_U, U] and delivers the union of the U sets accepted from a
+// quorum. Shoup's attack on Tusk exploits a non-binding core: an adversary
+// that sees the coin before the core is fixed can steer it away from the
+// leader. With the extra round, by the time the first correct process
+// delivers, the one-round-older common core can no longer change: every
+// later deliverer's output already contains it.
+//
+// A received set whose pairs have not all been arb-delivered waits in its
+// level's pendingPairs buffer (at most one per sender), re-checked on each
+// arb-delivery of a process it names.
 type ConstantRoundNode struct {
 	collector
-	outcome
-
-	t Pairs
-	u Pairs
+	levels
 
 	// gate runs lines 51–59; once it is open, T was distributed (the
 	// pseudocode's sentT).
-	gate  *Gate
-	tFrom *quorum.Tracker
-
-	pendingS pendingPairs
-	pendingT pendingPairs
-
-	// inputHook, when set, observes every accepted arb-delivery (used by
-	// BindingNode to unblock its own buffered U sets).
-	inputHook func(env sim.Env, src types.ProcessID)
+	gate    *Gate
+	pending []pendingPairs // pending[k]: level-k sets S does not contain yet
 }
 
-var _ sim.Node = (*ConstantRoundNode)(nil)
-
-// NewConstantRoundNode creates an Algorithm 3 node; the protocol starts at
-// Init.
-func NewConstantRoundNode(cfg Config) *ConstantRoundNode {
-	n := cfg.Trust.N()
-	return &ConstantRoundNode{
-		collector: newCollector(cfg),
-		t:         NewPairs(n),
-		u:         NewPairs(n),
-	}
+// newConstantRoundNode creates an Algorithm 3 node of rounds rounds (3, or
+// 4 for the binding gather); the protocol starts at Init.
+func newConstantRoundNode(cfg Config, rounds int) *ConstantRoundNode {
+	return &ConstantRoundNode{collector: newCollector(cfg), levels: newLevels(rounds),
+		pending: make([]pendingPairs, rounds-1)}
 }
 
 // Init implements sim.Node: ag-propose(input).
 func (n *ConstantRoundNode) Init(env sim.Env) {
 	n.gate = NewGate(n.cfg.Trust, env.Self())
-	n.tFrom = quorum.NewTracker(n.cfg.Trust, env.Self())
+	n.levels.init(n.cfg.Trust, env.Self())
 	n.start(env, n.onInput)
 }
 
-// onInput runs after each arb-delivery enters S.
+// onInput runs after each arb-delivery enters S: it wakes the buffered
+// sets this delivery completes.
 func (n *ConstantRoundNode) onInput(env sim.Env, src types.ProcessID) {
-	// Wake the buffered DISTRIBUTE sets this delivery completes.
-	for _, e := range n.pendingS.deliver(n.s, src) {
-		if !n.gate.Open() {
-			n.acceptS(env, e.from, e.pairs)
+	for k := range n.pending {
+		for _, e := range n.pending[k].deliver(n.s, src) {
+			n.accept(env, k, e.from, e.pairs)
 		}
 	}
-	for _, e := range n.pendingT.deliver(n.s, src) {
-		n.acceptT(env, e.from, e.pairs)
-	}
-	if n.inputHook != nil {
-		n.inputHook(env, src)
-	}
 }
 
-func (n *ConstantRoundNode) acceptS(env sim.Env, from types.ProcessID, s Pairs) {
-	n.t.Merge(s)
+// accept takes a level-k set that S contains: at level 0 it merges into T
+// and ACKs the sender (lines 48–50), at every later level it is merged.
+func (n *ConstantRoundNode) accept(env sim.Env, k int, from types.ProcessID, set Pairs) {
+	if k > levelS {
+		n.merge(env, k, from, set)
+		return
+	}
+	n.sets[levelS].Merge(set)
 	env.Send(from, ackMsg{})
-}
-
-func (n *ConstantRoundNode) acceptT(env sim.Env, from types.ProcessID, t Pairs) {
-	n.u.Merge(t)
-	n.tFrom.Add(from)
-	n.deliverOnce(n.tFrom, n.u)
 }
 
 // Receive implements sim.Node.
@@ -112,18 +98,12 @@ func (n *ConstantRoundNode) Receive(env sim.Env, from types.ProcessID, msg sim.M
 	}
 	switch m := msg.(type) {
 	case distMsg:
-		if !m.Set.wireValid(env.N()) {
+		// line 48: no ACK once T was distributed
+		if !n.holds(m, env.N()) || m.Level == levelS && n.gate.Open() {
 			return
 		}
-		switch {
-		case m.Level == levelS && !n.gate.Open(): // line 48: no ACK once T was distributed
-			if n.pendingS.add(n.s, from, m.Set) {
-				n.acceptS(env, from, m.Set)
-			}
-		case m.Level == levelT:
-			if n.pendingT.add(n.s, from, m.Set) {
-				n.acceptT(env, from, m.Set)
-			}
+		if n.pending[m.Level].add(n.s, from, m.Set) {
+			n.accept(env, m.Level, from, m.Set)
 		}
 	case ackMsg:
 		if n.gate.Ack(from) {
@@ -139,8 +119,8 @@ func (n *ConstantRoundNode) Receive(env sim.Env, from types.ProcessID, msg sim.M
 			sim.Multicast(env, sim.Cast{Msg: confirmMsg{}})
 		}
 		if opened {
-			n.pendingS.clear() // stop acknowledging
-			sim.Multicast(env, sim.Cast{Msg: distMsg{Level: levelT, Set: n.t.Clone()}})
+			n.pending[levelS].clear() // stop acknowledging
+			sim.Multicast(env, sim.Cast{Msg: distMsg{Level: levelT, Set: n.sets[levelS].Clone()}})
 		}
 	}
 }

@@ -23,11 +23,8 @@ type bufferProbe struct {
 func (b bufferProbe) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
 	var s Pairs
 	open := false
-	switch nd := b.Node.(type) {
-	case *ConstantRoundNode:
+	if nd, ok := b.Node.(*ConstantRoundNode); ok {
 		s, open = nd.s, nd.gate != nil && nd.gate.Open()
-	case *BindingNode:
-		s, open = nd.inner.s, nd.inner.gate != nil && nd.inner.gate.Open()
 	}
 	var set Pairs
 	if m, ok := msg.(distMsg); ok && (m.Level != levelS || !open) {

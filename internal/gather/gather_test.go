@@ -414,10 +414,13 @@ func (b *levelNode) Receive(env sim.Env, from types.ProcessID, msg sim.Message) 
 	b.rb.Handle(env, from, msg)
 }
 
-// TestMergeNodeDropsLevelsWithoutSet: a DISTRIBUTE at a level past the
-// last set of a merge node (level 1 or 2 at a two-round node, level 2 at a
-// three-round one) is dropped: no node panics, every correct node
-// delivers, and no fabricated value reaches an output.
+// TestMergeNodeDropsLevelsWithoutSet: a DISTRIBUTE at a level past a
+// node's last set (level 1 or 2 at a two-round node, level 2 at a
+// three-round or a constant-round one) is dropped: no node panics, every
+// correct node delivers, and no fabricated value reaches an output. So is
+// one at a level the codec does not carry (−1 or 3), which has no wire
+// form: each send of one to another process is an encode error, as TCP
+// drops it, though the simulator still delivers it.
 func TestMergeNodeDropsLevelsWithoutSet(t *testing.T) {
 	trust := quorum.NewThreshold(4, 1)
 	byz := types.ProcessID(3)
@@ -427,6 +430,8 @@ func TestMergeNodeDropsLevelsWithoutSet(t *testing.T) {
 	}{
 		{KindTwoRound, []int{levelT, levelU}},
 		{KindThreeRound, []int{levelU}},
+		{KindConstantRound, []int{levelU}},
+		{KindThreeRound, []int{-1, levelU + 1}},
 	} {
 		res := RunCluster(RunConfig{
 			Kind: tc.kind, Trust: trust, Mode: UseReliable, Latency: sim.UniformLatency{Min: 1, Max: 25}, Seed: 13,
@@ -444,6 +449,15 @@ func TestMergeNodeDropsLevelsWithoutSet(t *testing.T) {
 					t.Fatalf("%v: %v delivered %q for %v", tc.kind, p, v, src)
 				}
 			}
+		}
+		unencodable := 0
+		for _, level := range tc.levels {
+			if level < levelS || level > levelU {
+				unencodable += trust.N() - 1 // one per other process
+			}
+		}
+		if res.Metrics.EncodeErrors != unencodable {
+			t.Fatalf("%v, levels %v: %d encode errors, want %d", tc.kind, tc.levels, res.Metrics.EncodeErrors, unencodable)
 		}
 	}
 }

@@ -14,14 +14,19 @@
 //     (Algorithm 3) with DISTRIBUTE_S / ACK / READY / CONFIRM /
 //     DISTRIBUTE_T control flow. Its ACK/READY/CONFIRM rules (lines
 //     51–59) are Gate, which internal/core's consensus waves run too.
-//   - Binding: Algorithm 3 plus one DISTRIBUTE_U round, which fixes the
-//     common core by the first delivery (§2.4).
+//   - Binding: the same Algorithm 3 node with one DISTRIBUTE_U round
+//     more, which fixes the common core by the first delivery (§2.4).
 //   - Abstract round-merge model: the pure-set-algebra execution of
 //     Listing 1, used to regenerate Figures 2–4 exactly.
 //
-// Every set travels in one DISTRIBUTE message whose level (0, 1, 2) names
-// the paper's DISTRIBUTE_S, _T or _U; its sender is the authenticated
-// link's, and a node drops a level it has no set for.
+// So two node types run the four kinds: one quorum-merge node runs
+// Algorithms 1/2 and Tusk's primitive, one Algorithm 3 node runs the
+// constant-round and the binding gather. Both share one merge step over
+// level-indexed sets; only Algorithm 3's level 0 (T, with its ACKs) has
+// rules of its own. Every set travels in one DISTRIBUTE message whose
+// level (0, 1, 2) names the paper's DISTRIBUTE_S, _T or _U; its sender is
+// the authenticated link's, a node drops a level it has no set for, and a
+// level outside 0–2 has no wire form.
 //
 // The protocols keep their S/T/U sets as Pairs. At a quorum trigger a
 // node sends a Clone of its live set, which keeps growing; a set received

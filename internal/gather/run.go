@@ -119,11 +119,11 @@ func NewNode(k Kind, cfg Config) sim.Node {
 	case KindThreeRound:
 		return newMergeNode(cfg, 3)
 	case KindConstantRound:
-		return NewConstantRoundNode(cfg)
+		return newConstantRoundNode(cfg, 3)
 	case KindTwoRound:
 		return newMergeNode(cfg, 2)
 	case KindBinding:
-		return NewBindingNode(cfg)
+		return newConstantRoundNode(cfg, 4)
 	}
 	panic(fmt.Sprintf("gather: no gather of %v", k))
 }

@@ -82,29 +82,6 @@ func (c *collector) collect(env sim.Env, src types.ProcessID, value string) bool
 // the common core, when it exists, is one of these snapshots.
 func (c *collector) SentS() Pairs { return c.sSnapshot }
 
-// outcome is a gather's delivered set, fixed once.
-type outcome struct {
-	delivered bool
-	output    Pairs
-}
-
-// deliverOnce delivers a snapshot of u the first time from, the senders
-// whose sets u accumulated, contains a quorum.
-func (o *outcome) deliverOnce(from *quorum.Tracker, u Pairs) {
-	if !o.delivered && from.HasQuorum() {
-		o.delivered = true
-		o.output = u.Clone()
-	}
-}
-
-// Delivered returns the delivered set, if any.
-func (o *outcome) Delivered() (Pairs, bool) {
-	if !o.delivered {
-		return Pairs{}, false
-	}
-	return o.output, true
-}
-
 // DISTRIBUTE levels: the paper's DISTRIBUTE_S, DISTRIBUTE_T and
 // DISTRIBUTE_U. The codec carries no other.
 const (
@@ -120,8 +97,57 @@ type distMsg struct {
 	Set   Pairs
 }
 
-// mergeNode runs rounds of collect-and-forward with quorum triggers and no
-// control messages, Listing 1 over the network:
+// levels is the quorum-merge step every gather node here runs, Listing 1's
+// round over the network: sets[k] merges the sets received at level k,
+// and from[k] holds their senders. The first time level k's senders hold
+// a quorum, set k goes out at level k+1; at the last level it is
+// g-delivered instead.
+type levels struct {
+	sets   []Pairs
+	from   []*quorum.Tracker
+	output Pairs // the delivered set (zero until delivered)
+}
+
+// newLevels returns the levels of a gather of rounds rounds: the first
+// round distributes S, and each later one merges one level.
+func newLevels(rounds int) levels { return levels{sets: make([]Pairs, rounds-1)} }
+
+// init allocates the sets and the senders' trackers of process self.
+func (l *levels) init(trust quorum.Assumption, self types.ProcessID) {
+	l.from = make([]*quorum.Tracker, len(l.sets))
+	for k := range l.sets {
+		l.sets[k] = NewPairs(trust.N())
+		l.from[k] = quorum.NewTracker(trust, self)
+	}
+}
+
+// holds reports whether l keeps a set at m's level and m's set is well
+// formed among n processes; a node drops every other DISTRIBUTE. A
+// negative level has no wire form, but the simulator still delivers it.
+func (l *levels) holds(m distMsg, n int) bool {
+	return uint(m.Level) < uint(len(l.sets)) && m.Set.wireValid(n)
+}
+
+// merge merges set, received from `from` at level k, into set k, and sends
+// or delivers set k the first time level k's senders hold a quorum.
+func (l *levels) merge(env sim.Env, k int, from types.ProcessID, set Pairs) {
+	l.sets[k].Merge(set)
+	had := l.from[k].HasQuorum()
+	l.from[k].Add(from)
+	if had || !l.from[k].HasQuorum() {
+		return
+	}
+	if k < len(l.sets)-1 {
+		sim.Multicast(env, sim.Cast{Msg: distMsg{Level: k + 1, Set: l.sets[k].Clone()}})
+		return
+	}
+	l.output = l.sets[k].Clone()
+}
+
+// Delivered returns the delivered set, if any.
+func (l *levels) Delivered() (Pairs, bool) { return l.output, !l.output.IsZero() }
+
+// mergeNode runs the merge step at every level, with no control messages:
 //
 //	round 1: arb-broadcast input; S accumulates deliveries; once S contains
 //	         a quorum, send [DISTRIBUTE, 0, S] to all.
@@ -143,28 +169,18 @@ type distMsg struct {
 // Listing 1 set-for-set.
 type mergeNode struct {
 	collector
-	outcome
-
-	sets []Pairs           // sets[k] merges the sets received at level k
-	from []*quorum.Tracker // from[k]: processes whose level-k set arrived
+	levels
 }
 
 // newMergeNode creates a gather node of rounds rounds (2 or 3); the
 // protocol starts at Init.
 func newMergeNode(cfg Config, rounds int) *mergeNode {
-	n := &mergeNode{collector: newCollector(cfg),
-		sets: make([]Pairs, rounds-1), from: make([]*quorum.Tracker, rounds-1)}
-	for k := range n.sets {
-		n.sets[k] = NewPairs(cfg.Trust.N())
-	}
-	return n
+	return &mergeNode{collector: newCollector(cfg), levels: newLevels(rounds)}
 }
 
 // Init implements sim.Node: it g-proposes the configured input.
 func (n *mergeNode) Init(env sim.Env) {
-	for k := range n.from {
-		n.from[k] = quorum.NewTracker(n.cfg.Trust, env.Self())
-	}
+	n.levels.init(n.cfg.Trust, env.Self())
 	n.start(env, nil)
 }
 
@@ -173,18 +189,8 @@ func (n *mergeNode) Receive(env sim.Env, from types.ProcessID, msg sim.Message) 
 	if n.bc.Handle(env, from, msg) {
 		return
 	}
-	m, ok := msg.(distMsg)
-	if !ok || m.Level >= len(n.sets) || !m.Set.wireValid(env.N()) {
-		return // a level this node has no set for; malformed wire payloads
-	}
-	k := m.Level
-	n.sets[k].Merge(m.Set)
-	had := n.from[k].HasQuorum()
-	n.from[k].Add(from)
-	if k == len(n.sets)-1 {
-		n.deliverOnce(n.from[k], n.sets[k])
-	} else if !had && n.from[k].HasQuorum() {
-		sim.Multicast(env, sim.Cast{Msg: distMsg{Level: k + 1, Set: n.sets[k].Clone()}})
+	if m, ok := msg.(distMsg); ok && n.holds(m, env.N()) {
+		n.merge(env, m.Level, from, m.Set)
 	}
 }
 

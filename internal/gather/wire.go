@@ -3,7 +3,8 @@
 //
 // A Pairs travels only inside the one DISTRIBUTE message, whose body is
 // [uvarint level][pairs body], the level 0, 1 or 2 (DISTRIBUTE_S, _T or
-// _U); its sender is the link's. The pairs body reuses the raw-word bitset
+// _U; any other level fails Append as it fails Decode); its sender is the
+// link's. The pairs body reuses the raw-word bitset
 // encoding types.Set already carries: [uvarint universe][raw LE sender
 // words][per member, ascending: uvarint len + value bytes]. A universe of 0 encodes
 // the zero Pairs. Decoding validates the universe bound and sender-word
@@ -80,7 +81,11 @@ func registerWireCodecs() {
 	wire.Register(wireTagDist, distMsg{}, wire.Codec{
 		Append: func(dst []byte, msg any) ([]byte, error) {
 			m := msg.(distMsg)
-			return m.Set.appendWire(wire.AppendInt(dst, m.Level)), nil
+			dst, err := wire.AppendInt(dst, m.Level, levelU)
+			if err != nil {
+				return dst, err
+			}
+			return m.Set.appendWire(dst), nil
 		},
 		Decode: func(b []byte) (any, []byte, error) {
 			level, rest, err := wire.ReadInt(b, levelU)

@@ -80,7 +80,7 @@ func distFrame(level byte, body []byte) []byte {
 
 // TestGatherWireRejectsMalformed: adversarial Pairs bodies, and a level
 // past DISTRIBUTE_U, must be rejected with an error, not crash the decoder
-// or later set operations.
+// or later set operations; and no level outside 0–2 encodes.
 func TestGatherWireRejectsMalformed(t *testing.T) {
 	cases := map[string][]byte{
 		"empty body":        distFrame(levelS, nil),
@@ -92,6 +92,11 @@ func TestGatherWireRejectsMalformed(t *testing.T) {
 	for name, frame := range cases {
 		if _, _, err := wire.Decode(frame); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+	for _, level := range []int{-1, levelU + 1} {
+		if _, err := wire.Marshal(distMsg{Level: level, Set: NewPairs(4)}); err == nil {
+			t.Errorf("level %d encoded", level)
 		}
 	}
 }

@@ -304,10 +304,10 @@ func TestVertexWireRejectsMalformed(t *testing.T) {
 	frame := func(body []byte) []byte {
 		return append(wire.AppendUvarint(nil, dag.WireTag), body...)
 	}
-	huge := wire.AppendInt(nil, 1)                   // source
-	huge = wire.AppendInt(huge, 1)                   // round
+	huge := wire.AppendUvarint(nil, 1)               // source
+	huge = wire.AppendUvarint(huge, 1)               // round
 	huge = wire.AppendUvarint(huge, wire.MaxCount+1) // tx count
-	over := wire.AppendInt(nil, 1)                   // source
+	over := wire.AppendUvarint(nil, 1)               // source
 	over = wire.AppendUvarint(over, 1<<30+1)         // round, past dag's bound
 	overCap := wire.AppendUvarint(nil, wire.MaxUniverse/8+1)
 	overCap = append(overCap, bytes.Repeat([]byte{0xFF}, wire.MaxUniverse/8+1)...)

@@ -124,19 +124,28 @@ func TestConsensusOverTCP(t *testing.T) {
 	}
 }
 
+// TestGatherOverTCP runs both Algorithm 3 gathers, the constant-round and
+// the binding one, over real sockets: every DISTRIBUTE set a node merges
+// was decoded on a connection's reader goroutine.
 func TestGatherOverTCP(t *testing.T) {
+	for _, kind := range []gather.Kind{gather.KindConstantRound, gather.KindBinding} {
+		t.Run(kind.String(), func(t *testing.T) { testGatherOverTCP(t, kind) })
+	}
+}
+
+func testGatherOverTCP(t *testing.T, kind gather.Kind) {
 	n := 4
 	trust := quorum.NewThreshold(n, 1)
 	nodes := make([]sim.Node, n)
-	raw := make([]*gather.ConstantRoundNode, n)
 	for i := range nodes {
-		nd := gather.NewConstantRoundNode(gather.Config{
+		nodes[i] = gather.NewNode(kind, gather.Config{
 			Trust: trust,
 			Input: gather.InputValue(types.ProcessID(i)),
 			Mode:  gather.UseReliable,
 		})
-		nodes[i] = nd
-		raw[i] = nd
+	}
+	delivered := func(i int) (out gather.Pairs, ok bool) {
+		return nodes[i].(interface{ Delivered() (gather.Pairs, bool) }).Delivered()
 	}
 	cluster, err := NewLocalCluster(nodes, 0)
 	if err != nil {
@@ -150,7 +159,7 @@ func TestGatherOverTCP(t *testing.T) {
 		done := 0
 		for i, h := range cluster.Hosts {
 			var ok bool
-			h.Inspect(func() { _, ok = raw[i].Delivered() })
+			h.Inspect(func() { _, ok = delivered(i) })
 			if ok {
 				done++
 			}
@@ -163,7 +172,7 @@ func TestGatherOverTCP(t *testing.T) {
 	for i, h := range cluster.Hosts {
 		var out gather.Pairs
 		var ok bool
-		h.Inspect(func() { out, ok = raw[i].Delivered() })
+		h.Inspect(func() { out, ok = delivered(i) })
 		if !ok {
 			t.Fatalf("node %d never ag-delivered over TCP", i)
 		}

@@ -46,7 +46,11 @@ func FuzzReadPrimitives(f *testing.F) {
 			if v < 0 || v > 1000 {
 				t.Fatalf("ReadInt returned %d outside [0, 1000]", v)
 			}
-			consumed("ReadInt", b, rest, wire.AppendInt(nil, v))
+			enc, err := wire.AppendInt(nil, v, 1000)
+			if err != nil {
+				t.Fatalf("AppendInt refused %d: %v", v, err)
+			}
+			consumed("ReadInt", b, rest, enc)
 		}
 		if s, rest, err := wire.ReadString(b); err == nil {
 			if len(s) > wire.MaxStringLen {

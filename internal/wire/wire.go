@@ -38,6 +38,12 @@
 // repeated-element count does it itself.
 // internal/transport's FuzzDecodeBatch holds every registered codec to
 // this at run time.
+//
+// Encoders hold the decoders' bounds: AppendInt takes the bound ReadInt
+// reads the same field with and fails outside [0, max]. A message whose
+// field is out of bounds then fails Append, which the simulator counts as
+// an encode error and the TCP writer drops, instead of crossing a link to
+// a decoder that would drop the whole connection.
 package wire
 
 import (
@@ -224,12 +230,14 @@ func ReadUvarint(b []byte) (uint64, []byte, error) {
 	return v, b[n:], nil
 }
 
-// AppendInt appends a non-negative int as a uvarint.
-func AppendInt(dst []byte, v int) []byte {
-	if v < 0 {
-		panic(fmt.Sprintf("wire: negative int %d", v))
+// AppendInt appends an int in [0, max] as a uvarint, the bound ReadInt(b,
+// max) enforces. It appends nothing and reports an error for any other,
+// so a message the decoder would refuse has no wire form.
+func AppendInt(dst []byte, v, max int) ([]byte, error) {
+	if uint(v) > uint(max) {
+		return dst, fmt.Errorf("wire: value %d outside [0, %d]", v, max)
 	}
-	return AppendUvarint(dst, uint64(v))
+	return AppendUvarint(dst, uint64(v)), nil
 }
 
 // ReadInt parses a non-negative int bounded by max (inclusive).

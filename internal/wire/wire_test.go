@@ -98,15 +98,18 @@ func TestUvarintPrimitives(t *testing.T) {
 	if _, _, err := ReadUvarint(nil); err == nil {
 		t.Fatal("empty uvarint accepted")
 	}
-	if _, _, err := ReadInt(AppendInt(nil, 100), 99); err == nil {
+	if _, _, err := ReadInt(AppendUvarint(nil, 100), 99); err == nil {
 		t.Fatal("out-of-bound int accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative AppendInt did not panic")
+	// AppendInt writes exactly what ReadInt(b, max) reads back.
+	if b, err := AppendInt(nil, 99, 99); err != nil || !bytes.Equal(b, AppendUvarint(nil, 99)) {
+		t.Fatalf("AppendInt(99, 99) = % x, %v", b, err)
+	}
+	for _, v := range []int{-1, 100} {
+		if b, err := AppendInt([]byte{7}, v, 99); err == nil || !bytes.Equal(b, []byte{7}) {
+			t.Fatalf("AppendInt(%d, 99) = % x, %v; want nothing appended and an error", v, b, err)
 		}
-	}()
-	AppendInt(nil, -1)
+	}
 }
 
 // TestReadUvarintRejectsNonMinimal: a varint spelled in more bytes than
